@@ -23,18 +23,9 @@ import (
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/par"
 	"repro/internal/plan"
-	"repro/internal/spatial"
-	"repro/internal/tpch"
 )
-
-// benchSessions opens one forced-A&R and one forced-classic session over a
-// catalog — end-to-end benches drive the same engine facade the shell and
-// server use, so the serving path itself is under the clock.
-func benchSessions(c *plan.Catalog) (arSess, clSess *engine.Session) {
-	eng := engine.New(c, engine.Options{})
-	return eng.SessionFor(engine.ModeAR), eng.SessionFor(engine.ModeClassic)
-}
 
 func benchFigure(b *testing.B, fn func(experiments.Options) (*experiments.Figure, error)) {
 	b.Helper()
@@ -103,7 +94,7 @@ func BenchmarkOpSelectRefine(b *testing.B) {
 	b.SetBytes(int64(cands.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar.SelectRefine(nil, 1, col, 0, benchN/10, cands)
+		ar.SelectRefine(par.P{}, nil, col, 0, benchN/10, cands)
 	}
 }
 
@@ -112,7 +103,7 @@ func BenchmarkOpSelectClassic(b *testing.B) {
 	b.SetBytes(raw.TailBytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bulk.SelectRange(nil, 1, raw, 0, benchN/10)
+		bulk.SelectRange(par.P{}, nil, raw, 0, benchN/10)
 	}
 }
 
@@ -120,12 +111,12 @@ func BenchmarkOpProjectApproxRefine(b *testing.B) {
 	selCol, _ := benchColumn(12)
 	prjCol, _ := benchColumn(12)
 	cands := ar.SelectApprox(nil, selCol, selCol.Relax(0, benchN/10))
-	refined, _ := ar.SelectRefine(nil, 1, selCol, 0, benchN/10, cands)
+	refined, _ := ar.SelectRefine(par.P{}, nil, selCol, 0, benchN/10, cands)
 	b.SetBytes(int64(refined.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		proj := ar.ProjectApprox(nil, prjCol, cands)
-		if _, err := ar.ProjectRefine(nil, 1, proj, refined); err != nil {
+		if _, err := ar.ProjectRefine(par.P{}, nil, proj, refined); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +143,7 @@ func BenchmarkOpGroupApprox(b *testing.B) {
 func BenchmarkOpTranslucentJoin(b *testing.B) {
 	col, _ := benchColumn(12)
 	cands := ar.SelectApprox(nil, col, col.Relax(0, benchN/2))
-	refined, _ := ar.SelectRefine(nil, 1, col, 0, benchN/4, cands)
+	refined, _ := ar.SelectRefine(par.P{}, nil, col, 0, benchN/4, cands)
 	b.SetBytes(int64(cands.Len()) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -174,7 +165,7 @@ func BenchmarkAblationResolution(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cands := ar.SelectApprox(nil, col, r)
-				ar.SelectRefine(nil, 1, col, 0, benchN/20, cands)
+				ar.SelectRefine(par.P{}, nil, col, 0, benchN/20, cands)
 			}
 		})
 	}
@@ -185,7 +176,7 @@ func BenchmarkAblationResolution(b *testing.B) {
 func BenchmarkAblationTranslucentVsHash(b *testing.B) {
 	col, _ := benchColumn(12)
 	cands := ar.SelectApprox(nil, col, col.Relax(0, benchN/2))
-	refined, _ := ar.SelectRefine(nil, 1, col, 0, benchN/4, cands)
+	refined, _ := ar.SelectRefine(par.P{}, nil, col, 0, benchN/4, cands)
 	aVals := make([]int64, len(cands.IDs))
 	for i, id := range cands.IDs {
 		aVals[i] = int64(id)
@@ -241,7 +232,7 @@ func BenchmarkAblationFilterPushdown(b *testing.B) {
 		},
 		Aggs: []plan.AggSpec{{Name: "n", Func: plan.Count}},
 	}
-	arSess, _ := benchSessions(c)
+	arSess := engine.New(c, engine.Options{}).SessionFor(engine.ModeAR)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -249,74 +240,6 @@ func BenchmarkAblationFilterPushdown(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// End-to-end wall clock of the three reproduced TPC-H queries at small SF.
-func BenchmarkEndToEndTPCH(b *testing.B) {
-	sys := device.PaperSystem()
-	c := plan.NewCatalog(sys)
-	d := tpch.Generate(0.005, 42)
-	if err := d.Load(c); err != nil {
-		b.Fatal(err)
-	}
-	if err := d.DecomposeAll(c, false); err != nil {
-		b.Fatal(err)
-	}
-	q14, err := tpch.Q14(1995, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	arSess, clSess := benchSessions(c)
-	ctx := context.Background()
-	for _, entry := range []struct {
-		name string
-		q    plan.Query
-	}{{"Q1", tpch.Q1(90)}, {"Q6", tpch.Q6(1994, 6, 24)}, {"Q14", q14}} {
-		b.Run(entry.name+"/AR", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := arSess.QueryPlan(ctx, entry.q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(entry.name+"/Classic", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := clSess.QueryPlan(ctx, entry.q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// End-to-end wall clock of the spatial range query.
-func BenchmarkEndToEndSpatial(b *testing.B) {
-	sys := device.PaperSystem()
-	c := plan.NewCatalog(sys)
-	d := spatial.Generate(200_000, 7)
-	if err := d.Load(c); err != nil {
-		b.Fatal(err)
-	}
-	if err := d.Decompose(c); err != nil {
-		b.Fatal(err)
-	}
-	q := spatial.RangeCountQuery()
-	arSess, clSess := benchSessions(c)
-	ctx := context.Background()
-	b.Run("AR", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := arSess.QueryPlan(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Classic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := clSess.QueryPlan(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkMorselScaling measures the wall-clock effect of morsel-parallel
@@ -361,7 +284,7 @@ func BenchmarkMorselScaling(b *testing.B) {
 			{Name: "mx", Func: plan.Max, Expr: plan.Col("v")},
 		},
 	}
-	want, err := c.ExecClassic(q, plan.ExecOpts{Threads: 1})
+	want, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{Threads: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -373,7 +296,7 @@ func BenchmarkMorselScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			b.SetBytes(int64(n) * 8)
 			for i := 0; i < b.N; i++ {
-				res, err := c.ExecClassic(q, plan.ExecOpts{Threads: threads})
+				res, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{Threads: threads})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/bat"
 	"repro/internal/bulk"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 // Aggregation in the A&R framework depends on the aggregation function
@@ -61,8 +62,8 @@ func SumApprox(m *device.Meter, p *Projection) Interval {
 // summed expression involves multiplication (destructive distributivity,
 // §IV-G), the caller must pass the values re-derived from reconstructed
 // inputs; the approximate sum cannot shortcut this.
-func SumRefine(m *device.Meter, threads int, vals []int64) int64 {
-	return bulk.Sum(m, threads, vals)
+func SumRefine(p par.P, m *device.Meter, vals []int64) int64 {
+	return bulk.Sum(p, m, vals)
 }
 
 // SumGroupedApprox returns per-group sum bounds over the projected column
@@ -172,23 +173,23 @@ func MaxApprox(m *device.Meter, p *Projection) *MinCandidates {
 // calculation of the minimum"). refinedIDs/refinedVals come from the
 // selection refinement; mc from MinApprox. ok is false when no candidate
 // survives.
-func MinRefine(m *device.Meter, threads int, mc *MinCandidates, refinedIDs []bat.OID, refinedVals []int64) (int64, bool) {
+func MinRefine(p par.P, m *device.Meter, mc *MinCandidates, refinedIDs []bat.OID, refinedVals []int64) (int64, bool) {
 	keep := intersectVals(mc.IDs, refinedIDs, refinedVals)
 	if m != nil {
-		m.CPUWork(threads, int64(len(mc.IDs)+len(refinedIDs))*4, 0,
+		m.CPUWork(p.NThreads(), int64(len(mc.IDs)+len(refinedIDs))*4, 0,
 			int64(len(mc.IDs)+len(refinedIDs)))
 	}
-	return bulk.Min(m, threads, keep)
+	return bulk.Min(p, m, keep)
 }
 
 // MaxRefine is the mirror image of MinRefine.
-func MaxRefine(m *device.Meter, threads int, mc *MinCandidates, refinedIDs []bat.OID, refinedVals []int64) (int64, bool) {
+func MaxRefine(p par.P, m *device.Meter, mc *MinCandidates, refinedIDs []bat.OID, refinedVals []int64) (int64, bool) {
 	keep := intersectVals(mc.IDs, refinedIDs, refinedVals)
 	if m != nil {
-		m.CPUWork(threads, int64(len(mc.IDs)+len(refinedIDs))*4, 0,
+		m.CPUWork(p.NThreads(), int64(len(mc.IDs)+len(refinedIDs))*4, 0,
 			int64(len(mc.IDs)+len(refinedIDs)))
 	}
-	return bulk.Max(m, threads, keep)
+	return bulk.Max(p, m, keep)
 }
 
 // intersectVals returns the refined values whose IDs also appear in the

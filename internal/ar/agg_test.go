@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bulk"
+	"repro/internal/par"
 )
 
 func TestCountApproxBoundsExact(t *testing.T) {
@@ -14,7 +15,7 @@ func TestCountApproxBoundsExact(t *testing.T) {
 	lo, hi := int64(3000), int64(9000)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
 	iv := CountApprox(nil, cands)
-	refined, _ := SelectRefine(nil, 1, col, lo, hi, cands)
+	refined, _ := SelectRefine(par.P{}, nil, col, lo, hi, cands)
 	exact := int64(len(refined.IDs))
 	if !iv.Contains(exact) {
 		t.Fatalf("approximate count %v does not contain exact %d", iv, exact)
@@ -37,12 +38,12 @@ func TestSumApproxBoundsExact(t *testing.T) {
 		proj := ProjectApprox(nil, priceCol, cands)
 		iv := SumApprox(nil, proj)
 
-		refined, _ := SelectRefine(nil, 1, dateCol, lo, hi, cands)
-		exactVals, err := ProjectRefine(nil, 1, proj, refined)
+		refined, _ := SelectRefine(par.P{}, nil, dateCol, lo, hi, cands)
+		exactVals, err := ProjectRefine(par.P{}, nil, proj, refined)
 		if err != nil {
 			t.Fatalf("bits %d: %v", bits, err)
 		}
-		exact := bulk.Sum(nil, 1, exactVals)
+		exact := bulk.Sum(par.P{}, nil, exactVals)
 		if !iv.Contains(exact) {
 			t.Fatalf("bits %d: approximate sum %v does not contain exact %d", bits, iv, exact)
 		}
@@ -66,16 +67,16 @@ func TestSumGroupedApproxBoundsExact(t *testing.T) {
 	grouping := GroupApprox(nil, keyCol, cands)
 	ivs := SumGroupedApprox(nil, proj, grouping)
 
-	refined, _ := SelectRefine(nil, 1, selCol, 1000, 8000, cands)
-	exactVals, err := ProjectRefine(nil, 1, proj, refined)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, 8000, cands)
+	exactVals, err := ProjectRefine(par.P{}, nil, proj, refined)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactGroups, err := GroupRefine(nil, 1, grouping, refined)
+	exactGroups, err := GroupRefine(par.P{}, nil, grouping, refined)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactSums := bulk.SumGrouped(nil, 1, exactVals, exactGroups)
+	exactSums := bulk.SumGrouped(par.P{}, nil, exactVals, exactGroups)
 	for g := 0; g < exactGroups.NGroups; g++ {
 		key := exactGroups.Keys[g]
 		// Find the approximate group with the same key.
@@ -120,12 +121,12 @@ func TestMinApproxFig6Trap(t *testing.T) {
 	mc := MinApprox(nil, proj)
 
 	// The true minimum y among x in [100,1023] is y[100] = 1100.
-	refined, _ := SelectRefine(nil, 1, xCol, lo, hi, cands)
-	yExact, err := ProjectRefine(nil, 1, proj, refined)
+	refined, _ := SelectRefine(par.P{}, nil, xCol, lo, hi, cands)
+	yExact, err := ProjectRefine(par.P{}, nil, proj, refined)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := MinRefine(nil, 1, mc, refined.IDs, yExact)
+	got, ok := MinRefine(par.P{}, nil, mc, refined.IDs, yExact)
 	if !ok {
 		t.Fatal("MinRefine found no candidates")
 	}
@@ -163,24 +164,24 @@ func TestMinMaxApproxRandomized(t *testing.T) {
 			continue
 		}
 		proj := ProjectApprox(nil, yCol, cands)
-		refined, _ := SelectRefine(nil, 1, xCol, lo, hi, cands)
+		refined, _ := SelectRefine(par.P{}, nil, xCol, lo, hi, cands)
 		if len(refined.IDs) == 0 {
 			continue
 		}
-		yExact, err := ProjectRefine(nil, 1, proj, refined)
+		yExact, err := ProjectRefine(par.P{}, nil, proj, refined)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMin, _ := bulk.Min(nil, 1, yExact)
-		wantMax, _ := bulk.Max(nil, 1, yExact)
+		wantMin, _ := bulk.Min(par.P{}, nil, yExact)
+		wantMax, _ := bulk.Max(par.P{}, nil, yExact)
 
 		mc := MinApprox(nil, proj)
-		gotMin, ok := MinRefine(nil, 1, mc, refined.IDs, yExact)
+		gotMin, ok := MinRefine(par.P{}, nil, mc, refined.IDs, yExact)
 		if !ok || gotMin != wantMin {
 			t.Fatalf("trial %d: min = %d (ok=%v), want %d", trial, gotMin, ok, wantMin)
 		}
 		xc := MaxApprox(nil, proj)
-		gotMax, ok := MaxRefine(nil, 1, xc, refined.IDs, yExact)
+		gotMax, ok := MaxRefine(par.P{}, nil, xc, refined.IDs, yExact)
 		if !ok || gotMax != wantMax {
 			t.Fatalf("trial %d: max = %d (ok=%v), want %d", trial, gotMax, ok, wantMax)
 		}

@@ -33,7 +33,7 @@ func newScanFixture(t testing.TB, n int) *scanFixture {
 
 func runARScan(f *scanFixture) {
 	cands := SelectApprox(nil, f.col, f.rng)
-	refined, vals := SelectRefinePar(par.Bill(1), nil, f.col, f.lo, f.hi, cands)
+	refined, vals := SelectRefine(par.P{}, nil, f.col, f.lo, f.hi, cands)
 	mem.I64.Put(vals)
 	refined.Release()
 	cands.Release()
@@ -57,10 +57,10 @@ func TestReconstructAllZeroAlloc(t *testing.T) {
 	cands := SelectApprox(nil, f.col, f.rng)
 	defer cands.Release()
 	for i := 0; i < 5; i++ {
-		mem.I64.Put(ReconstructAllPar(par.Bill(1), nil, f.col, cands))
+		mem.I64.Put(ReconstructAll(par.P{}, nil, f.col, cands))
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		mem.I64.Put(ReconstructAllPar(par.Bill(1), nil, f.col, cands))
+		mem.I64.Put(ReconstructAll(par.P{}, nil, f.col, cands))
 	}); n != 0 {
 		if mem.RaceEnabled {
 			t.Skipf("%.2f allocs/op under -race (sync.Pool drops Puts); strict guard runs in normal builds", n)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 func TestCodesForUnknownColumn(t *testing.T) {
@@ -101,7 +102,7 @@ func TestEmptyCandidatesFlow(t *testing.T) {
 	if proj.Len() != 0 {
 		t.Error("projection over empty candidates not empty")
 	}
-	refined, vals2 := SelectRefine(nil, 1, col, 100000, 200000, cands)
+	refined, vals2 := SelectRefine(par.P{}, nil, col, 100000, 200000, cands)
 	if refined.Len() != 0 || len(vals2) != 0 {
 		t.Error("refinement of empty candidates not empty")
 	}
@@ -126,7 +127,7 @@ func TestShippedFlagPropagation(t *testing.T) {
 	if !cands.Shipped() {
 		t.Error("Ship did not mark candidates")
 	}
-	refined, _ := SelectRefine(nil, 1, col, 0, 500, cands)
+	refined, _ := SelectRefine(par.P{}, nil, col, 0, 500, cands)
 	if !refined.Shipped() {
 		t.Error("refinement output lives on the host; must stay marked shipped")
 	}

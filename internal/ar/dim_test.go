@@ -7,6 +7,7 @@ import (
 	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 // buildDimData creates a fact table with an FK into a dimension column,
@@ -52,7 +53,7 @@ func TestSelectApproxAtAndRefineAt(t *testing.T) {
 			}
 		}
 		// Refinement: exact.
-		r2, atR, vals := SelectRefineAt(nil, 1, dimCol, lo, hi, c2, at2)
+		r2, atR, vals := SelectRefineAt(par.P{}, nil, dimCol, lo, hi, c2, at2)
 		for i, id := range r2.IDs {
 			if vals[i] != dimVals[atR[i]] {
 				t.Fatalf("dimBits=%d: reconstructed dim value %d != %d", dimBits, vals[i], dimVals[atR[i]])
@@ -78,12 +79,12 @@ func TestSelectApproxAtAndRefineAt(t *testing.T) {
 			}
 		}
 		// cands is approximate on sel: refine sel first for exact ground truth.
-		rSel, _ := SelectRefine(nil, 1, selCol, 100, 9000, c2)
+		rSel, _ := SelectRefine(par.P{}, nil, selCol, 100, 9000, c2)
 		atSel := make([]bat.OID, len(rSel.IDs))
 		for i, id := range rSel.IDs {
 			atSel[i] = bat.OID(fk[id])
 		}
-		rBoth, _, _ := SelectRefineAt(nil, 1, dimCol, lo, hi, rSel, atSel)
+		rBoth, _, _ := SelectRefineAt(par.P{}, nil, dimCol, lo, hi, rSel, atSel)
 		if rBoth.Len() != want {
 			t.Fatalf("dimBits=%d: refined join count %d != ground truth %d", dimBits, rBoth.Len(), want)
 		}
@@ -98,7 +99,7 @@ func TestProjectRefineAtReconstructsDimValues(t *testing.T) {
 		at[i] = bat.OID(fk[id])
 	}
 	proj := ProjectApproxAt(nil, dimCol, cands, at)
-	refined, _ := SelectRefine(nil, 1, selCol, 500, 8000, cands)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 500, 8000, cands)
 	pos, err := TranslucentJoin(cands.IDs, refined.IDs)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestProjectRefineAtReconstructsDimValues(t *testing.T) {
 	for i, p := range pos {
 		atRefined[i] = at[p]
 	}
-	got, err := ProjectRefineAt(nil, 1, proj, refined, atRefined)
+	got, err := ProjectRefineAt(par.P{}, nil, proj, refined, atRefined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestSelectRefineAtResidentChargesNothing(t *testing.T) {
 	}
 	c2, at2 := SelectApproxAt(nil, dimCol, dimCol.Relax(0, 5000), cands, at)
 	m := device.NewMeter(sys)
-	SelectRefineAt(m, 1, dimCol, 0, 5000, c2, at2)
+	SelectRefineAt(par.P{}, m, dimCol, 0, 5000, c2, at2)
 	if m.CPU != 0 {
 		t.Errorf("resident dimension refinement charged %v (§IV-C: no refinement needed)", m.CPU)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 func groupKeys(n, groups int, seed int64) []int64 {
@@ -31,8 +32,8 @@ func TestGroupApproxRefineResidentColumn(t *testing.T) {
 	cands := SelectApprox(nil, selCol, selCol.Relax(1000, 9000))
 	grouping := GroupApprox(nil, keyCol, cands)
 	grouping.Ship(nil)
-	refined, _ := SelectRefine(nil, 1, selCol, 1000, 9000, cands)
-	got, err := GroupRefine(nil, 1, grouping, refined)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, 9000, cands)
+	got, err := GroupRefine(par.P{}, nil, grouping, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
@@ -56,8 +57,8 @@ func TestGroupRefineDecomposedColumnRegroups(t *testing.T) {
 
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, 5000))
 	grouping := GroupApprox(nil, keyCol, cands)
-	refined, _ := SelectRefine(nil, 1, selCol, 0, 5000, cands)
-	got, err := GroupRefine(nil, 1, grouping, refined)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, 5000, cands)
+	got, err := GroupRefine(par.P{}, nil, grouping, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
@@ -81,13 +82,13 @@ func TestGroupApproxMatchesBulkOnFullSelection(t *testing.T) {
 	selCol := decompose(t, shuffledInts(n, 35), 32)
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, int64(n)))
 	grouping := GroupApprox(nil, keyCol, cands)
-	refined, _ := SelectRefine(nil, 1, selCol, 0, int64(n), cands)
-	got, err := GroupRefine(nil, 1, grouping, refined)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, int64(n), cands)
+	got, err := GroupRefine(par.P{}, nil, grouping, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
 
-	want := bulk.GroupBy(nil, 1, keys)
+	want := bulk.GroupBy(par.P{}, nil, keys)
 	if got.NGroups != want.NGroups {
 		t.Fatalf("NGroups = %d, want %d", got.NGroups, want.NGroups)
 	}

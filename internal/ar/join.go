@@ -8,6 +8,7 @@ import (
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
+	"repro/internal/par"
 )
 
 // FKPositionsApprox computes, on the device, the dimension-table positions
@@ -49,8 +50,8 @@ func FKPositionsApprox(m *device.Meter, fkCol *bwd.Column, cands *Candidates, pk
 // for a refined candidate subset, using the host-side foreign-key index.
 // It is the CPU fallback for decomposed key columns and the refinement
 // counterpart of FKPositionsApprox.
-func FKPositionsRefine(m *device.Meter, threads int, fkCol *bwd.Column, refined *Candidates, ix *bulk.FKIndex) ([]bat.OID, error) {
-	vals := ReconstructAll(m, threads, fkCol, refined)
+func FKPositionsRefine(p par.P, m *device.Meter, fkCol *bwd.Column, refined *Candidates, ix *bulk.FKIndex) ([]bat.OID, error) {
+	vals := ReconstructAll(p, m, fkCol, refined)
 	out := oidPool.GetN(len(vals))
 	for i, fk := range vals {
 		pos, ok := ix.Lookup(fk)
@@ -62,7 +63,7 @@ func FKPositionsRefine(m *device.Meter, threads int, fkCol *bwd.Column, refined 
 	}
 	mem.I64.Put(vals)
 	if m != nil {
-		m.CPUWork(threads, int64(len(vals))*8, int64(len(vals))*4,
+		m.CPUWork(p.NThreads(), int64(len(vals))*8, int64(len(vals))*4,
 			int64(len(vals))*bulk.OpsHashProbe)
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bat"
 	"repro/internal/bulk"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 func TestFKPositionsApproxDensePK(t *testing.T) {
@@ -80,8 +81,8 @@ func TestFKPositionsRefineMatchesApprox(t *testing.T) {
 	pa := ProjectApprox(nil, fkSplit, cands)
 	cands.attach = append(cands.attach, attachment{col: fkSplit, codes: pa.Codes})
 
-	refined, _ := SelectRefine(nil, 1, selCol, 0, 1500, cands)
-	gotRefine, err := FKPositionsRefine(nil, 1, fkSplit, refined, ix)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, 1500, cands)
+	gotRefine, err := FKPositionsRefine(par.P{}, nil, fkSplit, refined, ix)
 	if err != nil {
 		t.Fatalf("FKPositionsRefine: %v", err)
 	}

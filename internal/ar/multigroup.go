@@ -113,17 +113,13 @@ func (g *MultiGrouping) Ship(m *device.Meter) {
 // exact and only false positives are discharged (translucent join).
 // Otherwise exact keys are re-derived from shipped codes and host
 // residuals and the CPU regroups.
-func GroupRefineMulti(m *device.Meter, threads int, g *MultiGrouping, refined *Candidates) (*bulk.Grouping, [][]int64, error) {
-	return GroupRefineMultiPar(par.Bill(threads), m, g, refined)
-}
-
-// GroupRefineMultiPar is the morsel-parallel GroupRefineMulti: the
-// exact-pre-grouping path densifies surviving group IDs with the shared
-// block-partial first-appearance remap, and the decomposed path
-// reconstructs key tuples per-morsel and regroups with the parallel
-// multi-column grouping (charged here, not by the grouping kernel, so the
+//
+// The exact-pre-grouping path densifies surviving group IDs with the
+// shared block-partial first-appearance remap, and the decomposed path
+// reconstructs key tuples per-morsel and regroups with
+// bulk.GroupByMulti (charged here, not by the grouping kernel, so the
 // simulated cost is unchanged).
-func GroupRefineMultiPar(p par.P, m *device.Meter, g *MultiGrouping, refined *Candidates) (*bulk.Grouping, [][]int64, error) {
+func GroupRefineMulti(p par.P, m *device.Meter, g *MultiGrouping, refined *Candidates) (*bulk.Grouping, [][]int64, error) {
 	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs, refined.IDs)
 	if err != nil {
 		return nil, nil, err
@@ -181,7 +177,7 @@ func GroupRefineMultiPar(p par.P, m *device.Meter, g *MultiGrouping, refined *Ca
 	}
 	// Hash the exact tuples (unmetered kernel; charged below with the
 	// historical group-refinement formula).
-	grouping, keys := bulk.GroupByMultiPar(p, nil, exact)
+	grouping, keys := bulk.GroupByMulti(p, nil, exact)
 	if m != nil {
 		m.CPUWork(p.NThreads(), int64(n)*8*int64(len(g.Cols)), 0, int64(n)*bulk.OpsHashGroup)
 	}

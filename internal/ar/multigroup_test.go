@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 func TestGroupApproxMultiResidentExactPassthrough(t *testing.T) {
@@ -21,8 +22,8 @@ func TestGroupApproxMultiResidentExactPassthrough(t *testing.T) {
 	if mg.NGroups > 6 {
 		t.Fatalf("NGroups = %d, want <= 6 (3 flags x 2 statuses)", mg.NGroups)
 	}
-	refined, _ := SelectRefine(nil, 1, selCol, 1000, 15000, cands)
-	grouping, keys, err := GroupRefineMulti(nil, 1, mg, refined)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, 15000, cands)
+	grouping, keys, err := GroupRefineMulti(par.P{}, nil, mg, refined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +50,8 @@ func TestGroupRefineMultiDecomposedRegroups(t *testing.T) {
 
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, 6000))
 	mg := GroupApproxMulti(nil, []*bwd.Column{col1, col2}, cands)
-	refined, _ := SelectRefine(nil, 1, selCol, 0, 6000, cands)
-	grouping, keys, err := GroupRefineMulti(nil, 1, mg, refined)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, 6000, cands)
+	grouping, keys, err := GroupRefineMulti(par.P{}, nil, mg, refined)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (p *Projection) Ship(m *device.Meter) {
 // (§IV-A item 2).
 func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Projection {
 	codes := mem.U64.GetN(len(cands.IDs))
-	par.For(len(cands.IDs), gpuChunk, 0, func(lo, hi int) {
+	devP.For(len(cands.IDs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			codes[i] = col.Approx.Get(int(cands.IDs[i]))
 		}
@@ -82,7 +82,7 @@ func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Project
 // column "via" the join shares this code path.
 func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []bat.OID) *Projection {
 	codes := mem.U64.GetN(len(at))
-	par.For(len(at), gpuChunk, 0, func(lo, hi int) {
+	devP.For(len(at), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			codes[i] = col.Approx.Get(int(at[i]))
 		}
@@ -102,16 +102,10 @@ func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []b
 //
 // refined must be an order-preserving subset of p.Src (which every A&R
 // refinement guarantees); otherwise ErrTranslucentPrecondition is
-// returned.
-func ProjectRefine(m *device.Meter, threads int, p *Projection, refined *Candidates) ([]int64, error) {
-	return ProjectRefinePar(par.Bill(threads), m, p, refined)
-}
-
-// ProjectRefinePar is the morsel-parallel ProjectRefine: the translucent
-// join stays a sequential merge pass (its cursor is inherently serial), the
-// residual lookups and reconstructions fan out over morsels with disjoint
-// output writes.
-func ProjectRefinePar(pp par.P, m *device.Meter, p *Projection, refined *Candidates) ([]int64, error) {
+// returned. The translucent join stays a sequential merge pass (its cursor
+// is inherently serial); the residual lookups and reconstructions fan out
+// over morsels with disjoint output writes.
+func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates) ([]int64, error) {
 	if p.Exact() && len(refined.IDs) == len(p.Src.IDs) {
 		// §IV-C: all bits of the projected attribute are device resident
 		// and no candidates were eliminated — the shipped codes already

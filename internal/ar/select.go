@@ -1,6 +1,8 @@
 package ar
 
 import (
+	"runtime"
+
 	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -10,6 +12,11 @@ import (
 
 // gpuChunk is the tuple count per simulated device work-group.
 const gpuChunk = 64 << 10
+
+// devP is the host-side execution of every device kernel: work-groups of
+// gpuChunk tuples over all host cores, never cancelled (a device kernel
+// runs to completion; the meter bills the simulated device, not this P).
+var devP = par.P{Workers: runtime.GOMAXPROCS(0), Chunk: gpuChunk}
 
 // OpsPackedScan is the per-tuple operation count of a JIT-generated packed
 // selection kernel: unpacking a bit-packed code straddling word boundaries,
@@ -50,7 +57,7 @@ func SelectApprox(m *device.Meter, col *bwd.Column, r bwd.ApproxRange) *Candidat
 			counts[0] = scanGroup(s, col, r, idsBuf, codesBuf, 0, n)
 			mem.PutScratch(s)
 		} else {
-			par.ForScratch(n, gpuChunk, 0, func(s *mem.Scratch, lo, hi int) {
+			devP.ForScratch(n, func(s *mem.Scratch, lo, hi int) {
 				counts[lo/gpuChunk] = scanGroup(s, col, r, idsBuf, codesBuf, lo, hi)
 			})
 		}
@@ -146,17 +153,14 @@ func SelectApproxOver(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *C
 // column, so further refinements on other columns can run directly on it.
 // The exact values of col for the surviving candidates are returned
 // alongside.
-func SelectRefine(m *device.Meter, threads int, col *bwd.Column, lo, hi int64, in *Candidates) (*Candidates, []int64) {
-	return SelectRefinePar(par.Bill(threads), m, col, lo, hi, in)
-}
-
-// SelectRefinePar is the morsel-parallel SelectRefine: morsels reconstruct
-// and re-evaluate independently, each writing survivors into its own
-// disjoint region of arena buffers (positions and values stay aligned),
-// and the regions left-pack in morsel order — the same candidate order as
-// the serial loop, with zero allocations in steady state. The returned
-// value slice is arena-backed; ownership passes to the caller.
-func SelectRefinePar(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *Candidates) (*Candidates, []int64) {
+//
+// Morsels reconstruct and re-evaluate independently, each writing
+// survivors into its own disjoint region of arena buffers (positions and
+// values stay aligned), and the regions left-pack in morsel order — the
+// same candidate order for every worker count, with zero allocations in
+// steady state. The returned value slice is arena-backed; ownership passes
+// to the caller.
+func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *Candidates) (*Candidates, []int64) {
 	codes := in.CodesFor(col)
 	if codes == nil {
 		panic("ar: SelectRefine on a column that was never approximated over these candidates")
@@ -222,15 +226,10 @@ func SelectRefinePar(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in
 
 // ReconstructAll materializes the exact values of col for every candidate,
 // without filtering: the degenerate "selection refinement without a
-// predicate" the paper equates with projection refinement (§IV-C).
-func ReconstructAll(m *device.Meter, threads int, col *bwd.Column, in *Candidates) []int64 {
-	return ReconstructAllPar(par.Bill(threads), m, col, in)
-}
-
-// ReconstructAllPar is the morsel-parallel ReconstructAll: every worker
-// writes a disjoint slice of the output, so alignment is free. The
+// predicate" the paper equates with projection refinement (§IV-C). Every
+// worker writes a disjoint slice of the output, so alignment is free. The
 // returned slice is arena-backed; ownership passes to the caller.
-func ReconstructAllPar(p par.P, m *device.Meter, col *bwd.Column, in *Candidates) []int64 {
+func ReconstructAll(p par.P, m *device.Meter, col *bwd.Column, in *Candidates) []int64 {
 	codes := in.CodesFor(col)
 	if codes == nil {
 		panic("ar: ReconstructAll on a column without attached codes")

@@ -10,6 +10,7 @@ import (
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/par"
 )
 
 func decompose(t *testing.T, vals []int64, bits uint) *bwd.Column {
@@ -41,7 +42,7 @@ func TestSelectApproxSupersetOfExact(t *testing.T) {
 	col := decompose(t, vals, 8) // aggressive decomposition: many FPs
 	lo, hi := int64(1000), int64(2000)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
-	exact := bulk.SelectRange(nil, 1, bat.NewDense(vals, bat.Width32), lo, hi)
+	exact := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
 
 	inCand := make(map[bat.OID]bool, cands.Len())
 	for _, id := range cands.IDs {
@@ -90,9 +91,9 @@ func TestSelectRefineEqualsBulkBaseline(t *testing.T) {
 		}
 		cands := SelectApprox(nil, col, col.Relax(lo, hi))
 		cands.Ship(nil)
-		refined, refVals := SelectRefine(nil, 1, col, lo, hi, cands)
+		refined, refVals := SelectRefine(par.P{}, nil, col, lo, hi, cands)
 
-		want := bulk.SelectRange(nil, 1, bat.NewDense(vals, bat.Width32), lo, hi)
+		want := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
 		if len(refined.IDs) != len(want) {
 			return false
 		}
@@ -119,7 +120,7 @@ func TestSelectRefinePreservesCandidateOrder(t *testing.T) {
 	vals := shuffledInts(50000, 3)
 	col := decompose(t, vals, 9)
 	cands := SelectApprox(nil, col, col.Relax(100, 40000))
-	refined, _ := SelectRefine(nil, 1, col, 100, 40000, cands)
+	refined, _ := SelectRefine(par.P{}, nil, col, 100, 40000, cands)
 
 	// refined.IDs must be a subsequence of cands.IDs.
 	j := 0
@@ -145,13 +146,13 @@ func TestSelectApproxOverConjunction(t *testing.T) {
 	c1 := SelectApprox(nil, colA, colA.Relax(1000, 5000))
 	c2 := SelectApproxOver(nil, colB, colB.Relax(2000, 9000), c1)
 	c2.Ship(nil)
-	r1, _ := SelectRefine(nil, 1, colA, 1000, 5000, c2)
-	r2, valsB := SelectRefine(nil, 1, colB, 2000, 9000, r1)
+	r1, _ := SelectRefine(par.P{}, nil, colA, 1000, 5000, c2)
+	r2, valsB := SelectRefine(par.P{}, nil, colB, 2000, 9000, r1)
 
 	// Ground truth via the bulk baseline.
 	bb := bat.NewDense(b, bat.Width32)
-	idsA := bulk.SelectRange(nil, 1, bat.NewDense(a, bat.Width32), 1000, 5000)
-	want := bulk.SelectOIDs(nil, 1, bb, idsA, 2000, 9000)
+	idsA := bulk.SelectRange(par.P{}, nil, bat.NewDense(a, bat.Width32), 1000, 5000)
+	want := bulk.SelectOIDs(par.P{}, nil, bb, idsA, 2000, 9000)
 
 	if len(r2.IDs) != len(want) {
 		t.Fatalf("conjunction size = %d, want %d", len(r2.IDs), len(want))
@@ -177,7 +178,7 @@ func TestSelectEmptyRelaxedRange(t *testing.T) {
 	if cands.Len() != 0 {
 		t.Errorf("empty relaxed range produced %d candidates", cands.Len())
 	}
-	refined, refVals := SelectRefine(nil, 1, col, 5000, 9000, cands)
+	refined, refVals := SelectRefine(par.P{}, nil, col, 5000, 9000, cands)
 	if len(refined.IDs) != 0 || len(refVals) != 0 {
 		t.Error("refinement of empty candidates not empty")
 	}
@@ -191,11 +192,11 @@ func TestSelectFullyResidentColumnRefinementIsExactPassthrough(t *testing.T) {
 	}
 	lo, hi := int64(100), int64(300)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
-	want := bulk.SelectRange(nil, 1, bat.NewDense(vals, bat.Width32), lo, hi)
+	want := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
 	if cands.Len() != len(want) {
 		t.Fatalf("fully resident approximation has %d candidates, want exact %d", cands.Len(), len(want))
 	}
-	refined, _ := SelectRefine(nil, 1, col, lo, hi, cands)
+	refined, _ := SelectRefine(par.P{}, nil, col, lo, hi, cands)
 	if len(refined.IDs) != len(want) {
 		t.Error("refinement changed an already-exact result")
 	}
@@ -225,7 +226,7 @@ func TestSelectChargesDevices(t *testing.T) {
 	if m.PCI != pciBefore {
 		t.Error("double ship charged twice")
 	}
-	SelectRefine(m, 1, col, 0, 10000, cands)
+	SelectRefine(par.P{}, m, col, 0, 10000, cands)
 	if m.CPU == 0 {
 		t.Error("refinement charged no CPU time")
 	}
@@ -256,7 +257,7 @@ func TestReconstructAllMatchesSource(t *testing.T) {
 	vals := shuffledInts(5000, 9)
 	col := decompose(t, vals, 7)
 	cands := SelectApprox(nil, col, col.Relax(0, 4999))
-	got := ReconstructAll(nil, 1, col, cands)
+	got := ReconstructAll(par.P{}, nil, col, cands)
 	for i, id := range cands.IDs {
 		if got[i] != vals[id] {
 			t.Fatalf("ReconstructAll[%d] = %d, want %d", i, got[i], vals[id])

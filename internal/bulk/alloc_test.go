@@ -21,15 +21,15 @@ func allocFixture(t testing.TB, n int) (*bat.BAT, []int64, *Grouping) {
 		vals[i] = int64(rng.Intn(10000))
 		keys[i] = int64(rng.Intn(8))
 	}
-	g := GroupByPar(par.Bill(1), nil, keys)
+	g := GroupBy(par.P{}, nil, keys)
 	return bat.NewDense(vals, bat.Width32), vals, g
 }
 
 func TestSelectFetchZeroAlloc(t *testing.T) {
 	b, _, _ := allocFixture(t, 50000)
 	run := func() {
-		ids := SelectRangePar(par.Bill(1), nil, b, 2000, 7000)
-		out := FetchPar(par.Bill(1), nil, b, ids)
+		ids := SelectRange(par.P{}, nil, b, 2000, 7000)
+		out := Fetch(par.P{}, nil, b, ids)
 		mem.I64.Put(out)
 		bat.OIDPool.Put(ids)
 	}
@@ -47,10 +47,10 @@ func TestSelectFetchZeroAlloc(t *testing.T) {
 func TestGroupedAggregatesZeroAlloc(t *testing.T) {
 	_, vals, g := allocFixture(t, 50000)
 	run := func() {
-		mem.I64.Put(SumGroupedPar(par.Bill(1), nil, vals, g))
-		mem.I64.Put(CountGroupedPar(par.Bill(1), nil, g))
-		mem.I64.Put(MinGroupedPar(par.Bill(1), nil, vals, g))
-		mem.I64.Put(MaxGroupedPar(par.Bill(1), nil, vals, g))
+		mem.I64.Put(SumGrouped(par.P{}, nil, vals, g))
+		mem.I64.Put(CountGrouped(par.P{}, nil, g))
+		mem.I64.Put(MinGrouped(par.P{}, nil, vals, g))
+		mem.I64.Put(MaxGrouped(par.P{}, nil, vals, g))
 	}
 	for i := 0; i < 5; i++ {
 		run()
@@ -66,9 +66,9 @@ func TestGroupedAggregatesZeroAlloc(t *testing.T) {
 func TestGlobalAggregatesZeroAlloc(t *testing.T) {
 	_, vals, _ := allocFixture(t, 50000)
 	run := func() {
-		SumPar(par.Bill(1), nil, vals)
-		MinPar(par.Bill(1), nil, vals)
-		MaxPar(par.Bill(1), nil, vals)
+		Sum(par.P{}, nil, vals)
+		Min(par.P{}, nil, vals)
+		Max(par.P{}, nil, vals)
 	}
 	for i := 0; i < 5; i++ {
 		run()

@@ -8,52 +8,27 @@ import (
 // Fixed-point arithmetic maps. Decimal columns (prices, discounts, GPS
 // coordinates) are stored as scaled integers; multiplication of two scaled
 // values must divide one scale back out. All maps are bulk operators:
-// tight loops that materialize their full result (§II-B). The ...Par forms
-// run morsel-parallel with disjoint output writes, so the result is
-// positionally identical to the serial loop.
+// tight loops that materialize their full result (§II-B). Morsels write
+// disjoint output ranges, so the result is positionally identical for
+// every worker count.
 
 // MapAdd returns a[i] + b[i].
-func MapAdd(m *device.Meter, threads int, a, b []int64) []int64 {
-	return MapAddPar(par.Bill(threads), m, a, b)
-}
-
-// MapAddPar is the morsel-parallel MapAdd.
-func MapAddPar(p par.P, m *device.Meter, a, b []int64) []int64 {
-	return mapBinPar(p, m, a, b, func(x, y int64) int64 { return x + y })
+func MapAdd(p par.P, m *device.Meter, a, b []int64) []int64 {
+	return mapBin(p, m, a, b, func(x, y int64) int64 { return x + y })
 }
 
 // MapSub returns a[i] - b[i].
-func MapSub(m *device.Meter, threads int, a, b []int64) []int64 {
-	return MapSubPar(par.Bill(threads), m, a, b)
-}
-
-// MapSubPar is the morsel-parallel MapSub.
-func MapSubPar(p par.P, m *device.Meter, a, b []int64) []int64 {
-	return mapBinPar(p, m, a, b, func(x, y int64) int64 { return x - y })
+func MapSub(p par.P, m *device.Meter, a, b []int64) []int64 {
+	return mapBin(p, m, a, b, func(x, y int64) int64 { return x - y })
 }
 
 // MapMulScaled returns (a[i] * b[i]) / scale: the fixed-point product of
 // two columns sharing the given decimal scale.
-func MapMulScaled(m *device.Meter, threads int, a, b []int64, scale int64) []int64 {
-	return MapMulScaledPar(par.Bill(threads), m, a, b, scale)
+func MapMulScaled(p par.P, m *device.Meter, a, b []int64, scale int64) []int64 {
+	return mapBin(p, m, a, b, func(x, y int64) int64 { return x * y / scale })
 }
 
-// MapMulScaledPar is the morsel-parallel MapMulScaled.
-func MapMulScaledPar(p par.P, m *device.Meter, a, b []int64, scale int64) []int64 {
-	return mapBinPar(p, m, a, b, func(x, y int64) int64 { return x * y / scale })
-}
-
-// MapAddConst returns a[i] + c.
-func MapAddConst(m *device.Meter, threads int, a []int64, c int64) []int64 {
-	return mapConstPar(par.Bill(threads), m, a, func(x int64) int64 { return x + c })
-}
-
-// MapSubConstRev returns c - a[i] (e.g. 1.00 - l_discount).
-func MapSubConstRev(m *device.Meter, threads int, a []int64, c int64) []int64 {
-	return mapConstPar(par.Bill(threads), m, a, func(x int64) int64 { return c - x })
-}
-
-func mapBinPar(p par.P, m *device.Meter, a, b []int64, f func(x, y int64) int64) []int64 {
+func mapBin(p par.P, m *device.Meter, a, b []int64, f func(x, y int64) int64) []int64 {
 	out := make([]int64, len(a))
 	if serial(p, len(a)) {
 		for i := range a {
@@ -66,29 +41,8 @@ func mapBinPar(p par.P, m *device.Meter, a, b []int64, f func(x, y int64) int64)
 			}
 		})
 	}
-	chargeArith(m, p.NThreads(), len(a))
-	return out
-}
-
-func mapConstPar(p par.P, m *device.Meter, a []int64, f func(x int64) int64) []int64 {
-	out := make([]int64, len(a))
-	if serial(p, len(a)) {
-		for i := range a {
-			out[i] = f(a[i])
-		}
-	} else {
-		p.For(len(a), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = f(a[i])
-			}
-		})
-	}
-	chargeArith(m, p.NThreads(), len(a))
-	return out
-}
-
-func chargeArith(m *device.Meter, threads, n int) {
 	if m != nil {
-		m.CPUWork(threads, int64(n)*24, 0, int64(n)*OpsArith)
+		m.CPUWork(p.NThreads(), int64(len(a))*24, 0, int64(len(a))*OpsArith)
 	}
+	return out
 }

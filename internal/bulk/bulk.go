@@ -10,18 +10,19 @@
 //
 // Every operator takes an optional *device.Meter; when non-nil, the
 // operator charges its simulated cost (bytes scanned/gathered/written and
-// tuple-ops executed) against the CPU device with the given thread count.
+// tuple-ops executed) against the CPU device at the billed thread count.
 // A nil meter executes without cost accounting.
 //
-// Each operator exists in two forms: the classic signature taking a plain
-// thread count, which executes serially (the historical behaviour, used by
-// loaders, examples and as ground truth in tests), and a ...Par form taking
-// a par.P that executes morsel-parallel with the P's real worker budget
-// while charging the meter for P's simulated thread count. The two forms
-// share one implementation and produce byte-identical results: selections
-// concatenate morsel outputs in morsel order, and grouping/aggregation
-// build per-worker partial states over contiguous blocks that merge in
-// block order, preserving first-appearance group order exactly.
+// Each operator exists once and takes a par.P: it executes morsel-parallel
+// with the P's real worker budget while charging the meter for the P's
+// simulated thread count. A serial P (the zero value, or par.P{Threads: t,
+// Workers: 1}) runs the same implementation's plain loop on the calling
+// goroutine — what loaders and examples pass, and the ground truth tests
+// compare parallel runs against. Results are byte-identical for every
+// worker count: selections concatenate morsel outputs in morsel order, and
+// grouping/aggregation build per-worker partial states over contiguous
+// blocks that merge in block order, preserving first-appearance group
+// order exactly.
 package bulk
 
 import (
@@ -59,8 +60,8 @@ const (
 // difference is part of the design.)
 const oidBytes = 8
 
-// parallelMin is the input size below which the ...Par kernels fall back to
-// the serial loop even with a multi-worker budget: goroutine fan-out on a
+// parallelMin is the input size below which the kernels fall back to the
+// serial loop even with a multi-worker budget: goroutine fan-out on a
 // few thousand rows costs more than it saves. Results are identical either
 // way; this is purely a scheduling decision.
 const parallelMin = 1 << 10
@@ -72,13 +73,9 @@ func serial(p par.P, n int) bool {
 
 // SelectRange returns the positions of b whose value v satisfies
 // lo <= v <= hi, in input order (the bulk selection is order-preserving,
-// §IV-A item 2). This is MonetDB's uselect.
-func SelectRange(m *device.Meter, threads int, b *bat.BAT, lo, hi int64) []bat.OID {
-	return SelectRangePar(par.Bill(threads), m, b, lo, hi)
-}
-
-// SelectRangePar is the morsel-parallel SelectRange.
-func SelectRangePar(p par.P, m *device.Meter, b *bat.BAT, lo, hi int64) []bat.OID {
+// §IV-A item 2). This is MonetDB's uselect. Morsel survivors land in
+// disjoint regions of one arena buffer and left-pack in morsel order.
+func SelectRange(p par.P, m *device.Meter, b *bat.BAT, lo, hi int64) []bat.OID {
 	tails := b.Tails()
 	var out []bat.OID
 	if serial(p, len(tails)) {
@@ -118,12 +115,7 @@ func SelectRangePar(p par.P, m *device.Meter, b *bat.BAT, lo, hi int64) []bat.OI
 // SelectOIDs filters an existing candidate list: it returns the subset of
 // ids whose value in b satisfies lo <= v <= hi, preserving candidate order.
 // Access to b is positional (gather).
-func SelectOIDs(m *device.Meter, threads int, b *bat.BAT, ids []bat.OID, lo, hi int64) []bat.OID {
-	return SelectOIDsPar(par.Bill(threads), m, b, ids, lo, hi)
-}
-
-// SelectOIDsPar is the morsel-parallel SelectOIDs.
-func SelectOIDsPar(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID, lo, hi int64) []bat.OID {
+func SelectOIDs(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID, lo, hi int64) []bat.OID {
 	tails := b.Tails()
 	var out []bat.OID
 	if serial(p, len(ids)) {
@@ -164,14 +156,10 @@ func SelectOIDsPar(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID, lo, hi i
 
 // Fetch is the invisible (positional) join: it returns b's values at the
 // given positions, aligned with ids. This is how late-materializing
-// column stores implement projections (§IV-C).
-func Fetch(m *device.Meter, threads int, b *bat.BAT, ids []bat.OID) []int64 {
-	return FetchPar(par.Bill(threads), m, b, ids)
-}
-
-// FetchPar is the morsel-parallel Fetch: each worker writes a disjoint
-// slice of the output, so candidate alignment is preserved for free.
-func FetchPar(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID) []int64 {
+// column stores implement projections (§IV-C). Each worker writes a
+// disjoint slice of the output, so candidate alignment is preserved for
+// free.
+func Fetch(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID) []int64 {
 	tails := b.Tails()
 	out := mem.I64.GetN(len(ids))
 	if serial(p, len(ids)) {
@@ -205,17 +193,12 @@ type Grouping struct {
 }
 
 // GroupBy hash-groups the given keys, assigning dense group IDs in order
-// of first appearance.
-func GroupBy(m *device.Meter, threads int, keys []int64) *Grouping {
-	return GroupByPar(par.Bill(threads), m, keys)
-}
-
-// GroupByPar is the morsel-parallel GroupBy: each worker hash-groups one
+// of first appearance. With several workers each hash-groups one
 // contiguous block into a partial grouping, the partials merge in block
 // order (so global group IDs follow global first appearance, exactly as
 // the serial loop assigns them), and the per-position ID rewrite runs
 // parallel again.
-func GroupByPar(p par.P, m *device.Meter, keys []int64) *Grouping {
+func GroupBy(p par.P, m *device.Meter, keys []int64) *Grouping {
 	var g *Grouping
 	if serial(p, len(keys)) {
 		idx := make(map[int64]uint32, 64)
@@ -242,7 +225,7 @@ func GroupByPar(p par.P, m *device.Meter, keys []int64) *Grouping {
 	return g
 }
 
-// groupByBlocks is the partial-state grouping core shared by GroupByPar.
+// groupByBlocks is the partial-state grouping core of GroupBy.
 func groupByBlocks(p par.P, keys []int64) *Grouping {
 	blocks := p.Blocks(len(keys))
 	type partial struct {
@@ -340,15 +323,10 @@ func SplitKey(k, base int64) (a, b int64) {
 	return a, b
 }
 
-// SumGrouped returns per-group sums of vals under the grouping.
-func SumGrouped(m *device.Meter, threads int, vals []int64, g *Grouping) []int64 {
-	return SumGroupedPar(par.Bill(threads), m, vals, g)
-}
-
-// SumGroupedPar is the morsel-parallel SumGrouped: per-worker partial sum
-// arrays merged by addition (exact for int64, so the result is identical
-// for every worker count).
-func SumGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
+// SumGrouped returns per-group sums of vals under the grouping: per-worker
+// partial sum arrays merged by addition (exact for int64, so the result is
+// identical for every worker count).
+func SumGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
 	out := mem.I64.GetN(g.NGroups)
 	clear(out)
 	if serial(p, len(vals)) {
@@ -378,12 +356,7 @@ func SumGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 
 }
 
 // CountGrouped returns per-group tuple counts.
-func CountGrouped(m *device.Meter, threads int, g *Grouping) []int64 {
-	return CountGroupedPar(par.Bill(threads), m, g)
-}
-
-// CountGroupedPar is the morsel-parallel CountGrouped.
-func CountGroupedPar(p par.P, m *device.Meter, g *Grouping) []int64 {
+func CountGrouped(p par.P, m *device.Meter, g *Grouping) []int64 {
 	out := mem.I64.GetN(g.NGroups)
 	clear(out)
 	if serial(p, len(g.IDs)) {
@@ -413,12 +386,7 @@ func CountGroupedPar(p par.P, m *device.Meter, g *Grouping) []int64 {
 }
 
 // MinGrouped returns per-group minima of vals under the grouping.
-func MinGrouped(m *device.Meter, threads int, vals []int64, g *Grouping) []int64 {
-	return MinGroupedPar(par.Bill(threads), m, vals, g)
-}
-
-// MinGroupedPar is the morsel-parallel MinGrouped.
-func MinGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
+func MinGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
 	out, seen := extremaGrouped(p, vals, g, true)
 	mem.Bools.Put(seen)
 	charge(m, p.NThreads(), len(vals), 12)
@@ -426,12 +394,7 @@ func MinGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 
 }
 
 // MaxGrouped returns per-group maxima of vals under the grouping.
-func MaxGrouped(m *device.Meter, threads int, vals []int64, g *Grouping) []int64 {
-	return MaxGroupedPar(par.Bill(threads), m, vals, g)
-}
-
-// MaxGroupedPar is the morsel-parallel MaxGrouped.
-func MaxGroupedPar(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
+func MaxGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
 	out, seen := extremaGrouped(p, vals, g, false)
 	mem.Bools.Put(seen)
 	charge(m, p.NThreads(), len(vals), 12)
@@ -487,12 +450,7 @@ func extremaGrouped(p par.P, vals []int64, g *Grouping, min bool) ([]int64, []bo
 }
 
 // Sum returns the sum of vals.
-func Sum(m *device.Meter, threads int, vals []int64) int64 {
-	return SumPar(par.Bill(threads), m, vals)
-}
-
-// SumPar is the morsel-parallel Sum.
-func SumPar(p par.P, m *device.Meter, vals []int64) int64 {
+func Sum(p par.P, m *device.Meter, vals []int64) int64 {
 	var s int64
 	if serial(p, len(vals)) {
 		for _, v := range vals {
@@ -522,26 +480,16 @@ func SumPar(p par.P, m *device.Meter, vals []int64) int64 {
 func Count(vals []int64) int64 { return int64(len(vals)) }
 
 // Min returns the smallest value; ok is false on empty input.
-func Min(m *device.Meter, threads int, vals []int64) (int64, bool) {
-	return MinPar(par.Bill(threads), m, vals)
-}
-
-// MinPar is the morsel-parallel Min.
-func MinPar(p par.P, m *device.Meter, vals []int64) (int64, bool) {
-	return extremaPar(p, m, vals, true)
+func Min(p par.P, m *device.Meter, vals []int64) (int64, bool) {
+	return extrema(p, m, vals, true)
 }
 
 // Max returns the largest value; ok is false on empty input.
-func Max(m *device.Meter, threads int, vals []int64) (int64, bool) {
-	return MaxPar(par.Bill(threads), m, vals)
+func Max(p par.P, m *device.Meter, vals []int64) (int64, bool) {
+	return extrema(p, m, vals, false)
 }
 
-// MaxPar is the morsel-parallel Max.
-func MaxPar(p par.P, m *device.Meter, vals []int64) (int64, bool) {
-	return extremaPar(p, m, vals, false)
-}
-
-func extremaPar(p par.P, m *device.Meter, vals []int64, min bool) (int64, bool) {
+func extrema(p par.P, m *device.Meter, vals []int64, min bool) (int64, bool) {
 	if len(vals) == 0 {
 		return 0, false
 	}
@@ -596,14 +544,10 @@ func charge(m *device.Meter, threads, n, bytesPer int) {
 }
 
 // GroupByMulti hash-groups tuples by multi-column keys, returning the
-// grouping plus the per-group key values of every column.
-func GroupByMulti(m *device.Meter, threads int, cols [][]int64) (*Grouping, [][]int64) {
-	return GroupByMultiPar(par.Bill(threads), m, cols)
-}
-
-// GroupByMultiPar is the morsel-parallel GroupByMulti, built on the same
-// block-partial merge as GroupByPar (first-appearance order preserved).
-func GroupByMultiPar(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
+// grouping plus the per-group key values of every column. It is built on
+// the same block-partial merge as GroupBy (first-appearance order
+// preserved).
+func GroupByMulti(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
 	if len(cols) == 0 {
 		return &Grouping{}, nil
 	}
@@ -618,7 +562,7 @@ func GroupByMultiPar(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]i
 }
 
 // groupMultiCore is the unmetered multi-column grouping shared by
-// GroupByMultiPar and the A&R group refinement: dense group IDs in
+// GroupByMulti and the A&R group refinement: dense group IDs in
 // first-appearance order plus the per-group key values of every column.
 func groupMultiCore(p par.P, cols [][]int64) (*Grouping, [][]int64) {
 	n := len(cols[0])

@@ -15,7 +15,7 @@ func intsBAT(vals ...int64) *bat.BAT { return bat.NewDense(vals, bat.Width32) }
 
 func TestSelectRange(t *testing.T) {
 	b := intsBAT(5, 1, 9, 3, 7, 3)
-	got := SelectRange(nil, 1, b, 3, 7)
+	got := SelectRange(par.P{}, nil, b, 3, 7)
 	want := []bat.OID{0, 3, 4, 5}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -29,10 +29,10 @@ func TestSelectRange(t *testing.T) {
 
 func TestSelectRangeEmptyAndAll(t *testing.T) {
 	b := intsBAT(1, 2, 3)
-	if got := SelectRange(nil, 1, b, 10, 20); len(got) != 0 {
+	if got := SelectRange(par.P{}, nil, b, 10, 20); len(got) != 0 {
 		t.Errorf("empty range returned %v", got)
 	}
-	if got := SelectRange(nil, 1, b, -100, 100); len(got) != 3 {
+	if got := SelectRange(par.P{}, nil, b, -100, 100); len(got) != 3 {
 		t.Errorf("covering range returned %d ids, want 3", len(got))
 	}
 }
@@ -43,7 +43,7 @@ func TestSelectRangeOrderPreserving(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(rng.Intn(1000))
 	}
-	got := SelectRange(nil, 1, intsBAT(vals...), 100, 500)
+	got := SelectRange(par.P{}, nil, intsBAT(vals...), 100, 500)
 	for i := 1; i < len(got); i++ {
 		if got[i] <= got[i-1] {
 			t.Fatal("bulk selection must be order-preserving (§IV-A item 2)")
@@ -54,7 +54,7 @@ func TestSelectRangeOrderPreserving(t *testing.T) {
 func TestSelectOIDsSubsetsCandidates(t *testing.T) {
 	b := intsBAT(10, 20, 30, 40, 50)
 	cands := []bat.OID{4, 1, 3}
-	got := SelectOIDs(nil, 1, b, cands, 20, 40)
+	got := SelectOIDs(par.P{}, nil, b, cands, 20, 40)
 	want := []bat.OID{1, 3} // candidate order preserved
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("got %v, want %v", got, want)
@@ -63,14 +63,14 @@ func TestSelectOIDsSubsetsCandidates(t *testing.T) {
 
 func TestFetch(t *testing.T) {
 	b := intsBAT(100, 200, 300)
-	got := Fetch(nil, 1, b, []bat.OID{2, 0})
+	got := Fetch(par.P{}, nil, b, []bat.OID{2, 0})
 	if got[0] != 300 || got[1] != 100 {
 		t.Errorf("Fetch = %v, want [300 100]", got)
 	}
 }
 
 func TestGroupByDenseFirstAppearance(t *testing.T) {
-	g := GroupBy(nil, 1, []int64{7, 3, 7, 9, 3})
+	g := GroupBy(par.P{}, nil, []int64{7, 3, 7, 9, 3})
 	if g.NGroups != 3 {
 		t.Fatalf("NGroups = %d, want 3", g.NGroups)
 	}
@@ -90,7 +90,7 @@ func TestGroupByDenseFirstAppearance(t *testing.T) {
 
 func TestGroupByPropertyPartition(t *testing.T) {
 	f := func(keys []int64) bool {
-		g := GroupBy(nil, 1, keys)
+		g := GroupBy(par.P{}, nil, keys)
 		if len(g.IDs) != len(keys) {
 			return false
 		}
@@ -140,8 +140,8 @@ func TestCombineSplitKeysNegative(t *testing.T) {
 	}
 	// Grouping on the combined key must partition identically to grouping
 	// on the (a,b) tuples: equal combined keys iff equal tuples.
-	g := GroupBy(nil, 1, combined)
-	want, _ := GroupByMulti(nil, 1, [][]int64{a, b})
+	g := GroupBy(par.P{}, nil, combined)
+	want, _ := GroupByMulti(par.P{}, nil, [][]int64{a, b})
 	if g.NGroups != want.NGroups {
 		t.Fatalf("combined-key grouping found %d groups, tuple grouping %d", g.NGroups, want.NGroups)
 	}
@@ -178,20 +178,20 @@ func TestCombineKeysRejectsBadDomain(t *testing.T) {
 func TestGroupedAggregates(t *testing.T) {
 	keys := []int64{1, 2, 1, 2, 1}
 	vals := []int64{10, 20, 30, 40, 50}
-	g := GroupBy(nil, 1, keys)
-	sums := SumGrouped(nil, 1, vals, g)
+	g := GroupBy(par.P{}, nil, keys)
+	sums := SumGrouped(par.P{}, nil, vals, g)
 	if sums[0] != 90 || sums[1] != 60 {
 		t.Errorf("sums = %v, want [90 60]", sums)
 	}
-	counts := CountGrouped(nil, 1, g)
+	counts := CountGrouped(par.P{}, nil, g)
 	if counts[0] != 3 || counts[1] != 2 {
 		t.Errorf("counts = %v, want [3 2]", counts)
 	}
-	mins := MinGrouped(nil, 1, vals, g)
+	mins := MinGrouped(par.P{}, nil, vals, g)
 	if mins[0] != 10 || mins[1] != 20 {
 		t.Errorf("mins = %v, want [10 20]", mins)
 	}
-	maxs := MaxGrouped(nil, 1, vals, g)
+	maxs := MaxGrouped(par.P{}, nil, vals, g)
 	if maxs[0] != 50 || maxs[1] != 40 {
 		t.Errorf("maxs = %v, want [50 40]", maxs)
 	}
@@ -199,22 +199,22 @@ func TestGroupedAggregates(t *testing.T) {
 
 func TestGlobalAggregates(t *testing.T) {
 	vals := []int64{3, -1, 7, 0}
-	if s := Sum(nil, 1, vals); s != 9 {
+	if s := Sum(par.P{}, nil, vals); s != 9 {
 		t.Errorf("Sum = %d, want 9", s)
 	}
 	if c := Count(vals); c != 4 {
 		t.Errorf("Count = %d, want 4", c)
 	}
-	if lo, ok := Min(nil, 1, vals); !ok || lo != -1 {
+	if lo, ok := Min(par.P{}, nil, vals); !ok || lo != -1 {
 		t.Errorf("Min = %d,%v, want -1,true", lo, ok)
 	}
-	if hi, ok := Max(nil, 1, vals); !ok || hi != 7 {
+	if hi, ok := Max(par.P{}, nil, vals); !ok || hi != 7 {
 		t.Errorf("Max = %d,%v, want 7,true", hi, ok)
 	}
-	if _, ok := Min(nil, 1, nil); ok {
+	if _, ok := Min(par.P{}, nil, nil); ok {
 		t.Error("Min on empty input reported ok")
 	}
-	if _, ok := Max(nil, 1, nil); ok {
+	if _, ok := Max(par.P{}, nil, nil); ok {
 		t.Error("Max on empty input reported ok")
 	}
 }
@@ -264,7 +264,7 @@ func TestFKIndexAndJoin(t *testing.T) {
 		t.Fatal("BuildFKIndex returned nil for a valid PK")
 	}
 	fks := []int64{103, 100, 999, 104}
-	pos, hit := FKJoin(nil, 1, ix, fks)
+	pos, hit := FKJoin(par.P{}, nil, ix, fks)
 	wantPos := []bat.OID{3, 0, 0, 4}
 	wantHit := []bool{true, true, false, true}
 	for i := range fks {
@@ -295,22 +295,15 @@ func TestBuildFKIndexRejectsSparse(t *testing.T) {
 func TestArithMaps(t *testing.T) {
 	a := []int64{100, 200}
 	b := []int64{5, 10}
-	if got := MapAdd(nil, 1, a, b); got[0] != 105 || got[1] != 210 {
+	if got := MapAdd(par.P{}, nil, a, b); got[0] != 105 || got[1] != 210 {
 		t.Errorf("MapAdd = %v", got)
 	}
-	if got := MapSub(nil, 1, a, b); got[0] != 95 || got[1] != 190 {
+	if got := MapSub(par.P{}, nil, a, b); got[0] != 95 || got[1] != 190 {
 		t.Errorf("MapSub = %v", got)
 	}
 	// Fixed-point: 1.00 * 0.05 at scale 100 = 0.05.
-	if got := MapMulScaled(nil, 1, []int64{100}, []int64{5}, 100); got[0] != 5 {
+	if got := MapMulScaled(par.P{}, nil, []int64{100}, []int64{5}, 100); got[0] != 5 {
 		t.Errorf("MapMulScaled = %v, want [5]", got)
-	}
-	if got := MapAddConst(nil, 1, a, 1); got[0] != 101 {
-		t.Errorf("MapAddConst = %v", got)
-	}
-	// 1.00 - 0.05 at scale 100.
-	if got := MapSubConstRev(nil, 1, []int64{5}, 100); got[0] != 95 {
-		t.Errorf("MapSubConstRev = %v, want [95]", got)
 	}
 }
 
@@ -322,7 +315,7 @@ func TestMeteredOperatorsCharge(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	b := bat.NewDense(vals, bat.Width32)
-	SelectRange(m, 1, b, 0, 1000)
+	SelectRange(par.P{}, m, b, 0, 1000)
 	if m.CPU == 0 {
 		t.Error("metered SelectRange charged nothing")
 	}
@@ -330,7 +323,7 @@ func TestMeteredOperatorsCharge(t *testing.T) {
 		t.Error("CPU operator charged GPU/PCI time")
 	}
 	before := m.CPU
-	Fetch(m, 1, b, []bat.OID{1, 2, 3})
+	Fetch(par.P{}, m, b, []bat.OID{1, 2, 3})
 	if m.CPU <= before {
 		t.Error("metered Fetch charged nothing")
 	}
@@ -352,18 +345,18 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		keys2[i] = int64(rng.Intn(11))
 	}
 	b := bat.NewDense(vals, bat.Width32)
-	wantIDs := SelectRange(nil, 1, b, -20_000, 20_000)
-	wantFetch := Fetch(nil, 1, b, wantIDs)
-	wantSub := SelectOIDs(nil, 1, b, wantIDs, -5_000, 5_000)
-	wantG := GroupBy(nil, 1, keys)
-	wantGM, wantKeysM := GroupByMulti(nil, 1, [][]int64{keys, keys2})
-	wantSums := SumGrouped(nil, 1, vals, wantG)
-	wantCounts := CountGrouped(nil, 1, wantG)
-	wantMins := MinGrouped(nil, 1, vals, wantG)
-	wantMaxs := MaxGrouped(nil, 1, vals, wantG)
-	wantSum := Sum(nil, 1, vals)
-	wantMin, _ := Min(nil, 1, vals)
-	wantMax, _ := Max(nil, 1, vals)
+	wantIDs := SelectRange(par.P{}, nil, b, -20_000, 20_000)
+	wantFetch := Fetch(par.P{}, nil, b, wantIDs)
+	wantSub := SelectOIDs(par.P{}, nil, b, wantIDs, -5_000, 5_000)
+	wantG := GroupBy(par.P{}, nil, keys)
+	wantGM, wantKeysM := GroupByMulti(par.P{}, nil, [][]int64{keys, keys2})
+	wantSums := SumGrouped(par.P{}, nil, vals, wantG)
+	wantCounts := CountGrouped(par.P{}, nil, wantG)
+	wantMins := MinGrouped(par.P{}, nil, vals, wantG)
+	wantMaxs := MaxGrouped(par.P{}, nil, vals, wantG)
+	wantSum := Sum(par.P{}, nil, vals)
+	wantMin, _ := Min(par.P{}, nil, vals)
+	wantMax, _ := Max(par.P{}, nil, vals)
 
 	eqOID := func(t *testing.T, what string, got, want []bat.OID) {
 		t.Helper()
@@ -391,43 +384,43 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		for _, chunk := range []int{0, 1, 97, 4096} {
 			p := par.P{Threads: 1, Workers: workers, Chunk: chunk}
 			t.Run("", func(t *testing.T) {
-				eqOID(t, "SelectRangePar", SelectRangePar(p, nil, b, -20_000, 20_000), wantIDs)
-				eq64(t, "FetchPar", FetchPar(p, nil, b, wantIDs), wantFetch)
-				eqOID(t, "SelectOIDsPar", SelectOIDsPar(p, nil, b, wantIDs, -5_000, 5_000), wantSub)
-				g := GroupByPar(p, nil, keys)
+				eqOID(t, "SelectRange", SelectRange(p, nil, b, -20_000, 20_000), wantIDs)
+				eq64(t, "Fetch", Fetch(p, nil, b, wantIDs), wantFetch)
+				eqOID(t, "SelectOIDs", SelectOIDs(p, nil, b, wantIDs, -5_000, 5_000), wantSub)
+				g := GroupBy(p, nil, keys)
 				if g.NGroups != wantG.NGroups {
-					t.Fatalf("GroupByPar: %d groups, want %d", g.NGroups, wantG.NGroups)
+					t.Fatalf("GroupBy: %d groups, want %d", g.NGroups, wantG.NGroups)
 				}
-				eq64(t, "GroupByPar keys", g.Keys, wantG.Keys)
+				eq64(t, "GroupBy keys", g.Keys, wantG.Keys)
 				for i := range wantG.IDs {
 					if g.IDs[i] != wantG.IDs[i] {
-						t.Fatalf("GroupByPar IDs[%d] = %d, want %d", i, g.IDs[i], wantG.IDs[i])
+						t.Fatalf("GroupBy IDs[%d] = %d, want %d", i, g.IDs[i], wantG.IDs[i])
 					}
 				}
-				gm, keysM := GroupByMultiPar(p, nil, [][]int64{keys, keys2})
+				gm, keysM := GroupByMulti(p, nil, [][]int64{keys, keys2})
 				if gm.NGroups != wantGM.NGroups {
-					t.Fatalf("GroupByMultiPar: %d groups, want %d", gm.NGroups, wantGM.NGroups)
+					t.Fatalf("GroupByMulti: %d groups, want %d", gm.NGroups, wantGM.NGroups)
 				}
 				for i := range wantGM.IDs {
 					if gm.IDs[i] != wantGM.IDs[i] {
-						t.Fatalf("GroupByMultiPar IDs[%d] = %d, want %d", i, gm.IDs[i], wantGM.IDs[i])
+						t.Fatalf("GroupByMulti IDs[%d] = %d, want %d", i, gm.IDs[i], wantGM.IDs[i])
 					}
 				}
 				for k := range wantKeysM {
-					eq64(t, "GroupByMultiPar keys", keysM[k], wantKeysM[k])
+					eq64(t, "GroupByMulti keys", keysM[k], wantKeysM[k])
 				}
-				eq64(t, "SumGroupedPar", SumGroupedPar(p, nil, vals, wantG), wantSums)
-				eq64(t, "CountGroupedPar", CountGroupedPar(p, nil, wantG), wantCounts)
-				eq64(t, "MinGroupedPar", MinGroupedPar(p, nil, vals, wantG), wantMins)
-				eq64(t, "MaxGroupedPar", MaxGroupedPar(p, nil, vals, wantG), wantMaxs)
-				if got := SumPar(p, nil, vals); got != wantSum {
-					t.Fatalf("SumPar = %d, want %d", got, wantSum)
+				eq64(t, "SumGrouped", SumGrouped(p, nil, vals, wantG), wantSums)
+				eq64(t, "CountGrouped", CountGrouped(p, nil, wantG), wantCounts)
+				eq64(t, "MinGrouped", MinGrouped(p, nil, vals, wantG), wantMins)
+				eq64(t, "MaxGrouped", MaxGrouped(p, nil, vals, wantG), wantMaxs)
+				if got := Sum(p, nil, vals); got != wantSum {
+					t.Fatalf("Sum = %d, want %d", got, wantSum)
 				}
-				if got, _ := MinPar(p, nil, vals); got != wantMin {
-					t.Fatalf("MinPar = %d, want %d", got, wantMin)
+				if got, _ := Min(p, nil, vals); got != wantMin {
+					t.Fatalf("Min = %d, want %d", got, wantMin)
 				}
-				if got, _ := MaxPar(p, nil, vals); got != wantMax {
-					t.Fatalf("MaxPar = %d, want %d", got, wantMax)
+				if got, _ := Max(p, nil, vals); got != wantMax {
+					t.Fatalf("Max = %d, want %d", got, wantMax)
 				}
 			})
 		}
@@ -450,16 +443,16 @@ func TestParallelChargesMatchSerial(t *testing.T) {
 	sys := device.PaperSystem()
 	run := func(p par.P) *device.Meter {
 		m := device.NewMeter(sys)
-		ids := SelectRangePar(p, m, b, 0, 500_000)
-		FetchPar(p, m, b, ids)
-		g := GroupByPar(p, m, keys)
-		SumGroupedPar(p, m, vals, g)
-		CountGroupedPar(p, m, g)
-		SumPar(p, m, vals)
+		ids := SelectRange(p, m, b, 0, 500_000)
+		Fetch(p, m, b, ids)
+		g := GroupBy(p, m, keys)
+		SumGrouped(p, m, vals, g)
+		CountGrouped(p, m, g)
+		Sum(p, m, vals)
 		return m
 	}
 	for _, threads := range []int{1, 4} {
-		want := run(par.Bill(threads))
+		want := run(par.P{Threads: threads, Workers: 1})
 		for _, workers := range []int{2, 8} {
 			got := run(par.P{Threads: threads, Workers: workers, Chunk: 777})
 			if got.CPU != want.CPU || got.GPU != want.GPU || got.PCI != want.PCI {
@@ -479,7 +472,7 @@ func BenchmarkSelectRange(b *testing.B) {
 	b.SetBytes(int64(len(vals)) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SelectRange(nil, 1, bb, 0, 1<<18)
+		SelectRange(par.P{}, nil, bb, 0, 1<<18)
 	}
 }
 
@@ -492,6 +485,6 @@ func BenchmarkGroupBy(b *testing.B) {
 	b.SetBytes(int64(len(keys)) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GroupBy(nil, 1, keys)
+		GroupBy(par.P{}, nil, keys)
 	}
 }

@@ -103,14 +103,9 @@ func (ix *FKIndex) Lookup(fk int64) (bat.OID, bool) {
 // FKJoin maps every foreign-key value to its PK-side position using the
 // index; with a pre-built index the join is equivalent to a projective
 // join (§IV-D). Dangling foreign keys are dropped; hit[i] reports whether
-// fk position i found a partner.
-func FKJoin(m *device.Meter, threads int, ix *FKIndex, fks []int64) (pkPos []bat.OID, hit []bool) {
-	return FKJoinPar(par.Bill(threads), m, ix, fks)
-}
-
-// FKJoinPar is the morsel-parallel FKJoin: probes are independent and each
-// worker writes a disjoint slice of pkPos/hit.
-func FKJoinPar(p par.P, m *device.Meter, ix *FKIndex, fks []int64) (pkPos []bat.OID, hit []bool) {
+// fk position i found a partner. Probes are independent and each worker
+// writes a disjoint slice of pkPos/hit.
+func FKJoin(p par.P, m *device.Meter, ix *FKIndex, fks []int64) (pkPos []bat.OID, hit []bool) {
 	pkPos = oidPool.GetN(len(fks))
 	hit = mem.Bools.GetN(len(fks))
 	clear(hit)

@@ -279,7 +279,7 @@ func (s *Scheduler) notePick(classic bool) {
 }
 
 func (s *Scheduler) execDDL(ctx context.Context, b *sql.Binding, opts plan.ExecOpts) (*plan.Result, Route, error) {
-	res, err := sql.ExecCtx(ctx, s.cat, b, opts, false)
+	res, err := sql.Exec(ctx, s.cat, b, opts, false)
 	if err != nil {
 		s.noteCtxErr(err)
 		return nil, RouteDDL, err
@@ -325,7 +325,7 @@ func (s *Scheduler) execClassic(ctx context.Context, b *sql.Binding, opts plan.E
 		s.mu.Unlock()
 	}()
 
-	res, err := sql.ExecCtx(ctx, s.cat, b, opts, true)
+	res, err := sql.Exec(ctx, s.cat, b, opts, true)
 	if err != nil {
 		s.noteCtxErr(err)
 		return nil, RouteClassic, err
@@ -390,7 +390,7 @@ func (s *Scheduler) execAR(ctx context.Context, b *sql.Binding, opts plan.ExecOp
 		<-s.gpuSlots
 	}()
 
-	res, err := sql.ExecCtx(ctx, s.cat, b, opts, false)
+	res, err := sql.Exec(ctx, s.cat, b, opts, false)
 	if err != nil {
 		s.noteCtxErr(err)
 		return nil, RouteAR, err

@@ -96,7 +96,7 @@ func baselineARScan(p par.P, col *bwd.Column, lo, hi int64) int {
 // region-compacted refinement, every buffer returned to the arena.
 func arScan(p par.P, col *bwd.Column, lo, hi int64) int {
 	cands := ar.SelectApprox(nil, col, col.Relax(lo, hi))
-	refined, vals := ar.SelectRefinePar(p, nil, col, lo, hi, cands)
+	refined, vals := ar.SelectRefine(p, nil, col, lo, hi, cands)
 	n := len(vals)
 	mem.I64.Put(vals)
 	refined.Release()

@@ -140,7 +140,7 @@ func TraceSpatial(opts Options) (*obs.Trace, error) {
 	if err := d.Decompose(c); err != nil {
 		return nil, err
 	}
-	res, err := c.ExecAR(spatial.RangeCountQuery(), plan.ExecOpts{Threads: opts.Threads, Trace: true})
+	res, err := c.ExecAR(context.Background(), spatial.RangeCountQuery(), plan.ExecOpts{Threads: opts.Threads, Trace: true})
 	if err != nil {
 		return nil, err
 	}

@@ -51,9 +51,6 @@ func init() { pooling.Store(true) }
 // results and bit-identical meters.
 func SetPooling(on bool) bool { return pooling.Swap(on) }
 
-// Pooling reports whether the arena is active.
-func Pooling() bool { return pooling.Load() }
-
 // PoolStats counts arena traffic: Gets served (Hits from a pool, Misses
 // falling through to make) and Puts accepted back.
 type PoolStats struct {

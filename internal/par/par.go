@@ -3,17 +3,19 @@
 //
 // Kernels in the paper are parallelized "over the number of processed
 // tuples" (§V-C). We model this with chunked worker pools: the input range
-// is split into fixed-size chunks that workers process concurrently. Two
-// gather disciplines are offered:
+// is split into fixed-size chunks (morsels) that workers claim from one
+// loop (P.For, and P.ForScratch for kernels that want a per-worker
+// scratch). Two gather disciplines are offered:
 //
 //   - ordered: chunk outputs are concatenated in chunk order, preserving the
-//     input permutation (the CPU-side, order-preserving discipline);
-//   - unordered: chunk outputs are concatenated in a deterministic but
-//     non-monotonic chunk permutation, modelling the fact that "a massively
-//     parallelized selection can only maintain the input order at additional
-//     costs" (§IV-A item 3). Determinism keeps tests reproducible while the
-//     output is demonstrably not input-ordered, which is exactly what forces
-//     the translucent join's general path.
+//     input permutation (GatherOrdered, ForCounted + Compact: the CPU-side,
+//     order-preserving discipline);
+//   - unordered: chunk outputs are concatenated in the deterministic but
+//     non-monotonic chunk permutation of PermuteInto, modelling the fact
+//     that "a massively parallelized selection can only maintain the input
+//     order at additional costs" (§IV-A item 3). Determinism keeps tests
+//     reproducible while the output is demonstrably not input-ordered,
+//     which is exactly what forces the translucent join's general path.
 //
 // The P descriptor carries a kernel's degree of parallelism through the
 // executors (billed threads vs real workers vs morsel size vs context; see
@@ -25,8 +27,8 @@ package par
 
 import (
 	"context"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
 )
@@ -36,173 +38,11 @@ import (
 // parallelism on the simulated device's lane count.
 const DefaultChunk = 64 << 10
 
-// Workers returns the effective worker count: w if positive, else
-// GOMAXPROCS.
-func Workers(w int) int {
-	if w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// For runs fn over [0,n) split into chunks of the given size (DefaultChunk
-// if chunk <= 0) using the given number of workers. fn must be safe for
-// concurrent invocation on disjoint ranges.
-func For(n, chunk, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	nchunks := (n + chunk - 1) / chunk
-	w := Workers(workers)
-	if w > nchunks {
-		w = nchunks
-	}
-	if w <= 1 {
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-		return
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				c := next
-				next++
-				mu.Unlock()
-				if c >= nchunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ForScratch is For with a per-worker morsel scratch: each worker takes
-// one mem.Scratch for the duration of its claim loop and hands it to fn,
-// reset, for every morsel it processes — so decode buffers and selection
-// vectors are reused across morsels instead of allocated per morsel.
-// Buffers carved from the scratch must not escape fn.
-func ForScratch(n, chunk, workers int, fn func(s *mem.Scratch, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	nchunks := (n + chunk - 1) / chunk
-	w := Workers(workers)
-	if w > nchunks {
-		w = nchunks
-	}
-	if w <= 1 {
-		s := mem.GetScratch()
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			s.Reset()
-			fn(s, lo, hi)
-		}
-		mem.PutScratch(s)
-		return
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			s := mem.GetScratch()
-			defer mem.PutScratch(s)
-			for {
-				mu.Lock()
-				c := next
-				next++
-				mu.Unlock()
-				if c >= nchunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				s.Reset()
-				fn(s, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// Gather runs fn over [0,n) in chunks and concatenates the per-chunk
-// results. If ordered is true the concatenation follows chunk order (the
-// output permutation equals the input permutation); otherwise chunks are
-// concatenated in the deterministic shuffled order of Permute, modelling a
-// GPU kernel whose thread blocks complete out of order.
-func Gather[T any](n, chunk, workers int, ordered bool, fn func(lo, hi int) []T) []T {
-	if n <= 0 {
-		return nil
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	nchunks := (n + chunk - 1) / chunk
-	parts := make([][]T, nchunks)
-	For(n, chunk, workers, func(lo, hi int) {
-		parts[lo/chunk] = fn(lo, hi)
-	})
-	order := make([]int, nchunks)
-	for i := range order {
-		order[i] = i
-	}
-	if !ordered {
-		order = Permute(nchunks)
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, c := range order {
-		out = append(out, parts[c]...)
-	}
-	return out
-}
-
-// Permute returns a deterministic permutation of [0,n) that is not the
-// identity for n > 2. It visits indices with a stride that is coprime to n,
-// which scatters chunk completion order the way an unsynchronized device
-// would.
-func Permute(n int) []int {
-	return PermuteInto(make([]int, n))
-}
-
-// PermuteInto fills p with the deterministic Permute permutation of
-// [0,len(p)) and returns it — the allocation-free form for callers that
-// draw p from the arena.
+// PermuteInto fills p with a deterministic permutation of [0,len(p)) that
+// is not the identity for len(p) > 2, and returns it. It visits indices
+// with a stride that is coprime to len(p), which scatters chunk completion
+// order the way an unsynchronized device would; callers draw p from the
+// arena.
 func PermuteInto(p []int) []int {
 	n := len(p)
 	if n <= 0 {
@@ -253,17 +93,18 @@ func gcd(a, b int) int {
 // morsel instead of one full operator pass. A kernel interrupted this way
 // returns incomplete data — executors discard it at their next cooperative
 // checkpoint (plan.Stage), so partial results are never served.
+//
+// Every kernel takes a P and exists in that one form. The zero P, or
+// P{Threads: t, Workers: 1} to bill t threads, runs it serially on the
+// calling goroutine; results and meters are identical for every worker
+// count and morsel size, so the serial P is the oracle tests compare
+// parallel runs against.
 type P struct {
 	Threads int             // billed thread count; <= 0 means 1
 	Workers int             // real goroutines; <= 0 means Threads
 	Chunk   int             // morsel rows; <= 0 means DefaultChunk
 	Ctx     context.Context // polled per morsel; nil means never cancelled
 }
-
-// Bill returns a P that executes serially while charging the meter for the
-// given simulated thread count — the behaviour every pre-morsel call site
-// had, kept for the compatibility wrappers in packages bulk and ar.
-func Bill(threads int) P { return P{Threads: threads, Workers: 1} }
 
 // NThreads returns the billable thread count (at least 1).
 func (p P) NThreads() int {
@@ -319,127 +160,81 @@ func (p P) Cancelled() error {
 // morsels are skipped and For returns the context error (the caller must
 // discard whatever fn produced so far).
 func (p P) For(n int, fn func(lo, hi int)) error {
-	if n <= 0 {
-		return nil
-	}
-	chunk := p.ChunkSize()
-	nchunks := (n + chunk - 1) / chunk
-	w := p.NWorkers()
-	if w > nchunks {
-		w = nchunks
-	}
-	if w <= 1 {
-		for lo := 0; lo < n; lo += chunk {
-			if p.cancelled() {
-				return p.Ctx.Err()
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-		return nil
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if p.cancelled() {
-					return
-				}
-				mu.Lock()
-				c := next
-				next++
-				mu.Unlock()
-				if c >= nchunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	if p.cancelled() {
-		return p.Ctx.Err()
-	}
-	return nil
+	return p.run(n, fn, nil)
 }
 
-// ForScratch is P.For with a per-worker morsel scratch, the CPU-side twin
-// of the package-level ForScratch: each worker reuses one mem.Scratch
-// (reset per morsel) across every morsel it claims. Buffers carved from
-// the scratch must not escape fn.
+// ForScratch is For with a per-worker morsel scratch: each worker takes
+// one mem.Scratch for the duration of its claim loop and hands it to fn,
+// reset, for every morsel it processes — so decode buffers and selection
+// vectors are reused across morsels instead of allocated per morsel.
+// Buffers carved from the scratch must not escape fn.
 func (p P) ForScratch(n int, fn func(s *mem.Scratch, lo, hi int)) error {
+	return p.run(n, nil, fn)
+}
+
+// run is the one morsel loop behind For and ForScratch; exactly one of fn
+// and sfn is set. With a single worker (or a single morsel) the claim loop
+// runs on the calling goroutine over stack-resident state, so the serial
+// path allocates nothing — which is why the two branches declare their
+// state separately: escape analysis is per variable, not per path.
+func (p P) run(n int, fn func(lo, hi int), sfn func(s *mem.Scratch, lo, hi int)) error {
 	if n <= 0 {
 		return nil
 	}
 	chunk := p.ChunkSize()
 	nchunks := (n + chunk - 1) / chunk
-	w := p.NWorkers()
-	if w > nchunks {
-		w = nchunks
-	}
+	w := min(p.NWorkers(), nchunks)
 	if w <= 1 {
-		s := mem.GetScratch()
-		defer mem.PutScratch(s)
-		for lo := 0; lo < n; lo += chunk {
-			if p.cancelled() {
-				return p.Ctx.Err()
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			s.Reset()
-			fn(s, lo, hi)
-		}
-		return nil
+		m := morsels{p: p, n: n, chunk: chunk, nchunks: nchunks, fn: fn, sfn: sfn}
+		m.work()
+		return p.Cancelled()
 	}
-	var next int
-	var mu sync.Mutex
+	m := &morsels{p: p, n: n, chunk: chunk, nchunks: nchunks, fn: fn, sfn: sfn}
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for i := 0; i < w; i++ {
 		go func() {
 			defer wg.Done()
-			s := mem.GetScratch()
-			defer mem.PutScratch(s)
-			for {
-				if p.cancelled() {
-					return
-				}
-				mu.Lock()
-				c := next
-				next++
-				mu.Unlock()
-				if c >= nchunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				s.Reset()
-				fn(s, lo, hi)
-			}
+			m.work()
 		}()
 	}
 	wg.Wait()
-	if p.cancelled() {
-		return p.Ctx.Err()
+	return p.Cancelled()
+}
+
+// morsels is the state of one run: the kernel body in whichever of its two
+// shapes the caller supplied, and the claim cursor the workers share.
+type morsels struct {
+	p                 P
+	n, chunk, nchunks int
+	fn                func(lo, hi int)
+	sfn               func(s *mem.Scratch, lo, hi int)
+
+	next atomic.Int64 // next unclaimed morsel
+}
+
+// work claims and processes morsels until none are left or the context is
+// done.
+func (m *morsels) work() {
+	var s *mem.Scratch
+	if m.sfn != nil {
+		s = mem.GetScratch()
+		defer mem.PutScratch(s)
 	}
-	return nil
+	for !m.p.cancelled() {
+		c := int(m.next.Add(1)) - 1 // the one claim site: an atomic next++
+		if c >= m.nchunks {
+			return
+		}
+		lo := c * m.chunk
+		hi := min(lo+m.chunk, m.n)
+		if s != nil {
+			s.Reset()
+			m.sfn(s, lo, hi)
+		} else {
+			m.fn(lo, hi)
+		}
+	}
 }
 
 // ForCounted runs fn over [0,n) in morsels, recording how many outputs
@@ -591,47 +386,30 @@ func (p P) BlockRange(n, b int) (lo, hi int) {
 // was interrupted (partial block states must then be discarded).
 func RunBlocks(p P, n int, fn func(b, lo, hi int)) error {
 	nb := p.NBlocks(n)
-	if nb == 0 {
-		return nil
-	}
-	chunk := p.ChunkSize()
-	if nb == 1 || p.NWorkers() <= 1 {
+	if nb <= 1 || p.NWorkers() <= 1 {
 		for b := 0; b < nb; b++ {
-			blo, bhi := p.BlockRange(n, b)
-			for lo := blo; lo < bhi; lo += chunk {
-				if p.cancelled() {
-					return p.Ctx.Err()
-				}
-				hi := lo + chunk
-				if hi > bhi {
-					hi = bhi
-				}
-				fn(b, lo, hi)
-			}
+			p.runBlock(n, b, fn)
 		}
-		return nil
+		return p.Cancelled()
 	}
 	var wg sync.WaitGroup
 	wg.Add(nb)
 	for b := 0; b < nb; b++ {
 		go func(b int) {
 			defer wg.Done()
-			blo, bhi := p.BlockRange(n, b)
-			for lo := blo; lo < bhi; lo += chunk {
-				if p.cancelled() {
-					return
-				}
-				hi := lo + chunk
-				if hi > bhi {
-					hi = bhi
-				}
-				fn(b, lo, hi)
-			}
+			p.runBlock(n, b, fn)
 		}(b)
 	}
 	wg.Wait()
-	if p.cancelled() {
-		return p.Ctx.Err()
+	return p.Cancelled()
+}
+
+// runBlock feeds block b of the Blocks(n) partition to fn one morsel at a
+// time, stopping early once the context is done.
+func (p P) runBlock(n, b int, fn func(b, lo, hi int)) {
+	chunk := p.ChunkSize()
+	blo, bhi := p.BlockRange(n, b)
+	for lo := blo; lo < bhi && !p.cancelled(); lo += chunk {
+		fn(b, lo, min(lo+chunk, bhi))
 	}
-	return nil
 }

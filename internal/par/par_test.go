@@ -2,127 +2,178 @@ package par
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mem"
 )
 
-func TestForCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1000, DefaultChunk + 3} {
-		seen := make([]int32, n)
-		For(n, 16, 8, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&seen[i], 1)
+// loopForms are the entry points that run on the one morsel claim loop;
+// each adapter reports every morsel it was handed to visit.
+var loopForms = []struct {
+	name string
+	run  func(t *testing.T, p P, n int, visit func(lo, hi int)) error
+}{
+	{"For", func(t *testing.T, p P, n int, visit func(lo, hi int)) error {
+		return p.For(n, visit)
+	}},
+	{"ForScratch", func(t *testing.T, p P, n int, visit func(lo, hi int)) error {
+		return p.ForScratch(n, func(_ *mem.Scratch, lo, hi int) { visit(lo, hi) })
+	}},
+	{"ForCounted", func(t *testing.T, p P, n int, visit func(lo, hi int)) error {
+		counts, total, err := ForCounted(p, n, func(_ *mem.Scratch, ci, lo, hi int) int {
+			if ci != lo/p.ChunkSize() {
+				t.Errorf("morsel index %d does not match its range [%d,%d)", ci, lo, hi)
+			}
+			visit(lo, hi)
+			return hi - lo
+		})
+		if err == nil {
+			if total != max(n, 0) {
+				t.Errorf("total = %d, want %d", total, max(n, 0))
+			}
+			mem.Ints.Put(counts)
+		}
+		return err
+	}},
+	{"ForEach", func(t *testing.T, p P, n int, visit func(lo, hi int)) error {
+		return ForEach(p, n, func(i int) { visit(i, i+1) })
+	}},
+}
+
+func TestParallelLoopForms(t *testing.T) {
+	cases := []struct {
+		name           string
+		n, chunk, work int
+	}{
+		{"empty", 0, 16, 4},
+		{"negative", -5, 16, 4},
+		{"below one chunk", 7, 16, 4},
+		{"exact multiple", 64, 16, 4},
+		{"ragged tail", 1003, 16, 8},
+		{"more workers than chunks", 40, 16, 32},
+		{"serial", 1003, 16, 1},
+		{"default chunk", DefaultChunk + 3, 0, 3},
+	}
+	for _, form := range loopForms {
+		for _, tc := range cases {
+			t.Run(form.name+"/"+tc.name, func(t *testing.T) {
+				p := P{Workers: tc.work, Chunk: tc.chunk}
+				seen := make([]int32, max(tc.n, 0))
+				var morsels atomic.Int32
+				err := form.run(t, p, tc.n, func(lo, hi int) {
+					morsels.Add(1)
+					if form.name != "ForEach" && (lo%p.ChunkSize() != 0 || hi-lo > p.ChunkSize()) {
+						t.Errorf("morsel [%d,%d) is not chunk-aligned", lo, hi)
+					}
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&seen[i], 1)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, c := range seen {
+					if c != 1 {
+						t.Fatalf("index %d visited %d times", i, c)
+					}
+				}
+				if tc.n <= 0 && morsels.Load() != 0 {
+					t.Error("fn called for an empty range")
+				}
+			})
+		}
+		t.Run(form.name+"/cancelled before", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			for _, workers := range []int{1, 4} {
+				err := form.run(t, P{Workers: workers, Chunk: 10, Ctx: ctx}, 1000, func(lo, hi int) {
+					t.Errorf("workers=%d: morsel [%d,%d) ran under a cancelled context", workers, lo, hi)
+				})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+				}
 			}
 		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
+		t.Run(form.name+"/cancelled during", func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				ctx, cancel := context.WithCancel(context.Background())
+				var ran atomic.Int32
+				err := form.run(t, P{Workers: workers, Chunk: 10, Ctx: ctx}, 10000, func(lo, hi int) {
+					if ran.Add(1) == 3 {
+						cancel()
+					}
+				})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+				}
+				// A serial run stops at the very next claim; a parallel one
+				// within the morsels in flight — never the whole pass.
+				if got := int(ran.Load()); (workers == 1 && got != 3) || got >= 1000 {
+					t.Fatalf("workers=%d: ran %d morsels, cancelled in the 3rd; latency not morsel-bounded", workers, got)
+				}
 			}
-		}
+		})
 	}
 }
 
 func TestForSingleWorkerSequential(t *testing.T) {
 	var order []int
-	For(10, 3, 1, func(lo, hi int) {
+	P{Workers: 1, Chunk: 3}.For(10, func(lo, hi int) {
 		order = append(order, lo)
 	})
-	want := []int{0, 3, 6, 9}
-	if len(order) != len(want) {
+	if want := []int{0, 3, 6, 9}; !slices.Equal(order, want) {
 		t.Fatalf("chunk starts = %v, want %v", order, want)
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("chunk starts = %v, want %v", order, want)
-		}
-	}
 }
 
-func TestForZeroAndNegativeN(t *testing.T) {
-	called := false
-	For(0, 4, 4, func(lo, hi int) { called = true })
-	For(-5, 4, 4, func(lo, hi int) { called = true })
-	if called {
-		t.Error("fn called for empty range")
-	}
-}
-
-func TestGatherOrderedPreservesOrder(t *testing.T) {
-	n := 1000
-	got := Gather(n, 64, 8, true, func(lo, hi int) []int {
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
-		}
-		return out
+// A worker's scratch is rewound before every morsel: a buffer carved in
+// one morsel reuses the storage of the previous morsel's carve.
+func TestForScratchResetsBetweenMorsels(t *testing.T) {
+	var bases []*int
+	err := P{Workers: 1, Chunk: 8}.ForScratch(80, func(s *mem.Scratch, lo, hi int) {
+		bases = append(bases, &s.Ints(64)[0])
 	})
-	if len(got) != n {
-		t.Fatalf("len = %d, want %d", len(got), n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("ordered gather permuted output at %d: got %d", i, v)
+	if len(bases) != 10 {
+		t.Fatalf("ran %d morsels, want 10", len(bases))
+	}
+	for i, b := range bases {
+		if b != bases[0] {
+			t.Fatalf("morsel %d carved at a fresh offset: scratch was not reset", i)
 		}
 	}
 }
 
-func TestGatherUnorderedIsPermutationButNotIdentity(t *testing.T) {
-	n := 1000
-	got := Gather(n, 64, 8, false, func(lo, hi int) []int {
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
+// The serial branch runs the claim loop over stack state: no per-call
+// allocation beyond what the kernel body itself does.
+func TestParallelLoopSerialZeroAlloc(t *testing.T) {
+	var sum int
+	body := func(lo, hi int) { sum += hi - lo }
+	sbody := func(_ *mem.Scratch, lo, hi int) { sum += hi - lo }
+	p := P{Workers: 1, Chunk: 64}
+	if n := testing.AllocsPerRun(50, func() {
+		p.For(1000, body)
+		p.ForScratch(1000, sbody)
+	}); n != 0 {
+		if mem.RaceEnabled {
+			t.Skipf("%.2f allocs/op under -race (sync.Pool drops Puts); strict guard runs in normal builds", n)
 		}
-		return out
-	})
-	if len(got) != n {
-		t.Fatalf("len = %d, want %d", len(got), n)
-	}
-	identity := true
-	for i, v := range got {
-		if v != i {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		t.Error("unordered gather returned identity permutation; GPU semantics not modelled")
-	}
-	sorted := append([]int(nil), got...)
-	sort.Ints(sorted)
-	for i, v := range sorted {
-		if v != i {
-			t.Fatalf("unordered gather is not a permutation: sorted[%d] = %d", i, v)
-		}
+		t.Fatalf("serial morsel loop allocates %.2f/op, want 0", n)
 	}
 }
 
-func TestGatherUnorderedDeterministic(t *testing.T) {
-	run := func() []int {
-		return Gather(500, 32, 8, false, func(lo, hi int) []int {
-			out := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				out = append(out, i)
-			}
-			return out
-		})
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("unordered gather not deterministic at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-func TestPermuteIsPermutation(t *testing.T) {
+func TestPermuteIntoIsPermutation(t *testing.T) {
 	f := func(raw uint16) bool {
 		n := int(raw%2000) + 1
-		p := Permute(n)
 		seen := make([]bool, n)
-		for _, v := range p {
+		for _, v := range PermuteInto(make([]int, n)) {
 			if v < 0 || v >= n || seen[v] {
 				return false
 			}
@@ -135,31 +186,11 @@ func TestPermuteIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPermuteNotIdentityForLargeN(t *testing.T) {
+func TestPermuteIntoNotIdentityForLargeN(t *testing.T) {
 	for _, n := range []int{3, 4, 10, 100, 1024} {
-		p := Permute(n)
-		identity := true
-		for i, v := range p {
-			if v != i {
-				identity = false
-				break
-			}
+		if p := PermuteInto(make([]int, n)); sort.IntsAreSorted(p) {
+			t.Errorf("PermuteInto(%d) is the identity", n)
 		}
-		if identity {
-			t.Errorf("Permute(%d) is the identity", n)
-		}
-	}
-}
-
-func TestWorkers(t *testing.T) {
-	if Workers(4) != 4 {
-		t.Errorf("Workers(4) = %d", Workers(4))
-	}
-	if Workers(0) < 1 {
-		t.Errorf("Workers(0) = %d, want >= 1", Workers(0))
-	}
-	if Workers(-1) < 1 {
-		t.Errorf("Workers(-1) = %d, want >= 1", Workers(-1))
 	}
 }
 
@@ -191,23 +222,6 @@ func TestParallelPBlocksPartitionExactly(t *testing.T) {
 	}
 }
 
-func TestParallelForCancelsAtMorselGranularity(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	p := P{Workers: 2, Chunk: 10, Ctx: ctx}
-	err := p.For(1000, func(lo, hi int) {
-		if ran.Add(1) == 3 {
-			cancel()
-		}
-	})
-	if err == nil {
-		t.Fatal("cancelled For returned nil error")
-	}
-	if got := ran.Load(); got >= 100 {
-		t.Fatalf("ran %d morsels after cancellation; latency not morsel-bounded", got)
-	}
-}
-
 func TestParallelGatherOrderedStableAcrossWorkers(t *testing.T) {
 	n := 10_000
 	run := func(workers, chunk int) []int {
@@ -233,19 +247,6 @@ func TestParallelGatherOrderedStableAcrossWorkers(t *testing.T) {
 					t.Fatalf("w=%d c=%d: [%d] = %d, want %d", workers, chunk, i, got[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-func TestParallelForEachVisitsOnce(t *testing.T) {
-	n := 500
-	seen := make([]int32, n)
-	if err := ForEach(P{Workers: 4}, n, func(i int) { atomic.AddInt32(&seen[i], 1) }); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
 		}
 	}
 }

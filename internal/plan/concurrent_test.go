@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestConcurrentRedecomposeDoesNotLeak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				res, err := c.ExecAR(q, ExecOpts{})
+				res, err := c.ExecAR(context.Background(), q, ExecOpts{})
 				if err != nil {
 					errs <- err
 					return

@@ -75,13 +75,7 @@ func (o ExecOpts) par(ctx context.Context) par.P {
 	return par.P{Threads: o.threads(), Workers: o.workers(), Chunk: o.Morsel, Ctx: ctx}
 }
 
-// ExecAR executes the query under the Approximate & Refine paradigm with a
-// background context; see ExecARCtx.
-func (c *Catalog) ExecAR(q Query, opts ExecOpts) (*Result, error) {
-	return c.ExecARCtx(context.Background(), q, opts)
-}
-
-// ExecARCtx executes the query under the Approximate & Refine paradigm:
+// ExecAR executes the query under the Approximate & Refine paradigm:
 // it validates the query (pinning one store snapshot per touched table),
 // assembles the operator pipeline with the A&R scan strategy, and runs it.
 // The approximation subplan runs entirely on the simulated device first
@@ -95,7 +89,7 @@ func (c *Catalog) ExecAR(q Query, opts ExecOpts) (*Result, error) {
 // (each approximate operator, the bus crossing, the delta scan, each
 // refinement batch, the final aggregation) and returns ctx.Err() without
 // a result once the context is done.
-func (c *Catalog) ExecARCtx(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
+func (c *Catalog) ExecAR(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
 	if p, ok := c.Partitioned(q.Table); ok {
 		return c.execScatter(ctx, q, opts, p, false)
 	}
@@ -385,13 +379,13 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		prev := refined
 		if len(joins) == 0 {
 			var vals []int64
-			refined, vals = ar.SelectRefinePar(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
+			refined, vals = ar.SelectRefine(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
 			mem.I64.Put(vals)
 		} else {
 			// Keep every join's positions aligned while filtering.
 			var err error
 			refined, err = refineKeepingJoins(pp, joins, func() *ar.Candidates {
-				out, vals := ar.SelectRefinePar(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
+				out, vals := ar.SelectRefine(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
 				mem.I64.Put(vals)
 				return out
 			}, prev)
@@ -412,7 +406,7 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		cur := refined
 		var err error
 		refined, err = refineKeepingJoins(pp, joins, func() *ar.Candidates {
-			return ar.SelectRefineAnyPar(pp, m, cols, los, his, cur)
+			return ar.SelectRefineAny(pp, m, cols, los, his, cur)
 		}, cur)
 		if err != nil {
 			return nil, err
@@ -432,7 +426,7 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 			dd := snap.get(spec.Dim, rf.f.Col)
 			prev, prevPos := refined, jr.pos
 			var vals []int64
-			refined, jr.pos, vals = ar.SelectRefineAtPar(pp, m, dd, rf.f.Lo, rf.f.Hi, prev, prevPos)
+			refined, jr.pos, vals = ar.SelectRefineAt(pp, m, dd, rf.f.Lo, rf.f.Hi, prev, prevPos)
 			mem.I64.Put(vals)
 			if err := remapJoinLists(pp, joins, jr, prev, refined); err != nil {
 				return nil, err
@@ -456,9 +450,9 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		var vals []int64
 		var err error
 		if ref.IsDim() {
-			vals, err = ar.ProjectRefineAtPar(pp, m, p, refined, posFor(ref.Dim))
+			vals, err = ar.ProjectRefineAt(pp, m, p, refined, posFor(ref.Dim))
 		} else {
-			vals, err = ar.ProjectRefinePar(pp, m, p, refined)
+			vals, err = ar.ProjectRefine(pp, m, p, refined)
 		}
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -42,7 +43,7 @@ func BenchmarkPartitionScaling(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.ExecAR(q, ExecOpts{}); err != nil {
+				if _, err := c.ExecAR(context.Background(), q, ExecOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -123,11 +124,11 @@ func TestPropPartitionEquivalence(t *testing.T) {
 				}
 				for qi, q := range propQueries(rng) {
 					serial := ExecOpts{Threads: 1, Workers: 1}
-					refAR, err := variants[0].cat.ExecAR(q, serial)
+					refAR, err := variants[0].cat.ExecAR(context.Background(), q, serial)
 					if err != nil {
 						t.Fatalf("step %d query %d plain AR: %v", step, qi, err)
 					}
-					refCl, err := variants[0].cat.ExecClassic(q, serial)
+					refCl, err := variants[0].cat.ExecClassic(context.Background(), q, serial)
 					if err != nil {
 						t.Fatalf("step %d query %d plain classic: %v", step, qi, err)
 					}
@@ -135,11 +136,11 @@ func TestPropPartitionEquivalence(t *testing.T) {
 						t.Fatalf("step %d query %d: plain A&R %v != classic %v", step, qi, refAR.Rows, refCl.Rows)
 					}
 					for _, v := range variants[1:] {
-						ar, err := v.cat.ExecAR(q, serial)
+						ar, err := v.cat.ExecAR(context.Background(), q, serial)
 						if err != nil {
 							t.Fatalf("step %d query %d %s AR: %v", step, qi, v.label, err)
 						}
-						cl, err := v.cat.ExecClassic(q, serial)
+						cl, err := v.cat.ExecClassic(context.Background(), q, serial)
 						if err != nil {
 							t.Fatalf("step %d query %d %s classic: %v", step, qi, v.label, err)
 						}
@@ -158,7 +159,7 @@ func TestPropPartitionEquivalence(t *testing.T) {
 						// Worker/morsel sweep at this fixed partition count:
 						// byte-stable rows, bit-identical meter.
 						opts := ExecOpts{Threads: 1, Workers: 2 + rng.Intn(6), Morsel: []int{64, 512, 0}[rng.Intn(3)]}
-						arp, err := v.cat.ExecAR(q, opts)
+						arp, err := v.cat.ExecAR(context.Background(), q, opts)
 						if err != nil {
 							t.Fatalf("step %d query %d %s AR %+v: %v", step, qi, v.label, opts, err)
 						}
@@ -169,7 +170,7 @@ func TestPropPartitionEquivalence(t *testing.T) {
 							t.Fatalf("step %d query %d %s %+v: A&R meter %v != serial %v (worker budget leaked into the cost model)",
 								step, qi, v.label, opts, arp.Meter, ar.Meter)
 						}
-						clp, err := v.cat.ExecClassic(q, opts)
+						clp, err := v.cat.ExecClassic(context.Background(), q, opts)
 						if err != nil {
 							t.Fatalf("step %d query %d %s classic %+v: %v", step, qi, v.label, opts, err)
 						}

@@ -319,7 +319,7 @@ func (pl *pipeline) finish(st *pipeState, out *scanOut) error {
 		if err := st.step(StageRefine); err != nil {
 			return err
 		}
-		grouping, groupKeys, err = ar.GroupRefineMultiPar(st.pp, st.m, out.mg, out.refined)
+		grouping, groupKeys, err = ar.GroupRefineMulti(st.pp, st.m, out.mg, out.refined)
 		if err != nil {
 			return err
 		}
@@ -336,7 +336,7 @@ func (pl *pipeline) finish(st *pipeState, out *scanOut) error {
 		for k, g := range q.GroupBy {
 			cols[k] = ectx.vals[ColRef{Name: g}]
 		}
-		grouping, groupKeys = bulk.GroupByMultiPar(st.pp, st.m, cols)
+		grouping, groupKeys = bulk.GroupByMulti(st.pp, st.m, cols)
 		st.traceRows(grouping.NGroups, "%s(%s)", label, join(q.GroupBy))
 	}
 
@@ -436,7 +436,7 @@ func (pl *pipeline) orderLimit(st *pipeState, rows []Row) ([]Row, error) {
 		k = len(rows)
 	}
 	bytesPer := int64(8 * (len(q.GroupBy) + len(q.Aggs)))
-	idx := bulk.TopKPar(st.pp, st.m, len(rows), k, bytesPer, less)
+	idx := bulk.TopK(st.pp, st.m, len(rows), k, bytesPer, less)
 	out := make([]Row, len(idx))
 	for i, at := range idx {
 		out[i] = rows[at]
@@ -696,16 +696,16 @@ func aggregateRows(m *device.Meter, pp par.P, q Query, ctx *exprCtx, grouping *b
 		var per []int64
 		switch a.Func {
 		case Count:
-			per = bulk.CountGroupedPar(pp, m, grouping)
+			per = bulk.CountGrouped(pp, m, grouping)
 		case Sum:
-			per = bulk.SumGroupedPar(pp, m, a.Expr.Eval(ctx), grouping)
+			per = bulk.SumGrouped(pp, m, a.Expr.Eval(ctx), grouping)
 		case Min:
-			per = bulk.MinGroupedPar(pp, m, a.Expr.Eval(ctx), grouping)
+			per = bulk.MinGrouped(pp, m, a.Expr.Eval(ctx), grouping)
 		case Max:
-			per = bulk.MaxGroupedPar(pp, m, a.Expr.Eval(ctx), grouping)
+			per = bulk.MaxGrouped(pp, m, a.Expr.Eval(ctx), grouping)
 		case Avg:
-			sums := bulk.SumGroupedPar(pp, m, a.Expr.Eval(ctx), grouping)
-			counts := bulk.CountGroupedPar(pp, m, grouping)
+			sums := bulk.SumGrouped(pp, m, a.Expr.Eval(ctx), grouping)
+			counts := bulk.CountGrouped(pp, m, grouping)
 			per = mem.I64.GetN(len(sums))
 			for i := range per {
 				per[i] = 0
@@ -731,19 +731,19 @@ func globalAgg(m *device.Meter, pp par.P, a AggSpec, ctx *exprCtx) (int64, error
 	case Count:
 		return int64(ctx.n), nil
 	case Sum:
-		return bulk.SumPar(pp, m, a.Expr.Eval(ctx)), nil
+		return bulk.Sum(pp, m, a.Expr.Eval(ctx)), nil
 	case Min:
-		v, _ := bulk.MinPar(pp, m, a.Expr.Eval(ctx))
+		v, _ := bulk.Min(pp, m, a.Expr.Eval(ctx))
 		return v, nil
 	case Max:
-		v, _ := bulk.MaxPar(pp, m, a.Expr.Eval(ctx))
+		v, _ := bulk.Max(pp, m, a.Expr.Eval(ctx))
 		return v, nil
 	case Avg:
 		vals := a.Expr.Eval(ctx)
 		if len(vals) == 0 {
 			return 0, nil
 		}
-		return bulk.SumPar(pp, m, vals) / int64(len(vals)), nil
+		return bulk.Sum(pp, m, vals) / int64(len(vals)), nil
 	default:
 		return 0, fmt.Errorf("plan: unsupported aggregate %v", a.Func)
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -52,7 +53,7 @@ func TestPooledUnpooledEquivalence(t *testing.T) {
 					for _, pooled := range []bool{true, false} {
 						for oi, opt := range opts {
 							mem.SetPooling(pooled)
-							ar, err := c.ExecAR(q, opt)
+							ar, err := c.ExecAR(context.Background(), q, opt)
 							mem.SetPooling(true)
 							if err != nil {
 								t.Fatalf("step %d query %d pooled=%v opts=%d: %v", step, qi, pooled, oi, err)
@@ -80,7 +81,7 @@ func TestPooledUnpooledEquivalence(t *testing.T) {
 					// kernels; it must agree with A&R in both modes.
 					for _, pooled := range []bool{true, false} {
 						mem.SetPooling(pooled)
-						cl, err := c.ExecClassic(q, ExecOpts{Threads: 4})
+						cl, err := c.ExecClassic(context.Background(), q, ExecOpts{Threads: 4})
 						mem.SetPooling(true)
 						if err != nil {
 							t.Fatalf("step %d query %d classic pooled=%v: %v", step, qi, pooled, err)

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -66,7 +67,7 @@ func TestStatsZipfEstimateBound(t *testing.T) {
 						Filters: []Filter{{Col: "v", Lo: lo, Hi: lo + int64(rng.Intn(1<<13))}},
 						Aggs:    []AggSpec{{Name: "n", Func: Count}},
 					}
-					res, err := c.ExecAR(q, ExecOpts{Threads: 1, Trace: true})
+					res, err := c.ExecAR(context.Background(), q, ExecOpts{Threads: 1, Trace: true})
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -140,11 +141,11 @@ func TestCostModeMatchesForcedModes(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for qi, q := range propQueries(rng) {
 			for _, c := range []*Catalog{plain, parted} {
-				forcedAR, err := c.ExecAR(q, serial)
+				forcedAR, err := c.ExecAR(context.Background(), q, serial)
 				if err != nil {
 					t.Fatalf("round %d query %d AR: %v", round, qi, err)
 				}
-				forcedCl, err := c.ExecClassic(q, serial)
+				forcedCl, err := c.ExecClassic(context.Background(), q, serial)
 				if err != nil {
 					t.Fatalf("round %d query %d classic: %v", round, qi, err)
 				}
@@ -158,10 +159,10 @@ func TestCostModeMatchesForcedModes(t *testing.T) {
 				var chosen *Result
 				if choice.Classic {
 					picksClassic++
-					chosen, err = c.ExecClassic(q, auto)
+					chosen, err = c.ExecClassic(context.Background(), q, auto)
 				} else {
 					picksAR++
-					chosen, err = c.ExecAR(q, auto)
+					chosen, err = c.ExecAR(context.Background(), q, auto)
 				}
 				if err != nil {
 					t.Fatalf("round %d query %d chosen %s: %v", round, qi, choice, err)
@@ -201,11 +202,11 @@ func TestCostPartitionPruning(t *testing.T) {
 		Aggs:    []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Expr: Col("w")}},
 	}
 	before := parted.PlannerStats().PartitionsPruned
-	want, err := plain.ExecAR(q, serial)
+	want, err := plain.ExecAR(context.Background(), q, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := parted.ExecAR(q, serial)
+	got, err := parted.ExecAR(context.Background(), q, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestCostPartitionPruning(t *testing.T) {
 	if d := parted.PlannerStats().PartitionsPruned - before; d != 5 {
 		t.Fatalf("PartitionsPruned advanced by %d, want 5 (one surviving leg of 6)", d)
 	}
-	gotCl, err := parted.ExecClassic(q, serial)
+	gotCl, err := parted.ExecClassic(context.Background(), q, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +233,12 @@ func TestCostPartitionPruning(t *testing.T) {
 			GroupBy: []string{"g"},
 			Aggs:    []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Expr: Col("w")}},
 		}
-		want, err := plain.ExecAR(qk, serial)
+		want, err := plain.ExecAR(context.Background(), qk, serial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, exec := range []func(Query, ExecOpts) (*Result, error){parted.ExecAR, parted.ExecClassic} {
-			got, err := exec(qk, serial)
+		for _, exec := range []func(context.Context, Query, ExecOpts) (*Result, error){parted.ExecAR, parted.ExecClassic} {
+			got, err := exec(context.Background(), qk, serial)
 			if err != nil {
 				t.Fatalf("query %d: %v", k, err)
 			}
@@ -254,11 +255,11 @@ func TestCostPartitionPruning(t *testing.T) {
 		Filters: []Filter{{Col: "v", Lo: -900000, Hi: -800000}},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	wantE, err := plain.ExecAR(qe, serial)
+	wantE, err := plain.ExecAR(context.Background(), qe, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotE, err := parted.ExecAR(qe, serial)
+	gotE, err := parted.ExecAR(context.Background(), qe, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +295,8 @@ func TestCostUnmergedDimJoinHint(t *testing.T) {
 		Joins: []JoinSpec{{FKCol: "fk1", Dim: "dim1", DimPK: "id"}},
 		Aggs:  []AggSpec{{Name: "n", Func: Count}},
 	}
-	for _, exec := range []func(Query, ExecOpts) (*Result, error){c.ExecAR, c.ExecClassic} {
-		_, err := exec(q, ExecOpts{Threads: 1})
+	for _, exec := range []func(context.Context, Query, ExecOpts) (*Result, error){c.ExecAR, c.ExecClassic} {
+		_, err := exec(context.Background(), q, ExecOpts{Threads: 1})
 		if err == nil {
 			t.Fatal("join against an unmerged dimension did not fail")
 		}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -42,16 +43,16 @@ func TestTraceDoesNotPerturbExecution(t *testing.T) {
 	for qi, q := range propQueries(rng) {
 		for _, exec := range []struct {
 			name string
-			run  func(Query, ExecOpts) (*Result, error)
+			run  func(context.Context, Query, ExecOpts) (*Result, error)
 		}{{"ar", c.ExecAR}, {"classic", c.ExecClassic}} {
-			plain, err := exec.run(q, ExecOpts{Threads: 1})
+			plain, err := exec.run(context.Background(), q, ExecOpts{Threads: 1})
 			if err != nil {
 				t.Fatalf("query %d %s: %v", qi, exec.name, err)
 			}
 			if plain.Trace != nil {
 				t.Fatalf("query %d %s: untraced run carries a trace", qi, exec.name)
 			}
-			traced, err := exec.run(q, ExecOpts{Threads: 1, Trace: true})
+			traced, err := exec.run(context.Background(), q, ExecOpts{Threads: 1, Trace: true})
 			if err != nil {
 				t.Fatalf("query %d %s traced: %v", qi, exec.name, err)
 			}
@@ -97,7 +98,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := c.ExecAR(q, ExecOpts{Threads: 1, Trace: traced}); err != nil {
+				if _, err := c.ExecAR(context.Background(), q, ExecOpts{Threads: 1, Trace: traced}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -113,19 +114,19 @@ func TestTraceStableAcrossWorkers(t *testing.T) {
 	c := propCatalog(t, 6000, 5)
 	rng := rand.New(rand.NewSource(17))
 	for qi, q := range propQueries(rng) {
-		serialAR, err := c.ExecAR(q, ExecOpts{Threads: 1, Workers: 1, Trace: true})
+		serialAR, err := c.ExecAR(context.Background(), q, ExecOpts{Threads: 1, Workers: 1, Trace: true})
 		if err != nil {
 			t.Fatalf("query %d serial: %v", qi, err)
 		}
 		wantAR := traceShape(serialAR)
-		serialCl, err := c.ExecClassic(q, ExecOpts{Threads: 1, Workers: 1, Trace: true})
+		serialCl, err := c.ExecClassic(context.Background(), q, ExecOpts{Threads: 1, Workers: 1, Trace: true})
 		if err != nil {
 			t.Fatalf("query %d serial classic: %v", qi, err)
 		}
 		wantCl := traceShape(serialCl)
 		for _, workers := range []int{2, 5, 8} {
 			opts := ExecOpts{Threads: 1, Workers: workers, Morsel: 256, Trace: true}
-			ar, err := c.ExecAR(q, opts)
+			ar, err := c.ExecAR(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("query %d workers=%d: %v", qi, workers, err)
 			}
@@ -133,7 +134,7 @@ func TestTraceStableAcrossWorkers(t *testing.T) {
 				t.Errorf("query %d workers=%d: A&R trace diverged\n--- serial\n%s--- parallel\n%s",
 					qi, workers, wantAR, got)
 			}
-			cl, err := c.ExecClassic(q, opts)
+			cl, err := c.ExecClassic(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("query %d workers=%d classic: %v", qi, workers, err)
 			}

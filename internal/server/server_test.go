@@ -68,11 +68,11 @@ func TestConcurrentClientsMatchDirectExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arRes, err := c.ExecAR(b.Query, plan.ExecOpts{})
+		arRes, err := c.ExecAR(context.Background(), b.Query, plan.ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clRes, err := c.ExecClassic(b.Query, plan.ExecOpts{})
+		clRes, err := c.ExecClassic(context.Background(), b.Query, plan.ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/device"
@@ -62,11 +63,11 @@ func TestTable1QueryFindsMatchesAndAgreesWithClassic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := RangeCountQuery()
-	arRes, err := c.ExecAR(q, plan.ExecOpts{})
+	arRes, err := c.ExecAR(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecAR: %v", err)
 	}
-	clRes, err := c.ExecClassic(q, plan.ExecOpts{})
+	clRes, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecClassic: %v", err)
 	}
@@ -122,7 +123,7 @@ func TestEmptyBoxReturnsZero(t *testing.T) {
 	}
 	// A degenerate box in the Atlantic, below the data's latitude floor.
 	q := RangeCount(LonMin, LonMin+10, LatMin, LatMin+1)
-	res, err := c.ExecAR(q, plan.ExecOpts{})
+	res, err := c.ExecAR(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

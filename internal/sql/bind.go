@@ -654,12 +654,7 @@ func Compile(c *plan.Catalog, src string) (*Binding, error) {
 	return Bind(stmt, c)
 }
 
-// Exec runs a compiled binding with a background context; see ExecCtx.
-func Exec(c *plan.Catalog, b *Binding, opts plan.ExecOpts, classic bool) (*plan.Result, error) {
-	return ExecCtx(context.Background(), c, b, opts, classic)
-}
-
-// ExecCtx runs a compiled binding under ctx. bwdecompose and DML
+// Exec runs a compiled binding under ctx. bwdecompose and DML
 // statements mutate the store and return a Result whose Plan lines carry
 // the outcome message and whose Meter carries the simulated write cost
 // (including any implicit compaction); EXPLAIN returns a Result with
@@ -669,7 +664,7 @@ func Exec(c *plan.Catalog, b *Binding, opts plan.ExecOpts, classic bool) (*plan.
 //
 // Front-ends should not call this directly: internal/engine wraps it with
 // session routing, admission control and plan caching.
-func ExecCtx(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpts, classic bool) (*plan.Result, error) {
+func Exec(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpts, classic bool) (*plan.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -716,9 +711,9 @@ func ExecCtx(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpt
 	var res *plan.Result
 	var err error
 	if classic {
-		res, err = c.ExecClassicCtx(ctx, b.Query, opts)
+		res, err = c.ExecClassic(ctx, b.Query, opts)
 	} else {
-		res, err = c.ExecARCtx(ctx, b.Query, opts)
+		res, err = c.ExecAR(ctx, b.Query, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -737,7 +732,7 @@ func Run(c *plan.Catalog, src string, opts plan.ExecOpts) (*plan.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return Exec(c, b, opts, false)
+	return Exec(context.Background(), c, b, opts, false)
 }
 
 // Normalize canonicalizes statement text for plan-cache keying: tokens are

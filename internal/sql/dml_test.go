@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func run(t *testing.T, c *plan.Catalog, src string, classic bool) *plan.Result {
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
-	res, err := Exec(c, b, plan.ExecOpts{}, classic)
+	res, err := Exec(context.Background(), c, b, plan.ExecOpts{}, classic)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -128,7 +129,7 @@ func TestDMLBindErrors(t *testing.T) {
 	} {
 		b, err := Compile(c, src)
 		if err == nil {
-			if _, err = Exec(c, b, plan.ExecOpts{}, false); err == nil {
+			if _, err = Exec(context.Background(), c, b, plan.ExecOpts{}, false); err == nil {
 				t.Errorf("%s: accepted", src)
 			}
 		}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestPartitionByErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exec(c, b, plan.ExecOpts{}, true); err == nil || !strings.Contains(err.Error(), "partitioned") {
+	if _, err := Exec(context.Background(), c, b, plan.ExecOpts{}, true); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Fatalf("join over a partitioned dimension: err %v, want a partitioned-table rejection", err)
 	}
 
@@ -125,7 +126,7 @@ func TestPartitionByErrors(t *testing.T) {
 		// Creation errors surface at exec time (the binder does not check
 		// existence so EXPLAIN works on uncreated names); run it.
 		b, _ := Compile(c, "create table pdim (id int)")
-		if _, err := Exec(c, b, plan.ExecOpts{}, false); err == nil {
+		if _, err := Exec(context.Background(), c, b, plan.ExecOpts{}, false); err == nil {
 			t.Fatal("duplicate create over a partitioned table accepted")
 		}
 	}

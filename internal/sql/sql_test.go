@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -99,7 +100,7 @@ func TestSimpleAggregate(t *testing.T) {
 		Filters: []plan.Filter{{Col: "l_shipdate", Lo: 100, Hi: 500}},
 		Aggs:    []plan.AggSpec{{Name: "n", Func: plan.Count}},
 	}
-	want, err := c.ExecClassic(q, plan.ExecOpts{})
+	want, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestJoinQuery(t *testing.T) {
 			{Name: "n", Func: plan.Count},
 		},
 	}
-	want, err := c.ExecClassic(q, plan.ExecOpts{})
+	want, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +337,11 @@ func TestSQLFuzzARMatchesClassic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Bind(%q): %v", trial, sqlText, err)
 		}
-		arRes, err := c.ExecAR(binding.Query, plan.ExecOpts{})
+		arRes, err := c.ExecAR(context.Background(), binding.Query, plan.ExecOpts{})
 		if err != nil {
 			t.Fatalf("trial %d: ExecAR: %v", trial, err)
 		}
-		clRes, err := c.ExecClassic(binding.Query, plan.ExecOpts{})
+		clRes, err := c.ExecClassic(context.Background(), binding.Query, plan.ExecOpts{})
 		if err != nil {
 			t.Fatalf("trial %d: ExecClassic: %v", trial, err)
 		}

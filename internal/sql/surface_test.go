@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -96,7 +97,7 @@ func TestMultiJoinSQL(t *testing.T) {
 		},
 		Aggs: []plan.AggSpec{{Name: "n", Func: plan.Count}, {Name: "rev", Func: plan.Sum, Expr: plan.Col("price")}},
 	}
-	want, err := c.ExecClassic(q, plan.ExecOpts{})
+	want, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +213,11 @@ func TestNewShapesEquivalenceSQL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", src, err)
 		}
-		arRes, err := Exec(c, b, plan.ExecOpts{}, false)
+		arRes, err := Exec(context.Background(), c, b, plan.ExecOpts{}, false)
 		if err != nil {
 			t.Fatalf("AR %q: %v", src, err)
 		}
-		clRes, err := Exec(c, b, plan.ExecOpts{}, true)
+		clRes, err := Exec(context.Background(), c, b, plan.ExecOpts{}, true)
 		if err != nil {
 			t.Fatalf("classic %q: %v", src, err)
 		}

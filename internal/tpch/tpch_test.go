@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -141,11 +142,11 @@ func TestTypeDictionaryOrderedAndPrefixRange(t *testing.T) {
 func TestQ1ARMatchesClassic(t *testing.T) {
 	c, _ := smallCatalog(t, 0.002, false)
 	q := Q1(90)
-	arRes, err := c.ExecAR(q, plan.ExecOpts{})
+	arRes, err := c.ExecAR(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecAR: %v", err)
 	}
-	clRes, err := c.ExecClassic(q, plan.ExecOpts{})
+	clRes, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecClassic: %v", err)
 	}
@@ -163,11 +164,11 @@ func TestQ6ARMatchesClassicBothConfigs(t *testing.T) {
 	for _, constrained := range []bool{false, true} {
 		c, _ := smallCatalog(t, 0.002, constrained)
 		q := Q6(1994, 6, 24)
-		arRes, err := c.ExecAR(q, plan.ExecOpts{})
+		arRes, err := c.ExecAR(context.Background(), q, plan.ExecOpts{})
 		if err != nil {
 			t.Fatalf("constrained=%v ExecAR: %v", constrained, err)
 		}
-		clRes, err := c.ExecClassic(q, plan.ExecOpts{})
+		clRes, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{})
 		if err != nil {
 			t.Fatalf("ExecClassic: %v", err)
 		}
@@ -196,11 +197,11 @@ func TestQ14ARMatchesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arRes, err := c.ExecAR(q, plan.ExecOpts{})
+	arRes, err := c.ExecAR(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecAR: %v", err)
 	}
-	clRes, err := c.ExecClassic(q, plan.ExecOpts{})
+	clRes, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{})
 	if err != nil {
 		t.Fatalf("ExecClassic: %v", err)
 	}
