@@ -75,10 +75,15 @@ func NewMaterialized(head []OID, tail []int64, width int) *BAT {
 	return &BAT{head: head, tail: tail, width: width}
 }
 
+// ValidWidth reports whether w is a supported physical tail width. Code
+// that takes a width from outside the program (a schema, a decoded file)
+// checks it here and returns an error; the constructors panic on the rest.
+func ValidWidth(w int) bool {
+	return w == Width8 || w == Width16 || w == Width32 || w == Width64
+}
+
 func checkWidth(w int) {
-	switch w {
-	case Width8, Width16, Width32, Width64:
-	default:
+	if !ValidWidth(w) {
 		panic(fmt.Sprintf("bat: unsupported width %d", w))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bat"
 	"repro/internal/store"
 )
 
@@ -199,6 +200,12 @@ func DecodeRecord(b []byte) (Record, error) {
 			d.Scale = int64(binary.LittleEndian.Uint64(b))
 			d.Width = int(b[8])
 			b = b[9:]
+			if !bat.ValidWidth(d.Width) {
+				// Replay builds the table with bat.NewDense, which panics on
+				// a bad width; a CRC-valid corrupted byte must surface as a
+				// decode error, not crash recovery.
+				return r, fmt.Errorf("durable: column %s.%s has width %d", r.Table, d.Name, d.Width)
+			}
 			r.Defs = append(r.Defs, d)
 		}
 		if r.Type == recCreatePart {

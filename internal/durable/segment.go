@@ -166,9 +166,7 @@ func decodeSegment(data []byte, sys *device.System) (*segState, error) {
 		}
 		def.Scale = int64(le.Uint64(b))
 		def.Width = int(b[8])
-		switch def.Width {
-		case bat.Width8, bat.Width16, bat.Width32, bat.Width64:
-		default:
+		if !bat.ValidWidth(def.Width) {
 			// bat.NewDense panics on bad widths; a CRC-valid corrupted
 			// byte must surface as a decode error, not crash Open.
 			return nil, fmt.Errorf("durable: segment column %s has width %d", def.Name, def.Width)

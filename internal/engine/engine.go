@@ -332,7 +332,7 @@ func (e *Engine) DescribePlan(q plan.Query, mode Mode) ([]string, error) {
 		classic = choice.Classic
 		note = "mode choice: " + choice.String() + " — auto; \\mode ar|classic forces an executor"
 	}
-	lines, err := e.cat.ExplainQuery(q, classic)
+	lines, err := e.cat.ExplainQuery(q, classic, mode == ModeAuto)
 	if err != nil || note == "" {
 		return lines, err
 	}

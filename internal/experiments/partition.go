@@ -25,9 +25,10 @@ var PartitionSweep = []int{1, 2, 4, 8}
 // Two effects are visible. The aggregate simulated device time stays
 // within a few tens of percent across counts — the scan work is
 // conserved, while per-partition kernel launches, per-partition relaxed
-// candidate boundaries and the host-side gather (partition scans never
-// pre-group on the device) shift the split, which is exactly why results
-// stay byte-identical but meters are only bit-identical at a fixed count.
+// candidate boundaries and the host-side gather (two or more scanned legs
+// never pre-group on the device; one leg is the unpartitioned execution,
+// meter included) shift the split, which is exactly why results stay
+// byte-identical but meters are only bit-identical at a fixed count.
 // The per-stream share (aggregate / N) falls ~1/N: with one admission-
 // controlled stream per partition device the scatter legs run
 // concurrently, so the share is the ideal makespan on N devices — the
@@ -160,10 +161,11 @@ func Partition(opts Options) (*Figure, error) {
 		Notes: []string{
 			fmt.Sprintf("executed %d rows, system scaled x%.0f to the paper's 100M", opts.MicroN, scale),
 			fmt.Sprintf("unpartitioned baseline: A&R %.3fms, classic %.3fms", ms(baseAR.Total().Seconds()), ms(baseCl.Total().Seconds())),
-			"the scatter path groups on the host where all partition partials meet, a fixed",
-			"premium over the direct pipeline; the per-stream share is the ideal makespan on",
-			"N independent device streams (one admission-controlled stream per partition",
-			"under the scheduler's per-device ledger)",
+			"one partition is one leg and runs exactly as the unpartitioned table does; two or",
+			"more legs group on the host where their partials meet, a fixed premium over the",
+			"device pre-grouping; the per-stream share is the ideal makespan on N independent",
+			"device streams (one admission-controlled stream per partition under the",
+			"scheduler's per-device ledger)",
 			"every point verified byte-identical to the unpartitioned baseline in both modes",
 		},
 	}, nil

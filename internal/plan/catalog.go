@@ -144,7 +144,7 @@ type Catalog struct {
 	dur Durability
 
 	// prunedParts counts partition legs skipped by range-partition
-	// pruning before scattering (see execScatter); exposed through
+	// pruning before scattering (see exec); exposed through
 	// PlannerStats and the engine's ar_partition_pruned_total metric.
 	prunedParts atomic.Int64
 
@@ -278,9 +278,29 @@ func (c *Catalog) DropTable(name string) error {
 	return c.dropTable(name)
 }
 
+// legs resolves a table name to its ordered legs — the store.Tables that
+// hold its rows. A plain table is one leg under its own name; a partitioned
+// table is its partitions in index order, returned with the wrapper that
+// routes rows to them (p is nil for a plain table). Queries, DML and
+// maintenance all reach a table's contents through this one resolver, so
+// none of them forks on whether the table is partitioned.
+func (c *Catalog) legs(name string) (tables []*store.Table, p *shard.Partitioned, err error) {
+	c.mu.RLock()
+	t, ok := c.tables[name]
+	p = c.parted[name]
+	c.mu.RUnlock()
+	switch {
+	case ok:
+		return []*store.Table{t}, nil, nil
+	case p != nil:
+		return p.Parts, p, nil
+	}
+	return nil, nil, fmt.Errorf("plan: unknown table %s", name)
+}
+
 // Table returns a registered table. A partitioned table's wrapper name is
 // not a plain table — callers that only need the schema use SchemaTable,
-// scans go through the scatter-gather path.
+// everything that reads or writes rows resolves the legs.
 func (c *Catalog) Table(name string) (*store.Table, error) {
 	c.mu.RLock()
 	t, ok := c.tables[name]
@@ -312,15 +332,8 @@ func (c *Catalog) TableNames() []string {
 // engine's plan cache records these per binding and invalidates entries
 // whose dependencies changed.
 func (c *Catalog) TableSchemaEpoch(name string) (uint64, bool) {
-	c.mu.RLock()
-	t, ok := c.tables[name]
-	if !ok {
-		if p, pok := c.parted[name]; pok {
-			t, ok = p.Schema(), true
-		}
-	}
-	c.mu.RUnlock()
-	if !ok {
+	t, err := c.SchemaTable(name)
+	if err != nil {
 		return 0, false
 	}
 	return t.SchemaEpoch(), true
@@ -357,41 +370,59 @@ func (c *Catalog) Decompose(table, col string, approxBits uint) (*bwd.Column, er
 // DecomposeMetered is Decompose charging the implicit pre-merge compaction
 // (delta rows folded in, deletions dropped) to m — the SQL bwdecompose
 // path uses it so the bus bytes a compaction ships appear in the engine
-// totals, not just in the store counters.
+// totals, not just in the store counters. Every non-empty leg is decomposed
+// (one WAL record each, under the leg table's name); the returned column is
+// the first leg's. Empty legs are skipped — bwd rejects empty columns, and
+// routing skew (e.g. range partitioning a narrow domain) legitimately leaves
+// partitions empty — so their scans fall back to classic until rows arrive
+// and a re-decompose runs. An entirely empty table is an error.
 func (c *Catalog) DecomposeMetered(m *device.Meter, table, col string, approxBits uint) (*bwd.Column, error) {
-	if p, ok := c.Partitioned(table); ok {
-		return c.decomposePartitioned(m, p, col, approxBits)
-	}
-	t, err := c.Table(table)
+	legs, _, err := c.legs(table)
 	if err != nil {
 		return nil, err
 	}
-	if d := c.durability(); d != nil {
-		var out *bwd.Column
-		err := d.LogDecompose(table, col, approxBits, func() error {
+	d := c.durability()
+	var out *bwd.Column
+	for _, t := range legs {
+		if t.Snapshot().Len() == 0 {
+			continue
+		}
+		var dec *bwd.Column
+		apply := func() error {
 			var aerr error
-			out, aerr = t.Decompose(m, col, approxBits)
+			dec, aerr = t.Decompose(m, col, approxBits)
 			return aerr
-		})
-		return out, err
+		}
+		if d != nil {
+			err = d.LogDecompose(t.Name(), col, approxBits, apply)
+		} else {
+			err = apply()
+		}
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = dec
+		}
 	}
-	return t.Decompose(m, col, approxBits)
+	if out == nil {
+		return nil, fmt.Errorf("store: bwdecompose(%s.%s, %d): bwd: cannot decompose empty column", table, col, approxBits)
+	}
+	return out, nil
 }
 
-// Decomposition returns the current decomposition of table.col, or an
-// error if the column was never decomposed (A&R plans require explicit
+// Decomposition returns the current decomposition of table.col (the first
+// leg's: all legs share one schema and bwdecompose fans out), or an error
+// if the column was never decomposed (A&R plans require explicit
 // decomposition, like an index).
 func (c *Catalog) Decomposition(table, col string) (*bwd.Column, error) {
-	if p, ok := c.Partitioned(table); ok {
-		table = p.Schema().Name()
-	}
-	t, err := c.Table(table)
+	legs, _, err := c.legs(table)
 	if err != nil {
 		return nil, err
 	}
-	d := t.Snapshot().Dec(col)
+	d := legs[0].Snapshot().Dec(col)
 	if d == nil {
-		return nil, fmt.Errorf("plan: column %s.%s is not bitwise decomposed; call Decompose first", table, col)
+		return nil, fmt.Errorf("plan: column %s.%s is not bitwise decomposed; call Decompose first", legs[0].Name(), col)
 	}
 	return d, nil
 }
@@ -445,35 +476,52 @@ func (c *Catalog) FKIndex(table, col string) (*bulk.FKIndex, error) {
 	return ix, nil
 }
 
-// InsertRows appends rows (schema order, scaled values) to table's delta
-// segment, charging the host-side append to m (which may be nil).
+// InsertRows appends rows (schema order, scaled values) to the delta
+// segment of the leg each row routes to, charging the host-side append to m
+// (which may be nil). With durability attached every touched leg is its own
+// WAL record under the leg table's name, so each leg's checkpoint horizon
+// covers exactly its own rows and replay re-applies them to the right leg
+// directly. Atomicity is per leg: a crash between appends can persist a row
+// subset of one multi-partition statement, never a torn row.
 func (c *Catalog) InsertRows(m *device.Meter, table string, rows [][]int64) (int, error) {
-	if p, ok := c.Partitioned(table); ok {
-		return c.insertPartitioned(m, p, rows)
-	}
-	t, err := c.Table(table)
+	legs, p, err := c.legs(table)
 	if err != nil {
 		return 0, err
 	}
-	if d := c.durability(); d != nil {
-		var n int
-		err := d.LogInsert(table, rows, func() error {
-			var aerr error
-			n, aerr = t.Insert(m, rows)
-			return aerr
-		})
-		return n, err
+	groups := [][][]int64{rows}
+	if p != nil {
+		groups = p.Split(rows)
 	}
-	return t.Insert(m, rows)
+	d := c.durability()
+	total := 0
+	for i, t := range legs {
+		group := groups[i]
+		if len(group) == 0 {
+			continue
+		}
+		var n int
+		apply := func() error {
+			var aerr error
+			n, aerr = t.Insert(m, group)
+			return aerr
+		}
+		if d != nil {
+			err = d.LogInsert(t.Name(), group, apply)
+		} else {
+			err = apply()
+		}
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // DeleteRows marks every live row of table satisfying all filters deleted
-// and returns the count.
+// — on every leg, one WAL record each — and returns the count.
 func (c *Catalog) DeleteRows(m *device.Meter, table string, filters []Filter) (int64, error) {
-	if p, ok := c.Partitioned(table); ok {
-		return c.deletePartitioned(m, p, filters)
-	}
-	t, err := c.Table(table)
+	legs, _, err := c.legs(table)
 	if err != nil {
 		return 0, err
 	}
@@ -481,30 +529,50 @@ func (c *Catalog) DeleteRows(m *device.Meter, table string, filters []Filter) (i
 	for i, f := range filters {
 		preds[i] = store.Range{Col: f.Col, Lo: f.Lo, Hi: f.Hi}
 	}
-	if d := c.durability(); d != nil {
+	d := c.durability()
+	var total int64
+	for _, t := range legs {
 		var n int64
-		err := d.LogDelete(table, preds, func() error {
+		apply := func() error {
 			var aerr error
 			n, aerr = t.DeleteWhere(m, preds)
 			return aerr
-		})
-		return n, err
+		}
+		if d != nil {
+			err = d.LogDelete(t.Name(), preds, apply)
+		} else {
+			err = apply()
+		}
+		total += n
+		if err != nil {
+			return total, err
+		}
 	}
-	return t.DeleteWhere(m, preds)
+	return total, nil
 }
 
-// MergeTable compacts table's delta segment and deletions into a fresh
-// base segment, charging the incremental re-decomposition to m. auto marks
-// background-merger invocations for stats attribution.
+// MergeTable compacts the delta segment and deletions of every leg of table
+// into a fresh base segment, charging the incremental re-decomposition to m
+// and summing the stats. auto marks background-merger invocations for stats
+// attribution.
 func (c *Catalog) MergeTable(m *device.Meter, table string, auto bool) (store.MergeStats, error) {
-	if p, ok := c.Partitioned(table); ok {
-		return c.mergePartitioned(m, p, auto)
-	}
-	t, err := c.Table(table)
+	var out store.MergeStats
+	legs, _, err := c.legs(table)
 	if err != nil {
-		return store.MergeStats{}, err
+		return out, err
 	}
-	return t.Merge(m, auto)
+	for _, t := range legs {
+		st, err := t.Merge(m, auto)
+		if err != nil {
+			return out, err
+		}
+		out.Merged = out.Merged || st.Merged
+		out.DeltaRows += st.DeltaRows
+		out.DroppedRows += st.DroppedRows
+		out.ShippedBytes += st.ShippedBytes
+		out.FullBytes += st.FullBytes
+	}
+	return out, nil
 }
 
 // StoreStats aggregates the store counters over every registered table.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bwd"
-	"repro/internal/device"
 	"repro/internal/shard"
 	"repro/internal/store"
 )
@@ -14,9 +12,11 @@ import (
 // plus N ordinary store.Tables named <table>.p<i>, all registered in the
 // regular table map — so merges, checkpoints, segment files and per-table
 // metrics see N independent tables and need no partition awareness. The
-// wrapper itself lives in a separate registry and owns routing: inserts
-// split by the spec, deletes/decompose/merge fan out to every partition,
-// and scans scatter-gather (see exec_scatter.go).
+// wrapper itself lives in a separate registry and owns only the registry
+// operations below (create, adopt, drop, schema lookup) and routing:
+// Catalog.legs resolves a wrapper name to its partitions, and queries, DML
+// and maintenance loop over those legs exactly as they do over a plain
+// table's single one (catalog.go, exec_scatter.go).
 
 // CreatePartitionedTable registers a new empty partitioned table: the
 // engine-level CREATE TABLE ... PARTITION BY. With durability attached the
@@ -153,84 +153,6 @@ func (c *Catalog) SchemaTable(name string) (*store.Table, error) {
 		return nil, fmt.Errorf("plan: unknown table %s", name)
 	}
 	return t, nil
-}
-
-// insertPartitioned routes rows to their partitions and appends each
-// group. With durability attached every non-empty group is its own WAL
-// record under the partition table's name, so each partition's checkpoint
-// horizon covers exactly its own rows and replay re-applies them to the
-// right partition directly. Atomicity is per partition: a crash between
-// group appends can persist a row subset of one statement, never a torn
-// row.
-func (c *Catalog) insertPartitioned(m *device.Meter, p *shard.Partitioned, rows [][]int64) (int, error) {
-	total := 0
-	for i, group := range p.Split(rows) {
-		if len(group) == 0 {
-			continue
-		}
-		n, err := c.InsertRows(m, shard.PartName(p.Name, i), group)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// deletePartitioned fans a delete out to every partition.
-func (c *Catalog) deletePartitioned(m *device.Meter, p *shard.Partitioned, filters []Filter) (int64, error) {
-	var total int64
-	for i := range p.Parts {
-		n, err := c.DeleteRows(m, shard.PartName(p.Name, i), filters)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// decomposePartitioned fans a bitwise decomposition out to every non-empty
-// partition; the returned column is the first decomposed one. Empty
-// partitions are skipped — bwd rejects empty columns, and routing skew
-// (e.g. range partitioning a narrow domain) legitimately leaves partitions
-// empty — so their scans fall back to classic until rows arrive and a
-// re-decompose runs. An entirely empty table errors like a plain one.
-func (c *Catalog) decomposePartitioned(m *device.Meter, p *shard.Partitioned, col string, approxBits uint) (*bwd.Column, error) {
-	var out *bwd.Column
-	for i := range p.Parts {
-		if p.Parts[i].Snapshot().Len() == 0 {
-			continue
-		}
-		d, err := c.DecomposeMetered(m, shard.PartName(p.Name, i), col, approxBits)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = d
-		}
-	}
-	if out == nil {
-		return nil, fmt.Errorf("store: bwdecompose(%s.%s, %d): bwd: cannot decompose empty column", p.Name, col, approxBits)
-	}
-	return out, nil
-}
-
-// mergePartitioned compacts every partition, aggregating the stats.
-func (c *Catalog) mergePartitioned(m *device.Meter, p *shard.Partitioned, auto bool) (store.MergeStats, error) {
-	var out store.MergeStats
-	for i := range p.Parts {
-		st, err := c.MergeTable(m, shard.PartName(p.Name, i), auto)
-		if err != nil {
-			return out, err
-		}
-		out.Merged = out.Merged || st.Merged
-		out.DeltaRows += st.DeltaRows
-		out.DroppedRows += st.DroppedRows
-		out.ShippedBytes += st.ShippedBytes
-		out.FullBytes += st.FullBytes
-	}
-	return out, nil
 }
 
 // dropPartitioned drops every partition, then the wrapper entry. With

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
@@ -37,42 +36,42 @@ func (m ModeChoice) String() string {
 	return fmt.Sprintf("%s (%s)", mode, m.Reason)
 }
 
-// ChooseMode prices the two scan strategies for a query in auto mode. A
-// query that cannot run as A&R (undecomposed column, unmergeable shape) is
-// classic by necessity; otherwise the estimated candidate-set size is
-// weighed against the transfer cost. Partitioned tables price every leg
-// against its own partition statistics: the scatter runs under the device
-// gate if any leg favors A&R.
+// ChooseMode prices the two scan strategies for a query in auto mode,
+// through the leg planner every execution uses (planLeg): each leg of the
+// table is priced against its own statistics. A plain table's one leg is the
+// statement's choice — classic by necessity when it cannot run as A&R
+// (undecomposed column, unmergeable shape), otherwise the estimated
+// candidate-set size weighed against the transfer cost. A partitioned table
+// runs under the device gate if any leg favors A&R.
 func (c *Catalog) ChooseMode(q Query) ModeChoice {
-	if p, ok := c.Partitioned(q.Table); ok {
-		var est int64
-		ar := 0
-		for i := range p.Parts {
-			qi := q
-			qi.Table = shard.PartName(p.Name, i)
-			snap, err := qi.validate(c)
-			if err != nil {
-				continue // this leg scans classic (e.g. empty partition)
-			}
-			ch := chooseSnap(c.sys, &qi, snap)
-			if !ch.Classic {
-				ar++
-				est += ch.EstCandidates
-			}
+	tables, p, err := c.legs(q.Table)
+	var only ModeChoice // a plain table's single leg
+	var est int64
+	ar := 0
+	for _, t := range tables {
+		snap, ch, lerr := c.planLeg(q, t, false, true)
+		if lerr != nil {
+			err = lerr
+			continue // this leg scans classic, if at all
 		}
-		if ar == 0 {
-			return ModeChoice{Classic: true, EstCandidates: -1,
-				Reason: "no partition leg favors a&r"}
+		only, err = ch, snap.arErr
+		if !ch.Classic {
+			ar++
+			est += ch.EstCandidates
 		}
-		return ModeChoice{EstCandidates: est,
-			Reason: fmt.Sprintf("%d of %d partition legs favor a&r", ar, p.Spec.N)}
 	}
-	snap, err := q.validate(c)
-	if err != nil {
+	switch {
+	case p == nil && err != nil:
 		return ModeChoice{Classic: true, EstCandidates: -1,
 			Reason: "a&r unavailable: " + err.Error()}
+	case p == nil:
+		return only
+	case ar == 0:
+		return ModeChoice{Classic: true, EstCandidates: -1,
+			Reason: "no partition leg favors a&r"}
 	}
-	return chooseSnap(c.sys, &q, snap)
+	return ModeChoice{EstCandidates: est,
+		Reason: fmt.Sprintf("%d of %d partition legs favor a&r", ar, p.Spec.N)}
 }
 
 // estFactFrac multiplies the fact-side predicate selectivities from the
@@ -92,8 +91,8 @@ func estFactFrac(snap *execSnap, q *Query) float64 {
 	return frac
 }
 
-// chooseSnap prices both executors for one pinned snapshot. The caller has
-// already validated the query for A&R against this snapshot.
+// chooseSnap prices both executors for one pinned snapshot that can run
+// A&R (snap.arErr is nil).
 func chooseSnap(sys *device.System, q *Query, snap *execSnap) ModeChoice {
 	baseLive := float64(snap.fact.LiveBase())
 	if baseLive == 0 {

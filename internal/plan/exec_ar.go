@@ -39,16 +39,17 @@ type ExecOpts struct {
 	// approximate answers and simulated figures are bit-identical with the
 	// flag on or off.
 	Trace bool
-	// Gate, if set, admission-controls the per-partition device streams of
-	// a scatter-gather execution (the engine's scheduler passes its
-	// per-device ledger). Unpartitioned executions never consult it, and it
-	// never affects results or simulated figures — only real concurrency.
+	// Gate, if set, admission-controls the per-partition device streams (the
+	// engine's scheduler passes its per-device ledger): every A&R leg of a
+	// partitioned table holds its partition's stream while it scans. A plain
+	// table's leg never consults it, and it never affects results or
+	// simulated figures — only real concurrency.
 	Gate DeviceGate
 	// AutoMode marks an execution whose scan strategy was chosen by the
-	// cost model rather than forced with \mode. Scatter-gather executions
-	// use it to re-choose classic vs A&R per partition leg from each leg's
-	// own statistics; it never affects results, only which (byte-identical)
-	// executor produces them.
+	// cost model rather than forced with \mode. A table of several legs
+	// re-chooses classic vs A&R per leg from each leg's own statistics (a
+	// single leg's choice is the statement's, made by ChooseMode); it never
+	// affects results, only which (byte-identical) scan produces them.
 	AutoMode bool
 }
 
@@ -76,8 +77,9 @@ func (o ExecOpts) par(ctx context.Context) par.P {
 }
 
 // ExecAR executes the query under the Approximate & Refine paradigm:
-// it validates the query (pinning one store snapshot per touched table),
-// assembles the operator pipeline with the A&R scan strategy, and runs it.
+// it plans one leg per (surviving) leg table of the query's table — pinning
+// one store snapshot per touched table, assembling the operator pipeline
+// with the A&R scan strategy — and runs them through the one executor.
 // The approximation subplan runs entirely on the simulated device first
 // (its intermediate results never leave device memory), the candidate set
 // and device-side projections are shipped across the bus once, and the
@@ -90,14 +92,7 @@ func (o ExecOpts) par(ctx context.Context) par.P {
 // refinement batch, the final aggregation) and returns ctx.Err() without
 // a result once the context is done.
 func (c *Catalog) ExecAR(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
-	if p, ok := c.Partitioned(q.Table); ok {
-		return c.execScatter(ctx, q, opts, p, false)
-	}
-	snap, err := q.validate(c)
-	if err != nil {
-		return nil, err
-	}
-	return buildPipeline(q, snap, false).run(ctx, c.sys, opts)
+	return c.exec(ctx, q, opts, false)
 }
 
 // arJoinRT is the runtime state of one FK-probe stage in the A&R scan:
@@ -115,8 +110,9 @@ type arJoinRT struct {
 // the CPU — producing the base segment's exact tuple values for the
 // shared pipeline tail. The delta segment is scanned with one classic
 // row-major pass before the ship (so the phase-A answer can include its
-// exact contribution) and handed to the tail unmerged.
-func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
+// exact contribution) and returned unmerged. solo permits the device-side
+// pre-grouping: this leg is the only one the statement scans.
+func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	q := &pl.q
 	snap := pl.snap
 	pp := st.pp
@@ -260,10 +256,10 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 		}
 	}
 
-	// Device-side pre-grouping — only while the table has no live delta
-	// rows: a delta forces the grouping onto the host, where base and
-	// delta tuples meet.
-	useDevGrouping := len(q.GroupBy) > 0 && snap.fact.LiveDelta() == 0 && !pl.noDevGroup
+	// Device-side pre-grouping — only while no other tuples join this scan's
+	// on the host: another leg's partial or live delta rows force the
+	// grouping there, where all of them meet.
+	useDevGrouping := solo && len(q.GroupBy) > 0 && snap.fact.LiveDelta() == 0
 	var mg *ar.MultiGrouping
 	if useDevGrouping {
 		cols := make([]*bwd.Column, len(q.GroupBy))
@@ -463,7 +459,7 @@ func (pl *pipeline) scanAR(st *pipeState) (*scanOut, error) {
 
 	// The projection code buffers and the original candidate set are dead
 	// once every projection has refined; the surviving set travels on to
-	// the shared tail (run releases it after aggregation). mg still holds
+	// the shared tail (exec releases it after aggregation). mg still holds
 	// cands as its Src until the group refinement, so keep it alive then.
 	for _, ref := range refList {
 		projections[ref].Release()

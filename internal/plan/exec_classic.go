@@ -11,23 +11,16 @@ import (
 )
 
 // ExecClassic executes the query with the classic bulk-processing model
-// on the CPU only — the paper's "MonetDB" baseline. It validates the
-// query (pinning one store snapshot per touched table), assembles the
-// operator pipeline with the classic scan strategy, and runs it.
+// on the CPU only — the paper's "MonetDB" baseline. It plans the table's
+// legs like ExecAR (pinning one store snapshot per touched table) but
+// assembles every pipeline with the classic scan strategy.
 // Operators are the fully-materializing tight loops of package bulk; no
 // device or bus time is ever charged.
 //
 // Cancellation is cooperative: the pipeline polls ctx between bulk passes
 // and returns ctx.Err() without a result once the context is done.
 func (c *Catalog) ExecClassic(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
-	if p, ok := c.Partitioned(q.Table); ok {
-		return c.execScatter(ctx, q, opts, p, true)
-	}
-	snap, err := q.validateClassic(c)
-	if err != nil {
-		return nil, err
-	}
-	return buildPipeline(q, snap, true).run(ctx, c.sys, opts)
+	return c.exec(ctx, q, opts, true)
 }
 
 // scanClassic is the classic scan strategy: MonetDB-style uselect chains
@@ -35,8 +28,8 @@ func (c *Catalog) ExecClassic(ctx context.Context, q Query, opts ExecOpts) (*Res
 // FK-probe join chain through the pre-built indexes, and full
 // materialization of every referenced column — producing the same
 // exact-value tuple stream as the A&R scan for the shared pipeline tail.
-// The delta segment is scanned by the shared delta source and handed to
-// the tail unmerged.
+// The delta segment is scanned by the shared delta source and returned
+// unmerged.
 func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 	q := &pl.q
 	snap := pl.snap

@@ -1,24 +1,29 @@
-// Scatter-gather execution over partitioned fact tables. A partitioned
-// table (internal/shard) is N independent store.Tables behind one name;
-// execution scatters one scan per partition — classic or A&R chosen per
-// partition — runs them concurrently (each A&R scan admission-controlled
-// onto its partition's simulated device stream by the engine's DeviceGate),
-// and gathers the per-partition exact tuple sets into the one shared
-// pipeline tail (delta merge, grouping, aggregation, HAVING, top-k).
+// The one execution path. A table is an ordered list of legs — a plain
+// table is one leg under its own name, a partitioned table (internal/shard)
+// is N independent store.Tables behind one name — and every statement runs
+// the same way: plan the legs (prune, pin each leg's snapshot, settle its
+// scan mode), scan them — classic or A&R chosen per leg, concurrently when
+// there are several, each A&R scan of a partitioned table
+// admission-controlled onto its partition's simulated device stream by the
+// engine's DeviceGate — and gather the per-leg exact tuple sets into the
+// one shared pipeline tail (grouping, aggregation, HAVING, top-k).
 //
 // Determinism contract: the gather merges everything — column values,
-// meters, phase-A bounds, candidate counts — in partition-index order, and
-// each partition's scan is internally deterministic for any worker count.
-// Result rows are therefore byte-identical to the unpartitioned execution
-// of the same data at every partition count, and the simulated figures are
-// bit-identical across worker-count and morsel-size sweeps at any fixed
-// partition count.
+// meters, phase-A bounds, candidate counts — in leg order, and each leg's
+// scan is internally deterministic for any worker count. Result rows are
+// therefore byte-identical to the unpartitioned execution of the same data
+// at every partition count, and the simulated figures are bit-identical
+// across worker-count and morsel-size sweeps at any fixed partition count.
+// A scatter that scans exactly one leg (a 1-partition table, or a range
+// table pruned to one slab) runs the very code a plain table does, so its
+// meter is the plain table's too.
 package plan
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,6 +31,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/store"
 )
 
 // DeviceGate admission-controls the per-partition device streams. The
@@ -39,32 +45,31 @@ type DeviceGate interface {
 	AcquireStream(ctx context.Context, device int) (release func(), err error)
 }
 
-// partScan is one partition's scatter leg: its assembled pipeline, private
-// execution state (own meter, own worker share), and scan output.
-type partScan struct {
+// leg is one scan of one leg table: planned by planLegs (idx, pl), run by
+// scan on its own execution state, consumed by the gather.
+type leg struct {
+	idx  int // position in the table's leg order: the partition number
 	pl   *pipeline
-	st   *pipeState
+	st   pipeState
 	out  *scanOut
 	wall time.Duration
 	err  error
 }
 
-// prunePartitions returns the partition indices a scatter must scan: for a
+// prunePartitions marks the partitions a scatter must scan: for a
 // range-partitioned table whose conjunctive filters constrain the
 // partitioning column, every partition whose value slab is disjoint from
-// the filter interval is skipped before any leg is built. Pruning is exact
+// the filter interval is skipped before any leg is planned. Pruning is exact
 // — a row routed to a pruned partition has its partitioning value inside
 // that slab, so it fails the filter and contributes nothing — which keeps
 // the gathered result rows byte-identical to the unpruned scatter (the
 // phase-A bounds can only tighten: pruned legs' approximate candidates
-// disappear). Hash partitions and disjunction groups never prune.
-func prunePartitions(q Query, spec shard.Spec) []int {
-	all := make([]int, spec.N)
-	for i := range all {
-		all[i] = i
-	}
+// disappear). Hash partitions and disjunction groups never prune; nil means
+// every partition is scanned. At least one leg always survives so the
+// executor shape (and an all-pruned query's empty result) stays uniform.
+func prunePartitions(q Query, spec shard.Spec) []bool {
 	if spec.Kind != shard.Range || spec.N <= 1 {
-		return all
+		return nil
 	}
 	flo, fhi := int64(NoLo), int64(NoHi)
 	found := false
@@ -81,275 +86,272 @@ func prunePartitions(q Query, spec shard.Spec) []int {
 		}
 	}
 	if !found {
-		return all
+		return nil
 	}
-	keep := make([]int, 0, spec.N)
-	for i := 0; i < spec.N; i++ {
+	keep := make([]bool, spec.N)
+	any := false
+	for i := range keep {
 		lo, hi, ok := spec.Slab(i)
-		if !ok || (fhi >= lo && flo <= hi) {
-			keep = append(keep, i)
-		}
+		keep[i] = !ok || (fhi >= lo && flo <= hi)
+		any = any || keep[i]
 	}
+	keep[0] = keep[0] || !any
 	return keep
 }
 
-// anyPartAR reports whether any partition of the table validates for A&R
-// execution of the query.
-func (c *Catalog) anyPartAR(q Query, p *shard.Partitioned) bool {
-	for i := 0; i < p.Spec.N; i++ {
-		qi := q
-		qi.Table = shard.PartName(p.Name, i)
-		if _, err := qi.validate(c); err == nil {
-			return true
-		}
+// planLeg is the leg planner every consumer shares — execution, \explain
+// and ChooseMode: it pins leg table t's snapshot for the query and settles
+// the leg's scan mode. A leg scans classically when the statement is
+// classic, when it cannot run A&R (snap.arErr says why: e.g. an empty,
+// undecomposed partition) — the shared tail merges its byte-identical
+// partial like any other — or, with price set, when the cost model prices
+// the leg's own statistics cheaper that way.
+func (c *Catalog) planLeg(q Query, t *store.Table, classic, price bool) (*execSnap, ModeChoice, error) {
+	q.Table = t.Name()
+	snap, err := q.pin(c, t, classic)
+	switch {
+	case err != nil:
+		return nil, ModeChoice{}, err
+	case classic || snap.arErr != nil:
+		return snap, ModeChoice{Classic: true, EstCandidates: -1}, nil
+	case price:
+		return snap, chooseSnap(c.sys, &q, snap), nil
 	}
-	return false
+	return snap, ModeChoice{}, nil
 }
 
-// execScatter executes a query over a partitioned table: scatter one scan
-// per partition, gather the partials, run the shared tail once.
-func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *shard.Partitioned, classic bool) (*Result, error) {
-	n := p.Spec.N
+// planLegs resolves the query's table to its legs, prunes the ones the
+// filters exclude, and assembles one pipeline per surviving leg. Under a
+// cost-chosen mode (auto) the scan strategy of a multi-leg table is
+// re-chosen per leg from the leg's own statistics; a single-leg table's
+// statement-level choice already is its leg's. p is nil for a plain table.
+func (c *Catalog) planLegs(q Query, classic, auto bool) (legs []leg, p *shard.Partitioned, err error) {
+	tables, p, err := c.legs(q.Table)
+	if err != nil {
+		return nil, nil, err
+	}
+	var keep []bool
+	if p != nil {
+		keep = prunePartitions(q, p.Spec)
+	}
+	legs = make([]leg, 0, len(tables))
+	capable := classic
+	var arErr error
+	for i, t := range tables {
+		if keep != nil && !keep[i] {
+			continue
+		}
+		snap, ch, err := c.planLeg(q, t, classic, auto && len(tables) > 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		if arErr == nil {
+			arErr = snap.arErr
+		}
+		capable = capable || snap.arErr == nil
+		qi := q
+		qi.Table = t.Name()
+		legs = append(legs, leg{idx: i, pl: buildPipeline(qi, snap, ch.Classic)})
+	}
+	// No surviving leg can run A&R: the query cannot either, unless a pruned
+	// leg can. Capability is judged over the whole table — pruning must not
+	// turn a runnable query into an error just because only classic-capable
+	// (e.g. empty, undecomposed) partitions survived it.
+	for i := 0; i < len(keep) && !capable; i++ {
+		if !keep[i] {
+			snap, _, err := c.planLeg(q, tables[i], false, false)
+			capable = err == nil && snap.arErr == nil
+		}
+	}
+	if !capable {
+		return nil, nil, arErr
+	}
+	return legs, p, nil
+}
+
+// newState builds the mutable state of one execution — a leg's scan, or the
+// gather of several — with its own meter and result.
+func (c *Catalog) newState(ctx context.Context, opts ExecOpts) pipeState {
+	m := device.NewMeter(c.sys)
+	return pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: &Result{Meter: m}, estCand: -1}
+}
+
+// scan runs the leg's scan source and folds the delta contribution into
+// its exact tuple set — the only place base and delta tuples meet — so the
+// leg's result carries its final candidate counts and phase-A answer. solo
+// says this is the statement's only scanned leg: with no other partial to
+// meet on the host, an A&R scan may pre-group on the device. gate is nil
+// unless the leg is a partition with a device stream to be admitted onto.
+func (lg *leg) scan(gate DeviceGate, solo, stmtClassic bool) {
+	start := time.Now()
+	defer func() { lg.wall = time.Since(start) }()
+	st, pl := &lg.st, lg.pl
+	if gate != nil && !pl.classic {
+		release, err := gate.AcquireStream(st.ctx, lg.idx)
+		if err != nil {
+			lg.err = err
+			return
+		}
+		defer release()
+	}
+	st.estReset(pl)
+	if pl.classic {
+		lg.out, lg.err = pl.scanClassic(st)
+	} else {
+		lg.out, lg.err = pl.scanAR(st, solo)
+	}
+	if lg.err == nil {
+		// A cancellation mid-kernel leaves the scan incomplete (workers stop
+		// claiming morsels); never gather a partial leg.
+		lg.err = st.ctx.Err()
+	}
+	if lg.err != nil {
+		return
+	}
+	if d := lg.out.dset; d != nil {
+		lg.out.ectx.appendDelta(d)
+		st.res.Candidates += d.n
+		st.res.Refined += d.n
+	}
+	if pl.classic && !stmtClassic {
+		// A classic leg's partial is exact, so a mixed-mode scatter still
+		// reports strict phase-A bounds.
+		st.res.Approx = exactAnswer(pl.q, lg.out.ectx)
+	}
+}
+
+// scatter scans several legs concurrently, each on a private state, and
+// reports the first failure, preferring a leg's own over the cancellations
+// it caused.
+func (c *Catalog) scatter(ctx context.Context, legs []leg, opts ExecOpts, gate DeviceGate, classic bool) error {
 	scanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// Prune partitions whose range slabs the filters exclude; at least one
-	// leg always survives so the executor shape (and an all-pruned query's
-	// empty result) stays uniform.
-	parts := prunePartitions(q, p.Spec)
-	if len(parts) == 0 {
-		parts = []int{0}
-	}
-	if pruned := n - len(parts); pruned > 0 {
-		c.prunedParts.Add(int64(pruned))
-	}
-
-	// Each partition scan gets an equal share of the real worker pool; the
-	// simulated Threads stay untouched, so the meter is independent of how
-	// the pool is split.
-	partOpts := opts
-	partOpts.Workers = max(1, opts.workers()/len(parts))
-	partOpts.Trace = false
-	partOpts.Gate = nil
-
-	scans := make([]*partScan, len(parts))
-	qs := make([]Query, len(parts))
-	snaps := make([]*execSnap, len(parts))
-	var firstARErr error
-	arCapable := 0
-	for li, i := range parts {
-		qi := q
-		qi.Table = shard.PartName(p.Name, i)
-		qs[li] = qi
-		var pl *pipeline
-		if classic {
-			snap, err := qi.validateClassic(c)
-			if err != nil {
-				return nil, err
-			}
-			pl = buildPipeline(qi, snap, true)
-		} else if snap, err := qi.validate(c); err == nil {
-			arCapable++
-			// Under a cost-chosen mode the scan strategy is re-chosen per
-			// leg from the leg's own statistics: a partition the model
-			// prices cheaper classically scans classically, and the shared
-			// tail merges its (byte-identical) partial like any other.
-			if opts.AutoMode && chooseSnap(c.sys, &qi, snap).Classic {
-				if snapC, cerr := qi.validateClassic(c); cerr == nil {
-					pl = buildPipeline(qi, snapC, true)
-				} else {
-					pl = buildPipeline(qi, snap, false)
-				}
-			} else {
-				pl = buildPipeline(qi, snap, false)
-			}
-		} else {
-			// The scan mode is a per-partition choice: a partition that
-			// cannot run A&R scans classically and the shared tail merges it
-			// like any other partial.
-			if firstARErr == nil {
-				firstARErr = err
-			}
-			snap, cerr := qi.validateClassic(c)
-			if cerr != nil {
-				return nil, err
-			}
-			pl = buildPipeline(qi, snap, true)
-		}
-		// The gather tail groups on the host where every partition's base
-		// and delta tuples meet, so partition scans never pre-group on the
-		// device.
-		pl.noDevGroup = true
-		snaps[li] = pl.snap
-		mi := device.NewMeter(c.sys)
-		sti := &pipeState{ctx: scanCtx, opts: partOpts, pp: partOpts.par(scanCtx), m: mi, res: &Result{Meter: mi}, estCand: -1}
-		sti.estReset(pl)
-		scans[li] = &partScan{pl: pl, st: sti}
-	}
-	if !classic && arCapable == 0 && !c.anyPartAR(q, p) {
-		// No partition can run A&R: the query cannot either. Capability is
-		// judged over the whole table — pruning must not turn a runnable
-		// query into an error just because only classic-capable (e.g.
-		// empty, undecomposed) partitions survived it.
-		return nil, firstARErr
-	}
-
 	var wg sync.WaitGroup
-	for li := range scans {
+	for li := range legs {
+		lg := &legs[li]
+		lg.st = c.newState(scanCtx, opts)
 		wg.Add(1)
-		go func(dev int, ps *partScan) {
+		go func() {
 			defer wg.Done()
-			start := time.Now()
-			defer func() { ps.wall = time.Since(start) }()
-			if opts.Gate != nil && !ps.pl.classic {
-				release, err := opts.Gate.AcquireStream(scanCtx, dev)
-				if err != nil {
-					ps.err = err
-					cancel()
-					return
-				}
-				defer release()
-			}
-			var out *scanOut
-			var err error
-			if ps.pl.classic {
-				out, err = ps.pl.scanClassic(ps.st)
-			} else {
-				out, err = ps.pl.scanAR(ps.st)
-			}
-			if err == nil {
-				// A cancellation mid-kernel leaves the scan incomplete;
-				// never gather a partial partition.
-				err = scanCtx.Err()
-			}
-			if err != nil {
-				ps.err = err
+			if lg.scan(gate, false, classic); lg.err != nil {
 				cancel()
-				return
 			}
-			ps.out = out
-		}(parts[li], scans[li])
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	// Prefer the partition's own failure over the cancellations it caused.
 	var scanErr error
-	for _, ps := range scans {
-		if ps.err != nil && !errors.Is(ps.err, context.Canceled) {
-			scanErr = ps.err
-			break
+	for li := range legs {
+		if err := legs[li].err; err != nil && (scanErr == nil ||
+			errors.Is(scanErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
+			scanErr = err
 		}
 	}
-	if scanErr == nil {
-		for _, ps := range scans {
-			if ps.err != nil {
-				scanErr = ps.err
-				break
+	return scanErr
+}
+
+// exec is the executor: plan the legs, scan them, gather the partials in
+// leg order, run the shared tail once. One leg runs inline on the caller's
+// goroutine and the tail continues on the leg's own state and tuple set;
+// several run concurrently (scatter) and gatherLegs merges them.
+func (c *Catalog) exec(ctx context.Context, q Query, opts ExecOpts, classic bool) (*Result, error) {
+	legs, p, err := c.planLegs(q, classic, opts.AutoMode)
+	if err != nil {
+		return nil, err
+	}
+	// Each leg gets an equal share of the real worker pool; the simulated
+	// Threads stay untouched, so the meter is independent of how the pool
+	// is split. Only partitions have device streams to be admitted onto.
+	legOpts, gate, pruned := opts, opts.Gate, 0
+	legOpts.Workers = max(1, opts.workers()/len(legs))
+	if p == nil {
+		gate = nil
+	} else {
+		pruned = p.Spec.N - len(legs)
+		c.prunedParts.Add(int64(pruned))
+	}
+	// Every leg's pipeline carries the statement, retargeted at its table;
+	// the gather and the tail read its shape, never the table name.
+	lg := &legs[0]
+	st, stmt := &lg.st, &lg.pl.q
+	var out *scanOut
+	if len(legs) == 1 {
+		lg.st = c.newState(ctx, legOpts)
+		if p == nil && opts.Trace {
+			// A plain table's scan operators are its trace events.
+			st.startTrace(classic)
+		}
+		if lg.scan(gate, true, classic); lg.err != nil {
+			return nil, lg.err
+		}
+		out = lg.out
+	} else {
+		if err := c.scatter(ctx, legs, legOpts, gate, classic); err != nil {
+			return nil, err
+		}
+		gst := c.newState(ctx, opts)
+		st = &gst
+		out = gatherLegs(st, stmt, legs, classic)
+	}
+	st.res.InputBytes = scatterInputBytes(legs)
+
+	if p != nil {
+		// A partitioned table's listing and trace lead with the fan-out: each
+		// leg's mode and counts over its indented scan operators, one scatter
+		// event per leg, then the gather.
+		if opts.Trace {
+			st.startTrace(classic)
+		}
+		plan := []string{fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, p.Spec.N, p.Spec)}
+		if pruned > 0 {
+			plan = append(plan, fmt.Sprintf("  pruned: %d of %d partitions (filters on %s exclude their slabs)", pruned, p.Spec.N, p.Spec.Col))
+		}
+		for li := range legs {
+			lg := &legs[li]
+			ls, mode := &lg.st, modeName(lg.pl.classic)
+			plan = append(plan, fmt.Sprintf("  partition %d: mode=%s, %d candidates, %d refined", lg.idx, mode, ls.res.Candidates, ls.res.Refined))
+			for _, line := range ls.res.Plan {
+				plan = append(plan, "    "+line)
+			}
+			if st.tr != nil {
+				st.tr.Add(obs.StageEvent{
+					Stage: string(StageScatter),
+					Op:    fmt.Sprintf("scatter(%s, mode=%s)", lg.pl.q.Table, mode),
+					Rows:  int64(lg.out.ectx.n),
+					Est:   ls.estCand,
+					Wall:  lg.wall,
+					GPU:   ls.m.GPU,
+					CPU:   ls.m.CPU,
+					PCI:   ls.m.PCI,
+				})
 			}
 		}
-	}
-	if scanErr != nil {
-		return nil, scanErr
+		st.res.Plan = plan
+		// Baseline the tail's trace deltas after the legs' charges.
+		st.last = *st.m
+		st.mark = time.Now()
+		if err := st.step(StageGather); err != nil {
+			return nil, err
+		}
+		st.traceRows(out.ectx.n, "gather(%s, %d partitions)", q.Table, len(legs))
 	}
 
-	// ---- Gather: merge the partials in partition-index order.
-	m := device.NewMeter(c.sys)
-	st := &pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: &Result{Meter: m}, estCand: -1}
-	st.res.InputBytes = scatterInputBytes(qs, snaps)
-	if opts.Trace {
-		mode := "ar"
-		if classic {
-			mode = "classic"
-		}
-		st.tr = &obs.Trace{Mode: mode, Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
-		st.mark = st.tr.Start
-		st.res.Trace = st.tr
-	}
-	st.res.Plan = append(st.res.Plan, fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, n, p.Spec))
-	if pruned := n - len(parts); pruned > 0 {
-		st.res.Plan = append(st.res.Plan, fmt.Sprintf("  pruned: %d of %d partitions (filters on %s exclude their slabs)", pruned, n, p.Spec.Col))
-	}
-
-	answers := make([]ApproxAnswer, len(scans))
-	estKnown := true
-	var estSum int64
-	for li, ps := range scans {
-		out := ps.out
-		out.ectx.appendDelta(out.dset)
-		dn := 0
-		if out.dset != nil {
-			dn = out.dset.n
-		}
-		st.m.Add(ps.st.m)
-		st.res.Candidates += ps.st.res.Candidates + dn
-		st.res.Refined += ps.st.res.Refined + dn
-		if ps.st.estCand < 0 {
-			estKnown = false
-		} else {
-			estSum += ps.st.estCand
-		}
-		mode := "ar"
-		if ps.pl.classic {
-			mode = "classic"
-			// A classic leg's partial is exact, so a mixed-mode scatter
-			// still reports strict phase-A bounds.
-			answers[li] = exactAnswer(q, out.ectx)
-		} else {
-			answers[li] = ps.st.res.Approx
-		}
-		st.res.Plan = append(st.res.Plan, fmt.Sprintf("  partition %d: mode=%s, %d candidates, %d refined", parts[li], mode, ps.st.res.Candidates+dn, ps.st.res.Refined+dn))
-		for _, line := range ps.st.res.Plan {
-			st.res.Plan = append(st.res.Plan, "    "+line)
-		}
-		if st.tr != nil {
-			pm := ps.st.m
-			st.tr.Add(obs.StageEvent{
-				Stage: string(StageScatter),
-				Op:    fmt.Sprintf("scatter(%s, mode=%s)", qs[li].Table, mode),
-				Rows:  int64(out.ectx.n),
-				Est:   ps.st.estCand,
-				Wall:  ps.wall,
-				GPU:   pm.GPU,
-				CPU:   pm.CPU,
-				PCI:   pm.PCI,
-			})
-		}
-	}
-	if estKnown {
-		st.estCand = estSum
-	}
-	if !classic {
-		st.res.Approx = combineAnswers(q, answers)
-	}
-
-	// Concatenate the exact values per referenced column, partition order.
-	refs := sortedRefs(neededCols(q, len(q.GroupBy) > 0))
-	merged := &exprCtx{vals: map[ColRef][]int64{}}
-	for _, ps := range scans {
-		merged.n += ps.out.ectx.n
-	}
-	for _, ref := range refs {
-		vals := make([]int64, 0, merged.n)
-		for _, ps := range scans {
-			vals = append(vals, ps.out.ectx.vals[ref]...)
-		}
-		merged.vals[ref] = vals
-	}
-
-	// Baseline the tail's trace deltas after the merged charges.
-	st.last = *st.m
-	st.mark = time.Now()
-	if err := st.step(StageGather); err != nil {
+	if err := finish(st, stmt, classic, out); err != nil {
 		return nil, err
 	}
-	st.traceRows(merged.n, "gather(%s, %d partitions)", q.Table, len(scans))
-
-	tail := &pipeline{q: q, snap: snaps[0], classic: classic, noDevGroup: true}
-	if err := tail.finish(st, &scanOut{ectx: merged}); err != nil {
-		return nil, err
+	// The surviving candidate set (and the pre-grouping's source when one
+	// exists) is dead once the tail has aggregated.
+	if out.refined != nil {
+		if out.mg != nil && out.mg.Src != out.refined {
+			out.mg.Src.Release()
+		}
+		out.refined.Release()
 	}
+	// A context cancelled mid-kernel leaves that kernel's output incomplete;
+	// the final check guarantees such partial results are never returned as
+	// an answer.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -363,13 +365,47 @@ func (c *Catalog) execScatter(ctx context.Context, q Query, opts ExecOpts, p *sh
 	return st.res, nil
 }
 
-// scatterInputBytes sums the stream-baseline footprint of a scatter: every
-// partition's referenced fact columns and delta segment, plus each joined
-// dimension column exactly once (dimensions are shared, not partitioned).
-func scatterInputBytes(qs []Query, snaps []*execSnap) int64 {
+// gatherLegs merges the partials of several legs onto the gather state st,
+// in leg order: meters, candidate counts and estimates add, the phase-A
+// answers combine, and the exact values concatenate per referenced column.
+func gatherLegs(st *pipeState, q *Query, legs []leg, classic bool) *scanOut {
+	answers := make([]ApproxAnswer, len(legs))
+	merged := &exprCtx{vals: map[ColRef][]int64{}}
+	st.estCand = 0
+	for li := range legs {
+		ls := &legs[li].st
+		st.m.Add(ls.m)
+		st.res.Candidates += ls.res.Candidates
+		st.res.Refined += ls.res.Refined
+		if ls.estCand < 0 || st.estCand < 0 {
+			st.estCand = -1
+		} else {
+			st.estCand += ls.estCand
+		}
+		answers[li] = ls.res.Approx
+		merged.n += legs[li].out.ectx.n
+	}
+	if !classic {
+		st.res.Approx = combineAnswers(*q, answers)
+	}
+	for _, ref := range sortedRefs(neededCols(*q, len(q.GroupBy) > 0)) {
+		vals := make([]int64, 0, merged.n)
+		for li := range legs {
+			vals = append(vals, legs[li].out.ectx.vals[ref]...)
+		}
+		merged.vals[ref] = vals
+	}
+	return &scanOut{ectx: merged}
+}
+
+// scatterInputBytes sums the stream-baseline footprint of the scanned legs:
+// the physical size of every fact column the query reads plus the row-major
+// delta segment, per leg, and each joined dimension column exactly once
+// (dimensions are shared, not partitioned).
+func scatterInputBytes(legs []leg) int64 {
 	var total int64
-	for i := range qs {
-		q, s := qs[i], snaps[i]
+	for i := range legs {
+		q, s := &legs[i].pl.q, legs[i].pl.snap
 		seen := map[string]bool{}
 		_ = q.walkCols(func(table, col string) error {
 			key := table + "." + col
@@ -417,21 +453,9 @@ func exactAnswer(q Query, ctx *exprCtx) ApproxAnswer {
 			}
 			iv = ar.Exact(sum)
 		case a.Func == Min:
-			mv := vals[0]
-			for _, v := range vals[1:] {
-				if v < mv {
-					mv = v
-				}
-			}
-			iv = ar.Exact(mv)
+			iv = ar.Exact(slices.Min(vals))
 		case a.Func == Max:
-			mv := vals[0]
-			for _, v := range vals[1:] {
-				if v > mv {
-					mv = v
-				}
-			}
-			iv = ar.Exact(mv)
+			iv = ar.Exact(slices.Max(vals))
 		}
 		out.Aggs = append(out.Aggs, iv)
 	}
@@ -540,80 +564,4 @@ func combineExtreme(f AggFunc, answers []ApproxAnswer, k int) ar.Interval {
 		return ar.Interval{Lo: outer, Hi: inner}
 	}
 	return ar.Interval{Lo: inner, Hi: outer}
-}
-
-// explainScatter renders a partitioned query plan without executing it: the
-// scatter fan-out with per-partition estimated output rows (live base rows
-// times the product of the estimated filter selectivities, when every
-// touched filter has an estimate), the gather stage, and partition 0's
-// pipeline of the first surviving partition as the representative
-// per-partition plan. Pruned partitions are listed, not described.
-func (c *Catalog) explainScatter(q Query, classic bool, p *shard.Partitioned) ([]string, error) {
-	var out []string
-	out = append(out, fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, p.Spec.N, p.Spec))
-	parts := prunePartitions(q, p.Spec)
-	if len(parts) == 0 {
-		parts = []int{0} // the executor keeps one leg for an all-pruned query
-	}
-	kept := map[int]bool{}
-	for _, i := range parts {
-		kept[i] = true
-	}
-	var rep []string
-	for i := 0; i < p.Spec.N; i++ {
-		qi := q
-		qi.Table = shard.PartName(p.Name, i)
-		if !kept[i] {
-			out = append(out, fmt.Sprintf("  partition %d: %s, pruned (filters on %s exclude its slab)", i, qi.Table, p.Spec.Col))
-			continue
-		}
-		var snap *execSnap
-		var err error
-		if classic {
-			snap, err = qi.validateClassic(c)
-		} else {
-			snap, err = qi.validate(c)
-		}
-		if err != nil {
-			return nil, err
-		}
-		pl := buildPipeline(qi, snap, classic)
-		pl.noDevGroup = true
-		live := snap.fact.LiveBase() + snap.fact.LiveDelta()
-		est := float64(live)
-		known := true
-		fold := func(sel float64) {
-			if sel < 0 {
-				known = false
-				return
-			}
-			est *= sel
-		}
-		for _, rf := range pl.factFilters {
-			fold(rf.estSel())
-		}
-		for _, g := range pl.orGroups {
-			fold(g.sel)
-		}
-		for _, j := range pl.joins {
-			fold(j.sel)
-			for _, rf := range j.dimFilters {
-				fold(rf.estSel())
-			}
-		}
-		line := fmt.Sprintf("  partition %d: %s, %d live rows", i, qi.Table, live)
-		if known {
-			line += fmt.Sprintf(", est ~%d rows out", int64(est+0.5))
-		}
-		out = append(out, line)
-		if rep == nil {
-			rep = pl.describe()
-		}
-	}
-	out = append(out, fmt.Sprintf("  gather: concatenate partials in partition order, shared tail (group/aggregate/having/order) over %s", q.Table))
-	out = append(out, fmt.Sprintf("per-partition plan (partition %d shown):", parts[0]))
-	for _, line := range rep {
-		out = append(out, "  "+line)
-	}
-	return out, nil
 }

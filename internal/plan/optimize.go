@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/bwd"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
@@ -187,18 +186,22 @@ func estimateJoinSel(snap *execSnap, j JoinSpec) (float64, estSource) {
 	return sel, src
 }
 
-// execSnap is the set of table versions one query execution works against:
+// execSnap is the set of table versions one leg's execution works against:
 // the fact (and every joined dimension) store snapshot, pinned exactly
-// once at query start, plus the resolved decompositions of every column an
-// A&R plan touches. A&R operators key candidate code columns on bwd.Column
+// once at query start, plus the resolved decompositions of every column the
+// query touches. A&R operators key candidate code columns on bwd.Column
 // pointer identity, so the approximate and refine phases must see the same
 // pointer even if a concurrent merge or bwdecompose swaps the table
 // version mid-query — pinning the snapshot guarantees exactly that, and
 // makes the whole read snapshot isolated against concurrent DML.
 type execSnap struct {
 	fact *store.Snapshot
-	dims map[string]*store.Snapshot // keyed by dimension table name
+	dims map[string]*store.Snapshot // keyed by dimension table name; nil without joins
 	decs map[string]*bwd.Column
+	// arErr is why an A&R plan cannot run against this snapshot (a touched
+	// column is not decomposed, or there is no fact-side column to scan);
+	// nil when it can. Classic pins never set it.
+	arErr error
 }
 
 func (s *execSnap) get(table, col string) *bwd.Column { return s.decs[table+"."+col] }
@@ -211,17 +214,26 @@ func (s *execSnap) snapFor(table string) *store.Snapshot {
 	return s.fact
 }
 
-// pinSnapshots resolves and pins the table versions the query reads,
-// without requiring decompositions (the classic executor's half of
-// validate). Joins require the dimension side to be delta-free: the FK
-// index and the join positions address the dimension base segment, so
-// freshly inserted dimension rows must be merged before they are joinable.
-func (q *Query) pinSnapshots(c *Catalog) (*execSnap, error) {
-	fact, err := c.Table(q.Table)
-	if err != nil {
+// pin validates the query against one leg table (q.Table names it) and pins
+// the table versions it reads. One walk checks that every referenced column
+// exists and records the decompositions that do, so validation and snapshot
+// can never cover different column sets. Classic plans need no
+// decomposition — the estimator still reads histograms off the ones that
+// happen to exist, so classic plans print real estimates wherever statistics
+// are available; for an A&R plan (classic false) the first missing one is
+// recorded as snap.arErr instead of failing the pin, which is what lets a
+// leg fall back to the classic scan on the same snapshot. Joins require the
+// dimension side to be delta-free: the FK index and the join positions
+// address the dimension base segment, so freshly inserted dimension rows
+// must be merged before they are joinable.
+func (q *Query) pin(c *Catalog, fact *store.Table, classic bool) (*execSnap, error) {
+	if err := q.checkShape(); err != nil {
 		return nil, err
 	}
-	snap := &execSnap{fact: fact.Snapshot(), dims: map[string]*store.Snapshot{}, decs: map[string]*bwd.Column{}}
+	snap := &execSnap{fact: fact.Snapshot(), decs: map[string]*bwd.Column{}}
+	if len(q.Joins) > 0 {
+		snap.dims = make(map[string]*store.Snapshot, len(q.Joins))
+	}
 	for _, j := range q.Joins {
 		if j.Dim == q.Table {
 			return nil, fmt.Errorf("plan: table %s cannot join itself as a dimension", q.Table)
@@ -238,11 +250,38 @@ func (q *Query) pinSnapshots(c *Catalog) (*execSnap, error) {
 			return nil, fmt.Errorf("plan: dimension table %s has %d unmerged delta rows; run \\merge %s (Catalog.MergeTable) before joining", j.Dim, n, j.Dim)
 		}
 		if ds.BaseLen() == 0 {
-			// Guard both executors: the A&R dense-PK arithmetic reads
+			// Guard both scan strategies: the A&R dense-PK arithmetic reads
 			// pk.Tail(0), and the classic path has no index to probe.
 			return nil, fmt.Errorf("plan: dimension table %s is empty; load it before joining", j.Dim)
 		}
 		snap.dims[j.Dim] = ds
+	}
+	add := func(table, col string) error {
+		key := table + "." + col
+		if _, done := snap.decs[key]; done {
+			return nil
+		}
+		s := snap.snapFor(table)
+		if d := s.Dec(col); d != nil {
+			snap.decs[key] = d
+			return nil
+		}
+		if _, err := s.Column(col); err != nil {
+			return err
+		}
+		if !classic && snap.arErr == nil {
+			snap.arErr = fmt.Errorf("plan: column %s.%s is not bitwise decomposed; call Decompose first", table, col)
+		}
+		return nil
+	}
+	if err := q.walkCols(add); err != nil {
+		return nil, err
+	}
+	if !classic && snap.arErr == nil && len(q.Filters) == 0 && len(q.Or) == 0 {
+		// The approximation subplan needs a fact-side column to scan.
+		if _, ok := q.anchorColumn(); !ok {
+			snap.arErr = fmt.Errorf("plan: A&R plan needs a fact-side column to scan (add a filter, grouping, or fact-column aggregate)")
+		}
 	}
 	return snap, nil
 }
@@ -349,102 +388,6 @@ func (q *Query) joinsDim(dim string) bool {
 		}
 	}
 	return false
-}
-
-// validate checks that the query references only known tables/columns and
-// that every column an A&R plan touches is decomposed, returning the
-// pinned snapshots and resolved decompositions as the execution's
-// snapshot. One walk does both, so validation and snapshot can never cover
-// different column sets.
-func (q *Query) validate(c *Catalog) (*execSnap, error) {
-	if err := q.checkShape(); err != nil {
-		return nil, err
-	}
-	snap, err := q.pinSnapshots(c)
-	if err != nil {
-		return nil, err
-	}
-	add := func(table, col string) error {
-		key := table + "." + col
-		if _, done := snap.decs[key]; done {
-			return nil
-		}
-		d := snap.snapFor(table).Dec(col)
-		if d == nil {
-			// Distinguish unknown columns from undecomposed ones.
-			if _, cerr := snap.snapFor(table).Column(col); cerr != nil {
-				return fmt.Errorf("plan: unknown column %s.%s", table, col)
-			}
-			return fmt.Errorf("plan: column %s.%s is not bitwise decomposed; call Decompose first", table, col)
-		}
-		snap.decs[key] = d
-		return nil
-	}
-	if err := q.walkCols(add); err != nil {
-		return nil, err
-	}
-	if len(q.Filters) == 0 && len(q.Or) == 0 {
-		// The approximation subplan needs a fact-side column to scan.
-		// Rejecting here keeps CanExecAR aligned with what ExecAR can
-		// actually run, so auto-mode routing falls back to classic.
-		if _, ok := q.anchorColumn(); !ok {
-			return nil, fmt.Errorf("plan: A&R plan needs a fact-side column to scan (add a filter, grouping, or fact-column aggregate)")
-		}
-	}
-	return snap, nil
-}
-
-// validateClassic checks table/column references and pins the snapshots
-// without requiring decompositions.
-func (q *Query) validateClassic(c *Catalog) (*execSnap, error) {
-	if err := q.checkShape(); err != nil {
-		return nil, err
-	}
-	snap, err := q.pinSnapshots(c)
-	if err != nil {
-		return nil, err
-	}
-	check := func(table, col string) error {
-		if _, err := snap.snapFor(table).Column(col); err != nil {
-			return err
-		}
-		// Record decompositions that happen to exist: classic execution
-		// never needs them, but the estimator reads histograms off them so
-		// classic plans print real estimates instead of est=n/a wherever
-		// statistics are available.
-		if d := snap.snapFor(table).Dec(col); d != nil {
-			snap.decs[table+"."+col] = d
-		}
-		return nil
-	}
-	if err := q.walkCols(check); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// ARValidate reports why the query cannot run as an A&R plan against this
-// catalog (typically: a touched column is not bitwise decomposed), or nil
-// if it can.
-func (c *Catalog) ARValidate(q Query) error {
-	if p, ok := c.Partitioned(q.Table); ok {
-		// Partitions share one schema and DDL fans out to all of them, so
-		// partition 0 is representative of the scatter's A&R capability.
-		qi := q
-		qi.Table = shard.PartName(p.Name, 0)
-		_, err := qi.validate(c)
-		return err
-	}
-	_, err := q.validate(c)
-	return err
-}
-
-// CanExecAR reports whether the query can run as an A&R plan against this
-// catalog — i.e. every column it touches is bitwise decomposed. The server's
-// device-aware scheduler uses it to route statements: A&R-capable plans go
-// to the GPU stream, the rest to the classic CPU pool.
-func (c *Catalog) CanExecAR(q Query) bool {
-	return c.ARValidate(q) == nil
 }
 
 // anchorColumn picks the column whose approximation the full-table scan

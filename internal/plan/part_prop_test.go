@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -62,7 +63,10 @@ func partPropCatalog(t testing.TB, parts int, kind shard.Kind, rows [][]int64) *
 // merges — and each partition count must stay byte-stable with a
 // bit-identical meter across a worker-count/morsel sweep (partition counts
 // differ in per-kernel launch costs, so meters are only compared within a
-// fixed count). Run with -race: the partition scans run concurrently.
+// fixed count). The 1-partition variants are more than row-equivalent: a
+// one-leg scatter runs the very code a plain table does, so its meter,
+// candidate counts and phase-A answer must equal the plain table's bit for
+// bit, in both modes. Run with -race: the partition scans run concurrently.
 func TestPropPartitionEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		seed := seed
@@ -74,17 +78,17 @@ func TestPropPartitionEquivalence(t *testing.T) {
 			}
 			type variant struct {
 				label string
+				parts int
 				cat   *Catalog
 			}
-			variants := []variant{{"plain", partPropCatalog(t, 0, shard.Hash, base)}}
-			for _, p := range []int{1, 2, 7} {
-				kind := shard.Hash
-				if p == 2 {
-					kind = shard.Range // cover range routing too
-				}
+			variants := []variant{{"plain", 0, partPropCatalog(t, 0, shard.Hash, base)}}
+			for _, v := range []struct {
+				kind shard.Kind
+				n    int
+			}{{shard.Hash, 1}, {shard.Range, 1}, {shard.Range, 2}, {shard.Hash, 7}} {
 				variants = append(variants, variant{
-					fmt.Sprintf("%s%d", kind, p),
-					partPropCatalog(t, p, kind, base),
+					fmt.Sprintf("%s%d", v.kind, v.n), v.n,
+					partPropCatalog(t, v.n, v.kind, base),
 				})
 			}
 			for step := 0; step < 8; step++ {
@@ -149,6 +153,24 @@ func TestPropPartitionEquivalence(t *testing.T) {
 						}
 						if !EqualResults(cl.Rows, refCl.Rows) {
 							t.Fatalf("step %d query %d %s: partitioned classic %v != plain %v", step, qi, v.label, cl.Rows, refCl.Rows)
+						}
+						if v.parts == 1 {
+							for _, pair := range []struct {
+								mode      string
+								got, want *Result
+							}{{"A&R", ar, refAR}, {"classic", cl, refCl}} {
+								// Each catalog has its own device.System, so compare the
+								// charged times, not the meter structs.
+								got, want := pair.got, pair.want
+								gm, wm := got.Meter, want.Meter
+								if gm.GPU != wm.GPU || gm.CPU != wm.CPU || gm.PCI != wm.PCI ||
+									got.Candidates != want.Candidates || got.Refined != want.Refined ||
+									!reflect.DeepEqual(got.Approx, want.Approx) {
+									t.Fatalf("step %d query %d %s %s: one-leg scatter is not the plain execution:\nmeter %v vs %v\ncandidates %d/%d vs %d/%d\napprox %v vs %v",
+										step, qi, v.label, pair.mode, got.Meter, want.Meter,
+										got.Candidates, got.Refined, want.Candidates, want.Refined, got.Approx, want.Approx)
+								}
+							}
 						}
 						// The combined phase-A answer must still bound the exact count.
 						exact := int64(ar.Refined)
@@ -215,7 +237,7 @@ func TestPartitionedCatalogSurface(t *testing.T) {
 		GroupBy: []string{"g"},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err := c.ExplainQuery(q, false)
+	lines, err := c.ExplainQuery(q, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}

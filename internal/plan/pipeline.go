@@ -2,17 +2,17 @@
 // execution models share. A pipeline is assembled from the logical Query
 // in two pieces:
 //
-//   - a scan source — the A&R bit-sliced base scan (approximate select →
-//     ship → refine) or the classic row-major bulk scan — that applies the
-//     selections and joins and emits the same product either way: the
-//     exact-value tuple stream of the base segment plus the delta
-//     segment's contribution (scanned once, by the shared delta source in
-//     exec_delta.go);
-//   - the shared downstream operators — delta merge, grouping,
-//     aggregation, HAVING, ORDER BY / LIMIT (top-k) — that run identically
-//     for every scan strategy, so classic vs A&R is a scan-strategy choice
-//     instead of a separate executor, and base/delta/deletion merging
-//     exists in exactly one place.
+//   - a scan source per leg of the table (exec_scatter.go) — the A&R
+//     bit-sliced base scan (approximate select → ship → refine) or the
+//     classic row-major bulk scan — that applies the selections and joins
+//     and emits the same product either way: the exact-value tuple stream
+//     of the base segment plus the delta segment's contribution (scanned
+//     once, by the shared delta source in exec_delta.go);
+//   - the shared downstream operators — grouping, aggregation, HAVING,
+//     ORDER BY / LIMIT (top-k) — that run once over the gathered legs,
+//     identically for every scan strategy, so classic vs A&R is a
+//     scan-strategy choice instead of a separate executor, and
+//     base/delta/deletion merging exists in exactly one place.
 //
 // Assembly is also where the rule-based optimizer lives (§III-A): filters
 // are cost-ordered by estimated selectivity — fact-side and, per join,
@@ -33,6 +33,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
@@ -42,10 +43,6 @@ type pipeline struct {
 	q       Query
 	snap    *execSnap
 	classic bool
-	// noDevGroup disables the A&R device-side pre-grouping. Partition scans
-	// of a scatter-gather execution set it: grouping must run on the host
-	// where every partition's base and delta tuples meet.
-	noDevGroup bool
 
 	factFilters []rankedFilter
 	orGroups    []orGroupStage
@@ -235,6 +232,14 @@ func (st *pipeState) step(s Stage) error {
 	return step(st.ctx, st.opts, s)
 }
 
+// startTrace opens the statement's telemetry record on this state; every
+// operator emitted from here on becomes a trace event.
+func (st *pipeState) startTrace(classic bool) {
+	st.tr = &obs.Trace{Mode: modeName(classic), Threads: st.opts.threads(), Workers: st.opts.workers(), Start: time.Now()}
+	st.mark = st.tr.Start
+	st.res.Trace = st.tr
+}
+
 // scanOut is what every scan source produces: the base segment's exact
 // tuple values, the delta segment's contribution, and — A&R only — the
 // device pre-grouping awaiting refinement with its surviving candidates.
@@ -245,69 +250,12 @@ type scanOut struct {
 	refined *ar.Candidates
 }
 
-// run executes the assembled pipeline: scan source, then the shared tail.
-func (pl *pipeline) run(ctx context.Context, sys *device.System, opts ExecOpts) (*Result, error) {
-	m := device.NewMeter(sys)
-	st := &pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: &Result{Meter: m}, estCand: -1}
-	st.res.InputBytes = pl.snap.inputBytes(pl.q)
-	st.estReset(pl)
-	if opts.Trace {
-		mode := "ar"
-		if pl.classic {
-			mode = "classic"
-		}
-		st.tr = &obs.Trace{Mode: mode, Threads: opts.threads(), Workers: opts.workers(), Start: time.Now()}
-		st.mark = st.tr.Start
-		st.res.Trace = st.tr
-	}
-	var out *scanOut
-	var err error
-	if pl.classic {
-		out, err = pl.scanClassic(st)
-	} else {
-		out, err = pl.scanAR(st)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := pl.finish(st, out); err != nil {
-		return nil, err
-	}
-	// The surviving candidate set (and the pre-grouping's source when one
-	// exists) is dead once the tail has aggregated.
-	if out.refined != nil {
-		if out.mg != nil && out.mg.Src != out.refined {
-			out.mg.Src.Release()
-		}
-		out.refined.Release()
-	}
-	// A context cancelled mid-kernel leaves that kernel's output incomplete
-	// (workers stop claiming morsels); the final check guarantees such
-	// partial results are never returned as an answer.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if st.tr != nil {
-		st.tr.Wall = time.Since(st.tr.Start)
-		st.tr.Candidates = int64(st.res.Candidates)
-		st.tr.Refined = int64(st.res.Refined)
-		st.tr.Rows = int64(len(st.res.Rows))
-		st.tr.EstCandidates = st.estCand
-	}
-	return st.res, nil
-}
-
-// finish is the shared downstream pipeline: merge the delta contribution
-// into the combined tuple set, group, aggregate, filter with HAVING, and
-// order/limit. It is the only place base and delta tuples meet.
-func (pl *pipeline) finish(st *pipeState, out *scanOut) error {
-	q := &pl.q
+// finish is the shared downstream pipeline over the gathered tuple set:
+// group, aggregate, filter with HAVING, and order/limit. classic is the
+// statement's mode — the tail of a mixed-mode scatter follows it, not any
+// one leg's.
+func finish(st *pipeState, q *Query, classic bool, out *scanOut) error {
 	ectx := out.ectx
-	ectx.appendDelta(out.dset)
-	if out.dset != nil {
-		st.res.Candidates += out.dset.n
-		st.res.Refined += out.dset.n
-	}
 
 	// Grouping — refined from the A&R device pre-grouping when one exists,
 	// rebuilt on the host over the combined tuple set otherwise.
@@ -326,7 +274,7 @@ func (pl *pipeline) finish(st *pipeState, out *scanOut) error {
 		st.traceRows(grouping.NGroups, "bwd.grouprefine(%s)", join(q.GroupBy))
 	case len(q.GroupBy) > 0:
 		stage, label := StageRefine, "group.merge"
-		if pl.classic {
+		if classic {
 			stage, label = StageBulk, "group.new"
 		}
 		if err := st.step(stage); err != nil {
@@ -348,20 +296,20 @@ func (pl *pipeline) finish(st *pipeState, out *scanOut) error {
 	if err := st.step(StageAggregate); err != nil {
 		return err
 	}
-	rows, err := aggregateRows(st.m, st.pp, *q, ectx, grouping, groupKeys, !pl.classic)
+	rows, err := aggregateRows(st.m, st.pp, *q, ectx, grouping, groupKeys, !classic)
 	if err != nil {
 		return err
 	}
 	for _, a := range q.Aggs {
-		if pl.classic {
+		if classic {
 			st.traceRows(len(rows), "aggr.%s(%s)", a.Func, a.Name)
 		} else {
 			st.traceRows(len(rows), "bwd.%srefine(%s)", a.Func, a.Name)
 		}
 	}
 	sortRows(rows)
-	rows = pl.applyHaving(st, rows)
-	rows, err = pl.orderLimit(st, rows)
+	rows = applyHaving(st, q, rows)
+	rows, err = orderLimit(st, q, rows)
 	if err != nil {
 		return err
 	}
@@ -375,8 +323,7 @@ func (pl *pipeline) finish(st *pipeState, out *scanOut) error {
 }
 
 // applyHaving filters the aggregated rows with the HAVING conjunction.
-func (pl *pipeline) applyHaving(st *pipeState, rows []Row) []Row {
-	q := &pl.q
+func applyHaving(st *pipeState, q *Query, rows []Row) []Row {
 	if len(q.Having) == 0 {
 		return rows
 	}
@@ -405,8 +352,7 @@ func (pl *pipeline) applyHaving(st *pipeState, rows []Row) []Row {
 // plain prefix for LIMIT alone. Rows arrive in canonical group-key order,
 // so the kernel's index tie-break is the deterministic key-order
 // tie-break the result contract requires.
-func (pl *pipeline) orderLimit(st *pipeState, rows []Row) ([]Row, error) {
-	q := &pl.q
+func orderLimit(st *pipeState, q *Query, rows []Row) ([]Row, error) {
 	if len(q.OrderBy) == 0 {
 		if q.Limit > 0 && len(rows) > q.Limit {
 			rows = rows[:q.Limit]
@@ -469,15 +415,12 @@ func dropHidden(q *Query, rows []Row) []Row {
 
 // ---- Pipeline description (\explain) ----
 
-// Describe renders the assembled pipeline without executing it: the scan
+// describe renders the assembled pipeline without executing it: the scan
 // strategy, the cost-ordered filters with their estimated selectivities,
-// the join chain, and the delta / grouping / having / top-k stages.
-func (pl *pipeline) describe() []string {
+// the join chain, and the delta / grouping / having / top-k stages. solo
+// says the leg is the only one the statement scans (see leg.scan).
+func (pl *pipeline) describe(solo bool) []string {
 	q := &pl.q
-	mode := "ar"
-	if pl.classic {
-		mode = "classic"
-	}
 	// The running estimate folds each operator's selectivity into the live
 	// base cardinality, so every rendered operator carries the planner's
 	// predicted output rows. One estimate-free link (a filter on a column
@@ -493,7 +436,7 @@ func (pl *pipeline) describe() []string {
 		return fmt.Sprintf(" (est sel %s, est=%d rows)", pctText(sel), int64(est+0.5))
 	}
 	var out []string
-	out = append(out, fmt.Sprintf("pipeline: mode=%s over %s", mode, q.Table))
+	out = append(out, fmt.Sprintf("pipeline: mode=%s over %s", modeName(pl.classic), q.Table))
 	if pl.classic {
 		out = append(out, fmt.Sprintf("  scan: classic row-major base of %s (filters in written order) est=%d rows", q.Table, int64(est)))
 	} else {
@@ -530,7 +473,7 @@ func (pl *pipeline) describe() []string {
 	}
 	if len(q.GroupBy) > 0 {
 		how := "host rebuild over combined tuples"
-		if !pl.classic && !pl.noDevGroup && pl.snap.fact.LiveDelta() == 0 {
+		if !pl.classic && solo && pl.snap.fact.LiveDelta() == 0 {
 			how = "device pre-group + refine"
 		}
 		line := fmt.Sprintf("  group: %s (%s)", join(q.GroupBy), how)
@@ -565,24 +508,77 @@ func (pl *pipeline) describe() []string {
 	return out
 }
 
-// ExplainQuery assembles the pipeline the query would run — classic or
-// A&R — and renders it without executing: the programmatic face of the
-// shell's \explain.
-func (c *Catalog) ExplainQuery(q Query, classic bool) ([]string, error) {
-	if p, ok := c.Partitioned(q.Table); ok {
-		return c.explainScatter(q, classic, p)
-	}
-	var snap *execSnap
-	var err error
-	if classic {
-		snap, err = q.validateClassic(c)
-	} else {
-		snap, err = q.validate(c)
-	}
+// ExplainQuery plans the query exactly as the executor would — classic or
+// A&R, auto marking a cost-chosen mode whose partition legs re-price
+// themselves — and renders the plan without executing it: the programmatic
+// face of the shell's \explain. A plain table renders its pipeline. A
+// partitioned one renders the scatter fan-out — per partition the leg's
+// chosen scan mode, live rows and estimated output rows (live rows times
+// the product of the estimated filter selectivities, when every touched
+// filter has an estimate), pruned partitions listed, not described — the
+// gather stage, and the first surviving leg's pipeline as the
+// representative per-partition plan.
+func (c *Catalog) ExplainQuery(q Query, classic, auto bool) ([]string, error) {
+	legs, p, err := c.planLegs(q, classic, auto)
 	if err != nil {
 		return nil, err
 	}
-	return buildPipeline(q, snap, classic).describe(), nil
+	rep := legs[0].pl.describe(len(legs) == 1)
+	if p == nil {
+		return rep, nil
+	}
+	out := []string{fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, p.Spec.N, p.Spec)}
+	li := 0
+	for i := 0; i < p.Spec.N; i++ {
+		name := shard.PartName(q.Table, i)
+		if li == len(legs) || legs[li].idx != i {
+			out = append(out, fmt.Sprintf("  partition %d: %s, pruned (filters on %s exclude its slab)", i, name, p.Spec.Col))
+			continue
+		}
+		pl := legs[li].pl
+		li++
+		live := pl.snap.fact.LiveBase() + pl.snap.fact.LiveDelta()
+		est := float64(live)
+		known := true
+		fold := func(sel float64) {
+			if sel < 0 {
+				known = false
+				return
+			}
+			est *= sel
+		}
+		for _, rf := range pl.factFilters {
+			fold(rf.estSel())
+		}
+		for _, g := range pl.orGroups {
+			fold(g.sel)
+		}
+		for _, j := range pl.joins {
+			fold(j.sel)
+			for _, rf := range j.dimFilters {
+				fold(rf.estSel())
+			}
+		}
+		line := fmt.Sprintf("  partition %d: %s, mode=%s, %d live rows", i, name, modeName(pl.classic), live)
+		if known {
+			line += fmt.Sprintf(", est ~%d rows out", int64(est+0.5))
+		}
+		out = append(out, line)
+	}
+	out = append(out, fmt.Sprintf("  gather: concatenate partials in partition order, shared tail (group/aggregate/having/order) over %s", q.Table))
+	out = append(out, fmt.Sprintf("per-partition plan (partition %d shown):", legs[0].idx))
+	for _, line := range rep {
+		out = append(out, "  "+line)
+	}
+	return out, nil
+}
+
+// modeName is the scan-strategy label of plan listings and traces.
+func modeName(classic bool) string {
+	if classic {
+		return "classic"
+	}
+	return "ar"
 }
 
 func describeOrder(q *Query) string {
@@ -747,30 +743,6 @@ func globalAgg(m *device.Meter, pp par.P, a AggSpec, ctx *exprCtx) (int64, error
 	default:
 		return 0, fmt.Errorf("plan: unsupported aggregate %v", a.Func)
 	}
-}
-
-// inputBytes sums the physical footprint of every column the query reads —
-// the stream-baseline input volume — over the pinned snapshots, including
-// the row-major delta segment when present.
-func (s *execSnap) inputBytes(q Query) int64 {
-	seen := map[string]bool{}
-	var total int64
-	add := func(table, col string) error {
-		key := table + "." + col
-		if seen[key] {
-			return nil
-		}
-		seen[key] = true
-		b, err := s.snapFor(table).Column(col)
-		if err != nil {
-			return nil // validation already rejected truly unknown columns
-		}
-		total += b.TailBytes()
-		return nil
-	}
-	_ = q.walkCols(add)
-	total += s.fact.DeltaBytes()
-	return total
 }
 
 func join(ss []string) string {

@@ -374,7 +374,7 @@ func TestExplainQueryRendersPipeline(t *testing.T) {
 		OrderBy: []OrderKey{{Index: 1, Desc: true}},
 		Limit:   3,
 	}
-	lines, err := c.ExplainQuery(q, false)
+	lines, err := c.ExplainQuery(q, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestExplainQueryRendersPipeline(t *testing.T) {
 	if _, err := c.InsertRows(nil, "fact", [][]int64{{1, 2, 3, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	lines, err = c.ExplainQuery(q, true)
+	lines, err = c.ExplainQuery(q, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

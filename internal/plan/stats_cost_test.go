@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -270,7 +271,7 @@ func TestCostPartitionPruning(t *testing.T) {
 	// The scatter explain lists the pruned partitions without executing
 	// (and without advancing the counter).
 	mark := parted.PlannerStats().PartitionsPruned
-	lines, err := parted.ExplainQuery(q, false)
+	lines, err := parted.ExplainQuery(q, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +281,75 @@ func TestCostPartitionPruning(t *testing.T) {
 	}
 	if parted.PlannerStats().PartitionsPruned != mark {
 		t.Error("ExplainQuery advanced the prune counter")
+	}
+}
+
+// TestCostExplainMatchesExecLegModes is the regression for \\explain
+// diverging from execution: on a range-partitioned table whose data all
+// routes to one slab, the empty partitions stay undecomposed and scan
+// classically while the loaded one scans A&R. ExplainQuery must plan the
+// legs exactly as ExecAR does — same per-leg fallback, same per-leg
+// re-pricing under auto — instead of failing with "not bitwise decomposed".
+func TestCostExplainMatchesExecLegModes(t *testing.T) {
+	c := NewCatalog(device.PaperSystem())
+	defs := []store.ColumnDef{
+		{Name: "k", Scale: 1, Width: bat.Width32},
+		{Name: "v", Scale: 1, Width: bat.Width32},
+	}
+	if _, err := c.CreatePartitionedTable("ev", defs, shard.Spec{Kind: shard.Range, Col: "k", N: 4}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]int64, 1000)
+	for i := range rows {
+		rows[i] = []int64{int64(i + 1), int64(i % 97)}
+	}
+	if _, err := c.InsertRows(nil, "ev", rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MergeTable(nil, "ev", false); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"k", "v"} {
+		if _, err := c.Decompose("ev", col, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := Query{
+		Table:   "ev",
+		Filters: []Filter{{Col: "v", Lo: 10, Hi: 40}},
+		Aggs:    []AggSpec{{Name: "n", Func: Count}},
+	}
+	// legModes extracts "partition i" -> mode from a plan or explain listing.
+	legModes := func(lines []string) map[string]string {
+		modes := map[string]string{}
+		for _, l := range lines {
+			if part, rest, ok := strings.Cut(l, ":"); ok && strings.HasPrefix(part, "  partition ") {
+				if _, m, ok := strings.Cut(rest, "mode="); ok {
+					modes[strings.TrimSpace(part)], _, _ = strings.Cut(m, ",")
+				}
+			}
+		}
+		return modes
+	}
+	for _, auto := range []bool{false, true} {
+		res, err := c.ExecAR(context.Background(), q, ExecOpts{Threads: 1, AutoMode: auto})
+		if err != nil {
+			t.Fatalf("auto=%v: ExecAR: %v", auto, err)
+		}
+		ran := legModes(res.Plan)
+		if len(ran) != 4 || ran["partition 0"] != "classic" || ran["partition 3"] != "classic" {
+			t.Fatalf("auto=%v: executed leg modes %v, want 4 legs with the empty ones classic:\n%s", auto, ran, strings.Join(res.Plan, "\n"))
+		}
+		if !auto && ran["partition 2"] != "ar" {
+			t.Fatalf("forced a&r: loaded partition ran %q, want ar", ran["partition 2"])
+		}
+		lines, err := c.ExplainQuery(q, false, auto)
+		if err != nil {
+			t.Fatalf("auto=%v: ExplainQuery failed on a query ExecAR runs: %v", auto, err)
+		}
+		if told := legModes(lines); !reflect.DeepEqual(told, ran) {
+			t.Errorf("auto=%v: \\explain leg modes %v != executed %v:\n%s", auto, told, ran, strings.Join(lines, "\n"))
+		}
 	}
 }
 
@@ -320,7 +390,7 @@ func TestCostExplainEstimates(t *testing.T) {
 		GroupBy: []string{"g"},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err := c.ExplainQuery(q, false)
+	lines, err := c.ExplainQuery(q, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +428,7 @@ func TestCostExplainEstimates(t *testing.T) {
 		Filters: []Filter{{Col: "raw", Lo: 0, Hi: 10}, {Col: "v", Lo: 0, Hi: 31}},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err = c.ExplainQuery(qc, true)
+	lines, err = c.ExplainQuery(qc, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

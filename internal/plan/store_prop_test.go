@@ -587,7 +587,11 @@ func TestParallelCancelledDeltaScanReturnsError(t *testing.T) {
 		Filters: []Filter{{Col: "v", Lo: 0, Hi: 4095}},
 		Aggs:    []AggSpec{{Name: "s", Func: Sum, Expr: Col("w")}},
 	}
-	snap, err := q.pinSnapshots(c)
+	fact, err := c.Table("fact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := q.pin(c, fact, true)
 	if err != nil {
 		t.Fatal(err)
 	}

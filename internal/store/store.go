@@ -312,6 +312,9 @@ func New(name string, schema []ColumnDef, cols []*bat.BAT, sys *device.System) (
 		if def.Scale < 1 {
 			return nil, fmt.Errorf("store: column %s.%s has invalid scale %d", name, def.Name, def.Scale)
 		}
+		if !bat.ValidWidth(def.Width) {
+			return nil, fmt.Errorf("store: column %s.%s has unsupported width %d", name, def.Name, def.Width)
+		}
 		t.colIdx[def.Name] = i
 		t.rowBytes += int64(def.Width)
 		if cols != nil {

@@ -26,6 +26,18 @@ func newTestTable(t *testing.T, sys *device.System, n int) *Table {
 	return tbl
 }
 
+// TestNewRejectsUnsupportedWidth: a schema is outside input (CREATE TABLE,
+// a replayed WAL record), so a width the BAT layer cannot store is an error,
+// not bat.NewDense's panic.
+func TestNewRejectsUnsupportedWidth(t *testing.T) {
+	for _, w := range []int{0, 3, 5, -1, 16} {
+		defs := []ColumnDef{{Name: "k", Scale: 1, Width: bat.Width32}, {Name: "v", Scale: 1, Width: w}}
+		if tbl, err := New("t", defs, nil, nil); err == nil {
+			t.Errorf("width %d: New built %v", w, tbl.Name())
+		}
+	}
+}
+
 func TestInsertDeleteMergeLifecycle(t *testing.T) {
 	sys := device.PaperSystem()
 	tbl := newTestTable(t, sys, 100)
