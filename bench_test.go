@@ -79,12 +79,49 @@ func benchColumn(bits uint) (*bwd.Column, *bat.BAT) {
 }
 
 func BenchmarkOpSelectApprox(b *testing.B) {
-	col, _ := benchColumn(12)
-	r := col.Relax(0, benchN/10)
-	b.SetBytes(col.Approx.Bytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ar.SelectApprox(nil, col, r)
+	b.Run("uniform", func(b *testing.B) {
+		col, _ := benchColumn(12)
+		r := col.Relax(0, benchN/10)
+		b.SetBytes(col.Approx.Bytes())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ar.SelectApprox(nil, col, r)
+		}
+	})
+
+	// The two regimes of the granule scan at the spatial workload's shape
+	// (23 bits x 2 M rows, a 1 % range): trip-like clustered rows, where
+	// almost every granule is skipped from its code bounds, and the same
+	// values shuffled, where every granule overlaps the range and must be
+	// decoded. A later kernel change has a before/after for both.
+	const n, span = 2_000_000, 1 << 23
+	rng := rand.New(rand.NewSource(9))
+	clustered := make([]int64, n)
+	for i, at := 0, int64(span/2); i < n; i++ {
+		if i%128 == 0 {
+			at = rng.Int63n(span) // a new trip starts somewhere else
+		}
+		at = min(max(at+rng.Int63n(41)-20, 0), span-1)
+		clustered[i] = at
+	}
+	shuffled := append([]int64(nil), clustered...)
+	rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, reg := range []struct {
+		name string
+		vals []int64
+	}{{"clustered", clustered}, {"shuffled", shuffled}} {
+		b.Run(reg.name, func(b *testing.B) {
+			col, err := bwd.Decompose(bat.NewDense(reg.vals, bat.Width32), 23, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := col.Relax(span/2, span/2+span/100)
+			b.SetBytes(col.Approx.Bytes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ar.SelectApprox(nil, col, r).Release()
+			}
+		})
 	}
 }
 

@@ -21,8 +21,27 @@ type scanFixture struct {
 	lo, hi int64
 }
 
-func newScanFixture(t testing.TB, n int) *scanFixture {
-	vals := shuffledInts(n, 7)
+// scanFixtures are the two regimes of the granule scan. Shuffled values
+// make every granule overlap the range, so each is decoded and its few
+// survivors are fetched one by one; clustered (here: ascending) values
+// leave three quarters of the granules skipped from their bounds and the
+// rest accepted whole and materialised by one decode each.
+var scanFixtures = []struct {
+	name string
+	vals func(n int) []int64
+}{
+	{"shuffled", func(n int) []int64 { return shuffledInts(n, 7) }},
+	{"clustered", func(n int) []int64 {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i)
+		}
+		return vals
+	}},
+}
+
+func newScanFixture(t testing.TB, vals []int64) *scanFixture {
+	n := len(vals)
 	col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), 8, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -40,20 +59,24 @@ func runARScan(f *scanFixture) {
 }
 
 func TestARScanZeroAlloc(t *testing.T) {
-	f := newScanFixture(t, 50000)
-	for i := 0; i < 5; i++ {
-		runARScan(f) // warm the arena and the candidate pool
-	}
-	if n := testing.AllocsPerRun(50, func() { runARScan(f) }); n != 0 {
-		if mem.RaceEnabled {
-			t.Skipf("%.2f allocs/op under -race (sync.Pool drops Puts); strict guard runs in normal builds", n)
-		}
-		t.Fatalf("A&R scan allocates %.2f/op in steady state, want 0", n)
+	for _, fx := range scanFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			f := newScanFixture(t, fx.vals(50000))
+			for i := 0; i < 5; i++ {
+				runARScan(f) // warm the arena and the candidate pool
+			}
+			if n := testing.AllocsPerRun(50, func() { runARScan(f) }); n != 0 {
+				if mem.RaceEnabled {
+					t.Skipf("%.2f allocs/op under -race (sync.Pool drops Puts); strict guard runs in normal builds", n)
+				}
+				t.Fatalf("A&R scan allocates %.2f/op in steady state, want 0", n)
+			}
+		})
 	}
 }
 
 func TestReconstructAllZeroAlloc(t *testing.T) {
-	f := newScanFixture(t, 50000)
+	f := newScanFixture(t, shuffledInts(50000, 7))
 	cands := SelectApprox(nil, f.col, f.rng)
 	defer cands.Release()
 	for i := 0; i < 5; i++ {
@@ -70,15 +93,19 @@ func TestReconstructAllZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkHotPathAllocs is the CI smoke target: the bench smoke step runs
-// it with -benchtime and asserts 0 allocs/op from the report line.
+// it with -benchtime and asserts 0 allocs/op on every report line.
 func BenchmarkHotPathAllocs(b *testing.B) {
-	f := newScanFixture(b, 50000)
-	for i := 0; i < 5; i++ {
-		runARScan(f)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runARScan(f)
+	for _, fx := range scanFixtures {
+		b.Run(fx.name, func(b *testing.B) {
+			f := newScanFixture(b, fx.vals(50000))
+			for i := 0; i < 5; i++ {
+				runARScan(f)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runARScan(f)
+			}
+		})
 	}
 }

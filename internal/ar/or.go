@@ -1,111 +1,19 @@
 package ar
 
 import (
-	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/par"
 )
 
-// This file implements the disjunction (OR) selection operators: the
-// approximate select of a union of relaxed ranges — each disjunct relaxed
-// through its own column's BWD bounds — and its refinement. The candidate
-// union never materializes per-disjunct sets: one pass evaluates every
-// disjunct per tuple, so the device output is already the union, in the
-// same deterministic permutation as a conjunctive scan.
-
-// SelectApproxAny is the approximation of a disjunctive selection over the
-// bitwise decomposed columns cols with relaxed ranges rs (one per
-// disjunct, possibly repeating a column): the device scans every disjunct
-// column's packed approximation and emits the tuples whose code matches
-// any relaxed range — a superset of the exact OR result. All disjunct
-// columns' codes attach to the candidates under one disjunction group id,
-// so Certain and the refinement can evaluate the group as a whole.
-//
-// Host-side, every disjunct column is decoded word-parallel into one flat
-// morsel-scratch block (bitpack.UnpackRange) and matches land in disjoint
-// arena regions, concatenated in the deterministic device permutation.
-func SelectApproxAny(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange, group int) *Candidates {
-	n := cols[0].Len()
-	k := len(cols)
-	c := getCandidates()
-	total := 0
-	nchunks := (n + gpuChunk - 1) / gpuChunk
-	if n > 0 {
-		idsBuf := oidPool.GetN(n)
-		colBufs := make([][]uint64, k)
-		for j := range colBufs {
-			colBufs[j] = mem.U64.GetN(n)
-		}
-		counts := mem.Ints.GetN(nchunks)
-		devP.ForScratch(n, func(s *mem.Scratch, lo, hi int) {
-			g := hi - lo
-			dec := s.U64(k * g)
-			for j, col := range cols {
-				col.Approx.UnpackRange(dec[j*g:j*g:(j+1)*g], lo, hi)
-			}
-			cnt := 0
-			for i := 0; i < g; i++ {
-				match := false
-				for j := range cols {
-					if rs[j].Contains(dec[j*g+i]) {
-						match = true
-						break
-					}
-				}
-				if match {
-					idsBuf[lo+cnt] = bat.OID(lo + i)
-					for j := range cols {
-						colBufs[j][lo+cnt] = dec[j*g+i]
-					}
-					cnt++
-				}
-			}
-			counts[lo/gpuChunk] = cnt
-		})
-		for _, cnt := range counts {
-			total += cnt
-		}
-		order := par.PermuteInto(mem.Ints.GetN(nchunks))
-		c.IDs = oidPool.GetN(total)
-		off := 0
-		for _, ci := range order {
-			cnt := counts[ci]
-			copy(c.IDs[off:off+cnt], idsBuf[ci*gpuChunk:ci*gpuChunk+cnt])
-			off += cnt
-		}
-		for j, col := range cols {
-			codes := mem.U64.GetN(total)
-			off = 0
-			for _, ci := range order {
-				cnt := counts[ci]
-				copy(codes[off:off+cnt], colBufs[j][ci*gpuChunk:ci*gpuChunk+cnt])
-				off += cnt
-			}
-			c.attach = append(c.attach, attachment{col: col, codes: codes, rng: rs[j], filtered: true, group: group})
-			mem.U64.Put(colBufs[j])
-		}
-		mem.Ints.Put(order)
-		mem.Ints.Put(counts)
-		oidPool.Put(idsBuf)
-	} else {
-		c.IDs = oidPool.GetN(0)
-		for j, col := range cols {
-			c.attach = append(c.attach, attachment{col: col, codes: mem.U64.GetN(0), rng: rs[j], filtered: true, group: group})
-		}
-	}
-	if m != nil {
-		var scanned int64
-		var written int64 = int64(total) * 4
-		for _, col := range cols {
-			scanned += col.Approx.Bytes()
-			written += packedBytes(total, col.Dec.ApproxBits)
-		}
-		m.GPUKernel(scanned+written, 0, int64(n)*OpsPackedScan*int64(k))
-	}
-	return c
-}
+// This file implements the disjunction (OR) operators that run over an
+// existing candidate set: narrowing it with a union of relaxed ranges —
+// each disjunct relaxed through its own column's BWD bounds — and the
+// refinement of a disjunction. The full-column disjunctive scan,
+// SelectApproxAny, is the k-column case of the one approximate scan in
+// scan.go. The candidate union never materializes per-disjunct sets: one
+// pass evaluates every disjunct per tuple.
 
 // SelectApproxAnyOver narrows an existing candidate set with a further
 // disjunctive predicate: the device gathers each disjunct column's codes

@@ -61,7 +61,7 @@ func (p *Projection) Ship(m *device.Meter) {
 // (§IV-A item 2).
 func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Projection {
 	codes := mem.U64.GetN(len(cands.IDs))
-	devP.For(len(cands.IDs), func(lo, hi int) {
+	devP().For(len(cands.IDs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			codes[i] = col.Approx.Get(int(cands.IDs[i]))
 		}
@@ -82,7 +82,7 @@ func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Project
 // column "via" the join shares this code path.
 func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []bat.OID) *Projection {
 	codes := mem.U64.GetN(len(at))
-	devP.For(len(at), func(lo, hi int) {
+	devP().For(len(at), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			codes[i] = col.Approx.Get(int(at[i]))
 		}

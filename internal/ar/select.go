@@ -1,115 +1,12 @@
 package ar
 
 import (
-	"runtime"
-
 	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/par"
 )
-
-// gpuChunk is the tuple count per simulated device work-group.
-const gpuChunk = 64 << 10
-
-// devP is the host-side execution of every device kernel: work-groups of
-// gpuChunk tuples over all host cores, never cancelled (a device kernel
-// runs to completion; the meter bills the simulated device, not this P).
-var devP = par.P{Workers: runtime.GOMAXPROCS(0), Chunk: gpuChunk}
-
-// OpsPackedScan is the per-tuple operation count of a JIT-generated packed
-// selection kernel: unpacking a bit-packed code straddling word boundaries,
-// masking, shifting and evaluating the relaxed predicate. It makes wide
-// scans compute-bound on the device, which is what the paper's untuned
-// kernels observably were (their approximation times barely vary with the
-// packed width, Fig 8c).
-const OpsPackedScan = 6
-
-// SelectApprox is the approximation of a selection on a bitwise decomposed
-// column (§IV-B): the device scans the bit-packed approximation with the
-// relaxed predicate r and emits every tuple whose approximation code
-// matches — a superset of the exact result. The output order is a
-// deterministic permutation of the input order, modelling the
-// non-order-preserving massively parallel kernel (§IV-A item 3).
-//
-// The candidate codes ride along with the IDs; they are the host's only
-// view of the device-resident major bits once the candidates are shipped.
-//
-// Host-side, the scan is word-parallel and allocation-free: each worker
-// decodes a work-group into its morsel scratch with bitpack.UnpackRange
-// (word-at-a-time instead of branch-and-shift per element), writes matches
-// into its own disjoint region of arena buffers, and the regions are
-// concatenated in the deterministic device permutation.
-func SelectApprox(m *device.Meter, col *bwd.Column, r bwd.ApproxRange) *Candidates {
-	n := col.Len()
-	c := getCandidates()
-	total := 0
-	if !r.Empty && n > 0 {
-		nchunks := (n + gpuChunk - 1) / gpuChunk
-		idsBuf := oidPool.GetN(n)
-		codesBuf := mem.U64.GetN(n)
-		counts := mem.Ints.GetN(nchunks)
-		if nchunks == 1 {
-			// One work-group: run it on the calling goroutine without
-			// materializing a closure, keeping the scan allocation-free.
-			s := mem.GetScratch()
-			counts[0] = scanGroup(s, col, r, idsBuf, codesBuf, 0, n)
-			mem.PutScratch(s)
-		} else {
-			devP.ForScratch(n, func(s *mem.Scratch, lo, hi int) {
-				counts[lo/gpuChunk] = scanGroup(s, col, r, idsBuf, codesBuf, lo, hi)
-			})
-		}
-		for _, cnt := range counts {
-			total += cnt
-		}
-		// Concatenate the per-group regions in the deterministic shuffled
-		// completion order — the unordered device discipline.
-		order := par.PermuteInto(mem.Ints.GetN(nchunks))
-		ids := oidPool.GetN(total)
-		codes := mem.U64.GetN(total)
-		off := 0
-		for _, ci := range order {
-			cnt := counts[ci]
-			lo := ci * gpuChunk
-			copy(ids[off:off+cnt], idsBuf[lo:lo+cnt])
-			copy(codes[off:off+cnt], codesBuf[lo:lo+cnt])
-			off += cnt
-		}
-		mem.Ints.Put(order)
-		mem.Ints.Put(counts)
-		oidPool.Put(idsBuf)
-		mem.U64.Put(codesBuf)
-		c.IDs = ids
-		c.attach = append(c.attach, attachment{col: col, codes: codes, rng: r, filtered: true})
-	} else {
-		c.IDs = oidPool.GetN(0)
-		c.attach = append(c.attach, attachment{col: col, codes: mem.U64.GetN(0), rng: r, filtered: true})
-	}
-	if m != nil {
-		scanned := col.Approx.Bytes()
-		written := int64(total)*4 + packedBytes(total, col.Dec.ApproxBits)
-		m.GPUKernel(scanned+written, 0, int64(n)*OpsPackedScan)
-	}
-	return c
-}
-
-// scanGroup decodes one device work-group [lo,hi) into the worker scratch
-// and writes the matching (id, code) pairs into the group's disjoint
-// region of the output buffers, returning the match count.
-func scanGroup(s *mem.Scratch, col *bwd.Column, r bwd.ApproxRange, idsBuf []bat.OID, codesBuf []uint64, lo, hi int) int {
-	dec := col.Approx.UnpackRange(s.U64(hi - lo)[:0], lo, hi)
-	cnt := 0
-	for j, code := range dec {
-		if r.Contains(code) {
-			idsBuf[lo+cnt] = bat.OID(lo + j)
-			codesBuf[lo+cnt] = code
-			cnt++
-		}
-	}
-	return cnt
-}
 
 // SelectApproxOver narrows an existing candidate set with a further relaxed
 // predicate on another column (conjunctive selections, e.g. the two

@@ -202,14 +202,22 @@ func (a *Array) UnpackRange(dst []uint64, lo, hi int) []uint64 {
 		}
 		return dst
 	}
-	// Generic shift-carry loop: keep a bit cursor and read each backing
-	// word once, carrying straddled low bits into the next value.
 	off := uint64(lo) * uint64(width)
-	w := int(off >> 6)
-	sh := uint(off & 63)
-	cur := a.words[w] >> sh
+	base := len(dst)
+	dst = dst[:base+n]
+	shiftCarry(dst[base:], a.words[off>>6:], uint(off&63), width)
+	return dst
+}
+
+// shiftCarry decodes len(dst) values of the given width (1..63) that start
+// at bit sh of words[0]: it keeps a bit cursor and reads each backing word
+// once, carrying straddled low bits into the next value.
+func shiftCarry(dst, words []uint64, sh, width uint) {
+	mask := Mask(width)
+	cur := words[0] >> sh
 	avail := 64 - sh // valid low bits in cur
-	for i := 0; i < n; i++ {
+	w := 0
+	for i := range dst {
 		var v uint64
 		if avail >= width {
 			v = cur & mask
@@ -217,14 +225,41 @@ func (a *Array) UnpackRange(dst []uint64, lo, hi int) []uint64 {
 			avail -= width
 		} else {
 			w++
-			next := a.words[w]
+			next := words[w]
 			v = (cur | next<<avail) & mask
 			cur = next >> (width - avail)
 			avail = 64 - (width - avail)
 		}
-		dst = append(dst, v)
+		dst[i] = v
 	}
-	return dst
+}
+
+// Unpack64 decodes the values at positions [lo, min(lo+64, Len())) into dst
+// and returns how many it wrote; lo must be a multiple of 64. Such a block
+// of 64 values always starts on a word boundary (64·width bits is a whole
+// number of words), so the shift-carry decode starts at bit 0 of its first
+// word and stores straight into the caller's stack array — the granule
+// decode of the A&R approximate scan. Entries of dst past the returned count are
+// left untouched, and bits of the last backing word beyond the final value
+// are never interpreted.
+func (a *Array) Unpack64(dst *[64]uint64, lo int) int {
+	if lo < 0 || lo > a.n || lo&63 != 0 {
+		panic(fmt.Sprintf("bitpack: block start %d not a multiple of 64 in [0,%d]", lo, a.n))
+	}
+	n := min(64, a.n-lo)
+	width := a.width
+	if n == 0 {
+		return 0
+	}
+	if width == 0 {
+		clear(dst[:n])
+		return n
+	}
+	if width == 64 {
+		return copy(dst[:n], a.words[lo:])
+	}
+	shiftCarry(dst[:n], a.words[lo/64*int(width):], 0, width)
+	return n
 }
 
 // Gather writes a.Get(id) for each id in ids into dst, which must be at

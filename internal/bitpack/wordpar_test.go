@@ -79,6 +79,66 @@ func TestAppendPackedMatchesAppendLoop(t *testing.T) {
 	}
 }
 
+// Unpack64 decodes one 64-row block at a time into a fixed array: every
+// width, every block of arrays whose length sits on and around block
+// boundaries, and an array rebuilt by FromWords over backing words whose
+// unused tail bits are garbage. Entries past the returned count must stay
+// untouched.
+func TestUnpack64MatchesGetLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for width := uint(0); width <= 64; width++ {
+		for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 300} {
+			a := Pack(width, randomVals(rng, width, n))
+			if width > 0 && n > 0 {
+				words := append([]uint64(nil), a.Words()...)
+				if rem := uint(uint64(width) * uint64(n) & 63); rem != 0 {
+					words[len(words)-1] |= rng.Uint64() &^ Mask(rem)
+				}
+				dirty, err := FromWords(width, n, words)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !dirty.Equal(a) {
+					t.Fatalf("width %d n %d: tail garbage changed Equal", width, n)
+				}
+				a = dirty
+			}
+			for lo := 0; lo <= n; lo += 64 {
+				const sentinel = ^uint64(0) - 12345
+				var dst [64]uint64
+				for i := range dst {
+					dst[i] = sentinel
+				}
+				got := a.Unpack64(&dst, lo)
+				if want := min(64, n-lo); got != want {
+					t.Fatalf("width %d n %d block %d: wrote %d values, want %d", width, n, lo, got, want)
+				}
+				for i, v := range dst {
+					want := uint64(sentinel)
+					if i < got {
+						want = a.Get(lo + i)
+					}
+					if v != want {
+						t.Fatalf("width %d n %d block %d pos %d: got %d want %d", width, n, lo, i, v, want)
+					}
+				}
+			}
+		}
+	}
+	a := Pack(5, make([]uint64, 100))
+	for _, lo := range []int{-64, 1, 63, 128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Unpack64 at %d did not panic", lo)
+				}
+			}()
+			var dst [64]uint64
+			a.Unpack64(&dst, lo)
+		}()
+	}
+}
+
 func TestUnpackRangeReusesDst(t *testing.T) {
 	a := Pack(7, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	buf := make([]uint64, 0, 16)

@@ -65,6 +65,7 @@ type Column struct {
 	n         int
 	hist      []int64 // rows per code bucket; bucket of code c is c >> histShift
 	histShift uint
+	granules  []Bounds // code bounds of rows [64g, 64g+64)
 	gpuAlloc  *device.Alloc
 	cpuAlloc  *device.Alloc
 }
@@ -83,6 +84,47 @@ func histShiftFor(approxBits uint) uint {
 	}
 	return 0
 }
+
+// GranuleRows is the row count of one scan granule: the rows whose
+// survivors an approximate scan records in one 64-bit word. It is the
+// machine word size, not a setting.
+const GranuleRows = 64
+
+// Bounds is the closed interval of approximation codes the rows of one
+// granule span; both ends are attained.
+type Bounds struct{ Min, Max uint64 }
+
+// newSummaries sizes the derived per-column summaries — the bucket
+// histogram and the granule bounds — for summarize to fill.
+func (c *Column) newSummaries() {
+	c.histShift = histShiftFor(c.Dec.ApproxBits)
+	c.hist = make([]int64, (c.Dec.MaxApprox()>>c.histShift)+1)
+	c.granules = make([]Bounds, (c.n+GranuleRows-1)/GranuleRows)
+}
+
+// summarize folds the approximation codes of rows [lo, lo+len(codes)) into
+// the histogram and the granule bounds; lo must be a multiple of
+// GranuleRows. It is the one place both are computed, so Decompose and
+// Restore agree by construction. Neither summary is persisted and both are
+// immutable once the constructor returns, like the planes they describe.
+func (c *Column) summarize(lo int, codes []uint64) {
+	for len(codes) > 0 {
+		g := codes[:min(GranuleRows, len(codes))]
+		b := Bounds{Min: g[0], Max: g[0]}
+		for _, code := range g {
+			c.hist[code>>c.histShift]++
+			b.Min = min(b.Min, code)
+			b.Max = max(b.Max, code)
+		}
+		c.granules[lo/GranuleRows] = b
+		lo += len(g)
+		codes = codes[len(g):]
+	}
+}
+
+// summaryBlock is how many rows the constructors split or decode between
+// summarize calls: a whole number of granules that stays cache-resident.
+const summaryBlock = 64 << 10
 
 // Decompose bitwise-decomposes the tail of b, placing approxBits major bits
 // on the system's GPU and the rest on the CPU, mirroring the paper's
@@ -116,28 +158,30 @@ func Decompose(b *bat.BAT, approxBits uint, sys *device.System) (*Column, error)
 	}
 
 	n := b.Len()
-	hshift := histShiftFor(dec.ApproxBits)
-	hist := make([]int64, (dec.MaxApprox()>>hshift)+1)
+	c := &Column{Dec: dec, n: n}
+	c.newSummaries()
 	tails := b.Tails()
 	// Split the values into code planes through arena scratch, then let
 	// bitpack.Pack build whole words with its shift-carry accumulator — one
-	// store per output word instead of a read-modify-write per value.
+	// store per output word instead of a read-modify-write per value. The
+	// summaries are folded in block by block while the codes are hot.
 	codes := mem.U64.GetN(n)
 	rcodes := mem.U64.GetN(n)
 	rmask := bitpack.Mask(dec.ResBits)
-	for i, v := range tails {
-		shifted := uint64(v - dec.Base)
-		code := shifted >> dec.ResBits
-		codes[i] = code
-		rcodes[i] = shifted & rmask
-		hist[code>>hshift]++
+	for lo := 0; lo < n; lo += summaryBlock {
+		hi := min(lo+summaryBlock, n)
+		for i, v := range tails[lo:hi] {
+			shifted := uint64(v - dec.Base)
+			codes[lo+i] = shifted >> dec.ResBits
+			rcodes[lo+i] = shifted & rmask
+		}
+		c.summarize(lo, codes[lo:hi])
 	}
 	approx := bitpack.Pack(dec.ApproxBits, codes)
 	res := bitpack.Pack(dec.ResBits, rcodes)
 	mem.U64.Put(codes)
 	mem.U64.Put(rcodes)
-
-	c := &Column{Dec: dec, Approx: approx, Residual: res, n: n, hist: hist, histShift: hshift}
+	c.Approx, c.Residual = approx, res
 	if sys != nil {
 		ga, err := sys.GPU.Alloc(approx.Bytes())
 		if err != nil {
@@ -170,22 +214,16 @@ func Restore(dec Decomposition, approx, res *bitpack.Array, sys *device.System) 
 			approx.Width(), res.Width(), dec.ApproxBits, dec.ResBits)
 	}
 	c := &Column{Dec: dec, Approx: approx, Residual: res, n: approx.Len()}
-	// The histogram is not persisted: recompute it with one word-parallel
+	// The summaries are not persisted: recompute them with one word-parallel
 	// pass over the restored approximation plane (block decode through
-	// morsel scratch) so statistics survive reboot unchanged.
-	c.histShift = histShiftFor(dec.ApproxBits)
-	c.hist = make([]int64, (dec.MaxApprox()>>c.histShift)+1)
+	// morsel scratch) so statistics and granule bounds survive reboot
+	// unchanged.
+	c.newSummaries()
 	s := mem.GetScratch()
-	const blk = 64 << 10
-	for lo := 0; lo < c.n; lo += blk {
-		hi := lo + blk
-		if hi > c.n {
-			hi = c.n
-		}
+	for lo := 0; lo < c.n; lo += summaryBlock {
+		hi := min(lo+summaryBlock, c.n)
 		s.Reset()
-		for _, code := range approx.UnpackRange(s.U64(hi - lo)[:0], lo, hi) {
-			c.hist[code>>c.histShift]++
-		}
+		c.summarize(lo, approx.UnpackRange(s.U64(hi - lo)[:0], lo, hi))
 	}
 	mem.PutScratch(s)
 	if sys != nil {
@@ -215,6 +253,13 @@ func (c *Column) BucketCounts() []int64 { return c.hist }
 // BucketShift returns how many code bits each histogram bucket coalesces:
 // a bucket spans 1 << BucketShift approximation codes.
 func (c *Column) BucketShift() uint { return c.histShift }
+
+// Granules returns the per-granule code bounds: entry g is the minimum and
+// maximum approximation code of rows [g*GranuleRows, (g+1)*GranuleRows).
+// An approximate scan reads them to skip granules a relaxed range cannot
+// intersect and to accept granules it covers without decoding a row. The
+// slice is owned by the column and must not be mutated.
+func (c *Column) Granules() []Bounds { return c.granules }
 
 // Release frees the simulated device allocations.
 func (c *Column) Release() {

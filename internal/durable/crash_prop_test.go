@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/bwd/bwdtest"
 	"repro/internal/device"
 	"repro/internal/plan"
 )
@@ -101,6 +103,15 @@ func propCrashCuts(t *testing.T, seed int64) {
 	if st := s.Stats(); st.WALRecords != 0 {
 		t.Fatalf("WAL holds %d records after checkpointing everything", st.WALRecords)
 	}
+	// The granule bounds are derived, not persisted: remember what the
+	// checkpointed column had so a recovery that replays nothing can be
+	// held to it.
+	atCheckpoint, err := cat.Decomposition("t0", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bwdtest.CheckGranules(t, "checkpointed t0.v", atCheckpoint)
+	checkpointBounds := slices.Clone(atCheckpoint.Granules())
 
 	// Phase 2: concurrent per-table writers (group commit + per-table lock
 	// under -race), merges allowed, no checkpoints — pure WAL tail.
@@ -251,9 +262,16 @@ func propCrashCuts(t *testing.T, seed int64) {
 				t.Fatalf("cut at %d: %s recovered %d rows, oracle has %d (content mismatch)", cut, name, len(got), len(want))
 			}
 		}
-		// The decomposition from phase 1 must survive every cut.
-		if _, err := recovered.Decomposition("t0", "v"); err != nil {
+		// The decomposition from phase 1 must survive every cut, with
+		// granule bounds that describe the restored plane — the very bounds
+		// of the checkpointed column when no record was replayed over it.
+		d, err := recovered.Decomposition("t0", "v")
+		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		bwdtest.CheckGranules(t, fmt.Sprintf("cut at %d: recovered t0.v", cut), d)
+		if committed == 0 && !slices.Equal(d.Granules(), checkpointBounds) {
+			t.Fatalf("cut at %d: restored granule bounds differ from the checkpointed column's", cut)
 		}
 		rs.Close()
 	}

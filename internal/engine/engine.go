@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ar"
 	"repro/internal/device"
 	"repro/internal/durable"
 	"repro/internal/obs"
@@ -606,7 +607,7 @@ func (e *Engine) StatsLines(sess *Session) []string {
 		lines = append(lines, fmt.Sprintf("maintenance: %d background merges failed (last: %s)", e.mergeFailures, e.lastMergeErr))
 	}
 	e.mu.Unlock()
-	lines = append(lines, obs.RuntimeMemLine())
+	lines = append(lines, ar.ScanStats().String(), obs.RuntimeMemLine())
 	lines = append(lines, "engine totals: "+e.sched.Totals.String())
 	if sess != nil {
 		lines = append(lines, fmt.Sprintf("session %d totals: %s", sess.ID, sess.Totals.String()))

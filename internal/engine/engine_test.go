@@ -76,9 +76,10 @@ func TestEngineFacade(t *testing.T) {
 		t.Fatal("non-literal parameter must error")
 	}
 
-	// Stats lines cover sessions, cache, scheduler, and totals.
+	// Stats lines cover sessions, cache, scheduler, the granule scan, and
+	// totals.
 	lines := strings.Join(eng.StatsLines(sess), "\n")
-	for _, wantSub := range []string{"sessions: 1 active", "plan cache:", "scheduler:", "engine totals:", "session "} {
+	for _, wantSub := range []string{"sessions: 1 active", "plan cache:", "scheduler:", "scan: ", " skipped (", "engine totals:", "session "} {
 		if !strings.Contains(lines, wantSub) {
 			t.Fatalf("stats missing %q:\n%s", wantSub, lines)
 		}

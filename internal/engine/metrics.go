@@ -3,6 +3,7 @@ package engine
 import (
 	"time"
 
+	"repro/internal/ar"
 	"repro/internal/durable"
 	"repro/internal/obs"
 )
@@ -77,6 +78,16 @@ func newMetrics(e *Engine, slowCap int) *metrics {
 		sched(func(s SchedStats) float64 { return float64(s.ModePickClassic) }))
 	reg.CounterFunc("ar_partition_pruned_total", "", "Range partitions skipped before scattering because the filters excluded their value slabs.",
 		func() float64 { return float64(e.cat.PlannerStats().PartitionsPruned) })
+
+	for outcome, get := range map[string]func(ar.GranuleStats) uint64{
+		"skipped": func(s ar.GranuleStats) uint64 { return s.Skipped },
+		"inside":  func(s ar.GranuleStats) uint64 { return s.Inside },
+		"decoded": func(s ar.GranuleStats) uint64 { return s.Decoded },
+	} {
+		reg.CounterFunc("ar_scan_granules_total", `outcome="`+outcome+`"`,
+			"64-row granules visited by approximate scans: skipped from their code bounds, accepted whole from them, or decoded.",
+			func() float64 { return float64(get(ar.ScanStats())) })
+	}
 
 	cache := func(f func(CacheStats) float64) func() float64 {
 		return func() float64 { return f(e.cache.Stats()) }

@@ -121,6 +121,10 @@ func TestMetricsFamilies(t *testing.T) {
 		"# TYPE ar_table_base_rows gauge",
 		`ar_table_base_rows{table="f"} 2000`,
 		"# TYPE ar_slow_queries_total counter",
+		"# TYPE ar_scan_granules_total counter",
+		`ar_scan_granules_total{outcome="skipped"}`,
+		`ar_scan_granules_total{outcome="inside"}`,
+		`ar_scan_granules_total{outcome="decoded"}`,
 	} {
 		if !strings.Contains(text, fam) {
 			t.Errorf("\\metrics missing %q", fam)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bwd/bwdtest"
 	"repro/internal/mem"
 )
 
@@ -46,6 +47,15 @@ func TestPooledUnpooledEquivalence(t *testing.T) {
 					if _, err := c.MergeTable(nil, "fact", false); err != nil {
 						t.Fatal(err)
 					}
+				}
+				// Whatever the step did to the base — nothing, or a merge that
+				// re-decomposed it — the scans below skip granules on these.
+				for _, col := range []string{"v", "w", "g"} {
+					d, err := c.Decomposition("fact", col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bwdtest.CheckGranules(t, fmt.Sprintf("step %d fact.%s", step, col), d)
 				}
 				for qi, q := range propQueries(rng) {
 					var want *Result
