@@ -25,6 +25,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/par"
 	"repro/internal/plan"
+	"repro/internal/tpch"
 )
 
 func benchFigure(b *testing.B, fn func(experiments.Options) (*experiments.Figure, error)) {
@@ -187,6 +188,38 @@ func BenchmarkOpTranslucentJoin(b *testing.B) {
 		if _, err := ar.TranslucentJoin(cands.IDs, refined.IDs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpExprAggregate is TPC-H Q1 over 240 k lineitem rows (SF 0.04, the
+// olap_tail workload's table): 2 group keys, 8 aggregates, two nested
+// fixed-point products. "bounds" runs it A&R, so the statement evaluates the
+// interval program for the phase-A answer and the exact program for the
+// refined aggregation; "exact" runs it classic, the exact program alone.
+// Both go through the exported executors only, so the same line measures
+// the commit before the compiled expression kernel and after it.
+func BenchmarkOpExprAggregate(b *testing.B) {
+	c := plan.NewCatalog(device.PaperSystem())
+	d := tpch.Generate(0.04, 1)
+	if err := d.Load(c); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.DecomposeAll(c, false); err != nil {
+		b.Fatal(err)
+	}
+	q := tpch.Q1(90)
+	for _, mode := range []struct {
+		name string
+		exec func(context.Context, plan.Query, plan.ExecOpts) (*plan.Result, error)
+	}{{"bounds", c.ExecAR}, {"exact", c.ExecClassic}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mode.exec(context.Background(), q, plan.ExecOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

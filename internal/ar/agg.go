@@ -1,6 +1,8 @@
 package ar
 
 import (
+	"math/bits"
+
 	"repro/internal/bat"
 	"repro/internal/bulk"
 	"repro/internal/device"
@@ -17,10 +19,11 @@ import (
 // an upper bound on the exact count — as an interval whose lower bound
 // subtracts the candidates that might still be false positives.
 func CountApprox(m *device.Meter, cands *Candidates) Interval {
-	certain := 0
-	for i := range cands.IDs {
-		if cands.Certain(i) {
-			certain++
+	certain := len(cands.IDs)
+	if mask := cands.CertainMask(); mask != nil {
+		certain = 0
+		for _, w := range mask {
+			certain += bits.OnesCount64(w)
 		}
 	}
 	if m != nil {

@@ -72,6 +72,10 @@ type Candidates struct {
 	// Release returns them to the pools. Sets built from caller-owned
 	// slices stay unpooled and Release is a no-op on them.
 	pooled bool
+	// certain caches CertainMask: built on first use (the attachments are
+	// complete once a set leaves its constructor), recycled by Release.
+	certain      []uint64
+	certainBuilt bool
 }
 
 // Release returns an arena-backed candidate set's buffers (IDs and every
@@ -92,6 +96,8 @@ func (c *Candidates) Release() {
 	}
 	c.attach = c.attach[:0]
 	c.shipped = false
+	mem.U64.Put(c.certain)
+	c.certain, c.certainBuilt = nil, false
 	candPool.Put(c)
 }
 
@@ -130,7 +136,7 @@ func (c *Candidates) Certain(i int) bool {
 			// member. Evaluate a group once, at its first attachment —
 			// attachment lists are a handful of filters long, so the inner
 			// scans stay cheaper than any per-call scratch allocation
-			// (Certain runs per candidate in approxAnswer's hot loop).
+			// (Certain runs per candidate when CertainMask is built).
 			first := true
 			for j := 0; j < k; j++ {
 				if c.attach[j].filtered && c.attach[j].group == a.group {
@@ -154,18 +160,59 @@ func (c *Candidates) Certain(i int) bool {
 			}
 			continue
 		}
-		if a.col.Dec.ResBits == 0 {
-			continue // exact codes: no boundary uncertainty
-		}
-		code := a.codes[i]
-		if a.rng.Full {
+		if a.boundaryFree() {
 			continue
 		}
-		if code == a.rng.Lo || code == a.rng.Hi {
+		if code := a.codes[i]; code == a.rng.Lo || code == a.rng.Hi {
 			return false
 		}
 	}
 	return true
+}
+
+// boundaryFree reports whether a conjunctive predicate's attachment can
+// never make a candidate uncertain: exact codes have no boundary
+// uncertainty, and a full range has no boundary.
+func (a *attachment) boundaryFree() bool {
+	return a.group == 0 && (a.col.Dec.ResBits == 0 || a.rng.Full)
+}
+
+// CertainMask returns Certain as a bitmask over the candidate positions —
+// bit i%64 of word i/64 is set iff Certain(i), bits past Len are clear — or
+// nil when every candidate is certain, which a look at the attachments
+// alone often settles (all filtered columns fully device resident). The
+// phase-A aggregates read it instead of re-deriving Certain per aggregate
+// per row. The set builds the mask on first use and owns it.
+func (c *Candidates) CertainMask() []uint64 {
+	if c.certainBuilt {
+		return c.certain
+	}
+	c.certainBuilt = true
+	all := true
+	for k := range c.attach {
+		if a := &c.attach[k]; a.filtered && !a.boundaryFree() {
+			all = false
+			break
+		}
+	}
+	n := len(c.IDs)
+	if all || n == 0 {
+		return nil
+	}
+	mask := mem.U64.GetN((n + 63) / 64)
+	devP().For(n, func(lo, hi int) { // gpuChunk is a multiple of 64: morsels own whole words
+		for w := lo / 64; w*64 < hi; w++ {
+			var bits uint64
+			for i := w * 64; i < min(w*64+64, hi); i++ {
+				if c.Certain(i) {
+					bits |= 1 << (uint(i) & 63)
+				}
+			}
+			mask[w] = bits
+		}
+	})
+	c.certain = mask
+	return mask
 }
 
 // certainIn reports whether candidate i certainly satisfies one

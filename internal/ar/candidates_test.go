@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/par"
 )
@@ -132,4 +133,44 @@ func TestShippedFlagPropagation(t *testing.T) {
 		t.Error("refinement output lives on the host; must stay marked shipped")
 	}
 	_ = bat.OID(0)
+}
+
+// CertainMask is Certain, bit for bit — across several work-groups, for a
+// conjunction and for a disjunction group — nil exactly when the
+// attachments alone rule every false positive out, and what CountApprox
+// counts.
+func TestCertainMaskMatchesCertain(t *testing.T) {
+	vals := shuffledInts(3*gpuChunk+100, 98)
+	split, resident := decompose(t, vals, 6), decompose(t, vals, 32)
+	n := int64(len(vals))
+	and := SelectApproxOver(nil, resident, resident.Relax(0, n/2), SelectApprox(nil, split, split.Relax(n/10, n-n/10)))
+	or := SelectApproxAny(nil, []*bwd.Column{split, resident},
+		[]bwd.ApproxRange{split.Relax(0, n/3), resident.Relax(n/2, n)}, 1)
+	for name, cands := range map[string]*Candidates{"conjunction": and, "disjunction": or} {
+		mask := cands.CertainMask()
+		if mask == nil || len(mask) != (cands.Len()+63)/64 {
+			t.Fatalf("%s: mask of %d words for %d candidates", name, len(mask), cands.Len())
+		}
+		certain := 0
+		for i := 0; i < len(mask)*64; i++ {
+			bit := mask[i/64]>>(uint(i)%64)&1 == 1
+			if want := i < cands.Len() && cands.Certain(i); bit != want {
+				t.Fatalf("%s: mask bit %d = %v, Certain = %v", name, i, bit, want)
+			}
+			if bit {
+				certain++
+			}
+		}
+		if certain == 0 || certain == cands.Len() {
+			t.Fatalf("%s: %d of %d certain: the fixture exercises one side only", name, certain, cands.Len())
+		}
+		if iv := CountApprox(nil, cands); iv.Lo != int64(certain) || iv.Hi != int64(cands.Len()) {
+			t.Fatalf("%s: CountApprox = %v, want [%d,%d]", name, iv, certain, cands.Len())
+		}
+		cands.Release()
+	}
+	exact := SelectApprox(nil, resident, resident.Relax(100, 200))
+	if exact.CertainMask() != nil {
+		t.Fatal("a resident column's candidates are all certain: no mask")
+	}
 }

@@ -2,6 +2,7 @@ package ar
 
 import (
 	"repro/internal/bat"
+	"repro/internal/bitpack"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -58,13 +59,13 @@ func (p *Projection) Ship(m *device.Meter) {
 // device-resident approximation of the projected column. The output is
 // aligned with the candidate order, which a parallel projection preserves
 // for free because each lane writes at the position of its input id
-// (§IV-A item 2).
+// (§IV-A item 2). On the host a stretch of consecutive candidate ids is one
+// range decode (bitpack.Gather); the codes and the charge are the same for
+// every id pattern.
 func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Projection {
 	codes := mem.U64.GetN(len(cands.IDs))
 	devP().For(len(cands.IDs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			codes[i] = col.Approx.Get(int(cands.IDs[i]))
-		}
+		bitpack.Gather(col.Approx, cands.IDs[lo:hi], codes[lo:hi])
 	})
 	if m != nil {
 		n := len(cands.IDs)
@@ -83,9 +84,7 @@ func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Project
 func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []bat.OID) *Projection {
 	codes := mem.U64.GetN(len(at))
 	devP().For(len(at), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			codes[i] = col.Approx.Get(int(at[i]))
-		}
+		bitpack.Gather(col.Approx, at[lo:hi], codes[lo:hi])
 	})
 	if m != nil {
 		n := len(at)

@@ -1,10 +1,12 @@
 package ar
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bat"
 	"repro/internal/bulk"
+	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/par"
 )
@@ -143,5 +145,91 @@ func TestProjectionShipCharges(t *testing.T) {
 	proj.Ship(m)
 	if m.PCI != before {
 		t.Error("double ship charged twice")
+	}
+}
+
+// TestProjectApproxMatchesPerRowReference pins the run-decoding gather
+// behind ProjectApprox against one Get per id — the same codes for every id
+// pattern, the same charge whether a pattern decodes as runs or not: dense,
+// sparse, the mostly-dense candidate list of an unselective scan, a run that
+// crosses a work-group edge, work-groups in device (permuted) order, and
+// the list whose ends look like a run while its middle is not.
+func TestProjectApproxMatchesPerRowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	sys := device.PaperSystem()
+	n := 3*gpuChunk + 777
+	patterns := map[string]func() []bat.OID{
+		"dense": func() []bat.OID {
+			ids := make([]bat.OID, n)
+			for i := range ids {
+				ids[i] = bat.OID(i)
+			}
+			return ids
+		},
+		"sparse": func() []bat.OID {
+			var ids []bat.OID
+			for i := rng.Intn(50); i < n; i += 1 + rng.Intn(100) {
+				ids = append(ids, bat.OID(i))
+			}
+			return ids
+		},
+		"gaps": func() []bat.OID { // 98 % of the rows: runs of ~50 between the gaps
+			var ids []bat.OID
+			for i := 0; i < n; i++ {
+				if rng.Intn(50) != 0 {
+					ids = append(ids, bat.OID(i))
+				}
+			}
+			return ids
+		},
+		"run over a work-group edge": func() []bat.OID {
+			// Ten sparse ids first, so the run's position in the candidate
+			// list is off the id grid and a work-group edge cuts it.
+			ids := []bat.OID{1, 3, 5, 7, 9, 11, 13, 15, 17, 19}
+			for i := 100; i < 2*gpuChunk+100; i++ {
+				ids = append(ids, bat.OID(i))
+			}
+			return ids
+		},
+		"short runs": func() []bat.OID { // around the run-length threshold
+			var ids []bat.OID
+			for i := 0; i+20 < n; i += 20 + rng.Intn(10) {
+				for k := 0; k < 1+rng.Intn(12); k++ {
+					ids = append(ids, bat.OID(i+k))
+				}
+			}
+			return ids
+		},
+		"false run": func() []bat.OID { return []bat.OID{65535, 140000, 65537} },
+		"empty":     func() []bat.OID { return nil },
+	}
+	for _, width := range []uint{1, 8, 23, 33, 63} {
+		col := scanColumn(t, rng, width, n, "shuffled")
+		check := func(name string, cands *Candidates) {
+			m, ref := device.NewMeter(sys), device.NewMeter(sys)
+			p := ProjectApprox(m, col, cands)
+			if len(p.Codes) != cands.Len() {
+				t.Fatalf("width %d %s: %d codes for %d candidates", width, name, len(p.Codes), cands.Len())
+			}
+			for i, id := range cands.IDs {
+				if want := col.Approx.Get(int(id)); p.Codes[i] != want {
+					t.Fatalf("width %d %s: code %d (id %d) = %d, want %d", width, name, i, id, p.Codes[i], want)
+				}
+			}
+			k := cands.Len()
+			ref.GPUKernel(int64(k)*4+packedBytes(k, width), packedBytes(k, width), int64(k)*bulk.OpsFetch)
+			if *m != *ref {
+				t.Fatalf("width %d %s: charged %v, want %v", width, name, m, ref)
+			}
+			p.Release()
+		}
+		for name, ids := range patterns {
+			check(name, &Candidates{IDs: ids()})
+		}
+		// What a scan really emits: every work-group ascending, the groups in
+		// permuted order.
+		scanned := SelectApprox(nil, col, bwd.ApproxRange{Full: true})
+		check("device order", scanned)
+		scanned.Release()
 	}
 }

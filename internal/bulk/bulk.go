@@ -22,7 +22,9 @@
 // worker count: selections concatenate morsel outputs in morsel order, and
 // grouping/aggregation build per-worker partial states over contiguous
 // blocks that merge in block order, preserving first-appearance group
-// order exactly.
+// order exactly. (The executor's grouped and expression aggregates are the
+// compiled program of internal/plan; Sum, Min and Max here serve the A&R
+// refinement operators.)
 package bulk
 
 import (
@@ -321,132 +323,6 @@ func SplitKey(k, base int64) (a, b int64) {
 		b += base
 	}
 	return a, b
-}
-
-// SumGrouped returns per-group sums of vals under the grouping: per-worker
-// partial sum arrays merged by addition (exact for int64, so the result is
-// identical for every worker count).
-func SumGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
-	out := mem.I64.GetN(g.NGroups)
-	clear(out)
-	if serial(p, len(vals)) {
-		for i, v := range vals {
-			out[g.IDs[i]] += v
-		}
-	} else {
-		nb := p.NBlocks(len(vals))
-		parts := mem.I64.GetN(nb * g.NGroups)
-		clear(parts)
-		par.RunBlocks(p, len(vals), func(b, lo, hi int) {
-			pb := parts[b*g.NGroups : (b+1)*g.NGroups]
-			for i := lo; i < hi; i++ {
-				pb[g.IDs[i]] += vals[i]
-			}
-		})
-		for b := 0; b < nb; b++ {
-			pb := parts[b*g.NGroups : (b+1)*g.NGroups]
-			for gi, v := range pb {
-				out[gi] += v
-			}
-		}
-		mem.I64.Put(parts)
-	}
-	charge(m, p.NThreads(), len(vals), 12)
-	return out
-}
-
-// CountGrouped returns per-group tuple counts.
-func CountGrouped(p par.P, m *device.Meter, g *Grouping) []int64 {
-	out := mem.I64.GetN(g.NGroups)
-	clear(out)
-	if serial(p, len(g.IDs)) {
-		for _, id := range g.IDs {
-			out[id]++
-		}
-	} else {
-		nb := p.NBlocks(len(g.IDs))
-		parts := mem.I64.GetN(nb * g.NGroups)
-		clear(parts)
-		par.RunBlocks(p, len(g.IDs), func(b, lo, hi int) {
-			pb := parts[b*g.NGroups : (b+1)*g.NGroups]
-			for i := lo; i < hi; i++ {
-				pb[g.IDs[i]]++
-			}
-		})
-		for b := 0; b < nb; b++ {
-			pb := parts[b*g.NGroups : (b+1)*g.NGroups]
-			for gi, v := range pb {
-				out[gi] += v
-			}
-		}
-		mem.I64.Put(parts)
-	}
-	charge(m, p.NThreads(), len(g.IDs), 4)
-	return out
-}
-
-// MinGrouped returns per-group minima of vals under the grouping.
-func MinGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
-	out, seen := extremaGrouped(p, vals, g, true)
-	mem.Bools.Put(seen)
-	charge(m, p.NThreads(), len(vals), 12)
-	return out
-}
-
-// MaxGrouped returns per-group maxima of vals under the grouping.
-func MaxGrouped(p par.P, m *device.Meter, vals []int64, g *Grouping) []int64 {
-	out, seen := extremaGrouped(p, vals, g, false)
-	mem.Bools.Put(seen)
-	charge(m, p.NThreads(), len(vals), 12)
-	return out
-}
-
-// extremaGrouped computes per-group minima (min=true) or maxima with
-// per-worker partial (value, seen) states merged per group.
-func extremaGrouped(p par.P, vals []int64, g *Grouping, min bool) ([]int64, []bool) {
-	out := mem.I64.GetN(g.NGroups)
-	clear(out)
-	seen := mem.Bools.GetN(g.NGroups)
-	clear(seen)
-	if serial(p, len(vals)) {
-		for i, v := range vals {
-			id := g.IDs[i]
-			if !seen[id] || better(min, v, out[id]) {
-				out[id], seen[id] = v, true
-			}
-		}
-		return out, seen
-	}
-	nb := p.NBlocks(len(vals))
-	parts := mem.I64.GetN(nb * g.NGroups)
-	clear(parts)
-	pseen := mem.Bools.GetN(nb * g.NGroups)
-	clear(pseen)
-	par.RunBlocks(p, len(vals), func(b, lo, hi int) {
-		pb := parts[b*g.NGroups : (b+1)*g.NGroups]
-		ps := pseen[b*g.NGroups : (b+1)*g.NGroups]
-		for i := lo; i < hi; i++ {
-			id := g.IDs[i]
-			if !ps[id] || better(min, vals[i], pb[id]) {
-				pb[id], ps[id] = vals[i], true
-			}
-		}
-	})
-	for b := 0; b < nb; b++ {
-		pb := parts[b*g.NGroups : (b+1)*g.NGroups]
-		ps := pseen[b*g.NGroups : (b+1)*g.NGroups]
-		for gi := range pb {
-			if !ps[gi] {
-				continue
-			}
-			if !seen[gi] || better(min, pb[gi], out[gi]) {
-				out[gi], seen[gi] = pb[gi], true
-			}
-		}
-	}
-	mem.I64.Put(parts)
-	mem.Bools.Put(pseen)
-	return out, seen
 }
 
 // Sum returns the sum of vals.

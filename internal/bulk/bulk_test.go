@@ -175,28 +175,6 @@ func TestCombineKeysRejectsBadDomain(t *testing.T) {
 	}
 }
 
-func TestGroupedAggregates(t *testing.T) {
-	keys := []int64{1, 2, 1, 2, 1}
-	vals := []int64{10, 20, 30, 40, 50}
-	g := GroupBy(par.P{}, nil, keys)
-	sums := SumGrouped(par.P{}, nil, vals, g)
-	if sums[0] != 90 || sums[1] != 60 {
-		t.Errorf("sums = %v, want [90 60]", sums)
-	}
-	counts := CountGrouped(par.P{}, nil, g)
-	if counts[0] != 3 || counts[1] != 2 {
-		t.Errorf("counts = %v, want [3 2]", counts)
-	}
-	mins := MinGrouped(par.P{}, nil, vals, g)
-	if mins[0] != 10 || mins[1] != 20 {
-		t.Errorf("mins = %v, want [10 20]", mins)
-	}
-	maxs := MaxGrouped(par.P{}, nil, vals, g)
-	if maxs[0] != 50 || maxs[1] != 40 {
-		t.Errorf("maxs = %v, want [50 40]", maxs)
-	}
-}
-
 func TestGlobalAggregates(t *testing.T) {
 	vals := []int64{3, -1, 7, 0}
 	if s := Sum(par.P{}, nil, vals); s != 9 {
@@ -350,10 +328,6 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	wantSub := SelectOIDs(par.P{}, nil, b, wantIDs, -5_000, 5_000)
 	wantG := GroupBy(par.P{}, nil, keys)
 	wantGM, wantKeysM := GroupByMulti(par.P{}, nil, [][]int64{keys, keys2})
-	wantSums := SumGrouped(par.P{}, nil, vals, wantG)
-	wantCounts := CountGrouped(par.P{}, nil, wantG)
-	wantMins := MinGrouped(par.P{}, nil, vals, wantG)
-	wantMaxs := MaxGrouped(par.P{}, nil, vals, wantG)
 	wantSum := Sum(par.P{}, nil, vals)
 	wantMin, _ := Min(par.P{}, nil, vals)
 	wantMax, _ := Max(par.P{}, nil, vals)
@@ -409,10 +383,6 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 				for k := range wantKeysM {
 					eq64(t, "GroupByMulti keys", keysM[k], wantKeysM[k])
 				}
-				eq64(t, "SumGrouped", SumGrouped(p, nil, vals, wantG), wantSums)
-				eq64(t, "CountGrouped", CountGrouped(p, nil, wantG), wantCounts)
-				eq64(t, "MinGrouped", MinGrouped(p, nil, vals, wantG), wantMins)
-				eq64(t, "MaxGrouped", MaxGrouped(p, nil, vals, wantG), wantMaxs)
 				if got := Sum(p, nil, vals); got != wantSum {
 					t.Fatalf("Sum = %d, want %d", got, wantSum)
 				}
@@ -445,9 +415,7 @@ func TestParallelChargesMatchSerial(t *testing.T) {
 		m := device.NewMeter(sys)
 		ids := SelectRange(p, m, b, 0, 500_000)
 		Fetch(p, m, b, ids)
-		g := GroupBy(p, m, keys)
-		SumGrouped(p, m, vals, g)
-		CountGrouped(p, m, g)
+		GroupBy(p, m, keys)
 		Sum(p, m, vals)
 		return m
 	}

@@ -163,7 +163,7 @@ var (
 	I64   Pool[int64]  // values, aggregate partials
 	Ints  Pool[int]    // selection vectors, morsel counts
 	U32   Pool[uint32] // tuple IDs
-	Bools Pool[bool]   // seen flags for extrema partials
+	Bools Pool[bool]   // FK-probe hit flags
 )
 
 // Scratch is one worker's morsel-local scratch: a bump allocator over

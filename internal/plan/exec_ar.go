@@ -335,7 +335,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 
 	// Phase-A approximate answer: strict bounds from approximations over
 	// the base segment, plus the (exact) delta contributions.
-	st.res.Approx = approxAnswer(m, *q, cands, projections, dset)
+	st.res.Approx = approxAnswer(pp, m, pl.prog, cands, projections, dset)
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {
 		st.traceRows(cands.Len(), "bwd.%sapproximate(%s)", a.Func, a.Name)
@@ -569,93 +569,42 @@ func remapJoinPos(pp par.P, joins []*arJoinRT, keep []int) {
 	}
 }
 
-// approxAnswer derives the phase-A bounds: candidate-count interval and
-// per-aggregate sum/min/max bounds from approximate projections over the
-// base segment, plus the exact contributions of qualifying delta rows
-// (the delta is host resident and undecomposed, so its values carry no
-// approximation error).
-func approxAnswer(m *device.Meter, q Query, cands *ar.Candidates, projections map[ColRef]*ar.Projection, delta *deltaSet) ApproxAnswer {
-	out := ApproxAnswer{Count: ar.CountApprox(m, cands)}
-	var dctx *exprCtx
+// approxAnswer derives the phase-A bounds: the candidate-count interval, and
+// per aggregate the sum/min/max bounds the compiled program folds from the
+// approximate projections over the base segment — a candidate that may be a
+// false positive (outside the certain-mask) widens a sum only toward zero —
+// plus the exact contributions of the qualifying delta rows (the delta is
+// host resident and undecomposed, so its values carry no approximation
+// error).
+func approxAnswer(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, projections map[ColRef]*ar.Projection, delta *deltaSet) ApproxAnswer {
+	out := ApproxAnswer{Count: ar.CountApprox(m, cands), Aggs: make([]ar.Interval, len(pg.aggs))}
+	acc := pg.newAcc(1, true)
+	pg.fold(pp, &acc, pg.bindCodes(projections), cands.Len(), nil, cands.CertainMask())
 	if delta != nil {
 		out.Count.Lo += int64(delta.n)
 		out.Count.Hi += int64(delta.n)
-		dctx = &exprCtx{n: delta.n, vals: delta.vals}
+		pg.fold(pp, &acc, pg.bindVals(delta.vals), delta.n, nil, nil)
 	}
-	bctx := &boundsCtx{n: cands.Len(), vals: map[ColRef][]ar.Interval{}}
-	for ref, p := range projections {
-		ivs := make([]ar.Interval, p.Len())
-		err := p.Col.Dec.Err()
-		for i := range ivs {
-			lo := p.ApproxLow(i)
-			ivs[i] = ar.Interval{Lo: lo, Hi: lo + err}
+	for k, a := range pg.aggs {
+		if a.Func == Count {
+			out.Aggs[k] = out.Count
+			continue
 		}
-		bctx.vals[ref] = ivs
-	}
-	for _, a := range q.Aggs {
-		switch a.Func {
-		case Count:
-			out.Aggs = append(out.Aggs, out.Count)
-		case Sum, Avg:
-			ivs := a.Expr.Bounds(bctx)
-			var total ar.Interval
-			for i, iv := range ivs {
-				if !cands.Certain(i) {
-					// A false positive contributes nothing.
-					if iv.Lo > 0 {
-						iv.Lo = 0
-					}
-					if iv.Hi < 0 {
-						iv.Hi = 0
-					}
-				}
-				total.Lo += iv.Lo
-				total.Hi += iv.Hi
+		total := pg.bounds(&acc, k)
+		if cnt := out.Count; a.Func == Avg && cnt.Lo > 0 {
+			// The sum and the count are bounded separately, so each side of
+			// the quotient takes whichever count end pushes it outward: the
+			// larger count shrinks a positive sum bound and the smaller one
+			// a negative. Without a certain row (cnt.Lo == 0) the count says
+			// nothing about the quotient: the answer is the sum hull, which
+			// then contains zero and so every sum/count.
+			total = ar.Interval{
+				Lo: min(total.Lo/cnt.Hi, total.Lo/cnt.Lo),
+				Hi: max(total.Hi/cnt.Lo, total.Hi/cnt.Hi),
 			}
-			if dctx != nil {
-				for _, v := range a.Expr.Eval(dctx) {
-					total.Lo += v
-					total.Hi += v
-				}
-			}
-			if a.Func == Avg {
-				cnt := out.Count
-				if cnt.Lo > 0 {
-					total = ar.Interval{Lo: total.Lo / cnt.Hi, Hi: total.Hi / cnt.Lo}
-				}
-			}
-			out.Aggs = append(out.Aggs, total)
-		case Min, Max:
-			ivs := a.Expr.Bounds(bctx)
-			if dctx != nil {
-				for _, v := range a.Expr.Eval(dctx) {
-					ivs = append(ivs, ar.Exact(v))
-				}
-			}
-			var total ar.Interval
-			for i, iv := range ivs {
-				if i == 0 {
-					total = iv
-					continue
-				}
-				if a.Func == Min {
-					if iv.Lo < total.Lo {
-						total.Lo = iv.Lo
-					}
-					if iv.Hi < total.Hi {
-						total.Hi = iv.Hi
-					}
-				} else {
-					if iv.Hi > total.Hi {
-						total.Hi = iv.Hi
-					}
-					if iv.Lo > total.Lo {
-						total.Lo = iv.Lo
-					}
-				}
-			}
-			out.Aggs = append(out.Aggs, total)
 		}
+		out.Aggs[k] = total
 	}
+	acc.release()
 	return out
 }

@@ -23,13 +23,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/ar"
 	"repro/internal/device"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/shard"
 	"repro/internal/store"
 )
@@ -135,6 +135,7 @@ func (c *Catalog) planLegs(q Query, classic, auto bool) (legs []leg, p *shard.Pa
 		keep = prunePartitions(q, p.Spec)
 	}
 	legs = make([]leg, 0, len(tables))
+	prog := compileAggs(q.Aggs)
 	capable := classic
 	var arErr error
 	for i, t := range tables {
@@ -151,7 +152,7 @@ func (c *Catalog) planLegs(q Query, classic, auto bool) (legs []leg, p *shard.Pa
 		capable = capable || snap.arErr == nil
 		qi := q
 		qi.Table = t.Name()
-		legs = append(legs, leg{idx: i, pl: buildPipeline(qi, snap, ch.Classic)})
+		legs = append(legs, leg{idx: i, pl: buildPipeline(qi, snap, ch.Classic, prog)})
 	}
 	// No surviving leg can run A&R: the query cannot either, unless a pruned
 	// leg can. Capability is judged over the whole table — pruning must not
@@ -216,7 +217,7 @@ func (lg *leg) scan(gate DeviceGate, solo, stmtClassic bool) {
 	if pl.classic && !stmtClassic {
 		// A classic leg's partial is exact, so a mixed-mode scatter still
 		// reports strict phase-A bounds.
-		st.res.Approx = exactAnswer(pl.q, lg.out.ectx)
+		st.res.Approx = exactAnswer(st.pp, pl.prog, lg.out.ectx)
 	}
 }
 
@@ -338,7 +339,7 @@ func (c *Catalog) exec(ctx context.Context, q Query, opts ExecOpts, classic bool
 		st.traceRows(out.ectx.n, "gather(%s, %d partitions)", q.Table, len(legs))
 	}
 
-	if err := finish(st, stmt, classic, out); err != nil {
+	if err := finish(st, stmt, lg.pl.prog, classic, out); err != nil {
 		return nil, err
 	}
 	// The surviving candidate set (and the pre-grouping's source when one
@@ -427,38 +428,16 @@ func scatterInputBytes(legs []leg) int64 {
 }
 
 // exactAnswer derives a degenerate (exact) phase-A answer from a classic
-// partition scan's combined tuple set.
-func exactAnswer(q Query, ctx *exprCtx) ApproxAnswer {
-	out := ApproxAnswer{Count: ar.Exact(int64(ctx.n))}
-	for _, a := range q.Aggs {
-		if a.Func == Count {
-			out.Aggs = append(out.Aggs, out.Count)
-			continue
-		}
-		var vals []int64
-		if a.Expr != nil {
-			vals = a.Expr.Eval(ctx)
-		}
-		var iv ar.Interval
-		switch {
-		case len(vals) == 0:
-			// no qualifying rows: zero interval, skipped by the combiner
-		case a.Func == Sum || a.Func == Avg:
-			var sum int64
-			for _, v := range vals {
-				sum += v
-			}
-			if a.Func == Avg {
-				sum /= int64(len(vals))
-			}
-			iv = ar.Exact(sum)
-		case a.Func == Min:
-			iv = ar.Exact(slices.Min(vals))
-		case a.Func == Max:
-			iv = ar.Exact(slices.Max(vals))
-		}
-		out.Aggs = append(out.Aggs, iv)
+// partition scan's combined tuple set: the ungrouped aggregates, each as a
+// one-point interval (zero over no rows, which the combiner skips).
+func exactAnswer(pp par.P, pg *program, ctx *exprCtx) ApproxAnswer {
+	acc := pg.newAcc(1, false)
+	pg.fold(pp, &acc, pg.bindVals(ctx.vals), ctx.n, nil, nil)
+	out := ApproxAnswer{Count: ar.Exact(int64(ctx.n)), Aggs: make([]ar.Interval, len(pg.aggs))}
+	for k := range pg.aggs {
+		out.Aggs[k] = ar.Exact(pg.value(&acc, k, 0))
 	}
+	acc.release()
 	return out
 }
 

@@ -297,6 +297,9 @@ func (q *Query) checkShape() error {
 		} else if seenHidden {
 			return fmt.Errorf("plan: hidden aggregates must follow every visible aggregate")
 		}
+		if a.Func < Sum || a.Func > Avg {
+			return fmt.Errorf("plan: unsupported aggregate %v", a.Func)
+		}
 		if a.Expr == nil && a.Func != Count {
 			return fmt.Errorf("plan: aggregate %s needs an expression", a.Func)
 		}

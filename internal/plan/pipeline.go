@@ -43,6 +43,9 @@ type pipeline struct {
 	q       Query
 	snap    *execSnap
 	classic bool
+	// prog is the statement's compiled aggregate program (expr.go), shared
+	// by every leg.
+	prog *program
 
 	factFilters []rankedFilter
 	orGroups    []orGroupStage
@@ -76,8 +79,8 @@ type joinStage struct {
 // the classic assembly preserves the written order (the bulk engine
 // predates the statistics) but still records estimates for \explain when
 // decompositions exist.
-func buildPipeline(q Query, snap *execSnap, classic bool) *pipeline {
-	pl := &pipeline{q: q, snap: snap, classic: classic}
+func buildPipeline(q Query, snap *execSnap, classic bool, prog *program) *pipeline {
+	pl := &pipeline{q: q, snap: snap, classic: classic, prog: prog}
 	if classic {
 		pl.factFilters = rankFilters(snap, q.Table, q.Filters)
 	} else {
@@ -253,8 +256,8 @@ type scanOut struct {
 // finish is the shared downstream pipeline over the gathered tuple set:
 // group, aggregate, filter with HAVING, and order/limit. classic is the
 // statement's mode — the tail of a mixed-mode scatter follows it, not any
-// one leg's.
-func finish(st *pipeState, q *Query, classic bool, out *scanOut) error {
+// one leg's. prog is q's compiled aggregates.
+func finish(st *pipeState, q *Query, prog *program, classic bool, out *scanOut) error {
 	ectx := out.ectx
 
 	// Grouping — refined from the A&R device pre-grouping when one exists,
@@ -292,14 +295,13 @@ func finish(st *pipeState, q *Query, classic bool, out *scanOut) error {
 	// to destructive distributivity, §IV-G). The A&R refinement aggregation
 	// is a fused, statically expanded loop (§V-C) reading each input column
 	// once — unlike the classic engine, which materializes every
-	// arithmetic intermediate (§II-B).
+	// arithmetic intermediate (§II-B). On the host both are the one compiled
+	// program folded block by block (expr.go); the two models differ in what
+	// aggregateRows charges the meter, not in what runs.
 	if err := st.step(StageAggregate); err != nil {
 		return err
 	}
-	rows, err := aggregateRows(st.m, st.pp, *q, ectx, grouping, groupKeys, !classic)
-	if err != nil {
-		return err
-	}
+	rows := aggregateRows(st.m, st.pp, prog, ectx, grouping, groupKeys, !classic)
 	for _, a := range q.Aggs {
 		if classic {
 			st.traceRows(len(rows), "aggr.%s(%s)", a.Func, a.Name)
@@ -623,21 +625,51 @@ func exprText(e Expr) string {
 
 // ---- Shared aggregation operators ----
 
-// aggregateRows evaluates the aggregate expressions over the exact values
-// and groups them. Rows come out in group-discovery order; the caller
+// aggregateRows folds the statement's compiled aggregates over the exact
+// values, per group. Rows come out in group-discovery order; the caller
 // establishes the canonical key order (sortRows) before HAVING and
 // ORDER BY run.
-func aggregateRows(m *device.Meter, pp par.P, q Query, ctx *exprCtx, grouping *bulk.Grouping, groupKeys [][]int64, fused bool) ([]Row, error) {
-	threads := pp.NThreads()
-	bulkMeter := m
-	if m != nil && fused {
+func aggregateRows(m *device.Meter, pp par.P, pg *program, ctx *exprCtx, grouping *bulk.Grouping, groupKeys [][]int64, fused bool) []Row {
+	if m != nil {
+		chargeAggregation(m, pp.NThreads(), pg.aggs, int64(ctx.n), grouping != nil, fused)
+	}
+	var ids []uint32
+	groups := 1
+	if grouping != nil {
+		ids, groups = grouping.IDs, grouping.NGroups
+	}
+	acc := pg.newAcc(groups, false)
+	pg.fold(pp, &acc, pg.bindVals(ctx.vals), ctx.n, ids, nil)
+	rows := make([]Row, groups)
+	for g := range rows {
+		if grouping != nil {
+			rows[g].Keys = make([]int64, len(groupKeys))
+			for k := range groupKeys {
+				rows[g].Keys[k] = groupKeys[k][g]
+			}
+		}
+		rows[g].Vals = make([]int64, len(pg.aggs))
+		for k := range pg.aggs {
+			rows[g].Vals[k] = pg.value(&acc, k, g)
+		}
+	}
+	acc.release()
+	return rows
+}
+
+// chargeAggregation bills the aggregation of n rows. The meter is charged
+// for the execution model, not for the host loop: the simulated cost is a
+// function of (threads, n, Ops()) alone, so the fused A&R model and the
+// materializing classic model bill exactly what they billed when the host
+// ran one pass per node.
+func chargeAggregation(m *device.Meter, threads int, aggs []AggSpec, n int64, grouped, fused bool) {
+	if fused {
 		// A&R refinement: one fused pass evaluates all expressions and
 		// aggregates, reading each referenced column once (§V-C static
-		// type expansion). Charge it here and run the arithmetic below
-		// unmetered.
+		// type expansion).
 		uniq := map[ColRef]bool{}
 		var nodes int
-		for _, a := range q.Aggs {
+		for _, a := range aggs {
 			nodes++ // the aggregate update itself
 			if a.Expr == nil {
 				continue
@@ -647,101 +679,41 @@ func aggregateRows(m *device.Meter, pp par.P, q Query, ctx *exprCtx, grouping *b
 				uniq[ref] = true
 			}
 		}
-		n := int64(ctx.n)
 		bytes := n * 8 * int64(len(uniq))
-		if grouping != nil {
+		if grouped {
 			bytes += n * 4 // group ids
 		}
 		m.CPUWork(threads, bytes, 0, n*int64(nodes)*bulk.OpsArith)
-		bulkMeter = nil
-	} else if m != nil {
-		// Classic bulk evaluation fully materializes one intermediate per
-		// arithmetic node (§II-B); the aggregate passes below charge
-		// separately through bulkMeter.
-		for _, a := range q.Aggs {
-			if a.Expr == nil {
-				continue
-			}
-			if ops := a.Expr.Ops(); ops > 0 {
-				n := int64(ctx.n)
-				m.CPUWork(threads, n*24*int64(ops), 0, n*int64(ops)*bulk.OpsArith)
-			}
+		return
+	}
+	// Classic bulk evaluation fully materializes one intermediate per
+	// arithmetic node (§II-B), then runs one aggregate pass per aggregate:
+	// 8 bytes a value, plus the 4-byte group id when grouped; avg is a sum
+	// pass and a count pass.
+	for _, a := range aggs {
+		if a.Expr == nil {
+			continue
+		}
+		if ops := int64(a.Expr.Ops()); ops > 0 {
+			m.CPUWork(threads, n*24*ops, 0, n*ops*bulk.OpsArith)
 		}
 	}
-	m = bulkMeter
-	if grouping == nil {
-		row := Row{}
-		for _, a := range q.Aggs {
-			v, err := globalAgg(m, pp, a, ctx)
-			if err != nil {
-				return nil, err
-			}
-			row.Vals = append(row.Vals, v)
-		}
-		return []Row{row}, nil
-	}
-	rows := make([]Row, grouping.NGroups)
-	for g := 0; g < grouping.NGroups; g++ {
-		keys := make([]int64, len(groupKeys))
-		for k := range groupKeys {
-			keys[k] = groupKeys[k][g]
-		}
-		rows[g].Keys = keys
-	}
-	for _, a := range q.Aggs {
-		var per []int64
-		switch a.Func {
-		case Count:
-			per = bulk.CountGrouped(pp, m, grouping)
-		case Sum:
-			per = bulk.SumGrouped(pp, m, a.Expr.Eval(ctx), grouping)
-		case Min:
-			per = bulk.MinGrouped(pp, m, a.Expr.Eval(ctx), grouping)
-		case Max:
-			per = bulk.MaxGrouped(pp, m, a.Expr.Eval(ctx), grouping)
-		case Avg:
-			sums := bulk.SumGrouped(pp, m, a.Expr.Eval(ctx), grouping)
-			counts := bulk.CountGrouped(pp, m, grouping)
-			per = mem.I64.GetN(len(sums))
-			for i := range per {
-				per[i] = 0
-				if counts[i] > 0 {
-					per[i] = sums[i] / counts[i]
-				}
-			}
-			mem.I64.Put(sums)
-			mem.I64.Put(counts)
+	pass := func(bytesPer int64) { m.CPUWork(threads, n*bytesPer, 0, n*bulk.OpsAggregate) }
+	for _, a := range aggs {
+		switch {
+		case !grouped && (a.Func == Count || n == 0 && a.Func != Sum):
+			// a global count is the row count; min, max and avg of
+			// nothing never ran a pass
+		case !grouped:
+			pass(8)
+		case a.Func == Count:
+			pass(4)
 		default:
-			return nil, fmt.Errorf("plan: unsupported aggregate %v", a.Func)
+			pass(12)
+			if a.Func == Avg {
+				pass(4)
+			}
 		}
-		for g := range rows {
-			rows[g].Vals = append(rows[g].Vals, per[g])
-		}
-		mem.I64.Put(per)
-	}
-	return rows, nil
-}
-
-func globalAgg(m *device.Meter, pp par.P, a AggSpec, ctx *exprCtx) (int64, error) {
-	switch a.Func {
-	case Count:
-		return int64(ctx.n), nil
-	case Sum:
-		return bulk.Sum(pp, m, a.Expr.Eval(ctx)), nil
-	case Min:
-		v, _ := bulk.Min(pp, m, a.Expr.Eval(ctx))
-		return v, nil
-	case Max:
-		v, _ := bulk.Max(pp, m, a.Expr.Eval(ctx))
-		return v, nil
-	case Avg:
-		vals := a.Expr.Eval(ctx)
-		if len(vals) == 0 {
-			return 0, nil
-		}
-		return bulk.Sum(pp, m, vals) / int64(len(vals)), nil
-	default:
-		return 0, fmt.Errorf("plan: unsupported aggregate %v", a.Func)
 	}
 }
 

@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/ar"
 )
 
 // Query is the logical query model: a selection over a fact table written
@@ -122,28 +120,23 @@ type AggSpec struct {
 	Hidden bool
 }
 
-// exprCtx provides the exact column values (positionally aligned with the
-// refined tuple set) to expression evaluation, keyed by column reference —
-// fact columns and the joined attributes of every dimension.
+// exprCtx is an exact tuple set: n rows and, keyed by column reference,
+// the positionally aligned values of every column the tail needs — fact
+// columns and the joined attributes of every dimension. The compiled
+// aggregate program binds its columns to it.
 type exprCtx struct {
 	n    int
 	vals map[ColRef][]int64
 }
 
-// boundsCtx provides per-tuple value intervals derived from approximations
-// for the approximate (phase-A) answer.
-type boundsCtx struct {
-	n    int
-	vals map[ColRef][]ar.Interval
-}
-
-// Expr is an arithmetic expression over column values. Eval computes exact
-// values; Bounds computes conservative per-tuple intervals from
-// approximations (used for the approximate query answer and predicate
-// relaxation, §III). Cols reports the referenced columns.
+// Expr is an arithmetic expression over column values. Nothing evaluates
+// the tree: a statement's aggregate expressions compile into one register
+// program (expr.go) that computes exact values and — from approximations —
+// conservative per-tuple intervals for the approximate query answer (§III).
+// Cols reports the referenced columns.
 type Expr interface {
-	Eval(ctx *exprCtx) []int64
-	Bounds(ctx *boundsCtx) []ar.Interval
+	// compile emits the expression into pg and returns its register.
+	compile(pg *program) int
 	Cols() []ColRef
 	// Ops counts the bulk-operator passes the expression costs: one fully
 	// materialized map per arithmetic/case node (§II-B).
@@ -169,10 +162,6 @@ func DimCol(dim, name string) Expr { return colExpr{ColRef{Name: name, Dim: dim}
 
 type colExpr struct{ ref ColRef }
 
-func (e colExpr) Eval(ctx *exprCtx) []int64 { return ctx.vals[e.ref] }
-
-func (e colExpr) Bounds(ctx *boundsCtx) []ar.Interval { return ctx.vals[e.ref] }
-
 func (e colExpr) Cols() []ColRef { return []ColRef{e.ref} }
 
 func (e colExpr) Ops() int { return 0 }
@@ -189,22 +178,6 @@ func Const(v int64) Expr { return constExpr(v) }
 
 type constExpr int64
 
-func (e constExpr) Eval(ctx *exprCtx) []int64 {
-	out := make([]int64, ctx.n)
-	for i := range out {
-		out[i] = int64(e)
-	}
-	return out
-}
-
-func (e constExpr) Bounds(ctx *boundsCtx) []ar.Interval {
-	out := make([]ar.Interval, ctx.n)
-	for i := range out {
-		out[i] = ar.Exact(int64(e))
-	}
-	return out
-}
-
 func (e constExpr) Cols() []ColRef { return nil }
 
 func (e constExpr) Ops() int { return 0 }
@@ -212,61 +185,23 @@ func (e constExpr) Ops() int { return 0 }
 func (e constExpr) String() string { return fmt.Sprintf("%d", int64(e)) }
 
 type binExpr struct {
-	op    string
+	op    opcode // opAdd, opSub or opMulScaled
 	a, b  Expr
 	scale int64 // for fixed-point mul
 }
 
 // Add returns a+b.
-func Add(a, b Expr) Expr { return binExpr{op: "add", a: a, b: b} }
+func Add(a, b Expr) Expr { return binExpr{op: opAdd, a: a, b: b} }
 
 // Sub returns a-b.
-func Sub(a, b Expr) Expr { return binExpr{op: "sub", a: a, b: b} }
+func Sub(a, b Expr) Expr { return binExpr{op: opSub, a: a, b: b} }
 
 // MulScaled returns the fixed-point product (a*b)/scale. Per §IV-G this
 // operation is destructively distributive: its exact value is always
 // recomputed on the CPU from reconstructed inputs, never refined from the
 // approximate product.
-func MulScaled(a, b Expr, scale int64) Expr { return binExpr{op: "mul", a: a, b: b, scale: scale} }
-
-func (e binExpr) Eval(ctx *exprCtx) []int64 {
-	av, bv := e.a.Eval(ctx), e.b.Eval(ctx)
-	out := make([]int64, len(av))
-	switch e.op {
-	case "add":
-		for i := range out {
-			out[i] = av[i] + bv[i]
-		}
-	case "sub":
-		for i := range out {
-			out[i] = av[i] - bv[i]
-		}
-	case "mul":
-		for i := range out {
-			out[i] = av[i] * bv[i] / e.scale
-		}
-	}
-	return out
-}
-
-func (e binExpr) Bounds(ctx *boundsCtx) []ar.Interval {
-	av, bv := e.a.Bounds(ctx), e.b.Bounds(ctx)
-	out := make([]ar.Interval, len(av))
-	switch e.op {
-	case "add":
-		for i := range out {
-			out[i] = av[i].Add(bv[i])
-		}
-	case "sub":
-		for i := range out {
-			out[i] = av[i].Sub(bv[i])
-		}
-	case "mul":
-		for i := range out {
-			out[i] = av[i].MulScaled(bv[i], e.scale)
-		}
-	}
-	return out
+func MulScaled(a, b Expr, scale int64) Expr {
+	return binExpr{op: opMulScaled, a: a, b: b, scale: scale}
 }
 
 func (e binExpr) Cols() []ColRef { return append(e.a.Cols(), e.b.Cols()...) }
@@ -274,7 +209,7 @@ func (e binExpr) Cols() []ColRef { return append(e.a.Cols(), e.b.Cols()...) }
 func (e binExpr) Ops() int { return e.a.Ops() + e.b.Ops() + 1 }
 
 func (e binExpr) String() string {
-	sym := map[string]string{"add": "+", "sub": "-", "mul": "*"}[e.op]
+	sym := [...]string{opAdd: "+", opSub: "-", opMulScaled: "*"}[e.op]
 	return fmt.Sprintf("(%s %s %s)", e.a, sym, e.b)
 }
 
@@ -290,46 +225,6 @@ type caseExpr struct {
 	lo, hi int64
 	then   Expr
 	els    Expr
-}
-
-func (e caseExpr) Eval(ctx *exprCtx) []int64 {
-	cv := e.cond.Eval(ctx)
-	tv := e.then.Eval(ctx)
-	ev := e.els.Eval(ctx)
-	out := make([]int64, len(cv))
-	for i := range out {
-		if cv[i] >= e.lo && cv[i] <= e.hi {
-			out[i] = tv[i]
-		} else {
-			out[i] = ev[i]
-		}
-	}
-	return out
-}
-
-func (e caseExpr) Bounds(ctx *boundsCtx) []ar.Interval {
-	cv := e.cond.Bounds(ctx)
-	tv := e.then.Bounds(ctx)
-	ev := e.els.Bounds(ctx)
-	out := make([]ar.Interval, len(cv))
-	for i := range out {
-		switch {
-		case cv[i].Lo >= e.lo && cv[i].Hi <= e.hi:
-			out[i] = tv[i] // certainly inside
-		case cv[i].Hi < e.lo || cv[i].Lo > e.hi:
-			out[i] = ev[i] // certainly outside
-		default: // undecidable from the approximation: union of branches
-			lo, hi := tv[i].Lo, tv[i].Hi
-			if ev[i].Lo < lo {
-				lo = ev[i].Lo
-			}
-			if ev[i].Hi > hi {
-				hi = ev[i].Hi
-			}
-			out[i] = ar.Interval{Lo: lo, Hi: hi}
-		}
-	}
-	return out
 }
 
 func (e caseExpr) Cols() []ColRef {
