@@ -115,6 +115,7 @@ func main() {
 	fmt.Println(`Decompose columns first: select bwdecompose(col, bits) from table. \q quits.`)
 
 	in := bufio.NewScanner(os.Stdin)
+	out := bufio.NewWriter(os.Stdout)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
 		fmt.Print("ar> ")
@@ -153,9 +154,8 @@ func main() {
 			fmt.Println("error:", err)
 			continue
 		}
-		for _, l := range engine.RenderResult(res, sess.Cost()) {
-			fmt.Println(l)
-		}
+		engine.WriteResult(out, res, sess.Cost())
+		out.Flush()
 	}
 }
 

@@ -66,7 +66,7 @@ func main() {
 		log.Fatal("MISMATCH between execution models")
 	}
 	fmt.Printf("\nA&R plan (MAL-style, Fig 7):\n")
-	for _, line := range arRes.Plan {
+	for _, line := range arRes.Plan() {
 		fmt.Println("  " + line)
 	}
 }

@@ -64,6 +64,7 @@ type Column struct {
 
 	n         int
 	hist      []int64 // rows per code bucket; bucket of code c is c >> histShift
+	histRows  int64   // sum of hist, kept beside it so reading the histogram is O(1)
 	histShift uint
 	granules  []Bounds // code bounds of rows [64g, 64g+64)
 	gpuAlloc  *device.Alloc
@@ -117,6 +118,7 @@ func (c *Column) summarize(lo int, codes []uint64) {
 			b.Max = max(b.Max, code)
 		}
 		c.granules[lo/GranuleRows] = b
+		c.histRows += int64(len(g))
 		lo += len(g)
 		codes = codes[len(g):]
 	}
@@ -249,6 +251,11 @@ func (c *Column) Len() int { return c.n }
 // [b << BucketShift, (b+1) << BucketShift). The slice is owned by the
 // column and must not be mutated.
 func (c *Column) BucketCounts() []int64 { return c.hist }
+
+// BucketRows returns the total of BucketCounts: the rows the histogram
+// covers. Like the counts it is derived when the column is built (decompose,
+// merge, restore) and never persisted.
+func (c *Column) BucketRows() int64 { return c.histRows }
 
 // BucketShift returns how many code bits each histogram bucket coalesces:
 // a bucket spans 1 << BucketShift approximation codes.

@@ -42,7 +42,8 @@ func TestGranuleBoundsDecomposeAndRestore(t *testing.T) {
 			if !slices.Equal(back.Granules(), col.Granules()) {
 				t.Fatalf("n=%d bits=%d: restored granule bounds differ from the decomposed column's", n, bits)
 			}
-			if !slices.Equal(back.BucketCounts(), col.BucketCounts()) || back.BucketShift() != col.BucketShift() {
+			if !slices.Equal(back.BucketCounts(), col.BucketCounts()) || back.BucketShift() != col.BucketShift() ||
+				back.BucketRows() != int64(n) || col.BucketRows() != int64(n) {
 				t.Fatalf("n=%d bits=%d: restored histogram differs from the decomposed column's", n, bits)
 			}
 		}

@@ -9,8 +9,9 @@ import (
 )
 
 // PlanCache is a bounded LRU cache of compiled bindings keyed on
-// sql.Normalize'd statement text. A hit skips the lex/parse/bind/optimize
-// front end entirely; bindings are immutable after compilation, so one
+// sql.Normalize'd statement text. A binding carries its executable plans
+// (sql.Binding.Plan), so a hit skips lex/parse/bind and planning; what is
+// left is plan.Catalog.Pin. Bindings are immutable after compilation, so one
 // cached entry may be executed by any number of sessions concurrently.
 //
 // Each entry records the schema epochs of the tables the binding depends
@@ -39,29 +40,30 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{cap: capacity, lru: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-// Get returns the cached binding for key (with its recorded dependency
-// epochs), marking it most recently used. valid re-checks the entry's
-// recorded table epochs against the catalog; an entry whose dependencies
-// changed is removed and reported as a miss (counted as an invalidation).
-func (p *PlanCache) Get(key string, valid func(deps map[string]uint64) bool) (*sql.Binding, map[string]uint64, bool) {
+// Get returns the cached binding for key — bytes, so a caller can normalize
+// into a reused buffer and the lookup allocates nothing — marking it most
+// recently used. valid re-checks the entry's recorded table epochs against
+// the catalog; an entry whose dependencies changed is removed and reported
+// as a miss (counted as an invalidation).
+func (p *PlanCache) Get(key []byte, valid func(deps map[string]uint64) bool) (*sql.Binding, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	el, ok := p.byKey[key]
+	el, ok := p.byKey[string(key)]
 	if !ok {
 		p.misses++
-		return nil, nil, false
+		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
 	if valid != nil && !valid(e.deps) {
 		p.lru.Remove(el)
-		delete(p.byKey, key)
+		delete(p.byKey, e.key)
 		p.invalidations++
 		p.misses++
-		return nil, nil, false
+		return nil, false
 	}
 	p.hits++
 	p.lru.MoveToFront(el)
-	return e.b, e.deps, true
+	return e.b, true
 }
 
 // Put inserts a binding with its table-epoch dependencies, evicting the

@@ -21,6 +21,8 @@
 package engine
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -319,38 +321,42 @@ func (e *Engine) QueryPlan(ctx context.Context, q plan.Query) (*Result, error) {
 	return e.defaultSession().QueryPlan(ctx, q)
 }
 
-// DescribePlan renders the physical pipeline the query would run —
-// chosen scan strategy, cost-ordered filters with estimated
-// selectivities and cardinalities, join chain, delta/top-k stages —
-// without executing it. Mode resolves exactly like execution routing:
-// auto asks the optimizer's cost model, and the costing rationale is
-// prepended so mispicks are visible in \explain.
-func (e *Engine) DescribePlan(q plan.Query, mode Mode) ([]string, error) {
-	classic := mode == ModeClassic
-	var note string
+// describe compiles a SELECT for the meta command cmd, pins its plan under
+// mode and renders the physical pipeline it would run, without executing it.
+// Mode resolves exactly like execution routing: auto asks the optimizer's
+// cost model, and the costing rationale is prepended so mispicks are visible
+// in \explain. The pinned plan is returned too: \explain analyze goes on to
+// run that very object, so the listing cannot differ from the trace.
+func (e *Engine) describe(cmd, src string, mode Mode) ([]string, *plan.Pinned, error) {
+	b, err := e.compile(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if b.IsWrite() {
+		// Write statements have no pipeline to describe.
+		return nil, nil, fmt.Errorf("engine: %s queries; %q is a write statement", cmd, strings.Fields(src)[0])
+	}
+	pl, err := b.Plan(e.cat, mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	x, err := e.cat.Pin(pl)
+	if err != nil {
+		return nil, nil, err
+	}
+	lines := x.Describe()
 	if mode == ModeAuto {
-		choice := e.cat.ChooseMode(q)
-		classic = choice.Classic
-		note = "mode choice: " + choice.String() + " — auto; \\mode ar|classic forces an executor"
+		note := "mode choice: " + x.Choice().String() + " — auto; \\mode ar|classic forces an executor"
+		lines = append([]string{note}, lines...)
 	}
-	lines, err := e.cat.ExplainQuery(q, classic, mode == ModeAuto)
-	if err != nil || note == "" {
-		return lines, err
-	}
-	return append([]string{note}, lines...), nil
+	return lines, x, nil
 }
 
 // DescribeStatement compiles a SELECT statement and renders its pipeline
-// (the shell's \explain). Write statements have no pipeline to describe.
+// (the shell's \explain).
 func (e *Engine) DescribeStatement(src string, mode Mode) ([]string, error) {
-	b, err := e.compile(src)
-	if err != nil {
-		return nil, err
-	}
-	if b.IsWrite() {
-		return nil, fmt.Errorf("engine: \\explain describes queries; %q is a write statement", strings.Fields(src)[0])
-	}
-	return e.DescribePlan(b.Query, mode)
+	lines, _, err := e.describe(`\explain describes`, src, mode)
+	return lines, err
 }
 
 // AnalyzeStatement is \explain analyze: it compiles a SELECT, renders the
@@ -359,29 +365,23 @@ func (e *Engine) DescribeStatement(src string, mode Mode) ([]string, error) {
 // charging and session totals all apply — and appends the trace: per-stage
 // est-vs-actual rows, wall time and the simulated GPU/CPU/PCI split.
 func (e *Engine) AnalyzeStatement(ctx context.Context, sess *Session, src string) ([]string, error) {
-	b, err := e.compile(src)
+	lines, x, err := e.describe(`\explain analyze executes`, src, sess.Mode())
 	if err != nil {
 		return nil, err
 	}
-	if b.IsWrite() {
-		return nil, fmt.Errorf("engine: \\explain analyze executes queries; %q is a write statement", strings.Fields(src)[0])
-	}
-	lines, err := e.DescribePlan(b.Query, sess.Mode())
+	res, err := e.execTraced(ctx, sess, nil, src, nil, x)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.execTraced(ctx, sess, b, src, true)
-	if err != nil {
-		return nil, err
-	}
-	if res.Result != nil && res.Trace != nil {
-		lines = append(lines, res.Trace.Render()...)
-	}
-	return lines, nil
+	return append(lines, res.Trace.Render()...), nil
 }
 
 // Totals returns the engine-wide meter totals across all sessions.
 func (e *Engine) Totals() *device.SharedMeter { return &e.sched.Totals }
+
+// keyBufs recycles the buffers statements are normalized into: most
+// lookups hit, and a hit needs the key only for the map probe.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // compile resolves a statement through the plan cache, compiling and
 // inserting on miss. Write statements (bwdecompose, INSERT, DELETE,
@@ -390,14 +390,6 @@ func (e *Engine) Totals() *device.SharedMeter { return &e.sched.Totals }
 // schema epochs of their tables; a hit whose dependencies changed (table
 // dropped or re-created) is invalidated and recompiled instead of served
 // against replaced columns.
-func (e *Engine) compile(src string) (*sql.Binding, error) {
-	b, _, err := e.compileCached(src)
-	return b, err
-}
-
-// compileCached is compile plus the dependency epochs of the returned
-// binding (served from the cache entry on a hit) — prepared statements
-// store them for their own staleness checks.
 //
 // The epochs are snapshotted BEFORE sql.Compile runs: epochs are globally
 // monotonic, so if a table is dropped and re-created mid-compilation the
@@ -406,15 +398,17 @@ func (e *Engine) compile(src string) (*sql.Binding, error) {
 // invert that — the fresh epoch would vouch for a binding compiled against
 // the replaced schema. A table the binding references that is absent from
 // the snapshot is recorded as epoch 0, which no live table ever has.
-func (e *Engine) compileCached(src string) (*sql.Binding, map[string]uint64, error) {
-	key := sql.Normalize(src)
-	if b, deps, ok := e.cache.Get(key, e.depsValid); ok {
-		return b, deps, nil
+func (e *Engine) compile(src string) (*sql.Binding, error) {
+	key := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(key)
+	*key = sql.AppendNormalized((*key)[:0], src)
+	if b, ok := e.cache.Get(*key, e.depsValid); ok {
+		return b, nil
 	}
 	pre := e.cat.SchemaEpochs()
 	b, err := sql.Compile(e.cat, src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tables := b.Tables()
 	deps := make(map[string]uint64, len(tables))
@@ -429,9 +423,9 @@ func (e *Engine) compileCached(src string) (*sql.Binding, map[string]uint64, err
 		// executes once (resolution is by name at exec time) but must not
 		// enter the cache, where it would cost an invalidation round trip —
 		// or worse, if Put-time state were trusted — on every later hit.
-		e.cache.Put(key, b, deps)
+		e.cache.Put(string(*key), b, deps)
 	}
-	return b, deps, nil
+	return b, nil
 }
 
 // depsValid reports whether every recorded dependency still names the same
@@ -541,48 +535,53 @@ func (e *Engine) mergeDue() {
 }
 
 // exec routes one compiled binding through the scheduler on behalf of a
-// session and folds the (contention-adjusted) meter into the session's
-// totals. The scheduler already merged it into the engine-wide totals.
-// src is the statement text, carried for the slow-query log and traces.
-func (e *Engine) exec(ctx context.Context, sess *Session, b *sql.Binding, src string) (*Result, error) {
-	return e.execTraced(ctx, sess, b, src, false)
+// session, under the session's mode. src is the statement text and params
+// the values bound to its placeholders, carried for the slow-query log.
+func (e *Engine) exec(ctx context.Context, sess *Session, b *sql.Binding, src string, params []any) (*Result, error) {
+	return e.execTraced(ctx, sess, b, src, params, nil)
 }
 
-// execTraced is exec with an explicit tracing decision: \explain analyze
-// forces a trace; otherwise tracing runs only while the slow-query log is
-// armed (tracing never perturbs results or meters, so arming it is safe on
-// live traffic — it only costs the clock reads).
-func (e *Engine) execTraced(ctx context.Context, sess *Session, b *sql.Binding, src string, forceTrace bool) (*Result, error) {
-	opts := plan.ExecOpts{Threads: e.opts.Threads, Trace: forceTrace || e.metrics.slow.Enabled()}
+// execTraced is exec with the engine's bookkeeping spelled out: route
+// metrics, the session's totals (the scheduler already merged the meter into
+// the engine-wide ones) and the slow-query log. A non-nil traced stands in
+// for b — the plan \explain analyze has pinned and described, now run with
+// tracing forced. Otherwise tracing runs only while the slow-query log is
+// armed: it never perturbs results or meters, so arming it is safe on live
+// traffic — it only costs the clock reads.
+func (e *Engine) execTraced(ctx context.Context, sess *Session, b *sql.Binding, src string, params []any, traced *plan.Pinned) (*Result, error) {
+	opts := plan.ExecOpts{Threads: e.opts.Threads, Trace: traced != nil || e.metrics.slow.Enabled()}
 	start := time.Now()
-	res, route, err := e.sched.Exec(ctx, b, opts, sess.Mode())
+	var (
+		res   *plan.Result
+		route Route
+		err   error
+	)
+	if traced != nil {
+		res, route, err = e.sched.ExecPinned(ctx, traced, opts)
+	} else {
+		res, route, err = e.sched.Exec(ctx, b, opts, sess.Mode())
+	}
 	wall := time.Since(start)
 	e.metrics.note(route, wall, err)
 	if err != nil {
 		return nil, err
 	}
-	var meter *device.Meter
-	if res != nil {
-		meter = res.Meter
-	}
-	sess.Totals.Merge(meter)
-	if res != nil && res.Trace != nil {
-		res.Trace.Query = src
-		var sim time.Duration
-		if meter != nil {
-			sim = meter.Total()
+	sess.Totals.Merge(res.Meter)
+	if res.Trace != nil { // a traced query: it has a meter
+		if len(params) > 0 {
+			src = fmt.Sprintf("%s -- %v", src, params)
 		}
+		res.Trace.Query = src
 		e.metrics.noteSlow(obs.SlowEntry{
 			Query: src, Route: route.String(), When: res.Trace.Start,
-			Wall: wall, Sim: sim, Trace: res.Trace,
+			Wall: wall, Sim: res.Meter.Total(), Trace: res.Trace,
 		})
 	}
 	return &Result{Result: res, Route: route}, nil
 }
 
-// Result is the outcome of one engine execution: the plan-level result
-// (nil for DDL statements such as bwdecompose) plus the route the
-// scheduler chose.
+// Result is the outcome of one engine execution: the plan-level result plus
+// the route the scheduler chose.
 type Result struct {
 	*plan.Result
 	Route Route
@@ -615,27 +614,32 @@ func (e *Engine) StatsLines(sess *Session) []string {
 	return lines
 }
 
-// RenderResult formats an execution result as display lines: "decomposed"
-// for DDL, the plan listing for EXPLAIN, formatted rows otherwise, plus
-// the per-query cost report when showCost is set. Both the server protocol
-// and the shell render through this, so their output cannot drift.
-func RenderResult(res *Result, showCost bool) []string {
-	var lines []string
-	switch {
-	case res.Result == nil:
-		lines = []string{"decomposed"}
-	case res.Rows == nil && len(res.Plan) > 0:
-		lines = append(lines, res.Plan...)
-	default:
-		for _, l := range strings.Split(strings.TrimRight(plan.FormatRows(res.Rows), "\n"), "\n") {
-			if l != "" {
-				lines = append(lines, l)
-			}
+// WriteResult writes an execution result to w as display lines: the outcome
+// of a write, the plan listing for EXPLAIN, the rows otherwise (appended
+// straight into w's buffer), plus the per-query cost report when showCost is
+// set. Server and shell both print through this, so they cannot drift.
+func WriteResult(w *bufio.Writer, res *Result, showCost bool) {
+	if res.Rows == nil {
+		for _, l := range res.Plan() {
+			w.WriteString(l)
+			w.WriteByte('\n')
 		}
 	}
-	if showCost && res.Result != nil && res.Meter != nil {
-		lines = append(lines, fmt.Sprintf("-- %s; simulated %v; candidates %d -> refined %d; approx count %v",
-			res.Route, res.Meter, res.Candidates, res.Refined, res.Approx.Count))
+	for _, r := range res.Rows {
+		w.Write(append(r.AppendText(w.AvailableBuffer()), '\n'))
 	}
-	return lines
+	if showCost && res.Meter != nil {
+		fmt.Fprintf(w, "-- %s; simulated %v; candidates %d -> refined %d; approx count %v\n",
+			res.Route, res.Meter, res.Candidates, res.Refined, res.Approx.Count)
+	}
+}
+
+// RenderResult is WriteResult as a list of lines, for the one caller that
+// returns lines rather than writing them (the \run meta command).
+func RenderResult(res *Result, showCost bool) []string {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	WriteResult(w, res, showCost)
+	w.Flush()
+	return strings.FieldsFunc(buf.String(), func(r rune) bool { return r == '\n' })
 }

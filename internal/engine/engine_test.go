@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"repro/internal/sql"
 	"strings"
 	"testing"
 )
@@ -123,28 +124,48 @@ func TestPreparedStatementValidation(t *testing.T) {
 	}
 }
 
-// TestParamScanning unit-tests the quote-aware placeholder scanner.
+// TestParamScanning pins how placeholders are recognized and bound: by the
+// lexer, so a quoted $1 is a string and not a parameter, only $1..$9 exist,
+// and a parameter value is one numeric literal or an error — it is bound
+// into the parsed statement, never spliced into its text.
 func TestParamScanning(t *testing.T) {
-	if n, err := countParams("a $1 b $3"); err != nil || n != 3 {
-		t.Fatalf("countParams: n=%d err=%v", n, err)
-	}
-	if n, err := countParams("no params"); err != nil || n != 0 {
-		t.Fatalf("countParams: n=%d err=%v", n, err)
-	}
-	if n, err := countParams("'$1' is a string, $2 is not"); err != nil || n != 2 {
-		t.Fatalf("quoted placeholder must not count: n=%d err=%v", n, err)
-	}
-	for _, bad := range []string{"$12", "$0", "$x", "$"} {
-		if _, err := countParams(bad); err == nil {
-			t.Fatalf("countParams(%q) must error", bad)
+	c := testCatalog(t)
+	sess := New(c, Options{}).Session()
+	defer sess.Close()
+	ctx := context.Background()
+	const head = "select count(lon) from trips where lon between "
+
+	for src, want := range map[string]int{
+		head + "$1 and 3":  1,
+		head + "1 and $3":  3,
+		head + "1 and 240": 0,
+	} {
+		ast, err := sql.Parse(src)
+		if err != nil || ast.Params != want {
+			t.Fatalf("Parse(%q): %d params, err=%v; want %d", src, ast.Params, err, want)
 		}
 	}
-	out, err := substituteParams("between $1 and $2 or '$1'", []any{int64(10), "2.5"})
-	if err != nil || out != "between 10 and 2.5 or '$1'" {
-		t.Fatalf("substituteParams: %q err=%v", out, err)
+	for _, bad := range []string{"$12 and 2", "$0 and 2", "$x and 2", "$ and 2", "'$1' and $2"} {
+		if _, err := sess.Prepare(ctx, head+bad); err == nil {
+			t.Fatalf("Prepare(... between %s) must error", bad)
+		}
 	}
-	if _, err := substituteParams("$1", []any{"1; drop"}); err == nil {
-		t.Fatal("non-literal string param must be rejected")
+	st, err := sess.Prepare(ctx, head+"$1 and $2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.Query(ctx, head+"-10 and 2400.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Exec(ctx, int64(-10), "2400.5")
+	if err != nil || got.Rows[0].Vals[0] != want.Rows[0].Vals[0] {
+		t.Fatalf("Exec(-10, \"2400.5\") = %v, %v; want %v", got, err, want.Rows)
+	}
+	for _, bad := range []string{"1; drop", "1 or 1", "'1'", "+5", "1.", ".5", ""} {
+		if _, err := st.Exec(ctx, 1, bad); err == nil {
+			t.Fatalf("parameter %q must be rejected", bad)
+		}
 	}
 }
 

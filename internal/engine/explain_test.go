@@ -111,16 +111,12 @@ func TestExplainMeta(t *testing.T) {
 		t.Error("\\explain of a write statement did not fail")
 	}
 	// The engine-level programmatic entry agrees with the meta surface.
-	b, err := eng.compile(starQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := eng.DescribePlan(b.Query, ModeAuto)
+	direct, err := eng.DescribeStatement(starQuery, ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(strings.Join(direct, "\n"), "mode=ar") {
-		t.Errorf("DescribePlan(auto) did not pick the A&R strategy:\n%s", strings.Join(direct, "\n"))
+		t.Errorf("DescribeStatement(auto) did not pick the A&R strategy:\n%s", strings.Join(direct, "\n"))
 	}
 }
 

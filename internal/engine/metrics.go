@@ -78,6 +78,8 @@ func newMetrics(e *Engine, slowCap int) *metrics {
 		sched(func(s SchedStats) float64 { return float64(s.ModePickClassic) }))
 	reg.CounterFunc("ar_partition_pruned_total", "", "Range partitions skipped before scattering because the filters excluded their value slabs.",
 		func() float64 { return float64(e.cat.PlannerStats().PartitionsPruned) })
+	reg.CounterFunc("ar_plan_replans_total", "", "Executions of a cached plan that priced it again because a table it reads had changed.",
+		func() float64 { return float64(e.cat.PlannerStats().Replans) })
 
 	for outcome, get := range map[string]func(ar.GranuleStats) uint64{
 		"skipped": func(s ar.GranuleStats) uint64 { return s.Skipped },

@@ -35,43 +35,24 @@ func (r Route) String() string {
 	}
 }
 
-// Mode is a session's executor preference.
-type Mode int
+// Mode is a session's executor preference: plan.Mode under the engine's
+// name, with its values.
+type Mode = plan.Mode
 
-// Modes. Auto is the default and lets the optimizer's cost model pick the
-// executor per query (plan.Catalog.ChooseMode); ar/classic are forced
-// overrides for operators and tests that need a specific executor.
 const (
-	ModeAuto    Mode = iota // cost-based per-query choice from statistics
-	ModeAR                  // force the A&R executor (errors if not decomposed)
-	ModeClassic             // force the classic executor
+	ModeAuto    = plan.ModeAuto    // cost-based per-query choice from statistics
+	ModeAR      = plan.ModeAR      // force the A&R executor (errors if not decomposed)
+	ModeClassic = plan.ModeClassic // force the classic executor
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeAR:
-		return "ar"
-	case ModeClassic:
-		return "classic"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // ParseMode parses a mode from its text form.
 func ParseMode(name string) (Mode, error) {
-	switch name {
-	case "auto":
-		return ModeAuto, nil
-	case "ar":
-		return ModeAR, nil
-	case "classic":
-		return ModeClassic, nil
-	default:
-		return ModeAuto, fmt.Errorf("engine: unknown mode %q (auto, ar, classic)", name)
+	for m := ModeAuto; m <= ModeClassic; m++ {
+		if m.String() == name {
+			return m, nil
+		}
 	}
+	return ModeAuto, fmt.Errorf("engine: unknown mode %q (auto, ar, classic)", name)
 }
 
 // Scheduler is the device-aware admission layer between sessions and the
@@ -230,41 +211,54 @@ func (s *Scheduler) Exec(ctx context.Context, b *sql.Binding, opts plan.ExecOpts
 		s.noteCancelled()
 		return nil, RouteClassic, err
 	}
-	// Scatter-gather executions over partitioned tables admission-control
-	// their per-partition device streams through the scheduler's ledger.
-	opts.Gate = s
-	switch {
-	case b.IsWrite():
+	if b.IsWrite() {
 		// bwdecompose and DML (INSERT/DELETE/CREATE TABLE) execute inline:
 		// the store's snapshot publication makes the swap safe against
 		// in-flight queries, and write latency is dominated by the store
 		// itself, not device contention.
 		return s.execDDL(ctx, b, opts)
-	case mode == ModeClassic:
-		return s.execClassic(ctx, b, opts)
-	case mode == ModeAR:
-		// No pre-validation: ExecAR validates as it builds its
-		// decomposition snapshot and surfaces the same precise error.
-		return s.execAR(ctx, b, opts)
-	default:
-		// Auto mode: the optimizer prices both executors against the
-		// statistics provider and picks the cheaper one — the session
-		// \mode knob above is only a forced override. Scatter legs
-		// re-price per partition (opts.AutoMode).
-		opts.AutoMode = true
-		choice := s.cat.ChooseMode(b.Query)
-		s.notePick(choice.Classic)
-		if choice.Classic {
-			return s.execClassic(ctx, b, opts)
-		}
-		res, route, err := s.execAR(ctx, b, opts)
-		if errors.Is(err, ErrOverloaded) {
-			// Auto mode degrades gracefully: an overloaded GPU stream spills
-			// the query to the CPU pool instead of failing the client.
-			return s.execClassic(ctx, b, opts)
-		}
-		return res, route, err
 	}
+	// The binding keeps its plan; pinning it validates as it builds the
+	// decomposition snapshot, so a forced A&R statement over an undecomposed
+	// column fails here, precisely, before it is routed anywhere.
+	pl, err := b.Plan(s.cat, mode)
+	var x *plan.Pinned
+	if err == nil {
+		x, err = s.cat.Pin(pl)
+	}
+	if err != nil {
+		if mode == ModeAR {
+			return nil, RouteAR, err
+		}
+		return nil, RouteClassic, err
+	}
+	res, route, err := s.ExecPinned(ctx, x, opts)
+	switch {
+	case mode == ModeAuto && errors.Is(err, ErrOverloaded):
+		// Auto mode degrades gracefully: an overloaded GPU stream spills
+		// the query to the CPU pool instead of failing the client.
+		return s.Exec(ctx, b, opts, ModeClassic)
+	case err == nil && b.Explain:
+		res = res.PlanOnly()
+	}
+	return res, route, err
+}
+
+// ExecPinned routes one pinned plan to its device and runs it: forced modes
+// to their executor; under auto the pinned (just re-priced, if the data
+// moved) cost choice decides, and scatter legs follow their own.
+func (s *Scheduler) ExecPinned(ctx context.Context, x *plan.Pinned, opts plan.ExecOpts) (*plan.Result, Route, error) {
+	// Scatter-gather executions over partitioned tables admission-control
+	// their per-partition device streams through the scheduler's ledger.
+	opts.Gate = s
+	classic := x.Choice().Classic
+	if x.Mode() == ModeAuto {
+		s.notePick(classic)
+	}
+	if classic {
+		return s.execClassic(ctx, x, opts)
+	}
+	return s.execAR(ctx, x, opts)
 }
 
 // notePick counts one auto-mode cost decision for the metrics registry.
@@ -287,15 +281,11 @@ func (s *Scheduler) execDDL(ctx context.Context, b *sql.Binding, opts plan.ExecO
 	s.mu.Lock()
 	s.ddlRun++
 	s.mu.Unlock()
-	var meter *device.Meter
-	if res != nil {
-		meter = res.Meter
-	}
-	s.Totals.Merge(meter)
+	s.Totals.Merge(res.Meter)
 	return res, RouteDDL, nil
 }
 
-func (s *Scheduler) execClassic(ctx context.Context, b *sql.Binding, opts plan.ExecOpts) (*plan.Result, Route, error) {
+func (s *Scheduler) execClassic(ctx context.Context, x *plan.Pinned, opts plan.ExecOpts) (*plan.Result, Route, error) {
 	select {
 	case s.cpuSlots <- struct{}{}:
 	case <-ctx.Done():
@@ -325,7 +315,7 @@ func (s *Scheduler) execClassic(ctx context.Context, b *sql.Binding, opts plan.E
 		s.mu.Unlock()
 	}()
 
-	res, err := sql.Exec(ctx, s.cat, b, opts, true)
+	res, err := s.cat.Run(ctx, x, opts)
 	if err != nil {
 		s.noteCtxErr(err)
 		return nil, RouteClassic, err
@@ -338,7 +328,7 @@ func (s *Scheduler) execClassic(ctx context.Context, b *sql.Binding, opts plan.E
 	return res, RouteClassic, nil
 }
 
-func (s *Scheduler) execAR(ctx context.Context, b *sql.Binding, opts plan.ExecOpts) (*plan.Result, Route, error) {
+func (s *Scheduler) execAR(ctx context.Context, x *plan.Pinned, opts plan.ExecOpts) (*plan.Result, Route, error) {
 	// Admission control: bound the wait queue, fail fast beyond it.
 	s.mu.Lock()
 	if s.waitingAR >= s.arQueue {
@@ -390,7 +380,7 @@ func (s *Scheduler) execAR(ctx context.Context, b *sql.Binding, opts plan.ExecOp
 		<-s.gpuSlots
 	}()
 
-	res, err := sql.Exec(ctx, s.cat, b, opts, false)
+	res, err := s.cat.Run(ctx, x, opts)
 	if err != nil {
 		s.noteCtxErr(err)
 		return nil, RouteAR, err

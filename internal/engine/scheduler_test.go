@@ -131,17 +131,17 @@ func TestPlanCacheLRUAndEviction(t *testing.T) {
 	a, b, c := &sql.Binding{}, &sql.Binding{}, &sql.Binding{}
 	pc.Put("a", a, nil)
 	pc.Put("b", b, nil)
-	if got, _, ok := pc.Get("a", nil); !ok || got != a {
+	if got, ok := pc.Get([]byte("a"), nil); !ok || got != a {
 		t.Fatal("expected hit on a")
 	}
 	pc.Put("c", c, nil) // evicts b (least recently used)
-	if _, _, ok := pc.Get("b", nil); ok {
+	if _, ok := pc.Get([]byte("b"), nil); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if got, _, ok := pc.Get("a", nil); !ok || got != a {
+	if got, ok := pc.Get([]byte("a"), nil); !ok || got != a {
 		t.Fatal("a should have survived eviction")
 	}
-	if got, _, ok := pc.Get("c", nil); !ok || got != c {
+	if got, ok := pc.Get([]byte("c"), nil); !ok || got != c {
 		t.Fatal("c should be cached")
 	}
 	st := pc.Stats()
@@ -151,7 +151,7 @@ func TestPlanCacheLRUAndEviction(t *testing.T) {
 	// Zero capacity disables caching.
 	off := NewPlanCache(0)
 	off.Put("x", a, nil)
-	if _, _, ok := off.Get("x", nil); ok {
+	if _, ok := off.Get([]byte("x"), nil); ok {
 		t.Fatal("disabled cache must miss")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/device"
@@ -41,7 +40,7 @@ func (s *Session) Query(ctx context.Context, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.eng.exec(ctx, s, b, src)
+	return s.eng.exec(ctx, s, b, src, nil)
 }
 
 // QueryPlan executes a logical plan.Query directly — the programmatic
@@ -49,47 +48,36 @@ func (s *Session) Query(ctx context.Context, src string) (*Result, error) {
 // without SQL text. Routing, admission control and contention charging are
 // identical to Query.
 func (s *Session) QueryPlan(ctx context.Context, q plan.Query) (*Result, error) {
-	return s.eng.exec(ctx, s, &sql.Binding{Query: q}, "(plan.Query on "+q.Table+")")
+	return s.eng.exec(ctx, s, &sql.Binding{Query: q}, "(plan.Query on "+q.Table+")", nil)
 }
 
 // Prepare compiles a statement into a reusable Stmt bound to this session.
-// The source may contain $1..$9 placeholders where integer or decimal
-// literals appear (outside string literals); Stmt.Exec substitutes the
-// parameters at execution time. Compilation errors surface here, not at
-// first Exec: parameterized statements are validated against dummy
-// literals, so a typo never hides behind a successful prepare.
+// The source may contain $1..$9 placeholders wherever the grammar takes a
+// numeric literal; it is parsed once, here, and Stmt.Exec binds the parsed
+// statement with that call's parameters. Compilation errors surface here,
+// not at first Exec: a parameterized statement is bound against dummies.
 func (s *Session) Prepare(ctx context.Context, src string) (*Stmt, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n, err := countParams(src)
+	ast, err := sql.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stmt{sess: s, src: src, params: n}
-	if n == 0 {
-		b, deps, err := s.eng.compileCached(src)
-		if err != nil {
-			return nil, err
-		}
-		st.binding = b
-		st.deps = deps
-		return st, nil
+	st := &Stmt{sess: s, src: src}
+	if ast.Params == 0 {
+		_, err = s.eng.compile(src)
+		return st, err
 	}
-	// Dummy-validate: every literal position in the grammar is numeric, so
-	// substituting 1 for each placeholder exercises the full front end.
-	dummies := make([]any, n)
+	// Every literal position in the grammar is numeric, so binding 1 for
+	// each placeholder exercises the whole binder.
+	st.ast = ast
+	dummies := make([]sql.Lit, ast.Params)
 	for i := range dummies {
-		dummies[i] = 1
+		dummies[i] = sql.Lit{V: 1, Scale: 1}
 	}
-	probe, err := substituteParams(src, dummies)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sql.Compile(s.eng.cat, probe); err != nil {
-		return nil, err
-	}
-	return st, nil
+	_, err = sql.BindParams(ast, s.eng.cat, dummies)
+	return st, err
 }
 
 // PrepareNamed compiles a statement and stores it under name for Stmt
@@ -159,159 +147,48 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// Stmt is a compiled statement bound to a session. Statements without
-// placeholders hold their binding together with the schema epochs of its
-// tables: an Exec after the table was dropped or re-created recompiles
-// instead of executing the stale binding. Parameterized statements compile
-// at Exec time after literal substitution — bypassing the shared plan
-// cache, since per-parameter-set texts would thrash its LRU without ever
-// being re-hit.
+// Stmt is a prepared statement bound to a session. One without placeholders
+// is its text: Exec resolves it through the shared plan cache like Query
+// does, which also notices a table dropped or re-created in between. A
+// parameterized one holds the parsed statement, bound anew on every Exec —
+// bypassing the plan cache, whose LRU per-parameter-set entries would only
+// thrash.
 type Stmt struct {
-	sess   *Session
-	src    string
-	params int
-
-	mu      sync.Mutex
-	binding *sql.Binding
-	deps    map[string]uint64
+	sess *Session
+	src  string
+	ast  *sql.Stmt // set iff the statement takes parameters; never mutated
 }
-
-// Src returns the statement's source text.
-func (st *Stmt) Src() string { return st.src }
 
 // Exec executes the prepared statement under ctx. For parameterized
 // statements (src containing $1..$9), params supplies one literal per
-// placeholder — int, int64, float64 or string forms of the SQL literal.
+// placeholder — int, int64, float64 or the text of a numeric literal.
 func (st *Stmt) Exec(ctx context.Context, params ...any) (*Result, error) {
-	if len(params) != st.params {
-		return nil, fmt.Errorf("engine: statement takes %d parameters, got %d", st.params, len(params))
+	eng := st.sess.eng
+	if st.ast == nil {
+		if len(params) != 0 {
+			return nil, fmt.Errorf("engine: statement takes 0 parameters, got %d", len(params))
+		}
+		return st.sess.Query(ctx, st.src)
 	}
-	var b *sql.Binding
-	src := st.src
-	if st.params > 0 {
-		var err error
-		if src, err = substituteParams(st.src, params); err != nil {
-			return nil, err
-		}
-		if b, err = sql.Compile(st.sess.eng.cat, src); err != nil {
-			return nil, err
-		}
-	} else {
-		eng := st.sess.eng
-		st.mu.Lock()
-		if !eng.depsValid(st.deps) {
-			nb, deps, err := eng.compileCached(st.src)
-			if err != nil {
-				st.mu.Unlock()
-				return nil, fmt.Errorf("engine: prepared statement is stale and failed to recompile: %w", err)
-			}
-			st.binding, st.deps = nb, deps
-		}
-		b = st.binding
-		st.mu.Unlock()
+	if len(params) != st.ast.Params {
+		return nil, fmt.Errorf("engine: statement takes %d parameters, got %d", st.ast.Params, len(params))
 	}
-	return st.sess.eng.exec(ctx, st.sess, b, src)
-}
-
-// forEachParam walks src outside single-quoted string literals and calls
-// fn for every $n placeholder with its byte range and 0-based index. A $
-// followed by more than one digit is an error — only $1..$9 exist, and
-// silently reading $12 as $1 followed by a literal 2 would splice together
-// a different statement than the caller wrote.
-func forEachParam(src string, fn func(start, end, idx int)) error {
-	inString := false
-	for i := 0; i < len(src); i++ {
-		switch {
-		case src[i] == '\'':
-			inString = !inString
-		case !inString && src[i] == '$':
-			if i+1 >= len(src) || src[i+1] < '1' || src[i+1] > '9' {
-				return fmt.Errorf("engine: invalid parameter placeholder at byte %d (use $1..$9)", i)
-			}
-			if i+2 < len(src) && src[i+2] >= '0' && src[i+2] <= '9' {
-				return fmt.Errorf("engine: parameter placeholder at byte %d out of range (only $1..$9 are supported)", i)
-			}
-			fn(i, i+2, int(src[i+1]-'1'))
-			i++
-		}
-	}
-	return nil
-}
-
-// countParams returns the highest $n placeholder index in src (0 if none).
-func countParams(src string) (int, error) {
-	max := 0
-	err := forEachParam(src, func(_, _, idx int) {
-		if idx+1 > max {
-			max = idx + 1
-		}
-	})
-	return max, err
-}
-
-// substituteParams renders each parameter as a SQL literal and splices it
-// over its $n placeholder. Every rendered literal must survive the lexer
-// as plain tokens, so parameters cannot smuggle in statement structure.
-func substituteParams(src string, params []any) (string, error) {
-	rendered := make([]string, len(params))
+	lits := make([]sql.Lit, len(params))
 	for i, p := range params {
-		var lit string
-		switch v := p.(type) {
-		case int:
-			lit = strconv.Itoa(v)
-		case int64:
-			lit = strconv.FormatInt(v, 10)
-		case float64:
-			lit = strconv.FormatFloat(v, 'f', -1, 64)
-		case string:
-			lit = v
-		default:
-			return "", fmt.Errorf("engine: unsupported parameter type %T for $%d", p, i+1)
+		text, isText := p.(string)
+		if f, isFloat := p.(float64); isFloat {
+			text = strconv.FormatFloat(f, 'f', -1, 64)
+		} else if !isText {
+			text = fmt.Sprint(p)
 		}
-		if !validLiteral(lit) {
-			return "", fmt.Errorf("engine: parameter $%d (%q) is not a numeric or string literal", i+1, lit)
+		var err error
+		if lits[i], err = sql.ParseLit(text); err != nil {
+			return nil, fmt.Errorf("engine: parameter $%d: %w", i+1, err)
 		}
-		rendered[i] = lit
 	}
-	var sb strings.Builder
-	at := 0
-	err := forEachParam(src, func(start, end, idx int) {
-		sb.WriteString(src[at:start])
-		sb.WriteString(rendered[idx])
-		at = end
-	})
+	b, err := sql.BindParams(st.ast, eng.cat, lits)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	sb.WriteString(src[at:])
-	return sb.String(), nil
-}
-
-// validLiteral accepts optionally signed decimal numbers and single-quoted
-// strings without embedded quotes.
-func validLiteral(s string) bool {
-	if s == "" {
-		return false
-	}
-	if s[0] == '\'' {
-		return len(s) >= 2 && s[len(s)-1] == '\'' && !strings.ContainsAny(s[1:len(s)-1], "'\n\r")
-	}
-	body := s
-	if body[0] == '-' || body[0] == '+' {
-		body = body[1:]
-	}
-	if body == "" {
-		return false
-	}
-	dots := 0
-	for i := 0; i < len(body); i++ {
-		switch {
-		case body[i] >= '0' && body[i] <= '9':
-		case body[i] == '.' && dots == 0 && i > 0 && i < len(body)-1:
-			dots++
-		default:
-			return false
-		}
-	}
-	return true
+	return eng.exec(ctx, st.sess, b, st.src, params)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -144,9 +145,9 @@ func TestSlowLogRing(t *testing.T) {
 func TestTraceRender(t *testing.T) {
 	tr := &Trace{Mode: "ar", Threads: 1, Workers: 2, Wall: 5 * time.Millisecond,
 		Candidates: 100, Refined: 80, Rows: 80, EstCandidates: 90}
-	tr.Add(StageEvent{Stage: "approximate", Op: "bwd.uselectapproximate(t.v)",
+	tr.Add(StageEvent{Stage: "approximate", Op: Op{Fmt: "bwd.uselectapproximate(%[1]s.%[2]s)", A: "t", B: "v"},
 		Rows: 100, Est: 90, Morsels: 2, GPU: time.Millisecond})
-	tr.Add(StageEvent{Stage: "refine", Op: "bwd.uselectrefine(t.v)", Rows: 80, Est: -1,
+	tr.Add(StageEvent{Stage: "refine", Op: Op{Fmt: "bwd.uselectrefine(%[1]s.%[2]s)", A: "t", B: "v"}, Rows: 80, Est: -1,
 		CPU: 2 * time.Millisecond})
 	if got := tr.FalsePositiveRate(); got != 0.2 {
 		t.Errorf("FalsePositiveRate = %v, want 0.2", got)
@@ -158,6 +159,7 @@ func TestTraceRender(t *testing.T) {
 	text := strings.Join(tr.Render(), "\n")
 	for _, want := range []string{
 		"mode=ar threads=1 workers=2",
+		"] bwd.uselectapproximate(t.v) ",
 		"est=90 act=100", "morsels 2",
 		"rows 80",
 		"candidates 100 -> refined 80 (false-positive rate 20.00%), 80 result rows; est candidates 90 (error 1.1x)",
@@ -165,5 +167,13 @@ func TestTraceRender(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("Render missing %q:\n%s", want, text)
 		}
+	}
+	// An op record is text wherever it is read: the listing above, and the
+	// trace's JSON form.
+	if out, err := json.Marshal(tr.Events[1]); err != nil || !strings.Contains(string(out), `"op":"bwd.uselectrefine(t.v)"`) {
+		t.Errorf("StageEvent JSON = %s, %v; want the op rendered as text", out, err)
+	}
+	if got := (Op{Fmt: "delta.scan(%[1]s, %[3]d qualifying)", A: "t", N: 7}).String(); got != "delta.scan(t, 7 qualifying)" {
+		t.Errorf("Op.String() = %q", got)
 	}
 }

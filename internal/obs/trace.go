@@ -17,16 +17,35 @@ import (
 	"time"
 )
 
+// Op is one operator of a plan listing as a fixed-size record: the executors
+// fill one in per operator and nothing is formatted until somebody reads the
+// listing (\explain, the slow log, a trace dump). Fmt is a constant format
+// naming its arguments by explicit index over (A, B, N, M, K) —
+// "delta.scan(%[1]s, %[3]d qualifying)" — so one String serves every
+// operator without obs knowing any of them.
+type Op struct {
+	Fmt     string
+	A, B    string
+	N, M, K int64
+}
+
+// String renders the MAL-style operator text.
+func (o Op) String() string { return fmt.Sprintf(o.Fmt, o.A, o.B, o.N, o.M, o.K) }
+
+// MarshalText makes an Op serialize as its text (the trace's "op" field).
+func (o Op) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
 // StageEvent is one operator of an executed pipeline: the cooperative
-// checkpoint class it ran under, the MAL-style operator text, the rows
-// (or candidates) it emitted against the optimizer's estimate, and the
+// checkpoint class it ran under, the operator record, the rows (or
+// candidates) it emitted against the optimizer's estimate, and the
 // wall-clock and simulated-meter slice attributable to it.
 type StageEvent struct {
 	// Stage is the checkpoint class (approximate, ship, delta, refine,
 	// aggregate, bulk) the operator ran under.
 	Stage string `json:"stage"`
-	// Op is the MAL-style operator text, identical to the plan listing.
-	Op string `json:"op"`
+	// Op is the operator record; it renders to the MAL-style text of the
+	// plan listing.
+	Op Op `json:"op"`
 	// Rows is the operator's output cardinality — candidate-list length
 	// for scans, group count for grouping, result rows for the tail.
 	// -1 when the operator has no meaningful cardinality.

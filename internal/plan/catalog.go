@@ -136,7 +136,7 @@ type Durability interface {
 //
 // A Catalog is safe for concurrent use: the table registry is guarded by
 // an RWMutex, and each store.Table publishes immutable snapshots — queries
-// (ExecAR/ExecClassic) pin a snapshot at start and may run concurrently
+// (Pin) pin a snapshot at start and may run concurrently
 // with each other and with DML (Insert/Delete/Merge/Decompose), which
 // swaps fresh versions in without mutating pinned data.
 type Catalog struct {
@@ -146,7 +146,8 @@ type Catalog struct {
 	// prunedParts counts partition legs skipped by range-partition
 	// pruning before scattering (see exec); exposed through
 	// PlannerStats and the engine's ar_partition_pruned_total metric.
-	prunedParts atomic.Int64
+	prunedParts    atomic.Int64
+	plans, replans atomic.Int64 // see PlannerStats
 
 	mu     sync.RWMutex
 	tables map[string]*store.Table
@@ -158,11 +159,16 @@ type PlannerStats struct {
 	// PartitionsPruned counts partition legs excluded from scatter-gather
 	// executions because the anchor column's filters ruled out their slab.
 	PartitionsPruned int64
+	// Plans counts statements planned from scratch; Replans the executions
+	// of a kept plan that priced it again because a table it reads had moved
+	// (DML, merge, bwdecompose, drop and re-create). An execution counted by
+	// neither estimated no selectivity and compiled nothing.
+	Plans, Replans int64
 }
 
 // PlannerStats returns the current optimizer counters.
 func (c *Catalog) PlannerStats() PlannerStats {
-	return PlannerStats{PartitionsPruned: c.prunedParts.Load()}
+	return PlannerStats{PartitionsPruned: c.prunedParts.Load(), Plans: c.plans.Load(), Replans: c.replans.Load()}
 }
 
 // NewCatalog creates a catalog bound to the given simulated system.

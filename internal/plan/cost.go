@@ -21,57 +21,26 @@ import (
 // refines only those candidates on the CPU. Both executors scan the
 // row-major delta identically, so it cancels out of the comparison.
 
-// ModeChoice is the optimizer's per-query scan-strategy decision.
+// ModeChoice is the optimizer's per-query scan-strategy decision. The
+// rationale is kept as a format and its figures: pricing formats nothing,
+// Reason does when someone asks.
 type ModeChoice struct {
 	Classic       bool
-	EstCandidates int64  // estimated phase-A candidate rows; -1 when unknown
-	Reason        string // one-line costing rationale for \explain and logs
+	EstCandidates int64 // estimated phase-A candidate rows; -1 when unknown
+	why           string
+	figures       []any
 }
+
+// Reason is the one-line costing rationale for \explain and logs; empty for
+// a forced mode, where nothing was priced.
+func (m ModeChoice) Reason() string { return fmt.Sprintf(m.why, m.figures...) }
 
 func (m ModeChoice) String() string {
 	mode := "a&r"
 	if m.Classic {
 		mode = "classic"
 	}
-	return fmt.Sprintf("%s (%s)", mode, m.Reason)
-}
-
-// ChooseMode prices the two scan strategies for a query in auto mode,
-// through the leg planner every execution uses (planLeg): each leg of the
-// table is priced against its own statistics. A plain table's one leg is the
-// statement's choice — classic by necessity when it cannot run as A&R
-// (undecomposed column, unmergeable shape), otherwise the estimated
-// candidate-set size weighed against the transfer cost. A partitioned table
-// runs under the device gate if any leg favors A&R.
-func (c *Catalog) ChooseMode(q Query) ModeChoice {
-	tables, p, err := c.legs(q.Table)
-	var only ModeChoice // a plain table's single leg
-	var est int64
-	ar := 0
-	for _, t := range tables {
-		snap, ch, lerr := c.planLeg(q, t, false, true)
-		if lerr != nil {
-			err = lerr
-			continue // this leg scans classic, if at all
-		}
-		only, err = ch, snap.arErr
-		if !ch.Classic {
-			ar++
-			est += ch.EstCandidates
-		}
-	}
-	switch {
-	case p == nil && err != nil:
-		return ModeChoice{Classic: true, EstCandidates: -1,
-			Reason: "a&r unavailable: " + err.Error()}
-	case p == nil:
-		return only
-	case ar == 0:
-		return ModeChoice{Classic: true, EstCandidates: -1,
-			Reason: "no partition leg favors a&r"}
-	}
-	return ModeChoice{EstCandidates: est,
-		Reason: fmt.Sprintf("%d of %d partition legs favor a&r", ar, p.Spec.N)}
+	return fmt.Sprintf("%s (%s)", mode, m.Reason())
 }
 
 // estFactFrac multiplies the fact-side predicate selectivities from the
@@ -80,24 +49,22 @@ func (c *Catalog) ChooseMode(q Query) ModeChoice {
 func estFactFrac(snap *execSnap, q *Query) float64 {
 	frac := 1.0
 	for _, f := range q.Filters {
-		if s, src := estimateSelectivity(snap.get(q.Table, f.Col), f); src != estNone {
+		if s, src := estimateSelectivity(snap.get("", f.Col), f); src != estNone {
 			frac *= s
 		}
 	}
 	for _, g := range q.Or {
-		s, _ := estimateOrSelectivity(snap, q.Table, g)
+		s, _ := estimateOrSelectivity(snap, g)
 		frac *= s
 	}
 	return frac
 }
 
-// chooseSnap prices both executors for one pinned snapshot that can run
-// A&R (snap.arErr is nil).
+// chooseSnap prices both executors for one pinned leg that can run A&R.
 func chooseSnap(sys *device.System, q *Query, snap *execSnap) ModeChoice {
 	baseLive := float64(snap.fact.LiveBase())
 	if baseLive == 0 {
-		return ModeChoice{Classic: true, EstCandidates: 0,
-			Reason: "empty base segment: nothing is device resident"}
+		return ModeChoice{Classic: true, EstCandidates: 0, why: "empty base segment: nothing is device resident"}
 	}
 	frac := estFactFrac(snap, q)
 	cand := frac * baseLive
@@ -132,7 +99,7 @@ func chooseSnap(sys *device.System, q *Query, snap *execSnap) ModeChoice {
 	// packed approximation plane GPU-side.
 	var devBytes float64
 	addDev := func(col string) {
-		if d := snap.get(q.Table, col); d != nil {
+		if d := snap.get("", col); d != nil {
 			devBytes += float64(d.GPUBytes())
 		}
 	}
@@ -159,7 +126,7 @@ func chooseSnap(sys *device.System, q *Query, snap *execSnap) ModeChoice {
 	shipRows := cand
 	if len(q.GroupBy) > 0 && snap.fact.LiveDelta() == 0 {
 		groupCap := 4096.0
-		if d := stats.FromColumn(snap.get(q.Table, q.GroupBy[0])); d != nil {
+		if d := stats.FromColumn(snap.get("", q.GroupBy[0])); d != nil {
 			if n := d.Distinct(); n >= 0 {
 				groupCap = float64(n)
 			}
@@ -176,8 +143,7 @@ func chooseSnap(sys *device.System, q *Query, snap *execSnap) ModeChoice {
 	classicSec := baseLive*rowB/cpuBW +
 		cand*rowB*float64(nPred+len(q.Joins)+nProj)*randomPenalty/cpuBW
 
-	choice := ModeChoice{Classic: arSec >= classicSec, EstCandidates: est}
-	choice.Reason = fmt.Sprintf("est %d of %d base rows ship; a&r %.3gs vs classic %.3gs",
-		est, int64(baseLive), arSec, classicSec)
-	return choice
+	return ModeChoice{Classic: arSec >= classicSec, EstCandidates: est,
+		why:     "est %d of %d base rows ship; a&r %.3gs vs classic %.3gs",
+		figures: []any{est, int64(baseLive), arSec, classicSec}}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -45,12 +46,6 @@ type ExecOpts struct {
 	// table's leg never consults it, and it never affects results or
 	// simulated figures — only real concurrency.
 	Gate DeviceGate
-	// AutoMode marks an execution whose scan strategy was chosen by the
-	// cost model rather than forced with \mode. A table of several legs
-	// re-chooses classic vs A&R per leg from each leg's own statistics (a
-	// single leg's choice is the statement's, made by ChooseMode); it never
-	// affects results, only which (byte-identical) scan produces them.
-	AutoMode bool
 }
 
 func (o ExecOpts) threads() int {
@@ -76,23 +71,30 @@ func (o ExecOpts) par(ctx context.Context) par.P {
 	return par.P{Threads: o.threads(), Workers: o.workers(), Chunk: o.Morsel, Ctx: ctx}
 }
 
-// ExecAR executes the query under the Approximate & Refine paradigm:
-// it plans one leg per (surviving) leg table of the query's table — pinning
-// one store snapshot per touched table, assembling the operator pipeline
-// with the A&R scan strategy — and runs them through the one executor.
+// ExecAR plans, pins and runs the query once under the Approximate & Refine
+// paradigm (ModeAR) — the convenience form of Plan + Pin + Run for callers
+// that execute a query once; the engine keeps the Plan and skips to Pin.
 // The approximation subplan runs entirely on the simulated device first
 // (its intermediate results never leave device memory), the candidate set
 // and device-side projections are shipped across the bus once, and the
 // refinement subplan discharges false positives and reconstructs exact
 // values on the CPU. The returned Result carries the exact rows, the
 // phase-A approximate answer, and the simulated GPU/CPU/PCI breakdown.
-//
-// Cancellation is cooperative: the pipeline polls ctx between stages
-// (each approximate operator, the bus crossing, the delta scan, each
-// refinement batch, the final aggregation) and returns ctx.Err() without
-// a result once the context is done.
 func (c *Catalog) ExecAR(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
-	return c.exec(ctx, q, opts, false)
+	return c.execOnce(ctx, q, opts, ModeAR)
+}
+
+// execOnce plans, pins and runs q under mode.
+func (c *Catalog) execOnce(ctx context.Context, q Query, opts ExecOpts, mode Mode) (*Result, error) {
+	pl, err := c.Plan(q, mode)
+	if err != nil {
+		return nil, err
+	}
+	x, err := c.Pin(pl)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(ctx, x, opts)
 }
 
 // arJoinRT is the runtime state of one FK-probe stage in the A&R scan:
@@ -112,7 +114,7 @@ type arJoinRT struct {
 // row-major pass before the ship (so the phase-A answer can include its
 // exact contribution) and returned unmerged. solo permits the device-side
 // pre-grouping: this leg is the only one the statement scans.
-func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
+func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	q := &pl.q
 	snap := pl.snap
 	pp := st.pp
@@ -126,32 +128,32 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	switch {
 	case len(pl.factFilters) > 0:
 		f0 := pl.factFilters[0].f
-		d := snap.get(q.Table, f0.Col)
+		d := snap.get("", f0.Col)
 		cands = ar.SelectApprox(m, d, d.Relax(f0.Lo, f0.Hi))
-		st.traceEst(cands.Len(), st.estApply(pl.factFilters[0].estSel()), "bwd.uselectapproximate(%s.%s)", q.Table, f0.Col)
+		st.emit(cands.Len(), st.estApply(pl.factFilters[0].estSel()), obs.Op{Fmt: opSelectApprox, A: q.Table, B: f0.Col})
 		for _, rf := range pl.factFilters[1:] {
 			if err := st.step(StageApprox); err != nil {
 				return nil, err
 			}
-			d := snap.get(q.Table, rf.f.Col)
+			d := snap.get("", rf.f.Col)
 			prev := cands
 			cands = ar.SelectApproxOver(m, d, d.Relax(rf.f.Lo, rf.f.Hi), prev)
 			prev.Release()
-			st.traceEst(cands.Len(), st.estApply(rf.estSel()), "bwd.uselectapproximate(%s.%s)", q.Table, rf.f.Col)
+			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectApprox, A: q.Table, B: rf.f.Col})
 		}
 	case len(pl.orGroups) > 0:
 		g := pl.orGroups[0]
 		cols, rs, _, _ := pl.orGroupRelax(g)
 		cands = ar.SelectApproxAny(m, cols, rs, g.id)
-		st.traceEst(cands.Len(), st.estApply(g.sel), "bwd.uselectanyapproximate(%s)", orGroupText(q.Table, g.filters))
+		st.emit(cands.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyapproximate(%[1]s)", A: g.text})
 	default:
 		anchor, ok := q.anchorColumn()
 		if !ok {
 			return nil, fmt.Errorf("plan: query references no fact columns")
 		}
-		d := snap.get(q.Table, anchor)
+		d := snap.get("", anchor)
 		cands = ar.SelectApprox(m, d, bwd.ApproxRange{Full: true})
-		st.traceRows(cands.Len(), "bwd.scanapproximate(%s.%s)", q.Table, anchor)
+		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.scanapproximate(%[1]s.%[2]s)", A: q.Table, B: anchor})
 	}
 	// Remaining disjunction groups narrow the candidate set like further
 	// conjuncts — each one the union of its per-disjunct relaxed ranges.
@@ -167,7 +169,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		prev := cands
 		cands = ar.SelectApproxAnyOver(m, cols, rs, prev, g.id)
 		prev.Release()
-		st.traceEst(cands.Len(), st.estApply(g.sel), "bwd.uselectanyapproximate(%s)", orGroupText(q.Table, g.filters))
+		st.emit(cands.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyapproximate(%[1]s)", A: g.text})
 	}
 
 	// Discharge deleted base rows on the device: the deletion bitmap is
@@ -188,7 +190,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		prev := cands
 		cands = prev.Filter(keep)
 		prev.Release()
-		st.traceRows(cands.Len(), "bwd.maskdeleted(%s)", q.Table)
+		st.emit(cands.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: q.Table})
 	}
 
 	// Foreign-key join chain and dimension-side approximate selections.
@@ -200,8 +202,8 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if err := st.step(StageApprox); err != nil {
 			return nil, err
 		}
-		fkd := snap.get(q.Table, spec.FKCol)
-		ds := snap.dims[spec.Dim]
+		fkd := snap.get("", spec.FKCol)
+		ds := snap.snapFor(spec.Dim)
 		dimLen := ds.BaseLen()
 		pk, err := ds.Column(spec.DimPK)
 		if err != nil {
@@ -213,7 +215,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.traceRows(cands.Len(), "bwd.leftjoinapproximate(%s.%s -> %s)", q.Table, spec.FKCol, spec.Dim)
+		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: q.Table, B: jr.stage.arrow})
 		if ds.BaseDeletedCount() > 0 {
 			type keepPos struct {
 				i   int
@@ -241,7 +243,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			bat.OIDPool.Put(jr.pos)
 			jr.pos = kept
 			remapJoinPos(pp, joins[:ji], keep)
-			st.traceRows(cands.Len(), "bwd.maskdeleted(%s)", spec.Dim)
+			st.emit(cands.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: spec.Dim})
 		}
 		for _, rf := range jr.stage.dimFilters {
 			dd := snap.get(spec.Dim, rf.f.Col)
@@ -252,7 +254,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			}
 			prev.Release()
 			bat.OIDPool.Put(prevPos)
-			st.traceEst(cands.Len(), st.estApply(rf.estSel()), "bwd.uselectapproximate(%s.%s)", spec.Dim, rf.f.Col)
+			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectApprox, A: spec.Dim, B: rf.f.Col})
 		}
 	}
 
@@ -264,10 +266,10 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	if useDevGrouping {
 		cols := make([]*bwd.Column, len(q.GroupBy))
 		for i, g := range q.GroupBy {
-			cols[i] = snap.get(q.Table, g)
+			cols[i] = snap.get("", g)
 		}
 		mg = ar.GroupApproxMulti(m, cols, cands)
-		st.traceRows(cands.Len(), "bwd.groupapproximate(%s)", join(q.GroupBy))
+		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.groupapproximate(%[1]s)", A: pl.groupText})
 	}
 
 	// Approximate projections for every column the aggregation phase
@@ -281,36 +283,18 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		}
 		return nil
 	}
-	need := neededCols(*q, len(q.GroupBy) > 0 && !useDevGrouping)
-	var refList []ColRef
-	projections := map[ColRef]*ar.Projection{}
-	addRef := func(ref ColRef) {
-		if _, done := projections[ref]; done {
-			return
-		}
+	need, refList := pl.tailKeys, pl.projKeys
+	if useDevGrouping {
+		need, refList = pl.tail, pl.proj
+	}
+	projections := make(map[ColRef]*ar.Projection, len(refList))
+	for _, ref := range refList {
+		table, at := q.Table, cands.IDs
 		if ref.IsDim() {
-			dd := snap.get(ref.Dim, ref.Name)
-			projections[ref] = ar.ProjectApproxAt(m, dd, cands, posFor(ref.Dim))
-			st.traceRows(cands.Len(), "bwd.leftjoinapproximate(%s.%s)", ref.Dim, ref.Name)
-		} else {
-			fd := snap.get(q.Table, ref.Name)
-			projections[ref] = ar.ProjectApprox(m, fd, cands)
-			st.traceRows(cands.Len(), "bwd.leftjoinapproximate(%s.%s)", q.Table, ref.Name)
+			table, at = ref.Dim, posFor(ref.Dim)
 		}
-		refList = append(refList, ref)
-	}
-	for _, a := range q.Aggs {
-		if a.Expr == nil {
-			continue
-		}
-		for _, ref := range a.Expr.Cols() {
-			addRef(ref)
-		}
-	}
-	if len(q.GroupBy) > 0 && !useDevGrouping {
-		for _, g := range q.GroupBy {
-			addRef(ColRef{Name: g})
-		}
+		projections[ref] = ar.ProjectApproxAt(m, snap.get(ref.Dim, ref.Name), cands, at)
+		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
 
 	// ---- Delta scan: the append segment lives in host memory and is
@@ -326,11 +310,11 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			lookups[jr.stage.spec.Dim] = jr.lookup
 		}
 		var err error
-		dset, err = scanDelta(m, pp, *q, snap, need, lookups)
+		dset, err = scanDelta(m, pp, q, snap, need, lookups)
 		if err != nil {
 			return nil, err
 		}
-		st.traceRows(dset.n, "delta.scan(%s, %d qualifying)", q.Table, dset.n)
+		st.emit(dset.n, -1, obs.Op{Fmt: opDeltaScan, A: q.Table, N: int64(dset.n)})
 	}
 
 	// Phase-A approximate answer: strict bounds from approximations over
@@ -338,7 +322,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	st.res.Approx = approxAnswer(pp, m, pl.prog, cands, projections, dset)
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {
-		st.traceRows(cands.Len(), "bwd.%sapproximate(%s)", a.Func, a.Name)
+		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.%[1]sapproximate(%[2]s)", A: a.Func.String(), B: a.Name})
 	}
 
 	// ---- Ship: one bus crossing for candidates, projections, groupings.
@@ -357,7 +341,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			m.Transfer(int64(len(jr.pos)) * 4)
 		}
 	}
-	st.traceRows(cands.Len(), "ship(%s, %d projections)", q.Table, len(refList))
+	st.emit(cands.Len(), -1, obs.Op{Fmt: "ship(%[1]s, %[3]d projections)", A: q.Table, N: int64(len(refList))})
 
 	// ---- Phase R: the refinement subplan on the CPU. The selectivity
 	// estimate restarts at the live base cardinality: refinement walks the
@@ -371,7 +355,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if err := st.step(StageRefine); err != nil {
 			return nil, err
 		}
-		d := snap.get(q.Table, rf.f.Col)
+		d := snap.get("", rf.f.Col)
 		prev := refined
 		if len(joins) == 0 {
 			var vals []int64
@@ -392,7 +376,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if prev != cands {
 			prev.Release()
 		}
-		st.traceEst(refined.Len(), st.estApply(rf.estSel()), "bwd.uselectrefine(%s.%s)", q.Table, rf.f.Col)
+		st.emit(refined.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: q.Table, B: rf.f.Col})
 	}
 	for _, g := range pl.orGroups {
 		if err := st.step(StageRefine); err != nil {
@@ -410,11 +394,11 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if cur != cands {
 			cur.Release()
 		}
-		st.traceEst(refined.Len(), st.estApply(g.sel), "bwd.uselectanyrefine(%s)", orGroupText(q.Table, g.filters))
+		st.emit(refined.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyrefine(%[1]s)", A: g.text})
 	}
 	for _, jr := range joins {
 		spec := jr.stage.spec
-		st.traceRows(refined.Len(), "bwd.leftjoinrefine(%s.%s -> %s)", q.Table, spec.FKCol, spec.Dim)
+		st.emit(refined.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s.%[2]s)", A: q.Table, B: jr.stage.arrow})
 		for _, rf := range jr.stage.dimFilters {
 			if err := st.step(StageRefine); err != nil {
 				return nil, err
@@ -431,7 +415,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			if prev != cands {
 				prev.Release()
 			}
-			st.traceEst(refined.Len(), st.estApply(rf.estSel()), "bwd.uselectrefine(%s.%s)", spec.Dim, rf.f.Col)
+			st.emit(refined.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: spec.Dim, B: rf.f.Col})
 		}
 	}
 	st.res.Refined = refined.Len()
@@ -454,7 +438,7 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			return nil, err
 		}
 		ectx.vals[ref] = vals
-		st.traceRows(refined.Len(), "bwd.leftjoinrefine(%s)", ref.Name)
+		st.emit(refined.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
 	}
 
 	// The projection code buffers and the original candidate set are dead
@@ -474,13 +458,13 @@ func (pl *pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 // orGroupRelax resolves one disjunction group against the snapshot: the
 // decomposed columns, the per-disjunct relaxed ranges (each through its
 // own column's BWD bounds), and the exact bounds for refinement.
-func (pl *pipeline) orGroupRelax(g orGroupStage) (cols []*bwd.Column, rs []bwd.ApproxRange, los, his []int64) {
+func (pl pipeline) orGroupRelax(g orGroupStage) (cols []*bwd.Column, rs []bwd.ApproxRange, los, his []int64) {
 	cols = make([]*bwd.Column, len(g.filters))
 	rs = make([]bwd.ApproxRange, len(g.filters))
 	los = make([]int64, len(g.filters))
 	his = make([]int64, len(g.filters))
 	for i, f := range g.filters {
-		cols[i] = pl.snap.get(pl.q.Table, f.Col)
+		cols[i] = pl.snap.get("", f.Col)
 		rs[i] = cols[i].Relax(f.Lo, f.Hi)
 		los[i], his[i] = f.Lo, f.Hi
 	}

@@ -7,20 +7,16 @@ import (
 	"repro/internal/bat"
 	"repro/internal/bulk"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
-// ExecClassic executes the query with the classic bulk-processing model
-// on the CPU only — the paper's "MonetDB" baseline. It plans the table's
-// legs like ExecAR (pinning one store snapshot per touched table) but
-// assembles every pipeline with the classic scan strategy.
-// Operators are the fully-materializing tight loops of package bulk; no
-// device or bus time is ever charged.
-//
-// Cancellation is cooperative: the pipeline polls ctx between bulk passes
-// and returns ctx.Err() without a result once the context is done.
+// ExecClassic plans, pins and runs the query once with the classic
+// bulk-processing model on the CPU only (ModeClassic) — the paper's "MonetDB"
+// baseline. Operators are the fully-materializing tight loops of package
+// bulk; no device or bus time is ever charged.
 func (c *Catalog) ExecClassic(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
-	return c.exec(ctx, q, opts, true)
+	return c.execOnce(ctx, q, opts, ModeClassic)
 }
 
 // scanClassic is the classic scan strategy: MonetDB-style uselect chains
@@ -30,7 +26,7 @@ func (c *Catalog) ExecClassic(ctx context.Context, q Query, opts ExecOpts) (*Res
 // exact-value tuple stream as the A&R scan for the shared pipeline tail.
 // The delta segment is scanned by the shared delta source and returned
 // unmerged.
-func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
+func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 	q := &pl.q
 	snap := pl.snap
 	pp := st.pp
@@ -50,7 +46,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			return nil, err
 		}
 		ids = bulk.SelectRange(pp, m, b, f0.Lo, f0.Hi)
-		st.traceEst(len(ids), st.estApply(pl.factFilters[0].estSel()), "algebra.uselect(%s.%s)", q.Table, f0.Col)
+		st.emit(len(ids), st.estApply(pl.factFilters[0].estSel()), obs.Op{Fmt: opSelectClassic, A: q.Table, B: f0.Col})
 		for _, rf := range pl.factFilters[1:] {
 			if err := st.step(StageBulk); err != nil {
 				return nil, err
@@ -62,7 +58,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			prev := ids
 			ids = bulk.SelectOIDs(pp, m, b, prev, rf.f.Lo, rf.f.Hi)
 			bat.OIDPool.Put(prev)
-			st.traceEst(len(ids), st.estApply(rf.estSel()), "algebra.uselect(%s.%s)", q.Table, rf.f.Col)
+			st.emit(len(ids), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectClassic, A: q.Table, B: rf.f.Col})
 		}
 	} else {
 		ids = bat.OIDPool.GetN(fact.BaseLen())
@@ -72,7 +68,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			}
 		})
 		m.CPUWork(pp.NThreads(), int64(len(ids))*4, 0, int64(len(ids)))
-		st.traceRows(len(ids), "algebra.scan(%s)", q.Table)
+		st.emit(len(ids), -1, obs.Op{Fmt: "algebra.scan(%[1]s)", A: q.Table})
 	}
 
 	// Disjunction groups: fetch each disjunct column at the surviving
@@ -109,13 +105,13 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 		for k := range cols {
 			mem.I64.Put(cols[k])
 		}
-		st.traceEst(len(ids), st.estApply(g.sel), "algebra.uselectany(%s)", orGroupText(q.Table, g.filters))
+		st.emit(len(ids), st.estApply(g.sel), obs.Op{Fmt: "algebra.uselectany(%[1]s)", A: g.text})
 	}
 
 	// Discharge deleted base rows with one bitmap pass.
 	if fact.BaseDeletedCount() > 0 {
 		ids = maskDeletedOIDs(m, pp, fact, ids)
-		st.traceRows(len(ids), "algebra.maskdeleted(%s)", q.Table)
+		st.emit(len(ids), -1, obs.Op{Fmt: "algebra.maskdeleted(%[1]s)", A: q.Table})
 	}
 
 	// Foreign-key join chain through the pre-built indexes.
@@ -130,7 +126,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		ds := snap.dims[spec.Dim]
+		ds := snap.snapFor(spec.Dim)
 		ix := ds.FKIndex(spec.DimPK)
 		if ix == nil {
 			return nil, fmt.Errorf("plan: no FK index on %s.%s; call BuildFKIndex first", spec.Dim, spec.DimPK)
@@ -158,7 +154,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 		bat.OIDPool.Put(pos)
 		mem.Bools.Put(hit)
 		compactJoinPos(pp, joinPos[:ji], keep)
-		st.traceRows(len(ids), "algebra.leftjoin(%s.%s -> %s)", q.Table, spec.FKCol, spec.Dim)
+		st.emit(len(ids), -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
 
 		for _, rf := range js.dimFilters {
 			db, err := ds.Column(rf.f.Col)
@@ -184,24 +180,24 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			mem.I64.Put(vals)
 			compactJoinPos(pp, joinPos[:ji], keep)
 			m.CPUWork(pp.NThreads(), int64(len(vals))*8, 0, int64(len(vals)))
-			st.traceEst(len(ids), st.estApply(rf.estSel()), "algebra.uselect(%s.%s)", spec.Dim, rf.f.Col)
+			st.emit(len(ids), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectClassic, A: spec.Dim, B: rf.f.Col})
 		}
 	}
 
 	// Delta scan: evaluate the predicates over the live delta rows and
 	// materialize the needed values in the same pass.
-	need := neededCols(*q, len(q.GroupBy) > 0)
+	need := pl.tailKeys
 	var dset *deltaSet
 	if fact.DeltaLen() > 0 {
 		if err := st.step(StageDelta); err != nil {
 			return nil, err
 		}
 		var err error
-		dset, err = scanDelta(m, pp, *q, snap, need, lookups)
+		dset, err = scanDelta(m, pp, q, snap, need, lookups)
 		if err != nil {
 			return nil, err
 		}
-		st.traceRows(dset.n, "delta.scan(%s, %d qualifying)", q.Table, dset.n)
+		st.emit(dset.n, -1, obs.Op{Fmt: opDeltaScan, A: q.Table, N: int64(dset.n)})
 	}
 	st.estCapture()
 	st.res.Candidates = len(ids)
@@ -218,12 +214,12 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 		return nil
 	}
 	ectx := &exprCtx{n: len(ids), vals: map[ColRef][]int64{}}
-	for _, ref := range sortedRefs(need) {
+	for _, ref := range need {
 		if err := st.step(StageBulk); err != nil {
 			return nil, err
 		}
 		if ref.IsDim() {
-			db, err := snap.dims[ref.Dim].Column(ref.Name)
+			db, err := snap.snapFor(ref.Dim).Column(ref.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -235,7 +231,7 @@ func (pl *pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			}
 			ectx.vals[ref] = bulk.Fetch(pp, m, fb, ids)
 		}
-		st.traceRows(ectx.n, "algebra.leftjoin(%s)", ref.Name)
+		st.emit(ectx.n, -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s)", A: ref.Name})
 	}
 
 	return &scanOut{ectx: ectx, dset: dset}, nil

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bat"
@@ -22,35 +23,36 @@ type deltaSet struct {
 	vals map[ColRef][]int64
 }
 
-// neededCols collects every column whose exact values the aggregation
-// phase needs: aggregate expression references plus (when withGroups) the
-// grouping columns.
-func neededCols(q Query, withGroups bool) map[ColRef]bool {
-	need := map[ColRef]bool{}
+// tailCols lists every column whose exact values the aggregation phase
+// needs: aggregate expression references plus (withKeys) the grouping
+// columns, in order of first mention — the order the A&R scan projects them.
+func tailCols(q *Query, withKeys bool) []ColRef {
+	var refs []ColRef
 	for _, a := range q.Aggs {
 		if a.Expr == nil {
 			continue
 		}
 		for _, ref := range a.Expr.Cols() {
-			need[ref] = true
+			if !slices.Contains(refs, ref) {
+				refs = append(refs, ref)
+			}
 		}
 	}
-	if withGroups {
+	if withKeys {
 		for _, g := range q.GroupBy {
-			need[ColRef{Name: g}] = true
+			if ref := (ColRef{Name: g}); !slices.Contains(refs, ref) {
+				refs = append(refs, ref)
+			}
 		}
 	}
-	return need
+	return refs
 }
 
-// sortedRefs returns the needed columns in a deterministic order
-// (fact columns first, then dimensions, each alphabetical), so plan
-// listings and traces do not depend on map iteration order.
-func sortedRefs(need map[ColRef]bool) []ColRef {
-	refs := make([]ColRef, 0, len(need))
-	for ref := range need {
-		refs = append(refs, ref)
-	}
+// sortedRefs returns a copy of refs with fact columns first, then
+// dimensions, each alphabetical: the order the classic and delta scans and
+// the gather materialize them, so listings have one order.
+func sortedRefs(refs []ColRef) []ColRef {
+	refs = slices.Clone(refs)
 	sort.Slice(refs, func(i, j int) bool {
 		if refs[i].Dim != refs[j].Dim {
 			return refs[i].Dim < refs[j].Dim
@@ -84,7 +86,7 @@ type deltaJoin struct {
 // The cost charged is one sequential row-major pass over the visible delta
 // (a row store reads whole rows) plus the dimension gathers for joined
 // references.
-func scanDelta(m *device.Meter, pp par.P, q Query, snap *execSnap, need map[ColRef]bool, lookups map[string]func(int64) (bat.OID, bool)) (*deltaSet, error) {
+func scanDelta(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRef, lookups map[string]func(int64) (bat.OID, bool)) (*deltaSet, error) {
 	fs := snap.fact
 	if fs.DeltaLen() == 0 {
 		return nil, nil
@@ -119,7 +121,6 @@ func scanDelta(m *device.Meter, pp par.P, q Query, snap *execSnap, need map[ColR
 		col  []int64
 	}
 	joins := make([]deltaJoin, len(q.Joins))
-	joinOf := map[string]int{}
 	var nDimFilterCols int
 	for ji, spec := range q.Joins {
 		i, err := ft.ColIndex(spec.FKCol)
@@ -131,9 +132,8 @@ func scanDelta(m *device.Meter, pp par.P, q Query, snap *execSnap, need map[ColR
 			return nil, fmt.Errorf("plan: delta scan of %s needs a dimension lookup for the join with %s", q.Table, spec.Dim)
 		}
 		joins[ji] = deltaJoin{spec: spec, fkIdx: i, lookup: lookup}
-		joinOf[spec.Dim] = ji
 		for _, f := range spec.DimFilters {
-			db, err := snap.dims[spec.Dim].Column(f.Col)
+			db, err := snap.dims[ji].Column(f.Col)
 			if err != nil {
 				return nil, err
 			}
@@ -143,13 +143,10 @@ func scanDelta(m *device.Meter, pp par.P, q Query, snap *execSnap, need map[ColR
 	}
 	var factRefs []factRef
 	var dimRefs []dimRef
-	for _, ref := range sortedRefs(need) {
+	for _, ref := range need {
 		if ref.IsDim() {
-			ji, ok := joinOf[ref.Dim]
-			if !ok {
-				return nil, fmt.Errorf("plan: dimension column %s.%s referenced without joining %s", ref.Dim, ref.Name, ref.Dim)
-			}
-			db, err := snap.dims[ref.Dim].Column(ref.Name)
+			ji := q.joinsDim(ref.Dim)
+			db, err := snap.dims[ji].Column(ref.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -204,7 +201,7 @@ func scanDelta(m *device.Meter, pp par.P, q Query, snap *execSnap, need map[ColR
 			for ji := range joins {
 				dj := &joins[ji]
 				pos, ok := dj.lookup(fs.DeltaValue(j, dj.fkIdx))
-				if !ok || snap.dims[dj.spec.Dim].BaseDeleted(int(pos)) {
+				if !ok || snap.dims[ji].BaseDeleted(int(pos)) {
 					continue rows
 				}
 				for k, f := range dj.spec.DimFilters {

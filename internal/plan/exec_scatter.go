@@ -1,8 +1,8 @@
 // The one execution path. A table is an ordered list of legs — a plain
 // table is one leg under its own name, a partitioned table (internal/shard)
 // is N independent store.Tables behind one name — and every statement runs
-// the same way: plan the legs (prune, pin each leg's snapshot, settle its
-// scan mode), scan them — classic or A&R chosen per leg, concurrently when
+// the same way: pin the plan's legs (plan.go: prune, pin each leg's snapshot,
+// settle its scan mode), scan them — classic or A&R per leg, concurrently when
 // there are several, each A&R scan of a partitioned table
 // admission-controlled onto its partition's simulated device stream by the
 // engine's DeviceGate — and gather the per-leg exact tuple sets into the
@@ -22,7 +22,6 @@ package plan
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -31,7 +30,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/shard"
-	"repro/internal/store"
 )
 
 // DeviceGate admission-controls the per-partition device streams. The
@@ -45,11 +43,11 @@ type DeviceGate interface {
 	AcquireStream(ctx context.Context, device int) (release func(), err error)
 }
 
-// leg is one scan of one leg table: planned by planLegs (idx, pl), run by
-// scan on its own execution state, consumed by the gather.
+// leg is one scan of one leg table: pinned by Pin (idx, pl), run by scan on
+// its own execution state, consumed by the gather.
 type leg struct {
 	idx  int // position in the table's leg order: the partition number
-	pl   *pipeline
+	pl   pipeline
 	st   pipeState
 	out  *scanOut
 	wall time.Duration
@@ -99,82 +97,12 @@ func prunePartitions(q Query, spec shard.Spec) []bool {
 	return keep
 }
 
-// planLeg is the leg planner every consumer shares — execution, \explain
-// and ChooseMode: it pins leg table t's snapshot for the query and settles
-// the leg's scan mode. A leg scans classically when the statement is
-// classic, when it cannot run A&R (snap.arErr says why: e.g. an empty,
-// undecomposed partition) — the shared tail merges its byte-identical
-// partial like any other — or, with price set, when the cost model prices
-// the leg's own statistics cheaper that way.
-func (c *Catalog) planLeg(q Query, t *store.Table, classic, price bool) (*execSnap, ModeChoice, error) {
-	q.Table = t.Name()
-	snap, err := q.pin(c, t, classic)
-	switch {
-	case err != nil:
-		return nil, ModeChoice{}, err
-	case classic || snap.arErr != nil:
-		return snap, ModeChoice{Classic: true, EstCandidates: -1}, nil
-	case price:
-		return snap, chooseSnap(c.sys, &q, snap), nil
-	}
-	return snap, ModeChoice{}, nil
-}
-
-// planLegs resolves the query's table to its legs, prunes the ones the
-// filters exclude, and assembles one pipeline per surviving leg. Under a
-// cost-chosen mode (auto) the scan strategy of a multi-leg table is
-// re-chosen per leg from the leg's own statistics; a single-leg table's
-// statement-level choice already is its leg's. p is nil for a plain table.
-func (c *Catalog) planLegs(q Query, classic, auto bool) (legs []leg, p *shard.Partitioned, err error) {
-	tables, p, err := c.legs(q.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	var keep []bool
-	if p != nil {
-		keep = prunePartitions(q, p.Spec)
-	}
-	legs = make([]leg, 0, len(tables))
-	prog := compileAggs(q.Aggs)
-	capable := classic
-	var arErr error
-	for i, t := range tables {
-		if keep != nil && !keep[i] {
-			continue
-		}
-		snap, ch, err := c.planLeg(q, t, classic, auto && len(tables) > 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		if arErr == nil {
-			arErr = snap.arErr
-		}
-		capable = capable || snap.arErr == nil
-		qi := q
-		qi.Table = t.Name()
-		legs = append(legs, leg{idx: i, pl: buildPipeline(qi, snap, ch.Classic, prog)})
-	}
-	// No surviving leg can run A&R: the query cannot either, unless a pruned
-	// leg can. Capability is judged over the whole table — pruning must not
-	// turn a runnable query into an error just because only classic-capable
-	// (e.g. empty, undecomposed) partitions survived it.
-	for i := 0; i < len(keep) && !capable; i++ {
-		if !keep[i] {
-			snap, _, err := c.planLeg(q, tables[i], false, false)
-			capable = err == nil && snap.arErr == nil
-		}
-	}
-	if !capable {
-		return nil, nil, arErr
-	}
-	return legs, p, nil
-}
-
 // newState builds the mutable state of one execution — a leg's scan, or the
 // gather of several — with its own meter and result.
-func (c *Catalog) newState(ctx context.Context, opts ExecOpts) pipeState {
+func (c *Catalog) newState(ctx context.Context, opts ExecOpts, nOps int) pipeState {
 	m := device.NewMeter(c.sys)
-	return pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: &Result{Meter: m}, estCand: -1}
+	res := &Result{Meter: m, ops: make([]planLine, 0, nOps)}
+	return pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: res, estCand: -1}
 }
 
 // scan runs the leg's scan source and folds the delta contribution into
@@ -230,7 +158,7 @@ func (c *Catalog) scatter(ctx context.Context, legs []leg, opts ExecOpts, gate D
 	var wg sync.WaitGroup
 	for li := range legs {
 		lg := &legs[li]
-		lg.st = c.newState(scanCtx, opts)
+		lg.st = c.newState(scanCtx, opts, lg.pl.nOps)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -253,15 +181,15 @@ func (c *Catalog) scatter(ctx context.Context, legs []leg, opts ExecOpts, gate D
 	return scanErr
 }
 
-// exec is the executor: plan the legs, scan them, gather the partials in
-// leg order, run the shared tail once. One leg runs inline on the caller's
+// Run is the executor: scan the pinned legs, gather the partials in leg
+// order, run the shared tail once. One leg runs inline on the caller's
 // goroutine and the tail continues on the leg's own state and tuple set;
-// several run concurrently (scatter) and gatherLegs merges them.
-func (c *Catalog) exec(ctx context.Context, q Query, opts ExecOpts, classic bool) (*Result, error) {
-	legs, p, err := c.planLegs(q, classic, opts.AutoMode)
-	if err != nil {
-		return nil, err
-	}
+// several run concurrently (scatter) and gatherLegs merges them. The
+// pipeline polls ctx between stages (plan.Stage) and returns ctx.Err()
+// without a result once the context is done.
+func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, error) {
+	legs, p, pl, classic := x.legs, x.p, x.pl, x.pr.choice.Classic
+	q := &pl.q
 	// Each leg gets an equal share of the real worker pool; the simulated
 	// Threads stay untouched, so the meter is independent of how the pool
 	// is split. Only partitions have device streams to be admitted onto.
@@ -273,13 +201,11 @@ func (c *Catalog) exec(ctx context.Context, q Query, opts ExecOpts, classic bool
 		pruned = p.Spec.N - len(legs)
 		c.prunedParts.Add(int64(pruned))
 	}
-	// Every leg's pipeline carries the statement, retargeted at its table;
-	// the gather and the tail read its shape, never the table name.
 	lg := &legs[0]
-	st, stmt := &lg.st, &lg.pl.q
+	st := &lg.st
 	var out *scanOut
 	if len(legs) == 1 {
-		lg.st = c.newState(ctx, legOpts)
+		lg.st = c.newState(ctx, legOpts, pl.nOps)
 		if p == nil && opts.Trace {
 			// A plain table's scan operators are its trace events.
 			st.startTrace(classic)
@@ -292,11 +218,11 @@ func (c *Catalog) exec(ctx context.Context, q Query, opts ExecOpts, classic bool
 		if err := c.scatter(ctx, legs, legOpts, gate, classic); err != nil {
 			return nil, err
 		}
-		gst := c.newState(ctx, opts)
+		gst := c.newState(ctx, opts, pl.nOps)
 		st = &gst
-		out = gatherLegs(st, stmt, legs, classic)
+		out = gatherLegs(st, pl, legs, classic)
 	}
-	st.res.InputBytes = scatterInputBytes(legs)
+	st.res.InputBytes = scatterInputBytes(pl, legs)
 
 	if p != nil {
 		// A partitioned table's listing and trace lead with the fan-out: each
@@ -305,21 +231,23 @@ func (c *Catalog) exec(ctx context.Context, q Query, opts ExecOpts, classic bool
 		if opts.Trace {
 			st.startTrace(classic)
 		}
-		plan := []string{fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, p.Spec.N, p.Spec)}
+		lines := make([]planLine, 0, 2+len(legs)*(1+pl.nOps))
+		lines = append(lines, planLine{op: obs.Op{Fmt: "scatter: %[1]s over %[3]d partitions (%[2]s)", A: q.Table, B: p.Spec.String(), N: int64(p.Spec.N)}})
 		if pruned > 0 {
-			plan = append(plan, fmt.Sprintf("  pruned: %d of %d partitions (filters on %s exclude their slabs)", pruned, p.Spec.N, p.Spec.Col))
+			lines = append(lines, planLine{op: obs.Op{Fmt: "  pruned: %[3]d of %[4]d partitions (filters on %[1]s exclude their slabs)", A: p.Spec.Col, N: int64(pruned), M: int64(p.Spec.N)}})
 		}
 		for li := range legs {
 			lg := &legs[li]
 			ls, mode := &lg.st, modeName(lg.pl.classic)
-			plan = append(plan, fmt.Sprintf("  partition %d: mode=%s, %d candidates, %d refined", lg.idx, mode, ls.res.Candidates, ls.res.Refined))
-			for _, line := range ls.res.Plan {
-				plan = append(plan, "    "+line)
+			lines = append(lines, planLine{op: obs.Op{Fmt: "  partition %[3]d: mode=%[1]s, %[4]d candidates, %[5]d refined",
+				A: mode, N: int64(lg.idx), M: int64(ls.res.Candidates), K: int64(ls.res.Refined)}})
+			for _, l := range ls.res.ops {
+				lines = append(lines, planLine{op: l.op, indent: 4})
 			}
 			if st.tr != nil {
 				st.tr.Add(obs.StageEvent{
 					Stage: string(StageScatter),
-					Op:    fmt.Sprintf("scatter(%s, mode=%s)", lg.pl.q.Table, mode),
+					Op:    obs.Op{Fmt: "scatter(%[1]s, mode=%[2]s)", A: lg.pl.q.Table, B: mode},
 					Rows:  int64(lg.out.ectx.n),
 					Est:   ls.estCand,
 					Wall:  lg.wall,
@@ -329,17 +257,19 @@ func (c *Catalog) exec(ctx context.Context, q Query, opts ExecOpts, classic bool
 				})
 			}
 		}
-		st.res.Plan = plan
+		st.res.ops = lines
 		// Baseline the tail's trace deltas after the legs' charges.
-		st.last = *st.m
-		st.mark = time.Now()
+		if st.tr != nil {
+			st.last = *st.m
+			st.mark = time.Since(st.tr.Start)
+		}
 		if err := st.step(StageGather); err != nil {
 			return nil, err
 		}
-		st.traceRows(out.ectx.n, "gather(%s, %d partitions)", q.Table, len(legs))
+		st.emit(out.ectx.n, -1, obs.Op{Fmt: "gather(%[1]s, %[3]d partitions)", A: q.Table, N: int64(len(legs))})
 	}
 
-	if err := finish(st, stmt, lg.pl.prog, classic, out); err != nil {
+	if err := finish(st, pl, classic, out); err != nil {
 		return nil, err
 	}
 	// The surviving candidate set (and the pre-grouping's source when one
@@ -369,7 +299,7 @@ func (c *Catalog) exec(ctx context.Context, q Query, opts ExecOpts, classic bool
 // gatherLegs merges the partials of several legs onto the gather state st,
 // in leg order: meters, candidate counts and estimates add, the phase-A
 // answers combine, and the exact values concatenate per referenced column.
-func gatherLegs(st *pipeState, q *Query, legs []leg, classic bool) *scanOut {
+func gatherLegs(st *pipeState, pl *Plan, legs []leg, classic bool) *scanOut {
 	answers := make([]ApproxAnswer, len(legs))
 	merged := &exprCtx{vals: map[ColRef][]int64{}}
 	st.estCand = 0
@@ -387,9 +317,9 @@ func gatherLegs(st *pipeState, q *Query, legs []leg, classic bool) *scanOut {
 		merged.n += legs[li].out.ectx.n
 	}
 	if !classic {
-		st.res.Approx = combineAnswers(*q, answers)
+		st.res.Approx = combineAnswers(pl.q, answers)
 	}
-	for _, ref := range sortedRefs(neededCols(*q, len(q.GroupBy) > 0)) {
+	for _, ref := range pl.tailKeys {
 		vals := make([]int64, 0, merged.n)
 		for li := range legs {
 			vals = append(vals, legs[li].out.ectx.vals[ref]...)
@@ -403,25 +333,18 @@ func gatherLegs(st *pipeState, q *Query, legs []leg, classic bool) *scanOut {
 // the physical size of every fact column the query reads plus the row-major
 // delta segment, per leg, and each joined dimension column exactly once
 // (dimensions are shared, not partitioned).
-func scatterInputBytes(legs []leg) int64 {
+func scatterInputBytes(pl *Plan, legs []leg) int64 {
 	var total int64
 	for i := range legs {
-		q, s := &legs[i].pl.q, legs[i].pl.snap
-		seen := map[string]bool{}
-		_ = q.walkCols(func(table, col string) error {
-			key := table + "." + col
-			if seen[key] {
-				return nil
+		s := legs[i].pl.snap
+		for _, ref := range pl.cols {
+			if i > 0 && ref.IsDim() {
+				continue // dimension columns count once
 			}
-			seen[key] = true
-			if i > 0 && table != q.Table {
-				return nil // dimension columns count once
-			}
-			if b, err := s.snapFor(table).Column(col); err == nil {
+			if b, err := s.snapFor(ref.Dim).Column(ref.Name); err == nil {
 				total += b.TailBytes()
 			}
-			return nil
-		})
+		}
 		total += s.fact.DeltaBytes()
 	}
 	return total

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/bwd"
 	"repro/internal/stats"
@@ -48,38 +47,15 @@ func (rf rankedFilter) estSel() float64 {
 	return rf.sel
 }
 
-// orderFilters implements the optimizer of §III-A with real statistics:
-// approximate selections are pushed down (executed first) in order of
-// estimated selectivity, so the cheapest, most selective approximate scans
-// shrink the candidate set before the more expensive operators run. The
-// estimate is the histogram mass of the relaxed code range — the BWD
-// bucket-occupancy counts maintained at decompose time — falling back to
-// the code-domain fraction only when a column carries no histogram. It
-// applies to fact-side and dimension-side filters alike; the caller passes
-// the owning table.
-func orderFilters(snap *execSnap, table string, filters []Filter) []rankedFilter {
+// rankFilters wraps the filters of one table (dim "" is the fact table) with
+// their selectivity estimates, in the written order. Undecomposed columns
+// are tagged estNone so the explain surface prints `est=n/a (no stats)`
+// instead of a magic number.
+func rankFilters(snap *execSnap, dim string, filters []Filter) []rankedFilter {
 	rs := make([]rankedFilter, 0, len(filters))
 	for _, f := range filters {
-		sel, src := estimateSelectivity(snap.get(table, f.Col), f)
+		sel, src := estimateSelectivity(snap.get(dim, f.Col), f)
 		rs = append(rs, rankedFilter{f, sel, src})
-	}
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].sel < rs[j].sel })
-	return rs
-}
-
-// rankFilters wraps filters with their selectivity estimates without
-// reordering — the classic pipeline preserves the written predicate order
-// but still reports the estimates in \explain when decompositions exist.
-// Undecomposed columns are tagged estNone so the explain surface prints
-// `est=n/a (no stats)` instead of a magic number.
-func rankFilters(snap *execSnap, table string, filters []Filter) []rankedFilter {
-	rs := make([]rankedFilter, 0, len(filters))
-	for _, f := range filters {
-		rf := rankedFilter{f: f, src: estNone}
-		if d := snap.get(table, f.Col); d != nil {
-			rf.sel, rf.src = estimateSelectivity(d, f)
-		}
-		rs = append(rs, rf)
 	}
 	return rs
 }
@@ -141,13 +117,13 @@ func defaultFilterSel(snap *store.Snapshot, f Filter) float64 {
 // disjunct whose column lacks a decomposition no longer collapses the
 // whole group to 1.0 — it contributes a row-count default instead, and the
 // group's estimate is tagged with the weakest source used.
-func estimateOrSelectivity(snap *execSnap, table string, group []Filter) (float64, estSource) {
+func estimateOrSelectivity(snap *execSnap, group []Filter) (float64, estSource) {
 	src := estHistogram
 	var sum float64
 	for _, f := range group {
-		d := snap.get(table, f.Col)
+		d := snap.get("", f.Col)
 		if d == nil {
-			sum += defaultFilterSel(snap.snapFor(table), f)
+			sum += defaultFilterSel(snap.fact, f)
 			src = weakest(src, estRowCount)
 			continue
 		}
@@ -184,106 +160,6 @@ func estimateJoinSel(snap *execSnap, j JoinSpec) (float64, estSource) {
 		src = weakest(src, fsrc)
 	}
 	return sel, src
-}
-
-// execSnap is the set of table versions one leg's execution works against:
-// the fact (and every joined dimension) store snapshot, pinned exactly
-// once at query start, plus the resolved decompositions of every column the
-// query touches. A&R operators key candidate code columns on bwd.Column
-// pointer identity, so the approximate and refine phases must see the same
-// pointer even if a concurrent merge or bwdecompose swaps the table
-// version mid-query — pinning the snapshot guarantees exactly that, and
-// makes the whole read snapshot isolated against concurrent DML.
-type execSnap struct {
-	fact *store.Snapshot
-	dims map[string]*store.Snapshot // keyed by dimension table name; nil without joins
-	decs map[string]*bwd.Column
-	// arErr is why an A&R plan cannot run against this snapshot (a touched
-	// column is not decomposed, or there is no fact-side column to scan);
-	// nil when it can. Classic pins never set it.
-	arErr error
-}
-
-func (s *execSnap) get(table, col string) *bwd.Column { return s.decs[table+"."+col] }
-
-// snapFor returns the snapshot holding table's data (fact or a dimension).
-func (s *execSnap) snapFor(table string) *store.Snapshot {
-	if d, ok := s.dims[table]; ok {
-		return d
-	}
-	return s.fact
-}
-
-// pin validates the query against one leg table (q.Table names it) and pins
-// the table versions it reads. One walk checks that every referenced column
-// exists and records the decompositions that do, so validation and snapshot
-// can never cover different column sets. Classic plans need no
-// decomposition — the estimator still reads histograms off the ones that
-// happen to exist, so classic plans print real estimates wherever statistics
-// are available; for an A&R plan (classic false) the first missing one is
-// recorded as snap.arErr instead of failing the pin, which is what lets a
-// leg fall back to the classic scan on the same snapshot. Joins require the
-// dimension side to be delta-free: the FK index and the join positions
-// address the dimension base segment, so freshly inserted dimension rows
-// must be merged before they are joinable.
-func (q *Query) pin(c *Catalog, fact *store.Table, classic bool) (*execSnap, error) {
-	if err := q.checkShape(); err != nil {
-		return nil, err
-	}
-	snap := &execSnap{fact: fact.Snapshot(), decs: map[string]*bwd.Column{}}
-	if len(q.Joins) > 0 {
-		snap.dims = make(map[string]*store.Snapshot, len(q.Joins))
-	}
-	for _, j := range q.Joins {
-		if j.Dim == q.Table {
-			return nil, fmt.Errorf("plan: table %s cannot join itself as a dimension", q.Table)
-		}
-		if _, dup := snap.dims[j.Dim]; dup {
-			return nil, fmt.Errorf("plan: dimension table %s joined twice", j.Dim)
-		}
-		dim, err := c.Table(j.Dim)
-		if err != nil {
-			return nil, err
-		}
-		ds := dim.Snapshot()
-		if n := ds.DeltaLen(); n > 0 {
-			return nil, fmt.Errorf("plan: dimension table %s has %d unmerged delta rows; run \\merge %s (Catalog.MergeTable) before joining", j.Dim, n, j.Dim)
-		}
-		if ds.BaseLen() == 0 {
-			// Guard both scan strategies: the A&R dense-PK arithmetic reads
-			// pk.Tail(0), and the classic path has no index to probe.
-			return nil, fmt.Errorf("plan: dimension table %s is empty; load it before joining", j.Dim)
-		}
-		snap.dims[j.Dim] = ds
-	}
-	add := func(table, col string) error {
-		key := table + "." + col
-		if _, done := snap.decs[key]; done {
-			return nil
-		}
-		s := snap.snapFor(table)
-		if d := s.Dec(col); d != nil {
-			snap.decs[key] = d
-			return nil
-		}
-		if _, err := s.Column(col); err != nil {
-			return err
-		}
-		if !classic && snap.arErr == nil {
-			snap.arErr = fmt.Errorf("plan: column %s.%s is not bitwise decomposed; call Decompose first", table, col)
-		}
-		return nil
-	}
-	if err := q.walkCols(add); err != nil {
-		return nil, err
-	}
-	if !classic && snap.arErr == nil && len(q.Filters) == 0 && len(q.Or) == 0 {
-		// The approximation subplan needs a fact-side column to scan.
-		if _, ok := q.anchorColumn(); !ok {
-			snap.arErr = fmt.Errorf("plan: A&R plan needs a fact-side column to scan (add a filter, grouping, or fact-column aggregate)")
-		}
-	}
-	return snap, nil
 }
 
 // checkShape validates the parts of the query that are independent of the
@@ -332,33 +208,33 @@ func (q *Query) checkShape() error {
 	return nil
 }
 
-// walkCols visits every (table, column) reference of the query in a fixed
-// order: fact filters, OR groups, grouping keys, each join's FK and
-// dimension filters, then aggregate expression references.
-func (q *Query) walkCols(visit func(table, col string) error) error {
+// walkCols visits every column reference of the query in a fixed order:
+// fact filters, OR groups, grouping keys, each join's FK and dimension
+// filters, then aggregate expression references.
+func (q *Query) walkCols(visit func(ref ColRef) error) error {
 	for _, f := range q.Filters {
-		if err := visit(q.Table, f.Col); err != nil {
+		if err := visit(ColRef{Name: f.Col}); err != nil {
 			return err
 		}
 	}
 	for _, group := range q.Or {
 		for _, f := range group {
-			if err := visit(q.Table, f.Col); err != nil {
+			if err := visit(ColRef{Name: f.Col}); err != nil {
 				return err
 			}
 		}
 	}
 	for _, g := range q.GroupBy {
-		if err := visit(q.Table, g); err != nil {
+		if err := visit(ColRef{Name: g}); err != nil {
 			return err
 		}
 	}
 	for _, j := range q.Joins {
-		if err := visit(q.Table, j.FKCol); err != nil {
+		if err := visit(ColRef{Name: j.FKCol}); err != nil {
 			return err
 		}
 		for _, f := range j.DimFilters {
-			if err := visit(j.Dim, f.Col); err != nil {
+			if err := visit(ColRef{Name: f.Col, Dim: j.Dim}); err != nil {
 				return err
 			}
 		}
@@ -368,14 +244,7 @@ func (q *Query) walkCols(visit func(table, col string) error) error {
 			continue
 		}
 		for _, ref := range a.Expr.Cols() {
-			tbl := q.Table
-			if ref.IsDim() {
-				if !q.joinsDim(ref.Dim) {
-					return fmt.Errorf("plan: dimension column %s.%s referenced without joining %s", ref.Dim, ref.Name, ref.Dim)
-				}
-				tbl = ref.Dim
-			}
-			if err := visit(tbl, ref.Name); err != nil {
+			if err := visit(ref); err != nil {
 				return err
 			}
 		}
@@ -383,14 +252,15 @@ func (q *Query) walkCols(visit func(table, col string) error) error {
 	return nil
 }
 
-// joinsDim reports whether the query joins the named dimension table.
-func (q *Query) joinsDim(dim string) bool {
-	for _, j := range q.Joins {
+// joinsDim returns the position of the join into the named dimension table
+// in the query's join list, or -1.
+func (q *Query) joinsDim(dim string) int {
+	for i, j := range q.Joins {
 		if j.Dim == dim {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // anchorColumn picks the column whose approximation the full-table scan

@@ -237,7 +237,7 @@ func TestPartitionedCatalogSurface(t *testing.T) {
 		GroupBy: []string{"g"},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err := c.ExplainQuery(q, false, false)
+	lines, err := explainQuery(c, q, ModeAR)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,98 +37,106 @@ import (
 	"repro/internal/stats"
 )
 
-// pipeline is one assembled physical plan: the scan-strategy choice plus
-// the cost-ordered predicate chains and join stages the scan will execute.
-type pipeline struct {
+// legPlan is one leg's assembled physical plan: the scan-strategy choice
+// plus the cost-ordered predicate chains and join stages the scan will
+// execute. It is the priced, immutable, snapshot-free part of a Plan —
+// built once per pricing, run by any number of executions.
+type legPlan struct {
+	*Plan
+	// q is the statement retargeted at the leg's table.
 	q       Query
-	snap    *execSnap
 	classic bool
-	// prog is the statement's compiled aggregate program (expr.go), shared
-	// by every leg.
-	prog *program
 
 	factFilters []rankedFilter
 	orGroups    []orGroupStage
 	joins       []joinStage
 }
 
+// pipeline is a legPlan bound to the snapshots one execution pinned for it.
+type pipeline struct {
+	*legPlan
+	snap *execSnap
+}
+
 // orGroupStage is one disjunction operator: the group's predicates, the
-// candidate-attachment group id, and the selectivity bound (with its
-// estimate source) for \explain.
+// candidate-attachment group id, the selectivity bound (with its estimate
+// source) for \explain, and the operator's listing text ("t.a|t.b").
 type orGroupStage struct {
 	filters []Filter
 	id      int
 	sel     float64
 	src     estSource
+	text    string
 }
 
 // joinStage is one FK-probe stage of the join chain with its (possibly
 // cost-ordered) dimension-side filters. sel estimates the fraction of fact
 // candidates surviving the probe itself (the dimension's live fraction);
-// the dimension filters carry their own estimates.
+// the dimension filters carry their own estimates, and key — the whole
+// stage's survival fraction — orders the chain. arrow is the probe's listing
+// text ("fk -> dim").
 type joinStage struct {
 	spec       JoinSpec
 	dimFilters []rankedFilter
-	sel        float64
+	sel, key   float64
 	src        estSource
+	arrow      string
 }
 
-// buildPipeline assembles the physical pipeline for one execution. The
-// A&R assembly cost-orders the fact-side and dimension-side filters — and
-// the join chain — by estimated selectivity from the statistics provider;
-// the classic assembly preserves the written order (the bulk engine
-// predates the statistics) but still records estimates for \explain when
-// decompositions exist.
-func buildPipeline(q Query, snap *execSnap, classic bool, prog *program) *pipeline {
-	pl := &pipeline{q: q, snap: snap, classic: classic, prog: prog}
-	if classic {
-		pl.factFilters = rankFilters(snap, q.Table, q.Filters)
-	} else {
-		pl.factFilters = orderFilters(snap, q.Table, q.Filters)
-	}
+// buildLeg assembles the pipeline of one leg (table names it) against the
+// snapshot it is being priced at: every filter, disjunction and join stage
+// with its selectivity estimate, in the written order and marked classic —
+// the bulk engine predates the statistics and keeps them only for \explain.
+func buildLeg(plan *Plan, table string, snap *execSnap) *legPlan {
+	pl := &legPlan{Plan: plan, q: plan.q, classic: true}
+	pl.q.Table = table
+	q := &pl.q
+	pl.factFilters = rankFilters(snap, "", q.Filters)
 	for i, group := range q.Or {
-		sel, src := estimateOrSelectivity(snap, q.Table, group)
+		sel, src := estimateOrSelectivity(snap, group)
 		pl.orGroups = append(pl.orGroups, orGroupStage{
 			filters: group,
 			id:      i + 1,
 			sel:     sel,
 			src:     src,
+			text:    orGroupText(table, group),
 		})
 	}
-	type ordJoin struct {
-		st  joinStage
-		key float64
-	}
-	ord := make([]ordJoin, 0, len(q.Joins))
 	for _, j := range q.Joins {
-		st := joinStage{spec: j}
-		st.sel = 1.0
+		st := joinStage{spec: j, sel: 1.0, src: estRowCount, arrow: j.FKCol + " -> " + j.Dim}
 		if ds := snap.snapFor(j.Dim); ds.BaseLen() > 0 {
 			st.sel = float64(ds.LiveBase()) / float64(ds.BaseLen())
 		}
-		st.src = estRowCount
-		if classic {
-			st.dimFilters = rankFilters(snap, j.Dim, j.DimFilters)
-		} else {
-			st.dimFilters = orderFilters(snap, j.Dim, j.DimFilters)
-		}
+		st.dimFilters = rankFilters(snap, j.Dim, j.DimFilters)
 		// The ordering key is the stage's whole survival fraction: probe
 		// survival times the dimension filters' combined selectivity.
-		key, _ := estimateJoinSel(snap, j)
-		ord = append(ord, ordJoin{st: st, key: key})
-	}
-	if !classic && len(ord) > 1 {
-		// Cost-order the join chain: most selective stage first. FK probes
-		// are n:1 and order-preserving over the fact candidate list, so the
-		// surviving set — and therefore the result bytes — is identical for
-		// every permutation; only the intermediate cardinalities shrink
-		// sooner. Classic keeps the written order.
-		sort.SliceStable(ord, func(a, b int) bool { return ord[a].key < ord[b].key })
-	}
-	for _, o := range ord {
-		pl.joins = append(pl.joins, o.st)
+		st.key, _ = estimateJoinSel(snap, j)
+		pl.joins = append(pl.joins, st)
 	}
 	return pl
+}
+
+// costOrder turns the assembly into the A&R one — the optimizer of §III-A
+// with real statistics: approximate selections, fact-side and dimension-side
+// alike, run in order of estimated selectivity, so the most selective scans
+// shrink the candidate set before the more expensive operators run; and the
+// join chain is ordered the same way. FK probes are n:1 and order-preserving
+// over the fact candidate list, so the result bytes are identical for every
+// permutation; only the intermediate cardinalities shrink sooner.
+func (pl *legPlan) costOrder() {
+	pl.classic = false
+	bySel := func(rs []rankedFilter) {
+		if len(rs) > 1 {
+			sort.SliceStable(rs, func(i, j int) bool { return rs[i].sel < rs[j].sel })
+		}
+	}
+	bySel(pl.factFilters)
+	for _, j := range pl.joins {
+		bySel(j.dimFilters)
+	}
+	if len(pl.joins) > 1 {
+		sort.SliceStable(pl.joins, func(a, b int) bool { return pl.joins[a].key < pl.joins[b].key })
+	}
 }
 
 // pipeState is the mutable state of one pipeline execution: the context,
@@ -142,14 +150,15 @@ type pipeState struct {
 	res  *Result
 
 	// Tracing state (tr nil = off): the checkpoint class the pipeline is
-	// currently in, the wall-clock and meter marks of the previous operator
+	// currently in, the wall-clock (since the trace began: one monotonic
+	// clock read per operator) and meter marks of the previous operator
 	// boundary, and the running cardinality estimate the selectivity model
 	// predicts at this point of the chain (-1 once unknown). Tracing only
 	// ever *reads* the meter — a traced run charges exactly what an
 	// untraced one does.
 	tr    *obs.Trace
 	stage Stage
-	mark  time.Time
+	mark  time.Duration
 	last  device.Meter
 	est   float64
 	// estCand is the planner's candidate-set estimate captured at the end
@@ -158,46 +167,40 @@ type pipeState struct {
 	estCand int64
 }
 
-// trace appends one MAL-style plan line (and, when tracing, closes a span
-// with no cardinality).
-func (st *pipeState) trace(format string, args ...any) {
-	st.emit(-1, -1, fmt.Sprintf(format, args...))
-}
+// Operator formats that more than one site records; obs.Op gives the
+// argument order.
+const (
+	opSelectApprox  = "bwd.uselectapproximate(%[1]s.%[2]s)"
+	opSelectRefine  = "bwd.uselectrefine(%[1]s.%[2]s)"
+	opSelectClassic = "algebra.uselect(%[1]s.%[2]s)"
+	opProjectApprox = "bwd.leftjoinapproximate(%[1]s.%[2]s)"
+	opMaskDeleted   = "bwd.maskdeleted(%[1]s)"
+	opDeltaScan     = "delta.scan(%[1]s, %[3]d qualifying)"
+)
 
-// traceRows is trace with the operator's actual output cardinality.
-func (st *pipeState) traceRows(rows int, format string, args ...any) {
-	st.emit(int64(rows), -1, fmt.Sprintf(format, args...))
-}
-
-// traceEst is trace with both the actual and the estimated cardinality —
-// the per-filter est-vs-actual comparison \explain analyze renders.
-func (st *pipeState) traceEst(rows int, est int64, format string, args ...any) {
-	st.emit(int64(rows), est, fmt.Sprintf(format, args...))
-}
-
-// emit records the plan line, and — when tracing — one StageEvent carrying
-// the wall-clock and simulated-meter deltas since the previous operator.
-func (st *pipeState) emit(rows, est int64, line string) {
-	st.res.Plan = append(st.res.Plan, line)
+// emit records one operator of the plan listing with its actual output
+// cardinality and the optimizer's estimate of it (-1: none), and — when
+// tracing — one StageEvent carrying the wall-clock and simulated-meter
+// deltas since the previous operator. Nothing is formatted until read.
+func (st *pipeState) emit(rows int, est int64, op obs.Op) {
+	st.res.ops = append(st.res.ops, planLine{op: op})
 	if st.tr == nil {
 		return
 	}
-	now := time.Now()
-	ev := obs.StageEvent{
+	now := time.Since(st.tr.Start)
+	st.tr.Events = append(st.tr.Events, obs.StageEvent{
 		Stage: string(st.stage),
-		Op:    line,
-		Rows:  rows,
+		Op:    op,
+		Rows:  int64(rows),
 		Est:   est,
-		Wall:  now.Sub(st.mark),
+		Wall:  now - st.mark,
 		GPU:   st.m.GPU - st.last.GPU,
 		CPU:   st.m.CPU - st.last.CPU,
 		PCI:   st.m.PCI - st.last.PCI,
+	})
+	if chunk := st.pp.ChunkSize(); rows > 0 {
+		st.tr.Events[len(st.tr.Events)-1].Morsels = int64((rows + chunk - 1) / chunk)
 	}
-	if rows > 0 {
-		chunk := int64(st.pp.ChunkSize())
-		ev.Morsels = (rows + chunk - 1) / chunk
-	}
-	st.tr.Add(ev)
 	st.mark = now
 	st.last = *st.m
 }
@@ -216,7 +219,7 @@ func (st *pipeState) estApply(sel float64) int64 {
 
 // estReset restarts the running estimate at the live base cardinality —
 // phase R walks the same filter chain a second time.
-func (st *pipeState) estReset(pl *pipeline) {
+func (st *pipeState) estReset(pl pipeline) {
 	st.est = float64(pl.snap.fact.LiveBase())
 }
 
@@ -238,8 +241,8 @@ func (st *pipeState) step(s Stage) error {
 // startTrace opens the statement's telemetry record on this state; every
 // operator emitted from here on becomes a trace event.
 func (st *pipeState) startTrace(classic bool) {
-	st.tr = &obs.Trace{Mode: modeName(classic), Threads: st.opts.threads(), Workers: st.opts.workers(), Start: time.Now()}
-	st.mark = st.tr.Start
+	st.tr = &obs.Trace{Mode: modeName(classic), Threads: st.opts.threads(), Workers: st.opts.workers(), Start: time.Now(),
+		Events: make([]obs.StageEvent, 0, cap(st.res.ops))}
 	st.res.Trace = st.tr
 }
 
@@ -256,9 +259,9 @@ type scanOut struct {
 // finish is the shared downstream pipeline over the gathered tuple set:
 // group, aggregate, filter with HAVING, and order/limit. classic is the
 // statement's mode — the tail of a mixed-mode scatter follows it, not any
-// one leg's. prog is q's compiled aggregates.
-func finish(st *pipeState, q *Query, prog *program, classic bool, out *scanOut) error {
-	ectx := out.ectx
+// one leg's.
+func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
+	q, ectx := &pl.q, out.ectx
 
 	// Grouping — refined from the A&R device pre-grouping when one exists,
 	// rebuilt on the host over the combined tuple set otherwise.
@@ -274,7 +277,7 @@ func finish(st *pipeState, q *Query, prog *program, classic bool, out *scanOut) 
 		if err != nil {
 			return err
 		}
-		st.traceRows(grouping.NGroups, "bwd.grouprefine(%s)", join(q.GroupBy))
+		st.emit(grouping.NGroups, -1, obs.Op{Fmt: "bwd.grouprefine(%[1]s)", A: pl.groupText})
 	case len(q.GroupBy) > 0:
 		stage, label := StageRefine, "group.merge"
 		if classic {
@@ -288,7 +291,7 @@ func finish(st *pipeState, q *Query, prog *program, classic bool, out *scanOut) 
 			cols[k] = ectx.vals[ColRef{Name: g}]
 		}
 		grouping, groupKeys = bulk.GroupByMulti(st.pp, st.m, cols)
-		st.traceRows(grouping.NGroups, "%s(%s)", label, join(q.GroupBy))
+		st.emit(grouping.NGroups, -1, obs.Op{Fmt: "%[1]s(%[2]s)", A: label, B: pl.groupText})
 	}
 
 	// Aggregation (§IV-F; sums of products are recomputed on the CPU due
@@ -301,17 +304,17 @@ func finish(st *pipeState, q *Query, prog *program, classic bool, out *scanOut) 
 	if err := st.step(StageAggregate); err != nil {
 		return err
 	}
-	rows := aggregateRows(st.m, st.pp, prog, ectx, grouping, groupKeys, !classic)
+	rows := aggregateRows(st.m, st.pp, pl.prog, ectx, grouping, groupKeys, !classic)
+	aggr := "bwd.%[1]srefine(%[2]s)"
+	if classic {
+		aggr = "aggr.%[1]s(%[2]s)"
+	}
 	for _, a := range q.Aggs {
-		if classic {
-			st.traceRows(len(rows), "aggr.%s(%s)", a.Func, a.Name)
-		} else {
-			st.traceRows(len(rows), "bwd.%srefine(%s)", a.Func, a.Name)
-		}
+		st.emit(len(rows), -1, obs.Op{Fmt: aggr, A: a.Func.String(), B: a.Name})
 	}
 	sortRows(rows)
 	rows = applyHaving(st, q, rows)
-	rows, err = orderLimit(st, q, rows)
+	rows, err = orderLimit(st, pl, rows)
 	if err != nil {
 		return err
 	}
@@ -345,7 +348,7 @@ func applyHaving(st *pipeState, q *Query, rows []Row) []Row {
 	if st.m != nil {
 		st.m.CPUWork(st.pp.NThreads(), int64(len(rows))*8*int64(len(q.Having)), 0, int64(len(rows))*int64(len(q.Having)))
 	}
-	st.traceRows(len(kept), "having(%d of %d groups)", len(kept), len(rows))
+	st.emit(len(kept), -1, obs.Op{Fmt: "having(%[3]d of %[4]d groups)", N: int64(len(kept)), M: int64(len(rows))})
 	return kept
 }
 
@@ -354,11 +357,12 @@ func applyHaving(st *pipeState, q *Query, rows []Row) []Row {
 // plain prefix for LIMIT alone. Rows arrive in canonical group-key order,
 // so the kernel's index tie-break is the deterministic key-order
 // tie-break the result contract requires.
-func orderLimit(st *pipeState, q *Query, rows []Row) ([]Row, error) {
+func orderLimit(st *pipeState, pl *Plan, rows []Row) ([]Row, error) {
+	q := &pl.q
 	if len(q.OrderBy) == 0 {
 		if q.Limit > 0 && len(rows) > q.Limit {
 			rows = rows[:q.Limit]
-			st.traceRows(len(rows), "limit(%d)", q.Limit)
+			st.emit(len(rows), -1, obs.Op{Fmt: "limit(%[3]d)", N: int64(q.Limit)})
 		}
 		return rows, nil
 	}
@@ -390,9 +394,9 @@ func orderLimit(st *pipeState, q *Query, rows []Row) ([]Row, error) {
 		out[i] = rows[at]
 	}
 	if q.Limit > 0 && q.Limit < len(rows) {
-		st.traceRows(len(out), "order.topk(%s, k=%d of %d groups)", describeOrder(q), q.Limit, len(rows))
+		st.emit(len(out), -1, obs.Op{Fmt: "order.topk(%[1]s, k=%[3]d of %[4]d groups)", A: pl.orderText, N: int64(q.Limit), M: int64(len(rows))})
 	} else {
-		st.traceRows(len(out), "order.sort(%s)", describeOrder(q))
+		st.emit(len(out), -1, obs.Op{Fmt: "order.sort(%[1]s)", A: pl.orderText})
 	}
 	return out, nil
 }
@@ -421,7 +425,7 @@ func dropHidden(q *Query, rows []Row) []Row {
 // strategy, the cost-ordered filters with their estimated selectivities,
 // the join chain, and the delta / grouping / having / top-k stages. solo
 // says the leg is the only one the statement scans (see leg.scan).
-func (pl *pipeline) describe(solo bool) []string {
+func (pl pipeline) describe(solo bool) []string {
 	q := &pl.q
 	// The running estimate folds each operator's selectivity into the live
 	// base cardinality, so every rendered operator carries the planner's
@@ -478,8 +482,8 @@ func (pl *pipeline) describe(solo bool) []string {
 		if !pl.classic && solo && pl.snap.fact.LiveDelta() == 0 {
 			how = "device pre-group + refine"
 		}
-		line := fmt.Sprintf("  group: %s (%s)", join(q.GroupBy), how)
-		if h := stats.FromColumn(pl.snap.get(q.Table, q.GroupBy[0])); h != nil {
+		line := fmt.Sprintf("  group: %s (%s)", pl.groupText, how)
+		if h := stats.FromColumn(pl.snap.get("", q.GroupBy[0])); h != nil {
 			line += fmt.Sprintf(" est<=%d groups", h.Distinct())
 		}
 		out = append(out, line)
@@ -503,31 +507,24 @@ func (pl *pipeline) describe(solo bool) []string {
 		if q.Limit > 0 {
 			kind = fmt.Sprintf("top-%d heap", q.Limit)
 		}
-		out = append(out, fmt.Sprintf("  order: %s (%s)", describeOrder(q), kind))
+		out = append(out, fmt.Sprintf("  order: %s (%s)", pl.orderText, kind))
 	} else if q.Limit > 0 {
 		out = append(out, fmt.Sprintf("  limit: %d", q.Limit))
 	}
 	return out
 }
 
-// ExplainQuery plans the query exactly as the executor would — classic or
-// A&R, auto marking a cost-chosen mode whose partition legs re-price
-// themselves — and renders the plan without executing it: the programmatic
-// face of the shell's \explain. A plain table renders its pipeline. A
-// partitioned one renders the scatter fan-out — per partition the leg's
-// chosen scan mode, live rows and estimated output rows (live rows times
-// the product of the estimated filter selectivities, when every touched
+// Describe renders the pinned plan — exactly what Run would execute —
+// without executing it: the shell's \explain. A plain table renders its
+// pipeline. A partitioned one renders the scatter fan-out — per partition the
+// leg's scan mode, live rows and estimated output rows (when every touched
 // filter has an estimate), pruned partitions listed, not described — the
-// gather stage, and the first surviving leg's pipeline as the
-// representative per-partition plan.
-func (c *Catalog) ExplainQuery(q Query, classic, auto bool) ([]string, error) {
-	legs, p, err := c.planLegs(q, classic, auto)
-	if err != nil {
-		return nil, err
-	}
+// gather stage, and the first surviving leg's pipeline as the representative.
+func (x *Pinned) Describe() []string {
+	legs, p, q := x.legs, x.p, &x.pl.q
 	rep := legs[0].pl.describe(len(legs) == 1)
 	if p == nil {
-		return rep, nil
+		return rep
 	}
 	out := []string{fmt.Sprintf("scatter: %s over %d partitions (%s)", q.Table, p.Spec.N, p.Spec)}
 	li := 0
@@ -572,7 +569,7 @@ func (c *Catalog) ExplainQuery(q Query, classic, auto bool) ([]string, error) {
 	for _, line := range rep {
 		out = append(out, "  "+line)
 	}
-	return out, nil
+	return out
 }
 
 // modeName is the scan-strategy label of plan listings and traces.
@@ -715,8 +712,4 @@ func chargeAggregation(m *device.Meter, threads int, aggs []AggSpec, n int64, gr
 			}
 		}
 	}
-}
-
-func join(ss []string) string {
-	return strings.Join(ss, ",")
 }

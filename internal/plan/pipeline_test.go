@@ -335,7 +335,7 @@ func TestDimFilterOrderingBySelectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var firstDim string
-	for _, line := range res.Plan {
+	for _, line := range res.Plan() {
 		if strings.Contains(line, "uselectapproximate(dim.") {
 			firstDim = line
 			break
@@ -343,7 +343,7 @@ func TestDimFilterOrderingBySelectivity(t *testing.T) {
 	}
 	if !strings.Contains(firstDim, "narrow") {
 		t.Errorf("dimension-side filters not reordered by selectivity: first dim select = %q\nplan:\n%s",
-			firstDim, strings.Join(res.Plan, "\n"))
+			firstDim, strings.Join(res.Plan(), "\n"))
 	}
 	// The reorder must not change the answer.
 	cl, err := c.ExecClassic(context.Background(), q, ExecOpts{})
@@ -357,6 +357,20 @@ func TestDimFilterOrderingBySelectivity(t *testing.T) {
 	if !EqualResults(arRes.Rows, cl.Rows) {
 		t.Fatal("dimension filter reorder changed the result")
 	}
+}
+
+// explainQuery plans and pins q under mode and renders the pinned plan —
+// what \explain prints.
+func explainQuery(c *Catalog, q Query, mode Mode) ([]string, error) {
+	pl, err := c.Plan(q, mode)
+	if err != nil {
+		return nil, err
+	}
+	x, err := c.Pin(pl)
+	if err != nil {
+		return nil, err
+	}
+	return x.Describe(), nil
 }
 
 // TestExplainQueryRendersPipeline checks the \explain rendering: scan
@@ -374,7 +388,7 @@ func TestExplainQueryRendersPipeline(t *testing.T) {
 		OrderBy: []OrderKey{{Index: 1, Desc: true}},
 		Limit:   3,
 	}
-	lines, err := c.ExplainQuery(q, false, false)
+	lines, err := explainQuery(c, q, ModeAR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +413,7 @@ func TestExplainQueryRendersPipeline(t *testing.T) {
 	if _, err := c.InsertRows(nil, "fact", [][]int64{{1, 2, 3, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	lines, err = c.ExplainQuery(q, true, false)
+	lines, err = explainQuery(c, q, ModeClassic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -342,7 +342,7 @@ func TestPlanListingMALStyle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planText := strings.Join(res.Plan, "\n")
+	planText := strings.Join(res.Plan(), "\n")
 	// The Fig 7 shape: paired approximate/refine operators, approximations
 	// strictly before refinements.
 	for _, want := range []string{
@@ -356,8 +356,8 @@ func TestPlanListingMALStyle(t *testing.T) {
 			t.Errorf("plan listing missing %q:\n%s", want, planText)
 		}
 	}
-	lastApprox, firstRefine := -1, len(res.Plan)
-	for i, line := range res.Plan {
+	lastApprox, firstRefine := -1, len(res.Plan())
+	for i, line := range res.Plan() {
 		if strings.Contains(line, "approximate") && i > lastApprox {
 			lastApprox = i
 		}
@@ -387,7 +387,7 @@ func TestOptimizerOrdersBySelectivity(t *testing.T) {
 	}
 	// The narrow selection must have been pushed first.
 	var first string
-	for _, line := range res.Plan {
+	for _, line := range res.Plan() {
 		if strings.Contains(line, "uselectapproximate") {
 			first = line
 			break

@@ -1,8 +1,8 @@
 package plan
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ar"
@@ -40,14 +40,42 @@ type Result struct {
 	// the quantity a streaming GPU system would have to push through the
 	// bus (the paper's "Stream (Hypothetical)" baseline).
 	InputBytes int64
-	// Plan is the MAL-style physical plan listing (Fig 7).
-	Plan []string
+	// Note is the outcome line of a statement that returns no rows (DML,
+	// bwdecompose); it stands in for the plan listing.
+	Note string
+	// ops is the executed physical plan (Fig 7) as operator records, in
+	// listing order; Plan renders it.
+	ops []planLine
 	// Trace is the per-operator telemetry record, present only when
 	// ExecOpts.Trace was set. Tracing reads the meter and the clock; it
 	// never charges the meter, so Rows, Approx, Meter, Candidates and
 	// Refined are bit-identical with and without it.
 	Trace *obs.Trace
 }
+
+// planLine is one line of a plan listing: the operator record and how deep
+// it sits (a scatter leg's operators list under their partition line).
+type planLine struct {
+	op     obs.Op
+	indent uint8
+}
+
+// Plan renders the MAL-style physical plan listing (Fig 7). Executions
+// record fixed-size operator records; the text exists only once read.
+func (r *Result) Plan() []string {
+	if r.Note != "" {
+		return []string{r.Note}
+	}
+	out := make([]string, len(r.ops))
+	for i, l := range r.ops {
+		out[i] = strings.Repeat(" ", int(l.indent)) + l.op.String()
+	}
+	return out
+}
+
+// PlanOnly strips the result down to its plan listing and meter — what an
+// EXPLAIN statement returns.
+func (r *Result) PlanOnly() *Result { return &Result{Meter: r.Meter, ops: r.ops} }
 
 // StreamHypothetical returns the paper's streaming-baseline time for this
 // query's input.
@@ -57,6 +85,9 @@ func (r *Result) StreamHypothetical() float64 {
 
 // sortRows orders rows by their key tuples for deterministic output.
 func sortRows(rows []Row) {
+	if len(rows) < 2 {
+		return // a global aggregate: nothing for sort.Slice to build a swapper for
+	}
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i].Keys, rows[j].Keys
 		for k := range a {
@@ -68,17 +99,34 @@ func sortRows(rows []Row) {
 	})
 }
 
+// AppendText appends the row as fmt's %v prints it — "[k1 k2] -> [v1 v2]",
+// or just the values of an ungrouped row — without going through fmt.
+func (r Row) AppendText(dst []byte) []byte {
+	ints := func(vs []int64) {
+		dst = append(dst, '[')
+		for i, v := range vs {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = strconv.AppendInt(dst, v, 10)
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Keys) > 0 {
+		ints(r.Keys)
+		dst = append(dst, " -> "...)
+	}
+	ints(r.Vals)
+	return dst
+}
+
 // FormatRows renders rows for diagnostics and examples.
 func FormatRows(rows []Row) string {
-	var sb strings.Builder
+	var out []byte
 	for _, r := range rows {
-		if len(r.Keys) > 0 {
-			fmt.Fprintf(&sb, "%v -> %v\n", r.Keys, r.Vals)
-		} else {
-			fmt.Fprintf(&sb, "%v\n", r.Vals)
-		}
+		out = append(r.AppendText(out), '\n')
 	}
-	return sb.String()
+	return string(out)
 }
 
 // EqualResults reports whether two result row sets are identical (used by

@@ -137,7 +137,6 @@ func TestCostModeMatchesForcedModes(t *testing.T) {
 	plain := partPropCatalog(t, 0, shard.Hash, base)
 	parted := partPropCatalog(t, 5, shard.Range, base)
 	serial := ExecOpts{Threads: 1, Workers: 1}
-	auto := ExecOpts{Threads: 1, Workers: 1, AutoMode: true}
 	picksAR, picksClassic := 0, 0
 	for round := 0; round < 4; round++ {
 		for qi, q := range propQueries(rng) {
@@ -153,18 +152,24 @@ func TestCostModeMatchesForcedModes(t *testing.T) {
 				if !EqualResults(forcedAR.Rows, forcedCl.Rows) {
 					t.Fatalf("round %d query %d: forced modes disagree", round, qi)
 				}
-				choice := c.ChooseMode(q)
-				if choice.Reason == "" {
+				pl, err := c.Plan(q, ModeAuto)
+				if err != nil {
+					t.Fatalf("round %d query %d plan: %v", round, qi, err)
+				}
+				x, err := c.Pin(pl)
+				if err != nil {
+					t.Fatalf("round %d query %d pin: %v", round, qi, err)
+				}
+				choice := x.Choice()
+				if choice.Reason() == "" {
 					t.Fatalf("round %d query %d: empty mode-choice reason", round, qi)
 				}
-				var chosen *Result
 				if choice.Classic {
 					picksClassic++
-					chosen, err = c.ExecClassic(context.Background(), q, auto)
 				} else {
 					picksAR++
-					chosen, err = c.ExecAR(context.Background(), q, auto)
 				}
+				chosen, err := c.Run(context.Background(), x, serial)
 				if err != nil {
 					t.Fatalf("round %d query %d chosen %s: %v", round, qi, choice, err)
 				}
@@ -271,7 +276,7 @@ func TestCostPartitionPruning(t *testing.T) {
 	// The scatter explain lists the pruned partitions without executing
 	// (and without advancing the counter).
 	mark := parted.PlannerStats().PartitionsPruned
-	lines, err := parted.ExplainQuery(q, false, false)
+	lines, err := explainQuery(parted, q, ModeAR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,18 +337,22 @@ func TestCostExplainMatchesExecLegModes(t *testing.T) {
 		return modes
 	}
 	for _, auto := range []bool{false, true} {
-		res, err := c.ExecAR(context.Background(), q, ExecOpts{Threads: 1, AutoMode: auto})
-		if err != nil {
-			t.Fatalf("auto=%v: ExecAR: %v", auto, err)
+		mode := ModeAR
+		if auto {
+			mode = ModeAuto
 		}
-		ran := legModes(res.Plan)
+		res, err := c.execOnce(context.Background(), q, ExecOpts{Threads: 1}, mode)
+		if err != nil {
+			t.Fatalf("auto=%v: exec: %v", auto, err)
+		}
+		ran := legModes(res.Plan())
 		if len(ran) != 4 || ran["partition 0"] != "classic" || ran["partition 3"] != "classic" {
-			t.Fatalf("auto=%v: executed leg modes %v, want 4 legs with the empty ones classic:\n%s", auto, ran, strings.Join(res.Plan, "\n"))
+			t.Fatalf("auto=%v: executed leg modes %v, want 4 legs with the empty ones classic:\n%s", auto, ran, strings.Join(res.Plan(), "\n"))
 		}
 		if !auto && ran["partition 2"] != "ar" {
 			t.Fatalf("forced a&r: loaded partition ran %q, want ar", ran["partition 2"])
 		}
-		lines, err := c.ExplainQuery(q, false, auto)
+		lines, err := explainQuery(c, q, mode)
 		if err != nil {
 			t.Fatalf("auto=%v: ExplainQuery failed on a query ExecAR runs: %v", auto, err)
 		}
@@ -390,7 +399,7 @@ func TestCostExplainEstimates(t *testing.T) {
 		GroupBy: []string{"g"},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err := c.ExplainQuery(q, false, false)
+	lines, err := explainQuery(c, q, ModeAR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +437,7 @@ func TestCostExplainEstimates(t *testing.T) {
 		Filters: []Filter{{Col: "raw", Lo: 0, Hi: 10}, {Col: "v", Lo: 0, Hi: 31}},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}},
 	}
-	lines, err = c.ExplainQuery(qc, true, false)
+	lines, err = explainQuery(c, qc, ModeClassic)
 	if err != nil {
 		t.Fatal(err)
 	}

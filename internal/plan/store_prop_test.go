@@ -587,18 +587,18 @@ func TestParallelCancelledDeltaScanReturnsError(t *testing.T) {
 		Filters: []Filter{{Col: "v", Lo: 0, Hi: 4095}},
 		Aggs:    []AggSpec{{Name: "s", Func: Sum, Expr: Col("w")}},
 	}
-	fact, err := c.Table("fact")
+	pl, err := c.Plan(q, ModeClassic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := q.pin(c, fact, true)
+	x, err := c.Pin(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pp := ExecOpts{Threads: 1, Workers: 4, Morsel: 64}.par(ctx)
-	dset, err := scanDelta(nil, pp, q, snap, neededCols(q, false), nil)
+	dset, err := scanDelta(nil, pp, &q, x.legs[0].pl.snap, pl.tail, nil)
 	if err == nil {
 		t.Fatalf("cancelled delta scan returned %+v without error", dset)
 	}

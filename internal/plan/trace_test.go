@@ -71,7 +71,7 @@ func TestTraceDoesNotPerturbExecution(t *testing.T) {
 			}
 			// The trace shares the plan listing's operator text line-for-line.
 			for i, ev := range traced.Trace.Events {
-				if !strings.Contains(strings.Join(traced.Plan, "\n"), ev.Op) {
+				if !strings.Contains(strings.Join(traced.Plan(), "\n"), ev.Op.String()) {
 					t.Errorf("query %d %s event %d: op %q not in plan listing", qi, exec.name, i, ev.Op)
 				}
 			}

@@ -237,9 +237,9 @@ func (s *Server) handleLine(ctx context.Context, out *bufio.Writer, sess *engine
 		s.writeFailure(out, err)
 		return false
 	}
-	for _, l := range engine.RenderResult(res, sess.Cost()) {
-		writePayload(out, l)
-	}
+	// A result's lines are rows, plan operators or a write's outcome: none
+	// can read as a terminator, so they go to the wire as rendered.
+	engine.WriteResult(out, res, sess.Cost())
 	writeOK(out)
 	return false
 }

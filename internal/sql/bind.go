@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/bat"
 	"repro/internal/device"
@@ -23,6 +24,25 @@ type Binding struct {
 	Insert    *InsertSpec
 	Delete    *DeleteSpec
 	Create    *CreateSpec
+
+	// plans memoises the query's executable plan, one per mode (see Plan).
+	plans [3]atomic.Pointer[plan.Plan]
+}
+
+// Plan returns the executable plan of the binding's query under mode,
+// planning it on first use. A plan prices itself again when the data moved
+// (plan.Catalog.Pin), so a binding that is kept — by the engine's plan cache,
+// by a prepared statement — is planned once per mode however often it runs.
+func (b *Binding) Plan(c *plan.Catalog, mode plan.Mode) (*plan.Plan, error) {
+	if pl := b.plans[mode].Load(); pl != nil {
+		return pl, nil
+	}
+	pl, err := c.Plan(b.Query, mode)
+	if err != nil {
+		return nil, err
+	}
+	b.plans[mode].Store(pl)
+	return pl, nil
 }
 
 // DecomposeSpec is one bwdecompose(col, bits) request.
@@ -89,11 +109,38 @@ func (b *Binding) Tables() []string {
 // Bind validates names and shapes the statement into the engine's query
 // model.
 func Bind(stmt *Stmt, c *plan.Catalog) (*Binding, error) {
+	return BindParams(stmt, c, nil)
+}
+
+// binder binds one statement: the catalog it resolves names against and the
+// literals standing in for the statement's $n placeholders.
+type binder struct {
+	c      *plan.Catalog
+	params []Lit
+}
+
+// lit resolves a literal position of the AST: the literal written there, or
+// the parameter bound to its placeholder.
+func (b *binder) lit(v, scale int64) (int64, int64) {
+	if scale == ParamScale {
+		return b.params[v].V, b.params[v].Scale
+	}
+	return v, scale
+}
+
+// BindParams is Bind for a statement with placeholders: params supplies one
+// literal per $n. The AST is only read, so one parsed statement can be bound
+// any number of times, concurrently, with different literals.
+func BindParams(stmt *Stmt, c *plan.Catalog, params []Lit) (*Binding, error) {
+	if len(params) != stmt.Params {
+		return nil, fmt.Errorf("sql: statement takes %d parameters, got %d", stmt.Params, len(params))
+	}
+	bd := &binder{c: c, params: params}
 	switch {
 	case stmt.Insert != nil:
-		return bindInsert(stmt.Insert, c)
+		return bd.bindInsert(stmt.Insert)
 	case stmt.Delete != nil:
-		return bindDelete(stmt.Delete, c)
+		return bd.bindDelete(stmt.Delete)
 	case stmt.Create != nil:
 		return bindCreate(stmt.Create, c)
 	}
@@ -183,7 +230,7 @@ func Bind(stmt *Stmt, c *plan.Catalog) (*Binding, error) {
 			if dim != "" {
 				tbl = dim
 			}
-			f, err := filterFromPred(c, tbl, p)
+			f, err := bd.filterFromPred(tbl, p)
 			if err != nil {
 				return nil, err
 			}
@@ -204,7 +251,7 @@ func Bind(stmt *Stmt, c *plan.Catalog) (*Binding, error) {
 			if dim != "" {
 				return nil, fmt.Errorf("sql: OR over dimension column %s is not supported (disjunctions must be fact-side)", p.Col)
 			}
-			f, err := filterFromPred(c, sel.From, p)
+			f, err := bd.filterFromPred(sel.From, p)
 			if err != nil {
 				return nil, err
 			}
@@ -241,7 +288,7 @@ func Bind(stmt *Stmt, c *plan.Catalog) (*Binding, error) {
 			}
 			continue // grouped columns appear as result keys automatically
 		}
-		spec, err := bindAggCall(AggRef{Func: item.Agg, Star: item.Star, Expr: item.Expr}, name, onDim)
+		spec, err := bd.bindAggCall(AggRef{Func: item.Agg, Star: item.Star, Expr: item.Expr}, name, onDim)
 		if err != nil {
 			return nil, err
 		}
@@ -255,11 +302,11 @@ func Bind(stmt *Stmt, c *plan.Catalog) (*Binding, error) {
 	// aggregate when one matches structurally, otherwise computes it as a
 	// hidden aggregate that never reaches the result rows.
 	for _, hp := range sel.Having {
-		idx, err := resolveAgg(&q, hp.Agg, onDim)
+		idx, err := bd.resolveAgg(&q, hp.Agg, onDim)
 		if err != nil {
 			return nil, err
 		}
-		f, err := havingRange(c, sel.From, hp, onDim)
+		f, err := bd.havingRange(sel.From, hp, onDim)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +319,7 @@ func Bind(stmt *Stmt, c *plan.Catalog) (*Binding, error) {
 		key := plan.OrderKey{Desc: oi.Desc}
 		switch {
 		case oi.Agg != nil:
-			idx, err := resolveAgg(&q, *oi.Agg, onDim)
+			idx, err := bd.resolveAgg(&q, *oi.Agg, onDim)
 			if err != nil {
 				return nil, err
 			}
@@ -301,14 +348,14 @@ func Bind(stmt *Stmt, c *plan.Catalog) (*Binding, error) {
 }
 
 // bindAggCall lowers one aggregate call into an AggSpec.
-func bindAggCall(ref AggRef, name string, onDim func(QualCol) (string, error)) (*plan.AggSpec, error) {
+func (bd *binder) bindAggCall(ref AggRef, name string, onDim func(QualCol) (string, error)) (*plan.AggSpec, error) {
 	spec := &plan.AggSpec{Name: name}
 	switch ref.Func {
 	case "count":
 		spec.Func = plan.Count
 		if !ref.Star && ref.Expr != nil {
 			// count(col) == count(*) in this NULL-free engine.
-			if _, err := bindArith(ref.Expr, onDim); err != nil {
+			if _, err := bd.bindArith(ref.Expr, onDim); err != nil {
 				return nil, err
 			}
 		}
@@ -319,7 +366,7 @@ func bindAggCall(ref AggRef, name string, onDim func(QualCol) (string, error)) (
 		if ref.Expr == nil {
 			return nil, fmt.Errorf("sql: %s needs an argument", ref.Func)
 		}
-		expr, err := bindArith(ref.Expr, onDim)
+		expr, err := bd.bindArith(ref.Expr, onDim)
 		if err != nil {
 			return nil, err
 		}
@@ -334,8 +381,8 @@ func bindAggCall(ref AggRef, name string, onDim func(QualCol) (string, error)) (
 // (same function, same bound expression text — Count matches any Count,
 // since count(col) == count(*) here), or appends a hidden aggregate for
 // it and returns its index.
-func resolveAgg(q *plan.Query, ref AggRef, onDim func(QualCol) (string, error)) (int, error) {
-	spec, err := bindAggCall(ref, "", onDim)
+func (bd *binder) resolveAgg(q *plan.Query, ref AggRef, onDim func(QualCol) (string, error)) (int, error) {
+	spec, err := bd.bindAggCall(ref, "", onDim)
 	if err != nil {
 		return 0, err
 	}
@@ -376,8 +423,9 @@ func aliasIndex(q *plan.Query, name string) int {
 // the aggregate's value. When the aggregate is over a single bare column,
 // decimal literals align to that column's fixed-point scale (sums and
 // extrema preserve the scale); otherwise the literal's own scale is used.
-func havingRange(c *plan.Catalog, fact string, hp HavingPred, onDim func(QualCol) (string, error)) (plan.Filter, error) {
+func (bd *binder) havingRange(fact string, hp HavingPred, onDim func(QualCol) (string, error)) (plan.Filter, error) {
 	align := func(v, litScale int64) (int64, error) {
+		v, litScale = bd.lit(v, litScale)
 		if hp.Agg.Expr != nil && hp.Agg.Expr.Op == "col" {
 			dim, err := onDim(hp.Agg.Expr.Col)
 			if err != nil {
@@ -387,7 +435,7 @@ func havingRange(c *plan.Catalog, fact string, hp HavingPred, onDim func(QualCol
 			if dim != "" {
 				tbl = dim
 			}
-			return alignScale(c, tbl, hp.Agg.Expr.Col.Name, v, litScale)
+			return bd.alignScale(tbl, hp.Agg.Expr.Col.Name, v, litScale)
 		}
 		if litScale > 1 {
 			return 0, fmt.Errorf("sql: decimal literal in HAVING needs a single-column aggregate to infer the scale from")
@@ -424,12 +472,12 @@ func havingRange(c *plan.Catalog, fact string, hp HavingPred, onDim func(QualCol
 
 // filterFromPred canonicalizes one parsed predicate into a closed-range
 // plan.Filter, aligning decimal literals to the column's fixed-point scale.
-func filterFromPred(c *plan.Catalog, table string, p Pred) (plan.Filter, error) {
-	lo, err := alignScale(c, table, p.Col.Name, p.Lo, p.LoScale)
+func (bd *binder) filterFromPred(table string, p Pred) (plan.Filter, error) {
+	lo, err := bd.alignScale(table, p.Col.Name, p.Lo, p.LoScale)
 	if err != nil {
 		return plan.Filter{}, err
 	}
-	hi, err := alignScale(c, table, p.Col.Name, p.Hi, p.HiScale)
+	hi, err := bd.alignScale(table, p.Col.Name, p.Hi, p.HiScale)
 	if err != nil {
 		return plan.Filter{}, err
 	}
@@ -457,8 +505,8 @@ func filterFromPred(c *plan.Catalog, table string, p Pred) (plan.Filter, error) 
 // literal aligned to its column's fixed-point scale. With an explicit
 // column list the values are re-ordered; every table column must be
 // covered (the engine has no NULLs).
-func bindInsert(ins *InsertStmt, c *plan.Catalog) (*Binding, error) {
-	t, err := c.SchemaTable(ins.Table)
+func (bd *binder) bindInsert(ins *InsertStmt) (*Binding, error) {
+	t, err := bd.c.SchemaTable(ins.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -504,8 +552,8 @@ func bindInsert(ins *InsertStmt, c *plan.Catalog) (*Binding, error) {
 		}
 		out := make([]int64, len(schema))
 		for si, name := range schema {
-			lit := row[order[si]]
-			v, ok := alignToScale(scales[si], lit.V, lit.Scale)
+			lv, ls := bd.lit(row[order[si]].V, row[order[si]].Scale)
+			v, ok := alignToScale(scales[si], lv, ls)
 			if !ok {
 				return nil, fmt.Errorf("sql: literal has more fractional digits than column %s.%s (scale %d)",
 					ins.Table, name, scales[si])
@@ -518,8 +566,8 @@ func bindInsert(ins *InsertStmt, c *plan.Catalog) (*Binding, error) {
 }
 
 // bindDelete lowers the (optional) WHERE conjunction into range filters.
-func bindDelete(del *DeleteStmt, c *plan.Catalog) (*Binding, error) {
-	if _, err := c.SchemaTable(del.Table); err != nil {
+func (bd *binder) bindDelete(del *DeleteStmt) (*Binding, error) {
+	if _, err := bd.c.SchemaTable(del.Table); err != nil {
 		return nil, err
 	}
 	spec := &DeleteSpec{Table: del.Table}
@@ -527,7 +575,7 @@ func bindDelete(del *DeleteStmt, c *plan.Catalog) (*Binding, error) {
 		if p.Col.Table != "" && p.Col.Table != del.Table {
 			return nil, fmt.Errorf("sql: delete from %s cannot filter on %q", del.Table, p.Col.Table)
 		}
-		f, err := filterFromPred(c, del.Table, p)
+		f, err := bd.filterFromPred(del.Table, p)
 		if err != nil {
 			return nil, err
 		}
@@ -563,11 +611,13 @@ func bindCreate(cr *CreateStmt, c *plan.Catalog) (*Binding, error) {
 	return &Binding{Create: spec}, nil
 }
 
-// alignScale converts a literal parsed at litScale (10^fractional digits)
-// into the column's storage scale. A literal with more fractional digits
-// than the column stores is rejected.
-func alignScale(c *plan.Catalog, table, col string, v, litScale int64) (int64, error) {
-	t, err := c.SchemaTable(table)
+// alignScale converts a literal position parsed at litScale (10^fractional
+// digits; a placeholder resolves to its bound literal first) into the
+// column's storage scale. A literal with more fractional digits than the
+// column stores is rejected.
+func (bd *binder) alignScale(table, col string, v, litScale int64) (int64, error) {
+	v, litScale = bd.lit(v, litScale)
+	t, err := bd.c.SchemaTable(table)
 	if err != nil {
 		return 0, err
 	}
@@ -599,7 +649,7 @@ func alignToScale(colScale, v, litScale int64) (int64, bool) {
 // Multiplication of two decimal literals/columns is fixed-point: the scale
 // divisor is taken from the literal's own fractional digits (integer
 // operands multiply at scale 1).
-func bindArith(e *ArithE, onDim func(QualCol) (string, error)) (plan.Expr, error) {
+func (bd *binder) bindArith(e *ArithE, onDim func(QualCol) (string, error)) (plan.Expr, error) {
 	switch e.Op {
 	case "col":
 		dim, err := onDim(e.Col)
@@ -611,13 +661,14 @@ func bindArith(e *ArithE, onDim func(QualCol) (string, error)) (plan.Expr, error
 		}
 		return plan.Col(e.Col.Name), nil
 	case "lit":
-		return plan.Const(e.Lit), nil
+		v, _ := bd.lit(e.Lit, e.Scale)
+		return plan.Const(v), nil
 	case "+", "-", "*":
-		l, err := bindArith(e.L, onDim)
+		l, err := bd.bindArith(e.L, onDim)
 		if err != nil {
 			return nil, err
 		}
-		r, err := bindArith(e.R, onDim)
+		r, err := bd.bindArith(e.R, onDim)
 		if err != nil {
 			return nil, err
 		}
@@ -628,11 +679,13 @@ func bindArith(e *ArithE, onDim func(QualCol) (string, error)) (plan.Expr, error
 			return plan.Sub(l, r), nil
 		default:
 			scale := int64(1)
-			if e.L.Op == "lit" && e.L.Scale > 1 {
-				scale = e.L.Scale
-			}
-			if e.R.Op == "lit" && e.R.Scale > 1 {
-				scale = e.R.Scale
+			for _, side := range [2]*ArithE{e.L, e.R} {
+				if side.Op != "lit" {
+					continue
+				}
+				if _, s := bd.lit(side.Lit, side.Scale); s > 1 {
+					scale = s
+				}
 			}
 			return plan.MulScaled(l, r, scale), nil
 		}
@@ -675,26 +728,26 @@ func Exec(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpts, 
 			if err != nil {
 				return nil, err
 			}
-			return &plan.Result{Plan: []string{fmt.Sprintf("created table %s (%d columns, %s)", b.Create.Table, len(b.Create.Defs), p.Spec)}}, nil
+			return &plan.Result{Note: fmt.Sprintf("created table %s (%d columns, %s)", b.Create.Table, len(b.Create.Defs), p.Spec)}, nil
 		}
 		if _, err := c.CreateTable(b.Create.Table, b.Create.Defs); err != nil {
 			return nil, err
 		}
-		return &plan.Result{Plan: []string{fmt.Sprintf("created table %s (%d columns)", b.Create.Table, len(b.Create.Defs))}}, nil
+		return &plan.Result{Note: fmt.Sprintf("created table %s (%d columns)", b.Create.Table, len(b.Create.Defs))}, nil
 	case b.Insert != nil:
 		m := device.NewMeter(c.System())
 		n, err := c.InsertRows(m, b.Insert.Table, b.Insert.Rows)
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Result{Meter: m, Plan: []string{fmt.Sprintf("inserted %d rows into %s", n, b.Insert.Table)}}, nil
+		return &plan.Result{Meter: m, Note: fmt.Sprintf("inserted %d rows into %s", n, b.Insert.Table)}, nil
 	case b.Delete != nil:
 		m := device.NewMeter(c.System())
 		n, err := c.DeleteRows(m, b.Delete.Table, b.Delete.Filters)
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Result{Meter: m, Plan: []string{fmt.Sprintf("deleted %d rows from %s", n, b.Delete.Table)}}, nil
+		return &plan.Result{Meter: m, Note: fmt.Sprintf("deleted %d rows from %s", n, b.Delete.Table)}, nil
 	}
 	if len(b.Decompose) > 0 {
 		// Metered: a decompose over a table with delta rows or deletions
@@ -706,7 +759,7 @@ func Exec(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpts, 
 				return nil, err
 			}
 		}
-		return &plan.Result{Meter: m, Plan: []string{"decomposed"}}, nil
+		return &plan.Result{Meter: m, Note: "decomposed"}, nil
 	}
 	var res *plan.Result
 	var err error
@@ -719,7 +772,7 @@ func Exec(ctx context.Context, c *plan.Catalog, b *Binding, opts plan.ExecOpts, 
 		return nil, err
 	}
 	if b.Explain {
-		return &plan.Result{Plan: res.Plan, Meter: res.Meter}, nil
+		return res.PlanOnly(), nil
 	}
 	return res, nil
 }
@@ -743,30 +796,39 @@ func Run(c *plan.Catalog, src string, opts plan.ExecOpts) (*plan.Result, error) 
 // error. (It must not be trimmed here: trimming can turn unlexable text
 // into lexable text, which would break Normalize's idempotence and with it
 // the guarantee that a cache key re-normalizes to itself.)
-func Normalize(src string) string {
-	toks, err := tokenize(src)
-	if err != nil {
-		return src
+func Normalize(src string) string { return string(AppendNormalized(nil, src)) }
+
+// AppendNormalized appends Normalize(src) to dst in one pass over the text,
+// so a caller that only looks the key up can reuse one buffer and allocate
+// nothing.
+func AppendNormalized(dst []byte, src string) []byte {
+	l, start := lexer{src: src}, len(dst)
+	for {
+		t, err := l.next()
+		switch {
+		case err != nil:
+			return append(dst[:start], src...)
+		case t.kind == tokEOF:
+			return dst
+		}
+		if len(dst) > start {
+			dst = append(dst, ' ')
+		}
+		switch t.kind {
+		case tokIdent:
+			for i := 0; i < len(t.text); i++ {
+				c := t.text[i]
+				if c >= 'A' && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				dst = append(dst, c)
+			}
+		case tokString:
+			dst = append(append(append(dst, '\''), t.text...), '\'')
+		default:
+			dst = append(dst, t.text...)
+		}
 	}
-	var sb strings.Builder
-	for _, t := range toks {
-		if t.kind == tokEOF {
-			break
-		}
-		if sb.Len() > 0 {
-			sb.WriteByte(' ')
-		}
-		if t.kind == tokIdent {
-			sb.WriteString(strings.ToLower(t.text))
-		} else if t.kind == tokString {
-			sb.WriteByte('\'')
-			sb.WriteString(t.text)
-			sb.WriteByte('\'')
-		} else {
-			sb.WriteString(t.text)
-		}
-	}
-	return sb.String()
 }
 
 // Format renders a result like a small SQL client.
@@ -774,8 +836,8 @@ func Format(res *plan.Result) string {
 	if res == nil {
 		return "ok\n"
 	}
-	if res.Rows == nil && len(res.Plan) > 0 {
-		return strings.Join(res.Plan, "\n") + "\n"
+	if lines := res.Plan(); res.Rows == nil && len(lines) > 0 {
+		return strings.Join(lines, "\n") + "\n"
 	}
 	return plan.FormatRows(res.Rows)
 }

@@ -63,8 +63,8 @@ func TestDMLLifecycle(t *testing.T) {
 
 	// DELETE hits base and delta rows alike.
 	res := run(t, c, "delete from orders where qty between 7 and 10", false)
-	if len(res.Plan) != 1 || !strings.Contains(res.Plan[0], "deleted 2 rows") {
-		t.Fatalf("delete result %v", res.Plan)
+	if len(res.Plan()) != 1 || !strings.Contains(res.Plan()[0], "deleted 2 rows") {
+		t.Fatalf("delete result %v", res.Plan())
 	}
 	for _, classic := range []bool{false, true} {
 		if got := count(t, c, "select count(*) from orders where qty >= 1", classic); got != 2 {
@@ -141,8 +141,8 @@ func TestDeleteWithoutWhereEmptiesTable(t *testing.T) {
 	run(t, c, "create table p (v int)", false)
 	run(t, c, "insert into p values (1), (2), (3)", false)
 	res := run(t, c, "delete from p", false)
-	if !strings.Contains(res.Plan[0], "deleted 3 rows") {
-		t.Fatalf("delete result %v", res.Plan)
+	if !strings.Contains(res.Plan()[0], "deleted 3 rows") {
+		t.Fatalf("delete result %v", res.Plan())
 	}
 	if got := count(t, c, "select count(*) from p where v >= 0", true); got != 0 {
 		t.Fatalf("count after delete-all = %d, want 0", got)

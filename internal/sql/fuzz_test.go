@@ -72,6 +72,8 @@ func FuzzParseNormalize(f *testing.F) {
 		"'unterminated",
 		"select 1e9 from t",
 		"$1 $2 $9",
+		"select count(*) from t where a between $1 and $2 and price < $3",
+		"insert into t values ($1, $2, $12)",
 		"insert into t values (1, 2, 3.50), (-4, 5, 6)",
 		"insert into t (price, a, fk) values (1.25, 2, 3)",
 		"delete from t where a between 3 and 7 and price >= 1.50",
@@ -98,13 +100,21 @@ func FuzzParseNormalize(f *testing.F) {
 			return
 		}
 
-		// If the statement binds, its normalized text must bind to an
-		// equivalent (deep-equal) binding — the plan-cache keying contract.
-		b1, err := Bind(stmt, cat)
+		// If the statement binds (its placeholders, if any, to literals), its
+		// normalized text must bind to an equivalent (deep-equal) binding —
+		// the plan-cache keying contract.
+		params := make([]Lit, stmt.Params)
+		for i := range params {
+			params[i] = Lit{V: int64(i + 1), Scale: 1}
+		}
+		b1, err := BindParams(stmt, cat, params)
 		if err != nil {
 			return
 		}
-		b2, err := Compile(cat, n1)
+		var b2 *Binding
+		if stmt, err = Parse(n1); err == nil {
+			b2, err = BindParams(stmt, cat, params)
+		}
 		if err != nil {
 			t.Fatalf("source compiles but normalized text does not:\n src %q\n norm %q\n err %v", src, n1, err)
 		}

@@ -35,6 +35,7 @@ const (
 	tokIdent
 	tokNumber
 	tokString
+	tokParam  // $1..$9: a prepared statement's placeholder for a numeric literal
 	tokSymbol // ( ) , . * + -
 	tokOp     // = < > <= >= <>
 )
@@ -90,6 +91,17 @@ func (l *lexer) next() (token, error) {
 		}
 		l.pos++
 		return token{kind: tokString, text: l.src[start+1 : l.pos-1], pos: start}, nil
+	case c == '$':
+		// Only $1..$9 exist: reading $12 as $1 followed by a literal 2 would
+		// bind a different statement than the caller wrote.
+		if l.pos+1 >= len(l.src) || l.src[l.pos+1] < '1' || l.src[l.pos+1] > '9' {
+			return token{}, l.error(start, "invalid parameter placeholder (use $1..$9)")
+		}
+		if l.pos+2 < len(l.src) && isDigit(l.src[l.pos+2]) {
+			return token{}, l.error(start, "parameter placeholder out of range (only $1..$9 are supported)")
+		}
+		l.pos += 2
+		return token{kind: tokParam, text: l.src[start:l.pos], pos: start}, nil
 	case c == '<' || c == '>':
 		l.pos++
 		if l.pos < len(l.src) && (l.src[l.pos] == '=' || (c == '<' && l.src[l.pos] == '>')) {
@@ -101,7 +113,7 @@ func (l *lexer) next() (token, error) {
 		return token{kind: tokOp, text: "=", pos: start}, nil
 	case strings.IndexByte("(),.*+-", c) >= 0:
 		l.pos++
-		return token{kind: tokSymbol, text: string(c), pos: start}, nil
+		return token{kind: tokSymbol, text: l.src[start:l.pos], pos: start}, nil
 	default:
 		return token{}, l.error(start, "unexpected character %q", c)
 	}

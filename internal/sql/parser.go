@@ -39,10 +39,13 @@ import (
 //	factor    := qualcol | literal | '(' arith ')'
 //	qualcol   := name ['.' name]
 //	literal   := number (decimal literals scale by fractional digits)
+//	           | '$' digit      ($1..$9, bound by BindParams)
 
 // Stmt is a parsed statement: exactly one of the branch pointers is set.
+// Params is how many parameters it takes: the highest $n it mentions.
 type Stmt struct {
 	Explain bool
+	Params  int
 	Select  *SelectStmt
 	Insert  *InsertStmt
 	Delete  *DeleteStmt
@@ -58,11 +61,16 @@ type InsertStmt struct {
 }
 
 // Lit is a numeric literal with the decimal scale it was written at
-// (10^fractional digits; 1 for integers).
+// (10^fractional digits; 1 for integers). Wherever the AST holds a literal
+// as a (value, scale) pair, scale ParamScale marks a $n placeholder and the
+// value is its 0-based index; BindParams puts the bound literal in its place.
 type Lit struct {
 	V     int64
 	Scale int64
 }
+
+// ParamScale is the scale of a literal position that holds a placeholder.
+const ParamScale = -1
 
 // DeleteStmt is a parsed DELETE FROM ... [WHERE ...].
 type DeleteStmt struct {
@@ -185,9 +193,10 @@ type ArithE struct {
 }
 
 type parser struct {
-	src  string
-	toks []token
-	at   int
+	src    string
+	toks   []token
+	at     int
+	params int // highest $n seen
 }
 
 // errAt builds a parse error carrying the offending token's byte offset
@@ -258,6 +267,7 @@ func Parse(src string) (*Stmt, error) {
 	if !p.atEOF() {
 		return nil, p.errAt(p.peek(), "trailing input %s", tokenText(p.peek()))
 	}
+	stmt.Params = p.params
 	return stmt, nil
 }
 
@@ -295,7 +305,7 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 		}
 		var row []Lit
 		for {
-			v, scale, err := p.parseNumber()
+			v, scale, err := p.parseLiteral()
 			if err != nil {
 				return nil, err
 			}
@@ -690,13 +700,13 @@ func (p *parser) parseHavingPred() (*HavingPred, error) {
 	}
 	hp := &HavingPred{Agg: *ref}
 	if p.acceptKeyword("BETWEEN") {
-		if hp.Lo, hp.LoScale, err = p.parseNumber(); err != nil {
+		if hp.Lo, hp.LoScale, err = p.parseLiteral(); err != nil {
 			return nil, err
 		}
 		if err := p.expectKeyword("AND"); err != nil {
 			return nil, err
 		}
-		if hp.Hi, hp.HiScale, err = p.parseNumber(); err != nil {
+		if hp.Hi, hp.HiScale, err = p.parseLiteral(); err != nil {
 			return nil, err
 		}
 		hp.Op = "between"
@@ -713,7 +723,7 @@ func (p *parser) parseHavingPred() (*HavingPred, error) {
 	default:
 		return nil, p.errAt(t, "unsupported operator %q", t.text)
 	}
-	if hp.Lo, hp.LoScale, err = p.parseNumber(); err != nil {
+	if hp.Lo, hp.LoScale, err = p.parseLiteral(); err != nil {
 		return nil, err
 	}
 	return hp, nil
@@ -815,14 +825,14 @@ func (p *parser) parsePred() (*Pred, error) {
 		return nil, err
 	}
 	if p.acceptKeyword("BETWEEN") {
-		lo, loScale, err := p.parseNumber()
+		lo, loScale, err := p.parseLiteral()
 		if err != nil {
 			return nil, err
 		}
 		if err := p.expectKeyword("AND"); err != nil {
 			return nil, err
 		}
-		hi, hiScale, err := p.parseNumber()
+		hi, hiScale, err := p.parseLiteral()
 		if err != nil {
 			return nil, err
 		}
@@ -833,7 +843,7 @@ func (p *parser) parsePred() (*Pred, error) {
 		return nil, p.errAt(t, "expected comparison after %s, found %s", col, tokenText(t))
 	}
 	p.advance()
-	v, vScale, err := p.parseNumber()
+	v, vScale, err := p.parseLiteral()
 	if err != nil {
 		return nil, err
 	}
@@ -888,8 +898,8 @@ func (p *parser) parseTerm() (*ArithE, error) {
 func (p *parser) parseFactor() (*ArithE, error) {
 	t := p.peek()
 	switch {
-	case t.kind == tokNumber:
-		v, scale, err := p.parseNumber()
+	case t.kind == tokNumber || t.kind == tokParam:
+		v, scale, err := p.parseLiteral()
 		if err != nil {
 			return nil, err
 		}
@@ -938,6 +948,19 @@ func (p *parser) parseQualCol() (QualCol, error) {
 	return QualCol{Name: first}, nil
 }
 
+// parseLiteral parses the grammar's literal: a number, or a $n placeholder,
+// reported as its 0-based index at scale ParamScale.
+func (p *parser) parseLiteral() (value, scale int64, err error) {
+	t := p.peek()
+	if t.kind != tokParam {
+		return p.parseNumber()
+	}
+	p.advance()
+	n := int(t.text[1] - '0')
+	p.params = max(p.params, n)
+	return int64(n - 1), ParamScale, nil
+}
+
 // parseNumber parses an integer or decimal literal, returning the scaled
 // integer value and the scale (10^fractional digits).
 func (p *parser) parseNumber() (value, scale int64, err error) {
@@ -947,7 +970,16 @@ func (p *parser) parseNumber() (value, scale int64, err error) {
 		return 0, 0, p.errAt(t, "expected number, found %s", tokenText(t))
 	}
 	p.advance()
-	text := t.text
+	value, scale = numberValue(t.text)
+	if neg {
+		value = -value
+	}
+	return value, scale, nil
+}
+
+// numberValue converts a number token's text into the scaled integer value
+// and the scale (10^fractional digits).
+func numberValue(text string) (v, scale int64) {
 	scale = 1
 	intPart := text
 	if dot := strings.IndexByte(text, '.'); dot >= 0 {
@@ -957,12 +989,30 @@ func (p *parser) parseNumber() (value, scale int64, err error) {
 			scale *= 10
 		}
 	}
-	var v int64
 	for _, c := range intPart {
 		v = v*10 + int64(c-'0')
 	}
+	return v, scale
+}
+
+// ParseLit reads one parameter value with the lexer's own number rule: an
+// optionally negated integer or decimal and nothing else, so a parameter can
+// never carry statement structure.
+func ParseLit(text string) (Lit, error) {
+	l := lexer{src: text}
+	t, err := l.next()
+	neg := err == nil && t.kind == tokSymbol && t.text == "-"
 	if neg {
-		v = -v
+		t, err = l.next()
 	}
-	return v, scale, nil
+	if err == nil && t.kind == tokNumber {
+		if end, err := l.next(); err == nil && end.kind == tokEOF {
+			v, scale := numberValue(t.text)
+			if neg {
+				v = -v
+			}
+			return Lit{V: v, Scale: scale}, nil
+		}
+	}
+	return Lit{}, fmt.Errorf("sql: %q is not a numeric literal", text)
 }

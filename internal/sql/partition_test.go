@@ -16,8 +16,8 @@ import (
 func TestPartitionedDDLLifecycle(t *testing.T) {
 	c := plan.NewCatalog(device.PaperSystem())
 	res := run(t, c, "create table orders (qty int, price decimal2) partition by hash(qty) partitions 3", false)
-	if len(res.Plan) != 1 || !strings.Contains(res.Plan[0], "partition by hash(qty) partitions 3") {
-		t.Fatalf("create result %v", res.Plan)
+	if len(res.Plan()) != 1 || !strings.Contains(res.Plan()[0], "partition by hash(qty) partitions 3") {
+		t.Fatalf("create result %v", res.Plan())
 	}
 	run(t, c, "create table flat (qty int, price decimal2)", false)
 
@@ -45,8 +45,8 @@ func TestPartitionedDDLLifecycle(t *testing.T) {
 	// DELETE fans out; both tables must drop the same rows.
 	for _, tbl := range []string{"orders", "flat"} {
 		res := run(t, c, "delete from "+tbl+" where qty = 10", false)
-		if len(res.Plan) != 1 || !strings.Contains(res.Plan[0], "deleted 2 rows") {
-			t.Fatalf("%s delete result %v", tbl, res.Plan)
+		if len(res.Plan()) != 1 || !strings.Contains(res.Plan()[0], "deleted 2 rows") {
+			t.Fatalf("%s delete result %v", tbl, res.Plan())
 		}
 	}
 	if got := count(t, c, "select count(*) from orders where qty >= 1", false); got != 3 {

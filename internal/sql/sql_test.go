@@ -79,7 +79,7 @@ func mustRun(t *testing.T, c *plan.Catalog, src string) *plan.Result {
 func TestBWDecomposeStatement(t *testing.T) {
 	c := testCatalog(t)
 	res := mustRun(t, c, "select bwdecompose(l_shipdate, 24), bwdecompose(l_discount, 24) from lineitem")
-	if res == nil || res.Rows != nil || len(res.Plan) != 1 || res.Plan[0] != "decomposed" {
+	if res == nil || res.Rows != nil || len(res.Plan()) != 1 || res.Plan()[0] != "decomposed" {
 		t.Fatalf("bwdecompose should return a rowless 'decomposed' result, got %+v", res)
 	}
 	if res.Meter == nil {
@@ -284,9 +284,9 @@ func TestFormatVariants(t *testing.T) {
 	if Format(nil) != "ok\n" {
 		t.Error("nil result should format as ok")
 	}
-	res := &plan.Result{Plan: []string{"step1", "step2"}}
+	res := &plan.Result{Note: "step1"}
 	if !strings.Contains(Format(res), "step1") {
-		t.Error("plan-only result should list steps")
+		t.Error("row-less result should print its outcome line")
 	}
 }
 

@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -274,5 +275,67 @@ func TestNormalizeNewClauses(t *testing.T) {
 	b := Normalize("SELECT day , SUM(price) AS r FROM sales WHERE ( qty < 10 or qty > 80 ) GROUP BY day HAVING COUNT(*) >= 2 ORDER BY r DESC LIMIT 7")
 	if a != b {
 		t.Fatalf("normalization differs:\n%s\n%s", a, b)
+	}
+}
+
+// TestBindParamsSharedAST: a parameterized statement is parsed once and
+// bound any number of times — each binding equals compiling the text with
+// the literals written in, and binding never touches the parsed statement.
+func TestBindParamsSharedAST(t *testing.T) {
+	c := testCatalog(t)
+	const src = "select sum(l_extendedprice * $3) as s, count(*) as n from lineitem where l_shipdate between $1 and $2 and l_discount < $3 having sum(l_quantity) > $1"
+	ast, err := Parse(src)
+	if err != nil || ast.Params != 3 {
+		t.Fatalf("Parse: %d params, %v", ast.Params, err)
+	}
+	pristine, _ := Parse(src)
+	for _, vals := range [][3]string{{"731", "1095", "7"}, {"-5", "2000", "3"}} {
+		var lits []Lit
+		for _, v := range vals {
+			l, err := ParseLit(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lits = append(lits, l)
+		}
+		got, err := BindParams(ast, c, lits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Compile(c, strings.NewReplacer("$1", vals[0], "$2", vals[1], "$3", vals[2]).Replace(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("params %v bind to\n%#v\nthe spliced text compiles to\n%#v", vals, got.Query, want.Query)
+		}
+	}
+	if !reflect.DeepEqual(ast, pristine) {
+		t.Fatal("binding mutated the shared parsed statement")
+	}
+	if _, err := BindParams(ast, c, nil); err == nil {
+		t.Fatal("binding a parameterized statement without its parameters must fail")
+	}
+	for _, bad := range []string{"limit $1", "select bwdecompose(l_tax, $1) from lineitem"} {
+		if _, err := Parse("select count(*) from lineitem " + bad); err == nil {
+			t.Fatalf("%q: a placeholder is a literal, not a count; it must not parse", bad)
+		}
+	}
+}
+
+// TestAppendNormalized: normalizing into a reused buffer is Normalize, and
+// allocates nothing — what lets a plan-cache hit look its key up for free.
+func TestAppendNormalized(t *testing.T) {
+	const src = "SELECT  Count(lon)\tFROM trips WHERE lon BETWEEN 2.68288 AND $1 and name = 'Ab c'"
+	buf := make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(100, func() { buf = AppendNormalized(buf[:0], src) }); allocs != 0 {
+		t.Errorf("AppendNormalized into a buffer with room allocates %.0f objects", allocs)
+	}
+	want := "select count ( lon ) from trips where lon between 2.68288 and $1 and name = 'Ab c'"
+	if string(buf) != want || Normalize(src) != want {
+		t.Errorf("normalized to %q / %q, want %q", buf, Normalize(src), want)
+	}
+	if got := string(AppendNormalized([]byte("key: "), "select ~")); got != "key: select ~" {
+		t.Errorf("unlexable text must append unchanged, got %q", got)
 	}
 }

@@ -33,16 +33,13 @@ func FromColumn(d *bwd.Column) *Histogram {
 	if d == nil || len(d.BucketCounts()) == 0 {
 		return nil
 	}
-	h := &Histogram{
+	return &Histogram{
 		Base:    d.Dec.Base,
 		ResBits: d.Dec.ResBits,
 		Shift:   d.BucketShift(),
 		Counts:  d.BucketCounts(),
+		Rows:    d.BucketRows(),
 	}
-	for _, c := range h.Counts {
-		h.Rows += c
-	}
-	return h
 }
 
 // CodeFraction estimates the fraction of histogrammed rows whose
