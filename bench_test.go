@@ -1,17 +1,14 @@
-// Package repro's root benchmarks: one testing.B benchmark per evaluation
-// table/figure of the paper (see DESIGN.md §3 and EXPERIMENTS.md), plus
-// ablation benches for the design choices the A&R paradigm rests on.
-//
-// The per-figure benchmarks wall-clock the full experiment harness — real
-// operator execution plus simulated-cost accounting — at the Quick data
-// scale; `go run ./cmd/arbench` prints the actual reproduced figures.
+// Package repro's root benchmarks: the per-operator wall-clock lines
+// perf PRs cite as before/after (BenchmarkOp*, real Go implementations, nil
+// meters) and the ingest-while-query stream. The paper's figures are
+// `go run ./cmd/arbench`, pinned by internal/experiments' golden test;
+// end-to-end performance is recorded by bench/ (DESIGN.md §3).
 package repro_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -22,46 +19,10 @@ import (
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/tpch"
 )
-
-func benchFigure(b *testing.B, fn func(experiments.Options) (*experiments.Figure, error)) {
-	b.Helper()
-	opts := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8aSelectionGPUResident(b *testing.B)  { benchFigure(b, experiments.Fig8a) }
-func BenchmarkFig8bSelectionDistributed(b *testing.B)  { benchFigure(b, experiments.Fig8b) }
-func BenchmarkFig8cSelectionBits(b *testing.B)         { benchFigure(b, experiments.Fig8c) }
-func BenchmarkFig8dProjectionGPUResident(b *testing.B) { benchFigure(b, experiments.Fig8d) }
-func BenchmarkFig8eProjectionDistributed(b *testing.B) { benchFigure(b, experiments.Fig8e) }
-func BenchmarkFig8fGrouping(b *testing.B)              { benchFigure(b, experiments.Fig8f) }
-func BenchmarkFig9SpatialRangeQuery(b *testing.B)      { benchFigure(b, experiments.Fig9) }
-func BenchmarkFig10aTPCHQ1(b *testing.B)               { benchFigure(b, experiments.Fig10a) }
-func BenchmarkFig10bTPCHQ6(b *testing.B)               { benchFigure(b, experiments.Fig10b) }
-func BenchmarkFig10cTPCHQ14(b *testing.B)              { benchFigure(b, experiments.Fig10c) }
-func BenchmarkFig11Throughput(b *testing.B)            { benchFigure(b, experiments.Fig11) }
-func BenchmarkIngestExperiment(b *testing.B)           { benchFigure(b, experiments.Ingest) }
-
-func BenchmarkTable1SpatialSetup(b *testing.B) {
-	opts := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Operator-level wall-clock benchmarks: the real Go implementations,
-// no simulation accounting (nil meters).
 
 const benchN = 1 << 20
 
@@ -174,7 +135,7 @@ func BenchmarkOpGroupApprox(b *testing.B) {
 	b.SetBytes(int64(benchN) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar.GroupApprox(nil, col, cands)
+		ar.GroupApprox(nil, []*bwd.Column{col}, cands)
 	}
 }
 
@@ -217,161 +178,6 @@ func BenchmarkOpExprAggregate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := mode.exec(context.Background(), q, plan.ExecOpts{}); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- Ablation benches (design choices called out in DESIGN.md).
-
-// Ablation: decomposition resolution. How does the device-bit budget move
-// the full A&R selection cost? (The Fig 8c trade-off as a micro-ablation.)
-func BenchmarkAblationResolution(b *testing.B) {
-	for _, bits := range []uint{8, 16, 24} {
-		b.Run(map[uint]string{8: "8bits", 16: "16bits", 24: "24bits"}[bits], func(b *testing.B) {
-			col, _ := benchColumn(bits)
-			r := col.Relax(0, benchN/20)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cands := ar.SelectApprox(nil, col, r)
-				ar.SelectRefine(par.P{}, nil, col, 0, benchN/20, cands)
-			}
-		})
-	}
-}
-
-// Ablation: translucent join vs generic hash join on the same
-// approximation/refinement alignment task.
-func BenchmarkAblationTranslucentVsHash(b *testing.B) {
-	col, _ := benchColumn(12)
-	cands := ar.SelectApprox(nil, col, col.Relax(0, benchN/2))
-	refined, _ := ar.SelectRefine(par.P{}, nil, col, 0, benchN/4, cands)
-	aVals := make([]int64, len(cands.IDs))
-	for i, id := range cands.IDs {
-		aVals[i] = int64(id)
-	}
-	bVals := make([]int64, len(refined.IDs))
-	for i, id := range refined.IDs {
-		bVals[i] = int64(id)
-	}
-	b.Run("translucent", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ar.TranslucentJoin(cands.IDs, refined.IDs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("hash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bulk.HashJoin(nil, 1, aVals, bVals)
-		}
-	})
-}
-
-// Ablation: rule-based filter push-down (§III-A) on a two-filter query
-// where one predicate is far more selective.
-func BenchmarkAblationFilterPushdown(b *testing.B) {
-	sys := device.PaperSystem()
-	c := plan.NewCatalog(sys)
-	rng := rand.New(rand.NewSource(11))
-	tbl := plan.NewTable("fact")
-	n := 1 << 19
-	for _, col := range []string{"wide", "narrow"} {
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(rng.Intn(n))
-		}
-		if err := tbl.AddColumn(col, bat.NewDense(vals, bat.Width32)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := c.AddTable(tbl); err != nil {
-		b.Fatal(err)
-	}
-	for _, col := range []string{"wide", "narrow"} {
-		if _, err := c.Decompose("fact", col, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q := plan.Query{
-		Table: "fact",
-		Filters: []plan.Filter{
-			{Col: "wide", Lo: 0, Hi: int64(n)},
-			{Col: "narrow", Lo: 0, Hi: int64(n / 100)},
-		},
-		Aggs: []plan.AggSpec{{Name: "n", Func: plan.Count}},
-	}
-	arSess := engine.New(c, engine.Options{}).SessionFor(engine.ModeAR)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := arSess.QueryPlan(ctx, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMorselScaling measures the wall-clock effect of morsel-parallel
-// execution on a grouped-aggregate scan (select g, count(*), sum(v),
-// min(v), max(v) ... group by g over 2M rows): the same classic plan runs
-// with threads=1, threads=4 and threads=NumCPU. The simulated meter moves
-// with the Threads setting by design (it always billed threads-way
-// parallelism); what this benchmark demonstrates is that since the morsel
-// executors, *wall-clock* follows it too. CI runs one iteration of each
-// sub-benchmark so the threads=1 vs threads=N ratio is recorded on every
-// push; on a multi-core machine threads=4 should be >=2x faster than
-// threads=1.
-func BenchmarkMorselScaling(b *testing.B) {
-	sys := device.PaperSystem()
-	c := plan.NewCatalog(sys)
-	rng := rand.New(rand.NewSource(17))
-	tbl := plan.NewTable("fact")
-	n := 2 << 20
-	g := make([]int64, n)
-	v := make([]int64, n)
-	for i := range g {
-		g[i] = int64(rng.Intn(100))
-		v[i] = int64(rng.Intn(1_000_000))
-	}
-	if err := tbl.AddColumn("g", bat.NewDense(g, bat.Width32)); err != nil {
-		b.Fatal(err)
-	}
-	if err := tbl.AddColumn("v", bat.NewDense(v, bat.Width32)); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.AddTable(tbl); err != nil {
-		b.Fatal(err)
-	}
-	q := plan.Query{
-		Table:   "fact",
-		Filters: []plan.Filter{{Col: "v", Lo: 0, Hi: 900_000}},
-		GroupBy: []string{"g"},
-		Aggs: []plan.AggSpec{
-			{Name: "n", Func: plan.Count},
-			{Name: "s", Func: plan.Sum, Expr: plan.Col("v")},
-			{Name: "mn", Func: plan.Min, Expr: plan.Col("v")},
-			{Name: "mx", Func: plan.Max, Expr: plan.Col("v")},
-		},
-	}
-	want, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{Threads: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	threadSet := []int{1, 4}
-	if ncpu := runtime.NumCPU(); ncpu != 4 && ncpu > 1 {
-		threadSet = append(threadSet, ncpu)
-	}
-	for _, threads := range threadSet {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			b.SetBytes(int64(n) * 8)
-			for i := 0; i < b.N; i++ {
-				res, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{Threads: threads})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !plan.EqualResults(res.Rows, want.Rows) {
-					b.Fatalf("threads=%d changed the result", threads)
 				}
 			}
 		})

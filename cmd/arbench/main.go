@@ -65,7 +65,6 @@ var figures = []struct {
 	{"fig10c", experiments.Fig10c, "TPC-H Q14"},
 	{"fig11", experiments.Fig11, "memory-wall throughput"},
 	{"ingest", experiments.Ingest, "insert stream + incremental BWD maintenance"},
-	{"alloc", experiments.Alloc, "host memory discipline: word-parallel arena kernels vs per-element baseline"},
 	{"partition", experiments.Partition, "scatter-gather over hash partitions"},
 }
 

@@ -100,14 +100,14 @@ func TestEmptyCandidatesFlow(t *testing.T) {
 	}
 	cands.Ship(nil)
 	proj := ProjectApprox(nil, col, cands)
-	if proj.Len() != 0 {
+	if len(proj.Codes) != 0 {
 		t.Error("projection over empty candidates not empty")
 	}
 	refined, vals2 := SelectRefine(par.P{}, nil, col, 100000, 200000, cands)
 	if refined.Len() != 0 || len(vals2) != 0 {
 		t.Error("refinement of empty candidates not empty")
 	}
-	grouping := GroupApprox(nil, col, cands)
+	grouping := GroupApprox(nil, []*bwd.Column{col}, cands)
 	if grouping.NGroups != 0 {
 		t.Error("grouping of empty candidates has groups")
 	}
@@ -121,15 +121,15 @@ func TestShippedFlagPropagation(t *testing.T) {
 	vals := shuffledInts(1000, 97)
 	col := decompose(t, vals, 8)
 	cands := SelectApprox(nil, col, col.Relax(0, 500))
-	if cands.Shipped() {
+	if cands.shipped {
 		t.Error("fresh candidates marked shipped")
 	}
 	cands.Ship(nil)
-	if !cands.Shipped() {
+	if !cands.shipped {
 		t.Error("Ship did not mark candidates")
 	}
 	refined, _ := SelectRefine(par.P{}, nil, col, 0, 500, cands)
-	if !refined.Shipped() {
+	if !refined.shipped {
 		t.Error("refinement output lives on the host; must stay marked shipped")
 	}
 	_ = bat.OID(0)

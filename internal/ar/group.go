@@ -1,149 +1,216 @@
 package ar
 
 import (
+	"fmt"
+
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/mem"
 	"repro/internal/par"
 )
 
-// Grouping is the result of an approximate (pre-)grouping (§IV-E): a dense
+// Grouping is the result of an approximate (pre-)grouping (§IV-E) over one
+// or more columns (TPC-H Q1 groups by l_returnflag, l_linestatus): a dense
 // group ID per candidate, positionally aligned with the candidate set —
-// the MonetDB representation of groupings — plus the distinct
-// approximation codes in first-appearance order.
+// the MonetDB representation of groupings — plus each group's tuple of
+// approximation codes, groups in first-appearance order.
 type Grouping struct {
 	Src     *Candidates
-	Col     *bwd.Column
+	Cols    []*bwd.Column
 	IDs     []uint32 // group id per candidate position
 	NGroups int
-	Codes   []uint64 // Codes[g] is the approximation code of group g
+	// Codes[k][g] is the approximation code of column k for group g.
+	Codes   [][]uint64
 	shipped bool
 }
 
-// GroupApprox hash-groups the candidates by the approximation codes of col
-// on the device. The cost model charges the massively parallel hash
-// build's write-conflict serialization: with G groups and L device lanes,
-// concurrent lanes collide on the same group entry at a rate proportional
-// to L/G, which is why "performance improves with the number of groups due
-// to fewer write conflicts on the grouping table" (§VI-B, Fig 8f).
-//
-// If col is fully device resident, the approximate grouping is already the
-// exact grouping of the candidate set (§IV-E: low-cardinality grouping
-// columns compress enough to stay resident, eliminating subgrouping).
-func GroupApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Grouping {
-	codes := cands.CodesFor(col)
-	if codes == nil {
-		p := ProjectApprox(m, col, cands)
-		codes = p.Codes
+// GroupKeyFits reports whether the columns' approximation codes pack into
+// one entry of the device grouping table, which is a 64-bit word. A wider
+// key cannot be pre-grouped on the device; the caller groups on the host.
+func GroupKeyFits(cols []*bwd.Column) bool {
+	var total uint
+	for _, col := range cols {
+		total += col.Dec.ApproxBits
 	}
+	return total <= 64
+}
+
+// GroupApprox hash-groups the candidates by the tuple of approximation
+// codes of cols on the device. The cost model charges the massively
+// parallel hash build's write-conflict serialization: with G groups and L
+// device lanes, concurrent lanes collide on the same group entry at a rate
+// proportional to L/G, which is why "performance improves with the number
+// of groups due to fewer write conflicts on the grouping table" (§VI-B,
+// Fig 8f).
+//
+// If every column is fully device resident, the approximate grouping is
+// already the exact grouping of the candidate set (§IV-E: low-cardinality
+// grouping columns compress enough to stay resident, eliminating
+// subgrouping). It panics when the key does not fit (GroupKeyFits): a
+// truncated key would merge distinct groups.
+func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Grouping {
+	if !GroupKeyFits(cols) {
+		panic(fmt.Sprintf("ar: GroupApprox over %d columns whose codes exceed the 64-bit grouping-table entry", len(cols)))
+	}
+	n := len(cands.IDs)
+	colCodes := make([][]uint64, len(cols))
+	projected := make([]bool, len(cols))
+	for k, col := range cols {
+		if attached := cands.CodesFor(col); attached != nil {
+			colCodes[k] = attached
+			continue
+		}
+		p := ProjectApprox(m, col, cands)
+		colCodes[k] = p.Codes
+		projected[k] = true
+	}
+	// Pack each code tuple into one table entry, leading column highest.
 	idx := make(map[uint64]uint32, 64)
-	ids := make([]uint32, len(codes))
+	ids := make([]uint32, n)
 	var uniq []uint64
-	for i, c := range codes {
-		g, ok := idx[c]
+	shift := make([]uint, len(cols))
+	var total uint
+	for k := len(cols) - 1; k >= 0; k-- {
+		shift[k] = total
+		total += cols[k].Dec.ApproxBits
+	}
+	for i := 0; i < n; i++ {
+		var key uint64
+		for k := range cols {
+			key |= colCodes[k][i] << shift[k]
+		}
+		g, ok := idx[key]
 		if !ok {
 			g = uint32(len(uniq))
-			idx[c] = g
-			uniq = append(uniq, c)
+			idx[key] = g
+			uniq = append(uniq, key)
 		}
 		ids[i] = g
 	}
+	codes := make([][]uint64, len(cols))
+	for k, col := range cols {
+		codes[k] = make([]uint64, len(uniq))
+		mask := uint64(1)<<col.Dec.ApproxBits - 1
+		for g, key := range uniq {
+			codes[k][g] = key >> shift[k] & mask
+		}
+	}
+	for k := range colCodes {
+		if projected[k] {
+			mem.U64.Put(colCodes[k])
+		}
+	}
 	if m != nil {
-		n := int64(len(codes))
+		// Serialized atomic updates: with L lanes spread over G group
+		// entries, L/G lanes contend for the same entry on average, so
+		// each tuple's write waits behind that many serialized updates.
 		lanes := float64(m.System().GPU.Threads)
 		groups := float64(len(uniq))
 		if groups < 1 {
 			groups = 1
 		}
-		// Serialized atomic updates: with L lanes spread over G group
-		// entries, L/G lanes contend for the same entry on average, so
-		// each tuple's write waits behind that many serialized updates.
 		depth := lanes / groups
-		if depth > lanes {
-			depth = lanes
-		}
 		if depth < 1 {
 			depth = 1
 		}
-		conflictOps := int64(float64(n) * depth)
-		seq := packedBytes(len(codes), col.Dec.ApproxBits) + n*4
-		m.GPUKernel(seq, 0, n*bulk.OpsHashGroup+conflictOps)
+		var seq int64
+		for _, col := range cols {
+			seq += packedBytes(n, col.Dec.ApproxBits)
+		}
+		m.GPUKernel(seq+int64(n)*4, 0, int64(n)*bulk.OpsHashGroup+int64(float64(n)*depth))
 	}
-	return &Grouping{Src: cands, Col: col, IDs: ids, NGroups: len(uniq), Codes: uniq}
+	return &Grouping{Src: cands, Cols: cols, IDs: ids, NGroups: len(uniq), Codes: codes}
 }
 
-// Ship charges the transfer of the per-candidate group IDs to the host.
+// Ship charges the transfer of the per-candidate group IDs and the group
+// code table to the host.
 func (g *Grouping) Ship(m *device.Meter) {
 	if g.shipped {
 		return
 	}
 	g.shipped = true
 	if m != nil {
-		m.Transfer(int64(len(g.IDs))*4 + int64(g.NGroups)*8)
+		m.Transfer(int64(len(g.IDs))*4 + int64(g.NGroups*len(g.Cols))*8)
 	}
 }
 
-// GroupRefine produces the exact grouping of the refined candidate subset.
+// GroupRefine produces the exact grouping of the refined candidate subset
+// plus the per-group key values of every grouping column.
 //
-// When the grouping column is fully device resident, the pre-grouping is
+// When every grouping column is fully device resident, the pre-grouping is
 // already exact: the refinement only eliminates the false positives
 // introduced by earlier operators, via a translucent join of the refined
-// IDs into the pre-grouping (§IV-E, Fig 4's Grouping/Aggregation panel).
-// Otherwise the CPU regroups on reconstructed exact values — the paper's
-// observation that MonetDB's positional grouping representation cannot
-// profit from a physical pre-grouping.
-//
-// The exact-pre-grouping path densifies surviving group IDs with
-// block-partial first-appearance remapping (identical order to the serial
-// pass), and the decomposed path reconstructs keys per-morsel before
-// regrouping with bulk.GroupBy.
-func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*bulk.Grouping, error) {
-	if g.Col.Dec.ResBits == 0 {
-		pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs, refined.IDs)
-		if err != nil {
-			return nil, err
+// IDs into the pre-grouping (§IV-E, Fig 4's Grouping/Aggregation panel),
+// and densifies the surviving group IDs with the block-partial
+// first-appearance remap (identical order to a serial pass). Otherwise the
+// CPU re-derives each tuple's exact keys from the shipped codes and the
+// host residuals, per morsel, and regroups with bulk.GroupBy (charged
+// here, not by the grouping kernel) — the paper's observation that
+// MonetDB's positional grouping representation cannot profit from a
+// physical pre-grouping.
+func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*bulk.Grouping, [][]int64, error) {
+	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs, refined.IDs)
+	if err != nil {
+		return nil, nil, err
+	}
+	exactPre := true
+	for _, col := range g.Cols {
+		if col.Dec.ResBits != 0 {
+			exactPre = false
+			break
 		}
-		// Pass the exact pre-grouping through, dropping groups emptied by
-		// false-positive elimination.
+	}
+	if exactPre {
+		// Pass the pre-grouping through, dropping groups that lost all
+		// their tuples to false-positive elimination.
 		old := make([]uint32, len(pos))
 		p.For(len(pos), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				old[i] = g.IDs[pos[i]]
 			}
 		})
-		ids, order := remapFirstAppearance(p, old, g.NGroups)
-		keys := make([]int64, len(order))
-		for newID, oldID := range order {
-			keys[newID] = g.Col.Dec.Base + int64(g.Codes[oldID])
+		ids, used := remapFirstAppearance(p, old, g.NGroups)
+		keys := make([][]int64, len(g.Cols))
+		for k, col := range g.Cols {
+			keys[k] = make([]int64, len(used))
+			for newID, oldID := range used {
+				keys[k][newID] = col.Dec.Base + int64(g.Codes[k][oldID])
+			}
 		}
 		if m != nil {
 			m.CPUWork(p.NThreads(), int64(len(pos))*8, 0, int64(len(pos)))
 		}
-		return &bulk.Grouping{IDs: ids, NGroups: len(keys), Keys: keys}, nil
+		mem.Ints.Put(pos)
+		return &bulk.Grouping{IDs: ids, NGroups: len(used)}, keys, nil
 	}
-	// Decomposed grouping column: re-derive each surviving tuple's exact
-	// key from the pre-grouping's code (translucent join back into the
-	// candidate alignment) and the host-resident residual, then regroup.
-	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs, refined.IDs)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]int64, len(pos))
-	p.For(len(pos), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			code := g.Codes[g.IDs[pos[i]]]
-			var r uint64
-			if g.Col.Dec.ResBits > 0 {
-				r = g.Col.Residual.Get(int(refined.IDs[i]))
+
+	// Reconstruct exact key tuples and regroup on the CPU.
+	n := len(pos)
+	exact := make([][]int64, len(g.Cols))
+	for k, col := range g.Cols {
+		exact[k] = make([]int64, n)
+		ek := exact[k]
+		p.For(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				code := g.Codes[k][g.IDs[pos[i]]]
+				var r uint64
+				if col.Dec.ResBits > 0 {
+					r = col.Residual.Get(int(refined.IDs[i]))
+				}
+				ek[i] = col.ReconstructFrom(code, r)
 			}
-			vals[i] = g.Col.ReconstructFrom(code, r)
+		})
+		if m != nil {
+			m.CPUWork(p.NThreads(), int64(n)*8, int64(n)*residualBytes(col.Dec.ResBits), int64(n))
 		}
-	})
-	if m != nil {
-		m.CPUWork(p.NThreads(), int64(len(pos))*12,
-			int64(len(pos))*residualBytes(g.Col.Dec.ResBits), int64(len(pos)))
 	}
-	return bulk.GroupBy(p, m, vals), nil
+	grouping, keys := bulk.GroupBy(p, nil, exact)
+	if m != nil {
+		m.CPUWork(p.NThreads(), int64(n)*8*int64(len(g.Cols)), 0, int64(n)*bulk.OpsHashGroup)
+	}
+	mem.Ints.Put(pos)
+	return grouping, keys, nil
 }
 
 // remapFirstAppearance densifies a stream of old group IDs (dense in

@@ -30,10 +30,10 @@ func TestGroupApproxRefineResidentColumn(t *testing.T) {
 	selCol := decompose(t, sel, 7)
 
 	cands := SelectApprox(nil, selCol, selCol.Relax(1000, 9000))
-	grouping := GroupApprox(nil, keyCol, cands)
+	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
 	grouping.Ship(nil)
 	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, 9000, cands)
-	got, err := GroupRefine(par.P{}, nil, grouping, refined)
+	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
@@ -42,8 +42,8 @@ func TestGroupApproxRefineResidentColumn(t *testing.T) {
 		t.Fatalf("grouping covers %d tuples, want %d", len(got.IDs), len(refined.IDs))
 	}
 	for i, id := range refined.IDs {
-		if got.Keys[got.IDs[i]] != keys[id] {
-			t.Fatalf("tuple %d grouped under key %d, want %d", id, got.Keys[got.IDs[i]], keys[id])
+		if gotKeys[0][got.IDs[i]] != keys[id] {
+			t.Fatalf("tuple %d grouped under key %d, want %d", id, gotKeys[0][got.IDs[i]], keys[id])
 		}
 	}
 }
@@ -56,15 +56,15 @@ func TestGroupRefineDecomposedColumnRegroups(t *testing.T) {
 	selCol := decompose(t, sel, 8)
 
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, 5000))
-	grouping := GroupApprox(nil, keyCol, cands)
+	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
 	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, 5000, cands)
-	got, err := GroupRefine(par.P{}, nil, grouping, refined)
+	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
 	for i, id := range refined.IDs {
-		if got.Keys[got.IDs[i]] != keys[id] {
-			t.Fatalf("tuple %d grouped under key %d, want %d", id, got.Keys[got.IDs[i]], keys[id])
+		if gotKeys[0][got.IDs[i]] != keys[id] {
+			t.Fatalf("tuple %d grouped under key %d, want %d", id, gotKeys[0][got.IDs[i]], keys[id])
 		}
 	}
 	// The approximate pre-grouping must have fewer groups than the exact
@@ -81,26 +81,25 @@ func TestGroupApproxMatchesBulkOnFullSelection(t *testing.T) {
 	keyCol := decompose(t, keys, 32)
 	selCol := decompose(t, shuffledInts(n, 35), 32)
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, int64(n)))
-	grouping := GroupApprox(nil, keyCol, cands)
+	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
 	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, int64(n), cands)
-	got, err := GroupRefine(par.P{}, nil, grouping, refined)
+	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
 
-	want := bulk.GroupBy(par.P{}, nil, keys)
+	want, wantKeys := bulk.GroupBy(par.P{}, nil, [][]int64{keys})
 	if got.NGroups != want.NGroups {
 		t.Fatalf("NGroups = %d, want %d", got.NGroups, want.NGroups)
 	}
 	// Aggregate counts per key must agree regardless of id order.
 	wantCounts := map[int64]int64{}
-	for i, g := range want.IDs {
-		_ = i
-		wantCounts[want.Keys[g]]++
+	for _, g := range want.IDs {
+		wantCounts[wantKeys[0][g]]++
 	}
 	gotCounts := map[int64]int64{}
 	for _, g := range got.IDs {
-		gotCounts[got.Keys[g]]++
+		gotCounts[gotKeys[0][g]]++
 	}
 	for k, w := range wantCounts {
 		if gotCounts[k] != w {
@@ -125,7 +124,7 @@ func TestGroupConflictCostDecreasesWithGroups(t *testing.T) {
 		}
 		m := device.NewMeter(sys)
 		cands := SelectApprox(nil, selCol, selCol.Relax(0, int64(n)))
-		GroupApprox(m, keyCol, cands)
+		GroupApprox(m, []*bwd.Column{keyCol}, cands)
 		return m.GPU.Seconds()
 	}
 	t10, t1000 := cost(10), cost(1000)
@@ -135,4 +134,127 @@ func TestGroupConflictCostDecreasesWithGroups(t *testing.T) {
 	if t10/t1000 < 2 {
 		t.Errorf("conflict penalty too weak to reproduce Fig 8f: ratio %.2f", t10/t1000)
 	}
+}
+
+func TestGroupApproxMultiResidentExactPassthrough(t *testing.T) {
+	n := 20000
+	flags := groupKeys(n, 3, 80)
+	status := groupKeys(n, 2, 81)
+	sel := shuffledInts(n, 82)
+	flagCol := decompose(t, flags, 32)
+	statusCol := decompose(t, status, 32)
+	selCol := decompose(t, sel, 8)
+
+	cands := SelectApprox(nil, selCol, selCol.Relax(1000, 15000))
+	mg := GroupApprox(nil, []*bwd.Column{flagCol, statusCol}, cands)
+	if mg.NGroups > 6 {
+		t.Fatalf("NGroups = %d, want <= 6 (3 flags x 2 statuses)", mg.NGroups)
+	}
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, 15000, cands)
+	grouping, keys, err := GroupRefine(par.P{}, nil, mg, refined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 2 {
+		t.Fatalf("expected 2 key columns, got %d", len(keys))
+	}
+	for i, id := range refined.IDs {
+		g := grouping.IDs[i]
+		if keys[0][g] != flags[id] || keys[1][g] != status[id] {
+			t.Fatalf("tuple %d grouped under (%d,%d), want (%d,%d)",
+				id, keys[0][g], keys[1][g], flags[id], status[id])
+		}
+	}
+}
+
+func TestGroupRefineMultiDecomposedRegroups(t *testing.T) {
+	n := 10000
+	keys1 := groupKeys(n, 64, 83)
+	keys2 := groupKeys(n, 16, 84)
+	sel := shuffledInts(n, 85)
+	col1 := decompose(t, keys1, 3) // decomposed: approximate codes collide
+	col2 := decompose(t, keys2, 2)
+	selCol := decompose(t, sel, 8)
+
+	cands := SelectApprox(nil, selCol, selCol.Relax(0, 6000))
+	mg := GroupApprox(nil, []*bwd.Column{col1, col2}, cands)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, 6000, cands)
+	grouping, keys, err := GroupRefine(par.P{}, nil, mg, refined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range refined.IDs {
+		g := grouping.IDs[i]
+		if keys[0][g] != keys1[id] || keys[1][g] != keys2[id] {
+			t.Fatalf("tuple %d grouped under (%d,%d), want (%d,%d)",
+				id, keys[0][g], keys[1][g], keys1[id], keys2[id])
+		}
+	}
+	// The approximate pre-grouping must be coarser than the exact one.
+	if mg.NGroups >= grouping.NGroups {
+		t.Errorf("approximate groups %d >= exact groups %d", mg.NGroups, grouping.NGroups)
+	}
+}
+
+func TestMultiGroupingShipOnce(t *testing.T) {
+	sys := device.PaperSystem()
+	n := 5000
+	keys := groupKeys(n, 4, 86)
+	keyCol := decompose(t, keys, 32)
+	selCol := decompose(t, shuffledInts(n, 87), 32)
+	cands := SelectApprox(nil, selCol, selCol.Relax(0, 2500))
+	mg := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
+	m := device.NewMeter(sys)
+	mg.Ship(m)
+	if m.PCI == 0 {
+		t.Error("multi-grouping ship charged nothing")
+	}
+	before := m.PCI
+	mg.Ship(m)
+	if m.PCI != before {
+		t.Error("double ship charged twice")
+	}
+}
+
+func TestGroupApproxMultiReusesAttachedCodes(t *testing.T) {
+	// When the grouping column was already filtered, its codes are
+	// attached to the candidates and GroupApprox must not re-project.
+	n := 5000
+	keys := groupKeys(n, 8, 88)
+	keyCol := decompose(t, keys, 32)
+	cands := SelectApprox(nil, keyCol, keyCol.Relax(0, 7))
+	mg := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
+	codes := cands.CodesFor(keyCol)
+	for i := range cands.IDs {
+		if mg.Codes[0][mg.IDs[i]] != codes[i] {
+			t.Fatal("grouping codes diverge from attached codes")
+		}
+	}
+}
+
+func TestGroupApproxRejectsKeyWiderThanTableEntry(t *testing.T) {
+	// 33 + 32 approximation bits do not fit the 64-bit grouping-table
+	// entry; 32 + 32 do.
+	spanning := func(bits uint) *bwd.Column {
+		vals := make([]int64, 256)
+		for i := range vals {
+			vals[i] = int64(i) << (bits - 8)
+		}
+		col, err := bwd.Decompose(bat.NewDense(vals, bat.Width64), bits, nil)
+		if err != nil || col.Dec.ApproxBits != bits {
+			t.Fatalf("fixture: %v (%v), want %d approximation bits", col.Dec, err, bits)
+		}
+		return col
+	}
+	c33, c32 := spanning(33), spanning(32)
+	if !GroupKeyFits([]*bwd.Column{c32, c32}) || GroupKeyFits([]*bwd.Column{c33, c32}) {
+		t.Fatal("GroupKeyFits: want 32+32 to fit and 33+32 not to")
+	}
+	cands := SelectApprox(nil, c32, bwd.ApproxRange{Full: true})
+	defer func() {
+		if recover() == nil {
+			t.Error("GroupApprox packed a 65-bit key instead of panicking")
+		}
+	}()
+	GroupApprox(nil, []*bwd.Column{c33, c32}, cands)
 }

@@ -17,18 +17,8 @@ type Interval struct {
 // Exact returns a degenerate interval holding a single value.
 func Exact(v int64) Interval { return Interval{v, v} }
 
-// IsExact reports whether the interval pins a single value.
-func (iv Interval) IsExact() bool { return iv.Lo == iv.Hi }
-
-// Width returns Hi - Lo, the residual uncertainty.
-func (iv Interval) Width() int64 { return iv.Hi - iv.Lo }
-
 // Contains reports whether v lies inside the interval.
 func (iv Interval) Contains(v int64) bool { return v >= iv.Lo && v <= iv.Hi }
-
-// Mid returns the interval midpoint — the expected value reported for
-// approximate answers.
-func (iv Interval) Mid() int64 { return iv.Lo + (iv.Hi-iv.Lo)/2 }
 
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi) }
 

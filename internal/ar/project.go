@@ -22,9 +22,6 @@ type Projection struct {
 	shipped bool
 }
 
-// Len returns the number of projected tuples.
-func (p *Projection) Len() int { return len(p.Codes) }
-
 // Release returns the projection's code buffer to the arena. The source
 // candidate set is not owned by the projection and stays untouched. Must
 // only be called once nothing references the projection.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/bulk"
 	"repro/internal/device"
 )
 
@@ -79,6 +80,13 @@ func TestTranslucentJoinEmptyInputs(t *testing.T) {
 // the three preconditions the translucent join computes the same natural
 // join a generic equi-join would.
 func TestTranslucentJoinMatchesHashJoin(t *testing.T) {
+	asVals := func(ids []bat.OID) []int64 {
+		vals := make([]int64, len(ids))
+		for i, id := range ids {
+			vals[i] = int64(id)
+		}
+		return vals
+	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(200) + 1
@@ -90,12 +98,20 @@ func TestTranslucentJoinMatchesHashJoin(t *testing.T) {
 		rng.Shuffle(n, func(i, j int) { aIDs[i], aIDs[j] = aIDs[j], aIDs[i] })
 		// B: random subsequence of A (same permutation by construction).
 		var bIDs []bat.OID
-		var wantPos []int
-		for i, id := range aIDs {
+		for _, id := range aIDs {
 			if rng.Intn(3) == 0 {
 				bIDs = append(bIDs, id)
-				wantPos = append(wantPos, i)
 			}
+		}
+		// Ground truth: the generic equi-join of the two id lists. Ids are
+		// unique, so every row of B joins exactly one row of A.
+		lids, rids := bulk.HashJoin(nil, 1, asVals(aIDs), asVals(bIDs))
+		if len(rids) != len(bIDs) {
+			t.Fatalf("trial %d: hash join found %d pairs for %d rows of B", trial, len(rids), len(bIDs))
+		}
+		wantPos := make([]int, len(bIDs))
+		for k, r := range rids {
+			wantPos[r] = int(lids[k])
 		}
 		pos, err := TranslucentJoin(aIDs, bIDs)
 		if err != nil {

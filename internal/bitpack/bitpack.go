@@ -136,11 +136,6 @@ func (a *Array) Set(i int, v uint64) {
 	}
 }
 
-// Unpack appends all values to dst and returns the extended slice.
-func (a *Array) Unpack(dst []uint64) []uint64 {
-	return a.UnpackRange(dst, 0, a.n)
-}
-
 // UnpackRange appends the values at positions [lo, hi) to dst and returns
 // the extended slice. It decodes word-at-a-time: widths that divide 64
 // (1, 2, 4, 8, 16, 32, 64) never straddle a word boundary and run as a

@@ -110,7 +110,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			vals[i] = v & Mask(width)
 		}
 		a := Pack(width, vals)
-		got := a.Unpack(nil)
+		got := a.UnpackRange(nil, 0, a.Len())
 		if len(got) != len(vals) {
 			return false
 		}

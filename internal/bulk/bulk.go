@@ -23,8 +23,7 @@
 // grouping/aggregation build per-worker partial states over contiguous
 // blocks that merge in block order, preserving first-appearance group
 // order exactly. (The executor's grouped and expression aggregates are the
-// compiled program of internal/plan; Sum, Min and Max here serve the A&R
-// refinement operators.)
+// compiled program of internal/plan.)
 package bulk
 
 import (
@@ -187,104 +186,118 @@ func Fetch(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID) []int64 {
 
 // Grouping is the result of a group-by: a group ID per input position
 // (positionally aligned with the input, the MonetDB representation noted
-// in §IV-E) plus the distinct keys in first-appearance order.
+// in §IV-E), groups numbered in first-appearance order.
 type Grouping struct {
 	IDs     []uint32 // group id per input position
 	NGroups int
-	Keys    []int64 // Keys[g] is the key value of group g
 }
 
-// GroupBy hash-groups the given keys, assigning dense group IDs in order
-// of first appearance. With several workers each hash-groups one
-// contiguous block into a partial grouping, the partials merge in block
-// order (so global group IDs follow global first appearance, exactly as
-// the serial loop assigns them), and the per-position ID rewrite runs
-// parallel again.
-func GroupBy(p par.P, m *device.Meter, keys []int64) *Grouping {
-	var g *Grouping
-	if serial(p, len(keys)) {
-		idx := make(map[int64]uint32, 64)
-		ids := make([]uint32, len(keys))
-		var uniq []int64
-		for i, k := range keys {
-			gid, ok := idx[k]
-			if !ok {
-				gid = uint32(len(uniq))
-				idx[k] = gid
-				uniq = append(uniq, k)
+// GroupBy hash-groups tuples by the key columns cols, assigning dense
+// group IDs in order of first appearance, and returns the grouping plus
+// the per-group key values of every column (keys[k][g]). Tuples hash as
+// their packed bytes, and a group's key values are read back from its
+// first row. With several workers each hash-groups one contiguous block
+// into a partial grouping, the partials merge in block order (so global
+// group IDs follow global first appearance, exactly as the serial loop
+// assigns them), and the per-position ID rewrite runs parallel again.
+func GroupBy(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
+	if len(cols) == 0 {
+		return &Grouping{}, nil
+	}
+	n := len(cols[0])
+	packKey := func(buf []byte, i int) []byte {
+		buf = buf[:0]
+		for k := range cols {
+			v := uint64(cols[k][i])
+			for s := 0; s < 8; s++ {
+				buf = append(buf, byte(v>>(8*s)))
 			}
-			ids[i] = gid
 		}
-		g = &Grouping{IDs: ids, NGroups: len(uniq), Keys: uniq}
+		return buf
+	}
+	ids := make([]uint32, n)
+	var order []int // global first-appearance positions per group
+	if serial(p, n) {
+		idx := make(map[string]uint32, 64)
+		keyBuf := make([]byte, 0, len(cols)*8)
+		for i := 0; i < n; i++ {
+			keyBuf = packKey(keyBuf, i)
+			g, ok := idx[string(keyBuf)]
+			if !ok {
+				g = uint32(len(order))
+				idx[string(keyBuf)] = g
+				order = append(order, i)
+			}
+			ids[i] = g
+		}
 	} else {
-		g = groupByBlocks(p, keys)
+		blocks := p.Blocks(n)
+		type partial struct {
+			idx    map[string]uint32
+			firsts []int // global position of each local group's first row
+		}
+		parts := make([]partial, len(blocks))
+		par.RunBlocks(p, n, func(b, lo, hi int) {
+			pt := &parts[b]
+			if pt.idx == nil {
+				pt.idx = make(map[string]uint32, 64)
+			}
+			keyBuf := make([]byte, 0, len(cols)*8)
+			for i := lo; i < hi; i++ {
+				keyBuf = packKey(keyBuf, i)
+				g, ok := pt.idx[string(keyBuf)]
+				if !ok {
+					g = uint32(len(pt.firsts))
+					pt.idx[string(keyBuf)] = g
+					pt.firsts = append(pt.firsts, i)
+				}
+				ids[i] = g // block-local, rewritten below
+			}
+		})
+		// Merge block partials in block order: first appearance across
+		// blocks equals first appearance in the serial scan.
+		global := make(map[string]uint32, 64)
+		remap := make([][]uint32, len(blocks))
+		keyBuf := make([]byte, 0, len(cols)*8)
+		for b := range parts {
+			remap[b] = make([]uint32, len(parts[b].firsts))
+			for localID, first := range parts[b].firsts {
+				keyBuf = packKey(keyBuf, first)
+				g, ok := global[string(keyBuf)]
+				if !ok {
+					g = uint32(len(order))
+					global[string(keyBuf)] = g
+					order = append(order, first)
+				}
+				remap[b][localID] = g
+			}
+		}
+		// Blocks are equal-sized except the last; derive a position's
+		// block from the first block's span.
+		size := blocks[0].Hi - blocks[0].Lo
+		p.For(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				b := i / size
+				if b >= len(blocks) {
+					b = len(blocks) - 1
+				}
+				ids[i] = remap[b][ids[i]]
+			}
+		})
+	}
+	keys := make([][]int64, len(cols))
+	for k := range cols {
+		keys[k] = make([]int64, len(order))
+		for gi, first := range order {
+			keys[k][gi] = cols[k][first]
+		}
 	}
 	if m != nil {
-		m.CPUWork(p.NThreads(),
-			int64(len(keys))*8+int64(len(g.IDs))*4, 0,
-			int64(len(keys))*OpsHashGroup)
+		// One group.new pass plus a group.derive pass per further column.
+		m.CPUWork(p.NThreads(), int64(n)*8*int64(len(cols))+int64(n)*4, 0,
+			int64(n)*OpsHashGroup*int64(len(cols)))
 	}
-	return g
-}
-
-// groupByBlocks is the partial-state grouping core of GroupBy.
-func groupByBlocks(p par.P, keys []int64) *Grouping {
-	blocks := p.Blocks(len(keys))
-	type partial struct {
-		idx  map[int64]uint32
-		uniq []int64
-	}
-	parts := make([]partial, len(blocks))
-	ids := make([]uint32, len(keys)) // block-local ids first, rewritten below
-	par.RunBlocks(p, len(keys), func(b, lo, hi int) {
-		pt := &parts[b]
-		if pt.idx == nil {
-			pt.idx = make(map[int64]uint32, 64)
-		}
-		for i := lo; i < hi; i++ {
-			k := keys[i]
-			gid, ok := pt.idx[k]
-			if !ok {
-				gid = uint32(len(pt.uniq))
-				pt.idx[k] = gid
-				pt.uniq = append(pt.uniq, k)
-			}
-			ids[i] = gid
-		}
-	})
-	// Merge block partials in block order: first appearance across blocks
-	// equals first appearance in the serial scan.
-	global := make(map[int64]uint32, 64)
-	var uniq []int64
-	remap := make([][]uint32, len(blocks))
-	for b := range parts {
-		remap[b] = make([]uint32, len(parts[b].uniq))
-		for localID, k := range parts[b].uniq {
-			gid, ok := global[k]
-			if !ok {
-				gid = uint32(len(uniq))
-				global[k] = gid
-				uniq = append(uniq, k)
-			}
-			remap[b][localID] = gid
-		}
-	}
-	blockOf := func(i int) int {
-		// Blocks are equal-sized except the last; derive the index from the
-		// first block's span.
-		size := blocks[0].Hi - blocks[0].Lo
-		b := i / size
-		if b >= len(blocks) {
-			b = len(blocks) - 1
-		}
-		return b
-	}
-	p.For(len(keys), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ids[i] = remap[blockOf(i)][ids[i]]
-		}
-	})
-	return &Grouping{IDs: ids, NGroups: len(uniq), Keys: uniq}
+	return &Grouping{IDs: ids, NGroups: len(order)}, keys
 }
 
 // CombineKeys packs two key columns into one, for multi-attribute grouping
@@ -352,9 +365,6 @@ func Sum(p par.P, m *device.Meter, vals []int64) int64 {
 	return s
 }
 
-// Count is the trivial aggregate; it charges nothing.
-func Count(vals []int64) int64 { return int64(len(vals)) }
-
 // Min returns the smallest value; ok is false on empty input.
 func Min(p par.P, m *device.Meter, vals []int64) (int64, bool) {
 	return extrema(p, m, vals, true)
@@ -417,113 +427,4 @@ func charge(m *device.Meter, threads, n, bytesPer int) {
 	if m != nil {
 		m.CPUWork(threads, int64(n)*int64(bytesPer), 0, int64(n)*OpsAggregate)
 	}
-}
-
-// GroupByMulti hash-groups tuples by multi-column keys, returning the
-// grouping plus the per-group key values of every column. It is built on
-// the same block-partial merge as GroupBy (first-appearance order
-// preserved).
-func GroupByMulti(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
-	if len(cols) == 0 {
-		return &Grouping{}, nil
-	}
-	n := len(cols[0])
-	g, keys := groupMultiCore(p, cols)
-	if m != nil {
-		// One group.new pass plus a group.derive pass per further column.
-		m.CPUWork(p.NThreads(), int64(n)*8*int64(len(cols))+int64(n)*4, 0,
-			int64(n)*OpsHashGroup*int64(len(cols)))
-	}
-	return g, keys
-}
-
-// groupMultiCore is the unmetered multi-column grouping shared by
-// GroupByMulti and the A&R group refinement: dense group IDs in
-// first-appearance order plus the per-group key values of every column.
-func groupMultiCore(p par.P, cols [][]int64) (*Grouping, [][]int64) {
-	n := len(cols[0])
-	packKey := func(buf []byte, i int) []byte {
-		buf = buf[:0]
-		for k := range cols {
-			v := uint64(cols[k][i])
-			for s := 0; s < 8; s++ {
-				buf = append(buf, byte(v>>(8*s)))
-			}
-		}
-		return buf
-	}
-	ids := make([]uint32, n)
-	var order []int // global first-appearance positions per group
-	if serial(p, n) {
-		idx := make(map[string]uint32, 64)
-		keyBuf := make([]byte, 0, len(cols)*8)
-		for i := 0; i < n; i++ {
-			keyBuf = packKey(keyBuf, i)
-			g, ok := idx[string(keyBuf)]
-			if !ok {
-				g = uint32(len(order))
-				idx[string(keyBuf)] = g
-				order = append(order, i)
-			}
-			ids[i] = g
-		}
-	} else {
-		blocks := p.Blocks(n)
-		type partial struct {
-			idx    map[string]uint32
-			firsts []int // global position of each local group's first row
-		}
-		parts := make([]partial, len(blocks))
-		par.RunBlocks(p, n, func(b, lo, hi int) {
-			pt := &parts[b]
-			if pt.idx == nil {
-				pt.idx = make(map[string]uint32, 64)
-			}
-			keyBuf := make([]byte, 0, len(cols)*8)
-			for i := lo; i < hi; i++ {
-				keyBuf = packKey(keyBuf, i)
-				g, ok := pt.idx[string(keyBuf)]
-				if !ok {
-					g = uint32(len(pt.firsts))
-					pt.idx[string(keyBuf)] = g
-					pt.firsts = append(pt.firsts, i)
-				}
-				ids[i] = g
-			}
-		})
-		global := make(map[string]uint32, 64)
-		remap := make([][]uint32, len(blocks))
-		keyBuf := make([]byte, 0, len(cols)*8)
-		for b := range parts {
-			remap[b] = make([]uint32, len(parts[b].firsts))
-			for localID, first := range parts[b].firsts {
-				keyBuf = packKey(keyBuf, first)
-				g, ok := global[string(keyBuf)]
-				if !ok {
-					g = uint32(len(order))
-					global[string(keyBuf)] = g
-					order = append(order, first)
-				}
-				remap[b][localID] = g
-			}
-		}
-		size := blocks[0].Hi - blocks[0].Lo
-		p.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				b := i / size
-				if b >= len(blocks) {
-					b = len(blocks) - 1
-				}
-				ids[i] = remap[b][ids[i]]
-			}
-		})
-	}
-	keys := make([][]int64, len(cols))
-	for k := range cols {
-		keys[k] = make([]int64, len(order))
-		for gi, first := range order {
-			keys[k][gi] = cols[k][first]
-		}
-	}
-	return &Grouping{IDs: ids, NGroups: len(order)}, keys
 }

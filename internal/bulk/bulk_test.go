@@ -70,7 +70,7 @@ func TestFetch(t *testing.T) {
 }
 
 func TestGroupByDenseFirstAppearance(t *testing.T) {
-	g := GroupBy(par.P{}, nil, []int64{7, 3, 7, 9, 3})
+	g, keys := GroupBy(par.P{}, nil, [][]int64{{7, 3, 7, 9, 3}})
 	if g.NGroups != 3 {
 		t.Fatalf("NGroups = %d, want 3", g.NGroups)
 	}
@@ -82,20 +82,20 @@ func TestGroupByDenseFirstAppearance(t *testing.T) {
 	}
 	wantKeys := []int64{7, 3, 9}
 	for i, w := range wantKeys {
-		if g.Keys[i] != w {
-			t.Errorf("Keys[%d] = %d, want %d", i, g.Keys[i], w)
+		if keys[0][i] != w {
+			t.Errorf("keys[0][%d] = %d, want %d", i, keys[0][i], w)
 		}
 	}
 }
 
 func TestGroupByPropertyPartition(t *testing.T) {
 	f := func(keys []int64) bool {
-		g := GroupBy(par.P{}, nil, keys)
+		g, uniq := GroupBy(par.P{}, nil, [][]int64{keys})
 		if len(g.IDs) != len(keys) {
 			return false
 		}
 		for i, k := range keys {
-			if g.Keys[g.IDs[i]] != k {
+			if uniq[0][g.IDs[i]] != k {
 				return false // group id must map back to the original key
 			}
 		}
@@ -140,8 +140,8 @@ func TestCombineSplitKeysNegative(t *testing.T) {
 	}
 	// Grouping on the combined key must partition identically to grouping
 	// on the (a,b) tuples: equal combined keys iff equal tuples.
-	g := GroupBy(par.P{}, nil, combined)
-	want, _ := GroupByMulti(par.P{}, nil, [][]int64{a, b})
+	g, _ := GroupBy(par.P{}, nil, [][]int64{combined})
+	want, _ := GroupBy(par.P{}, nil, [][]int64{a, b})
 	if g.NGroups != want.NGroups {
 		t.Fatalf("combined-key grouping found %d groups, tuple grouping %d", g.NGroups, want.NGroups)
 	}
@@ -179,9 +179,6 @@ func TestGlobalAggregates(t *testing.T) {
 	vals := []int64{3, -1, 7, 0}
 	if s := Sum(par.P{}, nil, vals); s != 9 {
 		t.Errorf("Sum = %d, want 9", s)
-	}
-	if c := Count(vals); c != 4 {
-		t.Errorf("Count = %d, want 4", c)
 	}
 	if lo, ok := Min(par.P{}, nil, vals); !ok || lo != -1 {
 		t.Errorf("Min = %d,%v, want -1,true", lo, ok)
@@ -326,8 +323,14 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	wantIDs := SelectRange(par.P{}, nil, b, -20_000, 20_000)
 	wantFetch := Fetch(par.P{}, nil, b, wantIDs)
 	wantSub := SelectOIDs(par.P{}, nil, b, wantIDs, -5_000, 5_000)
-	wantG := GroupBy(par.P{}, nil, keys)
-	wantGM, wantKeysM := GroupByMulti(par.P{}, nil, [][]int64{keys, keys2})
+	// One key column and two: the same core.
+	groupCols := [][][]int64{{keys}, {keys, keys2}}
+	var wantG []*Grouping
+	var wantKeys [][][]int64
+	for _, cols := range groupCols {
+		g, k := GroupBy(par.P{}, nil, cols)
+		wantG, wantKeys = append(wantG, g), append(wantKeys, k)
+	}
 	wantSum := Sum(par.P{}, nil, vals)
 	wantMin, _ := Min(par.P{}, nil, vals)
 	wantMax, _ := Max(par.P{}, nil, vals)
@@ -361,27 +364,19 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 				eqOID(t, "SelectRange", SelectRange(p, nil, b, -20_000, 20_000), wantIDs)
 				eq64(t, "Fetch", Fetch(p, nil, b, wantIDs), wantFetch)
 				eqOID(t, "SelectOIDs", SelectOIDs(p, nil, b, wantIDs, -5_000, 5_000), wantSub)
-				g := GroupBy(p, nil, keys)
-				if g.NGroups != wantG.NGroups {
-					t.Fatalf("GroupBy: %d groups, want %d", g.NGroups, wantG.NGroups)
-				}
-				eq64(t, "GroupBy keys", g.Keys, wantG.Keys)
-				for i := range wantG.IDs {
-					if g.IDs[i] != wantG.IDs[i] {
-						t.Fatalf("GroupBy IDs[%d] = %d, want %d", i, g.IDs[i], wantG.IDs[i])
+				for c, cols := range groupCols {
+					g, gotKeys := GroupBy(p, nil, cols)
+					if g.NGroups != wantG[c].NGroups {
+						t.Fatalf("GroupBy/%d: %d groups, want %d", len(cols), g.NGroups, wantG[c].NGroups)
 					}
-				}
-				gm, keysM := GroupByMulti(p, nil, [][]int64{keys, keys2})
-				if gm.NGroups != wantGM.NGroups {
-					t.Fatalf("GroupByMulti: %d groups, want %d", gm.NGroups, wantGM.NGroups)
-				}
-				for i := range wantGM.IDs {
-					if gm.IDs[i] != wantGM.IDs[i] {
-						t.Fatalf("GroupByMulti IDs[%d] = %d, want %d", i, gm.IDs[i], wantGM.IDs[i])
+					for i := range wantG[c].IDs {
+						if g.IDs[i] != wantG[c].IDs[i] {
+							t.Fatalf("GroupBy/%d IDs[%d] = %d, want %d", len(cols), i, g.IDs[i], wantG[c].IDs[i])
+						}
 					}
-				}
-				for k := range wantKeysM {
-					eq64(t, "GroupByMulti keys", keysM[k], wantKeysM[k])
+					for k := range wantKeys[c] {
+						eq64(t, "GroupBy keys", gotKeys[k], wantKeys[c][k])
+					}
 				}
 				if got := Sum(p, nil, vals); got != wantSum {
 					t.Fatalf("Sum = %d, want %d", got, wantSum)
@@ -415,7 +410,7 @@ func TestParallelChargesMatchSerial(t *testing.T) {
 		m := device.NewMeter(sys)
 		ids := SelectRange(p, m, b, 0, 500_000)
 		Fetch(p, m, b, ids)
-		GroupBy(p, m, keys)
+		GroupBy(p, m, [][]int64{keys})
 		Sum(p, m, vals)
 		return m
 	}
@@ -453,6 +448,6 @@ func BenchmarkGroupBy(b *testing.B) {
 	b.SetBytes(int64(len(keys)) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GroupBy(par.P{}, nil, keys)
+		GroupBy(par.P{}, nil, [][]int64{keys})
 	}
 }

@@ -306,12 +306,6 @@ func (c *Column) ReconstructFrom(approx, residual uint64) int64 {
 	return c.Dec.Base + int64(approx<<c.Dec.ResBits|residual)
 }
 
-// ApproxLow returns the smallest value consistent with the approximation
-// code at position i. The true value lies in [ApproxLow, ApproxLow+Err].
-func (c *Column) ApproxLow(i int) int64 {
-	return c.Dec.Base + int64(c.Approx.Get(i)<<c.Dec.ResBits)
-}
-
 // ValueToApprox maps a value into the approximation (shifted) domain,
 // clamping to the representable range. ok is false when the value lies
 // outside [Base, Base + 2^TotalBits).

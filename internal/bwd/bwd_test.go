@@ -78,7 +78,7 @@ func TestApproxErrorBound(t *testing.T) {
 			return false
 		}
 		for i, v := range vals {
-			lo := c.ApproxLow(i)
+			lo := c.ReconstructFrom(c.Approx.Get(i), 0) // the code with an all-zero residual
 			if v < lo || v > lo+c.Dec.Err() {
 				return false // true value escaped the error bound
 			}

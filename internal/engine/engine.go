@@ -65,8 +65,6 @@ type Options struct {
 	// retained with their full stage trace, viewable via \slow. 0 disables
 	// the log (it can be enabled at runtime with \slow <duration>).
 	SlowQueryThreshold time.Duration
-	// SlowLogSize bounds the slow-query ring buffer. Defaults to 16.
-	SlowLogSize int
 	// DataDir, when set, makes the engine durable: Open mounts a
 	// write-ahead log and segment files in the directory (recovering
 	// whatever state they hold), every DML statement is logged before it
@@ -95,9 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MergeInterval <= 0 {
 		o.MergeInterval = 250 * time.Millisecond
-	}
-	if o.SlowLogSize <= 0 {
-		o.SlowLogSize = 16
 	}
 	return o
 }
@@ -161,7 +156,7 @@ func Open(cat *plan.Catalog, opts Options) (*Engine, error) {
 		opts:     opts,
 		sessions: make(map[int64]*Session),
 	}
-	e.metrics = newMetrics(e, opts.SlowLogSize)
+	e.metrics = newMetrics(e)
 	e.metrics.slow.SetThreshold(opts.SlowQueryThreshold)
 	e.sched.onQueueWait = e.metrics.queueWait.Observe
 	if opts.DataDir != "" {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -158,5 +159,76 @@ func TestPlanCacheMultiJoinDeps(t *testing.T) {
 	}
 	if got := eng.Cache().Stats().Invalidations; got <= inval {
 		t.Fatalf("second-dimension schema change did not invalidate the cached plan (invalidations %d -> %d)", inval, got)
+	}
+}
+
+// TestWideGroupKeysMatchClassic: the device grouping table holds one 64-bit
+// word per entry, so an A&R statement pre-groups on the device only while
+// its grouping columns' approximation bits sum to at most 64; a wider key
+// groups on the host. Either way the rows equal the classic engine's, and
+// \explain names the path that runs.
+func TestWideGroupKeysMatchClassic(t *testing.T) {
+	const (
+		host = "host rebuild over combined tuples"
+		dev  = "device pre-group + refine"
+	)
+	for _, tc := range []struct {
+		name string
+		bits []uint // approximation bits per grouping column
+		how  string
+	}{
+		{"24+24+24", []uint{24, 24, 24}, host},
+		{"32+32", []uint{32, 32}, dev},
+		{"33+32", []uint{33, 32}, host},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := New(plan.NewCatalog(device.PaperSystem()), Options{})
+			sess := eng.Session()
+			defer sess.Close()
+			ctx := context.Background()
+			run := func(src string) *Result {
+				t.Helper()
+				res, err := sess.Query(ctx, src)
+				if err != nil {
+					t.Fatalf("%s: %v", src, err)
+				}
+				return res
+			}
+			// Column k cycles through k+3 values that differ in their high
+			// bits and span more bits than it is decomposed at, so each
+			// keeps a residual: 60 groups over three columns, 12 over two.
+			names := []string{"a", "b", "d"}[:len(tc.bits)]
+			var rows, decompose []string
+			for i := 0; i < 600; i++ {
+				vals := make([]string, 0, len(names)+1)
+				for k, bits := range tc.bits {
+					vals = append(vals, fmt.Sprint(int64(i%(k+3))<<(bits-1)|int64(i%3)))
+				}
+				rows = append(rows, "("+strings.Join(append(vals, fmt.Sprint(i)), ", ")+")")
+			}
+			for k, name := range names {
+				decompose = append(decompose, fmt.Sprintf("bwdecompose(%s, %d)", name, tc.bits[k]))
+			}
+			keys := strings.Join(names, ", ")
+			run("create table w (" + strings.Join(names, " int, ") + " int, v int)")
+			run("insert into w values " + strings.Join(rows, ", "))
+			run("select " + strings.Join(decompose, ", ") + ", bwdecompose(v, 8) from w")
+			q := "select " + keys + ", count(*) as n, sum(v) as s from w group by " + keys
+
+			sess.SetMode(ModeClassic)
+			want := run(q).Rows
+			sess.SetMode(ModeAR)
+			got := run(q).Rows
+			if !plan.EqualResults(got, want) {
+				t.Errorf("a&r returned %d groups, classic %d:\n got %v\nwant %v", len(got), len(want), got, want)
+			}
+			lines, _, _, err := sess.Meta(ctx, `\explain `+q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if text := strings.Join(lines, "\n"); !strings.Contains(text, tc.how) {
+				t.Errorf("\\explain does not say %q:\n%s", tc.how, text)
+			}
+		})
 	}
 }

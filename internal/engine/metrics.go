@@ -33,14 +33,14 @@ type metrics struct {
 var routeLabels = [3]string{RouteAR: `route="ar"`, RouteClassic: `route="classic"`, RouteDDL: `route="ddl"`}
 
 // newMetrics builds the registry over an engine's subsystems.
-func newMetrics(e *Engine, slowCap int) *metrics {
+func newMetrics(e *Engine) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		reg:    reg,
 		errors: reg.Counter("ar_query_errors_total", "", "Statements that returned an error (including rejections and cancellations)."),
 		queueWait: reg.Histogram("ar_sched_queue_wait_seconds", "",
 			"Wall-clock time A&R queries spent waiting for a GPU stream slot.", nil),
-		slow:         obs.NewSlowLog(slowCap),
+		slow:         obs.NewSlowLog(obs.SlowLogSize),
 		slowRetained: reg.Counter("ar_slow_queries_total", "", "Queries retained by the slow-query log."),
 	}
 	for r, labels := range routeLabels {

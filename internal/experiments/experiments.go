@@ -69,18 +69,16 @@ type Bar struct {
 	PCI   float64 `json:"pci_seconds"`
 }
 
-// Figure is a reproduced chart: line series (Fig 8, 11), bars (Fig 9, 10),
-// or host memory-discipline rows (the alloc experiment). The JSON names
-// are the stable -json report schema BENCH files are compared across.
+// Figure is a reproduced chart: line series (Fig 8, 11) or bars (Fig 9,
+// 10). The JSON names are the -json report schema.
 type Figure struct {
-	ID     string       `json:"id"`
-	Title  string       `json:"title"`
-	XLabel string       `json:"x_label,omitempty"`
-	YLabel string       `json:"y_label,omitempty"`
-	Series []Series     `json:"series,omitempty"`
-	Bars   []Bar        `json:"bars,omitempty"`
-	Alloc  []AllocStats `json:"alloc,omitempty"`
-	Notes  []string     `json:"notes,omitempty"`
+	ID     string   `json:"id"`
+	Title  string   `json:"title"`
+	XLabel string   `json:"x_label,omitempty"`
+	YLabel string   `json:"y_label,omitempty"`
+	Series []Series `json:"series,omitempty"`
+	Bars   []Bar    `json:"bars,omitempty"`
+	Notes  []string `json:"notes,omitempty"`
 }
 
 // Render formats the figure as text tables for terminal output.
@@ -109,13 +107,6 @@ func (f *Figure) Render() string {
 		fmt.Fprintf(&sb, "%-28s %12s %12s %12s %12s\n", "configuration", "total s", "GPU s", "CPU s", "PCI s")
 		for _, b := range f.Bars {
 			fmt.Fprintf(&sb, "%-28s %12.3f %12.3f %12.3f %12.3f\n", b.Label, b.Total, b.GPU, b.CPU, b.PCI)
-		}
-	}
-	if len(f.Alloc) > 0 {
-		fmt.Fprintf(&sb, "%-28s %12s %12s %14s %12s %8s\n", "configuration", "wall ms/op", "allocs/op", "bytes/op", "gc pause ms", "gc runs")
-		for _, a := range f.Alloc {
-			fmt.Fprintf(&sb, "%-28s %12.3f %12.1f %14.0f %12.3f %8d\n",
-				a.Label, a.WallSecondsPerOp*1e3, a.AllocsPerOp, a.BytesPerOp, a.GCPauseSeconds*1e3, a.GCCycles)
 		}
 	}
 	for _, n := range f.Notes {

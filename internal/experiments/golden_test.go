@@ -14,9 +14,8 @@ var update = flag.Bool("update", false, "rewrite testdata/quick_t*.golden from t
 
 // TestQuickFiguresGolden is the refactor oracle: every simulated figure is a
 // pure function of the seeded data and the meter charges, so a change that
-// claims "same behaviour" must render them byte-identically. alloc (wall
-// clock) and partition (its N=1 row follows the one-leg pre-grouping rule)
-// are not part of the oracle.
+// claims "same behaviour" must render them byte-identically. partition (its
+// N=1 row follows the one-leg pre-grouping rule) is not part of the oracle.
 func TestQuickFiguresGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("goldens are recorded on amd64; other targets may fuse the float multiply-adds in kernelTime")

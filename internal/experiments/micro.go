@@ -277,16 +277,16 @@ func Fig8f(opts Options) (*Figure, error) {
 		}
 
 		m := device.NewMeter(sys)
-		bulk.GroupBy(par.P{Threads: opts.Threads}, m, keys)
+		bulk.GroupBy(par.P{Threads: opts.Threads}, m, [][]int64{keys})
 		monetT := m.Total().Seconds()
 
 		m = device.NewMeter(sys)
 		cands := ar.SelectApprox(m, col, bwd.ApproxRange{Full: true})
-		grouping := ar.GroupApprox(m, col, cands)
+		grouping := ar.GroupApprox(m, []*bwd.Column{col}, cands)
 		approxT := m.Total().Seconds()
 		grouping.Ship(m)
 		cands.Ship(m)
-		if _, err := ar.GroupRefine(par.P{Threads: opts.Threads}, m, grouping, cands); err != nil {
+		if _, _, err := ar.GroupRefine(par.P{Threads: opts.Threads}, m, grouping, cands); err != nil {
 			return nil, err
 		}
 		totalT := m.Total().Seconds()

@@ -32,6 +32,9 @@ type SlowLog struct {
 	seen int64 // total entries ever noted (including overwritten)
 }
 
+// SlowLogSize is the capacity of an engine's slow-query ring buffer.
+const SlowLogSize = 16
+
 // NewSlowLog returns a log retaining up to capacity entries (minimum 1).
 func NewSlowLog(capacity int) *SlowLog {
 	if capacity < 1 {

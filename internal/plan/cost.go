@@ -122,11 +122,12 @@ func chooseSnap(sys *device.System, q *Query, snap *execSnap) ModeChoice {
 	}
 
 	// Rows crossing the bus: the candidate set, unless device pre-grouping
-	// collapses the ship to per-group partials (grouped query, no delta).
+	// collapses the ship to per-group partials (grouped query, no delta,
+	// a key the grouping table holds).
 	shipRows := cand
-	if len(q.GroupBy) > 0 && snap.fact.LiveDelta() == 0 {
+	if cols := snap.devGroupCols(q); cols != nil {
 		groupCap := 4096.0
-		if d := stats.FromColumn(snap.get("", q.GroupBy[0])); d != nil {
+		if d := stats.FromColumn(cols[0]); d != nil {
 			if n := d.Distinct(); n >= 0 {
 				groupCap = float64(n)
 			}

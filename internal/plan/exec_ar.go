@@ -258,17 +258,9 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		}
 	}
 
-	// Device-side pre-grouping — only while no other tuples join this scan's
-	// on the host: another leg's partial or live delta rows force the
-	// grouping there, where all of them meet.
-	useDevGrouping := solo && len(q.GroupBy) > 0 && snap.fact.LiveDelta() == 0
-	var mg *ar.MultiGrouping
-	if useDevGrouping {
-		cols := make([]*bwd.Column, len(q.GroupBy))
-		for i, g := range q.GroupBy {
-			cols[i] = snap.get("", g)
-		}
-		mg = ar.GroupApproxMulti(m, cols, cands)
+	var mg *ar.Grouping
+	if cols := pl.devGroupCols(solo); cols != nil {
+		mg = ar.GroupApprox(m, cols, cands)
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.groupapproximate(%[1]s)", A: pl.groupText})
 	}
 
@@ -284,7 +276,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		return nil
 	}
 	need, refList := pl.tailKeys, pl.projKeys
-	if useDevGrouping {
+	if mg != nil {
 		need, refList = pl.tail, pl.proj
 	}
 	projections := make(map[ColRef]*ar.Projection, len(refList))

@@ -410,7 +410,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 		for r := range flag {
 			flag[r], status[r] = int64(rng.Intn(3)), int64(rng.Intn(2))
 		}
-		grouping, keys := bulk.GroupByMulti(par.P{}, nil, [][]int64{flag, status})
+		grouping, keys := bulk.GroupBy(par.P{}, nil, [][]int64{flag, status})
 		mask := make([]uint64, (n+63)/64)
 		for i := range mask {
 			mask[i] = rng.Uint64()

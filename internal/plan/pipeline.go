@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/ar"
 	"repro/internal/bulk"
+	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -56,6 +57,37 @@ type legPlan struct {
 type pipeline struct {
 	*legPlan
 	snap *execSnap
+}
+
+// devGroupCols decides where a grouped A&R scan groups: it returns the
+// grouping columns when the device pre-groups them, to be refined (§IV-E),
+// and nil when the host groups over exact tuples. The device pre-groups
+// only while no other tuples join this scan's on the host — another leg's
+// partial (solo false) or live delta rows force the grouping there, where
+// all of them meet — and only a key that fits its grouping table. scanAR
+// and describe both ask here, so \explain shows what runs.
+func (pl pipeline) devGroupCols(solo bool) []*bwd.Column {
+	if pl.classic || !solo {
+		return nil
+	}
+	return pl.snap.devGroupCols(&pl.q)
+}
+
+// devGroupCols is the part of the decision one leg's snapshot settles,
+// which is all the ship estimate of chooseSnap can know: it prices a leg
+// before the statement's leg count is, so it deliberately leaves solo out.
+func (s *execSnap) devGroupCols(q *Query) []*bwd.Column {
+	if len(q.GroupBy) == 0 || s.fact.LiveDelta() != 0 {
+		return nil
+	}
+	cols := make([]*bwd.Column, len(q.GroupBy))
+	for i, g := range q.GroupBy {
+		cols[i] = s.get("", g)
+	}
+	if !ar.GroupKeyFits(cols) {
+		return nil
+	}
+	return cols
 }
 
 // orGroupStage is one disjunction operator: the group's predicates, the
@@ -252,7 +284,7 @@ func (st *pipeState) startTrace(classic bool) {
 type scanOut struct {
 	ectx    *exprCtx
 	dset    *deltaSet
-	mg      *ar.MultiGrouping
+	mg      *ar.Grouping
 	refined *ar.Candidates
 }
 
@@ -273,7 +305,7 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		if err := st.step(StageRefine); err != nil {
 			return err
 		}
-		grouping, groupKeys, err = ar.GroupRefineMulti(st.pp, st.m, out.mg, out.refined)
+		grouping, groupKeys, err = ar.GroupRefine(st.pp, st.m, out.mg, out.refined)
 		if err != nil {
 			return err
 		}
@@ -290,7 +322,7 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		for k, g := range q.GroupBy {
 			cols[k] = ectx.vals[ColRef{Name: g}]
 		}
-		grouping, groupKeys = bulk.GroupByMulti(st.pp, st.m, cols)
+		grouping, groupKeys = bulk.GroupBy(st.pp, st.m, cols)
 		st.emit(grouping.NGroups, -1, obs.Op{Fmt: "%[1]s(%[2]s)", A: label, B: pl.groupText})
 	}
 
@@ -479,7 +511,7 @@ func (pl pipeline) describe(solo bool) []string {
 	}
 	if len(q.GroupBy) > 0 {
 		how := "host rebuild over combined tuples"
-		if !pl.classic && solo && pl.snap.fact.LiveDelta() == 0 {
+		if pl.devGroupCols(solo) != nil {
 			how = "device pre-group + refine"
 		}
 		line := fmt.Sprintf("  group: %s (%s)", pl.groupText, how)

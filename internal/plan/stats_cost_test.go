@@ -185,6 +185,58 @@ func TestCostModeMatchesForcedModes(t *testing.T) {
 	}
 }
 
+// TestCostWideGroupKeyShipsCandidates: the ship estimate asks the predicate
+// the scan asks. A grouping key too wide for the device grouping table
+// (8+24+24+24 bits) is priced at the whole candidate set crossing the bus,
+// one that fits (8+24+24+8) at per-group partials — same table, same
+// low-cardinality leading column, same number of projected columns, so
+// only the ship term differs.
+func TestCostWideGroupKeyShipsCandidates(t *testing.T) {
+	c := NewCatalog(device.PaperSystem())
+	names := []string{"e", "a", "b", "d", "f"}
+	bits := []uint{8, 24, 24, 24, 8}
+	defs := make([]store.ColumnDef, len(names))
+	for k, name := range names {
+		defs[k] = store.ColumnDef{Name: name, Scale: 1, Width: bat.Width32}
+	}
+	if _, err := c.CreateTable("w", defs); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]int64, 600)
+	for i := range rows {
+		rows[i] = make([]int64, len(names))
+		for k := range names {
+			rows[i][k] = int64(i%(k+3)) << (bits[k] - 2)
+		}
+	}
+	if _, err := c.InsertRows(nil, "w", rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MergeTable(nil, "w", false); err != nil {
+		t.Fatal(err)
+	}
+	for k, name := range names {
+		if _, err := c.Decompose("w", name, bits[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arSec := func(groupBy ...string) float64 {
+		t.Helper()
+		pl, err := c.Plan(Query{Table: "w", GroupBy: groupBy, Aggs: []AggSpec{{Name: "n", Func: Count}}}, ModeAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := c.Pin(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x.Choice().figures[2].(float64)
+	}
+	if wide, fits := arSec("e", "a", "b", "d"), arSec("e", "a", "b", "f"); wide <= fits {
+		t.Errorf("a&r estimate for an 80-bit key %.3gs, for a 64-bit key %.3gs: the wide key must pay for shipping every candidate", wide, fits)
+	}
+}
+
 // TestCostPartitionPruning is the pruning property test: a
 // range-partitioned scan with filters on the partitioning column returns
 // rows byte-identical to the unpartitioned oracle while the planner counts

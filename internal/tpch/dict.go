@@ -31,15 +31,6 @@ func buildTypes() []string {
 	return out
 }
 
-// TypeCode returns the dictionary code of a part-type string, or -1.
-func TypeCode(s string) int64 {
-	i := sort.SearchStrings(Types, s)
-	if i < len(Types) && Types[i] == s {
-		return int64(i)
-	}
-	return -1
-}
-
 // PrefixRange returns the dictionary code range [lo, hi] of all entries
 // with the given prefix; ok is false when no entry matches. This is the
 // ordered-dictionary rewrite of `like 'prefix%'`.

@@ -131,12 +131,6 @@ func TestTypeDictionaryOrderedAndPrefixRange(t *testing.T) {
 	if _, _, ok := PrefixRange("XYZZY"); ok {
 		t.Error("nonexistent prefix matched")
 	}
-	if TypeCode(Types[3]) != 3 {
-		t.Errorf("TypeCode round trip failed")
-	}
-	if TypeCode("NOT A TYPE") != -1 {
-		t.Error("TypeCode invented a code")
-	}
 }
 
 func TestQ1ARMatchesClassic(t *testing.T) {
