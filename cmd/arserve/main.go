@@ -65,7 +65,7 @@ func main() {
 		sf       = flag.Float64("sf", 0.002, "TPC-H scale factor preloaded")
 		spatialN = flag.Int("spatial", 200_000, "spatial fixes preloaded")
 		cpu      = flag.Int("cpu", 0, "CPU worker pool size (default: simulated hardware threads)")
-		gpu      = flag.Int("gpu", 1, "concurrent GPU (A&R) streams")
+		gpu      = flag.Int("gpu", 1, "concurrent GPU (A&R) streams; a statement holds one for its approximation subplan, up to its ship")
 		arQueue  = flag.Int("ar-queue", 0, "A&R admission queue bound (default 2x streams)")
 		cache    = flag.Int("cache", 128, "plan cache entries (negative disables)")
 		threads  = flag.Int("threads", 1, "CPU threads per query")

@@ -66,7 +66,7 @@ func main() {
 	if len(want) != refined.Len() {
 		log.Fatalf("MISMATCH: classic found %d, A&R found %d", len(want), refined.Len())
 	}
-	for i, id := range refined.IDs {
+	for i, id := range refined.IDs() {
 		if vals[id] != exactVals[i] {
 			log.Fatalf("MISMATCH at id %d", id)
 		}

@@ -16,7 +16,8 @@ import (
 // an upper bound on the exact count — as an interval whose lower bound
 // subtracts the candidates that might still be false positives.
 func CountApprox(m *device.Meter, cands *Candidates) Interval {
-	certain := len(cands.IDs)
+	n := cands.Len()
+	certain := n
 	if mask := cands.CertainMask(); mask != nil {
 		certain = 0
 		for _, w := range mask {
@@ -24,7 +25,7 @@ func CountApprox(m *device.Meter, cands *Candidates) Interval {
 		}
 	}
 	if m != nil {
-		m.GPUKernel(int64(len(cands.IDs))*4, 0, int64(len(cands.IDs)))
+		m.GPUKernel(int64(n)*4, 0, int64(n))
 	}
-	return Interval{int64(certain), int64(len(cands.IDs))}
+	return Interval{int64(certain), int64(n)}
 }

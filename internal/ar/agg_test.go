@@ -14,7 +14,7 @@ func TestCountApproxBoundsExact(t *testing.T) {
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
 	iv := CountApprox(nil, cands)
 	refined, _ := SelectRefine(par.P{}, nil, col, lo, hi, cands)
-	exact := int64(len(refined.IDs))
+	exact := int64(len(refined.IDs()))
 	if !iv.Contains(exact) {
 		t.Fatalf("approximate count %v does not contain exact %d", iv, exact)
 	}

@@ -64,10 +64,27 @@ type attachment struct {
 // that has been touched so far. The codes travel with the IDs because the
 // approximations are device-resident only: once candidates are shipped to
 // the host, the codes are the CPU's only view of the major bits.
+//
+// Phase A's currency is the survivor mask, not the list (DESIGN.md §13): a
+// set that comes out of the approximate scan carries one bit per scanned row
+// and no ids yet. Further conjuncts, disjunction groups and the deletion
+// bitmap narrow the mask in place (narrow, MaskOut); the ids and the
+// attached codes are materialised from it once, by Emit, which the first
+// reader of a position triggers, and the mask stays on the set so that
+// ProjectApprox and GroupApprox decode by granule too. A set built by a
+// position-addressed operator or a refinement (filterTo) is an id list only.
 type Candidates struct {
-	IDs     []bat.OID
+	ids     []bat.OID
 	attach  []attachment
 	shipped bool
+	// mask holds the survivors among the rows scanned rows, bit i%64 of
+	// word i/64 for row i; nil for an id-list set. n is its popcount. offs
+	// has one entry per work-group: the group's survivor count while the
+	// mask can still narrow, its slot in candidate order once sealed.
+	mask            []uint64
+	rows, n         int
+	offs            []int
+	sealed, emitted bool
 	// pooled marks IDs and every attachment's codes as arena-backed:
 	// Release returns them to the pools. Sets built from caller-owned
 	// slices stay unpooled and Release is a no-op on them.
@@ -88,8 +105,12 @@ func (c *Candidates) Release() {
 		return
 	}
 	c.pooled = false
-	oidPool.Put(c.IDs)
-	c.IDs = nil
+	oidPool.Put(c.ids)
+	c.ids = nil
+	mem.U64.Put(c.mask)
+	mem.Ints.Put(c.offs)
+	c.mask, c.offs, c.rows, c.n = nil, nil, 0, 0
+	c.sealed, c.emitted = false, false
 	for i := range c.attach {
 		mem.U64.Put(c.attach[i].codes)
 		c.attach[i] = attachment{}
@@ -102,13 +123,26 @@ func (c *Candidates) Release() {
 }
 
 // Len returns the number of candidate tuples.
-func (c *Candidates) Len() int { return len(c.IDs) }
+func (c *Candidates) Len() int {
+	if c.mask != nil {
+		return c.n
+	}
+	return len(c.ids)
+}
+
+// IDs returns the candidate tuple ids in device order, emitting them first
+// if the set still carries only its mask. The slice is owned by the set.
+func (c *Candidates) IDs() []bat.OID {
+	c.Emit()
+	return c.ids
+}
 
 // CodesFor returns the approximation codes of col aligned with the
 // candidate IDs, or nil if col was never attached.
 func (c *Candidates) CodesFor(col *bwd.Column) []uint64 {
 	for i := range c.attach {
 		if c.attach[i].col == col {
+			c.Emit()
 			return c.attach[i].codes
 		}
 	}
@@ -122,6 +156,7 @@ func (c *Candidates) CodesFor(col *bwd.Column) []uint64 {
 // certainly satisfied. Approximate min/max aggregation uses this to bound
 // the true extremum (§IV-F, Fig 6).
 func (c *Candidates) Certain(i int) bool {
+	c.Emit()
 	for k := range c.attach {
 		a := &c.attach[k]
 		if !a.filtered {
@@ -191,10 +226,11 @@ func (c *Candidates) CertainMask() []uint64 {
 			break
 		}
 	}
-	n := len(c.IDs)
+	n := c.Len()
 	if all || n == 0 {
 		return nil
 	}
+	c.Emit()
 	mask := mem.U64.GetN((n + 63) / 64)
 	devP().For(n, func(lo, hi int) { // gpuChunk is a multiple of 64: morsels own whole words
 		for w := lo / 64; w*64 < hi; w++ {
@@ -242,7 +278,7 @@ func (c *Candidates) Ship(m *device.Meter) {
 	if m == nil {
 		return
 	}
-	n := len(c.IDs)
+	n := c.Len()
 	bytes := int64(n) * 4
 	for i := range c.attach {
 		// Codes of fully device-resident columns are not shipped for
@@ -263,11 +299,12 @@ func (c *Candidates) Ship(m *device.Meter) {
 // same permutation as c (§IV-A item 2). The new set's buffers come from
 // the arena; the input is left untouched (callers release it when dead).
 func (c *Candidates) filterTo(keep []int) *Candidates {
+	c.Emit()
 	out := getCandidates()
-	out.IDs = oidPool.GetN(len(keep))
+	out.ids = oidPool.GetN(len(keep))
 	out.shipped = c.shipped
 	for i, k := range keep {
-		out.IDs[i] = c.IDs[k]
+		out.ids[i] = c.ids[k]
 	}
 	for ai := range c.attach {
 		src := &c.attach[ai]
@@ -283,10 +320,11 @@ func (c *Candidates) filterTo(keep []int) *Candidates {
 // Filter builds a new candidate set containing only the positions listed
 // in keep (indices into c, in candidate order), compacting every attached
 // code column to preserve alignment. The query layer uses it to discharge
-// rows masked by a deletion bitmap on the device: the bitmap is mirrored
-// device-side (shipped when rows are deleted), so masking is one GPU
-// pass over the candidate IDs — charged by the caller, which knows the
-// bitmap footprint.
+// candidates whose joined dimension row is deleted: the dimension's
+// deletion bitmap is mirrored device-side (shipped when rows are deleted),
+// so masking is one GPU pass over the joined positions — charged by the
+// caller, which knows the bitmap footprint. (Deleted fact rows never get
+// this far: MaskOut clears them from the survivor mask.)
 func (c *Candidates) Filter(keep []int) *Candidates {
 	return c.filterTo(keep)
 }

@@ -26,7 +26,7 @@ func TestCertainWithFullRange(t *testing.T) {
 	vals := shuffledInts(1000, 91)
 	col := decompose(t, vals, 4)
 	cands := SelectApprox(nil, col, col.Relax(-10000, 10000)) // Full
-	for i := range cands.IDs {
+	for i := range cands.IDs() {
 		if !cands.Certain(i) {
 			t.Fatal("full-range selection cannot produce false positives")
 		}
@@ -37,7 +37,7 @@ func TestCertainResidentAlwaysTrue(t *testing.T) {
 	vals := shuffledInts(1000, 92)
 	col := decompose(t, vals, 32) // resident: exact codes
 	cands := SelectApprox(nil, col, col.Relax(100, 200))
-	for i := range cands.IDs {
+	for i := range cands.IDs() {
 		if !cands.Certain(i) {
 			t.Fatal("resident column codes are exact; all candidates certain")
 		}
@@ -81,7 +81,7 @@ func TestFilterToPreservesAttachments(t *testing.T) {
 	if codesA == nil || codesB == nil {
 		t.Fatal("attachments lost through filtering")
 	}
-	for i, id := range c2.IDs {
+	for i, id := range c2.IDs() {
 		if codesA[i] != colA.Approx.Get(int(id)) {
 			t.Fatalf("column A codes misaligned at %d", i)
 		}

@@ -21,11 +21,12 @@ import (
 // dimension codes attached for later refinement — and the correspondingly
 // filtered position list.
 func SelectApproxAt(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *Candidates, at []bat.OID) (*Candidates, []bat.OID) {
-	keep := mem.Ints.Get(len(in.IDs))
-	codes := mem.U64.Get(len(in.IDs))
-	outAt := oidPool.Get(len(in.IDs))
+	n := in.Len()
+	keep := mem.Ints.Get(n)
+	codes := mem.U64.Get(n)
+	outAt := oidPool.Get(n)
 	if !r.Empty {
-		for i := range in.IDs {
+		for i := range at {
 			code := col.Approx.Get(int(at[i]))
 			if r.Contains(code) {
 				keep = append(keep, i)
@@ -38,7 +39,6 @@ func SelectApproxAt(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *Can
 	out.shipped = false
 	out.attach = append(out.attach, attachment{col: col, codes: codes, rng: r, filtered: true})
 	if m != nil {
-		n := len(in.IDs)
 		seq := int64(n)*8 + int64(len(keep))*8 + packedBytes(len(keep), col.Dec.ApproxBits)
 		m.GPUKernel(seq, packedBytes(n, col.Dec.ApproxBits), int64(n)*OpsPackedScan)
 	}
@@ -58,7 +58,7 @@ func SelectRefineAt(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in 
 	if codes == nil {
 		panic("ar: SelectRefineAt on a dimension column without attached codes")
 	}
-	n := len(in.IDs)
+	n := in.Len()
 	keepBuf := mem.Ints.GetN(n)
 	valsBuf := mem.I64.GetN(n)
 	counts, total, err := par.ForCounted(p, n, func(_ *mem.Scratch, _, mlo, mhi int) int {
@@ -108,11 +108,11 @@ func SelectRefineAt(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in 
 // position list `atRefined` (aligned with refined) instead of the
 // candidate IDs.
 func ProjectRefineAt(pp par.P, m *device.Meter, p *Projection, refined *Candidates, atRefined []bat.OID) ([]int64, error) {
-	pos, err := TranslucentJoinMetered(m, pp.NThreads(), p.Src.IDs, refined.IDs)
+	pos, err := TranslucentJoinMetered(m, pp.NThreads(), p.Src.IDs(), refined.IDs())
 	if err != nil {
 		return nil, err
 	}
-	out := mem.I64.GetN(len(refined.IDs))
+	out := mem.I64.GetN(refined.Len())
 	col := p.Col
 	pp.For(len(pos), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -125,7 +125,7 @@ func ProjectRefineAt(pp par.P, m *device.Meter, p *Projection, refined *Candidat
 	})
 	mem.Ints.Put(pos)
 	if m != nil && col.Dec.ResBits > 0 {
-		n := len(refined.IDs)
+		n := refined.Len()
 		resFetch := device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
 		seq := packedBytes(n, col.Dec.ApproxBits) + resFetch + int64(n)*8
 		m.CPUWork(pp.NThreads(), seq, 0, int64(n))

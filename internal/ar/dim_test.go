@@ -36,17 +36,17 @@ func TestSelectApproxAtAndRefineAt(t *testing.T) {
 
 		cands := SelectApprox(nil, selCol, selCol.Relax(100, 9000))
 		at := make([]bat.OID, cands.Len())
-		for i, id := range cands.IDs {
+		for i, id := range cands.IDs() {
 			at[i] = bat.OID(fk[id])
 		}
 		lo, hi := int64(2000), int64(7000)
 		c2, at2 := SelectApproxAt(nil, dimCol, dimCol.Relax(lo, hi), cands, at)
 		// Superset property through the join indirection.
 		gotSet := map[bat.OID]bool{}
-		for _, id := range c2.IDs {
+		for _, id := range c2.IDs() {
 			gotSet[id] = true
 		}
-		for i, id := range cands.IDs {
+		for i, id := range cands.IDs() {
 			v := dimVals[at[i]]
 			if v >= lo && v <= hi && !gotSet[id] {
 				t.Fatalf("dimBits=%d: candidate %d with qualifying dim value %d dropped", dimBits, id, v)
@@ -54,7 +54,7 @@ func TestSelectApproxAtAndRefineAt(t *testing.T) {
 		}
 		// Refinement: exact.
 		r2, atR, vals := SelectRefineAt(par.P{}, nil, dimCol, lo, hi, c2, at2)
-		for i, id := range r2.IDs {
+		for i, id := range r2.IDs() {
 			if vals[i] != dimVals[atR[i]] {
 				t.Fatalf("dimBits=%d: reconstructed dim value %d != %d", dimBits, vals[i], dimVals[atR[i]])
 			}
@@ -68,7 +68,7 @@ func TestSelectApproxAtAndRefineAt(t *testing.T) {
 		// Count must equal ground truth.
 		want := 0
 		selSet := map[bat.OID]bool{}
-		for _, id := range cands.IDs {
+		for _, id := range cands.IDs() {
 			selSet[id] = true
 		}
 		for i := range sel {
@@ -80,8 +80,8 @@ func TestSelectApproxAtAndRefineAt(t *testing.T) {
 		}
 		// cands is approximate on sel: refine sel first for exact ground truth.
 		rSel, _ := SelectRefine(par.P{}, nil, selCol, 100, 9000, c2)
-		atSel := make([]bat.OID, len(rSel.IDs))
-		for i, id := range rSel.IDs {
+		atSel := make([]bat.OID, len(rSel.IDs()))
+		for i, id := range rSel.IDs() {
 			atSel[i] = bat.OID(fk[id])
 		}
 		rBoth, _, _ := SelectRefineAt(par.P{}, nil, dimCol, lo, hi, rSel, atSel)
@@ -95,12 +95,12 @@ func TestProjectRefineAtReconstructsDimValues(t *testing.T) {
 	_, fk, dimVals, selCol, dimCol := buildDimData(t, 10000, 300, 5, 71)
 	cands := SelectApprox(nil, selCol, selCol.Relax(500, 8000))
 	at := make([]bat.OID, cands.Len())
-	for i, id := range cands.IDs {
+	for i, id := range cands.IDs() {
 		at[i] = bat.OID(fk[id])
 	}
 	proj := ProjectApproxAt(nil, dimCol, cands, at)
 	refined, _ := SelectRefine(par.P{}, nil, selCol, 500, 8000, cands)
-	pos, err := TranslucentJoin(cands.IDs, refined.IDs)
+	pos, err := TranslucentJoin(cands.IDs(), refined.IDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestProjectRefineAtReconstructsDimValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, id := range refined.IDs {
+	for i, id := range refined.IDs() {
 		if got[i] != dimVals[fk[id]] {
 			t.Fatalf("dim projection for fact %d = %d, want %d", id, got[i], dimVals[fk[id]])
 		}
@@ -124,7 +124,7 @@ func TestSelectRefineAtResidentChargesNothing(t *testing.T) {
 	_, fk, _, selCol, dimCol := buildDimData(t, 5000, 100, 32, 72)
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, 4000))
 	at := make([]bat.OID, cands.Len())
-	for i, id := range cands.IDs {
+	for i, id := range cands.IDs() {
 		at[i] = bat.OID(fk[id])
 	}
 	c2, at2 := SelectApproxAt(nil, dimCol, dimCol.Relax(0, 5000), cands, at)

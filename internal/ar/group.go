@@ -18,11 +18,71 @@ import (
 type Grouping struct {
 	Src     *Candidates
 	Cols    []*bwd.Column
-	IDs     []uint32 // group id per candidate position
+	IDs     []uint32 // group id per candidate position; arena-backed
 	NGroups int
 	// Codes[k][g] is the approximation code of column k for group g.
 	Codes   [][]uint64
 	shipped bool
+}
+
+// Release returns the group-id vector to the arena. The source candidate
+// set is not owned by the grouping. Must only be called once nothing
+// references the grouping.
+func (g *Grouping) Release() {
+	mem.U32.Put(g.IDs)
+	g.IDs = nil
+}
+
+// groupTable maps packed code tuples to dense group ids: one flat
+// open-addressing table, linear probing, at most half full. gids holds the
+// group id plus one, so zero marks a free slot and any key is storable.
+type groupTable struct {
+	keys  []uint64
+	gids  []uint32
+	shift uint     // 64 - log2(len(keys))
+	uniq  []uint64 // the key of every group, in first-appearance order
+}
+
+func newGroupTable() *groupTable {
+	const slots = 64
+	return &groupTable{keys: make([]uint64, slots), gids: make([]uint32, slots), shift: 64 - 6}
+}
+
+// home is where key's probe sequence starts: a multiply-shift hash.
+func (t *groupTable) home(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> t.shift }
+
+// id returns key's group id, assigning the next one on first sight.
+func (t *groupTable) id(key uint64) uint32 {
+	mask := uint64(len(t.keys) - 1)
+	for at := t.home(key); ; at = (at + 1) & mask {
+		switch g := t.gids[at]; {
+		case g == 0:
+			if 2*(len(t.uniq)+1) > len(t.keys) {
+				t.grow()
+				return t.id(key)
+			}
+			t.keys[at] = key
+			t.uniq = append(t.uniq, key)
+			t.gids[at] = uint32(len(t.uniq))
+			return uint32(len(t.uniq) - 1)
+		case t.keys[at] == key:
+			return g - 1
+		}
+	}
+}
+
+// grow doubles the table and re-inserts every group under its id.
+func (t *groupTable) grow() {
+	n := 2 * len(t.keys)
+	t.keys, t.gids, t.shift = make([]uint64, n), make([]uint32, n), t.shift-1
+	mask := uint64(n - 1)
+	for g, key := range t.uniq {
+		at := t.home(key)
+		for t.gids[at] != 0 {
+			at = (at + 1) & mask
+		}
+		t.keys[at], t.gids[at] = key, uint32(g+1)
+	}
 }
 
 // GroupKeyFits reports whether the columns' approximation codes pack into
@@ -53,7 +113,7 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 	if !GroupKeyFits(cols) {
 		panic(fmt.Sprintf("ar: GroupApprox over %d columns whose codes exceed the 64-bit grouping-table entry", len(cols)))
 	}
-	n := len(cands.IDs)
+	n := cands.Len()
 	colCodes := make([][]uint64, len(cols))
 	projected := make([]bool, len(cols))
 	for k, col := range cols {
@@ -66,9 +126,8 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		projected[k] = true
 	}
 	// Pack each code tuple into one table entry, leading column highest.
-	idx := make(map[uint64]uint32, 64)
-	ids := make([]uint32, n)
-	var uniq []uint64
+	table := newGroupTable()
+	ids := mem.U32.GetN(n)
 	shift := make([]uint, len(cols))
 	var total uint
 	for k := len(cols) - 1; k >= 0; k-- {
@@ -80,14 +139,9 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		for k := range cols {
 			key |= colCodes[k][i] << shift[k]
 		}
-		g, ok := idx[key]
-		if !ok {
-			g = uint32(len(uniq))
-			idx[key] = g
-			uniq = append(uniq, key)
-		}
-		ids[i] = g
+		ids[i] = table.id(key)
 	}
+	uniq := table.uniq
 	codes := make([][]uint64, len(cols))
 	for k, col := range cols {
 		codes[k] = make([]uint64, len(uniq))
@@ -150,7 +204,8 @@ func (g *Grouping) Ship(m *device.Meter) {
 // MonetDB's positional grouping representation cannot profit from a
 // physical pre-grouping.
 func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*bulk.Grouping, [][]int64, error) {
-	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs, refined.IDs)
+	refinedIDs := refined.IDs()
+	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs(), refinedIDs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -164,13 +219,14 @@ func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*b
 	if exactPre {
 		// Pass the pre-grouping through, dropping groups that lost all
 		// their tuples to false-positive elimination.
-		old := make([]uint32, len(pos))
+		old := mem.U32.GetN(len(pos))
 		p.For(len(pos), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				old[i] = g.IDs[pos[i]]
 			}
 		})
 		ids, used := remapFirstAppearance(p, old, g.NGroups)
+		mem.U32.Put(old)
 		keys := make([][]int64, len(g.Cols))
 		for k, col := range g.Cols {
 			keys[k] = make([]int64, len(used))
@@ -196,7 +252,7 @@ func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*b
 				code := g.Codes[k][g.IDs[pos[i]]]
 				var r uint64
 				if col.Dec.ResBits > 0 {
-					r = col.Residual.Get(int(refined.IDs[i]))
+					r = col.Residual.Get(int(refinedIDs[i]))
 				}
 				ek[i] = col.ReconstructFrom(code, r)
 			}
@@ -218,9 +274,9 @@ func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*b
 // a serial left-to-right scan would. Each worker records the appearance
 // order within its contiguous block; merging the block lists left to right
 // yields the global order, so the result is identical for every worker
-// count. order maps new ID -> old ID.
+// count. order maps new ID -> old ID; ids is arena-backed.
 func remapFirstAppearance(p par.P, old []uint32, nOld int) (ids []uint32, order []uint32) {
-	ids = make([]uint32, len(old))
+	ids = mem.U32.GetN(len(old))
 	if p.NWorkers() <= 1 || len(old) < 1024 {
 		remap := make([]int32, nOld)
 		for i := range remap {

@@ -38,10 +38,10 @@ func TestGroupApproxRefineResidentColumn(t *testing.T) {
 		t.Fatalf("GroupRefine: %v", err)
 	}
 
-	if len(got.IDs) != len(refined.IDs) {
-		t.Fatalf("grouping covers %d tuples, want %d", len(got.IDs), len(refined.IDs))
+	if len(got.IDs) != len(refined.IDs()) {
+		t.Fatalf("grouping covers %d tuples, want %d", len(got.IDs), len(refined.IDs()))
 	}
-	for i, id := range refined.IDs {
+	for i, id := range refined.IDs() {
 		if gotKeys[0][got.IDs[i]] != keys[id] {
 			t.Fatalf("tuple %d grouped under key %d, want %d", id, gotKeys[0][got.IDs[i]], keys[id])
 		}
@@ -62,7 +62,7 @@ func TestGroupRefineDecomposedColumnRegroups(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
-	for i, id := range refined.IDs {
+	for i, id := range refined.IDs() {
 		if gotKeys[0][got.IDs[i]] != keys[id] {
 			t.Fatalf("tuple %d grouped under key %d, want %d", id, gotKeys[0][got.IDs[i]], keys[id])
 		}
@@ -158,7 +158,7 @@ func TestGroupApproxMultiResidentExactPassthrough(t *testing.T) {
 	if len(keys) != 2 {
 		t.Fatalf("expected 2 key columns, got %d", len(keys))
 	}
-	for i, id := range refined.IDs {
+	for i, id := range refined.IDs() {
 		g := grouping.IDs[i]
 		if keys[0][g] != flags[id] || keys[1][g] != status[id] {
 			t.Fatalf("tuple %d grouped under (%d,%d), want (%d,%d)",
@@ -183,7 +183,7 @@ func TestGroupRefineMultiDecomposedRegroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, id := range refined.IDs {
+	for i, id := range refined.IDs() {
 		g := grouping.IDs[i]
 		if keys[0][g] != keys1[id] || keys[1][g] != keys2[id] {
 			t.Fatalf("tuple %d grouped under (%d,%d), want (%d,%d)",
@@ -225,9 +225,83 @@ func TestGroupApproxMultiReusesAttachedCodes(t *testing.T) {
 	cands := SelectApprox(nil, keyCol, keyCol.Relax(0, 7))
 	mg := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
 	codes := cands.CodesFor(keyCol)
-	for i := range cands.IDs {
+	for i := range cands.IDs() {
 		if mg.Codes[0][mg.IDs[i]] != codes[i] {
 			t.Fatal("grouping codes diverge from attached codes")
+		}
+	}
+}
+
+// GroupApprox over a set that still carries its survivor mask — key columns
+// decoded by granule — and over the same candidates as a plain id list gives
+// the same group ids, the same groups in the same first-appearance order and
+// the same charge, and both are what a row-by-row map over the packed key
+// tuples gives: for one and two key columns, resident and decomposed, a key
+// column the scan already attached, a handful of groups and enough of them
+// to grow the grouping table many times over, across several work-groups.
+func TestGroupApproxMaskMatchesIDList(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	sys := device.PaperSystem()
+	const n = 2*gpuChunk + 1234
+	sel := scanColumn(t, rng, 10, n, "shuffled")
+	few := scanColumn(t, rng, 2, n, "shuffled")
+	wide := splitColumn(t, rng, 40, 5, n, "shuffled") // nearly every row its own group
+	mid := splitColumn(t, rng, 7, 3, n, "clustered")
+	for _, tc := range []struct {
+		name string
+		cols []*bwd.Column
+	}{
+		{"one resident column", []*bwd.Column{few}},
+		{"two columns", []*bwd.Column{few, mid}},
+		{"the scanned column and another", []*bwd.Column{sel, few}},
+		{"many groups", []*bwd.Column{wide}},
+		{"many groups, two columns", []*bwd.Column{mid, wide}},
+	} {
+		for _, r := range []bwd.ApproxRange{{Full: true}, {Lo: 100, Hi: 300}, {Lo: 7, Hi: 7}, {Empty: true}} {
+			masked := SelectApprox(nil, sel, r)
+			listed := &Candidates{ids: append([]bat.OID{}, masked.IDs()...)}
+			if attached := masked.CodesFor(sel); attached != nil {
+				listed.attach = []attachment{{col: sel, codes: append([]uint64{}, attached...), rng: r, filtered: true}}
+			}
+			fresh := SelectApprox(nil, sel, r) // no position read yet: grouped straight from the mask
+			mm, ml := device.NewMeter(sys), device.NewMeter(sys)
+			gm, gl := GroupApprox(mm, tc.cols, fresh), GroupApprox(ml, tc.cols, listed)
+
+			// The reference: first-appearance ids over the candidate order.
+			seen := map[[2]uint64]uint32{}
+			var order [][2]uint64
+			for i, id := range listed.ids {
+				var key [2]uint64
+				for k, col := range tc.cols {
+					key[k] = col.Approx.Get(int(id))
+				}
+				g, ok := seen[key]
+				if !ok {
+					g = uint32(len(order))
+					seen[key] = g
+					order = append(order, key)
+				}
+				if gm.IDs[i] != g || gl.IDs[i] != g {
+					t.Fatalf("%s %v: candidate %d in group %d by mask, %d by list, want %d", tc.name, r, i, gm.IDs[i], gl.IDs[i], g)
+				}
+			}
+			if gm.NGroups != len(order) || gl.NGroups != len(order) || len(gm.IDs) != len(listed.ids) {
+				t.Fatalf("%s %v: %d groups by mask, %d by list, want %d", tc.name, r, gm.NGroups, gl.NGroups, len(order))
+			}
+			for g, key := range order {
+				for k := range tc.cols {
+					if gm.Codes[k][g] != key[k] || gl.Codes[k][g] != key[k] {
+						t.Fatalf("%s %v: group %d column %d has code %d by mask, %d by list, want %d", tc.name, r, g, k, gm.Codes[k][g], gl.Codes[k][g], key[k])
+					}
+				}
+			}
+			if *mm != *ml {
+				t.Fatalf("%s %v: charged %v by mask, %v by list", tc.name, r, mm, ml)
+			}
+			gm.Release()
+			gl.Release()
+			fresh.Release()
+			masked.Release()
 		}
 	}
 }

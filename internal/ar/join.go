@@ -29,8 +29,9 @@ func FKPositionsApprox(m *device.Meter, fkCol *bwd.Column, cands *Candidates, pk
 	if fkCol.Dec.ResBits != 0 {
 		return nil, fmt.Errorf("ar: FK join needs a fully device-resident key column, got %v", fkCol.Dec)
 	}
-	out := oidPool.GetN(len(cands.IDs))
-	for i, id := range cands.IDs {
+	ids := cands.IDs()
+	out := oidPool.GetN(len(ids))
+	for i, id := range ids {
 		fk := fkCol.Dec.Base + int64(fkCol.Approx.Get(int(id)))
 		pos := fk - pkBase
 		if pos < 0 || pos >= int64(dimLen) {
@@ -39,7 +40,7 @@ func FKPositionsApprox(m *device.Meter, fkCol *bwd.Column, cands *Candidates, pk
 		out[i] = bat.OID(pos)
 	}
 	if m != nil {
-		n := len(cands.IDs)
+		n := len(ids)
 		seq := int64(n) * 8 // read ids, write positions
 		m.GPUKernel(seq, packedBytes(n, fkCol.Dec.ApproxBits), int64(n)*bulk.OpsHashProbe)
 	}

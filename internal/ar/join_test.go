@@ -28,7 +28,7 @@ func TestFKPositionsApproxDensePK(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FKPositionsApprox: %v", err)
 	}
-	for i, id := range cands.IDs {
+	for i, id := range cands.IDs() {
 		if int64(pos[i]) != fk[id]-1 {
 			t.Fatalf("position for candidate %d = %d, want %d", id, pos[i], fk[id]-1)
 		}
@@ -48,7 +48,7 @@ func TestFKPositionsApproxRejectsDecomposedKey(t *testing.T) {
 func TestFKPositionsApproxDanglingKey(t *testing.T) {
 	fk := []int64{1, 2, 99}
 	fkCol := decompose(t, fk, 32)
-	cands := &Candidates{IDs: []bat.OID{0, 1, 2}}
+	cands := &Candidates{ids: []bat.OID{0, 1, 2}}
 	if _, err := FKPositionsApprox(nil, fkCol, cands, 1, 10); err == nil {
 		t.Error("dangling FK not detected")
 	}

@@ -10,56 +10,36 @@ import (
 // This file implements the disjunction (OR) operators that run over an
 // existing candidate set: narrowing it with a union of relaxed ranges —
 // each disjunct relaxed through its own column's BWD bounds — and the
-// refinement of a disjunction. The full-column disjunctive scan,
-// SelectApproxAny, is the k-column case of the one approximate scan in
-// scan.go. The candidate union never materializes per-disjunct sets: one
-// pass evaluates every disjunct per tuple.
+// refinement of a disjunction. Both the full-column disjunctive scan,
+// SelectApproxAny, and the narrowing are the k-column case of the one mask
+// step in scan.go. The candidate union never materializes per-disjunct
+// sets: one pass evaluates every disjunct per granule.
 
-// SelectApproxAnyOver narrows an existing candidate set with a further
-// disjunctive predicate: the device gathers each disjunct column's codes
-// at the candidate positions and keeps the tuples matching any relaxed
-// range, preserving candidate order so later translucent joins remain
-// valid.
+// SelectApproxAnyOver narrows a candidate set with a further disjunctive
+// predicate: the device gathers each disjunct column's codes at the
+// candidate positions and keeps the tuples matching any relaxed range. Like
+// SelectApproxOver it is the scan's mask step over the granules that still
+// hold a survivor — per granule the union of the disjuncts' outcomes, ANDed
+// into the set's mask — narrowing in in place and attaching every disjunct
+// column under the group id.
 func SelectApproxAnyOver(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange, in *Candidates, group int) *Candidates {
-	keep := mem.Ints.Get(len(in.IDs))
-	colBufs := make([][]uint64, len(cols))
-	for j := range colBufs {
-		colBufs[j] = mem.U64.Get(len(in.IDs))
-	}
-	for i, id := range in.IDs {
-		match := false
-		for j, col := range cols {
-			code := col.Approx.Get(int(id))
-			colBufs[j] = append(colBufs[j], code)
-			if rs[j].Contains(code) {
-				match = true
-			}
-		}
-		if match {
-			keep = append(keep, i)
-		} else {
-			for j := range colBufs {
-				colBufs[j] = colBufs[j][:len(colBufs[j])-1]
-			}
-		}
-	}
-	out := in.filterTo(keep)
-	out.shipped = false // a fresh device-side intermediate
+	n := in.Len()
+	first := len(in.attach)
 	for j, col := range cols {
-		out.attach = append(out.attach, attachment{col: col, codes: colBufs[j], rng: rs[j], filtered: true, group: group})
+		in.attach = append(in.attach, attachment{col: col, rng: rs[j], filtered: true, group: group})
 	}
+	in.narrow(in.attach[first:], true)
+	in.shipped = false // a fresh device-side intermediate
 	if m != nil {
-		n := len(in.IDs)
-		seq := int64(n)*4 + int64(len(keep))*4
+		seq := int64(n)*4 + int64(in.n)*4
 		var rnd int64
 		for _, col := range cols {
-			seq += packedBytes(len(keep), col.Dec.ApproxBits)
+			seq += packedBytes(in.n, col.Dec.ApproxBits)
 			rnd += packedBytes(n, col.Dec.ApproxBits)
 		}
 		m.GPUKernel(seq, rnd, int64(n)*OpsPackedScan*int64(len(cols)))
 	}
-	mem.Ints.Put(keep)
-	return out
+	return in
 }
 
 // SelectRefineAny is the refinement of a disjunctive selection: on the
@@ -68,8 +48,19 @@ func SelectApproxAnyOver(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRan
 // any lo_k <= v_k <= hi_k — is re-evaluated, eliminating false positives.
 // Morsel survivors land in disjoint arena regions and left-pack in morsel
 // order, preserving candidate order exactly like the conjunctive
-// refinement.
+// refinement. When every disjunct column is fully device resident the
+// relaxed ranges were the exact predicates (§IV-C): no candidate can be
+// eliminated, the pass is charged but not run, and in itself is returned.
 func SelectRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, los, his []int64, in *Candidates) *Candidates {
+	n := in.Len()
+	resident := true
+	for _, col := range cols {
+		resident = resident && col.Dec.ResBits == 0
+	}
+	if resident {
+		chargeRefineAny(p, m, cols, n, n)
+		return in
+	}
 	codes := make([][]uint64, len(cols))
 	for k, col := range cols {
 		codes[k] = in.CodesFor(col)
@@ -77,7 +68,7 @@ func SelectRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, los, his []in
 			panic("ar: SelectRefineAny on a column that was never approximated over these candidates")
 		}
 	}
-	n := len(in.IDs)
+	ids := in.IDs()
 	keepBuf := mem.Ints.GetN(n)
 	counts, _, err := par.ForCounted(p, n, func(_ *mem.Scratch, _, mlo, mhi int) int {
 		cnt := 0
@@ -85,7 +76,7 @@ func SelectRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, los, his []in
 			for k, col := range cols {
 				var r uint64
 				if col.Dec.ResBits > 0 {
-					r = col.Residual.Get(int(in.IDs[i]))
+					r = col.Residual.Get(int(ids[i]))
 				}
 				v := col.ReconstructFrom(codes[k][i], r)
 				if v >= los[k] && v <= his[k] {
@@ -106,21 +97,26 @@ func SelectRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, los, his []in
 	}
 	out := in.filterTo(keep)
 	mem.Ints.Put(keepBuf)
-	if m != nil {
-		// Charge one fused disjunction pass: IDs and every disjunct's codes
-		// stream sequentially, residuals are touched at candidate order.
-		// Deterministic in (n, columns) — the short-circuit above only
-		// saves real work, never billed work.
-		seq := int64(n)*4 + int64(len(keep))*4
-		var ops int64
-		for _, col := range cols {
-			seq += packedBytes(n, col.Dec.ApproxBits)
-			if col.Dec.ResBits > 0 {
-				seq += device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
-			}
-			ops += int64(n) * 2
-		}
-		m.CPUWork(p.NThreads(), seq, 0, ops)
-	}
+	chargeRefineAny(p, m, cols, n, len(keep))
 	return out
+}
+
+// chargeRefineAny bills one fused disjunction pass over n candidates of
+// which kept survive: IDs and every disjunct's codes stream sequentially,
+// residuals are touched at candidate order. Deterministic in (n, columns) —
+// what the host short-circuits only saves real work, never billed work.
+func chargeRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, n, kept int) {
+	if m == nil {
+		return
+	}
+	seq := int64(n)*4 + int64(kept)*4
+	var ops int64
+	for _, col := range cols {
+		seq += packedBytes(n, col.Dec.ApproxBits)
+		if col.Dec.ResBits > 0 {
+			seq += device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
+		}
+		ops += int64(n) * 2
+	}
+	m.CPUWork(p.NThreads(), seq, 0, ops)
 }

@@ -56,16 +56,22 @@ func (p *Projection) Ship(m *device.Meter) {
 // device-resident approximation of the projected column. The output is
 // aligned with the candidate order, which a parallel projection preserves
 // for free because each lane writes at the position of its input id
-// (§IV-A item 2). On the host a stretch of consecutive candidate ids is one
-// range decode (bitpack.Gather); the codes and the charge are the same for
-// every id pattern.
+// (§IV-A item 2). On the host a set that still carries its survivor mask is
+// projected by granule — one decode where a granule's survivors are dense,
+// one Get per survivor where they are sparse (emitColumn) — and an id-list
+// set by one lookup per id; the codes and the charge are the same either way.
 func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Projection {
-	codes := mem.U64.GetN(len(cands.IDs))
-	devP().For(len(cands.IDs), func(lo, hi int) {
-		bitpack.Gather(col.Approx, cands.IDs[lo:hi], codes[lo:hi])
-	})
+	n := cands.Len()
+	codes := mem.U64.GetN(n)
+	if cands.mask != nil {
+		cands.emitCodes(col.Approx, codes)
+	} else {
+		ids := cands.ids
+		devP().For(n, func(lo, hi int) {
+			bitpack.Gather(col.Approx, ids[lo:hi], codes[lo:hi])
+		})
+	}
 	if m != nil {
-		n := len(cands.IDs)
 		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits)
 		m.GPUKernel(seq, packedBytes(n, col.Dec.ApproxBits), int64(n)*bulk.OpsFetch)
 	}
@@ -102,7 +108,7 @@ func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []b
 // is inherently serial); the residual lookups and reconstructions fan out
 // over morsels with disjoint output writes.
 func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates) ([]int64, error) {
-	if p.Exact() && len(refined.IDs) == len(p.Src.IDs) {
+	if p.Exact() && refined.Len() == p.Src.Len() {
 		// §IV-C: all bits of the projected attribute are device resident
 		// and no candidates were eliminated — the shipped codes already
 		// are the exact result (a view, no refinement operator runs).
@@ -114,17 +120,18 @@ func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates
 		})
 		return out, nil
 	}
-	pos, err := TranslucentJoinMetered(m, pp.NThreads(), p.Src.IDs, refined.IDs)
+	ids := refined.IDs()
+	pos, err := TranslucentJoinMetered(m, pp.NThreads(), p.Src.IDs(), ids)
 	if err != nil {
 		return nil, err
 	}
-	out := mem.I64.GetN(len(refined.IDs))
+	out := mem.I64.GetN(len(ids))
 	col := p.Col
 	pp.For(len(pos), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var r uint64
 			if col.Dec.ResBits > 0 {
-				r = col.Residual.Get(int(refined.IDs[i]))
+				r = col.Residual.Get(int(ids[i]))
 			}
 			out[i] = col.ReconstructFrom(p.Codes[pos[i]], r)
 		}
@@ -134,7 +141,7 @@ func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates
 		// Reads: refined IDs (32-bit), shipped codes, residuals (at
 		// candidate order); writes: reconstructed values at the column's
 		// native width.
-		n := len(refined.IDs)
+		n := len(ids)
 		resFetch := device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
 		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits) + resFetch + int64(n)*int64(col.Dec.Width)
 		m.CPUWork(pp.NThreads(), seq, 0, int64(n))

@@ -39,8 +39,8 @@ func TestProjectApproxRefineMatchesBulk(t *testing.T) {
 		t.Fatalf("projection size = %d, want %d", len(got), len(wantVals))
 	}
 	// Compare as multisets keyed by tuple id (orders differ).
-	byID := make(map[bat.OID]int64, len(refined.IDs))
-	for i, id := range refined.IDs {
+	byID := make(map[bat.OID]int64, len(refined.IDs()))
+	for i, id := range refined.IDs() {
 		byID[id] = got[i]
 	}
 	for i, id := range ids {
@@ -62,14 +62,14 @@ func TestProjectRefineUsesTranslucentJoin(t *testing.T) {
 	cands := SelectApprox(nil, colA, colA.Relax(100, 2500))
 	proj := ProjectApprox(nil, colB, cands)
 	refined, _ := SelectRefine(par.P{}, nil, colA, 100, 2500, cands)
-	if len(refined.IDs) == cands.Len() {
+	if len(refined.IDs()) == cands.Len() {
 		t.Fatal("test needs false positives to be meaningful")
 	}
 	got, err := ProjectRefine(par.P{}, nil, proj, refined)
 	if err != nil {
 		t.Fatalf("ProjectRefine: %v", err)
 	}
-	for i, id := range refined.IDs {
+	for i, id := range refined.IDs() {
 		if got[i] != b[id] {
 			t.Fatalf("value for id %d = %d, want %d", id, got[i], b[id])
 		}
@@ -83,7 +83,7 @@ func TestProjectRefineRejectsForeignSubset(t *testing.T) {
 	cands := SelectApprox(nil, colA, colA.Relax(0, 100))
 	proj := ProjectApprox(nil, colA, cands)
 	// A candidate set that is NOT a subset of the projection's source.
-	foreign := &Candidates{IDs: []bat.OID{bat.OID(n - 1), 0}}
+	foreign := &Candidates{ids: []bat.OID{bat.OID(n - 1), 0}}
 	if cands.Len() < 2 {
 		t.Skip("not enough candidates")
 	}
@@ -116,7 +116,7 @@ func TestProjectApproxAt(t *testing.T) {
 	cands := SelectApprox(nil, factCol, factCol.Relax(0, 99))
 	at := make([]bat.OID, cands.Len())
 	for i := range at {
-		at[i] = bat.OID(int(cands.IDs[i]) % len(dim))
+		at[i] = bat.OID(int(cands.IDs()[i]) % len(dim))
 	}
 	proj := ProjectApproxAt(nil, dimCol, cands, at)
 	for i := range at {
@@ -148,12 +148,29 @@ func TestProjectionShipCharges(t *testing.T) {
 	}
 }
 
-// TestProjectApproxMatchesPerRowReference pins the run-decoding gather
-// behind ProjectApprox against one Get per id — the same codes for every id
-// pattern, the same charge whether a pattern decodes as runs or not: dense,
-// sparse, the mostly-dense candidate list of an unselective scan, a run that
-// crosses a work-group edge, work-groups in device (permuted) order, and
-// the list whose ends look like a run while its middle is not.
+// TestProjectApproxMatchesPerRowReference pins ProjectApprox against one
+// Get per id — the same codes for every id pattern, the same charge — for
+// both inputs it takes: an id list, looked up id by id, and a set that
+// still carries its survivor mask, decoded by granule (whole, dense and
+// sparse granules all occur). The patterns: dense, sparse, the mostly-dense
+// candidates of an unselective scan, a run that crosses a work-group edge,
+// work-groups in device (permuted) order, and the list whose ends look
+// like a run while its middle is not.
+// maskedCandidates returns the mask-carrying set over col's rows whose
+// survivors are exactly ids: a full scan with every other row masked out.
+func maskedCandidates(col *bwd.Column, ids []bat.OID) *Candidates {
+	drop := make([]uint64, (col.Len()+63)/64)
+	for i := range drop {
+		drop[i] = ^uint64(0)
+	}
+	for _, id := range ids {
+		drop[id/64] &^= 1 << (id % 64)
+	}
+	c := SelectApprox(nil, col, bwd.ApproxRange{Full: true})
+	c.MaskOut(drop)
+	return c
+}
+
 func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	sys := device.PaperSystem()
@@ -211,7 +228,7 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 			if len(p.Codes) != cands.Len() {
 				t.Fatalf("width %d %s: %d codes for %d candidates", width, name, len(p.Codes), cands.Len())
 			}
-			for i, id := range cands.IDs {
+			for i, id := range cands.IDs() {
 				if want := col.Approx.Get(int(id)); p.Codes[i] != want {
 					t.Fatalf("width %d %s: code %d (id %d) = %d, want %d", width, name, i, id, p.Codes[i], want)
 				}
@@ -224,7 +241,10 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 			p.Release()
 		}
 		for name, ids := range patterns {
-			check(name, &Candidates{IDs: ids()})
+			check(name, &Candidates{ids: ids()})
+			masked := maskedCandidates(col, ids())
+			check(name+", by mask", masked)
+			masked.Release()
 		}
 		// What a scan really emits: every work-group ascending, the groups in
 		// permuted order.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bat"
+	"repro/internal/bitpack"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -109,83 +110,157 @@ func SelectApproxAny(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange, 
 }
 
 // scanApprox runs the approximate scan described by c's attachments — one
-// filtered column per disjunct, codes not yet filled in — and fills c.IDs
-// and every attachment's codes. The disjuncts travel in the (pooled)
-// candidate header rather than in argument slices so that nothing the
-// caller built escapes to the worker goroutines: a one-work-group scan
-// allocates nothing.
-//
-//   - Mask: every work-group walks its granules and records the survivors
-//     of each in one word of an n/64-word bitmask (maskGroup), returning
-//     its survivor count.
-//   - The counts are prefix-summed in the deterministic shuffled completion
-//     order of par.PermuteInto — the unordered device discipline — which
-//     gives every work-group its slot in the exact-size output.
-//   - Materialise: every work-group writes its survivors' ids and codes
-//     straight into its slot (emitGroup), in parallel, no concatenation.
-//
-// The mask and the offsets are arena buffers owned by this call and
-// released before it returns; the ids and codes pass to the candidate set.
+// filtered column per disjunct — and leaves its survivors on c as a mask.
+// The disjuncts travel in the (pooled) candidate header rather than in
+// argument slices so that nothing the caller built escapes to the worker
+// goroutines: a one-work-group scan allocates nothing.
 func scanApprox(m *device.Meter, c *Candidates) {
 	att := c.attach
 	n := att[0].col.Len()
-	nchunks := (n + gpuChunk - 1) / gpuChunk
-	mask := mem.U64.GetN((n + bwd.GranuleRows - 1) / bwd.GranuleRows)
-	offs := mem.Ints.GetN(nchunks)
-	// One work-group runs on the calling goroutine without materializing a
-	// closure, keeping the scan allocation-free; an empty column has none.
-	if nchunks == 1 {
-		offs[0] = maskGroup(att, mask, 0, n)
-	} else if nchunks > 1 {
-		devP().For(n, func(lo, hi int) {
-			offs[lo/gpuChunk] = maskGroup(att, mask, lo, hi)
-		})
-	}
-	order := par.PermuteInto(mem.Ints.GetN(nchunks))
-	total := 0
-	for _, ci := range order {
-		cnt := offs[ci]
-		offs[ci] = total
-		total += cnt
-	}
-	mem.Ints.Put(order)
-
-	ids := oidPool.GetN(total)
-	for j := range att {
-		att[j].codes = mem.U64.GetN(total)
-	}
-	if nchunks == 1 {
-		emitGroup(ids, att, mask, 0, n, 0)
-	} else if total > 0 {
-		devP().For(n, func(lo, hi int) {
-			emitGroup(ids, att, mask, lo, hi, offs[lo/gpuChunk])
-		})
-	}
-	mem.Ints.Put(offs)
-	mem.U64.Put(mask)
-	c.IDs = ids
-
+	c.rows = n
+	c.mask = mem.U64.GetN((n + bwd.GranuleRows - 1) / bwd.GranuleRows)
+	c.offs = mem.Ints.GetN((n + gpuChunk - 1) / gpuChunk)
+	c.narrow(att, false)
 	if m != nil {
 		// The simulated device reads every disjunct's whole packed plane and
 		// evaluates every tuple: the granule bounds are a host-side
 		// emulation aid and never discount the charge (DESIGN.md §7).
 		var scanned int64
-		written := int64(total) * 4
+		written := int64(c.n) * 4
 		for j := range att {
 			scanned += att[j].col.Approx.Bytes()
-			written += packedBytes(total, att[j].col.Dec.ApproxBits)
+			written += packedBytes(c.n, att[j].col.Dec.ApproxBits)
 		}
 		m.GPUKernel(scanned+written, 0, int64(n)*OpsPackedScan*int64(len(att)))
 	}
 }
 
+// narrow is the mask step of every approximate selection: each work-group
+// walks its granules and records which rows satisfy any of the disjuncts
+// att in one word per granule — over all rows for the scan that starts a
+// set (maskGroup), and (and) over the words earlier steps left non-zero for
+// a further conjunct, whose outcome is ANDed in (narrowGroup). One
+// work-group runs on the calling goroutine without materializing a closure;
+// an empty column has none.
+func (c *Candidates) narrow(att []attachment, and bool) {
+	if c.mask == nil || c.sealed {
+		panic("ar: narrowing a candidate set that has no survivor mask or whose positions were already read")
+	}
+	mask, counts, group := c.mask, c.offs, maskGroup
+	if and {
+		group = narrowGroup
+	}
+	if len(counts) == 1 {
+		counts[0] = group(att, mask, 0, c.rows)
+	} else if len(counts) > 1 {
+		devP().For(c.rows, func(lo, hi int) {
+			counts[lo/gpuChunk] = group(att, mask, lo, hi)
+		})
+	}
+	c.recount()
+}
+
+// recount sums the work-groups' survivor counts into the set's length.
+func (c *Candidates) recount() {
+	c.n = 0
+	for _, cnt := range c.offs {
+		c.n += cnt
+	}
+}
+
+// MaskOut clears the candidates whose bit is set in drop — a bitmap over the
+// scanned rows, bit i%64 of word i/64, which may end early. It is how the
+// device discharges deleted rows: the deletion bitmap is mirrored
+// device-side, so masking is one AND-NOT per granule; the caller, which
+// knows the bitmap's footprint, charges it.
+func (c *Candidates) MaskOut(drop []uint64) {
+	if c.mask == nil || c.sealed {
+		panic("ar: masking a candidate set that has no survivor mask or whose positions were already read")
+	}
+	const groupWords = gpuChunk / bwd.GranuleRows
+	for ci := range c.offs {
+		lo := ci * groupWords
+		hi := min(lo+groupWords, len(c.mask))
+		cnt := 0
+		for g := lo; g < hi; g++ {
+			if g < len(drop) {
+				c.mask[g] &^= drop[g]
+			}
+			cnt += bits.OnesCount64(c.mask[g])
+		}
+		c.offs[ci] = cnt
+	}
+	c.recount()
+}
+
+// seal ends the narrowing: the work-groups' survivor counts are prefix-
+// summed in the deterministic shuffled completion order of par.PermuteInto —
+// the unordered device discipline — which gives every work-group its slot
+// in candidate order. Everything emitted from the mask afterwards — the ids,
+// the attached codes, projections, grouping keys — lands in those slots,
+// rows ascending inside one, so all of it is positionally aligned.
+func (c *Candidates) seal() {
+	if c.sealed {
+		return
+	}
+	c.sealed = true
+	order := par.PermuteInto(mem.Ints.GetN(len(c.offs)))
+	total := 0
+	for _, ci := range order {
+		cnt := c.offs[ci]
+		c.offs[ci] = total
+		total += cnt
+	}
+	mem.Ints.Put(order)
+}
+
+// Emit materialises a mask-carrying set: every work-group writes its
+// survivors' ids and the codes of every attached column straight into its
+// slot of the exact-size output (emitGroup), in parallel, no concatenation.
+// It is the one place candidate ids come from a mask; calling it again, or
+// on an id-list set, does nothing. The pipeline calls it after the last
+// narrowing; the accessors that hand out positions call it on demand.
+func (c *Candidates) Emit() {
+	if c.mask == nil || c.emitted {
+		return
+	}
+	c.emitted = true
+	c.seal()
+	c.ids = oidPool.GetN(c.n)
+	for j := range c.attach {
+		c.attach[j].codes = mem.U64.GetN(c.n)
+	}
+	ids, att, mask, offs := c.ids, c.attach, c.mask, c.offs
+	if len(offs) == 1 {
+		emitGroup(ids, att, mask, 0, c.rows, 0)
+	} else if c.n > 0 {
+		devP().For(c.rows, func(lo, hi int) {
+			emitGroup(ids, att, mask, lo, hi, offs[lo/gpuChunk])
+		})
+	}
+}
+
+// emitCodes writes col's code of every candidate into codes, aligned with
+// the candidate order, decoding by granule from the mask.
+func (c *Candidates) emitCodes(approx *bitpack.Array, codes []uint64) {
+	c.seal()
+	mask, offs := c.mask, c.offs
+	if len(offs) == 1 {
+		emitColumn(approx, codes, mask, 0, c.rows, 0)
+	} else if c.n > 0 {
+		devP().For(c.rows, func(lo, hi int) {
+			emitColumn(approx, codes, mask, lo, hi, offs[lo/gpuChunk])
+		})
+	}
+}
+
 // maskGroup computes the survivor words of the granules of work-group
-// [lo,hi) — lo is a multiple of the granule size — and returns the
-// group's survivor count. Per granule and disjunct, the column's code
-// bounds decide first: a range that misses them contributes nothing
-// without a read, a range that covers them admits the whole granule
-// without a decode, and only a range that cuts through them has the
-// granule unpacked into a stack buffer and compared row by row.
+// [lo,hi) — lo is a multiple of the granule size — for the scan that starts
+// a set, and returns the group's survivor count. Per granule and disjunct,
+// the column's code bounds decide first: a range that misses them
+// contributes nothing without a read, a range that covers them admits the
+// whole granule without a decode, and only a range that cuts through them
+// has codes compared (compareGranule).
 func maskGroup(att []attachment, mask []uint64, lo, hi int) int {
 	var buf [bwd.GranuleRows]uint64
 	var skipped, inside, decoded uint64
@@ -213,17 +288,8 @@ func maskGroup(att []attachment, mask []uint64, lo, hi int) int {
 				word = all
 				break
 			}
-			a.col.Approx.Unpack64(&buf, base)
 			unpacked = true
-			span := rhi - rlo
-			for i := 0; i < bwd.GranuleRows; i += 8 {
-				b := (*[8]uint64)(buf[i : i+8])
-				word |= (inRange(b[0], rlo, span) | inRange(b[1], rlo, span)<<1 |
-					inRange(b[2], rlo, span)<<2 | inRange(b[3], rlo, span)<<3 |
-					inRange(b[4], rlo, span)<<4 | inRange(b[5], rlo, span)<<5 |
-					inRange(b[6], rlo, span)<<6 | inRange(b[7], rlo, span)<<7) << uint(i)
-			}
-			word &= all
+			word |= compareGranule(a.col.Approx, base, all, rlo, rhi-rlo, &buf)
 		}
 		switch {
 		case unpacked:
@@ -242,6 +308,87 @@ func maskGroup(att []attachment, mask []uint64, lo, hi int) int {
 	return cnt
 }
 
+// narrowGroup is maskGroup for a further conjunct or disjunction group: the
+// same decisions per granule and disjunct, asked only about the rows
+// earlier steps left in the granule's word — so the outcome is ANDed in as
+// it is computed — and not asked at all of a granule whose word is already
+// zero, which is passed over without a look at its bounds and counts as
+// skipped. It is a loop of its own rather than a flag on maskGroup because
+// the first scan's loop runs over every granule of the table and either
+// test in it costs a tenth of a clustered scan (BenchmarkOpSelectApprox).
+func narrowGroup(att []attachment, mask []uint64, lo, hi int) int {
+	var buf [bwd.GranuleRows]uint64
+	var skipped, inside, decoded uint64
+	cnt := 0
+	for g := lo / bwd.GranuleRows; g*bwd.GranuleRows < hi; g++ {
+		live := mask[g]
+		if live == 0 {
+			skipped++
+			continue
+		}
+		var word uint64
+		unpacked := false
+		for j := range att {
+			a := &att[j]
+			if a.rng.Empty {
+				continue
+			}
+			rlo, rhi := a.rng.Lo, a.rng.Hi
+			if a.rng.Full {
+				rlo, rhi = 0, ^uint64(0)
+			}
+			b := a.col.Granules()[g]
+			if b.Max < rlo || b.Min > rhi {
+				continue
+			}
+			if b.Min >= rlo && b.Max <= rhi {
+				word = live
+				break
+			}
+			unpacked = true
+			word |= compareGranule(a.col.Approx, g*bwd.GranuleRows, live, rlo, rhi-rlo, &buf)
+		}
+		switch {
+		case unpacked:
+			decoded++
+		case word != 0:
+			inside++
+		default:
+			skipped++
+		}
+		mask[g] = word
+		cnt += bits.OnesCount64(word)
+	}
+	granuleStats.skipped.Add(skipped)
+	granuleStats.inside.Add(inside)
+	granuleStats.decoded.Add(decoded)
+	return cnt
+}
+
+// compareGranule returns which of the rows of the granule at base that are
+// set in live have a code in [lo, lo+span]: the granule unpacked into buf
+// and compared row by row, or — when few rows are live — one Get per live
+// row.
+func compareGranule(approx *bitpack.Array, base int, live, lo, span uint64, buf *[bwd.GranuleRows]uint64) uint64 {
+	var word uint64
+	if bits.OnesCount64(live) < denseSurvivors {
+		for w := live; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			word |= inRange(approx.Get(base+i), lo, span) << uint(i)
+		}
+		return word
+	}
+	approx.Unpack64(buf, base)
+	for i := 0; i < bwd.GranuleRows; i += 8 {
+		b := (*[8]uint64)(buf[i : i+8])
+		word |= (inRange(b[0], lo, span) | inRange(b[1], lo, span)<<1 |
+			inRange(b[2], lo, span)<<2 | inRange(b[3], lo, span)<<3 |
+			inRange(b[4], lo, span)<<4 | inRange(b[5], lo, span)<<5 |
+			inRange(b[6], lo, span)<<6 | inRange(b[7], lo, span)<<7) << uint(i)
+	}
+	return word & live
+}
+
 // inRange is 1 when lo <= code <= lo+span and 0 otherwise, without a branch.
 func inRange(code, lo, span uint64) uint64 {
 	if code-lo <= span {
@@ -250,15 +397,17 @@ func inRange(code, lo, span uint64) uint64 {
 	return 0
 }
 
-// denseSurvivors is the survivor count from which materialising a granule
-// by one 64-row decode is cheaper than one positional Get per survivor.
+// denseSurvivors is the row count from which reading a granule by one
+// 64-row decode is cheaper than one positional Get per row wanted.
 const denseSurvivors = 16
 
+// fewHoles is the number of missing rows up to which copying the stretches
+// of a decoded granule between them beats picking its survivors one by one.
+const fewHoles = 8
+
 // emitGroup materialises the survivors of work-group [lo,hi) into the
-// output slot starting at off: ids in row order, and for every attached
-// column the survivors' codes — fetched per set bit where the survivor
-// word is sparse, picked out of one granule decode where it is dense. The
-// word's popcount alone makes that choice.
+// output slot starting at off: per granule with a survivor, the ids in row
+// order and the survivors' codes of every attached column (emitGranule).
 func emitGroup(ids []bat.OID, att []attachment, mask []uint64, lo, hi, off int) {
 	var buf [bwd.GranuleRows]uint64
 	for g := lo / bwd.GranuleRows; g*bwd.GranuleRows < hi; g++ {
@@ -275,24 +424,59 @@ func emitGroup(ids []bat.OID, att []attachment, mask []uint64, lo, hi, off int) 
 			k++
 		}
 		for j := range att {
-			approx := att[j].col.Approx
-			codes := att[j].codes[off : off+cnt]
-			k = 0
-			if cnt == bwd.GranuleRows {
-				approx.Unpack64((*[bwd.GranuleRows]uint64)(codes), base)
-			} else if cnt >= denseSurvivors {
-				approx.Unpack64(&buf, base)
-				for w := word; w != 0; w &= w - 1 {
-					codes[k] = buf[bits.TrailingZeros64(w)]
-					k++
-				}
-			} else {
-				for w := word; w != 0; w &= w - 1 {
-					codes[k] = approx.Get(base + bits.TrailingZeros64(w))
-					k++
-				}
-			}
+			emitGranule(att[j].col.Approx, att[j].codes[off:off+cnt], word, base, &buf)
 		}
 		off += cnt
+	}
+}
+
+// emitColumn writes one packed column's codes of the survivors of
+// work-group [lo,hi) into the output slot starting at off: what emitGroup
+// does for an attached column, for a column projected from the same mask.
+func emitColumn(approx *bitpack.Array, codes []uint64, mask []uint64, lo, hi, off int) {
+	var buf [bwd.GranuleRows]uint64
+	for g := lo / bwd.GranuleRows; g*bwd.GranuleRows < hi; g++ {
+		word := mask[g]
+		if word == 0 {
+			continue
+		}
+		cnt := bits.OnesCount64(word)
+		emitGranule(approx, codes[off:off+cnt], word, g*bwd.GranuleRows, &buf)
+		off += cnt
+	}
+}
+
+// emitGranule writes the codes of the rows of the granule at base whose bit
+// is set in word into out, which has one entry per set bit — fetched per
+// set bit where the word is sparse, taken from one granule decode where it
+// is dense: decoded in place when the word is full, copied as the stretches
+// between its few holes when it is nearly full (what an unselective scan
+// leaves), picked out bit by bit otherwise. The word's popcount alone makes
+// that choice. buf is the caller's decode scratch.
+func emitGranule(approx *bitpack.Array, out []uint64, word uint64, base int, buf *[bwd.GranuleRows]uint64) {
+	k := 0
+	switch cnt := len(out); {
+	case cnt == bwd.GranuleRows:
+		approx.Unpack64((*[bwd.GranuleRows]uint64)(out), base)
+	case cnt > bwd.GranuleRows-fewHoles:
+		approx.Unpack64(buf, base)
+		from := 0
+		for holes := ^word; holes != 0; holes &= holes - 1 {
+			at := bits.TrailingZeros64(holes)
+			k += copy(out[k:], buf[from:at])
+			from = at + 1
+		}
+		copy(out[k:], buf[from:])
+	case cnt >= denseSurvivors:
+		approx.Unpack64(buf, base)
+		for w := word; w != 0; w &= w - 1 {
+			out[k] = buf[bits.TrailingZeros64(w)]
+			k++
+		}
+	default:
+		for w := word; w != 0; w &= w - 1 {
+			out[k] = approx.Get(base + bits.TrailingZeros64(w))
+			k++
+		}
 	}
 }

@@ -8,33 +8,25 @@ import (
 	"repro/internal/par"
 )
 
-// SelectApproxOver narrows an existing candidate set with a further relaxed
-// predicate on another column (conjunctive selections, e.g. the two
-// BETWEENs of the spatial range query). The device gathers col's codes at
-// the candidate positions and keeps the matches, preserving candidate
-// order so later translucent joins remain valid.
+// SelectApproxOver narrows a candidate set with a further relaxed predicate
+// on another column (conjunctive selections, e.g. the two BETWEENs of the
+// spatial range query). The device gathers col's codes at the candidate
+// positions and keeps the matches; on the host that is the scan's mask step
+// over the granules that still hold a survivor (narrowGroup), its outcome
+// ANDed into the set's mask — so in must still carry one, with no position
+// read yet. The set is narrowed in place and returned, col attached to it;
+// candidate order is the order of the final mask, which is what filtering
+// the list in place would have kept.
 func SelectApproxOver(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *Candidates) *Candidates {
-	keep := mem.Ints.Get(len(in.IDs))
-	codes := mem.U64.Get(len(in.IDs))
-	if !r.Empty {
-		for i, id := range in.IDs {
-			code := col.Approx.Get(int(id))
-			if r.Contains(code) {
-				keep = append(keep, i)
-				codes = append(codes, code)
-			}
-		}
-	}
-	out := in.filterTo(keep)
-	out.shipped = false // a fresh device-side intermediate
-	out.attach = append(out.attach, attachment{col: col, codes: codes, rng: r, filtered: true})
+	n := in.Len()
+	in.attach = append(in.attach, attachment{col: col, rng: r, filtered: true})
+	in.narrow(in.attach[len(in.attach)-1:], true)
+	in.shipped = false // a fresh device-side intermediate
 	if m != nil {
-		n := len(in.IDs)
-		seq := int64(n)*4 + int64(len(keep))*4 + packedBytes(len(keep), col.Dec.ApproxBits)
+		seq := int64(n)*4 + int64(in.n)*4 + packedBytes(in.n, col.Dec.ApproxBits)
 		m.GPUKernel(seq, packedBytes(n, col.Dec.ApproxBits), int64(n)*OpsPackedScan)
 	}
-	mem.Ints.Put(keep)
-	return out
+	return in
 }
 
 // SelectRefine is the refinement of a selection (Algorithm 2): on the CPU,
@@ -62,7 +54,8 @@ func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *C
 	if codes == nil {
 		panic("ar: SelectRefine on a column that was never approximated over these candidates")
 	}
-	n := len(in.IDs)
+	ids := in.IDs()
+	n := len(ids)
 	keepBuf := mem.Ints.GetN(n)
 	valsBuf := mem.I64.GetN(n)
 	chunk := p.ChunkSize()
@@ -83,7 +76,7 @@ func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *C
 			if mhi > n {
 				mhi = n
 			}
-			counts[ci] = refineMorsel(col, codes, in.IDs, lo, hi, keepBuf, valsBuf, mlo, mhi)
+			counts[ci] = refineMorsel(col, codes, ids, lo, hi, keepBuf, valsBuf, mlo, mhi)
 		}
 		if err != nil {
 			mem.Ints.Put(counts)
@@ -91,7 +84,7 @@ func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *C
 		}
 	} else {
 		counts, _, err = par.ForCounted(p, n, func(_ *mem.Scratch, _, mlo, mhi int) int {
-			return refineMorsel(col, codes, in.IDs, lo, hi, keepBuf, valsBuf, mlo, mhi)
+			return refineMorsel(col, codes, ids, lo, hi, keepBuf, valsBuf, mlo, mhi)
 		})
 	}
 	var keep []int
@@ -131,13 +124,14 @@ func ReconstructAll(p par.P, m *device.Meter, col *bwd.Column, in *Candidates) [
 	if codes == nil {
 		panic("ar: ReconstructAll on a column without attached codes")
 	}
-	n := len(in.IDs)
+	ids := in.IDs()
+	n := len(ids)
 	vals := mem.I64.GetN(n)
 	if p.NWorkers() <= 1 {
-		reconstructRange(col, codes, in.IDs, vals, 0, n)
+		reconstructRange(col, codes, ids, vals, 0, n)
 	} else {
 		p.For(n, func(mlo, mhi int) {
-			reconstructRange(col, codes, in.IDs, vals, mlo, mhi)
+			reconstructRange(col, codes, ids, vals, mlo, mhi)
 		})
 	}
 	if m != nil && col.Dec.ResBits > 0 {

@@ -45,7 +45,7 @@ func TestSelectApproxSupersetOfExact(t *testing.T) {
 	exact := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
 
 	inCand := make(map[bat.OID]bool, cands.Len())
-	for _, id := range cands.IDs {
+	for _, id := range cands.IDs() {
 		inCand[id] = true
 	}
 	for _, id := range exact {
@@ -67,7 +67,7 @@ func TestSelectApproxOutputIsPermuted(t *testing.T) {
 	}
 	monotone := true
 	for i := 1; i < cands.Len(); i++ {
-		if cands.IDs[i] < cands.IDs[i-1] {
+		if cands.IDs()[i] < cands.IDs()[i-1] {
 			monotone = false
 			break
 		}
@@ -94,17 +94,17 @@ func TestSelectRefineEqualsBulkBaseline(t *testing.T) {
 		refined, refVals := SelectRefine(par.P{}, nil, col, lo, hi, cands)
 
 		want := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
-		if len(refined.IDs) != len(want) {
+		if len(refined.IDs()) != len(want) {
 			return false
 		}
-		got := sortedIDs(refined.IDs)
+		got := sortedIDs(refined.IDs())
 		for i := range want {
 			if got[i] != want[i] {
 				return false
 			}
 		}
 		// Values must be the exact reconstructed attribute values.
-		for i, id := range refined.IDs {
+		for i, id := range refined.IDs() {
 			if refVals[i] != vals[id] {
 				return false
 			}
@@ -122,13 +122,13 @@ func TestSelectRefinePreservesCandidateOrder(t *testing.T) {
 	cands := SelectApprox(nil, col, col.Relax(100, 40000))
 	refined, _ := SelectRefine(par.P{}, nil, col, 100, 40000, cands)
 
-	// refined.IDs must be a subsequence of cands.IDs.
+	// refined.IDs() must be a subsequence of cands.IDs().
 	j := 0
-	for _, id := range refined.IDs {
-		for j < len(cands.IDs) && cands.IDs[j] != id {
+	for _, id := range refined.IDs() {
+		for j < len(cands.IDs()) && cands.IDs()[j] != id {
 			j++
 		}
-		if j == len(cands.IDs) {
+		if j == len(cands.IDs()) {
 			t.Fatal("refined output is not an order-preserving subset of candidates")
 		}
 		j++
@@ -154,17 +154,17 @@ func TestSelectApproxOverConjunction(t *testing.T) {
 	idsA := bulk.SelectRange(par.P{}, nil, bat.NewDense(a, bat.Width32), 1000, 5000)
 	want := bulk.SelectOIDs(par.P{}, nil, bb, idsA, 2000, 9000)
 
-	if len(r2.IDs) != len(want) {
-		t.Fatalf("conjunction size = %d, want %d", len(r2.IDs), len(want))
+	if len(r2.IDs()) != len(want) {
+		t.Fatalf("conjunction size = %d, want %d", len(r2.IDs()), len(want))
 	}
-	got := sortedIDs(r2.IDs)
+	got := sortedIDs(r2.IDs())
 	wantSorted := sortedIDs(want)
 	for i := range want {
 		if got[i] != wantSorted[i] {
 			t.Fatalf("conjunction ids diverge at %d", i)
 		}
 	}
-	for i, id := range r2.IDs {
+	for i, id := range r2.IDs() {
 		if valsB[i] != b[id] {
 			t.Fatalf("exact value mismatch at id %d", id)
 		}
@@ -179,7 +179,7 @@ func TestSelectEmptyRelaxedRange(t *testing.T) {
 		t.Errorf("empty relaxed range produced %d candidates", cands.Len())
 	}
 	refined, refVals := SelectRefine(par.P{}, nil, col, 5000, 9000, cands)
-	if len(refined.IDs) != 0 || len(refVals) != 0 {
+	if len(refined.IDs()) != 0 || len(refVals) != 0 {
 		t.Error("refinement of empty candidates not empty")
 	}
 }
@@ -197,7 +197,7 @@ func TestSelectFullyResidentColumnRefinementIsExactPassthrough(t *testing.T) {
 		t.Fatalf("fully resident approximation has %d candidates, want exact %d", cands.Len(), len(want))
 	}
 	refined, _ := SelectRefine(par.P{}, nil, col, lo, hi, cands)
-	if len(refined.IDs) != len(want) {
+	if len(refined.IDs()) != len(want) {
 		t.Error("refinement changed an already-exact result")
 	}
 }
@@ -240,7 +240,7 @@ func TestCertainFlagsBoundaryBuckets(t *testing.T) {
 	col := decompose(t, vals, 6) // 10 bits -> 6/4: bucket size 16
 	lo, hi := int64(100), int64(200)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
-	for i, id := range cands.IDs {
+	for i, id := range cands.IDs() {
 		v := vals[id]
 		bucketLo := v/16 == lo/16
 		bucketHi := v/16 == hi/16
@@ -258,7 +258,7 @@ func TestReconstructAllMatchesSource(t *testing.T) {
 	col := decompose(t, vals, 7)
 	cands := SelectApprox(nil, col, col.Relax(0, 4999))
 	got := ReconstructAll(par.P{}, nil, col, cands)
-	for i, id := range cands.IDs {
+	for i, id := range cands.IDs() {
 		if got[i] != vals[id] {
 			t.Fatalf("ReconstructAll[%d] = %d, want %d", i, got[i], vals[id])
 		}

@@ -257,33 +257,16 @@ func (a *Array) Unpack64(dst *[64]uint64, lo int) int {
 	return n
 }
 
-// gatherRunMin is the shortest stretch of consecutive ids Gather decodes
-// with UnpackRange instead of one Get per id: below it the range decode's
-// set-up costs more than the per-element bit arithmetic it saves.
-const gatherRunMin = 8
-
 // Gather writes a.Get(id) for each id in ids into dst, which must be at
 // least len(ids) long. It is the positional-lookup primitive behind
-// invisible joins on packed columns. Candidate lists of unselective scans
-// are mostly stretches of consecutive positions, so every maximal run
-// ids[i], ids[i]+1, … of at least gatherRunMin ids is decoded a word at a
-// time; what lies between runs is looked up per id. Which path a stretch
-// takes depends on the ids alone, never on the result.
+// invisible joins on packed columns whose positions are an explicit list —
+// dimension positions behind a foreign key, candidates a position-addressed
+// operator already thinned. (A scan's own survivors are projected by granule
+// from their mask, never through here.)
 func Gather[ID ~uint32](a *Array, ids []ID, dst []uint64) {
 	_ = dst[:len(ids)]
-	for i := 0; i < len(ids); {
-		j := i + 1
-		for j < len(ids) && ids[j] == ids[j-1]+1 {
-			j++
-		}
-		if j-i >= gatherRunMin {
-			a.UnpackRange(dst[i:i:j], int(ids[i]), int(ids[i])+j-i)
-		} else {
-			for k := i; k < j; k++ {
-				dst[k] = a.Get(int(ids[k]))
-			}
-		}
-		i = j
+	for i, id := range ids {
+		dst[i] = a.Get(int(id))
 	}
 }
 

@@ -188,7 +188,7 @@ func Fetch(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID) []int64 {
 // (positionally aligned with the input, the MonetDB representation noted
 // in §IV-E), groups numbered in first-appearance order.
 type Grouping struct {
-	IDs     []uint32 // group id per input position
+	IDs     []uint32 // group id per input position; arena-backed (mem.U32), the consumer's to release
 	NGroups int
 }
 
@@ -215,7 +215,7 @@ func GroupBy(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
 		}
 		return buf
 	}
-	ids := make([]uint32, n)
+	ids := mem.U32.GetN(n)
 	var order []int // global first-appearance positions per group
 	if serial(p, n) {
 		idx := make(map[string]uint32, 64)

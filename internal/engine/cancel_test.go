@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,43 +15,72 @@ import (
 // TestCancelMidRefinementReleasesSlot cancels a query's context the moment
 // its A&R refinement phase starts: the query must return ctx.Err() from
 // the next cooperative checkpoint, the GPU slot must be released, and the
-// pool must remain fully drainable afterwards.
+// pool must remain fully drainable afterwards. The same holds wherever the
+// statement stops — in phase A, with the stream still held; in phase R,
+// after the hand-over to a CPU slot; over a partitioned table, whose legs
+// hold partition streams too; or on an executor error before the ship —
+// whatever it holds by then goes back, once.
 func TestCancelMidRefinementReleasesSlot(t *testing.T) {
-	c := testCatalog(t)
-	eng := New(c, Options{Sched: SchedConfig{GPUStreams: 1, ARQueue: 1}})
-	b, err := sql.Compile(c, tripCount)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name    string
+		catalog func(testing.TB) *plan.Catalog
+		query   string
+		at      plan.Stage // cancel on reaching it; "": the executor fails by itself
+	}{
+		{"refinement", testCatalog, tripCount, plan.StageRefine},
+		{"approximation", testCatalog, tripCount, plan.StageApprox},
+		{"partitioned refinement", partCatalog, partCount, plan.StageRefine},
+		{"partitioned approximation", partCatalog, partCount, plan.StageApprox},
+		{"partitioned tail", partCatalog, partCount, plan.StageGather},
+		{"error before ship", danglingCatalog, danglingJoin, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.catalog(t)
+			eng := New(c, Options{Sched: SchedConfig{GPUStreams: 1, ARQueue: 1}})
+			b, err := sql.Compile(c, tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	opts := plan.ExecOpts{OnStage: func(s plan.Stage) {
-		if s == plan.StageRefine {
-			once.Do(cancel)
-		}
-	}}
-	res, route, err := eng.Scheduler().Exec(ctx, b, opts, ModeAR)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got res=%v route=%v err=%v", res, route, err)
-	}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			opts := plan.ExecOpts{OnStage: func(s plan.Stage) {
+				if s == tc.at {
+					once.Do(cancel)
+				}
+			}}
+			res, route, err := eng.Scheduler().Exec(ctx, b, opts, ModeAR)
+			if tc.at == "" {
+				if err == nil || !strings.Contains(err.Error(), "dangling foreign key") {
+					t.Fatalf("want the FK probe's error, got res=%v route=%v err=%v", res, route, err)
+				}
+				requireIdle(t, eng.Scheduler())
+				return
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got res=%v route=%v err=%v", res, route, err)
+			}
 
-	st := eng.Scheduler().Stats()
-	if st.ActiveAR != 0 || st.WaitingAR != 0 {
-		t.Fatalf("cancelled query left scheduler state: %+v", st)
-	}
-	if st.Cancelled == 0 {
-		t.Fatal("cancellation not counted in stats")
-	}
+			st := eng.Scheduler().Stats()
+			if st.ActiveAR != 0 || st.WaitingAR != 0 {
+				t.Fatalf("cancelled query left scheduler state: %+v", st)
+			}
+			if st.Cancelled == 0 {
+				t.Fatal("cancellation not counted in stats")
+			}
+			requireIdle(t, eng.Scheduler())
 
-	// The slot was reclaimed: a fresh query must run to completion.
-	res2, route2, err := eng.Scheduler().Exec(context.Background(), b, plan.ExecOpts{}, ModeAR)
-	if err != nil {
-		t.Fatalf("pool not drainable after cancellation: %v", err)
-	}
-	if route2 != RouteAR || len(res2.Rows) == 0 {
-		t.Fatalf("follow-up query misrouted: route=%v rows=%v", route2, res2.Rows)
+			// The slot was reclaimed: a fresh query must run to completion.
+			res2, route2, err := eng.Scheduler().Exec(context.Background(), b, plan.ExecOpts{}, ModeAR)
+			if err != nil {
+				t.Fatalf("pool not drainable after cancellation: %v", err)
+			}
+			if route2 != RouteAR || len(res2.Rows) == 0 {
+				t.Fatalf("follow-up query misrouted: route=%v rows=%v", route2, res2.Rows)
+			}
+			requireIdle(t, eng.Scheduler())
+		})
 	}
 }
 
@@ -161,6 +191,7 @@ func TestCancelWhileQueuedVacatesAdmissionQueue(t *testing.T) {
 	if err := <-nextDone; err != nil {
 		t.Fatalf("post-cancel query failed: %v", err)
 	}
+	requireIdle(t, sched)
 }
 
 // TestCancelledBeforeSubmitNeverTakesSlot: a context cancelled before Exec

@@ -159,6 +159,7 @@ func Open(cat *plan.Catalog, opts Options) (*Engine, error) {
 	e.metrics = newMetrics(e)
 	e.metrics.slow.SetThreshold(opts.SlowQueryThreshold)
 	e.sched.onQueueWait = e.metrics.queueWait.Observe
+	e.sched.onStreamHold = e.metrics.streamHold.Observe
 	if opts.DataDir != "" {
 		policy, err := durable.ParsePolicy(opts.Fsync)
 		if err != nil {

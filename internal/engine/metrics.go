@@ -21,10 +21,11 @@ type metrics struct {
 	// incremented on the query path itself (one atomic add each), so the
 	// totals are exact under concurrency — the property the registry
 	// stress test asserts.
-	queries   [3]*obs.Counter
-	latency   [3]*obs.Histogram
-	errors    *obs.Counter
-	queueWait *obs.Histogram
+	queries    [3]*obs.Counter
+	latency    [3]*obs.Histogram
+	errors     *obs.Counter
+	queueWait  *obs.Histogram
+	streamHold *obs.Histogram
 
 	slow         *obs.SlowLog
 	slowRetained *obs.Counter
@@ -40,6 +41,8 @@ func newMetrics(e *Engine) *metrics {
 		errors: reg.Counter("ar_query_errors_total", "", "Statements that returned an error (including rejections and cancellations)."),
 		queueWait: reg.Histogram("ar_sched_queue_wait_seconds", "",
 			"Wall-clock time A&R queries spent waiting for a GPU stream slot.", nil),
+		streamHold: reg.Histogram("ar_sched_stream_hold_seconds", "",
+			"Wall-clock time A&R queries held their GPU stream slot: acquisition to the hand-over at ship (or to failure).", nil),
 		slow:         obs.NewSlowLog(obs.SlowLogSize),
 		slowRetained: reg.Counter("ar_slow_queries_total", "", "Queries retained by the slow-query log."),
 	}
@@ -70,6 +73,10 @@ func newMetrics(e *Engine) *metrics {
 		sched(func(s SchedStats) float64 { return float64(s.ActiveClassic) }))
 	reg.GaugeFunc("ar_sched_active", `route="ar"`, "Streams currently executing, by route.",
 		sched(func(s SchedStats) float64 { return float64(s.ActiveAR) }))
+	reg.GaugeFunc("ar_sched_active_ar", `phase="approximating"`, "A&R statements currently executing, by what they hold: a GPU stream (approximating) or a CPU slot (refining).",
+		sched(func(s SchedStats) float64 { return float64(s.ApproximatingAR) }))
+	reg.GaugeFunc("ar_sched_active_ar", `phase="refining"`, "A&R statements currently executing, by what they hold: a GPU stream (approximating) or a CPU slot (refining).",
+		sched(func(s SchedStats) float64 { return float64(s.RefiningAR) }))
 	reg.CounterFunc("ar_partition_scans_total", "", "A&R partition scans admitted onto per-partition device streams by scatter-gather executions.",
 		sched(func(s SchedStats) float64 { return float64(s.PartitionScans) }))
 	reg.CounterFunc("ar_mode_picks_total", `mode="ar"`, "Auto-mode queries the cost model routed to the A&R executor.",

@@ -115,6 +115,9 @@ func TestMetricsFamilies(t *testing.T) {
 		"# TYPE ar_sched_queue_high_water gauge",
 		"# TYPE ar_sched_rejected_total counter",
 		"# TYPE ar_sched_cancelled_total counter",
+		"# TYPE ar_sched_stream_hold_seconds histogram",
+		`ar_sched_active_ar{phase="approximating"} 0`,
+		`ar_sched_active_ar{phase="refining"} 0`,
 		"# TYPE ar_plan_cache_hits_total counter",
 		"# TYPE ar_store_segments gauge",
 		"# TYPE ar_sim_device_seconds_total counter",
@@ -135,6 +138,13 @@ func TestMetricsFamilies(t *testing.T) {
 	}
 	if got := metricValue(t, lines, "ar_sessions_active"); got != 1 {
 		t.Errorf("ar_sessions_active = %v, want 1", got)
+	}
+	// Every A&R statement held its stream once, from admission to its ship.
+	if held, ran := metricValue(t, lines, "ar_sched_stream_hold_seconds_count"), metricValue(t, lines, `ar_queries_total{route="ar"}`); held != ran || ran == 0 {
+		t.Errorf("ar_sched_stream_hold_seconds observed %v holds for %v A&R statements", held, ran)
+	}
+	if line := eng.Scheduler().Stats().String(); !strings.HasSuffix(line, ", ar approximating 0, ar refining 0") {
+		t.Errorf(`\stats scheduler line does not end with the phase split: %q`, line)
 	}
 }
 

@@ -166,7 +166,7 @@ func TestParallelWorkerBudgetSplitsPool(t *testing.T) {
 		t.Fatalf("allocWorkers = %d after all releases, want 0", s.allocWorkers)
 	}
 	s.activeClassic = 3
-	s.activeAR = 1
+	s.refineAR = 1
 	if got := s.workerBudgetLocked(16); got != 2 {
 		t.Errorf("budget with 4 active = %d, want 2 (8/4)", got)
 	}

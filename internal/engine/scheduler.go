@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/device"
@@ -68,7 +69,14 @@ func ParseMode(name string) (Mode, error) {
 //     at most ARQueue queries may wait; beyond that Exec fails fast with a
 //     typed *OverloadedError instead of building an unbounded backlog. The
 //     A&R stream itself is not stretched — it works out of GPU memory,
-//     which is exactly the gap in the memory wall the paper measures.
+//     which is exactly the gap in the memory wall the paper measures. A
+//     statement holds the stream for its approximation subplan only (§III
+//     item 4: that runs on the device first, refinement then runs on the
+//     CPU): at its ship it takes a CPU slot for the refinement and the tail
+//     and only then lets the stream go (arHold), so the next statement's
+//     scan overlaps this one's refinement, A&R statements in flight stay
+//     bounded by streams + CPU slots, and a saturated host back-pressures
+//     the device.
 //   - bwdecompose statements execute inline; the catalog's own locks make
 //     the decomposition swap safe against in-flight queries.
 //
@@ -92,12 +100,15 @@ type Scheduler struct {
 	Totals device.SharedMeter
 
 	// onQueueWait, if set (by the engine's metrics), observes how long each
-	// admitted A&R query waited for its GPU stream slot.
-	onQueueWait func(time.Duration)
+	// admitted A&R query waited for its GPU stream slot, and onStreamHold how
+	// long it then held it (acquisition to hand-over at ship, or to failure).
+	onQueueWait  func(time.Duration)
+	onStreamHold func(time.Duration)
 
 	mu            sync.Mutex
 	activeClassic int
-	activeAR      int
+	approxAR      int // A&R statements holding a GPU stream (phase A)
+	refineAR      int // A&R statements past their ship, on a CPU slot
 	waitingAR     int
 	allocWorkers  int // morsel workers currently granted out of cpuCap
 	peakClassic   int
@@ -116,8 +127,8 @@ type Scheduler struct {
 	modePickAR      int64
 	modePickClassic int64
 
-	// devStreams is the per-device ledger behind plan.DeviceGate: one
-	// admission slot per simulated partition device, created lazily on
+	// devStreams is the per-device ledger behind arHold's plan.DeviceGate:
+	// one admission slot per simulated partition device, created lazily on
 	// first use. partitionScans counts successful acquisitions — the A&R
 	// partition scans that actually ran on a partition's device stream.
 	devStreams     map[int]chan struct{}
@@ -176,7 +187,7 @@ func (s *Scheduler) workerBudgetLocked(requested int) int {
 	if requested <= 0 {
 		requested = 1
 	}
-	active := s.activeClassic + s.activeAR
+	active := s.activeClassic + s.approxAR + s.refineAR
 	if active < 1 {
 		active = 1
 	}
@@ -248,9 +259,6 @@ func (s *Scheduler) Exec(ctx context.Context, b *sql.Binding, opts plan.ExecOpts
 // to their executor; under auto the pinned (just re-priced, if the data
 // moved) cost choice decides, and scatter legs follow their own.
 func (s *Scheduler) ExecPinned(ctx context.Context, x *plan.Pinned, opts plan.ExecOpts) (*plan.Result, Route, error) {
-	// Scatter-gather executions over partitioned tables admission-control
-	// their per-partition device streams through the scheduler's ledger.
-	opts.Gate = s
 	classic := x.Choice().Classic
 	if x.Mode() == ModeAuto {
 		s.notePick(classic)
@@ -300,7 +308,9 @@ func (s *Scheduler) execClassic(ctx context.Context, x *plan.Pinned, opts plan.E
 		s.peakClassic = s.activeClassic
 	}
 	t := s.activeClassic
-	arDraw := float64(s.activeAR) * s.avgDrawLocked()
+	// A statement in either phase counts as drawing HostDraw: the average
+	// is per statement, over its whole run.
+	arDraw := float64(s.approxAR+s.refineAR) * s.avgDrawLocked()
 	granted := 0
 	if opts.Workers <= 0 {
 		opts.Workers = s.workerBudgetLocked(opts.Threads)
@@ -344,42 +354,35 @@ func (s *Scheduler) execAR(ctx context.Context, x *plan.Pinned, opts plan.ExecOp
 	s.mu.Unlock()
 
 	waitStart := time.Now()
-	select {
-	case s.gpuSlots <- struct{}{}:
-	case <-ctx.Done():
+	if err := acquireDevice(ctx, s.gpuSlots); err != nil {
 		// Vacate the admission queue: the cancelled query must not hold a
 		// waiting slot against later arrivals.
 		s.mu.Lock()
 		s.waitingAR--
 		s.cancelled++
 		s.mu.Unlock()
-		return nil, RouteAR, ctx.Err()
+		return nil, RouteAR, err
 	}
+	h := &arHold{s: s, since: time.Now()}
+	h.pending.Store(int32(x.ARLegs()))
 	if s.onQueueWait != nil {
-		s.onQueueWait(time.Since(waitStart))
+		s.onQueueWait(h.since.Sub(waitStart))
 	}
 	s.mu.Lock()
 	s.waitingAR--
-	s.activeAR++
-	if s.activeAR > s.peakAR {
-		s.peakAR = s.activeAR
+	s.approxAR++
+	if active := s.approxAR + s.refineAR; active > s.peakAR {
+		s.peakAR = active
 	}
-	granted := 0
 	if opts.Workers <= 0 {
 		// The refinement subplan runs on the CPU pool like classic streams.
 		opts.Workers = s.workerBudgetLocked(opts.Threads)
-		granted = opts.Workers
+		h.granted = opts.Workers
 	}
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.activeAR--
-		s.arRun++
-		s.releaseWorkersLocked(granted)
-		s.mu.Unlock()
-		<-s.gpuSlots
-	}()
+	defer h.finish()
 
+	opts.Gate = h
 	res, err := s.cat.Run(ctx, x, opts)
 	if err != nil {
 		s.noteCtxErr(err)
@@ -395,8 +398,111 @@ func (s *Scheduler) execAR(ctx context.Context, x *plan.Pinned, opts plan.ExecOp
 	return res, RouteAR, nil
 }
 
-// Scheduler's per-device ledger implements plan.DeviceGate.
-var _ plan.DeviceGate = (*Scheduler)(nil)
+// acquireDevice takes one slot of a device ledger channel — a statement
+// stream or a partition's — or gives up with ctx. It and releaseDevice are
+// the only places a device slot changes hands.
+func acquireDevice(ctx context.Context, ch chan struct{}) error {
+	select {
+	case ch <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func releaseDevice(ch chan struct{}) { <-ch }
+
+// arHold is what one A&R statement holds of the scheduler while it runs,
+// and the plan.DeviceGate its legs are admitted through. execAR admitted the
+// statement onto a statement stream; it keeps that until the last of its
+// A&R legs has shipped (a classic statement has none: a leg scans A&R only
+// under an A&R statement), then trades it for a CPU slot, which finish
+// gives back.
+type arHold struct {
+	s       *Scheduler
+	pending atomic.Int32 // A&R legs that have not shipped
+	since   time.Time    // when the statement stream was acquired
+	granted int          // morsel workers reserved for the statement
+	// refining is set by the one leg that performs the hand-over and read by
+	// finish, after Run has joined every leg.
+	refining bool
+}
+
+// AcquireStream implements plan.DeviceGate: it blocks until the partition's
+// device stream is free (each simulated device executes one kernel sequence
+// at a time, exactly like the single-GPU stream of Fig 11) or ctx is done.
+// Scans of distinct partitions overlap freely — the way past one device's
+// memory wall is N partitions with N independent streams. A plain table's
+// leg (part < 0) scans on the statement's own stream.
+func (h *arHold) AcquireStream(ctx context.Context, part int) error {
+	if part < 0 {
+		return nil
+	}
+	s := h.s
+	if err := acquireDevice(ctx, s.streamFor(part)); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.partitionScans++
+	s.mu.Unlock()
+	return nil
+}
+
+// ReleaseStream implements plan.DeviceGate: the leg's partition stream is
+// free at once. When the leg shipped and was the statement's last on the
+// device, the statement moves to the CPU pool: it waits for a CPU slot while
+// still holding its statement stream — that wait is the back-pressure that
+// bounds A&R statements in flight by streams + CPU slots, and it cannot
+// deadlock, because nothing that holds a CPU slot ever waits for a
+// statement stream — and then lets the stream go.
+func (h *arHold) ReleaseStream(ctx context.Context, part int, shipped bool) error {
+	s := h.s
+	if part >= 0 {
+		releaseDevice(s.streamFor(part))
+	}
+	if !shipped || h.pending.Add(-1) != 0 {
+		return nil
+	}
+	select {
+	case s.cpuSlots <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err() // finish gives the stream back
+	}
+	h.refining = true
+	s.mu.Lock()
+	s.approxAR--
+	s.refineAR++
+	s.mu.Unlock()
+	h.releaseStatementStream()
+	return nil
+}
+
+func (h *arHold) releaseStatementStream() {
+	if h.s.onStreamHold != nil {
+		h.s.onStreamHold(time.Since(h.since))
+	}
+	releaseDevice(h.s.gpuSlots)
+}
+
+// finish ends an A&R statement on every path out of execAR: it gives back
+// whichever of the two slots the statement holds by now, exactly once.
+func (h *arHold) finish() {
+	s := h.s
+	s.mu.Lock()
+	if h.refining {
+		s.refineAR--
+	} else {
+		s.approxAR--
+	}
+	s.arRun++
+	s.releaseWorkersLocked(h.granted)
+	s.mu.Unlock()
+	if h.refining {
+		<-s.cpuSlots
+	} else {
+		h.releaseStatementStream()
+	}
+}
 
 // streamFor returns the admission slot of one simulated partition device,
 // creating it on first use.
@@ -412,24 +518,6 @@ func (s *Scheduler) streamFor(device int) chan struct{} {
 		s.devStreams[device] = ch
 	}
 	return ch
-}
-
-// AcquireStream implements plan.DeviceGate: it blocks until the partition's
-// device stream is free (each simulated device executes one kernel sequence
-// at a time, exactly like the single-GPU stream of Fig 11) or ctx is done.
-// Scans of distinct partitions overlap freely — the way past one device's
-// memory wall is N partitions with N independent streams.
-func (s *Scheduler) AcquireStream(ctx context.Context, device int) (func(), error) {
-	ch := s.streamFor(device)
-	select {
-	case ch <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	s.mu.Lock()
-	s.partitionScans++
-	s.mu.Unlock()
-	return func() { <-ch }, nil
 }
 
 // PartitionScans returns how many A&R partition scans have run on a
@@ -473,7 +561,11 @@ type SchedStats struct {
 	ClassicRun, ARRun, DDLRun, RejectedAR int64
 	Cancelled                             int64
 	ActiveClassic, ActiveAR, WaitingAR    int
-	PeakClassic, PeakAR                   int
+	// ApproximatingAR and RefiningAR split ActiveAR by what a statement
+	// holds: a GPU stream (its approximation subplan, up to the ship) or a
+	// CPU slot (refinement and tail). PeakAR is the most ever in both.
+	ApproximatingAR, RefiningAR int
+	PeakClassic, PeakAR         int
 	// PeakWaitingAR is the admission queue's high-water mark: the largest
 	// number of A&R queries ever waiting for a stream at once.
 	PeakWaitingAR int
@@ -492,7 +584,8 @@ func (s *Scheduler) Stats() SchedStats {
 	return SchedStats{
 		ClassicRun: s.classicRun, ARRun: s.arRun, DDLRun: s.ddlRun, RejectedAR: s.rejectedAR,
 		Cancelled:     s.cancelled,
-		ActiveClassic: s.activeClassic, ActiveAR: s.activeAR, WaitingAR: s.waitingAR,
+		ActiveClassic: s.activeClassic, ActiveAR: s.approxAR + s.refineAR, WaitingAR: s.waitingAR,
+		ApproximatingAR: s.approxAR, RefiningAR: s.refineAR,
 		PeakClassic: s.peakClassic, PeakAR: s.peakAR, PeakWaitingAR: s.peakWaitingAR,
 		AvgARHostDraw:  s.avgDrawLocked(),
 		PartitionScans: s.partitionScans,
@@ -505,8 +598,8 @@ func (s *Scheduler) Stats() SchedStats {
 // scripts can parse it without caring about future additions, which only
 // ever append new `name value` pairs.
 func (st SchedStats) String() string {
-	return fmt.Sprintf("scheduler: classic %d run (peak %d concurrent), ar %d run (peak %d concurrent), ddl %d, rejected %d, cancelled %d, queue depth %d (high-water %d), partition scans %d, cost picks ar %d, cost picks classic %d",
-		st.ClassicRun, st.PeakClassic, st.ARRun, st.PeakAR, st.DDLRun, st.RejectedAR, st.Cancelled, st.WaitingAR, st.PeakWaitingAR, st.PartitionScans, st.ModePickAR, st.ModePickClassic)
+	return fmt.Sprintf("scheduler: classic %d run (peak %d concurrent), ar %d run (peak %d concurrent), ddl %d, rejected %d, cancelled %d, queue depth %d (high-water %d), partition scans %d, cost picks ar %d, cost picks classic %d, ar approximating %d, ar refining %d",
+		st.ClassicRun, st.PeakClassic, st.ARRun, st.PeakAR, st.DDLRun, st.RejectedAR, st.Cancelled, st.WaitingAR, st.PeakWaitingAR, st.PartitionScans, st.ModePickAR, st.ModePickClassic, st.ApproximatingAR, st.RefiningAR)
 }
 
 // ClassicStretch returns the factor by which one single-threaded classic

@@ -40,11 +40,11 @@ type ExecOpts struct {
 	// approximate answers and simulated figures are bit-identical with the
 	// flag on or off.
 	Trace bool
-	// Gate, if set, admission-controls the per-partition device streams (the
-	// engine's scheduler passes its per-device ledger): every A&R leg of a
-	// partitioned table holds its partition's stream while it scans. A plain
-	// table's leg never consults it, and it never affects results or
-	// simulated figures — only real concurrency.
+	// Gate, if set, admission-controls the device streams (the engine's
+	// scheduler passes the statement's hold on its device ledger): every A&R
+	// leg — a partition's or a plain table's — holds its stream from the
+	// start of its approximation subplan to its ship. It never affects
+	// results or simulated figures — only real concurrency.
 	Gate DeviceGate
 }
 
@@ -136,9 +136,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 				return nil, err
 			}
 			d := snap.get("", rf.f.Col)
-			prev := cands
-			cands = ar.SelectApproxOver(m, d, d.Relax(rf.f.Lo, rf.f.Hi), prev)
-			prev.Release()
+			cands = ar.SelectApproxOver(m, d, d.Relax(rf.f.Lo, rf.f.Hi), cands)
 			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectApprox, A: q.Table, B: rf.f.Col})
 		}
 	case len(pl.orGroups) > 0:
@@ -166,32 +164,23 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			return nil, err
 		}
 		cols, rs, _, _ := pl.orGroupRelax(g)
-		prev := cands
-		cands = ar.SelectApproxAnyOver(m, cols, rs, prev, g.id)
-		prev.Release()
+		cands = ar.SelectApproxAnyOver(m, cols, rs, cands, g.id)
 		st.emit(cands.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyapproximate(%[1]s)", A: g.text})
 	}
 
 	// Discharge deleted base rows on the device: the deletion bitmap is
 	// mirrored GPU-side (shipped by DELETE), so masking is one kernel over
-	// the candidate IDs and the phase-A answer stays a strict bound over
-	// the live rows.
+	// the candidates — an AND-NOT of the bitmap's words into the survivor
+	// mask — and the phase-A answer stays a strict bound over the live rows.
 	if fs := snap.fact; fs.BaseDeletedCount() > 0 {
-		keep := par.GatherOrdered(pp, cands.Len(), func(lo, hi int) []int {
-			part := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if !fs.BaseDeleted(int(cands.IDs[i])) {
-					part = append(part, i)
-				}
-			}
-			return part
-		})
-		m.GPUKernel(int64(cands.Len())*4+int64(fs.BaseLen()+7)/8, 0, int64(cands.Len()))
-		prev := cands
-		cands = prev.Filter(keep)
-		prev.Release()
+		n := cands.Len()
+		cands.MaskOut(fs.DeletedWords())
+		m.GPUKernel(int64(n)*4+int64(fs.BaseLen()+7)/8, 0, int64(n))
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: q.Table})
 	}
+	// The narrowing by mask ends here: ids and the attached codes are
+	// materialised once, for the operators below that address positions.
+	cands.Emit()
 
 	// Foreign-key join chain and dimension-side approximate selections.
 	joins := make([]*arJoinRT, len(pl.joins))
@@ -281,11 +270,13 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	}
 	projections := make(map[ColRef]*ar.Projection, len(refList))
 	for _, ref := range refList {
-		table, at := q.Table, cands.IDs
+		table, col := q.Table, snap.get(ref.Dim, ref.Name)
 		if ref.IsDim() {
-			table, at = ref.Dim, posFor(ref.Dim)
+			table = ref.Dim
+			projections[ref] = ar.ProjectApproxAt(m, col, cands, posFor(ref.Dim))
+		} else {
+			projections[ref] = ar.ProjectApprox(m, col, cands)
 		}
-		projections[ref] = ar.ProjectApproxAt(m, snap.get(ref.Dim, ref.Name), cands, at)
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
 
@@ -334,6 +325,11 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		}
 	}
 	st.emit(cands.Len(), -1, obs.Op{Fmt: "ship(%[1]s, %[3]d projections)", A: q.Table, N: int64(len(refList))})
+	// The approximation subplan is over: the device stream goes back, and
+	// what follows runs on the CPU pool.
+	if err := st.leaveDevice(true); err != nil {
+		return nil, err
+	}
 
 	// ---- Phase R: the refinement subplan on the CPU. The selectivity
 	// estimate restarts at the live base cardinality: refinement walks the
@@ -349,11 +345,16 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		}
 		d := snap.get("", rf.f.Col)
 		prev := refined
-		if len(joins) == 0 {
+		switch {
+		case d.Dec.ResBits == 0:
+			// §IV-C: the column is fully device resident, so its relaxed
+			// range was the exact predicate and the candidates are the
+			// result — no refinement runs (and none is charged).
+		case len(joins) == 0:
 			var vals []int64
 			refined, vals = ar.SelectRefine(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
 			mem.I64.Put(vals)
-		} else {
+		default:
 			// Keep every join's positions aligned while filtering.
 			var err error
 			refined, err = refineKeepingJoins(pp, joins, func() *ar.Candidates {
@@ -365,7 +366,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 				return nil, err
 			}
 		}
-		if prev != cands {
+		if prev != cands && prev != refined {
 			prev.Release()
 		}
 		st.emit(refined.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: q.Table, B: rf.f.Col})
@@ -383,7 +384,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cur != cands {
+		if cur != cands && cur != refined {
 			cur.Release()
 		}
 		st.emit(refined.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyrefine(%[1]s)", A: g.text})
@@ -395,17 +396,18 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			if err := st.step(StageRefine); err != nil {
 				return nil, err
 			}
-			dd := snap.get(spec.Dim, rf.f.Col)
-			prev, prevPos := refined, jr.pos
-			var vals []int64
-			refined, jr.pos, vals = ar.SelectRefineAt(pp, m, dd, rf.f.Lo, rf.f.Hi, prev, prevPos)
-			mem.I64.Put(vals)
-			if err := remapJoinLists(pp, joins, jr, prev, refined); err != nil {
-				return nil, err
-			}
-			bat.OIDPool.Put(prevPos)
-			if prev != cands {
-				prev.Release()
+			if dd := snap.get(spec.Dim, rf.f.Col); dd.Dec.ResBits > 0 { // resident: as above
+				prev, prevPos := refined, jr.pos
+				var vals []int64
+				refined, jr.pos, vals = ar.SelectRefineAt(pp, m, dd, rf.f.Lo, rf.f.Hi, prev, prevPos)
+				mem.I64.Put(vals)
+				if err := remapJoinLists(pp, joins, jr, prev, refined); err != nil {
+					return nil, err
+				}
+				bat.OIDPool.Put(prevPos)
+				if prev != cands {
+					prev.Release()
+				}
 			}
 			st.emit(refined.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: spec.Dim, B: rf.f.Col})
 		}
@@ -493,6 +495,9 @@ func refineKeepingJoins(pp par.P, joins []*arJoinRT, refine func() *ar.Candidate
 // prev to cur. The translucent join recovers the surviving positions; the
 // remap itself is unmetered bookkeeping.
 func remapJoinLists(pp par.P, joins []*arJoinRT, skip *arJoinRT, prev, cur *ar.Candidates) error {
+	if prev == cur {
+		return nil // a step that had nothing to eliminate returns its input
+	}
 	any := false
 	for _, jr := range joins {
 		if jr != skip && jr.pos != nil {
@@ -503,7 +508,7 @@ func remapJoinLists(pp par.P, joins []*arJoinRT, skip *arJoinRT, prev, cur *ar.C
 	if !any {
 		return nil
 	}
-	pos, err := ar.TranslucentJoin(prev.IDs, cur.IDs)
+	pos, err := ar.TranslucentJoin(prev.IDs(), cur.IDs())
 	if err != nil {
 		// Selections are order-preserving subsets by construction.
 		return fmt.Errorf("plan: selection broke candidate order: %w", err)

@@ -3,10 +3,10 @@
 // is N independent store.Tables behind one name — and every statement runs
 // the same way: pin the plan's legs (plan.go: prune, pin each leg's snapshot,
 // settle its scan mode), scan them — classic or A&R per leg, concurrently when
-// there are several, each A&R scan of a partitioned table
-// admission-controlled onto its partition's simulated device stream by the
-// engine's DeviceGate — and gather the per-leg exact tuple sets into the
-// one shared pipeline tail (grouping, aggregation, HAVING, top-k).
+// there are several, each A&R scan admitted onto its simulated device stream
+// by the engine's DeviceGate for its approximation subplan and off it at its
+// ship — and gather the per-leg exact tuple sets into the one shared
+// pipeline tail (grouping, aggregation, HAVING, top-k).
 //
 // Determinism contract: the gather merges everything — column values,
 // meters, phase-A bounds, candidate counts — in leg order, and each leg's
@@ -32,15 +32,25 @@ import (
 	"repro/internal/shard"
 )
 
-// DeviceGate admission-controls the per-partition device streams. The
-// engine's scheduler implements it as a per-device ledger — one slot per
-// simulated device — generalizing Fig 11's contention model: concurrent
-// queries over the same partition serialize on its stream while scans of
-// distinct partitions overlap freely.
+// DeviceGate admission-controls the device streams A&R legs scan on. The
+// engine's scheduler implements it over its device ledger — the statement
+// streams and one slot per simulated partition device — generalizing Fig
+// 11's contention model: concurrent queries over the same partition
+// serialize on its stream while scans of distinct partitions overlap
+// freely. A stream is held for the approximation subplan only (§III item 4:
+// it runs entirely on the device, then refinement runs on the CPU): every
+// A&R leg asks for its stream before phase A and hands it back at its ship.
 type DeviceGate interface {
-	// AcquireStream blocks until the partition's device stream is free (or
-	// ctx is done) and returns the release function.
-	AcquireStream(ctx context.Context, device int) (release func(), err error)
+	// AcquireStream blocks until the stream leg part scans on is free, or ctx
+	// is done. part is the partition number, or -1 for a plain table's one
+	// leg, which scans on the stream its statement was admitted to.
+	AcquireStream(ctx context.Context, part int) error
+	// ReleaseStream hands the stream back, once per acquisition. shipped is
+	// true at the ship checkpoint — the leg's approximation subplan has
+	// crossed the bus, the rest of it needs the CPU, which the gate may make
+	// it wait for (or fail with ctx's error) — and false for a leg that
+	// failed first.
+	ReleaseStream(ctx context.Context, part int, shipped bool) error
 }
 
 // leg is one scan of one leg table: pinned by Pin (idx, pl), run by scan on
@@ -109,19 +119,19 @@ func (c *Catalog) newState(ctx context.Context, opts ExecOpts, nOps int) pipeSta
 // its exact tuple set — the only place base and delta tuples meet — so the
 // leg's result carries its final candidate counts and phase-A answer. solo
 // says this is the statement's only scanned leg: with no other partial to
-// meet on the host, an A&R scan may pre-group on the device. gate is nil
-// unless the leg is a partition with a device stream to be admitted onto.
-func (lg *leg) scan(gate DeviceGate, solo, stmtClassic bool) {
+// meet on the host, an A&R scan may pre-group on the device. An A&R scan
+// holds device stream part of the gate (when there is one) from here to its
+// ship checkpoint — or to the failure that keeps it from getting there.
+func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
 	start := time.Now()
 	defer func() { lg.wall = time.Since(start) }()
 	st, pl := &lg.st, lg.pl
 	if gate != nil && !pl.classic {
-		release, err := gate.AcquireStream(st.ctx, lg.idx)
-		if err != nil {
-			lg.err = err
+		if lg.err = gate.AcquireStream(st.ctx, part); lg.err != nil {
 			return
 		}
-		defer release()
+		st.gate, st.part = gate, part
+		defer st.leaveDevice(false)
 	}
 	st.estReset(pl)
 	if pl.classic {
@@ -162,7 +172,7 @@ func (c *Catalog) scatter(ctx context.Context, legs []leg, opts ExecOpts, gate D
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if lg.scan(gate, false, classic); lg.err != nil {
+			if lg.scan(gate, lg.idx, false, classic); lg.err != nil {
 				cancel()
 			}
 		}()
@@ -192,12 +202,11 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 	q := &pl.q
 	// Each leg gets an equal share of the real worker pool; the simulated
 	// Threads stay untouched, so the meter is independent of how the pool
-	// is split. Only partitions have device streams to be admitted onto.
-	legOpts, gate, pruned := opts, opts.Gate, 0
+	// is split. A plain table's leg has no partition device of its own.
+	legOpts, gate, part, pruned := opts, opts.Gate, -1, 0
 	legOpts.Workers = max(1, opts.workers()/len(legs))
-	if p == nil {
-		gate = nil
-	} else {
+	if p != nil {
+		part = legs[0].idx
 		pruned = p.Spec.N - len(legs)
 		c.prunedParts.Add(int64(pruned))
 	}
@@ -210,7 +219,7 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 			// A plain table's scan operators are its trace events.
 			st.startTrace(classic)
 		}
-		if lg.scan(gate, true, classic); lg.err != nil {
+		if lg.scan(gate, part, true, classic); lg.err != nil {
 			return nil, lg.err
 		}
 		out = lg.out
@@ -272,11 +281,14 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 	if err := finish(st, pl, classic, out); err != nil {
 		return nil, err
 	}
-	// The surviving candidate set (and the pre-grouping's source when one
-	// exists) is dead once the tail has aggregated.
+	// The surviving candidate set (and the pre-grouping, with its source,
+	// when one exists) is dead once the tail has aggregated.
 	if out.refined != nil {
-		if out.mg != nil && out.mg.Src != out.refined {
-			out.mg.Src.Release()
+		if out.mg != nil {
+			if out.mg.Src != out.refined {
+				out.mg.Src.Release()
+			}
+			out.mg.Release()
 		}
 		out.refined.Release()
 	}

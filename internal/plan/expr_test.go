@@ -6,12 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
 	"repro/internal/ar"
 	"repro/internal/bat"
-	"repro/internal/bulk"
+	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/par"
@@ -380,9 +381,10 @@ func TestExprIntervalMulSigns(t *testing.T) {
 }
 
 // TestAggregateAllocsIndependentOfN: a Q1-shaped aggregation — bounds and
-// exact, 2 group keys, the 8 aggregates — allocates the same objects at n
-// and 4n: registers and accumulators are blocks from the arena, nothing on
-// the path is as long as the input.
+// exact, 2 group keys pre-grouped on the device and refined, the 8
+// aggregates — allocates the same objects at n and 4n: registers and
+// accumulators are blocks from the arena, and so are the group-id vectors,
+// the only things on the path as long as the input.
 func TestAggregateAllocsIndependentOfN(t *testing.T) {
 	discPrice := MulScaled(Col("price"), Sub(Const(100), Col("disc")), 100)
 	aggs := []AggSpec{
@@ -410,7 +412,15 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 		for r := range flag {
 			flag[r], status[r] = int64(rng.Intn(3)), int64(rng.Intn(2))
 		}
-		grouping, keys := bulk.GroupBy(par.P{}, nil, [][]int64{flag, status})
+		var keyCols []*bwd.Column
+		for _, vals := range [][]int64{flag, status} {
+			col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), 32, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyCols = append(keyCols, col)
+		}
+		cands := ar.SelectApprox(nil, keyCols[0], bwd.ApproxRange{Full: true})
 		mask := make([]uint64, (n+63)/64)
 		for i := range mask {
 			mask[i] = rng.Uint64()
@@ -419,8 +429,21 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 			acc := pg.newAcc(1, true)
 			pg.fold(pp, &acc, cols, n, nil, mask)
 			acc.release()
+			pre := ar.GroupApprox(nil, keyCols, cands)
+			grouping, keys, err := ar.GroupRefine(pp, nil, pre, cands)
+			if err != nil || grouping.NGroups != 6 {
+				t.Fatalf("grouping: %d groups, %v", grouping.NGroups, err)
+			}
 			aggregateRows(nil, pp, pg, ctx, grouping, keys, true)
+			mem.U32.Put(grouping.IDs)
+			pre.Release()
 		}
+		// AllocsPerRun measures on one P: warm the arena on that one (a
+		// buffer parked in another P's private pool slot is out of reach).
+		// And a collection empties the pools, after which the next n-length
+		// request would count as an allocation of the path: none meanwhile.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		for i := 0; i < 3; i++ {
 			run()
 		}
@@ -430,8 +453,10 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return objects, float64(after.TotalAlloc-before.TotalAlloc) / 11 // AllocsPerRun warms up with one more run
 	}
-	smallObj, smallBytes := measure(60_000)
-	bigObj, bigBytes := measure(240_000)
+	// Both sizes span several device work-groups and morsels, so both pay
+	// the same fixed fan-out.
+	smallObj, smallBytes := measure(70_000)
+	bigObj, bigBytes := measure(280_000)
 	if mem.RaceEnabled {
 		t.Skipf("%.0f vs %.0f objects under -race (sync.Pool drops Puts); strict guard runs in normal builds", smallObj, bigObj)
 	}

@@ -197,6 +197,24 @@ type pipeState struct {
 	// of the selection chain (-1 when unknown); the trace footer compares
 	// it against the actual candidate count to expose estimation error.
 	estCand int64
+
+	// gate is set while this leg holds device stream part of it: from
+	// leg.scan's admission to leaveDevice.
+	gate DeviceGate
+	part int
+}
+
+// leaveDevice hands the leg's device stream back to the gate it was
+// acquired from, if it still holds one: at the ship checkpoint (shipped),
+// where the gate may make the statement wait for the CPU its refinement
+// needs, or on the way out of a scan that failed before.
+func (st *pipeState) leaveDevice(shipped bool) error {
+	gate := st.gate
+	if gate == nil {
+		return nil
+	}
+	st.gate = nil
+	return gate.ReleaseStream(st.ctx, st.part, shipped)
 }
 
 // Operator formats that more than one site records; obs.Op gives the
@@ -351,10 +369,14 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		return err
 	}
 	st.res.Rows = dropHidden(q, rows)
-	// The combined tuple values are dead once aggregated: the result rows
-	// own their key/value slices, so the exact-value buffers recycle.
+	// The combined tuple values and the group-id vector are dead once
+	// aggregated: the result rows own their key/value slices, so the
+	// exact-value buffers recycle.
 	for _, vals := range ectx.vals {
 		mem.I64.Put(vals)
+	}
+	if grouping != nil {
+		mem.U32.Put(grouping.IDs)
 	}
 	return nil
 }

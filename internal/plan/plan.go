@@ -93,6 +93,18 @@ func (x *Pinned) Mode() Mode { return x.pl.mode }
 // model's under auto, the forced mode otherwise.
 func (x *Pinned) Choice() ModeChoice { return x.pr.choice }
 
+// ARLegs returns how many of the pinned legs scan A&R: the device streams
+// the execution will ask its ExecOpts.Gate for.
+func (x *Pinned) ARLegs() int {
+	n := 0
+	for i := range x.legs {
+		if !x.legs[i].pl.classic {
+			n++
+		}
+	}
+	return n
+}
+
 // Plan validates the query's shape and builds its plan under mode. Nothing
 // here looks at a table: the first Pin prices it.
 func (c *Catalog) Plan(q Query, mode Mode) (*Plan, error) {

@@ -46,7 +46,8 @@ func propCatalog(t testing.TB, n int, seed int64) *Catalog {
 }
 
 // propQueries is the query mix checked after every mutation: selections
-// (conjunctive, one-sided), grouping, and every aggregate function.
+// (conjunctive, one-sided, on decomposed and on fully resident columns in
+// one statement), grouping, and every aggregate function.
 func propQueries(rng *rand.Rand) []Query {
 	lo := int64(rng.Intn(4096))
 	hi := lo + int64(rng.Intn(2048))
@@ -76,6 +77,15 @@ func propQueries(rng *rand.Rand) []Query {
 			Table:   "fact",
 			GroupBy: []string{"g"},
 			Aggs:    []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Expr: Col("v")}},
+		},
+		{
+			// g is fully device resident: its conjunct and its disjunction
+			// group have nothing to refine (§IV-C) and run no refinement
+			// kernel, between the refinements of the decomposed v.
+			Table:   "fact",
+			Filters: []Filter{{Col: "g", Lo: 1, Hi: 4}, {Col: "v", Lo: lo, Hi: hi}},
+			Or:      [][]Filter{{{Col: "g", Lo: NoLo, Hi: 2}, {Col: "g", Lo: 4, Hi: 4}}},
+			Aggs:    []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Expr: Col("w")}, {Name: "mx", Func: Max, Expr: Col("g")}},
 		},
 	}
 }

@@ -131,6 +131,12 @@ func (s *Snapshot) LiveDelta() int { return s.liveDelta }
 // BaseDeleted reports whether base row i is deleted.
 func (s *Snapshot) BaseDeleted(i int) bool { return bitSet(s.del, i) }
 
+// DeletedWords returns the deletion bitmap's words: bit i%64 of word i/64
+// is BaseDeleted(i) for every base row i (the bits past the base belong to
+// delta rows). The slice may end early, even be nil — rows it does not reach
+// are live — and is the snapshot's own: callers must not write to it.
+func (s *Snapshot) DeletedWords() []uint64 { return s.del }
+
 // DeltaDeleted reports whether delta row j is deleted.
 func (s *Snapshot) DeltaDeleted(j int) bool { return bitSet(s.del, s.base.n+j) }
 
