@@ -194,82 +194,42 @@ type Grouping struct {
 
 // GroupBy hash-groups tuples by the key columns cols, assigning dense
 // group IDs in order of first appearance, and returns the grouping plus
-// the per-group key values of every column (keys[k][g]). Tuples hash as
-// their packed bytes, and a group's key values are read back from its
-// first row. With several workers each hash-groups one contiguous block
-// into a partial grouping, the partials merge in block order (so global
-// group IDs follow global first appearance, exactly as the serial loop
-// assigns them), and the per-position ID rewrite runs parallel again.
+// the per-group key values of every column (keys[k][g]). Tuples group
+// through one flat table (tupleTable), and a group's key values are read
+// back from its first row. With several workers each hash-groups one
+// contiguous block into a partial table, the partials merge in block order
+// (so global group IDs follow global first appearance, exactly as the serial
+// loop assigns them), and the per-position ID rewrite runs parallel again.
 func GroupBy(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
 	if len(cols) == 0 {
 		return &Grouping{}, nil
 	}
 	n := len(cols[0])
-	packKey := func(buf []byte, i int) []byte {
-		buf = buf[:0]
-		for k := range cols {
-			v := uint64(cols[k][i])
-			for s := 0; s < 8; s++ {
-				buf = append(buf, byte(v>>(8*s)))
-			}
-		}
-		return buf
-	}
 	ids := mem.U32.GetN(n)
-	var order []int // global first-appearance positions per group
+	global := tupleTable{cols: cols}
 	if serial(p, n) {
-		idx := make(map[string]uint32, 64)
-		keyBuf := make([]byte, 0, len(cols)*8)
 		for i := 0; i < n; i++ {
-			keyBuf = packKey(keyBuf, i)
-			g, ok := idx[string(keyBuf)]
-			if !ok {
-				g = uint32(len(order))
-				idx[string(keyBuf)] = g
-				order = append(order, i)
-			}
-			ids[i] = g
+			ids[i] = global.id(i)
 		}
 	} else {
 		blocks := p.Blocks(n)
-		type partial struct {
-			idx    map[string]uint32
-			firsts []int // global position of each local group's first row
+		parts := make([]tupleTable, len(blocks))
+		for b := range parts {
+			parts[b].cols = cols
 		}
-		parts := make([]partial, len(blocks))
 		par.RunBlocks(p, n, func(b, lo, hi int) {
 			pt := &parts[b]
-			if pt.idx == nil {
-				pt.idx = make(map[string]uint32, 64)
-			}
-			keyBuf := make([]byte, 0, len(cols)*8)
 			for i := lo; i < hi; i++ {
-				keyBuf = packKey(keyBuf, i)
-				g, ok := pt.idx[string(keyBuf)]
-				if !ok {
-					g = uint32(len(pt.firsts))
-					pt.idx[string(keyBuf)] = g
-					pt.firsts = append(pt.firsts, i)
-				}
-				ids[i] = g // block-local, rewritten below
+				ids[i] = pt.id(i) // block-local, rewritten below
 			}
 		})
 		// Merge block partials in block order: first appearance across
 		// blocks equals first appearance in the serial scan.
-		global := make(map[string]uint32, 64)
 		remap := make([][]uint32, len(blocks))
-		keyBuf := make([]byte, 0, len(cols)*8)
 		for b := range parts {
 			remap[b] = make([]uint32, len(parts[b].firsts))
 			for localID, first := range parts[b].firsts {
-				keyBuf = packKey(keyBuf, first)
-				g, ok := global[string(keyBuf)]
-				if !ok {
-					g = uint32(len(order))
-					global[string(keyBuf)] = g
-					order = append(order, first)
-				}
-				remap[b][localID] = g
+				remap[b][localID] = global.id(first)
 			}
 		}
 		// Blocks are equal-sized except the last; derive a position's
@@ -285,6 +245,7 @@ func GroupBy(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
 			}
 		})
 	}
+	order := global.firsts // global first-appearance position per group
 	keys := make([][]int64, len(cols))
 	for k := range cols {
 		keys[k] = make([]int64, len(order))
@@ -298,6 +259,88 @@ func GroupBy(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
 			int64(n)*OpsHashGroup*int64(len(cols)))
 	}
 	return &Grouping{IDs: ids, NGroups: len(order)}, keys
+}
+
+// tupleTable maps the key tuple at a row position — one int64 per column of
+// cols — to a dense group id in first-appearance order: one flat
+// open-addressing table, linear probing, at most half full. A slot holds the
+// group id plus one (zero marks it free) and the tuple's hash; a hash match
+// is confirmed against the group's first row. The zero value with cols set
+// is an empty table.
+type tupleTable struct {
+	cols   [][]int64
+	slots  []tupleSlot
+	shift  uint  // 64 - log2(len(slots))
+	firsts []int // the first row of every group, in id order
+}
+
+type tupleSlot struct {
+	hash uint64
+	gid  uint32
+}
+
+// hashMul is the 64-bit Fibonacci-hashing multiplier (2^64 / phi, odd).
+const hashMul = 0x9E3779B97F4A7C15
+
+// hash mixes row i's key tuple. One column hashes to its own value, so
+// there a hash match is the tuple match (sameTuple never disagrees).
+func (t *tupleTable) hash(i int) uint64 {
+	h := uint64(t.cols[0][i])
+	for _, col := range t.cols[1:] {
+		h = (h*hashMul ^ h>>29) + uint64(col[i])
+	}
+	return h
+}
+
+func (t *tupleTable) sameTuple(i, j int) bool {
+	for _, col := range t.cols {
+		if col[i] != col[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// id returns the group id of row i's tuple, assigning the next one on first
+// sight.
+func (t *tupleTable) id(i int) uint32 {
+	if 2*(len(t.firsts)+1) > len(t.slots) {
+		t.grow()
+	}
+	h := t.hash(i)
+	mask := uint64(len(t.slots) - 1)
+	for at := h * hashMul >> t.shift; ; at = (at + 1) & mask {
+		switch s := &t.slots[at]; {
+		case s.gid == 0:
+			t.firsts = append(t.firsts, i)
+			*s = tupleSlot{hash: h, gid: uint32(len(t.firsts))}
+			return s.gid - 1
+		case s.hash == h && t.sameTuple(i, t.firsts[s.gid-1]):
+			return s.gid - 1
+		}
+	}
+}
+
+// grow doubles the table (64 slots to begin with) and re-inserts every
+// group under its id.
+func (t *tupleTable) grow() {
+	old := t.slots
+	if len(old) == 0 {
+		t.slots, t.shift = make([]tupleSlot, 64), 64-6
+	} else {
+		t.slots, t.shift = make([]tupleSlot, 2*len(old)), t.shift-1
+	}
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.gid == 0 {
+			continue
+		}
+		at := s.hash * hashMul >> t.shift
+		for t.slots[at].gid != 0 {
+			at = (at + 1) & mask
+		}
+		t.slots[at] = s
+	}
 }
 
 // CombineKeys packs two key columns into one, for multi-attribute grouping

@@ -12,17 +12,20 @@ import (
 	"repro/internal/device"
 	"repro/internal/plan"
 	"repro/internal/shard"
+	"repro/internal/store"
 )
 
 // TestPropPartitionedCrashCuts extends the crash-recovery property test to
 // partitioned tables: a hash-partitioned table runs wrapper DML while every
-// partition merges concurrently, then the WAL is hard-cut at random byte
-// offsets. Each cut must recover every partition to exactly its own
-// checkpoint horizon plus the committed WAL suffix (computed by an oracle
-// routing the same rows), re-create the wrapper spec from its create
-// record, and answer queries byte-identically in classic and A&R mode. The
-// name carries "Prop" so CI's focused -race job covers the concurrent
-// merges.
+// partition merges concurrently, then the WAL is hard-cut at every frame
+// boundary of that tail and inside every one of its frames. A statement is
+// one frame, whatever the number of partitions it touches, so each cut must
+// recover the table to a whole-statement prefix — the checkpointed state plus
+// exactly the statements whose frame lies within the cut, every partition
+// holding its share of each (computed by an oracle running the same
+// statements) — re-create the wrapper spec from its create record, and
+// answer queries byte-identically in classic and A&R mode. The name carries
+// "Prop" so CI's focused -race job covers the concurrent merges.
 func TestPropPartitionedCrashCuts(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		seed := seed
@@ -76,12 +79,15 @@ func partCrashCuts(t *testing.T, seed int64) {
 	}
 
 	// Phase 2: wrapper inserts/deletes while every partition merges
-	// concurrently — the WAL tail interleaves per-partition records while
-	// the merge path races the append+apply path. No checkpoints.
-	phase2 := make([]crashOp, 0, 25)
+	// concurrently — the merge path races the append+apply path. No
+	// checkpoints: the WAL tail is the statements, one frame each, in order.
+	// It ends on a DELETE that removes rows from several partitions, so the
+	// cuts inside and after its frame are a multi-partition DELETE's.
+	phase2 := make([]crashOp, 0, 26)
 	for i := 0; i < 25; i++ {
 		phase2 = append(phase2, randOp(rng, "pt", ctr))
 	}
+	phase2 = append(phase2, crashOp{table: "pt", preds: []plan.Filter{{Col: "v", Lo: 0, Hi: 499}}})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -106,11 +112,7 @@ func partCrashCuts(t *testing.T, seed int64) {
 		t.FailNow()
 	}
 
-	// Snapshot the on-disk state and decode the final WAL's frame layout.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Decode the final WAL's frame layout.
 	walBytes, err := os.ReadFile(WALPath(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -134,67 +136,65 @@ func partCrashCuts(t *testing.T, seed int64) {
 		}
 		w.Close()
 	}
-	if len(frames) == 0 || frames[0].rec.Type != recCreatePart {
-		t.Fatalf("WAL does not start with the wrapper create record (frames: %d)", len(frames))
+	if len(frames) != 1+len(phase2) || frames[0].rec.Type != recCreatePart {
+		t.Fatalf("WAL holds %d frames, want the wrapper create record and one frame per statement (%d)", len(frames), 1+len(phase2))
 	}
-
-	// Hard-cut the WAL at the torn edges of a mid-tail frame plus random
-	// offsets. Cuts never land before the create record's end: it was
-	// fsynced long before the crash window, so a shorter prefix is
-	// corruption, not a torn tail.
-	floor := frames[0].end
-	cuts := []int64{floor, int64(len(walBytes))}
-	if len(frames) > 2 {
-		mid := frames[1+len(frames)/2]
-		cuts = append(cuts, mid.end-1, mid.end)
-	}
-	for i := 0; i < 6; i++ {
-		cuts = append(cuts, floor+rng.Int63n(int64(len(walBytes))-floor+1))
-	}
-	for _, cut := range cuts {
-		cutDir := t.TempDir()
-		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e.Name() == filepath.Base(WALPath(dir)) {
-				data = data[:cut]
-			}
-			if err := os.WriteFile(filepath.Join(cutDir, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+	for i, op := range phase2 {
+		rec := frames[1+i].rec
+		want := Record{LSN: rec.LSN, Type: recDelete, Table: "pt"}
+		if op.rows != nil {
+			want.Type, want.Rows = recInsert, op.rows
 		}
+		for _, f := range op.preds {
+			want.Preds = append(want.Preds, store.Range{Col: f.Col, Lo: f.Lo, Hi: f.Hi})
+		}
+		if !sameRecord(want, rec) {
+			t.Fatalf("frame %d is %+v, want statement %d as it was written: %+v", 1+i, rec, i, want)
+		}
+	}
 
-		// Oracle: the same wrapper routing phase 1 in full, then the
-		// committed phase-2 records applied to their partitions directly.
-		oracle := plan.NewCatalog(device.PaperSystem())
-		if _, err := oracle.CreatePartitionedTable("pt", kvDefs, spec); err != nil {
+	// Hard-cut the WAL at every statement frame's end and at three places
+	// inside it: a torn header, a torn body, one byte short. Cuts never land
+	// before the create record's end: it was fsynced long before the crash
+	// window, so a shorter prefix is corruption, not a torn tail.
+	type cutAt struct {
+		at        int64
+		committed int // statements of phase 2 wholly within the cut
+	}
+	cuts := []cutAt{{frames[0].end, 0}}
+	for i := range phase2 {
+		start, end := frames[i].end, frames[1+i].end
+		cuts = append(cuts, cutAt{start + 1, i}, cutAt{(start + end) / 2, i}, cutAt{end - 1, i}, cutAt{end, i + 1})
+	}
+	// The oracle runs the statements themselves, one more per frame.
+	oracle := plan.NewCatalog(device.PaperSystem())
+	if _, err := oracle.CreatePartitionedTable("pt", kvDefs, spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range phase1 {
+		op.apply(t, oracle)
+	}
+	applied := 0
+	for _, c := range cuts {
+		cut := c.at
+		cutDir := copyDir(t, dir)
+		if err := os.Truncate(WALPath(cutDir), cut); err != nil {
 			t.Fatal(err)
 		}
-		for _, op := range phase1 {
-			op.apply(t, oracle)
-		}
-		committed := 0
-		for _, f := range frames {
-			if f.end > cut {
-				break
-			}
-			committed++
-			if f.rec.Type == recCreatePart {
-				continue
-			}
-			op := crashOp{table: f.rec.Table, rows: f.rec.Rows}
-			if f.rec.Type == recDelete {
-				op.rows = nil
-				for _, pr := range f.rec.Preds {
-					op.preds = append(op.preds, plan.Filter{Col: pr.Col, Lo: pr.Lo, Hi: pr.Hi})
+		for ; applied < c.committed; applied++ {
+			before := partLens(t, oracle, "pt")
+			phase2[applied].apply(t, oracle)
+			if applied == len(phase2)-1 {
+				shrunk := 0
+				for i, n := range partLens(t, oracle, "pt") {
+					if n < before[i] {
+						shrunk++
+					}
+				}
+				if shrunk < 2 {
+					t.Fatalf("the closing DELETE removed rows from %d partitions; the test needs a multi-partition one", shrunk)
 				}
 			}
-			op.apply(t, oracle)
 		}
 
 		recovered := plan.NewCatalog(device.PaperSystem())
@@ -202,8 +202,8 @@ func partCrashCuts(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatalf("cut at %d: open: %v", cut, err)
 		}
-		if int(rs.Recovery().Replayed) != committed {
-			t.Fatalf("cut at %d: replayed %d records, want %d", cut, rs.Recovery().Replayed, committed)
+		if got := int(rs.Recovery().Replayed); got != 1+c.committed {
+			t.Fatalf("cut at %d: replayed %d records, want %d", cut, got, 1+c.committed)
 		}
 		rp, ok := recovered.Partitioned("pt")
 		if !ok {
@@ -212,14 +212,14 @@ func partCrashCuts(t *testing.T, seed int64) {
 		if rp.Spec != spec {
 			t.Fatalf("cut at %d: recovered spec %v, want %v", cut, rp.Spec, spec)
 		}
-		// Every partition recovered to its checkpoint horizon plus the
-		// committed suffix, independently.
+		// A whole-statement prefix: every partition holds its share of
+		// exactly the committed statements.
 		for i := range rp.Parts {
 			pn := shard.PartName("pt", i)
 			want := tableRows(t, oracle, pn)
 			got := tableRows(t, recovered, pn)
 			if !sameRows(want, got) {
-				t.Fatalf("cut at %d: %s recovered %d rows, oracle has %d (content mismatch)", cut, pn, len(got), len(want))
+				t.Fatalf("cut at %d (%d statements committed): %s recovered %d rows, oracle has %d (content mismatch)", cut, c.committed, pn, len(got), len(want))
 			}
 		}
 		// The recovered table answers scatter-gather queries identically in
@@ -246,4 +246,18 @@ func partCrashCuts(t *testing.T, seed int64) {
 		}
 		rs.Close()
 	}
+}
+
+// partLens returns the live row count of every partition of a table.
+func partLens(t *testing.T, cat *plan.Catalog, table string) []int {
+	t.Helper()
+	p, ok := cat.Partitioned(table)
+	if !ok {
+		t.Fatalf("%s is not partitioned", table)
+	}
+	out := make([]int, len(p.Parts))
+	for i, pt := range p.Parts {
+		out[i] = pt.Len()
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bat"
 	"repro/internal/store"
@@ -93,11 +94,19 @@ func takeString(b []byte) (string, []byte, error) {
 
 // encodeRecord serializes a record payload (the CRC-covered frame body):
 // LSN, type, table name, then the type-specific fields, all little-endian.
-func encodeRecord(r Record) ([]byte, error) {
+func encodeRecord(r Record) ([]byte, error) { return appendRecord(nil, r) }
+
+// appendRecord appends r's payload to b, growing it once to the size the
+// record needs (an INSERT is 8 bytes a value; everything else is small).
+func appendRecord(b []byte, r Record) ([]byte, error) {
 	if len(r.Table) == 0 || len(r.Table) > maxNameLen {
 		return nil, fmt.Errorf("durable: table name length %d out of range", len(r.Table))
 	}
-	b := make([]byte, 0, 64)
+	need := 64 + len(r.Table)
+	if len(r.Rows) > 0 {
+		need += 8 * len(r.Rows) * len(r.Rows[0])
+	}
+	b = slices.Grow(b, need)
 	b = binary.LittleEndian.AppendUint64(b, r.LSN)
 	b = append(b, r.Type)
 	b = appendString(b, r.Table)

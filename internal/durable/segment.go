@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,63 +58,110 @@ func parseSegName(name string) (table string, lsn uint64, ok bool) {
 	return rest[:i], n, true
 }
 
-// encodeSegment serializes a table's post-merge state. The snapshot must
-// be pure base (the checkpoint merged first); lsn is the WAL horizon the
-// segment covers.
-func encodeSegment(t *store.Table, snap *store.Snapshot, lsn uint64) ([]byte, error) {
+// encodeSegment streams a table's post-merge state to w and returns the
+// bytes written. The snapshot must be pure base (the checkpoint merged
+// first); lsn is the WAL horizon the segment covers. The encoding goes
+// through one fixed buffer with a running checksum, so a checkpoint holds
+// neither a second copy of the partition nor one object per stored value.
+func encodeSegment(w io.Writer, t *store.Table, snap *store.Snapshot, lsn uint64) (int64, error) {
 	if snap.DeltaLen() > 0 || snap.DeletedCount() > 0 {
-		return nil, fmt.Errorf("durable: segment of %s would drop %d delta rows / %d deletions (merge first)", t.Name(), snap.DeltaLen(), snap.DeletedCount())
+		return 0, fmt.Errorf("durable: segment of %s would drop %d delta rows / %d deletions (merge first)", t.Name(), snap.DeltaLen(), snap.DeletedCount())
 	}
 	schema := t.Schema()
 	decBits := t.DecBits()
 	pkCols := t.PKCols()
-	var b bytes.Buffer
-	b.Write(segMagic[:])
-	le := binary.LittleEndian
-	b.Write(le.AppendUint32(nil, segVersion))
-	b.Write(le.AppendUint64(nil, lsn))
-	b.Write(le.AppendUint64(nil, uint64(snap.BaseLen())))
-	b.Write(le.AppendUint16(nil, uint16(len(schema))))
+	b := segWriter{w: w, buf: make([]byte, 0, 64<<10)}
+	b.bytes(segMagic[:])
+	b.u32(segVersion)
+	b.u64(lsn)
+	b.u64(uint64(snap.BaseLen()))
+	b.u16(uint16(len(schema)))
 	for i, def := range schema {
-		b.Write(appendString(nil, def.Name))
-		b.Write(le.AppendUint64(nil, uint64(def.Scale)))
-		b.WriteByte(byte(def.Width))
-		b.WriteByte(byte(decBits[i]))
+		b.str(def.Name)
+		b.u64(uint64(def.Scale))
+		b.u8(byte(def.Width))
+		b.u8(byte(decBits[i]))
 		if pkCols[i] {
-			b.WriteByte(1)
+			b.u8(1)
 		} else {
-			b.WriteByte(0)
+			b.u8(0)
 		}
 	}
 	for _, def := range schema {
 		col, err := snap.Column(def.Name)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		for _, v := range col.Tails() {
-			b.Write(le.AppendUint64(nil, uint64(v)))
+			b.u64(uint64(v))
 		}
 		d := snap.Dec(def.Name)
 		if d == nil {
-			b.WriteByte(0)
+			b.u8(0)
 			continue
 		}
-		b.WriteByte(1)
-		b.Write(le.AppendUint64(nil, uint64(d.Dec.Base)))
-		b.WriteByte(byte(d.Dec.TotalBits))
-		b.WriteByte(byte(d.Dec.ApproxBits))
-		b.WriteByte(byte(d.Dec.ResBits))
-		b.WriteByte(byte(d.Dec.Width))
+		b.u8(1)
+		b.u64(uint64(d.Dec.Base))
+		b.u8(byte(d.Dec.TotalBits))
+		b.u8(byte(d.Dec.ApproxBits))
+		b.u8(byte(d.Dec.ResBits))
+		b.u8(byte(d.Dec.Width))
 		for _, plane := range []*bitpack.Array{d.Approx, d.Residual} {
 			words := plane.Words()
-			b.Write(le.AppendUint64(nil, uint64(len(words))))
-			for _, w := range words {
-				b.Write(le.AppendUint64(nil, w))
+			b.u64(uint64(len(words)))
+			for _, word := range words {
+				b.u64(word)
 			}
 		}
 	}
-	b.Write(le.AppendUint32(nil, crc32.Checksum(b.Bytes(), crcTable)))
-	return b.Bytes(), nil
+	b.flush()
+	b.u32(b.crc) // the trailer covers everything before it
+	b.flush()
+	return b.n, b.err
+}
+
+// segWriter is encodeSegment's output side: little-endian appends into a
+// fixed buffer that drains to w when full, folding every drained byte into
+// the running CRC. The first write error sticks and is returned at the end.
+type segWriter struct {
+	w   io.Writer
+	buf []byte
+	crc uint32
+	n   int64
+	err error
+}
+
+func (b *segWriter) flush() {
+	b.crc = crc32.Update(b.crc, crcTable, b.buf)
+	if b.err == nil {
+		_, b.err = b.w.Write(b.buf)
+	}
+	b.n += int64(len(b.buf))
+	b.buf = b.buf[:0]
+}
+
+// room makes space for n more bytes (n is far below the buffer's size).
+func (b *segWriter) room(n int) {
+	if len(b.buf)+n > cap(b.buf) {
+		b.flush()
+	}
+}
+
+func (b *segWriter) u8(v byte)    { b.room(1); b.buf = append(b.buf, v) }
+func (b *segWriter) u16(v uint16) { b.room(2); b.buf = binary.LittleEndian.AppendUint16(b.buf, v) }
+func (b *segWriter) u32(v uint32) { b.room(4); b.buf = binary.LittleEndian.AppendUint32(b.buf, v) }
+func (b *segWriter) u64(v uint64) { b.room(8); b.buf = binary.LittleEndian.AppendUint64(b.buf, v) }
+
+func (b *segWriter) bytes(p []byte) {
+	b.room(len(p))
+	b.buf = append(b.buf, p...)
+}
+
+// str appends a length-prefixed name, as appendString lays it out.
+func (b *segWriter) str(s string) {
+	b.u16(uint16(len(s)))
+	b.room(len(s))
+	b.buf = append(b.buf, s...)
 }
 
 // segState is a decoded segment file, ready to restore into a store.Table.
@@ -252,17 +300,18 @@ func decodeSegment(data []byte, sys *device.System) (*segState, error) {
 	return st, nil
 }
 
-// writeSegment atomically persists a segment file: temp name in the same
-// directory, fsync, rename, directory fsync. It returns the final path and
-// the file size.
-func writeSegment(dir string, table string, data []byte, lsn uint64, sync bool) (string, int64, error) {
+// writeSegment atomically persists a segment file: write streams the body
+// into a temp name in the same directory and returns its size, then fsync,
+// rename, directory fsync. It returns the final path and the file size.
+func writeSegment(dir string, table string, lsn uint64, sync bool, write func(io.Writer) (int64, error)) (string, int64, error) {
 	final := filepath.Join(dir, segName(table, lsn))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", 0, err
 	}
-	if _, err := f.Write(data); err != nil {
+	size, err := write(f)
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return "", 0, err
@@ -285,7 +334,7 @@ func writeSegment(dir string, table string, data []byte, lsn uint64, sync bool) 
 	if sync {
 		syncDir(dir)
 	}
-	return final, int64(len(data)), nil
+	return final, size, nil
 }
 
 // segFile is one discovered segment file.

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,8 +62,20 @@ type Store struct {
 	dropped  map[string]uint64      // drop LSN of dropped tables: frames at or below it are garbage
 	hasSeg   map[string]bool        // a segment file exists for the table
 	segBytes map[string]int64
-	partSeen map[string]bool // partitioned wrappers whose create record is in the WAL
-	ckpts    int64
+	// parts maps every partitioned wrapper whose create record is in the WAL
+	// to its partitions' names in index order. A statement on one is a frame
+	// under the wrapper's name, which has no horizon of its own: pending
+	// holds, per partition, a lower bound on the LSN of the first such frame
+	// touching it since its last checkpoint (absent: none), and the frame is
+	// reclaimable once it lies below every partition's (see covered).
+	parts   map[string][]string
+	pending map[string]uint64
+	ckpts   int64
+
+	// afterAppend, when set, runs once a statement's frame is durable and
+	// before it is applied: the seam the in-flight reclamation test parks a
+	// statement at.
+	afterAppend func()
 
 	recovery RecoveryStats
 }
@@ -117,7 +130,8 @@ func Open(dir string, cat *plan.Catalog, cfg Config) (*Store, error) {
 		dropped:  make(map[string]uint64),
 		hasSeg:   make(map[string]bool),
 		segBytes: make(map[string]int64),
-		partSeen: make(map[string]bool),
+		parts:    make(map[string][]string),
+		pending:  make(map[string]uint64),
 	}
 
 	// Phase 1: newest valid segment per table.
@@ -201,7 +215,7 @@ func Open(dir string, cat *plan.Catalog, cfg Config) (*Store, error) {
 	// no checkpoint horizon (every partition checkpoints on its own), so
 	// they replay on every open and survive WAL rewrites by design.
 	for _, name := range cat.PartitionedNames() {
-		if s.partSeen[name] {
+		if _, seen := s.parts[name]; seen {
 			continue
 		}
 		p, ok := cat.Partitioned(name)
@@ -214,7 +228,7 @@ func Open(dir string, cat *plan.Catalog, cfg Config) (*Store, error) {
 			w.Close()
 			return nil, fmt.Errorf("durable: adopting partitioned %s: %w", name, err)
 		}
-		s.partSeen[name] = true
+		s.parts[name] = partNames(name, p.Spec.N)
 	}
 	return s, nil
 }
@@ -231,6 +245,14 @@ func (s *Store) replay(rec Record) error {
 		s.recovery.Skipped++
 		return nil
 	}
+	if _, parted := s.parts[rec.Table]; parted && (rec.Type == recInsert || rec.Type == recDelete) {
+		took, err := s.replayStatement(rec)
+		if err == nil && !took {
+			s.recovery.Skipped++
+			return nil
+		}
+		return s.replayed(rec, err)
+	}
 	var err error
 	switch rec.Type {
 	case recCreate:
@@ -244,11 +266,7 @@ func (s *Store) replay(rec Record) error {
 	case recInsert:
 		_, err = s.cat.InsertRows(nil, rec.Table, rec.Rows)
 	case recDelete:
-		preds := make([]plan.Filter, len(rec.Preds))
-		for i, p := range rec.Preds {
-			preds[i] = plan.Filter{Col: p.Col, Lo: p.Lo, Hi: p.Hi}
-		}
-		_, err = s.cat.DeleteRows(nil, rec.Table, preds)
+		_, err = s.cat.DeleteRows(nil, rec.Table, filtersOf(rec.Preds))
 	case recDecompose:
 		_, err = s.cat.DecomposeMetered(nil, rec.Table, rec.Col, rec.Bits)
 	case recFKIndex:
@@ -257,10 +275,10 @@ func (s *Store) replay(rec Record) error {
 		err = s.cat.DropTable(rec.Table)
 		if err == nil {
 			s.forget(rec.Table, rec.LSN)
-			delete(s.partSeen, rec.Table)
+			delete(s.parts, rec.Table)
 		}
 	case recCreatePart:
-		s.partSeen[rec.Table] = true
+		s.parts[rec.Table] = partNames(rec.Table, rec.PartN)
 		if _, ok := s.cat.Partitioned(rec.Table); ok {
 			return fmt.Errorf("durable: %s exists in both the catalog and %s — skip preloading when reopening a data dir", rec.Table, s.dir)
 		}
@@ -280,6 +298,15 @@ func (s *Store) replay(rec Record) error {
 	default:
 		err = fmt.Errorf("durable: unknown record type %d", rec.Type)
 	}
+	if err == nil && rec.Type != recDrop && rec.Type != recCreatePart {
+		s.applied[rec.Table] = rec.LSN
+	}
+	return s.replayed(rec, err)
+}
+
+// replayed counts one record's outcome: replayed, failed as it failed when
+// first logged, or — device memory pressure — fatal to this recovery.
+func (s *Store) replayed(rec Record, err error) error {
 	if err != nil {
 		if errors.Is(err, device.ErrOutOfMemory) {
 			return fmt.Errorf("durable: replaying lsn %d for %s needs resources that succeeded when logged: %w", rec.LSN, rec.Table, err)
@@ -287,11 +314,62 @@ func (s *Store) replay(rec Record) error {
 		s.recovery.Failed++
 		return nil
 	}
-	if rec.Type != recDrop && rec.Type != recCreatePart {
-		s.applied[rec.Table] = rec.LSN
-	}
 	s.recovery.Replayed++
 	return nil
+}
+
+// replayStatement applies a recovered INSERT or DELETE on a partitioned
+// table. The frame carries the statement as it was written — the wrapper's
+// name, rows in statement order — so the rows are routed again by the spec
+// (a pure function of row and spec, re-created by the create record that
+// precedes the frame), and each partition the statement touched takes its
+// share only if its segment does not hold it already. took is false when
+// every touched partition's checkpoint covers the frame.
+func (s *Store) replayStatement(rec Record) (took bool, err error) {
+	p, ok := s.cat.Partitioned(rec.Table)
+	if !ok {
+		return true, fmt.Errorf("durable: statement on %s, which is not a partitioned table", rec.Table)
+	}
+	var groups [][][]int64
+	if rec.Type == recInsert {
+		groups = p.Split(rec.Rows)
+	}
+	for i, t := range p.Parts {
+		leg := t.Name()
+		if rec.Type == recInsert && len(groups[i]) == 0 || rec.LSN <= s.ckpt[leg] {
+			continue
+		}
+		took = true
+		if rec.Type == recInsert {
+			_, err = s.cat.InsertRows(nil, leg, groups[i])
+		} else {
+			_, err = s.cat.DeleteRows(nil, leg, filtersOf(rec.Preds))
+		}
+		if err != nil {
+			return took, err
+		}
+		s.applied[leg] = rec.LSN
+		if s.pending[leg] == 0 {
+			s.pending[leg] = rec.LSN
+		}
+	}
+	return took, nil
+}
+
+func filtersOf(preds []store.Range) []plan.Filter {
+	out := make([]plan.Filter, len(preds))
+	for i, p := range preds {
+		out[i] = plan.Filter{Col: p.Col, Lo: p.Lo, Hi: p.Hi}
+	}
+	return out
+}
+
+func partNames(table string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = shard.PartName(table, i)
+	}
+	return out
 }
 
 // forget drops a table's durable bookkeeping and segment files. dropLSN
@@ -304,6 +382,7 @@ func (s *Store) forget(table string, dropLSN uint64) {
 	delete(s.ckpt, table)
 	delete(s.hasSeg, table)
 	delete(s.segBytes, table)
+	delete(s.pending, table)
 	s.dropped[table] = dropLSN
 	s.mu.Unlock()
 	if segs, err := listSegments(s.dir); err == nil {
@@ -348,31 +427,56 @@ func (s *Store) noteApplied(table string, lsn uint64) {
 
 // --- plan.Durability: the write-ahead hooks ---
 
-// LogInsert logs an INSERT and applies it (write-ahead; see package doc).
-func (s *Store) LogInsert(table string, rows [][]int64, apply func() error) error {
-	mu := s.tableMu(table)
-	mu.Lock()
-	defer mu.Unlock()
-	rec := Record{Type: recInsert, Table: table, Rows: rows}
-	if err := s.wal.append(&rec); err != nil {
-		return err
-	}
-	err := apply()
-	s.noteApplied(table, rec.LSN)
-	return err
+// LogInsert logs one INSERT statement and applies it (write-ahead; see
+// logStatement).
+func (s *Store) LogInsert(table string, legs []string, rows [][]int64, apply func() error) error {
+	return s.logStatement(&Record{Type: recInsert, Table: table, Rows: rows}, legs, apply)
 }
 
-// LogDelete logs a DELETE and applies it.
-func (s *Store) LogDelete(table string, preds []store.Range, apply func() error) error {
-	mu := s.tableMu(table)
-	mu.Lock()
-	defer mu.Unlock()
-	rec := Record{Type: recDelete, Table: table, Preds: preds}
-	if err := s.wal.append(&rec); err != nil {
+// LogDelete logs one DELETE statement and applies it.
+func (s *Store) LogDelete(table string, legs []string, preds []store.Range, apply func() error) error {
+	return s.logStatement(&Record{Type: recDelete, Table: table, Preds: preds}, legs, apply)
+}
+
+// logStatement is the commit protocol of one DML statement: under the locks
+// of every leg it touches — taken in partition-index order; a checkpoint
+// takes one, so there is no cycle — it appends one frame under the name the
+// statement addressed, waits for group commit once, applies every leg and
+// advances each one's applied LSN. Durable, then applied, then
+// acknowledged. A plain table's statement is the frame under its own name
+// it always was. On a partitioned table the touched partitions are marked
+// pending before the frame exists, under their locks, so that no rewrite —
+// another table's checkpoint between this statement's append and its apply
+// — can take the frame for one no partition needs.
+func (s *Store) logStatement(rec *Record, legs []string, apply func() error) error {
+	for _, leg := range legs {
+		mu := s.tableMu(leg)
+		mu.Lock()
+		defer mu.Unlock() // held to the end of the statement, all of them
+	}
+	if len(legs) > 1 || legs[0] != rec.Table {
+		// A mark outliving a failed append is harmless: the statement was
+		// validated before it got here, so the append fails only on a closed
+		// or poisoned log, and nothing is appended to either again.
+		first := s.wal.lastAssigned() + 1
+		s.mu.Lock()
+		for _, leg := range legs {
+			if s.pending[leg] == 0 {
+				s.pending[leg] = first
+			}
+		}
+		s.mu.Unlock()
+	}
+	if err := s.wal.append(rec); err != nil {
 		return err
 	}
+	if s.afterAppend != nil {
+		s.afterAppend()
+	}
 	err := apply()
-	s.noteApplied(table, rec.LSN)
+	for _, leg := range legs {
+		s.noteApplied(leg, rec.LSN)
+	}
 	return err
 }
 
@@ -415,7 +519,7 @@ func (s *Store) LogCreatePartitioned(name string, defs []store.ColumnDef, spec s
 	err := apply()
 	if err == nil {
 		s.mu.Lock()
-		s.partSeen[name] = true
+		s.parts[name] = partNames(name, spec.N)
 		delete(s.dropped, name)
 		for i := 0; i < spec.N; i++ {
 			pn := shard.PartName(name, i)
@@ -474,7 +578,7 @@ func (s *Store) LogDrop(table string, apply func() error) error {
 	}
 	s.forget(table, rec.LSN)
 	s.mu.Lock()
-	delete(s.partSeen, table)
+	delete(s.parts, table)
 	s.mu.Unlock()
 	return nil
 }
@@ -563,11 +667,9 @@ func (s *Store) Checkpoint(m *device.Meter, table string, auto bool) (Checkpoint
 // holds the table lock.
 func (s *Store) persistLocked(t *store.Table, lsn uint64) error {
 	table := t.Name()
-	data, err := encodeSegment(t, t.Snapshot(), lsn)
-	if err != nil {
-		return err
-	}
-	_, size, err := writeSegment(s.dir, table, data, lsn, true)
+	_, size, err := writeSegment(s.dir, table, lsn, true, func(w io.Writer) (int64, error) {
+		return encodeSegment(w, t, t.Snapshot(), lsn)
+	})
 	if err != nil {
 		return err
 	}
@@ -578,6 +680,7 @@ func (s *Store) persistLocked(t *store.Table, lsn uint64) error {
 	}
 	s.hasSeg[table] = true
 	s.segBytes[table] = size
+	delete(s.pending, table)
 	s.ckpts++
 	s.mu.Unlock()
 	if segs, err := listSegments(s.dir); err == nil {
@@ -592,24 +695,38 @@ func (s *Store) persistLocked(t *store.Table, lsn uint64) error {
 
 // dropCoveredFrames rewrites the WAL without the frames every checkpoint
 // already covers — the proactive reclamation of replayed prefix bytes.
-func (s *Store) dropCoveredFrames() error {
+func (s *Store) dropCoveredFrames() error { return s.wal.rewrite(s.covered) }
+
+// covered reports whether no recovery could need the frame any more. It
+// reads the bookkeeping as it stands while the rewrite holds the log — not a
+// copy taken earlier — because a statement marks its partitions pending
+// before it appends: a frame the rewrite can see has its mark already.
+//
+// A dropped table's frames up to the drop are garbage. A statement frame on
+// a partitioned table is covered once it lies below every partition's first
+// pending frame: a partition with none has checkpointed past it or was never
+// touched by it, so an idle partition never pins the log. The wrapper's
+// create record has no horizon and stays. Every other frame names a store
+// table and is covered by that table's checkpoint horizon.
+func (s *Store) covered(h frameHead) bool {
 	s.mu.Lock()
-	ckpt := make(map[string]uint64, len(s.ckpt))
-	for k, v := range s.ckpt {
-		ckpt[k] = v
+	defer s.mu.Unlock()
+	if horizon, ok := s.dropped[string(h.Table)]; ok && h.LSN <= horizon {
+		return true
 	}
-	dropped := make(map[string]uint64, len(s.dropped))
-	for k, v := range s.dropped {
-		dropped[k] = v
-	}
-	s.mu.Unlock()
-	return s.wal.rewrite(func(rec Record) bool {
-		if horizon, ok := ckpt[rec.Table]; ok && rec.LSN <= horizon {
-			return true
+	if legs, ok := s.parts[string(h.Table)]; ok {
+		if h.Type != recInsert && h.Type != recDelete {
+			return false
 		}
-		horizon, ok := dropped[rec.Table]
-		return ok && rec.LSN <= horizon
-	})
+		for _, leg := range legs {
+			if first, ok := s.pending[leg]; ok && h.LSN >= first {
+				return false
+			}
+		}
+		return true
+	}
+	horizon, ok := s.ckpt[string(h.Table)]
+	return ok && h.LSN <= horizon
 }
 
 // Dirty reports whether a table has state not yet covered by a segment —

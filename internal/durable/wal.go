@@ -18,7 +18,9 @@
 //  1. Write-ahead: a record reaches the WAL buffer before it is applied to
 //     the in-memory store, and under the "always" fsync policy the append
 //     does not return before the frame is fsynced (group commit: one fsync
-//     covers every frame buffered while the previous fsync ran).
+//     covers every frame buffered while the previous fsync ran). A DML
+//     statement is one record, whatever the number of partitions it
+//     touches: recovered whole or not at all.
 //  2. A frame is replayed only if its length and CRC32 check out; the
 //     first invalid frame truncates the log (torn tail) — no frame is ever
 //     accepted on a failed checksum, and nothing after a bad frame is
@@ -26,11 +28,14 @@
 //  3. Segment files are written to a temp name, fsynced, then renamed into
 //     place; a crash mid-checkpoint leaves the previous segment and the
 //     full WAL tail, never a half-written segment that parses.
-//  4. A segment with checkpoint LSN L reflects exactly the records for its
-//     table with lsn <= L; recovery replays only records with lsn > L.
+//  4. A segment with checkpoint LSN L reflects exactly the records touching
+//     its table with lsn <= L; recovery replays into it only records with
+//     lsn > L, and no record is reclaimed from the log before every table
+//     it touches has a segment at or past it.
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,6 +43,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 )
@@ -166,7 +172,7 @@ func openWAL(path string, policy Policy, interval time.Duration, observer func(t
 			f.Close()
 			return nil, 0, fmt.Errorf("durable: %s is not a WAL file", path)
 		}
-		good, truncated, err := w.scan(f, replay)
+		good, truncated, err := w.scan(bufio.NewReaderSize(f, 64<<10), replay)
 		if err != nil {
 			f.Close()
 			return nil, 0, err
@@ -264,15 +270,34 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 func encodeFrame(rec Record) ([]byte, error) {
-	payload, err := encodeRecord(rec)
+	frame, err := appendRecord(make([]byte, frameHeaderLen), rec)
 	if err != nil {
 		return nil, err
 	}
-	frame := make([]byte, frameHeaderLen+len(payload))
+	payload := frame[frameHeaderLen:]
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeaderLen:], payload)
 	return frame, nil
+}
+
+// frameHead is what every record payload begins with — the LSN, the record
+// type and the table it names. Log reclamation decides from these alone, so
+// a rewrite never materializes a frame's rows. Table aliases the payload.
+type frameHead struct {
+	LSN   uint64
+	Type  byte
+	Table []byte
+}
+
+func parseFrameHead(payload []byte) (frameHead, error) {
+	if len(payload) < 11 {
+		return frameHead{}, fmt.Errorf("durable: truncated record header")
+	}
+	n := int(binary.LittleEndian.Uint16(payload[9:]))
+	if n == 0 || n > maxNameLen || len(payload) < 11+n {
+		return frameHead{}, fmt.Errorf("durable: record header names a table of %d bytes", n)
+	}
+	return frameHead{LSN: binary.LittleEndian.Uint64(payload), Type: payload[8], Table: payload[11 : 11+n]}, nil
 }
 
 // append assigns the next LSN to rec, writes its frame, and — under
@@ -373,11 +398,18 @@ func (w *wal) lastAssigned() uint64 {
 }
 
 // rewrite drops every frame for which covered reports true — the frames a
-// checkpoint made obsolete — by writing the surviving tail to a temp file
-// and atomically renaming it over the log. Appends are blocked for the
-// duration; the new file is fsynced before the rename so the swap never
-// loses an uncovered frame.
-func (w *wal) rewrite(covered func(rec Record) bool) error {
+// checkpoint made obsolete — by copying the surviving frames verbatim,
+// checksum and all, to a temp file and atomically renaming it over the log.
+// Appends are blocked for the duration, and covered runs under the log's
+// lock: what it reads is at least as new as every frame it is asked about.
+// The new file is fsynced before the rename so the swap never loses an
+// uncovered frame. The log is read by offset (the append position never
+// moves, so a failed rewrite leaves the log exactly as it was) and both
+// sides are buffered: a frame costs no system call of its own. Nothing is
+// written until a covered frame turns up — a checkpoint that frees no frame,
+// as three of four do on a 4-way table whose statements touch every
+// partition, costs one buffered read of the log.
+func (w *wal) rewrite(covered func(frameHead) bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -388,51 +420,66 @@ func (w *wal) rewrite(covered func(rec Record) bool) error {
 	for w.syncing {
 		w.cond.Wait()
 	}
-	// Every pre-rename failure goes through restore: the scan below moves
-	// w.f's offset into the middle of the log, and an early return that
-	// leaves it there would let the next append splice frames over
-	// committed ones (w.size still claims the full file). If even the
-	// re-seek fails, poison the WAL so appends error instead of corrupting.
-	restore := func(err error) error {
-		if _, serr := w.f.Seek(w.size, io.SeekStart); serr != nil {
-			w.syncErr = fmt.Errorf("durable: WAL append offset lost after failed rewrite: %w", serr)
+	tmpPath := w.path + ".tmp"
+	var tmp *os.File
+	var dst *bufio.Writer
+	cleanup := func(err error) error {
+		if tmp != nil {
+			tmp.Close()
+			os.Remove(tmpPath)
 		}
 		return err
 	}
-	if _, err := w.f.Seek(int64(len(walMagic)), io.SeekStart); err != nil {
-		return restore(err)
-	}
-	tmpPath := w.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return restore(err)
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return restore(err)
-	}
-	if _, err := tmp.Write(walMagic[:]); err != nil {
-		return cleanup(err)
-	}
-	size := int64(len(walMagic))
-	var kept int64
-	keep := &wal{next: w.next}
-	if _, _, err := keep.scan(w.f, func(rec Record, _ int64) error {
-		if covered(rec) {
-			return nil
+	const bufSize = 64 << 10
+	magicLen := int64(len(walMagic))
+	src := bufio.NewReaderSize(io.NewSectionReader(w.f, magicLen, w.size-magicLen), bufSize)
+	at, size, kept := magicLen, magicLen, int64(0) // at: the frame's offset in the log
+	var header [frameHeaderLen]byte
+	var payload []byte
+	for {
+		if _, err := io.ReadFull(src, header[:]); err == io.EOF {
+			break
+		} else if err != nil {
+			return cleanup(fmt.Errorf("durable: WAL rewrite: frame header at offset %d: %w", at, err))
 		}
-		frame, err := encodeFrame(rec)
+		n := binary.LittleEndian.Uint32(header[:4])
+		if n == 0 || n > maxPayload {
+			return cleanup(fmt.Errorf("durable: WAL rewrite: frame of %d bytes at offset %d of the committed log", n, at))
+		}
+		payload = slices.Grow(payload[:0], int(n))[:n]
+		if _, err := io.ReadFull(src, payload); err != nil {
+			return cleanup(fmt.Errorf("durable: WAL rewrite: frame body at offset %d: %w", at, err))
+		}
+		head, err := parseFrameHead(payload)
 		if err != nil {
-			return err
+			return cleanup(err)
 		}
-		if _, err := tmp.Write(frame); err != nil {
-			return err
+		frameLen := frameHeaderLen + int64(n)
+		switch {
+		case !covered(head):
+			if dst != nil {
+				dst.Write(header[:]) // a bufio.Writer keeps its first error for Flush
+				dst.Write(payload)
+			}
+			size += frameLen
+			kept++
+		case dst == nil:
+			// The first frame to drop: only now is there anything to write.
+			// The log up to here stays as it is, copied in one piece.
+			if tmp, err = os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
+				return err
+			}
+			dst = bufio.NewWriterSize(tmp, bufSize)
+			if _, err := io.Copy(dst, io.NewSectionReader(w.f, 0, at)); err != nil {
+				return cleanup(err)
+			}
 		}
-		size += int64(len(frame))
-		kept++
-		return nil
-	}); err != nil {
+		at += frameLen
+	}
+	if dst == nil {
+		return nil // nothing is covered: the log stays untouched
+	}
+	if err := dst.Flush(); err != nil {
 		return cleanup(err)
 	}
 	if w.policy != SyncOff {

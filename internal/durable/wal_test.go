@@ -309,7 +309,7 @@ func TestWALRewrite(t *testing.T) {
 		}
 	}
 	before := w.size
-	if err := w.rewrite(func(rec Record) bool { return rec.LSN <= 6 }); err != nil {
+	if err := w.rewrite(func(h frameHead) bool { return h.LSN <= 6 }); err != nil {
 		t.Fatal(err)
 	}
 	if w.size >= before {
@@ -336,6 +336,34 @@ func TestWALRewrite(t *testing.T) {
 	}
 	if replayed[0].LSN != 7 || replayed[4].LSN != 11 {
 		t.Fatalf("survivor LSNs %d..%d, want 7..11", replayed[0].LSN, replayed[4].LSN)
+	}
+}
+
+// TestWALRewriteNothingCovered: a rewrite that finds no covered frame writes
+// nothing — no temp file, no swap, the log file and its counters as they
+// were — even where it could not have written (the temp path is occupied).
+func TestWALRewriteNothingCovered(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _, _ := openTestWAL(t, path, SyncAlways)
+	defer w.Close()
+	recs := testRecords()
+	for i := range recs[:3] {
+		if err := w.append(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, size, fsyncs := w.f, w.size, w.fsyncs
+	if err := w.rewrite(func(frameHead) bool { return false }); err != nil {
+		t.Fatalf("rewrite with nothing to drop: %v", err)
+	}
+	if w.f != f || w.size != size || w.records != 3 || w.fsyncs != fsyncs {
+		t.Fatalf("a rewrite that dropped nothing replaced the log: size %d -> %d, %d records", size, w.size, w.records)
+	}
+	if err := w.append(&recs[3]); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -367,7 +395,7 @@ func TestWALFailedRewriteKeepsAppendOffset(t *testing.T) {
 	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.rewrite(func(Record) bool { return false }); err == nil {
+	if err := w.rewrite(func(h frameHead) bool { return h.LSN == 1 }); err == nil {
 		t.Fatal("rewrite over an unwritable temp path succeeded")
 	}
 	if err := os.RemoveAll(path + ".tmp"); err != nil {

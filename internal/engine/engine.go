@@ -382,10 +382,12 @@ var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 // compile resolves a statement through the plan cache, compiling and
 // inserting on miss. Write statements (bwdecompose, INSERT, DELETE,
 // CREATE TABLE) are never cached: they are side-effecting, and re-running
-// a stale binding silently would be surprising. Cached entries carry the
-// schema epochs of their tables; a hit whose dependencies changed (table
-// dropped or re-created) is invalidated and recompiled instead of served
-// against replaced columns.
+// a stale binding silently would be surprising. The ones their first token
+// gives away (sql.IsDML) never reach the cache at all — an INSERT's text is
+// lexed once, by the parser, not a second time for a key. Cached entries
+// carry the schema epochs of their tables; a hit whose dependencies changed
+// (table dropped or re-created) is invalidated and recompiled instead of
+// served against replaced columns.
 //
 // The epochs are snapshotted BEFORE sql.Compile runs: epochs are globally
 // monotonic, so if a table is dropped and re-created mid-compilation the
@@ -395,6 +397,11 @@ var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 // the replaced schema. A table the binding references that is absent from
 // the snapshot is recorded as epoch 0, which no live table ever has.
 func (e *Engine) compile(src string) (*sql.Binding, error) {
+	if sql.IsDML(src) {
+		// Never cached: no key to build, nothing to look up, no epochs to
+		// snapshot for an entry that will not exist.
+		return sql.Compile(e.cat, src)
+	}
 	key := keyBufs.Get().(*[]byte)
 	defer keyBufs.Put(key)
 	*key = sql.AppendNormalized((*key)[:0], src)

@@ -74,9 +74,9 @@ func TestEnginePartKillHelper(t *testing.T) {
 			return
 		}
 		n += 4
-		// The wrapper insert commits one WAL record per touched partition
-		// before Query returns (fsync=always), so this ack is a durable
-		// lower bound across all partitions.
+		// The wrapper insert is one WAL record, fsynced before Query returns
+		// (fsync=always) and recovered whole or not at all, so this ack is
+		// a durable lower bound and every recovery a whole-batch prefix.
 		fmt.Printf("acked ps %d\n", n)
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -82,6 +83,52 @@ func TestShortStatementAllocBudget(t *testing.T) {
 		t.Errorf("prepared Exec allocates %.0f objects, budget 45", run)
 	}
 	t.Logf("hit %.0f objects, prepared Exec %.0f", hit, run)
+}
+
+// TestDurableInsertAllocBudget is the allocation gate of the write path: a
+// 64-row INSERT into a 4-way partitioned durable table — lexed once, rows
+// parsed, bound and routed into one array each, one WAL frame, one commit
+// wait, four applies — within a fixed number of heap objects. It fails when
+// something starts costing an object per row or per value again, or a frame
+// per partition (each is an encode buffer, a record and its closures more).
+func TestDurableInsertAllocBudget(t *testing.T) {
+	eng, err := Open(plan.NewCatalog(device.PaperSystem()), Options{DataDir: t.TempDir(), Fsync: "always"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sess := eng.Session()
+	defer sess.Close()
+	ctx := context.Background()
+	if _, err := sess.Query(ctx, "create table events (ts int, k int, v int, amt decimal2) partition by hash(ts) partitions 4"); err != nil {
+		t.Fatal(err)
+	}
+	insert := []byte("insert into events values ")
+	for r := 0; r < 64; r++ {
+		if r > 0 {
+			insert = append(insert, ", "...)
+		}
+		insert = fmt.Appendf(insert, "(%d, %d, %d, %d.%02d)", r, r%17, r*31, r%1000, r%100)
+	}
+	stmt := string(insert)
+	before := eng.Durability().Stats()
+	const runs = 50
+	objects := testing.AllocsPerRun(runs, func() {
+		if _, err := sess.Query(ctx, stmt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := eng.Durability().Stats()
+	if got := after.Appends - before.Appends; got != runs+1 { // AllocsPerRun warms up once
+		t.Errorf("%d INSERTs appended %d WAL frames, want one each", runs+1, got)
+	}
+	if mem.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if objects > 50 {
+		t.Errorf("64-row INSERT into 4 partitions allocates %.0f objects, budget 50", objects)
+	}
+	t.Logf("64-row durable INSERT: %.0f objects", objects)
 }
 
 // BenchmarkShortStatement times the same two paths, and the hit once more

@@ -108,15 +108,24 @@ func (t *Table) Columns() []string {
 // checkpoints. A nil Durability means the catalog is memory-only and apply
 // runs directly.
 //
+// An INSERT or DELETE is logged once per statement, whatever the number of
+// partitions it touches: one record under the name the statement addressed,
+// one commit wait, then apply — so a crash recovers all of the statement or
+// none of it.
+//
 // The interface lives here (not in internal/durable) so the durability
 // layer can depend on the catalog without an import cycle.
 type Durability interface {
 	// LogCreate logs a CREATE TABLE; apply registers the table.
 	LogCreate(name string, defs []store.ColumnDef, apply func() error) error
-	// LogInsert logs an INSERT of row-major, schema-order values.
-	LogInsert(table string, rows [][]int64, apply func() error) error
-	// LogDelete logs a DELETE by conjunction of closed ranges.
-	LogDelete(table string, preds []store.Range, apply func() error) error
+	// LogInsert logs one INSERT statement into table: rows are row-major,
+	// schema-order values in statement order, legs names the store tables
+	// they route to, in partition-index order (the table itself when it is
+	// not partitioned). apply appends the rows to every one of those legs.
+	LogInsert(table string, legs []string, rows [][]int64, apply func() error) error
+	// LogDelete logs one DELETE statement by conjunction of closed ranges;
+	// legs and apply are as for LogInsert.
+	LogDelete(table string, legs []string, preds []store.Range, apply func() error) error
 	// LogDecompose logs a bitwise decomposition (col, approx bits).
 	LogDecompose(table, col string, bits uint, apply func() error) error
 	// LogFKIndex logs an FK index build over table.col.
@@ -152,6 +161,10 @@ type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*store.Table
 	parted map[string]*shard.Partitioned
+
+	// betweenLegs, when set, runs between two legs' applies of one DML
+	// statement: the seam the statement-fence test pins a reader at.
+	betweenLegs func()
 }
 
 // PlannerStats is a point-in-time snapshot of optimizer counters.
@@ -484,77 +497,115 @@ func (c *Catalog) FKIndex(table, col string) (*bulk.FKIndex, error) {
 
 // InsertRows appends rows (schema order, scaled values) to the delta
 // segment of the leg each row routes to, charging the host-side append to m
-// (which may be nil). With durability attached every touched leg is its own
-// WAL record under the leg table's name, so each leg's checkpoint horizon
-// covers exactly its own rows and replay re-applies them to the right leg
-// directly. Atomicity is per leg: a crash between appends can persist a row
-// subset of one multi-partition statement, never a torn row.
+// (which may be nil). The statement is atomic, however many partitions it
+// touches: every row is validated before anything happens, with durability
+// attached the whole statement is one WAL record under table's name and one
+// commit wait (replay re-splits it by the partition spec), and its rows
+// become visible to readers together (applyStatement). A crash recovers all
+// of it or none of it.
 func (c *Catalog) InsertRows(m *device.Meter, table string, rows [][]int64) (int, error) {
 	legs, p, err := c.legs(table)
 	if err != nil {
 		return 0, err
 	}
+	stride := len(legs[0].Schema())
+	for r, row := range rows {
+		if len(row) != stride {
+			return 0, fmt.Errorf("store: insert into %s: row %d has %d values, table has %d columns", table, r+1, len(row), stride)
+		}
+	}
+	if len(rows) == 0 {
+		return 0, nil
+	}
 	groups := [][][]int64{rows}
 	if p != nil {
+		// Keep the touched legs only, in partition-index order.
 		groups = p.Split(rows)
+		legs = make([]*store.Table, 0, len(groups))
+		for i, group := range groups {
+			if len(group) > 0 {
+				groups[len(legs)] = group
+				legs = append(legs, p.Parts[i])
+			}
+		}
+		groups = groups[:len(legs)]
 	}
-	d := c.durability()
 	total := 0
-	for i, t := range legs {
-		group := groups[i]
-		if len(group) == 0 {
-			continue
-		}
-		var n int
-		apply := func() error {
-			var aerr error
-			n, aerr = t.Insert(m, group)
-			return aerr
-		}
-		if d != nil {
-			err = d.LogInsert(t.Name(), group, apply)
-		} else {
-			err = apply()
-		}
-		total += n
-		if err != nil {
-			return total, err
-		}
+	apply := func() error {
+		return c.applyStatement(p, legs, func(i int, t *store.Table) error {
+			n, err := t.Insert(m, groups[i])
+			total += n
+			return err
+		})
 	}
-	return total, nil
+	if d := c.durability(); d != nil {
+		err = d.LogInsert(table, legNames(legs), rows, apply)
+	} else {
+		err = apply()
+	}
+	return total, err
 }
 
 // DeleteRows marks every live row of table satisfying all filters deleted
-// — on every leg, one WAL record each — and returns the count.
+// and returns the count. A DELETE touches every leg; like an INSERT it is
+// one statement — validated first, one WAL record, visible as a unit.
 func (c *Catalog) DeleteRows(m *device.Meter, table string, filters []Filter) (int64, error) {
-	legs, _, err := c.legs(table)
+	legs, p, err := c.legs(table)
 	if err != nil {
 		return 0, err
 	}
 	preds := make([]store.Range, len(filters))
 	for i, f := range filters {
+		if _, err := legs[0].ColIndex(f.Col); err != nil {
+			return 0, err
+		}
 		preds[i] = store.Range{Col: f.Col, Lo: f.Lo, Hi: f.Hi}
 	}
-	d := c.durability()
 	var total int64
-	for _, t := range legs {
-		var n int64
-		apply := func() error {
-			var aerr error
-			n, aerr = t.DeleteWhere(m, preds)
-			return aerr
+	apply := func() error {
+		return c.applyStatement(p, legs, func(_ int, t *store.Table) error {
+			n, err := t.DeleteWhere(m, preds)
+			total += n
+			return err
+		})
+	}
+	if d := c.durability(); d != nil {
+		err = d.LogDelete(table, legNames(legs), preds, apply)
+	} else {
+		err = apply()
+	}
+	return total, err
+}
+
+// applyStatement runs one DML statement's in-memory mutation, each, on the
+// legs it touches in partition-index order. Every leg publishes its own
+// snapshot, so a statement over several holds the wrapper's statement fence
+// across them — Pin holds it while it loads the legs' snapshots, and so sees
+// all of the statement or none of it. One leg publishes atomically by
+// itself: no fence. The statement was validated before it was logged, so
+// each cannot fail on a later leg after an earlier one took its rows.
+func (c *Catalog) applyStatement(p *shard.Partitioned, legs []*store.Table, each func(i int, t *store.Table) error) error {
+	if len(legs) > 1 {
+		p.Fence.Lock()
+		defer p.Fence.Unlock()
+	}
+	for i, t := range legs {
+		if i > 0 && c.betweenLegs != nil {
+			c.betweenLegs()
 		}
-		if d != nil {
-			err = d.LogDelete(t.Name(), preds, apply)
-		} else {
-			err = apply()
-		}
-		total += n
-		if err != nil {
-			return total, err
+		if err := each(i, t); err != nil {
+			return err
 		}
 	}
-	return total, nil
+	return nil
+}
+
+func legNames(legs []*store.Table) []string {
+	names := make([]string, len(legs))
+	for i, t := range legs {
+		names[i] = t.Name()
+	}
+	return names
 }
 
 // MergeTable compacts the delta segment and deletions of every leg of table

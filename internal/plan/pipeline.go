@@ -23,6 +23,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -362,7 +363,9 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	for _, a := range q.Aggs {
 		st.emit(len(rows), -1, obs.Op{Fmt: aggr, A: a.Func.String(), B: a.Name})
 	}
-	sortRows(rows)
+	if len(q.OrderBy) == 0 {
+		sortRows(rows) // ORDER BY's own comparator ends on the key tuple
+	}
 	rows = applyHaving(st, q, rows)
 	rows, err = orderLimit(st, pl, rows)
 	if err != nil {
@@ -408,9 +411,12 @@ func applyHaving(st *pipeState, q *Query, rows []Row) []Row {
 
 // orderLimit applies ORDER BY and LIMIT: a morsel-parallel top-k heap
 // when both are present, a full deterministic sort for ORDER BY alone, a
-// plain prefix for LIMIT alone. Rows arrive in canonical group-key order,
-// so the kernel's index tie-break is the deterministic key-order
-// tie-break the result contract requires.
+// plain prefix for LIMIT alone (over rows in canonical group-key order).
+// Under ORDER BY the rows arrive in group-discovery order and the
+// comparator, past the ORDER BY keys, falls through to the group-key tuple:
+// group keys are unique, so that is a total order — the deterministic
+// key-order tie-break the result contract requires, without sorting every
+// group by key first to select a few.
 func orderLimit(st *pipeState, pl *Plan, rows []Row) ([]Row, error) {
 	q := &pl.q
 	if len(q.OrderBy) == 0 {
@@ -435,7 +441,7 @@ func orderLimit(st *pipeState, pl *Plan, rows []Row) ([]Row, error) {
 				return a < b
 			}
 		}
-		return false
+		return slices.Compare(rows[i].Keys, rows[j].Keys) < 0
 	}
 	k := q.Limit
 	if k <= 0 || k > len(rows) {
@@ -677,31 +683,35 @@ func exprText(e Expr) string {
 // ---- Shared aggregation operators ----
 
 // aggregateRows folds the statement's compiled aggregates over the exact
-// values, per group. Rows come out in group-discovery order; the caller
-// establishes the canonical key order (sortRows) before HAVING and
-// ORDER BY run.
+// values, per group. Rows come out in group-discovery order, every row's
+// Keys and Vals carved from one backing array; the caller establishes the
+// output order (sortRows, or ORDER BY's comparator) after HAVING.
 func aggregateRows(m *device.Meter, pp par.P, pg *program, ctx *exprCtx, grouping *bulk.Grouping, groupKeys [][]int64, fused bool) []Row {
 	if m != nil {
 		chargeAggregation(m, pp.NThreads(), pg.aggs, int64(ctx.n), grouping != nil, fused)
 	}
 	var ids []uint32
-	groups := 1
+	groups, nk, nv := 1, 0, len(pg.aggs)
 	if grouping != nil {
-		ids, groups = grouping.IDs, grouping.NGroups
+		ids, groups, nk = grouping.IDs, grouping.NGroups, len(groupKeys)
 	}
 	acc := pg.newAcc(groups, false)
 	pg.fold(pp, &acc, pg.bindVals(ctx.vals), ctx.n, ids, nil)
 	rows := make([]Row, groups)
+	cells := make([]int64, groups*(nk+nv))
 	for g := range rows {
+		// Full slice expressions: a row appended to never grows into its
+		// neighbour's values.
+		row := cells[g*(nk+nv) : (g+1)*(nk+nv) : (g+1)*(nk+nv)]
 		if grouping != nil {
-			rows[g].Keys = make([]int64, len(groupKeys))
+			rows[g].Keys = row[:nk:nk]
 			for k := range groupKeys {
-				rows[g].Keys[k] = groupKeys[k][g]
+				row[k] = groupKeys[k][g]
 			}
 		}
-		rows[g].Vals = make([]int64, len(pg.aggs))
+		rows[g].Vals = row[nk:]
 		for k := range pg.aggs {
-			rows[g].Vals[k] = pg.value(&acc, k, g)
+			row[nk+k] = pg.value(&acc, k, g)
 		}
 	}
 	acc.release()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/device"
+	"repro/internal/shard"
 )
 
 // buildStarCatalog creates a star schema — a fact table with two foreign
@@ -454,6 +455,49 @@ func TestOrderLimitWorkerSweep(t *testing.T) {
 			}
 			if *res.Meter != *serial.Meter {
 				t.Fatalf("workers=%d morsel=%d: meter %v != serial %v", workers, morsel, res.Meter, serial.Meter)
+			}
+		}
+	}
+}
+
+// TestOrderByTiesBreakOnKeys: groups that tie on every ORDER BY key come
+// out in group-key order, whatever order the scan discovered them in — here
+// descending, and every group ties.
+func TestOrderByTiesBreakOnKeys(t *testing.T) {
+	rows := make([][]int64, 40)
+	for i := range rows {
+		rows[i] = []int64{int64(i), 7, int64(len(rows) - 1 - i)} // v, w, g
+	}
+	for _, parts := range []int{0, 3} {
+		c := partPropCatalog(t, parts, shard.Hash, rows)
+		for _, limit := range []int{0, 3} {
+			q := Query{
+				Table:   "fact",
+				Filters: []Filter{{Col: "v", Lo: 0, Hi: NoHi}},
+				GroupBy: []string{"g"},
+				Aggs:    []AggSpec{{Name: "n", Func: Count}},
+				OrderBy: []OrderKey{{Index: 0, Desc: true}},
+				Limit:   limit,
+			}
+			ar, err := c.ExecAR(context.Background(), q, ExecOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := c.ExecClassic(context.Background(), q, ExecOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(rows)
+			if limit > 0 {
+				want = limit
+			}
+			if len(ar.Rows) != want || !EqualResults(ar.Rows, cl.Rows) {
+				t.Fatalf("partitions=%d limit=%d: A&R %v, classic %v", parts, limit, ar.Rows, cl.Rows)
+			}
+			for i, r := range ar.Rows {
+				if r.Keys[0] != int64(i) || r.Vals[0] != 1 {
+					t.Fatalf("partitions=%d limit=%d: row %d is %v, want group %d", parts, limit, i, r, i)
+				}
 			}
 		}
 	}

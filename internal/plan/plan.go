@@ -151,12 +151,13 @@ func (c *Catalog) Plan(q Query, mode Mode) (*Plan, error) {
 }
 
 // Pin begins one execution of the plan: it resolves the table's legs, pins
-// their snapshots and the joined dimensions' (isolation is per execution)
-// and compares their epochs with the ones the plan was priced at. Unchanged,
-// the execution reuses the pricing as it stands — no selectivity is
-// estimated, nothing is ordered or compiled. Moved (or never priced), the
-// plan is priced against the snapshots just pinned and the result swapped in
-// for later executions.
+// their snapshots — under the statement fence when there are several, so no
+// multi-partition INSERT or DELETE is seen in part — and the joined
+// dimensions' (isolation is per execution) and compares their epochs with
+// the ones the plan was priced at. Unchanged, the execution reuses the
+// pricing as it stands — no selectivity is estimated, nothing is ordered or
+// compiled. Moved (or never priced), the plan is priced against the
+// snapshots just pinned and the result swapped in for later executions.
 func (c *Catalog) Pin(pl *Plan) (*Pinned, error) {
 	tables, p, err := c.legs(pl.q.Table)
 	if err != nil {
@@ -171,10 +172,25 @@ func (c *Catalog) Pin(pl *Plan) (*Pinned, error) {
 		dims = append(dims, dim.Snapshot())
 	}
 	x := &Pinned{pl: pl, pr: pl.priced.Load(), p: p, legs: make([]leg, len(tables))}
-	fresh := x.pr != nil && len(x.pr.stamp) == len(tables)+len(dims)
+	for i := range tables {
+		x.legs[i] = leg{idx: i, pl: pipeline{snap: &execSnap{pl: pl, dims: dims}}}
+	}
+	// The statement fence, around the snapshot loads and nothing else: a
+	// multi-partition INSERT or DELETE publishes leg by leg under it, so
+	// these N versions hold all of such a statement or none of it.
+	if len(tables) > 1 {
+		p.Fence.RLock()
+	}
 	for i, t := range tables {
-		snap := pl.pin(t.Snapshot(), dims)
-		x.legs[i] = leg{idx: i, pl: pipeline{snap: snap}}
+		x.legs[i].pl.snap.fact = t.Snapshot()
+	}
+	if len(tables) > 1 {
+		p.Fence.RUnlock()
+	}
+	fresh := x.pr != nil && len(x.pr.stamp) == len(tables)+len(dims)
+	for i := range x.legs {
+		snap := x.legs[i].pl.snap
+		snap.resolve()
 		fresh = fresh && x.pr.stamp[i] == stampOf(snap.fact)
 	}
 	for i, ds := range dims {
@@ -297,13 +313,12 @@ type execSnap struct {
 	decs []*bwd.Column     // aligned with pl.cols; nil where not decomposed
 }
 
-// pin resolves the decompositions of one leg's pinned versions.
-func (pl *Plan) pin(fact *store.Snapshot, dims []*store.Snapshot) *execSnap {
-	s := &execSnap{pl: pl, fact: fact, dims: dims, decs: make([]*bwd.Column, len(pl.cols))}
-	for i, ref := range pl.cols {
+// resolve looks up the decompositions of one leg's pinned versions.
+func (s *execSnap) resolve() {
+	s.decs = make([]*bwd.Column, len(s.pl.cols))
+	for i, ref := range s.pl.cols {
 		s.decs[i] = s.snapFor(ref.Dim).Dec(ref.Name)
 	}
-	return s
 }
 
 // get returns the decomposition of a column the statement touches (dim ""

@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -85,18 +85,7 @@ func (r *Result) StreamHypothetical() float64 {
 
 // sortRows orders rows by their key tuples for deterministic output.
 func sortRows(rows []Row) {
-	if len(rows) < 2 {
-		return // a global aggregate: nothing for sort.Slice to build a swapper for
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i].Keys, rows[j].Keys
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(rows, func(a, b Row) int { return slices.Compare(a.Keys, b.Keys) })
 }
 
 // AppendText appends the row as fmt's %v prints it — "[k1 k2] -> [v1 v2]",

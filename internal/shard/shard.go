@@ -23,6 +23,7 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/store"
 )
@@ -182,6 +183,15 @@ type Partitioned struct {
 	Spec   Spec
 	Parts  []*store.Table
 	colIdx int // index of Spec.Col in the shared schema
+
+	// Fence is the statement fence. Every partition publishes its own
+	// snapshots, so an INSERT or DELETE touching several of them becomes
+	// visible one partition at a time; the writer holds Fence exclusively
+	// around those in-memory publications (never across a log write) and a
+	// reader holds it shared around loading the N snapshots it pins, so a
+	// scatter sees all of the statement or none of it. A statement touching
+	// one partition publishes atomically already and takes no fence.
+	Fence sync.RWMutex
 }
 
 // NewPartitioned wraps spec and its partition tables, resolving the routing
@@ -212,9 +222,19 @@ func (p *Partitioned) Route(row []int64) int {
 }
 
 // Split groups rows by destination partition, preserving the input order
-// within each partition — WAL replay re-splits identically.
+// within each partition — WAL replay re-splits identically. The groups are
+// windows of one array: rows are routed once to count, once to place.
 func (p *Partitioned) Split(rows [][]int64) [][][]int64 {
 	out := make([][][]int64, p.Spec.N)
+	counts := make([]int, p.Spec.N)
+	for _, row := range rows {
+		counts[p.Route(row)]++
+	}
+	placed, at := make([][]int64, len(rows)), 0
+	for i, n := range counts {
+		out[i] = placed[at : at : at+n]
+		at += n
+	}
 	for _, row := range rows {
 		i := p.Route(row)
 		out[i] = append(out[i], row)

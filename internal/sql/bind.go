@@ -545,12 +545,13 @@ func (bd *binder) bindInsert(ins *InsertStmt) (*Binding, error) {
 		}
 	}
 	spec := &InsertSpec{Table: ins.Table, Rows: make([][]int64, 0, len(ins.Rows))}
+	vals := make([]int64, len(ins.Rows)*len(schema)) // every row's values, one array
 	for r, row := range ins.Rows {
 		if len(row) != len(schema) {
 			return nil, fmt.Errorf("sql: insert into %s: row %d has %d values, table has %d columns",
 				ins.Table, r+1, len(row), len(schema))
 		}
-		out := make([]int64, len(schema))
+		out := vals[r*len(schema) : (r+1)*len(schema) : (r+1)*len(schema)]
 		for si, name := range schema {
 			lv, ls := bd.lit(row[order[si]].V, row[order[si]].Scale)
 			v, ok := alignToScale(scales[si], lv, ls)

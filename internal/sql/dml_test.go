@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -154,5 +155,67 @@ func TestNormalizeDML(t *testing.T) {
 	want := "insert into p values ( 1 , 2.5 )"
 	if got := Normalize(src); got != want {
 		t.Fatalf("Normalize(%q) = %q, want %q", src, got, want)
+	}
+}
+
+// TestInsertRowsShareOneArray: the rows of a long INSERT are windows of one
+// array per stage. Rows must not bleed into each other, whatever the
+// statement's shape — negative literals (two tokens a value), a row wider or
+// narrower than the first.
+func TestInsertRowsShareOneArray(t *testing.T) {
+	c := plan.NewCatalog(device.PaperSystem())
+	run(t, c, "create table p (a int, b int)", false)
+	var sb strings.Builder
+	sb.WriteString("insert into p values (0, -0)")
+	var sumA, sumB int64
+	for i := int64(1); i < 200; i++ {
+		sb.WriteString(", (" + strconv.FormatInt(i, 10) + ", -" + strconv.FormatInt(3*i, 10) + ")")
+		sumA, sumB = sumA+i, sumB-3*i
+	}
+	run(t, c, sb.String(), false)
+	res := run(t, c, "select count(*), sum(a), sum(b) from p", true)
+	if got := res.Rows[0].Vals; got[0] != 200 || got[1] != sumA || got[2] != sumB {
+		t.Fatalf("200-row insert reads back as count, sums %v; want [200 %d %d]", got, sumA, sumB)
+	}
+	for _, src := range []string{
+		"insert into p values (1, 2), (3, 4, 5), (6, 7)",
+		"insert into p values (1, 2), (3), (6, 7)",
+		"insert into p values (1, 2), (3, 4), (5, 6, 7, 8, 9)",
+	} {
+		if _, err := Compile(c, src); err == nil || !strings.Contains(err.Error(), "row") {
+			t.Errorf("%s: ragged rows gave %v", src, err)
+		}
+	}
+	if got := count(t, c, "select count(*) from p", true); got != 200 {
+		t.Fatalf("refused inserts left %d rows", got)
+	}
+}
+
+// TestIsDML: the engine skips its plan cache on IsDML's word alone, so it
+// must hold exactly for the statements Parse takes as INSERT, DELETE or
+// CREATE (or refuses), never for one that could be cached.
+func TestIsDML(t *testing.T) {
+	for src, want := range map[string]bool{
+		"insert into p values (1)":         true,
+		"  \n\tInSeRt into p values (1)":   true,
+		"DELETE FROM p":                    true,
+		"create table q (a int)":           true,
+		"insert":                           true,
+		"select count(*) from p":           false,
+		"select bwdecompose(a, 8) from p":  false,
+		"explain insert into p values (1)": false,
+		"inserted":                         false,
+		"'insert'":                         false,
+		"":                                 false,
+		"# insert":                         false,
+	} {
+		if got := IsDML(src); got != want {
+			t.Errorf("IsDML(%q) = %v, want %v", src, got, want)
+		}
+		if stmt, err := Parse(src); err == nil {
+			if dml := stmt.Insert != nil || stmt.Delete != nil || stmt.Create != nil; dml != want {
+				t.Errorf("%q parses as DML: %v, IsDML says %v", src, dml, want)
+			}
+		}
 	}
 }

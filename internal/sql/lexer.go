@@ -124,10 +124,12 @@ func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
 func isIdentStart(c byte) bool { return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }
 func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
 
-// tokenize scans the whole input.
+// tokenize scans the whole input. The token slice is sized from the text —
+// a token every two bytes is what a dense VALUES list comes to — so a long
+// INSERT does not grow it by doubling from nothing.
 func tokenize(src string) ([]token, error) {
 	l := &lexer{src: src}
-	var out []token
+	out := make([]token, 0, len(src)/2+2)
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -138,4 +140,17 @@ func tokenize(src string) ([]token, error) {
 			return out, nil
 		}
 	}
+}
+
+// IsDML reports whether the statement's first token is INSERT, DELETE or
+// CREATE. Parse takes exactly those for the DML statements, so such a text
+// is a write or a syntax error whatever follows: a plan cache knows from
+// here that it will never hold it, without normalizing the text.
+func IsDML(src string) bool {
+	l := lexer{src: src}
+	t, err := l.next()
+	if err != nil || t.kind != tokIdent {
+		return false
+	}
+	return strings.EqualFold(t.text, "INSERT") || strings.EqualFold(t.text, "DELETE") || strings.EqualFold(t.text, "CREATE")
 }

@@ -299,11 +299,21 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
+	// Every row after the first is carved from one array, sized when the
+	// first row has told the width: a row is its parentheses, its literals
+	// and the commas between and after them, so the tokens left bound the
+	// rows left. A row that turns out wider outgrows its slot into an array
+	// of its own (and the binder rejects the statement).
+	var lits []Lit
+	width := 0
 	for {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
 		var row []Lit
+		if width > 0 && len(lits) >= width {
+			row, lits = lits[:0:width], lits[width:]
+		}
 		for {
 			v, scale, err := p.parseLiteral()
 			if err != nil {
@@ -320,6 +330,12 @@ func (p *parser) parseInsert() (*InsertStmt, error) {
 		ins.Rows = append(ins.Rows, row)
 		if !p.acceptSymbol(",") {
 			break
+		}
+		if width == 0 {
+			width = len(row)
+			left := (len(p.toks)-p.at)/(2*width+2) + 1
+			lits = make([]Lit, left*width)
+			ins.Rows = append(make([][]Lit, 0, left+1), row)
 		}
 	}
 	return ins, nil
