@@ -8,6 +8,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -15,12 +16,12 @@ import (
 
 	"repro/internal/ar"
 	"repro/internal/bat"
-	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/par"
 	"repro/internal/plan"
+	"repro/internal/spatial"
 	"repro/internal/tpch"
 )
 
@@ -55,11 +56,14 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		}
 	})
 
-	// The two regimes of the granule scan at the spatial workload's shape
-	// (23 bits x 2 M rows, a 1 % range): trip-like clustered rows, where
-	// almost every granule is skipped from its code bounds, and the same
-	// values shuffled, where every granule overlaps the range and must be
-	// decoded. A later kernel change has a before/after for both.
+	// The regimes of the granule scan at the spatial workload's shape (23
+	// bits x 2 M rows, a 1 % range): trip-like clustered rows in runs of 128
+	// that start on a granule edge, where almost every granule is skipped
+	// from its code bounds; the same values shuffled, where every granule
+	// overlaps the range and must be decoded; and runs of 50–200 rows that
+	// start at any row, as trips do, where most granules straddle a run break
+	// and it is the bounds of their two parts that settle them. A later
+	// kernel change has a before/after for each.
 	const n, span = 2_000_000, 1 << 23
 	rng := rand.New(rand.NewSource(9))
 	clustered := make([]int64, n)
@@ -72,10 +76,11 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 	}
 	shuffled := append([]int64(nil), clustered...)
 	rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	runs := benchRuns(rng, n, span)
 	for _, reg := range []struct {
 		name string
 		vals []int64
-	}{{"clustered", clustered}, {"shuffled", shuffled}} {
+	}{{"clustered", clustered}, {"shuffled", shuffled}, {"runs", runs}} {
 		b.Run(reg.name, func(b *testing.B) {
 			col, err := bwd.Decompose(bat.NewDense(reg.vals, bat.Width32), 23, nil)
 			if err != nil {
@@ -134,12 +139,136 @@ func BenchmarkOpSelectRefine(b *testing.B) {
 	}
 }
 
+// benchRuns draws n values in runs of 50–200 rows, each a slow drift from a
+// start anywhere in [0, span): the trips table's shape, run breaks at any row.
+func benchRuns(rng *rand.Rand, n int, span int64) []int64 {
+	vals := make([]int64, n)
+	for i, at, left := 0, int64(0), 0; i < n; i++ {
+		if left == 0 {
+			at, left = rng.Int63n(span), 50+rng.Intn(150)
+		}
+		at = min(max(at+rng.Int63n(41)-20, 0), span-1)
+		left--
+		vals[i] = at
+	}
+	return vals
+}
+
+// BenchmarkOpSelectClassic is the classic selection as a statement runs it: a
+// count over two wide conjuncts (each keeps ~40 % of its column's domain, the
+// scan_range workload's wide boxes) on 2 M rows of two decomposed columns,
+// through Catalog.ExecClassic, so the line measures whatever the executor
+// does between the conjuncts. "uniform" draws both columns at random — no
+// granule's bounds settle anything — and "runs" in the trips shape, the
+// second column drifting with the first.
 func BenchmarkOpSelectClassic(b *testing.B) {
-	_, raw := benchColumn(12)
-	b.SetBytes(raw.TailBytes())
+	const n, span = 2_000_000, 1 << 23
+	rng := rand.New(rand.NewSource(9))
+	uniform := func() []int64 {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63n(span)
+		}
+		return vals
+	}
+	runs := benchRuns(rng, n, span)
+	drift := make([]int64, n)
+	for i, v := range runs {
+		drift[i] = min(max(v+rng.Int63n(2001)-1000, 0), span-1)
+	}
+	for _, reg := range []struct {
+		name string
+		a, b []int64
+	}{{"uniform", uniform(), uniform()}, {"runs", runs, drift}} {
+		b.Run(reg.name, func(b *testing.B) {
+			c := plan.NewCatalog(device.PaperSystem())
+			tbl := plan.NewTable("t")
+			for _, col := range []struct {
+				name string
+				vals []int64
+			}{{"a", reg.a}, {"b", reg.b}} {
+				if err := tbl.AddColumn(col.name, bat.NewDense(col.vals, bat.Width32)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := c.AddTable(tbl); err != nil {
+				b.Fatal(err)
+			}
+			for _, col := range []string{"a", "b"} {
+				if _, err := c.Decompose("t", col, 23); err != nil {
+					b.Fatal(err)
+				}
+			}
+			q := plan.Query{
+				Table:   "t",
+				Filters: []plan.Filter{{Col: "a", Lo: span / 4, Hi: span/4 + span*2/5}, {Col: "b", Lo: span / 3, Hi: span/3 + span*2/5}},
+				Aggs:    []plan.AggSpec{{Name: "n", Func: plan.Count}},
+			}
+			b.SetBytes(2 * n * 4)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.ExecClassic(context.Background(), q, plan.ExecOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOpScanRangeMix runs the scan_range workload's statement mix in
+// process — 2 M trips, 15 % wide boxes (side 15–40°), a quarter of the rest
+// on the hot spot, sides 0.05–2° — through a session in auto mode, and
+// reports what the approximate scans did with the granules they visited
+// (ar.ScanStats): the share skipped or settled from the bounds and the share
+// that had codes compared.
+func BenchmarkOpScanRangeMix(b *testing.B) {
+	c := plan.NewCatalog(device.PaperSystem())
+	d := spatial.Generate(2_000_000, 1)
+	if err := d.Load(c); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Decompose(c); err != nil {
+		b.Fatal(err)
+	}
+	eng := engine.New(c, engine.Options{})
+	sess := eng.Session()
+	defer sess.Close()
+	const (
+		lonMin, lonMax = -12.62427, 29.64975
+		latMin, latMax = 27.09371, 70.13643
+		hotLon, hotLat = 2.69258, 50.43535
+	)
+	rng := rand.New(rand.NewSource(1))
+	uniform := func(lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
+	narrow := func() float64 { return 0.05 * math.Pow(2/0.05, rng.Float64()) }
+	next := func() string {
+		var lon, lat, side float64
+		switch p := rng.Float64(); {
+		case p < 0.15:
+			side = uniform(15, 40)
+			lon, lat = uniform(lonMin+side/2, lonMax-side/2), uniform(latMin+side/2, latMax-side/2)
+		case p < 0.15+0.85/4:
+			side = narrow()
+			lon, lat = hotLon+uniform(-side/4, side/4), hotLat+uniform(-side/4, side/4)
+		default:
+			lon, lat, side = uniform(lonMin, lonMax), uniform(latMin, latMax), narrow()
+		}
+		return fmt.Sprintf("select count(lon) from trips where lon between %.5f and %.5f and lat between %.5f and %.5f",
+			lon-side/2, lon+side/2, lat-side/2, lat+side/2)
+	}
+	before := ar.ScanStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bulk.SelectRange(par.P{}, nil, raw, 0, benchN/10)
+		if _, err := sess.Query(context.Background(), next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := ar.ScanStats()
+	decoded := float64(after.Decoded - before.Decoded)
+	if total := decoded + float64(after.Skipped-before.Skipped) + float64(after.Inside-before.Inside); total > 0 {
+		b.ReportMetric(100*decoded/total, "decoded-%")
+		b.ReportMetric(total/float64(b.N), "granules/op")
 	}
 }
 

@@ -1,6 +1,7 @@
 package ar
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bat"
@@ -21,11 +22,14 @@ type scanFixture struct {
 	lo, hi int64
 }
 
-// scanFixtures are the two regimes of the granule scan. Shuffled values
-// make every granule overlap the range, so each is decoded and its few
-// survivors are fetched one by one; clustered (here: ascending) values
-// leave three quarters of the granules skipped from their bounds and the
-// rest accepted whole and materialised by one decode each.
+// scanFixtures are the regimes of the granule scan. Shuffled values make
+// every granule overlap the range, so each is decoded and its few survivors
+// are fetched one by one; clustered (here: ascending) values leave three
+// quarters of the granules skipped from their bounds and the rest accepted
+// whole and materialised by one decode each; runs of 50–200 rows that start
+// at any row (the trips shape) put a run break inside most granules, which
+// the two parts of a granule's split settle — a part admitted, a part
+// passed over — and only a range that cuts through a run has codes compared.
 var scanFixtures = []struct {
 	name string
 	vals func(n int) []int64
@@ -35,6 +39,19 @@ var scanFixtures = []struct {
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = int64(i)
+		}
+		return vals
+	}},
+	{"runs", func(n int) []int64 {
+		rng := rand.New(rand.NewSource(7))
+		vals := make([]int64, n)
+		for i, at, left := 0, int64(0), 0; i < n; i++ {
+			if left == 0 {
+				at, left = rng.Int63n(int64(n)), 50+rng.Intn(150)
+			}
+			at = min(max(at+rng.Int63n(5)-2, 0), int64(n)-1)
+			left--
+			vals[i] = at
 		}
 		return vals
 	}},
@@ -93,7 +110,8 @@ func TestReconstructAllZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkHotPathAllocs is the CI smoke target: the bench smoke step runs
-// it with -benchtime and asserts 0 allocs/op on every report line.
+// it with -benchtime and asserts 0 allocs/op on every report line, one per
+// fixture.
 func BenchmarkHotPathAllocs(b *testing.B) {
 	for _, fx := range scanFixtures {
 		b.Run(fx.name, func(b *testing.B) {

@@ -85,6 +85,9 @@ type Candidates struct {
 	rows, n         int
 	offs            []int
 	sealed, emitted bool
+	// walk is the scratch a narrowing step compiles its disjuncts into; it
+	// stays with the pooled header so that a step allocates nothing.
+	walk []bwd.Disjunct
 	// pooled marks IDs and every attachment's codes as arena-backed:
 	// Release returns them to the pools. Sets built from caller-owned
 	// slices stay unpooled and Release is a no-op on them.
@@ -116,6 +119,8 @@ func (c *Candidates) Release() {
 		c.attach[i] = attachment{}
 	}
 	c.attach = c.attach[:0]
+	clear(c.walk)
+	c.walk = c.walk[:0]
 	c.shipped = false
 	mem.U64.Put(c.certain)
 	c.certain, c.certainBuilt = nil, false

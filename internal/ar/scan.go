@@ -19,8 +19,9 @@ import (
 // SelectApproxAny (k disjunct columns). Host-side it is built around the
 // 64-row granule and runs in three steps — skip, mask, materialise
 // (DESIGN.md §13) — so that rows a relaxed range cannot admit are never
-// decoded. None of that is visible to the simulated device, which still
-// pays the paper's full packed scan.
+// decoded: the first two are bwd's granule walk, which the classic selection
+// shares; the third is here. None of that is visible to the simulated
+// device, which still pays the paper's full packed scan.
 
 // gpuChunk is the tuple count per simulated device work-group.
 const gpuChunk = 64 << 10
@@ -43,9 +44,10 @@ func devP() par.P {
 const OpsPackedScan = 6
 
 // GranuleStats counts, process-wide, how the approximate scans disposed of
-// the granules they visited: Skipped were never read (no disjunct's range
-// meets the granule's code bounds), Inside were accepted whole from the
-// bounds alone, Decoded were unpacked and compared row by row.
+// the granules they visited: Skipped were never read and admitted no row (no
+// disjunct's range meets the code bounds of the granule, or of either of its
+// two parts), Inside were never read and admitted rows — the whole granule,
+// or exactly the part a range covers — and Decoded had codes compared.
 type GranuleStats struct {
 	Skipped, Inside, Decoded uint64
 }
@@ -136,28 +138,43 @@ func scanApprox(m *device.Meter, c *Candidates) {
 }
 
 // narrow is the mask step of every approximate selection: each work-group
-// walks its granules and records which rows satisfy any of the disjuncts
-// att in one word per granule — over all rows for the scan that starts a
-// set (maskGroup), and (and) over the words earlier steps left non-zero for
-// a further conjunct, whose outcome is ANDed in (narrowGroup). One
-// work-group runs on the calling goroutine without materializing a closure;
-// an empty column has none.
+// walks its granules and records which rows satisfy any of the disjuncts att
+// in one word per granule — over all rows for the scan that starts a set,
+// and (and) over the words earlier steps left non-zero for a further
+// conjunct, whose outcome is ANDed in. The walk and the decision it takes
+// per granule are bwd's (ScanGranules, NarrowGranules), shared with the
+// classic selection; what an approximate selection compares in a granule its
+// range cuts through is the packed codes. One work-group runs on the calling
+// goroutine without materializing a closure; an empty column has none.
 func (c *Candidates) narrow(att []attachment, and bool) {
 	if c.mask == nil || c.sealed {
 		panic("ar: narrowing a candidate set that has no survivor mask or whose positions were already read")
 	}
-	mask, counts, group := c.mask, c.offs, maskGroup
+	c.walk = c.walk[:0]
+	for j := range att {
+		c.walk = append(c.walk, att[j].col.Approximately(att[j].rng))
+	}
+	ds, mask, counts, group := c.walk, c.mask, c.offs, bwd.ScanGranules
 	if and {
-		group = narrowGroup
+		group = bwd.NarrowGranules
 	}
 	if len(counts) == 1 {
-		counts[0] = group(att, mask, 0, c.rows)
+		counts[0] = countGroup(group(ds, mask, 0, c.rows))
 	} else if len(counts) > 1 {
 		devP().For(c.rows, func(lo, hi int) {
-			counts[lo/gpuChunk] = group(att, mask, lo, hi)
+			counts[lo/gpuChunk] = countGroup(group(ds, mask, lo, hi))
 		})
 	}
 	c.recount()
+}
+
+// countGroup adds one work-group's granule outcomes to the process-wide
+// counters and passes its survivor count through.
+func countGroup(n int, o bwd.Outcomes) int {
+	granuleStats.skipped.Add(o.Skipped)
+	granuleStats.inside.Add(o.Inside)
+	granuleStats.decoded.Add(o.Compared)
+	return n
 }
 
 // recount sums the work-groups' survivor counts into the set's length.
@@ -254,151 +271,8 @@ func (c *Candidates) emitCodes(approx *bitpack.Array, codes []uint64) {
 	}
 }
 
-// maskGroup computes the survivor words of the granules of work-group
-// [lo,hi) — lo is a multiple of the granule size — for the scan that starts
-// a set, and returns the group's survivor count. Per granule and disjunct,
-// the column's code bounds decide first: a range that misses them
-// contributes nothing without a read, a range that covers them admits the
-// whole granule without a decode, and only a range that cuts through them
-// has codes compared (compareGranule).
-func maskGroup(att []attachment, mask []uint64, lo, hi int) int {
-	var buf [bwd.GranuleRows]uint64
-	var skipped, inside, decoded uint64
-	cnt := 0
-	for g := lo / bwd.GranuleRows; g*bwd.GranuleRows < hi; g++ {
-		base := g * bwd.GranuleRows
-		rows := min(bwd.GranuleRows, hi-base)
-		all := ^uint64(0) >> (bwd.GranuleRows - rows)
-		var word uint64
-		unpacked := false
-		for j := range att {
-			a := &att[j]
-			if a.rng.Empty {
-				continue
-			}
-			rlo, rhi := a.rng.Lo, a.rng.Hi
-			if a.rng.Full {
-				rlo, rhi = 0, ^uint64(0)
-			}
-			b := a.col.Granules()[g]
-			if b.Max < rlo || b.Min > rhi {
-				continue
-			}
-			if b.Min >= rlo && b.Max <= rhi {
-				word = all
-				break
-			}
-			unpacked = true
-			word |= compareGranule(a.col.Approx, base, all, rlo, rhi-rlo, &buf)
-		}
-		switch {
-		case unpacked:
-			decoded++
-		case word != 0:
-			inside++
-		default:
-			skipped++
-		}
-		mask[g] = word
-		cnt += bits.OnesCount64(word)
-	}
-	granuleStats.skipped.Add(skipped)
-	granuleStats.inside.Add(inside)
-	granuleStats.decoded.Add(decoded)
-	return cnt
-}
-
-// narrowGroup is maskGroup for a further conjunct or disjunction group: the
-// same decisions per granule and disjunct, asked only about the rows
-// earlier steps left in the granule's word — so the outcome is ANDed in as
-// it is computed — and not asked at all of a granule whose word is already
-// zero, which is passed over without a look at its bounds and counts as
-// skipped. It is a loop of its own rather than a flag on maskGroup because
-// the first scan's loop runs over every granule of the table and either
-// test in it costs a tenth of a clustered scan (BenchmarkOpSelectApprox).
-func narrowGroup(att []attachment, mask []uint64, lo, hi int) int {
-	var buf [bwd.GranuleRows]uint64
-	var skipped, inside, decoded uint64
-	cnt := 0
-	for g := lo / bwd.GranuleRows; g*bwd.GranuleRows < hi; g++ {
-		live := mask[g]
-		if live == 0 {
-			skipped++
-			continue
-		}
-		var word uint64
-		unpacked := false
-		for j := range att {
-			a := &att[j]
-			if a.rng.Empty {
-				continue
-			}
-			rlo, rhi := a.rng.Lo, a.rng.Hi
-			if a.rng.Full {
-				rlo, rhi = 0, ^uint64(0)
-			}
-			b := a.col.Granules()[g]
-			if b.Max < rlo || b.Min > rhi {
-				continue
-			}
-			if b.Min >= rlo && b.Max <= rhi {
-				word = live
-				break
-			}
-			unpacked = true
-			word |= compareGranule(a.col.Approx, g*bwd.GranuleRows, live, rlo, rhi-rlo, &buf)
-		}
-		switch {
-		case unpacked:
-			decoded++
-		case word != 0:
-			inside++
-		default:
-			skipped++
-		}
-		mask[g] = word
-		cnt += bits.OnesCount64(word)
-	}
-	granuleStats.skipped.Add(skipped)
-	granuleStats.inside.Add(inside)
-	granuleStats.decoded.Add(decoded)
-	return cnt
-}
-
-// compareGranule returns which of the rows of the granule at base that are
-// set in live have a code in [lo, lo+span]: the granule unpacked into buf
-// and compared row by row, or — when few rows are live — one Get per live
-// row.
-func compareGranule(approx *bitpack.Array, base int, live, lo, span uint64, buf *[bwd.GranuleRows]uint64) uint64 {
-	var word uint64
-	if bits.OnesCount64(live) < denseSurvivors {
-		for w := live; w != 0; w &= w - 1 {
-			i := bits.TrailingZeros64(w)
-			word |= inRange(approx.Get(base+i), lo, span) << uint(i)
-		}
-		return word
-	}
-	approx.Unpack64(buf, base)
-	for i := 0; i < bwd.GranuleRows; i += 8 {
-		b := (*[8]uint64)(buf[i : i+8])
-		word |= (inRange(b[0], lo, span) | inRange(b[1], lo, span)<<1 |
-			inRange(b[2], lo, span)<<2 | inRange(b[3], lo, span)<<3 |
-			inRange(b[4], lo, span)<<4 | inRange(b[5], lo, span)<<5 |
-			inRange(b[6], lo, span)<<6 | inRange(b[7], lo, span)<<7) << uint(i)
-	}
-	return word & live
-}
-
-// inRange is 1 when lo <= code <= lo+span and 0 otherwise, without a branch.
-func inRange(code, lo, span uint64) uint64 {
-	if code-lo <= span {
-		return 1
-	}
-	return 0
-}
-
-// denseSurvivors is the row count from which reading a granule by one
-// 64-row decode is cheaper than one positional Get per row wanted.
+// denseSurvivors is the survivor count from which reading a granule by one
+// 64-row decode is cheaper than one positional Get per survivor.
 const denseSurvivors = 16
 
 // fewHoles is the number of missing rows up to which copying the stretches

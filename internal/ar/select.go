@@ -12,7 +12,7 @@ import (
 // on another column (conjunctive selections, e.g. the two BETWEENs of the
 // spatial range query). The device gathers col's codes at the candidate
 // positions and keeps the matches; on the host that is the scan's mask step
-// over the granules that still hold a survivor (narrowGroup), its outcome
+// over the granules that still hold a survivor (bwd.NarrowGranules), its outcome
 // ANDed into the set's mask — so in must still carry one, with no position
 // read yet. The set is narrowed in place and returned, col attached to it;
 // candidate order is the order of the final mask, which is what filtering

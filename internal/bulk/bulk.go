@@ -24,6 +24,14 @@
 // blocks that merge in block order, preserving first-appearance group
 // order exactly. (The executor's grouped and expression aggregates are the
 // compiled program of internal/plan.)
+//
+// The selections here — SelectRange, then SelectOIDs per further conjunct,
+// an id list handed from each to the next — are the model the classic
+// executor is billed for, the reference its selection is tested against and
+// what the Fig 8 micro-benchmarks time; a classic statement's scan itself
+// narrows a survivor mask (internal/plan, selectClassic) and charges what
+// these operators charge, through ChargeSelectRange, ChargeSelectOIDs and
+// ChargeFetch.
 package bulk
 
 import (
@@ -105,12 +113,19 @@ func SelectRange(p par.P, m *device.Meter, b *bat.BAT, lo, hi int64) []bat.OID {
 			mem.Ints.Put(counts)
 		}
 	}
-	if m != nil {
-		m.CPUWork(p.NThreads(),
-			b.TailBytes()+int64(len(out))*oidBytes, 0,
-			int64(len(tails))*OpsSelect)
-	}
+	ChargeSelectRange(p, m, b, len(out))
 	return out
+}
+
+// ChargeSelectRange bills a SelectRange over b that kept out rows: the whole
+// tail streamed, the survivors' ids written, one comparison per row. The
+// executor's classic selection (internal/plan), which keeps its survivors in
+// a mask, charges through it too — the bill is the execution model's, not
+// the host's.
+func ChargeSelectRange(p par.P, m *device.Meter, b *bat.BAT, out int) {
+	if m != nil {
+		m.CPUWork(p.NThreads(), b.TailBytes()+int64(out)*oidBytes, 0, int64(b.Len())*OpsSelect)
+	}
 }
 
 // SelectOIDs filters an existing candidate list: it returns the subset of
@@ -145,14 +160,18 @@ func SelectOIDs(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID, lo, hi int6
 			mem.Ints.Put(counts)
 		}
 	}
-	if m != nil {
-		gather := device.RandomFetchBytes(int64(len(ids)), int64(b.Width()), b.TailBytes())
-		m.CPUWork(p.NThreads(),
-			int64(len(ids))*oidBytes+int64(len(out))*oidBytes+gather,
-			0,
-			int64(len(ids))*OpsSelect)
-	}
+	ChargeSelectOIDs(p, m, b, len(ids), len(out))
 	return out
+}
+
+// ChargeSelectOIDs bills a SelectOIDs that kept out of in candidates: both id
+// lists streamed, b gathered at the candidate positions, one comparison per
+// candidate.
+func ChargeSelectOIDs(p par.P, m *device.Meter, b *bat.BAT, in, out int) {
+	if m != nil {
+		gather := device.RandomFetchBytes(int64(in), int64(b.Width()), b.TailBytes())
+		m.CPUWork(p.NThreads(), int64(in+out)*oidBytes+gather, 0, int64(in)*OpsSelect)
+	}
 }
 
 // Fetch is the invisible (positional) join: it returns b's values at the
@@ -174,14 +193,17 @@ func Fetch(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID) []int64 {
 			}
 		})
 	}
-	if m != nil {
-		gather := device.RandomFetchBytes(int64(len(ids)), int64(b.Width()), b.TailBytes())
-		m.CPUWork(p.NThreads(),
-			int64(len(ids))*oidBytes+int64(len(out))*int64(b.Width())+gather,
-			0,
-			int64(len(ids))*OpsFetch)
-	}
+	ChargeFetch(p, m, b, len(ids))
 	return out
+}
+
+// ChargeFetch bills a Fetch of n positions of b: the ids streamed, the
+// values gathered and written.
+func ChargeFetch(p par.P, m *device.Meter, b *bat.BAT, n int) {
+	if m != nil {
+		gather := device.RandomFetchBytes(int64(n), int64(b.Width()), b.TailBytes())
+		m.CPUWork(p.NThreads(), int64(n)*oidBytes+int64(n)*int64(b.Width())+gather, 0, int64(n)*OpsFetch)
+	}
 }
 
 // Grouping is the result of a group-by: a group ID per input position

@@ -67,6 +67,7 @@ type Column struct {
 	histRows  int64   // sum of hist, kept beside it so reading the histogram is O(1)
 	histShift uint
 	granules  []Bounds // code bounds of rows [64g, 64g+64)
+	splits    []Split  // the same rows as two ranges, cut at the largest code jump
 	gpuAlloc  *device.Alloc
 	cpuAlloc  *device.Alloc
 }
@@ -86,38 +87,26 @@ func histShiftFor(approxBits uint) uint {
 	return 0
 }
 
-// GranuleRows is the row count of one scan granule: the rows whose
-// survivors an approximate scan records in one 64-bit word. It is the
-// machine word size, not a setting.
-const GranuleRows = 64
-
-// Bounds is the closed interval of approximation codes the rows of one
-// granule span; both ends are attained.
-type Bounds struct{ Min, Max uint64 }
-
 // newSummaries sizes the derived per-column summaries — the bucket
-// histogram and the granule bounds — for summarize to fill.
+// histogram and the granule bounds and splits (granule.go) — for summarize
+// to fill.
 func (c *Column) newSummaries() {
 	c.histShift = histShiftFor(c.Dec.ApproxBits)
 	c.hist = make([]int64, (c.Dec.MaxApprox()>>c.histShift)+1)
 	c.granules = make([]Bounds, (c.n+GranuleRows-1)/GranuleRows)
+	c.splits = make([]Split, len(c.granules))
 }
 
 // summarize folds the approximation codes of rows [lo, lo+len(codes)) into
-// the histogram and the granule bounds; lo must be a multiple of
-// GranuleRows. It is the one place both are computed, so Decompose and
-// Restore agree by construction. Neither summary is persisted and both are
-// immutable once the constructor returns, like the planes they describe.
+// the histogram and the granule bounds and splits; lo must be a multiple of
+// GranuleRows. It is the one place they are computed, so Decompose and
+// Restore — and a merge, which decomposes — agree by construction. No
+// summary is persisted and all are immutable once the constructor returns,
+// like the planes they describe.
 func (c *Column) summarize(lo int, codes []uint64) {
 	for len(codes) > 0 {
 		g := codes[:min(GranuleRows, len(codes))]
-		b := Bounds{Min: g[0], Max: g[0]}
-		for _, code := range g {
-			c.hist[code>>c.histShift]++
-			b.Min = min(b.Min, code)
-			b.Max = max(b.Max, code)
-		}
-		c.granules[lo/GranuleRows] = b
+		c.granules[lo/GranuleRows], c.splits[lo/GranuleRows] = summarizeGranule(g, c.hist, c.histShift)
 		c.histRows += int64(len(g))
 		lo += len(g)
 		codes = codes[len(g):]
@@ -267,6 +256,11 @@ func (c *Column) BucketShift() uint { return c.histShift }
 // intersect and to accept granules it covers without decoding a row. The
 // slice is owned by the column and must not be mutated.
 func (c *Column) Granules() []Bounds { return c.granules }
+
+// Splits returns, beside Granules, every granule as two row ranges with
+// their own code bounds — what Decide falls back on when a range cuts
+// through a granule's bounds as a whole. Owned by the column like Granules.
+func (c *Column) Splits() []Split { return c.splits }
 
 // Release frees the simulated device allocations.
 func (c *Column) Release() {

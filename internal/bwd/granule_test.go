@@ -10,8 +10,8 @@ import (
 	"repro/internal/bwd/bwdtest"
 )
 
-// Both constructors derive the granule bounds — and the bucket histogram —
-// in one shared pass, so a column rebuilt from its persisted planes must
+// Both constructors derive the granule bounds and splits — and the bucket
+// histogram — in one shared pass, so a column rebuilt from its persisted planes must
 // summarise exactly like the one Decompose produced, at row counts on and
 // around granule and summary-block boundaries and with or without
 // residual bits.
@@ -39,8 +39,8 @@ func TestGranuleBoundsDecomposeAndRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			bwdtest.CheckGranules(t, "restore", back)
-			if !slices.Equal(back.Granules(), col.Granules()) {
-				t.Fatalf("n=%d bits=%d: restored granule bounds differ from the decomposed column's", n, bits)
+			if !slices.Equal(back.Granules(), col.Granules()) || !slices.Equal(back.Splits(), col.Splits()) {
+				t.Fatalf("n=%d bits=%d: restored granule bounds or splits differ from the decomposed column's", n, bits)
 			}
 			if !slices.Equal(back.BucketCounts(), col.BucketCounts()) || back.BucketShift() != col.BucketShift() ||
 				back.BucketRows() != int64(n) || col.BucketRows() != int64(n) {

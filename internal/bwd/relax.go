@@ -102,34 +102,40 @@ func (r ApproxRange) Contains(code uint64) bool {
 // predicates are closed under <-to-<= rewriting (v < x  ≡  v <= x-1), Relax
 // together with that rewrite covers the paper's full f(x) table.
 func (c *Column) Relax(lo, hi int64) ApproxRange {
-	if lo > hi {
+	slo, shi, ok := c.shift(lo, hi)
+	if !ok {
 		return ApproxRange{Empty: true}
 	}
-	maxVal := c.Dec.Base + int64(bitpack.Mask(c.Dec.TotalBits))
-	if hi < c.Dec.Base || lo > maxVal {
-		return ApproxRange{Empty: true}
-	}
-	var r ApproxRange
-	if lo <= c.Dec.Base {
-		r.Lo = 0
-	} else {
-		r.Lo = uint64(lo-c.Dec.Base) >> c.Dec.ResBits
-	}
-	if hi >= maxVal {
+	r := ApproxRange{Lo: slo >> c.Dec.ResBits, Hi: shi >> c.Dec.ResBits}
+	if shi == bitpack.Mask(c.Dec.TotalBits) {
 		r.Hi = c.Dec.MaxApprox()
-	} else {
-		r.Hi = uint64(hi-c.Dec.Base) >> c.Dec.ResBits
-	}
-	// Full only when the VALUE predicate covers the whole domain, not
-	// merely the code range: with lo inside bucket 0 (or hi inside the top
-	// bucket) the boundary buckets still hold potential false positives,
-	// and consumers treat Full as "no boundary uncertainty" (Certain, the
-	// skipped scan) — marking such a range Full would overstate the
-	// phase-A lower bounds.
-	if lo <= c.Dec.Base && hi >= maxVal {
-		r.Full = true
+		// Full only when the VALUE predicate covers the whole domain, not
+		// merely the code range: with lo inside bucket 0 (or hi inside the top
+		// bucket) the boundary buckets still hold potential false positives,
+		// and consumers treat Full as "no boundary uncertainty" (Certain, the
+		// skipped scan) — marking such a range Full would overstate the
+		// phase-A lower bounds.
+		r.Full = slo == 0
 	}
 	return r
+}
+
+// shift maps the closed value range [lo, hi] into the column's shifted
+// domain [0, 2^TotalBits): the offsets of its ends from the base, clamped to
+// the domain. ok is false when no value of the domain lies in the range.
+// The arithmetic is unsigned, so a column that spans all 64 bits is no
+// special case.
+func (c *Column) shift(lo, hi int64) (slo, shi uint64, ok bool) {
+	if lo > hi || hi < c.Dec.Base {
+		return 0, 0, false
+	}
+	top := bitpack.Mask(c.Dec.TotalBits)
+	if lo > c.Dec.Base {
+		if slo = uint64(lo) - uint64(c.Dec.Base); slo > top {
+			return 0, 0, false
+		}
+	}
+	return slo, min(uint64(hi)-uint64(c.Dec.Base), top), true
 }
 
 // RelaxOp relaxes a single-operator predicate `v op x` into the

@@ -82,7 +82,25 @@ func TestShortStatementAllocBudget(t *testing.T) {
 	if run > 45 {
 		t.Errorf("prepared Exec allocates %.0f objects, budget 45", run)
 	}
-	t.Logf("hit %.0f objects, prepared Exec %.0f", hit, run)
+
+	// The same hit through the classic executor: its selection narrows a
+	// one-morsel mask on the calling goroutine, so the path around the scan
+	// is all it allocates, like the A&R hit.
+	sess.SetMode(ModeClassic)
+	if _, err := sess.Query(ctx, tripCount); err != nil {
+		t.Fatal(err)
+	}
+	classic := testing.AllocsPerRun(200, func() {
+		res, err := sess.Query(ctx, tripCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		WriteResult(out, res, false)
+	})
+	if classic > hit {
+		t.Errorf("classic plan-cache hit allocates %.0f objects, the A&R hit %.0f", classic, hit)
+	}
+	t.Logf("hit %.0f objects, prepared Exec %.0f, classic hit %.0f", hit, run, classic)
 }
 
 // TestDurableInsertAllocBudget is the allocation gate of the write path: a

@@ -288,28 +288,3 @@ func (ctx *exprCtx) appendDelta(d *deltaSet) {
 	}
 	ctx.n += d.n
 }
-
-// maskDeletedOIDs drops the OIDs whose base row is deleted in the
-// snapshot, charging one bitmap-probe pass. It returns the input slice
-// when the snapshot has no deletions. The probe is morsel-parallel over
-// the candidate list; morsel outputs concatenate in order, so candidate
-// order is preserved.
-func maskDeletedOIDs(m *device.Meter, pp par.P, s *store.Snapshot, ids []bat.OID) []bat.OID {
-	if s.BaseDeletedCount() == 0 {
-		return ids
-	}
-	out := par.GatherOrdered(pp, len(ids), func(lo, hi int) []bat.OID {
-		part := make([]bat.OID, 0, hi-lo)
-		for _, id := range ids[lo:hi] {
-			if !s.BaseDeleted(int(id)) {
-				part = append(part, id)
-			}
-		}
-		return part
-	})
-	if m != nil {
-		m.CPUWork(pp.NThreads(), int64(len(ids))*8+int64(s.BaseLen()+7)/8, 0, int64(len(ids)))
-	}
-	bat.OIDPool.Put(ids)
-	return out
-}

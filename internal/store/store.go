@@ -25,6 +25,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -550,27 +551,25 @@ func (t *Table) DeleteWhere(m *device.Meter, preds []Range) (int64, error) {
 	total := s.base.n + s.deltaN
 	del := make([]uint64, (total+63)/64)
 	copy(del, s.del)
-	var removedBase, removedDelta int
-	tails := make([][]int64, len(preds))
-	for k := range preds {
-		tails[k] = s.base.cols[idx[k]].Tails()
+	// Base rows: the live ones start a survivor mask that every predicate
+	// narrows through the scans' granule walk — a granule whose rows are all
+	// deleted already is passed over, one the bounds of a decomposed column
+	// settle is not read, exact values are compared in the rest — and what
+	// is left of it is the rows to mark.
+	hit := make([]uint64, (s.base.n+63)/64)
+	removedBase := 0
+	for g := range hit {
+		hit[g] = ^del[g] & (^uint64(0) >> uint(64-min(64, s.base.n-g*64)))
+		removedBase += bits.OnesCount64(hit[g])
 	}
-	for i := 0; i < s.base.n; i++ {
-		if bitSet(del, i) {
-			continue
-		}
-		match := true
-		for k, p := range preds {
-			if v := tails[k][i]; v < p.Lo || v > p.Hi {
-				match = false
-				break
-			}
-		}
-		if match {
-			setBit(del, i)
-			removedBase++
-		}
+	for k, p := range preds {
+		d := bwd.Exactly(s.base.decs[idx[k]], s.base.cols[idx[k]].Tails(), p.Lo, p.Hi)
+		removedBase, _ = bwd.NarrowGranules([]bwd.Disjunct{d}, hit, 0, s.base.n)
 	}
+	for g, w := range hit {
+		del[g] |= w
+	}
+	removedDelta := 0
 	for j := 0; j < s.deltaN; j++ {
 		if bitSet(del, s.base.n+j) {
 			continue
