@@ -320,25 +320,32 @@ func BenchmarkOpTranslucentJoin(b *testing.B) {
 
 // BenchmarkOpExprAggregate is TPC-H Q1 over 240 k lineitem rows (SF 0.04, the
 // olap_tail workload's table): 2 group keys, 8 aggregates, two nested
-// fixed-point products. "bounds" runs it A&R, so the statement evaluates the
-// interval program for the phase-A answer and the exact program for the
-// refined aggregation; "exact" runs it classic, the exact program alone.
-// Both go through the exported executors only, so the same line measures
-// the commit before the compiled expression kernel and after it.
+// fixed-point products. "bounds" runs it A&R with every column device
+// resident — an exact leg: the program folds once, in phase A, straight off
+// the packed columns. "bounds-sc" runs it A&R over the space-constrained
+// decomposition, where l_shipdate keeps residual bits — the general path:
+// the interval program for the phase-A answer, refinement, and the exact
+// program over the refined values. "exact" runs it classic, the exact
+// program alone. All go through the exported executors only, so the same
+// line measures any commit.
 func BenchmarkOpExprAggregate(b *testing.B) {
-	c := plan.NewCatalog(device.PaperSystem())
 	d := tpch.Generate(0.04, 1)
-	if err := d.Load(c); err != nil {
-		b.Fatal(err)
+	load := func(spaceConstrained bool) *plan.Catalog {
+		c := plan.NewCatalog(device.PaperSystem())
+		if err := d.Load(c); err != nil {
+			b.Fatal(err)
+		}
+		if err := d.DecomposeAll(c, spaceConstrained); err != nil {
+			b.Fatal(err)
+		}
+		return c
 	}
-	if err := d.DecomposeAll(c, false); err != nil {
-		b.Fatal(err)
-	}
+	c, sc := load(false), load(true)
 	q := tpch.Q1(90)
 	for _, mode := range []struct {
 		name string
 		exec func(context.Context, plan.Query, plan.ExecOpts) (*plan.Result, error)
-	}{{"bounds", c.ExecAR}, {"exact", c.ExecClassic}} {
+	}{{"bounds", c.ExecAR}, {"bounds-sc", sc.ExecAR}, {"exact", c.ExecClassic}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -92,23 +92,6 @@ func TestARScanZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestReconstructAllZeroAlloc(t *testing.T) {
-	f := newScanFixture(t, shuffledInts(50000, 7))
-	cands := SelectApprox(nil, f.col, f.rng)
-	defer cands.Release()
-	for i := 0; i < 5; i++ {
-		mem.I64.Put(ReconstructAll(par.P{}, nil, f.col, cands))
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		mem.I64.Put(ReconstructAll(par.P{}, nil, f.col, cands))
-	}); n != 0 {
-		if mem.RaceEnabled {
-			t.Skipf("%.2f allocs/op under -race (sync.Pool drops Puts); strict guard runs in normal builds", n)
-		}
-		t.Fatalf("ReconstructAll allocates %.2f/op in steady state, want 0", n)
-	}
-}
-
 // BenchmarkHotPathAllocs is the CI smoke target: the bench smoke step runs
 // it with -benchtime and asserts 0 allocs/op on every report line, one per
 // fixture.

@@ -154,6 +154,16 @@ func (c *Candidates) CodesFor(col *bwd.Column) []uint64 {
 	return nil
 }
 
+// attached reports whether col's codes travel with the set.
+func (c *Candidates) attached(col *bwd.Column) bool {
+	for i := range c.attach {
+		if c.attach[i].col == col {
+			return true
+		}
+	}
+	return false
+}
+
 // Certain reports whether candidate i is guaranteed to satisfy every
 // relaxed predicate exactly (i.e. it cannot be a false positive): its code
 // on every filtered column lies strictly inside the relaxed range, away
@@ -196,7 +206,7 @@ func (c *Candidates) Certain(i int) bool {
 			}
 			continue
 		}
-		if a.boundaryFree() {
+		if a.exactRange() {
 			continue
 		}
 		if code := a.codes[i]; code == a.rng.Lo || code == a.rng.Hi {
@@ -206,11 +216,28 @@ func (c *Candidates) Certain(i int) bool {
 	return true
 }
 
-// boundaryFree reports whether a conjunctive predicate's attachment can
-// never make a candidate uncertain: exact codes have no boundary
-// uncertainty, and a full range has no boundary.
-func (a *attachment) boundaryFree() bool {
-	return a.group == 0 && (a.col.Dec.ResBits == 0 || a.rng.Full)
+// exactRange reports whether the attachment's relaxed range is its exact
+// predicate: exact codes have no boundary uncertainty, and a full range has
+// no boundary.
+func (a *attachment) exactRange() bool {
+	return a.col.Dec.ResBits == 0 || a.rng.Full
+}
+
+// boundaryFree reports whether filtered attachment k can never make a
+// candidate uncertain. A conjunct cannot when its range is exact. A
+// disjunction group cannot when every member's is: a candidate matched some
+// member's relaxed range, and that range was the member's predicate.
+func (c *Candidates) boundaryFree(k int) bool {
+	a := &c.attach[k]
+	if a.group == 0 {
+		return a.exactRange()
+	}
+	for j := range c.attach {
+		if b := &c.attach[j]; b.filtered && b.group == a.group && !b.exactRange() {
+			return false
+		}
+	}
+	return true
 }
 
 // CertainMask returns Certain as a bitmask over the candidate positions —
@@ -226,7 +253,7 @@ func (c *Candidates) CertainMask() []uint64 {
 	c.certainBuilt = true
 	all := true
 	for k := range c.attach {
-		if a := &c.attach[k]; a.filtered && !a.boundaryFree() {
+		if c.attach[k].filtered && !c.boundaryFree(k) {
 			all = false
 			break
 		}

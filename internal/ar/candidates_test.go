@@ -100,7 +100,7 @@ func TestEmptyCandidatesFlow(t *testing.T) {
 	}
 	cands.Ship(nil)
 	proj := ProjectApprox(nil, col, cands)
-	if len(proj.Codes) != 0 {
+	if len(proj.Codes()) != 0 {
 		t.Error("projection over empty candidates not empty")
 	}
 	refined, vals2 := SelectRefine(par.P{}, nil, col, 100000, 200000, cands)
@@ -172,5 +172,48 @@ func TestCertainMaskMatchesCertain(t *testing.T) {
 	exact := SelectApprox(nil, resident, resident.Relax(100, 200))
 	if exact.CertainMask() != nil {
 		t.Fatal("a resident column's candidates are all certain: no mask")
+	}
+}
+
+// A disjunction whose every member is fully device resident (or spans its
+// whole column) is boundary-free like such a conjunct: each candidate
+// matched some member's relaxed range and that range was the predicate, so
+// the set settles "all certain" from its attachments — no mask is built, no
+// position is read, and the ids are never emitted — whether the group
+// started the set or narrowed it. One member with residual bits brings the
+// mask back.
+func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
+	vals := shuffledInts(2*gpuChunk+100, 99)
+	split, resident, other := decompose(t, vals, 6), decompose(t, vals, 32), decompose(t, shuffledInts(len(vals), 100), 32)
+	n := int64(len(vals))
+	cols := []*bwd.Column{resident, other, split}
+	rs := []bwd.ApproxRange{resident.Relax(0, n/3), other.Relax(n/2, n), {Full: true}}
+	for name, cands := range map[string]*Candidates{
+		"scan":     SelectApproxAny(nil, cols[:2], rs[:2], 1),
+		"narrowed": SelectApproxAnyOver(nil, cols[:2], rs[:2], SelectApprox(nil, other, other.Relax(0, n-n/10)), 1),
+		"full":     SelectApproxAny(nil, cols, rs, 1),
+	} {
+		if cands.Len() == 0 {
+			t.Fatalf("%s: the fixture selects nothing", name)
+		}
+		if cands.CertainMask() != nil {
+			t.Fatalf("%s: a mask for a disjunction over resident columns", name)
+		}
+		if iv := CountApprox(nil, cands); iv.Lo != iv.Hi || iv.Hi != int64(cands.Len()) {
+			t.Fatalf("%s: CountApprox = %v, want the point %d", name, iv, cands.Len())
+		}
+		if cands.emitted {
+			t.Fatalf("%s: deciding certainty emitted the ids", name)
+		}
+		for i := 0; i < cands.Len(); i += 997 {
+			if !cands.Certain(i) {
+				t.Fatalf("%s: candidate %d uncertain", name, i)
+			}
+		}
+		cands.Release()
+	}
+	mixed := SelectApproxAny(nil, []*bwd.Column{resident, split}, []bwd.ApproxRange{resident.Relax(0, n/3), split.Relax(n/2, n)}, 1)
+	if mixed.CertainMask() == nil {
+		t.Fatal("a member with residual bits has boundary buckets: want a mask")
 	}
 }

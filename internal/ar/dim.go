@@ -113,14 +113,14 @@ func ProjectRefineAt(pp par.P, m *device.Meter, p *Projection, refined *Candidat
 		return nil, err
 	}
 	out := mem.I64.GetN(refined.Len())
-	col := p.Col
+	col, codes := p.Col, p.Codes()
 	pp.For(len(pos), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var r uint64
 			if col.Dec.ResBits > 0 {
 				r = col.Residual.Get(int(atRefined[i]))
 			}
-			out[i] = col.ReconstructFrom(p.Codes[pos[i]], r)
+			out[i] = col.ReconstructFrom(codes[pos[i]], r)
 		}
 	})
 	mem.Ints.Put(pos)

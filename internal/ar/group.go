@@ -3,6 +3,7 @@ package ar
 import (
 	"fmt"
 
+	"repro/internal/bitpack"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -18,7 +19,7 @@ import (
 type Grouping struct {
 	Src     *Candidates
 	Cols    []*bwd.Column
-	IDs     []uint32 // group id per candidate position; arena-backed
+	IDs     []uint32 // group id per candidate position; arena-backed; nil once GroupRefine handed them on
 	NGroups int
 	// Codes[k][g] is the approximation code of column k for group g.
 	Codes   [][]uint64
@@ -114,16 +115,12 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		panic(fmt.Sprintf("ar: GroupApprox over %d columns whose codes exceed the 64-bit grouping-table entry", len(cols)))
 	}
 	n := cands.Len()
-	colCodes := make([][]uint64, len(cols))
-	projected := make([]bool, len(cols))
-	for k, col := range cols {
-		if attached := cands.CodesFor(col); attached != nil {
-			colCodes[k] = attached
-			continue
+	// A key column the scan has not attached is projected first, and billed
+	// as that projection.
+	for _, col := range cols {
+		if !cands.attached(col) {
+			chargeProject(m, col, n)
 		}
-		p := ProjectApprox(m, col, cands)
-		colCodes[k] = p.Codes
-		projected[k] = true
 	}
 	// Pack each code tuple into one table entry, leading column highest.
 	table := newGroupTable()
@@ -134,12 +131,55 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		shift[k] = total
 		total += cols[k].Dec.ApproxBits
 	}
-	for i := 0; i < n; i++ {
-		var key uint64
-		for k := range cols {
-			key |= colCodes[k][i] << shift[k]
+	if wg := cands.WorkGroups(); wg > 0 {
+		// By mask: the work-groups in candidate order, a block of granules
+		// at a time, each key column decoded into the block's key tuples.
+		const span = 16
+		order := par.PermuteInto(mem.Ints.GetN(wg))
+		keys, codes := mem.U64.GetN(span*bwd.GranuleRows), mem.U64.GetN(span*bwd.GranuleRows)
+		for _, ci := range order {
+			cands.Blocks(ci, ci+1, span, func(g0, g1, pos, cnt int) {
+				cands.Decode(cols[0].Approx, keys, g0, g1)
+				if shift[0] != 0 {
+					for i := range keys[:cnt] {
+						keys[i] <<= shift[0]
+					}
+				}
+				for k := 1; k < len(cols); k++ {
+					cands.Decode(cols[k].Approx, codes, g0, g1)
+					for i, code := range codes[:cnt] {
+						keys[i] |= code << shift[k]
+					}
+				}
+				for i, key := range keys[:cnt] {
+					ids[pos+i] = table.id(key)
+				}
+			})
 		}
-		ids[i] = table.id(key)
+		mem.Ints.Put(order)
+		mem.U64.Put(keys)
+		mem.U64.Put(codes)
+	} else {
+		// By position: the codes the scan attached, or one lookup per id.
+		colCodes := make([][]uint64, len(cols))
+		var gathered [][]uint64
+		for k, col := range cols {
+			if colCodes[k] = cands.CodesFor(col); colCodes[k] == nil {
+				colCodes[k] = mem.U64.GetN(n)
+				bitpack.Gather(col.Approx, cands.ids, colCodes[k])
+				gathered = append(gathered, colCodes[k])
+			}
+		}
+		for i := 0; i < n; i++ {
+			var key uint64
+			for k := range cols {
+				key |= colCodes[k][i] << shift[k]
+			}
+			ids[i] = table.id(key)
+		}
+		for _, codes := range gathered {
+			mem.U64.Put(codes)
+		}
 	}
 	uniq := table.uniq
 	codes := make([][]uint64, len(cols))
@@ -148,11 +188,6 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		mask := uint64(1)<<col.Dec.ApproxBits - 1
 		for g, key := range uniq {
 			codes[k][g] = key >> shift[k] & mask
-		}
-	}
-	for k := range colCodes {
-		if projected[k] {
-			mem.U64.Put(colCodes[k])
 		}
 	}
 	if m != nil {
@@ -204,17 +239,29 @@ func (g *Grouping) Ship(m *device.Meter) {
 // MonetDB's positional grouping representation cannot profit from a
 // physical pre-grouping.
 func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*bulk.Grouping, [][]int64, error) {
-	refinedIDs := refined.IDs()
-	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs(), refinedIDs)
-	if err != nil {
-		return nil, nil, err
-	}
 	exactPre := true
 	for _, col := range g.Cols {
 		if col.Dec.ResBits != 0 {
 			exactPre = false
 			break
 		}
+	}
+	if exactPre && refined.Len() == g.Src.Len() {
+		// Nothing was refined away either: the pre-grouping — dense ids in
+		// first-appearance order — is the grouping. Its ids pass to the
+		// caller as they are; no id list is joined to itself (a view, like
+		// the equal-length translucent join, which charges nothing).
+		ids := g.IDs
+		g.IDs = nil
+		if m != nil {
+			m.CPUWork(p.NThreads(), int64(len(ids))*8, 0, int64(len(ids)))
+		}
+		return &bulk.Grouping{IDs: ids, NGroups: g.NGroups}, g.keys(nil), nil
+	}
+	refinedIDs := refined.IDs()
+	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs(), refinedIDs)
+	if err != nil {
+		return nil, nil, err
 	}
 	if exactPre {
 		// Pass the pre-grouping through, dropping groups that lost all
@@ -227,18 +274,11 @@ func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*b
 		})
 		ids, used := remapFirstAppearance(p, old, g.NGroups)
 		mem.U32.Put(old)
-		keys := make([][]int64, len(g.Cols))
-		for k, col := range g.Cols {
-			keys[k] = make([]int64, len(used))
-			for newID, oldID := range used {
-				keys[k][newID] = col.Dec.Base + int64(g.Codes[k][oldID])
-			}
-		}
 		if m != nil {
 			m.CPUWork(p.NThreads(), int64(len(pos))*8, 0, int64(len(pos)))
 		}
 		mem.Ints.Put(pos)
-		return &bulk.Grouping{IDs: ids, NGroups: len(used)}, keys, nil
+		return &bulk.Grouping{IDs: ids, NGroups: len(used)}, g.keys(used), nil
 	}
 
 	// Reconstruct exact key tuples and regroup on the CPU.
@@ -267,6 +307,28 @@ func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*b
 	}
 	mem.Ints.Put(pos)
 	return grouping, keys, nil
+}
+
+// keys returns the exact key values of the pre-groups listed in used — of
+// every pre-group, in order, when used is nil — per grouping column, all of
+// which are fully device resident: a group's code is its key's offset.
+func (g *Grouping) keys(used []uint32) [][]int64 {
+	n := len(used)
+	if used == nil {
+		n = g.NGroups
+	}
+	keys := make([][]int64, len(g.Cols))
+	for k, col := range g.Cols {
+		keys[k] = make([]int64, n)
+		for id := range keys[k] {
+			old := id
+			if used != nil {
+				old = int(used[id])
+			}
+			keys[k][id] = col.Dec.Base + int64(g.Codes[k][old])
+		}
+	}
+	return keys
 }
 
 // remapFirstAppearance densifies a stream of old group IDs (dense in

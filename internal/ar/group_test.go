@@ -20,58 +20,88 @@ func groupKeys(n, groups int, seed int64) []int64 {
 	return out
 }
 
-func TestGroupApproxRefineResidentColumn(t *testing.T) {
-	// Low-cardinality grouping column, fully device resident after
-	// compression — the common case the paper expects (§IV-E).
-	n := 20000
-	keys := groupKeys(n, 16, 30)
-	sel := shuffledInts(n, 31)
-	keyCol := decompose(t, keys, 32)
-	selCol := decompose(t, sel, 7)
-
-	cands := SelectApprox(nil, selCol, selCol.Relax(1000, 9000))
-	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
-	grouping.Ship(nil)
-	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, 9000, cands)
-	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping, refined)
+// groupRefined runs the grouping pair over the candidates of one selection —
+// pre-group on the device, refine the selection, refine the grouping — and
+// checks every surviving tuple against its key values: keyBits decomposes
+// the key columns, selBits the selection column (32: resident, so nothing is
+// refined away and the pre-grouping passes through as it stands).
+func groupRefined(t *testing.T, keyVals [][]int64, keyBits []uint, selBits uint, hi int64, seed int64) (*Grouping, *bulk.Grouping) {
+	t.Helper()
+	sel := shuffledInts(len(keyVals[0]), seed)
+	selCol := decompose(t, sel, selBits)
+	cols := make([]*bwd.Column, len(keyVals))
+	for k := range cols {
+		cols[k] = decompose(t, keyVals[k], keyBits[k])
+	}
+	cands := SelectApprox(nil, selCol, selCol.Relax(1000, hi))
+	pre := GroupApprox(nil, cols, cands)
+	pre.Ship(nil)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, hi, cands)
+	got, gotKeys, err := GroupRefine(par.P{}, nil, pre, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
-
-	if len(got.IDs) != len(refined.IDs()) {
-		t.Fatalf("grouping covers %d tuples, want %d", len(got.IDs), len(refined.IDs()))
+	if len(gotKeys) != len(cols) || len(got.IDs) != refined.Len() {
+		t.Fatalf("grouping covers %d tuples by %d keys, want %d by %d", len(got.IDs), len(gotKeys), refined.Len(), len(cols))
 	}
 	for i, id := range refined.IDs() {
-		if gotKeys[0][got.IDs[i]] != keys[id] {
-			t.Fatalf("tuple %d grouped under key %d, want %d", id, gotKeys[0][got.IDs[i]], keys[id])
+		for k := range cols {
+			if gotKeys[k][got.IDs[i]] != keyVals[k][id] {
+				t.Fatalf("tuple %d: key %d is %d, want %d", id, k, gotKeys[k][got.IDs[i]], keyVals[k][id])
+			}
 		}
+	}
+	return pre, got
+}
+
+func TestGroupApproxRefineResidentColumn(t *testing.T) {
+	// Low-cardinality grouping columns, fully device resident after
+	// compression — the common case the paper expects (§IV-E) — refined
+	// after a selection that drops false positives and after one that
+	// cannot (the pre-grouping is then the grouping, ids and all).
+	n := 20000
+	flags, status := groupKeys(n, 3, 80), groupKeys(n, 2, 81)
+	for _, tc := range []struct {
+		name    string
+		keys    [][]int64
+		selBits uint
+		most    int
+	}{
+		{"one column", [][]int64{groupKeys(n, 16, 30)}, 7, 16},
+		{"two columns", [][]int64{flags, status}, 8, 6},
+		{"one column, nothing refined away", [][]int64{flags}, 32, 3},
+		{"two columns, nothing refined away", [][]int64{flags, status}, 32, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pre, got := groupRefined(t, tc.keys, []uint{32, 32}[:len(tc.keys)], tc.selBits, 15000, 82)
+			if pre.NGroups > tc.most || got.NGroups != pre.NGroups {
+				t.Fatalf("%d pre-groups refine to %d, want the same and at most %d", pre.NGroups, got.NGroups, tc.most)
+			}
+			if tc.selBits == 32 && pre.IDs != nil {
+				t.Fatal("an exact pre-grouping nothing was refined out of kept its ids instead of handing them on")
+			}
+		})
 	}
 }
 
 func TestGroupRefineDecomposedColumnRegroups(t *testing.T) {
+	// Decomposed key columns: approximate codes collide, so the
+	// pre-grouping is coarser than the exact grouping it refines to.
 	n := 10000
-	keys := groupKeys(n, 1000, 32)
-	sel := shuffledInts(n, 33)
-	keyCol := decompose(t, keys, 4) // decomposed: approximate groups collide
-	selCol := decompose(t, sel, 8)
-
-	cands := SelectApprox(nil, selCol, selCol.Relax(0, 5000))
-	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
-	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, 5000, cands)
-	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping, refined)
-	if err != nil {
-		t.Fatalf("GroupRefine: %v", err)
-	}
-	for i, id := range refined.IDs() {
-		if gotKeys[0][got.IDs[i]] != keys[id] {
-			t.Fatalf("tuple %d grouped under key %d, want %d", id, gotKeys[0][got.IDs[i]], keys[id])
-		}
-	}
-	// The approximate pre-grouping must have fewer groups than the exact
-	// one (codes collide), demonstrating it is genuinely approximate.
-	if grouping.NGroups >= got.NGroups {
-		t.Errorf("approximate groups %d >= exact groups %d; decomposition had no effect",
-			grouping.NGroups, got.NGroups)
+	for _, tc := range []struct {
+		name string
+		keys [][]int64
+		bits []uint
+	}{
+		{"one column", [][]int64{groupKeys(n, 1000, 32)}, []uint{4}},
+		{"two columns", [][]int64{groupKeys(n, 64, 83), groupKeys(n, 16, 84)}, []uint{3, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pre, got := groupRefined(t, tc.keys, tc.bits, 8, 6000, 85)
+			if pre.NGroups >= got.NGroups {
+				t.Errorf("approximate groups %d >= exact groups %d; decomposition had no effect", pre.NGroups, got.NGroups)
+			}
+		})
 	}
 }
 
@@ -136,99 +166,68 @@ func TestGroupConflictCostDecreasesWithGroups(t *testing.T) {
 	}
 }
 
-func TestGroupApproxMultiResidentExactPassthrough(t *testing.T) {
-	n := 20000
-	flags := groupKeys(n, 3, 80)
-	status := groupKeys(n, 2, 81)
-	sel := shuffledInts(n, 82)
-	flagCol := decompose(t, flags, 32)
-	statusCol := decompose(t, status, 32)
-	selCol := decompose(t, sel, 8)
-
-	cands := SelectApprox(nil, selCol, selCol.Relax(1000, 15000))
-	mg := GroupApprox(nil, []*bwd.Column{flagCol, statusCol}, cands)
-	if mg.NGroups > 6 {
-		t.Fatalf("NGroups = %d, want <= 6 (3 flags x 2 statuses)", mg.NGroups)
-	}
-	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, 15000, cands)
-	grouping, keys, err := GroupRefine(par.P{}, nil, mg, refined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("expected 2 key columns, got %d", len(keys))
-	}
-	for i, id := range refined.IDs() {
-		g := grouping.IDs[i]
-		if keys[0][g] != flags[id] || keys[1][g] != status[id] {
-			t.Fatalf("tuple %d grouped under (%d,%d), want (%d,%d)",
-				id, keys[0][g], keys[1][g], flags[id], status[id])
-		}
-	}
-}
-
-func TestGroupRefineMultiDecomposedRegroups(t *testing.T) {
-	n := 10000
-	keys1 := groupKeys(n, 64, 83)
-	keys2 := groupKeys(n, 16, 84)
-	sel := shuffledInts(n, 85)
-	col1 := decompose(t, keys1, 3) // decomposed: approximate codes collide
-	col2 := decompose(t, keys2, 2)
-	selCol := decompose(t, sel, 8)
-
-	cands := SelectApprox(nil, selCol, selCol.Relax(0, 6000))
-	mg := GroupApprox(nil, []*bwd.Column{col1, col2}, cands)
-	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, 6000, cands)
-	grouping, keys, err := GroupRefine(par.P{}, nil, mg, refined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range refined.IDs() {
-		g := grouping.IDs[i]
-		if keys[0][g] != keys1[id] || keys[1][g] != keys2[id] {
-			t.Fatalf("tuple %d grouped under (%d,%d), want (%d,%d)",
-				id, keys[0][g], keys[1][g], keys1[id], keys2[id])
-		}
-	}
-	// The approximate pre-grouping must be coarser than the exact one.
-	if mg.NGroups >= grouping.NGroups {
-		t.Errorf("approximate groups %d >= exact groups %d", mg.NGroups, grouping.NGroups)
-	}
-}
-
-func TestMultiGroupingShipOnce(t *testing.T) {
+func TestGroupingShipOnce(t *testing.T) {
 	sys := device.PaperSystem()
 	n := 5000
-	keys := groupKeys(n, 4, 86)
-	keyCol := decompose(t, keys, 32)
+	keys := []*bwd.Column{decompose(t, groupKeys(n, 4, 86), 32), decompose(t, groupKeys(n, 3, 90), 32)}
 	selCol := decompose(t, shuffledInts(n, 87), 32)
-	cands := SelectApprox(nil, selCol, selCol.Relax(0, 2500))
-	mg := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
-	m := device.NewMeter(sys)
-	mg.Ship(m)
-	if m.PCI == 0 {
-		t.Error("multi-grouping ship charged nothing")
-	}
-	before := m.PCI
-	mg.Ship(m)
-	if m.PCI != before {
-		t.Error("double ship charged twice")
+	for _, tc := range []struct {
+		name string
+		cols []*bwd.Column
+	}{{"one column", keys[:1]}, {"two columns", keys}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cands := SelectApprox(nil, selCol, selCol.Relax(0, 2500))
+			g := GroupApprox(nil, tc.cols, cands)
+			m, want := device.NewMeter(sys), device.NewMeter(sys)
+			g.Ship(m)
+			want.Transfer(int64(cands.Len())*4 + int64(g.NGroups*len(tc.cols))*8)
+			if m.PCI == 0 || *m != *want {
+				t.Errorf("grouping ship charged %v, want %v", m, want)
+			}
+			g.Ship(m)
+			if *m != *want {
+				t.Error("double ship charged twice")
+			}
+		})
 	}
 }
 
-func TestGroupApproxMultiReusesAttachedCodes(t *testing.T) {
-	// When the grouping column was already filtered, its codes are
-	// attached to the candidates and GroupApprox must not re-project.
+func TestGroupApproxReusesAttachedCodes(t *testing.T) {
+	// When a grouping column was already filtered, its codes travel with
+	// the candidates: GroupApprox groups by them and bills no projection
+	// for that column — only for the key column the scan never touched.
+	sys := device.PaperSystem()
 	n := 5000
-	keys := groupKeys(n, 8, 88)
-	keyCol := decompose(t, keys, 32)
-	cands := SelectApprox(nil, keyCol, keyCol.Relax(0, 7))
-	mg := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
-	codes := cands.CodesFor(keyCol)
-	for i := range cands.IDs() {
-		if mg.Codes[0][mg.IDs[i]] != codes[i] {
-			t.Fatal("grouping codes diverge from attached codes")
-		}
+	keyCol := decompose(t, groupKeys(n, 8, 88), 32)
+	other := decompose(t, groupKeys(n, 5, 91), 32)
+	for _, tc := range []struct {
+		name string
+		cols []*bwd.Column
+	}{{"one column", []*bwd.Column{keyCol}}, {"two columns", []*bwd.Column{keyCol, other}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cands := SelectApprox(nil, keyCol, keyCol.Relax(0, 6))
+			m, projected := device.NewMeter(sys), device.NewMeter(sys)
+			g := GroupApprox(m, tc.cols, cands)
+			for _, col := range tc.cols[1:] {
+				ProjectApprox(projected, col, cands)
+			}
+			bare := device.NewMeter(sys)
+			GroupApprox(bare, tc.cols, &Candidates{ids: cands.IDs(), attach: cands.attach})
+			if m.GPU != bare.GPU || m.GPU <= projected.GPU {
+				t.Fatalf("charged %v by mask, %v by list, of which projections %v", m, bare, projected)
+			}
+			for k, col := range tc.cols {
+				codes := cands.CodesFor(col)
+				if k > 0 {
+					codes = ProjectApprox(nil, col, cands).Codes()
+				}
+				for i := range cands.IDs() {
+					if g.Codes[k][g.IDs[i]] != codes[i] {
+						t.Fatalf("column %d: grouping codes diverge from the candidates' codes", k)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
-	"repro/internal/mem"
-	"repro/internal/par"
 )
 
 // FKPositionsApprox computes, on the device, the dimension-table positions
@@ -43,29 +41,6 @@ func FKPositionsApprox(m *device.Meter, fkCol *bwd.Column, cands *Candidates, pk
 		n := len(ids)
 		seq := int64(n) * 8 // read ids, write positions
 		m.GPUKernel(seq, packedBytes(n, fkCol.Dec.ApproxBits), int64(n)*bulk.OpsHashProbe)
-	}
-	return out, nil
-}
-
-// FKPositionsRefine recomputes the joined dimension positions on the CPU
-// for a refined candidate subset, using the host-side foreign-key index.
-// It is the CPU fallback for decomposed key columns and the refinement
-// counterpart of FKPositionsApprox.
-func FKPositionsRefine(p par.P, m *device.Meter, fkCol *bwd.Column, refined *Candidates, ix *bulk.FKIndex) ([]bat.OID, error) {
-	vals := ReconstructAll(p, m, fkCol, refined)
-	out := oidPool.GetN(len(vals))
-	for i, fk := range vals {
-		pos, ok := ix.Lookup(fk)
-		if !ok {
-			mem.I64.Put(vals)
-			return nil, fmt.Errorf("ar: dangling foreign key %d", fk)
-		}
-		out[i] = pos
-	}
-	mem.I64.Put(vals)
-	if m != nil {
-		m.CPUWork(p.NThreads(), int64(len(vals))*8, int64(len(vals))*4,
-			int64(len(vals))*bulk.OpsHashProbe)
 	}
 	return out, nil
 }

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
-	"repro/internal/bulk"
 	"repro/internal/device"
-	"repro/internal/par"
 )
 
 func TestFKPositionsApproxDensePK(t *testing.T) {
@@ -51,49 +49,6 @@ func TestFKPositionsApproxDanglingKey(t *testing.T) {
 	cands := &Candidates{ids: []bat.OID{0, 1, 2}}
 	if _, err := FKPositionsApprox(nil, fkCol, cands, 1, 10); err == nil {
 		t.Error("dangling FK not detected")
-	}
-}
-
-func TestFKPositionsRefineMatchesApprox(t *testing.T) {
-	dimLen := 64
-	rng := rand.New(rand.NewSource(64))
-	n := 3000
-	fk := make([]int64, n)
-	for i := range fk {
-		fk[i] = int64(rng.Intn(dimLen)) + 1
-	}
-	sel := shuffledInts(n, 65)
-	fkResident := decompose(t, fk, 32)
-	fkSplit := decompose(t, fk, 3) // CPU fallback path
-	selCol := decompose(t, sel, 8)
-
-	pk := make([]int64, dimLen)
-	for i := range pk {
-		pk[i] = int64(i) + 1
-	}
-	ix := bulk.BuildFKIndex(nil, 1, pk)
-	if ix == nil {
-		t.Fatal("BuildFKIndex failed")
-	}
-
-	cands := SelectApprox(nil, selCol, selCol.Relax(0, 1500))
-	// Attach the split FK codes so the refinement can reconstruct.
-	pa := ProjectApprox(nil, fkSplit, cands)
-	cands.attach = append(cands.attach, attachment{col: fkSplit, codes: pa.Codes})
-
-	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, 1500, cands)
-	gotRefine, err := FKPositionsRefine(par.P{}, nil, fkSplit, refined, ix)
-	if err != nil {
-		t.Fatalf("FKPositionsRefine: %v", err)
-	}
-	wantApprox, err := FKPositionsApprox(nil, fkResident, refined, 1, dimLen)
-	if err != nil {
-		t.Fatalf("FKPositionsApprox: %v", err)
-	}
-	for i := range gotRefine {
-		if gotRefine[i] != wantApprox[i] {
-			t.Fatalf("refined FK position %d = %d, want %d", i, gotRefine[i], wantApprox[i])
-		}
 	}
 }
 

@@ -15,10 +15,16 @@ import (
 // set it was computed over. Exact reports whether the codes are already
 // precise (the projected column is fully device resident, ResBits == 0),
 // in which case no refinement is necessary (§IV-C).
+//
+// On the host a projection over a set that still carries its survivor mask
+// holds no codes until someone asks for the list (Codes): a consumer that
+// reads by mask (ByMask) decodes the packed column a block at a time and the
+// candidate-length buffer is never written.
 type Projection struct {
 	Src     *Candidates
 	Col     *bwd.Column
-	Codes   []uint64
+	codes   []uint64
+	n       int
 	shipped bool
 }
 
@@ -26,8 +32,8 @@ type Projection struct {
 // candidate set is not owned by the projection and stays untouched. Must
 // only be called once nothing references the projection.
 func (p *Projection) Release() {
-	mem.U64.Put(p.Codes)
-	p.Codes = nil
+	mem.U64.Put(p.codes)
+	p.codes = nil
 	p.Src = nil
 }
 
@@ -36,7 +42,22 @@ func (p *Projection) Exact() bool { return p.Col.Dec.ResBits == 0 }
 
 // ApproxLow returns the smallest value consistent with projected code i.
 func (p *Projection) ApproxLow(i int) int64 {
-	return p.Col.Dec.Base + int64(p.Codes[i]<<p.Col.Dec.ResBits)
+	return p.Col.Dec.Base + int64(p.Codes()[i]<<p.Col.Dec.ResBits)
+}
+
+// ByMask reports whether the projection is still only its source's mask over
+// the packed column: read it with Src.Blocks and Src.Decode.
+func (p *Projection) ByMask() bool { return p.codes == nil && p.Src.WorkGroups() > 0 }
+
+// Codes returns the projected codes aligned with the candidate order,
+// decoding them by granule from the source's mask on first use. The slice is
+// owned by the projection.
+func (p *Projection) Codes() []uint64 {
+	if p.codes == nil {
+		p.codes = mem.U64.GetN(p.n)
+		p.Src.emitCodes(p.Col.Approx, p.codes)
+	}
+	return p.codes
 }
 
 // Ship charges the PCI-E transfer of the projected codes to the host. The
@@ -47,7 +68,7 @@ func (p *Projection) Ship(m *device.Meter) {
 	}
 	p.shipped = true
 	if m != nil {
-		m.Transfer(packedBytes(len(p.Codes), p.Col.Dec.ApproxBits))
+		m.Transfer(packedBytes(p.n, p.Col.Dec.ApproxBits))
 	}
 }
 
@@ -58,24 +79,29 @@ func (p *Projection) Ship(m *device.Meter) {
 // for free because each lane writes at the position of its input id
 // (§IV-A item 2). On the host a set that still carries its survivor mask is
 // projected by granule — one decode where a granule's survivors are dense,
-// one Get per survivor where they are sparse (emitColumn) — and an id-list
-// set by one lookup per id; the codes and the charge are the same either way.
+// one Get per survivor where they are sparse (emitGranule), and only once a
+// reader wants the codes as a list — and an id-list set by one lookup per
+// id; the codes and the charge are the same either way.
 func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Projection {
 	n := cands.Len()
-	codes := mem.U64.GetN(n)
-	if cands.mask != nil {
-		cands.emitCodes(col.Approx, codes)
-	} else {
+	p := &Projection{Src: cands, Col: col, n: n}
+	if cands.mask == nil {
+		p.codes = mem.U64.GetN(n)
 		ids := cands.ids
 		devP().For(n, func(lo, hi int) {
-			bitpack.Gather(col.Approx, ids[lo:hi], codes[lo:hi])
+			bitpack.Gather(col.Approx, ids[lo:hi], p.codes[lo:hi])
 		})
 	}
+	chargeProject(m, col, n)
+	return p
+}
+
+// chargeProject bills the device for projecting col over n candidates.
+func chargeProject(m *device.Meter, col *bwd.Column, n int) {
 	if m != nil {
 		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits)
 		m.GPUKernel(seq, packedBytes(n, col.Dec.ApproxBits), int64(n)*bulk.OpsFetch)
 	}
-	return &Projection{Src: cands, Col: col, Codes: codes}
 }
 
 // ProjectApproxAt is ProjectApprox through an indirection: the lookup
@@ -89,12 +115,8 @@ func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []b
 	devP().For(len(at), func(lo, hi int) {
 		bitpack.Gather(col.Approx, at[lo:hi], codes[lo:hi])
 	})
-	if m != nil {
-		n := len(at)
-		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits)
-		m.GPUKernel(seq, packedBytes(n, col.Dec.ApproxBits), int64(n)*bulk.OpsFetch)
-	}
-	return &Projection{Src: cands, Col: col, Codes: codes}
+	chargeProject(m, col, len(at))
+	return &Projection{Src: cands, Col: col, codes: codes, n: len(at)}
 }
 
 // ProjectRefine is the refinement of a projection (§IV-C): a translucent
@@ -112,7 +134,7 @@ func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates
 		// §IV-C: all bits of the projected attribute are device resident
 		// and no candidates were eliminated — the shipped codes already
 		// are the exact result (a view, no refinement operator runs).
-		out := mem.I64.GetN(len(p.Codes))
+		out := mem.I64.GetN(len(p.Codes()))
 		pp.For(len(out), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = p.ApproxLow(i)
@@ -126,14 +148,14 @@ func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates
 		return nil, err
 	}
 	out := mem.I64.GetN(len(ids))
-	col := p.Col
+	col, codes := p.Col, p.Codes()
 	pp.For(len(pos), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var r uint64
 			if col.Dec.ResBits > 0 {
 				r = col.Residual.Get(int(ids[i]))
 			}
-			out[i] = col.ReconstructFrom(p.Codes[pos[i]], r)
+			out[i] = col.ReconstructFrom(codes[pos[i]], r)
 		}
 	})
 	mem.Ints.Put(pos)

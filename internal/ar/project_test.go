@@ -225,12 +225,12 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 		check := func(name string, cands *Candidates) {
 			m, ref := device.NewMeter(sys), device.NewMeter(sys)
 			p := ProjectApprox(m, col, cands)
-			if len(p.Codes) != cands.Len() {
-				t.Fatalf("width %d %s: %d codes for %d candidates", width, name, len(p.Codes), cands.Len())
+			if len(p.Codes()) != cands.Len() {
+				t.Fatalf("width %d %s: %d codes for %d candidates", width, name, len(p.Codes()), cands.Len())
 			}
 			for i, id := range cands.IDs() {
-				if want := col.Approx.Get(int(id)); p.Codes[i] != want {
-					t.Fatalf("width %d %s: code %d (id %d) = %d, want %d", width, name, i, id, p.Codes[i], want)
+				if want := col.Approx.Get(int(id)); p.Codes()[i] != want {
+					t.Fatalf("width %d %s: code %d (id %d) = %d, want %d", width, name, i, id, p.Codes()[i], want)
 				}
 			}
 			k := cands.Len()

@@ -194,10 +194,9 @@ func (c *Candidates) MaskOut(drop []uint64) {
 	if c.mask == nil || c.sealed {
 		panic("ar: masking a candidate set that has no survivor mask or whose positions were already read")
 	}
-	const groupWords = gpuChunk / bwd.GranuleRows
 	for ci := range c.offs {
-		lo := ci * groupWords
-		hi := min(lo+groupWords, len(c.mask))
+		lo := ci * groupGranules
+		hi := min(lo+groupGranules, len(c.mask))
 		cnt := 0
 		for g := lo; g < hi; g++ {
 			if g < len(drop) {
@@ -236,7 +235,9 @@ func (c *Candidates) seal() {
 // slot of the exact-size output (emitGroup), in parallel, no concatenation.
 // It is the one place candidate ids come from a mask; calling it again, or
 // on an id-list set, does nothing. The pipeline calls it after the last
-// narrowing; the accessors that hand out positions call it on demand.
+// narrowing when an operator downstream addresses positions, and the
+// accessors that hand positions out call it on demand — so a statement none
+// of whose operators does never pays for a list.
 func (c *Candidates) Emit() {
 	if c.mask == nil || c.emitted {
 		return
@@ -263,94 +264,138 @@ func (c *Candidates) emitCodes(approx *bitpack.Array, codes []uint64) {
 	c.seal()
 	mask, offs := c.mask, c.offs
 	if len(offs) == 1 {
-		emitColumn(approx, codes, mask, 0, c.rows, 0)
+		decodeGranules(approx, codes, mask, 0, len(mask))
 	} else if c.n > 0 {
 		devP().For(c.rows, func(lo, hi int) {
-			emitColumn(approx, codes, mask, lo, hi, offs[lo/gpuChunk])
+			g0, g1, off := lo/bwd.GranuleRows, granulesTo(hi), offs[lo/gpuChunk]
+			decodeGranules(approx, codes[off:off+survivors(mask[g0:g1])], mask, g0, g1)
 		})
 	}
+}
+
+// survivors counts the rows a stretch of mask words holds.
+func survivors(mask []uint64) int {
+	n := 0
+	for _, word := range mask {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// granulesTo is the number of granules that hold rows [0,hi).
+func granulesTo(hi int) int { return (hi + bwd.GranuleRows - 1) / bwd.GranuleRows }
+
+// groupGranules is the number of granules in one work-group.
+const groupGranules = gpuChunk / bwd.GranuleRows
+
+// WorkGroups ends the narrowing of a mask-carrying set (seal) and returns
+// how many work-groups its mask spans; 0 says the set is an id list (or has
+// scanned no row) and is read by position. Blocks and Decode read a set by
+// its mask, which is how a column of the approximation reaches a consumer
+// without a candidate-length buffer in between: the aggregate program's
+// block registers (internal/plan) and GroupApprox's key tuples.
+func (c *Candidates) WorkGroups() int {
+	if c.mask == nil {
+		return 0
+	}
+	c.seal()
+	return len(c.offs)
+}
+
+// Blocks walks work-groups [wlo,whi) of a set whose WorkGroups was taken, in
+// runs of at most span granules, and calls fn for every run that holds a
+// survivor: its granules [g0,g1), the candidate position of its first
+// survivor and how many it holds — they are consecutive in candidate order.
+// Distinct work-groups may be walked concurrently.
+func (c *Candidates) Blocks(wlo, whi, span int, fn func(g0, g1, pos, n int)) {
+	for ci := wlo; ci < whi; ci++ {
+		pos := c.offs[ci]
+		end := min((ci+1)*groupGranules, len(c.mask))
+		for g0 := ci * groupGranules; g0 < end; g0 += span {
+			g1 := min(g0+span, end)
+			if n := survivors(c.mask[g0:g1]); n > 0 {
+				fn(g0, g1, pos, n)
+				pos += n
+			}
+		}
+	}
+}
+
+// Decode writes approx's codes of the survivors in granules [g0,g1) into the
+// front of out, in row order, and returns how many there are. All of out is
+// the caller's to scribble on: where there is room a granule decodes in place.
+func (c *Candidates) Decode(approx *bitpack.Array, out []uint64, g0, g1 int) int {
+	return decodeGranules(approx, out, c.mask, g0, g1)
 }
 
 // denseSurvivors is the survivor count from which reading a granule by one
 // 64-row decode is cheaper than one positional Get per survivor.
 const denseSurvivors = 16
 
-// fewHoles is the number of missing rows up to which copying the stretches
-// of a decoded granule between them beats picking its survivors one by one.
-const fewHoles = 8
-
 // emitGroup materialises the survivors of work-group [lo,hi) into the
-// output slot starting at off: per granule with a survivor, the ids in row
-// order and the survivors' codes of every attached column (emitGranule).
+// output slot starting at off: the ids in row order, then the survivors'
+// codes of every attached column.
 func emitGroup(ids []bat.OID, att []attachment, mask []uint64, lo, hi, off int) {
-	var buf [bwd.GranuleRows]uint64
-	for g := lo / bwd.GranuleRows; g*bwd.GranuleRows < hi; g++ {
-		word := mask[g]
-		if word == 0 {
-			continue
-		}
+	g0, g1 := lo/bwd.GranuleRows, granulesTo(hi)
+	end := off
+	for g := g0; g < g1; g++ {
 		base := g * bwd.GranuleRows
-		cnt := bits.OnesCount64(word)
-		out := ids[off : off+cnt]
-		k := 0
-		for w := word; w != 0; w &= w - 1 {
-			out[k] = bat.OID(base + bits.TrailingZeros64(w))
-			k++
+		for w := mask[g]; w != 0; w &= w - 1 {
+			ids[end] = bat.OID(base + bits.TrailingZeros64(w))
+			end++
 		}
-		for j := range att {
-			emitGranule(att[j].col.Approx, att[j].codes[off:off+cnt], word, base, &buf)
-		}
-		off += cnt
+	}
+	for j := range att {
+		decodeGranules(att[j].col.Approx, att[j].codes[off:end], mask, g0, g1)
 	}
 }
 
-// emitColumn writes one packed column's codes of the survivors of
-// work-group [lo,hi) into the output slot starting at off: what emitGroup
-// does for an attached column, for a column projected from the same mask.
-func emitColumn(approx *bitpack.Array, codes []uint64, mask []uint64, lo, hi, off int) {
+// decodeGranules writes one packed column's codes of the rows of granules
+// [g0,g1) whose mask bit is set into the front of out, in row order, and
+// returns how many it wrote; out is at least that long and none of it is
+// anyone else's. It is the one loop every reader of a column by mask runs —
+// Emit's attached columns, a projection, the grouping keys, the aggregate
+// program's registers — and emitGranule the one rule it applies.
+func decodeGranules(approx *bitpack.Array, out []uint64, mask []uint64, g0, g1 int) int {
 	var buf [bwd.GranuleRows]uint64
-	for g := lo / bwd.GranuleRows; g*bwd.GranuleRows < hi; g++ {
-		word := mask[g]
-		if word == 0 {
-			continue
+	k := 0
+	for g := g0; g < g1; g++ {
+		if word := mask[g]; word != 0 {
+			k += emitGranule(approx, out[k:], word, g*bwd.GranuleRows, &buf)
 		}
-		cnt := bits.OnesCount64(word)
-		emitGranule(approx, codes[off:off+cnt], word, g*bwd.GranuleRows, &buf)
-		off += cnt
 	}
+	return k
 }
 
 // emitGranule writes the codes of the rows of the granule at base whose bit
-// is set in word into out, which has one entry per set bit — fetched per
-// set bit where the word is sparse, taken from one granule decode where it
-// is dense: decoded in place when the word is full, copied as the stretches
-// between its few holes when it is nearly full (what an unselective scan
-// leaves), picked out bit by bit otherwise. The word's popcount alone makes
-// that choice. buf is the caller's decode scratch.
-func emitGranule(approx *bitpack.Array, out []uint64, word uint64, base int, buf *[bwd.GranuleRows]uint64) {
-	k := 0
-	switch cnt := len(out); {
-	case cnt == bwd.GranuleRows:
-		approx.Unpack64((*[bwd.GranuleRows]uint64)(out), base)
-	case cnt > bwd.GranuleRows-fewHoles:
-		approx.Unpack64(buf, base)
-		from := 0
-		for holes := ^word; holes != 0; holes &= holes - 1 {
-			at := bits.TrailingZeros64(holes)
-			k += copy(out[k:], buf[from:at])
-			from = at + 1
-		}
-		copy(out[k:], buf[from:])
-	case cnt >= denseSurvivors:
-		approx.Unpack64(buf, base)
-		for w := word; w != 0; w &= w - 1 {
-			out[k] = buf[bits.TrailingZeros64(w)]
-			k++
-		}
-	default:
+// is set in word into the front of out and returns how many that is. A sparse
+// word is fetched per set bit; a dense one is taken from one granule decode —
+// in place, where out has room for a whole granule, in buf otherwise — and
+// compacted over its holes, the rows before the first one being where they
+// belong already; a full word is that decode and nothing else. The word's
+// popcount alone makes the choice.
+func emitGranule(approx *bitpack.Array, out []uint64, word uint64, base int, buf *[bwd.GranuleRows]uint64) int {
+	cnt := bits.OnesCount64(word)
+	if cnt < denseSurvivors {
+		k := 0
 		for w := word; w != 0; w &= w - 1 {
 			out[k] = approx.Get(base + bits.TrailingZeros64(w))
 			k++
 		}
+		return cnt
 	}
+	rows := buf
+	if len(out) >= bwd.GranuleRows {
+		rows = (*[bwd.GranuleRows]uint64)(out)
+	}
+	approx.Unpack64(rows, base)
+	k := bits.TrailingZeros64(^word) // the first hole; 64 when there is none
+	if rows == buf {
+		copy(out, buf[:k])
+	}
+	for i := k + 1; i < bits.Len64(word); i++ {
+		out[k] = rows[i]
+		k += int(word >> uint(i) & 1)
+	}
+	return cnt
 }

@@ -114,34 +114,6 @@ func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *C
 	return out, vals
 }
 
-// ReconstructAll materializes the exact values of col for every candidate,
-// without filtering: the degenerate "selection refinement without a
-// predicate" the paper equates with projection refinement (§IV-C). Every
-// worker writes a disjoint slice of the output, so alignment is free. The
-// returned slice is arena-backed; ownership passes to the caller.
-func ReconstructAll(p par.P, m *device.Meter, col *bwd.Column, in *Candidates) []int64 {
-	codes := in.CodesFor(col)
-	if codes == nil {
-		panic("ar: ReconstructAll on a column without attached codes")
-	}
-	ids := in.IDs()
-	n := len(ids)
-	vals := mem.I64.GetN(n)
-	if p.NWorkers() <= 1 {
-		reconstructRange(col, codes, ids, vals, 0, n)
-	} else {
-		p.For(n, func(mlo, mhi int) {
-			reconstructRange(col, codes, ids, vals, mlo, mhi)
-		})
-	}
-	if m != nil && col.Dec.ResBits > 0 {
-		resFetch := device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
-		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits) + resFetch + int64(n)*8
-		m.CPUWork(p.NThreads(), seq, 0, int64(n))
-	}
-	return vals
-}
-
 // refineMorsel reconstructs and re-evaluates one morsel of candidates,
 // writing survivor indices and exact values into the morsel's disjoint
 // region [mlo, mlo+count) of the overallocated buffers. A named function
@@ -163,15 +135,4 @@ func refineMorsel(col *bwd.Column, codes []uint64, ids []bat.OID, lo, hi int64, 
 		}
 	}
 	return cnt
-}
-
-// reconstructRange materializes exact values for candidates [mlo, mhi).
-func reconstructRange(col *bwd.Column, codes []uint64, ids []bat.OID, vals []int64, mlo, mhi int) {
-	for i := mlo; i < mhi; i++ {
-		var r uint64
-		if col.Dec.ResBits > 0 {
-			r = col.Residual.Get(int(ids[i]))
-		}
-		vals[i] = col.ReconstructFrom(codes[i], r)
-	}
 }

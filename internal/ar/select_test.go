@@ -252,15 +252,3 @@ func TestCertainFlagsBoundaryBuckets(t *testing.T) {
 		}
 	}
 }
-
-func TestReconstructAllMatchesSource(t *testing.T) {
-	vals := shuffledInts(5000, 9)
-	col := decompose(t, vals, 7)
-	cands := SelectApprox(nil, col, col.Relax(0, 4999))
-	got := ReconstructAll(par.P{}, nil, col, cands)
-	for i, id := range cands.IDs() {
-		if got[i] != vals[id] {
-			t.Fatalf("ReconstructAll[%d] = %d, want %d", i, got[i], vals[id])
-		}
-	}
-}

@@ -121,6 +121,60 @@ func TestExplainMeta(t *testing.T) {
 	}
 }
 
+// TestExplainShowsExactLeg: \explain names the leg that has nothing to
+// refine — every column it reads fully device resident, no delta segment —
+// from the same predicate the executor asks, so the line follows the data:
+// absent for a statement that filters a column with residual bits, gone
+// after an INSERT, back after \merge. \explain analyze carries it above a
+// trace whose operators are the general path's.
+func TestExplainShowsExactLeg(t *testing.T) {
+	eng := New(starEngineCatalog(t), Options{})
+	sess := eng.Session()
+	defer sess.Close()
+	ctx := context.Background()
+	const exactLine = "refine: nothing to refine"
+	const resident = `select count(*) as n, max(d1.a) as top from f join d1 on f.fk1 = d1.id where d1.a < 5`
+	explain := func(cmd, stmt string) string {
+		t.Helper()
+		lines, _, _, err := sess.Meta(ctx, cmd+" "+stmt)
+		if err != nil {
+			t.Fatalf("%s %s: %v", cmd, stmt, err)
+		}
+		return strings.Join(lines, "\n")
+	}
+	if text := explain(`\explain`, resident); !strings.Contains(text, exactLine) || !strings.Contains(text, "delta: none") {
+		t.Errorf("\\explain of a statement over resident columns:\n%s", text)
+	}
+	if text := explain(`\explain`, starQuery); strings.Contains(text, exactLine) {
+		t.Errorf("\\explain shows an exact leg though f.v holds residual bits:\n%s", text)
+	}
+	sess.SetMode(ModeClassic)
+	if text := explain(`\explain`, resident); strings.Contains(text, exactLine) {
+		t.Errorf("\\explain shows an exact leg under classic:\n%s", text)
+	}
+	sess.SetMode(ModeAR)
+
+	analyzed := explain(`\explain analyze`, resident)
+	for _, want := range []string{exactLine, "trace:", "bwd.leftjoinapproximate", "ship(", "bwd.leftjoinrefine(f.fk1 -> d1)", "bwd.uselectrefine(d1.a)", "bwd.maxrefine(top)", "candidates 1000 -> refined 1000"} {
+		if !strings.Contains(analyzed, want) {
+			t.Errorf("\\explain analyze missing %q:\n%s", want, analyzed)
+		}
+	}
+
+	if _, err := sess.Query(ctx, `insert into f values (1, 2, 3)`); err != nil {
+		t.Fatal(err)
+	}
+	if text := explain(`\explain`, resident); strings.Contains(text, exactLine) || !strings.Contains(text, "delta: 1 rows") {
+		t.Errorf("\\explain after an INSERT:\n%s", text)
+	}
+	if _, _, _, err := sess.Meta(ctx, `\merge f`); err != nil {
+		t.Fatal(err)
+	}
+	if text := explain(`\explain`, resident); !strings.Contains(text, exactLine) {
+		t.Errorf("\\explain after \\merge:\n%s", text)
+	}
+}
+
 // TestPlanCacheMultiJoinDeps checks that a cached multi-join binding
 // records every joined dimension as a dependency: dropping and
 // re-creating the second dimension must invalidate the entry instead of

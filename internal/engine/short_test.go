@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/plan"
 	"repro/internal/spatial"
+	"repro/internal/tpch"
 )
 
 // shortCatalog is the short-statement fixture: a 2k-row trips table that
@@ -147,6 +149,73 @@ func TestDurableInsertAllocBudget(t *testing.T) {
 		t.Errorf("64-row INSERT into 4 partitions allocates %.0f objects, budget 50", objects)
 	}
 	t.Logf("64-row durable INSERT: %.0f objects", objects)
+}
+
+// q1SQL is TPC-H Q1 as the olap_tail workload sends it.
+const q1SQL = "select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, sum(l_extendedprice) as sum_base_price, " +
+	"sum(l_extendedprice * (1.00 - l_discount)) as sum_disc_price, " +
+	"sum(l_extendedprice * (1.00 - l_discount) * (1.00 + l_tax)) as sum_charge, " +
+	"avg(l_quantity) as avg_qty, avg(l_extendedprice) as avg_price, avg(l_discount) as avg_disc, count(*) as count_order " +
+	"from lineitem where l_shipdate <= 2436 group by l_returnflag, l_linestatus"
+
+// TestExactLegArenaBudget is the arena gate of the exact leg: a warm TPC-H Q1
+// over fully resident columns (60 k lineitem rows, one device work-group)
+// takes a fixed, small number of buffers from the arena, none of them a
+// candidate-length list of 8-byte codes or values or of ids — the mask, the
+// work-group slots, one 4-byte group id per candidate and the accumulators
+// are all there is: 8 buffers, and 4.5 B per row with the arena off. At
+// commit 108308e the same statement took 21 buffers and, with the arena off,
+// allocated 6.6 MB per execution (110 B per row): the id list, the attached
+// l_shipdate codes, two key-column and seven projection code lists, seven
+// pass-through value copies, the translucent join's positions and a second
+// group-id vector.
+func TestExactLegArenaBudget(t *testing.T) {
+	c := plan.NewCatalog(device.PaperSystem())
+	d := tpch.Generate(0.01, 1)
+	if err := d.Load(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DecomposeAll(c, false); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(c, Options{})
+	sess := eng.Session()
+	defer sess.Close()
+	sess.SetMode(ModeAR)
+	ctx := context.Background()
+	run := func() {
+		res, err := sess.Query(ctx, q1SQL)
+		if err != nil || len(res.Rows) != 4 {
+			t.Fatalf("Q1: %v, %v", res, err)
+		}
+	}
+	run()
+	const runs = 20
+	gets := func() uint64 { s := mem.Stats(); return s.Hits + s.Misses }
+	before := gets()
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	perRun := float64(gets()-before) / runs
+
+	// The same with the arena off: every buffer is a plain allocation, so
+	// the bytes say how long the buffers are.
+	defer mem.SetPooling(mem.SetPooling(false))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	bytesPerRun := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	rows := float64(len(d.Quantity))
+	t.Logf("warm Q1: %.1f arena buffers per execution; %.0f B per execution with the arena off (%.1f B per row)", perRun, bytesPerRun, bytesPerRun/rows)
+	if perRun > 10 {
+		t.Errorf("warm exact-leg Q1 takes %.1f arena buffers per execution, budget 10", perRun)
+	}
+	if bytesPerRun > 6*rows {
+		t.Errorf("warm exact-leg Q1 allocates %.0f B per execution with the arena off, over 6 B per row: a candidate-length buffer is back", bytesPerRun)
+	}
 }
 
 // BenchmarkShortStatement times the same two paths, and the hit once more

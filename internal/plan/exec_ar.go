@@ -114,11 +114,18 @@ type arJoinRT struct {
 // row-major pass before the ship (so the phase-A answer can include its
 // exact contribution) and returned unmerged. solo permits the device-side
 // pre-grouping: this leg is the only one the statement scans.
+//
+// On an exact leg (exactLeg) the approximation is the answer: nothing can be
+// refined away and every interval is a point, so phase A folds the aggregates
+// once, exactly, per pre-group, straight off the packed columns, and phase R
+// — still listed, checkpointed and billed operator by operator — copies,
+// joins and folds nothing; scanOut carries the accumulators to the tail.
 func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	q := &pl.q
 	snap := pl.snap
 	pp := st.pp
 	m := st.m
+	exact := pl.exactLeg(solo)
 
 	// ---- Phase A: the approximation subplan on the device.
 	if err := st.step(StageApprox); err != nil {
@@ -178,9 +185,13 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		m.GPUKernel(int64(n)*4+int64(fs.BaseLen()+7)/8, 0, int64(n))
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: q.Table})
 	}
-	// The narrowing by mask ends here: ids and the attached codes are
-	// materialised once, for the operators below that address positions.
-	cands.Emit()
+	// The narrowing by mask ends here. Ids and the attached codes are
+	// materialised once, for the operators that address positions: a join's
+	// probe here, a refinement's residual lookups after the ship. An exact
+	// leg without a join has neither and stays on its mask.
+	if !exact || len(pl.joins) > 0 {
+		cands.Emit()
+	}
 
 	// Foreign-key join chain and dimension-side approximate selections.
 	joins := make([]*arJoinRT, len(pl.joins))
@@ -276,6 +287,12 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			projections[ref] = ar.ProjectApproxAt(m, col, cands, posFor(ref.Dim))
 		} else {
 			projections[ref] = ar.ProjectApprox(m, col, cands)
+			if !exact {
+				// Phase R reads the codes by position, so they are listed
+				// once, here, and the bounds fold from the list; an exact
+				// leg folds straight off the packed column and lists none.
+				projections[ref].Codes()
+			}
 		}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
@@ -301,8 +318,14 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	}
 
 	// Phase-A approximate answer: strict bounds from approximations over
-	// the base segment, plus the (exact) delta contributions.
-	st.res.Approx = approxAnswer(pp, m, pl.prog, cands, projections, dset)
+	// the base segment, plus the (exact) delta contributions — or, on an
+	// exact leg, the answer itself, read off the one fold's accumulators.
+	var acc aggAcc
+	if exact {
+		acc, st.res.Approx = exactFold(pp, m, pl.prog, cands, projections, mg)
+	} else {
+		st.res.Approx = approxAnswer(pp, m, pl.prog, cands, projections, dset)
+	}
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.%[1]sapproximate(%[2]s)", A: a.Func.String(), B: a.Name})
@@ -421,17 +444,20 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			return nil, err
 		}
 		p := projections[ref]
-		var vals []int64
 		var err error
-		if ref.IsDim() {
-			vals, err = ar.ProjectRefineAt(pp, m, p, refined, posFor(ref.Dim))
-		} else {
-			vals, err = ar.ProjectRefine(pp, m, p, refined)
+		switch {
+		case exact:
+			// The codes were the values and phase A has aggregated them: a
+			// view, which the refinement of a resident projection is billed
+			// as anyway.
+		case ref.IsDim():
+			ectx.vals[ref], err = ar.ProjectRefineAt(pp, m, p, refined, posFor(ref.Dim))
+		default:
+			ectx.vals[ref], err = ar.ProjectRefine(pp, m, p, refined)
 		}
 		if err != nil {
 			return nil, err
 		}
-		ectx.vals[ref] = vals
 		st.emit(refined.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
 	}
 
@@ -446,7 +472,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		cands.Release()
 	}
 
-	return &scanOut{ectx: ectx, dset: dset, mg: mg, refined: refined}, nil
+	return &scanOut{ectx: ectx, dset: dset, mg: mg, refined: refined, exact: exact, acc: acc}, nil
 }
 
 // orGroupRelax resolves one disjunction group against the snapshot: the
@@ -560,11 +586,13 @@ func remapJoinPos(pp par.P, joins []*arJoinRT, keep []int) {
 func approxAnswer(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, projections map[ColRef]*ar.Projection, delta *deltaSet) ApproxAnswer {
 	out := ApproxAnswer{Count: ar.CountApprox(m, cands), Aggs: make([]ar.Interval, len(pg.aggs))}
 	acc := pg.newAcc(1, true)
-	pg.fold(pp, &acc, pg.bindCodes(projections), cands.Len(), nil, cands.CertainMask())
+	in := pg.bindCodes(cands, projections)
+	in.certain = cands.CertainMask()
+	pg.fold(pp, &acc, in)
 	if delta != nil {
 		out.Count.Lo += int64(delta.n)
 		out.Count.Hi += int64(delta.n)
-		pg.fold(pp, &acc, pg.bindVals(delta.vals), delta.n, nil, nil)
+		pg.fold(pp, &acc, pg.bindVals(delta.vals, delta.n))
 	}
 	for k, a := range pg.aggs {
 		if a.Func == Count {
@@ -588,4 +616,22 @@ func approxAnswer(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, 
 	}
 	acc.release()
 	return out
+}
+
+// exactFold is an exact leg's one aggregation: the program folded over the
+// candidates' codes — which are the values — exactly, per device pre-group
+// when the statement groups (mg's ids, dense in first-appearance order, are
+// the grouping the tail would refine to), and the degenerate phase-A answer
+// those accumulators hold. The count is billed as the approximate count it
+// stands for.
+func exactFold(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, projections map[ColRef]*ar.Projection, mg *ar.Grouping) (aggAcc, ApproxAnswer) {
+	ar.CountApprox(m, cands)
+	in := pg.bindCodes(cands, projections)
+	groups := 1
+	if mg != nil {
+		in.ids, groups = mg.IDs, mg.NGroups
+	}
+	acc := pg.newAcc(groups, false)
+	pg.fold(pp, &acc, in)
+	return acc, pg.answer(&acc)
 }

@@ -363,15 +363,12 @@ func scatterInputBytes(pl *Plan, legs []leg) int64 {
 }
 
 // exactAnswer derives a degenerate (exact) phase-A answer from a classic
-// partition scan's combined tuple set: the ungrouped aggregates, each as a
-// one-point interval (zero over no rows, which the combiner skips).
+// partition scan's combined tuple set: one ungrouped fold, read off the way
+// an exact A&R leg's accumulators are (program.answer).
 func exactAnswer(pp par.P, pg *program, ctx *exprCtx) ApproxAnswer {
 	acc := pg.newAcc(1, false)
-	pg.fold(pp, &acc, pg.bindVals(ctx.vals), ctx.n, nil, nil)
-	out := ApproxAnswer{Count: ar.Exact(int64(ctx.n)), Aggs: make([]ar.Interval, len(pg.aggs))}
-	for k := range pg.aggs {
-		out.Aggs[k] = ar.Exact(pg.value(&acc, k, 0))
-	}
+	pg.fold(pp, &acc, pg.bindVals(ctx.vals, ctx.n))
+	out := pg.answer(&acc)
 	acc.release()
 	return out
 }

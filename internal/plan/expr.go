@@ -1,18 +1,22 @@
 // The compiled form of a statement's aggregate expressions: the paper's
 // "fused, statically expanded loop" (§V-C) on the host. The aggregates of
 // one statement compile once into one flat register program; every place
-// that needs their values — the phase-A bounds (approxAnswer), the exact
-// aggregation of the shared tail (aggregateRows) and a classic leg's
-// degenerate phase-A answer (exactAnswer) — folds that program over its
-// rows a block at a time, straight into the accumulators. No intermediate
-// is ever as long as the input: a worker holds one block of each register.
+// that needs their values — the phase-A bounds (approxAnswer), an exact
+// leg's one aggregation (exactFold), the exact aggregation of the shared
+// tail (aggregateRows) and a classic leg's degenerate phase-A answer
+// (exactAnswer) — folds that program over its rows a block at a time,
+// straight into the accumulators. No intermediate is ever as long as the
+// input: a worker holds one block of each register.
 package plan
 
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/ar"
+	"repro/internal/bitpack"
+	"repro/internal/bwd"
 	"repro/internal/mem"
 	"repro/internal/par"
 )
@@ -167,35 +171,62 @@ func (e caseExpr) compile(pg *program) int {
 	return pg.emit(instr{op: opCaseRange, a: cond, b: then, c: els, lo: e.lo, hi: e.hi})
 }
 
-// colBind binds one program column for a fold: its exact values, or — for
-// the phase-A bounds — the approximation codes of its projection, from
-// which a row's interval is [base + code<<shift, that + err].
+// colBind binds one program column for a fold, one of three ways: to its
+// exact values (vals); to the approximation codes of its projection, listed
+// in candidate order (codes); or to the packed approximation itself
+// (packed), read through the survivor mask of the candidate set the fold
+// walks (rows.by), a block of granules at a time. From a code a row's
+// interval is [base + code<<shift, that + err].
 type colBind struct {
-	vals  []int64
-	codes []uint64
-	base  int64
-	shift uint
-	err   int64
+	vals   []int64
+	codes  []uint64
+	packed *bitpack.Array
+	base   int64
+	shift  uint
+	err    int64
 }
 
-// bindVals binds the program's columns to exact values.
-func (pg *program) bindVals(vals map[ColRef][]int64) []colBind {
-	cols := make([]colBind, len(pg.cols))
+// rows is the input of one fold: n rows of the bound columns; ids, when set,
+// each row's group; certain, when set, the bitmask of rows that certainly
+// qualify — a row outside it may turn out a false positive, so it adds to a
+// sum only what moves the bound outward and to a minimum's or maximum's
+// inner bound nothing. by is set when a column is bound
+// packed: the rows are then by's candidates, in candidate order, and the
+// fold reaches them through its mask.
+type rows struct {
+	cols    []colBind
+	n       int
+	ids     []uint32
+	certain []uint64
+	by      *ar.Candidates
+}
+
+// bindVals binds the program's columns to n rows of exact values.
+func (pg *program) bindVals(vals map[ColRef][]int64, n int) rows {
+	in := rows{cols: make([]colBind, len(pg.cols)), n: n}
 	for i, ref := range pg.cols {
-		cols[i].vals = vals[ref]
+		in.cols[i].vals = vals[ref]
 	}
-	return cols
+	return in
 }
 
-// bindCodes binds the program's columns to approximate projections.
-func (pg *program) bindCodes(projections map[ColRef]*ar.Projection) []colBind {
-	cols := make([]colBind, len(pg.cols))
+// bindCodes binds the program's columns to the approximate projections over
+// cands: packed for a projection that is still only cands' mask, the code
+// list otherwise (a dimension column gathered through a join, a set a
+// position-addressed operator thinned).
+func (pg *program) bindCodes(cands *ar.Candidates, projections map[ColRef]*ar.Projection) rows {
+	in := rows{cols: make([]colBind, len(pg.cols)), n: cands.Len()}
 	for i, ref := range pg.cols {
 		p := projections[ref]
 		dec := p.Col.Dec
-		cols[i] = colBind{codes: p.Codes, base: dec.Base, shift: dec.ResBits, err: dec.Err()}
+		in.cols[i] = colBind{base: dec.Base, shift: dec.ResBits, err: dec.Err()}
+		if p.ByMask() {
+			in.cols[i].packed, in.by = p.Col.Approx, cands
+		} else {
+			in.cols[i].codes = p.Codes()
+		}
 	}
-	return cols
+	return in
 }
 
 // aggAcc is the accumulator state of one aggregation: rows per group, and
@@ -265,6 +296,37 @@ func (pg *program) value(acc *aggAcc, k, g int) int64 {
 	return v
 }
 
+// answer is the degenerate phase-A answer an exact accumulation holds: the
+// ungrouped aggregates read off its groups — the sum of the group sums, the
+// least of the minima, the rows counted — each as a one-point interval (zero
+// over no rows, which the combiner skips).
+func (pg *program) answer(acc *aggAcc) ApproxAnswer {
+	var cnt int64
+	for _, n := range acc.cnt {
+		cnt += n
+	}
+	out := ApproxAnswer{Count: ar.Exact(cnt), Aggs: make([]ar.Interval, len(pg.aggs))}
+	for k, a := range pg.aggs {
+		switch {
+		case cnt == 0:
+		case a.Func == Count:
+			out.Aggs[k] = out.Count
+		default:
+			s := pg.slotOf[k]
+			kind := pg.slots[s].kind
+			v := kind.identity()
+			for _, x := range acc.lo[s*acc.groups : (s+1)*acc.groups] {
+				v = kind.combine(v, x)
+			}
+			if a.Func == Avg {
+				v /= cnt
+			}
+			out.Aggs[k] = ar.Exact(v)
+		}
+	}
+	return out
+}
+
 // bounds is the interval that aggregate k — a sum, min or max — folded to
 // over the whole (ungrouped) input; the zero interval over no rows.
 func (pg *program) bounds(acc *aggAcc, k int) ar.Interval {
@@ -284,30 +346,32 @@ type frame struct {
 	lo, hi [][]int64
 }
 
-// fold evaluates the program over rows [0,n) of cols and folds every slot
-// into acc: ids, when set, is each row's group; certain, when set, is the
-// bitmask of rows that certainly qualify — a row outside it may turn out a
-// false positive, so it adds to a sum only what moves the bound outward.
-// The rows split into the P's worker blocks, each folding into its own
-// partial state, merged in block order.
-func (pg *program) fold(pp par.P, acc *aggAcc, cols []colBind, n int, ids []uint32, certain []uint64) {
+// fold evaluates the program over the rows in and folds every slot into acc.
+// The rows split into the P's worker blocks — of positions, or of in.by's
+// work-groups, whose slots in candidate order keep ids and certain aligned —
+// each folding into its own partial state, merged in block order.
+func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
+	units := in.n
 	switch {
-	case n == 0:
+	case in.n == 0:
 		return
-	case len(pg.slots) == 0 && ids == nil:
-		acc.cnt[0] += int64(n)
+	case len(pg.slots) == 0 && in.ids == nil:
+		acc.cnt[0] += int64(in.n)
 		return
-	case n < exprBlock && pp.Chunk <= 0:
+	case in.by != nil:
+		units = in.by.WorkGroups()
+		pp.Chunk = 1 // the context is polled between work-groups
+	case in.n < exprBlock && pp.Chunk <= 0:
 		pp.Workers = 1 // not worth a goroutine; the result is the same
 	}
-	nb := pp.NBlocks(n)
+	nb := pp.NBlocks(units)
 	// A register is exact — its interval degenerate — when every column it
 	// reads is: it is then computed once and serves as both bounds.
 	exact := make([]bool, len(pg.code))
 	for r, ins := range pg.code {
 		switch ins.op {
 		case opCol:
-			exact[r] = cols[ins.col].vals != nil || cols[ins.col].err == 0
+			exact[r] = in.cols[ins.col].vals != nil || in.cols[ins.col].err == 0
 		case opConst:
 			exact[r] = true
 		default:
@@ -324,9 +388,16 @@ func (pg *program) fold(pp par.P, acc *aggAcc, cols []colBind, n int, ids []uint
 			parts[b] = pg.newAcc(acc.groups, acc.hi != nil)
 		}
 	}
-	par.RunBlocks(pp, n, func(b, mlo, mhi int) {
-		for lo := mlo; lo < mhi; lo += exprBlock {
-			pg.foldBlock(&frames[b], &parts[b], cols, exact, lo, min(lo+exprBlock, mhi), ids, certain)
+	par.RunBlocks(pp, units, func(b, ulo, uhi int) {
+		f, part := &frames[b], &parts[b]
+		if in.by != nil {
+			in.by.Blocks(ulo, uhi, exprBlock/bwd.GranuleRows, func(g0, g1, pos, n int) {
+				pg.foldBlock(f, part, in, exact, pos, pos+n, g0, g1)
+			})
+			return
+		}
+		for lo := ulo; lo < uhi; lo += exprBlock {
+			pg.foldBlock(f, part, in, exact, lo, min(lo+exprBlock, uhi), 0, 0)
 		}
 	})
 	for b := range frames {
@@ -338,21 +409,36 @@ func (pg *program) fold(pp par.P, acc *aggAcc, cols []colBind, n int, ids []uint
 	}
 }
 
+// asCodes views a block register as the decode target of a packed column:
+// the codes land where the values they rebase to will stand. int64 and
+// uint64 share size, alignment and every bit pattern.
+func asCodes(reg []int64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(reg))), len(reg))
+}
+
 // foldBlock evaluates every register over rows [lo,hi) — at most exprBlock
-// of them — and folds the slots' registers into acc.
-func (pg *program) foldBlock(f *frame, acc *aggAcc, cols []colBind, exact []bool, lo, hi int, ids []uint32, certain []uint64) {
+// of them, and for a fold by mask the survivors of granules [g0,g1) — and
+// folds the slots' registers into acc.
+func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, hi, g0, g1 int) {
 	n := hi - lo
 	f.s.Reset()
 	for r := range pg.code {
 		ins := &pg.code[r]
 		if ins.op == opCol {
-			c := &cols[ins.col]
+			c := &in.cols[ins.col]
 			if c.vals != nil {
 				f.lo[r], f.hi[r] = c.vals[lo:hi], c.vals[lo:hi]
 				continue
 			}
 			low := f.s.I64(n)
-			for i, code := range c.codes[lo:hi] {
+			var codes []uint64
+			if c.packed != nil {
+				codes = asCodes(low)
+				in.by.Decode(c.packed, codes, g0, g1)
+			} else {
+				codes = c.codes[lo:hi]
+			}
+			for i, code := range codes {
 				low[i] = c.base + int64(code<<c.shift)
 			}
 			f.lo[r], f.hi[r] = low, low
@@ -379,6 +465,7 @@ func (pg *program) foldBlock(f *frame, acc *aggAcc, cols []colBind, exact []bool
 		evalInterval(ins, f.lo, f.hi, out, f.hi[r])
 	}
 
+	ids := in.ids
 	if ids != nil {
 		ids = ids[lo:hi]
 		for _, g := range ids {
@@ -400,8 +487,15 @@ func (pg *program) foldBlock(f *frame, acc *aggAcc, cols []colBind, exact []bool
 			if len(vals) < n {
 				vals = fill(f.s.I64(n), vals[0]) // a scalar, aggregated per row
 			}
-			if certain != nil && sl.kind == foldSum {
-				vals = clampUncertain(f.s.I64(n), vals, certain, lo, high == 1)
+			if in.certain != nil {
+				switch {
+				case sl.kind == foldSum:
+					vals = clampUncertain(f.s.I64(n), vals, in.certain, lo, high == 1)
+				case (sl.kind == foldMax) == (high == 0):
+					// The inner bound of an extreme — a maximum's low side,
+					// a minimum's high — rests on rows that certainly qualify.
+					vals = dropUncertain(f.s.I64(n), vals, in.certain, lo, sl.kind.identity())
+				}
 			}
 			foldInto(sl.kind, into[s*g:(s+1)*g], ids, vals)
 		}
@@ -515,6 +609,23 @@ func clampUncertain(out, vals []int64, certain []uint64, base int, high bool) []
 		at := base + i
 		if certain[at>>6]>>(uint(at)&63)&1 == 0 && (v < 0) == high {
 			v = 0
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// dropUncertain copies vals into out with the fold's identity in place of
+// every row whose certain bit is clear. A false positive may hold the
+// greatest (least) value among the candidates: only a row that certainly
+// qualifies proves the maximum at least (the minimum at most) its own value
+// (§IV-F, Fig 6). With no such row the bound stays at the identity —
+// nothing is known, as the count's low end of zero says.
+func dropUncertain(out, vals []int64, certain []uint64, base int, identity int64) []int64 {
+	for i, v := range vals {
+		at := base + i
+		if certain[at>>6]>>(uint(at)&63)&1 == 0 {
+			v = identity
 		}
 		out[i] = v
 	}

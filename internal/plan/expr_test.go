@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ar"
 	"repro/internal/bat"
+	"repro/internal/bitpack"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -164,11 +165,16 @@ func randExpr(rng *rand.Rand, depth, ncols int, pool *[]Expr) Expr {
 
 // exprInput is one random statement over one random table: the aggregates,
 // per column the approximation codes with their decomposition, the exact
-// values they approximate, and the intervals the oracle reads.
+// values they approximate, and the intervals the oracle reads. The n rows
+// are the candidates a scan of a longer table left (cands, still carrying
+// its survivor mask), and every column also exists as that table's packed
+// approximation: the same fold, bound the third way.
 type exprInput struct {
 	aggs   []AggSpec
 	n      int
 	codes  map[ColRef]*colBind
+	packed map[ColRef]*bitpack.Array
+	cands  *ar.Candidates
 	exact  map[ColRef][]int64
 	ivs    map[ColRef][]ar.Interval
 	ids    []uint32 // nil: ungrouped
@@ -176,8 +182,67 @@ type exprInput struct {
 	mask   []uint64 // nil: every row certain
 }
 
-func randInput(rng *rand.Rand, n, depth int, grouped, masked bool) *exprInput {
-	in := &exprInput{n: n, groups: 1, codes: map[ColRef]*colBind{}, exact: map[ColRef][]int64{}, ivs: map[ColRef][]ar.Interval{}}
+// randSurvivors draws the table behind n candidates: which of its rows
+// survived — granule words that are full, lack one row, lack a few, are
+// dense, sparse or empty, in random order, the last granule short — and the
+// candidate set a scan for exactly those rows leaves.
+func randSurvivors(t testing.TB, rng *rand.Rand, n int) *ar.Candidates {
+	sel := make([]int64, 0, 2*n+64)
+	for left := n; left > 0 || len(sel) == 0; {
+		word := ^uint64(0)
+		switch rng.Intn(6) {
+		case 1:
+			word &^= 1 << rng.Intn(64)
+		case 2:
+			for k := 2 + rng.Intn(6); k > 0; k-- {
+				word &^= 1 << rng.Intn(64)
+			}
+		case 3:
+			word = rng.Uint64() | rng.Uint64()
+		case 4:
+			word = rng.Uint64() & rng.Uint64() & rng.Uint64()
+		case 5:
+			word = 0
+		}
+		for b := 0; b < 64; b++ {
+			row := int64(word >> b & 1)
+			if left == 0 {
+				row = 0
+			}
+			left -= int(row)
+			sel = append(sel, row)
+		}
+	}
+	sel = sel[:len(sel)-rng.Intn(64)]
+	for left := n - int(sumOf(sel)); left > 0; left-- {
+		sel = append(sel, 1) // the cut took survivors with it
+	}
+	col, err := bwd.Decompose(bat.NewDense(sel, bat.Width32), 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := ar.SelectApprox(nil, col, col.Relax(1, 1))
+	if cands.Len() != n {
+		t.Fatalf("the survivor fixture holds %d candidates, want %d", cands.Len(), n)
+	}
+	return cands
+}
+
+func sumOf(vals []int64) (sum int64) {
+	for _, v := range vals {
+		sum += v
+	}
+	return sum
+}
+
+func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool) *exprInput {
+	in := &exprInput{n: n, groups: 1, codes: map[ColRef]*colBind{}, packed: map[ColRef]*bitpack.Array{},
+		exact: map[ColRef][]int64{}, ivs: map[ColRef][]ar.Interval{}, cands: randSurvivors(t, rng, n)}
+	ids := in.cands.IDs()
+	rows := 0
+	if n > 0 {
+		rows = int(slices.Max(ids)) + 1
+	}
 	ncols := 1 + rng.Intn(len(exprTestCols))
 	var pool []Expr
 	for k := 0; k < 1+rng.Intn(6); k++ {
@@ -190,10 +255,19 @@ func randInput(rng *rand.Rand, n, depth int, grouped, masked bool) *exprInput {
 	for _, ref := range exprTestCols[:ncols] {
 		b := &colBind{base: rng.Int63n(3000) - 2000, shift: uint(rng.Intn(3) * rng.Intn(5))}
 		b.err = int64(1)<<b.shift - 1
+		// The column as the table packs it, at a width that decodes
+		// through every path (one word, a straddling value, a whole word);
+		// the codes stay small enough for the oracle's arithmetic.
+		width := []uint{1, 6, 9, 24, 63, 64}[rng.Intn(6)]
+		table := make([]uint64, rows)
+		for r := range table {
+			table[r] = uint64(rng.Intn(400)) & bitpack.Mask(width)
+		}
+		in.packed[ref] = bitpack.Pack(width, table)
 		b.codes = make([]uint64, n)
 		exact, ivs := make([]int64, n), make([]ar.Interval, n)
 		for i := range b.codes {
-			b.codes[i] = uint64(rng.Intn(400))
+			b.codes[i] = table[ids[i]]
 			lo := b.base + int64(b.codes[i]<<b.shift)
 			ivs[i] = ar.Interval{Lo: lo, Hi: lo + b.err}
 			exact[i] = lo + rng.Int63n(b.err+1)
@@ -224,13 +298,17 @@ func (in *exprInput) certain(i int) bool {
 
 // check folds the compiled program over the input under pp — exact values,
 // then intervals — and compares every accumulator and every aggregate with
-// the oracle.
+// the oracle; then the same intervals, and the low side alone, with every
+// column bound packed and read through the candidates' mask, which must fill
+// the accumulators the code lists filled.
 func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	t.Helper()
 	pg := compileAggs(in.aggs)
 
 	acc := pg.newAcc(in.groups, false)
-	pg.fold(pp, &acc, pg.bindVals(in.exact), in.n, in.ids, nil)
+	exact := pg.bindVals(in.exact, in.n)
+	exact.ids = in.ids
+	pg.fold(pp, &acc, exact)
 	counts := refFold(foldSum, in.groups, in.ids, fill(make([]int64, in.n), 1))
 	for k, a := range in.aggs {
 		var want []int64
@@ -259,7 +337,7 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 		cols[i] = *in.codes[ref]
 	}
 	acc = pg.newAcc(in.groups, true)
-	pg.fold(pp, &acc, cols, in.n, in.ids, in.mask)
+	pg.fold(pp, &acc, rows{cols: cols, n: in.n, ids: in.ids, certain: in.mask})
 	if !slices.Equal(acc.cnt, counts) {
 		t.Fatalf("%s: interval fold counted %v, oracle %v", label, acc.cnt, counts)
 	}
@@ -272,8 +350,14 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 		ivs := refBounds(a.Expr, in.n, in.ivs)
 		los, his := make([]int64, in.n), make([]int64, in.n)
 		for i, iv := range ivs {
-			if kind == foldSum && !in.certain(i) {
+			switch {
+			case in.certain(i):
+			case kind == foldSum:
 				iv.Lo, iv.Hi = min(iv.Lo, 0), max(iv.Hi, 0) // a false positive contributes nothing
+			case kind == foldMax:
+				iv.Lo = kind.identity() // and proves nothing about the extreme
+			default:
+				iv.Hi = kind.identity()
 			}
 			los[i], his[i] = iv.Lo, iv.Hi
 		}
@@ -285,15 +369,15 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 		if magnitude(a.Expr, 1<<17) > 1<<60 {
 			continue // the tree may wrap; containment means nothing then
 		}
-		// Exact is inside interval: row by row, and — for the sum over any
+		// Exact is inside interval: row by row, and — for the fold over any
 		// set between the certain rows and all rows — in aggregate.
 		exact := refEval(a.Expr, in.n, in.exact)
 		for i, v := range exact {
 			if !ivs[i].Contains(v) {
 				t.Fatalf("%s: %v row %d = %d outside its interval %v", label, a.Expr, i, v, ivs[i])
 			}
-			if kind == foldSum && !in.certain(i) && i%2 == 0 {
-				exact[i] = 0 // this false positive was refined away
+			if !in.certain(i) && i%2 == 0 {
+				exact[i] = kind.identity() // this false positive was refined away
 			}
 		}
 		for g, v := range refFold(kind, in.groups, in.ids, exact) {
@@ -302,23 +386,41 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 			}
 		}
 	}
+
+	byMask := rows{cols: make([]colBind, len(cols)), n: in.n, ids: in.ids, certain: in.mask, by: in.cands}
+	for i, ref := range pg.cols {
+		byMask.cols[i] = *in.codes[ref]
+		byMask.cols[i].codes, byMask.cols[i].packed = nil, in.packed[ref]
+	}
+	for _, interval := range []bool{true, false} {
+		got := pg.newAcc(in.groups, interval)
+		pg.fold(pp, &got, byMask)
+		if !slices.Equal(got.cnt, acc.cnt) || !slices.Equal(got.lo, acc.lo) || interval && !slices.Equal(got.hi, acc.hi) {
+			t.Fatalf("%s: the fold by mask (interval %v) counted %v and folded [%v, %v], the fold by code list %v and [%v, %v]",
+				label, interval, got.cnt, got.lo, got.hi, acc.cnt, acc.lo, acc.hi)
+		}
+		got.release()
+	}
 	acc.release()
 }
 
 // TestExprProgramMatchesReference is the compiled program's property test:
 // for random statements, every exact aggregate and every interval
 // accumulator equals the tree-walking oracle's — at the block edges, across
-// worker counts and morsel sizes, grouped and not, masked and not.
+// worker counts and morsel sizes, grouped and not, masked and not — and,
+// for every one of them, by code list and by packed column + survivor mask
+// (widths 1 to 64; full, holed, dense, sparse and empty granules, a short
+// last one; one work-group and several).
 func TestExprProgramMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	sizes := []int{0, 1, exprBlock - 1, exprBlock, exprBlock + 1, 3*exprBlock + 7, 70_000}
+	sizes := []int{0, 1, exprBlock - 1, exprBlock, exprBlock + 1, 3*exprBlock + 7, 100_000} // the last spans three device work-groups
 	for _, n := range sizes {
 		trials := 12
 		if n > 10*exprBlock {
 			trials = 3
 		}
 		for trial := 0; trial < trials; trial++ {
-			in := randInput(rng, n, 1+rng.Intn(5), trial%2 == 1, trial%3 > 0)
+			in := randInput(t, rng, n, 1+rng.Intn(5), trial%2 == 1, trial%3 > 0)
 			for _, workers := range []int{1, 2, 4} {
 				for _, morsel := range []int{0, 100, exprBlock, 4 * exprBlock} {
 					if n > 10*exprBlock && morsel == 100 && workers > 1 {
@@ -427,14 +529,14 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 		}
 		run := func() {
 			acc := pg.newAcc(1, true)
-			pg.fold(pp, &acc, cols, n, nil, mask)
+			pg.fold(pp, &acc, rows{cols: cols, n: n, certain: mask})
 			acc.release()
 			pre := ar.GroupApprox(nil, keyCols, cands)
 			grouping, keys, err := ar.GroupRefine(pp, nil, pre, cands)
 			if err != nil || grouping.NGroups != 6 {
 				t.Fatalf("grouping: %d groups, %v", grouping.NGroups, err)
 			}
-			aggregateRows(nil, pp, pg, ctx, grouping, keys, true)
+			aggregateRows(nil, pp, pg, ctx, nil, grouping, keys, true)
 			mem.U32.Put(grouping.IDs)
 			pre.Release()
 		}

@@ -52,6 +52,9 @@ type legPlan struct {
 	factFilters []rankedFilter
 	orGroups    []orGroupStage
 	joins       []joinStage
+	// resident: no delta segment and no residual bit in anything the leg
+	// reads (execSnap.resident) — run A&R alone, its approximation is exact.
+	resident bool
 }
 
 // pipeline is a legPlan bound to the snapshots one execution pinned for it.
@@ -72,6 +75,32 @@ func (pl pipeline) devGroupCols(solo bool) []*bwd.Column {
 		return nil
 	}
 	return pl.snap.devGroupCols(&pl.q)
+}
+
+// exactLeg reports whether the leg's approximation is its exact result: an
+// A&R scan, the only leg the statement scans, of a table version with no
+// delta segment and every bit of every column the statement reads device
+// resident — filters, disjuncts, join keys, dimension filters, aggregate
+// inputs, and group keys the grouping table holds (legPlan.resident). The
+// relaxed ranges are then the predicates and the codes the values (§IV-C,
+// §IV-E): no candidate is uncertain, no refinement can drop one, every
+// phase-A interval is a point. scanAR, the tail and describe all ask here.
+func (pl pipeline) exactLeg(solo bool) bool {
+	return !pl.classic && solo && pl.resident
+}
+
+// resident is the part of exactLeg that the leg's pinned versions settle,
+// decided once where the leg is built and priced.
+func (s *execSnap) resident(q *Query) bool {
+	if s.fact.DeltaLen() != 0 {
+		return false
+	}
+	for _, d := range s.decs {
+		if d == nil || d.Dec.ResBits != 0 {
+			return false
+		}
+	}
+	return len(q.GroupBy) == 0 || s.devGroupCols(q) != nil
 }
 
 // devGroupCols is the part of the decision one leg's snapshot settles,
@@ -124,6 +153,7 @@ func buildLeg(plan *Plan, table string, snap *execSnap) *legPlan {
 	pl := &legPlan{Plan: plan, q: plan.q, classic: true}
 	pl.q.Table = table
 	q := &pl.q
+	pl.resident = snap.resident(q)
 	pl.factFilters = rankFilters(snap, "", q.Filters)
 	for i, group := range q.Or {
 		sel, src := estimateOrSelectivity(snap, group)
@@ -300,11 +330,16 @@ func (st *pipeState) startTrace(classic bool) {
 // scanOut is what every scan source produces: the base segment's exact
 // tuple values, the delta segment's contribution, and — A&R only — the
 // device pre-grouping awaiting refinement with its surviving candidates.
+// An exact A&R leg hands over accumulators instead of values.
 type scanOut struct {
 	ectx    *exprCtx
 	dset    *deltaSet
 	mg      *ar.Grouping
 	refined *ar.Candidates
+	// exact is set by an exact A&R leg, with acc: the aggregates of
+	// refined, already folded per group of mg, in place of ectx's values.
+	exact bool
+	acc   aggAcc
 }
 
 // finish is the shared downstream pipeline over the gathered tuple set:
@@ -355,7 +390,11 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	if err := st.step(StageAggregate); err != nil {
 		return err
 	}
-	rows := aggregateRows(st.m, st.pp, pl.prog, ectx, grouping, groupKeys, !classic)
+	var folded *aggAcc
+	if out.exact {
+		folded = &out.acc
+	}
+	rows := aggregateRows(st.m, st.pp, pl.prog, ectx, folded, grouping, groupKeys, !classic)
 	aggr := "bwd.%[1]srefine(%[2]s)"
 	if classic {
 		aggr = "aggr.%[1]s(%[2]s)"
@@ -537,6 +576,9 @@ func (pl pipeline) describe(solo bool) []string {
 	} else {
 		out = append(out, "  delta: none")
 	}
+	if pl.exactLeg(solo) {
+		out = append(out, "  refine: nothing to refine — every column read is device resident")
+	}
 	if len(q.GroupBy) > 0 {
 		how := "host rebuild over combined tuples"
 		if pl.devGroupCols(solo) != nil {
@@ -683,20 +725,30 @@ func exprText(e Expr) string {
 // ---- Shared aggregation operators ----
 
 // aggregateRows folds the statement's compiled aggregates over the exact
-// values, per group. Rows come out in group-discovery order, every row's
-// Keys and Vals carved from one backing array; the caller establishes the
-// output order (sortRows, or ORDER BY's comparator) after HAVING.
-func aggregateRows(m *device.Meter, pp par.P, pg *program, ctx *exprCtx, grouping *bulk.Grouping, groupKeys [][]int64, fused bool) []Row {
+// values, per group — or takes the accumulators folded an exact A&R leg
+// already holds (folded non-nil), billing the aggregation all the same. Rows
+// come out in group-discovery order, every row's Keys and Vals carved from
+// one backing array; the caller establishes the output order (sortRows, or
+// ORDER BY's comparator) after HAVING.
+func aggregateRows(m *device.Meter, pp par.P, pg *program, ctx *exprCtx, folded *aggAcc, grouping *bulk.Grouping, groupKeys [][]int64, fused bool) []Row {
 	if m != nil {
 		chargeAggregation(m, pp.NThreads(), pg.aggs, int64(ctx.n), grouping != nil, fused)
 	}
-	var ids []uint32
 	groups, nk, nv := 1, 0, len(pg.aggs)
 	if grouping != nil {
-		ids, groups, nk = grouping.IDs, grouping.NGroups, len(groupKeys)
+		groups, nk = grouping.NGroups, len(groupKeys)
 	}
-	acc := pg.newAcc(groups, false)
-	pg.fold(pp, &acc, pg.bindVals(ctx.vals), ctx.n, ids, nil)
+	var acc aggAcc
+	if folded != nil {
+		acc = *folded
+	} else {
+		acc = pg.newAcc(groups, false)
+		in := pg.bindVals(ctx.vals, ctx.n)
+		if grouping != nil {
+			in.ids = grouping.IDs
+		}
+		pg.fold(pp, &acc, in)
+	}
 	rows := make([]Row, groups)
 	cells := make([]int64, groups*(nk+nv))
 	for g := range rows {

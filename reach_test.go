@@ -39,8 +39,6 @@ var reachRetiring = []string{
 	"ar.Interval.Div", "ar.Interval.Sqrt", "ar.isqrt", "ar.Interval.Pow", "ar.IsDestructive",
 	// ar: TestThetaJoinApproxRefineMatchesNestedLoop, TestThetaJoinChargesGPUForApproxCPUForRefine
 	"ar.ThetaJoinApprox", "ar.ThetaJoinRefine",
-	// ar: TestFKPositionsRefineMatchesApprox, TestReconstructAllMatchesSource, TestReconstructAllZeroAlloc
-	"ar.FKPositionsRefine", "ar.ReconstructAll", "ar.reconstructRange",
 	// bat, the materialised-head, seqbase and sorted/key surface: TestNewDenseAt,
 	// TestNewMaterialized*, TestMaterializeHead, TestSlice*, TestCheckSorted,
 	// TestCloneIndependence, TestProject*
