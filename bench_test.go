@@ -119,7 +119,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			first := ar.SelectApprox(nil, colA, rA)
-			both := ar.SelectApproxOver(nil, colB, rB, first)
+			both := ar.SelectApproxOver(nil, colB, nil, rB, first)
 			both.CodesFor(colB)
 			if both != first {
 				first.Release()
@@ -135,7 +135,7 @@ func BenchmarkOpSelectRefine(b *testing.B) {
 	b.SetBytes(int64(cands.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar.SelectRefine(par.P{}, nil, col, 0, benchN/10, cands)
+		ar.SelectRefine(par.P{}, nil, col, nil, 0, benchN/10, cands)
 	}
 }
 
@@ -276,11 +276,11 @@ func BenchmarkOpProjectApproxRefine(b *testing.B) {
 	selCol, _ := benchColumn(12)
 	prjCol, _ := benchColumn(12)
 	cands := ar.SelectApprox(nil, selCol, selCol.Relax(0, benchN/10))
-	refined, _ := ar.SelectRefine(par.P{}, nil, selCol, 0, benchN/10, cands)
+	refined, _ := ar.SelectRefine(par.P{}, nil, selCol, nil, 0, benchN/10, cands)
 	b.SetBytes(int64(refined.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proj := ar.ProjectApprox(nil, prjCol, cands)
+		proj := ar.ProjectApprox(nil, prjCol, nil, cands)
 		if _, err := ar.ProjectRefine(par.P{}, nil, proj, refined); err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func BenchmarkOpGroupApprox(b *testing.B) {
 func BenchmarkOpTranslucentJoin(b *testing.B) {
 	col, _ := benchColumn(12)
 	cands := ar.SelectApprox(nil, col, col.Relax(0, benchN/2))
-	refined, _ := ar.SelectRefine(par.P{}, nil, col, 0, benchN/4, cands)
+	refined, _ := ar.SelectRefine(par.P{}, nil, col, nil, 0, benchN/4, cands)
 	b.SetBytes(int64(cands.Len()) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -354,6 +354,54 @@ func BenchmarkOpExprAggregate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkOpJoin is the foreign-key join with a dimension filter over 240 k
+// lineitem and 8 k part rows (SF 0.04), every column device resident: "q14" is
+// the statement olap_tail issues every fourth time — one month of l_shipdate,
+// ≈ 3 k candidates, carried into the probe of part and the PROMO range on
+// p_type — and "wide" the same without the fact filter, so that all 240 k rows
+// reach the join. Each runs A&R and classic through the exported executors
+// only, so the same line measures any commit.
+func BenchmarkOpJoin(b *testing.B) {
+	d := tpch.Generate(0.04, 1)
+	c := plan.NewCatalog(device.PaperSystem())
+	if err := d.Load(c); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.DecomposeAll(c, false); err != nil {
+		b.Fatal(err)
+	}
+	wide := plan.Query{
+		Table: "lineitem",
+		Joins: []plan.JoinSpec{{FKCol: "l_partkey", Dim: "part", DimPK: "p_partkey",
+			DimFilters: []plan.Filter{{Col: "p_type", Lo: 75, Hi: 99}}}},
+		Aggs: []plan.AggSpec{
+			{Name: "promo_revenue", Func: plan.Sum, Expr: plan.MulScaled(plan.Col("l_extendedprice"),
+				plan.Sub(plan.Const(100), plan.Col("l_discount")), 100)},
+			{Name: "n", Func: plan.Count},
+		},
+	}
+	q14 := wide
+	q14.Filters = []plan.Filter{{Col: "l_shipdate", Lo: tpch.Day(1995, 9, 1), Hi: tpch.Day(1995, 9, 30)}}
+	for _, shape := range []struct {
+		name string
+		q    plan.Query
+	}{{"q14", q14}, {"wide", wide}} {
+		for _, mode := range []struct {
+			name string
+			exec func(context.Context, plan.Query, plan.ExecOpts) (*plan.Result, error)
+		}{{"ar", c.ExecAR}, {"classic", c.ExecClassic}} {
+			b.Run(shape.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := mode.exec(context.Background(), shape.q, plan.ExecOpts{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func main() {
 
 	// Ship once across the bus, refine on the CPU.
 	cands.Ship(m)
-	refined, exactVals := ar.SelectRefine(par.P{}, m, col, lo, hi, cands)
+	refined, exactVals := ar.SelectRefine(par.P{}, m, col, nil, lo, hi, cands)
 	fmt.Printf("refined result:    %d tuples (%d false positives eliminated)\n",
 		refined.Len(), cands.Len()-refined.Len())
 	fmt.Printf("simulated cost:    %v\n", m)

@@ -13,7 +13,7 @@ func TestCountApproxBoundsExact(t *testing.T) {
 	lo, hi := int64(3000), int64(9000)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
 	iv := CountApprox(nil, cands)
-	refined, _ := SelectRefine(par.P{}, nil, col, lo, hi, cands)
+	refined, _ := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands)
 	exact := int64(len(refined.IDs()))
 	if !iv.Contains(exact) {
 		t.Fatalf("approximate count %v does not contain exact %d", iv, exact)

@@ -69,7 +69,7 @@ func newScanFixture(t testing.TB, vals []int64) *scanFixture {
 
 func runARScan(f *scanFixture) {
 	cands := SelectApprox(nil, f.col, f.rng)
-	refined, vals := SelectRefine(par.P{}, nil, f.col, f.lo, f.hi, cands)
+	refined, vals := SelectRefine(par.P{}, nil, f.col, nil, f.lo, f.hi, cands)
 	mem.I64.Put(vals)
 	refined.Release()
 	cands.Release()

@@ -49,9 +49,12 @@ func getCandidates() *Candidates {
 // that was applied on that column (zero ApproxRange when the column was
 // only projected, not filtered). Attachments sharing a non-zero group id
 // belong to one disjunction (OR) predicate: a candidate satisfies the
-// group when any member's predicate holds.
+// group when any member's predicate holds. A dimension column is attached
+// with the key of the join it was filtered through: its code for a candidate
+// is the one at the dimension position the candidate's key joins.
 type attachment struct {
 	col      *bwd.Column
+	key      *bwd.Key
 	codes    []uint64
 	rng      bwd.ApproxRange
 	filtered bool
@@ -67,12 +70,13 @@ type attachment struct {
 //
 // Phase A's currency is the survivor mask, not the list (DESIGN.md §13): a
 // set that comes out of the approximate scan carries one bit per scanned row
-// and no ids yet. Further conjuncts, disjunction groups and the deletion
-// bitmap narrow the mask in place (narrow, MaskOut); the ids and the
+// and no ids yet. Further conjuncts, disjunction groups, the deletion bitmap
+// and the join chain — probes, dimension deletions, dimension filters —
+// narrow the mask in place (narrow, MaskOut, JoinApprox); the ids and the
 // attached codes are materialised from it once, by Emit, which the first
 // reader of a position triggers, and the mask stays on the set so that
 // ProjectApprox and GroupApprox decode by granule too. A set built by a
-// position-addressed operator or a refinement (filterTo) is an id list only.
+// refinement (filterTo) is an id list only.
 type Candidates struct {
 	ids     []bat.OID
 	attach  []attachment
@@ -344,21 +348,9 @@ func (c *Candidates) filterTo(keep []int) *Candidates {
 		for i, k := range keep {
 			codes[i] = src.codes[k]
 		}
-		out.attach = append(out.attach, attachment{col: src.col, codes: codes, rng: src.rng, filtered: src.filtered, group: src.group})
+		out.attach = append(out.attach, attachment{col: src.col, key: src.key, codes: codes, rng: src.rng, filtered: src.filtered, group: src.group})
 	}
 	return out
-}
-
-// Filter builds a new candidate set containing only the positions listed
-// in keep (indices into c, in candidate order), compacting every attached
-// code column to preserve alignment. The query layer uses it to discharge
-// candidates whose joined dimension row is deleted: the dimension's
-// deletion bitmap is mirrored device-side (shipped when rows are deleted),
-// so masking is one GPU pass over the joined positions — charged by the
-// caller, which knows the bitmap footprint. (Deleted fact rows never get
-// this far: MaskOut clears them from the survivor mask.)
-func (c *Candidates) Filter(keep []int) *Candidates {
-	return c.filterTo(keep)
 }
 
 // packedBytes is the physical byte footprint of n bit-packed values of the

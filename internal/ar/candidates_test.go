@@ -74,7 +74,7 @@ func TestFilterToPreservesAttachments(t *testing.T) {
 	colA := decompose(t, a, 6)
 	colB := decompose(t, b, 6)
 	c1 := SelectApprox(nil, colA, colA.Relax(0, 2500))
-	c2 := SelectApproxOver(nil, colB, colB.Relax(0, 4000), c1)
+	c2 := SelectApproxOver(nil, colB, nil, colB.Relax(0, 4000), c1)
 
 	codesA := c2.CodesFor(colA)
 	codesB := c2.CodesFor(colB)
@@ -99,11 +99,11 @@ func TestEmptyCandidatesFlow(t *testing.T) {
 		t.Fatal("expected empty candidates")
 	}
 	cands.Ship(nil)
-	proj := ProjectApprox(nil, col, cands)
+	proj := ProjectApprox(nil, col, nil, cands)
 	if len(proj.Codes()) != 0 {
 		t.Error("projection over empty candidates not empty")
 	}
-	refined, vals2 := SelectRefine(par.P{}, nil, col, 100000, 200000, cands)
+	refined, vals2 := SelectRefine(par.P{}, nil, col, nil, 100000, 200000, cands)
 	if refined.Len() != 0 || len(vals2) != 0 {
 		t.Error("refinement of empty candidates not empty")
 	}
@@ -128,7 +128,7 @@ func TestShippedFlagPropagation(t *testing.T) {
 	if !cands.shipped {
 		t.Error("Ship did not mark candidates")
 	}
-	refined, _ := SelectRefine(par.P{}, nil, col, 0, 500, cands)
+	refined, _ := SelectRefine(par.P{}, nil, col, nil, 0, 500, cands)
 	if !refined.shipped {
 		t.Error("refinement output lives on the host; must stay marked shipped")
 	}
@@ -143,7 +143,7 @@ func TestCertainMaskMatchesCertain(t *testing.T) {
 	vals := shuffledInts(3*gpuChunk+100, 98)
 	split, resident := decompose(t, vals, 6), decompose(t, vals, 32)
 	n := int64(len(vals))
-	and := SelectApproxOver(nil, resident, resident.Relax(0, n/2), SelectApprox(nil, split, split.Relax(n/10, n-n/10)))
+	and := SelectApproxOver(nil, resident, nil, resident.Relax(0, n/2), SelectApprox(nil, split, split.Relax(n/10, n-n/10)))
 	or := SelectApproxAny(nil, []*bwd.Column{split, resident},
 		[]bwd.ApproxRange{split.Relax(0, n/3), resident.Relax(n/2, n)}, 1)
 	for name, cands := range map[string]*Candidates{"conjunction": and, "disjunction": or} {

@@ -36,7 +36,7 @@ func groupRefined(t *testing.T, keyVals [][]int64, keyBits []uint, selBits uint,
 	cands := SelectApprox(nil, selCol, selCol.Relax(1000, hi))
 	pre := GroupApprox(nil, cols, cands)
 	pre.Ship(nil)
-	refined, _ := SelectRefine(par.P{}, nil, selCol, 1000, hi, cands)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, nil, 1000, hi, cands)
 	got, gotKeys, err := GroupRefine(par.P{}, nil, pre, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
@@ -112,7 +112,7 @@ func TestGroupApproxMatchesBulkOnFullSelection(t *testing.T) {
 	selCol := decompose(t, shuffledInts(n, 35), 32)
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, int64(n)))
 	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
-	refined, _ := SelectRefine(par.P{}, nil, selCol, 0, int64(n), cands)
+	refined, _ := SelectRefine(par.P{}, nil, selCol, nil, 0, int64(n), cands)
 	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping, refined)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
@@ -209,7 +209,7 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 			m, projected := device.NewMeter(sys), device.NewMeter(sys)
 			g := GroupApprox(m, tc.cols, cands)
 			for _, col := range tc.cols[1:] {
-				ProjectApprox(projected, col, cands)
+				ProjectApprox(projected, col, nil, cands)
 			}
 			bare := device.NewMeter(sys)
 			GroupApprox(bare, tc.cols, &Candidates{ids: cands.IDs(), attach: cands.attach})
@@ -219,7 +219,7 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 			for k, col := range tc.cols {
 				codes := cands.CodesFor(col)
 				if k > 0 {
-					codes = ProjectApprox(nil, col, cands).Codes()
+					codes = ProjectApprox(nil, col, nil, cands).Codes()
 				}
 				for i := range cands.IDs() {
 					if g.Codes[k][g.IDs[i]] != codes[i] {

@@ -1,8 +1,6 @@
 package ar
 
 import (
-	"repro/internal/bat"
-	"repro/internal/bitpack"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -20,9 +18,15 @@ import (
 // holds no codes until someone asks for the list (Codes): a consumer that
 // reads by mask (ByMask) decodes the packed column a block at a time and the
 // candidate-length buffer is never written.
+//
+// Key is the projected column's addressing: nil for a column of the scanned
+// table, the join's key for a dimension column, whose code for a candidate is
+// the one at the position the candidate's key joins (§IV-D: the projective
+// foreign-key join shares this code path).
 type Projection struct {
 	Src     *Candidates
 	Col     *bwd.Column
+	Key     *bwd.Key
 	codes   []uint64
 	n       int
 	shipped bool
@@ -80,16 +84,17 @@ func (p *Projection) Ship(m *device.Meter) {
 // (§IV-A item 2). On the host a set that still carries its survivor mask is
 // projected by granule — one decode where a granule's survivors are dense,
 // one Get per survivor where they are sparse (emitGranule), and only once a
-// reader wants the codes as a list — and an id-list set by one lookup per
-// id; the codes and the charge are the same either way.
-func ProjectApprox(m *device.Meter, col *bwd.Column, cands *Candidates) *Projection {
+// reader wants the codes as a list — and an id-list set, or any set through a
+// key, by one lookup per id; the codes and the charge are the same either
+// way.
+func ProjectApprox(m *device.Meter, col *bwd.Column, key *bwd.Key, cands *Candidates) *Projection {
 	n := cands.Len()
-	p := &Projection{Src: cands, Col: col, n: n}
-	if cands.mask == nil {
+	p := &Projection{Src: cands, Col: col, Key: key, n: n}
+	if key != nil || cands.mask == nil {
 		p.codes = mem.U64.GetN(n)
-		ids := cands.ids
+		ids := cands.IDs()
 		devP().For(n, func(lo, hi int) {
-			bitpack.Gather(col.Approx, ids[lo:hi], p.codes[lo:hi])
+			gatherThrough(col.Approx, key, ids[lo:hi], p.codes[lo:hi])
 		})
 	}
 	chargeProject(m, col, n)
@@ -104,21 +109,6 @@ func chargeProject(m *device.Meter, col *bwd.Column, n int) {
 	}
 }
 
-// ProjectApproxAt is ProjectApprox through an indirection: the lookup
-// positions are given explicitly (aligned with cands) instead of being the
-// candidate IDs themselves. This is the projective foreign-key join of
-// §IV-D: with a dense primary key, `at` holds the dimension-table
-// positions for each fact-side candidate, and projecting a dimension
-// column "via" the join shares this code path.
-func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []bat.OID) *Projection {
-	codes := mem.U64.GetN(len(at))
-	devP().For(len(at), func(lo, hi int) {
-		bitpack.Gather(col.Approx, at[lo:hi], codes[lo:hi])
-	})
-	chargeProject(m, col, len(at))
-	return &Projection{Src: cands, Col: col, codes: codes, n: len(at)}
-}
-
 // ProjectRefine is the refinement of a projection (§IV-C): a translucent
 // join of the refined candidate subset into the approximate projection —
 // re-aligning the projected codes with the surviving IDs — followed by
@@ -128,9 +118,12 @@ func ProjectApproxAt(m *device.Meter, col *bwd.Column, cands *Candidates, at []b
 // refinement guarantees); otherwise ErrTranslucentPrecondition is
 // returned. The translucent join stays a sequential merge pass (its cursor
 // is inherently serial); the residual lookups and reconstructions fan out
-// over morsels with disjoint output writes.
+// over morsels with disjoint output writes. A dimension projection looks its
+// residuals up at the position each surviving candidate's key joins, and is
+// billed as the dimension-side operator always was: its translucent join
+// whatever survived, its reconstruction only where there are residuals.
 func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates) ([]int64, error) {
-	if p.Exact() && refined.Len() == p.Src.Len() {
+	if p.Key == nil && p.Exact() && refined.Len() == p.Src.Len() {
 		// §IV-C: all bits of the projected attribute are device resident
 		// and no candidates were eliminated — the shipped codes already
 		// are the exact result (a view, no refinement operator runs).
@@ -148,24 +141,33 @@ func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates
 		return nil, err
 	}
 	out := mem.I64.GetN(len(ids))
-	col, codes := p.Col, p.Codes()
+	col, key, codes := p.Col, p.Key, p.Codes()
 	pp.For(len(pos), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var r uint64
 			if col.Dec.ResBits > 0 {
-				r = col.Residual.Get(int(ids[i]))
+				at := int(ids[i])
+				if key != nil {
+					at, _ = key.At(at)
+				}
+				r = col.Residual.Get(at)
 			}
 			out[i] = col.ReconstructFrom(codes[pos[i]], r)
 		}
 	})
 	mem.Ints.Put(pos)
-	if m != nil {
+	if m != nil && (p.Key == nil || col.Dec.ResBits > 0) {
 		// Reads: refined IDs (32-bit), shipped codes, residuals (at
 		// candidate order); writes: reconstructed values at the column's
-		// native width.
+		// native width — through a key, 8 bytes a candidate stand for both.
 		n := len(ids)
 		resFetch := device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
-		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits) + resFetch + int64(n)*int64(col.Dec.Width)
+		seq := packedBytes(n, col.Dec.ApproxBits) + resFetch
+		if p.Key == nil {
+			seq += int64(n)*4 + int64(n)*int64(col.Dec.Width)
+		} else {
+			seq += int64(n) * 8
+		}
 		m.CPUWork(pp.NThreads(), seq, 0, int64(n))
 	}
 	return out, nil

@@ -22,10 +22,10 @@ func TestProjectApproxRefineMatchesBulk(t *testing.T) {
 
 	lo, hi := int64(5000), int64(12000)
 	cands := SelectApprox(nil, dateCol, dateCol.Relax(lo, hi))
-	proj := ProjectApprox(nil, priceCol, cands)
+	proj := ProjectApprox(nil, priceCol, nil, cands)
 	cands.Ship(nil)
 	proj.Ship(nil)
-	refined, _ := SelectRefine(par.P{}, nil, dateCol, lo, hi, cands)
+	refined, _ := SelectRefine(par.P{}, nil, dateCol, nil, lo, hi, cands)
 	got, err := ProjectRefine(par.P{}, nil, proj, refined)
 	if err != nil {
 		t.Fatalf("ProjectRefine: %v", err)
@@ -60,8 +60,8 @@ func TestProjectRefineUsesTranslucentJoin(t *testing.T) {
 	colB := decompose(t, b, 6)
 
 	cands := SelectApprox(nil, colA, colA.Relax(100, 2500))
-	proj := ProjectApprox(nil, colB, cands)
-	refined, _ := SelectRefine(par.P{}, nil, colA, 100, 2500, cands)
+	proj := ProjectApprox(nil, colB, nil, cands)
+	refined, _ := SelectRefine(par.P{}, nil, colA, nil, 100, 2500, cands)
 	if len(refined.IDs()) == cands.Len() {
 		t.Fatal("test needs false positives to be meaningful")
 	}
@@ -81,7 +81,7 @@ func TestProjectRefineRejectsForeignSubset(t *testing.T) {
 	a := shuffledInts(n, 24)
 	colA := decompose(t, a, 6)
 	cands := SelectApprox(nil, colA, colA.Relax(0, 100))
-	proj := ProjectApprox(nil, colA, cands)
+	proj := ProjectApprox(nil, colA, nil, cands)
 	// A candidate set that is NOT a subset of the projection's source.
 	foreign := &Candidates{ids: []bat.OID{bat.OID(n - 1), 0}}
 	if cands.Len() < 2 {
@@ -98,32 +98,12 @@ func TestProjectExactFlag(t *testing.T) {
 	resident := decompose(t, vals, 32)
 	split := decompose(t, vals, 5)
 	cands := SelectApprox(nil, resident, resident.Relax(0, 100))
-	if !ProjectApprox(nil, resident, cands).Exact() {
+	if !ProjectApprox(nil, resident, nil, cands).Exact() {
 		t.Error("fully resident projection not Exact")
 	}
 	cands2 := SelectApprox(nil, split, split.Relax(0, 100))
-	if ProjectApprox(nil, split, cands2).Exact() {
+	if ProjectApprox(nil, split, nil, cands2).Exact() {
 		t.Error("decomposed projection claims Exact")
-	}
-}
-
-func TestProjectApproxAt(t *testing.T) {
-	// Dimension projection through explicit positions (FK join path).
-	dim := []int64{100, 200, 300, 400}
-	dimCol := decompose(t, dim, 32)
-	fact := shuffledInts(100, 26)
-	factCol := decompose(t, fact, 32)
-	cands := SelectApprox(nil, factCol, factCol.Relax(0, 99))
-	at := make([]bat.OID, cands.Len())
-	for i := range at {
-		at[i] = bat.OID(int(cands.IDs()[i]) % len(dim))
-	}
-	proj := ProjectApproxAt(nil, dimCol, cands, at)
-	for i := range at {
-		want := dim[at[i]]
-		if got := proj.ApproxLow(i); got != want {
-			t.Fatalf("ApproxLow[%d] = %d, want %d", i, got, want)
-		}
 	}
 }
 
@@ -133,7 +113,7 @@ func TestProjectionShipCharges(t *testing.T) {
 	vals := shuffledInts(10000, 27)
 	col := decompose(t, vals, 8)
 	cands := SelectApprox(nil, col, col.Relax(0, 5000))
-	proj := ProjectApprox(m, col, cands)
+	proj := ProjectApprox(m, col, nil, cands)
 	if m.GPU == 0 {
 		t.Error("approximate projection charged no GPU time")
 	}
@@ -224,7 +204,7 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 		col := scanColumn(t, rng, width, n, "shuffled")
 		check := func(name string, cands *Candidates) {
 			m, ref := device.NewMeter(sys), device.NewMeter(sys)
-			p := ProjectApprox(m, col, cands)
+			p := ProjectApprox(m, col, nil, cands)
 			if len(p.Codes()) != cands.Len() {
 				t.Fatalf("width %d %s: %d codes for %d candidates", width, name, len(p.Codes()), cands.Len())
 			}

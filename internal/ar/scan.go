@@ -147,12 +147,17 @@ func scanApprox(m *device.Meter, c *Candidates) {
 // range cuts through is the packed codes. One work-group runs on the calling
 // goroutine without materializing a closure; an empty column has none.
 func (c *Candidates) narrow(att []attachment, and bool) {
-	if c.mask == nil || c.sealed {
-		panic("ar: narrowing a candidate set that has no survivor mask or whose positions were already read")
-	}
 	c.walk = c.walk[:0]
 	for j := range att {
-		c.walk = append(c.walk, att[j].col.Approximately(att[j].rng))
+		c.walk = append(c.walk, att[j].col.Approximately(att[j].rng).Through(att[j].key))
+	}
+	c.walkGranules(and)
+}
+
+// walkGranules runs the mask step over the disjuncts compiled into c.walk.
+func (c *Candidates) walkGranules(and bool) {
+	if c.mask == nil || c.sealed {
+		panic("ar: narrowing a candidate set that has no survivor mask or whose positions were already read")
 	}
 	ds, mask, counts, group := c.walk, c.mask, c.offs, bwd.ScanGranules
 	if and {
@@ -334,7 +339,7 @@ const denseSurvivors = 16
 
 // emitGroup materialises the survivors of work-group [lo,hi) into the
 // output slot starting at off: the ids in row order, then the survivors'
-// codes of every attached column.
+// codes of every attached column — a dimension's gathered through its key.
 func emitGroup(ids []bat.OID, att []attachment, mask []uint64, lo, hi, off int) {
 	g0, g1 := lo/bwd.GranuleRows, granulesTo(hi)
 	end := off
@@ -346,6 +351,10 @@ func emitGroup(ids []bat.OID, att []attachment, mask []uint64, lo, hi, off int) 
 		}
 	}
 	for j := range att {
+		if att[j].key != nil {
+			gatherThrough(att[j].col.Approx, att[j].key, ids[off:end], att[j].codes[off:end])
+			continue
+		}
 		decodeGranules(att[j].col.Approx, att[j].codes[off:end], mask, g0, g1)
 	}
 }

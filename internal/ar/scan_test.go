@@ -275,7 +275,7 @@ func (sc *scanCase) run(m *device.Meter) *Candidates {
 		case 0:
 			c.MaskOut(step.drop)
 		case 1:
-			c = SelectApproxOver(m, step.cols[0], step.rs[0], c)
+			c = SelectApproxOver(m, step.cols[0], nil, step.rs[0], c)
 		default:
 			c = SelectApproxAnyOver(m, step.cols, step.rs, c, scanGroup+1+i)
 		}
@@ -453,7 +453,7 @@ func TestScanGranuleOutcomes(t *testing.T) {
 		t.Fatalf("fixture: granules %v %v %v do not separate", g[k-1], g[k], g[k+1])
 	}
 	before = after
-	c = SelectApproxOver(nil, col, bwd.ApproxRange{Lo: g[k].Min, Hi: g[k+1].Min + 1}, c)
+	c = SelectApproxOver(nil, col, nil, bwd.ApproxRange{Lo: g[k].Min, Hi: g[k+1].Min + 1}, c)
 	after = ScanStats()
 	skipped, inside, decoded = after.Skipped-before.Skipped, after.Inside-before.Inside, after.Decoded-before.Decoded
 	if skipped != uint64(len(g))-2 || inside != 1 || decoded != 1 {
@@ -493,7 +493,7 @@ func TestChainBuffersIndependentOfLength(t *testing.T) {
 		before := mem.Stats()
 		c := SelectApprox(nil, cols[0], bwd.ApproxRange{Lo: 0, Hi: cols[0].Dec.MaxApprox() / 2})
 		for _, col := range cols[1:k] {
-			c = SelectApproxOver(nil, col, bwd.ApproxRange{Lo: 0, Hi: col.Dec.MaxApprox() / 2}, c)
+			c = SelectApproxOver(nil, col, nil, bwd.ApproxRange{Lo: 0, Hi: col.Dec.MaxApprox() / 2}, c)
 		}
 		if len(c.IDs()) == 0 || len(c.attach) != k {
 			t.Fatalf("fixture: %d candidates, %d attachments after %d conjuncts", c.Len(), len(c.attach), k)

@@ -10,20 +10,22 @@ import (
 
 // SelectApproxOver narrows a candidate set with a further relaxed predicate
 // on another column (conjunctive selections, e.g. the two BETWEENs of the
-// spatial range query). The device gathers col's codes at the candidate
-// positions and keeps the matches; on the host that is the scan's mask step
-// over the granules that still hold a survivor (bwd.NarrowGranules), its outcome
-// ANDed into the set's mask — so in must still carry one, with no position
-// read yet. The set is narrowed in place and returned, col attached to it;
-// candidate order is the order of the final mask, which is what filtering
-// the list in place would have kept.
-func SelectApproxOver(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *Candidates) *Candidates {
+// spatial range query) — a column of the scanned table (key nil), or of a
+// dimension it joins, read at the position each candidate's key addresses.
+// The device gathers col's codes at the candidate positions and keeps the
+// matches; on the host that is the scan's mask step over the granules that
+// still hold a survivor (bwd.NarrowGranules), its outcome ANDed into the set's
+// mask — so in must still carry one, with no position read yet. The set is
+// narrowed in place and returned, col attached to it with its key; candidate
+// order is the order of the final mask, which is what filtering the list in
+// place would have kept.
+func SelectApproxOver(m *device.Meter, col *bwd.Column, key *bwd.Key, r bwd.ApproxRange, in *Candidates) *Candidates {
 	n := in.Len()
-	in.attach = append(in.attach, attachment{col: col, rng: r, filtered: true})
+	in.attach = append(in.attach, attachment{col: col, key: key, rng: r, filtered: true})
 	in.narrow(in.attach[len(in.attach)-1:], true)
 	in.shipped = false // a fresh device-side intermediate
 	if m != nil {
-		seq := int64(n)*4 + int64(in.n)*4 + packedBytes(in.n, col.Dec.ApproxBits)
+		seq := int64(n+in.n)*idBytes(key) + packedBytes(in.n, col.Dec.ApproxBits)
 		m.GPUKernel(seq, packedBytes(n, col.Dec.ApproxBits), int64(n)*OpsPackedScan)
 	}
 	return in
@@ -36,7 +38,9 @@ func SelectApproxOver(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *C
 // eliminated. The translucent join with the residual and the re-evaluation
 // are fused into one loop, as the paper prescribes; because the residual
 // is a persistent column with dense IDs, that join takes the invisible
-// (positional) fast path.
+// (positional) fast path. A dimension column is refined through the key it
+// was approximated through: its residual is the one at the position the
+// candidate's key joins.
 //
 // The result preserves candidate order and compacts every attached code
 // column, so further refinements on other columns can run directly on it.
@@ -49,7 +53,7 @@ func SelectApproxOver(m *device.Meter, col *bwd.Column, r bwd.ApproxRange, in *C
 // same candidate order for every worker count, with zero allocations in
 // steady state. The returned value slice is arena-backed; ownership passes
 // to the caller.
-func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *Candidates) (*Candidates, []int64) {
+func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, key *bwd.Key, lo, hi int64, in *Candidates) (*Candidates, []int64) {
 	codes := in.CodesFor(col)
 	if codes == nil {
 		panic("ar: SelectRefine on a column that was never approximated over these candidates")
@@ -76,7 +80,7 @@ func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *C
 			if mhi > n {
 				mhi = n
 			}
-			counts[ci] = refineMorsel(col, codes, ids, lo, hi, keepBuf, valsBuf, mlo, mhi)
+			counts[ci] = refineMorsel(col, key, codes, ids, lo, hi, keepBuf, valsBuf, mlo, mhi)
 		}
 		if err != nil {
 			mem.Ints.Put(counts)
@@ -84,7 +88,7 @@ func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *C
 		}
 	} else {
 		counts, _, err = par.ForCounted(p, n, func(_ *mem.Scratch, _, mlo, mhi int) int {
-			return refineMorsel(col, codes, ids, lo, hi, keepBuf, valsBuf, mlo, mhi)
+			return refineMorsel(col, key, codes, ids, lo, hi, keepBuf, valsBuf, mlo, mhi)
 		})
 	}
 	var keep []int
@@ -106,9 +110,14 @@ func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *C
 		// (the candidate list already is the result). Otherwise the fused
 		// loop streams IDs and codes and touches the residual at candidate
 		// order: cache-line-bounded when sparse, array-bounded when dense.
+		// A survivor is written as its id — through a key, as id, position
+		// and value.
 		resFetch := device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
-		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits) +
-			resFetch + int64(len(keep))*4
+		written := int64(len(keep)) * 4
+		if key != nil {
+			written *= 3
+		}
+		seq := int64(n)*idBytes(key) + packedBytes(n, col.Dec.ApproxBits) + resFetch + written
 		m.CPUWork(p.NThreads(), seq, 0, int64(n)*2)
 	}
 	return out, vals
@@ -118,14 +127,18 @@ func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, lo, hi int64, in *C
 // writing survivor indices and exact values into the morsel's disjoint
 // region [mlo, mlo+count) of the overallocated buffers. A named function
 // (not a closure) so the single-worker path allocates nothing.
-func refineMorsel(col *bwd.Column, codes []uint64, ids []bat.OID, lo, hi int64, keepBuf []int, valsBuf []int64, mlo, mhi int) int {
+func refineMorsel(col *bwd.Column, key *bwd.Key, codes []uint64, ids []bat.OID, lo, hi int64, keepBuf []int, valsBuf []int64, mlo, mhi int) int {
 	res := col.Residual
 	resBits := col.Dec.ResBits
 	cnt := 0
 	for i := mlo; i < mhi; i++ {
 		var r uint64
 		if resBits > 0 {
-			r = res.Get(int(ids[i]))
+			at := int(ids[i])
+			if key != nil {
+				at, _ = key.At(at)
+			}
+			r = res.Get(at)
 		}
 		v := col.ReconstructFrom(codes[i], r)
 		if v >= lo && v <= hi {

@@ -91,7 +91,7 @@ func TestSelectRefineEqualsBulkBaseline(t *testing.T) {
 		}
 		cands := SelectApprox(nil, col, col.Relax(lo, hi))
 		cands.Ship(nil)
-		refined, refVals := SelectRefine(par.P{}, nil, col, lo, hi, cands)
+		refined, refVals := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands)
 
 		want := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
 		if len(refined.IDs()) != len(want) {
@@ -120,7 +120,7 @@ func TestSelectRefinePreservesCandidateOrder(t *testing.T) {
 	vals := shuffledInts(50000, 3)
 	col := decompose(t, vals, 9)
 	cands := SelectApprox(nil, col, col.Relax(100, 40000))
-	refined, _ := SelectRefine(par.P{}, nil, col, 100, 40000, cands)
+	refined, _ := SelectRefine(par.P{}, nil, col, nil, 100, 40000, cands)
 
 	// refined.IDs() must be a subsequence of cands.IDs().
 	j := 0
@@ -144,10 +144,10 @@ func TestSelectApproxOverConjunction(t *testing.T) {
 	colB := decompose(t, b, 8)
 
 	c1 := SelectApprox(nil, colA, colA.Relax(1000, 5000))
-	c2 := SelectApproxOver(nil, colB, colB.Relax(2000, 9000), c1)
+	c2 := SelectApproxOver(nil, colB, nil, colB.Relax(2000, 9000), c1)
 	c2.Ship(nil)
-	r1, _ := SelectRefine(par.P{}, nil, colA, 1000, 5000, c2)
-	r2, valsB := SelectRefine(par.P{}, nil, colB, 2000, 9000, r1)
+	r1, _ := SelectRefine(par.P{}, nil, colA, nil, 1000, 5000, c2)
+	r2, valsB := SelectRefine(par.P{}, nil, colB, nil, 2000, 9000, r1)
 
 	// Ground truth via the bulk baseline.
 	bb := bat.NewDense(b, bat.Width32)
@@ -178,7 +178,7 @@ func TestSelectEmptyRelaxedRange(t *testing.T) {
 	if cands.Len() != 0 {
 		t.Errorf("empty relaxed range produced %d candidates", cands.Len())
 	}
-	refined, refVals := SelectRefine(par.P{}, nil, col, 5000, 9000, cands)
+	refined, refVals := SelectRefine(par.P{}, nil, col, nil, 5000, 9000, cands)
 	if len(refined.IDs()) != 0 || len(refVals) != 0 {
 		t.Error("refinement of empty candidates not empty")
 	}
@@ -196,7 +196,7 @@ func TestSelectFullyResidentColumnRefinementIsExactPassthrough(t *testing.T) {
 	if cands.Len() != len(want) {
 		t.Fatalf("fully resident approximation has %d candidates, want exact %d", cands.Len(), len(want))
 	}
-	refined, _ := SelectRefine(par.P{}, nil, col, lo, hi, cands)
+	refined, _ := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands)
 	if len(refined.IDs()) != len(want) {
 		t.Error("refinement changed an already-exact result")
 	}
@@ -226,7 +226,7 @@ func TestSelectChargesDevices(t *testing.T) {
 	if m.PCI != pciBefore {
 		t.Error("double ship charged twice")
 	}
-	SelectRefine(par.P{}, m, col, 0, 10000, cands)
+	SelectRefine(par.P{}, m, col, nil, 0, 10000, cands)
 	if m.CPU == 0 {
 		t.Error("refinement charged no CPU time")
 	}

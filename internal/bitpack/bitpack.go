@@ -260,9 +260,8 @@ func (a *Array) Unpack64(dst *[64]uint64, lo int) int {
 // Gather writes a.Get(id) for each id in ids into dst, which must be at
 // least len(ids) long. It is the positional-lookup primitive behind
 // invisible joins on packed columns whose positions are an explicit list —
-// dimension positions behind a foreign key, candidates a position-addressed
-// operator already thinned. (A scan's own survivors are projected by granule
-// from their mask, never through here.)
+// candidates a refinement already thinned. (A scan's own survivors are
+// projected by granule from their mask, never through here.)
 func Gather[ID ~uint32](a *Array, ids []ID, dst []uint64) {
 	_ = dst[:len(ids)]
 	for i, id := range ids {

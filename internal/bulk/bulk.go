@@ -229,7 +229,7 @@ func GroupBy(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
 	n := len(cols[0])
 	ids := mem.U32.GetN(n)
 	global := tupleTable{cols: cols}
-	if serial(p, n) {
+	if n == 0 || serial(p, n) { // no rows, no blocks to merge
 		for i := 0; i < n; i++ {
 			ids[i] = global.id(i)
 		}

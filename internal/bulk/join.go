@@ -100,6 +100,12 @@ func (ix *FKIndex) Lookup(fk int64) (bat.OID, bool) {
 	return ix.pos[slot], true
 }
 
+// Span returns the key domain the index covers: its smallest key and the
+// number of slots from there. Over a strictly dense key — the only kind the
+// store registers an index for — slot i is position i, so these are the base
+// and the length of the join's arithmetic (bwd.Key).
+func (ix *FKIndex) Span() (base int64, n int) { return ix.base, len(ix.pos) }
+
 // FKJoin maps every foreign-key value to its PK-side position using the
 // index; with a pre-built index the join is equivalent to a projective
 // join (§IV-D). Dangling foreign keys are dropped; hit[i] reports whether
@@ -124,9 +130,16 @@ func FKJoin(p par.P, m *device.Meter, ix *FKIndex, fks []int64) (pkPos []bat.OID
 	} else {
 		p.For(len(fks), probe)
 	}
-	if m != nil {
-		m.CPUWork(p.NThreads(), int64(len(fks))*8+int64(len(fks))*oidBytes, 0,
-			int64(len(fks))*OpsHashProbe)
-	}
+	ChargeFKJoin(p, m, len(fks))
 	return pkPos, hit
+}
+
+// ChargeFKJoin bills an FKJoin of n key values: the values streamed, a
+// position written for each, one index probe per value. The executor's
+// classic join (internal/plan), which narrows a mask through the key, charges
+// through it too.
+func ChargeFKJoin(p par.P, m *device.Meter, n int) {
+	if m != nil {
+		m.CPUWork(p.NThreads(), int64(n)*8+int64(n)*oidBytes, 0, int64(n)*OpsHashProbe)
+	}
 }

@@ -13,7 +13,9 @@ import (
 // A&R approximate selection (internal/ar), the classic selection
 // (internal/plan) and DELETE ... WHERE (internal/store) all select through
 // it; they differ only in what a Disjunct compares in a granule the bounds
-// leave open (DESIGN.md §13).
+// leave open (DESIGN.md §13). A foreign-key join selects through it too: its
+// probe and the filters on its dimension are disjuncts read through a Key
+// (DESIGN.md §8).
 
 // GranuleRows is the row count of one scan granule: the rows whose
 // survivors a scan records in one 64-bit word. It is the machine word size,
@@ -170,11 +172,65 @@ func (s *Split) decide(live uint64, outer, inner Codes) (sure, maybe uint64) {
 // or — Tails nil, the approximate selection — their packed codes with Outer.
 // Col is nil for a column that was never decomposed: no bounds, every
 // granule is compared.
+//
+// A disjunct with a Key is read through it: Col and Tails belong to the
+// dimension the key joins, and row i of the walk is asked about their entry
+// at Key.At(i). A row whose key has no partner fails; so does one whose
+// partner is set in Deleted, the dimension's deletion bitmap; and with
+// neither Col nor Tails that is the whole test — the join's probe. The bounds
+// of a dimension column say nothing about a granule of fact rows, so none
+// apply.
 type Disjunct struct {
 	Col          *Column
 	Outer, Inner Codes
 	Tails        []int64
 	Lo, Hi       int64
+	Key          *Key
+	Deleted      []uint64
+}
+
+// Key is a foreign-key column read as an address: row i of the fact table
+// joins position key(i) − Base of a dimension of Len rows, whose primary key
+// is dense from Base (the FK index over it verifies that). The key values are
+// the packed codes of Col — a decomposition that keeps every bit on the
+// device, so a code is the value — for an approximate selection, and the
+// exact values Tails for a classic one; a Key with neither only maps values
+// (Pos), which is all the delta scan asks. It is the one definition of the
+// join: the A&R probe, dimension filters, projections and refinements, the
+// classic join chain and the delta scan all go through Pos.
+type Key struct {
+	Col   *Column
+	Tails []int64
+	Base  int64
+	Len   int
+}
+
+// Pos returns the dimension position the key value fk joins; ok is false
+// when it has no partner.
+func (k *Key) Pos(fk int64) (pos int, ok bool) {
+	d := uint64(fk) - uint64(k.Base) // wraps below Base: one compare tests both ends
+	return int(d), d < uint64(k.Len)
+}
+
+// At returns the dimension position row joins.
+func (k *Key) At(row int) (pos int, ok bool) {
+	if k.Tails != nil {
+		return k.Pos(k.Tails[row])
+	}
+	return k.Pos(k.Col.Dec.Base + int64(k.Col.Approx.Get(row)))
+}
+
+// Through returns the disjunct read through key.
+func (d Disjunct) Through(key *Key) Disjunct {
+	d.Key = key
+	return d
+}
+
+// Joined returns the disjunct a join's probe is: the rows whose key has a
+// partner that deleted, the dimension's deletion bitmap (which may end
+// early), does not hold.
+func (k *Key) Joined(deleted []uint64) Disjunct {
+	return Disjunct{Key: k, Deleted: deleted}
 }
 
 // Approximately returns the disjunct of an approximate selection: the rows
@@ -204,12 +260,15 @@ type Outcomes struct{ Skipped, Inside, Compared uint64 }
 // ask it of every granule of a table and go on to settle only for the
 // granules a range reaches.
 func (d *Disjunct) misses(g int) bool {
-	return d.Col != nil && d.Outer.misses(d.Col.granules[g])
+	return d.Col != nil && d.Key == nil && d.Outer.misses(d.Col.granules[g])
 }
 
 // settle returns which of the rows live of granule g satisfy the disjunct,
 // and whether rows had to be read for it.
 func (d *Disjunct) settle(g int, live uint64, buf *[GranuleRows]uint64) (word uint64, compared bool) {
+	if d.Key != nil {
+		return d.through(g*GranuleRows, live), true
+	}
 	sure, maybe := uint64(0), live
 	if d.Col != nil {
 		sure, maybe = d.Col.Decide(g, live, d.Outer, d.Inner)
@@ -221,6 +280,34 @@ func (d *Disjunct) settle(g int, live uint64, buf *[GranuleRows]uint64) (word ui
 		return sure | compareValues(d.Tails, g*GranuleRows, maybe, d.Lo, d.Hi), true
 	}
 	return sure | compareCodes(d.Col.Approx, g*GranuleRows, maybe, d.Outer.Lo, d.Outer.Hi-d.Outer.Lo, buf), true
+}
+
+// through is settle for a disjunct read through its key: one look at the
+// dimension per row of rows, the granule at base.
+func (d *Disjunct) through(base int, rows uint64) uint64 {
+	lo, span, none := d.Outer.Lo, d.Outer.Hi-d.Outer.Lo, d.Outer.Lo > d.Outer.Hi
+	if d.Tails != nil {
+		lo, span, none = uint64(d.Lo), uint64(d.Hi)-uint64(d.Lo), d.Lo > d.Hi
+	}
+	if none {
+		return 0
+	}
+	var word uint64
+	for w := rows; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros64(w)
+		pos, ok := d.Key.At(base + i)
+		switch {
+		case !ok || pos>>6 < len(d.Deleted) && d.Deleted[pos>>6]>>(uint(pos)&63)&1 != 0:
+			continue
+		case d.Tails != nil:
+			word |= inRange(uint64(d.Tails[pos]), lo, span) << uint(i)
+		case d.Col != nil:
+			word |= inRange(d.Col.Approx.Get(pos), lo, span) << uint(i)
+		default:
+			word |= 1 << uint(i)
+		}
+	}
+	return word
 }
 
 // count files one granule's outcome.

@@ -18,21 +18,23 @@ import (
 // pool must remain fully drainable afterwards. The same holds wherever the
 // statement stops — in phase A, with the stream still held; in phase R,
 // after the hand-over to a CPU slot; over a partitioned table, whose legs
-// hold partition streams too; or on an executor error before the ship —
-// whatever it holds by then goes back, once.
+// hold partition streams too — whatever it holds by then goes back, once. And
+// a statement that errors before the ship without a cancellation — the
+// planner refuses a join through a key with residual bits under forced A&R —
+// never held anything: the scheduler is idle after it.
 func TestCancelMidRefinementReleasesSlot(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		catalog func(testing.TB) *plan.Catalog
 		query   string
-		at      plan.Stage // cancel on reaching it; "": the executor fails by itself
+		at      plan.Stage // cancel on reaching it; "": the statement fails by itself
 	}{
 		{"refinement", testCatalog, tripCount, plan.StageRefine},
 		{"approximation", testCatalog, tripCount, plan.StageApprox},
 		{"partitioned refinement", partCatalog, partCount, plan.StageRefine},
 		{"partitioned approximation", partCatalog, partCount, plan.StageApprox},
 		{"partitioned tail", partCatalog, partCount, plan.StageGather},
-		{"error before ship", danglingCatalog, danglingJoin, ""},
+		{"error before ship", residualKeyCatalog, residualKeyJoin, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.catalog(t)
@@ -52,8 +54,11 @@ func TestCancelMidRefinementReleasesSlot(t *testing.T) {
 			}}
 			res, route, err := eng.Scheduler().Exec(ctx, b, opts, ModeAR)
 			if tc.at == "" {
-				if err == nil || !strings.Contains(err.Error(), "dangling foreign key") {
-					t.Fatalf("want the FK probe's error, got res=%v route=%v err=%v", res, route, err)
+				if err == nil || !strings.Contains(err.Error(), "fully device-resident key column") {
+					t.Fatalf("want the join key's refusal, got res=%v route=%v err=%v", res, route, err)
+				}
+				if auto, _, err := eng.Scheduler().Exec(ctx, b, opts, ModeAuto); err != nil || auto.Rows[0].Vals[0] != 4 {
+					t.Fatalf("auto over the same tables: %v, %v; want the classic scan's 4 joined rows", auto, err)
 				}
 				requireIdle(t, eng.Scheduler())
 				return

@@ -61,12 +61,15 @@ const (
 	partLegs  = 4
 )
 
-// danglingCatalog builds a fact table one of whose foreign keys points past
-// its dimension: an A&R join over it fails in the FK probe, before the ship.
-func danglingCatalog(t testing.TB) *plan.Catalog {
+// residualKeyCatalog builds a fact table whose foreign-key column keeps
+// residual bits on the CPU: the device cannot join through it, so an A&R
+// statement over it is refused where capability is judged, at Pin — before a
+// stream is asked for, long before a ship. (One key also points past the
+// dimension: the classic scan that auto falls back to drops that row.)
+func residualKeyCatalog(t testing.TB) *plan.Catalog {
 	t.Helper()
 	c := plan.NewCatalog(device.PaperSystem())
-	add := func(name string, cols map[string][]int64) {
+	add := func(name string, bits uint, cols map[string][]int64) {
 		tbl := plan.NewTable(name)
 		for col, vals := range cols {
 			if err := tbl.AddColumn(col, bat.NewDense(vals, bat.Width32)); err != nil {
@@ -77,20 +80,20 @@ func danglingCatalog(t testing.TB) *plan.Catalog {
 			t.Fatal(err)
 		}
 		for col := range cols {
-			if _, err := c.Decompose(name, col, 32); err != nil {
+			if _, err := c.Decompose(name, col, bits); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	add("d", map[string][]int64{"id": {0, 1, 2, 3}})
-	add("f", map[string][]int64{"fk": {0, 1, 2, 3, 4}})
+	add("d", 32, map[string][]int64{"id": {0, 1, 2, 3}})
+	add("f", 2, map[string][]int64{"fk": {0, 1, 2, 3, 4}})
 	if err := c.BuildFKIndex("d", "id"); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-const danglingJoin = "select count(*) from f join d on f.fk = d.id"
+const residualKeyJoin = "select count(*) from f join d on f.fk = d.id"
 
 // requireIdle fails the test unless the scheduler holds nothing: no
 // statement stream, no partition stream, no CPU slot, and no statement

@@ -46,7 +46,7 @@ func selectionExperiment(sys *device.System, col *bwd.Column, lo, hi int64, thre
 	cands := ar.SelectApprox(m, col, col.Relax(lo, hi))
 	approxOnly := m.Total().Seconds()
 	cands.Ship(m)
-	ar.SelectRefine(par.P{Threads: threads}, m, col, lo, hi, cands)
+	ar.SelectRefine(par.P{Threads: threads}, m, col, nil, lo, hi, cands)
 	return approxOnly, m.Total().Seconds()
 }
 
@@ -216,7 +216,7 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		// measures the projection, like the paper's per-operator breakdown.
 		cands := ar.SelectApprox(nil, dsel, dsel.Relax(0, hi))
 		cands.Ship(nil)
-		refined, _ := ar.SelectRefine(par.P{Threads: opts.Threads}, nil, dsel, 0, hi, cands)
+		refined, _ := ar.SelectRefine(par.P{Threads: opts.Threads}, nil, dsel, nil, 0, hi, cands)
 		ids := bulk.SelectRange(par.P{Threads: opts.Threads}, nil, selCol, 0, hi)
 
 		m := device.NewMeter(sys)
@@ -224,7 +224,7 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		monetT := m.Total().Seconds()
 
 		m = device.NewMeter(sys)
-		proj := ar.ProjectApprox(m, dprj, refined)
+		proj := ar.ProjectApprox(m, dprj, nil, refined)
 		approxT := m.Total().Seconds()
 		proj.Ship(m)
 		if _, err := ar.ProjectRefine(par.P{Threads: opts.Threads}, m, proj, refined); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/ar"
-	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -97,15 +96,6 @@ func (c *Catalog) execOnce(ctx context.Context, q Query, opts ExecOpts, mode Mod
 	return c.Run(ctx, x, opts)
 }
 
-// arJoinRT is the runtime state of one FK-probe stage in the A&R scan:
-// the dimension base positions aligned with the current candidate set and
-// the delta scan's FK lookup.
-type arJoinRT struct {
-	stage  joinStage
-	pos    []bat.OID
-	lookup func(int64) (bat.OID, bool)
-}
-
 // scanAR is the A&R scan strategy: the approximation subplan on the
 // device (selections, disjunctions, join probes, pre-grouping,
 // projections), the single bus crossing, and the refinement subplan on
@@ -143,7 +133,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 				return nil, err
 			}
 			d := snap.get("", rf.f.Col)
-			cands = ar.SelectApproxOver(m, d, d.Relax(rf.f.Lo, rf.f.Hi), cands)
+			cands = ar.SelectApproxOver(m, d, nil, d.Relax(rf.f.Lo, rf.f.Hi), cands)
 			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectApprox, A: q.Table, B: rf.f.Col})
 		}
 	case len(pl.orGroups) > 0:
@@ -185,77 +175,42 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		m.GPUKernel(int64(n)*4+int64(fs.BaseLen()+7)/8, 0, int64(n))
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: q.Table})
 	}
-	// The narrowing by mask ends here. Ids and the attached codes are
-	// materialised once, for the operators that address positions: a join's
-	// probe here, a refinement's residual lookups after the ship. An exact
-	// leg without a join has neither and stays on its mask.
-	if !exact || len(pl.joins) > 0 {
-		cands.Emit()
-	}
-
-	// Foreign-key join chain and dimension-side approximate selections.
-	joins := make([]*arJoinRT, len(pl.joins))
-	for ji := range pl.joins {
-		joins[ji] = &arJoinRT{stage: pl.joins[ji]}
-		jr := joins[ji]
-		spec := jr.stage.spec
+	// Foreign-key join chain: each probe, the dimension's deletion bitmap and
+	// the dimension-side approximate selections narrow the mask like the
+	// conjuncts before them, every one read through the join's key.
+	keys := make([]bwd.Key, len(pl.joins))
+	for ji, js := range pl.joins {
+		spec := js.spec
 		if err := st.step(StageApprox); err != nil {
 			return nil, err
 		}
-		fkd := snap.get("", spec.FKCol)
 		ds := snap.snapFor(spec.Dim)
-		dimLen := ds.BaseLen()
-		pk, err := ds.Column(spec.DimPK)
-		if err != nil {
+		keys[ji] = snap.joinKey(spec, snap.get("", spec.FKCol), nil)
+		key := &keys[ji]
+		var err error
+		if cands, err = ar.JoinApprox(m, key, cands); err != nil {
 			return nil, err
 		}
-		pkBase := pk.Tail(0)
-		jr.lookup = denseLookup(pkBase, dimLen)
-		jr.pos, err = ar.FKPositionsApprox(m, fkd, cands, pkBase, dimLen)
-		if err != nil {
-			return nil, err
-		}
-		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: q.Table, B: jr.stage.arrow})
+		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: q.Table, B: js.arrow})
 		if ds.BaseDeletedCount() > 0 {
-			type keepPos struct {
-				i   int
-				pos bat.OID
-			}
-			pairs := par.GatherOrdered(pp, len(jr.pos), func(lo, hi int) []keepPos {
-				part := make([]keepPos, 0, hi-lo)
-				for i := lo; i < hi; i++ {
-					if !ds.BaseDeleted(int(jr.pos[i])) {
-						part = append(part, keepPos{i, jr.pos[i]})
-					}
-				}
-				return part
-			})
-			keep := make([]int, len(pairs))
-			kept := make([]bat.OID, len(pairs))
-			for i, kp := range pairs {
-				keep[i] = kp.i
-				kept[i] = kp.pos
-			}
-			m.GPUKernel(int64(len(jr.pos))*4+int64(ds.BaseLen()+7)/8, 0, int64(len(jr.pos)))
-			prev := cands
-			cands = prev.Filter(keep)
-			prev.Release()
-			bat.OIDPool.Put(jr.pos)
-			jr.pos = kept
-			remapJoinPos(pp, joins[:ji], keep)
+			n := cands.Len()
+			cands.MaskOutJoined(key, ds.DeletedWords())
+			m.GPUKernel(int64(n)*4+int64(ds.BaseLen()+7)/8, 0, int64(n))
 			st.emit(cands.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: spec.Dim})
 		}
-		for _, rf := range jr.stage.dimFilters {
+		for _, rf := range js.dimFilters {
 			dd := snap.get(spec.Dim, rf.f.Col)
-			prev, prevPos := cands, jr.pos
-			cands, jr.pos = ar.SelectApproxAt(m, dd, dd.Relax(rf.f.Lo, rf.f.Hi), prev, prevPos)
-			if err := remapJoinLists(pp, joins[:ji], nil, prev, cands); err != nil {
-				return nil, err
-			}
-			prev.Release()
-			bat.OIDPool.Put(prevPos)
+			cands = ar.SelectApproxOver(m, dd, key, dd.Relax(rf.f.Lo, rf.f.Hi), cands)
 			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectApprox, A: spec.Dim, B: rf.f.Col})
 		}
+	}
+	// The narrowing by mask ends here. Ids and the attached codes are
+	// materialised once, for the operators that address positions: a
+	// refinement's residual lookups after the ship, and a dimension
+	// projection's gather, which asks for them itself. An exact leg with
+	// neither stays on its mask.
+	if !exact {
+		cands.Emit()
 	}
 
 	var mg *ar.Grouping
@@ -267,32 +222,22 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	// Approximate projections for every column the aggregation phase
 	// needs: aggregate inputs, plus the grouping keys when grouping merges
 	// with the delta on the host.
-	posFor := func(dim string) []bat.OID {
-		for _, jr := range joins {
-			if jr.stage.spec.Dim == dim {
-				return jr.pos
-			}
-		}
-		return nil
-	}
 	need, refList := pl.tailKeys, pl.projKeys
 	if mg != nil {
 		need, refList = pl.tail, pl.proj
 	}
 	projections := make(map[ColRef]*ar.Projection, len(refList))
 	for _, ref := range refList {
-		table, col := q.Table, snap.get(ref.Dim, ref.Name)
+		table := q.Table
 		if ref.IsDim() {
 			table = ref.Dim
-			projections[ref] = ar.ProjectApproxAt(m, col, cands, posFor(ref.Dim))
-		} else {
-			projections[ref] = ar.ProjectApprox(m, col, cands)
-			if !exact {
-				// Phase R reads the codes by position, so they are listed
-				// once, here, and the bounds fold from the list; an exact
-				// leg folds straight off the packed column and lists none.
-				projections[ref].Codes()
-			}
+		}
+		projections[ref] = ar.ProjectApprox(m, snap.get(ref.Dim, ref.Name), pl.keyFor(keys, ref.Dim), cands)
+		if !exact {
+			// Phase R reads the codes by position, so they are listed
+			// once, here, and the bounds fold from the list; an exact
+			// leg folds straight off the packed column and lists none.
+			projections[ref].Codes()
 		}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
@@ -305,12 +250,8 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if err := st.step(StageDelta); err != nil {
 			return nil, err
 		}
-		lookups := map[string]func(int64) (bat.OID, bool){}
-		for _, jr := range joins {
-			lookups[jr.stage.spec.Dim] = jr.lookup
-		}
 		var err error
-		dset, err = scanDelta(m, pp, q, snap, need, lookups)
+		dset, err = scanDelta(m, pp, q, snap, need)
 		if err != nil {
 			return nil, err
 		}
@@ -342,10 +283,8 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	if mg != nil {
 		mg.Ship(m)
 	}
-	for _, jr := range joins {
-		if jr.pos != nil {
-			m.Transfer(int64(len(jr.pos)) * 4)
-		}
+	for range pl.joins {
+		m.Transfer(int64(cands.Len()) * 4) // billed as a shipped position list
 	}
 	st.emit(cands.Len(), -1, obs.Op{Fmt: "ship(%[1]s, %[3]d projections)", A: q.Table, N: int64(len(refList))})
 	// The approximation subplan is over: the device stream goes back, and
@@ -366,31 +305,11 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if err := st.step(StageRefine); err != nil {
 			return nil, err
 		}
-		d := snap.get("", rf.f.Col)
-		prev := refined
-		switch {
-		case d.Dec.ResBits == 0:
-			// §IV-C: the column is fully device resident, so its relaxed
-			// range was the exact predicate and the candidates are the
-			// result — no refinement runs (and none is charged).
-		case len(joins) == 0:
-			var vals []int64
-			refined, vals = ar.SelectRefine(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
-			mem.I64.Put(vals)
-		default:
-			// Keep every join's positions aligned while filtering.
-			var err error
-			refined, err = refineKeepingJoins(pp, joins, func() *ar.Candidates {
-				out, vals := ar.SelectRefine(pp, m, d, rf.f.Lo, rf.f.Hi, prev)
-				mem.I64.Put(vals)
-				return out
-			}, prev)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if prev != cands && prev != refined {
-			prev.Release()
+		if d := snap.get("", rf.f.Col); d.Dec.ResBits > 0 {
+			// §IV-C: over a fully device-resident column the relaxed range
+			// was the exact predicate and the candidates are the result — no
+			// refinement runs (and none is charged).
+			refined = refineStep(st, d, nil, rf.f, refined, cands)
 		}
 		st.emit(refined.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: q.Table, B: rf.f.Col})
 	}
@@ -400,37 +319,21 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		}
 		cols, _, los, his := pl.orGroupRelax(g)
 		cur := refined
-		var err error
-		refined, err = refineKeepingJoins(pp, joins, func() *ar.Candidates {
-			return ar.SelectRefineAny(pp, m, cols, los, his, cur)
-		}, cur)
-		if err != nil {
-			return nil, err
-		}
+		refined = ar.SelectRefineAny(pp, m, cols, los, his, cur)
 		if cur != cands && cur != refined {
 			cur.Release()
 		}
 		st.emit(refined.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyrefine(%[1]s)", A: g.text})
 	}
-	for _, jr := range joins {
-		spec := jr.stage.spec
-		st.emit(refined.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s.%[2]s)", A: q.Table, B: jr.stage.arrow})
-		for _, rf := range jr.stage.dimFilters {
+	for ji, js := range pl.joins {
+		spec := js.spec
+		st.emit(refined.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
+		for _, rf := range js.dimFilters {
 			if err := st.step(StageRefine); err != nil {
 				return nil, err
 			}
 			if dd := snap.get(spec.Dim, rf.f.Col); dd.Dec.ResBits > 0 { // resident: as above
-				prev, prevPos := refined, jr.pos
-				var vals []int64
-				refined, jr.pos, vals = ar.SelectRefineAt(pp, m, dd, rf.f.Lo, rf.f.Hi, prev, prevPos)
-				mem.I64.Put(vals)
-				if err := remapJoinLists(pp, joins, jr, prev, refined); err != nil {
-					return nil, err
-				}
-				bat.OIDPool.Put(prevPos)
-				if prev != cands {
-					prev.Release()
-				}
+				refined = refineStep(st, dd, &keys[ji], rf.f, refined, cands)
 			}
 			st.emit(refined.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: spec.Dim, B: rf.f.Col})
 		}
@@ -443,20 +346,14 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		if err := st.step(StageRefine); err != nil {
 			return nil, err
 		}
-		p := projections[ref]
-		var err error
-		switch {
-		case exact:
-			// The codes were the values and phase A has aggregated them: a
-			// view, which the refinement of a resident projection is billed
-			// as anyway.
-		case ref.IsDim():
-			ectx.vals[ref], err = ar.ProjectRefineAt(pp, m, p, refined, posFor(ref.Dim))
-		default:
-			ectx.vals[ref], err = ar.ProjectRefine(pp, m, p, refined)
-		}
-		if err != nil {
-			return nil, err
+		// On an exact leg the codes were the values and phase A has aggregated
+		// them: a view, which the refinement of a resident projection is
+		// billed as anyway.
+		if !exact {
+			var err error
+			if ectx.vals[ref], err = ar.ProjectRefine(pp, m, projections[ref], refined); err != nil {
+				return nil, err
+			}
 		}
 		st.emit(refined.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
 	}
@@ -502,78 +399,28 @@ func orGroupText(table string, filters []Filter) string {
 	return out
 }
 
-// refineKeepingJoins runs a candidate refinement produced by refine while
-// keeping every join stage's position list aligned with the surviving
-// candidates. With no joins the caller should refine directly; the
-// position remap costs no metered work (the translucent join is the
-// order-preserving positional fast path).
-func refineKeepingJoins(pp par.P, joins []*arJoinRT, refine func() *ar.Candidates, in *ar.Candidates) (*ar.Candidates, error) {
-	refined := refine()
-	if err := remapJoinLists(pp, joins, nil, in, refined); err != nil {
-		return nil, err
-	}
-	return refined, nil
-}
-
-// remapJoinLists compacts the position lists of every join (except skip,
-// usually the stage whose own operator already returned its filtered
-// list) after an order-preserving selection shrank the candidate set from
-// prev to cur. The translucent join recovers the surviving positions; the
-// remap itself is unmetered bookkeeping.
-func remapJoinLists(pp par.P, joins []*arJoinRT, skip *arJoinRT, prev, cur *ar.Candidates) error {
-	if prev == cur {
-		return nil // a step that had nothing to eliminate returns its input
-	}
-	any := false
-	for _, jr := range joins {
-		if jr != skip && jr.pos != nil {
-			any = true
-			break
+// keyFor is a column's addressing: of keys, aligned with the leg's join
+// stages, the key of the join that reaches dimension dim — nil for a column
+// of the scanned table (dim "").
+func (pl pipeline) keyFor(keys []bwd.Key, dim string) *bwd.Key {
+	for ji := range keys {
+		if pl.joins[ji].spec.Dim == dim {
+			return &keys[ji]
 		}
 	}
-	if !any {
-		return nil
-	}
-	pos, err := ar.TranslucentJoin(prev.IDs(), cur.IDs())
-	if err != nil {
-		// Selections are order-preserving subsets by construction.
-		return fmt.Errorf("plan: selection broke candidate order: %w", err)
-	}
-	for _, jr := range joins {
-		if jr == skip || jr.pos == nil {
-			continue
-		}
-		keep := bat.OIDPool.GetN(len(pos))
-		at := jr.pos
-		pp.For(len(pos), func(mlo, mhi int) {
-			for i := mlo; i < mhi; i++ {
-				keep[i] = at[pos[i]]
-			}
-		})
-		bat.OIDPool.Put(at)
-		jr.pos = keep
-	}
-	mem.Ints.Put(pos)
 	return nil
 }
 
-// remapJoinPos compacts earlier joins' position lists with an index keep
-// list (device-side mask), aligning them with the filtered candidates.
-func remapJoinPos(pp par.P, joins []*arJoinRT, keep []int) {
-	for _, jr := range joins {
-		if jr.pos == nil {
-			continue
-		}
-		kept := bat.OIDPool.GetN(len(keep))
-		at := jr.pos
-		pp.For(len(keep), func(mlo, mhi int) {
-			for i := mlo; i < mhi; i++ {
-				kept[i] = at[keep[i]]
-			}
-		})
-		bat.OIDPool.Put(at)
-		jr.pos = kept
+// refineStep refines prev by one conjunct f on column d, read through key when
+// it is a dimension's, and releases prev unless it is cands, the set phase A
+// shipped, which the projections still align with.
+func refineStep(st *pipeState, d *bwd.Column, key *bwd.Key, f Filter, prev, cands *ar.Candidates) *ar.Candidates {
+	refined, vals := ar.SelectRefine(st.pp, st.m, d, key, f.Lo, f.Hi, prev)
+	mem.I64.Put(vals)
+	if prev != cands {
+		prev.Release()
 	}
+	return refined
 }
 
 // approxAnswer derives the phase-A bounds: the candidate-count interval, and

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -17,15 +16,16 @@ import (
 // ExecClassic plans, pins and runs the query once with the classic
 // bulk-processing model on the CPU only (ModeClassic) — the paper's "MonetDB"
 // baseline: billed as the fully-materializing tight loops of package bulk
-// (its joins, fetches and grouping are those loops; its selections narrow a
-// mask, selectClassic); no device or bus time is ever charged.
+// (its fetches and grouping are those loops; its selections and joins narrow
+// a mask, selectClassic and scanClassic); no device or bus time is ever
+// charged.
 func (c *Catalog) ExecClassic(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
 	return c.execOnce(ctx, q, opts, ModeClassic)
 }
 
 // scanClassic is the classic scan strategy: MonetDB-style uselects over the
-// row-major base segment (selectClassic), the FK-probe join chain through
-// the pre-built indexes, and full materialization of every referenced column
+// row-major base segment (selectClassic), the FK-probe join chain narrowing
+// the same mask, and full materialization of every referenced column
 // — producing the same exact-value tuple stream as the A&R scan for the
 // shared pipeline tail. The delta segment is scanned by the shared delta
 // source and returned unmerged.
@@ -41,20 +41,13 @@ func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 		return nil, err
 	}
 	defer sel.release()
-	// A join or a fetch addresses rows by position and gets the survivors
-	// listed, once, in row order; a statement that only counts its rows has
-	// the mask's popcount and needs no list.
-	need := pl.tailKeys
-	var ids []bat.OID
-	if len(pl.joins) > 0 || len(need) > 0 {
-		if ids, err = sel.ids(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Foreign-key join chain through the pre-built indexes.
-	joinPos := make([][]bat.OID, len(pl.joins))
-	lookups := map[string]func(int64) (bat.OID, bool){}
+	// Foreign-key join chain: the probe — the dimension's deletion bitmap with
+	// it — and every dimension filter narrow the mask through the join's key
+	// like the selections before them, billed as the bulk operators they
+	// stand for: the key column fetched at the surviving positions and probed
+	// in the pre-built index, a dimension column fetched at the joined
+	// positions and filtered.
+	keys := make([]bwd.Key, len(pl.joins))
 	for ji, js := range pl.joins {
 		spec := js.spec
 		if err := st.step(StageBulk); err != nil {
@@ -65,66 +58,40 @@ func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			return nil, err
 		}
 		ds := snap.snapFor(spec.Dim)
-		ix := ds.FKIndex(spec.DimPK)
-		if ix == nil {
-			return nil, fmt.Errorf("plan: no FK index on %s.%s; call BuildFKIndex first", spec.Dim, spec.DimPK)
+		keys[ji] = snap.joinKey(spec, nil, fkBAT.Tails())
+		key := &keys[ji]
+		in := sel.n
+		if err := sel.narrow(false, key.Joined(ds.DeletedWords())); err != nil {
+			return nil, err
 		}
-		lookups[spec.Dim] = ix.Lookup
-		fkVals := bulk.Fetch(pp, m, fkBAT, ids)
-		pos, hit := bulk.FKJoin(pp, m, ix, fkVals)
-		mem.I64.Put(fkVals)
-		// Keep the id list, this join's positions, and every earlier
-		// join's positions aligned while dropping misses and rows joined
-		// to deleted dimension rows.
-		pairs := par.GatherOrdered(pp, len(ids), func(lo, hi int) []idKeep {
-			part := make([]idKeep, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if hit[i] && !ds.BaseDeleted(int(pos[i])) {
-					part = append(part, idKeep{i, ids[i], pos[i]})
-				}
-			}
-			return part
-		})
-		var keep []int
-		prevIDs := ids
-		ids, joinPos[ji], keep = splitKeep(pairs)
-		bat.OIDPool.Put(prevIDs)
-		bat.OIDPool.Put(pos)
-		mem.Bools.Put(hit)
-		compactJoinPos(pp, joinPos[:ji], keep)
-		st.emit(len(ids), -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
+		bulk.ChargeFetch(pp, m, fkBAT, in)
+		bulk.ChargeFKJoin(pp, m, in)
+		st.emit(sel.n, -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
 
 		for _, rf := range js.dimFilters {
 			db, err := ds.Column(rf.f.Col)
 			if err != nil {
 				return nil, err
 			}
-			vals := bulk.Fetch(pp, m, db, joinPos[ji])
-			f := rf.f
-			curIDs, curPos := ids, joinPos[ji]
-			pairs := par.GatherOrdered(pp, len(vals), func(lo, hi int) []idKeep {
-				part := make([]idKeep, 0, hi-lo)
-				for i := lo; i < hi; i++ {
-					if vals[i] >= f.Lo && vals[i] <= f.Hi {
-						part = append(part, idKeep{i, curIDs[i], curPos[i]})
-					}
-				}
-				return part
-			})
-			prevIDs, prevPos := ids, joinPos[ji]
-			ids, joinPos[ji], keep = splitKeep(pairs)
-			bat.OIDPool.Put(prevIDs)
-			bat.OIDPool.Put(prevPos)
-			mem.I64.Put(vals)
-			compactJoinPos(pp, joinPos[:ji], keep)
-			m.CPUWork(pp.NThreads(), int64(len(vals))*8, 0, int64(len(vals)))
-			st.emit(len(ids), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectClassic, A: spec.Dim, B: rf.f.Col})
+			in := sel.n
+			if err := sel.narrow(false, bwd.Exactly(nil, db.Tails(), rf.f.Lo, rf.f.Hi).Through(key)); err != nil {
+				return nil, err
+			}
+			bulk.ChargeFetch(pp, m, db, in)
+			m.CPUWork(pp.NThreads(), int64(in)*8, 0, int64(in))
+			st.emit(sel.n, st.estApply(rf.estSel()), obs.Op{Fmt: opSelectClassic, A: spec.Dim, B: rf.f.Col})
 		}
 	}
-
+	// A fetch addresses rows by position and gets the survivors listed, once,
+	// in row order; a statement that only counts its rows — joined or not —
+	// has the mask's popcount and needs no list.
+	need := pl.tailKeys
 	nrows := sel.n
-	if len(pl.joins) > 0 {
-		nrows = len(ids)
+	var ids []bat.OID
+	if len(need) > 0 {
+		if ids, err = sel.ids(); err != nil {
+			return nil, err
+		}
 	}
 
 	// Delta scan: evaluate the predicates over the live delta rows and
@@ -135,7 +102,7 @@ func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			return nil, err
 		}
 		var err error
-		dset, err = scanDelta(m, pp, q, snap, need, lookups)
+		dset, err = scanDelta(m, pp, q, snap, need)
 		if err != nil {
 			return nil, err
 		}
@@ -145,16 +112,9 @@ func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 	st.res.Candidates = nrows
 	st.res.Refined = nrows
 
-	// Materialize referenced columns at the qualifying base positions;
-	// grouping keys ride along when a grouping is present.
-	posFor := func(dim string) []bat.OID {
-		for ji, js := range pl.joins {
-			if js.spec.Dim == dim {
-				return joinPos[ji]
-			}
-		}
-		return nil
-	}
+	// Materialize referenced columns at the qualifying base positions — a
+	// dimension's at the positions the rows' keys join; grouping keys ride
+	// along when a grouping is present.
 	ectx := &exprCtx{n: nrows, vals: map[ColRef][]int64{}}
 	for _, ref := range need {
 		if err := st.step(StageBulk); err != nil {
@@ -165,7 +125,15 @@ func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 			if err != nil {
 				return nil, err
 			}
-			ectx.vals[ref] = bulk.Fetch(pp, m, db, posFor(ref.Dim))
+			key, pos := pl.keyFor(keys, ref.Dim), bat.OIDPool.GetN(len(ids))
+			pp.For(len(ids), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					at, _ := key.At(int(ids[i]))
+					pos[i] = bat.OID(at)
+				}
+			})
+			ectx.vals[ref] = bulk.Fetch(pp, m, db, pos)
+			bat.OIDPool.Put(pos)
 		} else {
 			fb, err := fact.Column(ref.Name)
 			if err != nil {
@@ -266,8 +234,8 @@ func (pl pipeline) selectClassic(st *pipeState) (*classicSel, error) {
 
 // classicSel is the survivor set of a classic scan's selections: one bit per
 // base row — bit i%64 of word i/64 — narrowed in place by every conjunct,
-// disjunction group and the deletion bitmap, with the survivor count of
-// every morsel beside it. It is what the A&R scan keeps in its Candidates
+// disjunction group, the deletion bitmap and the join chain, with the
+// survivor count of every morsel beside it. It is what the A&R scan keeps in its Candidates
 // (ar/scan.go), walked by the same loops (bwd.ScanGranules, NarrowGranules)
 // over the executor's own morsels, which are rounded to whole granules so
 // that workers write disjoint words.
@@ -376,44 +344,4 @@ func (s *classicSel) ids() ([]bat.OID, error) {
 		}
 	})
 	return out, err
-}
-
-// idKeep is one surviving row of a join or dimension-filter pass: its
-// index in the pre-pass candidate list plus the fact id and dimension
-// position that survive.
-type idKeep struct {
-	i       int
-	id, pos bat.OID
-}
-
-// splitKeep unpacks gathered survivors into the new id list, the new
-// position list, and the keep indexes that realign earlier joins.
-func splitKeep(pairs []idKeep) (ids, pos []bat.OID, keep []int) {
-	ids = bat.OIDPool.GetN(len(pairs))
-	pos = bat.OIDPool.GetN(len(pairs))
-	keep = mem.Ints.GetN(len(pairs))
-	for i, ik := range pairs {
-		ids[i] = ik.id
-		pos[i] = ik.pos
-		keep[i] = ik.i
-	}
-	return ids, pos, keep
-}
-
-// compactJoinPos compacts earlier joins' position lists with the keep
-// index list produced by a later join or dimension filter.
-func compactJoinPos(pp par.P, lists [][]bat.OID, keep []int) {
-	for li, at := range lists {
-		if at == nil {
-			continue
-		}
-		kept := bat.OIDPool.GetN(len(keep))
-		pp.For(len(keep), func(mlo, mhi int) {
-			for i := mlo; i < mhi; i++ {
-				kept[i] = at[keep[i]]
-			}
-		})
-		bat.OIDPool.Put(at)
-		lists[li] = kept
-	}
 }

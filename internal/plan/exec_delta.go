@@ -1,11 +1,10 @@
 package plan
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
-	"repro/internal/bat"
+	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/par"
 	"repro/internal/store"
@@ -63,19 +62,18 @@ func sortedRefs(refs []ColRef) []ColRef {
 }
 
 // deltaJoin is the per-join state of a delta scan: the fact-side FK
-// column index, the dimension lookup, and the dimension filter columns.
+// column index, the join's key, and the dimension filter columns.
 type deltaJoin struct {
 	spec       JoinSpec
 	fkIdx      int
-	lookup     func(int64) (bat.OID, bool)
+	key        bwd.Key
 	filterCols [][]int64
 }
 
 // scanDelta evaluates the query's predicates over the live delta rows of
-// the fact snapshot and materializes the needed column values. lookups
-// maps each joined dimension table to its FK-value → base-position
-// function (empty when the query has no joins). Returns nil when the
-// snapshot has no delta rows.
+// the fact snapshot and materializes the needed column values; a joined
+// row's dimension position is its key's (execSnap.joinKey), as in the base.
+// Returns nil when the snapshot has no delta rows.
 //
 // The scan is morsel-parallel over the store's delta-segment granules
 // (store.Snapshot.DeltaMorsels): each worker evaluates its morsels into a
@@ -86,7 +84,7 @@ type deltaJoin struct {
 // The cost charged is one sequential row-major pass over the visible delta
 // (a row store reads whole rows) plus the dimension gathers for joined
 // references.
-func scanDelta(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRef, lookups map[string]func(int64) (bat.OID, bool)) (*deltaSet, error) {
+func scanDelta(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRef) (*deltaSet, error) {
 	fs := snap.fact
 	if fs.DeltaLen() == 0 {
 		return nil, nil
@@ -127,11 +125,7 @@ func scanDelta(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRe
 		if err != nil {
 			return nil, err
 		}
-		lookup := lookups[spec.Dim]
-		if lookup == nil {
-			return nil, fmt.Errorf("plan: delta scan of %s needs a dimension lookup for the join with %s", q.Table, spec.Dim)
-		}
-		joins[ji] = deltaJoin{spec: spec, fkIdx: i, lookup: lookup}
+		joins[ji] = deltaJoin{spec: spec, fkIdx: i, key: snap.joinKey(spec, nil, nil)}
 		for _, f := range spec.DimFilters {
 			db, err := snap.dims[ji].Column(f.Col)
 			if err != nil {
@@ -175,7 +169,7 @@ func scanDelta(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRe
 		pt := &parts[mi]
 		pt.factVals = make([][]int64, len(factRefs))
 		pt.dimVals = make([][]int64, len(dimRefs))
-		dimPos := make([]bat.OID, len(joins))
+		dimPos := make([]int, len(joins))
 	rows:
 		for j := mo.Lo; j < mo.Hi; j++ {
 			if fs.DeltaDeleted(j) {
@@ -200,8 +194,8 @@ func scanDelta(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRe
 			}
 			for ji := range joins {
 				dj := &joins[ji]
-				pos, ok := dj.lookup(fs.DeltaValue(j, dj.fkIdx))
-				if !ok || snap.dims[ji].BaseDeleted(int(pos)) {
+				pos, ok := dj.key.Pos(fs.DeltaValue(j, dj.fkIdx))
+				if !ok || snap.dims[ji].BaseDeleted(pos) {
 					continue rows
 				}
 				for k, f := range dj.spec.DimFilters {
@@ -263,18 +257,6 @@ func scanDelta(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRe
 		m.CPUWork(pp.NThreads(), fs.DeltaBytes()+int64(out.n)*8*int64(len(factRefs)), gatherBytes, ops)
 	}
 	return out, nil
-}
-
-// denseLookup builds an FK lookup from the dense primary-key assumption
-// the A&R join path already relies on (§IV-D): position = fk - pkBase.
-func denseLookup(pkBase int64, dimLen int) func(int64) (bat.OID, bool) {
-	return func(fk int64) (bat.OID, bool) {
-		pos := fk - pkBase
-		if pos < 0 || pos >= int64(dimLen) {
-			return 0, false
-		}
-		return bat.OID(pos), true
-	}
 }
 
 // appendDelta folds the delta values into the exact-value context so the

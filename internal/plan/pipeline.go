@@ -7,7 +7,11 @@
 //     classic row-major bulk scan — that applies the selections and joins
 //     and emits the same product either way: the exact-value tuple stream
 //     of the base segment plus the delta segment's contribution (scanned
-//     once, by the shared delta source in exec_delta.go);
+//     once, by the shared delta source in exec_delta.go). A join is the same
+//     thing in all three: key − base through the dimension's FK index
+//     (execSnap.joinKey, bwd.Key), which both base scans read their
+//     survivor masks through like any conjunct — no list of dimension
+//     positions travels beside a candidate set;
 //   - the shared downstream operators — grouping, aggregation, HAVING,
 //     ORDER BY / LIMIT (top-k) — that run once over the gathered legs,
 //     identically for every scan strategy, so classic vs A&R is a

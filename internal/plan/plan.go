@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/ar"
 	"repro/internal/bwd"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -226,7 +227,9 @@ func (c *Catalog) Pin(pl *Plan) (*Pinned, error) {
 // pruning never turns a runnable query into an error. Joins require the
 // dimension side to be delta-free: the FK index and the join positions
 // address the dimension base segment, so freshly inserted dimension rows
-// must be merged before they are joinable.
+// must be merged before they are joinable. And they require the FK index, in
+// every mode: a join is key − base (execSnap.joinKey), which is the join only
+// over a dense key, and the index is where the store verifies that.
 func (c *Catalog) price(pl *Plan, p *shard.Partitioned, legs []leg, dims []*store.Snapshot) (*pricing, error) {
 	q := &pl.q
 	for i, ds := range dims {
@@ -235,9 +238,10 @@ func (c *Catalog) price(pl *Plan, p *shard.Partitioned, legs []leg, dims []*stor
 			return nil, fmt.Errorf("plan: dimension table %s has %d unmerged delta rows; run \\merge %s (Catalog.MergeTable) before joining", dim, n, dim)
 		}
 		if ds.BaseLen() == 0 {
-			// Guard both scan strategies: the A&R dense-PK arithmetic reads
-			// pk.Tail(0), and the classic path has no index to probe.
 			return nil, fmt.Errorf("plan: dimension table %s is empty; load it before joining", dim)
+		}
+		if pk := q.Joins[i].DimPK; ds.FKIndex(pk) == nil {
+			return nil, fmt.Errorf("plan: no FK index on %s.%s; call BuildFKIndex first", dim, pk)
 		}
 	}
 	var keep []bool
@@ -332,6 +336,16 @@ func (s *execSnap) get(dim, col string) *bwd.Column {
 	return nil
 }
 
+// joinKey returns the key of one of the statement's joins: the base and the
+// length of the dimension's dense primary key, from the FK index price has
+// required, and how the caller reads the fact-side key — its packed codes
+// (the A&R scan), its exact values (the classic scan) or neither (the delta
+// scan, which maps values alone).
+func (s *execSnap) joinKey(spec JoinSpec, col *bwd.Column, tails []int64) bwd.Key {
+	base, n := s.snapFor(spec.Dim).FKIndex(spec.DimPK).Span()
+	return bwd.Key{Col: col, Tails: tails, Base: base, Len: n}
+}
+
 // snapFor returns the snapshot holding a table's data: a joined dimension's,
 // or (dim "") the fact leg's.
 func (s *execSnap) snapFor(dim string) *store.Snapshot {
@@ -344,9 +358,10 @@ func (s *execSnap) snapFor(dim string) *store.Snapshot {
 // check validates the statement against the pinned versions. Every
 // referenced column must exist (err). Classic plans need no decomposition —
 // the estimator still reads histograms off the ones that happen to exist —
-// while an A&R plan needs all of them: the first missing one is arErr, which
-// is what lets a leg fall back to the classic scan on the same snapshot.
-// table names the leg in that error.
+// while an A&R plan needs all of them, and every bit of a join's key column
+// on the device: the first thing missing is arErr, which is what lets a leg
+// fall back to the classic scan on the same snapshot. table names the leg in
+// that error.
 func (s *execSnap) check(table string) (arErr, err error) {
 	for i, ref := range s.pl.cols {
 		if s.decs[i] != nil {
@@ -360,6 +375,11 @@ func (s *execSnap) check(table string) (arErr, err error) {
 				table = ref.Dim
 			}
 			arErr = fmt.Errorf("plan: column %s.%s is not bitwise decomposed; call Decompose first", table, ref.Name)
+		}
+	}
+	for _, j := range s.pl.q.Joins {
+		if arErr == nil {
+			arErr = ar.CheckKey(s.get("", j.FKCol))
 		}
 	}
 	if arErr == nil {

@@ -608,7 +608,7 @@ func TestParallelCancelledDeltaScanReturnsError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pp := ExecOpts{Threads: 1, Workers: 4, Morsel: 64}.par(ctx)
-	dset, err := scanDelta(nil, pp, &q, x.legs[0].pl.snap, pl.tail, nil)
+	dset, err := scanDelta(nil, pp, &q, x.legs[0].pl.snap, pl.tail)
 	if err == nil {
 		t.Fatalf("cancelled delta scan returned %+v without error", dset)
 	}

@@ -37,8 +37,6 @@ var reachAllowed = map[string]string{
 var reachRetiring = []string{
 	// ar: TestIntervalDivByZeroSpan, TestIntervalSqrt, TestIntervalPow, TestIsDestructive
 	"ar.Interval.Div", "ar.Interval.Sqrt", "ar.isqrt", "ar.Interval.Pow", "ar.IsDestructive",
-	// ar: TestThetaJoinApproxRefineMatchesNestedLoop, TestThetaJoinChargesGPUForApproxCPUForRefine
-	"ar.ThetaJoinApprox", "ar.ThetaJoinRefine",
 	// bat, the materialised-head, seqbase and sorted/key surface: TestNewDenseAt,
 	// TestNewMaterialized*, TestMaterializeHead, TestSlice*, TestCheckSorted,
 	// TestCloneIndependence, TestProject*
