@@ -22,6 +22,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/spatial"
+	"repro/internal/sql"
 	"repro/internal/tpch"
 )
 
@@ -326,8 +327,11 @@ func BenchmarkOpTranslucentJoin(b *testing.B) {
 // decomposition, where l_shipdate keeps residual bits — the general path:
 // the interval program for the phase-A answer, refinement, and the exact
 // program over the refined values. "exact" runs it classic, the exact
-// program alone. All go through the exported executors only, so the same
-// line measures any commit.
+// program alone. "sql" is the statement the olap_tail workload sends, compiled
+// by sql.Compile over the resident catalog and run through ExecAR: the binder
+// multiplies its two decimal columns at scale 1 where tpch.Q1 divides by 100,
+// so it is the line of the text the server executes. All go through the
+// exported executors only, so the same line measures any commit.
 func BenchmarkOpExprAggregate(b *testing.B) {
 	d := tpch.Generate(0.04, 1)
 	load := func(spaceConstrained bool) *plan.Catalog {
@@ -342,14 +346,23 @@ func BenchmarkOpExprAggregate(b *testing.B) {
 	}
 	c, sc := load(false), load(true)
 	q := tpch.Q1(90)
+	served, err := sql.Compile(c, fmt.Sprintf("select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, sum(l_extendedprice) as sum_base_price, "+
+		"sum(l_extendedprice * (1.00 - l_discount)) as sum_disc_price, "+
+		"sum(l_extendedprice * (1.00 - l_discount) * (1.00 + l_tax)) as sum_charge, "+
+		"avg(l_quantity) as avg_qty, avg(l_extendedprice) as avg_price, avg(l_discount) as avg_disc, count(*) as count_order "+
+		"from lineitem where l_shipdate <= %d group by l_returnflag, l_linestatus", tpch.Day(1998, 12, 1)-90))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name string
+		q    plan.Query
 		exec func(context.Context, plan.Query, plan.ExecOpts) (*plan.Result, error)
-	}{{"bounds", c.ExecAR}, {"bounds-sc", sc.ExecAR}, {"exact", c.ExecClassic}} {
+	}{{"bounds", q, c.ExecAR}, {"bounds-sc", q, sc.ExecAR}, {"exact", q, c.ExecClassic}, {"sql", served.Query, c.ExecAR}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := mode.exec(context.Background(), q, plan.ExecOpts{}); err != nil {
+				if _, err := mode.exec(context.Background(), mode.q, plan.ExecOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

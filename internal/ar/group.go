@@ -37,12 +37,23 @@ func (g *Grouping) Release() {
 // groupTable maps packed code tuples to dense group ids: one flat
 // open-addressing table, linear probing, at most half full. gids holds the
 // group id plus one, so zero marks a free slot and any key is storable.
+// direct, when set, is indexed by the key itself and holds the id the hash
+// table assigned it, plus one: a key of few bits is one load, and the ids
+// are the hash table's either way.
 type groupTable struct {
-	keys  []uint64
-	gids  []uint32
-	shift uint     // 64 - log2(len(keys))
-	uniq  []uint64 // the key of every group, in first-appearance order
+	keys   []uint64
+	gids   []uint32
+	shift  uint     // 64 - log2(len(keys))
+	uniq   []uint64 // the key of every group, in first-appearance order
+	direct []uint32
 }
+
+// directBits is the widest code tuple GroupApprox looks up through a direct
+// table of 2^bits entries: 16 kB at the limit, cache resident, taken from the
+// arena and cleared once per grouping — for Q1's 3-bit key it is 8 entries,
+// where the hash table would hash and probe every candidate's key. A wider
+// key keeps the hash table alone.
+const directBits = 12
 
 func newGroupTable() *groupTable {
 	const slots = 64
@@ -54,17 +65,31 @@ func (t *groupTable) home(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >
 
 // id returns key's group id, assigning the next one on first sight.
 func (t *groupTable) id(key uint64) uint32 {
+	if key < uint64(len(t.direct)) {
+		if g := t.direct[key]; g != 0 {
+			return g - 1
+		}
+	}
+	return t.hash(key)
+}
+
+// hash is id through the hash table; a key it assigns an id is entered into
+// the direct table too, when there is one.
+func (t *groupTable) hash(key uint64) uint32 {
 	mask := uint64(len(t.keys) - 1)
 	for at := t.home(key); ; at = (at + 1) & mask {
 		switch g := t.gids[at]; {
 		case g == 0:
 			if 2*(len(t.uniq)+1) > len(t.keys) {
 				t.grow()
-				return t.id(key)
+				return t.hash(key)
 			}
 			t.keys[at] = key
 			t.uniq = append(t.uniq, key)
 			t.gids[at] = uint32(len(t.uniq))
+			if t.direct != nil {
+				t.direct[key] = uint32(len(t.uniq))
+			}
 			return uint32(len(t.uniq) - 1)
 		case t.keys[at] == key:
 			return g - 1
@@ -131,12 +156,17 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		shift[k] = total
 		total += cols[k].Dec.ApproxBits
 	}
+	if total <= directBits {
+		table.direct = mem.U32.GetN(1 << total)
+		clear(table.direct)
+	}
 	if wg := cands.WorkGroups(); wg > 0 {
 		// By mask: the work-groups in candidate order, a block of granules
 		// at a time, each key column decoded into the block's key tuples.
 		const span = 16
 		order := par.PermuteInto(mem.Ints.GetN(wg))
-		keys, codes := mem.U64.GetN(span*bwd.GranuleRows), mem.U64.GetN(span*bwd.GranuleRows)
+		buf := mem.U64.GetN(2 * span * bwd.GranuleRows) // the keys, then a column's codes
+		keys, codes := buf[:span*bwd.GranuleRows:span*bwd.GranuleRows], buf[span*bwd.GranuleRows:]
 		for _, ci := range order {
 			cands.Blocks(ci, ci+1, span, func(g0, g1, pos, cnt int) {
 				cands.Decode(cols[0].Approx, keys, g0, g1)
@@ -157,8 +187,7 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 			})
 		}
 		mem.Ints.Put(order)
-		mem.U64.Put(keys)
-		mem.U64.Put(codes)
+		mem.U64.Put(buf)
 	} else {
 		// By position: the codes the scan attached, or one lookup per id.
 		colCodes := make([][]uint64, len(cols))
@@ -181,6 +210,7 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 			mem.U64.Put(codes)
 		}
 	}
+	mem.U32.Put(table.direct)
 	uniq := table.uniq
 	codes := make([][]uint64, len(cols))
 	for k, col := range cols {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/bitpack"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -302,6 +303,78 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 			fresh.Release()
 			masked.Release()
 		}
+	}
+}
+
+// A key whose code tuple spans at most directBits bits goes through the
+// direct table, a wider one through the probe alone; either way the ids, the
+// group count and the groups' codes are exactly what the hash table assigns
+// the candidates' key tuples in candidate order — by mask and by position,
+// one column and two, on both sides of the limit.
+func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	const n = gpuChunk + 4321
+	sel := scanColumn(t, rng, 10, n, "shuffled")
+	for _, tc := range []struct {
+		name string
+		bits []uint
+	}{
+		{"1 bit", []uint{1}},
+		{"3 bits", []uint{3}},
+		{"12 bits", []uint{directBits}},
+		{"13 bits", []uint{directBits + 1}},
+		{"two columns, 2+1 bits", []uint{2, 1}},
+		{"two columns, 7+5 bits", []uint{7, 5}},
+		{"two columns, 7+6 bits", []uint{7, 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cols := make([]*bwd.Column, len(tc.bits))
+			for k, bits := range tc.bits {
+				cols[k] = scanColumn(t, rng, bits, n, "clustered")
+			}
+			for _, r := range []bwd.ApproxRange{{Full: true}, {Lo: 100, Hi: 600}} {
+				masked := SelectApprox(nil, sel, r)
+				listed := &Candidates{ids: append([]bat.OID{}, masked.IDs()...)}
+				fresh := SelectApprox(nil, sel, r)
+				byMask, byPos := GroupApprox(nil, cols, fresh), GroupApprox(nil, cols, listed)
+
+				ref := newGroupTable()
+				for _, id := range listed.ids {
+					var key uint64
+					for _, col := range cols {
+						key = key<<col.Dec.ApproxBits | col.Approx.Get(int(id))
+					}
+					ref.id(key)
+				}
+				for name, g := range map[string]*Grouping{"by mask": byMask, "by position": byPos} {
+					if g.NGroups != len(ref.uniq) || len(g.IDs) != len(listed.ids) {
+						t.Fatalf("%v %s: %d groups over %d candidates, the hash table %d over %d", r, name, g.NGroups, len(g.IDs), len(ref.uniq), len(listed.ids))
+					}
+					for i, id := range listed.ids {
+						var key uint64
+						for _, col := range cols {
+							key = key<<col.Dec.ApproxBits | col.Approx.Get(int(id))
+						}
+						if want := ref.id(key); g.IDs[i] != want {
+							t.Fatalf("%v %s: candidate %d in group %d, the hash table's %d", r, name, i, g.IDs[i], want)
+						}
+					}
+					for gi, key := range ref.uniq {
+						shift := uint(0)
+						for k := len(cols) - 1; k >= 0; k-- {
+							if want := key >> shift & bitpack.Mask(cols[k].Dec.ApproxBits); g.Codes[k][gi] != want {
+								t.Fatalf("%v %s: group %d column %d has code %d, the hash table's %d", r, name, gi, k, g.Codes[k][gi], want)
+							}
+							shift += cols[k].Dec.ApproxBits
+						}
+					}
+				}
+				byMask.Release()
+				byPos.Release()
+				fresh.Release()
+				masked.Release()
+			}
+		})
 	}
 }
 

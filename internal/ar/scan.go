@@ -295,8 +295,8 @@ const groupGranules = gpuChunk / bwd.GranuleRows
 
 // WorkGroups ends the narrowing of a mask-carrying set (seal) and returns
 // how many work-groups its mask spans; 0 says the set is an id list (or has
-// scanned no row) and is read by position. Blocks and Decode read a set by
-// its mask, which is how a column of the approximation reaches a consumer
+// scanned no row) and is read by position. Blocks, Decode and Granules read a
+// set by its mask, which is how a column of the approximation reaches a consumer
 // without a candidate-length buffer in between: the aggregate program's
 // block registers (internal/plan) and GroupApprox's key tuples.
 func (c *Candidates) WorkGroups() int {
@@ -331,6 +331,14 @@ func (c *Candidates) Blocks(wlo, whi, span int, fn func(g0, g1, pos, n int)) {
 // the caller's to scribble on: where there is room a granule decodes in place.
 func (c *Candidates) Decode(approx *bitpack.Array, out []uint64, g0, g1 int) int {
 	return decodeGranules(approx, out, c.mask, g0, g1)
+}
+
+// Granules returns the survivor words of granules [g0,g1) of a set whose
+// WorkGroups was taken — the set's own, to read only — and how many rows
+// those granules hold: 64 each, but the scan's last may hold fewer. A reader
+// that takes a run of granules whole, dropped rows and all, reads them here.
+func (c *Candidates) Granules(g0, g1 int) ([]uint64, int) {
+	return c.mask[g0:g1], min(g1*bwd.GranuleRows, c.rows) - g0*bwd.GranuleRows
 }
 
 // denseSurvivors is the survivor count from which reading a granule by one

@@ -137,71 +137,63 @@ func (a *Array) Set(i int, v uint64) {
 }
 
 // UnpackRange appends the values at positions [lo, hi) to dst and returns
-// the extended slice. It decodes word-at-a-time: widths that divide 64
-// (1, 2, 4, 8, 16, 32, 64) never straddle a word boundary and run as a
-// branch-free shift loop per 64-bit word; other widths use a shift-carry
-// loop that reads each backing word exactly once. Both replace the
+// the extended slice, decoded word-at-a-time (unpack): it replaces the
 // branch-and-shift-per-element Get in scan-shaped loops.
 func (a *Array) UnpackRange(dst []uint64, lo, hi int) []uint64 {
 	if lo < 0 || hi > a.n || lo > hi {
 		panic(fmt.Sprintf("bitpack: range [%d,%d) out of bounds [0,%d]", lo, hi, a.n))
 	}
 	n := hi - lo
-	if n == 0 {
-		return dst
-	}
 	if cap(dst)-len(dst) < n {
 		grown := make([]uint64, len(dst), len(dst)+n)
 		copy(grown, dst)
 		dst = grown
 	}
-	if a.width == 0 {
-		base := len(dst)
-		dst = dst[:base+n]
-		clear(dst[base:])
-		return dst
-	}
-	if a.width == 64 {
-		return append(dst, a.words[lo:hi]...)
-	}
-	width := a.width
-	mask := Mask(width)
-	if 64%width == 0 {
-		// Values never straddle a word: emit per-word runs.
-		per := int(64 / width) // values per word
-		i := lo
-		// Head: finish the word lo starts in.
-		if r := i % per; r != 0 {
-			w := a.words[i/per]
-			w >>= uint(r) * width
-			for ; i < hi && i%per != 0; i++ {
-				dst = append(dst, w&mask)
-				w >>= width
-			}
-		}
-		// Body: whole words.
-		for ; i+per <= hi; i += per {
-			w := a.words[i/per]
-			for k := 0; k < per; k++ {
-				dst = append(dst, w&mask)
-				w >>= width
-			}
-		}
-		// Tail.
-		if i < hi {
-			w := a.words[i/per]
-			for ; i < hi; i++ {
-				dst = append(dst, w&mask)
-				w >>= width
-			}
-		}
-		return dst
-	}
-	off := uint64(lo) * uint64(width)
 	base := len(dst)
 	dst = dst[:base+n]
-	shiftCarry(dst[base:], a.words[off>>6:], uint(off&63), width)
+	a.unpack(dst[base:], lo)
 	return dst
+}
+
+// Unpack64 decodes the values at positions [lo, min(lo+64, Len())) into dst
+// and returns how many it wrote; lo must be a multiple of 64. Such a block
+// of 64 values always starts on a word boundary (64·width bits is a whole
+// number of words) and lands straight in the caller's array — the granule
+// decode of the A&R approximate scan and of the aggregate program's dense
+// blocks. Entries of dst past the returned count are left untouched, and bits
+// of the last backing word beyond the final value are never interpreted.
+func (a *Array) Unpack64(dst *[64]uint64, lo int) int {
+	if lo < 0 || lo > a.n || lo&63 != 0 {
+		panic(fmt.Sprintf("bitpack: block start %d not a multiple of 64 in [0,%d]", lo, a.n))
+	}
+	n := min(64, a.n-lo)
+	a.unpack(dst[:n], lo)
+	return n
+}
+
+// unpack decodes the len(out) values from position lo on into out: a width
+// that divides 64 (1, 2, 4, 8, 16, 32) never straddles a word, so every
+// value is one shift of the word it lies in and none waits on the one
+// before (of the loops measured, the fastest); any other width runs the
+// shift-carry loop.
+func (a *Array) unpack(out []uint64, lo int) {
+	width := a.width
+	switch {
+	case len(out) == 0:
+	case width == 0:
+		clear(out)
+	case width == 64:
+		copy(out, a.words[lo:])
+	case 64%width == 0:
+		mask, at := Mask(width), uint(lo)*width
+		for i := range out {
+			out[i] = a.words[at>>6] >> (at & 63) & mask
+			at += width
+		}
+	default:
+		off := uint64(lo) * uint64(width)
+		shiftCarry(out, a.words[off>>6:], uint(off&63), width)
+	}
 }
 
 // shiftCarry decodes len(dst) values of the given width (1..63) that start
@@ -229,34 +221,6 @@ func shiftCarry(dst, words []uint64, sh, width uint) {
 	}
 }
 
-// Unpack64 decodes the values at positions [lo, min(lo+64, Len())) into dst
-// and returns how many it wrote; lo must be a multiple of 64. Such a block
-// of 64 values always starts on a word boundary (64·width bits is a whole
-// number of words), so the shift-carry decode starts at bit 0 of its first
-// word and stores straight into the caller's stack array — the granule
-// decode of the A&R approximate scan. Entries of dst past the returned count are
-// left untouched, and bits of the last backing word beyond the final value
-// are never interpreted.
-func (a *Array) Unpack64(dst *[64]uint64, lo int) int {
-	if lo < 0 || lo > a.n || lo&63 != 0 {
-		panic(fmt.Sprintf("bitpack: block start %d not a multiple of 64 in [0,%d]", lo, a.n))
-	}
-	n := min(64, a.n-lo)
-	width := a.width
-	if n == 0 {
-		return 0
-	}
-	if width == 0 {
-		clear(dst[:n])
-		return n
-	}
-	if width == 64 {
-		return copy(dst[:n], a.words[lo:])
-	}
-	shiftCarry(dst[:n], a.words[lo/64*int(width):], 0, width)
-	return n
-}
-
 // Gather writes a.Get(id) for each id in ids into dst, which must be at
 // least len(ids) long. It is the positional-lookup primitive behind
 // invisible joins on packed columns whose positions are an explicit list —
@@ -267,64 +231,6 @@ func Gather[ID ~uint32](a *Array, ids []ID, dst []uint64) {
 	for i, id := range ids {
 		dst[i] = a.Get(int(id))
 	}
-}
-
-// Append appends v (masked to the array width) and returns the new length.
-func (a *Array) Append(v uint64) int {
-	i := a.n
-	a.n++
-	if a.width > 0 {
-		if need := wordsFor(a.width, a.n); need > len(a.words) {
-			a.words = append(a.words, make([]uint64, need-len(a.words))...)
-		}
-		a.Set(i, v)
-	}
-	return a.n
-}
-
-// AppendPacked appends every value of b (which must have the same width)
-// at word level: when the append cursor is word-aligned the backing words
-// are copied verbatim, otherwise each source word is split across two
-// destination words with one shift-or pair — either way the per-element
-// Set round-trip is gone. It panics on a width mismatch.
-func (a *Array) AppendPacked(b *Array) int {
-	if a.width != b.width {
-		panic(fmt.Sprintf("bitpack: AppendPacked width mismatch %d != %d", a.width, b.width))
-	}
-	if b.n == 0 {
-		return a.n
-	}
-	if a.width == 0 {
-		a.n += b.n
-		return a.n
-	}
-	oldN := a.n
-	a.n += b.n
-	if need := wordsFor(a.width, a.n); need > len(a.words) {
-		a.words = append(a.words, make([]uint64, need-len(a.words))...)
-	}
-	off := uint64(oldN) * uint64(a.width)
-	w := int(off >> 6)
-	sh := uint(off & 63)
-	srcWords := wordsFor(b.width, b.n)
-	if sh == 0 {
-		copy(a.words[w:], b.words[:srcWords])
-		return a.n
-	}
-	// Clear any stale high bits of the partial word, then interleave.
-	a.words[w] &= Mask(sh)
-	srcRem := uint(uint64(b.width) * uint64(b.n) & 63)
-	for i := 0; i < srcWords; i++ {
-		v := b.words[i]
-		if i == srcWords-1 && srcRem != 0 {
-			v &= Mask(srcRem) // tolerate tail garbage in deserialized words
-		}
-		a.words[w+i] |= v << sh
-		if w+i+1 < len(a.words) {
-			a.words[w+i+1] = v >> (64 - sh)
-		}
-	}
-	return a.n
 }
 
 // Words exposes the backing 64-bit words (nil for width 0). Callers must

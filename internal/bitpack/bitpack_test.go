@@ -47,9 +47,6 @@ func TestWidthZero(t *testing.T) {
 	if a.Get(3) != 0 {
 		t.Errorf("width-0 Get = %d, want 0", a.Get(3))
 	}
-	if a.Append(7) != 11 {
-		t.Errorf("Append on width-0 did not grow length")
-	}
 }
 
 func TestSetGetSingleWidths(t *testing.T) {
@@ -123,21 +120,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAppendGrows(t *testing.T) {
-	a := New(7, 0)
-	for i := 0; i < 1000; i++ {
-		a.Append(uint64(i) & Mask(7))
-	}
-	if a.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", a.Len())
-	}
-	for i := 0; i < 1000; i++ {
-		if got := a.Get(i); got != uint64(i)&Mask(7) {
-			t.Fatalf("Get(%d) = %d, want %d", i, got, uint64(i)&Mask(7))
-		}
 	}
 }
 

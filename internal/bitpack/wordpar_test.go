@@ -2,11 +2,12 @@ package bitpack
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // The word-parallel paths (Pack's shift-carry accumulator, UnpackRange's
-// streaming decode, AppendPacked's word splice) must be bit-identical with
+// streaming decode, Unpack64's granule decode) must be bit-identical with
 // the per-element Get/Set reference at every width 0..64 and every
 // alignment, including ranges that start and end mid-word.
 
@@ -51,29 +52,6 @@ func TestUnpackRangeMatchesGetLoop(t *testing.T) {
 				if want := a.Get(lo + j); v != want {
 					t.Fatalf("width %d [%d,%d) pos %d: got %d want %d", width, lo, hi, j, v, want)
 				}
-			}
-		}
-	}
-}
-
-func TestAppendPackedMatchesAppendLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for width := uint(0); width <= 64; width++ {
-		// A non-multiple-of-64 starting bit offset forces the spliced words
-		// to shift; an aligned start takes the copy fast path.
-		for _, pre := range []int{0, 1 + rng.Intn(97)} {
-			left := randomVals(rng, width, pre)
-			right := randomVals(rng, width, 1+rng.Intn(200))
-
-			fast := Pack(width, left)
-			fast.AppendPacked(Pack(width, right))
-
-			ref := Pack(width, left)
-			for _, v := range right {
-				ref.Append(v)
-			}
-			if !fast.Equal(ref) {
-				t.Fatalf("width %d pre %d: AppendPacked differs from Append loop", width, pre)
 			}
 		}
 	}
@@ -137,6 +115,101 @@ func TestUnpack64MatchesGetLoop(t *testing.T) {
 			a.Unpack64(&dst, lo)
 		}()
 	}
+}
+
+// randomWords is an array of n values of the given width over backing words
+// whose every bit is random, the unused tail of the last word included.
+func randomWords(t testing.TB, rng *rand.Rand, width uint, n int) *Array {
+	var words []uint64
+	if width > 0 {
+		words = make([]uint64, wordsFor(width, n))
+	}
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
+	a, err := FromWords(width, n, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// checkUnpack64 decodes every 64-aligned block of a — the empty one at Len
+// included when Len is a multiple of 64 — into a sentinel-filled array and
+// holds it to Get; entries past the returned count must stay untouched.
+func checkUnpack64(t testing.TB, a *Array) {
+	t.Helper()
+	const sentinel = ^uint64(0) - 4321
+	for lo := 0; lo <= a.Len(); lo += 64 {
+		var dst [64]uint64
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		got := a.Unpack64(&dst, lo)
+		if want := min(64, a.Len()-lo); got != want {
+			t.Fatalf("width %d n %d block %d: wrote %d values, want %d", a.Width(), a.Len(), lo, got, want)
+		}
+		for i, v := range dst {
+			want := uint64(sentinel)
+			if i < got {
+				want = a.Get(lo + i)
+			}
+			if v != want {
+				t.Fatalf("width %d n %d block %d pos %d: got %#x want %#x", a.Width(), a.Len(), lo, i, v, want)
+			}
+		}
+	}
+}
+
+// Unpack64 at every width 0..64 — the word-by-word path of the widths that
+// divide 64 and the shift-carry path of the rest — for every 64-aligned
+// block of arrays whose last block is every length from 1 to 64, over words
+// that are random in every bit.
+func TestUnpack64MatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for width := uint(0); width <= 64; width++ {
+		for short := 1; short <= 64; short++ {
+			checkUnpack64(t, randomWords(t, rng, width, 2*64+short))
+		}
+	}
+}
+
+// FuzzUnpack holds both word-level decoders to Get over arbitrary widths,
+// lengths and backing words: Unpack64 on every block, UnpackRange on one
+// range, appended behind a prefix it must leave alone.
+func FuzzUnpack(f *testing.F) {
+	f.Add(uint8(4), uint16(130), uint16(3), uint16(70), []byte{0xa5, 0x3c, 0xff, 0x01})
+	f.Add(uint8(9), uint16(64), uint16(0), uint16(64), []byte{})
+	f.Add(uint8(64), uint16(1), uint16(0), uint16(1), []byte{0x80})
+	f.Fuzz(func(t *testing.T, w uint8, size, from, span uint16, raw []byte) {
+		width, n := uint(w)%65, int(size)%2048
+		var words []uint64
+		if width > 0 {
+			words = make([]uint64, wordsFor(width, n))
+		}
+		for i := range words {
+			for b := 0; b < 8 && len(raw) > 0; b++ {
+				words[i] |= uint64(raw[(i*8+b)%len(raw)]) << (8 * b)
+			}
+		}
+		a, err := FromWords(width, n, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkUnpack64(t, a)
+		lo := int(from) % (n + 1)
+		hi := lo + int(span)%(n-lo+1)
+		prefix := []uint64{7, 8, 9}
+		got := a.UnpackRange(append([]uint64(nil), prefix...), lo, hi)
+		if len(got) != len(prefix)+hi-lo || !slices.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("width %d n %d [%d,%d): got %d values, prefix %v", width, n, lo, hi, len(got), got[:min(len(got), len(prefix))])
+		}
+		for i, v := range got[len(prefix):] {
+			if want := a.Get(lo + i); v != want {
+				t.Fatalf("width %d n %d [%d,%d) pos %d: got %#x want %#x", width, n, lo, hi, lo+i, v, want)
+			}
+		}
+	})
 }
 
 func TestUnpackRangeReusesDst(t *testing.T) {

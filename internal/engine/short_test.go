@@ -162,8 +162,10 @@ const q1SQL = "select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, su
 // over fully resident columns (60 k lineitem rows, one device work-group)
 // takes a fixed, small number of buffers from the arena, none of them a
 // candidate-length list of 8-byte codes or values or of ids — the mask, the
-// work-group slots, one 4-byte group id per candidate and the accumulators
-// are all there is: 8 buffers, and 4.5 B per row with the arena off. At
+// work-group slots and two orderings of them, one 4-byte group id per
+// candidate, the pre-grouping's block buffer and direct table, and the
+// accumulators (the caller's, and the fold's partial state with its sink
+// group) are all there is: 9 buffers, and 4.5 B per row with the arena off. At
 // commit 108308e the same statement took 21 buffers and, with the arena off,
 // allocated 6.6 MB per execution (110 B per row): the id list, the attached
 // l_shipdate codes, two key-column and seven projection code lists, seven

@@ -177,6 +177,8 @@ type Scratch struct {
 	i64n int
 	ints []int
 	intn int
+	u32  []uint32
+	u32n int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -191,7 +193,7 @@ func PutScratch(s *Scratch) {
 }
 
 // Reset invalidates every buffer previously carved from the scratch.
-func (s *Scratch) Reset() { s.u64n, s.i64n, s.intn = 0, 0, 0 }
+func (s *Scratch) Reset() { s.u64n, s.i64n, s.intn, s.u32n = 0, 0, 0, 0 }
 
 // U64 carves n uint64s with unspecified contents.
 func (s *Scratch) U64(n int) []uint64 {
@@ -226,6 +228,18 @@ func (s *Scratch) Ints(n int) []int {
 	}
 	out := s.ints[s.intn : s.intn+n]
 	s.intn += n
+	return out
+}
+
+// U32 carves n uint32s with unspecified contents.
+func (s *Scratch) U32(n int) []uint32 {
+	if s.u32n+n > len(s.u32) {
+		grown := make([]uint32, growTo(s.u32n+n))
+		copy(grown, s.u32[:s.u32n])
+		s.u32 = grown
+	}
+	out := s.u32[s.u32n : s.u32n+n]
+	s.u32n += n
 	return out
 }
 

@@ -185,12 +185,23 @@ type exprInput struct {
 // randSurvivors draws the table behind n candidates: which of its rows
 // survived — granule words that are full, lack one row, lack a few, are
 // dense, sparse or empty, in random order, the last granule short — and the
-// candidate set a scan for exactly those rows leaves.
+// candidate set a scan for exactly those rows leaves. A fold reads the mask
+// in blocks of exprBlock rows, and each block draws its words from all six
+// kinds, from the four dense ones only or from the two sparse ones: blocks
+// on both sides of denseFold.
 func randSurvivors(t testing.TB, rng *rand.Rand, n int) *ar.Candidates {
 	sel := make([]int64, 0, 2*n+64)
+	kinds := func() int { return rng.Intn(6) }
 	for left := n; left > 0 || len(sel) == 0; {
+		if len(sel)%exprBlock == 0 {
+			kinds = [](func() int){
+				func() int { return rng.Intn(6) },
+				func() int { return rng.Intn(4) },
+				func() int { return 4 + rng.Intn(2) },
+			}[rng.Intn(3)]
+		}
 		word := ^uint64(0)
-		switch rng.Intn(6) {
+		switch kinds() {
 		case 1:
 			word &^= 1 << rng.Intn(64)
 		case 2:
@@ -243,6 +254,10 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 	if n > 0 {
 		rows = int(slices.Max(ids)) + 1
 	}
+	survived := make([]bool, rows)
+	for _, id := range ids {
+		survived[id] = true
+	}
 	ncols := 1 + rng.Intn(len(exprTestCols))
 	var pool []Expr
 	for k := 0; k < 1+rng.Intn(6); k++ {
@@ -262,6 +277,11 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 		table := make([]uint64, rows)
 		for r := range table {
 			table[r] = uint64(rng.Intn(400)) & bitpack.Mask(width)
+			if !survived[r] {
+				// A dropped row holds the column's largest or smallest code:
+				// were it folded, it would move every sum, extreme and count.
+				table[r] = bitpack.Mask(width) * uint64(rng.Intn(2))
+			}
 		}
 		in.packed[ref] = bitpack.Pack(width, table)
 		b.codes = make([]uint64, n)
@@ -275,7 +295,8 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 		in.codes[ref], in.exact[ref], in.ivs[ref] = b, exact, ivs
 	}
 	if grouped {
-		in.groups = 1 + rng.Intn(9)
+		// Both sides of interleaveGroups, counted with a fold's sink and without.
+		in.groups = []int{1, 4, interleaveGroups - 1, interleaveGroups, interleaveGroups + 1, 300, 1 + rng.Intn(9)}[rng.Intn(7)]
 		in.ids = make([]uint32, n)
 		for i := range in.ids {
 			in.ids[i] = uint32(rng.Intn(in.groups))
@@ -300,36 +321,44 @@ func (in *exprInput) certain(i int) bool {
 // then intervals — and compares every accumulator and every aggregate with
 // the oracle; then the same intervals, and the low side alone, with every
 // column bound packed and read through the candidates' mask, which must fill
-// the accumulators the code lists filled.
+// the accumulators the code lists filled; then the exact leg's fold — codes
+// that are the values, no certain mask — by mask, whole blocks and sink
+// included, against the fold by code list and the oracle.
 func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	t.Helper()
 	pg := compileAggs(in.aggs)
+	counts := refFold(foldSum, in.groups, in.ids, fill(make([]int64, in.n), 1))
+	// oracle holds every aggregate of an exact fold into acc to the
+	// tree-walker over vals.
+	oracle := func(what string, acc *aggAcc, vals map[ColRef][]int64) {
+		t.Helper()
+		for k, a := range in.aggs {
+			var want []int64
+			if a.Func != Count {
+				kind := pg.slots[pg.slotOf[k]].kind
+				want = refFold(kind, in.groups, in.ids, refEval(a.Expr, in.n, vals))
+			}
+			for g := 0; g < in.groups; g++ {
+				w := counts[g]
+				switch {
+				case w == 0: // the empty ungrouped input
+				case a.Func == Avg:
+					w = want[g] / counts[g]
+				case a.Func != Count:
+					w = want[g]
+				}
+				if got := pg.value(acc, k, g); got != w {
+					t.Fatalf("%s, %s: %s(%v) group %d = %d, oracle %d", label, what, a.Func, a.Expr, g, got, w)
+				}
+			}
+		}
+	}
 
 	acc := pg.newAcc(in.groups, false)
 	exact := pg.bindVals(in.exact, in.n)
 	exact.ids = in.ids
 	pg.fold(pp, &acc, exact)
-	counts := refFold(foldSum, in.groups, in.ids, fill(make([]int64, in.n), 1))
-	for k, a := range in.aggs {
-		var want []int64
-		if a.Func != Count {
-			kind := pg.slots[pg.slotOf[k]].kind
-			want = refFold(kind, in.groups, in.ids, refEval(a.Expr, in.n, in.exact))
-		}
-		for g := 0; g < in.groups; g++ {
-			w := counts[g]
-			switch {
-			case w == 0: // the empty ungrouped input
-			case a.Func == Avg:
-				w = want[g] / counts[g]
-			case a.Func != Count:
-				w = want[g]
-			}
-			if got := pg.value(&acc, k, g); got != w {
-				t.Fatalf("%s: %s(%v) group %d = %d, oracle %d", label, a.Func, a.Expr, g, got, w)
-			}
-		}
-	}
+	oracle("exact values", &acc, in.exact)
 	acc.release()
 
 	cols := make([]colBind, len(pg.cols))
@@ -402,15 +431,43 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 		got.release()
 	}
 	acc.release()
+
+	resident := map[ColRef][]int64{}
+	listed := rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids}
+	packed := rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids, by: in.cands}
+	for i, ref := range pg.cols {
+		b := in.codes[ref]
+		listed.cols[i] = colBind{codes: b.codes, base: b.base}
+		packed.cols[i] = colBind{packed: in.packed[ref], base: b.base}
+		vals := make([]int64, in.n)
+		for k, code := range b.codes {
+			vals[k] = b.base + int64(code)
+		}
+		resident[ref] = vals
+	}
+	for _, interval := range []bool{false, true} {
+		byList, byMask := pg.newAcc(in.groups, interval), pg.newAcc(in.groups, interval)
+		pg.fold(pp, &byList, listed)
+		pg.fold(pp, &byMask, packed)
+		oracle(fmt.Sprintf("exact leg by mask (interval %v)", interval), &byMask, resident)
+		if !slices.Equal(byMask.cnt, byList.cnt) || !slices.Equal(byMask.lo, byList.lo) || interval && !slices.Equal(byMask.hi, byList.hi) {
+			t.Fatalf("%s: the exact leg's fold by mask (interval %v) counted %v and folded [%v, %v], by code list %v and [%v, %v]",
+				label, interval, byMask.cnt, byMask.lo, byMask.hi, byList.cnt, byList.lo, byList.hi)
+		}
+		byList.release()
+		byMask.release()
+	}
 }
 
 // TestExprProgramMatchesReference is the compiled program's property test:
 // for random statements, every exact aggregate and every interval
 // accumulator equals the tree-walking oracle's — at the block edges, across
-// worker counts and morsel sizes, grouped and not, masked and not — and,
-// for every one of them, by code list and by packed column + survivor mask
-// (widths 1 to 64; full, holed, dense, sparse and empty granules, a short
-// last one; one work-group and several).
+// worker counts and morsel sizes, grouped and not (1 to 300 groups, both
+// sides of interleaveGroups), masked and not — and, for every one of them,
+// by code list and by packed column + survivor mask (widths 1 to 64; full,
+// holed, dense, sparse and empty granules, a short last one; blocks on both
+// sides of denseFold; one work-group and several), and the exact leg's fold
+// by mask, whose dense blocks sink dropped rows that hold the extreme codes.
 func TestExprProgramMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	sizes := []int{0, 1, exprBlock - 1, exprBlock, exprBlock + 1, 3*exprBlock + 7, 100_000} // the last spans three device work-groups

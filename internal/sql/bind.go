@@ -646,10 +646,12 @@ func alignToScale(colScale, v, litScale int64) (int64, bool) {
 	return v * (colScale / litScale), true
 }
 
-// bindArith lowers an AST expression into the plan expression model.
-// Multiplication of two decimal literals/columns is fixed-point: the scale
-// divisor is taken from the literal's own fractional digits (integer
-// operands multiply at scale 1).
+// bindArith lowers an AST expression into the plan expression model. A
+// product's scale divisor is taken from a literal operand's own fractional
+// digits and from nothing else: a product of two non-literal decimal operands
+// — two columns, or a column and a parenthesised expression, as in TPC-H's
+// l_extendedprice * (1.00 - l_discount) — multiplies at scale 1 and divides
+// by nothing, and so do integer operands.
 func (bd *binder) bindArith(e *ArithE, onDim func(QualCol) (string, error)) (plan.Expr, error) {
 	switch e.Op {
 	case "col":
