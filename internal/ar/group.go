@@ -50,9 +50,10 @@ type groupTable struct {
 
 // directBits is the widest code tuple GroupApprox looks up through a direct
 // table of 2^bits entries: 16 kB at the limit, cache resident, taken from the
-// arena and cleared once per grouping — for Q1's 3-bit key it is 8 entries,
-// where the hash table would hash and probe every candidate's key. A wider
-// key keeps the hash table alone.
+// arena and cleared once per work-group (groupByWorkGroup), or once per
+// grouping of an id list — for Q1's 3-bit key it is 8 entries, where the hash
+// table would hash and probe every candidate's key. A wider key keeps the
+// hash table alone, and one loop over the candidates.
 const directBits = 12
 
 func newGroupTable() *groupTable {
@@ -135,6 +136,11 @@ func GroupKeyFits(cols []*bwd.Column) bool {
 // grouping columns compress enough to stay resident, eliminating
 // subgrouping). It panics when the key does not fit (GroupKeyFits): a
 // truncated key would merge distinct groups.
+//
+// Host-side, a set read by its mask is grouped like the scan runs, a
+// work-group at a time on every core (groupByWorkGroup), when its key takes
+// the direct table; a wider key or an id list is grouped by one loop over
+// the candidates in order. The ids are the same either way.
 func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Grouping {
 	if !GroupKeyFits(cols) {
 		panic(fmt.Sprintf("ar: GroupApprox over %d columns whose codes exceed the 64-bit grouping-table entry", len(cols)))
@@ -156,40 +162,29 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		shift[k] = total
 		total += cols[k].Dec.ApproxBits
 	}
-	if total <= directBits {
-		table.direct = mem.U32.GetN(1 << total)
-		clear(table.direct)
-	}
-	if wg := cands.WorkGroups(); wg > 0 {
-		// By mask: the work-groups in candidate order, a block of granules
-		// at a time, each key column decoded into the block's key tuples.
-		const span = 16
+	switch wg := cands.WorkGroups(); {
+	case wg > 0 && total <= directBits:
+		groupByWorkGroup(table, cols, shift, total, cands, ids, wg)
+	case wg > 0:
+		// By mask, a wider key: the work-groups in candidate order, a block
+		// of granules at a time, through the hash table.
 		order := par.PermuteInto(mem.Ints.GetN(wg))
-		buf := mem.U64.GetN(2 * span * bwd.GranuleRows) // the keys, then a column's codes
-		keys, codes := buf[:span*bwd.GranuleRows:span*bwd.GranuleRows], buf[span*bwd.GranuleRows:]
+		buf := mem.U64.GetN(2 * keySpan * bwd.GranuleRows) // the keys, then a column's codes
 		for _, ci := range order {
-			cands.Blocks(ci, ci+1, span, func(g0, g1, pos, cnt int) {
-				cands.Decode(cols[0].Approx, keys, g0, g1)
-				if shift[0] != 0 {
-					for i := range keys[:cnt] {
-						keys[i] <<= shift[0]
-					}
-				}
-				for k := 1; k < len(cols); k++ {
-					cands.Decode(cols[k].Approx, codes, g0, g1)
-					for i, code := range codes[:cnt] {
-						keys[i] |= code << shift[k]
-					}
-				}
-				for i, key := range keys[:cnt] {
+			cands.Blocks(ci, ci+1, keySpan, func(g0, g1, pos, cnt int) {
+				for i, key := range blockKeys(cands, cols, shift, buf, g0, g1, cnt) {
 					ids[pos+i] = table.id(key)
 				}
 			})
 		}
 		mem.Ints.Put(order)
 		mem.U64.Put(buf)
-	} else {
+	default:
 		// By position: the codes the scan attached, or one lookup per id.
+		if total <= directBits {
+			table.direct = mem.U32.GetN(1 << total)
+			clear(table.direct)
+		}
 		colCodes := make([][]uint64, len(cols))
 		var gathered [][]uint64
 		for k, col := range cols {
@@ -240,6 +235,108 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		m.GPUKernel(seq+int64(n)*4, 0, int64(n)*bulk.OpsHashGroup+int64(float64(n)*depth))
 	}
 	return &Grouping{Src: cands, Cols: cols, IDs: ids, NGroups: len(uniq), Codes: codes}
+}
+
+// keySpan is how many granules of key tuples GroupApprox decodes at a time.
+const keySpan = 16
+
+// blockKeys decodes the key tuples of the cnt survivors of granules [g0,g1)
+// into the front of buf, leading column highest, and returns them; buf holds
+// 2·keySpan granules: the keys, then one column's codes.
+func blockKeys(cands *Candidates, cols []*bwd.Column, shift []uint, buf []uint64, g0, g1, cnt int) []uint64 {
+	const rows = keySpan * bwd.GranuleRows
+	keys, codes := buf[:rows:rows], buf[rows:]
+	cands.Decode(cols[0].Approx, keys, g0, g1)
+	if shift[0] != 0 {
+		for i := range keys[:cnt] {
+			keys[i] <<= shift[0]
+		}
+	}
+	for k := 1; k < len(cols); k++ {
+		cands.Decode(cols[k].Approx, codes, g0, g1)
+		for i, code := range codes[:cnt] {
+			keys[i] |= code << shift[k]
+		}
+	}
+	return keys[:cnt]
+}
+
+// groupByWorkGroup is GroupApprox by mask, for a key of at most directBits
+// bits, on the device's host execution (devP), as the scan runs: every
+// work-group numbers its keys in its own first-appearance order, through a
+// direct table of its own, into its own slot of ids. The work-groups' key
+// lists are then entered into table in candidate order — the order a serial
+// loop over the candidates walks — so the global ids come out exactly as
+// that loop would assign them, and a work-group whose local ids are not the
+// global ones is renumbered, in parallel. One worker runs the same steps
+// serially; one work-group's local ids are the global ones. Every
+// work-group's state is carved from three arena buffers, whatever the
+// work-groups or the cores.
+func groupByWorkGroup(table *groupTable, cols []*bwd.Column, shift []uint, bits uint, cands *Candidates, ids []uint32, wg int) {
+	size := 1 << bits
+	// Work-group ci's direct table at [2ci·size, …), then its keys in its
+	// first-appearance order, which the merge overwrites with their global
+	// ids. A key fits 32 bits.
+	local := mem.U32.GetN(2 * wg * size)
+	const span = 2 * keySpan * bwd.GranuleRows // the keys, then a column's codes
+	bufs := mem.U64.GetN(wg * span)
+	// The work-groups in candidate order, then each one's key and candidate
+	// counts; a work-group that needs no renumbering has its candidate count
+	// zeroed by the merge.
+	meta := mem.Ints.GetN(3 * wg)
+	order, nkeys, nrows := par.PermuteInto(meta[:wg]), meta[wg:2*wg], meta[2*wg:]
+	p := devP()
+	p.Chunk = 1 // a work-group at a time
+	p.For(wg, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			direct, keys := local[2*ci*size:][:size], local[(2*ci+1)*size:][:size]
+			buf := bufs[ci*span:][:span]
+			clear(direct)
+			k, rows := 0, 0
+			cands.Blocks(ci, ci+1, keySpan, func(g0, g1, pos, cnt int) {
+				for i, key := range blockKeys(cands, cols, shift, buf, g0, g1, cnt) {
+					l := direct[key]
+					if l == 0 {
+						keys[k] = uint32(key)
+						k++
+						l = uint32(k)
+						direct[key] = l
+					}
+					ids[pos+i] = l - 1
+				}
+				rows += cnt
+			})
+			nkeys[ci], nrows[ci] = k, rows
+		}
+	})
+	mem.U64.Put(bufs)
+	renumber := false
+	for _, ci := range order {
+		keys := local[(2*ci+1)*size:][:nkeys[ci]]
+		same := true
+		for l, key := range keys {
+			g := table.id(uint64(key))
+			keys[l] = g
+			same = same && g == uint32(l)
+		}
+		if same {
+			nrows[ci] = 0
+		}
+		renumber = renumber || !same
+	}
+	if renumber {
+		p.For(wg, func(lo, hi int) {
+			for ci := lo; ci < hi; ci++ {
+				global, at := local[(2*ci+1)*size:][:size], cands.offs[ci]
+				slot := ids[at : at+nrows[ci]]
+				for i, l := range slot {
+					slot[i] = global[l]
+				}
+			}
+		})
+	}
+	mem.Ints.Put(meta)
+	mem.U32.Put(local)
 }
 
 // Ship charges the transfer of the per-candidate group IDs and the group

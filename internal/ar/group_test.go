@@ -1,7 +1,10 @@
 package ar
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bat"
@@ -403,4 +406,151 @@ func TestGroupApproxRejectsKeyWiderThanTableEntry(t *testing.T) {
 		}
 	}()
 	GroupApprox(nil, []*bwd.Column{c33, c32}, cands)
+}
+
+// codeColumn builds a fully resident column whose approximation codes are
+// codes, each width bits wide.
+func codeColumn(t *testing.T, width uint, codes []uint64) *bwd.Column {
+	t.Helper()
+	dec := bwd.Decomposition{TotalBits: width, ApproxBits: width, Width: 8}
+	col, err := bwd.Restore(dec, bitpack.Pack(width, codes), bitpack.New(0, len(codes)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
+}
+
+// TestGroupApproxOrderedMergeAcrossCores: on any number of host cores a key of
+// at most directBits bits is grouped per work-group, each in its own
+// first-appearance order, and merged in candidate order. Over seven
+// work-groups that each hold a different half of the keys, in an order of
+// their own, the ids, the group count and the groups' codes must be exactly
+// what a serial lookup in candidate order assigns — for 1-, 3-, 7- and
+// 12-bit keys, a two-column key and a 13-bit key (one loop over the
+// candidates, through the hash table), under one,
+// two and four cores, over the whole table, a range that empties the first
+// work-group, and one that leaves holes in every work-group.
+func TestGroupApproxOrderedMergeAcrossCores(t *testing.T) {
+	const groups = 7
+	const n = (groups-1)*gpuChunk + 777
+	rng := rand.New(rand.NewSource(93))
+	// The selection column: work-group w's codes lie in [100w, 100w+100).
+	sel := make([]uint64, n)
+	for i := range sel {
+		sel[i] = uint64(i/gpuChunk*100 + rng.Intn(100))
+	}
+	selCol := codeColumn(t, 10, sel)
+	// keyCodes gives work-group w the keys perm[w..w+size/2) (mod size) of
+	// one random permutation, first in that order, then drawn at random.
+	keyCodes := func(bits uint) []uint64 {
+		size := 1 << bits
+		perm := rng.Perm(size)
+		half := max(1, size/2)
+		codes := make([]uint64, n)
+		for i := range codes {
+			w, j := i/gpuChunk, i%gpuChunk
+			if j >= half {
+				j = rng.Intn(half)
+			}
+			codes[i] = uint64(perm[(w+j)%size])
+		}
+		return codes
+	}
+	type keyCase struct {
+		name string
+		cols []*bwd.Column
+	}
+	var cases []keyCase
+	for _, bits := range []uint{1, 3, 7, directBits, directBits + 1} {
+		cases = append(cases, keyCase{fmt.Sprintf("%d-bit key", bits), []*bwd.Column{codeColumn(t, bits, keyCodes(bits))}})
+	}
+	joint := keyCodes(5)
+	hi, lo := make([]uint64, n), make([]uint64, n)
+	for i, key := range joint {
+		hi[i], lo[i] = key>>3, key&7
+	}
+	cases = append(cases, keyCase{"two columns, 2+3 bits", []*bwd.Column{codeColumn(t, 2, hi), codeColumn(t, 3, lo)}})
+
+	windows := make([]bwd.ApproxRange, groups)
+	for w := range windows {
+		windows[w] = bwd.ApproxRange{Lo: uint64(100*w + 20), Hi: uint64(100*w + 70)}
+	}
+	selections := []struct {
+		name string
+		scan func() *Candidates
+	}{
+		{"every row", func() *Candidates { return SelectApprox(nil, selCol, bwd.ApproxRange{Full: true}) }},
+		{"the first work-group empty", func() *Candidates { return SelectApprox(nil, selCol, bwd.ApproxRange{Lo: 100, Hi: 650}) }},
+		{"holes in every work-group", func() *Candidates {
+			return SelectApproxAny(nil, slices.Repeat([]*bwd.Column{selCol}, groups), windows, 1)
+		}},
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			key := func(id bat.OID) uint64 {
+				var k uint64
+				for _, col := range tc.cols {
+					k = k<<col.Dec.ApproxBits | col.Approx.Get(int(id))
+				}
+				return k
+			}
+			// The fixture: no work-group's keys first appear in the order of
+			// the one before it.
+			var prev []uint64
+			for w := 0; w < groups; w++ {
+				var firsts []uint64
+				seen := map[uint64]bool{}
+				for i := w * gpuChunk; i < min(n, (w+1)*gpuChunk); i++ {
+					if k := key(bat.OID(i)); !seen[k] {
+						seen[k] = true
+						firsts = append(firsts, k)
+					}
+				}
+				if slices.Equal(firsts, prev) {
+					t.Fatalf("fixture: work-group %d's keys first appear in the order of the one before it", w)
+				}
+				prev = firsts
+			}
+			for _, s := range selections {
+				listed := s.scan()
+				// The serial reference: ids in order of first appearance over
+				// the candidates in candidate order.
+				ref := map[uint64]uint32{}
+				var uniq []uint64
+				want := make([]uint32, listed.Len())
+				for i, id := range listed.IDs() {
+					k := key(id)
+					g, ok := ref[k]
+					if !ok {
+						g = uint32(len(uniq))
+						ref[k] = g
+						uniq = append(uniq, k)
+					}
+					want[i] = g
+				}
+				for _, procs := range []int{1, 2, 4} {
+					runtime.GOMAXPROCS(procs)
+					fresh := s.scan()
+					g := GroupApprox(nil, tc.cols, fresh)
+					if g.NGroups != len(uniq) || !slices.Equal(g.IDs, want) {
+						t.Fatalf("%s, %d cores: %d groups, want %d; ids equal to the serial lookup's: %v", s.name, procs, g.NGroups, len(uniq), slices.Equal(g.IDs, want))
+					}
+					for gi, k := range uniq {
+						shift := uint(0)
+						for c := len(tc.cols) - 1; c >= 0; c-- {
+							if code := k >> shift & bitpack.Mask(tc.cols[c].Dec.ApproxBits); g.Codes[c][gi] != code {
+								t.Fatalf("%s, %d cores: group %d column %d has code %d, want %d", s.name, procs, gi, c, g.Codes[c][gi], code)
+							}
+							shift += tc.cols[c].Dec.ApproxBits
+						}
+					}
+					g.Release()
+					fresh.Release()
+				}
+				listed.Release()
+			}
+		})
+	}
 }

@@ -1,8 +1,6 @@
 package ar
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -41,11 +39,6 @@ func TestIntervalArithmeticContainment(t *testing.T) {
 		if !A.MulScaled(B, 1).Contains(a * b) {
 			return false
 		}
-		if b != 0 && (B.Lo > 0 || B.Hi < 0) {
-			if !A.Div(B).Contains(a / b) {
-				return false
-			}
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -58,62 +51,6 @@ func TestIntervalMulScaledFixedPoint(t *testing.T) {
 	got := Exact(100).MulScaled(Interval{5, 7}, 100)
 	if got.Lo != 5 || got.Hi != 7 {
 		t.Errorf("MulScaled = %v, want [5,7]", got)
-	}
-}
-
-func TestIntervalDivByZeroSpan(t *testing.T) {
-	got := Interval{10, 20}.Div(Interval{-1, 1})
-	if got.Lo != math.MinInt64 || got.Hi != math.MaxInt64 {
-		t.Errorf("Div across zero = %v, want full range", got)
-	}
-}
-
-func TestIntervalSqrt(t *testing.T) {
-	got := Interval{16, 100}.Sqrt()
-	if got.Lo != 4 || got.Hi != 10 {
-		t.Errorf("Sqrt = %v, want [4,10]", got)
-	}
-	neg := Interval{-10, -4}.Sqrt()
-	if neg.Lo != 0 || neg.Hi != 0 {
-		t.Errorf("Sqrt of negative interval = %v, want [0,0]", neg)
-	}
-	rng := rand.New(rand.NewSource(50))
-	for i := 0; i < 1000; i++ {
-		v := int64(rng.Intn(1 << 30))
-		r := isqrt(v)
-		if r*r > v || (r+1)*(r+1) <= v {
-			t.Fatalf("isqrt(%d) = %d", v, r)
-		}
-	}
-}
-
-func TestIntervalPow(t *testing.T) {
-	if got := (Interval{2, 3}).Pow(0); got != Exact(1) {
-		t.Errorf("Pow(0) = %v, want [1,1]", got)
-	}
-	if got := (Interval{2, 3}).Pow(2); got.Lo != 4 || got.Hi != 9 {
-		t.Errorf("Pow(2) = %v, want [4,9]", got)
-	}
-	got := (Interval{-2, 3}).Pow(2)
-	for _, v := range []int64{-2, -1, 0, 1, 2, 3} {
-		if !got.Contains(v * v) {
-			t.Errorf("Pow(2) of [-2,3] = %v does not contain %d", got, v*v)
-		}
-	}
-}
-
-func TestIsDestructive(t *testing.T) {
-	// §IV-G: sums of products cannot reuse approximations; additive
-	// operations can.
-	for _, op := range []string{"add", "sub"} {
-		if IsDestructive(op) {
-			t.Errorf("%s flagged destructive", op)
-		}
-	}
-	for _, op := range []string{"mul", "div", "sqrt", "pow", "someUDF"} {
-		if !IsDestructive(op) {
-			t.Errorf("%s not flagged destructive", op)
-		}
 	}
 }
 

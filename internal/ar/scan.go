@@ -27,12 +27,22 @@ import (
 const gpuChunk = 64 << 10
 
 // devP is the host-side execution of every device kernel: work-groups of
-// gpuChunk tuples over all host cores, never cancelled (a device kernel
-// runs to completion; the meter bills the simulated device, not this P).
+// gpuChunk tuples over all host cores (OnDevice), never cancelled (a device
+// kernel runs to completion; the meter bills the simulated device, not this
+// P).
+func devP() par.P {
+	return OnDevice(par.P{Chunk: gpuChunk})
+}
+
+// OnDevice is p with every host core as its workers: the one rule for
+// host-side work that holds the device stream, which owns the simulated
+// device — the device kernels (devP) and a statement's phase-A fold alike.
+// Threads, which the meter bills, the morsel size and the context are p's.
 // The worker count is read per call, so it follows GOMAXPROCS changes made
 // after this package was initialised (go test -cpu, embedders).
-func devP() par.P {
-	return par.P{Workers: runtime.GOMAXPROCS(0), Chunk: gpuChunk}
+func OnDevice(p par.P) par.P {
+	p.Workers = runtime.GOMAXPROCS(0)
+	return p
 }
 
 // OpsPackedScan is the per-tuple operation count of a JIT-generated packed

@@ -2,10 +2,13 @@ package engine
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/sql"
 )
 
@@ -141,6 +144,7 @@ func TestPlanCacheStalePutWindow(t *testing.T) {
 // still has unreserved (never less than one worker), and completed grants
 // return to the pool.
 func TestParallelWorkerBudgetSplitsPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8)) // the pool, not the host, is what is split
 	c := dmlCatalog(t)
 	s := NewScheduler(c, SchedConfig{CPUWorkers: 8})
 
@@ -176,4 +180,49 @@ func TestParallelWorkerBudgetSplitsPool(t *testing.T) {
 		t.Errorf("oversubscribed budget = %d, want 1", got)
 	}
 	s.mu.Unlock()
+}
+
+// TestWorkerGrantCappedAtHostCores: the pool is sized by the simulated CPU
+// (32 threads here), so a statement that asks for 8 threads on a host of two
+// cores would get 8 goroutines taking turns on two. Its real grant is capped
+// at GOMAXPROCS, the grant goes back whole, and the meters are those of the
+// same statement run on 8 explicit workers: the cap moves no charge.
+func TestWorkerGrantCappedAtHostCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := dmlCatalog(t)
+	s := NewScheduler(c, SchedConfig{CPUWorkers: 32})
+	s.mu.Lock()
+	s.activeClassic = 1
+	if got := s.workerBudgetLocked(8); got > 2 {
+		t.Errorf("8 threads on a 32-thread pool and 2 cores granted %d workers, want at most 2", got)
+	} else {
+		s.releaseWorkersLocked(got)
+	}
+	s.activeClassic = 0
+	if s.allocWorkers != 0 {
+		t.Errorf("allocWorkers = %d after the release, want 0", s.allocWorkers)
+	}
+	s.mu.Unlock()
+
+	b, err := sql.Compile(c, "select count(*), sum(v) from t where v < 900")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, mode := range []Mode{ModeAR, ModeClassic} {
+		granted, _, err := s.Exec(ctx, b, plan.ExecOpts{Threads: 8}, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explicit, _, err := s.Exec(ctx, b, plan.ExecOpts{Threads: 8, Workers: 8}, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *granted.Meter != *explicit.Meter || !slices.Equal(granted.Rows[0].Vals, explicit.Rows[0].Vals) {
+			t.Errorf("%v: the capped grant charged %v and answered %v, 8 workers %v and %v", mode, granted.Meter, granted.Rows, explicit.Meter, explicit.Rows)
+		}
+	}
+	if st := s.Stats(); st.ActiveClassic+st.ActiveAR != 0 || s.allocWorkers != 0 {
+		t.Errorf("scheduler not idle after the runs: %+v, %d workers reserved", st, s.allocWorkers)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,6 +78,12 @@ func ParseMode(name string) (Mode, error) {
 //     scan overlaps this one's refinement, A&R statements in flight stay
 //     bounded by streams + CPU slots, and a saturated host back-pressures
 //     the device.
+//   - Real workers: a statement's phase A — the approximate scan, the
+//     pre-grouping and the phase-A fold — runs on every host core while it
+//     holds its stream, because the stream is exclusive and so is the
+//     simulated device; its refinement and tail (and a classic plan) run on
+//     the statement's worker grant (workerBudgetLocked), a share of the pool
+//     capped at the host's cores. Neither moves the meter.
 //   - bwdecompose statements execute inline; the catalog's own locks make
 //     the decomposition swap safe against in-flight queries.
 //
@@ -176,13 +183,15 @@ func NewScheduler(cat *plan.Catalog, cfg SchedConfig) *Scheduler {
 // workerBudgetLocked allocates (and reserves) the real morsel-worker
 // budget for one admitted query: its fair share of the CPU pool given
 // every query currently active (classic streams plus A&R refinements),
-// capped both at the query's requested thread count and at the pool
-// capacity still unreserved — so staggered arrivals cannot oversubscribe
-// the pool (an early lone query that grabbed everything forces later
-// arrivals down to the 1-worker minimum until it finishes). The simulated
-// meter is unaffected — it always bills opts.Threads (see plan.ExecOpts).
-// Callers must hold s.mu, have already counted themselves active, and
-// release the returned grant via releaseWorkersLocked when done.
+// capped at the query's requested thread count, at the pool capacity
+// still unreserved — so staggered arrivals cannot oversubscribe the pool
+// (an early lone query that grabbed everything forces later arrivals down
+// to the 1-worker minimum until it finishes) — and at the host's cores
+// (GOMAXPROCS): the pool is sized by the simulated CPU, and goroutines past
+// the cores only take turns on them. The simulated meter is unaffected — it
+// always bills opts.Threads (see plan.ExecOpts). Callers must hold s.mu,
+// have already counted themselves active, and release the returned grant
+// via releaseWorkersLocked when done.
 func (s *Scheduler) workerBudgetLocked(requested int) int {
 	if requested <= 0 {
 		requested = 1
@@ -191,7 +200,7 @@ func (s *Scheduler) workerBudgetLocked(requested int) int {
 	if active < 1 {
 		active = 1
 	}
-	share := s.cpuCap / active
+	share := min(s.cpuCap/active, runtime.GOMAXPROCS(0))
 	if remaining := s.cpuCap - s.allocWorkers; share > remaining {
 		share = remaining
 	}

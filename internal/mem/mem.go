@@ -219,6 +219,18 @@ func (s *Scratch) I64(n int) []int64 {
 	return out
 }
 
+// GrowI64 makes room for n int64s carved after the last Reset in one backing
+// array: a kernel that knows what its morsels take sizes a fresh scratch
+// once, instead of growing it by doubling through every carve of its first
+// morsel. Carves already taken stay valid.
+func (s *Scratch) GrowI64(n int) {
+	if n > len(s.i64) {
+		grown := make([]int64, n)
+		copy(grown, s.i64[:s.i64n])
+		s.i64 = grown
+	}
+}
+
 // Ints carves n ints with unspecified contents.
 func (s *Scratch) Ints(n int) []int {
 	if s.intn+n > len(s.ints) {

@@ -190,20 +190,17 @@ func (p P) run(n int, fn func(lo, hi int), sfn func(s *mem.Scratch, lo, hi int))
 		return p.Cancelled()
 	}
 	m := &morsels{p: p, n: n, chunk: chunk, nchunks: nchunks, fn: fn, sfn: sfn}
-	var wg sync.WaitGroup
-	wg.Add(w)
+	m.wg.Add(w)
 	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			m.work()
-		}()
+		go m.helper()
 	}
-	wg.Wait()
+	m.wg.Wait()
 	return p.Cancelled()
 }
 
 // morsels is the state of one run: the kernel body in whichever of its two
-// shapes the caller supplied, and the claim cursor the workers share.
+// shapes the caller supplied, the claim cursor the workers share, and the
+// workers the caller waits for.
 type morsels struct {
 	p                 P
 	n, chunk, nchunks int
@@ -211,6 +208,16 @@ type morsels struct {
 	sfn               func(s *mem.Scratch, lo, hi int)
 
 	next atomic.Int64 // next unclaimed morsel
+	wg   sync.WaitGroup
+}
+
+// helper is work on a goroutine of its own. The caller waits rather than
+// being a worker itself: the helper it spawned last would sit in its
+// processor's next-to-run slot, which an idle processor steals only after a
+// back-off, a delay a morsel of a skipping scan does not amortise.
+func (m *morsels) helper() {
+	defer m.wg.Done()
+	m.work()
 }
 
 // work claims and processes morsels until none are left or the context is
@@ -392,16 +399,28 @@ func RunBlocks(p P, n int, fn func(b, lo, hi int)) error {
 		}
 		return p.Cancelled()
 	}
-	var wg sync.WaitGroup
-	wg.Add(nb)
+	r := &blocks{p: p, n: n, fn: fn}
+	r.wg.Add(nb)
 	for b := 0; b < nb; b++ {
-		go func(b int) {
-			defer wg.Done()
-			p.runBlock(n, b, fn)
-		}(b)
+		go r.run(b)
 	}
-	wg.Wait()
+	r.wg.Wait()
 	return p.Cancelled()
+}
+
+// blocks is the state of one parallel RunBlocks, which every block's
+// goroutine shares.
+type blocks struct {
+	p  P
+	n  int
+	fn func(b, lo, hi int)
+	wg sync.WaitGroup
+}
+
+// run feeds block b to fn on a goroutine of its own.
+func (r *blocks) run(b int) {
+	defer r.wg.Done()
+	r.p.runBlock(r.n, b, r.fn)
 }
 
 // runBlock feeds block b of the Blocks(n) partition to fn one morsel at a

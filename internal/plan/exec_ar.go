@@ -24,8 +24,10 @@ type ExecOpts struct {
 	// Workers overrides the real worker-goroutine budget without touching
 	// the meter: the engine's scheduler sets it to this query's share of
 	// the CPU pool, so concurrent queries split the machine instead of
-	// each assuming all of it. 0 means Threads. Simulated figures are
-	// identical for every Workers value.
+	// each assuming all of it. 0 means Threads. It is phase R's and the
+	// tail's budget: an A&R leg's phase A holds the device stream and runs
+	// on every host core (ar.OnDevice). Simulated figures are identical for
+	// every Workers value.
 	Workers int
 	// Morsel overrides the morsel size in rows (0 = the default 64k).
 	// Tests shrink it to push morsel boundaries through small inputs.
@@ -261,11 +263,13 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	// Phase-A approximate answer: strict bounds from approximations over
 	// the base segment, plus the (exact) delta contributions — or, on an
 	// exact leg, the answer itself, read off the one fold's accumulators.
+	// Either fold runs on every host core: the statement holds the stream,
+	// so it owns the device (phase R and the tail keep the grant).
 	var acc aggAcc
 	if exact {
-		acc, st.res.Approx = exactFold(pp, m, pl.prog, cands, projections, mg)
+		acc, st.res.Approx = exactFold(ar.OnDevice(pp), m, pl.prog, cands, projections, mg)
 	} else {
-		st.res.Approx = approxAnswer(pp, m, pl.prog, cands, projections, dset)
+		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, cands, projections, dset)
 	}
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {

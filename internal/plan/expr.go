@@ -240,19 +240,32 @@ type aggAcc struct {
 	groups int
 	cnt    []int64
 	lo, hi []int64 // [slot*groups+group]; hi is nil for exact accumulation
-	buf    []int64 // the arena buffer behind the three
+	buf    []int64 // the arena buffer behind the three, when the state owns one
 }
 
 func (pg *program) newAcc(groups int, interval bool) aggAcc {
+	buf := mem.I64.GetN(pg.accSize(groups, interval))
+	acc := pg.accIn(buf, groups, interval)
+	acc.buf = buf
+	return acc
+}
+
+// accSize is how many int64s an accumulator state of groups groups takes.
+func (pg *program) accSize(groups int, interval bool) int {
 	w := groups * len(pg.slots)
-	size := groups + w
 	if interval {
-		size += w
+		return groups + 2*w
 	}
-	buf := mem.I64.GetN(size)
-	acc := aggAcc{groups: groups, cnt: buf[:groups], lo: buf[groups : groups+w], buf: buf}
+	return groups + w
+}
+
+// accIn lays an accumulator state out over buf, accSize long, and starts
+// it; the state does not own buf.
+func (pg *program) accIn(buf []int64, groups int, interval bool) aggAcc {
+	w := groups * len(pg.slots)
+	acc := aggAcc{groups: groups, cnt: buf[:groups], lo: buf[groups : groups+w]}
 	if interval {
-		acc.hi = buf[groups+w:]
+		acc.hi = buf[groups+w : groups+2*w]
 	}
 	clear(acc.cnt)
 	for s, sl := range pg.slots {
@@ -404,18 +417,30 @@ func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 	for _, c := range in.cols {
 		sink = sink && c.packed != nil && c.err == 0
 	}
+	// Every block's registers come from one slice, and its partial state —
+	// but for the first block of a fold without a sink, which folds into acc
+	// itself — from one arena buffer.
 	frames := make([]frame, nb)
 	parts := make([]aggAcc, nb)
+	regs := make([][]int64, 2*len(pg.code)*nb)
+	groups, interval, first := acc.groups, acc.hi != nil, 0
+	if sink {
+		groups++
+	} else {
+		parts[0], first = *acc, 1
+	}
+	size := pg.accSize(groups, interval)
+	var carved []int64
+	if first < nb {
+		carved = mem.I64.GetN((nb - first) * size)
+	}
+	need := pg.scratchNeed(in, exact, interval)
 	for b := range frames {
-		regs := make([][]int64, 2*len(pg.code))
-		frames[b] = frame{s: mem.GetScratch(), lo: regs[:len(pg.code)], hi: regs[len(pg.code):]}
-		switch {
-		case sink:
-			parts[b] = pg.newAcc(acc.groups+1, acc.hi != nil)
-		case b == 0:
-			parts[0] = *acc
-		default:
-			parts[b] = pg.newAcc(acc.groups, acc.hi != nil)
+		r := regs[2*len(pg.code)*b : 2*len(pg.code)*(b+1)]
+		frames[b] = frame{s: mem.GetScratch(), lo: r[:len(pg.code)], hi: r[len(pg.code):]}
+		frames[b].s.GrowI64(need)
+		if b >= first {
+			parts[b] = pg.accIn(carved[(b-first)*size:][:size], groups, interval)
 		}
 	}
 	par.RunBlocks(pp, units, func(b, ulo, uhi int) {
@@ -434,9 +459,56 @@ func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 		mem.PutScratch(frames[b].s)
 		if sink || b > 0 {
 			pg.merge(acc, &parts[b])
-			parts[b].release()
 		}
 	}
+	mem.I64.Put(carved)
+}
+
+// scratchNeed bounds the int64s foldBlock carves for one block: a register
+// row per column read packed or by code (two with an error bound), per
+// computed register (two for an interval one, a value for a scalar one), and
+// per slot side a scalar is filled out to or the certain mask rewrites. fold
+// sizes every frame's scratch for it at once, so a fresh one — sync.Pool
+// drops a pooled scratch now and then — is one array, not the five a
+// doubling growth through Q1's nine registers allocates.
+func (pg *program) scratchNeed(in rows, exact []bool, interval bool) int {
+	n := exprBlock
+	if in.by == nil {
+		n = min(n, in.n)
+	}
+	need := 0
+	for r, ins := range pg.code {
+		if ins.op == opCol {
+			if c := &in.cols[ins.col]; c.vals == nil {
+				need += n
+				if c.err != 0 {
+					need += n
+				}
+			}
+			continue
+		}
+		w := n
+		if pg.scalar[r] {
+			w = 1
+		}
+		need += w
+		if !exact[r] {
+			need += w
+		}
+	}
+	sides := 1
+	if interval {
+		sides = 2
+	}
+	for _, sl := range pg.slots {
+		if pg.scalar[sl.reg] {
+			need += sides * n
+		}
+		if in.certain != nil {
+			need += sides * n
+		}
+	}
+	return need
 }
 
 // asCodes views a block register as the decode target of a packed column:

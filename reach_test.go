@@ -35,8 +35,6 @@ var reachAllowed = map[string]string{
 // change may retire only a few existing tests, so ROADMAP item 7(a) takes
 // the groups a few at a time; nothing is added here.
 var reachRetiring = []string{
-	// ar: TestIntervalDivByZeroSpan, TestIntervalSqrt, TestIntervalPow, TestIsDestructive
-	"ar.Interval.Div", "ar.Interval.Sqrt", "ar.isqrt", "ar.Interval.Pow", "ar.IsDestructive",
 	// bat, the materialised-head, seqbase and sorted/key surface: TestNewDenseAt,
 	// TestNewMaterialized*, TestMaterializeHead, TestSlice*, TestCheckSorted,
 	// TestCloneIndependence, TestProject*
