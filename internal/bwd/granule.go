@@ -194,10 +194,10 @@ type Disjunct struct {
 // is dense from Base (the FK index over it verifies that). The key values are
 // the packed codes of Col — a decomposition that keeps every bit on the
 // device, so a code is the value — for an approximate selection, and the
-// exact values Tails for a classic one; a Key with neither only maps values
-// (Pos), which is all the delta scan asks. It is the one definition of the
-// join: the A&R probe, dimension filters, projections and refinements, the
-// classic join chain and the delta scan all go through Pos.
+// exact values Tails for a classic one, of the base or of the delta. It is
+// the one definition of the join: the A&R probe, dimension filters,
+// projections and refinements and the classic join chain over either
+// segment all go through Pos.
 type Key struct {
 	Col   *Column
 	Tails []int64

@@ -82,6 +82,3 @@ func Format(v, scale int64) string {
 	}
 	return fmt.Sprintf("%s%d.%0*d", sign, v/scale, digits, v%scale)
 }
-
-// MulScaled returns the fixed-point product of two values sharing scale.
-func MulScaled(a, b, scale int64) int64 { return a * b / scale }

@@ -85,10 +85,3 @@ func TestParseFormatRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMulScaled(t *testing.T) {
-	// 10.00 * 0.05 = 0.50 at scale 100.
-	if got := MulScaled(1000, 5, Scale2); got != 50 {
-		t.Errorf("MulScaled = %d, want 50", got)
-	}
-}

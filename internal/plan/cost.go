@@ -18,8 +18,9 @@ import (
 // probe and projection gather. A&R runs all predicate and FK-position
 // passes on the device over the packed approximation planes, ships the
 // surviving candidates across the bus once (§III-B: "one ship"), and
-// refines only those candidates on the CPU. Both executors scan the
-// row-major delta identically, so it cancels out of the comparison.
+// refines only those candidates on the CPU. Both executors scan the delta
+// with the one classic selection (scanDelta), billed as the same row store's
+// pass, so it cancels out of the comparison.
 
 // ModeChoice is the optimizer's per-query scan-strategy decision. The
 // rationale is kept as a format and its figures: pricing formats nothing,

@@ -102,9 +102,9 @@ func (c *Catalog) execOnce(ctx context.Context, q Query, opts ExecOpts, mode Mod
 // device (selections, disjunctions, join probes, pre-grouping,
 // projections), the single bus crossing, and the refinement subplan on
 // the CPU — producing the base segment's exact tuple values for the
-// shared pipeline tail. The delta segment is scanned with one classic
-// row-major pass before the ship (so the phase-A answer can include its
-// exact contribution) and returned unmerged. solo permits the device-side
+// shared pipeline tail. The delta segment is scanned by the classic
+// selection before the ship (so the phase-A answer can include its exact
+// contribution) and returned unmerged. solo permits the device-side
 // pre-grouping: this leg is the only one the statement scans.
 //
 // On an exact leg (exactLeg) the approximation is the answer: nothing can be
@@ -244,20 +244,11 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
 
-	// ---- Delta scan: the append segment lives in host memory and is
-	// never decomposed; one classic row-major pass evaluates the
-	// predicates and materializes the needed values exactly.
-	var dset *deltaSet
-	if snap.fact.DeltaLen() > 0 {
-		if err := st.step(StageDelta); err != nil {
-			return nil, err
-		}
-		var err error
-		dset, err = scanDelta(m, pp, q, snap, need)
-		if err != nil {
-			return nil, err
-		}
-		st.emit(dset.n, -1, obs.Op{Fmt: opDeltaScan, A: q.Table, N: int64(dset.n)})
+	// ---- Delta scan: the append segment lives in host memory and is never
+	// decomposed; the classic selection scans its columns exactly.
+	delta, err := pl.scanDelta(st, need)
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase-A approximate answer: strict bounds from approximations over
@@ -269,7 +260,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	if exact {
 		acc, st.res.Approx = exactFold(ar.OnDevice(pp), m, pl.prog, cands, projections, mg)
 	} else {
-		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, cands, projections, dset)
+		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, cands, projections, delta)
 	}
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {
@@ -373,7 +364,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		cands.Release()
 	}
 
-	return &scanOut{ectx: ectx, dset: dset, mg: mg, refined: refined, exact: exact, acc: acc}, nil
+	return &scanOut{ectx: ectx, delta: delta, mg: mg, refined: refined, exact: exact, acc: acc}, nil
 }
 
 // orGroupRelax resolves one disjunction group against the snapshot: the
@@ -434,7 +425,7 @@ func refineStep(st *pipeState, d *bwd.Column, key *bwd.Key, f Filter, prev, cand
 // plus the exact contributions of the qualifying delta rows (the delta is
 // host resident and undecomposed, so its values carry no approximation
 // error).
-func approxAnswer(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, projections map[ColRef]*ar.Projection, delta *deltaSet) ApproxAnswer {
+func approxAnswer(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, projections map[ColRef]*ar.Projection, delta *exprCtx) ApproxAnswer {
 	out := ApproxAnswer{Count: ar.CountApprox(m, cands), Aggs: make([]ar.Interval, len(pg.aggs))}
 	acc := pg.newAcc(1, true)
 	in := pg.bindCodes(cands, projections)

@@ -17,172 +17,80 @@ import (
 // bulk-processing model on the CPU only (ModeClassic) — the paper's "MonetDB"
 // baseline: billed as the fully-materializing tight loops of package bulk
 // (its fetches and grouping are those loops; its selections and joins narrow
-// a mask, selectClassic and scanClassic); no device or bus time is ever
-// charged.
+// a mask, selectClassic); no device or bus time is ever charged.
 func (c *Catalog) ExecClassic(ctx context.Context, q Query, opts ExecOpts) (*Result, error) {
 	return c.execOnce(ctx, q, opts, ModeClassic)
 }
 
-// scanClassic is the classic scan strategy: MonetDB-style uselects over the
-// row-major base segment (selectClassic), the FK-probe join chain narrowing
-// the same mask, and full materialization of every referenced column
-// — producing the same exact-value tuple stream as the A&R scan for the
-// shared pipeline tail. The delta segment is scanned by the shared delta
-// source and returned unmerged.
+// scanClassic is the classic scan strategy: the classic selection over the
+// base segment (selectClassic) — MonetDB-style uselects and the FK-probe join
+// chain narrowing one mask — the same over the delta segment (scanDelta), and
+// full materialization of every referenced column at the base's survivors:
+// the same exact-value tuple stream as the A&R scan produces for the shared
+// pipeline tail, with the delta's contribution beside it, unmerged.
 func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
-	q := &pl.q
-	snap := pl.snap
-	pp := st.pp
-	m := st.m
-	fact := snap.fact
-
 	sel, err := pl.selectClassic(st)
 	if err != nil {
 		return nil, err
 	}
 	defer sel.release()
-	// Foreign-key join chain: the probe — the dimension's deletion bitmap with
-	// it — and every dimension filter narrow the mask through the join's key
-	// like the selections before them, billed as the bulk operators they
-	// stand for: the key column fetched at the surviving positions and probed
-	// in the pre-built index, a dimension column fetched at the joined
-	// positions and filtered.
-	keys := make([]bwd.Key, len(pl.joins))
-	for ji, js := range pl.joins {
-		spec := js.spec
-		if err := st.step(StageBulk); err != nil {
-			return nil, err
-		}
-		fkBAT, err := fact.Column(spec.FKCol)
-		if err != nil {
-			return nil, err
-		}
-		ds := snap.snapFor(spec.Dim)
-		keys[ji] = snap.joinKey(spec, nil, fkBAT.Tails())
-		key := &keys[ji]
-		in := sel.n
-		if err := sel.narrow(false, key.Joined(ds.DeletedWords())); err != nil {
-			return nil, err
-		}
-		bulk.ChargeFetch(pp, m, fkBAT, in)
-		bulk.ChargeFKJoin(pp, m, in)
-		st.emit(sel.n, -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
-
-		for _, rf := range js.dimFilters {
-			db, err := ds.Column(rf.f.Col)
-			if err != nil {
-				return nil, err
-			}
-			in := sel.n
-			if err := sel.narrow(false, bwd.Exactly(nil, db.Tails(), rf.f.Lo, rf.f.Hi).Through(key)); err != nil {
-				return nil, err
-			}
-			bulk.ChargeFetch(pp, m, db, in)
-			m.CPUWork(pp.NThreads(), int64(in)*8, 0, int64(in))
-			st.emit(sel.n, st.estApply(rf.estSel()), obs.Op{Fmt: opSelectClassic, A: spec.Dim, B: rf.f.Col})
-		}
-	}
-	// A fetch addresses rows by position and gets the survivors listed, once,
-	// in row order; a statement that only counts its rows — joined or not —
-	// has the mask's popcount and needs no list.
-	need := pl.tailKeys
-	nrows := sel.n
-	var ids []bat.OID
-	if len(need) > 0 {
-		if ids, err = sel.ids(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Delta scan: evaluate the predicates over the live delta rows and
-	// materialize the needed values in the same pass.
-	var dset *deltaSet
-	if fact.DeltaLen() > 0 {
-		if err := st.step(StageDelta); err != nil {
-			return nil, err
-		}
-		var err error
-		dset, err = scanDelta(m, pp, q, snap, need)
-		if err != nil {
-			return nil, err
-		}
-		st.emit(dset.n, -1, obs.Op{Fmt: opDeltaScan, A: q.Table, N: int64(dset.n)})
+	delta, err := pl.scanDelta(st, pl.tailKeys)
+	if err != nil {
+		return nil, err
 	}
 	st.estCapture()
-	st.res.Candidates = nrows
-	st.res.Refined = nrows
-
-	// Materialize referenced columns at the qualifying base positions — a
-	// dimension's at the positions the rows' keys join; grouping keys ride
-	// along when a grouping is present.
-	ectx := &exprCtx{n: nrows, vals: map[ColRef][]int64{}}
-	for _, ref := range need {
-		if err := st.step(StageBulk); err != nil {
-			return nil, err
-		}
-		if ref.IsDim() {
-			db, err := snap.snapFor(ref.Dim).Column(ref.Name)
-			if err != nil {
-				return nil, err
-			}
-			key, pos := pl.keyFor(keys, ref.Dim), bat.OIDPool.GetN(len(ids))
-			pp.For(len(ids), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					at, _ := key.At(int(ids[i]))
-					pos[i] = bat.OID(at)
-				}
-			})
-			ectx.vals[ref] = bulk.Fetch(pp, m, db, pos)
-			bat.OIDPool.Put(pos)
-		} else {
-			fb, err := fact.Column(ref.Name)
-			if err != nil {
-				return nil, err
-			}
-			ectx.vals[ref] = bulk.Fetch(pp, m, fb, ids)
-		}
-		st.emit(ectx.n, -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s)", A: ref.Name})
+	st.res.Candidates = sel.n
+	st.res.Refined = sel.n
+	ectx, err := pl.materialize(st, sel, pl.tailKeys)
+	if err != nil {
+		return nil, err
 	}
-	bat.OIDPool.Put(ids)
-
-	return &scanOut{ectx: ectx, dset: dset}, nil
+	return &scanOut{ectx: ectx, delta: delta}, nil
 }
 
-// selectClassic is the selection stage of the classic scan: the statement's
-// conjuncts, then its disjunction groups, then the deletion bitmap, each
-// narrowing one survivor mask over the base rows (classicSel) — no id list
-// passes between them. Where a column is decomposed the granule bounds of
-// its approximation settle most granules without a look at the values; the
-// exact values are compared in the others. The meter is billed for the bulk
-// model's operators all the same — a full scan, then candidate-list filters
-// that gather a column at the surviving positions and rewrite the id list
-// (bulk.SelectRange, SelectOIDs, Fetch, whose charges these are) — whatever
-// the host skipped (DESIGN.md §7).
+// selectClassic is the classic selection over one segment of the leg's fact
+// table, the base or (pl.delta) the delta segment: the conjuncts, then the
+// disjunction groups, then the segment's deletion words, then per join the
+// probe — the dimension's deletions with it — and the dimension filters read
+// through the join's key, each narrowing one survivor mask over the
+// segment's rows (classicSel); no id list passes between them. Where a base
+// column is decomposed the granule bounds of its approximation settle most
+// granules without a look at the values; the exact values are compared in the
+// others, and in every granule of the delta, which has no bounds.
+//
+// A base run is billed and listed as the bulk model's operators all the same
+// — a full scan, then candidate-list filters that gather a column at the
+// surviving positions and rewrite the id list, the key fetched and probed in
+// the pre-built index, a dimension column fetched at the joined positions
+// and filtered (bulk.SelectRange, SelectOIDs, Fetch, FKJoin, whose charges
+// these are) — whatever the host skipped (DESIGN.md §7). A delta run bills
+// and lists nothing: scanDelta charges it once, as a row store's pass.
 func (pl pipeline) selectClassic(st *pipeState) (*classicSel, error) {
-	q := &pl.q
-	snap := pl.snap
-	pp := st.pp
+	q, fact, pp, bill := &pl.q, pl.snap.fact, st.pp, !pl.delta
 	m := st.m
-	fact := snap.fact
+	rows, deleted, dead := fact.BaseLen(), fact.DeletedWords(), fact.BaseDeletedCount()
+	if pl.delta {
+		m, rows, deleted, dead = nil, fact.DeltaLen(), fact.DeltaDeletedWords(), fact.DeltaLen()-fact.LiveDelta()
+	}
 
 	// First a full scan, then progressively narrower filters of its
 	// survivors (MonetDB's uselect chains).
-	if err := st.step(StageBulk); err != nil {
+	if err := pl.bulkStep(st); err != nil {
 		return nil, err
 	}
-	sel := newClassicSel(pp, fact.BaseLen())
+	sel := newClassicSel(pp, rows)
 	for i, rf := range pl.factFilters {
 		if i > 0 {
-			if err := st.step(StageBulk); err != nil {
+			if err := pl.bulkStep(st); err != nil {
 				return nil, err
 			}
 		}
-		b, err := fact.Column(rf.f.Col)
+		vals, b, err := pl.values(ColRef{Name: rf.f.Col})
 		if err != nil {
 			return nil, err
 		}
 		in := sel.n
-		if err := sel.narrow(i == 0, bwd.Exactly(snap.get("", rf.f.Col), b.Tails(), rf.f.Lo, rf.f.Hi)); err != nil {
+		if err := sel.narrow(i == 0, bwd.Exactly(pl.dec(rf.f.Col), vals, rf.f.Lo, rf.f.Hi)); err != nil {
 			return nil, err
 		}
 		if i == 0 {
@@ -190,60 +98,192 @@ func (pl pipeline) selectClassic(st *pipeState) (*classicSel, error) {
 		} else {
 			bulk.ChargeSelectOIDs(pp, m, b, in, sel.n)
 		}
-		st.emit(sel.n, st.estApply(rf.estSel()), obs.Op{Fmt: opSelectClassic, A: q.Table, B: rf.f.Col})
+		if bill {
+			st.emit(sel.n, st.estApply(rf.estSel()), obs.Op{Fmt: opSelectClassic, A: q.Table, B: rf.f.Col})
+		}
 	}
 	if len(pl.factFilters) == 0 {
 		sel.all()
-		m.CPUWork(pp.NThreads(), int64(sel.n)*4, 0, int64(sel.n))
-		st.emit(sel.n, -1, obs.Op{Fmt: "algebra.scan(%[1]s)", A: q.Table})
+		if bill {
+			m.CPUWork(pp.NThreads(), int64(sel.n)*4, 0, int64(sel.n))
+			st.emit(sel.n, -1, obs.Op{Fmt: "algebra.scan(%[1]s)", A: q.Table})
+		}
 	}
 
 	// Disjunction groups: the surviving rows that match any of the group's
 	// ranges — billed as the bulk operator, which fetches each disjunct column
 	// at the surviving positions and filters in one fully-materializing pass.
 	for _, g := range pl.orGroups {
-		if err := st.step(StageBulk); err != nil {
+		if err := pl.bulkStep(st); err != nil {
 			return nil, err
 		}
 		ds := make([]bwd.Disjunct, len(g.filters))
 		for k, f := range g.filters {
-			b, err := fact.Column(f.Col)
+			vals, b, err := pl.values(ColRef{Name: f.Col})
 			if err != nil {
 				return nil, err
 			}
-			ds[k] = bwd.Exactly(snap.get("", f.Col), b.Tails(), f.Lo, f.Hi)
+			ds[k] = bwd.Exactly(pl.dec(f.Col), vals, f.Lo, f.Hi)
 			bulk.ChargeFetch(pp, m, b, sel.n)
 		}
 		in := int64(sel.n) * int64(len(ds))
 		if err := sel.narrow(false, ds...); err != nil {
 			return nil, err
 		}
-		m.CPUWork(pp.NThreads(), in*8, 0, in)
-		st.emit(sel.n, st.estApply(g.sel), obs.Op{Fmt: "algebra.uselectany(%[1]s)", A: g.text})
+		if bill {
+			m.CPUWork(pp.NThreads(), in*8, 0, in)
+			st.emit(sel.n, st.estApply(g.sel), obs.Op{Fmt: "algebra.uselectany(%[1]s)", A: g.text})
+		}
 	}
 
-	// Discharge deleted base rows with one bitmap pass.
-	if fact.BaseDeletedCount() > 0 {
+	// Discharge deleted rows with one bitmap pass.
+	if dead > 0 {
 		in := sel.n
-		sel.maskOut(fact.DeletedWords())
-		m.CPUWork(pp.NThreads(), int64(in)*8+int64(fact.BaseLen()+7)/8, 0, int64(in))
-		st.emit(sel.n, -1, obs.Op{Fmt: "algebra.maskdeleted(%[1]s)", A: q.Table})
+		sel.maskOut(deleted)
+		if bill {
+			m.CPUWork(pp.NThreads(), int64(in)*8+int64(rows+7)/8, 0, int64(in))
+			st.emit(sel.n, -1, obs.Op{Fmt: "algebra.maskdeleted(%[1]s)", A: q.Table})
+		}
+	}
+
+	// Foreign-key join chain: the probe — the dimension's deletion words with
+	// it — and every dimension filter narrow the mask through the join's key
+	// like the selections before them.
+	sel.keys = make([]bwd.Key, len(pl.joins))
+	for ji, js := range pl.joins {
+		spec := js.spec
+		if err := pl.bulkStep(st); err != nil {
+			return nil, err
+		}
+		fks, fkBAT, err := pl.values(ColRef{Name: spec.FKCol})
+		if err != nil {
+			return nil, err
+		}
+		ds := pl.snap.snapFor(spec.Dim)
+		sel.keys[ji] = pl.snap.joinKey(spec, nil, fks)
+		key := &sel.keys[ji]
+		in := sel.n
+		if err := sel.narrow(false, key.Joined(ds.DeletedWords())); err != nil {
+			return nil, err
+		}
+		bulk.ChargeFetch(pp, m, fkBAT, in)
+		bulk.ChargeFKJoin(pp, m, in)
+		if bill {
+			st.emit(sel.n, -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
+		}
+		for _, rf := range js.dimFilters {
+			vals, db, err := pl.values(ColRef{Dim: spec.Dim, Name: rf.f.Col})
+			if err != nil {
+				return nil, err
+			}
+			in := sel.n
+			if err := sel.narrow(false, bwd.Exactly(nil, vals, rf.f.Lo, rf.f.Hi).Through(key)); err != nil {
+				return nil, err
+			}
+			bulk.ChargeFetch(pp, m, db, in)
+			if bill {
+				m.CPUWork(pp.NThreads(), int64(in)*8, 0, int64(in))
+				st.emit(sel.n, st.estApply(rf.estSel()), obs.Op{Fmt: opSelectClassic, A: spec.Dim, B: rf.f.Col})
+			}
+		}
 	}
 	return sel, nil
 }
 
-// classicSel is the survivor set of a classic scan's selections: one bit per
-// base row — bit i%64 of word i/64 — narrowed in place by every conjunct,
-// disjunction group, the deletion bitmap and the join chain, with the
-// survivor count of every morsel beside it. It is what the A&R scan keeps in its Candidates
-// (ar/scan.go), walked by the same loops (bwd.ScanGranules, NarrowGranules)
-// over the executor's own morsels, which are rounded to whole granules so
-// that workers write disjoint words.
+// materialize gathers every column of need at the survivors of sel, listed
+// once, in row order — a dimension's at the position the row's key joins;
+// grouping keys ride along when a grouping is present. A statement that only
+// counts its rows, joined or not, has the mask's popcount and needs no list.
+// A base run bills each column as the bulk fetch it stands for, and lists it.
+func (pl pipeline) materialize(st *pipeState, sel *classicSel, need []ColRef) (*exprCtx, error) {
+	ectx := &exprCtx{n: sel.n, vals: make(map[ColRef][]int64, len(need))}
+	if len(need) == 0 {
+		return ectx, nil
+	}
+	ids, err := sel.ids()
+	if err != nil {
+		return nil, err
+	}
+	defer bat.OIDPool.Put(ids)
+	for _, ref := range need {
+		if err := pl.bulkStep(st); err != nil {
+			return nil, err
+		}
+		vals, b, err := pl.values(ref)
+		if err != nil {
+			return nil, err
+		}
+		key, out := pl.keyFor(sel.keys, ref.Dim), mem.I64.GetN(len(ids))
+		err = st.pp.For(len(ids), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				at := int(ids[i])
+				if key != nil {
+					at, _ = key.At(at)
+				}
+				out[i] = vals[at]
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		ectx.vals[ref] = out
+		if !pl.delta {
+			bulk.ChargeFetch(st.pp, st.m, b, len(ids))
+			st.emit(ectx.n, -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s)", A: ref.Name})
+		}
+	}
+	return ectx, nil
+}
+
+// bulkStep is the checkpoint before each bulk operator of a base run; a
+// delta run passed its one checkpoint in scanDelta.
+func (pl pipeline) bulkStep(st *pipeState) error {
+	if pl.delta {
+		return nil
+	}
+	return st.step(StageBulk)
+}
+
+// values returns the exact values of a column the statement reads, as one
+// segment of the leg's fact table joins them: a fact column's in that
+// segment, a dimension's in the dimension's base, which the keys of both
+// segments address. b is the BAT they are the tails of, which a base run is
+// billed over — nil for the delta's columns.
+func (pl pipeline) values(ref ColRef) (vals []int64, b *bat.BAT, err error) {
+	if pl.delta && !ref.IsDim() {
+		vals, err = pl.snap.fact.DeltaColumn(ref.Name)
+		return vals, nil, err
+	}
+	if b, err = pl.snap.snapFor(ref.Dim).Column(ref.Name); err != nil {
+		return nil, nil, err
+	}
+	return b.Tails(), b, nil
+}
+
+// dec returns the decomposition whose granule bounds settle a fact
+// column's conjuncts in the segment: the base's, nil in the delta.
+func (pl pipeline) dec(col string) *bwd.Column {
+	if pl.delta {
+		return nil
+	}
+	return pl.snap.get("", col)
+}
+
+// classicSel is the survivor set of a classic selection: one bit per row of
+// the segment it selects from — bit i%64 of word i/64 — narrowed in place by
+// every conjunct, disjunction group, the deletion words and the join chain,
+// with the survivor count of every morsel beside it. It is what the A&R scan
+// keeps in its Candidates (ar/scan.go), walked by the same loops
+// (bwd.ScanGranules, NarrowGranules) over the executor's own morsels, which
+// are rounded to whole granules so that workers write disjoint words.
 type classicSel struct {
 	pp      par.P
 	rows, n int
 	mask    []uint64
 	counts  []int
+	// keys are the joins' keys the mask was narrowed through, aligned with
+	// the leg's joins: where a survivor's dimension columns are read.
+	keys []bwd.Key
 }
 
 func newClassicSel(pp par.P, rows int) *classicSel {
@@ -296,7 +336,7 @@ func (s *classicSel) recount() {
 	}
 }
 
-// all starts the set with every base row: a statement without a selection.
+// all starts the set with every row: a statement without a selection.
 func (s *classicSel) all() {
 	for g := range s.mask {
 		s.mask[g] = ^uint64(0) >> uint(bwd.GranuleRows-min(bwd.GranuleRows, s.rows-g*bwd.GranuleRows))

@@ -147,8 +147,8 @@ func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
 	if lg.err != nil {
 		return
 	}
-	if d := lg.out.dset; d != nil {
-		lg.out.ectx.appendDelta(d)
+	if d := lg.out.delta; d != nil {
+		lg.out.ectx.append(d)
 		st.res.Candidates += d.n
 		st.res.Refined += d.n
 	}
@@ -310,10 +310,10 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 
 // gatherLegs merges the partials of several legs onto the gather state st,
 // in leg order: meters, candidate counts and estimates add, the phase-A
-// answers combine, and the exact values concatenate per referenced column.
+// answers combine, and the exact tuple sets concatenate.
 func gatherLegs(st *pipeState, pl *Plan, legs []leg, classic bool) *scanOut {
 	answers := make([]ApproxAnswer, len(legs))
-	merged := &exprCtx{vals: map[ColRef][]int64{}}
+	merged := &exprCtx{vals: make(map[ColRef][]int64, len(pl.tailKeys))}
 	st.estCand = 0
 	for li := range legs {
 		ls := &legs[li].st
@@ -326,25 +326,18 @@ func gatherLegs(st *pipeState, pl *Plan, legs []leg, classic bool) *scanOut {
 			st.estCand += ls.estCand
 		}
 		answers[li] = ls.res.Approx
-		merged.n += legs[li].out.ectx.n
+		merged.append(legs[li].out.ectx)
 	}
 	if !classic {
 		st.res.Approx = combineAnswers(pl.q, answers)
-	}
-	for _, ref := range pl.tailKeys {
-		vals := make([]int64, 0, merged.n)
-		for li := range legs {
-			vals = append(vals, legs[li].out.ectx.vals[ref]...)
-		}
-		merged.vals[ref] = vals
 	}
 	return &scanOut{ectx: merged}
 }
 
 // scatterInputBytes sums the stream-baseline footprint of the scanned legs:
-// the physical size of every fact column the query reads plus the row-major
-// delta segment, per leg, and each joined dimension column exactly once
-// (dimensions are shared, not partitioned).
+// the physical size of every fact column the query reads plus the delta
+// segment's whole rows (DeltaBytes), per leg, and each joined dimension
+// column exactly once (dimensions are shared, not partitioned).
 func scatterInputBytes(pl *Plan, legs []leg) int64 {
 	var total int64
 	for i := range legs {

@@ -4,14 +4,14 @@
 //
 //   - a scan source per leg of the table (exec_scatter.go) — the A&R
 //     bit-sliced base scan (approximate select → ship → refine) or the
-//     classic row-major bulk scan — that applies the selections and joins
-//     and emits the same product either way: the exact-value tuple stream
-//     of the base segment plus the delta segment's contribution (scanned
-//     once, by the shared delta source in exec_delta.go). A join is the same
-//     thing in all three: key − base through the dimension's FK index
-//     (execSnap.joinKey, bwd.Key), which both base scans read their
-//     survivor masks through like any conjunct — no list of dimension
-//     positions travels beside a candidate set;
+//     classic bulk scan — that applies the selections and joins and emits
+//     the same product either way: the exact-value tuple stream of the base
+//     segment plus the delta segment's contribution, which the classic
+//     selection scans for both (exec_delta.go). A join is the same thing in
+//     all three: key − base through the dimension's FK index
+//     (execSnap.joinKey, bwd.Key), which every scan reads its survivor mask
+//     through like any conjunct — no list of dimension positions travels
+//     beside a candidate set;
 //   - the shared downstream operators — grouping, aggregation, HAVING,
 //     ORDER BY / LIMIT (top-k) — that run once over the gathered legs,
 //     identically for every scan strategy, so classic vs A&R is a
@@ -62,9 +62,12 @@ type legPlan struct {
 }
 
 // pipeline is a legPlan bound to the snapshots one execution pinned for it.
+// delta points the classic selection at the fact table's delta segment
+// rather than its base (scanDelta).
 type pipeline struct {
 	*legPlan
-	snap *execSnap
+	snap  *execSnap
+	delta bool
 }
 
 // devGroupCols decides where a grouped A&R scan groups: it returns the
@@ -332,14 +335,13 @@ func (st *pipeState) startTrace(classic bool) {
 }
 
 // scanOut is what every scan source produces: the base segment's exact
-// tuple values, the delta segment's contribution, and — A&R only — the
-// device pre-grouping awaiting refinement with its surviving candidates.
-// An exact A&R leg hands over accumulators instead of values.
+// tuple values, the delta segment's (scanDelta; nil without one), and — A&R
+// only — the device pre-grouping awaiting refinement with its surviving
+// candidates. An exact A&R leg hands over accumulators instead of values.
 type scanOut struct {
-	ectx    *exprCtx
-	dset    *deltaSet
-	mg      *ar.Grouping
-	refined *ar.Candidates
+	ectx, delta *exprCtx
+	mg          *ar.Grouping
+	refined     *ar.Candidates
 	// exact is set by an exact A&R leg, with acc: the aggregates of
 	// refined, already folded per group of mg, in place of ectx's values.
 	exact bool

@@ -129,6 +129,15 @@ type exprCtx struct {
 	vals map[ColRef][]int64
 }
 
+// append adds the rows of o after ctx's, column by column: a leg's delta
+// tuples after its base's, and the legs of a scatter one after another.
+func (ctx *exprCtx) append(o *exprCtx) {
+	for ref, vals := range o.vals {
+		ctx.vals[ref] = append(ctx.vals[ref], vals...)
+	}
+	ctx.n += o.n
+}
+
 // Expr is an arithmetic expression over column values. Nothing evaluates
 // the tree: a statement's aggregate expressions compile into one register
 // program (expr.go) that computes exact values and — from approximations —

@@ -579,10 +579,10 @@ func TestConcurrentDMLNewShapes(t *testing.T) {
 	}
 }
 
-// TestParallelCancelledDeltaScanReturnsError is the regression for the
-// nil-partial merge: a context cancelled mid-delta-scan must surface
-// ctx.Err() from scanDelta instead of merging (and panicking on) the
-// unscanned morsels' nil partials.
+// TestParallelCancelledDeltaScanReturnsError: a context cancelled before or
+// during a delta scan surfaces ctx.Err() and no partial tuple set — from the
+// scan's checkpoint, and from the selection's narrowing over morsels that
+// workers stop claiming.
 func TestParallelCancelledDeltaScanReturnsError(t *testing.T) {
 	c := propCatalog(t, 2000, 1)
 	rows := make([][]int64, 500)
@@ -607,12 +607,16 @@ func TestParallelCancelledDeltaScanReturnsError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pp := ExecOpts{Threads: 1, Workers: 4, Morsel: 64}.par(ctx)
-	dset, err := scanDelta(nil, pp, &q, x.legs[0].pl.snap, pl.tail)
-	if err == nil {
-		t.Fatalf("cancelled delta scan returned %+v without error", dset)
+	lg := &x.legs[0]
+	lg.st = c.newState(ctx, ExecOpts{Threads: 1, Workers: 4, Morsel: 64}, pl.nOps)
+	out, err := lg.pl.scanDelta(&lg.st, pl.tail)
+	if out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled delta scan returned %+v, %v; want no tuples and context.Canceled", out, err)
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled delta scan returned %v, want context.Canceled", err)
+	dl := lg.pl
+	dl.delta = true
+	sel, err := dl.selectClassic(&lg.st)
+	if sel != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled delta selection returned %+v, %v; want no mask and context.Canceled", sel, err)
 	}
 }

@@ -156,24 +156,6 @@ func PartName(table string, i int) string {
 	return table + ".p" + strconv.Itoa(i)
 }
 
-// ParsePartName splits a partition table name into its parent table and
-// partition index. It accepts exactly the names PartName produces.
-func ParsePartName(name string) (table string, idx int, ok bool) {
-	i := strings.LastIndex(name, ".p")
-	if i <= 0 || i+2 >= len(name) {
-		return "", 0, false
-	}
-	digits := name[i+2:]
-	if len(digits) > 1 && digits[0] == '0' {
-		return "", 0, false // PartName never zero-pads
-	}
-	n, err := strconv.Atoi(digits)
-	if err != nil || n < 0 {
-		return "", 0, false
-	}
-	return name[:i], n, true
-}
-
 // Partitioned binds a spec to its resolved partition tables. Partition 0 is
 // the schema authority: all partitions are created from one column list and
 // DDL (decompose, FK refusal) fans out to every partition, so the schemas

@@ -10,30 +10,6 @@ import (
 	"repro/internal/store"
 )
 
-func TestPartNameRoundTrip(t *testing.T) {
-	cases := []struct {
-		table string
-		idx   int
-	}{
-		{"trips", 0},
-		{"trips", 7},
-		{"trips", 10},
-		{"a.p1", 2}, // parent name that itself looks like a partition
-	}
-	for _, c := range cases {
-		name := PartName(c.table, c.idx)
-		table, idx, ok := ParsePartName(name)
-		if !ok || table != c.table || idx != c.idx {
-			t.Fatalf("round trip %q: got (%q, %d, %v)", name, table, idx, ok)
-		}
-	}
-	for _, bad := range []string{"trips", "trips.q1", ".p1", "trips.p", "trips.p01", "trips.p-1", "trips.pX"} {
-		if _, _, ok := ParsePartName(bad); ok {
-			t.Fatalf("ParsePartName(%q) unexpectedly ok", bad)
-		}
-	}
-}
-
 func TestSpecValidate(t *testing.T) {
 	if err := (Spec{Kind: Hash, Col: "id", N: 4}).Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)

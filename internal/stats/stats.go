@@ -3,16 +3,13 @@
 // the paper builds for approximate selection (§II-A) already partitions
 // every decomposed column into equi-width cells over code order, so the
 // occupancy counts maintained at decompose/merge time are a real
-// data-distribution histogram at zero extra cost — plus row counts, delta
-// sizes, deletion density and distinct-value estimates from the store
-// snapshot. The optimizer (internal/plan) estimates cardinalities from
-// these instead of domain fractions.
+// data-distribution histogram at zero extra cost — and distinct-value
+// estimates read off them. The optimizer (internal/plan) estimates
+// cardinalities from these, with the row counts and deletion density of the
+// store snapshot it pinned, instead of domain fractions.
 package stats
 
-import (
-	"repro/internal/bwd"
-	"repro/internal/store"
-)
+import "repro/internal/bwd"
 
 // Histogram is an equi-width histogram over a decomposed column's
 // approximation-code order. Bucket b counts the base-segment rows whose
@@ -97,71 +94,4 @@ func (h *Histogram) Distinct() int64 {
 		}
 	}
 	return n
-}
-
-// Table summarizes a snapshot's row population for costing: live
-// cardinality, how much of it still sits in the row-major delta, and the
-// deletion density of the visible rows.
-type Table struct {
-	Rows        int64   // live rows (base + delta, minus deletions)
-	BaseRows    int64   // live base-segment rows
-	DeltaRows   int64   // visible delta rows (including deleted ones)
-	Deleted     int64   // deleted rows still visible in base + delta
-	DeletedFrac float64 // Deleted / (base + delta row positions)
-}
-
-// Column is the per-column statistics bundle the optimizer consumes.
-type Column struct {
-	Table
-	Hist *Histogram // nil when the column is not decomposed
-}
-
-// Provider reads statistics from one pinned store snapshot, so every
-// estimate a plan makes is consistent with the rows it will scan.
-type Provider struct {
-	snap *store.Snapshot
-}
-
-// Of wraps a snapshot as a statistics provider.
-func Of(snap *store.Snapshot) Provider { return Provider{snap: snap} }
-
-// Table returns the snapshot's population statistics.
-func (p Provider) Table() Table {
-	s := p.snap
-	if s == nil {
-		return Table{}
-	}
-	t := Table{
-		Rows:      int64(s.Len()),
-		BaseRows:  int64(s.LiveBase()),
-		DeltaRows: int64(s.DeltaLen()),
-		Deleted:   int64(s.DeletedCount()),
-	}
-	if total := s.BaseLen() + s.DeltaLen(); total > 0 {
-		t.DeletedFrac = float64(t.Deleted) / float64(total)
-	}
-	return t
-}
-
-// Column returns the statistics bundle for one column: table population
-// plus the BWD occupancy histogram when the column is decomposed.
-func (p Provider) Column(name string) Column {
-	c := Column{Table: p.Table()}
-	if p.snap != nil {
-		c.Hist = FromColumn(p.snap.Dec(name))
-	}
-	return c
-}
-
-// Distinct estimates the distinct-value count of a column, or -1 when the
-// column carries no histogram to estimate from.
-func (p Provider) Distinct(name string) int64 {
-	if p.snap == nil {
-		return -1
-	}
-	h := FromColumn(p.snap.Dec(name))
-	if h == nil {
-		return -1
-	}
-	return h.Distinct()
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/bwd"
-	"repro/internal/store"
 )
 
 // histColumn decomposes vals at the given code width and returns the
@@ -97,48 +96,5 @@ func TestStatsDistinct(t *testing.T) {
 	// 4*32, far below the row count.
 	if n != 128 {
 		t.Fatalf("Distinct() = %d, want 128 (4 buckets capped at 32 values each)", n)
-	}
-}
-
-func TestStatsProvider(t *testing.T) {
-	vals := make([]int64, 256)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	schema := []store.ColumnDef{
-		{Name: "v", Scale: 1, Width: bat.Width32},
-		{Name: "raw", Scale: 1, Width: bat.Width32},
-	}
-	cols := []*bat.BAT{bat.NewDense(vals, bat.Width32), bat.NewDense(vals, bat.Width32)}
-	tbl, err := store.New("t", schema, cols, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Decompose(nil, "v", 8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Insert(nil, [][]int64{{300, 300}, {301, 301}}); err != nil {
-		t.Fatal(err)
-	}
-	p := Of(tbl.Snapshot())
-	ts := p.Table()
-	if ts.Rows != 258 || ts.BaseRows != 256 || ts.DeltaRows != 2 {
-		t.Fatalf("Table() = %+v, want 258 rows (256 base + 2 delta)", ts)
-	}
-	if c := p.Column("v"); c.Hist == nil {
-		t.Fatal("decomposed column reported no histogram")
-	}
-	if c := p.Column("raw"); c.Hist != nil {
-		t.Fatal("raw column reported a histogram")
-	}
-	if n := p.Distinct("raw"); n != -1 {
-		t.Fatalf("Distinct(raw) = %d, want -1 (no stats)", n)
-	}
-	if n := p.Distinct("v"); n <= 0 {
-		t.Fatalf("Distinct(v) = %d, want positive", n)
-	}
-	var none Provider
-	if ts := none.Table(); ts.Rows != 0 {
-		t.Fatalf("zero provider Table() = %+v", ts)
 	}
 }

@@ -6,21 +6,22 @@
 //   - each table is an immutable, bit-sliced **base segment** (one BAT per
 //     column, plus the BWD decomposition of every column the user
 //     decomposed: approximation on the device, residual on the host),
-//   - plus an append-optimized, row-major **delta segment** holding freshly
-//     ingested rows in host memory,
-//   - plus a **deletion bitmap** over both, mirrored to the device for the
-//     base range so approximate selections can discharge deleted rows
-//     without a host round-trip.
+//   - plus an append-only **delta segment** holding freshly ingested rows in
+//     host memory, stored by column like the base: one array of exact values
+//     per column, never decomposed,
+//   - plus **deletion words** per segment, each aligned at its segment's row
+//     0; the base's are mirrored to the device so approximate selections can
+//     discharge deleted rows without a host round-trip.
 //
 // Reads are snapshot isolated: a reader pins a *Snapshot (one atomic load)
-// and sees a frozen base segment, a frozen delta prefix and a frozen
-// bitmap for its whole execution; writers never mutate pinned data — every
-// write publishes a fresh snapshot with a bumped epoch. A merge compacts
-// the delta (and any deletions) into a new base segment, re-decomposing
-// and re-shipping only what actually changed: when the decomposition
-// parameters of a column are unchanged and no base row moved, only the
-// merged delta rows' approximation codes cross the PCI-E bus — the
-// paper's "waste not" economics applied to the write path.
+// and sees a frozen base segment, a frozen prefix of every delta column and
+// frozen deletion words for its whole execution; writers never mutate
+// pinned data — every write publishes a fresh snapshot with a bumped epoch.
+// A merge compacts the delta (and any deletions) into a new base segment,
+// re-decomposing and re-shipping only what actually changed: when the
+// decomposition parameters of a column are unchanged and no base row moved,
+// only the merged delta rows' approximation codes cross the PCI-E bus —
+// the paper's "waste not" economics applied to the write path.
 package store
 
 import (
@@ -105,11 +106,16 @@ type Snapshot struct {
 	// every insert, delete, merge, decompose or index build bumps it.
 	Epoch uint64
 
-	t                   *Table
-	base                *segment
-	delta               []int64 // row-major, stride len(t.schema); frozen prefix
+	t    *Table
+	base *segment
+	// delta holds one append-only array per schema column, each as long as
+	// its capacity: this snapshot sees rows [0, deltaN) of them, and the
+	// writer appends past the last published deltaN, so the arrays are
+	// shared with the snapshots before and after until a grow or a merge
+	// replaces them.
+	delta               [][]int64
 	deltaN              int
-	del                 []uint64 // deletion bitmap over base.n + deltaN positions; nil = none
+	del, deltaDel       []uint64 // deletion words of the base and the delta; nil = none
 	liveBase, liveDelta int
 }
 
@@ -132,14 +138,18 @@ func (s *Snapshot) LiveDelta() int { return s.liveDelta }
 // BaseDeleted reports whether base row i is deleted.
 func (s *Snapshot) BaseDeleted(i int) bool { return bitSet(s.del, i) }
 
-// DeletedWords returns the deletion bitmap's words: bit i%64 of word i/64
-// is BaseDeleted(i) for every base row i (the bits past the base belong to
-// delta rows). The slice may end early, even be nil — rows it does not reach
-// are live — and is the snapshot's own: callers must not write to it.
+// DeletedWords returns the base's deletion words: bit i%64 of word i/64 is
+// BaseDeleted(i). The slice may end early, even be nil — rows it does not
+// reach are live — and is the snapshot's own: callers must not write to it.
 func (s *Snapshot) DeletedWords() []uint64 { return s.del }
 
+// DeltaDeletedWords returns the delta's deletion words, laid out as
+// DeletedWords is but aligned at delta row 0: bit j%64 of word j/64 is
+// DeltaDeleted(j).
+func (s *Snapshot) DeltaDeletedWords() []uint64 { return s.deltaDel }
+
 // DeltaDeleted reports whether delta row j is deleted.
-func (s *Snapshot) DeltaDeleted(j int) bool { return bitSet(s.del, s.base.n+j) }
+func (s *Snapshot) DeltaDeleted(j int) bool { return bitSet(s.deltaDel, j) }
 
 // BaseDeletedCount returns the number of deleted base rows.
 func (s *Snapshot) BaseDeletedCount() int { return s.base.n - s.liveBase }
@@ -187,73 +197,36 @@ func (s *Snapshot) FKIndex(name string) *bulk.FKIndex {
 	return s.base.fk[i]
 }
 
-// DeltaValue returns delta row j's value for the column at schema index c.
-func (s *Snapshot) DeltaValue(j, c int) int64 {
-	return s.delta[j*len(s.t.schema)+c]
+// DeltaColumn returns the delta segment's values of a column: entry j is
+// delta row j's, for every delta row the snapshot sees. The slice is the
+// snapshot's own: callers must not write to it.
+func (s *Snapshot) DeltaColumn(name string) ([]int64, error) {
+	i, err := s.t.colIndex(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.deltaCol(i), nil
 }
 
-// DeltaBytes returns the physical footprint of the visible delta rows
-// (row-major: a delta scan touches full rows).
+func (s *Snapshot) deltaCol(c int) []int64 {
+	if s.deltaN == 0 {
+		return nil
+	}
+	return s.delta[c][:s.deltaN:s.deltaN]
+}
+
+// DeltaValue returns delta row j's value for the column at schema index c.
+func (s *Snapshot) DeltaValue(j, c int) int64 { return s.deltaCol(c)[j] }
+
+// DeltaBytes returns the footprint of the visible delta rows as a row store
+// holds them: what the meter bills a delta scan's whole-row pass for, though
+// the host reads the delta by column (DESIGN.md §7).
 func (s *Snapshot) DeltaBytes() int64 {
 	return int64(s.deltaN) * s.t.rowBytes
 }
 
 // Table returns the mutable table this snapshot was taken from.
 func (s *Snapshot) Table() *Table { return s.t }
-
-// Morsel is one scan granule of a snapshot: a half-open row range [Lo, Hi)
-// that lies entirely within a single physical segment (Delta reports
-// which). Executors hand morsels to concurrent workers; because a morsel
-// never straddles the base/delta edge, a worker reads one storage layout
-// (bit-sliced columns or row-major delta) per granule.
-type Morsel struct {
-	Lo, Hi int
-	Delta  bool
-}
-
-// Morsels splits the snapshot's rows (including deleted ones — the
-// deletion bitmap is consulted per row, so ranges stay positional) into
-// granules of at most chunk rows. Boundaries are aligned to 64-row
-// multiples inside each segment so that concurrent workers probing the
-// deletion bitmap touch disjoint bitmap words, and they never cross the
-// base/delta segment edge. A chunk <= 0 defaults to 64k rows.
-func (s *Snapshot) Morsels(chunk int) []Morsel {
-	if chunk <= 0 {
-		chunk = 64 << 10
-	}
-	// Round the granule up to a bitmap-word multiple.
-	if chunk&63 != 0 {
-		chunk = (chunk + 63) &^ 63
-	}
-	var out []Morsel
-	for lo := 0; lo < s.base.n; lo += chunk {
-		hi := lo + chunk
-		if hi > s.base.n {
-			hi = s.base.n
-		}
-		out = append(out, Morsel{Lo: lo, Hi: hi})
-	}
-	for lo := 0; lo < s.deltaN; lo += chunk {
-		hi := lo + chunk
-		if hi > s.deltaN {
-			hi = s.deltaN
-		}
-		out = append(out, Morsel{Lo: lo, Hi: hi, Delta: true})
-	}
-	return out
-}
-
-// DeltaMorsels returns only the delta-segment granules of Morsels.
-func (s *Snapshot) DeltaMorsels(chunk int) []Morsel {
-	all := s.Morsels(chunk)
-	out := all[:0]
-	for _, m := range all {
-		if m.Delta {
-			out = append(out, m)
-		}
-	}
-	return out
-}
 
 func bitSet(bits []uint64, i int) bool {
 	w := i >> 6
@@ -263,11 +236,10 @@ func bitSet(bits []uint64, i int) bool {
 	return bits[w]&(1<<(uint(i)&63)) != 0
 }
 
-func setBit(bits []uint64, i int) { bits[i>>6] |= 1 << (uint(i) & 63) }
-
 // Table is a mutable table: an atomically published current Snapshot plus
-// the writer-side state (delta buffer, recorded decomposition bits, PK
-// markers, counters) guarded by a mutex. Readers never take the mutex.
+// the writer-side state (recorded decomposition bits, PK markers, counters)
+// guarded by a mutex; the current snapshot's delta columns are the writer's
+// append buffer. Readers never take the mutex.
 type Table struct {
 	name        string
 	schemaEpoch uint64
@@ -278,9 +250,8 @@ type Table struct {
 
 	mu      sync.Mutex
 	cur     atomic.Pointer[Snapshot]
-	buf     []int64 // delta backing array; append-only between merges
-	decBits []uint  // requested approx bits per column (0 = not decomposed)
-	pkCols  []bool  // columns with a registered FK (primary-key) index
+	decBits []uint // requested approx bits per column (0 = not decomposed)
+	pkCols  []bool // columns with a registered FK (primary-key) index
 	epoch   uint64
 
 	inserts, deletes               int64
@@ -499,14 +470,14 @@ func (t *Table) colIndex(name string) (int, error) {
 	return i, nil
 }
 
-// Insert appends rows (schema order, scaled values) to the delta segment
-// and publishes a new snapshot. The append is host-side only: no device or
-// bus time is charged beyond the CPU write of the rows themselves.
+// Insert appends rows (schema order, scaled values) to the delta segment,
+// column by column, and publishes a new snapshot. The append is host-side
+// only: no device or bus time is charged beyond the CPU write of the rows
+// themselves.
 func (t *Table) Insert(m *device.Meter, rows [][]int64) (int, error) {
-	stride := len(t.schema)
 	for r, row := range rows {
-		if len(row) != stride {
-			return 0, fmt.Errorf("store: insert into %s: row %d has %d values, table has %d columns", t.name, r+1, len(row), stride)
+		if len(row) != len(t.schema) {
+			return 0, fmt.Errorf("store: insert into %s: row %d has %d values, table has %d columns", t.name, r+1, len(row), len(t.schema))
 		}
 	}
 	if len(rows) == 0 {
@@ -515,16 +486,27 @@ func (t *Table) Insert(m *device.Meter, rows [][]int64) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.cur.Load()
-	for _, row := range rows {
-		t.buf = append(t.buf, row...)
+	next := *s
+	next.deltaN += len(rows)
+	next.liveDelta += len(rows)
+	if len(s.delta) == 0 || next.deltaN > len(s.delta[0]) {
+		// Grow every column at once, carved from one backing array; the
+		// snapshots published so far keep the arrays they were handed.
+		c := max(2*next.deltaN, 256)
+		back := make([]int64, c*len(t.schema))
+		next.delta = make([][]int64, len(t.schema))
+		for col := range next.delta {
+			next.delta[col] = back[col*c : (col+1)*c : (col+1)*c]
+			copy(next.delta[col], s.deltaCol(col))
+		}
+	}
+	for col, vals := range next.delta {
+		for r, row := range rows {
+			vals[s.deltaN+r] = row[col]
+		}
 	}
 	t.inserts += int64(len(rows))
-	t.publish(&Snapshot{
-		t: t, base: s.base,
-		delta: t.buf, deltaN: s.deltaN + len(rows),
-		del:      s.del,
-		liveBase: s.liveBase, liveDelta: s.liveDelta + len(rows),
-	})
+	t.publish(&next)
 	if m != nil {
 		m.CPUWork(1, int64(len(rows))*t.rowBytes, 0, int64(len(rows)))
 	}
@@ -548,51 +530,22 @@ func (t *Table) DeleteWhere(m *device.Meter, preds []Range) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.cur.Load()
-	total := s.base.n + s.deltaN
-	del := make([]uint64, (total+63)/64)
-	copy(del, s.del)
-	// Base rows: the live ones start a survivor mask that every predicate
-	// narrows through the scans' granule walk — a granule whose rows are all
-	// deleted already is passed over, one the bounds of a decomposed column
-	// settle is not read, exact values are compared in the rest — and what
-	// is left of it is the rows to mark.
-	hit := make([]uint64, (s.base.n+63)/64)
-	removedBase := 0
-	for g := range hit {
-		hit[g] = ^del[g] & (^uint64(0) >> uint(64-min(64, s.base.n-g*64)))
-		removedBase += bits.OnesCount64(hit[g])
-	}
+	base, delta := make([]bwd.Disjunct, len(preds)), make([]bwd.Disjunct, len(preds))
 	for k, p := range preds {
-		d := bwd.Exactly(s.base.decs[idx[k]], s.base.cols[idx[k]].Tails(), p.Lo, p.Hi)
-		removedBase, _ = bwd.NarrowGranules([]bwd.Disjunct{d}, hit, 0, s.base.n)
+		base[k] = bwd.Exactly(s.base.decs[idx[k]], s.base.cols[idx[k]].Tails(), p.Lo, p.Hi)
+		delta[k] = bwd.Exactly(nil, s.deltaCol(idx[k]), p.Lo, p.Hi)
 	}
-	for g, w := range hit {
-		del[g] |= w
-	}
-	removedDelta := 0
-	for j := 0; j < s.deltaN; j++ {
-		if bitSet(del, s.base.n+j) {
-			continue
-		}
-		match := true
-		for k, p := range preds {
-			if v := s.delta[j*len(t.schema)+idx[k]]; v < p.Lo || v > p.Hi {
-				match = false
-				break
-			}
-		}
-		if match {
-			setBit(del, s.base.n+j)
-			removedDelta++
-		}
-	}
+	next := *s
+	var removedBase, removedDelta int
+	next.del, removedBase = markWhere(s.del, s.base.n, base)
+	next.deltaDel, removedDelta = markWhere(s.deltaDel, s.deltaN, delta)
 	if m != nil {
 		var scanned int64
 		for k := range preds {
 			scanned += s.base.cols[idx[k]].TailBytes()
 		}
 		scanned += s.DeltaBytes()
-		m.CPUWork(1, scanned, 0, int64(total)*int64(max(1, len(preds))))
+		m.CPUWork(1, scanned, 0, int64(s.base.n+s.deltaN)*int64(max(1, len(preds))))
 		if removedBase > 0 {
 			m.Transfer(int64((s.base.n + 7) / 8)) // refresh the device-side mask
 		}
@@ -601,13 +554,39 @@ func (t *Table) DeleteWhere(m *device.Meter, preds []Range) (int64, error) {
 		return 0, nil
 	}
 	t.deletes += int64(removedBase + removedDelta)
-	t.publish(&Snapshot{
-		t: t, base: s.base,
-		delta: s.delta, deltaN: s.deltaN,
-		del:      del,
-		liveBase: s.liveBase - removedBase, liveDelta: s.liveDelta - removedDelta,
-	})
+	next.liveBase -= removedBase
+	next.liveDelta -= removedDelta
+	t.publish(&next)
 	return int64(removedBase + removedDelta), nil
+}
+
+// markWhere returns the deletion words of a segment of n rows, del before,
+// with the live rows that satisfy every conjunct of ds deleted, and how many
+// those are. The live rows start a survivor mask that each conjunct narrows
+// through the scans' granule walk — a granule whose rows are all deleted
+// already is passed over, one the bounds of a decomposed column settle is
+// not read, exact values are compared in the rest — and what is left of it
+// is marked in a copy of del, or nothing is and del comes back.
+func markWhere(del []uint64, n int, ds []bwd.Disjunct) ([]uint64, int) {
+	hit := make([]uint64, (n+63)/64)
+	removed := 0
+	for g := range hit {
+		hit[g] = ^uint64(0) >> uint(64-min(64, n-g*64))
+		if g < len(del) {
+			hit[g] &^= del[g]
+		}
+		removed += bits.OnesCount64(hit[g])
+	}
+	for k := range ds {
+		removed, _ = bwd.NarrowGranules(ds[k:k+1], hit, 0, n)
+	}
+	if removed == 0 {
+		return del, 0
+	}
+	for g := range min(len(del), len(hit)) {
+		hit[g] |= del[g]
+	}
+	return hit, removed
 }
 
 // Decompose bitwise-decomposes a column with the given device-resident bit
@@ -637,11 +616,9 @@ func (t *Table) Decompose(m *device.Meter, col string, bits uint) (*bwd.Column, 
 	}
 	seg.decs[i] = d
 	t.decBits[i] = bits
-	t.publish(&Snapshot{
-		t: t, base: seg,
-		delta: s.delta, deltaN: s.deltaN, del: s.del,
-		liveBase: s.liveBase, liveDelta: s.liveDelta,
-	})
+	next := *s
+	next.base = seg
+	t.publish(&next)
 	return d, nil
 }
 
@@ -671,11 +648,9 @@ func (t *Table) BuildFKIndex(col string) error {
 	seg := s.base.clone()
 	seg.fk[i] = ix
 	t.pkCols[i] = true
-	t.publish(&Snapshot{
-		t: t, base: seg,
-		delta: s.delta, deltaN: s.deltaN, del: s.del,
-		liveBase: s.liveBase, liveDelta: s.liveDelta,
-	})
+	next := *s
+	next.base = seg
+	t.publish(&next)
 	return nil
 }
 
@@ -725,15 +700,14 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 	}
 	for c := 0; c < stride; c++ {
 		vals := make([]int64, 0, newN)
-		tails := s.base.cols[c].Tails()
-		for i := range tails {
+		for i, v := range s.base.cols[c].Tails() {
 			if !s.BaseDeleted(i) {
-				vals = append(vals, tails[i])
+				vals = append(vals, v)
 			}
 		}
-		for j := 0; j < s.deltaN; j++ {
+		for j, v := range s.deltaCol(c) {
 			if !s.DeltaDeleted(j) {
-				vals = append(vals, s.delta[j*stride+c])
+				vals = append(vals, v)
 			}
 		}
 		seg.cols[c] = bat.NewDense(vals, t.schema[c].Width)
@@ -819,7 +793,6 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 			d.Release()
 		}
 	}
-	t.buf = nil // old snapshots keep their own frozen prefix
 	t.merges++
 	if auto {
 		t.autoMerges++
@@ -852,11 +825,9 @@ func (t *Table) ReleaseDecompositions() {
 			seg.decs[i] = nil
 		}
 	}
-	t.publish(&Snapshot{
-		t: t, base: seg,
-		delta: s.delta, deltaN: s.deltaN, del: s.del,
-		liveBase: s.liveBase, liveDelta: s.liveDelta,
-	})
+	next := *s
+	next.base = seg
+	t.publish(&next)
 }
 
 // TableStats is a point-in-time snapshot of one table's store counters.

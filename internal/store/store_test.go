@@ -289,50 +289,3 @@ func TestBuildFKIndexRejectsGappedKey(t *testing.T) {
 		t.Fatal("gapped key accepted as dense FK index")
 	}
 }
-
-// TestMorselsRespectSegmentEdges checks the executor scan-granule API:
-// morsels cover every base and delta row exactly once, never straddle the
-// base/delta segment edge, and interior boundaries are aligned to 64-row
-// deletion-bitmap words.
-func TestMorselsRespectSegmentEdges(t *testing.T) {
-	tbl := newTestTable(t, nil, 1000)
-	rows := make([][]int64, 300)
-	for i := range rows {
-		rows[i] = []int64{int64(i), int64(i) * 10}
-	}
-	if _, err := tbl.Insert(nil, rows); err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.Snapshot()
-	for _, chunk := range []int{1, 64, 100, 512, 1 << 20} {
-		morsels := s.Morsels(chunk)
-		var baseSeen, deltaSeen int
-		for _, m := range morsels {
-			if m.Hi <= m.Lo {
-				t.Fatalf("chunk %d: empty morsel %+v", chunk, m)
-			}
-			limit := s.BaseLen()
-			if m.Delta {
-				limit = s.DeltaLen()
-				deltaSeen += m.Hi - m.Lo
-			} else {
-				baseSeen += m.Hi - m.Lo
-			}
-			if m.Hi > limit {
-				t.Fatalf("chunk %d: morsel %+v crosses its segment end %d", chunk, m, limit)
-			}
-			if m.Lo%64 != 0 {
-				t.Fatalf("chunk %d: morsel %+v not aligned to a bitmap word", chunk, m)
-			}
-		}
-		if baseSeen != s.BaseLen() || deltaSeen != s.DeltaLen() {
-			t.Fatalf("chunk %d: covered %d base + %d delta rows, want %d + %d",
-				chunk, baseSeen, deltaSeen, s.BaseLen(), s.DeltaLen())
-		}
-		for _, m := range s.DeltaMorsels(chunk) {
-			if !m.Delta {
-				t.Fatalf("chunk %d: DeltaMorsels returned base morsel %+v", chunk, m)
-			}
-		}
-	}
-}

@@ -50,12 +50,6 @@ var reachRetiring = []string{
 	"bulk.Sum", "bulk.Min", "bulk.Max", "bulk.extrema", "bulk.better", "bulk.charge",
 	// bwd: TestChooseBits, TestValueToApprox
 	"bwd.ChooseBits", "bwd.Column.ValueToApprox",
-	// fixed: TestMulScaled
-	"fixed.MulScaled",
-	// shard: TestPartNameRoundTrip
-	"shard.ParsePartName",
-	// stats: TestStatsProvider
-	"stats.Of", "stats.Provider.Table", "stats.Provider.Column", "stats.Provider.Distinct",
 }
 
 // TestKernelLayerIsReached builds the function reference graph of the
