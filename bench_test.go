@@ -19,6 +19,7 @@ import (
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/engine"
+	"repro/internal/mem"
 	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/spatial"
@@ -130,13 +131,23 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 	})
 }
 
+// BenchmarkOpSelectRefine refines a 10 % selection over a column with 8
+// residual bits. A refinement narrows its input in place, so every iteration
+// refines a fresh approximate set, built and released outside the timer.
 func BenchmarkOpSelectRefine(b *testing.B) {
 	col, _ := benchColumn(12)
-	cands := ar.SelectApprox(nil, col, col.Relax(0, benchN/10))
-	b.SetBytes(int64(cands.Len()) * 8)
-	b.ResetTimer()
+	r := col.Relax(0, benchN/10)
 	for i := 0; i < b.N; i++ {
-		ar.SelectRefine(par.P{}, nil, col, nil, 0, benchN/10, cands)
+		b.StopTimer()
+		cands := ar.SelectApprox(nil, col, r)
+		b.SetBytes(int64(cands.Len()) * 8)
+		b.StartTimer()
+		if err := ar.SelectRefine(par.P{}, nil, col, nil, 0, benchN/10, cands); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		cands.Release()
+		b.StartTimer()
 	}
 }
 
@@ -273,18 +284,26 @@ func BenchmarkOpScanRangeMix(b *testing.B) {
 	}
 }
 
+// BenchmarkOpProjectApproxRefine projects a second column over a refined 10 %
+// selection and reconstructs its exact values: ProjectApprox, then
+// ProjectRefine, over the set the refinement left.
 func BenchmarkOpProjectApproxRefine(b *testing.B) {
 	selCol, _ := benchColumn(12)
 	prjCol, _ := benchColumn(12)
-	cands := ar.SelectApprox(nil, selCol, selCol.Relax(0, benchN/10))
-	refined, _ := ar.SelectRefine(par.P{}, nil, selCol, nil, 0, benchN/10, cands)
+	refined := ar.SelectApprox(nil, selCol, selCol.Relax(0, benchN/10))
+	if err := ar.SelectRefine(par.P{}, nil, selCol, nil, 0, benchN/10, refined); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(refined.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proj := ar.ProjectApprox(nil, prjCol, nil, cands)
-		if _, err := ar.ProjectRefine(par.P{}, nil, proj, refined); err != nil {
+		proj := ar.ProjectApprox(nil, prjCol, nil, refined)
+		vals, err := ar.ProjectRefine(par.P{}, nil, proj)
+		if err != nil {
 			b.Fatal(err)
 		}
+		mem.I64.Put(vals)
+		proj.Release()
 	}
 }
 
@@ -303,19 +322,6 @@ func BenchmarkOpGroupApprox(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ar.GroupApprox(nil, []*bwd.Column{col}, cands)
-	}
-}
-
-func BenchmarkOpTranslucentJoin(b *testing.B) {
-	col, _ := benchColumn(12)
-	cands := ar.SelectApprox(nil, col, col.Relax(0, benchN/2))
-	refined, _ := ar.SelectRefine(par.P{}, nil, col, nil, 0, benchN/4, cands)
-	b.SetBytes(int64(cands.Len()) * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ar.TranslucentJoin(cands.IDs(), refined.IDs()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

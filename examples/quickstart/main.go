@@ -47,27 +47,44 @@ func main() {
 	lo, hi := int64(100_000), int64(150_000)
 	m := device.NewMeter(sys)
 
-	// Phase A on the device: relaxed predicate over the approximation.
+	// Phase A on the device: relaxed predicate over the approximation, and
+	// the column projected over the candidates.
 	cands := ar.SelectApprox(m, col, col.Relax(lo, hi))
-	fmt.Printf("\napproximate phase: %d candidates (exact answer is in there)\n", cands.Len())
+	candidates := cands.Len()
+	fmt.Printf("\napproximate phase: %d candidates (exact answer is in there)\n", candidates)
 	approxCount := ar.CountApprox(m, cands)
 	fmt.Printf("approximate count: %v (strict bounds, available before refinement)\n", approxCount)
+	proj := ar.ProjectApprox(m, col, nil, cands)
 
-	// Ship once across the bus, refine on the CPU.
+	// Ship once across the bus, refine on the CPU: the refinement narrows
+	// the candidates in place, and the projection reconstructs the exact
+	// values of those that are left.
 	cands.Ship(m)
-	refined, exactVals := ar.SelectRefine(par.P{}, m, col, nil, lo, hi, cands)
+	proj.Ship(m)
+	if err := ar.SelectRefine(par.P{}, m, col, nil, lo, hi, cands); err != nil {
+		log.Fatal(err)
+	}
+	exactVals, err := ar.ProjectRefine(par.P{}, m, proj)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("refined result:    %d tuples (%d false positives eliminated)\n",
-		refined.Len(), cands.Len()-refined.Len())
+		cands.Len(), candidates-cands.Len())
 	fmt.Printf("simulated cost:    %v\n", m)
 
-	// Cross-check against the classic bulk engine.
+	// Cross-check against the classic bulk engine: select, then fetch.
 	mClassic := device.NewMeter(sys)
 	want := bulk.SelectRange(par.P{}, mClassic, column, lo, hi)
-	if len(want) != refined.Len() {
-		log.Fatalf("MISMATCH: classic found %d, A&R found %d", len(want), refined.Len())
+	wantVals := bulk.Fetch(par.P{}, mClassic, column, want)
+	if len(want) != cands.Len() {
+		log.Fatalf("MISMATCH: classic found %d, A&R found %d", len(want), cands.Len())
 	}
-	for i, id := range refined.IDs() {
-		if vals[id] != exactVals[i] {
+	byID := make(map[bat.OID]int64, len(want))
+	for i, id := range want {
+		byID[id] = wantVals[i]
+	}
+	for i, id := range cands.IDs() {
+		if byID[id] != exactVals[i] || vals[id] != exactVals[i] {
 			log.Fatalf("MISMATCH at id %d", id)
 		}
 	}

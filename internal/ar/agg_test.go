@@ -13,12 +13,15 @@ func TestCountApproxBoundsExact(t *testing.T) {
 	lo, hi := int64(3000), int64(9000)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
 	iv := CountApprox(nil, cands)
-	refined, _ := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands)
-	exact := int64(len(refined.IDs()))
+	before := cands.Len()
+	if err := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands); err != nil {
+		t.Fatal(err)
+	}
+	exact := int64(len(cands.IDs()))
 	if !iv.Contains(exact) {
 		t.Fatalf("approximate count %v does not contain exact %d", iv, exact)
 	}
-	if iv.Hi != int64(cands.Len()) {
-		t.Errorf("upper bound %d != candidate count %d", iv.Hi, cands.Len())
+	if iv.Hi != int64(before) {
+		t.Errorf("upper bound %d != candidate count %d", iv.Hi, before)
 	}
 }

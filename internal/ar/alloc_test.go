@@ -69,9 +69,9 @@ func newScanFixture(t testing.TB, vals []int64) *scanFixture {
 
 func runARScan(f *scanFixture) {
 	cands := SelectApprox(nil, f.col, f.rng)
-	refined, vals := SelectRefine(par.P{}, nil, f.col, nil, f.lo, f.hi, cands)
-	mem.I64.Put(vals)
-	refined.Release()
+	if err := SelectRefine(par.P{}, nil, f.col, nil, f.lo, f.hi, cands); err != nil {
+		panic(err)
+	}
 	cands.Release()
 }
 

@@ -17,6 +17,16 @@
 // approximation subplan can execute on the device first — yielding a fast
 // approximate query answer at no extra cost (§III item 4) — before the
 // refinement subplan starts on the CPU.
+//
+// On the host both subplans share one currency, the candidate set's survivor
+// mask (DESIGN.md §13): the approximate selections narrow it, and so do the
+// refinements, which compare exact values — code and residual concatenated —
+// in the granules the bounds leave open. A refined set is the phase-A set,
+// narrower; its candidate order is the mask's, so it is aligned with every
+// phase-A intermediate for free. The paper realigns the permuted output of a
+// device kernel with a translucent join (Algorithm 1); here that join is the
+// mask itself, and it remains in the meter as the operator it stands for
+// (chargeTranslucentJoin).
 package ar
 
 import (
@@ -33,7 +43,7 @@ import (
 var oidPool = &bat.OIDPool
 
 // candPool recycles Candidates headers (struct + attach backing array) so
-// a refine step's output costs no allocation at all in steady state.
+// a scan's set costs no allocation at all in steady state.
 var candPool = sync.Pool{New: func() any { return new(Candidates) }}
 
 // getCandidates takes a recycled (or fresh) empty candidate set marked as
@@ -62,29 +72,30 @@ type attachment struct {
 }
 
 // Candidates is the output of approximation operators on the structural
-// path: a list of tuple IDs that is a superset of the exact result, in
-// device (permuted) order, plus the approximation codes of every column
-// that has been touched so far. The codes travel with the IDs because the
-// approximations are device-resident only: once candidates are shipped to
-// the host, the codes are the CPU's only view of the major bits.
+// path: the tuples of a superset of the exact result, in device (permuted)
+// order, plus the approximation codes of every column that has been touched
+// so far. The codes travel with the tuples because the approximations are
+// device-resident only: once candidates are shipped to the host, the codes
+// are the CPU's only view of the major bits.
 //
-// Phase A's currency is the survivor mask, not the list (DESIGN.md §13): a
-// set that comes out of the approximate scan carries one bit per scanned row
-// and no ids yet. Further conjuncts, disjunction groups, the deletion bitmap
-// and the join chain — probes, dimension deletions, dimension filters —
-// narrow the mask in place (narrow, MaskOut, JoinApprox); the ids and the
-// attached codes are materialised from it once, by Emit, which the first
-// reader of a position triggers, and the mask stays on the set so that
-// ProjectApprox and GroupApprox decode by granule too. A set built by a
-// refinement (filterTo) is an id list only.
+// A set is its survivor mask, one bit per scanned row (DESIGN.md §13); a scan
+// of no rows is a mask of none. Further conjuncts, disjunction groups, the
+// deletion bitmap, the join chain — probes, dimension deletions, dimension
+// filters — and every refinement narrow the mask in place (narrow, MaskOut,
+// JoinApprox, refine). Candidate order is fixed by the mask: work-groups in
+// par.PermuteInto order, rows ascending inside one. The ids and the attached
+// codes are materialised from it on demand, by Emit, which the first reader
+// of a position triggers; a narrowing after that releases them, to be
+// emitted again from the narrower mask. ProjectApprox, GroupApprox and the
+// refinements read the mask by granule.
 type Candidates struct {
 	ids     []bat.OID
 	attach  []attachment
 	shipped bool
 	// mask holds the survivors among the rows scanned rows, bit i%64 of
-	// word i/64 for row i; nil for an id-list set. n is its popcount. offs
-	// has one entry per work-group: the group's survivor count while the
-	// mask can still narrow, its slot in candidate order once sealed.
+	// word i/64 for row i; n is its popcount. offs has one entry per
+	// work-group: the group's survivor count while the mask narrows, its
+	// slot in candidate order once sealed.
 	mask            []uint64
 	rows, n         int
 	offs            []int
@@ -92,9 +103,8 @@ type Candidates struct {
 	// walk is the scratch a narrowing step compiles its disjuncts into; it
 	// stays with the pooled header so that a step allocates nothing.
 	walk []bwd.Disjunct
-	// pooled marks IDs and every attachment's codes as arena-backed:
-	// Release returns them to the pools. Sets built from caller-owned
-	// slices stay unpooled and Release is a no-op on them.
+	// pooled is set while the set owns its arena buffers; Release clears
+	// it as it returns them.
 	pooled bool
 	// certain caches CertainMask: built on first use (the attachments are
 	// complete once a set leaves its constructor), recycled by Release.
@@ -102,11 +112,10 @@ type Candidates struct {
 	certainBuilt bool
 }
 
-// Release returns an arena-backed candidate set's buffers (IDs and every
+// Release returns the candidate set's buffers (the mask, IDs and every
 // attached code column) to the arena and empties the set. It must only be
-// called once nothing references the set — the pipeline calls it when a
-// stage hands off and the predecessor intermediate is provably dead.
-// Releasing an unpooled set is a no-op.
+// called once nothing references the set — the pipeline calls it once the
+// tail has aggregated. Releasing a released set is a no-op.
 func (c *Candidates) Release() {
 	if c == nil || !c.pooled {
 		return
@@ -132,15 +141,11 @@ func (c *Candidates) Release() {
 }
 
 // Len returns the number of candidate tuples.
-func (c *Candidates) Len() int {
-	if c.mask != nil {
-		return c.n
-	}
-	return len(c.ids)
-}
+func (c *Candidates) Len() int { return c.n }
 
 // IDs returns the candidate tuple ids in device order, emitting them first
-// if the set still carries only its mask. The slice is owned by the set.
+// if the mask was not emitted since it last narrowed. The slice is owned by
+// the set and valid until the next narrowing.
 func (c *Candidates) IDs() []bat.OID {
 	c.Emit()
 	return c.ids
@@ -329,28 +334,17 @@ func (c *Candidates) Ship(m *device.Meter) {
 	m.Transfer(bytes)
 }
 
-// filterTo builds a new candidate set containing the positions listed in
-// keep (indices into c), compacting every attachment to preserve
-// alignment. Order of keep indices is preserved, so the result has the
-// same permutation as c (§IV-A item 2). The new set's buffers come from
-// the arena; the input is left untouched (callers release it when dead).
-func (c *Candidates) filterTo(keep []int) *Candidates {
-	c.Emit()
-	out := getCandidates()
-	out.ids = oidPool.GetN(len(keep))
-	out.shipped = c.shipped
-	for i, k := range keep {
-		out.ids[i] = c.ids[k]
+// chargeTranslucentJoin bills the translucent join (Algorithm 1) that
+// realigns a refined subset of n of the phase-A set's pre candidates with the
+// phase-A intermediates: a merge pass over both id lists, O(pre) comparisons.
+// When nothing was refined away the subset is the set and the operator
+// aliases its input (a MonetDB view), free. On the host the refined set is
+// the phase-A mask narrowed, aligned without a pass; the charge is the
+// execution model's (DESIGN.md §7).
+func chargeTranslucentJoin(m *device.Meter, threads, pre, n int) {
+	if m != nil && pre != n {
+		m.CPUWork(threads, int64(pre)*4+int64(n)*12, 0, int64(pre))
 	}
-	for ai := range c.attach {
-		src := &c.attach[ai]
-		codes := mem.U64.GetN(len(keep))
-		for i, k := range keep {
-			codes[i] = src.codes[k]
-		}
-		out.attach = append(out.attach, attachment{col: src.col, key: src.key, codes: codes, rng: src.rng, filtered: src.filtered, group: src.group})
-	}
-	return out
 }
 
 // packedBytes is the physical byte footprint of n bit-packed values of the

@@ -3,7 +3,6 @@ package ar
 import (
 	"testing"
 
-	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/par"
@@ -103,9 +102,11 @@ func TestEmptyCandidatesFlow(t *testing.T) {
 	if len(proj.Codes()) != 0 {
 		t.Error("projection over empty candidates not empty")
 	}
-	refined, vals2 := SelectRefine(par.P{}, nil, col, nil, 100000, 200000, cands)
-	if refined.Len() != 0 || len(vals2) != 0 {
-		t.Error("refinement of empty candidates not empty")
+	if err := SelectRefine(par.P{}, nil, col, nil, 100000, 200000, cands); err != nil || cands.Len() != 0 {
+		t.Errorf("refinement of empty candidates: %d candidates, %v", cands.Len(), err)
+	}
+	if vals2, err := ProjectRefine(par.P{}, nil, proj); err != nil || len(vals2) != 0 {
+		t.Errorf("refined projection over empty candidates: %v, %v", vals2, err)
 	}
 	grouping := GroupApprox(nil, []*bwd.Column{col}, cands)
 	if grouping.NGroups != 0 {
@@ -128,11 +129,12 @@ func TestShippedFlagPropagation(t *testing.T) {
 	if !cands.shipped {
 		t.Error("Ship did not mark candidates")
 	}
-	refined, _ := SelectRefine(par.P{}, nil, col, nil, 0, 500, cands)
-	if !refined.shipped {
+	if err := SelectRefine(par.P{}, nil, col, nil, 0, 500, cands); err != nil {
+		t.Fatal(err)
+	}
+	if !cands.shipped {
 		t.Error("refinement output lives on the host; must stay marked shipped")
 	}
-	_ = bat.OID(0)
 }
 
 // CertainMask is Certain, bit for bit — across several work-groups, for a

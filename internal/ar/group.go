@@ -3,7 +3,6 @@ package ar
 import (
 	"fmt"
 
-	"repro/internal/bitpack"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -13,9 +12,10 @@ import (
 
 // Grouping is the result of an approximate (pre-)grouping (§IV-E) over one
 // or more columns (TPC-H Q1 groups by l_returnflag, l_linestatus): a dense
-// group ID per candidate, positionally aligned with the candidate set —
-// the MonetDB representation of groupings — plus each group's tuple of
-// approximation codes, groups in first-appearance order.
+// group ID per candidate, positionally aligned with the candidate set as it
+// was grouped — the MonetDB representation of groupings — plus each group's
+// tuple of approximation codes, groups in first-appearance order. Src is
+// that set; a refinement narrows it in place, and GroupRefine reads it.
 type Grouping struct {
 	Src     *Candidates
 	Cols    []*bwd.Column
@@ -37,23 +37,18 @@ func (g *Grouping) Release() {
 // groupTable maps packed code tuples to dense group ids: one flat
 // open-addressing table, linear probing, at most half full. gids holds the
 // group id plus one, so zero marks a free slot and any key is storable.
-// direct, when set, is indexed by the key itself and holds the id the hash
-// table assigned it, plus one: a key of few bits is one load, and the ids
-// are the hash table's either way.
 type groupTable struct {
-	keys   []uint64
-	gids   []uint32
-	shift  uint     // 64 - log2(len(keys))
-	uniq   []uint64 // the key of every group, in first-appearance order
-	direct []uint32
+	keys  []uint64
+	gids  []uint32
+	shift uint     // 64 - log2(len(keys))
+	uniq  []uint64 // the key of every group, in first-appearance order
 }
 
 // directBits is the widest code tuple GroupApprox looks up through a direct
 // table of 2^bits entries: 16 kB at the limit, cache resident, taken from the
-// arena and cleared once per work-group (groupByWorkGroup), or once per
-// grouping of an id list — for Q1's 3-bit key it is 8 entries, where the hash
-// table would hash and probe every candidate's key. A wider key keeps the
-// hash table alone, and one loop over the candidates.
+// arena and cleared once per work-group (groupByWorkGroup) — for Q1's 3-bit
+// key it is 8 entries, where the hash table would hash and probe every
+// candidate's key. A wider key keeps the hash table alone.
 const directBits = 12
 
 func newGroupTable() *groupTable {
@@ -66,31 +61,17 @@ func (t *groupTable) home(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >
 
 // id returns key's group id, assigning the next one on first sight.
 func (t *groupTable) id(key uint64) uint32 {
-	if key < uint64(len(t.direct)) {
-		if g := t.direct[key]; g != 0 {
-			return g - 1
-		}
-	}
-	return t.hash(key)
-}
-
-// hash is id through the hash table; a key it assigns an id is entered into
-// the direct table too, when there is one.
-func (t *groupTable) hash(key uint64) uint32 {
 	mask := uint64(len(t.keys) - 1)
 	for at := t.home(key); ; at = (at + 1) & mask {
 		switch g := t.gids[at]; {
 		case g == 0:
 			if 2*(len(t.uniq)+1) > len(t.keys) {
 				t.grow()
-				return t.hash(key)
+				return t.id(key)
 			}
 			t.keys[at] = key
 			t.uniq = append(t.uniq, key)
 			t.gids[at] = uint32(len(t.uniq))
-			if t.direct != nil {
-				t.direct[key] = uint32(len(t.uniq))
-			}
 			return uint32(len(t.uniq) - 1)
 		case t.keys[at] == key:
 			return g - 1
@@ -135,12 +116,7 @@ func GroupKeyFits(cols []*bwd.Column) bool {
 // already the exact grouping of the candidate set (§IV-E: low-cardinality
 // grouping columns compress enough to stay resident, eliminating
 // subgrouping). It panics when the key does not fit (GroupKeyFits): a
-// truncated key would merge distinct groups.
-//
-// Host-side, a set read by its mask is grouped like the scan runs, a
-// work-group at a time on every core (groupByWorkGroup), when its key takes
-// the direct table; a wider key or an id list is grouped by one loop over
-// the candidates in order. The ids are the same either way.
+// truncated key would merge distinct groups. Host-side it is groupByMask.
 func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Grouping {
 	if !GroupKeyFits(cols) {
 		panic(fmt.Sprintf("ar: GroupApprox over %d columns whose codes exceed the 64-bit grouping-table entry", len(cols)))
@@ -153,21 +129,46 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 			chargeProject(m, col, n)
 		}
 	}
-	// Pack each code tuple into one table entry, leading column highest.
+	ids, groups, codes := groupByMask(devP(), cols, cands)
+	if m != nil {
+		// Serialized atomic updates: with L lanes spread over G group
+		// entries, L/G lanes contend for the same entry on average, so
+		// each tuple's write waits behind that many serialized updates.
+		lanes := float64(m.System().GPU.Threads)
+		depth := lanes / float64(max(groups, 1))
+		if depth < 1 {
+			depth = 1
+		}
+		var seq int64
+		for _, col := range cols {
+			seq += packedBytes(n, col.Dec.ApproxBits)
+		}
+		m.GPUKernel(seq+int64(n)*4, 0, int64(n)*bulk.OpsHashGroup+int64(float64(n)*depth))
+	}
+	return &Grouping{Src: cands, Cols: cols, IDs: ids, NGroups: groups, Codes: codes}
+}
+
+// groupByMask is GroupApprox's host half, on the device's P, which
+// GroupRefine also regroups a refined set with, on the statement's: the
+// candidates' key tuples — the codes of cols packed into one word, leading
+// column highest — numbered in order of first appearance in candidate order,
+// the ids arena-backed, and each group's code per column. A key of at most
+// directBits bits is numbered a work-group at a time on p's workers
+// (groupByWorkGroup); a wider one through the hash table, the work-groups in
+// candidate order, a block of granules at a time. The ids are the same either
+// way.
+func groupByMask(p par.P, cols []*bwd.Column, cands *Candidates) (ids []uint32, groups int, codes [][]uint64) {
 	table := newGroupTable()
-	ids := mem.U32.GetN(n)
+	ids = mem.U32.GetN(cands.Len())
 	shift := make([]uint, len(cols))
 	var total uint
 	for k := len(cols) - 1; k >= 0; k-- {
 		shift[k] = total
 		total += cols[k].Dec.ApproxBits
 	}
-	switch wg := cands.WorkGroups(); {
-	case wg > 0 && total <= directBits:
-		groupByWorkGroup(table, cols, shift, total, cands, ids, wg)
-	case wg > 0:
-		// By mask, a wider key: the work-groups in candidate order, a block
-		// of granules at a time, through the hash table.
+	if wg := cands.WorkGroups(); total <= directBits {
+		groupByWorkGroup(p, table, cols, shift, total, cands, ids, wg)
+	} else {
 		order := par.PermuteInto(mem.Ints.GetN(wg))
 		buf := mem.U64.GetN(2 * keySpan * bwd.GranuleRows) // the keys, then a column's codes
 		for _, ci := range order {
@@ -179,62 +180,16 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 		}
 		mem.Ints.Put(order)
 		mem.U64.Put(buf)
-	default:
-		// By position: the codes the scan attached, or one lookup per id.
-		if total <= directBits {
-			table.direct = mem.U32.GetN(1 << total)
-			clear(table.direct)
-		}
-		colCodes := make([][]uint64, len(cols))
-		var gathered [][]uint64
-		for k, col := range cols {
-			if colCodes[k] = cands.CodesFor(col); colCodes[k] == nil {
-				colCodes[k] = mem.U64.GetN(n)
-				bitpack.Gather(col.Approx, cands.ids, colCodes[k])
-				gathered = append(gathered, colCodes[k])
-			}
-		}
-		for i := 0; i < n; i++ {
-			var key uint64
-			for k := range cols {
-				key |= colCodes[k][i] << shift[k]
-			}
-			ids[i] = table.id(key)
-		}
-		for _, codes := range gathered {
-			mem.U64.Put(codes)
-		}
 	}
-	mem.U32.Put(table.direct)
-	uniq := table.uniq
-	codes := make([][]uint64, len(cols))
+	codes = make([][]uint64, len(cols))
 	for k, col := range cols {
-		codes[k] = make([]uint64, len(uniq))
+		codes[k] = make([]uint64, len(table.uniq))
 		mask := uint64(1)<<col.Dec.ApproxBits - 1
-		for g, key := range uniq {
+		for g, key := range table.uniq {
 			codes[k][g] = key >> shift[k] & mask
 		}
 	}
-	if m != nil {
-		// Serialized atomic updates: with L lanes spread over G group
-		// entries, L/G lanes contend for the same entry on average, so
-		// each tuple's write waits behind that many serialized updates.
-		lanes := float64(m.System().GPU.Threads)
-		groups := float64(len(uniq))
-		if groups < 1 {
-			groups = 1
-		}
-		depth := lanes / groups
-		if depth < 1 {
-			depth = 1
-		}
-		var seq int64
-		for _, col := range cols {
-			seq += packedBytes(n, col.Dec.ApproxBits)
-		}
-		m.GPUKernel(seq+int64(n)*4, 0, int64(n)*bulk.OpsHashGroup+int64(float64(n)*depth))
-	}
-	return &Grouping{Src: cands, Cols: cols, IDs: ids, NGroups: len(uniq), Codes: codes}
+	return ids, len(table.uniq), codes
 }
 
 // keySpan is how many granules of key tuples GroupApprox decodes at a time.
@@ -261,18 +216,20 @@ func blockKeys(cands *Candidates, cols []*bwd.Column, shift []uint, buf []uint64
 	return keys[:cnt]
 }
 
-// groupByWorkGroup is GroupApprox by mask, for a key of at most directBits
-// bits, on the device's host execution (devP), as the scan runs: every
-// work-group numbers its keys in its own first-appearance order, through a
-// direct table of its own, into its own slot of ids. The work-groups' key
-// lists are then entered into table in candidate order — the order a serial
-// loop over the candidates walks — so the global ids come out exactly as
-// that loop would assign them, and a work-group whose local ids are not the
-// global ones is renumbered, in parallel. One worker runs the same steps
-// serially; one work-group's local ids are the global ones. Every
-// work-group's state is carved from three arena buffers, whatever the
-// work-groups or the cores.
-func groupByWorkGroup(table *groupTable, cols []*bwd.Column, shift []uint, bits uint, cands *Candidates, ids []uint32, wg int) {
+// groupByWorkGroup is groupByMask for a key of at most directBits bits, on
+// p's workers — for GroupApprox the device's host execution (devP), as the
+// scan runs — and to completion whatever p's context says: the merge reads
+// every work-group's keys, and a cancelled statement is discarded at its
+// next checkpoint. Every work-group numbers its keys in its own
+// first-appearance order, through a direct table of its own, into its own
+// slot of ids. The work-groups' key lists are then entered into table in
+// candidate order — the order a serial loop over the candidates walks — so
+// the global ids come out exactly as that loop would assign them, and a
+// work-group whose local ids are not the global ones is renumbered, in
+// parallel. One worker runs the same steps serially; one work-group's local
+// ids are the global ones. Every work-group's state is carved from three
+// arena buffers, whatever the work-groups or the cores.
+func groupByWorkGroup(p par.P, table *groupTable, cols []*bwd.Column, shift []uint, bits uint, cands *Candidates, ids []uint32, wg int) {
 	size := 1 << bits
 	// Work-group ci's direct table at [2ci·size, …), then its keys in its
 	// first-appearance order, which the merge overwrites with their global
@@ -285,8 +242,7 @@ func groupByWorkGroup(table *groupTable, cols []*bwd.Column, shift []uint, bits 
 	// zeroed by the merge.
 	meta := mem.Ints.GetN(3 * wg)
 	order, nkeys, nrows := par.PermuteInto(meta[:wg]), meta[wg:2*wg], meta[2*wg:]
-	p := devP()
-	p.Chunk = 1 // a work-group at a time
+	p.Chunk, p.Ctx = 1, nil // a work-group at a time
 	p.For(wg, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			direct, keys := local[2*ci*size:][:size], local[(2*ci+1)*size:][:size]
@@ -351,79 +307,57 @@ func (g *Grouping) Ship(m *device.Meter) {
 	}
 }
 
-// GroupRefine produces the exact grouping of the refined candidate subset
-// plus the per-group key values of every grouping column.
+// GroupRefine produces the exact grouping of the refined candidate set — the
+// set g pre-grouped, narrowed in place by the refinements since — plus the
+// per-group key values of every grouping column.
 //
 // When every grouping column is fully device resident, the pre-grouping is
 // already exact: the refinement only eliminates the false positives
-// introduced by earlier operators, via a translucent join of the refined
-// IDs into the pre-grouping (§IV-E, Fig 4's Grouping/Aggregation panel),
-// and densifies the surviving group IDs with the block-partial
-// first-appearance remap (identical order to a serial pass). Otherwise the
-// CPU re-derives each tuple's exact keys from the shipped codes and the
-// host residuals, per morsel, and regroups with bulk.GroupBy (charged
-// here, not by the grouping kernel) — the paper's observation that
-// MonetDB's positional grouping representation cannot profit from a
-// physical pre-grouping.
-func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*bulk.Grouping, [][]int64, error) {
+// introduced by earlier operators. If none were, the pre-grouping is the
+// grouping and its ids pass on as they are. Otherwise the refined set is
+// regrouped by GroupApprox's host half (groupByMask): first-appearance ids
+// over the refined candidates, which are the pre-groups that kept a tuple,
+// renumbered in the order a serial pass meets them. It is billed as the
+// paper's operator: the translucent join of the refined subset into the
+// pre-grouping (§IV-E, Fig 4's Grouping/Aggregation panel) and a pass over
+// the surviving group ids. When a grouping column has residual bits, the CPU
+// re-derives each tuple's exact keys — code and residual, by the refined
+// mask — and regroups with bulk.GroupBy (charged here, not by the grouping
+// kernel): the paper's observation that MonetDB's positional grouping
+// representation cannot profit from a physical pre-grouping.
+func GroupRefine(p par.P, m *device.Meter, g *Grouping) (*bulk.Grouping, [][]int64, error) {
+	src, pre := g.Src, len(g.IDs)
+	n := src.Len()
 	exactPre := true
 	for _, col := range g.Cols {
-		if col.Dec.ResBits != 0 {
-			exactPre = false
-			break
-		}
-	}
-	if exactPre && refined.Len() == g.Src.Len() {
-		// Nothing was refined away either: the pre-grouping — dense ids in
-		// first-appearance order — is the grouping. Its ids pass to the
-		// caller as they are; no id list is joined to itself (a view, like
-		// the equal-length translucent join, which charges nothing).
-		ids := g.IDs
-		g.IDs = nil
-		if m != nil {
-			m.CPUWork(p.NThreads(), int64(len(ids))*8, 0, int64(len(ids)))
-		}
-		return &bulk.Grouping{IDs: ids, NGroups: g.NGroups}, g.keys(nil), nil
-	}
-	refinedIDs := refined.IDs()
-	pos, err := TranslucentJoinMetered(m, p.NThreads(), g.Src.IDs(), refinedIDs)
-	if err != nil {
-		return nil, nil, err
+		exactPre = exactPre && col.Dec.ResBits == 0
 	}
 	if exactPre {
-		// Pass the pre-grouping through, dropping groups that lost all
-		// their tuples to false-positive elimination.
-		old := mem.U32.GetN(len(pos))
-		p.For(len(pos), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				old[i] = g.IDs[pos[i]]
-			}
-		})
-		ids, used := remapFirstAppearance(p, old, g.NGroups)
-		mem.U32.Put(old)
-		if m != nil {
-			m.CPUWork(p.NThreads(), int64(len(pos))*8, 0, int64(len(pos)))
+		grouping, codes := &bulk.Grouping{IDs: g.IDs, NGroups: g.NGroups}, g.Codes
+		if n == pre {
+			// Nothing was refined away either: the ids pass on, no id list is
+			// joined to itself (a view, like the equal-length translucent
+			// join, which charges nothing).
+			g.IDs = nil
+		} else {
+			chargeTranslucentJoin(m, p.NThreads(), pre, n)
+			grouping.IDs, grouping.NGroups, codes = groupByMask(p, g.Cols, src)
 		}
-		mem.Ints.Put(pos)
-		return &bulk.Grouping{IDs: ids, NGroups: len(used)}, g.keys(used), nil
+		if m != nil {
+			m.CPUWork(p.NThreads(), int64(n)*8, 0, int64(n))
+		}
+		return grouping, g.keys(codes), nil
 	}
+	chargeTranslucentJoin(m, p.NThreads(), pre, n)
 
 	// Reconstruct exact key tuples and regroup on the CPU.
-	n := len(pos)
 	exact := make([][]int64, len(g.Cols))
+	wg := src.WorkGroups()
 	for k, col := range g.Cols {
-		exact[k] = make([]int64, n)
-		ek := exact[k]
-		p.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				code := g.Codes[k][g.IDs[pos[i]]]
-				var r uint64
-				if col.Dec.ResBits > 0 {
-					r = col.Residual.Get(int(refinedIDs[i]))
-				}
-				ek[i] = col.ReconstructFrom(code, r)
-			}
-		})
+		exact[k] = mem.I64.GetN(n)
+		if err := forGroups(p, wg, func(ci int) { src.rebuildGroup(col, nil, exact[k], ci) }); err != nil {
+			return nil, nil, err
+		}
 		if m != nil {
 			m.CPUWork(p.NThreads(), int64(n)*8, int64(n)*residualBytes(col.Dec.ResBits), int64(n))
 		}
@@ -432,101 +366,22 @@ func GroupRefine(p par.P, m *device.Meter, g *Grouping, refined *Candidates) (*b
 	if m != nil {
 		m.CPUWork(p.NThreads(), int64(n)*8*int64(len(g.Cols)), 0, int64(n)*bulk.OpsHashGroup)
 	}
-	mem.Ints.Put(pos)
+	for _, vals := range exact {
+		mem.I64.Put(vals)
+	}
 	return grouping, keys, nil
 }
 
-// keys returns the exact key values of the pre-groups listed in used — of
-// every pre-group, in order, when used is nil — per grouping column, all of
-// which are fully device resident: a group's code is its key's offset.
-func (g *Grouping) keys(used []uint32) [][]int64 {
-	n := len(used)
-	if used == nil {
-		n = g.NGroups
-	}
+// keys returns the exact key values of the groups whose codes per grouping
+// column are codes — every column fully device resident, so a group's code
+// is its key's offset.
+func (g *Grouping) keys(codes [][]uint64) [][]int64 {
 	keys := make([][]int64, len(g.Cols))
 	for k, col := range g.Cols {
-		keys[k] = make([]int64, n)
-		for id := range keys[k] {
-			old := id
-			if used != nil {
-				old = int(used[id])
-			}
-			keys[k][id] = col.Dec.Base + int64(g.Codes[k][old])
+		keys[k] = make([]int64, len(codes[k]))
+		for id, code := range codes[k] {
+			keys[k][id] = col.Dec.Base + int64(code)
 		}
 	}
 	return keys
-}
-
-// remapFirstAppearance densifies a stream of old group IDs (dense in
-// [0,nOld)) into new IDs assigned in order of first appearance, exactly as
-// a serial left-to-right scan would. Each worker records the appearance
-// order within its contiguous block; merging the block lists left to right
-// yields the global order, so the result is identical for every worker
-// count. order maps new ID -> old ID; ids is arena-backed.
-func remapFirstAppearance(p par.P, old []uint32, nOld int) (ids []uint32, order []uint32) {
-	ids = mem.U32.GetN(len(old))
-	if p.NWorkers() <= 1 || len(old) < 1024 {
-		remap := make([]int32, nOld)
-		for i := range remap {
-			remap[i] = -1
-		}
-		for i, o := range old {
-			if remap[o] < 0 {
-				remap[o] = int32(len(order))
-				order = append(order, o)
-			}
-			ids[i] = uint32(remap[o])
-		}
-		return ids, order
-	}
-	blocks := p.Blocks(len(old))
-	type partial struct {
-		seen   []int32 // old id -> local id, -1 when unseen
-		firsts []uint32
-	}
-	parts := make([]partial, len(blocks))
-	par.RunBlocks(p, len(old), func(b, lo, hi int) {
-		pt := &parts[b]
-		if pt.seen == nil {
-			pt.seen = make([]int32, nOld)
-			for i := range pt.seen {
-				pt.seen[i] = -1
-			}
-		}
-		for i := lo; i < hi; i++ {
-			o := old[i]
-			if pt.seen[o] < 0 {
-				pt.seen[o] = int32(len(pt.firsts))
-				pt.firsts = append(pt.firsts, o)
-			}
-			ids[i] = uint32(pt.seen[o])
-		}
-	})
-	global := make([]int32, nOld)
-	for i := range global {
-		global[i] = -1
-	}
-	remap := make([][]uint32, len(blocks))
-	for b := range parts {
-		remap[b] = make([]uint32, len(parts[b].firsts))
-		for localID, o := range parts[b].firsts {
-			if global[o] < 0 {
-				global[o] = int32(len(order))
-				order = append(order, o)
-			}
-			remap[b][localID] = uint32(global[o])
-		}
-	}
-	size := blocks[0].Hi - blocks[0].Lo
-	p.For(len(old), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b := i / size
-			if b >= len(blocks) {
-				b = len(blocks) - 1
-			}
-			ids[i] = remap[b][ids[i]]
-		}
-	})
-	return ids, order
 }

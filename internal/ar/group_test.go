@@ -40,15 +40,17 @@ func groupRefined(t *testing.T, keyVals [][]int64, keyBits []uint, selBits uint,
 	cands := SelectApprox(nil, selCol, selCol.Relax(1000, hi))
 	pre := GroupApprox(nil, cols, cands)
 	pre.Ship(nil)
-	refined, _ := SelectRefine(par.P{}, nil, selCol, nil, 1000, hi, cands)
-	got, gotKeys, err := GroupRefine(par.P{}, nil, pre, refined)
+	if err := SelectRefine(par.P{}, nil, selCol, nil, 1000, hi, cands); err != nil {
+		t.Fatal(err)
+	}
+	got, gotKeys, err := GroupRefine(par.P{}, nil, pre)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
-	if len(gotKeys) != len(cols) || len(got.IDs) != refined.Len() {
-		t.Fatalf("grouping covers %d tuples by %d keys, want %d by %d", len(got.IDs), len(gotKeys), refined.Len(), len(cols))
+	if len(gotKeys) != len(cols) || len(got.IDs) != cands.Len() {
+		t.Fatalf("grouping covers %d tuples by %d keys, want %d by %d", len(got.IDs), len(gotKeys), cands.Len(), len(cols))
 	}
-	for i, id := range refined.IDs() {
+	for i, id := range cands.IDs() {
 		for k := range cols {
 			if gotKeys[k][got.IDs[i]] != keyVals[k][id] {
 				t.Fatalf("tuple %d: key %d is %d, want %d", id, k, gotKeys[k][got.IDs[i]], keyVals[k][id])
@@ -116,8 +118,10 @@ func TestGroupApproxMatchesBulkOnFullSelection(t *testing.T) {
 	selCol := decompose(t, shuffledInts(n, 35), 32)
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, int64(n)))
 	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
-	refined, _ := SelectRefine(par.P{}, nil, selCol, nil, 0, int64(n), cands)
-	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping, refined)
+	if err := SelectRefine(par.P{}, nil, selCol, nil, 0, int64(n), cands); err != nil {
+		t.Fatal(err)
+	}
+	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping)
 	if err != nil {
 		t.Fatalf("GroupRefine: %v", err)
 	}
@@ -199,7 +203,8 @@ func TestGroupingShipOnce(t *testing.T) {
 func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 	// When a grouping column was already filtered, its codes travel with
 	// the candidates: GroupApprox groups by them and bills no projection
-	// for that column — only for the key column the scan never touched.
+	// for that column — only for the key column the scan never touched —
+	// whether or not the candidates' ids were listed.
 	sys := device.PaperSystem()
 	n := 5000
 	keyCol := decompose(t, groupKeys(n, 8, 88), 32)
@@ -215,10 +220,11 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 			for _, col := range tc.cols[1:] {
 				ProjectApprox(projected, col, nil, cands)
 			}
-			bare := device.NewMeter(sys)
-			GroupApprox(bare, tc.cols, &Candidates{ids: cands.IDs(), attach: cands.attach})
+			bare, listed := device.NewMeter(sys), SelectApprox(nil, keyCol, keyCol.Relax(0, 6))
+			listed.Emit()
+			GroupApprox(bare, tc.cols, listed)
 			if m.GPU != bare.GPU || m.GPU <= projected.GPU {
-				t.Fatalf("charged %v by mask, %v by list, of which projections %v", m, bare, projected)
+				t.Fatalf("charged %v by mask, %v listed, of which projections %v", m, bare, projected)
 			}
 			for k, col := range tc.cols {
 				codes := cands.CodesFor(col)
@@ -235,11 +241,11 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 	}
 }
 
-// GroupApprox over a set that still carries its survivor mask — key columns
-// decoded by granule — and over the same candidates as a plain id list gives
-// the same group ids, the same groups in the same first-appearance order and
-// the same charge, and both are what a row-by-row map over the packed key
-// tuples gives: for one and two key columns, resident and decomposed, a key
+// GroupApprox over a set no position of which was read yet — key columns
+// decoded by granule — and over the same candidates once their ids and
+// attached codes were listed gives the same group ids, the same groups in the
+// same first-appearance order and the same charge, and both are what a
+// row-by-row map over the packed key tuples gives: for one and two key columns, resident and decomposed, a key
 // column the scan already attached, a handful of groups and enough of them
 // to grow the grouping table many times over, across several work-groups.
 func TestGroupApproxMaskMatchesIDList(t *testing.T) {
@@ -261,19 +267,16 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 		{"many groups, two columns", []*bwd.Column{mid, wide}},
 	} {
 		for _, r := range []bwd.ApproxRange{{Full: true}, {Lo: 100, Hi: 300}, {Lo: 7, Hi: 7}, {Empty: true}} {
-			masked := SelectApprox(nil, sel, r)
-			listed := &Candidates{ids: append([]bat.OID{}, masked.IDs()...)}
-			if attached := masked.CodesFor(sel); attached != nil {
-				listed.attach = []attachment{{col: sel, codes: append([]uint64{}, attached...), rng: r, filtered: true}}
-			}
-			fresh := SelectApprox(nil, sel, r) // no position read yet: grouped straight from the mask
+			listed := SelectApprox(nil, sel, r)
+			listed.Emit()
+			fresh := SelectApprox(nil, sel, r) // no position read yet
 			mm, ml := device.NewMeter(sys), device.NewMeter(sys)
 			gm, gl := GroupApprox(mm, tc.cols, fresh), GroupApprox(ml, tc.cols, listed)
 
 			// The reference: first-appearance ids over the candidate order.
 			seen := map[[2]uint64]uint32{}
 			var order [][2]uint64
-			for i, id := range listed.ids {
+			for i, id := range listed.IDs() {
 				var key [2]uint64
 				for k, col := range tc.cols {
 					key[k] = col.Approx.Get(int(id))
@@ -288,7 +291,7 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 					t.Fatalf("%s %v: candidate %d in group %d by mask, %d by list, want %d", tc.name, r, i, gm.IDs[i], gl.IDs[i], g)
 				}
 			}
-			if gm.NGroups != len(order) || gl.NGroups != len(order) || len(gm.IDs) != len(listed.ids) {
+			if gm.NGroups != len(order) || gl.NGroups != len(order) || len(gm.IDs) != listed.Len() {
 				t.Fatalf("%s %v: %d groups by mask, %d by list, want %d", tc.name, r, gm.NGroups, gl.NGroups, len(order))
 			}
 			for g, key := range order {
@@ -304,7 +307,7 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 			gm.Release()
 			gl.Release()
 			fresh.Release()
-			masked.Release()
+			listed.Release()
 		}
 	}
 }
@@ -312,8 +315,8 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 // A key whose code tuple spans at most directBits bits goes through the
 // direct table, a wider one through the probe alone; either way the ids, the
 // group count and the groups' codes are exactly what the hash table assigns
-// the candidates' key tuples in candidate order — by mask and by position,
-// one column and two, on both sides of the limit.
+// the candidates' key tuples in candidate order — with the ids listed and
+// not, one column and two, on both sides of the limit.
 func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	const n = gpuChunk + 4321
@@ -336,24 +339,24 @@ func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
 				cols[k] = scanColumn(t, rng, bits, n, "clustered")
 			}
 			for _, r := range []bwd.ApproxRange{{Full: true}, {Lo: 100, Hi: 600}} {
-				masked := SelectApprox(nil, sel, r)
-				listed := &Candidates{ids: append([]bat.OID{}, masked.IDs()...)}
+				listed := SelectApprox(nil, sel, r)
+				listed.Emit()
 				fresh := SelectApprox(nil, sel, r)
 				byMask, byPos := GroupApprox(nil, cols, fresh), GroupApprox(nil, cols, listed)
 
 				ref := newGroupTable()
-				for _, id := range listed.ids {
+				for _, id := range listed.IDs() {
 					var key uint64
 					for _, col := range cols {
 						key = key<<col.Dec.ApproxBits | col.Approx.Get(int(id))
 					}
 					ref.id(key)
 				}
-				for name, g := range map[string]*Grouping{"by mask": byMask, "by position": byPos} {
-					if g.NGroups != len(ref.uniq) || len(g.IDs) != len(listed.ids) {
-						t.Fatalf("%v %s: %d groups over %d candidates, the hash table %d over %d", r, name, g.NGroups, len(g.IDs), len(ref.uniq), len(listed.ids))
+				for name, g := range map[string]*Grouping{"fresh": byMask, "listed": byPos} {
+					if g.NGroups != len(ref.uniq) || len(g.IDs) != listed.Len() {
+						t.Fatalf("%v %s: %d groups over %d candidates, the hash table %d over %d", r, name, g.NGroups, len(g.IDs), len(ref.uniq), listed.Len())
 					}
-					for i, id := range listed.ids {
+					for i, id := range listed.IDs() {
 						var key uint64
 						for _, col := range cols {
 							key = key<<col.Dec.ApproxBits | col.Approx.Get(int(id))
@@ -375,7 +378,7 @@ func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
 				byMask.Release()
 				byPos.Release()
 				fresh.Release()
-				masked.Release()
+				listed.Release()
 			}
 		})
 	}

@@ -41,7 +41,7 @@ func CheckKey(fkCol *bwd.Column) error {
 // the candidates whose key has a partner in the dimension — an inner join
 // drops a dangling key, as the classic join and the delta scan do. Like a
 // further conjunct it is a mask step over the granules that still hold a
-// survivor, so in must still carry its mask.
+// survivor.
 func JoinApprox(m *device.Meter, key *bwd.Key, in *Candidates) (*Candidates, error) {
 	if err := CheckKey(key.Col); err != nil {
 		return nil, err

@@ -57,8 +57,15 @@ func TestSelectThroughKeySupersetAndRefine(t *testing.T) {
 			}
 		}
 		// Refinement: exact, the values aligned with the ids through the key.
-		r2, vals := SelectRefine(par.P{}, nil, dimCol, key, lo, hi, c2)
-		for i, id := range r2.IDs() {
+		proj := ProjectApprox(nil, dimCol, key, c2)
+		if err := SelectRefine(par.P{}, nil, dimCol, key, lo, hi, c2); err != nil {
+			t.Fatal(err)
+		}
+		vals, err := ProjectRefine(par.P{}, nil, proj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range c2.IDs() {
 			if vals[i] != dimVals[fk[id]] {
 				t.Fatalf("dimBits=%d: reconstructed dim value %d != %d", dimBits, vals[i], dimVals[fk[id]])
 			}
@@ -75,11 +82,12 @@ func TestSelectThroughKeySupersetAndRefine(t *testing.T) {
 				}
 			}
 		}
-		// c2 is approximate on sel: refine sel first for exact ground truth.
-		rSel, _ := SelectRefine(par.P{}, nil, selCol, nil, 100, 9000, c2)
-		rBoth, _ := SelectRefine(par.P{}, nil, dimCol, key, lo, hi, rSel)
-		if rBoth.Len() != want {
-			t.Fatalf("dimBits=%d: refined join count %d != ground truth %d", dimBits, rBoth.Len(), want)
+		// c2 is approximate on sel: refine sel too for exact ground truth.
+		if err := SelectRefine(par.P{}, nil, selCol, nil, 100, 9000, c2); err != nil {
+			t.Fatal(err)
+		}
+		if c2.Len() != want {
+			t.Fatalf("dimBits=%d: refined join count %d != ground truth %d", dimBits, c2.Len(), want)
 		}
 	}
 }
@@ -88,12 +96,14 @@ func TestProjectRefineThroughKeyReconstructsDimValues(t *testing.T) {
 	_, fk, dimVals, selCol, dimCol, key := buildDimData(t, 10000, 300, 5, 71)
 	cands := SelectApprox(nil, selCol, selCol.Relax(500, 8000))
 	proj := ProjectApprox(nil, dimCol, key, cands)
-	refined, _ := SelectRefine(par.P{}, nil, selCol, nil, 500, 8000, cands)
-	got, err := ProjectRefine(par.P{}, nil, proj, refined)
+	if err := SelectRefine(par.P{}, nil, selCol, nil, 500, 8000, cands); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ProjectRefine(par.P{}, nil, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, id := range refined.IDs() {
+	for i, id := range cands.IDs() {
 		if got[i] != dimVals[fk[id]] {
 			t.Fatalf("dim projection for fact %d = %d, want %d", id, got[i], dimVals[fk[id]])
 		}
@@ -106,7 +116,9 @@ func TestSelectRefineThroughKeyResidentChargesNothing(t *testing.T) {
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, 4000))
 	c2 := SelectApproxOver(nil, dimCol, key, dimCol.Relax(0, 5000), cands)
 	m := device.NewMeter(sys)
-	SelectRefine(par.P{}, m, dimCol, key, 0, 5000, c2)
+	if err := SelectRefine(par.P{}, m, dimCol, key, 0, 5000, c2); err != nil {
+		t.Fatal(err)
+	}
 	if m.CPU != 0 {
 		t.Errorf("resident dimension refinement charged %v (§IV-C: no refinement needed)", m.CPU)
 	}
@@ -127,8 +139,8 @@ func TestProjectApproxThroughKey(t *testing.T) {
 	proj := ProjectApprox(nil, dimCol, key, cands)
 	for i, id := range cands.IDs() {
 		want := dim[fk[id]]
-		if got := proj.ApproxLow(i); got != want {
-			t.Fatalf("ApproxLow[%d] = %d, want %d", i, got, want)
+		if got := dimCol.Dec.Base + int64(proj.Codes()[i]); got != want {
+			t.Fatalf("projected value %d = %d, want %d", i, got, want)
 		}
 	}
 }

@@ -3,17 +3,17 @@ package ar
 import (
 	"repro/internal/bwd"
 	"repro/internal/device"
-	"repro/internal/mem"
 	"repro/internal/par"
 )
 
 // This file implements the disjunction (OR) operators that run over an
 // existing candidate set: narrowing it with a union of relaxed ranges —
 // each disjunct relaxed through its own column's BWD bounds — and the
-// refinement of a disjunction. Both the full-column disjunctive scan,
-// SelectApproxAny, and the narrowing are the k-column case of the one mask
-// step in scan.go. The candidate union never materializes per-disjunct
-// sets: one pass evaluates every disjunct per granule.
+// refinement of a disjunction. The full-column disjunctive scan,
+// SelectApproxAny, the narrowing and the refinement are all the k-column
+// case of the one mask step in scan.go. The candidate union never
+// materializes per-disjunct sets: one pass evaluates every disjunct per
+// granule.
 
 // SelectApproxAnyOver narrows a candidate set with a further disjunctive
 // predicate: the device gathers each disjunct column's codes at the
@@ -44,61 +44,29 @@ func SelectApproxAnyOver(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRan
 
 // SelectRefineAny is the refinement of a disjunctive selection: on the
 // CPU, each candidate's exact value is reconstructed per disjunct column
-// (shipped code + host-resident residual) and the precise disjunction —
-// any lo_k <= v_k <= hi_k — is re-evaluated, eliminating false positives.
-// Morsel survivors land in disjoint arena regions and left-pack in morsel
-// order, preserving candidate order exactly like the conjunctive
-// refinement. When every disjunct column is fully device resident the
-// relaxed ranges were the exact predicates (§IV-C): no candidate can be
-// eliminated, the pass is charged but not run, and in itself is returned.
-func SelectRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, los, his []int64, in *Candidates) *Candidates {
+// (code + host-resident residual) and the precise disjunction — any
+// lo_k <= v_k <= hi_k — is re-evaluated, eliminating false positives. Like
+// SelectApproxAnyOver it is one mask step over k disjuncts, each the exact
+// values of its column (bwd.Exactly without tails), narrowing in in place
+// on p and keeping its candidate order. When every disjunct column is fully
+// device resident the relaxed ranges were the exact predicates (§IV-C): no
+// candidate can be eliminated, and the pass is charged but not run. A walk
+// cancelled partway returns the context's error.
+func SelectRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, los, his []int64, in *Candidates) error {
 	n := in.Len()
 	resident := true
-	for _, col := range cols {
-		resident = resident && col.Dec.ResBits == 0
-	}
-	if resident {
-		chargeRefineAny(p, m, cols, n, n)
-		return in
-	}
-	codes := make([][]uint64, len(cols))
+	in.walk = in.walk[:0]
 	for k, col := range cols {
-		codes[k] = in.CodesFor(col)
-		if codes[k] == nil {
-			panic("ar: SelectRefineAny on a column that was never approximated over these candidates")
+		resident = resident && col.Dec.ResBits == 0
+		in.walk = append(in.walk, bwd.Exactly(col, nil, los[k], his[k]))
+	}
+	if !resident {
+		if err := in.refine(p); err != nil {
+			return err
 		}
 	}
-	ids := in.IDs()
-	keepBuf := mem.Ints.GetN(n)
-	counts, _, err := par.ForCounted(p, n, func(_ *mem.Scratch, _, mlo, mhi int) int {
-		cnt := 0
-		for i := mlo; i < mhi; i++ {
-			for k, col := range cols {
-				var r uint64
-				if col.Dec.ResBits > 0 {
-					r = col.Residual.Get(int(ids[i]))
-				}
-				v := col.ReconstructFrom(codes[k][i], r)
-				if v >= los[k] && v <= his[k] {
-					keepBuf[mlo+cnt] = i
-					cnt++
-					break
-				}
-			}
-		}
-		return cnt
-	})
-	var keep []int
-	if err != nil {
-		keep = keepBuf[:0]
-	} else {
-		keep = par.Compact(counts, p.ChunkSize(), keepBuf)
-		mem.Ints.Put(counts)
-	}
-	out := in.filterTo(keep)
-	mem.Ints.Put(keepBuf)
-	chargeRefineAny(p, m, cols, n, len(keep))
-	return out
+	chargeRefineAny(p, m, cols, n, in.n)
+	return nil
 }
 
 // chargeRefineAny bills one fused disjunction pass over n candidates of

@@ -1,6 +1,8 @@
 package ar
 
 import (
+	"math/bits"
+
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -14,10 +16,12 @@ import (
 // precise (the projected column is fully device resident, ResBits == 0),
 // in which case no refinement is necessary (§IV-C).
 //
-// On the host a projection over a set that still carries its survivor mask
-// holds no codes until someone asks for the list (Codes): a consumer that
-// reads by mask (ByMask) decodes the packed column a block at a time and the
-// candidate-length buffer is never written.
+// On the host a projection of a fact column holds no codes until someone
+// asks for the list (Codes): a consumer that reads by mask (ByMask) decodes
+// the packed column a block at a time and the candidate-length buffer is
+// never written. The codes are those of the candidates the source held when
+// it was projected; once a refinement narrows the source, its exact values
+// come from ProjectRefine, which reads the narrower mask.
 //
 // Key is the projected column's addressing: nil for a column of the scanned
 // table, the join's key for a dimension column, whose code for a candidate is
@@ -43,11 +47,6 @@ func (p *Projection) Release() {
 
 // Exact reports whether the projected codes need no refinement.
 func (p *Projection) Exact() bool { return p.Col.Dec.ResBits == 0 }
-
-// ApproxLow returns the smallest value consistent with projected code i.
-func (p *Projection) ApproxLow(i int) int64 {
-	return p.Col.Dec.Base + int64(p.Codes()[i]<<p.Col.Dec.ResBits)
-}
 
 // ByMask reports whether the projection is still only its source's mask over
 // the packed column: read it with Src.Blocks and Src.Decode.
@@ -81,16 +80,15 @@ func (p *Projection) Ship(m *device.Meter) {
 // device-resident approximation of the projected column. The output is
 // aligned with the candidate order, which a parallel projection preserves
 // for free because each lane writes at the position of its input id
-// (§IV-A item 2). On the host a set that still carries its survivor mask is
-// projected by granule — one decode where a granule's survivors are dense,
-// one Get per survivor where they are sparse (emitGranule), and only once a
-// reader wants the codes as a list — and an id-list set, or any set through a
-// key, by one lookup per id; the codes and the charge are the same either
-// way.
+// (§IV-A item 2). On the host a fact column is projected by granule — one
+// decode where a granule's survivors are dense, one Get per survivor where
+// they are sparse (emitGranule), and only once a reader wants the codes as a
+// list — and a dimension column by one lookup per id through its key; the
+// codes and the charge are the same either way.
 func ProjectApprox(m *device.Meter, col *bwd.Column, key *bwd.Key, cands *Candidates) *Projection {
 	n := cands.Len()
 	p := &Projection{Src: cands, Col: col, Key: key, n: n}
-	if key != nil || cands.mask == nil {
+	if key != nil {
 		p.codes = mem.U64.GetN(n)
 		ids := cands.IDs()
 		devP().For(n, func(lo, hi int) {
@@ -109,61 +107,41 @@ func chargeProject(m *device.Meter, col *bwd.Column, n int) {
 	}
 }
 
-// ProjectRefine is the refinement of a projection (§IV-C): a translucent
-// join of the refined candidate subset into the approximate projection —
-// re-aligning the projected codes with the surviving IDs — followed by
-// residual lookups and bitwise reconstruction of the exact values.
+// ProjectRefine is the refinement of a projection (§IV-C): the exact values
+// of p's column for the candidates its source holds now — the set phase A
+// projected over, narrowed in place by the refinements since — in candidate
+// order. The source's mask is walked a work-group at a time on pp: each
+// granule's codes are decoded as ProjectApprox's are and concatenated with
+// the residual at each row, or — a dimension column — code and residual are
+// read at the position the row's key joins.
 //
-// refined must be an order-preserving subset of p.Src (which every A&R
-// refinement guarantees); otherwise ErrTranslucentPrecondition is
-// returned. The translucent join stays a sequential merge pass (its cursor
-// is inherently serial); the residual lookups and reconstructions fan out
-// over morsels with disjoint output writes. A dimension projection looks its
-// residuals up at the position each surviving candidate's key joins, and is
-// billed as the dimension-side operator always was: its translucent join
-// whatever survived, its reconstruction only where there are residuals.
-func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates) ([]int64, error) {
-	if p.Key == nil && p.Exact() && refined.Len() == p.Src.Len() {
-		// §IV-C: all bits of the projected attribute are device resident
-		// and no candidates were eliminated — the shipped codes already
-		// are the exact result (a view, no refinement operator runs).
-		out := mem.I64.GetN(len(p.Codes()))
-		pp.For(len(out), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = p.ApproxLow(i)
-			}
-		})
-		return out, nil
-	}
-	ids := refined.IDs()
-	pos, err := TranslucentJoinMetered(m, pp.NThreads(), p.Src.IDs(), ids)
-	if err != nil {
+// The bill is the operator's: when the column is fully device resident and
+// nothing was refined away, the shipped codes already are the exact result (a
+// view, no refinement operator runs, nothing is charged); otherwise the
+// translucent join that realigns the refined subset with the projection
+// (chargeTranslucentJoin) and, unless a dimension column has nothing to
+// reconstruct, the residual lookups and reconstruction. A walk cancelled
+// partway returns the context's error.
+func ProjectRefine(pp par.P, m *device.Meter, p *Projection) ([]int64, error) {
+	src, col, key := p.Src, p.Col, p.Key
+	n := src.Len()
+	out := mem.I64.GetN(n)
+	wg := src.WorkGroups()
+	if err := forGroups(pp, wg, func(ci int) { src.rebuildGroup(col, key, out, ci) }); err != nil {
+		mem.I64.Put(out)
 		return nil, err
 	}
-	out := mem.I64.GetN(len(ids))
-	col, key, codes := p.Col, p.Key, p.Codes()
-	pp.For(len(pos), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var r uint64
-			if col.Dec.ResBits > 0 {
-				at := int(ids[i])
-				if key != nil {
-					at, _ = key.At(at)
-				}
-				r = col.Residual.Get(at)
-			}
-			out[i] = col.ReconstructFrom(codes[pos[i]], r)
-		}
-	})
-	mem.Ints.Put(pos)
-	if m != nil && (p.Key == nil || col.Dec.ResBits > 0) {
+	if m == nil || key == nil && p.Exact() && n == p.n {
+		return out, nil
+	}
+	chargeTranslucentJoin(m, pp.NThreads(), p.n, n)
+	if key == nil || col.Dec.ResBits > 0 {
 		// Reads: refined IDs (32-bit), shipped codes, residuals (at
 		// candidate order); writes: reconstructed values at the column's
 		// native width — through a key, 8 bytes a candidate stand for both.
-		n := len(ids)
 		resFetch := device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
 		seq := packedBytes(n, col.Dec.ApproxBits) + resFetch
-		if p.Key == nil {
+		if key == nil {
 			seq += int64(n)*4 + int64(n)*int64(col.Dec.Width)
 		} else {
 			seq += int64(n) * 8
@@ -171,4 +149,57 @@ func ProjectRefine(pp par.P, m *device.Meter, p *Projection, refined *Candidates
 		m.CPUWork(pp.NThreads(), seq, 0, int64(n))
 	}
 	return out, nil
+}
+
+// forGroups runs fn for each of wg work-groups on p, distinct ones
+// concurrently, polling the context between them; one worker runs them on
+// the calling goroutine.
+func forGroups(p par.P, wg int, fn func(ci int)) error {
+	p.Chunk = 1
+	return p.For(wg, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			fn(ci)
+		}
+	})
+}
+
+// rebuildGroup writes col's exact values of work-group ci's survivors into
+// their slot of out, in row order: per granule the codes as emitGranule
+// emits them, each concatenated with the residual at its row — the residual
+// granule read whole where the survivors are dense — or, through a key, code
+// and residual at the position the row's key joins.
+func (c *Candidates) rebuildGroup(col *bwd.Column, key *bwd.Key, out []int64, ci int) {
+	at := c.offs[ci]
+	var codes, res [bwd.GranuleRows]uint64
+	for g := ci * groupGranules; g < min((ci+1)*groupGranules, len(c.mask)); g++ {
+		word, base := c.mask[g], g*bwd.GranuleRows
+		switch {
+		case word == 0:
+			continue
+		case key != nil:
+			for w := word; w != 0; w &= w - 1 {
+				pos, _ := key.At(base + bits.TrailingZeros64(w))
+				out[at] = col.Reconstruct(pos)
+				at++
+			}
+			continue
+		}
+		k := emitGranule(col.Approx, codes[:], word, base, &codes) // room for a whole granule: decoded in place
+		switch {
+		case col.Dec.ResBits == 0:
+			for i, code := range codes[:k] {
+				out[at+i] = col.Dec.Base + int64(code)
+			}
+		case k < denseSurvivors:
+			for i, w := 0, word; w != 0; i, w = i+1, w&(w-1) {
+				out[at+i] = col.ReconstructFrom(codes[i], col.Residual.Get(base+bits.TrailingZeros64(w)))
+			}
+		default:
+			col.Residual.Unpack64(&res, base)
+			for i, w := 0, word; w != 0; i, w = i+1, w&(w-1) {
+				out[at+i] = col.ReconstructFrom(codes[i], res[bits.TrailingZeros64(w)])
+			}
+		}
+		at += k
+	}
 }

@@ -25,8 +25,10 @@ func TestProjectApproxRefineMatchesBulk(t *testing.T) {
 	proj := ProjectApprox(nil, priceCol, nil, cands)
 	cands.Ship(nil)
 	proj.Ship(nil)
-	refined, _ := SelectRefine(par.P{}, nil, dateCol, nil, lo, hi, cands)
-	got, err := ProjectRefine(par.P{}, nil, proj, refined)
+	if err := SelectRefine(par.P{}, nil, dateCol, nil, lo, hi, cands); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ProjectRefine(par.P{}, nil, proj)
 	if err != nil {
 		t.Fatalf("ProjectRefine: %v", err)
 	}
@@ -39,8 +41,8 @@ func TestProjectApproxRefineMatchesBulk(t *testing.T) {
 		t.Fatalf("projection size = %d, want %d", len(got), len(wantVals))
 	}
 	// Compare as multisets keyed by tuple id (orders differ).
-	byID := make(map[bat.OID]int64, len(refined.IDs()))
-	for i, id := range refined.IDs() {
+	byID := make(map[bat.OID]int64, cands.Len())
+	for i, id := range cands.IDs() {
 		byID[id] = got[i]
 	}
 	for i, id := range ids {
@@ -51,44 +53,38 @@ func TestProjectApproxRefineMatchesBulk(t *testing.T) {
 }
 
 func TestProjectRefineUsesTranslucentJoin(t *testing.T) {
-	// The refined set is a strict subset in the same permuted order: the
-	// merge path of Algorithm 1 must resolve it.
-	n := 5000
+	// The refined set is a strict subset of the set the projection was taken
+	// over, in the same permuted order: the realignment of Algorithm 1 —
+	// here the narrowed mask itself — must resolve it, over several
+	// work-groups, and bill the translucent join.
+	n := 3*gpuChunk + 500
 	a := shuffledInts(n, 22)
 	b := shuffledInts(n, 23)
 	colA := decompose(t, a, 6)
 	colB := decompose(t, b, 6)
 
-	cands := SelectApprox(nil, colA, colA.Relax(100, 2500))
+	cands := SelectApprox(nil, colA, colA.Relax(100, int64(n/2)))
 	proj := ProjectApprox(nil, colB, nil, cands)
-	refined, _ := SelectRefine(par.P{}, nil, colA, nil, 100, 2500, cands)
-	if len(refined.IDs()) == cands.Len() {
+	pre := cands.Len()
+	if err := SelectRefine(par.P{}, nil, colA, nil, 100, int64(n/2), cands); err != nil {
+		t.Fatal(err)
+	}
+	if cands.Len() == pre {
 		t.Fatal("test needs false positives to be meaningful")
 	}
-	got, err := ProjectRefine(par.P{}, nil, proj, refined)
+	m, want := device.NewMeter(device.PaperSystem()), device.NewMeter(device.PaperSystem())
+	got, err := ProjectRefine(par.P{Workers: 4}, m, proj)
 	if err != nil {
 		t.Fatalf("ProjectRefine: %v", err)
 	}
-	for i, id := range refined.IDs() {
+	for i, id := range cands.IDs() {
 		if got[i] != b[id] {
 			t.Fatalf("value for id %d = %d, want %d", id, got[i], b[id])
 		}
 	}
-}
-
-func TestProjectRefineRejectsForeignSubset(t *testing.T) {
-	n := 1000
-	a := shuffledInts(n, 24)
-	colA := decompose(t, a, 6)
-	cands := SelectApprox(nil, colA, colA.Relax(0, 100))
-	proj := ProjectApprox(nil, colA, nil, cands)
-	// A candidate set that is NOT a subset of the projection's source.
-	foreign := &Candidates{ids: []bat.OID{bat.OID(n - 1), 0}}
-	if cands.Len() < 2 {
-		t.Skip("not enough candidates")
-	}
-	if _, err := ProjectRefine(par.P{}, nil, proj, foreign); err == nil {
-		t.Error("foreign subset accepted by translucent join")
+	chargeTranslucentJoin(want, 1, pre, cands.Len())
+	if m.CPU <= want.CPU || want.CPU == 0 {
+		t.Fatalf("charged %v, of which the translucent join alone %v", m, want)
 	}
 }
 
@@ -129,13 +125,12 @@ func TestProjectionShipCharges(t *testing.T) {
 }
 
 // TestProjectApproxMatchesPerRowReference pins ProjectApprox against one
-// Get per id — the same codes for every id pattern, the same charge — for
-// both inputs it takes: an id list, looked up id by id, and a set that
-// still carries its survivor mask, decoded by granule (whole, dense and
-// sparse granules all occur). The patterns: dense, sparse, the mostly-dense
+// Get per id — the same codes for every id pattern, the same charge — over a
+// set decoded by granule from its survivor mask (whole, dense and sparse
+// granules all occur). The patterns: dense, sparse, the mostly-dense
 // candidates of an unselective scan, a run that crosses a work-group edge,
-// work-groups in device (permuted) order, and the list whose ends look
-// like a run while its middle is not.
+// work-groups in device (permuted) order, and ids whose ends look like a run
+// while their middle is not.
 // maskedCandidates returns the mask-carrying set over col's rows whose
 // survivors are exactly ids: a full scan with every other row masked out.
 func maskedCandidates(col *bwd.Column, ids []bat.OID) *Candidates {
@@ -221,9 +216,8 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 			p.Release()
 		}
 		for name, ids := range patterns {
-			check(name, &Candidates{ids: ids()})
 			masked := maskedCandidates(col, ids())
-			check(name+", by mask", masked)
+			check(name, masked)
 			masked.Release()
 		}
 		// What a scan really emits: every work-group ascending, the groups in

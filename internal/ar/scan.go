@@ -20,8 +20,9 @@ import (
 // 64-row granule and runs in three steps — skip, mask, materialise
 // (DESIGN.md §13) — so that rows a relaxed range cannot admit are never
 // decoded: the first two are bwd's granule walk, which the classic selection
-// shares; the third is here. None of that is visible to the simulated
-// device, which still pays the paper's full packed scan.
+// and the refinements (refine) share; the third is here. None of that is
+// visible to the simulated device, which still pays the paper's full packed
+// scan.
 
 // gpuChunk is the tuple count per simulated device work-group.
 const gpuChunk = 64 << 10
@@ -166,9 +167,7 @@ func (c *Candidates) narrow(att []attachment, and bool) {
 
 // walkGranules runs the mask step over the disjuncts compiled into c.walk.
 func (c *Candidates) walkGranules(and bool) {
-	if c.mask == nil || c.sealed {
-		panic("ar: narrowing a candidate set that has no survivor mask or whose positions were already read")
-	}
+	c.reopen()
 	ds, mask, counts, group := c.walk, c.mask, c.offs, bwd.ScanGranules
 	if and {
 		group = bwd.NarrowGranules
@@ -181,6 +180,31 @@ func (c *Candidates) walkGranules(and bool) {
 		})
 	}
 	c.recount()
+}
+
+// refine is the mask step of a refinement: the disjuncts compiled into
+// c.walk narrow the survivors like a further conjunct, but on p — the
+// statement's share of the host, phase R's grant — a work-group at a time,
+// and without filing granule outcomes, which count the approximate scans
+// only. One work-group runs on the calling goroutine without materializing a
+// closure. A walk cancelled partway leaves the mask undefined and returns
+// the context's error.
+func (c *Candidates) refine(p par.P) error {
+	c.reopen()
+	ds, mask, counts := c.walk, c.mask, c.offs
+	if len(counts) <= 1 {
+		if len(counts) == 1 {
+			counts[0], _ = bwd.NarrowGranules(ds, mask, 0, c.rows)
+		}
+		c.recount()
+		return p.Cancelled()
+	}
+	p.Chunk = gpuChunk
+	err := p.For(c.rows, func(lo, hi int) {
+		counts[lo/gpuChunk], _ = bwd.NarrowGranules(ds, mask, lo, hi)
+	})
+	c.recount()
+	return err
 }
 
 // countGroup adds one work-group's granule outcomes to the process-wide
@@ -200,15 +224,33 @@ func (c *Candidates) recount() {
 	}
 }
 
+// reopen readies the set for a narrowing, which rewrites every work-group's
+// survivor count: slots sealed in candidate order become counts again (seal
+// recomputes them, in the same order), and whatever was emitted from the old
+// mask — the ids, the attached codes, the certain mask — goes back to the
+// arena, to be emitted from the narrower one on demand.
+func (c *Candidates) reopen() {
+	c.sealed = false
+	if c.emitted {
+		c.emitted = false
+		oidPool.Put(c.ids)
+		c.ids = nil
+		for j := range c.attach {
+			mem.U64.Put(c.attach[j].codes)
+			c.attach[j].codes = nil
+		}
+	}
+	mem.U64.Put(c.certain)
+	c.certain, c.certainBuilt = nil, false
+}
+
 // MaskOut clears the candidates whose bit is set in drop — a bitmap over the
 // scanned rows, bit i%64 of word i/64, which may end early. It is how the
 // device discharges deleted rows: the deletion bitmap is mirrored
 // device-side, so masking is one AND-NOT per granule; the caller, which
 // knows the bitmap's footprint, charges it.
 func (c *Candidates) MaskOut(drop []uint64) {
-	if c.mask == nil || c.sealed {
-		panic("ar: masking a candidate set that has no survivor mask or whose positions were already read")
-	}
+	c.reopen()
 	for ci := range c.offs {
 		lo := ci * groupGranules
 		hi := min(lo+groupGranules, len(c.mask))
@@ -245,16 +287,15 @@ func (c *Candidates) seal() {
 	mem.Ints.Put(order)
 }
 
-// Emit materialises a mask-carrying set: every work-group writes its
-// survivors' ids and the codes of every attached column straight into its
-// slot of the exact-size output (emitGroup), in parallel, no concatenation.
-// It is the one place candidate ids come from a mask; calling it again, or
-// on an id-list set, does nothing. The pipeline calls it after the last
-// narrowing when an operator downstream addresses positions, and the
-// accessors that hand positions out call it on demand — so a statement none
-// of whose operators does never pays for a list.
+// Emit materialises the set: every work-group writes its survivors' ids and
+// the codes of every attached column straight into its slot of the
+// exact-size output (emitGroup), in parallel, no concatenation. It is the one
+// place candidate ids come from; calling it again before the mask narrows
+// does nothing. The accessors that hand positions out call it on demand — so
+// a statement none of whose operators addresses positions never pays for a
+// list.
 func (c *Candidates) Emit() {
-	if c.mask == nil || c.emitted {
+	if c.emitted {
 		return
 	}
 	c.emitted = true
@@ -303,16 +344,13 @@ func granulesTo(hi int) int { return (hi + bwd.GranuleRows - 1) / bwd.GranuleRow
 // groupGranules is the number of granules in one work-group.
 const groupGranules = gpuChunk / bwd.GranuleRows
 
-// WorkGroups ends the narrowing of a mask-carrying set (seal) and returns
-// how many work-groups its mask spans; 0 says the set is an id list (or has
-// scanned no row) and is read by position. Blocks, Decode and Granules read a
-// set by its mask, which is how a column of the approximation reaches a consumer
-// without a candidate-length buffer in between: the aggregate program's
-// block registers (internal/plan) and GroupApprox's key tuples.
+// WorkGroups seals the set's mask in candidate order (seal) and returns how
+// many work-groups it spans; 0 says it scanned no row. Blocks, Decode and
+// Granules read a set by its mask, which is how a column of the approximation
+// reaches a consumer without a candidate-length buffer in between: the
+// aggregate program's block registers (internal/plan), GroupApprox's key
+// tuples and the refinements' exact values.
 func (c *Candidates) WorkGroups() int {
-	if c.mask == nil {
-		return 0
-	}
 	c.seal()
 	return len(c.offs)
 }

@@ -1,7 +1,10 @@
 package ar
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -89,9 +92,16 @@ func TestSelectRefineEqualsBulkBaseline(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		cands := SelectApprox(nil, col, col.Relax(lo, hi))
-		cands.Ship(nil)
-		refined, refVals := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands)
+		refined := SelectApprox(nil, col, col.Relax(lo, hi))
+		proj := ProjectApprox(nil, col, nil, refined)
+		refined.Ship(nil)
+		if err := SelectRefine(par.P{}, nil, col, nil, lo, hi, refined); err != nil {
+			return false
+		}
+		refVals, err := ProjectRefine(par.P{}, nil, proj)
+		if err != nil {
+			return false
+		}
 
 		want := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
 		if len(refined.IDs()) != len(want) {
@@ -120,15 +130,33 @@ func TestSelectRefinePreservesCandidateOrder(t *testing.T) {
 	vals := shuffledInts(50000, 3)
 	col := decompose(t, vals, 9)
 	cands := SelectApprox(nil, col, col.Relax(100, 40000))
-	refined, _ := SelectRefine(par.P{}, nil, col, nil, 100, 40000, cands)
+	phaseA := slices.Clone(cands.IDs())
+	cands.CertainMask()
+	if err := SelectRefine(par.P{}, nil, col, nil, 100, 40000, cands); err != nil {
+		t.Fatal(err)
+	}
+	if cands.Len() == len(phaseA) {
+		t.Fatal("test needs false positives to be meaningful")
+	}
+	// What phase A emitted — ids, attached codes, the certain mask — is
+	// emitted again from the narrower mask.
+	codes, certain := cands.CodesFor(col), cands.CertainMask()
+	if len(codes) != cands.Len() || len(certain) != (cands.Len()+63)/64 {
+		t.Fatalf("%d candidates, %d codes, %d certain words", cands.Len(), len(codes), len(certain))
+	}
+	for i, id := range cands.IDs() {
+		if codes[i] != col.Approx.Get(int(id)) || certain[i/64]>>(i%64)&1 == 1 != cands.Certain(i) {
+			t.Fatalf("candidate %d (row %d): code %d, certain bit disagrees with Certain", i, id, codes[i])
+		}
+	}
 
-	// refined.IDs() must be a subsequence of cands.IDs().
+	// The refined ids must be a subsequence of the phase-A ids.
 	j := 0
-	for _, id := range refined.IDs() {
-		for j < len(cands.IDs()) && cands.IDs()[j] != id {
+	for _, id := range cands.IDs() {
+		for j < len(phaseA) && phaseA[j] != id {
 			j++
 		}
-		if j == len(cands.IDs()) {
+		if j == len(phaseA) {
 			t.Fatal("refined output is not an order-preserving subset of candidates")
 		}
 		j++
@@ -144,10 +172,21 @@ func TestSelectApproxOverConjunction(t *testing.T) {
 	colB := decompose(t, b, 8)
 
 	c1 := SelectApprox(nil, colA, colA.Relax(1000, 5000))
-	c2 := SelectApproxOver(nil, colB, nil, colB.Relax(2000, 9000), c1)
-	c2.Ship(nil)
-	r1, _ := SelectRefine(par.P{}, nil, colA, nil, 1000, 5000, c2)
-	r2, valsB := SelectRefine(par.P{}, nil, colB, nil, 2000, 9000, r1)
+	r2 := SelectApproxOver(nil, colB, nil, colB.Relax(2000, 9000), c1)
+	projB := ProjectApprox(nil, colB, nil, r2)
+	r2.Ship(nil)
+	for _, f := range []struct {
+		col    *bwd.Column
+		lo, hi int64
+	}{{colA, 1000, 5000}, {colB, 2000, 9000}} {
+		if err := SelectRefine(par.P{}, nil, f.col, nil, f.lo, f.hi, r2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valsB, err := ProjectRefine(par.P{}, nil, projB)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Ground truth via the bulk baseline.
 	bb := bat.NewDense(b, bat.Width32)
@@ -178,9 +217,8 @@ func TestSelectEmptyRelaxedRange(t *testing.T) {
 	if cands.Len() != 0 {
 		t.Errorf("empty relaxed range produced %d candidates", cands.Len())
 	}
-	refined, refVals := SelectRefine(par.P{}, nil, col, nil, 5000, 9000, cands)
-	if len(refined.IDs()) != 0 || len(refVals) != 0 {
-		t.Error("refinement of empty candidates not empty")
+	if err := SelectRefine(par.P{}, nil, col, nil, 5000, 9000, cands); err != nil || len(cands.IDs()) != 0 {
+		t.Errorf("refinement of empty candidates left %d, %v", cands.Len(), err)
 	}
 }
 
@@ -196,9 +234,8 @@ func TestSelectFullyResidentColumnRefinementIsExactPassthrough(t *testing.T) {
 	if cands.Len() != len(want) {
 		t.Fatalf("fully resident approximation has %d candidates, want exact %d", cands.Len(), len(want))
 	}
-	refined, _ := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands)
-	if len(refined.IDs()) != len(want) {
-		t.Error("refinement changed an already-exact result")
+	if err := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands); err != nil || len(cands.IDs()) != len(want) {
+		t.Errorf("refinement changed an already-exact result: %d of %d left, %v", cands.Len(), len(want), err)
 	}
 }
 
@@ -226,7 +263,9 @@ func TestSelectChargesDevices(t *testing.T) {
 	if m.PCI != pciBefore {
 		t.Error("double ship charged twice")
 	}
-	SelectRefine(par.P{}, m, col, nil, 0, 10000, cands)
+	if err := SelectRefine(par.P{}, m, col, nil, 0, 10000, cands); err != nil {
+		t.Fatal(err)
+	}
 	if m.CPU == 0 {
 		t.Error("refinement charged no CPU time")
 	}
@@ -250,5 +289,30 @@ func TestCertainFlagsBoundaryBuckets(t *testing.T) {
 		if !cands.Certain(i) && !bucketLo && !bucketHi {
 			t.Fatalf("interior candidate %d flagged uncertain", v)
 		}
+	}
+}
+
+// A refinement walks on the statement's P: cancelled, the selection's and
+// the disjunction's walks and the projection's reconstruction return the
+// context's error, on one worker and on several.
+func TestSelectRefineCancelled(t *testing.T) {
+	n := 3*gpuChunk + 100
+	col := decompose(t, shuffledInts(n, 9), 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		p := par.P{Workers: workers, Ctx: ctx}
+		cands := SelectApprox(nil, col, col.Relax(0, int64(n/2)))
+		proj := ProjectApprox(nil, col, nil, cands)
+		if err := SelectRefine(p, nil, col, nil, 0, int64(n/2), cands); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: SelectRefine returned %v", workers, err)
+		}
+		if err := SelectRefineAny(p, nil, []*bwd.Column{col}, []int64{0}, []int64{int64(n / 3)}, cands); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: SelectRefineAny returned %v", workers, err)
+		}
+		if vals, err := ProjectRefine(p, nil, proj); vals != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: ProjectRefine returned %d values, %v", workers, len(vals), err)
+		}
+		cands.Release()
 	}
 }

@@ -10,12 +10,12 @@ import (
 // granule carries, the one decision they allow — which of a granule's rows a
 // range predicate admits, settled without reading a row wherever the bounds
 // can settle it — and the two loops that apply it to a survivor mask. The
-// A&R approximate selection (internal/ar), the classic selection
-// (internal/plan) and DELETE ... WHERE (internal/store) all select through
-// it; they differ only in what a Disjunct compares in a granule the bounds
-// leave open (DESIGN.md §13). A foreign-key join selects through it too: its
-// probe and the filters on its dimension are disjuncts read through a Key
-// (DESIGN.md §8).
+// A&R approximate selection and its refinement (internal/ar), the classic
+// selection (internal/plan) and DELETE ... WHERE (internal/store) all select
+// through it; they differ only in what a Disjunct compares in a granule the
+// bounds leave open (DESIGN.md §13). A foreign-key join selects through it
+// too: its probe and the filters on its dimension are disjuncts read through
+// a Key (DESIGN.md §8).
 
 // GranuleRows is the row count of one scan granule: the rows whose
 // survivors a scan records in one 64-bit word. It is the machine word size,
@@ -168,10 +168,12 @@ func (s *Split) decide(live uint64, outer, inner Codes) (sure, maybe uint64) {
 
 // Disjunct is one range predicate on one column in the form a granule walk
 // evaluates. The bounds of Col decide against Outer and Inner; where they
-// leave rows open, the rows' exact values Tails are compared with [Lo, Hi]
-// or — Tails nil, the approximate selection — their packed codes with Outer.
-// Col is nil for a column that was never decomposed: no bounds, every
-// granule is compared.
+// leave rows open, the rows' exact values are compared with [Lo, Hi] — Tails,
+// or, for an exact disjunct without them, Col's own values, each rebuilt from
+// its code and residual where the code lies in a boundary bucket (refinement)
+// — or, the approximate selection, their packed codes with Outer. Col is nil
+// for a column that was never decomposed: no bounds, every granule is
+// compared.
 //
 // A disjunct with a Key is read through it: Col and Tails belong to the
 // dimension the key joins, and row i of the walk is asked about their entry
@@ -187,6 +189,7 @@ type Disjunct struct {
 	Lo, Hi       int64
 	Key          *Key
 	Deleted      []uint64
+	exact        bool // compares exact values with [Lo, Hi] (Exactly)
 }
 
 // Key is a foreign-key column read as an address: row i of the fact table
@@ -241,9 +244,12 @@ func (c *Column) Approximately(r ApproxRange) Disjunct {
 
 // Exactly returns the disjunct lo <= v <= hi over a column's exact values
 // tails, decided from the bounds of its decomposition dec where it has one
-// (nil otherwise).
+// (nil otherwise). With tails nil the values are dec's own: a row whose code
+// lies in a boundary bucket of the range — inside Outer, outside Inner — has
+// its value rebuilt from code and residual (ReconstructFrom) and compared,
+// which is the refinement of an approximate selection over dec (§IV-C).
 func Exactly(dec *Column, tails []int64, lo, hi int64) Disjunct {
-	d := Disjunct{Col: dec, Tails: tails, Lo: lo, Hi: hi}
+	d := Disjunct{Col: dec, Tails: tails, Lo: lo, Hi: hi, exact: true}
 	if dec != nil {
 		d.Outer, d.Inner = dec.RelaxExact(lo, hi)
 	}
@@ -278,6 +284,8 @@ func (d *Disjunct) settle(g int, live uint64, buf *[GranuleRows]uint64) (word ui
 		return sure, false
 	case d.Tails != nil:
 		return sure | compareValues(d.Tails, g*GranuleRows, maybe, d.Lo, d.Hi), true
+	case d.exact:
+		return sure | d.compareRebuilt(g*GranuleRows, maybe, buf), true
 	}
 	return sure | compareCodes(d.Col.Approx, g*GranuleRows, maybe, d.Outer.Lo, d.Outer.Hi-d.Outer.Lo, buf), true
 }
@@ -286,7 +294,7 @@ func (d *Disjunct) settle(g int, live uint64, buf *[GranuleRows]uint64) (word ui
 // dimension per row of rows, the granule at base.
 func (d *Disjunct) through(base int, rows uint64) uint64 {
 	lo, span, none := d.Outer.Lo, d.Outer.Hi-d.Outer.Lo, d.Outer.Lo > d.Outer.Hi
-	if d.Tails != nil {
+	if d.exact {
 		lo, span, none = uint64(d.Lo), uint64(d.Hi)-uint64(d.Lo), d.Lo > d.Hi
 	}
 	if none {
@@ -301,6 +309,8 @@ func (d *Disjunct) through(base int, rows uint64) uint64 {
 			continue
 		case d.Tails != nil:
 			word |= inRange(uint64(d.Tails[pos]), lo, span) << uint(i)
+		case d.exact:
+			word |= d.rebuilt(pos) << uint(i)
 		case d.Col != nil:
 			word |= inRange(d.Col.Approx.Get(pos), lo, span) << uint(i)
 		default:
@@ -428,6 +438,54 @@ func compareValues(tails []int64, base int, rows uint64, lo, hi int64) uint64 {
 		word |= inRange(uint64(v), ulo, span) << uint(i)
 	}
 	return word & rows
+}
+
+// compareRebuilt is compareCodes for an exact disjunct without tails: which
+// of the rows set in rows of the granule at base hold Lo <= v <= Hi, v being
+// Col's own value (rebuilt). A granule with many such rows is decoded once,
+// and its codes settle every row but those in a boundary bucket.
+func (d *Disjunct) compareRebuilt(base int, rows uint64, buf *[GranuleRows]uint64) uint64 {
+	var word uint64
+	if bits.OnesCount64(rows) < denseRows {
+		for w := rows; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			word |= d.rebuilt(base+i) << uint(i)
+		}
+		return word
+	}
+	inLo, inSpan := d.Inner.Lo, d.Inner.Hi-d.Inner.Lo
+	if d.Inner.Lo > d.Inner.Hi {
+		inLo, inSpan = ^uint64(0), 0 // no code is that wide
+	}
+	outLo, outSpan := d.Outer.Lo, d.Outer.Hi-d.Outer.Lo
+	var edge uint64
+	d.Col.Approx.Unpack64(buf, base)
+	for i, code := range buf {
+		word |= inRange(code, inLo, inSpan) << uint(i)
+		edge |= inRange(code, outLo, outSpan) << uint(i)
+	}
+	word &= rows
+	for w := edge & rows &^ word; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros64(w)
+		word |= d.rebuilt(base+i) << uint(i)
+	}
+	return word
+}
+
+// rebuilt is 1 when Col's value at pos lies in [Lo, Hi] and 0 otherwise: a
+// code inside Inner qualifies and one outside Outer does not; only a code in
+// a boundary bucket between the two has its residual read and the value
+// rebuilt (ReconstructFrom).
+func (d *Disjunct) rebuilt(pos int) uint64 {
+	code := d.Col.Approx.Get(pos)
+	switch {
+	case code >= d.Inner.Lo && code <= d.Inner.Hi:
+		return 1
+	case code < d.Outer.Lo || code > d.Outer.Hi:
+		return 0
+	}
+	v := d.Col.ReconstructFrom(code, d.Col.Residual.Get(pos))
+	return inRange(uint64(v), uint64(d.Lo), uint64(d.Hi)-uint64(d.Lo))
 }
 
 // inRange is 1 when lo <= code <= lo+span and 0 otherwise, without a branch.

@@ -212,11 +212,13 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 
 	for _, sel := range SelectivitySweep {
 		hi := int64(float64(MicroDomain)*sel/100) - 1
-		// Candidate list prepared outside the timed region: the experiment
+		// Candidate set prepared outside the timed region: the experiment
 		// measures the projection, like the paper's per-operator breakdown.
-		cands := ar.SelectApprox(nil, dsel, dsel.Relax(0, hi))
-		cands.Ship(nil)
-		refined, _ := ar.SelectRefine(par.P{Threads: opts.Threads}, nil, dsel, nil, 0, hi, cands)
+		refined := ar.SelectApprox(nil, dsel, dsel.Relax(0, hi))
+		refined.Ship(nil)
+		if err := ar.SelectRefine(par.P{Threads: opts.Threads}, nil, dsel, nil, 0, hi, refined); err != nil {
+			return nil, err
+		}
 		ids := bulk.SelectRange(par.P{Threads: opts.Threads}, nil, selCol, 0, hi)
 
 		m := device.NewMeter(sys)
@@ -227,7 +229,7 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		proj := ar.ProjectApprox(m, dprj, nil, refined)
 		approxT := m.Total().Seconds()
 		proj.Ship(m)
-		if _, err := ar.ProjectRefine(par.P{Threads: opts.Threads}, m, proj, refined); err != nil {
+		if _, err := ar.ProjectRefine(par.P{Threads: opts.Threads}, m, proj); err != nil {
 			return nil, err
 		}
 		totalT := m.Total().Seconds()
@@ -286,7 +288,7 @@ func Fig8f(opts Options) (*Figure, error) {
 		approxT := m.Total().Seconds()
 		grouping.Ship(m)
 		cands.Ship(m)
-		if _, _, err := ar.GroupRefine(par.P{Threads: opts.Threads}, m, grouping, cands); err != nil {
+		if _, _, err := ar.GroupRefine(par.P{Threads: opts.Threads}, m, grouping); err != nil {
 			return nil, err
 		}
 		totalT := m.Total().Seconds()

@@ -351,10 +351,11 @@ func TestExactLegFollowsTheData(t *testing.T) {
 }
 
 // TestExactLegCancelAtEveryStage: a statement cancelled at any of its
-// cooperative checkpoints — the exact leg keeps every one the general path
-// has — returns the context's error and no result.
+// cooperative checkpoints returns the context's error and no result — over
+// resident columns, where the exact leg keeps every checkpoint the general
+// path has, and with v holding residual bits, where the general path's
+// refinement drops candidates, narrowing the mask on the grant's workers.
 func TestExactLegCancelAtEveryStage(t *testing.T) {
-	c := exactLegCatalog(t, 20_000, 13, 32)
 	q := Query{
 		Table:   "fact",
 		Filters: []Filter{{Col: "v", Lo: 500, Hi: 3000}, {Col: "x", Lo: 10, Hi: 250}},
@@ -363,31 +364,38 @@ func TestExactLegCancelAtEveryStage(t *testing.T) {
 		GroupBy: []string{"g", "h"},
 		Aggs:    []AggSpec{{Name: "n", Func: Count}, {Name: "s", Func: Sum, Expr: Add(Col("w"), DimCol("dim", "a"))}},
 	}
-	var stages, general []Stage
-	if _, err := c.ExecAR(context.Background(), q, ExecOpts{OnStage: func(s Stage) { stages = append(stages, s) }}); err != nil {
-		t.Fatal(err)
-	}
-	runGeneral(t, c, q, ExecOpts{OnStage: func(s Stage) { general = append(general, s) }})
-	if !slices.Equal(stages, general) || len(stages) < 10 {
-		t.Fatalf("exact leg checkpoints %v, general path %v", stages, general)
-	}
-	for _, opts := range []ExecOpts{{}, {Threads: 2, Workers: 4, Morsel: 1000}} {
-		for k := range stages {
-			ctx, cancel := context.WithCancel(context.Background())
-			seen := 0
-			opts.OnStage = func(Stage) {
-				if seen == k {
-					cancel()
+	for _, vBits := range []uint{32, 8} {
+		c := exactLegCatalog(t, 20_000, 13, vBits)
+		var stages, general []Stage
+		res, err := c.ExecAR(context.Background(), q, ExecOpts{OnStage: func(s Stage) { stages = append(stages, s) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drops := res.Refined < res.Candidates; drops != (vBits < 32) {
+			t.Fatalf("v at %d bits: %d candidates refine to %d", vBits, res.Candidates, res.Refined)
+		}
+		runGeneral(t, c, q, ExecOpts{OnStage: func(s Stage) { general = append(general, s) }})
+		if !slices.Equal(stages, general) || len(stages) < 10 {
+			t.Fatalf("v at %d bits: checkpoints %v, the general path's %v", vBits, stages, general)
+		}
+		for _, opts := range []ExecOpts{{}, {Threads: 2, Workers: 4, Morsel: 1000}} {
+			for k := range stages {
+				ctx, cancel := context.WithCancel(context.Background())
+				seen := 0
+				opts.OnStage = func(Stage) {
+					if seen == k {
+						cancel()
+					}
+					seen++
 				}
-				seen++
-			}
-			res, err := c.ExecAR(ctx, q, opts)
-			cancel()
-			if !errors.Is(err, context.Canceled) || res != nil {
-				t.Fatalf("cancelled at checkpoint %d (%s): result %v, error %v", k, stages[k], res, err)
-			}
-			if seen != k+1 {
-				t.Fatalf("cancelled at checkpoint %d: the statement went on to checkpoint %d", k, seen)
+				res, err := c.ExecAR(ctx, q, opts)
+				cancel()
+				if !errors.Is(err, context.Canceled) || res != nil {
+					t.Fatalf("v at %d bits, cancelled at checkpoint %d (%s): result %v, error %v", vBits, k, stages[k], res, err)
+				}
+				if seen != k+1 {
+					t.Fatalf("v at %d bits, cancelled at checkpoint %d: the statement went on to checkpoint %d", vBits, k, seen)
+				}
 			}
 		}
 	}

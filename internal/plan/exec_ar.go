@@ -7,7 +7,6 @@ import (
 	"repro/internal/ar"
 	"repro/internal/bwd"
 	"repro/internal/device"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
@@ -206,14 +205,6 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectApprox, A: spec.Dim, B: rf.f.Col})
 		}
 	}
-	// The narrowing by mask ends here. Ids and the attached codes are
-	// materialised once, for the operators that address positions: a
-	// refinement's residual lookups after the ship, and a dimension
-	// projection's gather, which asks for them itself. An exact leg with
-	// neither stays on its mask.
-	if !exact {
-		cands.Emit()
-	}
 
 	var mg *ar.Grouping
 	if cols := pl.devGroupCols(solo); cols != nil {
@@ -235,12 +226,6 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			table = ref.Dim
 		}
 		projections[ref] = ar.ProjectApprox(m, snap.get(ref.Dim, ref.Name), pl.keyFor(keys, ref.Dim), cands)
-		if !exact {
-			// Phase R reads the codes by position, so they are listed
-			// once, here, and the bounds fold from the list; an exact
-			// leg folds straight off the packed column and lists none.
-			projections[ref].Codes()
-		}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
 
@@ -295,7 +280,8 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	// as the trace footer's candidate-set prediction.
 	st.estCapture()
 	st.estReset(pl)
-	refined := cands
+	// Every refinement narrows cands itself, so the refined set is the one
+	// phase A shipped and aligned with its projections and pre-grouping.
 	for _, rf := range pl.factFilters {
 		if err := st.step(StageRefine); err != nil {
 			return nil, err
@@ -304,39 +290,41 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 			// §IV-C: over a fully device-resident column the relaxed range
 			// was the exact predicate and the candidates are the result — no
 			// refinement runs (and none is charged).
-			refined = refineStep(st, d, nil, rf.f, refined, cands)
+			if err := ar.SelectRefine(pp, m, d, nil, rf.f.Lo, rf.f.Hi, cands); err != nil {
+				return nil, err
+			}
 		}
-		st.emit(refined.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: q.Table, B: rf.f.Col})
+		st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: q.Table, B: rf.f.Col})
 	}
 	for _, g := range pl.orGroups {
 		if err := st.step(StageRefine); err != nil {
 			return nil, err
 		}
 		cols, _, los, his := pl.orGroupRelax(g)
-		cur := refined
-		refined = ar.SelectRefineAny(pp, m, cols, los, his, cur)
-		if cur != cands && cur != refined {
-			cur.Release()
+		if err := ar.SelectRefineAny(pp, m, cols, los, his, cands); err != nil {
+			return nil, err
 		}
-		st.emit(refined.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyrefine(%[1]s)", A: g.text})
+		st.emit(cands.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyrefine(%[1]s)", A: g.text})
 	}
 	for ji, js := range pl.joins {
 		spec := js.spec
-		st.emit(refined.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
+		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
 		for _, rf := range js.dimFilters {
 			if err := st.step(StageRefine); err != nil {
 				return nil, err
 			}
 			if dd := snap.get(spec.Dim, rf.f.Col); dd.Dec.ResBits > 0 { // resident: as above
-				refined = refineStep(st, dd, &keys[ji], rf.f, refined, cands)
+				if err := ar.SelectRefine(pp, m, dd, &keys[ji], rf.f.Lo, rf.f.Hi, cands); err != nil {
+					return nil, err
+				}
 			}
-			st.emit(refined.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: spec.Dim, B: rf.f.Col})
+			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: spec.Dim, B: rf.f.Col})
 		}
 	}
-	st.res.Refined = refined.Len()
+	st.res.Refined = cands.Len()
 
 	// Exact values for every referenced column.
-	ectx := &exprCtx{n: refined.Len(), vals: map[ColRef][]int64{}}
+	ectx := &exprCtx{n: cands.Len(), vals: map[ColRef][]int64{}}
 	for _, ref := range refList {
 		if err := st.step(StageRefine); err != nil {
 			return nil, err
@@ -346,25 +334,21 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		// billed as anyway.
 		if !exact {
 			var err error
-			if ectx.vals[ref], err = ar.ProjectRefine(pp, m, projections[ref], refined); err != nil {
+			if ectx.vals[ref], err = ar.ProjectRefine(pp, m, projections[ref]); err != nil {
 				return nil, err
 			}
 		}
-		st.emit(refined.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
+		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
 	}
 
-	// The projection code buffers and the original candidate set are dead
-	// once every projection has refined; the surviving set travels on to
-	// the shared tail (exec releases it after aggregation). mg still holds
-	// cands as its Src until the group refinement, so keep it alive then.
+	// The projection code buffers are dead once every projection has
+	// refined; the candidate set travels on to the shared tail, which
+	// releases it after aggregation (with the pre-grouping, which still
+	// reads it).
 	for _, ref := range refList {
 		projections[ref].Release()
 	}
-	if cands != refined && mg == nil {
-		cands.Release()
-	}
-
-	return &scanOut{ectx: ectx, delta: delta, mg: mg, refined: refined, exact: exact, acc: acc}, nil
+	return &scanOut{ectx: ectx, delta: delta, mg: mg, refined: cands, exact: exact, acc: acc}, nil
 }
 
 // orGroupRelax resolves one disjunction group against the snapshot: the
@@ -404,18 +388,6 @@ func (pl pipeline) keyFor(keys []bwd.Key, dim string) *bwd.Key {
 		}
 	}
 	return nil
-}
-
-// refineStep refines prev by one conjunct f on column d, read through key when
-// it is a dimension's, and releases prev unless it is cands, the set phase A
-// shipped, which the projections still align with.
-func refineStep(st *pipeState, d *bwd.Column, key *bwd.Key, f Filter, prev, cands *ar.Candidates) *ar.Candidates {
-	refined, vals := ar.SelectRefine(st.pp, st.m, d, key, f.Lo, f.Hi, prev)
-	mem.I64.Put(vals)
-	if prev != cands {
-		prev.Release()
-	}
-	return refined
 }
 
 // approxAnswer derives the phase-A bounds: the candidate-count interval, and

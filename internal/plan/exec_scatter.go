@@ -281,13 +281,10 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 	if err := finish(st, pl, classic, out); err != nil {
 		return nil, err
 	}
-	// The surviving candidate set (and the pre-grouping, with its source,
-	// when one exists) is dead once the tail has aggregated.
+	// The surviving candidate set (and the pre-grouping over it, when one
+	// exists) is dead once the tail has aggregated.
 	if out.refined != nil {
 		if out.mg != nil {
-			if out.mg.Src != out.refined {
-				out.mg.Src.Release()
-			}
 			out.mg.Release()
 		}
 		out.refined.Release()

@@ -213,8 +213,7 @@ func (pg *program) bindVals(vals map[ColRef][]int64, n int) rows {
 
 // bindCodes binds the program's columns to the approximate projections over
 // cands: packed for a projection that is still only cands' mask, the code
-// list otherwise (a dimension column gathered through a join, a set a
-// position-addressed operator thinned).
+// list otherwise (a dimension column, gathered through its join's key).
 func (pg *program) bindCodes(cands *ar.Candidates, projections map[ColRef]*ar.Projection) rows {
 	in := rows{cols: make([]colBind, len(pg.cols)), n: cands.Len()}
 	for i, ref := range pg.cols {

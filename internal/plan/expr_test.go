@@ -589,7 +589,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 			pg.fold(pp, &acc, rows{cols: cols, n: n, certain: mask})
 			acc.release()
 			pre := ar.GroupApprox(nil, keyCols, cands)
-			grouping, keys, err := ar.GroupRefine(pp, nil, pre, cands)
+			grouping, keys, err := ar.GroupRefine(pp, nil, pre)
 			if err != nil || grouping.NGroups != 6 {
 				t.Fatalf("grouping: %d groups, %v", grouping.NGroups, err)
 			}

@@ -365,7 +365,7 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		if err := st.step(StageRefine); err != nil {
 			return err
 		}
-		grouping, groupKeys, err = ar.GroupRefine(st.pp, st.m, out.mg, out.refined)
+		grouping, groupKeys, err = ar.GroupRefine(st.pp, st.m, out.mg)
 		if err != nil {
 			return err
 		}
