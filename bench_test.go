@@ -58,6 +58,29 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		}
 	})
 
+	// ingest_mixed's read at its shape: uniform 17-bit values at 16 device
+	// bits, four codes to a word, and a 0.5 % range that no granule's bounds
+	// settle, so every granule is compared.
+	b.Run("lanes16", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(16))
+		vals := make([]int64, benchN)
+		for i := range vals {
+			vals[i] = rng.Int63n(1 << 17)
+		}
+		col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), 16, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := col.Relax(1<<16, 1<<16+(1<<17)/200)
+		b.SetBytes(col.Approx.Bytes())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := ar.SelectApprox(nil, col, r)
+			c.CodesFor(col)
+			c.Release()
+		}
+	})
+
 	// The regimes of the granule scan at the spatial workload's shape (23
 	// bits x 2 M rows, a 1 % range): trip-like clustered rows in runs of 128
 	// that start on a granule edge, where almost every granule is skipped

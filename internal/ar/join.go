@@ -65,12 +65,8 @@ func (c *Candidates) MaskOutJoined(key *bwd.Key, deleted []uint64) {
 }
 
 // gatherThrough writes approx's code at the position each id's key joins
-// into out, aligned with ids; with a nil key that is the id itself.
+// into out, aligned with ids.
 func gatherThrough(approx *bitpack.Array, key *bwd.Key, ids []bat.OID, out []uint64) {
-	if key == nil {
-		bitpack.Gather(approx, ids, out)
-		return
-	}
 	for i, id := range ids {
 		pos, _ := key.At(int(id))
 		out[i] = approx.Get(pos)

@@ -221,18 +221,6 @@ func shiftCarry(dst, words []uint64, sh, width uint) {
 	}
 }
 
-// Gather writes a.Get(id) for each id in ids into dst, which must be at
-// least len(ids) long. It is the positional-lookup primitive behind
-// invisible joins on packed columns whose positions are an explicit list —
-// candidates a refinement already thinned. (A scan's own survivors are
-// projected by granule from their mask, never through here.)
-func Gather[ID ~uint32](a *Array, ids []ID, dst []uint64) {
-	_ = dst[:len(ids)]
-	for i, id := range ids {
-		dst[i] = a.Get(int(id))
-	}
-}
-
 // Words exposes the backing 64-bit words (nil for width 0). Callers must
 // not mutate them; the slice is the array's live storage. It is the raw
 // representation segment persistence serializes.

@@ -123,48 +123,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	a := Pack(9, []uint64{10, 20, 30, 40, 50})
-	ids := []uint32{4, 0, 2}
-	dst := make([]uint64, len(ids))
-	Gather(a, ids, dst)
-	want := []uint64{50, 10, 30}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("Gather[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
-}
-
-// Gather is Get(id) for every id, at every width, for isolated ids and for
-// stretches of consecutive ones of every length up to a few dozen, in any
-// order.
-func TestGatherRunsMatchGet(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const n = 5000
-	for width := uint(0); width <= 64; width++ {
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = rng.Uint64() & Mask(width)
-		}
-		a := Pack(width, vals)
-		var ids []uint32
-		for len(ids) < 3000 {
-			at := rng.Intn(n)
-			for k := 0; k < 1+rng.Intn(24) && at+k < n; k++ {
-				ids = append(ids, uint32(at+k))
-			}
-		}
-		dst := make([]uint64, len(ids))
-		Gather(a, ids, dst)
-		for i, id := range ids {
-			if dst[i] != vals[id] {
-				t.Fatalf("width %d: Gather[%d] (id %d) = %d, want %d", width, i, id, dst[i], vals[id])
-			}
-		}
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := Pack(8, []uint64{1, 2, 3})
 	b := a.Clone()

@@ -1,15 +1,17 @@
 package bitpack
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
 // The word-parallel paths (Pack's shift-carry accumulator, UnpackRange's
-// streaming decode, Unpack64's granule decode) must be bit-identical with
-// the per-element Get/Set reference at every width 0..64 and every
-// alignment, including ranges that start and end mid-word.
+// streaming decode, Unpack64's granule decode, InRange64's compare) must be
+// bit-identical with the per-element Get/Set reference at every width 0..64
+// and every alignment, including ranges that start and end mid-word.
 
 func randomVals(rng *rand.Rand, width uint, n int) []uint64 {
 	vals := make([]uint64, n)
@@ -174,14 +176,76 @@ func TestUnpack64MatchesGet(t *testing.T) {
 	}
 }
 
-// FuzzUnpack holds both word-level decoders to Get over arbitrary widths,
-// lengths and backing words: Unpack64 on every block, UnpackRange on one
-// range, appended behind a prefix it must leave alone.
+// checkInRange64 holds the compare kernel to Get on every 64-aligned block of
+// a, the empty one at Len included, for the codes c with c − codeLo ≤ span
+// modulo 2^64: bit i of a block's word is the value at lo+i, and no bit is
+// set past Len.
+func checkInRange64(t testing.TB, a *Array, codeLo, span uint64) {
+	t.Helper()
+	for lo := 0; lo <= a.Len(); lo += 64 {
+		var want uint64
+		for i := lo; i < min(lo+64, a.Len()); i++ {
+			if a.Get(i)-codeLo <= span {
+				want |= 1 << uint(i-lo)
+			}
+		}
+		if got := a.InRange64(lo, codeLo, span); got != want {
+			t.Fatalf("width %d n %d block %d, codes from %#x span %#x: got %#x want %#x", a.Width(), a.Len(), lo, codeLo, span, got, want)
+		}
+	}
+}
+
+// InRange64 at every width 0..64 — the lanes of the widths that divide 64,
+// the shift-carry compare of the rest — for every 64-aligned block of arrays
+// whose last block is every length from 1 to 64, over words that are random
+// in every bit, the tail past the last value included. The ranges start at
+// 0, inside the codes, at the largest code and above it, span nothing, some
+// or everything, and wrap past 2^64.
+func TestInRange64MatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for width := uint(0); width <= 64; width++ {
+		top := Mask(width)
+		for short := 1; short <= 64; short++ {
+			a := randomWords(t, rng, width, 2*64+short)
+			r := rng.Uint64() & top
+			for _, c := range [][2]uint64{
+				{0, 0}, {0, top / 2}, {0, ^uint64(0)},
+				{r, 0}, {r, top / 64}, {r, top - r}, {r, ^uint64(0)},
+				{r, ^uint64(0) - r + 1 + r/2}, // wraps: [r, 2^64) and [0, r/2]
+				{top, 0}, {top, 5}, {top, ^uint64(0)},
+				{top + 1, 0}, {top + 1, 7}, {top + 1, ^uint64(0) - top}, // above every code; the last wraps to [0, 0]
+				{^uint64(0) - 3, 9}, // wraps to [0, 5]
+				{rng.Uint64(), rng.Uint64()},
+			} {
+				checkInRange64(t, a, c[0], c[1])
+			}
+		}
+	}
+	a := Pack(5, make([]uint64, 100))
+	for _, lo := range []int{-64, 1, 63, 128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("InRange64 at %d did not panic", lo)
+				}
+			}()
+			a.InRange64(lo, 0, 1)
+		}()
+	}
+}
+
+// FuzzUnpack holds the word-level decoders and the compare kernel to Get
+// over arbitrary widths, lengths and backing words: Unpack64 and InRange64 on
+// every block — the kernel for the fuzzed code range as given and cut to the
+// width — and UnpackRange on one range, appended behind a prefix it must
+// leave alone.
 func FuzzUnpack(f *testing.F) {
-	f.Add(uint8(4), uint16(130), uint16(3), uint16(70), []byte{0xa5, 0x3c, 0xff, 0x01})
-	f.Add(uint8(9), uint16(64), uint16(0), uint16(64), []byte{})
-	f.Add(uint8(64), uint16(1), uint16(0), uint16(1), []byte{0x80})
-	f.Fuzz(func(t *testing.T, w uint8, size, from, span uint16, raw []byte) {
+	f.Add(uint8(4), uint16(130), uint16(3), uint16(70), []byte{0xa5, 0x3c, 0xff, 0x01}, uint64(5), uint64(6))
+	f.Add(uint8(9), uint16(64), uint16(0), uint16(64), []byte{}, uint64(0), ^uint64(0))
+	f.Add(uint8(64), uint16(1), uint16(0), uint16(1), []byte{0x80}, ^uint64(0), uint64(2))
+	f.Add(uint8(16), uint16(200), uint16(1), uint16(9), []byte{0x12, 0x34, 0x56}, uint64(0x3412), uint64(0x100))
+	f.Add(uint8(9), uint16(100), uint16(0), uint16(0), []byte{}, uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, w uint8, size, from, span uint16, raw []byte, codeLo, codeSpan uint64) {
 		width, n := uint(w)%65, int(size)%2048
 		var words []uint64
 		if width > 0 {
@@ -197,6 +261,8 @@ func FuzzUnpack(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkUnpack64(t, a)
+		checkInRange64(t, a, codeLo, codeSpan)
+		checkInRange64(t, a, codeLo&Mask(width), codeSpan&Mask(width))
 		lo := int(from) % (n + 1)
 		hi := lo + int(span)%(n-lo+1)
 		prefix := []uint64{7, 8, 9}
@@ -221,6 +287,57 @@ func TestUnpackRangeReusesDst(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { a.UnpackRange(buf, 0, 10) }); n != 0 {
 		t.Fatalf("UnpackRange with capacious dst allocates %.1f/op", n)
+	}
+}
+
+var compareSink int
+
+// unpackInRange is InRange64 the way a granule scan compared before it:
+// Unpack64 into buf, then one branch-free compare per code, eight at a time.
+func unpackInRange(a *Array, lo int, codeLo, span uint64, buf *[64]uint64) uint64 {
+	a.Unpack64(buf, lo)
+	var word uint64
+	for i := 0; i < 64; i += 8 {
+		c := (*[8]uint64)(buf[i : i+8])
+		word |= (in(c[0], codeLo, span) | in(c[1], codeLo, span)<<1 |
+			in(c[2], codeLo, span)<<2 | in(c[3], codeLo, span)<<3 |
+			in(c[4], codeLo, span)<<4 | in(c[5], codeLo, span)<<5 |
+			in(c[6], codeLo, span)<<6 | in(c[7], codeLo, span)<<7) << uint(i)
+	}
+	return word
+}
+
+// BenchmarkInRange64 compares 1 M random codes with a 0.5 % code range a
+// block of 64 at a time, at lane widths and widths that straddle words: the
+// kernel, and beside it the loop a granule scan ran before it
+// (unpackInRange).
+func BenchmarkInRange64(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(29))
+	for _, width := range []uint{4, 8, 12, 16, 23, 32} {
+		a := Pack(width, randomVals(rng, width, n))
+		codeLo, span := Mask(width)/2, Mask(width)/200
+		b.Run(fmt.Sprintf("w%d/kernel", width), func(b *testing.B) {
+			b.SetBytes(a.Bytes())
+			for b.Loop() {
+				k := 0
+				for lo := 0; lo < n; lo += 64 {
+					k += bits.OnesCount64(a.InRange64(lo, codeLo, span))
+				}
+				compareSink = k
+			}
+		})
+		b.Run(fmt.Sprintf("w%d/unpack", width), func(b *testing.B) {
+			b.SetBytes(a.Bytes())
+			var buf [64]uint64
+			for b.Loop() {
+				k := 0
+				for lo := 0; lo < n; lo += 64 {
+					k += bits.OnesCount64(unpackInRange(a, lo, codeLo, span, &buf))
+				}
+				compareSink = k
+			}
+		})
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 // granules built to sit on every edge of the split: a run break at every
 // row, three runs in one granule, constant, sorted and interleaved rows, a
 // short last granule; approximation widths 1, 24 and 63 with and without
-// residual bits, up to a column that spans all 64; ranges that are empty,
+// residual bits, up to a column that spans all 64, and the lane widths 4, 8,
+// 16 and 32 and the word-cutting 12, whose codes are compared in place
+// several to a word or one at a time; ranges that are empty,
 // full, between two runs, exactly one run, or cut through one; and, on the
 // narrowing side, live words that are full, sparse and empty.
 
@@ -181,7 +183,8 @@ func liveWords(rng *rand.Rand, n int) []uint64 {
 
 func TestDecisionMatchesRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, w := range []struct{ approx, res uint }{{1, 0}, {1, 5}, {24, 0}, {24, 8}, {63, 0}, {24, 40}, {63, 1}} {
+	for _, w := range []struct{ approx, res uint }{{1, 0}, {1, 5}, {24, 0}, {24, 8}, {63, 0}, {24, 40}, {63, 1},
+		{4, 0}, {8, 3}, {12, 0}, {16, 1}, {32, 0}} {
 		for _, l := range layouts(rng, bitpack.Mask(w.approx)) {
 			label, codes := fmt.Sprintf("%d+%d bits, %s", w.approx, w.res, l.name), l.codes
 			col, vals := decideColumn(t, rng, w.approx, w.res, codes)

@@ -13,9 +13,11 @@ import (
 // A&R approximate selection and its refinement (internal/ar), the classic
 // selection (internal/plan) and DELETE ... WHERE (internal/store) all select
 // through it; they differ only in what a Disjunct compares in a granule the
-// bounds leave open (DESIGN.md §13). A foreign-key join selects through it
-// too: its probe and the filters on its dimension are disjuncts read through
-// a Key (DESIGN.md §8).
+// bounds leave open (DESIGN.md §13). Packed codes are compared where they
+// lie, by bitpack.InRange64 — several to a word where the width allows — so
+// a walk unpacks no granule and keeps no buffer. A foreign-key join selects
+// through it too: its probe and the filters on its dimension are disjuncts
+// read through a Key (DESIGN.md §8).
 
 // GranuleRows is the row count of one scan granule: the rows whose
 // survivors a scan records in one 64-bit word. It is the machine word size,
@@ -271,7 +273,7 @@ func (d *Disjunct) misses(g int) bool {
 
 // settle returns which of the rows live of granule g satisfy the disjunct,
 // and whether rows had to be read for it.
-func (d *Disjunct) settle(g int, live uint64, buf *[GranuleRows]uint64) (word uint64, compared bool) {
+func (d *Disjunct) settle(g int, live uint64) (word uint64, compared bool) {
 	if d.Key != nil {
 		return d.through(g*GranuleRows, live), true
 	}
@@ -285,9 +287,9 @@ func (d *Disjunct) settle(g int, live uint64, buf *[GranuleRows]uint64) (word ui
 	case d.Tails != nil:
 		return sure | compareValues(d.Tails, g*GranuleRows, maybe, d.Lo, d.Hi), true
 	case d.exact:
-		return sure | d.compareRebuilt(g*GranuleRows, maybe, buf), true
+		return sure | d.compareRebuilt(g*GranuleRows, maybe), true
 	}
-	return sure | compareCodes(d.Col.Approx, g*GranuleRows, maybe, d.Outer.Lo, d.Outer.Hi-d.Outer.Lo, buf), true
+	return sure | compareCodes(d.Col.Approx, g*GranuleRows, maybe, d.Outer.Lo, d.Outer.Hi-d.Outer.Lo), true
 }
 
 // through is settle for a disjunct read through its key: one look at the
@@ -337,14 +339,13 @@ func (o *Outcomes) count(word uint64, compared bool) {
 // rows that satisfy any of the disjuncts ds into mask and returns how many
 // there are. Concurrent calls on disjoint row ranges write disjoint words.
 func ScanGranules(ds []Disjunct, mask []uint64, lo, hi int) (n int, o Outcomes) {
-	var buf [GranuleRows]uint64
 	for g := lo / GranuleRows; g*GranuleRows < hi; g++ {
 		all := ^uint64(0) >> uint(GranuleRows-min(GranuleRows, hi-g*GranuleRows))
 		var word uint64
 		compared := false
 		for j := range ds {
 			if d := &ds[j]; !d.misses(g) {
-				w, c := d.settle(g, all, &buf)
+				w, c := d.settle(g, all)
 				compared = compared || c
 				if word |= w; word == all {
 					break
@@ -365,7 +366,6 @@ func ScanGranules(ds []Disjunct, mask []uint64, lo, hi int) (n int, o Outcomes) 
 // skipped. It is a loop of its own because the first scan visits every
 // granule of the table and should test nothing it does not need.
 func NarrowGranules(ds []Disjunct, mask []uint64, lo, hi int) (n int, o Outcomes) {
-	var buf [GranuleRows]uint64
 	for g := lo / GranuleRows; g*GranuleRows < hi; g++ {
 		live := mask[g]
 		if live == 0 {
@@ -376,7 +376,7 @@ func NarrowGranules(ds []Disjunct, mask []uint64, lo, hi int) (n int, o Outcomes
 		compared := false
 		for j := range ds {
 			if d := &ds[j]; !d.misses(g) {
-				w, c := d.settle(g, live, &buf)
+				w, c := d.settle(g, live)
 				compared = compared || c
 				if word |= w; word == live {
 					break
@@ -391,31 +391,27 @@ func NarrowGranules(ds []Disjunct, mask []uint64, lo, hi int) (n int, o Outcomes
 }
 
 // denseRows is the row count from which reading a granule whole — one
-// 64-row decode, one pass over its values — is cheaper than one positional
-// access per row wanted.
+// in-place compare of its codes, one pass over its values — is cheaper than
+// one positional access per row wanted. For codes that point moves with the
+// width: one Get per row costs as much as the whole-granule compare at about
+// 7 rows for 8-bit codes, 12 for 16-bit ones and 17–20 for 12- and 23-bit
+// ones, which cut words (2-vCPU x86-64 host); 16 sits between them.
 const denseRows = 16
 
 // compareCodes returns which of the rows of the granule at base that are set
-// in rows have a code in [lo, lo+span]: the granule unpacked into buf and
-// compared row by row, or — when few rows are asked about — one Get per row.
-func compareCodes(approx *bitpack.Array, base int, rows, lo, span uint64, buf *[GranuleRows]uint64) uint64 {
-	var word uint64
+// in rows have a code in [lo, lo+span]: the granule's codes compared where
+// they lie (bitpack.InRange64), or — when few rows are asked about — one Get
+// per row.
+func compareCodes(approx *bitpack.Array, base int, rows, lo, span uint64) uint64 {
 	if bits.OnesCount64(rows) < denseRows {
+		var word uint64
 		for w := rows; w != 0; w &= w - 1 {
 			i := bits.TrailingZeros64(w)
 			word |= inRange(approx.Get(base+i), lo, span) << uint(i)
 		}
 		return word
 	}
-	approx.Unpack64(buf, base)
-	for i := 0; i < GranuleRows; i += 8 {
-		b := (*[8]uint64)(buf[i : i+8])
-		word |= (inRange(b[0], lo, span) | inRange(b[1], lo, span)<<1 |
-			inRange(b[2], lo, span)<<2 | inRange(b[3], lo, span)<<3 |
-			inRange(b[4], lo, span)<<4 | inRange(b[5], lo, span)<<5 |
-			inRange(b[6], lo, span)<<6 | inRange(b[7], lo, span)<<7) << uint(i)
-	}
-	return word & rows
+	return approx.InRange64(base, lo, span) & rows
 }
 
 // compareValues is compareCodes over exact values: which of the rows set in
@@ -442,9 +438,10 @@ func compareValues(tails []int64, base int, rows uint64, lo, hi int64) uint64 {
 
 // compareRebuilt is compareCodes for an exact disjunct without tails: which
 // of the rows set in rows of the granule at base hold Lo <= v <= Hi, v being
-// Col's own value (rebuilt). A granule with many such rows is decoded once,
-// and its codes settle every row but those in a boundary bucket.
-func (d *Disjunct) compareRebuilt(base int, rows uint64, buf *[GranuleRows]uint64) uint64 {
+// Col's own value (rebuilt). In a granule with many such rows the codes are
+// compared twice where they lie, with Inner and with Outer, and that settles
+// every row but those in a boundary bucket.
+func (d *Disjunct) compareRebuilt(base int, rows uint64) uint64 {
 	var word uint64
 	if bits.OnesCount64(rows) < denseRows {
 		for w := rows; w != 0; w &= w - 1 {
@@ -453,19 +450,11 @@ func (d *Disjunct) compareRebuilt(base int, rows uint64, buf *[GranuleRows]uint6
 		}
 		return word
 	}
-	inLo, inSpan := d.Inner.Lo, d.Inner.Hi-d.Inner.Lo
-	if d.Inner.Lo > d.Inner.Hi {
-		inLo, inSpan = ^uint64(0), 0 // no code is that wide
+	approx := d.Col.Approx
+	if d.Inner.Lo <= d.Inner.Hi {
+		word = approx.InRange64(base, d.Inner.Lo, d.Inner.Hi-d.Inner.Lo) & rows
 	}
-	outLo, outSpan := d.Outer.Lo, d.Outer.Hi-d.Outer.Lo
-	var edge uint64
-	d.Col.Approx.Unpack64(buf, base)
-	for i, code := range buf {
-		word |= inRange(code, inLo, inSpan) << uint(i)
-		edge |= inRange(code, outLo, outSpan) << uint(i)
-	}
-	word &= rows
-	for w := edge & rows &^ word; w != 0; w &= w - 1 {
+	for w := approx.InRange64(base, d.Outer.Lo, d.Outer.Hi-d.Outer.Lo) & rows &^ word; w != 0; w &= w - 1 {
 		i := bits.TrailingZeros64(w)
 		word |= d.rebuilt(base+i) << uint(i)
 	}
