@@ -44,9 +44,9 @@ func benchColumn(bits uint) (*bwd.Column, *bat.BAT) {
 }
 
 // BenchmarkOpSelectApprox times an approximate selection through to its
-// output: CodesFor is there because a set keeps only its survivor mask until
-// a position is read, and the lines have always included the materialised
-// ids and codes.
+// output: a set keeps only its survivor mask until a position is read, and
+// the lines have always included the materialised ids and the selected
+// column's codes, which materialise lists.
 func BenchmarkOpSelectApprox(b *testing.B) {
 	b.Run("uniform", func(b *testing.B) {
 		col, _ := benchColumn(12)
@@ -54,7 +54,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		b.SetBytes(col.Approx.Bytes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ar.SelectApprox(nil, col, r).CodesFor(col)
+			materialise(ar.SelectApprox(nil, col, r), col)
 		}
 	})
 
@@ -76,7 +76,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := ar.SelectApprox(nil, col, r)
-			c.CodesFor(col)
+			materialise(c, col)
 			c.Release()
 		}
 	})
@@ -116,7 +116,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := ar.SelectApprox(nil, col, r)
-				c.CodesFor(col)
+				materialise(c, col)
 				c.Release()
 			}
 		})
@@ -145,13 +145,21 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			first := ar.SelectApprox(nil, colA, rA)
 			both := ar.SelectApproxOver(nil, colB, nil, rB, first)
-			both.CodesFor(colB)
+			materialise(both, colB)
 			if both != first {
 				first.Release()
 			}
 			both.Release()
 		}
 	})
+}
+
+// materialise lists a candidate set's ids and col's codes of its candidates.
+func materialise(c *ar.Candidates, col *bwd.Column) {
+	c.IDs()
+	p := ar.ProjectApprox(nil, col, nil, c)
+	p.Codes()
+	p.Release()
 }
 
 // BenchmarkOpSelectRefine refines a 10 % selection over a column with 8

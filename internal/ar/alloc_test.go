@@ -10,11 +10,12 @@ import (
 	"repro/internal/par"
 )
 
-// The A&R scan hot path — approximate selection, refinement, release —
-// must run at zero heap allocations per query in steady state: every
-// buffer it touches cycles through the arena. The guards run the serial
-// morsel path (one worker claims every morsel); the parallel path runs the
-// same kernels plus a fixed per-query goroutine spawn cost.
+// The A&R scan hot path — approximate selection, the approximate count and
+// the certain mask it builds, refinement, release — must run at zero heap
+// allocations per query in steady state: every buffer it touches cycles
+// through the arena. The guards run the serial morsel path (one worker
+// claims every morsel); the parallel path runs the same kernels plus a fixed
+// per-query goroutine spawn cost.
 
 type scanFixture struct {
 	col    *bwd.Column
@@ -69,6 +70,7 @@ func newScanFixture(t testing.TB, vals []int64) *scanFixture {
 
 func runARScan(f *scanFixture) {
 	cands := SelectApprox(nil, f.col, f.rng)
+	CountApprox(nil, cands) // the fixture column keeps residual bits: a certain mask
 	if err := SelectRefine(par.P{}, nil, f.col, nil, f.lo, f.hi, cands); err != nil {
 		panic(err)
 	}

@@ -21,7 +21,9 @@
 // On the host both subplans share one currency, the candidate set's survivor
 // mask (DESIGN.md §13): the approximate selections narrow it, and so do the
 // refinements, which compare exact values — code and residual concatenated —
-// in the granules the bounds leave open. A refined set is the phase-A set,
+// in the granules the bounds leave open; the candidates that certainly
+// qualify, which bound the phase-A aggregates, are a narrowing of a copy of
+// it by each filter's interior codes. A refined set is the phase-A set,
 // narrower; its candidate order is the mask's, so it is aligned with every
 // phase-A intermediate for free. The paper realigns the permuted output of a
 // device kernel with a translucent join (Algorithm 1); here that join is the
@@ -39,7 +41,7 @@ import (
 )
 
 // oidPool recycles candidate ID lists through the shared bat.OIDPool
-// arena; codes ride the shared mem.U64 pool.
+// arena; masks ride the shared mem.U64 pool.
 var oidPool = &bat.OIDPool
 
 // candPool recycles Candidates headers (struct + attach backing array) so
@@ -54,40 +56,38 @@ func getCandidates() *Candidates {
 	return c
 }
 
-// attachment carries the approximation codes of one column, positionally
-// aligned with a candidate list, together with the relaxed predicate range
-// that was applied on that column (zero ApproxRange when the column was
-// only projected, not filtered). Attachments sharing a non-zero group id
-// belong to one disjunction (OR) predicate: a candidate satisfies the
-// group when any member's predicate holds. A dimension column is attached
-// with the key of the join it was filtered through: its code for a candidate
-// is the one at the dimension position the candidate's key joins.
+// attachment describes one column that filtered a candidate set: the relaxed
+// predicate range applied on it. Attachments sharing a non-zero group id
+// belong to one disjunction (OR) predicate: a candidate satisfies the group
+// when any member's predicate holds. A dimension column is attached with the
+// key of the join it was filtered through: its code for a candidate is the one
+// at the dimension position the candidate's key joins.
 type attachment struct {
-	col      *bwd.Column
-	key      *bwd.Key
-	codes    []uint64
-	rng      bwd.ApproxRange
-	filtered bool
-	group    int
+	col   *bwd.Column
+	key   *bwd.Key
+	rng   bwd.ApproxRange
+	group int
 }
 
 // Candidates is the output of approximation operators on the structural
 // path: the tuples of a superset of the exact result, in device (permuted)
-// order, plus the approximation codes of every column that has been touched
-// so far. The codes travel with the tuples because the approximations are
-// device-resident only: once candidates are shipped to the host, the codes
-// are the CPU's only view of the major bits.
+// order, and the relaxed predicate of every column that filtered them. On the
+// device the filtered columns' codes travel with the tuples, and Ship bills
+// them: once candidates are shipped to the host, the codes are the CPU's only
+// view of the major bits. The host never lists them; a reader decodes the
+// packed column by mask.
 //
 // A set is its survivor mask, one bit per scanned row (DESIGN.md §13); a scan
 // of no rows is a mask of none. Further conjuncts, disjunction groups, the
 // deletion bitmap, the join chain — probes, dimension deletions, dimension
 // filters — and every refinement narrow the mask in place (narrow, MaskOut,
-// JoinApprox, refine). Candidate order is fixed by the mask: work-groups in
-// par.PermuteInto order, rows ascending inside one. The ids and the attached
-// codes are materialised from it on demand, by Emit, which the first reader
-// of a position triggers; a narrowing after that releases them, to be
-// emitted again from the narrower mask. ProjectApprox, GroupApprox and the
-// refinements read the mask by granule.
+// JoinApprox, refine), and the certain mask is one more narrowing of a copy
+// (CertainMask). Candidate order is fixed by the mask: work-groups in
+// par.PermuteInto order, rows ascending inside one. The ids are materialised
+// from it on demand, by Emit, which the first reader of a position triggers; a
+// narrowing after that releases them, to be emitted again from the narrower
+// mask. ProjectApprox, GroupApprox and the refinements read the mask by
+// granule.
 type Candidates struct {
 	ids     []bat.OID
 	attach  []attachment
@@ -100,9 +100,11 @@ type Candidates struct {
 	rows, n         int
 	offs            []int
 	sealed, emitted bool
-	// walk is the scratch a narrowing step compiles its disjuncts into; it
-	// stays with the pooled header so that a step allocates nothing.
-	walk []bwd.Disjunct
+	// walk is the scratch a narrowing step compiles its disjuncts into, and
+	// steps the ends of the certain mask's steps in it; both stay with the
+	// pooled header so that a step allocates nothing.
+	walk  []bwd.Disjunct
+	steps []int
 	// pooled is set while the set owns its arena buffers; Release clears
 	// it as it returns them.
 	pooled bool
@@ -112,10 +114,10 @@ type Candidates struct {
 	certainBuilt bool
 }
 
-// Release returns the candidate set's buffers (the mask, IDs and every
-// attached code column) to the arena and empties the set. It must only be
-// called once nothing references the set — the pipeline calls it once the
-// tail has aggregated. Releasing a released set is a no-op.
+// Release returns the candidate set's buffers (the mask, the IDs and the
+// certain mask) to the arena and empties the set. It must only be called once
+// nothing references the set — the pipeline calls it once the tail has
+// aggregated. Releasing a released set is a no-op.
 func (c *Candidates) Release() {
 	if c == nil || !c.pooled {
 		return
@@ -127,13 +129,10 @@ func (c *Candidates) Release() {
 	mem.Ints.Put(c.offs)
 	c.mask, c.offs, c.rows, c.n = nil, nil, 0, 0
 	c.sealed, c.emitted = false, false
-	for i := range c.attach {
-		mem.U64.Put(c.attach[i].codes)
-		c.attach[i] = attachment{}
-	}
+	clear(c.attach)
 	c.attach = c.attach[:0]
 	clear(c.walk)
-	c.walk = c.walk[:0]
+	c.walk, c.steps = c.walk[:0], c.steps[:0]
 	c.shipped = false
 	mem.U64.Put(c.certain)
 	c.certain, c.certainBuilt = nil, false
@@ -151,18 +150,6 @@ func (c *Candidates) IDs() []bat.OID {
 	return c.ids
 }
 
-// CodesFor returns the approximation codes of col aligned with the
-// candidate IDs, or nil if col was never attached.
-func (c *Candidates) CodesFor(col *bwd.Column) []uint64 {
-	for i := range c.attach {
-		if c.attach[i].col == col {
-			c.Emit()
-			return c.attach[i].codes
-		}
-	}
-	return nil
-}
-
 // attached reports whether col's codes travel with the set.
 func (c *Candidates) attached(col *bwd.Column) bool {
 	for i := range c.attach {
@@ -173,58 +160,6 @@ func (c *Candidates) attached(col *bwd.Column) bool {
 	return false
 }
 
-// Certain reports whether candidate i is guaranteed to satisfy every
-// relaxed predicate exactly (i.e. it cannot be a false positive): its code
-// on every filtered column lies strictly inside the relaxed range, away
-// from the boundary buckets. For a disjunction group, some member must be
-// certainly satisfied. Approximate min/max aggregation uses this to bound
-// the true extremum (§IV-F, Fig 6).
-func (c *Candidates) Certain(i int) bool {
-	c.Emit()
-	for k := range c.attach {
-		a := &c.attach[k]
-		if !a.filtered {
-			continue
-		}
-		if a.group != 0 {
-			// Disjunction groups: each group needs one certainly-satisfied
-			// member. Evaluate a group once, at its first attachment —
-			// attachment lists are a handful of filters long, so the inner
-			// scans stay cheaper than any per-call scratch allocation
-			// (Certain runs per candidate when CertainMask is built).
-			first := true
-			for j := 0; j < k; j++ {
-				if c.attach[j].filtered && c.attach[j].group == a.group {
-					first = false
-					break
-				}
-			}
-			if !first {
-				continue
-			}
-			ok := false
-			for j := k; j < len(c.attach); j++ {
-				b := &c.attach[j]
-				if b.filtered && b.group == a.group && certainIn(b, i) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
-			}
-			continue
-		}
-		if a.exactRange() {
-			continue
-		}
-		if code := a.codes[i]; code == a.rng.Lo || code == a.rng.Hi {
-			return false
-		}
-	}
-	return true
-}
-
 // exactRange reports whether the attachment's relaxed range is its exact
 // predicate: exact codes have no boundary uncertainty, and a full range has
 // no boundary.
@@ -232,80 +167,102 @@ func (a *attachment) exactRange() bool {
 	return a.col.Dec.ResBits == 0 || a.rng.Full
 }
 
-// boundaryFree reports whether filtered attachment k can never make a
-// candidate uncertain. A conjunct cannot when its range is exact. A
-// disjunction group cannot when every member's is: a candidate matched some
-// member's relaxed range, and that range was the member's predicate.
+// interior is the range of codes that certainly satisfy the attachment's
+// exact predicate: its relaxed range without the two boundary buckets, which
+// may hold false positives — or all of it, when the range is exact.
+func (a *attachment) interior() bwd.ApproxRange {
+	switch {
+	case a.exactRange():
+		return a.rng
+	case a.rng.Hi < a.rng.Lo+2:
+		return bwd.ApproxRange{Empty: true} // nothing between the boundaries
+	}
+	return bwd.ApproxRange{Lo: a.rng.Lo + 1, Hi: a.rng.Hi - 1}
+}
+
+// boundaryFree reports whether attachment k can never make a candidate
+// uncertain. A conjunct cannot when its range is exact. A disjunction group
+// cannot when every member's is: a candidate matched some member's relaxed
+// range, and that range was the member's predicate.
 func (c *Candidates) boundaryFree(k int) bool {
 	a := &c.attach[k]
 	if a.group == 0 {
 		return a.exactRange()
 	}
 	for j := range c.attach {
-		if b := &c.attach[j]; b.filtered && b.group == a.group && !b.exactRange() {
+		if b := &c.attach[j]; b.group == a.group && !b.exactRange() {
 			return false
 		}
 	}
 	return true
 }
 
-// CertainMask returns Certain as a bitmask over the candidate positions —
-// bit i%64 of word i/64 is set iff Certain(i), bits past Len are clear — or
-// nil when every candidate is certain, which a look at the attachments
-// alone often settles (all filtered columns fully device resident). The
-// phase-A aggregates read it instead of re-deriving Certain per aggregate
-// per row. The set builds the mask on first use and owns it.
+// CertainMask returns the candidates that cannot be false positives, in the
+// survivor mask's layout — bit r%64 of word r/64 for row r — or nil when every
+// candidate is certain, which a look at the attachments alone often settles
+// (all filtered columns fully device resident). A candidate is certain when
+// its code on every filtered column lies in that filter's interior, away from
+// the boundary buckets; for a disjunction group, some member's must. The
+// approximate aggregates use it to bound the true count, sum and extremum
+// (§IV-F, Fig 6).
+//
+// That test is one more selection, so the mask is one more narrowing: one
+// step per filter that can leave a boundary, a conjunct's interior or a
+// group's interiors as its disjuncts, each read through its key. Every
+// work-group's survivor words are copied and narrowed by each step in turn
+// while they are hot (narrowCertain), on the device's P; the walk files no
+// granule outcomes and lists no candidate. The set builds the mask on first
+// use and owns it.
 func (c *Candidates) CertainMask() []uint64 {
 	if c.certainBuilt {
 		return c.certain
 	}
 	c.certainBuilt = true
-	all := true
+	c.walk, c.steps = c.walk[:0], c.steps[:0]
 	for k := range c.attach {
-		if c.attach[k].filtered && !c.boundaryFree(k) {
-			all = false
-			break
+		if c.boundaryFree(k) || !c.leads(k) {
+			continue
 		}
+		for j := k; j < len(c.attach); j++ {
+			if a := &c.attach[j]; j == k || a.group != 0 && a.group == c.attach[k].group {
+				c.walk = append(c.walk, a.col.Approximately(a.interior()).Through(a.key))
+			}
+		}
+		c.steps = append(c.steps, len(c.walk))
 	}
-	n := c.Len()
-	if all || n == 0 {
+	if len(c.steps) == 0 || c.n == 0 {
 		return nil
 	}
-	c.Emit()
-	mask := mem.U64.GetN((n + 63) / 64)
-	devP().For(n, func(lo, hi int) { // gpuChunk is a multiple of 64: morsels own whole words
-		for w := lo / 64; w*64 < hi; w++ {
-			var bits uint64
-			for i := w * 64; i < min(w*64+64, hi); i++ {
-				if c.Certain(i) {
-					bits |= 1 << (uint(i) & 63)
-				}
-			}
-			mask[w] = bits
-		}
-	})
-	c.certain = mask
-	return mask
+	c.certain = mem.U64.GetN(len(c.mask))
+	if len(c.offs) == 1 {
+		c.narrowCertain(0, c.rows)
+	} else {
+		devP().For(c.rows, c.narrowCertain)
+	}
+	return c.certain
 }
 
-// certainIn reports whether candidate i certainly satisfies one
-// disjunct's exact predicate: its code lies inside the relaxed range and
-// away from the boundary buckets (always, for exact codes).
-func certainIn(a *attachment, i int) bool {
-	if a.rng.Empty {
-		return false
+// leads reports whether attachment k starts a step of the certain mask: a
+// conjunct does, and so does the first member of a disjunction group.
+func (c *Candidates) leads(k int) bool {
+	for j := range k {
+		if c.attach[j].group != 0 && c.attach[j].group == c.attach[k].group {
+			return false
+		}
 	}
-	if a.rng.Full {
-		return true
+	return true
+}
+
+// narrowCertain builds the certain mask of work-group [lo,hi): its survivor
+// words copied, then narrowed by every step compiled into walk.
+func (c *Candidates) narrowCertain(lo, hi int) {
+	g0, g1 := lo/bwd.GranuleRows, granulesTo(hi)
+	copy(c.certain[g0:g1], c.mask[g0:g1])
+	from := 0
+	for _, to := range c.steps {
+		bwd.NarrowGranules(c.walk[from:to], c.certain, lo, hi)
+		from = to
 	}
-	code := a.codes[i]
-	if code < a.rng.Lo || code > a.rng.Hi {
-		return false
-	}
-	if a.col.Dec.ResBits == 0 {
-		return true
-	}
-	return code != a.rng.Lo && code != a.rng.Hi
 }
 
 // Ship charges the PCI-E transfer that moves the candidate set (IDs plus

@@ -3,30 +3,54 @@ package ar
 import (
 	"testing"
 
+	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/par"
 )
 
-func TestCodesForUnknownColumn(t *testing.T) {
-	vals := shuffledInts(100, 90)
-	colA := decompose(t, vals, 5)
-	colB := decompose(t, vals, 5)
-	cands := SelectApprox(nil, colA, colA.Relax(0, 50))
-	if cands.CodesFor(colB) != nil {
-		t.Error("CodesFor returned codes for a column that was never attached")
+// certainAt reports whether the certain mask holds row r; nil holds every
+// row.
+func certainAt(mask []uint64, r bat.OID) bool {
+	return mask == nil || mask[r/64]>>(r%64)&1 == 1
+}
+
+// refCertain is the certain mask's definition, for one survivor row: its code
+// on every filtered column — a dimension's at the position its key joins — lies
+// off the two boundary buckets of that column's relaxed range (always, on a
+// resident column or under a full range); for a disjunction group, some
+// member's code lies in its range and off its boundaries.
+func refCertain(c *Candidates, row int) bool {
+	some := map[int]bool{} // per disjunction group: a member certainly holds
+	for _, a := range c.attach {
+		pos := row
+		if a.key != nil {
+			pos, _ = a.key.At(row)
+		}
+		code := a.col.Approx.Get(pos)
+		off := a.col.Dec.ResBits == 0 || a.rng.Full || code != a.rng.Lo && code != a.rng.Hi
+		switch {
+		case a.group != 0:
+			some[a.group] = some[a.group] || a.rng.Contains(code) && off
+		case !off:
+			return false
+		}
 	}
-	if cands.CodesFor(colA) == nil {
-		t.Error("CodesFor lost the selection column's codes")
+	for _, ok := range some {
+		if !ok {
+			return false
+		}
 	}
+	return true
 }
 
 func TestCertainWithFullRange(t *testing.T) {
 	vals := shuffledInts(1000, 91)
 	col := decompose(t, vals, 4)
 	cands := SelectApprox(nil, col, col.Relax(-10000, 10000)) // Full
-	for i := range cands.IDs() {
-		if !cands.Certain(i) {
+	mask := cands.CertainMask()
+	for _, id := range cands.IDs() {
+		if !certainAt(mask, id) {
 			t.Fatal("full-range selection cannot produce false positives")
 		}
 	}
@@ -36,8 +60,9 @@ func TestCertainResidentAlwaysTrue(t *testing.T) {
 	vals := shuffledInts(1000, 92)
 	col := decompose(t, vals, 32) // resident: exact codes
 	cands := SelectApprox(nil, col, col.Relax(100, 200))
-	for i := range cands.IDs() {
-		if !cands.Certain(i) {
+	mask := cands.CertainMask()
+	for _, id := range cands.IDs() {
+		if !certainAt(mask, id) {
 			t.Fatal("resident column codes are exact; all candidates certain")
 		}
 	}
@@ -75,11 +100,11 @@ func TestFilterToPreservesAttachments(t *testing.T) {
 	c1 := SelectApprox(nil, colA, colA.Relax(0, 2500))
 	c2 := SelectApproxOver(nil, colB, nil, colB.Relax(0, 4000), c1)
 
-	codesA := c2.CodesFor(colA)
-	codesB := c2.CodesFor(colB)
-	if codesA == nil || codesB == nil {
+	if len(c2.attach) != 2 || c2.attach[0].col != colA || c2.attach[1].col != colB {
 		t.Fatal("attachments lost through filtering")
 	}
+	codesA := ProjectApprox(nil, colA, nil, c2).Codes()
+	codesB := ProjectApprox(nil, colB, nil, c2).Codes()
 	for i, id := range c2.IDs() {
 		if codesA[i] != colA.Approx.Get(int(id)) {
 			t.Fatalf("column A codes misaligned at %d", i)
@@ -137,39 +162,82 @@ func TestShippedFlagPropagation(t *testing.T) {
 	}
 }
 
-// CertainMask is Certain, bit for bit — across several work-groups, for a
-// conjunction and for a disjunction group — nil exactly when the
-// attachments alone rule every false positive out, and what CountApprox
-// counts.
+// checkCertain holds c's certain mask to refCertain, row by row over every
+// word of the survivor mask, and CountApprox to its popcount. It returns how
+// many candidates are certain.
+func checkCertain(t *testing.T, name string, c *Candidates) int {
+	t.Helper()
+	mask := c.CertainMask()
+	if mask != nil && len(mask) != len(c.mask) {
+		t.Fatalf("%s: certain mask of %d words over a survivor mask of %d", name, len(mask), len(c.mask))
+	}
+	certain := 0
+	for r := 0; r < len(c.mask)*64; r++ {
+		survives := c.mask[r/64]>>(r%64)&1 == 1
+		want, got := survives && refCertain(c, r), survives
+		if mask != nil {
+			got = certainAt(mask, bat.OID(r))
+		}
+		if got != want {
+			t.Fatalf("%s: row %d (survives %v) certain = %v, reference %v", name, r, survives, got, want)
+		}
+		if want {
+			certain++
+		}
+	}
+	if iv := CountApprox(nil, c); iv.Lo != int64(certain) || iv.Hi != int64(c.Len()) {
+		t.Fatalf("%s: CountApprox = %v, want [%d,%d]", name, iv, certain, c.Len())
+	}
+	return certain
+}
+
+// The certain mask is its per-row definition, bit for bit, in the survivor
+// mask's layout, across three work-groups: for conjunctions whose interior is
+// empty (a relaxed range one or two codes wide) or one code wide (three), a
+// dimension filter read through a key, and disjunction groups whose members
+// are full, empty, resident and residual — nil exactly when the attachments
+// alone rule every false positive out, and what CountApprox counts.
 func TestCertainMaskMatchesCertain(t *testing.T) {
-	vals := shuffledInts(3*gpuChunk+100, 98)
+	const n = 2*gpuChunk + 100
+	vals := shuffledInts(n, 98)
 	split, resident := decompose(t, vals, 6), decompose(t, vals, 32)
-	n := int64(len(vals))
-	and := SelectApproxOver(nil, resident, nil, resident.Relax(0, n/2), SelectApprox(nil, split, split.Relax(n/10, n-n/10)))
-	or := SelectApproxAny(nil, []*bwd.Column{split, resident},
-		[]bwd.ApproxRange{split.Relax(0, n/3), resident.Relax(n/2, n)}, 1)
-	for name, cands := range map[string]*Candidates{"conjunction": and, "disjunction": or} {
-		mask := cands.CertainMask()
-		if mask == nil || len(mask) != (cands.Len()+63)/64 {
-			t.Fatalf("%s: mask of %d words for %d candidates", name, len(mask), cands.Len())
+	_, _, _, selCol, dimCol, key := buildDimData(t, n, 500, 6, 98)
+	mid := split.Relax(n/2, n/2)
+	narrow := func(d uint64) *Candidates {
+		r := bwd.ApproxRange{Lo: mid.Lo, Hi: mid.Lo + d}
+		return SelectApproxOver(nil, resident, nil, resident.Relax(0, n-n/8), SelectApprox(nil, split, r))
+	}
+	keyed := SelectApprox(nil, selCol, selCol.Relax(n/10, n-n/10))
+	if _, err := JoinApprox(nil, key, keyed); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Candidates
+		some bool // some candidates certain, some not
+	}{
+		{"conjunction", SelectApproxOver(nil, resident, nil, resident.Relax(0, n/2), SelectApprox(nil, split, split.Relax(n/10, n-n/10))), true},
+		{"one code", narrow(0), false},
+		{"two codes", narrow(1), false},
+		{"three codes", narrow(2), true},
+		{"dimension filter through a key", SelectApproxOver(nil, dimCol, key, dimCol.Relax(2000, 7000), keyed), true},
+		{"disjunction", SelectApproxAny(nil, []*bwd.Column{split, resident, split},
+			[]bwd.ApproxRange{split.Relax(0, n/3), resident.Relax(n/2, n), {Empty: true}}, 1), true},
+		{"full, empty, resident and residual members", SelectApproxAnyOver(nil, []*bwd.Column{split, split, resident, split},
+			[]bwd.ApproxRange{{Full: true}, {Empty: true}, resident.Relax(0, n/4), split.Relax(n/2, n)},
+			SelectApprox(nil, split, split.Relax(n/10, n-n/10)), 2), true},
+	} {
+		if len(tc.c.offs) != 3 || tc.c.Len() == 0 {
+			t.Fatalf("%s: %d candidates over %d work-groups", tc.name, tc.c.Len(), len(tc.c.offs))
 		}
-		certain := 0
-		for i := 0; i < len(mask)*64; i++ {
-			bit := mask[i/64]>>(uint(i)%64)&1 == 1
-			if want := i < cands.Len() && cands.Certain(i); bit != want {
-				t.Fatalf("%s: mask bit %d = %v, Certain = %v", name, i, bit, want)
-			}
-			if bit {
-				certain++
-			}
+		if tc.c.CertainMask() == nil {
+			t.Fatalf("%s: a filter with residual bits has boundary buckets: want a mask", tc.name)
 		}
-		if certain == 0 || certain == cands.Len() {
-			t.Fatalf("%s: %d of %d certain: the fixture exercises one side only", name, certain, cands.Len())
+		certain := checkCertain(t, tc.name, tc.c)
+		if tc.some != (certain > 0 && certain < tc.c.Len()) {
+			t.Fatalf("%s: %d of %d certain", tc.name, certain, tc.c.Len())
 		}
-		if iv := CountApprox(nil, cands); iv.Lo != int64(certain) || iv.Hi != int64(cands.Len()) {
-			t.Fatalf("%s: CountApprox = %v, want [%d,%d]", name, iv, certain, cands.Len())
-		}
-		cands.Release()
+		tc.c.Release()
 	}
 	exact := SelectApprox(nil, resident, resident.Relax(100, 200))
 	if exact.CertainMask() != nil {
@@ -207,9 +275,9 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 		if cands.emitted {
 			t.Fatalf("%s: deciding certainty emitted the ids", name)
 		}
-		for i := 0; i < cands.Len(); i += 997 {
-			if !cands.Certain(i) {
-				t.Fatalf("%s: candidate %d uncertain", name, i)
+		for r := 0; r < cands.rows; r += 997 {
+			if cands.mask[r/64]>>(r%64)&1 == 1 && !refCertain(cands, r) {
+				t.Fatalf("%s: row %d uncertain", name, r)
 			}
 		}
 		cands.Release()
@@ -218,4 +286,29 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 	if mixed.CertainMask() == nil {
 		t.Fatal("a member with residual bits has boundary buckets: want a mask")
 	}
+}
+
+// Certainty lists nothing: over a residual conjunct, a disjunction group with
+// a residual member and a dimension filter read through a key, CertainMask and
+// CountApprox narrow a copy of the survivor mask, and the set's ids stay
+// unemitted.
+func TestCertainMaskEmitsNothing(t *testing.T) {
+	const n = 2*gpuChunk + 100
+	split := decompose(t, shuffledInts(n, 101), 6)
+	_, _, _, selCol, dimCol, key := buildDimData(t, n, 500, 6, 101)
+	c := SelectApprox(nil, selCol, selCol.Relax(n/10, n-n/10))
+	c = SelectApproxAnyOver(nil, []*bwd.Column{split, selCol}, []bwd.ApproxRange{split.Relax(0, n/2), selCol.Relax(n/3, n)}, c, 1)
+	if _, err := JoinApprox(nil, key, c); err != nil {
+		t.Fatal(err)
+	}
+	c = SelectApproxOver(nil, dimCol, key, dimCol.Relax(2000, 7000), c)
+	if c.CertainMask() == nil {
+		t.Fatal("fixture: every filter has residual bits, want a mask")
+	}
+	CountApprox(nil, c)
+	if c.emitted || c.ids != nil {
+		t.Fatalf("the certain mask of %d candidates emitted their ids", c.Len())
+	}
+	checkCertain(t, "residual conjunct, disjunction, dimension filter", c)
+	c.Release()
 }

@@ -227,10 +227,7 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 				t.Fatalf("charged %v by mask, %v listed, of which projections %v", m, bare, projected)
 			}
 			for k, col := range tc.cols {
-				codes := cands.CodesFor(col)
-				if k > 0 {
-					codes = ProjectApprox(nil, col, nil, cands).Codes()
-				}
+				codes := ProjectApprox(nil, col, nil, cands).Codes()
 				for i := range cands.IDs() {
 					if g.Codes[k][g.IDs[i]] != codes[i] {
 						t.Fatalf("column %d: grouping codes diverge from the candidates' codes", k)
@@ -242,9 +239,9 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 }
 
 // GroupApprox over a set no position of which was read yet — key columns
-// decoded by granule — and over the same candidates once their ids and
-// attached codes were listed gives the same group ids, the same groups in the
-// same first-appearance order and the same charge, and both are what a
+// decoded by granule — and over the same candidates once their ids were
+// listed gives the same group ids, the same groups in the same
+// first-appearance order and the same charge, and both are what a
 // row-by-row map over the packed key tuples gives: for one and two key columns, resident and decomposed, a key
 // column the scan already attached, a handful of groups and enough of them
 // to grow the grouping table many times over, across several work-groups.

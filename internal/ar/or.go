@@ -26,7 +26,7 @@ func SelectApproxAnyOver(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRan
 	n := in.Len()
 	first := len(in.attach)
 	for j, col := range cols {
-		in.attach = append(in.attach, attachment{col: col, rng: rs[j], filtered: true, group: group})
+		in.attach = append(in.attach, attachment{col: col, rng: rs[j], group: group})
 	}
 	in.narrow(in.attach[first:], true)
 	in.shipped = false // a fresh device-side intermediate

@@ -96,11 +96,12 @@ func ScanStats() GranuleStats {
 // deterministic permutation of the input order, modelling the
 // non-order-preserving massively parallel kernel (§IV-A item 3).
 //
-// The candidate codes ride along with the IDs; they are the host's only
-// view of the device-resident major bits once the candidates are shipped.
+// On the device the candidate codes ride along with the IDs; they are the
+// host's only view of the device-resident major bits once the candidates are
+// shipped.
 func SelectApprox(m *device.Meter, col *bwd.Column, r bwd.ApproxRange) *Candidates {
 	c := getCandidates()
-	c.attach = append(c.attach, attachment{col: col, rng: r, filtered: true})
+	c.attach = append(c.attach, attachment{col: col, rng: r})
 	scanApprox(m, c)
 	return c
 }
@@ -110,13 +111,13 @@ func SelectApprox(m *device.Meter, col *bwd.Column, r bwd.ApproxRange) *Candidat
 // disjunct, possibly repeating a column): the device scans every disjunct
 // column's packed approximation and emits the tuples whose code matches
 // any relaxed range — a superset of the exact OR result, in the same
-// deterministic permutation as a conjunctive scan. All disjunct columns'
-// codes attach to the candidates under one disjunction group id, so
-// Certain and the refinement can evaluate the group as a whole.
+// deterministic permutation as a conjunctive scan. All disjunct columns
+// attach to the candidates under one disjunction group id, so CertainMask can
+// evaluate the group as a whole.
 func SelectApproxAny(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange, group int) *Candidates {
 	c := getCandidates()
 	for j, col := range cols {
-		c.attach = append(c.attach, attachment{col: col, rng: rs[j], filtered: true, group: group})
+		c.attach = append(c.attach, attachment{col: col, rng: rs[j], group: group})
 	}
 	scanApprox(m, c)
 	return c
@@ -226,19 +227,15 @@ func (c *Candidates) recount() {
 
 // reopen readies the set for a narrowing, which rewrites every work-group's
 // survivor count: slots sealed in candidate order become counts again (seal
-// recomputes them, in the same order), and whatever was emitted from the old
-// mask — the ids, the attached codes, the certain mask — goes back to the
-// arena, to be emitted from the narrower one on demand.
+// recomputes them, in the same order), and whatever was built from the old
+// mask — the ids, the certain mask — goes back to the arena, to be built from
+// the narrower one on demand.
 func (c *Candidates) reopen() {
 	c.sealed = false
 	if c.emitted {
 		c.emitted = false
 		oidPool.Put(c.ids)
 		c.ids = nil
-		for j := range c.attach {
-			mem.U64.Put(c.attach[j].codes)
-			c.attach[j].codes = nil
-		}
 	}
 	mem.U64.Put(c.certain)
 	c.certain, c.certainBuilt = nil, false
@@ -270,8 +267,8 @@ func (c *Candidates) MaskOut(drop []uint64) {
 // summed in the deterministic shuffled completion order of par.PermuteInto —
 // the unordered device discipline — which gives every work-group its slot
 // in candidate order. Everything emitted from the mask afterwards — the ids,
-// the attached codes, projections, grouping keys — lands in those slots,
-// rows ascending inside one, so all of it is positionally aligned.
+// projections, grouping keys — lands in those slots, rows ascending inside
+// one, so all of it is positionally aligned.
 func (c *Candidates) seal() {
 	if c.sealed {
 		return
@@ -287,13 +284,12 @@ func (c *Candidates) seal() {
 	mem.Ints.Put(order)
 }
 
-// Emit materialises the set: every work-group writes its survivors' ids and
-// the codes of every attached column straight into its slot of the
-// exact-size output (emitGroup), in parallel, no concatenation. It is the one
-// place candidate ids come from; calling it again before the mask narrows
-// does nothing. The accessors that hand positions out call it on demand — so
-// a statement none of whose operators addresses positions never pays for a
-// list.
+// Emit materialises the set's ids: every work-group writes its survivors'
+// ids straight into its slot of the exact-size output (emitGroup), in
+// parallel, no concatenation. It is the one place candidate ids come from;
+// calling it again before the mask narrows does nothing. IDs calls it on
+// demand — so a statement none of whose operators addresses positions (only a
+// dimension projection does) never pays for a list.
 func (c *Candidates) Emit() {
 	if c.emitted {
 		return
@@ -301,15 +297,12 @@ func (c *Candidates) Emit() {
 	c.emitted = true
 	c.seal()
 	c.ids = oidPool.GetN(c.n)
-	for j := range c.attach {
-		c.attach[j].codes = mem.U64.GetN(c.n)
-	}
-	ids, att, mask, offs := c.ids, c.attach, c.mask, c.offs
+	ids, mask, offs := c.ids, c.mask, c.offs
 	if len(offs) == 1 {
-		emitGroup(ids, att, mask, 0, c.rows, 0)
+		emitGroup(ids, mask, 0, c.rows, 0)
 	} else if c.n > 0 {
 		devP().For(c.rows, func(lo, hi int) {
-			emitGroup(ids, att, mask, lo, hi, offs[lo/gpuChunk])
+			emitGroup(ids, mask, lo, hi, offs[lo/gpuChunk])
 		})
 	}
 }
@@ -393,34 +386,24 @@ func (c *Candidates) Granules(g0, g1 int) ([]uint64, int) {
 // 64-row decode is cheaper than one positional Get per survivor.
 const denseSurvivors = 16
 
-// emitGroup materialises the survivors of work-group [lo,hi) into the
-// output slot starting at off: the ids in row order, then the survivors'
-// codes of every attached column — a dimension's gathered through its key.
-func emitGroup(ids []bat.OID, att []attachment, mask []uint64, lo, hi, off int) {
-	g0, g1 := lo/bwd.GranuleRows, granulesTo(hi)
-	end := off
-	for g := g0; g < g1; g++ {
+// emitGroup writes the ids of the survivors of work-group [lo,hi) into the
+// output slot starting at off, in row order.
+func emitGroup(ids []bat.OID, mask []uint64, lo, hi, off int) {
+	for g := lo / bwd.GranuleRows; g < granulesTo(hi); g++ {
 		base := g * bwd.GranuleRows
 		for w := mask[g]; w != 0; w &= w - 1 {
-			ids[end] = bat.OID(base + bits.TrailingZeros64(w))
-			end++
+			ids[off] = bat.OID(base + bits.TrailingZeros64(w))
+			off++
 		}
-	}
-	for j := range att {
-		if att[j].key != nil {
-			gatherThrough(att[j].col.Approx, att[j].key, ids[off:end], att[j].codes[off:end])
-			continue
-		}
-		decodeGranules(att[j].col.Approx, att[j].codes[off:end], mask, g0, g1)
 	}
 }
 
 // decodeGranules writes one packed column's codes of the rows of granules
 // [g0,g1) whose mask bit is set into the front of out, in row order, and
 // returns how many it wrote; out is at least that long and none of it is
-// anyone else's. It is the one loop every reader of a column by mask runs —
-// Emit's attached columns, a projection, the grouping keys, the aggregate
-// program's registers — and emitGranule the one rule it applies.
+// anyone else's. It is the one loop every reader of a column by mask runs — a
+// projection, the grouping keys, the aggregate program's registers — and
+// emitGranule the one rule it applies.
 func decodeGranules(approx *bitpack.Array, out []uint64, mask []uint64, g0, g1 int) int {
 	var buf [bwd.GranuleRows]uint64
 	k := 0

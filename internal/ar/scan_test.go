@@ -21,10 +21,10 @@ import (
 // empty, full, one code wide, one-sided, interior or touch a granule's
 // bounds exactly — with one disjunct and with several, alone and as the
 // start of a chain of further conjuncts, disjunction groups and a deletion
-// bitmap, under 1, 2 and 4 workers — the candidate ids, every attached code
-// column, their order, the certain-mask and the meter must equal what a
-// Get-per-row scan under the same work-group permutation, filtered row by
-// row by every later step, produces.
+// bitmap, under 1, 2 and 4 workers — the candidate ids, their order, the
+// filters attached, the certain mask, row by row, and the meter must equal
+// what a Get-per-row scan under the same work-group permutation, filtered row
+// by row by every later step, produces.
 
 // refScan is that reference: visit the work-groups in the device
 // permutation, test every row with Get and Contains, and charge the
@@ -165,7 +165,8 @@ type chainStep struct {
 
 // scanCase is one scan to check — its disjuncts, then the steps that narrow
 // its candidates — and what the reference got: ids, one code column per
-// attachment, which candidates are certain.
+// attachment, and the rows whose candidates are certain, bit r%64 of word
+// r/64 for row r.
 type scanCase struct {
 	label   string
 	cols    []*bwd.Column
@@ -173,7 +174,7 @@ type scanCase struct {
 	chain   []chainStep
 	ids     []bat.OID
 	codes   [][]uint64
-	certain []bool
+	certain []uint64
 	meter   device.Meter
 }
 
@@ -195,8 +196,8 @@ func newScanCase(sys *device.System, label string, cols []*bwd.Column, rs []bwd.
 	// Certain, from its definition: a conjunct's code lies off its range's
 	// two boundary buckets unless the column is resident or the range full;
 	// a disjunction group needs one member certainly satisfied.
-	c.certain = make([]bool, len(c.ids))
-	for i := range c.ids {
+	c.certain = make([]uint64, (cols[0].Len()+63)/64)
+	for i, id := range c.ids {
 		ok, at := true, 0
 		for _, step := range c.steps() {
 			any := len(step.cols) == 0
@@ -212,7 +213,9 @@ func newScanCase(sys *device.System, label string, cols []*bwd.Column, rs []bwd.
 			ok = ok && any
 			at += len(step.cols)
 		}
-		c.certain[i] = ok
+		if ok {
+			c.certain[id/64] |= 1 << (id % 64)
+		}
 	}
 	return c
 }
@@ -312,19 +315,24 @@ func checkScans(t *testing.T, sys *device.System, cases []scanCase) {
 					} else if len(step.cols) > 1 {
 						group = scanGroup
 					}
-					if a.col != step.cols[j] || a.rng != step.rs[j] || !a.filtered || a.group != group {
+					if a.col != step.cols[j] || a.rng != step.rs[j] || a.group != group {
 						t.Fatalf("%s workers=%d: attachment %d does not describe disjunct %d of step %d", sc.label, workers, at, j, si)
-					}
-					if !slices.Equal(a.codes, sc.codes[at]) {
-						t.Fatalf("%s workers=%d: codes of disjunct %d of step %d differ from the per-row reference", sc.label, workers, j, si)
 					}
 					at++
 				}
 			}
+			// nil: every candidate certain, the survivor mask itself.
 			mask := c.CertainMask()
-			for i, want := range sc.certain {
-				if got := mask == nil || mask[i/64]>>(uint(i)%64)&1 == 1; got != want {
-					t.Fatalf("%s workers=%d: candidate %d certain = %v, per-row reference %v", sc.label, workers, i, got, want)
+			if mask != nil && len(mask) != len(sc.certain) {
+				t.Fatalf("%s workers=%d: certain mask of %d words over %d rows", sc.label, workers, len(mask), sc.cols[0].Len())
+			}
+			for w, want := range sc.certain {
+				got := c.mask[w]
+				if mask != nil {
+					got = mask[w]
+				}
+				if got != want {
+					t.Fatalf("%s workers=%d: rows %d–%d certain %#x, per-row reference %#x", sc.label, workers, 64*w, 64*w+63, got, want)
 				}
 			}
 			if *got != sc.meter {
@@ -480,8 +488,8 @@ func TestDevPFollowsGOMAXPROCS(t *testing.T) {
 }
 
 // Narrowing happens on the mask: a chain of k conjuncts asks the arena for
-// what one scan asks — the mask, the work-group slots, the ids — plus one
-// code column per conjunct, and never for a copy of the set in between.
+// what one scan asks — the mask, the work-group slots, the ids — and never
+// for a copy of the set in between, nor for a list of any conjunct's codes.
 func TestChainBuffersIndependentOfLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 3*gpuChunk + 777
@@ -504,8 +512,8 @@ func TestChainBuffersIndependentOfLength(t *testing.T) {
 	}
 	one := gets(1)
 	for k := 2; k <= len(cols); k++ {
-		if got := gets(k); got != one+uint64(k-1) {
-			t.Fatalf("%d conjuncts take %d arena buffers, one takes %d: want one more per conjunct", k, got, one)
+		if got := gets(k); got != one {
+			t.Fatalf("%d conjuncts take %d arena buffers, one takes %d", k, got, one)
 		}
 	}
 }

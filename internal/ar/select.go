@@ -18,7 +18,7 @@ import (
 // filtering the list in place would have kept.
 func SelectApproxOver(m *device.Meter, col *bwd.Column, key *bwd.Key, r bwd.ApproxRange, in *Candidates) *Candidates {
 	n := in.Len()
-	in.attach = append(in.attach, attachment{col: col, key: key, rng: r, filtered: true})
+	in.attach = append(in.attach, attachment{col: col, key: key, rng: r})
 	in.narrow(in.attach[len(in.attach)-1:], true)
 	in.shipped = false // a fresh device-side intermediate
 	if m != nil {

@@ -138,15 +138,16 @@ func TestSelectRefinePreservesCandidateOrder(t *testing.T) {
 	if cands.Len() == len(phaseA) {
 		t.Fatal("test needs false positives to be meaningful")
 	}
-	// What phase A emitted — ids, attached codes, the certain mask — is
-	// emitted again from the narrower mask.
-	codes, certain := cands.CodesFor(col), cands.CertainMask()
-	if len(codes) != cands.Len() || len(certain) != (cands.Len()+63)/64 {
-		t.Fatalf("%d candidates, %d codes, %d certain words", cands.Len(), len(codes), len(certain))
+	// What phase A built — the ids, the certain mask — is built again from the
+	// narrower mask.
+	codes, certain := ProjectApprox(nil, col, nil, cands).Codes(), cands.CertainMask()
+	if len(codes) != cands.Len() || len(certain) != len(cands.mask) {
+		t.Fatalf("%d candidates, %d codes, %d certain words over %d mask words", cands.Len(), len(codes), len(certain), len(cands.mask))
 	}
+	checkCertain(t, "refined", cands)
 	for i, id := range cands.IDs() {
-		if codes[i] != col.Approx.Get(int(id)) || certain[i/64]>>(i%64)&1 == 1 != cands.Certain(i) {
-			t.Fatalf("candidate %d (row %d): code %d, certain bit disagrees with Certain", i, id, codes[i])
+		if codes[i] != col.Approx.Get(int(id)) {
+			t.Fatalf("candidate %d (row %d): code %d", i, id, codes[i])
 		}
 	}
 
@@ -279,14 +280,15 @@ func TestCertainFlagsBoundaryBuckets(t *testing.T) {
 	col := decompose(t, vals, 6) // 10 bits -> 6/4: bucket size 16
 	lo, hi := int64(100), int64(200)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
-	for i, id := range cands.IDs() {
+	mask := cands.CertainMask()
+	for _, id := range cands.IDs() {
 		v := vals[id]
 		bucketLo := v/16 == lo/16
 		bucketHi := v/16 == hi/16
-		if cands.Certain(i) && (bucketLo || bucketHi) {
+		if certainAt(mask, id) && (bucketLo || bucketHi) {
 			t.Fatalf("boundary-bucket candidate %d flagged certain", v)
 		}
-		if !cands.Certain(i) && !bucketLo && !bucketHi {
+		if !certainAt(mask, id) && !bucketLo && !bucketHi {
 			t.Fatalf("interior candidate %d flagged uncertain", v)
 		}
 	}

@@ -267,21 +267,6 @@ func TestBuildFKIndexRejectsSparse(t *testing.T) {
 	}
 }
 
-func TestArithMaps(t *testing.T) {
-	a := []int64{100, 200}
-	b := []int64{5, 10}
-	if got := MapAdd(par.P{}, nil, a, b); got[0] != 105 || got[1] != 210 {
-		t.Errorf("MapAdd = %v", got)
-	}
-	if got := MapSub(par.P{}, nil, a, b); got[0] != 95 || got[1] != 190 {
-		t.Errorf("MapSub = %v", got)
-	}
-	// Fixed-point: 1.00 * 0.05 at scale 100 = 0.05.
-	if got := MapMulScaled(par.P{}, nil, []int64{100}, []int64{5}, 100); got[0] != 5 {
-		t.Errorf("MapMulScaled = %v, want [5]", got)
-	}
-}
-
 func TestMeteredOperatorsCharge(t *testing.T) {
 	sys := device.PaperSystem()
 	m := device.NewMeter(sys)

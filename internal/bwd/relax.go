@@ -112,9 +112,9 @@ func (c *Column) Relax(lo, hi int64) ApproxRange {
 		// Full only when the VALUE predicate covers the whole domain, not
 		// merely the code range: with lo inside bucket 0 (or hi inside the top
 		// bucket) the boundary buckets still hold potential false positives,
-		// and consumers treat Full as "no boundary uncertainty" (Certain, the
-		// skipped scan) — marking such a range Full would overstate the
-		// phase-A lower bounds.
+		// and consumers treat Full as "no boundary uncertainty" (the interior
+		// ar's certain mask narrows by, the skipped scan) — marking such a
+		// range Full would overstate the phase-A lower bounds.
 		r.Full = slo == 0
 	}
 	return r

@@ -188,12 +188,13 @@ type colBind struct {
 }
 
 // rows is the input of one fold: n rows of the bound columns; ids, when set,
-// each row's group; certain, when set, the bitmask of rows that certainly
-// qualify — a row outside it may turn out a false positive, so it adds to a
-// sum only what moves the bound outward and to a minimum's or maximum's
-// inner bound nothing. by is set when a column is bound
-// packed: the rows are then by's candidates, in candidate order, and the
-// fold reaches them through its mask.
+// each row's group; by, when set, the candidate set whose candidates the rows
+// are, in candidate order, which the fold then reaches through its mask — as
+// it must when a column is bound packed; certain, when set, by's rows that
+// certainly qualify, in the layout of by's mask (ar.Candidates.CertainMask) —
+// a row outside it may turn out a false positive, so it adds to a sum only
+// what moves the bound outward and to a minimum's or maximum's inner bound
+// nothing.
 type rows struct {
 	cols    []colBind
 	n       int
@@ -212,16 +213,17 @@ func (pg *program) bindVals(vals map[ColRef][]int64, n int) rows {
 }
 
 // bindCodes binds the program's columns to the approximate projections over
-// cands: packed for a projection that is still only cands' mask, the code
-// list otherwise (a dimension column, gathered through its join's key).
+// cands, whose mask the fold walks: packed for a projection that is still
+// only cands' mask, the code list otherwise (a dimension column, gathered
+// through its join's key).
 func (pg *program) bindCodes(cands *ar.Candidates, projections map[ColRef]*ar.Projection) rows {
-	in := rows{cols: make([]colBind, len(pg.cols)), n: cands.Len()}
+	in := rows{cols: make([]colBind, len(pg.cols)), n: cands.Len(), by: cands}
 	for i, ref := range pg.cols {
 		p := projections[ref]
 		dec := p.Col.Dec
 		in.cols[i] = colBind{base: dec.Base, shift: dec.ResBits, err: dec.Err()}
 		if p.ByMask() {
-			in.cols[i].packed, in.by = p.Col.Approx, cands
+			in.cols[i].packed = p.Col.Approx
 		} else {
 			in.cols[i].codes = p.Codes()
 		}
@@ -379,8 +381,8 @@ const denseFold = 52
 
 // fold evaluates the program over the rows in and folds every slot into acc.
 // The rows split into the P's worker blocks — of positions, or of in.by's
-// work-groups, whose slots in candidate order keep ids and certain aligned —
-// each folding into its own partial state, merged in block order. A fold by
+// work-groups, whose slots in candidate order keep ids aligned — each
+// folding into its own partial state, merged in block order. A fold by
 // mask over exact packed columns with no certain mask — an exact leg's —
 // takes its dense blocks whole: its partial states carry a sink group past
 // acc's last, which the merge drops.
@@ -465,11 +467,11 @@ func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 
 // scratchNeed bounds the int64s foldBlock carves for one block: a register
 // row per column read packed or by code (two with an error bound), per
-// computed register (two for an interval one, a value for a scalar one), and
-// per slot side a scalar is filled out to or the certain mask rewrites. fold
-// sizes every frame's scratch for it at once, so a fresh one — sync.Pool
-// drops a pooled scratch now and then — is one array, not the five a
-// doubling growth through Q1's nine registers allocates.
+// computed register (two for an interval one, a value for a scalar one), per
+// slot side a scalar is filled out to or the certain mask rewrites, and the
+// block's certain bits. fold sizes every frame's scratch for it at once, so a
+// fresh one — sync.Pool drops a pooled scratch now and then — is one array,
+// not the five a doubling growth through Q1's nine registers allocates.
 func (pg *program) scratchNeed(in rows, exact []bool, interval bool) int {
 	n := exprBlock
 	if in.by == nil {
@@ -507,6 +509,9 @@ func (pg *program) scratchNeed(in rows, exact []bool, interval bool) int {
 			need += sides * n
 		}
 	}
+	if in.certain != nil {
+		need += (n + 63) / 64
+	}
 	return need
 }
 
@@ -525,11 +530,15 @@ func asCodes(reg []int64) []uint64 {
 // last group, the sink.
 func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, hi, g0, g1 int, whole bool) {
 	n := hi - lo
-	var mask []uint64
+	var mask, certain []uint64
 	if whole {
 		mask, n = in.by.Granules(g0, g1)
 	}
 	f.s.Reset()
+	if in.certain != nil {
+		survivors, _ := in.by.Granules(g0, g1)
+		certain = compactBits(asCodes(f.s.I64((n+63)/64)), survivors, in.certain[g0:g1])
+	}
 	for r := range pg.code {
 		ins := &pg.code[r]
 		if ins.op == opCol {
@@ -617,14 +626,14 @@ func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, h
 			if len(vals) < n {
 				vals = fill(f.s.I64(n), vals[0]) // a scalar, aggregated per row
 			}
-			if in.certain != nil {
+			if certain != nil {
 				switch {
 				case sl.kind == foldSum:
-					vals = clampUncertain(f.s.I64(n), vals, in.certain, lo, high == 1)
+					vals = clampUncertain(f.s.I64(n), vals, certain, high == 1)
 				case (sl.kind == foldMax) == (high == 0):
 					// The inner bound of an extreme — a maximum's low side,
 					// a minimum's high — rests on rows that certainly qualify.
-					vals = dropUncertain(f.s.I64(n), vals, in.certain, lo, sl.kind.identity())
+					vals = dropUncertain(f.s.I64(n), vals, certain, sl.kind.identity())
 				}
 			}
 			foldInto(sl.kind, into[s*g:(s+1)*g], ids, vals)
@@ -730,14 +739,28 @@ func evalInterval(ins *instr, lo, hi [][]int64, outLo, outHi []int64) {
 	}
 }
 
+// compactBits writes the bits of certain that stand at the survivors of mask
+// — certain is a narrowing of mask, word for word — into out, one after the
+// other in row order, which is the block's candidate order, and returns out.
+func compactBits(out, mask, certain []uint64) []uint64 {
+	clear(out)
+	k := uint(0)
+	for g, word := range mask {
+		for w, c := word, certain[g]; w != 0; w &= w - 1 {
+			out[k>>6] |= (c >> uint(bits.TrailingZeros64(w)) & 1) << (k & 63)
+			k++
+		}
+	}
+	return out
+}
+
 // clampUncertain copies vals into out, moving the value of every row whose
 // certain bit is clear to zero where that widens a sum's bound: a false
 // positive contributes nothing, so it can lower the high bound or raise the
-// low one no further than that. base is the position of vals[0].
-func clampUncertain(out, vals []int64, certain []uint64, base int, high bool) []int64 {
+// low one no further than that.
+func clampUncertain(out, vals []int64, certain []uint64, high bool) []int64 {
 	for i, v := range vals {
-		at := base + i
-		if certain[at>>6]>>(uint(at)&63)&1 == 0 && (v < 0) == high {
+		if certain[i>>6]>>(uint(i)&63)&1 == 0 && (v < 0) == high {
 			v = 0
 		}
 		out[i] = v
@@ -751,10 +774,9 @@ func clampUncertain(out, vals []int64, certain []uint64, base int, high bool) []
 // qualifies proves the maximum at least (the minimum at most) its own value
 // (§IV-F, Fig 6). With no such row the bound stays at the identity —
 // nothing is known, as the count's low end of zero says.
-func dropUncertain(out, vals []int64, certain []uint64, base int, identity int64) []int64 {
+func dropUncertain(out, vals []int64, certain []uint64, identity int64) []int64 {
 	for i, v := range vals {
-		at := base + i
-		if certain[at>>6]>>(uint(at)&63)&1 == 0 {
+		if certain[i>>6]>>(uint(i)&63)&1 == 0 {
 			v = identity
 		}
 		out[i] = v

@@ -179,17 +179,18 @@ type exprInput struct {
 	ivs    map[ColRef][]ar.Interval
 	ids    []uint32 // nil: ungrouped
 	groups int
-	mask   []uint64 // nil: every row certain
+	mask   []uint64 // the certain rows, in the layout of cands' mask; nil: every row certain
 }
 
 // randSurvivors draws the table behind n candidates: which of its rows
 // survived — granule words that are full, lack one row, lack a few, are
 // dense, sparse or empty, in random order, the last granule short — and the
-// candidate set a scan for exactly those rows leaves. A fold reads the mask
+// candidate set a scan for exactly those rows leaves, and how many rows the
+// scan read. A fold reads the mask
 // in blocks of exprBlock rows, and each block draws its words from all six
 // kinds, from the four dense ones only or from the two sparse ones: blocks
 // on both sides of denseFold.
-func randSurvivors(t testing.TB, rng *rand.Rand, n int) *ar.Candidates {
+func randSurvivors(t testing.TB, rng *rand.Rand, n int) (*ar.Candidates, int) {
 	sel := make([]int64, 0, 2*n+64)
 	kinds := func() int { return rng.Intn(6) }
 	for left := n; left > 0 || len(sel) == 0; {
@@ -236,7 +237,7 @@ func randSurvivors(t testing.TB, rng *rand.Rand, n int) *ar.Candidates {
 	if cands.Len() != n {
 		t.Fatalf("the survivor fixture holds %d candidates, want %d", cands.Len(), n)
 	}
-	return cands
+	return cands, len(sel)
 }
 
 func sumOf(vals []int64) (sum int64) {
@@ -248,7 +249,9 @@ func sumOf(vals []int64) (sum int64) {
 
 func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool) *exprInput {
 	in := &exprInput{n: n, groups: 1, codes: map[ColRef]*colBind{}, packed: map[ColRef]*bitpack.Array{},
-		exact: map[ColRef][]int64{}, ivs: map[ColRef][]ar.Interval{}, cands: randSurvivors(t, rng, n)}
+		exact: map[ColRef][]int64{}, ivs: map[ColRef][]ar.Interval{}}
+	cands, scanned := randSurvivors(t, rng, n)
+	in.cands = cands
 	ids := in.cands.IDs()
 	rows := 0
 	if n > 0 {
@@ -303,18 +306,20 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 		}
 	}
 	if masked {
-		in.mask = make([]uint64, (n+63)/64)
-		for i := 0; i < n; i++ {
+		in.mask = make([]uint64, (scanned+63)/64)
+		for _, id := range ids {
 			if rng.Intn(3) > 0 {
-				in.mask[i/64] |= 1 << (uint(i) % 64)
+				in.mask[id/64] |= 1 << (id % 64)
 			}
 		}
 	}
 	return in
 }
 
+// certain reports whether candidate i certainly qualifies.
 func (in *exprInput) certain(i int) bool {
-	return in.mask == nil || in.mask[i/64]>>(uint(i)%64)&1 == 1
+	id := in.cands.IDs()[i]
+	return in.mask == nil || in.mask[id/64]>>(id%64)&1 == 1
 }
 
 // check folds the compiled program over the input under pp — exact values,
@@ -366,7 +371,11 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 		cols[i] = *in.codes[ref]
 	}
 	acc = pg.newAcc(in.groups, true)
-	pg.fold(pp, &acc, rows{cols: cols, n: in.n, ids: in.ids, certain: in.mask})
+	listed := rows{cols: cols, n: in.n, ids: in.ids, certain: in.mask}
+	if in.mask != nil {
+		listed.by = in.cands // a certain mask is laid out as the set's mask, which the fold then walks
+	}
+	pg.fold(pp, &acc, listed)
 	if !slices.Equal(acc.cnt, counts) {
 		t.Fatalf("%s: interval fold counted %v, oracle %v", label, acc.cnt, counts)
 	}
@@ -433,7 +442,7 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	acc.release()
 
 	resident := map[ColRef][]int64{}
-	listed := rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids}
+	listed = rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids}
 	packed := rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids, by: in.cands}
 	for i, ref := range pg.cols {
 		b := in.codes[ref]
@@ -586,7 +595,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 		}
 		run := func() {
 			acc := pg.newAcc(1, true)
-			pg.fold(pp, &acc, rows{cols: cols, n: n, certain: mask})
+			pg.fold(pp, &acc, rows{cols: cols, n: n, certain: mask, by: cands})
 			acc.release()
 			pre := ar.GroupApprox(nil, keyCols, cands)
 			grouping, keys, err := ar.GroupRefine(pp, nil, pre)
