@@ -157,9 +157,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 // materialise lists a candidate set's ids and col's codes of its candidates.
 func materialise(c *ar.Candidates, col *bwd.Column) {
 	c.IDs()
-	p := ar.ProjectApprox(nil, col, nil, c)
-	p.Codes()
-	p.Release()
+	ar.ProjectApprox(nil, col, nil, c).Codes()
 }
 
 // BenchmarkOpSelectRefine refines a 10 % selection over a column with 8
@@ -334,7 +332,6 @@ func BenchmarkOpProjectApproxRefine(b *testing.B) {
 			b.Fatal(err)
 		}
 		mem.I64.Put(vals)
-		proj.Release()
 	}
 }
 
@@ -412,8 +409,10 @@ func BenchmarkOpExprAggregate(b *testing.B) {
 // the statement olap_tail issues every fourth time — one month of l_shipdate,
 // ≈ 3 k candidates, carried into the probe of part and the PROMO range on
 // p_type — and "wide" the same without the fact filter, so that all 240 k rows
-// reach the join. Each runs A&R and classic through the exported executors
-// only, so the same line measures any commit.
+// reach the join. "paper" is tpch.Q14 itself, the paper's statement, which
+// also projects p_type through the key into its CASE: the one of the three
+// that reads a dimension column in the fold. Each runs A&R and classic
+// through the exported executors only, so the same line measures any commit.
 func BenchmarkOpJoin(b *testing.B) {
 	d := tpch.Generate(0.04, 1)
 	c := plan.NewCatalog(device.PaperSystem())
@@ -435,10 +434,14 @@ func BenchmarkOpJoin(b *testing.B) {
 	}
 	q14 := wide
 	q14.Filters = []plan.Filter{{Col: "l_shipdate", Lo: tpch.Day(1995, 9, 1), Hi: tpch.Day(1995, 9, 30)}}
+	paper, err := tpch.Q14(1995, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, shape := range []struct {
 		name string
 		q    plan.Query
-	}{{"q14", q14}, {"wide", wide}} {
+	}{{"q14", q14}, {"wide", wide}, {"paper", paper}} {
 		for _, mode := range []struct {
 			name string
 			exec func(context.Context, plan.Query, plan.ExecOpts) (*plan.Result, error)

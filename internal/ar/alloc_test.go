@@ -11,14 +11,16 @@ import (
 )
 
 // The A&R scan hot path — approximate selection, the approximate count and
-// the certain mask it builds, refinement, release — must run at zero heap
-// allocations per query in steady state: every buffer it touches cycles
-// through the arena. The guards run the serial morsel path (one worker
+// the certain mask it builds, refinement, release — and the classic one — the
+// host set's exact selection, a gathered column, release — must run at zero
+// heap allocations per query in steady state: every buffer they touch cycles
+// through the arena, and the set's header through its pool. The guards run the serial morsel path (one worker
 // claims every morsel); the parallel path runs the same kernels plus a fixed
 // per-query goroutine spawn cost.
 
 type scanFixture struct {
 	col    *bwd.Column
+	vals   []int64
 	rng    bwd.ApproxRange
 	lo, hi int64
 }
@@ -65,7 +67,7 @@ func newScanFixture(t testing.TB, vals []int64) *scanFixture {
 		t.Fatal(err)
 	}
 	lo, hi := int64(n/4), int64(n/2)
-	return &scanFixture{col: col, rng: col.Relax(lo, hi), lo: lo, hi: hi}
+	return &scanFixture{col: col, vals: vals, rng: col.Relax(lo, hi), lo: lo, hi: hi}
 }
 
 func runARScan(f *scanFixture) {
@@ -75,6 +77,17 @@ func runARScan(f *scanFixture) {
 		panic(err)
 	}
 	cands.Release()
+
+	sel, err := SelectExact(par.P{}, len(f.vals), bwd.Exactly(f.col, f.vals, f.lo, f.hi))
+	if err != nil {
+		panic(err)
+	}
+	vals, err := sel.Gather(par.P{}, f.vals, nil)
+	if err != nil {
+		panic(err)
+	}
+	mem.I64.Put(vals)
+	sel.Release()
 }
 
 func TestARScanZeroAlloc(t *testing.T) {

@@ -29,20 +29,24 @@
 // device kernel with a translucent join (Algorithm 1); here that join is the
 // mask itself, and it remains in the meter as the operator it stands for
 // (chargeTranslucentJoin).
+//
+// The classic baseline's selection is the same set, built on the host
+// (SelectExact): exact values compared, its work-groups the statement's
+// morsels, sealed in row order. Its columns are gathered by mask (Gather).
+// Only this package knows the set's format — mask words, per-work-group
+// counts, slot order — and no id list of it exists outside the tests (IDs).
 package ar
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/mem"
+	"repro/internal/par"
 )
-
-// oidPool recycles candidate ID lists through the shared bat.OIDPool
-// arena; masks ride the shared mem.U64 pool.
-var oidPool = &bat.OIDPool
 
 // candPool recycles Candidates headers (struct + attach backing array) so
 // a scan's set costs no allocation at all in steady state.
@@ -69,37 +73,38 @@ type attachment struct {
 	group int
 }
 
-// Candidates is the output of approximation operators on the structural
-// path: the tuples of a superset of the exact result, in device (permuted)
-// order, and the relaxed predicate of every column that filtered them. On the
-// device the filtered columns' codes travel with the tuples, and Ship bills
-// them: once candidates are shipped to the host, the codes are the CPU's only
-// view of the major bits. The host never lists them; a reader decodes the
-// packed column by mask.
+// Candidates is a survivor set: the output of approximation operators on the
+// structural path — the tuples of a superset of the exact result, in device
+// (permuted) order, and the relaxed predicate of every column that filtered
+// them — and of the classic selection (SelectExact), the exact result in row
+// order. On the device the filtered columns' codes travel with the tuples,
+// and Ship bills them: once candidates are shipped to the host, the codes are
+// the CPU's only view of the major bits. The host never lists them; a reader
+// decodes the packed column by mask.
 //
 // A set is its survivor mask, one bit per scanned row (DESIGN.md §13); a scan
 // of no rows is a mask of none. Further conjuncts, disjunction groups, the
 // deletion bitmap, the join chain — probes, dimension deletions, dimension
 // filters — and every refinement narrow the mask in place (narrow, MaskOut,
-// JoinApprox, refine), and the certain mask is one more narrowing of a copy
-// (CertainMask). Candidate order is fixed by the mask: work-groups in
-// par.PermuteInto order, rows ascending inside one. The ids are materialised
-// from it on demand, by Emit, which the first reader of a position triggers; a
-// narrowing after that releases them, to be emitted again from the narrower
-// mask. ProjectApprox, GroupApprox and the refinements read the mask by
-// granule.
+// JoinApprox, Narrow), and the certain mask is one more narrowing of a copy
+// (CertainMask). Candidate order is fixed by the mask and the set's
+// constructor: work-groups in par.PermuteInto order on the device, in index
+// order on the host, rows ascending inside one. Nothing lists the ids but IDs,
+// for tests: ProjectApprox, GroupApprox, the refinements, Gather and the
+// aggregate program read the mask by granule.
 type Candidates struct {
-	ids     []bat.OID
 	attach  []attachment
 	shipped bool
 	// mask holds the survivors among the rows scanned rows, bit i%64 of
-	// word i/64 for row i; n is its popcount. offs has one entry per
+	// word i/64 for row i; n is its popcount. The rows fall into work-groups
+	// of chunk rows, a whole number of granules, and offs has one entry per
 	// work-group: the group's survivor count while the mask narrows, its
-	// slot in candidate order once sealed.
-	mask            []uint64
-	rows, n         int
-	offs            []int
-	sealed, emitted bool
+	// slot in candidate order once sealed — the groups taken in
+	// par.PermuteInto order when permuted, in index order otherwise.
+	mask             []uint64
+	rows, n, chunk   int
+	offs             []int
+	permuted, sealed bool
 	// walk is the scratch a narrowing step compiles its disjuncts into, and
 	// steps the ends of the certain mask's steps in it; both stay with the
 	// pooled header so that a step allocates nothing.
@@ -114,21 +119,63 @@ type Candidates struct {
 	certainBuilt bool
 }
 
-// Release returns the candidate set's buffers (the mask, the IDs and the
-// certain mask) to the arena and empties the set. It must only be called once
-// nothing references the set — the pipeline calls it once the tail has
-// aggregated. Releasing a released set is a no-op.
+// open lays an empty set out over rows rows, in work-groups of chunk rows
+// sealed in par.PermuteInto order (permuted) or in index order.
+func (c *Candidates) open(rows, chunk int, permuted bool) {
+	c.rows, c.chunk, c.permuted = rows, chunk, permuted
+	c.mask = mem.U64.GetN(granulesTo(rows))
+	c.offs = mem.Ints.GetN((rows + chunk - 1) / chunk)
+}
+
+// SelectExact starts a host set over rows [0,rows): the rows that satisfy any
+// of the disjuncts ds — exact values, compared where the bounds of a
+// decomposition leave a granule open (bwd.Exactly) — or every row when ds is
+// empty. It is the classic selection's set, MonetDB's order-preserving bulk
+// selection (§IV-A item 2): its work-groups are p's morsels rounded up to whole
+// granules, so that workers write disjoint words, walked on p and sealed in
+// index order, so candidate order is row order. Its further steps are Narrow
+// and MaskOut. It files no granule outcomes and charges nothing: the caller
+// bills the bulk operators it stands for. A walk cancelled partway releases
+// the set and returns the context's error.
+func SelectExact(p par.P, rows int, ds ...bwd.Disjunct) (*Candidates, error) {
+	c := getCandidates()
+	c.open(rows, (p.ChunkSize()+bwd.GranuleRows-1)/bwd.GranuleRows*bwd.GranuleRows, false)
+	if len(ds) == 0 {
+		c.all()
+		return c, nil
+	}
+	c.walk = append(c.walk[:0], ds...)
+	if err := c.step(p, bwd.ScanGranules, false); err != nil {
+		c.Release()
+		return nil, err
+	}
+	return c, nil
+}
+
+// all fills the set with every row.
+func (c *Candidates) all() {
+	for g := range c.mask {
+		c.mask[g] = ^uint64(0) >> uint(bwd.GranuleRows-min(bwd.GranuleRows, c.rows-g*bwd.GranuleRows))
+	}
+	for ci := range c.offs {
+		c.offs[ci] = min(c.chunk, c.rows-ci*c.chunk)
+	}
+	c.n = c.rows
+}
+
+// Release returns the candidate set's buffers (the mask, the work-group
+// offsets and the certain mask) to the arena and empties the set. It must
+// only be called once nothing references the set — the pipeline calls it once
+// the tail has aggregated. Releasing a released set is a no-op.
 func (c *Candidates) Release() {
 	if c == nil || !c.pooled {
 		return
 	}
 	c.pooled = false
-	oidPool.Put(c.ids)
-	c.ids = nil
 	mem.U64.Put(c.mask)
 	mem.Ints.Put(c.offs)
-	c.mask, c.offs, c.rows, c.n = nil, nil, 0, 0
-	c.sealed, c.emitted = false, false
+	c.mask, c.offs, c.rows, c.n, c.chunk = nil, nil, 0, 0, 0
+	c.permuted, c.sealed = false, false
 	clear(c.attach)
 	c.attach = c.attach[:0]
 	clear(c.walk)
@@ -142,12 +189,64 @@ func (c *Candidates) Release() {
 // Len returns the number of candidate tuples.
 func (c *Candidates) Len() int { return c.n }
 
-// IDs returns the candidate tuple ids in device order, emitting them first
-// if the mask was not emitted since it last narrowed. The slice is owned by
-// the set and valid until the next narrowing.
+// IDs lists the candidate tuple ids in candidate order, afresh from the mask
+// on every call: the one lister of a set, for tests, examples and benchmarks.
+// The executor reads sets by mask only.
 func (c *Candidates) IDs() []bat.OID {
-	c.Emit()
-	return c.ids
+	c.seal()
+	ids := make([]bat.OID, c.n)
+	for ci, at := range c.offs {
+		g0, g1 := c.groupGranules(ci)
+		for g := g0; g < g1; g++ {
+			for w := c.mask[g]; w != 0; w &= w - 1 {
+				ids[at] = bat.OID(g*bwd.GranuleRows + bits.TrailingZeros64(w))
+				at++
+			}
+		}
+	}
+	return ids
+}
+
+// Gather writes the values tails holds at the survivors into an arena buffer,
+// in candidate order, and returns it: a survivor's at its row or, through key,
+// at the dimension position its key joins. Every work-group writes its slot on
+// p, distinct ones concurrently; one runs on the calling goroutine. It is the
+// classic scan's fetch of a column at the selected rows, without a list of
+// them. A walk cancelled partway returns the context's error and no buffer.
+func (c *Candidates) Gather(p par.P, tails []int64, key *bwd.Key) ([]int64, error) {
+	out := mem.I64.GetN(c.n)
+	var err error
+	switch wg := c.WorkGroups(); {
+	case wg == 1:
+		c.gatherGroup(tails, key, out, 0)
+		err = p.Cancelled()
+	case wg > 1:
+		p.Chunk = c.chunk
+		err = p.For(c.rows, func(lo, hi int) { c.gatherGroup(tails, key, out, lo/c.chunk) })
+	}
+	if err != nil {
+		mem.I64.Put(out)
+		return nil, err
+	}
+	return out, nil
+}
+
+// gatherGroup writes tails' values of work-group ci's survivors into its slot
+// of out, in row order.
+func (c *Candidates) gatherGroup(tails []int64, key *bwd.Key, out []int64, ci int) {
+	at := c.offs[ci]
+	g0, g1 := c.groupGranules(ci)
+	for g := g0; g < g1; g++ {
+		base := g * bwd.GranuleRows
+		for w := c.mask[g]; w != 0; w &= w - 1 {
+			row := base + bits.TrailingZeros64(w)
+			if key != nil {
+				row, _ = key.At(row)
+			}
+			out[at] = tails[row]
+			at++
+		}
+	}
 }
 
 // attached reports whether col's codes travel with the set.
@@ -210,7 +309,7 @@ func (c *Candidates) boundaryFree(k int) bool {
 // step per filter that can leave a boundary, a conjunct's interior or a
 // group's interiors as its disjuncts, each read through its key. Every
 // work-group's survivor words are copied and narrowed by each step in turn
-// while they are hot (narrowCertain), on the device's P; the walk files no
+// while they are hot (narrowCertain), on every host core; the walk files no
 // granule outcomes and lists no candidate. The set builds the mask on first
 // use and owns it.
 func (c *Candidates) CertainMask() []uint64 {
@@ -237,7 +336,9 @@ func (c *Candidates) CertainMask() []uint64 {
 	if len(c.offs) == 1 {
 		c.narrowCertain(0, c.rows)
 	} else {
-		devP().For(c.rows, c.narrowCertain)
+		p := devP()
+		p.Chunk = c.chunk
+		p.For(c.rows, c.narrowCertain)
 	}
 	return c.certain
 }

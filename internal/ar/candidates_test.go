@@ -1,11 +1,15 @@
 package ar
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/mem"
 	"repro/internal/par"
 )
 
@@ -248,8 +252,8 @@ func TestCertainMaskMatchesCertain(t *testing.T) {
 // A disjunction whose every member is fully device resident (or spans its
 // whole column) is boundary-free like such a conjunct: each candidate
 // matched some member's relaxed range and that range was the predicate, so
-// the set settles "all certain" from its attachments — no mask is built, no
-// position is read, and the ids are never emitted — whether the group
+// the set settles "all certain" from its attachments — no mask is built and
+// no position is read — whether the group
 // started the set or narrowed it. One member with residual bits brings the
 // mask back.
 func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
@@ -272,9 +276,6 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 		if iv := CountApprox(nil, cands); iv.Lo != iv.Hi || iv.Hi != int64(cands.Len()) {
 			t.Fatalf("%s: CountApprox = %v, want the point %d", name, iv, cands.Len())
 		}
-		if cands.emitted {
-			t.Fatalf("%s: deciding certainty emitted the ids", name)
-		}
 		for r := 0; r < cands.rows; r += 997 {
 			if cands.mask[r/64]>>(r%64)&1 == 1 && !refCertain(cands, r) {
 				t.Fatalf("%s: row %d uncertain", name, r)
@@ -290,8 +291,8 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 
 // Certainty lists nothing: over a residual conjunct, a disjunction group with
 // a residual member and a dimension filter read through a key, CertainMask and
-// CountApprox narrow a copy of the survivor mask, and the set's ids stay
-// unemitted.
+// CountApprox narrow a copy of the survivor mask, which the set's own mask
+// stays untouched by.
 func TestCertainMaskEmitsNothing(t *testing.T) {
 	const n = 2*gpuChunk + 100
 	split := decompose(t, shuffledInts(n, 101), 6)
@@ -305,10 +306,121 @@ func TestCertainMaskEmitsNothing(t *testing.T) {
 	if c.CertainMask() == nil {
 		t.Fatal("fixture: every filter has residual bits, want a mask")
 	}
+	before, kept := slices.Clone(c.mask), c.Len()
 	CountApprox(nil, c)
-	if c.emitted || c.ids != nil {
-		t.Fatalf("the certain mask of %d candidates emitted their ids", c.Len())
+	if !slices.Equal(c.mask, before) || c.Len() != kept {
+		t.Fatalf("the certain mask of %d candidates narrowed the set to %d", kept, c.Len())
 	}
 	checkCertain(t, "residual conjunct, disjunction, dimension filter", c)
 	c.Release()
+}
+
+// Gather is a per-row loop over IDs: every survivor's value at its row — or,
+// through a key, at the dimension position its key joins — in candidate
+// order. A host set's candidate order is row order, at morsels of 64 rows and
+// of 100 (rounded up to 128), serially and on four workers; a device set's is
+// its permuted work-groups, over three of them. Empty and full sets, and sets
+// probed through a key whose dangling keys and deleted dimension rows the
+// probe dropped, gather the same way.
+func TestGatherMatchesRowOracle(t *testing.T) {
+	const n, dimRows, dimBase = 2*gpuChunk + 100, 500, 1000
+	rng := rand.New(rand.NewSource(31))
+	vals := shuffledInts(n, 31)
+	fks, dim := make([]int64, n), make([]int64, dimRows)
+	for i := range fks {
+		fks[i] = dimBase - 10 + rng.Int63n(dimRows+20) // a few keys without a partner at either end
+	}
+	for i := range dim {
+		dim[i] = rng.Int63n(1 << 20)
+	}
+	deleted := make([]uint64, (dimRows+63)/64)
+	for i := 0; i < dimRows; i += 1 + rng.Intn(20) {
+		deleted[i/64] |= 1 << (i % 64)
+	}
+	col, fkCol := decompose(t, vals, 8), decompose(t, fks, 32)
+	hostKey := &bwd.Key{Tails: fks, Base: dimBase, Len: dimRows}
+	devKey := &bwd.Key{Col: fkCol, Base: dimBase, Len: dimRows}
+	lo, hi := int64(n/5), int64(n/2)
+	// rowOrder is the per-row selection: the rows in [lo,hi] whose key joins a
+	// live dimension row when probed.
+	rowOrder := func(probed bool, all bool) []bat.OID {
+		var ids []bat.OID
+		for r, v := range vals {
+			pos, ok := hostKey.At(r)
+			switch {
+			case !all && (v < lo || v > hi):
+			case probed && (!ok || deleted[pos/64]>>(pos%64)&1 == 1):
+			default:
+				ids = append(ids, bat.OID(r))
+			}
+		}
+		return ids
+	}
+	check := func(name string, p par.P, c *Candidates, key *bwd.Key, want []bat.OID) {
+		t.Helper()
+		ids := c.IDs()
+		if want != nil && !slices.Equal(ids, want) {
+			t.Fatalf("%s: %d candidates, the row loop keeps %d (or others, or in another order)", name, len(ids), len(want))
+		}
+		tails := vals
+		if key != nil {
+			tails = dim
+		}
+		got, err := c.Gather(p, tails, key)
+		if err != nil || len(got) != len(ids) {
+			t.Fatalf("%s: %d values for %d candidates, %v", name, len(got), len(ids), err)
+		}
+		for i, id := range ids {
+			at := int(id)
+			if key != nil {
+				at, _ = key.At(at)
+			}
+			if got[i] != tails[at] {
+				t.Fatalf("%s: candidate %d (row %d) gathered %d, want %d", name, i, id, got[i], tails[at])
+			}
+		}
+		mem.I64.Put(got)
+	}
+	for _, p := range []par.P{{Chunk: 64}, {Chunk: 100}, {Chunk: 100, Workers: 4}, {Chunk: 64, Workers: 4}} {
+		label := fmt.Sprintf("host set, morsel %d, %d workers", p.Chunk, p.NWorkers())
+		c, err := SelectExact(p, n, bwd.Exactly(nil, vals, lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chunk := (p.Chunk + 63) / 64 * 64; len(c.offs) != (n+chunk-1)/chunk {
+			t.Fatalf("%s: %d work-groups of %d rows", label, len(c.offs), c.chunk)
+		}
+		check(label, p, c, nil, rowOrder(false, false))
+		if err := c.Narrow(p, hostKey.Joined(deleted)); err != nil {
+			t.Fatal(err)
+		}
+		check(label+", probed", p, c, hostKey, rowOrder(true, false))
+		c.Release()
+
+		empty, err := SelectExact(p, n, bwd.Exactly(nil, vals, n, 2*n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+", empty", p, empty, nil, []bat.OID{})
+		empty.Release()
+		full, err := SelectExact(p, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+", full", p, full, nil, rowOrder(false, true))
+		full.Release()
+	}
+	for _, p := range []par.P{{}, {Workers: 4}} {
+		c := SelectApprox(nil, col, col.Relax(lo, hi))
+		if len(c.offs) != 3 {
+			t.Fatalf("device set over %d work-groups", len(c.offs))
+		}
+		check("device set", p, c, nil, nil)
+		if _, err := JoinApprox(nil, devKey, c); err != nil {
+			t.Fatal(err)
+		}
+		c.MaskOutJoined(devKey, deleted)
+		check("device set, probed", p, c, devKey, nil)
+		c.Release()
+	}
 }

@@ -201,14 +201,14 @@ const keySpan = 16
 func blockKeys(cands *Candidates, cols []*bwd.Column, shift []uint, buf []uint64, g0, g1, cnt int) []uint64 {
 	const rows = keySpan * bwd.GranuleRows
 	keys, codes := buf[:rows:rows], buf[rows:]
-	cands.Decode(cols[0].Approx, keys, g0, g1)
+	cands.Decode(cols[0].Approx, nil, keys, g0, g1)
 	if shift[0] != 0 {
 		for i := range keys[:cnt] {
 			keys[i] <<= shift[0]
 		}
 	}
 	for k := 1; k < len(cols); k++ {
-		cands.Decode(cols[k].Approx, codes, g0, g1)
+		cands.Decode(cols[k].Approx, nil, codes, g0, g1)
 		for i, code := range codes[:cnt] {
 			keys[i] |= code << shift[k]
 		}

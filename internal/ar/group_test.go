@@ -203,8 +203,7 @@ func TestGroupingShipOnce(t *testing.T) {
 func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 	// When a grouping column was already filtered, its codes travel with
 	// the candidates: GroupApprox groups by them and bills no projection
-	// for that column — only for the key column the scan never touched —
-	// whether or not the candidates' ids were listed.
+	// for that column — only for the key column the scan never touched.
 	sys := device.PaperSystem()
 	n := 5000
 	keyCol := decompose(t, groupKeys(n, 8, 88), 32)
@@ -221,7 +220,6 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 				ProjectApprox(projected, col, nil, cands)
 			}
 			bare, listed := device.NewMeter(sys), SelectApprox(nil, keyCol, keyCol.Relax(0, 6))
-			listed.Emit()
 			GroupApprox(bare, tc.cols, listed)
 			if m.GPU != bare.GPU || m.GPU <= projected.GPU {
 				t.Fatalf("charged %v by mask, %v listed, of which projections %v", m, bare, projected)
@@ -238,10 +236,9 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 	}
 }
 
-// GroupApprox over a set no position of which was read yet — key columns
-// decoded by granule — and over the same candidates once their ids were
-// listed gives the same group ids, the same groups in the same
-// first-appearance order and the same charge, and both are what a
+// GroupApprox over a set — key columns decoded by granule — and over a second
+// scan of the same candidates gives the same group ids, the same groups in
+// the same first-appearance order and the same charge, and both are what a
 // row-by-row map over the packed key tuples gives: for one and two key columns, resident and decomposed, a key
 // column the scan already attached, a handful of groups and enough of them
 // to grow the grouping table many times over, across several work-groups.
@@ -265,7 +262,6 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 	} {
 		for _, r := range []bwd.ApproxRange{{Full: true}, {Lo: 100, Hi: 300}, {Lo: 7, Hi: 7}, {Empty: true}} {
 			listed := SelectApprox(nil, sel, r)
-			listed.Emit()
 			fresh := SelectApprox(nil, sel, r) // no position read yet
 			mm, ml := device.NewMeter(sys), device.NewMeter(sys)
 			gm, gl := GroupApprox(mm, tc.cols, fresh), GroupApprox(ml, tc.cols, listed)
@@ -312,8 +308,8 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 // A key whose code tuple spans at most directBits bits goes through the
 // direct table, a wider one through the probe alone; either way the ids, the
 // group count and the groups' codes are exactly what the hash table assigns
-// the candidates' key tuples in candidate order — with the ids listed and
-// not, one column and two, on both sides of the limit.
+// the candidates' key tuples in candidate order — one column and two, on
+// both sides of the limit.
 func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	const n = gpuChunk + 4321
@@ -337,7 +333,6 @@ func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
 			}
 			for _, r := range []bwd.ApproxRange{{Full: true}, {Lo: 100, Hi: 600}} {
 				listed := SelectApprox(nil, sel, r)
-				listed.Emit()
 				fresh := SelectApprox(nil, sel, r)
 				byMask, byPos := GroupApprox(nil, cols, fresh), GroupApprox(nil, cols, listed)
 

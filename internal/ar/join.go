@@ -3,8 +3,6 @@ package ar
 import (
 	"fmt"
 
-	"repro/internal/bat"
-	"repro/internal/bitpack"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -61,16 +59,7 @@ func JoinApprox(m *device.Meter, key *bwd.Key, in *Candidates) (*Candidates, err
 // device-side — and the caller, which knows its footprint, charges it.
 func (c *Candidates) MaskOutJoined(key *bwd.Key, deleted []uint64) {
 	c.walk = append(c.walk[:0], key.Joined(deleted))
-	c.walkGranules(true)
-}
-
-// gatherThrough writes approx's code at the position each id's key joins
-// into out, aligned with ids.
-func gatherThrough(approx *bitpack.Array, key *bwd.Key, ids []bat.OID, out []uint64) {
-	for i, id := range ids {
-		pos, _ := key.At(int(id))
-		out[i] = approx.Get(pos)
-	}
+	c.step(devP(), bwd.NarrowGranules, true)
 }
 
 // idBytes is what one candidate costs a kernel to stream in: its 4-byte id,

@@ -136,10 +136,10 @@ func TestProjectApproxThroughKey(t *testing.T) {
 	}
 	key := &bwd.Key{Col: decompose(t, fk, 32), Len: len(dim)}
 	cands := SelectApprox(nil, factCol, factCol.Relax(0, 99))
-	proj := ProjectApprox(nil, dimCol, key, cands)
+	codes := ProjectApprox(nil, dimCol, key, cands).Codes()
 	for i, id := range cands.IDs() {
 		want := dim[fk[id]]
-		if got := dimCol.Dec.Base + int64(proj.Codes()[i]); got != want {
+		if got := dimCol.Dec.Base + int64(codes[i]); got != want {
 			t.Fatalf("projected value %d = %d, want %d", i, got, want)
 		}
 	}

@@ -16,12 +16,11 @@ import (
 // precise (the projected column is fully device resident, ResBits == 0),
 // in which case no refinement is necessary (§IV-C).
 //
-// On the host a projection of a fact column holds no codes until someone
-// asks for the list (Codes): a consumer that reads by mask (ByMask) decodes
-// the packed column a block at a time and the candidate-length buffer is
-// never written. The codes are those of the candidates the source held when
-// it was projected; once a refinement narrows the source, its exact values
-// come from ProjectRefine, which reads the narrower mask.
+// On the host a projection holds no codes: it is its source's mask over the
+// packed column, which a consumer reads by mask — Src.Blocks and Src.Decode,
+// a block at a time — so the candidate-length buffer is never written. Once a
+// refinement narrows the source, the column's exact values come from
+// ProjectRefine, which reads the narrower mask.
 //
 // Key is the projected column's addressing: nil for a column of the scanned
 // table, the join's key for a dimension column, whose code for a candidate is
@@ -31,36 +30,23 @@ type Projection struct {
 	Src     *Candidates
 	Col     *bwd.Column
 	Key     *bwd.Key
-	codes   []uint64
 	n       int
 	shipped bool
-}
-
-// Release returns the projection's code buffer to the arena. The source
-// candidate set is not owned by the projection and stays untouched. Must
-// only be called once nothing references the projection.
-func (p *Projection) Release() {
-	mem.U64.Put(p.codes)
-	p.codes = nil
-	p.Src = nil
 }
 
 // Exact reports whether the projected codes need no refinement.
 func (p *Projection) Exact() bool { return p.Col.Dec.ResBits == 0 }
 
-// ByMask reports whether the projection is still only its source's mask over
-// the packed column: read it with Src.Blocks and Src.Decode.
-func (p *Projection) ByMask() bool { return p.codes == nil && p.Src.WorkGroups() > 0 }
-
-// Codes returns the projected codes aligned with the candidate order,
-// decoding them by granule from the source's mask on first use. The slice is
-// owned by the projection.
+// Codes lists the projected codes of the source's candidates in candidate
+// order, decoded afresh from its mask on every call: a lister for tests and
+// benchmarks, as IDs is.
 func (p *Projection) Codes() []uint64 {
-	if p.codes == nil {
-		p.codes = mem.U64.GetN(p.n)
-		p.Src.emitCodes(p.Col.Approx, p.codes)
-	}
-	return p.codes
+	src := p.Src
+	codes := make([]uint64, src.Len())
+	src.Blocks(0, src.WorkGroups(), src.chunk/bwd.GranuleRows, func(g0, g1, pos, n int) {
+		src.Decode(p.Col.Approx, p.Key, codes[pos:pos+n], g0, g1)
+	})
+	return codes
 }
 
 // Ship charges the PCI-E transfer of the projected codes to the host. The
@@ -80,23 +66,15 @@ func (p *Projection) Ship(m *device.Meter) {
 // device-resident approximation of the projected column. The output is
 // aligned with the candidate order, which a parallel projection preserves
 // for free because each lane writes at the position of its input id
-// (§IV-A item 2). On the host a fact column is projected by granule — one
-// decode where a granule's survivors are dense, one Get per survivor where
-// they are sparse (emitGranule), and only once a reader wants the codes as a
-// list — and a dimension column by one lookup per id through its key; the
-// codes and the charge are the same either way.
+// (§IV-A item 2). On the host it stores nothing: its readers decode the
+// column by mask — a column of the scanned table by granule, one decode where
+// a granule's survivors are dense, one Get per survivor where they are sparse
+// (emitGranule), a dimension column by one Get per survivor through its key —
+// and the charge is the operator's.
 func ProjectApprox(m *device.Meter, col *bwd.Column, key *bwd.Key, cands *Candidates) *Projection {
 	n := cands.Len()
-	p := &Projection{Src: cands, Col: col, Key: key, n: n}
-	if key != nil {
-		p.codes = mem.U64.GetN(n)
-		ids := cands.IDs()
-		devP().For(n, func(lo, hi int) {
-			gatherThrough(col.Approx, key, ids[lo:hi], p.codes[lo:hi])
-		})
-	}
 	chargeProject(m, col, n)
-	return p
+	return &Projection{Src: cands, Col: col, Key: key, n: n}
 }
 
 // chargeProject bills the device for projecting col over n candidates.
@@ -171,7 +149,8 @@ func forGroups(p par.P, wg int, fn func(ci int)) error {
 func (c *Candidates) rebuildGroup(col *bwd.Column, key *bwd.Key, out []int64, ci int) {
 	at := c.offs[ci]
 	var codes, res [bwd.GranuleRows]uint64
-	for g := ci * groupGranules; g < min((ci+1)*groupGranules, len(c.mask)); g++ {
+	g0, g1 := c.groupGranules(ci)
+	for g := g0; g < g1; g++ {
 		word, base := c.mask[g], g*bwd.GranuleRows
 		switch {
 		case word == 0:

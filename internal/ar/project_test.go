@@ -199,13 +199,13 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 		col := scanColumn(t, rng, width, n, "shuffled")
 		check := func(name string, cands *Candidates) {
 			m, ref := device.NewMeter(sys), device.NewMeter(sys)
-			p := ProjectApprox(m, col, nil, cands)
-			if len(p.Codes()) != cands.Len() {
-				t.Fatalf("width %d %s: %d codes for %d candidates", width, name, len(p.Codes()), cands.Len())
+			codes := ProjectApprox(m, col, nil, cands).Codes()
+			if len(codes) != cands.Len() {
+				t.Fatalf("width %d %s: %d codes for %d candidates", width, name, len(codes), cands.Len())
 			}
 			for i, id := range cands.IDs() {
-				if want := col.Approx.Get(int(id)); p.Codes()[i] != want {
-					t.Fatalf("width %d %s: code %d (id %d) = %d, want %d", width, name, i, id, p.Codes()[i], want)
+				if want := col.Approx.Get(int(id)); codes[i] != want {
+					t.Fatalf("width %d %s: code %d (id %d) = %d, want %d", width, name, i, id, codes[i], want)
 				}
 			}
 			k := cands.Len()
@@ -213,7 +213,6 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 			if *m != *ref {
 				t.Fatalf("width %d %s: charged %v, want %v", width, name, m, ref)
 			}
-			p.Release()
 		}
 		for name, ids := range patterns {
 			masked := maskedCandidates(col, ids())

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/bat"
 	"repro/internal/bitpack"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -124,16 +123,15 @@ func SelectApproxAny(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange, 
 }
 
 // scanApprox runs the approximate scan described by c's attachments — one
-// filtered column per disjunct — and leaves its survivors on c as a mask.
-// The disjuncts travel in the (pooled) candidate header rather than in
-// argument slices so that nothing the caller built escapes to the worker
-// goroutines: a one-work-group scan allocates nothing.
+// filtered column per disjunct — and leaves its survivors on c as a mask, in
+// work-groups of gpuChunk rows sealed in device (permuted) order. The
+// disjuncts travel in the (pooled) candidate header rather than in argument
+// slices so that nothing the caller built escapes to the worker goroutines: a
+// one-work-group scan allocates nothing.
 func scanApprox(m *device.Meter, c *Candidates) {
 	att := c.attach
 	n := att[0].col.Len()
-	c.rows = n
-	c.mask = mem.U64.GetN((n + bwd.GranuleRows - 1) / bwd.GranuleRows)
-	c.offs = mem.Ints.GetN((n + gpuChunk - 1) / gpuChunk)
+	c.open(n, gpuChunk, true)
 	c.narrow(att, false)
 	if m != nil {
 		// The simulated device reads every disjunct's whole packed plane and
@@ -153,67 +151,68 @@ func scanApprox(m *device.Meter, c *Candidates) {
 // walks its granules and records which rows satisfy any of the disjuncts att
 // in one word per granule — over all rows for the scan that starts a set,
 // and (and) over the words earlier steps left non-zero for a further
-// conjunct, whose outcome is ANDed in. The walk and the decision it takes
-// per granule are bwd's (ScanGranules, NarrowGranules), shared with the
-// classic selection; what an approximate selection compares in a granule its
-// range cuts through is the packed codes. One work-group runs on the calling
-// goroutine without materializing a closure; an empty column has none.
+// conjunct, whose outcome is ANDed in — on the device's P, filing the granule
+// outcomes. The walk and the decision it takes per granule are bwd's
+// (ScanGranules, NarrowGranules), shared with the classic selection; what an
+// approximate selection compares in a granule its range cuts through is the
+// packed codes.
 func (c *Candidates) narrow(att []attachment, and bool) {
 	c.walk = c.walk[:0]
 	for j := range att {
 		c.walk = append(c.walk, att[j].col.Approximately(att[j].rng).Through(att[j].key))
 	}
-	c.walkGranules(and)
+	walk := bwd.ScanGranules
+	if and {
+		walk = bwd.NarrowGranules
+	}
+	c.step(devP(), walk, true)
 }
 
-// walkGranules runs the mask step over the disjuncts compiled into c.walk.
-func (c *Candidates) walkGranules(and bool) {
+// Narrow keeps the candidates that satisfy any of the disjuncts ds, on p, a
+// work-group at a time: the mask step of a refinement (SelectRefine,
+// SelectRefineAny) and of every step of the classic selection after its
+// first. It files no granule outcomes, which count the approximate scans
+// only. A walk cancelled partway leaves the mask undefined and returns the
+// context's error.
+func (c *Candidates) Narrow(p par.P, ds ...bwd.Disjunct) error {
+	c.walk = append(c.walk[:0], ds...)
+	return c.step(p, bwd.NarrowGranules, false)
+}
+
+// step is every mask step: the disjuncts compiled into c.walk, walked by walk
+// over each work-group on p — its Chunk the set's — which records every
+// group's survivor count; file adds the groups' granule outcomes to the
+// process-wide counters. One work-group runs on the calling goroutine without
+// materializing a closure; a set of no rows has none. A walk cancelled
+// partway leaves the mask undefined and returns the context's error.
+func (c *Candidates) step(p par.P, walk func([]bwd.Disjunct, []uint64, int, int) (int, bwd.Outcomes), file bool) error {
 	c.reopen()
-	ds, mask, counts, group := c.walk, c.mask, c.offs, bwd.ScanGranules
-	if and {
-		group = bwd.NarrowGranules
-	}
-	if len(counts) == 1 {
-		counts[0] = countGroup(group(ds, mask, 0, c.rows))
-	} else if len(counts) > 1 {
-		devP().For(c.rows, func(lo, hi int) {
-			counts[lo/gpuChunk] = countGroup(group(ds, mask, lo, hi))
+	ds, mask, counts, chunk := c.walk, c.mask, c.offs, c.chunk
+	var err error
+	switch {
+	case len(counts) == 1:
+		n, o := walk(ds, mask, 0, c.rows)
+		counts[0] = fileGroup(file, n, o)
+		err = p.Cancelled()
+	case len(counts) > 1:
+		p.Chunk = chunk
+		err = p.For(c.rows, func(lo, hi int) {
+			n, o := walk(ds, mask, lo, hi)
+			counts[lo/chunk] = fileGroup(file, n, o)
 		})
 	}
-	c.recount()
-}
-
-// refine is the mask step of a refinement: the disjuncts compiled into
-// c.walk narrow the survivors like a further conjunct, but on p — the
-// statement's share of the host, phase R's grant — a work-group at a time,
-// and without filing granule outcomes, which count the approximate scans
-// only. One work-group runs on the calling goroutine without materializing a
-// closure. A walk cancelled partway leaves the mask undefined and returns
-// the context's error.
-func (c *Candidates) refine(p par.P) error {
-	c.reopen()
-	ds, mask, counts := c.walk, c.mask, c.offs
-	if len(counts) <= 1 {
-		if len(counts) == 1 {
-			counts[0], _ = bwd.NarrowGranules(ds, mask, 0, c.rows)
-		}
-		c.recount()
-		return p.Cancelled()
-	}
-	p.Chunk = gpuChunk
-	err := p.For(c.rows, func(lo, hi int) {
-		counts[lo/gpuChunk], _ = bwd.NarrowGranules(ds, mask, lo, hi)
-	})
 	c.recount()
 	return err
 }
 
-// countGroup adds one work-group's granule outcomes to the process-wide
-// counters and passes its survivor count through.
-func countGroup(n int, o bwd.Outcomes) int {
-	granuleStats.skipped.Add(o.Skipped)
-	granuleStats.inside.Add(o.Inside)
-	granuleStats.decoded.Add(o.Compared)
+// fileGroup adds one work-group's granule outcomes to the process-wide
+// counters when file is set, and passes its survivor count through.
+func fileGroup(file bool, n int, o bwd.Outcomes) int {
+	if file {
+		granuleStats.skipped.Add(o.Skipped)
+		granuleStats.inside.Add(o.Inside)
+		granuleStats.decoded.Add(o.Compared)
+	}
 	return n
 }
 
@@ -227,16 +226,11 @@ func (c *Candidates) recount() {
 
 // reopen readies the set for a narrowing, which rewrites every work-group's
 // survivor count: slots sealed in candidate order become counts again (seal
-// recomputes them, in the same order), and whatever was built from the old
-// mask — the ids, the certain mask — goes back to the arena, to be built from
-// the narrower one on demand.
+// recomputes them, in the same order), and the certain mask built from the
+// old mask goes back to the arena, to be built from the narrower one on
+// demand.
 func (c *Candidates) reopen() {
 	c.sealed = false
-	if c.emitted {
-		c.emitted = false
-		oidPool.Put(c.ids)
-		c.ids = nil
-	}
 	mem.U64.Put(c.certain)
 	c.certain, c.certainBuilt = nil, false
 }
@@ -249,10 +243,9 @@ func (c *Candidates) reopen() {
 func (c *Candidates) MaskOut(drop []uint64) {
 	c.reopen()
 	for ci := range c.offs {
-		lo := ci * groupGranules
-		hi := min(lo+groupGranules, len(c.mask))
+		g0, g1 := c.groupGranules(ci)
 		cnt := 0
-		for g := lo; g < hi; g++ {
+		for g := g0; g < g1; g++ {
 			if g < len(drop) {
 				c.mask[g] &^= drop[g]
 			}
@@ -264,62 +257,31 @@ func (c *Candidates) MaskOut(drop []uint64) {
 }
 
 // seal ends the narrowing: the work-groups' survivor counts are prefix-
-// summed in the deterministic shuffled completion order of par.PermuteInto —
-// the unordered device discipline — which gives every work-group its slot
-// in candidate order. Everything emitted from the mask afterwards — the ids,
-// projections, grouping keys — lands in those slots, rows ascending inside
-// one, so all of it is positionally aligned.
+// summed — in the deterministic shuffled completion order of par.PermuteInto
+// for a device set, the unordered device discipline, in index order for a
+// host one — which gives every work-group its slot in candidate order.
+// Everything read from the mask afterwards — projections, grouping keys,
+// gathered values — lands in those slots, rows ascending inside one, so all
+// of it is positionally aligned.
 func (c *Candidates) seal() {
 	if c.sealed {
 		return
 	}
 	c.sealed = true
-	order := par.PermuteInto(mem.Ints.GetN(len(c.offs)))
 	total := 0
+	if !c.permuted {
+		for ci, cnt := range c.offs {
+			c.offs[ci], total = total, total+cnt
+		}
+		return
+	}
+	order := par.PermuteInto(mem.Ints.GetN(len(c.offs)))
 	for _, ci := range order {
 		cnt := c.offs[ci]
 		c.offs[ci] = total
 		total += cnt
 	}
 	mem.Ints.Put(order)
-}
-
-// Emit materialises the set's ids: every work-group writes its survivors'
-// ids straight into its slot of the exact-size output (emitGroup), in
-// parallel, no concatenation. It is the one place candidate ids come from;
-// calling it again before the mask narrows does nothing. IDs calls it on
-// demand — so a statement none of whose operators addresses positions (only a
-// dimension projection does) never pays for a list.
-func (c *Candidates) Emit() {
-	if c.emitted {
-		return
-	}
-	c.emitted = true
-	c.seal()
-	c.ids = oidPool.GetN(c.n)
-	ids, mask, offs := c.ids, c.mask, c.offs
-	if len(offs) == 1 {
-		emitGroup(ids, mask, 0, c.rows, 0)
-	} else if c.n > 0 {
-		devP().For(c.rows, func(lo, hi int) {
-			emitGroup(ids, mask, lo, hi, offs[lo/gpuChunk])
-		})
-	}
-}
-
-// emitCodes writes col's code of every candidate into codes, aligned with
-// the candidate order, decoding by granule from the mask.
-func (c *Candidates) emitCodes(approx *bitpack.Array, codes []uint64) {
-	c.seal()
-	mask, offs := c.mask, c.offs
-	if len(offs) == 1 {
-		decodeGranules(approx, codes, mask, 0, len(mask))
-	} else if c.n > 0 {
-		devP().For(c.rows, func(lo, hi int) {
-			g0, g1, off := lo/bwd.GranuleRows, granulesTo(hi), offs[lo/gpuChunk]
-			decodeGranules(approx, codes[off:off+survivors(mask[g0:g1])], mask, g0, g1)
-		})
-	}
 }
 
 // survivors counts the rows a stretch of mask words holds.
@@ -334,8 +296,11 @@ func survivors(mask []uint64) int {
 // granulesTo is the number of granules that hold rows [0,hi).
 func granulesTo(hi int) int { return (hi + bwd.GranuleRows - 1) / bwd.GranuleRows }
 
-// groupGranules is the number of granules in one work-group.
-const groupGranules = gpuChunk / bwd.GranuleRows
+// groupGranules returns the granules [g0,g1) of work-group ci.
+func (c *Candidates) groupGranules(ci int) (g0, g1 int) {
+	per := c.chunk / bwd.GranuleRows
+	return ci * per, min((ci+1)*per, len(c.mask))
+}
 
 // WorkGroups seals the set's mask in candidate order (seal) and returns how
 // many work-groups it spans; 0 says it scanned no row. Blocks, Decode and
@@ -356,8 +321,8 @@ func (c *Candidates) WorkGroups() int {
 func (c *Candidates) Blocks(wlo, whi, span int, fn func(g0, g1, pos, n int)) {
 	for ci := wlo; ci < whi; ci++ {
 		pos := c.offs[ci]
-		end := min((ci+1)*groupGranules, len(c.mask))
-		for g0 := ci * groupGranules; g0 < end; g0 += span {
+		start, end := c.groupGranules(ci)
+		for g0 := start; g0 < end; g0 += span {
 			g1 := min(g0+span, end)
 			if n := survivors(c.mask[g0:g1]); n > 0 {
 				fn(g0, g1, pos, n)
@@ -368,10 +333,12 @@ func (c *Candidates) Blocks(wlo, whi, span int, fn func(g0, g1, pos, n int)) {
 }
 
 // Decode writes approx's codes of the survivors in granules [g0,g1) into the
-// front of out, in row order, and returns how many there are. All of out is
-// the caller's to scribble on: where there is room a granule decodes in place.
-func (c *Candidates) Decode(approx *bitpack.Array, out []uint64, g0, g1 int) int {
-	return decodeGranules(approx, out, c.mask, g0, g1)
+// front of out, in row order, and returns how many there are: a survivor's
+// code at its row or, through key, at the dimension position its key joins.
+// All of out is the caller's to scribble on: where there is room a granule
+// decodes in place.
+func (c *Candidates) Decode(approx *bitpack.Array, key *bwd.Key, out []uint64, g0, g1 int) int {
+	return decodeGranules(approx, key, out, c.mask, g0, g1)
 }
 
 // Granules returns the survivor words of granules [g0,g1) of a set whose
@@ -386,29 +353,27 @@ func (c *Candidates) Granules(g0, g1 int) ([]uint64, int) {
 // 64-row decode is cheaper than one positional Get per survivor.
 const denseSurvivors = 16
 
-// emitGroup writes the ids of the survivors of work-group [lo,hi) into the
-// output slot starting at off, in row order.
-func emitGroup(ids []bat.OID, mask []uint64, lo, hi, off int) {
-	for g := lo / bwd.GranuleRows; g < granulesTo(hi); g++ {
-		base := g * bwd.GranuleRows
-		for w := mask[g]; w != 0; w &= w - 1 {
-			ids[off] = bat.OID(base + bits.TrailingZeros64(w))
-			off++
-		}
-	}
-}
-
 // decodeGranules writes one packed column's codes of the rows of granules
 // [g0,g1) whose mask bit is set into the front of out, in row order, and
 // returns how many it wrote; out is at least that long and none of it is
 // anyone else's. It is the one loop every reader of a column by mask runs — a
 // projection, the grouping keys, the aggregate program's registers — and
-// emitGranule the one rule it applies.
-func decodeGranules(approx *bitpack.Array, out []uint64, mask []uint64, g0, g1 int) int {
+// emitGranule the one rule it applies to a column of the scanned table. A
+// dimension column is read through key, one Get per survivor at the position
+// its key joins: only a survivor's key is known to have a partner.
+func decodeGranules(approx *bitpack.Array, key *bwd.Key, out []uint64, mask []uint64, g0, g1 int) int {
 	var buf [bwd.GranuleRows]uint64
 	k := 0
 	for g := g0; g < g1; g++ {
-		if word := mask[g]; word != 0 {
+		switch word := mask[g]; {
+		case word == 0:
+		case key != nil:
+			for w, base := word, g*bwd.GranuleRows; w != 0; w &= w - 1 {
+				pos, _ := key.At(base + bits.TrailingZeros64(w))
+				out[k] = approx.Get(pos)
+				k++
+			}
+		default:
 			k += emitGranule(approx, out[k:], word, g*bwd.GranuleRows, &buf)
 		}
 	}

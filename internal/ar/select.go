@@ -45,8 +45,7 @@ func SelectApproxOver(m *device.Meter, col *bwd.Column, key *bwd.Key, r bwd.Appr
 // phase-A intermediate. A walk cancelled partway returns the context's error.
 func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, key *bwd.Key, lo, hi int64, in *Candidates) error {
 	n := in.Len()
-	in.walk = append(in.walk[:0], bwd.Exactly(col, nil, lo, hi).Through(key))
-	if err := in.refine(p); err != nil {
+	if err := in.Narrow(p, bwd.Exactly(col, nil, lo, hi).Through(key)); err != nil {
 		return err
 	}
 	if m != nil && col.Dec.ResBits > 0 {

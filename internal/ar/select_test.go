@@ -68,9 +68,9 @@ func TestSelectApproxOutputIsPermuted(t *testing.T) {
 	if cands.Len() != 200000 {
 		t.Fatalf("Len = %d, want 200000", cands.Len())
 	}
-	monotone := true
-	for i := 1; i < cands.Len(); i++ {
-		if cands.IDs()[i] < cands.IDs()[i-1] {
+	monotone, ids := true, cands.IDs()
+	for i := 1; i < len(ids); i++ {
+		if ids[i] < ids[i-1] {
 			monotone = false
 			break
 		}

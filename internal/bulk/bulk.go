@@ -29,15 +29,12 @@
 // an id list handed from each to the next — are the model the classic
 // executor is billed for, the reference its selection is tested against and
 // what the Fig 8 micro-benchmarks time; a classic statement's scan itself
-// narrows a survivor mask (internal/plan, selectClassic) and charges what
+// narrows a host survivor set (ar.SelectExact) and charges what
 // these operators charge, through ChargeSelectRange, ChargeSelectOIDs and
 // ChargeFetch.
 package bulk
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/bat"
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -363,44 +360,6 @@ func (t *tupleTable) grow() {
 		}
 		t.slots[at] = s
 	}
-}
-
-// CombineKeys packs two key columns into one, for multi-attribute grouping
-// (Q1 groups by l_returnflag, l_linestatus). The packing is positional:
-// b's values must lie in [0, base) so they occupy the low "digit" exactly;
-// a's values may be negative (SplitKey uses floored division to unpack
-// them). CombineKeys reports an error when a b value is outside its digit
-// or when a[i]*base+b[i] would overflow int64 — silently wrapped keys
-// would collide distinct groups.
-func CombineKeys(a, b []int64, base int64) ([]int64, error) {
-	if base <= 0 {
-		return nil, fmt.Errorf("bulk: CombineKeys base %d must be positive", base)
-	}
-	aMin := math.MinInt64 / base // truncation keeps aMin*base >= MinInt64
-	out := make([]int64, len(a))
-	for i := range a {
-		if b[i] < 0 || b[i] >= base {
-			return nil, fmt.Errorf("bulk: CombineKeys value %d at %d outside [0,%d)", b[i], i, base)
-		}
-		if a[i] > (math.MaxInt64-b[i])/base || a[i] < aMin {
-			return nil, fmt.Errorf("bulk: CombineKeys value %d at %d overflows int64 at base %d", a[i], i, base)
-		}
-		out[i] = a[i]*base + b[i]
-	}
-	return out, nil
-}
-
-// SplitKey reverses CombineKeys. Go's truncating / and % mis-split
-// combined keys with a negative high part (e.g. a=-1, b=2, base=10 packs
-// to -8, which truncating division splits as (0,-8)), so the split floors:
-// the remainder is normalized into [0, base) and the quotient adjusted.
-func SplitKey(k, base int64) (a, b int64) {
-	a, b = k/base, k%base
-	if b < 0 {
-		a--
-		b += base
-	}
-	return a, b
 }
 
 // Sum returns the sum of vals.

@@ -1,7 +1,6 @@
 package bulk
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,75 +102,6 @@ func TestGroupByPropertyPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCombineSplitKeys(t *testing.T) {
-	a := []int64{1, 2, 0}
-	b := []int64{5, 0, 9}
-	combined, err := CombineKeys(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		ga, gb := SplitKey(combined[i], 10)
-		if ga != a[i] || gb != b[i] {
-			t.Errorf("SplitKey(%d) = (%d,%d), want (%d,%d)", combined[i], ga, gb, a[i], b[i])
-		}
-	}
-}
-
-// TestCombineSplitKeysNegative is the regression for the truncating-division
-// split: combined keys with a negative high part round-trip exactly, and
-// grouping on a combined column with negative values produces the same
-// partition as grouping on the tuple directly.
-func TestCombineSplitKeysNegative(t *testing.T) {
-	a := []int64{-1, -3, 0, -1, 7, math.MinInt64 / 10, (math.MaxInt64 - 9) / 10}
-	b := []int64{2, 0, 9, 2, 5, 3, 9}
-	combined, err := CombineKeys(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		ga, gb := SplitKey(combined[i], 10)
-		if ga != a[i] || gb != b[i] {
-			t.Errorf("SplitKey(%d) = (%d,%d), want (%d,%d)", combined[i], ga, gb, a[i], b[i])
-		}
-	}
-	// Grouping on the combined key must partition identically to grouping
-	// on the (a,b) tuples: equal combined keys iff equal tuples.
-	g, _ := GroupBy(par.P{}, nil, [][]int64{combined})
-	want, _ := GroupBy(par.P{}, nil, [][]int64{a, b})
-	if g.NGroups != want.NGroups {
-		t.Fatalf("combined-key grouping found %d groups, tuple grouping %d", g.NGroups, want.NGroups)
-	}
-	for i := range g.IDs {
-		if g.IDs[i] != want.IDs[i] {
-			t.Fatalf("IDs[%d] = %d, tuple grouping says %d", i, g.IDs[i], want.IDs[i])
-		}
-	}
-}
-
-// TestCombineKeysRejectsBadDomain covers the validated domain: low-digit
-// values outside [0, base) and high parts that would overflow int64.
-func TestCombineKeysRejectsBadDomain(t *testing.T) {
-	if _, err := CombineKeys([]int64{1}, []int64{10}, 10); err == nil {
-		t.Error("b value == base accepted")
-	}
-	if _, err := CombineKeys([]int64{1}, []int64{-1}, 10); err == nil {
-		t.Error("negative b value accepted")
-	}
-	if _, err := CombineKeys([]int64{math.MaxInt64/10 + 1}, []int64{0}, 10); err == nil {
-		t.Error("overflowing a value accepted")
-	}
-	if _, err := CombineKeys([]int64{math.MaxInt64 / 10}, []int64{9}, 10); err == nil {
-		t.Error("boundary overflow (a*base+b > MaxInt64) accepted")
-	}
-	if _, err := CombineKeys([]int64{math.MinInt64/10 - 1}, []int64{0}, 10); err == nil {
-		t.Error("negative overflow accepted")
-	}
-	if _, err := CombineKeys([]int64{1}, []int64{0}, 0); err == nil {
-		t.Error("non-positive base accepted")
 	}
 }
 

@@ -9,13 +9,17 @@
 //
 //   - ordered: chunk outputs are concatenated in chunk order, preserving the
 //     input permutation (GatherOrdered, ForCounted + Compact: the CPU-side,
-//     order-preserving discipline);
+//     order-preserving discipline). The classic selection's survivor set
+//     (ar.SelectExact) lays its work-groups out in this order, so what is
+//     read from it comes out in row order;
 //   - unordered: chunk outputs are concatenated in the deterministic but
 //     non-monotonic chunk permutation of PermuteInto, modelling the fact
 //     that "a massively parallelized selection can only maintain the input
 //     order at additional costs" (§IV-A item 3). Determinism keeps tests
 //     reproducible while the output is demonstrably not input-ordered,
 //     which is exactly what forces the translucent join's general path.
+//     Every device survivor set (ar.SelectApprox and its kin) lays its
+//     work-groups out in this order.
 //
 // The P descriptor carries a kernel's degree of parallelism through the
 // executors (billed threads vs real workers vs morsel size vs context; see

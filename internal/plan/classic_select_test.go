@@ -177,24 +177,20 @@ func TestClassicSelectMatchesBulkReference(t *testing.T) {
 						}
 						lg := &x.legs[0]
 						lg.st = c.newState(ctx, opts, pl.nOps)
-						sel, err := lg.pl.selectClassic(&lg.st)
+						sel, _, err := lg.pl.selectClassic(&lg.st)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := sel.ids()
-						if err != nil {
-							t.Fatal(err)
-						}
+						got := sel.IDs()
 						ref := device.NewMeter(c.sys)
 						want := refClassicSelect(opts.par(ctx), ref, lg.pl.snap.fact, q)
-						if sel.n != len(want) || !slices.Equal(got, want) {
-							t.Fatalf("%s: %d rows selected, the bulk chain keeps %d (or other rows, or another order)", label, sel.n, len(want))
+						if sel.Len() != len(want) || !slices.Equal(got, want) {
+							t.Fatalf("%s: %d rows selected, the bulk chain keeps %d (or other rows, or another order)", label, sel.Len(), len(want))
 						}
 						if m := lg.st.m; m.GPU != ref.GPU || m.CPU != ref.CPU || m.PCI != ref.PCI {
 							t.Fatalf("%s: meter %v, the bulk chain charges %v", label, m, ref)
 						}
-						sel.release()
-						bat.OIDPool.Put(got)
+						sel.Release()
 
 						// The statement itself counts what the chain kept.
 						res, err := c.ExecClassic(ctx, q, opts)
@@ -214,7 +210,9 @@ func TestClassicSelectMatchesBulkReference(t *testing.T) {
 // A statement that only counts its rows never lists them: its scan asks the
 // arena for the n/64 words of the survivor mask and the per-morsel counts and
 // nothing else — no id buffer — however many rows qualify. (The third buffer
-// is the aggregation's accumulators.)
+// is the aggregation's accumulators.) A statement that fetches a column asks
+// for one buffer more, the column's values gathered by mask: no id list
+// either.
 func TestClassicSelectCountAsksForNoIDBuffer(t *testing.T) {
 	const n = 64 * 1024
 	c := classicFixture(t, n, 5)
@@ -239,9 +237,8 @@ func TestClassicSelectCountAsksForNoIDBuffer(t *testing.T) {
 	if counted != 3 {
 		t.Fatalf("a count-only statement over %d qualifying rows took %d arena buffers, want the mask, the morsel counts and the accumulators", rows, counted)
 	}
-	// The same selection with a column to fetch lists the rows.
 	q.Aggs = []AggSpec{{Name: "s", Func: Sum, Expr: Col("plain")}}
-	if summed, _ := gets(q); summed <= counted {
-		t.Fatalf("a statement that fetches took %d arena buffers, the count-only one %d", summed, counted)
+	if summed, _ := gets(q); summed != counted+1 {
+		t.Fatalf("a statement that fetches one column took %d arena buffers, the count-only one %d: want one more, the column's", summed, counted)
 	}
 }

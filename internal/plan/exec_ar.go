@@ -341,13 +341,8 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
 	}
 
-	// The projection code buffers are dead once every projection has
-	// refined; the candidate set travels on to the shared tail, which
-	// releases it after aggregation (with the pre-grouping, which still
-	// reads it).
-	for _, ref := range refList {
-		projections[ref].Release()
-	}
+	// The candidate set travels on to the shared tail, which releases it
+	// after aggregation (with the pre-grouping, which still reads it).
 	return &scanOut{ectx: ectx, delta: delta, mg: mg, refined: cands, exact: exact, acc: acc}, nil
 }
 

@@ -66,12 +66,12 @@ func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (*exprCtx, error) {
 		return nil, err
 	}
 	pl.delta = true
-	sel, err := pl.selectClassic(st)
+	sel, keys, err := pl.selectClassic(st)
 	if err != nil {
 		return nil, err
 	}
-	defer sel.release()
-	out, err := pl.materialize(st, sel, need)
+	defer sel.Release()
+	out, err := pl.materialize(st, sel, keys, need)
 	if err != nil {
 		return nil, err
 	}

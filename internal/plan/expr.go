@@ -172,16 +172,16 @@ func (e caseExpr) compile(pg *program) int {
 	return pg.emit(instr{op: opCaseRange, a: cond, b: then, c: els, lo: e.lo, hi: e.hi})
 }
 
-// colBind binds one program column for a fold, one of three ways: to its
-// exact values (vals); to the approximation codes of its projection, listed
-// in candidate order (codes); or to the packed approximation itself
-// (packed), read through the survivor mask of the candidate set the fold
-// walks (rows.by), a block of granules at a time. From a code a row's
-// interval is [base + code<<shift, that + err].
+// colBind binds one program column for a fold, one of two ways: to its exact
+// values (vals), or to the packed approximation of its projection (packed),
+// read through the survivor mask of the candidate set the fold walks
+// (rows.by), a block of granules at a time — through key, the join's, for a
+// dimension column. From a code a row's interval is [base + code<<shift,
+// that + err].
 type colBind struct {
 	vals   []int64
-	codes  []uint64
 	packed *bitpack.Array
+	key    *bwd.Key
 	base   int64
 	shift  uint
 	err    int64
@@ -213,20 +213,13 @@ func (pg *program) bindVals(vals map[ColRef][]int64, n int) rows {
 }
 
 // bindCodes binds the program's columns to the approximate projections over
-// cands, whose mask the fold walks: packed for a projection that is still
-// only cands' mask, the code list otherwise (a dimension column, gathered
-// through its join's key).
+// cands, whose mask the fold walks: each packed, with its key beside it.
 func (pg *program) bindCodes(cands *ar.Candidates, projections map[ColRef]*ar.Projection) rows {
 	in := rows{cols: make([]colBind, len(pg.cols)), n: cands.Len(), by: cands}
 	for i, ref := range pg.cols {
 		p := projections[ref]
 		dec := p.Col.Dec
-		in.cols[i] = colBind{base: dec.Base, shift: dec.ResBits, err: dec.Err()}
-		if p.ByMask() {
-			in.cols[i].packed = p.Col.Approx
-		} else {
-			in.cols[i].codes = p.Codes()
-		}
+		in.cols[i] = colBind{packed: p.Col.Approx, key: p.Key, base: dec.Base, shift: dec.ResBits, err: dec.Err()}
 	}
 	return in
 }
@@ -385,7 +378,9 @@ const denseFold = 52
 // folding into its own partial state, merged in block order. A fold by
 // mask over exact packed columns with no certain mask — an exact leg's —
 // takes its dense blocks whole: its partial states carry a sink group past
-// acc's last, which the merge drops.
+// acc's last, which the merge drops. A column read through a key rules that
+// out: a row the mask dropped may hold a key with no partner, which addresses
+// no code.
 func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 	units := in.n
 	switch {
@@ -416,7 +411,7 @@ func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 	}
 	sink := in.by != nil && in.certain == nil
 	for _, c := range in.cols {
-		sink = sink && c.packed != nil && c.err == 0
+		sink = sink && c.packed != nil && c.key == nil && c.err == 0
 	}
 	// Every block's registers come from one slice, and its partial state —
 	// but for the first block of a fold without a sink, which folds into acc
@@ -466,10 +461,10 @@ func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 }
 
 // scratchNeed bounds the int64s foldBlock carves for one block: a register
-// row per column read packed or by code (two with an error bound), per
-// computed register (two for an interval one, a value for a scalar one), per
-// slot side a scalar is filled out to or the certain mask rewrites, and the
-// block's certain bits. fold sizes every frame's scratch for it at once, so a
+// row per column read packed (two with an error bound), per computed register
+// (two for an interval one, a value for a scalar one), per slot side a scalar
+// is filled out to or the certain mask rewrites, and the block's certain
+// bits. fold sizes every frame's scratch for it at once, so a
 // fresh one — sync.Pool drops a pooled scratch now and then — is one array,
 // not the five a doubling growth through Q1's nine registers allocates.
 func (pg *program) scratchNeed(in rows, exact []bool, interval bool) int {
@@ -548,24 +543,18 @@ func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, h
 				continue
 			}
 			var low []int64
-			var codes []uint64
-			switch {
-			case whole:
+			if whole {
 				// Room for whole granules: the scan's last may be short.
 				room := f.s.I64(len(mask) * bwd.GranuleRows)
 				for g := range mask {
 					c.packed.Unpack64((*[bwd.GranuleRows]uint64)(asCodes(room[g*bwd.GranuleRows:])), (g0+g)*bwd.GranuleRows)
 				}
 				low = room[:n]
-				codes = asCodes(low)
-			case c.packed != nil:
+			} else {
 				low = f.s.I64(n)
-				codes = asCodes(low)
-				in.by.Decode(c.packed, codes, g0, g1)
-			default:
-				low = f.s.I64(n)
-				codes = c.codes[lo:hi]
+				in.by.Decode(c.packed, c.key, asCodes(low), g0, g1)
 			}
+			codes := asCodes(low)
 			if c.shift == 0 { // resident: the code is the offset
 				for i, code := range codes {
 					low[i] = c.base + int64(code)

@@ -164,17 +164,19 @@ func randExpr(rng *rand.Rand, depth, ncols int, pool *[]Expr) Expr {
 }
 
 // exprInput is one random statement over one random table: the aggregates,
-// per column the approximation codes with their decomposition, the exact
-// values they approximate, and the intervals the oracle reads. The n rows
-// are the candidates a scan of a longer table left (cands, still carrying
-// its survivor mask), and every column also exists as that table's packed
-// approximation: the same fold, bound the third way.
+// per column its binding as a fold by mask reads it — the table's packed
+// approximation with its decomposition, through a key for the dimension
+// column — the codes the candidates read there, the exact values they
+// approximate, and the intervals the oracle reads. The n rows are the
+// candidates a scan of a longer table left (cands, still carrying its
+// survivor mask; rows lists them).
 type exprInput struct {
 	aggs   []AggSpec
 	n      int
-	codes  map[ColRef]*colBind
-	packed map[ColRef]*bitpack.Array
+	binds  map[ColRef]colBind
+	codes  map[ColRef][]uint64
 	cands  *ar.Candidates
+	rows   []bat.OID
 	exact  map[ColRef][]int64
 	ivs    map[ColRef][]ar.Interval
 	ids    []uint32 // nil: ungrouped
@@ -248,17 +250,12 @@ func sumOf(vals []int64) (sum int64) {
 }
 
 func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool) *exprInput {
-	in := &exprInput{n: n, groups: 1, codes: map[ColRef]*colBind{}, packed: map[ColRef]*bitpack.Array{},
+	in := &exprInput{n: n, groups: 1, binds: map[ColRef]colBind{}, codes: map[ColRef][]uint64{},
 		exact: map[ColRef][]int64{}, ivs: map[ColRef][]ar.Interval{}}
 	cands, scanned := randSurvivors(t, rng, n)
-	in.cands = cands
-	ids := in.cands.IDs()
-	rows := 0
-	if n > 0 {
-		rows = int(slices.Max(ids)) + 1
-	}
-	survived := make([]bool, rows)
-	for _, id := range ids {
+	in.cands, in.rows = cands, cands.IDs()
+	survived := make([]bool, scanned)
+	for _, id := range in.rows {
 		survived[id] = true
 	}
 	ncols := 1 + rng.Intn(len(exprTestCols))
@@ -271,31 +268,46 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 		in.aggs = append(in.aggs, a)
 	}
 	for _, ref := range exprTestCols[:ncols] {
-		b := &colBind{base: rng.Int63n(3000) - 2000, shift: uint(rng.Intn(3) * rng.Intn(5))}
+		b := colBind{base: rng.Int63n(3000) - 2000, shift: uint(rng.Intn(3) * rng.Intn(5))}
 		b.err = int64(1)<<b.shift - 1
-		// The column as the table packs it, at a width that decodes
-		// through every path (one word, a straddling value, a whole word);
-		// the codes stay small enough for the oracle's arithmetic.
+		// The column as its table packs it, at a width that decodes through
+		// every path (one word, a straddling value, a whole word); the codes
+		// stay small enough for the oracle's arithmetic.
 		width := []uint{1, 6, 9, 24, 63, 64}[rng.Intn(6)]
-		table := make([]uint64, rows)
+		at := func(row int) int { return row }
+		table := make([]uint64, scanned)
+		if ref.IsDim() {
+			// The dimension's column, read through a key: a surviving row's key
+			// joins a random dimension row, a dropped row's has no partner — were
+			// it read, it would address no code.
+			dimRows := 1 + rng.Intn(300)
+			key := &bwd.Key{Tails: make([]int64, scanned), Base: rng.Int63n(1000), Len: dimRows}
+			for r := range key.Tails {
+				key.Tails[r] = key.Base + rng.Int63n(int64(dimRows))
+				if !survived[r] {
+					key.Tails[r] = []int64{key.Base - 1, key.Base + int64(dimRows)}[rng.Intn(2)]
+				}
+			}
+			b.key, table = key, make([]uint64, dimRows)
+			at = func(row int) int { pos, _ := key.At(row); return pos }
+		}
 		for r := range table {
 			table[r] = uint64(rng.Intn(400)) & bitpack.Mask(width)
-			if !survived[r] {
+			if !ref.IsDim() && !survived[r] {
 				// A dropped row holds the column's largest or smallest code:
 				// were it folded, it would move every sum, extreme and count.
 				table[r] = bitpack.Mask(width) * uint64(rng.Intn(2))
 			}
 		}
-		in.packed[ref] = bitpack.Pack(width, table)
-		b.codes = make([]uint64, n)
-		exact, ivs := make([]int64, n), make([]ar.Interval, n)
-		for i := range b.codes {
-			b.codes[i] = table[ids[i]]
-			lo := b.base + int64(b.codes[i]<<b.shift)
+		b.packed = bitpack.Pack(width, table)
+		codes, exact, ivs := make([]uint64, n), make([]int64, n), make([]ar.Interval, n)
+		for i, id := range in.rows {
+			codes[i] = table[at(int(id))]
+			lo := b.base + int64(codes[i]<<b.shift)
 			ivs[i] = ar.Interval{Lo: lo, Hi: lo + b.err}
 			exact[i] = lo + rng.Int63n(b.err+1)
 		}
-		in.codes[ref], in.exact[ref], in.ivs[ref] = b, exact, ivs
+		in.binds[ref], in.codes[ref], in.exact[ref], in.ivs[ref] = b, codes, exact, ivs
 	}
 	if grouped {
 		// Both sides of interleaveGroups, counted with a fold's sink and without.
@@ -307,7 +319,7 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 	}
 	if masked {
 		in.mask = make([]uint64, (scanned+63)/64)
-		for _, id := range ids {
+		for _, id := range in.rows {
 			if rng.Intn(3) > 0 {
 				in.mask[id/64] |= 1 << (id % 64)
 			}
@@ -318,17 +330,16 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 
 // certain reports whether candidate i certainly qualifies.
 func (in *exprInput) certain(i int) bool {
-	id := in.cands.IDs()[i]
+	id := in.rows[i]
 	return in.mask == nil || in.mask[id/64]>>(id%64)&1 == 1
 }
 
 // check folds the compiled program over the input under pp — exact values,
-// then intervals — and compares every accumulator and every aggregate with
-// the oracle; then the same intervals, and the low side alone, with every
-// column bound packed and read through the candidates' mask, which must fill
-// the accumulators the code lists filled; then the exact leg's fold — codes
-// that are the values, no certain mask — by mask, whole blocks and sink
-// included, against the fold by code list and the oracle.
+// then intervals and the low side alone with every column bound packed and
+// read through the candidates' mask, a dimension column through its key — and
+// holds every accumulator and every aggregate to the oracle; then the exact
+// leg's fold — codes that are the values, no certain mask — by mask, whole
+// blocks and sink included where no column is read through a key.
 func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	t.Helper()
 	pg := compileAggs(in.aggs)
@@ -366,105 +377,90 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	oracle("exact values", &acc, in.exact)
 	acc.release()
 
-	cols := make([]colBind, len(pg.cols))
+	byMask := rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids, certain: in.mask, by: in.cands}
 	for i, ref := range pg.cols {
-		cols[i] = *in.codes[ref]
-	}
-	acc = pg.newAcc(in.groups, true)
-	listed := rows{cols: cols, n: in.n, ids: in.ids, certain: in.mask}
-	if in.mask != nil {
-		listed.by = in.cands // a certain mask is laid out as the set's mask, which the fold then walks
-	}
-	pg.fold(pp, &acc, listed)
-	if !slices.Equal(acc.cnt, counts) {
-		t.Fatalf("%s: interval fold counted %v, oracle %v", label, acc.cnt, counts)
-	}
-	for k, a := range in.aggs {
-		if a.Func == Count {
-			continue
-		}
-		s := pg.slotOf[k]
-		kind := pg.slots[s].kind
-		ivs := refBounds(a.Expr, in.n, in.ivs)
-		los, his := make([]int64, in.n), make([]int64, in.n)
-		for i, iv := range ivs {
-			switch {
-			case in.certain(i):
-			case kind == foldSum:
-				iv.Lo, iv.Hi = min(iv.Lo, 0), max(iv.Hi, 0) // a false positive contributes nothing
-			case kind == foldMax:
-				iv.Lo = kind.identity() // and proves nothing about the extreme
-			default:
-				iv.Hi = kind.identity()
-			}
-			los[i], his[i] = iv.Lo, iv.Hi
-		}
-		wantLo, wantHi := refFold(kind, in.groups, in.ids, los), refFold(kind, in.groups, in.ids, his)
-		gotLo, gotHi := acc.lo[s*in.groups:(s+1)*in.groups], acc.hi[s*in.groups:(s+1)*in.groups]
-		if !slices.Equal(gotLo, wantLo) || !slices.Equal(gotHi, wantHi) {
-			t.Fatalf("%s: %s(%v) bounds [%v, %v], oracle [%v, %v]", label, a.Func, a.Expr, gotLo, gotHi, wantLo, wantHi)
-		}
-		if magnitude(a.Expr, 1<<17) > 1<<60 {
-			continue // the tree may wrap; containment means nothing then
-		}
-		// Exact is inside interval: row by row, and — for the fold over any
-		// set between the certain rows and all rows — in aggregate.
-		exact := refEval(a.Expr, in.n, in.exact)
-		for i, v := range exact {
-			if !ivs[i].Contains(v) {
-				t.Fatalf("%s: %v row %d = %d outside its interval %v", label, a.Expr, i, v, ivs[i])
-			}
-			if !in.certain(i) && i%2 == 0 {
-				exact[i] = kind.identity() // this false positive was refined away
-			}
-		}
-		for g, v := range refFold(kind, in.groups, in.ids, exact) {
-			if counts[g] > 0 && (v < gotLo[g] || v > gotHi[g]) {
-				t.Fatalf("%s: %s(%v) group %d = %d outside [%d, %d]", label, a.Func, a.Expr, g, v, gotLo[g], gotHi[g])
-			}
-		}
-	}
-
-	byMask := rows{cols: make([]colBind, len(cols)), n: in.n, ids: in.ids, certain: in.mask, by: in.cands}
-	for i, ref := range pg.cols {
-		byMask.cols[i] = *in.codes[ref]
-		byMask.cols[i].codes, byMask.cols[i].packed = nil, in.packed[ref]
+		byMask.cols[i] = in.binds[ref]
 	}
 	for _, interval := range []bool{true, false} {
-		got := pg.newAcc(in.groups, interval)
-		pg.fold(pp, &got, byMask)
-		if !slices.Equal(got.cnt, acc.cnt) || !slices.Equal(got.lo, acc.lo) || interval && !slices.Equal(got.hi, acc.hi) {
-			t.Fatalf("%s: the fold by mask (interval %v) counted %v and folded [%v, %v], the fold by code list %v and [%v, %v]",
-				label, interval, got.cnt, got.lo, got.hi, acc.cnt, acc.lo, acc.hi)
+		acc = pg.newAcc(in.groups, interval)
+		pg.fold(pp, &acc, byMask)
+		if !slices.Equal(acc.cnt, counts) {
+			t.Fatalf("%s: interval fold (interval %v) counted %v, oracle %v", label, interval, acc.cnt, counts)
 		}
-		got.release()
+		for k, a := range in.aggs {
+			if a.Func == Count {
+				continue
+			}
+			s := pg.slotOf[k]
+			kind := pg.slots[s].kind
+			ivs := refBounds(a.Expr, in.n, in.ivs)
+			los, his := make([]int64, in.n), make([]int64, in.n)
+			for i, iv := range ivs {
+				switch {
+				case in.certain(i):
+				case kind == foldSum:
+					iv.Lo, iv.Hi = min(iv.Lo, 0), max(iv.Hi, 0) // a false positive contributes nothing
+				case kind == foldMax:
+					iv.Lo = kind.identity() // and proves nothing about the extreme
+				default:
+					iv.Hi = kind.identity()
+				}
+				los[i], his[i] = iv.Lo, iv.Hi
+			}
+			wantLo, wantHi := refFold(kind, in.groups, in.ids, los), refFold(kind, in.groups, in.ids, his)
+			gotLo := acc.lo[s*in.groups : (s+1)*in.groups]
+			if !interval {
+				if !slices.Equal(gotLo, wantLo) {
+					t.Fatalf("%s: %s(%v) low side alone %v, oracle %v", label, a.Func, a.Expr, gotLo, wantLo)
+				}
+				continue
+			}
+			gotHi := acc.hi[s*in.groups : (s+1)*in.groups]
+			if !slices.Equal(gotLo, wantLo) || !slices.Equal(gotHi, wantHi) {
+				t.Fatalf("%s: %s(%v) bounds [%v, %v], oracle [%v, %v]", label, a.Func, a.Expr, gotLo, gotHi, wantLo, wantHi)
+			}
+			if magnitude(a.Expr, 1<<17) > 1<<60 {
+				continue // the tree may wrap; containment means nothing then
+			}
+			// Exact is inside interval: row by row, and — for the fold over any
+			// set between the certain rows and all rows — in aggregate.
+			exact := refEval(a.Expr, in.n, in.exact)
+			for i, v := range exact {
+				if !ivs[i].Contains(v) {
+					t.Fatalf("%s: %v row %d = %d outside its interval %v", label, a.Expr, i, v, ivs[i])
+				}
+				if !in.certain(i) && i%2 == 0 {
+					exact[i] = kind.identity() // this false positive was refined away
+				}
+			}
+			for g, v := range refFold(kind, in.groups, in.ids, exact) {
+				if counts[g] > 0 && (v < gotLo[g] || v > gotHi[g]) {
+					t.Fatalf("%s: %s(%v) group %d = %d outside [%d, %d]", label, a.Func, a.Expr, g, v, gotLo[g], gotHi[g])
+				}
+			}
+		}
+		acc.release()
 	}
-	acc.release()
 
 	resident := map[ColRef][]int64{}
-	listed = rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids}
 	packed := rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids, by: in.cands}
 	for i, ref := range pg.cols {
-		b := in.codes[ref]
-		listed.cols[i] = colBind{codes: b.codes, base: b.base}
-		packed.cols[i] = colBind{packed: in.packed[ref], base: b.base}
+		b := in.binds[ref]
+		packed.cols[i] = colBind{packed: b.packed, key: b.key, base: b.base}
 		vals := make([]int64, in.n)
-		for k, code := range b.codes {
+		for k, code := range in.codes[ref] {
 			vals[k] = b.base + int64(code)
 		}
 		resident[ref] = vals
 	}
 	for _, interval := range []bool{false, true} {
-		byList, byMask := pg.newAcc(in.groups, interval), pg.newAcc(in.groups, interval)
-		pg.fold(pp, &byList, listed)
-		pg.fold(pp, &byMask, packed)
-		oracle(fmt.Sprintf("exact leg by mask (interval %v)", interval), &byMask, resident)
-		if !slices.Equal(byMask.cnt, byList.cnt) || !slices.Equal(byMask.lo, byList.lo) || interval && !slices.Equal(byMask.hi, byList.hi) {
-			t.Fatalf("%s: the exact leg's fold by mask (interval %v) counted %v and folded [%v, %v], by code list %v and [%v, %v]",
-				label, interval, byMask.cnt, byMask.lo, byMask.hi, byList.cnt, byList.lo, byList.hi)
+		acc := pg.newAcc(in.groups, interval)
+		pg.fold(pp, &acc, packed)
+		oracle(fmt.Sprintf("exact leg by mask (interval %v)", interval), &acc, resident)
+		if interval && !slices.Equal(acc.hi, acc.lo) {
+			t.Fatalf("%s: the exact leg's fold by mask bounds [%v, %v], want points", label, acc.lo, acc.hi)
 		}
-		byList.release()
-		byMask.release()
+		acc.release()
 	}
 }
 
@@ -472,11 +468,12 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 // for random statements, every exact aggregate and every interval
 // accumulator equals the tree-walking oracle's — at the block edges, across
 // worker counts and morsel sizes, grouped and not (1 to 300 groups, both
-// sides of interleaveGroups), masked and not — and, for every one of them,
-// by code list and by packed column + survivor mask (widths 1 to 64; full,
-// holed, dense, sparse and empty granules, a short last one; blocks on both
-// sides of denseFold; one work-group and several), and the exact leg's fold
-// by mask, whose dense blocks sink dropped rows that hold the extreme codes.
+// sides of interleaveGroups), masked and not — by packed column + survivor
+// mask (widths 1 to 64; full, holed, dense, sparse and empty granules, a short
+// last one; blocks on both sides of denseFold; one work-group and several), a
+// dimension column read through a key whose dropped rows have no partner, and
+// the exact leg's fold by mask, whose dense blocks sink dropped rows that
+// hold the extreme codes unless a column is read through a key.
 func TestExprProgramMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	sizes := []int{0, 1, exprBlock - 1, exprBlock, exprBlock + 1, 3*exprBlock + 7, 100_000} // the last spans three device work-groups
@@ -574,7 +571,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 				vals[r] = int64(codes[r])<<2 + 1
 			}
 			ctx.vals[ref] = vals
-			cols[i] = colBind{codes: codes, shift: 2, err: 3}
+			cols[i] = colBind{packed: bitpack.Pack(10, codes), shift: 2, err: 3}
 		}
 		flag, status := make([]int64, n), make([]int64, n)
 		for r := range flag {

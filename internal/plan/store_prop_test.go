@@ -615,7 +615,7 @@ func TestParallelCancelledDeltaScanReturnsError(t *testing.T) {
 	}
 	dl := lg.pl
 	dl.delta = true
-	sel, err := dl.selectClassic(&lg.st)
+	sel, _, err := dl.selectClassic(&lg.st)
 	if sel != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled delta selection returned %+v, %v; want no mask and context.Canceled", sel, err)
 	}

@@ -40,8 +40,6 @@ var reachRetiring = []string{
 	"bat.NewDenseAt", "bat.NewMaterialized", "bat.BAT.HeadBytes", "bat.BAT.DenseHead", "bat.BAT.HSeq",
 	"bat.BAT.Head", "bat.BAT.Heads", "bat.BAT.MaterializeHead", "bat.BAT.Slice", "bat.BAT.SetSorted",
 	"bat.BAT.SetKey", "bat.BAT.Sorted", "bat.BAT.Key", "bat.BAT.CheckSorted", "bat.BAT.Clone", "bat.BAT.Project",
-	// bulk: TestCombineSplitKeys, TestCombineSplitKeysNegative, TestCombineKeysRejectsBadDomain
-	"bulk.CombineKeys", "bulk.SplitKey",
 	// bulk: TestGlobalAggregates, TestGlobalAggregatesZeroAlloc, and the
 	// Sum/Min/Max lines of the parallel-equivalence tests
 	"bulk.Sum", "bulk.Min", "bulk.Max", "bulk.extrema", "bulk.better", "bulk.charge",
