@@ -360,12 +360,14 @@ func BenchmarkOpGroupApprox(b *testing.B) {
 // the packed columns. "bounds-sc" runs it A&R over the space-constrained
 // decomposition, where l_shipdate keeps residual bits — the general path:
 // the interval program for the phase-A answer, refinement, and the exact
-// program over the refined values. "exact" runs it classic, the exact
-// program alone. "sql" is the statement the olap_tail workload sends, compiled
-// by sql.Compile over the resident catalog and run through ExecAR: the binder
+// program over the refined values, read by mask as code and residual. "exact"
+// runs it classic, the exact program alone over the columns' values read by
+// mask. "sql" is the statement the olap_tail workload sends, compiled by
+// sql.Compile over the resident catalog and run through ExecAR: the binder
 // multiplies its two decimal columns at scale 1 where tpch.Q1 divides by 100,
-// so it is the line of the text the server executes. All go through the
-// exported executors only, so the same line measures any commit.
+// so it is the line of the text the server executes; "sql-classic" is that
+// text run classic, the aggregate a statement routed to the CPU runs. All go
+// through the exported executors only, so the same line measures any commit.
 func BenchmarkOpExprAggregate(b *testing.B) {
 	d := tpch.Generate(0.04, 1)
 	load := func(spaceConstrained bool) *plan.Catalog {
@@ -392,7 +394,7 @@ func BenchmarkOpExprAggregate(b *testing.B) {
 		name string
 		q    plan.Query
 		exec func(context.Context, plan.Query, plan.ExecOpts) (*plan.Result, error)
-	}{{"bounds", q, c.ExecAR}, {"bounds-sc", q, sc.ExecAR}, {"exact", q, c.ExecClassic}, {"sql", served.Query, c.ExecAR}} {
+	}{{"bounds", q, c.ExecAR}, {"bounds-sc", q, sc.ExecAR}, {"exact", q, c.ExecClassic}, {"sql", served.Query, c.ExecAR}, {"sql-classic", served.Query, c.ExecClassic}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -82,10 +82,8 @@ func runARScan(f *scanFixture) {
 	if err != nil {
 		panic(err)
 	}
-	vals, err := sel.Gather(par.P{}, f.vals, nil)
-	if err != nil {
-		panic(err)
-	}
+	vals := mem.I64.GetN(sel.Len())
+	sel.Values(f.vals, nil, vals, 0, (len(f.vals)+bwd.GranuleRows-1)/bwd.GranuleRows)
 	mem.I64.Put(vals)
 	sel.Release()
 }

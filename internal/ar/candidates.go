@@ -32,7 +32,7 @@
 //
 // The classic baseline's selection is the same set, built on the host
 // (SelectExact): exact values compared, its work-groups the statement's
-// morsels, sealed in row order. Its columns are gathered by mask (Gather).
+// morsels, sealed in row order. Its columns are read by mask (Values).
 // Only this package knows the set's format — mask words, per-work-group
 // counts, slot order — and no id list of it exists outside the tests (IDs).
 package ar
@@ -90,7 +90,7 @@ type attachment struct {
 // (CertainMask). Candidate order is fixed by the mask and the set's
 // constructor: work-groups in par.PermuteInto order on the device, in index
 // order on the host, rows ascending inside one. Nothing lists the ids but IDs,
-// for tests: ProjectApprox, GroupApprox, the refinements, Gather and the
+// for tests: ProjectApprox, GroupApprox, the refinements, Values and the
 // aggregate program read the mask by granule.
 type Candidates struct {
 	attach  []attachment
@@ -207,35 +207,13 @@ func (c *Candidates) IDs() []bat.OID {
 	return ids
 }
 
-// Gather writes the values tails holds at the survivors into an arena buffer,
-// in candidate order, and returns it: a survivor's at its row or, through key,
-// at the dimension position its key joins. Every work-group writes its slot on
-// p, distinct ones concurrently; one runs on the calling goroutine. It is the
-// classic scan's fetch of a column at the selected rows, without a list of
-// them. A walk cancelled partway returns the context's error and no buffer.
-func (c *Candidates) Gather(p par.P, tails []int64, key *bwd.Key) ([]int64, error) {
-	out := mem.I64.GetN(c.n)
-	var err error
-	switch wg := c.WorkGroups(); {
-	case wg == 1:
-		c.gatherGroup(tails, key, out, 0)
-		err = p.Cancelled()
-	case wg > 1:
-		p.Chunk = c.chunk
-		err = p.For(c.rows, func(lo, hi int) { c.gatherGroup(tails, key, out, lo/c.chunk) })
-	}
-	if err != nil {
-		mem.I64.Put(out)
-		return nil, err
-	}
-	return out, nil
-}
-
-// gatherGroup writes tails' values of work-group ci's survivors into its slot
-// of out, in row order.
-func (c *Candidates) gatherGroup(tails []int64, key *bwd.Key, out []int64, ci int) {
-	at := c.offs[ci]
-	g0, g1 := c.groupGranules(ci)
+// Values writes tails' values of the survivors in granules [g0,g1) into the
+// front of out, in row order, and returns how many there are: a survivor's
+// value at its row or, through key, at the dimension position its key joins.
+// It is Decode for a column of exact values — the classic scan's fetch of a
+// column at the selected rows, a block at a time, without a list of them.
+func (c *Candidates) Values(tails []int64, key *bwd.Key, out []int64, g0, g1 int) int {
+	k := 0
 	for g := g0; g < g1; g++ {
 		base := g * bwd.GranuleRows
 		for w := c.mask[g]; w != 0; w &= w - 1 {
@@ -243,10 +221,11 @@ func (c *Candidates) gatherGroup(tails []int64, key *bwd.Key, out []int64, ci in
 			if key != nil {
 				row, _ = key.At(row)
 			}
-			out[at] = tails[row]
-			at++
+			out[k] = tails[row]
+			k++
 		}
 	}
+	return k
 }
 
 // attached reports whether col's codes travel with the set.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bat"
 	"repro/internal/bwd"
 	"repro/internal/device"
-	"repro/internal/mem"
 	"repro/internal/par"
 )
 
@@ -315,14 +314,15 @@ func TestCertainMaskEmitsNothing(t *testing.T) {
 	c.Release()
 }
 
-// Gather is a per-row loop over IDs: every survivor's value at its row — or,
-// through a key, at the dimension position its key joins — in candidate
-// order. A host set's candidate order is row order, at morsels of 64 rows and
-// of 100 (rounded up to 128), serially and on four workers; a device set's is
-// its permuted work-groups, over three of them. Empty and full sets, and sets
+// Values, walked block by block in candidate order, is a per-row loop over
+// IDs: every survivor's value at its row — or, through a key, at the
+// dimension position its key joins. A host set's candidate order is row
+// order, at morsels of 64 rows and of 100 (rounded up to 128), serially and
+// on four workers; a device set's is its permuted work-groups, over three of
+// them; blocks of one granule and of several. Empty and full sets, and sets
 // probed through a key whose dangling keys and deleted dimension rows the
-// probe dropped, gather the same way.
-func TestGatherMatchesRowOracle(t *testing.T) {
+// probe dropped, read the same way.
+func TestValuesMatchesRowOracle(t *testing.T) {
 	const n, dimRows, dimBase = 2*gpuChunk + 100, 500, 1000
 	rng := rand.New(rand.NewSource(31))
 	vals := shuffledInts(n, 31)
@@ -356,7 +356,7 @@ func TestGatherMatchesRowOracle(t *testing.T) {
 		}
 		return ids
 	}
-	check := func(name string, p par.P, c *Candidates, key *bwd.Key, want []bat.OID) {
+	check := func(name string, c *Candidates, key *bwd.Key, want []bat.OID) {
 		t.Helper()
 		ids := c.IDs()
 		if want != nil && !slices.Equal(ids, want) {
@@ -366,20 +366,26 @@ func TestGatherMatchesRowOracle(t *testing.T) {
 		if key != nil {
 			tails = dim
 		}
-		got, err := c.Gather(p, tails, key)
-		if err != nil || len(got) != len(ids) {
-			t.Fatalf("%s: %d values for %d candidates, %v", name, len(got), len(ids), err)
-		}
-		for i, id := range ids {
-			at := int(id)
-			if key != nil {
-				at, _ = key.At(at)
+		for _, span := range []int{1, 3, 16} {
+			got := make([]int64, c.Len())
+			c.Blocks(0, c.WorkGroups(), span, func(g0, g1, pos, n int) {
+				if k := c.Values(tails, key, got[pos:pos+n], g0, g1); k != n {
+					t.Fatalf("%s: granules [%d,%d) read %d values for %d survivors", name, g0, g1, k, n)
+				}
+			})
+			if len(got) != len(ids) {
+				t.Fatalf("%s: %d values for %d candidates", name, len(got), len(ids))
 			}
-			if got[i] != tails[at] {
-				t.Fatalf("%s: candidate %d (row %d) gathered %d, want %d", name, i, id, got[i], tails[at])
+			for i, id := range ids {
+				at := int(id)
+				if key != nil {
+					at, _ = key.At(at)
+				}
+				if got[i] != tails[at] {
+					t.Fatalf("%s, blocks of %d granules: candidate %d (row %d) read %d, want %d", name, span, i, id, got[i], tails[at])
+				}
 			}
 		}
-		mem.I64.Put(got)
 	}
 	for _, p := range []par.P{{Chunk: 64}, {Chunk: 100}, {Chunk: 100, Workers: 4}, {Chunk: 64, Workers: 4}} {
 		label := fmt.Sprintf("host set, morsel %d, %d workers", p.Chunk, p.NWorkers())
@@ -390,37 +396,35 @@ func TestGatherMatchesRowOracle(t *testing.T) {
 		if chunk := (p.Chunk + 63) / 64 * 64; len(c.offs) != (n+chunk-1)/chunk {
 			t.Fatalf("%s: %d work-groups of %d rows", label, len(c.offs), c.chunk)
 		}
-		check(label, p, c, nil, rowOrder(false, false))
+		check(label, c, nil, rowOrder(false, false))
 		if err := c.Narrow(p, hostKey.Joined(deleted)); err != nil {
 			t.Fatal(err)
 		}
-		check(label+", probed", p, c, hostKey, rowOrder(true, false))
+		check(label+", probed", c, hostKey, rowOrder(true, false))
 		c.Release()
 
 		empty, err := SelectExact(p, n, bwd.Exactly(nil, vals, n, 2*n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(label+", empty", p, empty, nil, []bat.OID{})
+		check(label+", empty", empty, nil, []bat.OID{})
 		empty.Release()
 		full, err := SelectExact(p, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(label+", full", p, full, nil, rowOrder(false, true))
+		check(label+", full", full, nil, rowOrder(false, true))
 		full.Release()
 	}
-	for _, p := range []par.P{{}, {Workers: 4}} {
-		c := SelectApprox(nil, col, col.Relax(lo, hi))
-		if len(c.offs) != 3 {
-			t.Fatalf("device set over %d work-groups", len(c.offs))
-		}
-		check("device set", p, c, nil, nil)
-		if _, err := JoinApprox(nil, devKey, c); err != nil {
-			t.Fatal(err)
-		}
-		c.MaskOutJoined(devKey, deleted)
-		check("device set, probed", p, c, devKey, nil)
-		c.Release()
+	c := SelectApprox(nil, col, col.Relax(lo, hi))
+	if len(c.offs) != 3 {
+		t.Fatalf("device set over %d work-groups", len(c.offs))
 	}
+	check("device set", c, nil, nil)
+	if _, err := JoinApprox(nil, devKey, c); err != nil {
+		t.Fatal(err)
+	}
+	c.MaskOutJoined(devKey, deleted)
+	check("device set, probed", c, devKey, nil)
+	c.Release()
 }

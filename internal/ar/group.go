@@ -28,10 +28,12 @@ type Grouping struct {
 
 // Release returns the group-id vector to the arena. The source candidate
 // set is not owned by the grouping. Must only be called once nothing
-// references the grouping.
+// references the grouping; a nil grouping releases nothing.
 func (g *Grouping) Release() {
-	mem.U32.Put(g.IDs)
-	g.IDs = nil
+	if g != nil {
+		mem.U32.Put(g.IDs)
+		g.IDs = nil
+	}
 }
 
 // groupTable maps packed code tuples to dense group ids: one flat
@@ -356,6 +358,9 @@ func GroupRefine(p par.P, m *device.Meter, g *Grouping) (*bulk.Grouping, [][]int
 	for k, col := range g.Cols {
 		exact[k] = mem.I64.GetN(n)
 		if err := forGroups(p, wg, func(ci int) { src.rebuildGroup(col, nil, exact[k], ci) }); err != nil {
+			for _, vals := range exact[:k+1] {
+				mem.I64.Put(vals)
+			}
 			return nil, nil, err
 		}
 		if m != nil {

@@ -19,8 +19,9 @@ import (
 // On the host a projection holds no codes: it is its source's mask over the
 // packed column, which a consumer reads by mask — Src.Blocks and Src.Decode,
 // a block at a time — so the candidate-length buffer is never written. Once a
-// refinement narrows the source, the column's exact values come from
-// ProjectRefine, which reads the narrower mask.
+// refinement narrows the source, the column's exact values are code and
+// residual read by the narrower mask, billed by ChargeRefine; ProjectRefine
+// writes them out.
 //
 // Key is the projected column's addressing: nil for a column of the scanned
 // table, the join's key for a dimension column, whose code for a candidate is
@@ -91,28 +92,33 @@ func chargeProject(m *device.Meter, col *bwd.Column, n int) {
 // order. The source's mask is walked a work-group at a time on pp: each
 // granule's codes are decoded as ProjectApprox's are and concatenated with
 // the residual at each row, or — a dimension column — code and residual are
-// read at the position the row's key joins.
-//
-// The bill is the operator's: when the column is fully device resident and
-// nothing was refined away, the shipped codes already are the exact result (a
-// view, no refinement operator runs, nothing is charged); otherwise the
-// translucent join that realigns the refined subset with the projection
-// (chargeTranslucentJoin) and, unless a dimension column has nothing to
-// reconstruct, the residual lookups and reconstruction. A walk cancelled
-// partway returns the context's error.
+// read at the position the row's key joins. It is billed as ChargeRefine
+// bills it. A walk cancelled partway returns the context's error.
 func ProjectRefine(pp par.P, m *device.Meter, p *Projection) ([]int64, error) {
-	src, col, key := p.Src, p.Col, p.Key
-	n := src.Len()
-	out := mem.I64.GetN(n)
-	wg := src.WorkGroups()
-	if err := forGroups(pp, wg, func(ci int) { src.rebuildGroup(col, key, out, ci) }); err != nil {
+	src := p.Src
+	out := mem.I64.GetN(src.Len())
+	if err := forGroups(pp, src.WorkGroups(), func(ci int) { src.rebuildGroup(p.Col, p.Key, out, ci) }); err != nil {
 		mem.I64.Put(out)
 		return nil, err
 	}
+	p.ChargeRefine(pp.NThreads(), m)
+	return out, nil
+}
+
+// ChargeRefine bills the refinement of the projection over the candidates its
+// source holds now, the operator's bill whoever reads the exact values: when
+// the column is fully device resident and nothing was refined away, the
+// shipped codes already are the exact result (a view, no refinement operator
+// runs, nothing is charged); otherwise the translucent join that realigns the
+// refined subset with the projection (chargeTranslucentJoin) and, unless a
+// dimension column has nothing to reconstruct, the residual lookups and
+// reconstruction.
+func (p *Projection) ChargeRefine(threads int, m *device.Meter) {
+	col, key, n := p.Col, p.Key, p.Src.Len()
 	if m == nil || key == nil && p.Exact() && n == p.n {
-		return out, nil
+		return
 	}
-	chargeTranslucentJoin(m, pp.NThreads(), p.n, n)
+	chargeTranslucentJoin(m, threads, p.n, n)
 	if key == nil || col.Dec.ResBits > 0 {
 		// Reads: refined IDs (32-bit), shipped codes, residuals (at
 		// candidate order); writes: reconstructed values at the column's
@@ -124,9 +130,8 @@ func ProjectRefine(pp par.P, m *device.Meter, p *Projection) ([]int64, error) {
 		} else {
 			seq += int64(n) * 8
 		}
-		m.CPUWork(pp.NThreads(), seq, 0, int64(n))
+		m.CPUWork(threads, seq, 0, int64(n))
 	}
-	return out, nil
 }
 
 // forGroups runs fn for each of wg work-groups on p, distinct ones
@@ -142,14 +147,21 @@ func forGroups(p par.P, wg int, fn func(ci int)) error {
 }
 
 // rebuildGroup writes col's exact values of work-group ci's survivors into
-// their slot of out, in row order: per granule the codes as emitGranule
-// emits them, each concatenated with the residual at its row — the residual
-// granule read whole where the survivors are dense — or, through a key, code
-// and residual at the position the row's key joins.
+// their slot of out (Rebuild).
 func (c *Candidates) rebuildGroup(col *bwd.Column, key *bwd.Key, out []int64, ci int) {
-	at := c.offs[ci]
-	var codes, res [bwd.GranuleRows]uint64
 	g0, g1 := c.groupGranules(ci)
+	c.Rebuild(col, key, out[c.offs[ci]:], g0, g1)
+}
+
+// Rebuild writes col's exact values of the survivors in granules [g0,g1) into
+// the front of out, in row order, and returns how many there are: per
+// granule the codes as emitGranule emits them, each concatenated with the
+// residual at its row — the residual granule read whole where the survivors
+// are dense — or, through a key, code and residual at the position the row's
+// key joins. It is Decode for the exact values of a decomposed column.
+func (c *Candidates) Rebuild(col *bwd.Column, key *bwd.Key, out []int64, g0, g1 int) int {
+	at := 0
+	var codes, res [bwd.GranuleRows]uint64
 	for g := g0; g < g1; g++ {
 		word, base := c.mask[g], g*bwd.GranuleRows
 		switch {
@@ -181,4 +193,5 @@ func (c *Candidates) rebuildGroup(col *bwd.Column, key *bwd.Key, out []int64, ci
 		}
 		at += k
 	}
+	return at
 }

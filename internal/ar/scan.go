@@ -261,7 +261,7 @@ func (c *Candidates) MaskOut(drop []uint64) {
 // for a device set, the unordered device discipline, in index order for a
 // host one — which gives every work-group its slot in candidate order.
 // Everything read from the mask afterwards — projections, grouping keys,
-// gathered values — lands in those slots, rows ascending inside one, so all
+// exact values — lands in those slots, rows ascending inside one, so all
 // of it is positionally aligned.
 func (c *Candidates) seal() {
 	if c.sealed {

@@ -292,20 +292,6 @@ func Compact[T any](counts []int, chunk int, buf []T) []T {
 	return buf[:off]
 }
 
-// ForEach runs fn once per index in [0,n), with indices claimed
-// dynamically by NWorkers goroutines and the context polled between
-// claims. It is the item-granular For used to distribute pre-computed
-// morsel lists (e.g. store segment morsels) over workers.
-func ForEach(p P, n int, fn func(i int)) error {
-	item := p
-	item.Chunk = 1
-	return item.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // GatherOrdered runs fn over [0,n) in morsels and concatenates the
 // per-morsel results in morsel order, preserving the input permutation —
 // the order-preserving CPU discipline (§IV-A item 2). The output is

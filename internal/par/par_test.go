@@ -40,9 +40,6 @@ var loopForms = []struct {
 		}
 		return err
 	}},
-	{"ForEach", func(t *testing.T, p P, n int, visit func(lo, hi int)) error {
-		return ForEach(p, n, func(i int) { visit(i, i+1) })
-	}},
 }
 
 func TestParallelLoopForms(t *testing.T) {
@@ -67,7 +64,7 @@ func TestParallelLoopForms(t *testing.T) {
 				var morsels atomic.Int32
 				err := form.run(t, p, tc.n, func(lo, hi int) {
 					morsels.Add(1)
-					if form.name != "ForEach" && (lo%p.ChunkSize() != 0 || hi-lo > p.ChunkSize()) {
+					if lo%p.ChunkSize() != 0 || hi-lo > p.ChunkSize() {
 						t.Errorf("morsel [%d,%d) is not chunk-aligned", lo, hi)
 					}
 					for i := lo; i < hi; i++ {

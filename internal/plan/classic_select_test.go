@@ -210,9 +210,10 @@ func TestClassicSelectMatchesBulkReference(t *testing.T) {
 // A statement that only counts its rows never lists them: its scan asks the
 // arena for the n/64 words of the survivor mask and the per-morsel counts and
 // nothing else — no id buffer — however many rows qualify. (The third buffer
-// is the aggregation's accumulators.) A statement that fetches a column asks
-// for one buffer more, the column's values gathered by mask: no id list
-// either.
+// is the aggregation's accumulators.) A statement that sums a column asks for
+// exactly one buffer more, the fold's partial state with its sink group: the
+// column is read by mask where it lies, never gathered, and no id list is
+// made either.
 func TestClassicSelectCountAsksForNoIDBuffer(t *testing.T) {
 	const n = 64 * 1024
 	c := classicFixture(t, n, 5)
@@ -239,6 +240,6 @@ func TestClassicSelectCountAsksForNoIDBuffer(t *testing.T) {
 	}
 	q.Aggs = []AggSpec{{Name: "s", Func: Sum, Expr: Col("plain")}}
 	if summed, _ := gets(q); summed != counted+1 {
-		t.Fatalf("a statement that fetches one column took %d arena buffers, the count-only one %d: want one more, the column's", summed, counted)
+		t.Fatalf("a statement that sums one column took %d arena buffers, the count-only one %d: want one more, the fold's partial state", summed, counted)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // dimension's deletions, the dimension filters — then the values of need,
 // per-morsel partials concatenated in morsel order, billed as one row-major
 // pass. It stays as the oracle of scanDelta.
-func rowDeltaScan(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRef) *exprCtx {
+func rowDeltaScan(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []ColRef) *rowTuples {
 	fs := snap.fact
 	col := func(name string) int {
 		i, err := fs.Table().ColIndex(name)
@@ -37,7 +37,7 @@ func rowDeltaScan(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []Co
 	for _, spec := range q.Joins {
 		nDimFilters += len(spec.DimFilters)
 	}
-	err := par.ForEach(pp, len(parts), func(mi int) {
+	scan := func(mi int) {
 		pt := &parts[mi]
 		pt.vals = make([][]int64, len(need))
 		pos := make([]int, len(q.Joins))
@@ -88,11 +88,18 @@ func rowDeltaScan(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []Co
 			}
 			pt.n++
 		}
+	}
+	item := pp
+	item.Chunk = 1
+	err := item.For(len(parts), func(lo, hi int) {
+		for mi := lo; mi < hi; mi++ {
+			scan(mi)
+		}
 	})
 	if err != nil {
 		panic(err)
 	}
-	out := &exprCtx{vals: map[ColRef][]int64{}}
+	out := &rowTuples{vals: map[ColRef][]int64{}}
 	var dimGathers int64
 	facts, dims := 0, nDimFilters
 	for k, ref := range need {
@@ -123,8 +130,16 @@ func rowDeltaScan(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []Co
 	return out
 }
 
+// rowTuples is the row loop's output: n rows, and per column its values in
+// row order.
+type rowTuples struct {
+	n    int
+	vals map[ColRef][]int64
+}
+
 // TestDeltaScanMatchesRowOracle: the classic selection over the delta's
-// columns returns the row loop's values, byte for byte and in row order, and
+// columns, its segment's bindings read by its mask, returns the row loop's
+// values, byte for byte and in row order, and
 // bills exactly its charge — for deltas of one row, of a granule's length
 // either side of it and of many granules behind a base whose length is no
 // multiple of 64, with deleted delta rows; conjuncts, disjunction groups and
@@ -199,14 +214,19 @@ func TestDeltaScanMatchesRowOracle(t *testing.T) {
 					}
 					ref := device.NewMeter(c.sys)
 					want := rowDeltaScan(ref, opts.par(ctx), &lg.pl.q, lg.pl.snap, pl.tailKeys)
-					if got.n != want.n {
-						t.Fatalf("%s: %d rows qualify, the row loop keeps %d", label, got.n, want.n)
+					if got.set.Len() != want.n {
+						t.Fatalf("%s: %d rows qualify, the row loop keeps %d", label, got.set.Len(), want.n)
 					}
 					for _, r := range pl.tailKeys {
-						if len(got.vals[r]) != want.n || !slices.Equal(got.vals[r], want.vals[r]) {
-							t.Fatalf("%s: %v = %v, the row loop has %v", label, r, got.vals[r], want.vals[r])
+						vals := make([]int64, got.set.Len())
+						if err := (segments{got}).fill(opts.par(ctx), r, vals); err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(vals, want.vals[r]) {
+							t.Fatalf("%s: %v = %v, the row loop has %v", label, r, vals, want.vals[r])
 						}
 					}
+					got.set.Release()
 					if *lg.st.m != *ref {
 						t.Fatalf("%s: meter %v, the row store's pass is %v", label, lg.st.m, ref)
 					}

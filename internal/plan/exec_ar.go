@@ -100,29 +100,38 @@ func (c *Catalog) execOnce(ctx context.Context, q Query, opts ExecOpts, mode Mod
 // scanAR is the A&R scan strategy: the approximation subplan on the
 // device (selections, disjunctions, join probes, pre-grouping,
 // projections), the single bus crossing, and the refinement subplan on
-// the CPU — producing the base segment's exact tuple values for the
-// shared pipeline tail. The delta segment is scanned by the classic
-// selection before the ship (so the phase-A answer can include its exact
-// contribution) and returned unmerged. solo permits the device-side
-// pre-grouping: this leg is the only one the statement scans.
+// the CPU — ending in the base segment for the shared pipeline tail: the
+// refined candidate set, every projected column bound to code and residual
+// by its mask. The delta segment is scanned by the classic selection before
+// the ship (so the phase-A answer can include its exact contribution) and
+// follows the base's. solo permits the device-side pre-grouping: this leg is
+// the only one the statement scans. A scan that fails releases what it built.
 //
 // On an exact leg (exactLeg) the approximation is the answer: nothing can be
 // refined away and every interval is a point, so phase A folds the aggregates
 // once, exactly, per pre-group, straight off the packed columns, and phase R
-// — still listed, checkpointed and billed operator by operator — copies,
-// joins and folds nothing; scanOut carries the accumulators to the tail.
-func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
+// — still listed, checkpointed and billed operator by operator — joins and
+// folds nothing; scanOut carries the accumulators to the tail.
+func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	q := &pl.q
 	snap := pl.snap
 	pp := st.pp
 	m := st.m
 	exact := pl.exactLeg(solo)
+	var cands *ar.Candidates
+	var delta segment
+	out := &scanOut{exact: exact}
+	defer func() {
+		if err != nil {
+			out.segs = segments{{set: cands}, delta}
+			out.release()
+		}
+	}()
 
 	// ---- Phase A: the approximation subplan on the device.
 	if err := st.step(StageApprox); err != nil {
 		return nil, err
 	}
-	var cands *ar.Candidates
 	switch {
 	case len(pl.factFilters) > 0:
 		f0 := pl.factFilters[0].f
@@ -188,8 +197,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		ds := snap.snapFor(spec.Dim)
 		keys[ji] = snap.joinKey(spec, snap.get("", spec.FKCol), nil)
 		key := &keys[ji]
-		var err error
-		if cands, err = ar.JoinApprox(m, key, cands); err != nil {
+		if _, err := ar.JoinApprox(m, key, cands); err != nil {
 			return nil, err
 		}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: q.Table, B: js.arrow})
@@ -206,9 +214,8 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		}
 	}
 
-	var mg *ar.Grouping
 	if cols := pl.devGroupCols(solo); cols != nil {
-		mg = ar.GroupApprox(m, cols, cands)
+		out.mg = ar.GroupApprox(m, cols, cands)
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.groupapproximate(%[1]s)", A: pl.groupText})
 	}
 
@@ -216,23 +223,24 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	// needs: aggregate inputs, plus the grouping keys when grouping merges
 	// with the delta on the host.
 	need, refList := pl.tailKeys, pl.projKeys
-	if mg != nil {
+	if out.mg != nil {
 		need, refList = pl.tail, pl.proj
 	}
 	projections := make(map[ColRef]*ar.Projection, len(refList))
+	base := segment{set: cands, binds: make(map[ColRef]colBind, len(refList))}
 	for _, ref := range refList {
 		table := q.Table
 		if ref.IsDim() {
 			table = ref.Dim
 		}
 		projections[ref] = ar.ProjectApprox(m, snap.get(ref.Dim, ref.Name), pl.keyFor(keys, ref.Dim), cands)
+		base.binds[ref] = colBind{col: projections[ref].Col, key: projections[ref].Key, err: projections[ref].Col.Dec.Err()}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
 
 	// ---- Delta scan: the append segment lives in host memory and is never
 	// decomposed; the classic selection scans its columns exactly.
-	delta, err := pl.scanDelta(st, need)
-	if err != nil {
+	if delta, err = pl.scanDelta(st, need); err != nil {
 		return nil, err
 	}
 
@@ -241,11 +249,10 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	// exact leg, the answer itself, read off the one fold's accumulators.
 	// Either fold runs on every host core: the statement holds the stream,
 	// so it owns the device (phase R and the tail keep the grant).
-	var acc aggAcc
 	if exact {
-		acc, st.res.Approx = exactFold(ar.OnDevice(pp), m, pl.prog, cands, projections, mg)
+		out.acc, st.res.Approx = exactFold(ar.OnDevice(pp), m, pl.prog, base, out.mg)
 	} else {
-		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, cands, projections, delta)
+		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, base, delta)
 	}
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {
@@ -260,8 +267,8 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	for _, ref := range refList {
 		projections[ref].Ship(m)
 	}
-	if mg != nil {
-		mg.Ship(m)
+	if out.mg != nil {
+		out.mg.Ship(m)
 	}
 	for range pl.joins {
 		m.Transfer(int64(cands.Len()) * 4) // billed as a shipped position list
@@ -323,8 +330,9 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 	}
 	st.res.Refined = cands.Len()
 
-	// Exact values for every referenced column.
-	ectx := &exprCtx{n: cands.Len(), vals: map[ColRef][]int64{}}
+	// Exact values for every referenced column: code and residual, bound to
+	// be read by the refined mask where the tail reads them (§V-C's fused
+	// loop), billed as the projection's refinement.
 	for _, ref := range refList {
 		if err := st.step(StageRefine); err != nil {
 			return nil, err
@@ -333,17 +341,19 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (*scanOut, error) {
 		// them: a view, which the refinement of a resident projection is
 		// billed as anyway.
 		if !exact {
-			var err error
-			if ectx.vals[ref], err = ar.ProjectRefine(pp, m, projections[ref]); err != nil {
-				return nil, err
-			}
+			projections[ref].ChargeRefine(pp.NThreads(), m)
 		}
+		base.binds[ref] = colBind{col: projections[ref].Col, key: projections[ref].Key}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
 	}
 
-	// The candidate set travels on to the shared tail, which releases it
-	// after aggregation (with the pre-grouping, which still reads it).
-	return &scanOut{ectx: ectx, delta: delta, mg: mg, refined: cands, exact: exact, acc: acc}, nil
+	// The segments travel on to the shared tail; Run releases their sets
+	// after aggregation (with the pre-grouping, which still reads the base's).
+	out.segs = segments{base}
+	if delta.set != nil {
+		out.segs = append(out.segs, delta)
+	}
+	return out, nil
 }
 
 // orGroupRelax resolves one disjunction group against the snapshot: the
@@ -389,19 +399,19 @@ func (pl pipeline) keyFor(keys []bwd.Key, dim string) *bwd.Key {
 // per aggregate the sum/min/max bounds the compiled program folds from the
 // approximate projections over the base segment — a candidate that may be a
 // false positive (outside the certain-mask) widens a sum only toward zero —
-// plus the exact contributions of the qualifying delta rows (the delta is
-// host resident and undecomposed, so its values carry no approximation
-// error).
-func approxAnswer(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, projections map[ColRef]*ar.Projection, delta *exprCtx) ApproxAnswer {
-	out := ApproxAnswer{Count: ar.CountApprox(m, cands), Aggs: make([]ar.Interval, len(pg.aggs))}
+// plus the exact contributions of the qualifying delta rows, the delta
+// segment folded by its mask (the delta is host resident and undecomposed,
+// so its values carry no approximation error).
+func approxAnswer(pp par.P, m *device.Meter, pg *program, base, delta segment) ApproxAnswer {
+	out := ApproxAnswer{Count: ar.CountApprox(m, base.set), Aggs: make([]ar.Interval, len(pg.aggs))}
 	acc := pg.newAcc(1, true)
-	in := pg.bindCodes(cands, projections)
-	in.certain = cands.CertainMask()
+	in := pg.bind(base)
+	in.certain = base.set.CertainMask()
 	pg.fold(pp, &acc, in)
-	if delta != nil {
-		out.Count.Lo += int64(delta.n)
-		out.Count.Hi += int64(delta.n)
-		pg.fold(pp, &acc, pg.bindVals(delta.vals, delta.n))
+	if delta.set != nil {
+		out.Count.Lo += int64(delta.set.Len())
+		out.Count.Hi += int64(delta.set.Len())
+		pg.fold(pp, &acc, pg.bind(delta))
 	}
 	for k, a := range pg.aggs {
 		if a.Func == Count {
@@ -433,9 +443,9 @@ func approxAnswer(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, 
 // the grouping the tail would refine to), and the degenerate phase-A answer
 // those accumulators hold. The count is billed as the approximate count it
 // stands for.
-func exactFold(pp par.P, m *device.Meter, pg *program, cands *ar.Candidates, projections map[ColRef]*ar.Projection, mg *ar.Grouping) (aggAcc, ApproxAnswer) {
-	ar.CountApprox(m, cands)
-	in := pg.bindCodes(cands, projections)
+func exactFold(pp par.P, m *device.Meter, pg *program, base segment, mg *ar.Grouping) (aggAcc, ApproxAnswer) {
+	ar.CountApprox(m, base.set)
+	in := pg.bind(base)
 	groups := 1
 	if mg != nil {
 		in.ids, groups = mg.IDs, mg.NGroups

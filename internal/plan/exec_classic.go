@@ -23,27 +23,30 @@ func (c *Catalog) ExecClassic(ctx context.Context, q Query, opts ExecOpts) (*Res
 // base segment (selectClassic) — MonetDB-style uselects and the FK-probe join
 // chain narrowing one survivor set — the same over the delta segment
 // (scanDelta), and full materialization of every referenced column at the
-// base's survivors: the same exact-value tuple stream as the A&R scan
-// produces for the shared pipeline tail, with the delta's contribution beside
-// it, unmerged.
+// base's survivors (materialize): the same segments as the A&R scan ends in,
+// every column bound to its exact values. A scan that fails releases them.
 func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 	sel, keys, err := pl.selectClassic(st)
 	if err != nil {
 		return nil, err
 	}
-	defer sel.Release()
+	out := &scanOut{segs: segments{{set: sel}}}
 	delta, err := pl.scanDelta(st, pl.tailKeys)
 	if err != nil {
+		out.release()
 		return nil, err
+	}
+	if delta.set != nil {
+		out.segs = append(out.segs, delta)
 	}
 	st.estCapture()
 	st.res.Candidates = sel.Len()
 	st.res.Refined = sel.Len()
-	ectx, err := pl.materialize(st, sel, keys, pl.tailKeys)
-	if err != nil {
+	if out.segs[0].binds, err = pl.materialize(st, sel, keys, pl.tailKeys); err != nil {
+		out.release()
 		return nil, err
 	}
-	return &scanOut{ectx: ectx, delta: delta}, nil
+	return out, nil
 }
 
 // selectClassic is the classic selection over one segment of the leg's fact
@@ -199,14 +202,14 @@ func (pl pipeline) selectClassic(st *pipeState) (sel *ar.Candidates, keys []bwd.
 	return sel, keys, nil
 }
 
-// materialize gathers every column of need at the survivors of sel, in row
-// order (ar.Candidates.Gather) — a dimension's at the position the row's key
-// of keys joins; grouping keys ride along when a grouping is present. A
-// statement that only counts its rows, joined or not, has the set's length
-// and gathers nothing. A base run bills each column as the bulk fetch it
-// stands for, and lists it.
-func (pl pipeline) materialize(st *pipeState, sel *ar.Candidates, keys []bwd.Key, need []ColRef) (*exprCtx, error) {
-	ectx := &exprCtx{n: sel.Len(), vals: make(map[ColRef][]int64, len(need))}
+// materialize binds every column of need to its exact values, to be read at
+// the survivors of sel by its mask where the tail reads them — a dimension's
+// at the position the row's key of keys joins; grouping keys ride along when
+// a grouping is present. Nothing is copied: a statement that only counts its
+// rows, joined or not, reads nothing at all. A base run bills each column as
+// the bulk fetch it stands for, and lists it.
+func (pl pipeline) materialize(st *pipeState, sel *ar.Candidates, keys []bwd.Key, need []ColRef) (map[ColRef]colBind, error) {
+	binds := make(map[ColRef]colBind, len(need))
 	for _, ref := range need {
 		if err := pl.bulkStep(st); err != nil {
 			return nil, err
@@ -215,15 +218,13 @@ func (pl pipeline) materialize(st *pipeState, sel *ar.Candidates, keys []bwd.Key
 		if err != nil {
 			return nil, err
 		}
-		if ectx.vals[ref], err = sel.Gather(st.pp, vals, pl.keyFor(keys, ref.Dim)); err != nil {
-			return nil, err
-		}
+		binds[ref] = colBind{tails: vals, key: pl.keyFor(keys, ref.Dim)}
 		if !pl.delta {
-			bulk.ChargeFetch(st.pp, st.m, b, ectx.n)
-			st.emit(ectx.n, -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s)", A: ref.Name})
+			bulk.ChargeFetch(st.pp, st.m, b, sel.Len())
+			st.emit(sel.Len(), -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s)", A: ref.Name})
 		}
 	}
-	return ectx, nil
+	return binds, nil
 }
 
 // bulkStep is the checkpoint before each bulk operator of a base run; a

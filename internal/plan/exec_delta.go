@@ -47,33 +47,34 @@ func sortedRefs(refs []ColRef) []ColRef {
 }
 
 // scanDelta is the classic selection over the leg's delta segment, the rows
-// appended since the last merge (selectClassic), and the columns of need
-// gathered at its survivors (materialize): the segment's exact tuple set, nil
-// when it holds no rows. Both scan strategies run it — the A&R one before its
-// ship, so the phase-A answer includes the delta exactly — because the delta
-// is never decomposed: the paper's operators apply to the base segment only.
+// appended since the last merge (selectClassic), with the columns of need
+// bound to be read at its survivors (materialize): the delta's segment, none
+// (a nil set) when it holds no rows. Both scan strategies run it — the A&R
+// one before its ship, so the phase-A answer includes the delta exactly —
+// because the delta is never decomposed: the paper's operators apply to the
+// base segment only. A scan that fails releases its set.
 //
 // It is billed once, as the row store a delta is: one sequential pass over
 // the whole visible rows evaluating every predicate, the qualifying values
 // written, and the dimension gathers of joined rows — not the columns the
 // host reads (DESIGN.md §7).
-func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (*exprCtx, error) {
+func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (segment, error) {
 	fact := pl.snap.fact
 	if fact.DeltaLen() == 0 {
-		return nil, nil
+		return segment{}, nil
 	}
 	if err := st.step(StageDelta); err != nil {
-		return nil, err
+		return segment{}, err
 	}
 	pl.delta = true
 	sel, keys, err := pl.selectClassic(st)
 	if err != nil {
-		return nil, err
+		return segment{}, err
 	}
-	defer sel.Release()
-	out, err := pl.materialize(st, sel, keys, need)
+	binds, err := pl.materialize(st, sel, keys, need)
 	if err != nil {
-		return nil, err
+		sel.Release()
+		return segment{}, err
 	}
 	preds, facts, dims := len(pl.factFilters), 0, 0
 	for _, g := range pl.orGroups {
@@ -89,8 +90,8 @@ func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (*exprCtx, error) {
 			facts++
 		}
 	}
-	n := int64(out.n)
+	n := int64(sel.Len())
 	st.m.CPUWork(st.pp.NThreads(), fact.DeltaBytes()+n*8*int64(facts), n*8*int64(dims), int64(fact.DeltaLen())*int64(1+preds))
-	st.emit(out.n, -1, obs.Op{Fmt: opDeltaScan, A: pl.q.Table, N: n})
-	return out, nil
+	st.emit(sel.Len(), -1, obs.Op{Fmt: opDeltaScan, A: pl.q.Table, N: n})
+	return segment{set: sel, binds: binds}, nil
 }

@@ -5,11 +5,11 @@
 // settle its scan mode), scan them — classic or A&R per leg, concurrently when
 // there are several, each A&R scan admitted onto its simulated device stream
 // by the engine's DeviceGate for its approximation subplan and off it at its
-// ship — and gather the per-leg exact tuple sets into the one shared
-// pipeline tail (grouping, aggregation, HAVING, top-k).
+// ship — and gather the per-leg segments into the one shared pipeline tail
+// (grouping, aggregation, HAVING, top-k).
 //
-// Determinism contract: the gather merges everything — column values,
-// meters, phase-A bounds, candidate counts — in leg order, and each leg's
+// Determinism contract: the gather merges everything — segments, meters,
+// phase-A bounds, candidate counts — in leg order, and each leg's
 // scan is internally deterministic for any worker count. Result rows are
 // therefore byte-identical to the unpartitioned execution of the same data
 // at every partition count, and the simulated figures are bit-identical
@@ -115,13 +115,13 @@ func (c *Catalog) newState(ctx context.Context, opts ExecOpts, nOps int) pipeSta
 	return pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: res, estCand: -1}
 }
 
-// scan runs the leg's scan source and folds the delta contribution into
-// its exact tuple set — the only place base and delta tuples meet — so the
-// leg's result carries its final candidate counts and phase-A answer. solo
-// says this is the statement's only scanned leg: with no other partial to
-// meet on the host, an A&R scan may pre-group on the device. An A&R scan
-// holds device stream part of the gate (when there is one) from here to its
-// ship checkpoint — or to the failure that keeps it from getting there.
+// scan runs the leg's scan source and counts the delta segment's rows into
+// the leg's result, so that it carries its final candidate counts and
+// phase-A answer. solo says this is the statement's only scanned leg: with no
+// other partial to meet on the host, an A&R scan may pre-group on the
+// device. An A&R scan holds device stream part of the gate (when there is
+// one) from here to its ship checkpoint — or to the failure that keeps it
+// from getting there.
 func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
 	start := time.Now()
 	defer func() { lg.wall = time.Since(start) }()
@@ -147,15 +147,14 @@ func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
 	if lg.err != nil {
 		return
 	}
-	if d := lg.out.delta; d != nil {
-		lg.out.ectx.append(d)
-		st.res.Candidates += d.n
-		st.res.Refined += d.n
+	for _, d := range lg.out.segs[1:] {
+		st.res.Candidates += d.set.Len()
+		st.res.Refined += d.set.Len()
 	}
 	if pl.classic && !stmtClassic {
 		// A classic leg's partial is exact, so a mixed-mode scatter still
 		// reports strict phase-A bounds.
-		st.res.Approx = exactAnswer(st.pp, pl.prog, lg.out.ectx)
+		st.res.Approx = exactAnswer(st.pp, pl.prog, lg.out.segs)
 	}
 }
 
@@ -193,13 +192,21 @@ func (c *Catalog) scatter(ctx context.Context, legs []leg, opts ExecOpts, gate D
 
 // Run is the executor: scan the pinned legs, gather the partials in leg
 // order, run the shared tail once. One leg runs inline on the caller's
-// goroutine and the tail continues on the leg's own state and tuple set;
+// goroutine and the tail continues on the leg's own state and segments;
 // several run concurrently (scatter) and gatherLegs merges them. The
 // pipeline polls ctx between stages (plan.Stage) and returns ctx.Err()
-// without a result once the context is done.
+// without a result once the context is done. Every leg's segments and
+// pre-grouping go back to the arena once the tail is done with them, or
+// the statement failed.
 func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, error) {
 	legs, p, pl, classic := x.legs, x.p, x.pl, x.pr.choice.Classic
 	q := &pl.q
+	defer func() {
+		for li := range legs {
+			legs[li].out.release()
+			legs[li].out = nil
+		}
+	}()
 	// Each leg gets an equal share of the real worker pool; the simulated
 	// Threads stay untouched, so the meter is independent of how the pool
 	// is split. A plain table's leg has no partition device of its own.
@@ -257,7 +264,7 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 				st.tr.Add(obs.StageEvent{
 					Stage: string(StageScatter),
 					Op:    obs.Op{Fmt: "scatter(%[1]s, mode=%[2]s)", A: lg.pl.q.Table, B: mode},
-					Rows:  int64(lg.out.ectx.n),
+					Rows:  int64(lg.out.segs.rows()),
 					Est:   ls.estCand,
 					Wall:  lg.wall,
 					GPU:   ls.m.GPU,
@@ -275,19 +282,11 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 		if err := st.step(StageGather); err != nil {
 			return nil, err
 		}
-		st.emit(out.ectx.n, -1, obs.Op{Fmt: "gather(%[1]s, %[3]d partitions)", A: q.Table, N: int64(len(legs))})
+		st.emit(out.segs.rows(), -1, obs.Op{Fmt: "gather(%[1]s, %[3]d partitions)", A: q.Table, N: int64(len(legs))})
 	}
 
 	if err := finish(st, pl, classic, out); err != nil {
 		return nil, err
-	}
-	// The surviving candidate set (and the pre-grouping over it, when one
-	// exists) is dead once the tail has aggregated.
-	if out.refined != nil {
-		if out.mg != nil {
-			out.mg.Release()
-		}
-		out.refined.Release()
 	}
 	// A context cancelled mid-kernel leaves that kernel's output incomplete;
 	// the final check guarantees such partial results are never returned as
@@ -307,10 +306,11 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 
 // gatherLegs merges the partials of several legs onto the gather state st,
 // in leg order: meters, candidate counts and estimates add, the phase-A
-// answers combine, and the exact tuple sets concatenate.
+// answers combine, and the segment lists concatenate — the legs keep their
+// sets.
 func gatherLegs(st *pipeState, pl *Plan, legs []leg, classic bool) *scanOut {
 	answers := make([]ApproxAnswer, len(legs))
-	merged := &exprCtx{vals: make(map[ColRef][]int64, len(pl.tailKeys))}
+	merged := &scanOut{}
 	st.estCand = 0
 	for li := range legs {
 		ls := &legs[li].st
@@ -323,12 +323,12 @@ func gatherLegs(st *pipeState, pl *Plan, legs []leg, classic bool) *scanOut {
 			st.estCand += ls.estCand
 		}
 		answers[li] = ls.res.Approx
-		merged.append(legs[li].out.ectx)
+		merged.segs = append(merged.segs, legs[li].out.segs...)
 	}
 	if !classic {
 		st.res.Approx = combineAnswers(pl.q, answers)
 	}
-	return &scanOut{ectx: merged}
+	return merged
 }
 
 // scatterInputBytes sums the stream-baseline footprint of the scanned legs:
@@ -353,11 +353,11 @@ func scatterInputBytes(pl *Plan, legs []leg) int64 {
 }
 
 // exactAnswer derives a degenerate (exact) phase-A answer from a classic
-// partition scan's combined tuple set: one ungrouped fold, read off the way
+// partition scan's segments: one ungrouped fold over them, read off the way
 // an exact A&R leg's accumulators are (program.answer).
-func exactAnswer(pp par.P, pg *program, ctx *exprCtx) ApproxAnswer {
+func exactAnswer(pp par.P, pg *program, segs segments) ApproxAnswer {
 	acc := pg.newAcc(1, false)
-	pg.fold(pp, &acc, pg.bindVals(ctx.vals, ctx.n))
+	segs.fold(pp, pg, &acc, nil)
 	out := pg.answer(&acc)
 	acc.release()
 	return out

@@ -16,7 +16,6 @@ import (
 	"unsafe"
 
 	"repro/internal/ar"
-	"repro/internal/bitpack"
 	"repro/internal/bwd"
 	"repro/internal/mem"
 	"repro/internal/par"
@@ -172,56 +171,138 @@ func (e caseExpr) compile(pg *program) int {
 	return pg.emit(instr{op: opCaseRange, a: cond, b: then, c: els, lo: e.lo, hi: e.hi})
 }
 
-// colBind binds one program column for a fold, one of two ways: to its exact
-// values (vals), or to the packed approximation of its projection (packed),
-// read through the survivor mask of the candidate set the fold walks
-// (rows.by), a block of granules at a time — through key, the join's, for a
-// dimension column. From a code a row's interval is [base + code<<shift,
-// that + err].
+// colBind binds one program column for a fold, read by the mask of the
+// candidate set the fold walks (rows.by) — at the position key joins, for a
+// dimension column — one of two ways: to exact values by row (tails), or to
+// a decomposed column (col). With an error bound err, a row's code makes its
+// interval [base + code<<ResBits, that + err], as phase A reads it; with err
+// 0 — no residual bit, or a refined candidate set — its code and residual
+// make its exact value, as phase R and an exact leg read it.
 type colBind struct {
-	vals   []int64
-	packed *bitpack.Array
-	key    *bwd.Key
-	base   int64
-	shift  uint
-	err    int64
+	tails []int64
+	col   *bwd.Column
+	key   *bwd.Key
+	err   int64
 }
 
-// rows is the input of one fold: n rows of the bound columns; ids, when set,
-// each row's group; by, when set, the candidate set whose candidates the rows
-// are, in candidate order, which the fold then reaches through its mask — as
-// it must when a column is bound packed; certain, when set, by's rows that
-// certainly qualify, in the layout of by's mask (ar.Candidates.CertainMask) —
-// a row outside it may turn out a false positive, so it adds to a sum only
-// what moves the bound outward and to a minimum's or maximum's inner bound
-// nothing.
+// read writes the values — with an error bound, the low bounds — of by's
+// survivors in granules [g0,g1) into the front of out, in candidate order,
+// and returns how many there are; all of out is its to scribble on.
+func (c *colBind) read(by *ar.Candidates, out []int64, g0, g1 int) int {
+	switch {
+	case c.col == nil:
+		return by.Values(c.tails, c.key, out, g0, g1)
+	case c.err == 0 && c.col.Dec.ResBits > 0:
+		return by.Rebuild(c.col, c.key, out, g0, g1)
+	}
+	// The codes alone, decoded in place: exact where there is no residual bit.
+	n := by.Decode(c.col.Approx, c.key, asCodes(out), g0, g1)
+	base, shift := c.col.Dec.Base, c.col.Dec.ResBits
+	for i, code := range asCodes(out[:n]) {
+		out[i] = base + int64(code<<shift)
+	}
+	return n
+}
+
+// whole reads the exact values of all n rows from granule g0 on, dropped ones
+// too: tails in place, a decomposed column's code and residual granule by
+// granule into room, by the rule ar.Candidates.Rebuild applies.
+func (c *colBind) whole(room []int64, g0, n int) []int64 {
+	if c.col == nil {
+		return c.tails[g0*bwd.GranuleRows:][:n]
+	}
+	dec := c.col.Dec
+	var res [bwd.GranuleRows]uint64
+	for at := 0; at < n; at += bwd.GranuleRows {
+		codes := (*[bwd.GranuleRows]uint64)(asCodes(room[at:]))
+		c.col.Approx.Unpack64(codes, g0*bwd.GranuleRows+at)
+		if dec.ResBits == 0 { // resident: the code is the offset
+			for i, code := range codes {
+				room[at+i] = dec.Base + int64(code)
+			}
+			continue
+		}
+		c.col.Residual.Unpack64(&res, g0*bwd.GranuleRows+at)
+		for i, code := range codes {
+			room[at+i] = dec.Base + int64(code<<dec.ResBits|res[i])
+		}
+	}
+	return room[:n]
+}
+
+// rows is the input of one fold: the candidates of by, reached through its
+// mask in candidate order, and the bound columns; ids, when set, each
+// candidate's group; certain, when set, by's rows that certainly qualify, in
+// the layout of by's mask (ar.Candidates.CertainMask) — a row outside it may
+// turn out a false positive, so it adds to a sum only what moves the bound
+// outward and to a minimum's or maximum's inner bound nothing.
 type rows struct {
 	cols    []colBind
-	n       int
 	ids     []uint32
 	certain []uint64
 	by      *ar.Candidates
 }
 
-// bindVals binds the program's columns to n rows of exact values.
-func (pg *program) bindVals(vals map[ColRef][]int64, n int) rows {
-	in := rows{cols: make([]colBind, len(pg.cols)), n: n}
+// segment is a survivor set and the binding of every column the tail reads
+// from it. A scan ends in its base segment, then its delta's; a scatter's
+// segments are its legs', leg after leg: the statement's row order.
+type segment struct {
+	set   *ar.Candidates
+	binds map[ColRef]colBind
+}
+
+type segments []segment
+
+// bind binds the program's columns to the segment's.
+func (pg *program) bind(s segment) rows {
+	in := rows{cols: make([]colBind, len(pg.cols)), by: s.set}
 	for i, ref := range pg.cols {
-		in.cols[i].vals = vals[ref]
+		in.cols[i] = s.binds[ref]
 	}
 	return in
 }
 
-// bindCodes binds the program's columns to the approximate projections over
-// cands, whose mask the fold walks: each packed, with its key beside it.
-func (pg *program) bindCodes(cands *ar.Candidates, projections map[ColRef]*ar.Projection) rows {
-	in := rows{cols: make([]colBind, len(pg.cols)), n: cands.Len(), by: cands}
-	for i, ref := range pg.cols {
-		p := projections[ref]
-		dec := p.Col.Dec
-		in.cols[i] = colBind{packed: p.Col.Approx, key: p.Key, base: dec.Base, shift: dec.ResBits, err: dec.Err()}
+// rows counts the segments' candidates.
+func (ss segments) rows() int {
+	n := 0
+	for _, s := range ss {
+		n += s.set.Len()
 	}
-	return in
+	return n
+}
+
+// fold folds the program over every segment into acc in one fold, each
+// segment's candidates taking the next stretch of ids (nil: ungrouped).
+func (ss segments) fold(pp par.P, pg *program, acc *aggAcc, ids []uint32) {
+	var buf [2]rows // a leg's base and delta, on the stack
+	ins := buf[:0]
+	for _, s := range ss {
+		in := pg.bind(s)
+		if ids != nil {
+			in.ids, ids = ids[:s.set.Len()], ids[s.set.Len():]
+		}
+		ins = append(ins, in)
+	}
+	pg.fold(pp, acc, ins...)
+}
+
+// fill reads column ref of every segment by mask into out, one segment after
+// the other: the segments' work-groups, in that order, split over pp's
+// workers, a work-group per read.
+func (ss segments) fill(pp par.P, ref ColRef, out []int64) error {
+	units := 0
+	for _, s := range ss {
+		units += s.set.WorkGroups()
+	}
+	pp.Chunk = 1
+	return pp.For(units, func(u, _ int) {
+		i, at := 0, 0
+		for ; u >= ss[i].set.WorkGroups(); i++ {
+			u, at = u-ss[i].set.WorkGroups(), at+ss[i].set.Len()
+		}
+		s, c := ss[i].set, ss[i].binds[ref]
+		s.Blocks(u, u+1, math.MaxInt32, func(g0, g1, pos, n int) { c.read(s, out[at+pos:at+pos+n], g0, g1) })
+	})
 }
 
 // aggAcc is the accumulator state of one aggregation: rows per group, and
@@ -372,46 +453,49 @@ type frame struct {
 // their rows, Q6's and Q14's 1–2 %.
 const denseFold = 52
 
-// fold evaluates the program over the rows in and folds every slot into acc.
-// The rows split into the P's worker blocks — of positions, or of in.by's
-// work-groups, whose slots in candidate order keep ids aligned — each
-// folding into its own partial state, merged in block order. A fold by
-// mask over exact packed columns with no certain mask — an exact leg's —
-// takes its dense blocks whole: its partial states carry a sink group past
-// acc's last, which the merge drops. A column read through a key rules that
-// out: a row the mask dropped may hold a key with no partner, which addresses
-// no code.
-func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
-	units := in.n
-	switch {
-	case in.n == 0:
-		return
-	case len(pg.slots) == 0 && in.ids == nil:
-		acc.cnt[0] += int64(in.n)
-		return
-	case in.by != nil:
-		units = in.by.WorkGroups()
-		pp.Chunk = 1 // the context is polled between work-groups
-	case in.n < exprBlock && pp.Chunk <= 0:
-		pp.Workers = 1 // not worth a goroutine; the result is the same
+// fold evaluates the program over the rows of every input and folds every
+// slot into acc. The inputs' work-groups, one input after the other, split
+// into the P's worker blocks — a work-group's slot in candidate order keeps
+// its input's ids aligned — each block folding into its own partial state,
+// merged in block order. An input of exact columns with no certain mask — an
+// exact leg's, a refined or classic one's, a delta's — has its dense blocks
+// taken whole: the partial states then carry a sink group past acc's last,
+// which the merge drops. A column read through a key rules that out: a row
+// the mask dropped may hold a key with no partner, which addresses no value.
+func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
+	units, n, grouped, sink, certain := 0, 0, false, false, false
+	for i := range ins {
+		units += ins[i].by.WorkGroups()
+		n += ins[i].by.Len()
+		grouped = grouped || ins[i].ids != nil
+		sink = sink || ins[i].sinks()
+		certain = certain || ins[i].certain != nil
 	}
+	switch {
+	case n == 0:
+		return
+	case len(pg.slots) == 0 && !grouped:
+		acc.cnt[0] += int64(n)
+		return
+	}
+	pp.Chunk = 1 // the context is polled between work-groups
 	nb := pp.NBlocks(units)
 	// A register is exact — its interval degenerate — when every column it
-	// reads is: it is then computed once and serves as both bounds.
+	// reads is, in every input: it is then computed once and serves as both
+	// bounds.
 	exact := make([]bool, len(pg.code))
-	for r, ins := range pg.code {
-		switch ins.op {
+	for r, op := range pg.code {
+		switch op.op {
 		case opCol:
-			exact[r] = in.cols[ins.col].vals != nil || in.cols[ins.col].err == 0
+			exact[r] = true
+			for i := range ins {
+				exact[r] = exact[r] && ins[i].cols[op.col].err == 0
+			}
 		case opConst:
 			exact[r] = true
 		default:
-			exact[r] = exact[ins.a] && exact[ins.b] && (ins.op != opCaseRange || exact[ins.c])
+			exact[r] = exact[op.a] && exact[op.b] && (op.op != opCaseRange || exact[op.c])
 		}
-	}
-	sink := in.by != nil && in.certain == nil
-	for _, c := range in.cols {
-		sink = sink && c.packed != nil && c.key == nil && c.err == 0
 	}
 	// Every block's registers come from one slice, and its partial state —
 	// but for the first block of a fold without a sink, which folds into acc
@@ -430,7 +514,7 @@ func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 	if first < nb {
 		carved = mem.I64.GetN((nb - first) * size)
 	}
-	need := pg.scratchNeed(in, exact, interval)
+	need := pg.scratchNeed(exact, interval, certain)
 	for b := range frames {
 		r := regs[2*len(pg.code)*b : 2*len(pg.code)*(b+1)]
 		frames[b] = frame{s: mem.GetScratch(), lo: r[:len(pg.code)], hi: r[len(pg.code):]}
@@ -439,17 +523,45 @@ func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 			parts[b] = pg.accIn(carved[(b-first)*size:][:size], groups, interval)
 		}
 	}
-	par.RunBlocks(pp, units, func(b, ulo, uhi int) {
-		f, part := &frames[b], &parts[b]
-		if in.by != nil {
-			in.by.Blocks(ulo, uhi, exprBlock/bwd.GranuleRows, func(g0, g1, pos, n int) {
-				pg.foldBlock(f, part, in, exact, pos, pos+n, g0, g1, sink && n >= denseFold*(g1-g0))
-			})
-			return
+	// The workers read one input by value, or a copy of several: the
+	// caller's list of inputs stays on its stack.
+	one, more := ins[0], []rows(nil)
+	if len(ins) > 1 {
+		more = append(more, ins...)
+	}
+	par.RunBlocks(pp, units, func(b, u, _ int) { // one work-group at a time
+		in := one
+		for i := 0; more != nil; i++ {
+			if in = more[i]; u < in.by.WorkGroups() {
+				break
+			}
+			u -= in.by.WorkGroups()
 		}
-		for lo := ulo; lo < uhi; lo += exprBlock {
-			pg.foldBlock(f, part, in, exact, lo, min(lo+exprBlock, uhi), 0, 0, false)
+		// Runs of sparse granules join into one block while their survivors
+		// fit its registers: a block costs its registers' setup whatever it
+		// holds.
+		sinks := in.sinks()
+		g0, g1, pos, n := 0, 0, 0, 0
+		flush := func() {
+			if n > 0 {
+				pg.foldBlock(&frames[b], &parts[b], in, exact, pos, pos+n, g0, g1, false)
+				n = 0
+			}
 		}
+		in.by.Blocks(u, u+1, exprBlock/bwd.GranuleRows, func(h0, h1, at, k int) {
+			if whole := sinks && k >= denseFold*(h1-h0); whole || n+k > exprBlock {
+				flush()
+				if whole {
+					pg.foldBlock(&frames[b], &parts[b], in, exact, at, at+k, h0, h1, true)
+					return
+				}
+			}
+			if n == 0 {
+				g0, pos = h0, at
+			}
+			g1, n = h1, n+k
+		})
+		flush()
 	})
 	for b := range frames {
 		mem.PutScratch(frames[b].s)
@@ -460,29 +572,26 @@ func (pg *program) fold(pp par.P, acc *aggAcc, in rows) {
 	mem.I64.Put(carved)
 }
 
-// scratchNeed bounds the int64s foldBlock carves for one block: a register
-// row per column read packed (two with an error bound), per computed register
-// (two for an interval one, a value for a scalar one), per slot side a scalar
-// is filled out to or the certain mask rewrites, and the block's certain
-// bits. fold sizes every frame's scratch for it at once, so a
-// fresh one — sync.Pool drops a pooled scratch now and then — is one array,
-// not the five a doubling growth through Q1's nine registers allocates.
-func (pg *program) scratchNeed(in rows, exact []bool, interval bool) int {
-	n := exprBlock
-	if in.by == nil {
-		n = min(n, in.n)
+// sinks reports whether a fold may take the input's dense blocks whole: no
+// certain mask, and every column exact and read where its rows lie.
+func (in *rows) sinks() bool {
+	ok := in.certain == nil
+	for _, c := range in.cols {
+		ok = ok && c.key == nil && c.err == 0
 	}
+	return ok
+}
+
+// scratchNeed bounds the int64s foldBlock carves for one block: a row per
+// register (two for an interval one, a value for a scalar one), per slot side
+// a scalar is filled out to or the certain mask rewrites, and the block's
+// certain bits. fold sizes every frame's scratch for it at once, so a fresh
+// one — sync.Pool drops a pooled scratch now and then — is one array, not
+// the five a doubling growth through Q1's nine registers allocates.
+func (pg *program) scratchNeed(exact []bool, interval, certain bool) int {
+	n := exprBlock
 	need := 0
-	for r, ins := range pg.code {
-		if ins.op == opCol {
-			if c := &in.cols[ins.col]; c.vals == nil {
-				need += n
-				if c.err != 0 {
-					need += n
-				}
-			}
-			continue
-		}
+	for r := range pg.code {
 		w := n
 		if pg.scalar[r] {
 			w = 1
@@ -500,11 +609,11 @@ func (pg *program) scratchNeed(in rows, exact []bool, interval bool) int {
 		if pg.scalar[sl.reg] {
 			need += sides * n
 		}
-		if in.certain != nil {
+		if certain {
 			need += sides * n
 		}
 	}
-	if in.certain != nil {
+	if certain {
 		need += (n + 63) / 64
 	}
 	return need
@@ -517,12 +626,12 @@ func asCodes(reg []int64) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(reg))), len(reg))
 }
 
-// foldBlock evaluates every register over rows [lo,hi) — at most exprBlock
-// of them, and for a fold by mask the survivors of granules [g0,g1) — and
-// folds the slots' registers into acc. Whole, the block is every row of
-// those granules instead: each packed column decoded granule by granule
-// straight into its register, and a row the mask dropped folded into acc's
-// last group, the sink.
+// foldBlock evaluates every register over candidates [lo,hi) — at most
+// exprBlock of them, the survivors of granules [g0,g1) — and folds the slots'
+// registers into acc. Whole, the block is every row of those granules
+// instead: each column read in place or decoded granule by granule straight
+// into its register, and a row the mask dropped folded into acc's last group,
+// the sink.
 func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, hi, g0, g1 int, whole bool) {
 	n := hi - lo
 	var mask, certain []uint64
@@ -538,31 +647,12 @@ func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, h
 		ins := &pg.code[r]
 		if ins.op == opCol {
 			c := &in.cols[ins.col]
-			if c.vals != nil {
-				f.lo[r], f.hi[r] = c.vals[lo:hi], c.vals[lo:hi]
-				continue
-			}
 			var low []int64
 			if whole {
-				// Room for whole granules: the scan's last may be short.
-				room := f.s.I64(len(mask) * bwd.GranuleRows)
-				for g := range mask {
-					c.packed.Unpack64((*[bwd.GranuleRows]uint64)(asCodes(room[g*bwd.GranuleRows:])), (g0+g)*bwd.GranuleRows)
-				}
-				low = room[:n]
+				low = c.whole(f.s.I64(len(mask)*bwd.GranuleRows), g0, n)
 			} else {
 				low = f.s.I64(n)
-				in.by.Decode(c.packed, c.key, asCodes(low), g0, g1)
-			}
-			codes := asCodes(low)
-			if c.shift == 0 { // resident: the code is the offset
-				for i, code := range codes {
-					low[i] = c.base + int64(code)
-				}
-			} else {
-				for i, code := range codes {
-					low[i] = c.base + int64(code<<c.shift)
-				}
+				c.read(in.by, low, g0, g1)
 			}
 			f.lo[r], f.hi[r] = low, low
 			if c.err != 0 {

@@ -164,18 +164,23 @@ func randExpr(rng *rand.Rand, depth, ncols int, pool *[]Expr) Expr {
 }
 
 // exprInput is one random statement over one random table: the aggregates,
-// per column its binding as a fold by mask reads it — the table's packed
-// approximation with its decomposition, through a key for the dimension
-// column — the codes the candidates read there, the exact values they
-// approximate, and the intervals the oracle reads. The n rows are the
+// per column its binding as phase A's fold by mask reads it — the table's
+// decomposition, codes and residuals, through a key for the dimension column
+// — the exact values by table row code and residual make, the codes the
+// candidates read, the exact values they approximate, and the intervals the
+// oracle reads. The n rows are the
 // candidates a scan of a longer table left (cands, still carrying its
-// survivor mask; rows lists them).
+// survivor mask; rows lists them; sel is the table's survivor column, 1 at a
+// candidate's row, and selCol its decomposition).
 type exprInput struct {
 	aggs   []AggSpec
 	n      int
 	binds  map[ColRef]colBind
+	tails  map[ColRef][]int64
 	codes  map[ColRef][]uint64
 	cands  *ar.Candidates
+	sel    []int64
+	selCol *bwd.Column
 	rows   []bat.OID
 	exact  map[ColRef][]int64
 	ivs    map[ColRef][]ar.Interval
@@ -187,12 +192,12 @@ type exprInput struct {
 // randSurvivors draws the table behind n candidates: which of its rows
 // survived — granule words that are full, lack one row, lack a few, are
 // dense, sparse or empty, in random order, the last granule short — and the
-// candidate set a scan for exactly those rows leaves, and how many rows the
-// scan read. A fold reads the mask
+// candidate set a scan for exactly those rows leaves, the survivor column
+// it scanned (1 at a surviving row) and its decomposition. A fold reads the mask
 // in blocks of exprBlock rows, and each block draws its words from all six
 // kinds, from the four dense ones only or from the two sparse ones: blocks
 // on both sides of denseFold.
-func randSurvivors(t testing.TB, rng *rand.Rand, n int) (*ar.Candidates, int) {
+func randSurvivors(t testing.TB, rng *rand.Rand, n int) (*ar.Candidates, []int64, *bwd.Column) {
 	sel := make([]int64, 0, 2*n+64)
 	kinds := func() int { return rng.Intn(6) }
 	for left := n; left > 0 || len(sel) == 0; {
@@ -239,7 +244,7 @@ func randSurvivors(t testing.TB, rng *rand.Rand, n int) (*ar.Candidates, int) {
 	if cands.Len() != n {
 		t.Fatalf("the survivor fixture holds %d candidates, want %d", cands.Len(), n)
 	}
-	return cands, len(sel)
+	return cands, sel, col
 }
 
 func sumOf(vals []int64) (sum int64) {
@@ -250,10 +255,11 @@ func sumOf(vals []int64) (sum int64) {
 }
 
 func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool) *exprInput {
-	in := &exprInput{n: n, groups: 1, binds: map[ColRef]colBind{}, codes: map[ColRef][]uint64{},
-		exact: map[ColRef][]int64{}, ivs: map[ColRef][]ar.Interval{}}
-	cands, scanned := randSurvivors(t, rng, n)
-	in.cands, in.rows = cands, cands.IDs()
+	in := &exprInput{n: n, groups: 1, binds: map[ColRef]colBind{}, tails: map[ColRef][]int64{},
+		codes: map[ColRef][]uint64{}, exact: map[ColRef][]int64{}, ivs: map[ColRef][]ar.Interval{}}
+	in.cands, in.sel, in.selCol = randSurvivors(t, rng, n)
+	in.rows = in.cands.IDs()
+	scanned := len(in.sel)
 	survived := make([]bool, scanned)
 	for _, id := range in.rows {
 		survived[id] = true
@@ -268,8 +274,8 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 		in.aggs = append(in.aggs, a)
 	}
 	for _, ref := range exprTestCols[:ncols] {
-		b := colBind{base: rng.Int63n(3000) - 2000, shift: uint(rng.Intn(3) * rng.Intn(5))}
-		b.err = int64(1)<<b.shift - 1
+		dec := bwd.Decomposition{Base: rng.Int63n(3000) - 2000, ResBits: uint(rng.Intn(3) * rng.Intn(5))}
+		b := colBind{col: &bwd.Column{Dec: dec}, err: dec.Err()}
 		// The column as its table packs it, at a width that decodes through
 		// every path (one word, a straddling value, a whole word); the codes
 		// stay small enough for the oracle's arithmetic.
@@ -291,6 +297,7 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 			b.key, table = key, make([]uint64, dimRows)
 			at = func(row int) int { pos, _ := key.At(row); return pos }
 		}
+		res, tails := make([]uint64, len(table)), make([]int64, len(table))
 		for r := range table {
 			table[r] = uint64(rng.Intn(400)) & bitpack.Mask(width)
 			if !ref.IsDim() && !survived[r] {
@@ -298,16 +305,21 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 				// were it folded, it would move every sum, extreme and count.
 				table[r] = bitpack.Mask(width) * uint64(rng.Intn(2))
 			}
+			res[r] = uint64(rng.Int63n(b.err + 1))
+			tails[r] = dec.Base + int64(table[r]<<dec.ResBits|res[r])
 		}
-		b.packed = bitpack.Pack(width, table)
+		b.col.Approx = bitpack.Pack(width, table)
+		if dec.ResBits > 0 {
+			b.col.Residual = bitpack.Pack(dec.ResBits, res)
+		}
 		codes, exact, ivs := make([]uint64, n), make([]int64, n), make([]ar.Interval, n)
 		for i, id := range in.rows {
 			codes[i] = table[at(int(id))]
-			lo := b.base + int64(codes[i]<<b.shift)
+			lo := dec.Base + int64(codes[i]<<dec.ResBits)
 			ivs[i] = ar.Interval{Lo: lo, Hi: lo + b.err}
-			exact[i] = lo + rng.Int63n(b.err+1)
+			exact[i] = tails[at(int(id))]
 		}
-		in.binds[ref], in.codes[ref], in.exact[ref], in.ivs[ref] = b, codes, exact, ivs
+		in.binds[ref], in.tails[ref], in.codes[ref], in.exact[ref], in.ivs[ref] = b, tails, codes, exact, ivs
 	}
 	if grouped {
 		// Both sides of interleaveGroups, counted with a fold's sink and without.
@@ -334,25 +346,29 @@ func (in *exprInput) certain(i int) bool {
 	return in.mask == nil || in.mask[id/64]>>(id%64)&1 == 1
 }
 
-// check folds the compiled program over the input under pp — exact values,
-// then intervals and the low side alone with every column bound packed and
-// read through the candidates' mask, a dimension column through its key — and
-// holds every accumulator and every aggregate to the oracle; then the exact
-// leg's fold — codes that are the values, no certain mask — by mask, whole
-// blocks and sink included where no column is read through a key.
+// check folds the compiled program over the input under pp — exact values
+// by the mask of a host set over the candidates' rows, every column bound to
+// its values by row, and by the mask of a device set a refinement narrowed,
+// every column bound to code and residual; then intervals and the low side
+// alone with every column bound packed and read through the candidates' mask
+// — a dimension column always through its key — and holds every accumulator
+// and every aggregate to the oracle; then the exact leg's fold — codes that
+// are the values, no certain mask — by mask. The exact folds take whole
+// blocks and sink where no column is read through a key.
 func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	t.Helper()
 	pg := compileAggs(in.aggs)
 	counts := refFold(foldSum, in.groups, in.ids, fill(make([]int64, in.n), 1))
 	// oracle holds every aggregate of an exact fold into acc to the
-	// tree-walker over vals.
-	oracle := func(what string, acc *aggAcc, vals map[ColRef][]int64) {
+	// tree-walker over n rows of vals, grouped by ids.
+	oracle := func(what string, acc *aggAcc, n int, ids []uint32, vals map[ColRef][]int64) {
 		t.Helper()
+		counts := refFold(foldSum, in.groups, ids, fill(make([]int64, n), 1))
 		for k, a := range in.aggs {
 			var want []int64
 			if a.Func != Count {
 				kind := pg.slots[pg.slotOf[k]].kind
-				want = refFold(kind, in.groups, in.ids, refEval(a.Expr, in.n, vals))
+				want = refFold(kind, in.groups, ids, refEval(a.Expr, n, vals))
 			}
 			for g := 0; g < in.groups; g++ {
 				w := counts[g]
@@ -369,20 +385,71 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 			}
 		}
 	}
+	// exactBy folds the program over the candidates set holds, every column
+	// bound to its values by row, or (refined) to code and residual, and
+	// holds it to the oracle over the same candidates, in set's order.
+	index := make(map[bat.OID]int, in.n)
+	for i, id := range in.rows {
+		index[id] = i
+	}
+	exactBy := func(what string, set *ar.Candidates, refined bool) {
+		t.Helper()
+		seg := segment{set: set, binds: map[ColRef]colBind{}}
+		for ref, b := range in.binds {
+			if b.err = 0; !refined {
+				b = colBind{tails: in.tails[ref], key: b.key}
+			}
+			seg.binds[ref] = b
+		}
+		vals, ids := map[ColRef][]int64{}, []uint32(nil)
+		for _, id := range set.IDs() {
+			i := index[id]
+			for ref, exact := range in.exact {
+				vals[ref] = append(vals[ref], exact[i])
+			}
+			if in.ids != nil {
+				ids = append(ids, in.ids[i])
+			}
+		}
+		acc := pg.newAcc(in.groups, false)
+		by := pg.bind(seg)
+		by.ids = ids
+		pg.fold(pp, &acc, by)
+		oracle(what, &acc, set.Len(), ids, vals)
+		acc.release()
+	}
 
-	acc := pg.newAcc(in.groups, false)
-	exact := pg.bindVals(in.exact, in.n)
-	exact.ids = in.ids
-	pg.fold(pp, &acc, exact)
-	oracle("exact values", &acc, in.exact)
-	acc.release()
+	host, err := ar.SelectExact(pp, len(in.sel), bwd.Exactly(nil, in.sel, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactBy("values by a host set's mask", host, false)
+	host.Release()
+	// The refinement keeps every candidate of a block of rows, most of them
+	// or a few, so the narrowed set holds dense blocks and sparse ones.
+	refined := ar.SelectApprox(nil, in.selCol, in.selCol.Relax(1, 1))
+	rng := rand.New(rand.NewSource(int64(in.n)))
+	keep, mode := make([]int64, len(in.sel)), 0
+	for r := range keep {
+		if r%exprBlock == 0 {
+			mode = rng.Intn(3)
+		}
+		if mode == 0 || mode == 1 && rng.Intn(16) > 0 || mode == 2 && rng.Intn(16) == 0 {
+			keep[r] = 1
+		}
+	}
+	if err := refined.Narrow(pp, bwd.Exactly(nil, keep, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	exactBy("code and residual by a refined set's mask", refined, true)
+	refined.Release()
 
-	byMask := rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids, certain: in.mask, by: in.cands}
+	byMask := rows{cols: make([]colBind, len(pg.cols)), ids: in.ids, certain: in.mask, by: in.cands}
 	for i, ref := range pg.cols {
 		byMask.cols[i] = in.binds[ref]
 	}
 	for _, interval := range []bool{true, false} {
-		acc = pg.newAcc(in.groups, interval)
+		acc := pg.newAcc(in.groups, interval)
 		pg.fold(pp, &acc, byMask)
 		if !slices.Equal(acc.cnt, counts) {
 			t.Fatalf("%s: interval fold (interval %v) counted %v, oracle %v", label, interval, acc.cnt, counts)
@@ -443,20 +510,20 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	}
 
 	resident := map[ColRef][]int64{}
-	packed := rows{cols: make([]colBind, len(pg.cols)), n: in.n, ids: in.ids, by: in.cands}
+	packed := rows{cols: make([]colBind, len(pg.cols)), ids: in.ids, by: in.cands}
 	for i, ref := range pg.cols {
 		b := in.binds[ref]
-		packed.cols[i] = colBind{packed: b.packed, key: b.key, base: b.base}
+		packed.cols[i] = colBind{col: &bwd.Column{Dec: bwd.Decomposition{Base: b.col.Dec.Base}, Approx: b.col.Approx}, key: b.key}
 		vals := make([]int64, in.n)
 		for k, code := range in.codes[ref] {
-			vals[k] = b.base + int64(code)
+			vals[k] = b.col.Dec.Base + int64(code)
 		}
 		resident[ref] = vals
 	}
 	for _, interval := range []bool{false, true} {
 		acc := pg.newAcc(in.groups, interval)
 		pg.fold(pp, &acc, packed)
-		oracle(fmt.Sprintf("exact leg by mask (interval %v)", interval), &acc, resident)
+		oracle(fmt.Sprintf("exact leg by mask (interval %v)", interval), &acc, in.n, in.ids, resident)
 		if interval && !slices.Equal(acc.hi, acc.lo) {
 			t.Fatalf("%s: the exact leg's fold by mask bounds [%v, %v], want points", label, acc.lo, acc.hi)
 		}
@@ -468,12 +535,14 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 // for random statements, every exact aggregate and every interval
 // accumulator equals the tree-walking oracle's — at the block edges, across
 // worker counts and morsel sizes, grouped and not (1 to 300 groups, both
-// sides of interleaveGroups), masked and not — by packed column + survivor
-// mask (widths 1 to 64; full, holed, dense, sparse and empty granules, a short
-// last one; blocks on both sides of denseFold; one work-group and several), a
-// dimension column read through a key whose dropped rows have no partner, and
-// the exact leg's fold by mask, whose dense blocks sink dropped rows that
-// hold the extreme codes unless a column is read through a key.
+// sides of interleaveGroups), masked and not — every column read by a
+// survivor mask (widths 1 to 64; full, holed, dense, sparse and empty
+// granules, a short last one; blocks on both sides of denseFold; one
+// work-group and several), a dimension column through a key whose dropped
+// rows have no partner: exact tails by a host set's mask, code and residual
+// by the mask of a set a refinement narrowed, codes as intervals, and the
+// exact leg's codes — the exact folds' dense blocks sinking dropped rows
+// that hold the extreme values unless a column is read through a key.
 func TestExprProgramMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	sizes := []int{0, 1, exprBlock - 1, exprBlock, exprBlock + 1, 3*exprBlock + 7, 100_000} // the last spans three device work-groups
@@ -547,9 +616,10 @@ func TestExprIntervalMulSigns(t *testing.T) {
 
 // TestAggregateAllocsIndependentOfN: a Q1-shaped aggregation — bounds and
 // exact, 2 group keys pre-grouped on the device and refined, the 8
-// aggregates — allocates the same objects at n and 4n: registers and
-// accumulators are blocks from the arena, and so are the group-id vectors,
-// the only things on the path as long as the input.
+// aggregates folded over a segment whose columns are bound to values by row
+// and to code and residual — allocates the same objects at n and 4n:
+// registers and accumulators are blocks from the arena, and so are the
+// group-id vectors, the only things on the path as long as the input.
 func TestAggregateAllocsIndependentOfN(t *testing.T) {
 	discPrice := MulScaled(Col("price"), Sub(Const(100), Col("disc")), 100)
 	aggs := []AggSpec{
@@ -562,16 +632,25 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 	pp := par.P{Threads: 2, Workers: 2}
 	measure := func(n int) (objects, bytes float64) {
 		rng := rand.New(rand.NewSource(3))
-		ctx := &exprCtx{n: n, vals: map[ColRef][]int64{}}
 		cols := make([]colBind, len(pg.cols))
+		binds := map[ColRef]colBind{}
+		ones := make([]uint64, n)
+		for r := range ones {
+			ones[r] = 1
+		}
+		res := bitpack.Pack(2, ones)
 		for i, ref := range pg.cols {
 			vals, codes := make([]int64, n), make([]uint64, n)
 			for r := range vals {
 				codes[r] = uint64(rng.Intn(1000))
 				vals[r] = int64(codes[r])<<2 + 1
 			}
-			ctx.vals[ref] = vals
-			cols[i] = colBind{packed: bitpack.Pack(10, codes), shift: 2, err: 3}
+			col := &bwd.Column{Dec: bwd.Decomposition{ResBits: 2}, Approx: bitpack.Pack(10, codes), Residual: res}
+			cols[i] = colBind{col: col, err: 3}
+			binds[ref] = colBind{tails: vals}
+			if i%2 == 1 {
+				binds[ref] = colBind{col: col}
+			}
 		}
 		flag, status := make([]int64, n), make([]int64, n)
 		for r := range flag {
@@ -592,14 +671,14 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 		}
 		run := func() {
 			acc := pg.newAcc(1, true)
-			pg.fold(pp, &acc, rows{cols: cols, n: n, certain: mask, by: cands})
+			pg.fold(pp, &acc, rows{cols: cols, certain: mask, by: cands})
 			acc.release()
 			pre := ar.GroupApprox(nil, keyCols, cands)
 			grouping, keys, err := ar.GroupRefine(pp, nil, pre)
 			if err != nil || grouping.NGroups != 6 {
 				t.Fatalf("grouping: %d groups, %v", grouping.NGroups, err)
 			}
-			aggregateRows(nil, pp, pg, ctx, nil, grouping, keys, true)
+			aggregateRows(nil, pp, pg, []segment{{set: cands, binds: binds}}, nil, grouping, keys, true)
 			mem.U32.Put(grouping.IDs)
 			pre.Release()
 		}

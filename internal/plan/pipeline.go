@@ -5,9 +5,10 @@
 //   - a scan source per leg of the table (exec_scatter.go) — the A&R
 //     bit-sliced base scan (approximate select → ship → refine) or the
 //     classic bulk scan — that applies the selections and joins and emits
-//     the same product either way: the exact-value tuple stream of the base
-//     segment plus the delta segment's contribution, which the classic
-//     selection scans for both (exec_delta.go). A join is the same thing in
+//     the same product either way: the survivor set of the base segment and
+//     of the delta segment, which the classic selection scans for both
+//     (exec_delta.go), each with the binding of every column the tail reads
+//     by its mask (segment). A join is the same thing in
 //     all three: key − base through the dimension's FK index
 //     (execSnap.joinKey, bwd.Key), which every scan reads its survivor mask
 //     through like any conjunct — no list of dimension positions travels
@@ -334,32 +335,48 @@ func (st *pipeState) startTrace(classic bool) {
 	st.res.Trace = st.tr
 }
 
-// scanOut is what every scan source produces: the base segment's exact
-// tuple values, the delta segment's (scanDelta; nil without one), and — A&R
-// only — the device pre-grouping awaiting refinement with its surviving
-// candidates. An exact A&R leg hands over accumulators instead of values.
+// scanOut is what every scan source produces: its segments — the base's,
+// then the delta's when there is one (scanDelta) — and, A&R only, the device
+// pre-grouping awaiting refinement over the base's surviving candidates. An
+// exact A&R leg hands over accumulators instead of bindings. The out owns
+// the segments' sets and the pre-grouping until release.
 type scanOut struct {
-	ectx, delta *exprCtx
-	mg          *ar.Grouping
-	refined     *ar.Candidates
-	// exact is set by an exact A&R leg, with acc: the aggregates of
-	// refined, already folded per group of mg, in place of ectx's values.
+	segs segments
+	mg   *ar.Grouping
+	// exact is set by an exact A&R leg, with acc: the aggregates of the base
+	// segment, already folded per group of mg.
 	exact bool
 	acc   aggAcc
 }
 
-// finish is the shared downstream pipeline over the gathered tuple set:
-// group, aggregate, filter with HAVING, and order/limit. classic is the
-// statement's mode — the tail of a mixed-mode scatter follows it, not any
-// one leg's.
+// release returns the pre-grouping, every segment's set and an exact leg's
+// accumulators to the arena. A nil out releases nothing.
+func (out *scanOut) release() {
+	if out != nil {
+		out.mg.Release()
+		for _, s := range out.segs {
+			s.set.Release()
+		}
+		out.acc.release()
+	}
+}
+
+// finish is the shared downstream pipeline over the gathered segments: group,
+// aggregate, filter with HAVING, and order/limit. classic is the statement's
+// mode — the tail of a mixed-mode scatter follows it, not any one leg's.
 func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
-	q, ectx := &pl.q, out.ectx
+	q := &pl.q
 
 	// Grouping — refined from the A&R device pre-grouping when one exists,
-	// rebuilt on the host over the combined tuple set otherwise.
+	// rebuilt on the host over the segments' key columns otherwise.
 	var grouping *bulk.Grouping
 	var groupKeys [][]int64
 	var err error
+	defer func() {
+		if grouping != nil {
+			mem.U32.Put(grouping.IDs)
+		}
+	}()
 	switch {
 	case out.mg != nil:
 		if err := st.step(StageRefine); err != nil {
@@ -378,9 +395,17 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		if err := st.step(stage); err != nil {
 			return err
 		}
+		// The key columns are read by mask into one arena buffer: the one
+		// n-length copy the host grouping needs.
+		n := out.segs.rows()
+		buf := mem.I64.GetN(len(q.GroupBy) * n)
+		defer mem.I64.Put(buf)
 		cols := make([][]int64, len(q.GroupBy))
 		for k, g := range q.GroupBy {
-			cols[k] = ectx.vals[ColRef{Name: g}]
+			cols[k] = buf[k*n : (k+1)*n]
+			if err := out.segs.fill(st.pp, ColRef{Name: g}, cols[k]); err != nil {
+				return err
+			}
 		}
 		grouping, groupKeys = bulk.GroupBy(st.pp, st.m, cols)
 		st.emit(grouping.NGroups, -1, obs.Op{Fmt: "%[1]s(%[2]s)", A: label, B: pl.groupText})
@@ -391,7 +416,8 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	// is a fused, statically expanded loop (§V-C) reading each input column
 	// once — unlike the classic engine, which materializes every
 	// arithmetic intermediate (§II-B). On the host both are the one compiled
-	// program folded block by block (expr.go); the two models differ in what
+	// program folded block by block over the segments, each column read by
+	// mask where it lies (expr.go); the two models differ in what
 	// aggregateRows charges the meter, not in what runs.
 	if err := st.step(StageAggregate); err != nil {
 		return err
@@ -400,7 +426,7 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	if out.exact {
 		folded = &out.acc
 	}
-	rows := aggregateRows(st.m, st.pp, pl.prog, ectx, folded, grouping, groupKeys, !classic)
+	rows := aggregateRows(st.m, st.pp, pl.prog, out.segs, folded, grouping, groupKeys, !classic)
 	aggr := "bwd.%[1]srefine(%[2]s)"
 	if classic {
 		aggr = "aggr.%[1]s(%[2]s)"
@@ -417,15 +443,6 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		return err
 	}
 	st.res.Rows = dropHidden(q, rows)
-	// The combined tuple values and the group-id vector are dead once
-	// aggregated: the result rows own their key/value slices, so the
-	// exact-value buffers recycle.
-	for _, vals := range ectx.vals {
-		mem.I64.Put(vals)
-	}
-	if grouping != nil {
-		mem.U32.Put(grouping.IDs)
-	}
 	return nil
 }
 
@@ -730,15 +747,16 @@ func exprText(e Expr) string {
 
 // ---- Shared aggregation operators ----
 
-// aggregateRows folds the statement's compiled aggregates over the exact
-// values, per group — or takes the accumulators folded an exact A&R leg
-// already holds (folded non-nil), billing the aggregation all the same. Rows
-// come out in group-discovery order, every row's Keys and Vals carved from
-// one backing array; the caller establishes the output order (sortRows, or
-// ORDER BY's comparator) after HAVING.
-func aggregateRows(m *device.Meter, pp par.P, pg *program, ctx *exprCtx, folded *aggAcc, grouping *bulk.Grouping, groupKeys [][]int64, fused bool) []Row {
+// aggregateRows folds the statement's compiled aggregates over the segments'
+// exact values, segment after segment, per group — a segment's candidates
+// take the next stretch of the grouping's ids — or takes the accumulators an
+// exact A&R leg already holds (folded non-nil), billing the aggregation all
+// the same. Rows come out in group-discovery order, every row's Keys and Vals
+// carved from one backing array; the caller establishes the output order
+// (sortRows, or ORDER BY's comparator) after HAVING.
+func aggregateRows(m *device.Meter, pp par.P, pg *program, segs segments, folded *aggAcc, grouping *bulk.Grouping, groupKeys [][]int64, fused bool) []Row {
 	if m != nil {
-		chargeAggregation(m, pp.NThreads(), pg.aggs, int64(ctx.n), grouping != nil, fused)
+		chargeAggregation(m, pp.NThreads(), pg.aggs, int64(segs.rows()), grouping != nil, fused)
 	}
 	groups, nk, nv := 1, 0, len(pg.aggs)
 	if grouping != nil {
@@ -749,11 +767,12 @@ func aggregateRows(m *device.Meter, pp par.P, pg *program, ctx *exprCtx, folded 
 		acc = *folded
 	} else {
 		acc = pg.newAcc(groups, false)
-		in := pg.bindVals(ctx.vals, ctx.n)
+		defer acc.release()
+		var ids []uint32
 		if grouping != nil {
-			in.ids = grouping.IDs
+			ids = grouping.IDs
 		}
-		pg.fold(pp, &acc, in)
+		segs.fold(pp, pg, &acc, ids)
 	}
 	rows := make([]Row, groups)
 	cells := make([]int64, groups*(nk+nv))
@@ -772,7 +791,6 @@ func aggregateRows(m *device.Meter, pp par.P, pg *program, ctx *exprCtx, folded 
 			row[nk+k] = pg.value(&acc, k, g)
 		}
 	}
-	acc.release()
 	return rows
 }
 

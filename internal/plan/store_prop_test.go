@@ -610,8 +610,8 @@ func TestParallelCancelledDeltaScanReturnsError(t *testing.T) {
 	lg := &x.legs[0]
 	lg.st = c.newState(ctx, ExecOpts{Threads: 1, Workers: 4, Morsel: 64}, pl.nOps)
 	out, err := lg.pl.scanDelta(&lg.st, pl.tail)
-	if out != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled delta scan returned %+v, %v; want no tuples and context.Canceled", out, err)
+	if out.set != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled delta scan returned %+v, %v; want no segment and context.Canceled", out, err)
 	}
 	dl := lg.pl
 	dl.delta = true
