@@ -1,10 +1,6 @@
 package ar
 
-import (
-	"math/bits"
-
-	"repro/internal/device"
-)
+import "repro/internal/device"
 
 // Aggregation in the A&R framework depends on the aggregation function
 // (§IV-F). Count is the one aggregate that needs no column — it is a
@@ -14,15 +10,13 @@ import (
 
 // CountApprox returns the approximate count — the candidate-set size,
 // an upper bound on the exact count — as an interval whose lower bound
-// subtracts the candidates that might still be false positives.
+// subtracts the candidates that might still be false positives: the size of
+// the split's certain set (Split), which is all a count builds of it.
 func CountApprox(m *device.Meter, cands *Candidates) Interval {
 	n := cands.Len()
 	certain := n
-	if mask := cands.CertainMask(); mask != nil {
-		certain = 0
-		for _, w := range mask {
-			certain += bits.OnesCount64(w)
-		}
+	if cands.splitOff(); cands.certain != nil {
+		certain = cands.certain.Len()
 	}
 	if m != nil {
 		m.GPUKernel(int64(n)*4, 0, int64(n))

@@ -11,7 +11,7 @@ import (
 )
 
 // The A&R scan hot path — approximate selection, the approximate count and
-// the certain mask it builds, refinement, release — and the classic one — the
+// the certain set it splits off, refinement, release — and the classic one — the
 // host set's exact selection, a gathered column, release — must run at zero
 // heap allocations per query in steady state: every buffer they touch cycles
 // through the arena, and the set's header through its pool. The guards run the serial morsel path (one worker
@@ -72,7 +72,7 @@ func newScanFixture(t testing.TB, vals []int64) *scanFixture {
 
 func runARScan(f *scanFixture) {
 	cands := SelectApprox(nil, f.col, f.rng)
-	CountApprox(nil, cands) // the fixture column keeps residual bits: a certain mask
+	CountApprox(nil, cands) // the fixture column keeps residual bits: a certain set
 	if err := SelectRefine(par.P{}, nil, f.col, nil, f.lo, f.hi, cands); err != nil {
 		panic(err)
 	}

@@ -21,11 +21,12 @@
 // On the host both subplans share one currency, the candidate set's survivor
 // mask (DESIGN.md §13): the approximate selections narrow it, and so do the
 // refinements, which compare exact values — code and residual concatenated —
-// in the granules the bounds leave open; the candidates that certainly
-// qualify, which bound the phase-A aggregates, are a narrowing of a copy of
-// it by each filter's interior codes. A refined set is the phase-A set,
-// narrower; its candidate order is the mask's, so it is aligned with every
-// phase-A intermediate for free. The paper realigns the permuted output of a
+// in the granules the bounds leave open. The phase-A aggregates are bounded
+// by two more sets split off it (Split): the candidates that certainly
+// qualify, a narrowing of a copy of the mask by each filter's interior codes,
+// and the rest, which may be false positives. A refined set is the phase-A
+// set, narrower; its candidate order is the mask's, so it is aligned with
+// every phase-A intermediate for free. The paper realigns the permuted output of a
 // device kernel with a translucent join (Algorithm 1); here that join is the
 // mask itself, and it remains in the meter as the operator it stands for
 // (chargeTranslucentJoin).
@@ -77,21 +78,23 @@ type attachment struct {
 // structural path — the tuples of a superset of the exact result, in device
 // (permuted) order, and the relaxed predicate of every column that filtered
 // them — and of the classic selection (SelectExact), the exact result in row
-// order. On the device the filtered columns' codes travel with the tuples,
-// and Ship bills them: once candidates are shipped to the host, the codes are
-// the CPU's only view of the major bits. The host never lists them; a reader
-// decodes the packed column by mask.
+// order, and of a device set's certainty split (Split), its certain and its
+// uncertain candidates in its order. On the device the filtered columns'
+// codes travel with the tuples, and Ship bills them: once candidates are
+// shipped to the host, the codes are the CPU's only view of the major bits.
+// The host never lists them; a reader decodes the packed column by mask.
 //
 // A set is its survivor mask, one bit per scanned row (DESIGN.md §13); a scan
 // of no rows is a mask of none. Further conjuncts, disjunction groups, the
 // deletion bitmap, the join chain — probes, dimension deletions, dimension
 // filters — and every refinement narrow the mask in place (narrow, MaskOut,
-// JoinApprox, Narrow), and the certain mask is one more narrowing of a copy
-// (CertainMask). Candidate order is fixed by the mask and the set's
-// constructor: work-groups in par.PermuteInto order on the device, in index
-// order on the host, rows ascending inside one. Nothing lists the ids but IDs,
-// for tests: ProjectApprox, GroupApprox, the refinements, Values and the
-// aggregate program read the mask by granule.
+// JoinApprox, Narrow), and its split into the certain and the uncertain
+// candidates (Split) is one more narrowing of a copy. Candidate order is
+// fixed by the mask and the set's constructor: work-groups in
+// par.PermuteInto order on the device, in index order on the host, rows
+// ascending inside one. Nothing lists the ids but IDs, for tests:
+// ProjectApprox, GroupApprox, the refinements, Values and the aggregate
+// program read the mask by granule.
 type Candidates struct {
 	attach  []attachment
 	shipped bool
@@ -106,17 +109,20 @@ type Candidates struct {
 	offs             []int
 	permuted, sealed bool
 	// walk is the scratch a narrowing step compiles its disjuncts into, and
-	// steps the ends of the certain mask's steps in it; both stay with the
-	// pooled header so that a step allocates nothing.
+	// steps the ends of the split's steps in it; both stay with the pooled
+	// header so that a step allocates nothing.
 	walk  []bwd.Disjunct
 	steps []int
 	// pooled is set while the set owns its arena buffers; Release clears
 	// it as it returns them.
 	pooled bool
-	// certain caches CertainMask: built on first use (the attachments are
-	// complete once a set leaves its constructor), recycled by Release.
-	certain      []uint64
-	certainBuilt bool
+	// certain and uncertain cache the split (Split): built on first use (the
+	// attachments are complete once a set leaves its constructor) — the
+	// uncertain set only when asked for, a count needing the certain one
+	// alone — and released with the set or when it narrows further; split
+	// records that the narrowing ran.
+	certain, uncertain *Candidates
+	split              bool
 }
 
 // open lays an empty set out over rows rows, in work-groups of chunk rows
@@ -164,7 +170,7 @@ func (c *Candidates) all() {
 }
 
 // Release returns the candidate set's buffers (the mask, the work-group
-// offsets and the certain mask) to the arena and empties the set. It must
+// offsets and the split's sets) to the arena and empties the set. It must
 // only be called once nothing references the set — the pipeline calls it once
 // the tail has aggregated. Releasing a released set is a no-op.
 func (c *Candidates) Release() {
@@ -181,8 +187,7 @@ func (c *Candidates) Release() {
 	clear(c.walk)
 	c.walk, c.steps = c.walk[:0], c.steps[:0]
 	c.shipped = false
-	mem.U64.Put(c.certain)
-	c.certain, c.certainBuilt = nil, false
+	c.dropSplit()
 	candPool.Put(c)
 }
 
@@ -275,27 +280,41 @@ func (c *Candidates) boundaryFree(k int) bool {
 	return true
 }
 
-// CertainMask returns the candidates that cannot be false positives, in the
-// survivor mask's layout — bit r%64 of word r/64 for row r — or nil when every
+// Split divides the set by certainty: certain holds the candidates that
+// cannot be false positives, uncertain the rest — or both are nil when every
 // candidate is certain, which a look at the attachments alone often settles
 // (all filtered columns fully device resident). A candidate is certain when
 // its code on every filtered column lies in that filter's interior, away from
 // the boundary buckets; for a disjunction group, some member's must. The
-// approximate aggregates use it to bound the true count, sum and extremum
-// (§IV-F, Fig 6).
+// approximate aggregates fold the two sets apart to bound the true count, sum
+// and extremum (§IV-F, Fig 6). Both are host sets over this set's rows, in
+// its work-groups and order, so each one's candidate order is this set's
+// restricted to its rows; this set owns them.
 //
-// That test is one more selection, so the mask is one more narrowing: one
-// step per filter that can leave a boundary, a conjunct's interior or a
+// That test is one more selection, so the certain set is one more narrowing:
+// one step per filter that can leave a boundary, a conjunct's interior or a
 // group's interiors as its disjuncts, each read through its key. Every
 // work-group's survivor words are copied and narrowed by each step in turn
 // while they are hot (narrowCertain), on every host core; the walk files no
-// granule outcomes and lists no candidate. The set builds the mask on first
-// use and owns it.
-func (c *Candidates) CertainMask() []uint64 {
-	if c.certainBuilt {
-		return c.certain
+// granule outcomes and lists no candidate. The uncertain set is a copy of
+// the survivors with the certain ones masked out.
+func (c *Candidates) Split() (certain, uncertain *Candidates) {
+	c.splitOff()
+	if c.certain != nil && c.uncertain == nil {
+		c.uncertain = c.part()
+		copy(c.uncertain.mask, c.mask)
+		c.uncertain.MaskOut(c.certain.mask)
 	}
-	c.certainBuilt = true
+	return c.certain, c.uncertain
+}
+
+// splitOff builds the certain set on first use: the narrowing's one run, all
+// a count needs (CountApprox).
+func (c *Candidates) splitOff() {
+	if c.split {
+		return
+	}
+	c.split = true
 	c.walk, c.steps = c.walk[:0], c.steps[:0]
 	for k := range c.attach {
 		if c.boundaryFree(k) || !c.leads(k) {
@@ -309,9 +328,9 @@ func (c *Candidates) CertainMask() []uint64 {
 		c.steps = append(c.steps, len(c.walk))
 	}
 	if len(c.steps) == 0 || c.n == 0 {
-		return nil
+		return
 	}
-	c.certain = mem.U64.GetN(len(c.mask))
+	c.certain = c.part()
 	if len(c.offs) == 1 {
 		c.narrowCertain(0, c.rows)
 	} else {
@@ -319,10 +338,24 @@ func (c *Candidates) CertainMask() []uint64 {
 		p.Chunk = c.chunk
 		p.For(c.rows, c.narrowCertain)
 	}
-	return c.certain
+	c.certain.recount()
 }
 
-// leads reports whether attachment k starts a step of the certain mask: a
+// part opens an empty set over c's rows, in c's work-groups and order.
+func (c *Candidates) part() *Candidates {
+	p := getCandidates()
+	p.open(c.rows, c.chunk, c.permuted)
+	return p
+}
+
+// dropSplit returns the split's sets to the arena.
+func (c *Candidates) dropSplit() {
+	c.certain.Release()
+	c.uncertain.Release()
+	c.certain, c.uncertain, c.split = nil, nil, false
+}
+
+// leads reports whether attachment k starts a step of the split: a
 // conjunct does, and so does the first member of a disjunction group.
 func (c *Candidates) leads(k int) bool {
 	for j := range k {
@@ -333,16 +366,17 @@ func (c *Candidates) leads(k int) bool {
 	return true
 }
 
-// narrowCertain builds the certain mask of work-group [lo,hi): its survivor
-// words copied, then narrowed by every step compiled into walk.
+// narrowCertain builds the certain set's words of work-group [lo,hi): its
+// survivor words copied, then narrowed by every step compiled into walk.
 func (c *Candidates) narrowCertain(lo, hi int) {
 	g0, g1 := lo/bwd.GranuleRows, granulesTo(hi)
-	copy(c.certain[g0:g1], c.mask[g0:g1])
-	from := 0
+	copy(c.certain.mask[g0:g1], c.mask[g0:g1])
+	from, n := 0, 0
 	for _, to := range c.steps {
-		bwd.NarrowGranules(c.walk[from:to], c.certain, lo, hi)
+		n, _ = bwd.NarrowGranules(c.walk[from:to], c.certain.mask, lo, hi)
 		from = to
 	}
+	c.certain.offs[lo/c.chunk] = n
 }
 
 // Ship charges the PCI-E transfer that moves the candidate set (IDs plus

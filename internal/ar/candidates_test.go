@@ -12,13 +12,27 @@ import (
 	"repro/internal/par"
 )
 
-// certainAt reports whether the certain mask holds row r; nil holds every
-// row.
-func certainAt(mask []uint64, r bat.OID) bool {
-	return mask == nil || mask[r/64]>>(r%64)&1 == 1
+// splitIDs lists c's split, the certain set's ids and the uncertain set's,
+// in candidate order: every candidate certain when there is no split.
+func splitIDs(c *Candidates) (certain, uncertain []bat.OID) {
+	sure, unsure := c.Split()
+	if sure == nil {
+		return c.IDs(), nil
+	}
+	return sure.IDs(), unsure.IDs()
 }
 
-// refCertain is the certain mask's definition, for one survivor row: its code
+// certainOf reports, per row, whether c's split holds it certain.
+func certainOf(c *Candidates) func(r bat.OID) bool {
+	sure, _ := splitIDs(c)
+	holds := make(map[bat.OID]bool, len(sure))
+	for _, id := range sure {
+		holds[id] = true
+	}
+	return func(r bat.OID) bool { return holds[r] }
+}
+
+// refCertain is the certain set's definition, for one survivor row: its code
 // on every filtered column — a dimension's at the position its key joins — lies
 // off the two boundary buckets of that column's relaxed range (always, on a
 // resident column or under a full range); for a disjunction group, some
@@ -51,9 +65,9 @@ func TestCertainWithFullRange(t *testing.T) {
 	vals := shuffledInts(1000, 91)
 	col := decompose(t, vals, 4)
 	cands := SelectApprox(nil, col, col.Relax(-10000, 10000)) // Full
-	mask := cands.CertainMask()
+	certain := certainOf(cands)
 	for _, id := range cands.IDs() {
-		if !certainAt(mask, id) {
+		if !certain(id) {
 			t.Fatal("full-range selection cannot produce false positives")
 		}
 	}
@@ -63,9 +77,9 @@ func TestCertainResidentAlwaysTrue(t *testing.T) {
 	vals := shuffledInts(1000, 92)
 	col := decompose(t, vals, 32) // resident: exact codes
 	cands := SelectApprox(nil, col, col.Relax(100, 200))
-	mask := cands.CertainMask()
+	certain := certainOf(cands)
 	for _, id := range cands.IDs() {
-		if !certainAt(mask, id) {
+		if !certain(id) {
 			t.Fatal("resident column codes are exact; all candidates certain")
 		}
 	}
@@ -165,27 +179,33 @@ func TestShippedFlagPropagation(t *testing.T) {
 	}
 }
 
-// checkCertain holds c's certain mask to refCertain, row by row over every
-// word of the survivor mask, and CountApprox to its popcount. It returns how
-// many candidates are certain.
+// checkCertain holds c's split to refCertain, row by row over every word of
+// the survivor mask — a survivor is in the certain set exactly when the
+// reference says it is certain, in the uncertain set otherwise, and a row the
+// mask dropped in neither — and CountApprox to the certain set's size. It
+// returns how many candidates are certain.
 func checkCertain(t *testing.T, name string, c *Candidates) int {
 	t.Helper()
-	mask := c.CertainMask()
-	if mask != nil && len(mask) != len(c.mask) {
-		t.Fatalf("%s: certain mask of %d words over a survivor mask of %d", name, len(mask), len(c.mask))
+	sure, unsure := splitIDs(c)
+	in := map[bat.OID]int{} // 1: certain, 2: uncertain
+	for i, ids := range [][]bat.OID{sure, unsure} {
+		for _, id := range ids {
+			in[id] += i + 1
+		}
 	}
 	certain := 0
 	for r := 0; r < len(c.mask)*64; r++ {
 		survives := c.mask[r/64]>>(r%64)&1 == 1
-		want, got := survives && refCertain(c, r), survives
-		if mask != nil {
-			got = certainAt(mask, bat.OID(r))
-		}
-		if got != want {
-			t.Fatalf("%s: row %d (survives %v) certain = %v, reference %v", name, r, survives, got, want)
-		}
-		if want {
+		want := 0
+		switch {
+		case survives && refCertain(c, r):
+			want = 1
 			certain++
+		case survives:
+			want = 2
+		}
+		if got := in[bat.OID(r)]; got != want {
+			t.Fatalf("%s: row %d (survives %v) in split set %d, reference %d", name, r, survives, got, want)
 		}
 	}
 	if iv := CountApprox(nil, c); iv.Lo != int64(certain) || iv.Hi != int64(c.Len()) {
@@ -194,12 +214,12 @@ func checkCertain(t *testing.T, name string, c *Candidates) int {
 	return certain
 }
 
-// The certain mask is its per-row definition, bit for bit, in the survivor
-// mask's layout, across three work-groups: for conjunctions whose interior is
-// empty (a relaxed range one or two codes wide) or one code wide (three), a
-// dimension filter read through a key, and disjunction groups whose members
-// are full, empty, resident and residual — nil exactly when the attachments
-// alone rule every false positive out, and what CountApprox counts.
+// The split is its per-row definition, row for row, across three
+// work-groups: for conjunctions whose interior is empty (a relaxed range one
+// or two codes wide) or one code wide (three), a dimension filter read
+// through a key, and disjunction groups whose members are full, empty,
+// resident and residual — nil exactly when the attachments alone rule every
+// false positive out, and what CountApprox counts.
 func TestCertainMaskMatchesCertain(t *testing.T) {
 	const n = 2*gpuChunk + 100
 	vals := shuffledInts(n, 98)
@@ -233,8 +253,8 @@ func TestCertainMaskMatchesCertain(t *testing.T) {
 		if len(tc.c.offs) != 3 || tc.c.Len() == 0 {
 			t.Fatalf("%s: %d candidates over %d work-groups", tc.name, tc.c.Len(), len(tc.c.offs))
 		}
-		if tc.c.CertainMask() == nil {
-			t.Fatalf("%s: a filter with residual bits has boundary buckets: want a mask", tc.name)
+		if sure, _ := tc.c.Split(); sure == nil {
+			t.Fatalf("%s: a filter with residual bits has boundary buckets: want a split", tc.name)
 		}
 		certain := checkCertain(t, tc.name, tc.c)
 		if tc.some != (certain > 0 && certain < tc.c.Len()) {
@@ -243,18 +263,17 @@ func TestCertainMaskMatchesCertain(t *testing.T) {
 		tc.c.Release()
 	}
 	exact := SelectApprox(nil, resident, resident.Relax(100, 200))
-	if exact.CertainMask() != nil {
-		t.Fatal("a resident column's candidates are all certain: no mask")
+	if sure, unsure := exact.Split(); sure != nil || unsure != nil {
+		t.Fatal("a resident column's candidates are all certain: no split")
 	}
 }
 
 // A disjunction whose every member is fully device resident (or spans its
 // whole column) is boundary-free like such a conjunct: each candidate
 // matched some member's relaxed range and that range was the predicate, so
-// the set settles "all certain" from its attachments — no mask is built and
-// no position is read — whether the group
-// started the set or narrowed it. One member with residual bits brings the
-// mask back.
+// the set settles "all certain" from its attachments — no split is built and
+// no position is read — whether the group started the set or narrowed it.
+// One member with residual bits brings the split back.
 func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 	vals := shuffledInts(2*gpuChunk+100, 99)
 	split, resident, other := decompose(t, vals, 6), decompose(t, vals, 32), decompose(t, shuffledInts(len(vals), 100), 32)
@@ -269,8 +288,8 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 		if cands.Len() == 0 {
 			t.Fatalf("%s: the fixture selects nothing", name)
 		}
-		if cands.CertainMask() != nil {
-			t.Fatalf("%s: a mask for a disjunction over resident columns", name)
+		if sure, _ := cands.Split(); sure != nil {
+			t.Fatalf("%s: a split for a disjunction over resident columns", name)
 		}
 		if iv := CountApprox(nil, cands); iv.Lo != iv.Hi || iv.Hi != int64(cands.Len()) {
 			t.Fatalf("%s: CountApprox = %v, want the point %d", name, iv, cands.Len())
@@ -283,13 +302,13 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 		cands.Release()
 	}
 	mixed := SelectApproxAny(nil, []*bwd.Column{resident, split}, []bwd.ApproxRange{resident.Relax(0, n/3), split.Relax(n/2, n)}, 1)
-	if mixed.CertainMask() == nil {
-		t.Fatal("a member with residual bits has boundary buckets: want a mask")
+	if sure, _ := mixed.Split(); sure == nil {
+		t.Fatal("a member with residual bits has boundary buckets: want a split")
 	}
 }
 
 // Certainty lists nothing: over a residual conjunct, a disjunction group with
-// a residual member and a dimension filter read through a key, CertainMask and
+// a residual member and a dimension filter read through a key, Split and
 // CountApprox narrow a copy of the survivor mask, which the set's own mask
 // stays untouched by.
 func TestCertainMaskEmitsNothing(t *testing.T) {
@@ -302,16 +321,65 @@ func TestCertainMaskEmitsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c = SelectApproxOver(nil, dimCol, key, dimCol.Relax(2000, 7000), c)
-	if c.CertainMask() == nil {
-		t.Fatal("fixture: every filter has residual bits, want a mask")
-	}
 	before, kept := slices.Clone(c.mask), c.Len()
+	if sure, _ := c.Split(); sure == nil {
+		t.Fatal("fixture: every filter has residual bits, want a split")
+	}
 	CountApprox(nil, c)
 	if !slices.Equal(c.mask, before) || c.Len() != kept {
-		t.Fatalf("the certain mask of %d candidates narrowed the set to %d", kept, c.Len())
+		t.Fatalf("the split of %d candidates narrowed the set to %d", kept, c.Len())
 	}
 	checkCertain(t, "residual conjunct, disjunction, dimension filter", c)
 	c.Release()
+}
+
+// The split partitions the survivor set in its candidate order: the certain
+// and the uncertain set, over the set's rows and in its work-groups, hold
+// between them every candidate once, each one the set's candidate order
+// restricted to its rows — at one work-group and at several, whether or not
+// a count built the certain one first. A
+// further conjunct narrows the set and drops its split, which is then split
+// off the narrower mask.
+func TestSplitPartitionsTheSurvivors(t *testing.T) {
+	for _, n := range []int{5000, 3*gpuChunk + 100} {
+		col := decompose(t, shuffledInts(n, 102), 6)
+		for _, countFirst := range []bool{false, true} {
+			c := SelectApprox(nil, col, col.Relax(int64(n/10), int64(n-n/10)))
+			for step := range 2 {
+				label := fmt.Sprintf("%d rows, count first %v, step %d", n, countFirst, step)
+				if countFirst {
+					CountApprox(nil, c)
+				}
+				sure, unsure := c.Split()
+				if sure == nil || sure.Len() == 0 || unsure.Len() == 0 {
+					t.Fatalf("%s: the fixture leaves candidates certain and uncertain", label)
+				}
+				if sure.Len()+unsure.Len() != c.Len() || sure.WorkGroups() != c.WorkGroups() || unsure.WorkGroups() != c.WorkGroups() {
+					t.Fatalf("%s: %d + %d candidates over %d, %d work-groups over %d", label, sure.Len(), unsure.Len(), c.Len(), sure.WorkGroups(), c.WorkGroups())
+				}
+				if iv := CountApprox(nil, c); iv.Lo != int64(sure.Len()) {
+					t.Fatalf("%s: CountApprox = %v, %d certain", label, iv, sure.Len())
+				}
+				a, b := sure.IDs(), unsure.IDs()
+				for _, id := range c.IDs() {
+					switch {
+					case len(a) > 0 && a[0] == id:
+						a = a[1:]
+					case len(b) > 0 && b[0] == id:
+						b = b[1:]
+					default:
+						t.Fatalf("%s: candidate %d is next in neither set", label, id)
+					}
+				}
+				if len(a)+len(b) > 0 {
+					t.Fatalf("%s: %d ids in the split past the set's", label, len(a)+len(b))
+				}
+				checkCertain(t, label, c)
+				c = SelectApproxOver(nil, col, nil, col.Relax(int64(n/5), int64(n/2)), c)
+			}
+			c.Release()
+		}
+	}
 }
 
 // Values, walked block by block in candidate order, is a per-row loop over

@@ -111,7 +111,7 @@ func SelectApprox(m *device.Meter, col *bwd.Column, r bwd.ApproxRange) *Candidat
 // column's packed approximation and emits the tuples whose code matches
 // any relaxed range — a superset of the exact OR result, in the same
 // deterministic permutation as a conjunctive scan. All disjunct columns
-// attach to the candidates under one disjunction group id, so CertainMask can
+// attach to the candidates under one disjunction group id, so Split can
 // evaluate the group as a whole.
 func SelectApproxAny(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange, group int) *Candidates {
 	c := getCandidates()
@@ -226,13 +226,11 @@ func (c *Candidates) recount() {
 
 // reopen readies the set for a narrowing, which rewrites every work-group's
 // survivor count: slots sealed in candidate order become counts again (seal
-// recomputes them, in the same order), and the certain mask built from the
-// old mask goes back to the arena, to be built from the narrower one on
-// demand.
+// recomputes them, in the same order), and the split of the old mask goes
+// back to the arena, to be split off the narrower one on demand.
 func (c *Candidates) reopen() {
 	c.sealed = false
-	mem.U64.Put(c.certain)
-	c.certain, c.certainBuilt = nil, false
+	c.dropSplit()
 }
 
 // MaskOut clears the candidates whose bit is set in drop — a bitmap over the

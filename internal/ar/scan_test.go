@@ -22,7 +22,7 @@ import (
 // bounds exactly — with one disjunct and with several, alone and as the
 // start of a chain of further conjuncts, disjunction groups and a deletion
 // bitmap, under 1, 2 and 4 workers — the candidate ids, their order, the
-// filters attached, the certain mask, row by row, and the meter must equal
+// filters attached, the split, row by row, and the meter must equal
 // what a Get-per-row scan under the same work-group permutation, filtered row
 // by row by every later step, produces.
 
@@ -321,19 +321,19 @@ func checkScans(t *testing.T, sys *device.System, cases []scanCase) {
 					at++
 				}
 			}
-			// nil: every candidate certain, the survivor mask itself.
-			mask := c.CertainMask()
-			if mask != nil && len(mask) != len(sc.certain) {
-				t.Fatalf("%s workers=%d: certain mask of %d words over %d rows", sc.label, workers, len(mask), sc.cols[0].Len())
+			// The split: the reference's ids, in candidate order, kept by
+			// the certain set when the reference holds them certain and by
+			// the uncertain one otherwise.
+			var wantSure, wantUnsure []bat.OID
+			for _, id := range sc.ids {
+				if sc.certain[id/64]>>(id%64)&1 == 1 {
+					wantSure = append(wantSure, id)
+				} else {
+					wantUnsure = append(wantUnsure, id)
+				}
 			}
-			for w, want := range sc.certain {
-				got := c.mask[w]
-				if mask != nil {
-					got = mask[w]
-				}
-				if got != want {
-					t.Fatalf("%s workers=%d: rows %d–%d certain %#x, per-row reference %#x", sc.label, workers, 64*w, 64*w+63, got, want)
-				}
+			if sure, unsure := splitIDs(c); !slices.Equal(sure, wantSure) || !slices.Equal(unsure, wantUnsure) {
+				t.Fatalf("%s workers=%d: split %d certain, %d uncertain; per-row reference %d, %d", sc.label, workers, len(sure), len(unsure), len(wantSure), len(wantUnsure))
 			}
 			if *got != sc.meter {
 				t.Fatalf("%s workers=%d: meter %v, reference %v", sc.label, workers, got, &sc.meter)

@@ -131,18 +131,19 @@ func TestSelectRefinePreservesCandidateOrder(t *testing.T) {
 	col := decompose(t, vals, 9)
 	cands := SelectApprox(nil, col, col.Relax(100, 40000))
 	phaseA := slices.Clone(cands.IDs())
-	cands.CertainMask()
+	cands.Split()
 	if err := SelectRefine(par.P{}, nil, col, nil, 100, 40000, cands); err != nil {
 		t.Fatal(err)
 	}
 	if cands.Len() == len(phaseA) {
 		t.Fatal("test needs false positives to be meaningful")
 	}
-	// What phase A built — the ids, the certain mask — is built again from the
+	// What phase A built — the ids, the split — is built again from the
 	// narrower mask.
-	codes, certain := ProjectApprox(nil, col, nil, cands).Codes(), cands.CertainMask()
-	if len(codes) != cands.Len() || len(certain) != len(cands.mask) {
-		t.Fatalf("%d candidates, %d codes, %d certain words over %d mask words", cands.Len(), len(codes), len(certain), len(cands.mask))
+	codes := ProjectApprox(nil, col, nil, cands).Codes()
+	sure, unsure := cands.Split()
+	if len(codes) != cands.Len() || sure == nil || sure.Len()+unsure.Len() != cands.Len() {
+		t.Fatalf("%d candidates, %d codes, split %v", cands.Len(), len(codes), sure != nil)
 	}
 	checkCertain(t, "refined", cands)
 	for i, id := range cands.IDs() {
@@ -280,15 +281,15 @@ func TestCertainFlagsBoundaryBuckets(t *testing.T) {
 	col := decompose(t, vals, 6) // 10 bits -> 6/4: bucket size 16
 	lo, hi := int64(100), int64(200)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
-	mask := cands.CertainMask()
+	certain := certainOf(cands)
 	for _, id := range cands.IDs() {
 		v := vals[id]
 		bucketLo := v/16 == lo/16
 		bucketHi := v/16 == hi/16
-		if certainAt(mask, id) && (bucketLo || bucketHi) {
+		if certain(id) && (bucketLo || bucketHi) {
 			t.Fatalf("boundary-bucket candidate %d flagged certain", v)
 		}
-		if !certainAt(mask, id) && !bucketLo && !bucketHi {
+		if !certain(id) && !bucketLo && !bucketHi {
 			t.Fatalf("interior candidate %d flagged uncertain", v)
 		}
 	}

@@ -20,10 +20,10 @@
 // goroutine — what loaders and examples pass, and the ground truth tests
 // compare parallel runs against. Results are byte-identical for every
 // worker count: selections concatenate morsel outputs in morsel order, and
-// grouping/aggregation build per-worker partial states over contiguous
-// blocks that merge in block order, preserving first-appearance group
-// order exactly. (The executor's grouped and expression aggregates are the
-// compiled program of internal/plan.)
+// grouping builds per-worker partial states over contiguous blocks that
+// merge in block order, preserving first-appearance group order exactly.
+// (The executor's aggregates are the compiled program of internal/plan;
+// OpsAggregate is what it bills per row.)
 //
 // The selections here — SelectRange, then SelectOIDs per further conjunct,
 // an id list handed from each to the next — are the model the classic
@@ -42,7 +42,7 @@ import (
 )
 
 // oidPool recycles candidate lists through the shared bat.OIDPool arena;
-// values and aggregate partials ride the shared mem pools.
+// values and group ids ride the shared mem pools.
 var oidPool = &bat.OIDPool
 
 // Per-tuple op weights used for compute-cost charging. A plain comparison
@@ -359,96 +359,5 @@ func (t *tupleTable) grow() {
 			at = (at + 1) & mask
 		}
 		t.slots[at] = s
-	}
-}
-
-// Sum returns the sum of vals.
-func Sum(p par.P, m *device.Meter, vals []int64) int64 {
-	var s int64
-	if serial(p, len(vals)) {
-		for _, v := range vals {
-			s += v
-		}
-	} else {
-		nb := p.NBlocks(len(vals))
-		parts := mem.I64.GetN(nb)
-		clear(parts)
-		par.RunBlocks(p, len(vals), func(b, lo, hi int) {
-			var bs int64
-			for _, v := range vals[lo:hi] {
-				bs += v
-			}
-			parts[b] += bs
-		})
-		for _, v := range parts {
-			s += v
-		}
-		mem.I64.Put(parts)
-	}
-	charge(m, p.NThreads(), len(vals), 8)
-	return s
-}
-
-// Min returns the smallest value; ok is false on empty input.
-func Min(p par.P, m *device.Meter, vals []int64) (int64, bool) {
-	return extrema(p, m, vals, true)
-}
-
-// Max returns the largest value; ok is false on empty input.
-func Max(p par.P, m *device.Meter, vals []int64) (int64, bool) {
-	return extrema(p, m, vals, false)
-}
-
-func extrema(p par.P, m *device.Meter, vals []int64, min bool) (int64, bool) {
-	if len(vals) == 0 {
-		return 0, false
-	}
-	best := vals[0]
-	if serial(p, len(vals)) {
-		for _, v := range vals[1:] {
-			if better(min, v, best) {
-				best = v
-			}
-		}
-	} else {
-		nb := p.NBlocks(len(vals))
-		parts := mem.I64.GetN(nb)
-		clear(parts)
-		par.RunBlocks(p, len(vals), func(b, lo, hi int) {
-			bb := vals[lo]
-			for _, v := range vals[lo+1 : hi] {
-				if better(min, v, bb) {
-					bb = v
-				}
-			}
-			if blo, _ := p.BlockRange(len(vals), b); lo == blo || better(min, bb, parts[b]) {
-				parts[b] = bb
-			}
-		})
-		best = parts[0]
-		for _, v := range parts[1:] {
-			if better(min, v, best) {
-				best = v
-			}
-		}
-		mem.I64.Put(parts)
-	}
-	charge(m, p.NThreads(), len(vals), 8)
-	return best, true
-}
-
-// better is the extremum comparison: a improves on b. A named function
-// (not a captured closure) so the serial aggregate paths stay
-// allocation-free.
-func better(min bool, a, b int64) bool {
-	if min {
-		return a < b
-	}
-	return a > b
-}
-
-func charge(m *device.Meter, threads, n, bytesPer int) {
-	if m != nil {
-		m.CPUWork(threads, int64(n)*int64(bytesPer), 0, int64(n)*OpsAggregate)
 	}
 }

@@ -105,25 +105,6 @@ func TestGroupByPropertyPartition(t *testing.T) {
 	}
 }
 
-func TestGlobalAggregates(t *testing.T) {
-	vals := []int64{3, -1, 7, 0}
-	if s := Sum(par.P{}, nil, vals); s != 9 {
-		t.Errorf("Sum = %d, want 9", s)
-	}
-	if lo, ok := Min(par.P{}, nil, vals); !ok || lo != -1 {
-		t.Errorf("Min = %d,%v, want -1,true", lo, ok)
-	}
-	if hi, ok := Max(par.P{}, nil, vals); !ok || hi != 7 {
-		t.Errorf("Max = %d,%v, want 7,true", hi, ok)
-	}
-	if _, ok := Min(par.P{}, nil, nil); ok {
-		t.Error("Min on empty input reported ok")
-	}
-	if _, ok := Max(par.P{}, nil, nil); ok {
-		t.Error("Max on empty input reported ok")
-	}
-}
-
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	f := func(rawL, rawR []uint8) bool {
 		left := make([]int64, len(rawL))
@@ -246,9 +227,6 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		g, k := GroupBy(par.P{}, nil, cols)
 		wantG, wantKeys = append(wantG, g), append(wantKeys, k)
 	}
-	wantSum := Sum(par.P{}, nil, vals)
-	wantMin, _ := Min(par.P{}, nil, vals)
-	wantMax, _ := Max(par.P{}, nil, vals)
 
 	eqOID := func(t *testing.T, what string, got, want []bat.OID) {
 		t.Helper()
@@ -293,15 +271,6 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 						eq64(t, "GroupBy keys", gotKeys[k], wantKeys[c][k])
 					}
 				}
-				if got := Sum(p, nil, vals); got != wantSum {
-					t.Fatalf("Sum = %d, want %d", got, wantSum)
-				}
-				if got, _ := Min(p, nil, vals); got != wantMin {
-					t.Fatalf("Min = %d, want %d", got, wantMin)
-				}
-				if got, _ := Max(p, nil, vals); got != wantMax {
-					t.Fatalf("Max = %d, want %d", got, wantMax)
-				}
 			})
 		}
 	}
@@ -326,7 +295,6 @@ func TestParallelChargesMatchSerial(t *testing.T) {
 		ids := SelectRange(p, m, b, 0, 500_000)
 		Fetch(p, m, b, ids)
 		GroupBy(p, m, [][]int64{keys})
-		Sum(p, m, vals)
 		return m
 	}
 	for _, threads := range []int{1, 4} {

@@ -113,7 +113,7 @@ func (c *Column) Relax(lo, hi int64) ApproxRange {
 		// merely the code range: with lo inside bucket 0 (or hi inside the top
 		// bucket) the boundary buckets still hold potential false positives,
 		// and consumers treat Full as "no boundary uncertainty" (the interior
-		// ar's certain mask narrows by, the skipped scan) — marking such a
+		// ar's certain set narrows by, the skipped scan) — marking such a
 		// range Full would overstate the phase-A lower bounds.
 		r.Full = slo == 0
 	}

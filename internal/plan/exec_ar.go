@@ -239,9 +239,15 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	}
 
 	// ---- Delta scan: the append segment lives in host memory and is never
-	// decomposed; the classic selection scans its columns exactly.
+	// decomposed; the classic selection scans its columns exactly. The
+	// segments travel on to the shared tail; Run releases their sets after
+	// aggregation (with the pre-grouping, which still reads the base's).
 	if delta, err = pl.scanDelta(st, need); err != nil {
 		return nil, err
+	}
+	out.segs = segments{base}
+	if delta.set != nil {
+		out.segs = append(out.segs, delta)
 	}
 
 	// Phase-A approximate answer: strict bounds from approximations over
@@ -252,7 +258,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	if exact {
 		out.acc, st.res.Approx = exactFold(ar.OnDevice(pp), m, pl.prog, base, out.mg)
 	} else {
-		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, base, delta)
+		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, out.segs)
 	}
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {
@@ -346,13 +352,6 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 		base.binds[ref] = colBind{col: projections[ref].Col, key: projections[ref].Key}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
 	}
-
-	// The segments travel on to the shared tail; Run releases their sets
-	// after aggregation (with the pre-grouping, which still reads the base's).
-	out.segs = segments{base}
-	if delta.set != nil {
-		out.segs = append(out.segs, delta)
-	}
 	return out, nil
 }
 
@@ -395,24 +394,38 @@ func (pl pipeline) keyFor(keys []bwd.Key, dim string) *bwd.Key {
 	return nil
 }
 
-// approxAnswer derives the phase-A bounds: the candidate-count interval, and
-// per aggregate the sum/min/max bounds the compiled program folds from the
-// approximate projections over the base segment — a candidate that may be a
-// false positive (outside the certain-mask) widens a sum only toward zero —
-// plus the exact contributions of the qualifying delta rows, the delta
-// segment folded by its mask (the delta is host resident and undecomposed,
-// so its values carry no approximation error).
-func approxAnswer(pp par.P, m *device.Meter, pg *program, base, delta segment) ApproxAnswer {
+// approxAnswer derives the phase-A bounds of a leg's segments, its base
+// first: the candidate-count interval, and per aggregate the sum/min/max
+// bounds the compiled program folds, in one fold, from the approximate
+// projections over the base's certain and uncertain candidates (Split) — one
+// that may be a false positive widens a sum only toward zero and an
+// extreme's inner bound not at all — plus the exact contributions of the
+// qualifying delta rows, the delta segment folded by its mask (the delta is
+// host resident and undecomposed, so its values carry no approximation
+// error). A classic leg's base is a host set with no split and exact
+// columns, so its answer is exact, every interval a point; it bills nothing
+// (m nil).
+func approxAnswer(pp par.P, m *device.Meter, pg *program, segs segments) ApproxAnswer {
+	base := segs[0]
+	var certain, uncertain *ar.Candidates
+	if len(pg.slots) > 0 {
+		certain, uncertain = base.set.Split()
+	}
 	out := ApproxAnswer{Count: ar.CountApprox(m, base.set), Aggs: make([]ar.Interval, len(pg.aggs))}
 	acc := pg.newAcc(1, true)
-	in := pg.bind(base)
-	in.certain = base.set.CertainMask()
-	pg.fold(pp, &acc, in)
-	if delta.set != nil {
-		out.Count.Lo += int64(delta.set.Len())
-		out.Count.Hi += int64(delta.set.Len())
-		pg.fold(pp, &acc, pg.bind(delta))
+	var buf [3]rows // the base's certain and uncertain sets and the delta, on the stack
+	ins := append(buf[:0], pg.bind(base))
+	if certain != nil {
+		ins[0].by = certain
+		ins = append(ins, ins[0])
+		ins[1].by, ins[1].uncertain = uncertain, true
 	}
+	for _, d := range segs[1:] {
+		out.Count.Lo += int64(d.set.Len())
+		out.Count.Hi += int64(d.set.Len())
+		ins = append(ins, pg.bind(d))
+	}
+	pg.fold(pp, &acc, ins...)
 	for k, a := range pg.aggs {
 		if a.Func == Count {
 			out.Aggs[k] = out.Count

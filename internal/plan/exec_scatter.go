@@ -28,7 +28,6 @@ import (
 	"repro/internal/ar"
 	"repro/internal/device"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/shard"
 )
 
@@ -154,7 +153,7 @@ func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
 	if pl.classic && !stmtClassic {
 		// A classic leg's partial is exact, so a mixed-mode scatter still
 		// reports strict phase-A bounds.
-		st.res.Approx = exactAnswer(st.pp, pl.prog, lg.out.segs)
+		st.res.Approx = approxAnswer(st.pp, nil, pl.prog, lg.out.segs)
 	}
 }
 
@@ -350,17 +349,6 @@ func scatterInputBytes(pl *Plan, legs []leg) int64 {
 		total += s.fact.DeltaBytes()
 	}
 	return total
-}
-
-// exactAnswer derives a degenerate (exact) phase-A answer from a classic
-// partition scan's segments: one ungrouped fold over them, read off the way
-// an exact A&R leg's accumulators are (program.answer).
-func exactAnswer(pp par.P, pg *program, segs segments) ApproxAnswer {
-	acc := pg.newAcc(1, false)
-	segs.fold(pp, pg, &acc, nil)
-	out := pg.answer(&acc)
-	acc.release()
-	return out
 }
 
 // combineAnswers folds per-partition phase-A answers into bounds for the

@@ -1,12 +1,12 @@
 // The compiled form of a statement's aggregate expressions: the paper's
 // "fused, statically expanded loop" (§V-C) on the host. The aggregates of
 // one statement compile once into one flat register program; every place
-// that needs their values — the phase-A bounds (approxAnswer), an exact
-// leg's one aggregation (exactFold), the exact aggregation of the shared
-// tail (aggregateRows) and a classic leg's degenerate phase-A answer
-// (exactAnswer) — folds that program over its rows a block at a time,
-// straight into the accumulators. No intermediate is ever as long as the
-// input: a worker holds one block of each register.
+// that needs their values — the phase-A bounds (approxAnswer, a classic leg's
+// degenerate ones too), an exact leg's one aggregation (exactFold) and the
+// exact aggregation of the shared tail (aggregateRows) — folds that program
+// over its rows a block at a time, straight into the accumulators. No
+// intermediate is ever as long as the input: a worker holds one block of each
+// register.
 package plan
 
 import (
@@ -232,15 +232,14 @@ func (c *colBind) whole(room []int64, g0, n int) []int64 {
 
 // rows is the input of one fold: the candidates of by, reached through its
 // mask in candidate order, and the bound columns; ids, when set, each
-// candidate's group; certain, when set, by's rows that certainly qualify, in
-// the layout of by's mask (ar.Candidates.CertainMask) — a row outside it may
-// turn out a false positive, so it adds to a sum only what moves the bound
-// outward and to a minimum's or maximum's inner bound nothing.
+// candidate's group. uncertain says every candidate may turn out a false
+// positive (ar.Candidates.Split), so each adds to a sum only what moves the
+// bound outward and to a minimum's or maximum's inner bound nothing.
 type rows struct {
-	cols    []colBind
-	ids     []uint32
-	certain []uint64
-	by      *ar.Candidates
+	cols      []colBind
+	ids       []uint32
+	uncertain bool
+	by        *ar.Candidates
 }
 
 // segment is a survivor set and the binding of every column the tail reads
@@ -457,19 +456,20 @@ const denseFold = 52
 // slot into acc. The inputs' work-groups, one input after the other, split
 // into the P's worker blocks — a work-group's slot in candidate order keeps
 // its input's ids aligned — each block folding into its own partial state,
-// merged in block order. An input of exact columns with no certain mask — an
-// exact leg's, a refined or classic one's, a delta's — has its dense blocks
-// taken whole: the partial states then carry a sink group past acc's last,
-// which the merge drops. A column read through a key rules that out: a row
-// the mask dropped may hold a key with no partner, which addresses no value.
+// merged in block order. An input of exact columns — an exact leg's, a
+// refined or classic one's, a delta's, phase A's certain or uncertain
+// candidates over resident columns — has its dense blocks taken whole: the
+// partial states then carry a sink group past acc's last, which the merge
+// drops. A column read through a key rules that out: a row the mask dropped
+// may hold a key with no partner, which addresses no value.
 func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
-	units, n, grouped, sink, certain := 0, 0, false, false, false
+	units, n, grouped, sink, uncertain := 0, 0, false, false, false
 	for i := range ins {
 		units += ins[i].by.WorkGroups()
 		n += ins[i].by.Len()
 		grouped = grouped || ins[i].ids != nil
 		sink = sink || ins[i].sinks()
-		certain = certain || ins[i].certain != nil
+		uncertain = uncertain || ins[i].uncertain
 	}
 	switch {
 	case n == 0:
@@ -514,7 +514,7 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 	if first < nb {
 		carved = mem.I64.GetN((nb - first) * size)
 	}
-	need := pg.scratchNeed(exact, interval, certain)
+	need := pg.scratchNeed(exact, interval, uncertain)
 	for b := range frames {
 		r := regs[2*len(pg.code)*b : 2*len(pg.code)*(b+1)]
 		frames[b] = frame{s: mem.GetScratch(), lo: r[:len(pg.code)], hi: r[len(pg.code):]}
@@ -572,23 +572,24 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 	mem.I64.Put(carved)
 }
 
-// sinks reports whether a fold may take the input's dense blocks whole: no
-// certain mask, and every column exact and read where its rows lie.
+// sinks reports whether a fold may take the input's dense blocks whole: every
+// column exact and read where its rows lie.
 func (in *rows) sinks() bool {
-	ok := in.certain == nil
 	for _, c := range in.cols {
-		ok = ok && c.key == nil && c.err == 0
+		if c.key != nil || c.err != 0 {
+			return false
+		}
 	}
-	return ok
+	return true
 }
 
 // scratchNeed bounds the int64s foldBlock carves for one block: a row per
-// register (two for an interval one, a value for a scalar one), per slot side
-// a scalar is filled out to or the certain mask rewrites, and the block's
-// certain bits. fold sizes every frame's scratch for it at once, so a fresh
-// one — sync.Pool drops a pooled scratch now and then — is one array, not
-// the five a doubling growth through Q1's nine registers allocates.
-func (pg *program) scratchNeed(exact []bool, interval, certain bool) int {
+// register (two for an interval one, a value for a scalar one), and per slot
+// side a scalar is filled out to or an uncertain input's sum clamps. fold
+// sizes every frame's scratch for it at once, so a fresh one — sync.Pool
+// drops a pooled scratch now and then — is one array, not the five a
+// doubling growth through Q1's nine registers allocates.
+func (pg *program) scratchNeed(exact []bool, interval, uncertain bool) int {
 	n := exprBlock
 	need := 0
 	for r := range pg.code {
@@ -609,12 +610,9 @@ func (pg *program) scratchNeed(exact []bool, interval, certain bool) int {
 		if pg.scalar[sl.reg] {
 			need += sides * n
 		}
-		if certain {
+		if uncertain && sl.kind == foldSum {
 			need += sides * n
 		}
-	}
-	if certain {
-		need += (n + 63) / 64
 	}
 	return need
 }
@@ -634,15 +632,11 @@ func asCodes(reg []int64) []uint64 {
 // the sink.
 func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, hi, g0, g1 int, whole bool) {
 	n := hi - lo
-	var mask, certain []uint64
+	var mask []uint64
 	if whole {
 		mask, n = in.by.Granules(g0, g1)
 	}
 	f.s.Reset()
-	if in.certain != nil {
-		survivors, _ := in.by.Granules(g0, g1)
-		certain = compactBits(asCodes(f.s.I64((n+63)/64)), survivors, in.certain[g0:g1])
-	}
 	for r := range pg.code {
 		ins := &pg.code[r]
 		if ins.op == opCol {
@@ -702,18 +696,17 @@ func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, h
 			if high == 1 {
 				vals = f.hi[sl.reg]
 			}
+			switch {
+			case !in.uncertain:
+			case sl.kind == foldSum:
+				vals = clampUncertain(f.s.I64(len(vals)), vals, high == 1)
+			case (sl.kind == foldMax) == (high == 0):
+				// The inner bound of an extreme — a maximum's low side, a
+				// minimum's high — rests on rows that certainly qualify.
+				continue
+			}
 			if len(vals) < n {
 				vals = fill(f.s.I64(n), vals[0]) // a scalar, aggregated per row
-			}
-			if certain != nil {
-				switch {
-				case sl.kind == foldSum:
-					vals = clampUncertain(f.s.I64(n), vals, certain, high == 1)
-				case (sl.kind == foldMax) == (high == 0):
-					// The inner bound of an extreme — a maximum's low side,
-					// a minimum's high — rests on rows that certainly qualify.
-					vals = dropUncertain(f.s.I64(n), vals, certain, sl.kind.identity())
-				}
 			}
 			foldInto(sl.kind, into[s*g:(s+1)*g], ids, vals)
 		}
@@ -818,47 +811,19 @@ func evalInterval(ins *instr, lo, hi [][]int64, outLo, outHi []int64) {
 	}
 }
 
-// compactBits writes the bits of certain that stand at the survivors of mask
-// — certain is a narrowing of mask, word for word — into out, one after the
-// other in row order, which is the block's candidate order, and returns out.
-func compactBits(out, mask, certain []uint64) []uint64 {
-	clear(out)
-	k := uint(0)
-	for g, word := range mask {
-		for w, c := word, certain[g]; w != 0; w &= w - 1 {
-			out[k>>6] |= (c >> uint(bits.TrailingZeros64(w)) & 1) << (k & 63)
-			k++
+// clampUncertain writes vals into out moved toward zero where that widens a
+// sum's bound — the high bound's negatives and the low bound's positives
+// become zero — and returns out: a false positive contributes nothing, so it
+// can lower the high bound or raise the low one no further than that.
+func clampUncertain(out, vals []int64, high bool) []int64 {
+	if high {
+		for i, v := range vals {
+			out[i] = max(v, 0)
 		}
+		return out
 	}
-	return out
-}
-
-// clampUncertain copies vals into out, moving the value of every row whose
-// certain bit is clear to zero where that widens a sum's bound: a false
-// positive contributes nothing, so it can lower the high bound or raise the
-// low one no further than that.
-func clampUncertain(out, vals []int64, certain []uint64, high bool) []int64 {
 	for i, v := range vals {
-		if certain[i>>6]>>(uint(i)&63)&1 == 0 && (v < 0) == high {
-			v = 0
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// dropUncertain copies vals into out with the fold's identity in place of
-// every row whose certain bit is clear. A false positive may hold the
-// greatest (least) value among the candidates: only a row that certainly
-// qualifies proves the maximum at least (the minimum at most) its own value
-// (§IV-F, Fig 6). With no such row the bound stays at the identity —
-// nothing is known, as the count's low end of zero says.
-func dropUncertain(out, vals []int64, certain []uint64, identity int64) []int64 {
-	for i, v := range vals {
-		if certain[i>>6]>>(uint(i)&63)&1 == 0 {
-			v = identity
-		}
-		out[i] = v
+		out[i] = min(v, 0)
 	}
 	return out
 }

@@ -171,7 +171,10 @@ func randExpr(rng *rand.Rand, depth, ncols int, pool *[]Expr) Expr {
 // oracle reads. The n rows are the
 // candidates a scan of a longer table left (cands, still carrying its
 // survivor mask; rows lists them; sel is the table's survivor column, 1 at a
-// candidate's row, and selCol its decomposition).
+// candidate's row that certainly qualifies and 2 at one that may not, and
+// selCol its decomposition). Masked, some candidates are uncertain, and the
+// scans for each of the two values split cands as ar.Candidates.Split does:
+// sure and unsure, each in cands' candidate order restricted to its rows.
 type exprInput struct {
 	aggs   []AggSpec
 	n      int
@@ -186,18 +189,21 @@ type exprInput struct {
 	ivs    map[ColRef][]ar.Interval
 	ids    []uint32 // nil: ungrouped
 	groups int
-	mask   []uint64 // the certain rows, in the layout of cands' mask; nil: every row certain
+	sure   *ar.Candidates // nil: every candidate certain
+	unsure *ar.Candidates
 }
 
 // randSurvivors draws the table behind n candidates: which of its rows
 // survived — granule words that are full, lack one row, lack a few, are
 // dense, sparse or empty, in random order, the last granule short — and the
 // candidate set a scan for exactly those rows leaves, the survivor column
-// it scanned (1 at a surviving row) and its decomposition. A fold reads the mask
+// it scanned (1 at a surviving row; masked, 2 at a third of them or at nine
+// in ten, the uncertain ones, so that either set's blocks may be dense) and
+// its decomposition. A fold reads the mask
 // in blocks of exprBlock rows, and each block draws its words from all six
 // kinds, from the four dense ones only or from the two sparse ones: blocks
 // on both sides of denseFold.
-func randSurvivors(t testing.TB, rng *rand.Rand, n int) (*ar.Candidates, []int64, *bwd.Column) {
+func randSurvivors(t testing.TB, rng *rand.Rand, n int, masked bool) (*ar.Candidates, []int64, *bwd.Column) {
 	sel := make([]int64, 0, 2*n+64)
 	kinds := func() int { return rng.Intn(6) }
 	for left := n; left > 0 || len(sel) == 0; {
@@ -236,11 +242,17 @@ func randSurvivors(t testing.TB, rng *rand.Rand, n int) (*ar.Candidates, []int64
 	for left := n - int(sumOf(sel)); left > 0; left-- {
 		sel = append(sel, 1) // the cut took survivors with it
 	}
+	share := []float64{1.0 / 3, 0.9}[rng.Intn(2)] // of the survivors, uncertain
+	for r := 0; masked && r < len(sel); r++ {
+		if sel[r] == 1 && rng.Float64() < share {
+			sel[r] = 2
+		}
+	}
 	col, err := bwd.Decompose(bat.NewDense(sel, bat.Width32), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := ar.SelectApprox(nil, col, col.Relax(1, 1))
+	cands := ar.SelectApprox(nil, col, col.Relax(1, 2))
 	if cands.Len() != n {
 		t.Fatalf("the survivor fixture holds %d candidates, want %d", cands.Len(), n)
 	}
@@ -257,7 +269,7 @@ func sumOf(vals []int64) (sum int64) {
 func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool) *exprInput {
 	in := &exprInput{n: n, groups: 1, binds: map[ColRef]colBind{}, tails: map[ColRef][]int64{},
 		codes: map[ColRef][]uint64{}, exact: map[ColRef][]int64{}, ivs: map[ColRef][]ar.Interval{}}
-	in.cands, in.sel, in.selCol = randSurvivors(t, rng, n)
+	in.cands, in.sel, in.selCol = randSurvivors(t, rng, n, masked)
 	in.rows = in.cands.IDs()
 	scanned := len(in.sel)
 	survived := make([]bool, scanned)
@@ -330,20 +342,33 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 		}
 	}
 	if masked {
-		in.mask = make([]uint64, (scanned+63)/64)
-		for _, id := range in.rows {
-			if rng.Intn(3) > 0 {
-				in.mask[id/64] |= 1 << (id % 64)
-			}
-		}
+		in.sure = ar.SelectApprox(nil, in.selCol, in.selCol.Relax(1, 1))
+		in.unsure = ar.SelectApprox(nil, in.selCol, in.selCol.Relax(2, 2))
 	}
 	return in
 }
 
 // certain reports whether candidate i certainly qualifies.
 func (in *exprInput) certain(i int) bool {
-	id := in.rows[i]
-	return in.mask == nil || in.mask[id/64]>>(id%64)&1 == 1
+	return in.sel[in.rows[i]] == 1
+}
+
+// splitInputs is the fold's input over the candidates: one by cands' mask,
+// or — masked — the certain and the uncertain set, each with the groups of
+// its candidates.
+func (in *exprInput) splitInputs(cols []colBind) []rows {
+	if in.sure == nil {
+		return []rows{{cols: cols, ids: in.ids, by: in.cands}}
+	}
+	var ids [2][]uint32 // nil, ungrouped
+	for i, g := range in.ids {
+		k := 0
+		if !in.certain(i) {
+			k = 1
+		}
+		ids[k] = append(ids[k], g)
+	}
+	return []rows{{cols: cols, ids: ids[0], by: in.sure}, {cols: cols, ids: ids[1], uncertain: true, by: in.unsure}}
 }
 
 // check folds the compiled program over the input under pp — exact values
@@ -353,7 +378,7 @@ func (in *exprInput) certain(i int) bool {
 // alone with every column bound packed and read through the candidates' mask
 // — a dimension column always through its key — and holds every accumulator
 // and every aggregate to the oracle; then the exact leg's fold — codes that
-// are the values, no certain mask — by mask. The exact folds take whole
+// are the values, no uncertain candidate — by mask. The exact folds take whole
 // blocks and sink where no column is read through a key.
 func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	t.Helper()
@@ -419,7 +444,7 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 		acc.release()
 	}
 
-	host, err := ar.SelectExact(pp, len(in.sel), bwd.Exactly(nil, in.sel, 1, 1))
+	host, err := ar.SelectExact(pp, len(in.sel), bwd.Exactly(nil, in.sel, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +452,7 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	host.Release()
 	// The refinement keeps every candidate of a block of rows, most of them
 	// or a few, so the narrowed set holds dense blocks and sparse ones.
-	refined := ar.SelectApprox(nil, in.selCol, in.selCol.Relax(1, 1))
+	refined := ar.SelectApprox(nil, in.selCol, in.selCol.Relax(1, 2))
 	rng := rand.New(rand.NewSource(int64(in.n)))
 	keep, mode := make([]int64, len(in.sel)), 0
 	for r := range keep {
@@ -444,13 +469,14 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	exactBy("code and residual by a refined set's mask", refined, true)
 	refined.Release()
 
-	byMask := rows{cols: make([]colBind, len(pg.cols)), ids: in.ids, certain: in.mask, by: in.cands}
+	cols := make([]colBind, len(pg.cols))
 	for i, ref := range pg.cols {
-		byMask.cols[i] = in.binds[ref]
+		cols[i] = in.binds[ref]
 	}
+	byMask := in.splitInputs(cols)
 	for _, interval := range []bool{true, false} {
 		acc := pg.newAcc(in.groups, interval)
-		pg.fold(pp, &acc, byMask)
+		pg.fold(pp, &acc, byMask...)
 		if !slices.Equal(acc.cnt, counts) {
 			t.Fatalf("%s: interval fold (interval %v) counted %v, oracle %v", label, interval, acc.cnt, counts)
 		}
@@ -535,7 +561,8 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 // for random statements, every exact aggregate and every interval
 // accumulator equals the tree-walking oracle's — at the block edges, across
 // worker counts and morsel sizes, grouped and not (1 to 300 groups, both
-// sides of interleaveGroups), masked and not — every column read by a
+// sides of interleaveGroups), masked and not — a masked input split into its
+// certain and its uncertain candidates, folded apart — every column read by a
 // survivor mask (widths 1 to 64; full, holed, dense, sparse and empty
 // granules, a short last one; blocks on both sides of denseFold; one
 // work-group and several), a dimension column through a key whose dropped
@@ -614,8 +641,9 @@ func TestExprIntervalMulSigns(t *testing.T) {
 	}
 }
 
-// TestAggregateAllocsIndependentOfN: a Q1-shaped aggregation — bounds and
-// exact, 2 group keys pre-grouped on the device and refined, the 8
+// TestAggregateAllocsIndependentOfN: a Q1-shaped aggregation — bounds over
+// the certain and the uncertain candidates a residual filter's split leaves,
+// and exact, 2 group keys pre-grouped on the device and refined, the 8
 // aggregates folded over a segment whose columns are bound to values by row
 // and to code and residual — allocates the same objects at n and 4n:
 // registers and accumulators are blocks from the arena, and so are the
@@ -665,14 +693,21 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 			keyCols = append(keyCols, col)
 		}
 		cands := ar.SelectApprox(nil, keyCols[0], bwd.ApproxRange{Full: true})
-		mask := make([]uint64, (n+63)/64)
-		for i := range mask {
-			mask[i] = rng.Uint64()
+		filterVals := make([]int64, n)
+		for r := range filterVals {
+			filterVals[r] = int64(rng.Intn(1024))
+		}
+		filter, err := bwd.Decompose(bat.NewDense(filterVals, bat.Width32), 4, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		run := func() {
+			filtered := ar.SelectApprox(nil, filter, filter.Relax(100, 300))
+			sure, unsure := filtered.Split()
 			acc := pg.newAcc(1, true)
-			pg.fold(pp, &acc, rows{cols: cols, certain: mask, by: cands})
+			pg.fold(pp, &acc, rows{cols: cols, by: sure}, rows{cols: cols, uncertain: true, by: unsure})
 			acc.release()
+			filtered.Release()
 			pre := ar.GroupApprox(nil, keyCols, cands)
 			grouping, keys, err := ar.GroupRefine(pp, nil, pre)
 			if err != nil || grouping.NGroups != 6 {
