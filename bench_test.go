@@ -263,6 +263,43 @@ func BenchmarkOpSelectClassic(b *testing.B) {
 // (ar.ScanStats): the share skipped or settled from the bounds and the share
 // that had codes compared.
 func BenchmarkOpScanRangeMix(b *testing.B) {
+	sess := tripsSession(b)
+	defer sess.Close()
+	rng := rand.New(rand.NewSource(1))
+	next := func() string {
+		switch p := rng.Float64(); {
+		case p < 0.15:
+			return tripsBox(rng, boxWide)
+		case p < 0.15+0.85/4:
+			return tripsBox(rng, boxHot)
+		}
+		return tripsBox(rng, boxAny)
+	}
+	runScanRange(b, sess, next)
+}
+
+// BenchmarkOpScanRangeBoxes runs the scan_range mix one box class at a time,
+// so a change to the scans says which class it moved: wide (side 15–40°,
+// which the planner sends to the classic scan), hot (sides 0.05–2° on the
+// hot spot) and any (sides 0.05–2° anywhere). It uses only the engine's
+// session API, like BenchmarkOpScanRangeMix.
+func BenchmarkOpScanRangeBoxes(b *testing.B) {
+	sess := tripsSession(b)
+	defer sess.Close()
+	for _, class := range []struct {
+		name string
+		box  int
+	}{{"wide", boxWide}, {"hot", boxHot}, {"any", boxAny}} {
+		b.Run(class.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			runScanRange(b, sess, func() string { return tripsBox(rng, class.box) })
+		})
+	}
+}
+
+// tripsSession loads scan_range's 2 M trips, decomposed as Table I says, and
+// opens a session on them in auto mode.
+func tripsSession(b *testing.B) *engine.Session {
 	c := plan.NewCatalog(device.PaperSystem())
 	d := spatial.Generate(2_000_000, 1)
 	if err := d.Load(c); err != nil {
@@ -271,32 +308,44 @@ func BenchmarkOpScanRangeMix(b *testing.B) {
 	if err := d.Decompose(c); err != nil {
 		b.Fatal(err)
 	}
-	eng := engine.New(c, engine.Options{})
-	sess := eng.Session()
-	defer sess.Close()
+	return engine.New(c, engine.Options{}).Session()
+}
+
+// The box classes of the scan_range mix.
+const (
+	boxWide = iota // side 15–40°, anywhere it fits
+	boxHot         // side 0.05–2°, centred near the hot spot
+	boxAny         // side 0.05–2°, anywhere
+)
+
+// tripsBox draws one range count over a box of class box.
+func tripsBox(rng *rand.Rand, box int) string {
 	const (
 		lonMin, lonMax = -12.62427, 29.64975
 		latMin, latMax = 27.09371, 70.13643
 		hotLon, hotLat = 2.69258, 50.43535
 	)
-	rng := rand.New(rand.NewSource(1))
 	uniform := func(lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
 	narrow := func() float64 { return 0.05 * math.Pow(2/0.05, rng.Float64()) }
-	next := func() string {
-		var lon, lat, side float64
-		switch p := rng.Float64(); {
-		case p < 0.15:
-			side = uniform(15, 40)
-			lon, lat = uniform(lonMin+side/2, lonMax-side/2), uniform(latMin+side/2, latMax-side/2)
-		case p < 0.15+0.85/4:
-			side = narrow()
-			lon, lat = hotLon+uniform(-side/4, side/4), hotLat+uniform(-side/4, side/4)
-		default:
-			lon, lat, side = uniform(lonMin, lonMax), uniform(latMin, latMax), narrow()
-		}
-		return fmt.Sprintf("select count(lon) from trips where lon between %.5f and %.5f and lat between %.5f and %.5f",
-			lon-side/2, lon+side/2, lat-side/2, lat+side/2)
+	var lon, lat, side float64
+	switch box {
+	case boxWide:
+		side = uniform(15, 40)
+		lon, lat = uniform(lonMin+side/2, lonMax-side/2), uniform(latMin+side/2, latMax-side/2)
+	case boxHot:
+		side = narrow()
+		lon, lat = hotLon+uniform(-side/4, side/4), hotLat+uniform(-side/4, side/4)
+	default:
+		lon, lat, side = uniform(lonMin, lonMax), uniform(latMin, latMax), narrow()
 	}
+	return fmt.Sprintf("select count(lon) from trips where lon between %.5f and %.5f and lat between %.5f and %.5f",
+		lon-side/2, lon+side/2, lat-side/2, lat+side/2)
+}
+
+// runScanRange runs b.N statements from next through sess and reports the
+// share of the granules the approximate scans visited that had codes
+// compared, and how many they visited per statement.
+func runScanRange(b *testing.B, sess *engine.Session, next func() string) {
 	before := ar.ScanStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -33,40 +33,59 @@ type scanFixture struct {
 // at any row (the trips shape) put a run break inside most granules, which
 // the two parts of a granule's split settle — a part admitted, a part
 // passed over — and only a range that cuts through a run has codes compared.
+// Each of those selects a quarter of the values at 8 device bits. trips is
+// the runs shape over a wider domain at 16 device bits with a 1 % range, the
+// scan_range statement's: its first step finds its granules through the part
+// index (bwd.ScanIndexed) instead of walking them all — TestARScanZeroAlloc
+// checks that it does, so the gate measures that path whatever the index
+// decides for the quarter ranges.
 var scanFixtures = []struct {
 	name string
 	vals func(n int) []int64
+	bits uint
+	rng  func(n int64) (lo, hi int64) // the value range selected over n rows
 }{
-	{"shuffled", func(n int) []int64 { return shuffledInts(n, 7) }},
+	{"shuffled", func(n int) []int64 { return shuffledInts(n, 7) }, 8, quarter},
 	{"clustered", func(n int) []int64 {
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = int64(i)
 		}
 		return vals
-	}},
-	{"runs", func(n int) []int64 {
-		rng := rand.New(rand.NewSource(7))
-		vals := make([]int64, n)
-		for i, at, left := 0, int64(0), 0; i < n; i++ {
-			if left == 0 {
-				at, left = rng.Int63n(int64(n)), 50+rng.Intn(150)
-			}
-			at = min(max(at+rng.Int63n(5)-2, 0), int64(n)-1)
-			left--
-			vals[i] = at
-		}
-		return vals
-	}},
+	}, 8, quarter},
+	{"runs", func(n int) []int64 { return runsInts(n, int64(n), 2) }, 8, quarter},
+	{"trips", func(n int) []int64 { return runsInts(n, tripsSpan, 20) }, 16,
+		func(int64) (int64, int64) { return tripsSpan / 2, tripsSpan/2 + tripsSpan/100 }},
 }
 
-func newScanFixture(t testing.TB, vals []int64) *scanFixture {
-	n := len(vals)
-	col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), 8, nil)
+// quarter is the range [n/4, n/2] of values in [0, n).
+func quarter(n int64) (int64, int64) { return n / 4, n / 2 }
+
+// tripsSpan is the value domain of the trips fixture.
+const tripsSpan = 1 << 20
+
+// runsInts draws n values in [0, span) in runs of 50–200 rows, each a drift
+// of up to step per row from a start anywhere.
+func runsInts(n int, span, step int64) []int64 {
+	rng := rand.New(rand.NewSource(7))
+	vals := make([]int64, n)
+	for i, at, left := 0, int64(0), 0; i < n; i++ {
+		if left == 0 {
+			at, left = rng.Int63n(span), 50+rng.Intn(150)
+		}
+		at = min(max(at+rng.Int63n(2*step+1)-step, 0), span-1)
+		left--
+		vals[i] = at
+	}
+	return vals
+}
+
+func newScanFixture(t testing.TB, vals []int64, bits uint, rng func(int64) (int64, int64)) *scanFixture {
+	col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), bits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := int64(n/4), int64(n/2)
+	lo, hi := rng(int64(len(vals)))
 	return &scanFixture{col: col, vals: vals, rng: col.Relax(lo, hi), lo: lo, hi: hi}
 }
 
@@ -91,7 +110,10 @@ func runARScan(f *scanFixture) {
 func TestARScanZeroAlloc(t *testing.T) {
 	for _, fx := range scanFixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			f := newScanFixture(t, fx.vals(50000))
+			f := newScanFixture(t, fx.vals(50000), fx.bits, fx.rng)
+			if fx.name == "trips" && !bwd.Indexed([]bwd.Disjunct{f.col.Approximately(f.rng)}, granulesTo(len(f.vals))) {
+				t.Fatal("the 1 % range over trips walks every granule: the gate does not measure the part index")
+			}
 			for i := 0; i < 5; i++ {
 				runARScan(f) // warm the arena and the candidate pool
 			}
@@ -111,7 +133,7 @@ func TestARScanZeroAlloc(t *testing.T) {
 func BenchmarkHotPathAllocs(b *testing.B) {
 	for _, fx := range scanFixtures {
 		b.Run(fx.name, func(b *testing.B) {
-			f := newScanFixture(b, fx.vals(50000))
+			f := newScanFixture(b, fx.vals(50000), fx.bits, fx.rng)
 			for i := 0; i < 5; i++ {
 				runARScan(f)
 			}

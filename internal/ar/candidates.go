@@ -151,7 +151,7 @@ func SelectExact(p par.P, rows int, ds ...bwd.Disjunct) (*Candidates, error) {
 		return c, nil
 	}
 	c.walk = append(c.walk[:0], ds...)
-	if err := c.step(p, bwd.ScanGranules, false); err != nil {
+	if err := c.step(p, true, false); err != nil {
 		c.Release()
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func JoinApprox(m *device.Meter, key *bwd.Key, in *Candidates) (*Candidates, err
 // device-side — and the caller, which knows its footprint, charges it.
 func (c *Candidates) MaskOutJoined(key *bwd.Key, deleted []uint64) {
 	c.walk = append(c.walk[:0], key.Joined(deleted))
-	c.step(devP(), bwd.NarrowGranules, true)
+	c.step(devP(), false, true)
 }
 
 // idBytes is what one candidate costs a kernel to stream in: its 4-byte id,

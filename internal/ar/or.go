@@ -61,7 +61,7 @@ func SelectRefineAny(p par.P, m *device.Meter, cols []*bwd.Column, los, his []in
 		in.walk = append(in.walk, bwd.Exactly(col, nil, los[k], his[k]))
 	}
 	if !resident {
-		if err := in.step(p, bwd.NarrowGranules, false); err != nil {
+		if err := in.step(p, false, false); err != nil {
 			return err
 		}
 	}

@@ -161,11 +161,7 @@ func (c *Candidates) narrow(att []attachment, and bool) {
 	for j := range att {
 		c.walk = append(c.walk, att[j].col.Approximately(att[j].rng).Through(att[j].key))
 	}
-	walk := bwd.ScanGranules
-	if and {
-		walk = bwd.NarrowGranules
-	}
-	c.step(devP(), walk, true)
+	c.step(devP(), !and, true)
 }
 
 // Narrow keeps the candidates that satisfy any of the disjuncts ds, on p, a
@@ -176,20 +172,32 @@ func (c *Candidates) narrow(att []attachment, and bool) {
 // context's error.
 func (c *Candidates) Narrow(p par.P, ds ...bwd.Disjunct) error {
 	c.walk = append(c.walk[:0], ds...)
-	return c.step(p, bwd.NarrowGranules, false)
+	return c.step(p, false, false)
 }
 
-// step is every mask step: the disjuncts compiled into c.walk, walked by walk
-// over each work-group on p — its Chunk the set's — which records every
-// group's survivor count; file adds the groups' granule outcomes to the
-// process-wide counters. One work-group runs on the calling goroutine without
-// materializing a closure; a set of no rows has none. A walk cancelled
-// partway leaves the mask undefined and returns the context's error.
-func (c *Candidates) step(p par.P, walk func([]bwd.Disjunct, []uint64, int, int) (int, bwd.Outcomes), file bool) error {
+// step is every mask step: the disjuncts compiled into c.walk, walked over
+// each work-group on p — its Chunk the set's — by bwd.ScanGranules for the
+// step that starts the set (first) and bwd.NarrowGranules for a further one,
+// which records every group's survivor count; file adds the groups' granule
+// outcomes to the process-wide counters. A first step whose disjuncts the
+// part index serves (bwd.Indexed) settles only the granules the index finds,
+// on the calling goroutine, and records the same counts (bwd.ScanIndexed).
+// One work-group runs on the calling goroutine without materializing a
+// closure; a set of no rows has none. A walk cancelled partway leaves the
+// mask undefined and returns the context's error.
+func (c *Candidates) step(p par.P, first, file bool) error {
 	c.reopen()
 	ds, mask, counts, chunk := c.walk, c.mask, c.offs, c.chunk
+	walk := bwd.NarrowGranules
+	if first {
+		walk = bwd.ScanGranules
+	}
 	var err error
 	switch {
+	case first && bwd.Indexed(ds, len(mask)):
+		_, o := bwd.ScanIndexed(ds, mask, c.rows, chunk, counts)
+		fileGroup(file, 0, o)
+		err = p.Cancelled()
 	case len(counts) == 1:
 		n, o := walk(ds, mask, 0, c.rows)
 		counts[0] = fileGroup(file, n, o)

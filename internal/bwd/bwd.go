@@ -66,8 +66,9 @@ type Column struct {
 	hist      []int64 // rows per code bucket; bucket of code c is c >> histShift
 	histRows  int64   // sum of hist, kept beside it so reading the histogram is O(1)
 	histShift uint
-	granules  []Bounds // code bounds of rows [64g, 64g+64)
-	splits    []Split  // the same rows as two ranges, cut at the largest code jump
+	granules  []Bounds   // code bounds of rows [64g, 64g+64)
+	splits    []Split    // the same rows as two ranges, cut at the largest code jump
+	parts     *partIndex // the granules' parts by low code; nil where too many are wide
 	gpuAlloc  *device.Alloc
 	cpuAlloc  *device.Alloc
 }
@@ -87,30 +88,28 @@ func histShiftFor(approxBits uint) uint {
 	return 0
 }
 
-// newSummaries sizes the derived per-column summaries — the bucket
-// histogram and the granule bounds and splits (granule.go) — for summarize
-// to fill.
-func (c *Column) newSummaries() {
+// summarize derives the per-column summaries — the bucket histogram, the
+// granule bounds and splits and the part index (granule.go) — from the
+// approximation codes, read a block of rows at a time: block(lo, hi) returns
+// the codes of rows [lo, hi), a whole number of granules but for the last
+// block. It is the one place they are computed, so Decompose and Restore —
+// and a merge, which decomposes — agree by construction. No summary is
+// persisted and all are immutable once the constructor returns, like the
+// planes they describe.
+func (c *Column) summarize(block func(lo, hi int) []uint64) {
 	c.histShift = histShiftFor(c.Dec.ApproxBits)
 	c.hist = make([]int64, (c.Dec.MaxApprox()>>c.histShift)+1)
 	c.granules = make([]Bounds, (c.n+GranuleRows-1)/GranuleRows)
 	c.splits = make([]Split, len(c.granules))
-}
-
-// summarize folds the approximation codes of rows [lo, lo+len(codes)) into
-// the histogram and the granule bounds and splits; lo must be a multiple of
-// GranuleRows. It is the one place they are computed, so Decompose and
-// Restore — and a merge, which decomposes — agree by construction. No
-// summary is persisted and all are immutable once the constructor returns,
-// like the planes they describe.
-func (c *Column) summarize(lo int, codes []uint64) {
-	for len(codes) > 0 {
-		g := codes[:min(GranuleRows, len(codes))]
-		c.granules[lo/GranuleRows], c.splits[lo/GranuleRows] = summarizeGranule(g, c.hist, c.histShift)
-		c.histRows += int64(len(g))
-		lo += len(g)
-		codes = codes[len(g):]
+	for lo := 0; lo < c.n; lo += summaryBlock {
+		codes := block(lo, min(lo+summaryBlock, c.n))
+		for i := 0; i < len(codes); i += GranuleRows {
+			g := codes[i:min(i+GranuleRows, len(codes))]
+			c.granules[(lo+i)/GranuleRows], c.splits[(lo+i)/GranuleRows] = summarizeGranule(g, c.hist, c.histShift)
+		}
+		c.histRows += int64(len(codes))
 	}
+	c.parts = c.indexParts()
 }
 
 // summaryBlock is how many rows the constructors split or decode between
@@ -150,7 +149,6 @@ func Decompose(b *bat.BAT, approxBits uint, sys *device.System) (*Column, error)
 
 	n := b.Len()
 	c := &Column{Dec: dec, n: n}
-	c.newSummaries()
 	tails := b.Tails()
 	// Split the values into code planes through arena scratch, then let
 	// bitpack.Pack build whole words with its shift-carry accumulator — one
@@ -159,15 +157,14 @@ func Decompose(b *bat.BAT, approxBits uint, sys *device.System) (*Column, error)
 	codes := mem.U64.GetN(n)
 	rcodes := mem.U64.GetN(n)
 	rmask := bitpack.Mask(dec.ResBits)
-	for lo := 0; lo < n; lo += summaryBlock {
-		hi := min(lo+summaryBlock, n)
+	c.summarize(func(lo, hi int) []uint64 {
 		for i, v := range tails[lo:hi] {
 			shifted := uint64(v - dec.Base)
 			codes[lo+i] = shifted >> dec.ResBits
 			rcodes[lo+i] = shifted & rmask
 		}
-		c.summarize(lo, codes[lo:hi])
-	}
+		return codes[lo:hi]
+	})
 	approx := bitpack.Pack(dec.ApproxBits, codes)
 	res := bitpack.Pack(dec.ResBits, rcodes)
 	mem.U64.Put(codes)
@@ -207,15 +204,13 @@ func Restore(dec Decomposition, approx, res *bitpack.Array, sys *device.System) 
 	c := &Column{Dec: dec, Approx: approx, Residual: res, n: approx.Len()}
 	// The summaries are not persisted: recompute them with one word-parallel
 	// pass over the restored approximation plane (block decode through
-	// morsel scratch) so statistics and granule bounds survive reboot
-	// unchanged.
-	c.newSummaries()
+	// morsel scratch) so statistics, granule bounds and the part index
+	// survive reboot unchanged.
 	s := mem.GetScratch()
-	for lo := 0; lo < c.n; lo += summaryBlock {
-		hi := min(lo+summaryBlock, c.n)
+	c.summarize(func(lo, hi int) []uint64 {
 		s.Reset()
-		c.summarize(lo, approx.UnpackRange(s.U64(hi - lo)[:0], lo, hi))
-	}
+		return approx.UnpackRange(s.U64(hi - lo)[:0], lo, hi)
+	})
 	mem.PutScratch(s)
 	if sys != nil {
 		ga, err := sys.GPU.Alloc(approx.Bytes())
@@ -298,21 +293,6 @@ func (c *Column) Reconstruct(i int) int64 {
 // the exact value.
 func (c *Column) ReconstructFrom(approx, residual uint64) int64 {
 	return c.Dec.Base + int64(approx<<c.Dec.ResBits|residual)
-}
-
-// ValueToApprox maps a value into the approximation (shifted) domain,
-// clamping to the representable range. ok is false when the value lies
-// outside [Base, Base + 2^TotalBits).
-func (c *Column) ValueToApprox(v int64) (code uint64, ok bool) {
-	if v < c.Dec.Base {
-		return 0, false
-	}
-	shifted := uint64(v - c.Dec.Base)
-	code = shifted >> c.Dec.ResBits
-	if code > c.Dec.MaxApprox() {
-		return c.Dec.MaxApprox(), false
-	}
-	return code, true
 }
 
 // ChooseBits returns the largest device-resident bit width whose

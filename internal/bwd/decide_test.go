@@ -21,7 +21,9 @@ import (
 // 16 and 32 and the word-cutting 12, whose codes are compared in place
 // several to a word or one at a time; ranges that are empty,
 // full, between two runs, exactly one run, or cut through one; and, on the
-// narrowing side, live words that are full, sparse and empty.
+// narrowing side, live words that are full, sparse and empty. A scan that
+// starts a mask runs both as the walk and, where the column has a part
+// index, as the index path.
 
 // layout is the approximation codes of a test column, one or more granules.
 type layout struct {
@@ -183,6 +185,7 @@ func liveWords(rng *rand.Rand, n int) []uint64 {
 
 func TestDecisionMatchesRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
+	indexed := 0
 	for _, w := range []struct{ approx, res uint }{{1, 0}, {1, 5}, {24, 0}, {24, 8}, {63, 0}, {24, 40}, {63, 1},
 		{4, 0}, {8, 3}, {12, 0}, {16, 1}, {32, 0}} {
 		for _, l := range layouts(rng, bitpack.Mask(w.approx)) {
@@ -239,7 +242,11 @@ func TestDecisionMatchesRowOracle(t *testing.T) {
 					{"exact, no bounds", bwd.Exactly(nil, vals, vr[0], vr[1]), exact},
 					{"approximate", col.Approximately(relaxed), func(i int) bool { return relaxed.Contains(codes[i]) }},
 				} {
-					for _, narrowing := range []bool{false, true} {
+					for _, walk := range []string{"scan", "narrow", "index"} {
+						narrowing := walk == "narrow"
+						if walk == "index" && (d.d.Col == nil || !hasIndex(col)) {
+							continue
+						}
 						want := make([]uint64, len(live))
 						got := make([]uint64, len(live))
 						wantN := 0
@@ -258,10 +265,15 @@ func TestDecisionMatchesRowOracle(t *testing.T) {
 							for g := range got {
 								got[g] = rng.Uint64() // a scan overwrites whatever the buffer held
 							}
-							gotN, o = bwd.ScanGranules([]bwd.Disjunct{d.d}, got, 0, n)
+							if walk == "index" {
+								indexed++
+								gotN, o = bwd.ScanIndexed([]bwd.Disjunct{d.d}, got, n, bwd.GranuleRows, make([]int, len(got)))
+							} else {
+								gotN, o = bwd.ScanGranules([]bwd.Disjunct{d.d}, got, 0, n)
+							}
 						}
 						if !slices.Equal(got, want) || gotN != wantN {
-							t.Fatalf("%s [%d,%d] %s narrowing=%v: %d rows, the row oracle has %d", label, vr[0], vr[1], d.name, narrowing, gotN, wantN)
+							t.Fatalf("%s [%d,%d] %s %s: %d rows, the row oracle has %d", label, vr[0], vr[1], d.name, walk, gotN, wantN)
 						}
 						if total := o.Skipped + o.Inside + o.Compared; total != uint64(len(live)) {
 							t.Fatalf("%s %s: %d outcomes for %d granules", label, d.name, total, len(live))
@@ -270,6 +282,9 @@ func TestDecisionMatchesRowOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+	if indexed == 0 {
+		t.Fatal("no layout got a part index: the index path was never held to the row oracle")
 	}
 }
 

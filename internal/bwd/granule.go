@@ -4,20 +4,25 @@ import (
 	"math/bits"
 
 	"repro/internal/bitpack"
+	"repro/internal/mem"
 )
 
 // This file is how a scan reads a column by granule: the bounds every
 // granule carries, the one decision they allow — which of a granule's rows a
 // range predicate admits, settled without reading a row wherever the bounds
-// can settle it — and the two loops that apply it to a survivor mask. The
-// A&R approximate selection and its refinement (internal/ar), the classic
-// selection (internal/plan) and DELETE ... WHERE (internal/store) all select
-// through it; they differ only in what a Disjunct compares in a granule the
-// bounds leave open (DESIGN.md §13). Packed codes are compared where they
-// lie, by bitpack.InRange64 — several to a word where the width allows — so
-// a walk unpacks no granule and keeps no buffer. A foreign-key join selects
-// through it too: its probe and the filters on its dimension are disjuncts
-// read through a Key (DESIGN.md §8).
+// can settle it — and the loops that apply it to a survivor mask, all through
+// one per-granule body: the walk that starts a mask, the narrowing of one,
+// and the part index, which finds the granules a selective first step can
+// meet by code so that it settles only those instead of walking the bounds
+// of every granule of the table. The A&R approximate selection and its
+// refinement (internal/ar), the classic selection (internal/plan) and
+// DELETE ... WHERE (internal/store) all select through it; they differ only
+// in what a Disjunct compares in a granule the bounds leave open (DESIGN.md
+// §13). Packed codes are compared where they lie, by bitpack.InRange64 —
+// several to a word where the width allows — so a walk unpacks no granule
+// and keeps no buffer. A foreign-key join selects through it too: its probe
+// and the filters on its dimension are disjuncts read through a Key
+// (DESIGN.md §8).
 
 // GranuleRows is the row count of one scan granule: the rows whose
 // survivors a scan records in one 64-bit word. It is the machine word size,
@@ -265,7 +270,7 @@ type Outcomes struct{ Skipped, Inside, Compared uint64 }
 
 // misses reports that the bounds of granule g rule every row of it out. It
 // is Decide's first outcome on its own, small enough to inline: the walks
-// ask it of every granule of a table and go on to settle only for the
+// ask it of every granule they visit and go on to settle only for the
 // granules a range reaches.
 func (d *Disjunct) misses(g int) bool {
 	return d.Col != nil && d.Key == nil && d.Outer.misses(d.Col.granules[g])
@@ -338,39 +343,40 @@ func (o *Outcomes) count(word uint64, compared bool) {
 // rows [lo, hi) — lo a multiple of GranuleRows — it writes the word of the
 // rows that satisfy any of the disjuncts ds into mask and returns how many
 // there are. Concurrent calls on disjoint row ranges write disjoint words.
+// Where Indexed says so, ScanIndexed does the same for the whole table by
+// walking only the granules the part index finds.
 func ScanGranules(ds []Disjunct, mask []uint64, lo, hi int) (n int, o Outcomes) {
-	for g := lo / GranuleRows; g*GranuleRows < hi; g++ {
-		all := ^uint64(0) >> uint(GranuleRows-min(GranuleRows, hi-g*GranuleRows))
-		var word uint64
-		compared := false
-		for j := range ds {
-			if d := &ds[j]; !d.misses(g) {
-				w, c := d.settle(g, all)
-				compared = compared || c
-				if word |= w; word == all {
-					break
-				}
-			}
-		}
-		o.count(word, compared)
-		mask[g] = word
-		n += bits.OnesCount64(word)
-	}
-	return n, o
+	return walk(ds, mask, lo, hi, false)
 }
 
 // NarrowGranules is ScanGranules for a further conjunct: the same question
 // asked only about the rows earlier steps left in a granule's word, the
 // answer ANDed in — and not asked at all of a granule whose word is already
 // zero, which is passed over without a look at its bounds and counts as
-// skipped. It is a loop of its own because the first scan visits every
-// granule of the table and should test nothing it does not need.
+// skipped.
 func NarrowGranules(ds []Disjunct, mask []uint64, lo, hi int) (n int, o Outcomes) {
-	for g := lo / GranuleRows; g*GranuleRows < hi; g++ {
-		live := mask[g]
-		if live == 0 {
-			o.Skipped++
-			continue
+	return walk(ds, mask, lo, hi, true)
+}
+
+// walk is the one loop of every granule walk, and its body the one
+// per-granule decision: every disjunct whose bounds do not miss the granule
+// is asked in turn about the rows live — every row of it, or when narrowing
+// the rows its word still holds — the answers OR-ed, none asked once all of
+// live is in. When narrowing, a zero word starts a tight loop to the next
+// live one: after a selective first step almost every word is dead.
+func walk(ds []Disjunct, mask []uint64, lo, hi int, narrowing bool) (n int, o Outcomes) {
+	end := (hi + GranuleRows - 1) / GranuleRows
+	for g := lo / GranuleRows; g < end; g++ {
+		live := ^uint64(0) >> uint(GranuleRows-min(GranuleRows, hi-g*GranuleRows))
+		if narrowing {
+			if live = mask[g]; live == 0 {
+				dead := g
+				for g+1 < end && mask[g+1] == 0 {
+					g++
+				}
+				o.Skipped += uint64(g + 1 - dead)
+				continue
+			}
 		}
 		var word uint64
 		compared := false
@@ -387,6 +393,214 @@ func NarrowGranules(ds []Disjunct, mask []uint64, lo, hi int) (n int, o Outcomes
 		mask[g] = word
 		n += bits.OnesCount64(word)
 	}
+	return n, o
+}
+
+// The part index. A granule's bounds are wide wherever it straddles a run
+// break, but each of its parts — a split's head and tail, or the whole
+// granule when it is not split — spans one run, so on trip-clustered data
+// almost every part is narrow, and a selective range meets few of them. A
+// column whose parts are narrow keeps them indexed by their low code, and
+// the first step of a selection asks that index which granules its range
+// can meet (ScanIndexed) instead of walking the bounds of every granule of
+// the table (ScanGranules).
+//
+// The constants are measured cost ratios, like denseRows, not settings. The
+// figures are from 2 M trips (spatial.Generate) at 24 bits on a 2-vCPU
+// x86-64 host.
+const (
+	// narrowShift: a part is narrow when it spans at most 1/64 of the code
+	// domain. On trips 99.5 % of the parts span under 0.32 % of it and
+	// 0.25 % are wider than 1/64 (they are listed by granule, in wide),
+	// so a lookup's window widens by w ≈ 1.5 % of the domain.
+	narrowShift = 6
+	// wideShare: a column with more than 1/64 of its parts wide gets no
+	// index: the wide list alone would be read at every lookup, and codes
+	// that scattered leave an index nothing to skip. At SF 0.04 every
+	// lineitem and part column has 50–98 % of its parts wide.
+	wideShare = 64
+	// partsPerBucket is the least mean bucket fill the bucket count (a
+	// power of two) aims at: a lookup reads its window's buckets whole, so
+	// coarser buckets read parts a range cannot meet, and finer ones cost
+	// memory — trips' 62,500 parts get 4,096 buckets.
+	partsPerBucket = 8
+	// indexNum/indexDen: a lookup reads an entry in about a third of the
+	// time the walk takes to test a granule's bounds (≈ 5 against 13.5 ns
+	// on one core), but it runs on one core, where the walk runs on every
+	// one, and settles the granules it finds there too. At 2 cores the two
+	// paths take the same time (≈ 0.35 ms) when the lookup reads 0.3
+	// entries per granule of the table, and at 0.5 the walk is ahead by
+	// 20–40 %: the index is taken below 1/3. scan_range's selective boxes
+	// (sides of 0.05–2°) read at most 0.2, its wide ones 1.4 on average.
+	indexNum, indexDen = 1, 3
+)
+
+// partIndex is a column's granule parts indexed by their low code. The
+// narrow parts are filed by bucket Min >> shift, in bucket order (a counting
+// sort; granules ascending within a bucket): bucket b holds entries
+// [starts[b], starts[b+1]) of mins, maxs and gran, the bounds of each part
+// and its granule. w is the widest narrow part's span, so every narrow part
+// that meets [lo, hi] lies in the buckets from (lo−w) >> shift to hi >> shift.
+// A granule with a wide part is listed in wide, to be asked by its whole
+// bounds. Like the bounds it is derived when the column is built and never
+// persisted.
+type partIndex struct {
+	shift      uint
+	w          uint64
+	starts     []int32
+	mins, maxs []uint64
+	gran       []int32
+	wide       []int32
+}
+
+// eachPart calls fn with every part of the column, granule by granule.
+func (c *Column) eachPart(fn func(g int, b Bounds)) {
+	for g := range c.splits {
+		if s := &c.splits[g]; s.K != 0 {
+			fn(g, s.Head)
+			fn(g, s.Tail)
+		} else {
+			fn(g, c.granules[g])
+		}
+	}
+}
+
+// indexParts builds the part index from the granule bounds and splits, in
+// three passes over the parts and no sort, or returns nil when too many
+// parts are wide.
+func (c *Column) indexParts() *partIndex {
+	limit := c.Dec.MaxApprox() >> narrowShift
+	parts, wideParts, wideGranules, last := 0, 0, 0, -1
+	c.eachPart(func(g int, b Bounds) {
+		parts++
+		if b.Max-b.Min > limit {
+			wideParts++
+			if g != last {
+				wideGranules, last = wideGranules+1, g
+			}
+		}
+	})
+	if parts == 0 || wideParts*wideShare > parts {
+		return nil
+	}
+	narrow := parts - wideParts
+	bucketBits := min(uint(bits.Len(uint(max(narrow/partsPerBucket, 1))))-1, c.Dec.ApproxBits)
+	x := &partIndex{
+		shift: c.Dec.ApproxBits - bucketBits,
+		mins:  make([]uint64, narrow),
+		maxs:  make([]uint64, narrow),
+		gran:  make([]int32, narrow),
+		wide:  make([]int32, 0, wideGranules),
+	}
+	x.starts = make([]int32, c.Dec.MaxApprox()>>x.shift+2)
+	c.eachPart(func(g int, b Bounds) {
+		switch {
+		case b.Max-b.Min <= limit:
+			x.starts[b.Min>>x.shift+1]++
+			x.w = max(x.w, b.Max-b.Min)
+		case len(x.wide) == 0 || x.wide[len(x.wide)-1] != int32(g):
+			x.wide = append(x.wide, int32(g))
+		}
+	})
+	for b := 1; b < len(x.starts); b++ {
+		x.starts[b] += x.starts[b-1]
+	}
+	// File every narrow part at its bucket's cursor, starts[b], which then
+	// ends at the next bucket's start: shifted up one, the starts are back.
+	c.eachPart(func(g int, b Bounds) {
+		if b.Max-b.Min <= limit {
+			at := &x.starts[b.Min>>x.shift]
+			x.mins[*at], x.maxs[*at], x.gran[*at] = b.Min, b.Max, int32(g)
+			*at++
+		}
+	})
+	copy(x.starts[1:], x.starts)
+	x.starts[0] = 0
+	return x
+}
+
+// entries returns the entries [i0, i1) of the buckets that can hold a narrow
+// part meeting r.
+func (x *partIndex) entries(r Codes) (i0, i1 int) {
+	if r.Lo > r.Hi {
+		return 0, 0
+	}
+	b0 := uint64(0)
+	if r.Lo > x.w {
+		b0 = (r.Lo - x.w) >> x.shift
+	}
+	b1 := min(r.Hi>>x.shift, uint64(len(x.starts)-2))
+	if b0 > b1 {
+		return 0, 0
+	}
+	return int(x.starts[b0]), int(x.starts[b1+1])
+}
+
+// markParts sets in seen, a bitmap over the granules, every granule of the
+// column a part of which meets r: the narrow parts of the buckets r can
+// reach that do, and the wide granules whose whole bounds do.
+func (c *Column) markParts(r Codes, seen []uint64) {
+	x := c.parts
+	i0, i1 := x.entries(r)
+	for i := i0; i < i1; i++ {
+		if x.maxs[i] >= r.Lo && x.mins[i] <= r.Hi {
+			g := x.gran[i]
+			seen[g>>6] |= 1 << uint(g&63)
+		}
+	}
+	for _, g := range x.wide {
+		if !r.misses(c.granules[g]) {
+			seen[g>>6] |= 1 << uint(g&63)
+		}
+	}
+}
+
+// Indexed reports whether the first step of a selection over a table of
+// granules granules, with the disjuncts ds, finds its granules through the
+// part index (ScanIndexed) rather than walking them all (ScanGranules):
+// every disjunct reads a column that has an index, through no key, and the
+// lookups read fewer entries than 1/3 of the granules. A full range, a wide
+// one and a column without bounds or without an index walk.
+func Indexed(ds []Disjunct, granules int) bool {
+	look := 0
+	for j := range ds {
+		d := &ds[j]
+		if d.Key != nil || d.Col == nil || d.Col.parts == nil {
+			return false
+		}
+		i0, i1 := d.Col.parts.entries(d.Outer)
+		look += i1 - i0 + len(d.Col.parts.wide)
+	}
+	return len(ds) > 0 && look*indexDen < granules*indexNum
+}
+
+// ScanIndexed is ScanGranules over rows [0, rows) for disjuncts Indexed
+// accepts: it clears mask and walks only the granules some disjunct's part
+// index finds — each once, in row order, by ScanGranules itself — so every
+// word it writes is the walk's. counts gets every work-group's survivor
+// count, chunk rows (a whole number of granules) to a group; the outcomes are
+// the walk's, every granule not found counted as skipped. It runs on the
+// calling goroutine.
+func ScanIndexed(ds []Disjunct, mask []uint64, rows, chunk int, counts []int) (n int, o Outcomes) {
+	granules := (rows + GranuleRows - 1) / GranuleRows
+	clear(mask[:granules])
+	clear(counts)
+	seen := mem.U64.GetN((granules + 63) / 64)
+	clear(seen)
+	for j := range ds {
+		ds[j].Col.markParts(ds[j].Outer, seen)
+	}
+	for i, w := range seen {
+		for ; w != 0; w &= w - 1 {
+			g := i*64 + bits.TrailingZeros64(w)
+			k, og := ScanGranules(ds, mask, g*GranuleRows, min(g*GranuleRows+GranuleRows, rows))
+			counts[g*GranuleRows/chunk] += k
+			n += k
+			o.Inside, o.Compared = o.Inside+og.Inside, o.Compared+og.Compared
+		}
+	}
+	mem.U64.Put(seen)
+	o.Skipped = uint64(granules) - o.Inside - o.Compared
 	return n, o
 }
 

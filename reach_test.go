@@ -40,8 +40,8 @@ var reachRetiring = []string{
 	"bat.NewDenseAt", "bat.NewMaterialized", "bat.BAT.HeadBytes", "bat.BAT.DenseHead", "bat.BAT.HSeq",
 	"bat.BAT.Head", "bat.BAT.Heads", "bat.BAT.MaterializeHead", "bat.BAT.Slice", "bat.BAT.SetSorted",
 	"bat.BAT.SetKey", "bat.BAT.Sorted", "bat.BAT.Key", "bat.BAT.CheckSorted", "bat.BAT.Clone", "bat.BAT.Project",
-	// bwd: TestChooseBits, TestValueToApprox
-	"bwd.ChooseBits", "bwd.Column.ValueToApprox",
+	// bwd: TestChooseBits
+	"bwd.ChooseBits",
 }
 
 // TestKernelLayerIsReached builds the function reference graph of the
