@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 
 	"repro/internal/ar"
@@ -72,15 +73,27 @@ func main() {
 		cands.Len(), candidates-cands.Len())
 	fmt.Printf("simulated cost:    %v\n", m)
 
-	// Cross-check against the classic bulk engine: select, then fetch.
+	// Cross-check against the classic engine: a selection that compares
+	// every value, then the column fetched at its survivors (read by mask),
+	// billed as the bulk model's select and fetch.
 	mClassic := device.NewMeter(sys)
-	want := bulk.SelectRange(par.P{}, mClassic, column, lo, hi)
-	wantVals := bulk.Fetch(par.P{}, mClassic, column, want)
-	if len(want) != cands.Len() {
-		log.Fatalf("MISMATCH: classic found %d, A&R found %d", len(want), cands.Len())
+	want, err := ar.SelectExact(par.P{}, len(vals), bwd.Exactly(nil, vals, lo, hi))
+	if err != nil {
+		log.Fatal(err)
 	}
-	byID := make(map[bat.OID]int64, len(want))
-	for i, id := range want {
+	defer want.Release()
+	bulk.ChargeSelectRange(par.P{}, mClassic, column, want.Len())
+	wantVals := make([]int64, want.Len())
+	want.Blocks(0, want.WorkGroups(), math.MaxInt32, func(g0, g1, pos, n int) {
+		want.Values(vals, nil, wantVals[pos:pos+n], g0, g1)
+	})
+	bulk.ChargeFetch(par.P{}, mClassic, column, want.Len())
+	if want.Len() != cands.Len() {
+		log.Fatalf("MISMATCH: classic found %d, A&R found %d", want.Len(), cands.Len())
+	}
+	// A&R candidates come in device order: compare as a set.
+	byID := make(map[bat.OID]int64, want.Len())
+	for i, id := range want.IDs() {
 		byID[id] = wantVals[i]
 	}
 	for i, id := range cands.IDs() {
@@ -88,7 +101,7 @@ func main() {
 			log.Fatalf("MISMATCH at id %d", id)
 		}
 	}
-	fmt.Printf("\nclassic engine agrees: %d tuples, simulated cost %v\n", len(want), mClassic)
+	fmt.Printf("\nclassic engine agrees: %d tuples, simulated cost %v\n", want.Len(), mClassic)
 	fmt.Printf("speed-up (simulated): %.1fx\n",
 		mClassic.Total().Seconds()/m.Total().Seconds())
 }

@@ -33,9 +33,12 @@ func TestProjectApproxRefineMatchesBulk(t *testing.T) {
 		t.Fatalf("ProjectRefine: %v", err)
 	}
 
-	// Baseline: bulk select then fetch.
-	ids := bulk.SelectRange(par.P{}, nil, bat.NewDense(dates, bat.Width32), lo, hi)
-	wantVals := bulk.Fetch(par.P{}, nil, bat.NewDense(prices, bat.Width32), ids)
+	// Baseline: select by row loop, then fetch by index.
+	ids := rowsIn(dates, lo, hi)
+	wantVals := make([]int64, len(ids))
+	for i, id := range ids {
+		wantVals[i] = prices[id]
+	}
 
 	if len(got) != len(wantVals) {
 		t.Fatalf("projection size = %d, want %d", len(got), len(wantVals))

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/bat"
-	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/par"
@@ -34,6 +33,18 @@ func shuffledInts(n int, seed int64) []int64 {
 	return vals
 }
 
+// rowsIn is the selection oracle: the rows whose value lies in [lo, hi], in
+// row order.
+func rowsIn(vals []int64, lo, hi int64) []bat.OID {
+	var out []bat.OID
+	for i, v := range vals {
+		if v >= lo && v <= hi {
+			out = append(out, bat.OID(i))
+		}
+	}
+	return out
+}
+
 func sortedIDs(ids []bat.OID) []bat.OID {
 	out := append([]bat.OID(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -45,7 +56,7 @@ func TestSelectApproxSupersetOfExact(t *testing.T) {
 	col := decompose(t, vals, 8) // aggressive decomposition: many FPs
 	lo, hi := int64(1000), int64(2000)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
-	exact := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
+	exact := rowsIn(vals, lo, hi)
 
 	inCand := make(map[bat.OID]bool, cands.Len())
 	for _, id := range cands.IDs() {
@@ -103,7 +114,7 @@ func TestSelectRefineEqualsBulkBaseline(t *testing.T) {
 			return false
 		}
 
-		want := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
+		want := rowsIn(vals, lo, hi)
 		if len(refined.IDs()) != len(want) {
 			return false
 		}
@@ -190,10 +201,13 @@ func TestSelectApproxOverConjunction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ground truth via the bulk baseline.
-	bb := bat.NewDense(b, bat.Width32)
-	idsA := bulk.SelectRange(par.P{}, nil, bat.NewDense(a, bat.Width32), 1000, 5000)
-	want := bulk.SelectOIDs(par.P{}, nil, bb, idsA, 2000, 9000)
+	// Ground truth by row loop: a's rows, then those of them b keeps.
+	var want []bat.OID
+	for _, id := range rowsIn(a, 1000, 5000) {
+		if b[id] >= 2000 && b[id] <= 9000 {
+			want = append(want, id)
+		}
+	}
 
 	if len(r2.IDs()) != len(want) {
 		t.Fatalf("conjunction size = %d, want %d", len(r2.IDs()), len(want))
@@ -232,7 +246,7 @@ func TestSelectFullyResidentColumnRefinementIsExactPassthrough(t *testing.T) {
 	}
 	lo, hi := int64(100), int64(300)
 	cands := SelectApprox(nil, col, col.Relax(lo, hi))
-	want := bulk.SelectRange(par.P{}, nil, bat.NewDense(vals, bat.Width32), lo, hi)
+	want := rowsIn(vals, lo, hi)
 	if cands.Len() != len(want) {
 		t.Fatalf("fully resident approximation has %d candidates, want exact %d", cands.Len(), len(want))
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bat"
-	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/par"
@@ -99,13 +98,6 @@ func TestTranslucentJoinEmptyInputs(t *testing.T) {
 // (id, code) list pairs them with — code and residual — at every worker
 // count.
 func TestTranslucentJoinMatchesHashJoin(t *testing.T) {
-	asVals := func(ids []bat.OID) []int64 {
-		vals := make([]int64, len(ids))
-		for i, id := range ids {
-			vals[i] = int64(id)
-		}
-		return vals
-	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
 		n := gpuChunk/2 + rng.Intn(3*gpuChunk)
@@ -127,9 +119,19 @@ func TestTranslucentJoinMatchesHashJoin(t *testing.T) {
 		if len(bIDs) == len(aIDs) {
 			t.Fatalf("trial %d: nothing refined away", trial)
 		}
-		// Ground truth: the generic equi-join of the two id lists. Ids are
-		// unique, so every refined row joins exactly one phase-A row.
-		lids, rids := bulk.HashJoin(nil, 1, asVals(aIDs), asVals(bIDs))
+		// Ground truth: the generic equi-join of the two id lists, a hash
+		// join built on the phase-A list and probed with the refined one.
+		// Ids are unique, so every refined row joins exactly one phase-A row.
+		build := make(map[bat.OID][]int, len(aIDs))
+		for l, id := range aIDs {
+			build[id] = append(build[id], l)
+		}
+		var lids, rids []int
+		for r, id := range bIDs {
+			for _, l := range build[id] {
+				lids, rids = append(lids, l), append(rids, r)
+			}
+		}
 		if len(rids) != len(bIDs) {
 			t.Fatalf("trial %d: hash join found %d pairs for %d refined rows", trial, len(rids), len(bIDs))
 		}

@@ -17,8 +17,6 @@ package bat
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/mem"
 )
 
 // OID is a tuple identifier. MonetDB calls these "oids"; they are dense
@@ -26,11 +24,6 @@ import (
 // (up to 250 M tuples) and match the candidate-list transfer sizes the cost
 // model charges across the PCI-E bus.
 type OID uint32
-
-// OIDPool is the shared arena for OID lists: candidate IDs, position
-// lists, selection outputs. Declared next to the type (mem's convention)
-// so every kernel layer recycles through one free list.
-var OIDPool mem.Pool[OID]
 
 // Width constants for the physical tail value sizes used in the paper's
 // workloads.

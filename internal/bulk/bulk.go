@@ -1,37 +1,33 @@
 // Package bulk implements the classic MonetDB-style bulk processing model
 // (§II-B of the paper): operators are simple, tight loops without function
 // calls in the hot path that fully materialize their results for the next
-// operator to pick up. Package bulk is both
+// operator to pick up. It is the CPU-only baseline ("MonetDB" in the paper's
+// charts) that the Approximate & Refine implementation is compared against.
 //
-//   - the CPU-only baseline ("MonetDB" in the paper's charts) that the
-//     Approximate & Refine implementation is compared against, and
-//   - the refinement substrate: A&R refinement operators run the same tight
-//     CPU loops over candidates and residuals.
+// The executor owns the scan (internal/ar's survivor sets); this package
+// holds the model's bill, its grouping and top-k, and the FK index:
 //
-// Every operator takes an optional *device.Meter; when non-nil, the
-// operator charges its simulated cost (bytes scanned/gathered/written and
-// tuple-ops executed) against the CPU device at the billed thread count.
-// A nil meter executes without cost accounting.
+//   - ChargeSelectRange, ChargeSelectOIDs, ChargeFetch and ChargeFKJoin bill
+//     the model's full-scan selection, its candidate-list filters, its fetch
+//     and its FK join — an id list handed from each to the next. A classic
+//     statement's scan narrows a host survivor set instead (ar.SelectExact)
+//     and charges what these operators would have charged (DESIGN.md §7).
+//   - GroupBy and TopK take a par.P: they execute morsel-parallel with the
+//     P's real worker budget while charging the meter for the P's simulated
+//     thread count. A serial P (the zero value, or par.P{Threads: t,
+//     Workers: 1}) runs the same implementation's plain loop on the calling
+//     goroutine, the ground truth tests compare parallel runs against.
+//     Grouping builds per-worker partial states over contiguous blocks that
+//     merge in block order, preserving first-appearance group order exactly,
+//     so results are byte-identical for every worker count.
+//   - FKIndex is a dense primary key's base and length (BuildFKIndex).
 //
-// Each operator exists once and takes a par.P: it executes morsel-parallel
-// with the P's real worker budget while charging the meter for the P's
-// simulated thread count. A serial P (the zero value, or par.P{Threads: t,
-// Workers: 1}) runs the same implementation's plain loop on the calling
-// goroutine — what loaders and examples pass, and the ground truth tests
-// compare parallel runs against. Results are byte-identical for every
-// worker count: selections concatenate morsel outputs in morsel order, and
-// grouping builds per-worker partial states over contiguous blocks that
-// merge in block order, preserving first-appearance group order exactly.
-// (The executor's aggregates are the compiled program of internal/plan;
-// OpsAggregate is what it bills per row.)
-//
-// The selections here — SelectRange, then SelectOIDs per further conjunct,
-// an id list handed from each to the next — are the model the classic
-// executor is billed for, the reference its selection is tested against and
-// what the Fig 8 micro-benchmarks time; a classic statement's scan itself
-// narrows a host survivor set (ar.SelectExact) and charges what
-// these operators charge, through ChargeSelectRange, ChargeSelectOIDs and
-// ChargeFetch.
+// Every charge and operator takes an optional *device.Meter; when non-nil,
+// it charges its simulated cost (bytes scanned/gathered/written and
+// tuple-ops executed) against the CPU device at the billed thread count. A
+// nil meter executes without cost accounting. (The executor's aggregates
+// are the compiled program of internal/plan; OpsAggregate is what it bills
+// per row.)
 package bulk
 
 import (
@@ -41,21 +37,16 @@ import (
 	"repro/internal/par"
 )
 
-// oidPool recycles candidate lists through the shared bat.OIDPool arena;
-// values and group ids ride the shared mem pools.
-var oidPool = &bat.OIDPool
-
 // Per-tuple op weights used for compute-cost charging. A plain comparison
 // in a selection loop is the unit; hashing costs several units, matching
 // the relative operator costs observable in bulk engines.
 // Hash weights reflect measured bulk-engine costs (tens of ns per tuple
-// for hash build/group on out-of-cache tables).
+// for hash probe/group on out-of-cache tables).
 const (
 	OpsSelect    = 1
 	OpsFetch     = 1
 	OpsArith     = 1
 	OpsAggregate = 1
-	OpsHashBuild = 24
 	OpsHashProbe = 12
 	OpsHashGroup = 12
 )
@@ -77,93 +68,21 @@ func serial(p par.P, n int) bool {
 	return p.NWorkers() <= 1 || (n < parallelMin && p.Chunk <= 0)
 }
 
-// SelectRange returns the positions of b whose value v satisfies
-// lo <= v <= hi, in input order (the bulk selection is order-preserving,
-// §IV-A item 2). This is MonetDB's uselect. Morsel survivors land in
-// disjoint regions of one arena buffer and left-pack in morsel order.
-func SelectRange(p par.P, m *device.Meter, b *bat.BAT, lo, hi int64) []bat.OID {
-	tails := b.Tails()
-	var out []bat.OID
-	if serial(p, len(tails)) {
-		out = oidPool.Get(len(tails))
-		for i, v := range tails {
-			if v >= lo && v <= hi {
-				out = append(out, bat.OID(i))
-			}
-		}
-	} else {
-		buf := oidPool.GetN(len(tails))
-		counts, _, err := par.ForCounted(p, len(tails), func(_ *mem.Scratch, _, mlo, mhi int) int {
-			cnt := 0
-			for i := mlo; i < mhi; i++ {
-				if v := tails[i]; v >= lo && v <= hi {
-					buf[mlo+cnt] = bat.OID(i)
-					cnt++
-				}
-			}
-			return cnt
-		})
-		if err != nil {
-			out = buf[:0]
-		} else {
-			out = par.Compact(counts, p.ChunkSize(), buf)
-			mem.Ints.Put(counts)
-		}
-	}
-	ChargeSelectRange(p, m, b, len(out))
-	return out
-}
-
-// ChargeSelectRange bills a SelectRange over b that kept out rows: the whole
+// ChargeSelectRange bills the bulk model's range selection over b that kept
+// out rows (MonetDB's uselect, order-preserving, §IV-A item 2): the whole
 // tail streamed, the survivors' ids written, one comparison per row. The
 // executor's classic selection (internal/plan), which keeps its survivors in
-// a mask, charges through it too — the bill is the execution model's, not
-// the host's.
+// a mask, charges through it — the bill is the execution model's, not the
+// host's.
 func ChargeSelectRange(p par.P, m *device.Meter, b *bat.BAT, out int) {
 	if m != nil {
 		m.CPUWork(p.NThreads(), b.TailBytes()+int64(out)*oidBytes, 0, int64(b.Len())*OpsSelect)
 	}
 }
 
-// SelectOIDs filters an existing candidate list: it returns the subset of
-// ids whose value in b satisfies lo <= v <= hi, preserving candidate order.
-// Access to b is positional (gather).
-func SelectOIDs(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID, lo, hi int64) []bat.OID {
-	tails := b.Tails()
-	var out []bat.OID
-	if serial(p, len(ids)) {
-		out = oidPool.Get(len(ids))
-		for _, id := range ids {
-			if v := tails[id]; v >= lo && v <= hi {
-				out = append(out, id)
-			}
-		}
-	} else {
-		buf := oidPool.GetN(len(ids))
-		counts, _, err := par.ForCounted(p, len(ids), func(_ *mem.Scratch, _, mlo, mhi int) int {
-			cnt := 0
-			for _, id := range ids[mlo:mhi] {
-				if v := tails[id]; v >= lo && v <= hi {
-					buf[mlo+cnt] = id
-					cnt++
-				}
-			}
-			return cnt
-		})
-		if err != nil {
-			out = buf[:0]
-		} else {
-			out = par.Compact(counts, p.ChunkSize(), buf)
-			mem.Ints.Put(counts)
-		}
-	}
-	ChargeSelectOIDs(p, m, b, len(ids), len(out))
-	return out
-}
-
-// ChargeSelectOIDs bills a SelectOIDs that kept out of in candidates: both id
-// lists streamed, b gathered at the candidate positions, one comparison per
-// candidate.
+// ChargeSelectOIDs bills the bulk model's filter of an id list that kept out
+// of in candidates: both id lists streamed, b gathered at the candidate
+// positions, one comparison per candidate.
 func ChargeSelectOIDs(p par.P, m *device.Meter, b *bat.BAT, in, out int) {
 	if m != nil {
 		gather := device.RandomFetchBytes(int64(in), int64(b.Width()), b.TailBytes())
@@ -171,31 +90,9 @@ func ChargeSelectOIDs(p par.P, m *device.Meter, b *bat.BAT, in, out int) {
 	}
 }
 
-// Fetch is the invisible (positional) join: it returns b's values at the
-// given positions, aligned with ids. This is how late-materializing
-// column stores implement projections (§IV-C). Each worker writes a
-// disjoint slice of the output, so candidate alignment is preserved for
-// free.
-func Fetch(p par.P, m *device.Meter, b *bat.BAT, ids []bat.OID) []int64 {
-	tails := b.Tails()
-	out := mem.I64.GetN(len(ids))
-	if serial(p, len(ids)) {
-		for i, id := range ids {
-			out[i] = tails[id]
-		}
-	} else {
-		p.For(len(ids), func(mlo, mhi int) {
-			for i := mlo; i < mhi; i++ {
-				out[i] = tails[ids[i]]
-			}
-		})
-	}
-	ChargeFetch(p, m, b, len(ids))
-	return out
-}
-
-// ChargeFetch bills a Fetch of n positions of b: the ids streamed, the
-// values gathered and written.
+// ChargeFetch bills the bulk model's fetch of b at n positions — the
+// invisible (positional) join that late-materializing column stores project
+// with (§IV-C): the ids streamed, the values gathered and written.
 func ChargeFetch(p par.P, m *device.Meter, b *bat.BAT, n int) {
 	if m != nil {
 		gather := device.RandomFetchBytes(int64(n), int64(b.Width()), b.TailBytes())

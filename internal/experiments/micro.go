@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/ar"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/mem"
 	"repro/internal/par"
 )
 
@@ -65,7 +67,7 @@ func Fig8b(opts Options) (*Figure, error) {
 // (8 residual bits on the CPU).
 func fig8Selection(opts Options, id, title string, approxBits uint) (*Figure, error) {
 	scale := microScale(opts)
-	sys := device.ScaledSystem(scale)
+	sys, pp := device.ScaledSystem(scale), par.P{Threads: opts.Threads}
 	b := microData(opts)
 	bits := approxBits
 	if bits == 0 {
@@ -90,8 +92,13 @@ func fig8Selection(opts Options, id, title string, approxBits uint) (*Figure, er
 	for _, sel := range SelectivitySweep {
 		hi := int64(float64(MicroDomain)*sel/100) - 1
 		m := device.NewMeter(sys)
-		bulk.SelectRange(par.P{Threads: opts.Threads}, m, b, 0, hi)
+		set, err := ar.SelectExact(pp, b.Len(), bwd.Exactly(nil, b.Tails(), 0, hi))
+		if err != nil {
+			return nil, err
+		}
+		bulk.ChargeSelectRange(pp, m, b, set.Len())
 		monetT := m.Total().Seconds()
+		set.Release()
 
 		a, t := selectionExperiment(sys, col, 0, hi, opts.Threads)
 		monet.X = append(monet.X, sel)
@@ -175,7 +182,7 @@ func Fig8e(opts Options) (*Figure, error) {
 
 func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, error) {
 	scale := microScale(opts)
-	sys := device.ScaledSystem(scale)
+	sys, pp := device.ScaledSystem(scale), par.P{Threads: opts.Threads}
 	selCol := microData(opts)
 	prjCol := func() *bat.BAT {
 		rng := rand.New(rand.NewSource(opts.Seed + 1))
@@ -216,23 +223,36 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		// measures the projection, like the paper's per-operator breakdown.
 		refined := ar.SelectApprox(nil, dsel, dsel.Relax(0, hi))
 		refined.Ship(nil)
-		if err := ar.SelectRefine(par.P{Threads: opts.Threads}, nil, dsel, nil, 0, hi, refined); err != nil {
+		if err := ar.SelectRefine(pp, nil, dsel, nil, 0, hi, refined); err != nil {
 			return nil, err
 		}
-		ids := bulk.SelectRange(par.P{Threads: opts.Threads}, nil, selCol, 0, hi)
+		set, err := ar.SelectExact(pp, selCol.Len(), bwd.Exactly(nil, selCol.Tails(), 0, hi))
+		if err != nil {
+			return nil, err
+		}
 
+		// The fetch: the projected column read by the set's mask, as the
+		// classic executor's fold reads it, billed as the bulk model's
+		// positional join.
 		m := device.NewMeter(sys)
-		bulk.Fetch(par.P{Threads: opts.Threads}, m, prjCol, ids)
+		vals, tails := mem.I64.GetN(set.Len()), prjCol.Tails()
+		set.Blocks(0, set.WorkGroups(), math.MaxInt32, func(g0, g1, pos, n int) {
+			set.Values(tails, nil, vals[pos:pos+n], g0, g1)
+		})
+		bulk.ChargeFetch(pp, m, prjCol, set.Len())
 		monetT := m.Total().Seconds()
+		mem.I64.Put(vals)
+		set.Release()
 
 		m = device.NewMeter(sys)
 		proj := ar.ProjectApprox(m, dprj, nil, refined)
 		approxT := m.Total().Seconds()
 		proj.Ship(m)
-		if _, err := ar.ProjectRefine(par.P{Threads: opts.Threads}, m, proj); err != nil {
+		if _, err := ar.ProjectRefine(pp, m, proj); err != nil {
 			return nil, err
 		}
 		totalT := m.Total().Seconds()
+		refined.Release()
 
 		monet.X = append(monet.X, sel)
 		monet.Y = append(monet.Y, ms(monetT))

@@ -1,8 +1,8 @@
 // Package mem is the morsel-scratch arena underneath the CPU kernel
-// layers: size-classed, sync.Pool-backed buffers for position lists,
-// candidate codes, selection vectors and group scratch, plus a per-worker
-// bump-allocated Scratch that morsel loops reuse across the morsels one
-// worker claims.
+// layers: size-classed, sync.Pool-backed buffers for survivor masks,
+// candidate codes, values and group scratch, plus a per-worker
+// bump-allocated Scratch that a kernel's blocks reuse across the morsels
+// one worker takes.
 //
 // The paper's thesis — eliminate waste by touching only the bits a query
 // needs — is applied here to transient host memory: without the arena,
@@ -156,14 +156,11 @@ func (p *Pool[T]) Put(s []T) {
 }
 
 // Shared pools for the element types the kernel layers traffic in.
-// Packages with their own element types (e.g. bat.OID) declare their own
-// Pool instance next to the type.
 var (
-	U64   Pool[uint64] // candidate codes, bit-packed decode scratch
-	I64   Pool[int64]  // values, aggregate partials
-	Ints  Pool[int]    // selection vectors, morsel counts
-	U32   Pool[uint32] // tuple IDs
-	Bools Pool[bool]   // FK-probe hit flags
+	U64  Pool[uint64] // survivor masks, candidate codes, bit-packed decode scratch
+	I64  Pool[int64]  // values, aggregate partials
+	Ints Pool[int]    // work-group offsets and orders
+	U32  Pool[uint32] // group ids
 )
 
 // Scratch is one worker's morsel-local scratch: a bump allocator over
@@ -175,8 +172,6 @@ type Scratch struct {
 	u64n int
 	i64  []int64
 	i64n int
-	ints []int
-	intn int
 	u32  []uint32
 	u32n int
 }
@@ -193,7 +188,7 @@ func PutScratch(s *Scratch) {
 }
 
 // Reset invalidates every buffer previously carved from the scratch.
-func (s *Scratch) Reset() { s.u64n, s.i64n, s.intn, s.u32n = 0, 0, 0, 0 }
+func (s *Scratch) Reset() { s.u64n, s.i64n, s.u32n = 0, 0, 0 }
 
 // U64 carves n uint64s with unspecified contents.
 func (s *Scratch) U64(n int) []uint64 {
@@ -229,18 +224,6 @@ func (s *Scratch) GrowI64(n int) {
 		copy(grown, s.i64[:s.i64n])
 		s.i64 = grown
 	}
-}
-
-// Ints carves n ints with unspecified contents.
-func (s *Scratch) Ints(n int) []int {
-	if s.intn+n > len(s.ints) {
-		grown := make([]int, growTo(s.intn+n))
-		copy(grown, s.ints[:s.intn])
-		s.ints = grown
-	}
-	out := s.ints[s.intn : s.intn+n]
-	s.intn += n
-	return out
 }
 
 // U32 carves n uint32s with unspecified contents.

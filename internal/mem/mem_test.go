@@ -103,7 +103,7 @@ func TestScratchCarveAndReset(t *testing.T) {
 	if &c[0] != &c2[0] {
 		t.Fatal("carve after Reset did not reuse the backing array")
 	}
-	if len(s.I64(10)) != 10 || len(s.Ints(10)) != 10 || len(s.U32(10)) != 10 {
+	if len(s.I64(10)) != 10 || len(s.U32(10)) != 10 {
 		t.Fatal("typed carves broken")
 	}
 }
@@ -122,7 +122,7 @@ func TestPoolConcurrent(t *testing.T) {
 				}
 				U64.Put(b)
 				s := GetScratch()
-				_ = s.Ints(128)
+				_ = s.U32(128)
 				PutScratch(s)
 			}
 		}(g)

@@ -4,12 +4,11 @@
 // Kernels in the paper are parallelized "over the number of processed
 // tuples" (§V-C). We model this with chunked worker pools: the input range
 // is split into fixed-size chunks (morsels) that workers claim from one
-// loop (P.For, and P.ForScratch for kernels that want a per-worker
-// scratch). Two gather disciplines are offered:
+// loop (P.For). Two gather disciplines are offered:
 //
 //   - ordered: chunk outputs are concatenated in chunk order, preserving the
-//     input permutation (GatherOrdered, ForCounted + Compact: the CPU-side,
-//     order-preserving discipline). The classic selection's survivor set
+//     input permutation (GatherOrdered: the CPU-side, order-preserving
+//     discipline). The classic selection's survivor set
 //     (ar.SelectExact) lays its work-groups out in this order, so what is
 //     read from it comes out in row order;
 //   - unordered: chunk outputs are concatenated in the deterministic but
@@ -33,8 +32,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/mem"
 )
 
 // DefaultChunk is the default number of tuples per parallel chunk. It is
@@ -163,25 +160,12 @@ func (p P) Cancelled() error {
 // is checked before every morsel claim; on cancellation the remaining
 // morsels are skipped and For returns the context error (the caller must
 // discard whatever fn produced so far).
+//
+// With a single worker (or a single morsel) the claim loop runs on the
+// calling goroutine over stack-resident state, so the serial path allocates
+// nothing — which is why the two branches declare their state separately:
+// escape analysis is per variable, not per path.
 func (p P) For(n int, fn func(lo, hi int)) error {
-	return p.run(n, fn, nil)
-}
-
-// ForScratch is For with a per-worker morsel scratch: each worker takes
-// one mem.Scratch for the duration of its claim loop and hands it to fn,
-// reset, for every morsel it processes — so decode buffers and selection
-// vectors are reused across morsels instead of allocated per morsel.
-// Buffers carved from the scratch must not escape fn.
-func (p P) ForScratch(n int, fn func(s *mem.Scratch, lo, hi int)) error {
-	return p.run(n, nil, fn)
-}
-
-// run is the one morsel loop behind For and ForScratch; exactly one of fn
-// and sfn is set. With a single worker (or a single morsel) the claim loop
-// runs on the calling goroutine over stack-resident state, so the serial
-// path allocates nothing — which is why the two branches declare their
-// state separately: escape analysis is per variable, not per path.
-func (p P) run(n int, fn func(lo, hi int), sfn func(s *mem.Scratch, lo, hi int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -189,11 +173,11 @@ func (p P) run(n int, fn func(lo, hi int), sfn func(s *mem.Scratch, lo, hi int))
 	nchunks := (n + chunk - 1) / chunk
 	w := min(p.NWorkers(), nchunks)
 	if w <= 1 {
-		m := morsels{p: p, n: n, chunk: chunk, nchunks: nchunks, fn: fn, sfn: sfn}
+		m := morsels{p: p, n: n, chunk: chunk, nchunks: nchunks, fn: fn}
 		m.work()
 		return p.Cancelled()
 	}
-	m := &morsels{p: p, n: n, chunk: chunk, nchunks: nchunks, fn: fn, sfn: sfn}
+	m := &morsels{p: p, n: n, chunk: chunk, nchunks: nchunks, fn: fn}
 	m.wg.Add(w)
 	for i := 0; i < w; i++ {
 		go m.helper()
@@ -202,14 +186,12 @@ func (p P) run(n int, fn func(lo, hi int), sfn func(s *mem.Scratch, lo, hi int))
 	return p.Cancelled()
 }
 
-// morsels is the state of one run: the kernel body in whichever of its two
-// shapes the caller supplied, the claim cursor the workers share, and the
-// workers the caller waits for.
+// morsels is the state of one For: the kernel body, the claim cursor the
+// workers share, and the workers the caller waits for.
 type morsels struct {
 	p                 P
 	n, chunk, nchunks int
 	fn                func(lo, hi int)
-	sfn               func(s *mem.Scratch, lo, hi int)
 
 	next atomic.Int64 // next unclaimed morsel
 	wg   sync.WaitGroup
@@ -227,69 +209,14 @@ func (m *morsels) helper() {
 // work claims and processes morsels until none are left or the context is
 // done.
 func (m *morsels) work() {
-	var s *mem.Scratch
-	if m.sfn != nil {
-		s = mem.GetScratch()
-		defer mem.PutScratch(s)
-	}
 	for !m.p.cancelled() {
 		c := int(m.next.Add(1)) - 1 // the one claim site: an atomic next++
 		if c >= m.nchunks {
 			return
 		}
 		lo := c * m.chunk
-		hi := min(lo+m.chunk, m.n)
-		if s != nil {
-			s.Reset()
-			m.sfn(s, lo, hi)
-		} else {
-			m.fn(lo, hi)
-		}
+		m.fn(lo, min(lo+m.chunk, m.n))
 	}
-}
-
-// ForCounted runs fn over [0,n) in morsels, recording how many outputs
-// each morsel produced. fn writes its survivors into the caller's
-// overallocated output buffers at the morsel's own offset (positions
-// [lo, lo+count)) — regions are disjoint, so no synchronization — and
-// returns the count. Compact then left-packs the regions in morsel order.
-// counts is drawn from the arena; the caller releases it with
-// mem.Ints.Put. On cancellation counts is released and nil is returned
-// with the context error.
-func ForCounted(p P, n int, fn func(s *mem.Scratch, ci, lo, hi int) int) (counts []int, total int, err error) {
-	chunk := p.ChunkSize()
-	nchunks := (n + chunk - 1) / chunk
-	counts = mem.Ints.GetN(nchunks)
-	clear(counts)
-	err = p.ForScratch(n, func(s *mem.Scratch, lo, hi int) {
-		ci := lo / chunk
-		counts[ci] = fn(s, ci, lo, hi)
-	})
-	if err != nil {
-		mem.Ints.Put(counts)
-		return nil, 0, err
-	}
-	for _, c := range counts {
-		total += c
-	}
-	return counts, total, nil
-}
-
-// Compact left-packs the per-morsel regions a ForCounted pass produced:
-// morsel ci's count survivors sit at [ci*chunk, ci*chunk+counts[ci]) of
-// buf and are moved to the running offset. Because the target offset never
-// exceeds the source offset, the move is in-place and allocation-free.
-// Returns buf truncated to the packed length.
-func Compact[T any](counts []int, chunk int, buf []T) []T {
-	off := 0
-	for ci, cnt := range counts {
-		lo := ci * chunk
-		if off != lo {
-			copy(buf[off:off+cnt], buf[lo:lo+cnt])
-		}
-		off += cnt
-	}
-	return buf[:off]
 }
 
 // GatherOrdered runs fn over [0,n) in morsels and concatenates the

@@ -12,36 +12,6 @@ import (
 	"repro/internal/mem"
 )
 
-// loopForms are the entry points that run on the one morsel claim loop;
-// each adapter reports every morsel it was handed to visit.
-var loopForms = []struct {
-	name string
-	run  func(t *testing.T, p P, n int, visit func(lo, hi int)) error
-}{
-	{"For", func(t *testing.T, p P, n int, visit func(lo, hi int)) error {
-		return p.For(n, visit)
-	}},
-	{"ForScratch", func(t *testing.T, p P, n int, visit func(lo, hi int)) error {
-		return p.ForScratch(n, func(_ *mem.Scratch, lo, hi int) { visit(lo, hi) })
-	}},
-	{"ForCounted", func(t *testing.T, p P, n int, visit func(lo, hi int)) error {
-		counts, total, err := ForCounted(p, n, func(_ *mem.Scratch, ci, lo, hi int) int {
-			if ci != lo/p.ChunkSize() {
-				t.Errorf("morsel index %d does not match its range [%d,%d)", ci, lo, hi)
-			}
-			visit(lo, hi)
-			return hi - lo
-		})
-		if err == nil {
-			if total != max(n, 0) {
-				t.Errorf("total = %d, want %d", total, max(n, 0))
-			}
-			mem.Ints.Put(counts)
-		}
-		return err
-	}},
-}
-
 func TestParallelLoopForms(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -56,66 +26,64 @@ func TestParallelLoopForms(t *testing.T) {
 		{"serial", 1003, 16, 1},
 		{"default chunk", DefaultChunk + 3, 0, 3},
 	}
-	for _, form := range loopForms {
-		for _, tc := range cases {
-			t.Run(form.name+"/"+tc.name, func(t *testing.T) {
-				p := P{Workers: tc.work, Chunk: tc.chunk}
-				seen := make([]int32, max(tc.n, 0))
-				var morsels atomic.Int32
-				err := form.run(t, p, tc.n, func(lo, hi int) {
-					morsels.Add(1)
-					if lo%p.ChunkSize() != 0 || hi-lo > p.ChunkSize() {
-						t.Errorf("morsel [%d,%d) is not chunk-aligned", lo, hi)
-					}
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&seen[i], 1)
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
+	for _, tc := range cases {
+		t.Run("For/"+tc.name, func(t *testing.T) {
+			p := P{Workers: tc.work, Chunk: tc.chunk}
+			seen := make([]int32, max(tc.n, 0))
+			var morsels atomic.Int32
+			err := p.For(tc.n, func(lo, hi int) {
+				morsels.Add(1)
+				if lo%p.ChunkSize() != 0 || hi-lo > p.ChunkSize() {
+					t.Errorf("morsel [%d,%d) is not chunk-aligned", lo, hi)
 				}
-				for i, c := range seen {
-					if c != 1 {
-						t.Fatalf("index %d visited %d times", i, c)
-					}
-				}
-				if tc.n <= 0 && morsels.Load() != 0 {
-					t.Error("fn called for an empty range")
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&seen[i], 1)
 				}
 			})
-		}
-		t.Run(form.name+"/cancelled before", func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			for _, workers := range []int{1, 4} {
-				err := form.run(t, P{Workers: workers, Chunk: 10, Ctx: ctx}, 1000, func(lo, hi int) {
-					t.Errorf("workers=%d: morsel [%d,%d) ran under a cancelled context", workers, lo, hi)
-				})
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("index %d visited %d times", i, c)
 				}
 			}
-		})
-		t.Run(form.name+"/cancelled during", func(t *testing.T) {
-			for _, workers := range []int{1, 2} {
-				ctx, cancel := context.WithCancel(context.Background())
-				var ran atomic.Int32
-				err := form.run(t, P{Workers: workers, Chunk: 10, Ctx: ctx}, 10000, func(lo, hi int) {
-					if ran.Add(1) == 3 {
-						cancel()
-					}
-				})
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-				}
-				// A serial run stops at the very next claim; a parallel one
-				// within the morsels in flight — never the whole pass.
-				if got := int(ran.Load()); (workers == 1 && got != 3) || got >= 1000 {
-					t.Fatalf("workers=%d: ran %d morsels, cancelled in the 3rd; latency not morsel-bounded", workers, got)
-				}
+			if tc.n <= 0 && morsels.Load() != 0 {
+				t.Error("fn called for an empty range")
 			}
 		})
 	}
+	t.Run("For/cancelled before", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, workers := range []int{1, 4} {
+			err := P{Workers: workers, Chunk: 10, Ctx: ctx}.For(1000, func(lo, hi int) {
+				t.Errorf("workers=%d: morsel [%d,%d) ran under a cancelled context", workers, lo, hi)
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			}
+		}
+	})
+	t.Run("For/cancelled during", func(t *testing.T) {
+		for _, workers := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var ran atomic.Int32
+			err := P{Workers: workers, Chunk: 10, Ctx: ctx}.For(10000, func(lo, hi int) {
+				if ran.Add(1) == 3 {
+					cancel()
+				}
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			}
+			// A serial run stops at the very next claim; a parallel one
+			// within the morsels in flight — never the whole pass.
+			if got := int(ran.Load()); (workers == 1 && got != 3) || got >= 1000 {
+				t.Fatalf("workers=%d: ran %d morsels, cancelled in the 3rd; latency not morsel-bounded", workers, got)
+			}
+		}
+	})
 }
 
 func TestForSingleWorkerSequential(t *testing.T) {
@@ -128,36 +96,14 @@ func TestForSingleWorkerSequential(t *testing.T) {
 	}
 }
 
-// A worker's scratch is rewound before every morsel: a buffer carved in
-// one morsel reuses the storage of the previous morsel's carve.
-func TestForScratchResetsBetweenMorsels(t *testing.T) {
-	var bases []*int
-	err := P{Workers: 1, Chunk: 8}.ForScratch(80, func(s *mem.Scratch, lo, hi int) {
-		bases = append(bases, &s.Ints(64)[0])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bases) != 10 {
-		t.Fatalf("ran %d morsels, want 10", len(bases))
-	}
-	for i, b := range bases {
-		if b != bases[0] {
-			t.Fatalf("morsel %d carved at a fresh offset: scratch was not reset", i)
-		}
-	}
-}
-
 // The serial branch runs the claim loop over stack state: no per-call
 // allocation beyond what the kernel body itself does.
 func TestParallelLoopSerialZeroAlloc(t *testing.T) {
 	var sum int
 	body := func(lo, hi int) { sum += hi - lo }
-	sbody := func(_ *mem.Scratch, lo, hi int) { sum += hi - lo }
 	p := P{Workers: 1, Chunk: 64}
 	if n := testing.AllocsPerRun(50, func() {
 		p.For(1000, body)
-		p.ForScratch(1000, sbody)
 	}); n != 0 {
 		if mem.RaceEnabled {
 			t.Skipf("%.2f allocs/op under -race (sync.Pool drops Puts); strict guard runs in normal builds", n)

@@ -18,9 +18,10 @@ import (
 // The classic selection keeps its survivors in a mask and settles most
 // granules from the bounds of a decomposed column, but what it selects and
 // what it bills are the bulk operators': the id list, in row order, and every
-// meter field must equal the reference chain bulk.SelectRange → SelectOIDs
-// per further conjunct → a fetch-and-filter pass per disjunction group → the
-// deletion-bitmap probe, over decomposed and plain columns, clustered and
+// meter field must equal the reference chain — a full-scan selection → an id
+// list filter per further conjunct → a fetch-and-filter pass per disjunction
+// group → the deletion-bitmap probe, selected by row loop and billed through
+// bulk's charges — over decomposed and plain columns, clustered and
 // uniform, with deleted rows, a base length that is no multiple of 64, and
 // 1, 2 and 4 threads over morsels whose edges fall on granule boundaries and
 // between them.
@@ -61,7 +62,8 @@ func classicFixture(t testing.TB, n int, seed int64) *Catalog {
 	return c
 }
 
-// refClassicSelect is the reference: the bulk operators, id list to id list.
+// refClassicSelect is the reference: the bulk operators, id list to id list,
+// each a row loop billed with its counts.
 func refClassicSelect(p par.P, m *device.Meter, fs *store.Snapshot, q Query) []bat.OID {
 	col := func(name string) *bat.BAT {
 		b, err := fs.Column(name)
@@ -72,11 +74,23 @@ func refClassicSelect(p par.P, m *device.Meter, fs *store.Snapshot, q Query) []b
 	}
 	var ids []bat.OID
 	for i, f := range q.Filters {
+		b, kept := col(f.Col), []bat.OID{}
 		if i == 0 {
-			ids = bulk.SelectRange(p, m, col(f.Col), f.Lo, f.Hi)
+			for id, v := range b.Tails() {
+				if v >= f.Lo && v <= f.Hi {
+					kept = append(kept, bat.OID(id))
+				}
+			}
+			bulk.ChargeSelectRange(p, m, b, len(kept))
 		} else {
-			ids = bulk.SelectOIDs(p, m, col(f.Col), ids, f.Lo, f.Hi)
+			for _, id := range ids {
+				if v := b.Tails()[id]; v >= f.Lo && v <= f.Hi {
+					kept = append(kept, id)
+				}
+			}
+			bulk.ChargeSelectOIDs(p, m, b, len(ids), len(kept))
 		}
+		ids = kept
 	}
 	if len(q.Filters) == 0 {
 		ids = make([]bat.OID, fs.BaseLen())
@@ -86,14 +100,16 @@ func refClassicSelect(p par.P, m *device.Meter, fs *store.Snapshot, q Query) []b
 		m.CPUWork(p.NThreads(), int64(len(ids))*4, 0, int64(len(ids)))
 	}
 	for _, group := range q.Or {
-		vals := make([][]int64, len(group))
+		tails := make([][]int64, len(group))
 		for k, f := range group {
-			vals[k] = bulk.Fetch(p, m, col(f.Col), ids)
+			b := col(f.Col)
+			tails[k] = b.Tails()
+			bulk.ChargeFetch(p, m, b, len(ids))
 		}
 		kept := ids[:0:0]
-		for i, id := range ids {
+		for _, id := range ids {
 			for k, f := range group {
-				if v := vals[k][i]; v >= f.Lo && v <= f.Hi {
+				if v := tails[k][id]; v >= f.Lo && v <= f.Hi {
 					kept = append(kept, id)
 					break
 				}

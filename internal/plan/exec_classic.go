@@ -65,9 +65,9 @@ func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 // — a full scan, then candidate-list filters that gather a column at the
 // surviving positions and rewrite the id list, the key fetched and probed in
 // the pre-built index, a dimension column fetched at the joined positions
-// and filtered (bulk.SelectRange, SelectOIDs, Fetch, FKJoin, whose charges
-// these are) — whatever the host skipped (DESIGN.md §7). A delta run bills
-// and lists nothing: scanDelta charges it once, as a row store's pass.
+// and filtered (bulk.ChargeSelectRange, ChargeSelectOIDs, ChargeFetch,
+// ChargeFKJoin) — whatever the host skipped (DESIGN.md §7). A delta run
+// bills and lists nothing: scanDelta charges it once, as a row store's pass.
 func (pl pipeline) selectClassic(st *pipeState) (sel *ar.Candidates, keys []bwd.Key, err error) {
 	q, fact, pp, bill := &pl.q, pl.snap.fact, st.pp, !pl.delta
 	m := st.m

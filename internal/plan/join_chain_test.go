@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
-	"repro/internal/bulk"
 	"repro/internal/device"
-	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -218,10 +216,10 @@ func inFilter(v int64, f plan.Filter) bool { return v >= f.Lo && v <= f.Hi }
 
 // oracle answers q over the oracle's copy of the tables — live marks the fact
 // rows (base then inserted) no DELETE took, dead the dimension rows one did —
-// row at a time for the fact predicates and with the bulk operators for the
-// joins: the pre-built index probe (bulk.FKJoin) for dim1, a generic hash
-// join of the key values against the dimension's primary key
-// (bulk.HashJoin) for dim2, and bulk.Fetch for every dimension attribute.
+// row at a time: the fact predicates, then per join a map from the
+// dimension's primary-key values to their positions, probed with each
+// surviving row's key, and every dimension attribute read at the position
+// found.
 func (d *joinChainData) oracle(t testing.TB, q plan.Query, aggs []joinChainAgg, live []bool, dead map[string][]bool) []plan.Row {
 	t.Helper()
 	var rows []bat.OID
@@ -243,30 +241,22 @@ func (d *joinChainData) oracle(t testing.TB, q plan.Query, aggs []joinChainAgg, 
 	}
 	pos := map[string][]bat.OID{} // dimension positions aligned with rows
 	for _, j := range q.Joins {
-		fks := bulk.Fetch(par.P{}, nil, bat.NewDense(d.fact[j.FKCol], bat.Width32), rows)
-		var at []bat.OID
-		hit := make([]bool, len(rows))
-		if j.Dim == "dim1" {
-			ix, err := d.c.FKIndex(j.Dim, j.DimPK)
-			if err != nil {
-				t.Fatal(err)
-			}
-			at, hit = bulk.FKJoin(par.P{}, nil, ix, fks)
-		} else {
-			at = make([]bat.OID, len(rows))
-			lids, rids := bulk.HashJoin(nil, 1, fks, d.dims[j.Dim][j.DimPK])
-			for k := range lids {
-				at[lids[k]], hit[lids[k]] = rids[k], true
-			}
+		byKey := make(map[int64]bat.OID, len(d.dims[j.Dim][j.DimPK]))
+		for p, k := range d.dims[j.Dim][j.DimPK] {
+			byKey[k] = bat.OID(p)
+		}
+		at, hit := make([]bat.OID, len(rows)), make([]bool, len(rows))
+		for i, row := range rows {
+			at[i], hit[i] = byKey[d.fact[j.FKCol][row]]
 		}
 		keep := make([]bool, len(rows))
 		for i := range rows {
 			keep[i] = hit[i] && !dead[j.Dim][at[i]]
 		}
 		for _, f := range j.DimFilters {
-			vals := bulk.Fetch(par.P{}, nil, bat.NewDense(d.dims[j.Dim][f.Col], bat.Width32), at)
+			vals := d.dims[j.Dim][f.Col]
 			for i := range rows {
-				keep[i] = keep[i] && (!hit[i] || inFilter(vals[i], f))
+				keep[i] = keep[i] && (!hit[i] || inFilter(vals[at[i]], f))
 			}
 		}
 		pos[j.Dim] = at

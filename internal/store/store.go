@@ -349,10 +349,7 @@ func Restore(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Colum
 		if !pkCols[i] {
 			continue
 		}
-		var ix *bulk.FKIndex
-		if strictlyDense(seg.cols[i].Tails()) {
-			ix = bulk.BuildFKIndex(nil, 1, seg.cols[i].Tails())
-		}
+		ix := bulk.BuildFKIndex(seg.cols[i].Tails())
 		if ix == nil {
 			return nil, fmt.Errorf("store: restore %s: %s is no longer a dense key", name, schema[i].Name)
 		}
@@ -638,10 +635,7 @@ func (t *Table) BuildFKIndex(col string) error {
 		}
 	}
 	s := t.cur.Load()
-	if !strictlyDense(s.base.cols[i].Tails()) {
-		return fmt.Errorf("store: %s.%s is not a dense unique key", t.name, col)
-	}
-	ix := bulk.BuildFKIndex(nil, 1, s.base.cols[i].Tails())
+	ix := bulk.BuildFKIndex(s.base.cols[i].Tails())
 	if ix == nil {
 		return fmt.Errorf("store: %s.%s is not a dense unique key", t.name, col)
 	}
@@ -763,20 +757,15 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 	}
 
 	// Rebuild registered FK indexes over the compacted key columns. The
-	// key must remain STRICTLY dense (v[i] == v[0] + i): the A&R join maps
+	// key must remain STRICTLY dense (v[i] == v[0] + i): the join maps
 	// foreign keys to dimension positions arithmetically (§IV-D), so a
 	// compaction that punches holes into the key — or an append that
-	// leaves one — would silently mis-join. bulk.BuildFKIndex alone is not
-	// enough of a guard: it tolerates gaps (the classic hash path handles
-	// them), which the positional path cannot.
+	// leaves one — would silently mis-join; bulk.BuildFKIndex refuses it.
 	for c := 0; c < stride; c++ {
 		if !t.pkCols[c] {
 			continue
 		}
-		var ix *bulk.FKIndex
-		if strictlyDense(seg.cols[c].Tails()) {
-			ix = bulk.BuildFKIndex(nil, 1, seg.cols[c].Tails())
-		}
+		ix := bulk.BuildFKIndex(seg.cols[c].Tails())
 		if ix == nil {
 			for _, nd := range seg.decs {
 				if nd != nil {
@@ -864,17 +853,6 @@ func (t *Table) Stats() TableStats {
 		MergeFullBytes:    t.mergeFullBytes,
 		Epoch:             t.epoch,
 	}
-}
-
-// strictlyDense reports whether vals is exactly v[0], v[0]+1, v[0]+2, …
-// — the invariant the positional (dense-PK) join arithmetic relies on.
-func strictlyDense(vals []int64) bool {
-	for i, v := range vals {
-		if v != vals[0]+int64(i) {
-			return false
-		}
-	}
-	return len(vals) > 0
 }
 
 func packedBytes(n int, bits uint) int64 {

@@ -216,8 +216,8 @@ func TestFKIndexRebuiltOnMerge(t *testing.T) {
 	if ix == nil {
 		t.Fatal("FK index not rebuilt on merge")
 	}
-	if pos, ok := ix.Lookup(51); !ok || int(pos) != 51 {
-		t.Fatalf("rebuilt index lookup(51) = %d,%v", pos, ok)
+	if base, n := ix.Span(); base != 0 || n != 52 {
+		t.Fatalf("rebuilt index spans (%d, %d), want (0, 52): key 51 at position 51", base, n)
 	}
 }
 

@@ -48,10 +48,10 @@ var reachRetiring = []string{
 // module's non-test files and fails when a function or method declared in
 // the kernel layer is reachable neither from a main under cmd/ or
 // examples/, nor from what bench/*.go references, nor from a _test.go file
-// of a different package (oracles and fixtures such as bulk.HashJoin),
-// unless reachAllowed or reachRetiring names it. A method that satisfies an
-// interface (fmt.Stringer, sort.Interface, …) counts as reached: it is
-// called through the interface.
+// of a different package (oracles and fixtures), unless reachAllowed or
+// reachRetiring names it. A method that satisfies an interface
+// (fmt.Stringer, sort.Interface, …) counts as reached: it is called through
+// the interface.
 func TestKernelLayerIsReached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and its standard-library imports from source")
