@@ -509,6 +509,56 @@ func BenchmarkOpJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkOpOlapTail is the olap_tail workload's three statement texts at
+// fixed parameters over its table (SF 0.04, 240 k lineitem rows, every column
+// device resident, so each runs as an exact leg): "q1" (90 days before the
+// end, every other statement the workload sends), "q6" (1994, discount
+// 0.05–0.07) and "q14" (September 1995, PROMO part types). "widekey" groups a
+// year of lineitem by l_shipdate, whose codes are 12 bits wide: the widest
+// key an exact leg still folds per key, 365 groups. Each text is compiled by
+// sql.Compile and run through ExecAR only, so the same line measures any
+// commit.
+func BenchmarkOpOlapTail(b *testing.B) {
+	d := tpch.Generate(0.04, 1)
+	c := plan.NewCatalog(device.PaperSystem())
+	if err := d.Load(c); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.DecomposeAll(c, false); err != nil {
+		b.Fatal(err)
+	}
+	q14From := tpch.Day(1995, 9, 1)
+	for _, shape := range []struct{ name, text string }{
+		{"q1", fmt.Sprintf("select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, sum(l_extendedprice) as sum_base_price, "+
+			"sum(l_extendedprice * (1.00 - l_discount)) as sum_disc_price, "+
+			"sum(l_extendedprice * (1.00 - l_discount) * (1.00 + l_tax)) as sum_charge, "+
+			"avg(l_quantity) as avg_qty, avg(l_extendedprice) as avg_price, avg(l_discount) as avg_disc, count(*) as count_order "+
+			"from lineitem where l_shipdate <= %d group by l_returnflag, l_linestatus", tpch.Day(1998, 12, 1)-90)},
+		{"q6", fmt.Sprintf("select sum(l_extendedprice * l_discount) as revenue from lineitem "+
+			"where l_shipdate between %d and %d and l_discount between 0.05 and 0.07 and l_quantity < 24",
+			tpch.Day(1994, 1, 1), tpch.Day(1995, 1, 1)-1)},
+		{"q14", fmt.Sprintf("select sum(l_extendedprice * (1.00 - l_discount)) as promo_revenue, count(*) as n "+
+			"from lineitem join part on lineitem.l_partkey = part.p_partkey "+
+			"where l_shipdate between %d and %d and part.p_type between 75 and 99", q14From, q14From+30)},
+		{"widekey", fmt.Sprintf("select l_shipdate, sum(l_quantity) as sum_qty, sum(l_extendedprice * (1.00 - l_discount)) as sum_disc_price, "+
+			"count(*) as n from lineitem where l_shipdate between %d and %d group by l_shipdate",
+			tpch.Day(1995, 1, 1), tpch.Day(1996, 1, 1)-1)},
+	} {
+		compiled, err := sql.Compile(c, shape.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.ExecAR(context.Background(), compiled.Query, plan.ExecOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkIngestWhileQuery drives a concurrent INSERT stream against an
 // A&R query stream over the mutable column store: a writer session appends
 // batches into the delta segment while the timed loop runs range counts,

@@ -103,7 +103,8 @@ type Candidates struct {
 	// of chunk rows, a whole number of granules, and offs has one entry per
 	// work-group: the group's survivor count while the mask narrows, its
 	// slot in candidate order once sealed — the groups taken in
-	// par.PermuteInto order when permuted, in index order otherwise.
+	// par.PermuteInto order when permuted, in index order otherwise, an
+	// order seal records behind offs' length (order).
 	mask             []uint64
 	rows, n, chunk   int
 	offs             []int
@@ -126,11 +127,13 @@ type Candidates struct {
 }
 
 // open lays an empty set out over rows rows, in work-groups of chunk rows
-// sealed in par.PermuteInto order (permuted) or in index order.
+// sealed in par.PermuteInto order (permuted) or in index order. The slots'
+// buffer holds that order of the work-groups too (order), behind its length.
 func (c *Candidates) open(rows, chunk int, permuted bool) {
 	c.rows, c.chunk, c.permuted = rows, chunk, permuted
 	c.mask = mem.U64.GetN(granulesTo(rows))
-	c.offs = mem.Ints.GetN((rows + chunk - 1) / chunk)
+	wg := (rows + chunk - 1) / chunk
+	c.offs = mem.Ints.GetN(2 * wg)[:wg]
 }
 
 // SelectExact starts a host set over rows [0,rows): the rows that satisfy any

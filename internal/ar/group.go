@@ -15,14 +15,19 @@ import (
 // group ID per candidate, positionally aligned with the candidate set as it
 // was grouped — the MonetDB representation of groupings — plus each group's
 // tuple of approximation codes, groups in first-appearance order. Src is
-// that set; a refinement narrows it in place, and GroupRefine reads it.
+// that set; a refinement narrows it in place, and GroupRefine reads it. A
+// grouping its caller numbered while it accumulated per key (GroupKeyed) has
+// the groups and no ids.
 type Grouping struct {
 	Src     *Candidates
 	Cols    []*bwd.Column
-	IDs     []uint32 // group id per candidate position; arena-backed; nil once GroupRefine handed them on
+	IDs     []uint32 // group id per candidate position; arena-backed; nil from GroupKeyed and once GroupRefine handed them on
 	NGroups int
 	// Codes[k][g] is the approximation code of column k for group g.
-	Codes   [][]uint64
+	Codes [][]uint64
+	// cands is how many candidates were grouped: Src's length at grouping
+	// time, which the refinements may have narrowed since.
+	cands   int
 	shipped bool
 }
 
@@ -46,12 +51,13 @@ type groupTable struct {
 	uniq  []uint64 // the key of every group, in first-appearance order
 }
 
-// directBits is the widest code tuple GroupApprox looks up through a direct
+// DirectBits is the widest code tuple GroupApprox looks up through a direct
 // table of 2^bits entries: 16 kB at the limit, cache resident, taken from the
 // arena and cleared once per work-group (groupByWorkGroup) — for Q1's 3-bit
 // key it is 8 entries, where the hash table would hash and probe every
-// candidate's key. A wider key keeps the hash table alone.
-const directBits = 12
+// candidate's key. A wider key keeps the hash table alone. It is also the
+// widest key an exact leg's fold accumulates per key itself (GroupKeyed).
+const DirectBits = 12
 
 func newGroupTable() *groupTable {
 	const slots = 64
@@ -98,21 +104,32 @@ func (t *groupTable) grow() {
 // GroupKeyFits reports whether the columns' approximation codes pack into
 // one entry of the device grouping table, which is a 64-bit word. A wider
 // key cannot be pre-grouped on the device; the caller groups on the host.
-func GroupKeyFits(cols []*bwd.Column) bool {
-	var total uint
+func GroupKeyFits(cols []*bwd.Column) bool { return GroupKeyBits(cols) <= 64 }
+
+// GroupKeyBits is the width of the columns' key tuple: the grouping packs a
+// candidate's codes into one word, the leading column highest (keyShifts).
+func GroupKeyBits(cols []*bwd.Column) uint {
+	var bits uint
 	for _, col := range cols {
-		total += col.Dec.ApproxBits
+		bits += col.Dec.ApproxBits
 	}
-	return total <= 64
+	return bits
+}
+
+// keyShifts is where each column's code sits in the packed key tuple: column
+// k's code shifted left by shift[k], the leading column highest.
+func keyShifts(cols []*bwd.Column) []uint {
+	shift := make([]uint, len(cols))
+	var at uint
+	for k := len(cols) - 1; k >= 0; k-- {
+		shift[k] = at
+		at += cols[k].Dec.ApproxBits
+	}
+	return shift
 }
 
 // GroupApprox hash-groups the candidates by the tuple of approximation
-// codes of cols on the device. The cost model charges the massively
-// parallel hash build's write-conflict serialization: with G groups and L
-// device lanes, concurrent lanes collide on the same group entry at a rate
-// proportional to L/G, which is why "performance improves with the number
-// of groups due to fewer write conflicts on the grouping table" (§VI-B,
-// Fig 8f).
+// codes of cols on the device, billed by ChargeGroupApprox.
 //
 // If every column is fully device resident, the approximate grouping is
 // already the exact grouping of the candidate set (§IV-E: low-cardinality
@@ -123,75 +140,125 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 	if !GroupKeyFits(cols) {
 		panic(fmt.Sprintf("ar: GroupApprox over %d columns whose codes exceed the 64-bit grouping-table entry", len(cols)))
 	}
+	ids, groups, codes := groupByMask(devP(), cols, cands)
+	ChargeGroupApprox(m, cols, cands, groups)
+	return &Grouping{Src: cands, Cols: cols, IDs: ids, NGroups: groups, Codes: codes, cands: cands.Len()}
+}
+
+// ChargeGroupApprox bills GroupApprox's grouping of cands by cols into groups
+// groups, a function of those cardinalities alone — so a caller that numbers
+// the groups itself (GroupKeyed) bills the same. A key column the scan has
+// not attached is projected first, and billed as that projection. The
+// kernel is charged the massively parallel hash build's write-conflict
+// serialization: with G groups and L device lanes, concurrent lanes collide
+// on the same group entry at a rate proportional to L/G, which is why
+// "performance improves with the number of groups due to fewer write
+// conflicts on the grouping table" (§VI-B, Fig 8f).
+func ChargeGroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates, groups int) {
+	if m == nil {
+		return
+	}
 	n := cands.Len()
-	// A key column the scan has not attached is projected first, and billed
-	// as that projection.
 	for _, col := range cols {
 		if !cands.attached(col) {
 			chargeProject(m, col, n)
 		}
 	}
-	ids, groups, codes := groupByMask(devP(), cols, cands)
-	if m != nil {
-		// Serialized atomic updates: with L lanes spread over G group
-		// entries, L/G lanes contend for the same entry on average, so
-		// each tuple's write waits behind that many serialized updates.
-		lanes := float64(m.System().GPU.Threads)
-		depth := lanes / float64(max(groups, 1))
-		if depth < 1 {
-			depth = 1
-		}
-		var seq int64
-		for _, col := range cols {
-			seq += packedBytes(n, col.Dec.ApproxBits)
-		}
-		m.GPUKernel(seq+int64(n)*4, 0, int64(n)*bulk.OpsHashGroup+int64(float64(n)*depth))
+	// Serialized atomic updates: with L lanes spread over G group entries,
+	// L/G lanes contend for the same entry on average, so each tuple's
+	// write waits behind that many serialized updates.
+	lanes := float64(m.System().GPU.Threads)
+	depth := lanes / float64(max(groups, 1))
+	if depth < 1 {
+		depth = 1
 	}
-	return &Grouping{Src: cands, Cols: cols, IDs: ids, NGroups: groups, Codes: codes}
+	var seq int64
+	for _, col := range cols {
+		seq += packedBytes(n, col.Dec.ApproxBits)
+	}
+	m.GPUKernel(seq+int64(n)*4, 0, int64(n)*bulk.OpsHashGroup+int64(float64(n)*depth))
+}
+
+// GroupKeyed is GroupApprox's grouping of cands for a caller that reads the
+// key itself and accumulates per key as it walks the candidates — an exact
+// leg's phase-A fold (internal/plan) — for a key of at most DirectBits bits,
+// packed as GroupApprox packs it (keyShifts). list(ci) is work-group ci's
+// keys in the order they first appear in it. Entered in the set's candidate
+// order (numberInOrder), they number the groups exactly as GroupApprox does
+// — NGroups and Codes byte for byte — and gid, 2^bits long, receives each
+// listed key's group id. The grouping has no ids; the caller bills it
+// (ChargeGroupApprox).
+func GroupKeyed(cols []*bwd.Column, cands *Candidates, list func(ci int) []uint32, gid []uint32) *Grouping {
+	uniq := cands.numberInOrder(list, gid)
+	return &Grouping{Src: cands, Cols: cols, NGroups: len(uniq), Codes: groupCodes(cols, uniq), cands: cands.Len()}
+}
+
+// numberInOrder numbers a key of at most DirectBits bits listed a work-group
+// at a time — list(ci) holds work-group ci's keys in the order they first
+// appear in it: the lists are entered in the set's candidate order (order),
+// each key taking the next id where it first appears, which is the id a
+// serial pass over the candidates gives it. gid[key] receives each listed
+// key's id; the keys come back in id order. It is the one numbering of
+// GroupApprox's direct path (groupByWorkGroup) and of GroupKeyed.
+func (c *Candidates) numberInOrder(list func(ci int) []uint32, gid []uint32) (uniq []uint64) {
+	const unseen = ^uint32(0)
+	for i := range gid {
+		gid[i] = unseen
+	}
+	for _, ci := range c.order() {
+		for _, key := range list(ci) {
+			if gid[key] == unseen {
+				gid[key] = uint32(len(uniq))
+				uniq = append(uniq, uint64(key))
+			}
+		}
+	}
+	return uniq
 }
 
 // groupByMask is GroupApprox's host half, on the device's P, which
 // GroupRefine also regroups a refined set with, on the statement's: the
-// candidates' key tuples — the codes of cols packed into one word, leading
-// column highest — numbered in order of first appearance in candidate order,
-// the ids arena-backed, and each group's code per column. A key of at most
-// directBits bits is numbered a work-group at a time on p's workers
-// (groupByWorkGroup); a wider one through the hash table, the work-groups in
-// candidate order, a block of granules at a time. The ids are the same either
-// way.
+// candidates' key tuples (keyShifts) numbered in order of first
+// appearance in candidate order, the ids arena-backed, and each group's code
+// per column. A key of at most DirectBits bits is numbered a work-group at a
+// time on p's workers (groupByWorkGroup); a wider one through the hash table,
+// the work-groups in candidate order, a block of granules at a time. The ids
+// are the same either way.
 func groupByMask(p par.P, cols []*bwd.Column, cands *Candidates) (ids []uint32, groups int, codes [][]uint64) {
-	table := newGroupTable()
 	ids = mem.U32.GetN(cands.Len())
-	shift := make([]uint, len(cols))
-	var total uint
-	for k := len(cols) - 1; k >= 0; k-- {
-		shift[k] = total
-		total += cols[k].Dec.ApproxBits
-	}
-	if wg := cands.WorkGroups(); total <= directBits {
-		groupByWorkGroup(p, table, cols, shift, total, cands, ids, wg)
+	shift, total := keyShifts(cols), GroupKeyBits(cols)
+	var uniq []uint64
+	if wg := cands.WorkGroups(); total <= DirectBits {
+		uniq = groupByWorkGroup(p, cols, shift, total, cands, ids, wg)
 	} else {
-		order := par.PermuteInto(mem.Ints.GetN(wg))
+		table := newGroupTable()
 		buf := mem.U64.GetN(2 * keySpan * bwd.GranuleRows) // the keys, then a column's codes
-		for _, ci := range order {
+		for _, ci := range cands.order() {
 			cands.Blocks(ci, ci+1, keySpan, func(g0, g1, pos, cnt int) {
 				for i, key := range blockKeys(cands, cols, shift, buf, g0, g1, cnt) {
 					ids[pos+i] = table.id(key)
 				}
 			})
 		}
-		mem.Ints.Put(order)
 		mem.U64.Put(buf)
+		uniq = table.uniq
 	}
-	codes = make([][]uint64, len(cols))
+	return ids, len(uniq), groupCodes(cols, uniq)
+}
+
+// groupCodes splits the key of every group — uniq, in id order — into its
+// code per column.
+func groupCodes(cols []*bwd.Column, uniq []uint64) [][]uint64 {
+	shift := keyShifts(cols)
+	codes := make([][]uint64, len(cols))
 	for k, col := range cols {
-		codes[k] = make([]uint64, len(table.uniq))
+		codes[k] = make([]uint64, len(uniq))
 		mask := uint64(1)<<col.Dec.ApproxBits - 1
-		for g, key := range table.uniq {
+		for g, key := range uniq {
 			codes[k][g] = key >> shift[k] & mask
 		}
 	}
-	return ids, len(table.uniq), codes
+	return codes
 }
 
 // keySpan is how many granules of key tuples GroupApprox decodes at a time.
@@ -218,32 +285,33 @@ func blockKeys(cands *Candidates, cols []*bwd.Column, shift []uint, buf []uint64
 	return keys[:cnt]
 }
 
-// groupByWorkGroup is groupByMask for a key of at most directBits bits, on
+// groupByWorkGroup is groupByMask for a key of at most DirectBits bits, on
 // p's workers — for GroupApprox the device's host execution (devP), as the
-// scan runs — and to completion whatever p's context says: the merge reads
-// every work-group's keys, and a cancelled statement is discarded at its
-// next checkpoint. Every work-group numbers its keys in its own
+// scan runs — and to completion whatever p's context says: the numbering
+// reads every work-group's keys, and a cancelled statement is discarded at
+// its next checkpoint. Every work-group numbers its keys in its own
 // first-appearance order, through a direct table of its own, into its own
-// slot of ids. The work-groups' key lists are then entered into table in
-// candidate order — the order a serial loop over the candidates walks — so
-// the global ids come out exactly as that loop would assign them, and a
+// slot of ids. The work-groups' key lists are then numbered in candidate
+// order (numberInOrder) — the order a serial loop over the candidates walks
+// — so the global ids come out exactly as that loop would assign them, and a
 // work-group whose local ids are not the global ones is renumbered, in
 // parallel. One worker runs the same steps serially; one work-group's local
 // ids are the global ones. Every work-group's state is carved from three
-// arena buffers, whatever the work-groups or the cores.
-func groupByWorkGroup(p par.P, table *groupTable, cols []*bwd.Column, shift []uint, bits uint, cands *Candidates, ids []uint32, wg int) {
+// arena buffers, whatever the work-groups or the cores. It returns the keys
+// in id order.
+func groupByWorkGroup(p par.P, cols []*bwd.Column, shift []uint, bits uint, cands *Candidates, ids []uint32, wg int) (uniq []uint64) {
 	size := 1 << bits
 	// Work-group ci's direct table at [2ci·size, …), then its keys in its
-	// first-appearance order, which the merge overwrites with their global
-	// ids. A key fits 32 bits.
-	local := mem.U32.GetN(2 * wg * size)
+	// first-appearance order, which are overwritten with their global ids;
+	// behind them all, the numbering's table of global ids. A key fits 32
+	// bits.
+	local := mem.U32.GetN((2*wg + 1) * size)
 	const span = 2 * keySpan * bwd.GranuleRows // the keys, then a column's codes
 	bufs := mem.U64.GetN(wg * span)
-	// The work-groups in candidate order, then each one's key and candidate
-	// counts; a work-group that needs no renumbering has its candidate count
-	// zeroed by the merge.
-	meta := mem.Ints.GetN(3 * wg)
-	order, nkeys, nrows := par.PermuteInto(meta[:wg]), meta[wg:2*wg], meta[2*wg:]
+	// Each work-group's key and candidate counts; a work-group that needs no
+	// renumbering has its candidate count zeroed.
+	meta := mem.Ints.GetN(2 * wg)
+	nkeys, nrows := meta[:wg], meta[wg:]
 	p.Chunk, p.Ctx = 1, nil // a work-group at a time
 	p.For(wg, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
@@ -268,14 +336,14 @@ func groupByWorkGroup(p par.P, table *groupTable, cols []*bwd.Column, shift []ui
 		}
 	})
 	mem.U64.Put(bufs)
+	gid := local[2*wg*size:][:size]
+	uniq = cands.numberInOrder(func(ci int) []uint32 { return local[(2*ci+1)*size:][:nkeys[ci]] }, gid)
 	renumber := false
-	for _, ci := range order {
-		keys := local[(2*ci+1)*size:][:nkeys[ci]]
-		same := true
+	for ci := range wg {
+		keys, same := local[(2*ci+1)*size:][:nkeys[ci]], true
 		for l, key := range keys {
-			g := table.id(uint64(key))
-			keys[l] = g
-			same = same && g == uint32(l)
+			keys[l] = gid[key]
+			same = same && keys[l] == uint32(l)
 		}
 		if same {
 			nrows[ci] = 0
@@ -295,17 +363,19 @@ func groupByWorkGroup(p par.P, table *groupTable, cols []*bwd.Column, shift []ui
 	}
 	mem.Ints.Put(meta)
 	mem.U32.Put(local)
+	return uniq
 }
 
-// Ship charges the transfer of the per-candidate group IDs and the group
-// code table to the host.
+// Ship charges the transfer of the per-candidate group IDs — one per
+// candidate grouped, whether or not the host holds them as a list — and the
+// group code table to the host.
 func (g *Grouping) Ship(m *device.Meter) {
 	if g.shipped {
 		return
 	}
 	g.shipped = true
 	if m != nil {
-		m.Transfer(int64(len(g.IDs))*4 + int64(g.NGroups*len(g.Cols))*8)
+		m.Transfer(int64(g.cands)*4 + int64(g.NGroups*len(g.Cols))*8)
 	}
 }
 
@@ -315,8 +385,10 @@ func (g *Grouping) Ship(m *device.Meter) {
 //
 // When every grouping column is fully device resident, the pre-grouping is
 // already exact: the refinement only eliminates the false positives
-// introduced by earlier operators. If none were, the pre-grouping is the
-// grouping and its ids pass on as they are. Otherwise the refined set is
+// introduced by earlier operators. If none were — the set still holds the
+// candidates g grouped — the pre-grouping is the grouping and passes on as
+// it is: its ids, or none from GroupKeyed, whose caller folded per group
+// already (an exact leg). Otherwise the refined set is
 // regrouped by GroupApprox's host half (groupByMask): first-appearance ids
 // over the refined candidates, which are the pre-groups that kept a tuple,
 // renumbered in the order a serial pass meets them. It is billed as the
@@ -328,7 +400,7 @@ func (g *Grouping) Ship(m *device.Meter) {
 // kernel): the paper's observation that MonetDB's positional grouping
 // representation cannot profit from a physical pre-grouping.
 func GroupRefine(p par.P, m *device.Meter, g *Grouping) (*bulk.Grouping, [][]int64, error) {
-	src, pre := g.Src, len(g.IDs)
+	src, pre := g.Src, g.cands
 	n := src.Len()
 	exactPre := true
 	for _, col := range g.Cols {
@@ -337,9 +409,9 @@ func GroupRefine(p par.P, m *device.Meter, g *Grouping) (*bulk.Grouping, [][]int
 	if exactPre {
 		grouping, codes := &bulk.Grouping{IDs: g.IDs, NGroups: g.NGroups}, g.Codes
 		if n == pre {
-			// Nothing was refined away either: the ids pass on, no id list is
-			// joined to itself (a view, like the equal-length translucent
-			// join, which charges nothing).
+			// Nothing was refined away either: the grouping passes on, no id
+			// list is joined to itself (a view, like the equal-length
+			// translucent join, which charges nothing).
 			g.IDs = nil
 		} else {
 			chargeTranslucentJoin(m, p.NThreads(), pre, n)

@@ -305,7 +305,7 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 	}
 }
 
-// A key whose code tuple spans at most directBits bits goes through the
+// A key whose code tuple spans at most DirectBits bits goes through the
 // direct table, a wider one through the probe alone; either way the ids, the
 // group count and the groups' codes are exactly what the hash table assigns
 // the candidates' key tuples in candidate order — one column and two, on
@@ -320,8 +320,8 @@ func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
 	}{
 		{"1 bit", []uint{1}},
 		{"3 bits", []uint{3}},
-		{"12 bits", []uint{directBits}},
-		{"13 bits", []uint{directBits + 1}},
+		{"12 bits", []uint{DirectBits}},
+		{"13 bits", []uint{DirectBits + 1}},
 		{"two columns, 2+1 bits", []uint{2, 1}},
 		{"two columns, 7+5 bits", []uint{7, 5}},
 		{"two columns, 7+6 bits", []uint{7, 6}},
@@ -416,7 +416,7 @@ func codeColumn(t *testing.T, width uint, codes []uint64) *bwd.Column {
 }
 
 // TestGroupApproxOrderedMergeAcrossCores: on any number of host cores a key of
-// at most directBits bits is grouped per work-group, each in its own
+// at most DirectBits bits is grouped per work-group, each in its own
 // first-appearance order, and merged in candidate order. Over seven
 // work-groups that each hold a different half of the keys, in an order of
 // their own, the ids, the group count and the groups' codes must be exactly
@@ -456,7 +456,7 @@ func TestGroupApproxOrderedMergeAcrossCores(t *testing.T) {
 		cols []*bwd.Column
 	}
 	var cases []keyCase
-	for _, bits := range []uint{1, 3, 7, directBits, directBits + 1} {
+	for _, bits := range []uint{1, 3, 7, DirectBits, DirectBits + 1} {
 		cases = append(cases, keyCase{fmt.Sprintf("%d-bit key", bits), []*bwd.Column{codeColumn(t, bits, keyCodes(bits))}})
 	}
 	joint := keyCodes(5)

@@ -186,7 +186,7 @@ func (c *Candidates) Rebuild(col *bwd.Column, key *bwd.Key, out []int64, g0, g1 
 				out[at+i] = col.ReconstructFrom(codes[i], col.Residual.Get(base+bits.TrailingZeros64(w)))
 			}
 		default:
-			col.Residual.Unpack64(&res, base)
+			col.Residual.Unpack64(&res, base, 0)
 			for i, w := 0, word; w != 0; i, w = i+1, w&(w-1) {
 				out[at+i] = col.ReconstructFrom(codes[i], res[bits.TrailingZeros64(w)])
 			}

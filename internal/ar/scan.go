@@ -9,7 +9,6 @@ import (
 	"repro/internal/bitpack"
 	"repro/internal/bwd"
 	"repro/internal/device"
-	"repro/internal/mem"
 	"repro/internal/par"
 )
 
@@ -265,7 +264,8 @@ func (c *Candidates) MaskOut(drop []uint64) {
 // seal ends the narrowing: the work-groups' survivor counts are prefix-
 // summed — in the deterministic shuffled completion order of par.PermuteInto
 // for a device set, the unordered device discipline, in index order for a
-// host one — which gives every work-group its slot in candidate order.
+// host one — which gives every work-group its slot in candidate order, and
+// that order of the work-groups is kept beside the slots (order).
 // Everything read from the mask afterwards — projections, grouping keys,
 // exact values — lands in those slots, rows ascending inside one, so all
 // of it is positionally aligned.
@@ -274,20 +274,28 @@ func (c *Candidates) seal() {
 		return
 	}
 	c.sealed = true
-	total := 0
-	if !c.permuted {
-		for ci, cnt := range c.offs {
-			c.offs[ci], total = total, total+cnt
+	order := c.offs[len(c.offs) : 2*len(c.offs)]
+	if c.permuted {
+		par.PermuteInto(order)
+	} else {
+		for ci := range order {
+			order[ci] = ci
 		}
-		return
 	}
-	order := par.PermuteInto(mem.Ints.GetN(len(c.offs)))
+	total := 0
 	for _, ci := range order {
 		cnt := c.offs[ci]
 		c.offs[ci] = total
 		total += cnt
 	}
-	mem.Ints.Put(order)
+}
+
+// order returns the set's work-groups in candidate order, as seal took them:
+// the order in which a serial pass over the candidates meets them. It lives
+// in the second half of the slots' buffer.
+func (c *Candidates) order() []int {
+	c.seal()
+	return c.offs[len(c.offs) : 2*len(c.offs)]
 }
 
 // survivors counts the rows a stretch of mask words holds.
@@ -407,7 +415,7 @@ func emitGranule(approx *bitpack.Array, out []uint64, word uint64, base int, buf
 	if len(out) >= bwd.GranuleRows {
 		rows = (*[bwd.GranuleRows]uint64)(out)
 	}
-	approx.Unpack64(rows, base)
+	approx.Unpack64(rows, base, 0)
 	k := bits.TrailingZeros64(^word) // the first hole; 64 when there is none
 	if rows == buf {
 		copy(out, buf[:k])

@@ -149,57 +149,72 @@ func (a *Array) UnpackRange(dst []uint64, lo, hi int) []uint64 {
 		copy(grown, dst)
 		dst = grown
 	}
-	base := len(dst)
-	dst = dst[:base+n]
-	a.unpack(dst[base:], lo)
+	at := len(dst)
+	dst = dst[:at+n]
+	a.unpack(dst[at:], lo, 0)
 	return dst
 }
 
-// Unpack64 decodes the values at positions [lo, min(lo+64, Len())) into dst
-// and returns how many it wrote; lo must be a multiple of 64. Such a block
-// of 64 values always starts on a word boundary (64·width bits is a whole
-// number of words) and lands straight in the caller's array — the granule
-// decode of the A&R approximate scan and of the aggregate program's dense
-// blocks. Entries of dst past the returned count are left untouched, and bits
-// of the last backing word beyond the final value are never interpreted.
-func (a *Array) Unpack64(dst *[64]uint64, lo int) int {
+// Unpack64 decodes the values at positions [lo, min(lo+64, Len())) into dst,
+// each plus base (wrapping), and returns how many it wrote; lo must be a
+// multiple of 64. Such a block of 64 values always starts on a word boundary
+// (64·width bits is a whole number of words) and lands straight in the
+// caller's array — the granule decode of the A&R approximate scan (base 0:
+// the codes) and of the aggregate program's dense blocks, where a fully
+// device-resident column's base makes each code its value. Entries of dst
+// past the returned count are left untouched, and bits of the last backing
+// word beyond the final value are never interpreted.
+func (a *Array) Unpack64(dst *[64]uint64, lo int, base uint64) int {
 	if lo < 0 || lo > a.n || lo&63 != 0 {
 		panic(fmt.Sprintf("bitpack: block start %d not a multiple of 64 in [0,%d]", lo, a.n))
 	}
 	n := min(64, a.n-lo)
-	a.unpack(dst[:n], lo)
+	a.unpack(dst[:n], lo, base)
 	return n
 }
 
-// unpack decodes the len(out) values from position lo on into out: a width
-// that divides 64 (1, 2, 4, 8, 16, 32) never straddles a word, so every
-// value is one shift of the word it lies in and none waits on the one
-// before (of the loops measured, the fastest); any other width runs the
-// shift-carry loop.
-func (a *Array) unpack(out []uint64, lo int) {
+// unpack decodes the len(out) values from position lo on into out, adding
+// base to each as it writes it — the one decode kernel, whose code-only
+// callers pass 0: a width that divides 64 (1, 2, 4, 8, 16, 32) never
+// straddles a word, so every value is one shift of the word it lies in and
+// none waits on the one before (of the loops measured, the fastest); any
+// other width runs the shift-carry loop.
+func (a *Array) unpack(out []uint64, lo int, base uint64) {
 	width := a.width
 	switch {
 	case len(out) == 0:
 	case width == 0:
-		clear(out)
+		for i := range out {
+			out[i] = base
+		}
 	case width == 64:
-		copy(out, a.words[lo:])
+		for i, w := range a.words[lo:][:len(out)] {
+			out[i] = w + base
+		}
 	case 64%width == 0:
 		mask, at := Mask(width), uint(lo)*width
-		for i := range out {
-			out[i] = a.words[at>>6] >> (at & 63) & mask
-			at += width
+		sh := at & 63
+		for _, word := range a.words[at>>6:] {
+			v, run := word>>sh, out[:min(len(out), int((64-sh)/width))]
+			for i := range run {
+				run[i] = v&mask + base
+				v >>= width & 63
+			}
+			if out = out[len(run):]; len(out) == 0 {
+				break
+			}
+			sh = 0
 		}
 	default:
 		off := uint64(lo) * uint64(width)
-		shiftCarry(out, a.words[off>>6:], uint(off&63), width)
+		shiftCarry(out, a.words[off>>6:], uint(off&63), width, base)
 	}
 }
 
 // shiftCarry decodes len(dst) values of the given width (1..63) that start
-// at bit sh of words[0]: it keeps a bit cursor and reads each backing word
-// once, carrying straddled low bits into the next value.
-func shiftCarry(dst, words []uint64, sh, width uint) {
+// at bit sh of words[0], each plus base: it keeps a bit cursor and reads
+// each backing word once, carrying straddled low bits into the next value.
+func shiftCarry(dst, words []uint64, sh, width uint, base uint64) {
 	mask := Mask(width)
 	cur := words[0] >> sh
 	avail := 64 - sh // valid low bits in cur
@@ -208,16 +223,16 @@ func shiftCarry(dst, words []uint64, sh, width uint) {
 		var v uint64
 		if avail >= width {
 			v = cur & mask
-			cur >>= width
+			cur >>= width & 63
 			avail -= width
 		} else {
 			w++
 			next := words[w]
-			v = (cur | next<<avail) & mask
-			cur = next >> (width - avail)
+			v = (cur | next<<(avail&63)) & mask
+			cur = next >> ((width - avail) & 63)
 			avail = 64 - (width - avail)
 		}
-		dst[i] = v
+		dst[i] = v + base
 	}
 }
 

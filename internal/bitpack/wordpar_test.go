@@ -89,7 +89,7 @@ func TestUnpack64MatchesGetLoop(t *testing.T) {
 				for i := range dst {
 					dst[i] = sentinel
 				}
-				got := a.Unpack64(&dst, lo)
+				got := a.Unpack64(&dst, lo, 0)
 				if want := min(64, n-lo); got != want {
 					t.Fatalf("width %d n %d block %d: wrote %d values, want %d", width, n, lo, got, want)
 				}
@@ -114,7 +114,7 @@ func TestUnpack64MatchesGetLoop(t *testing.T) {
 				}
 			}()
 			var dst [64]uint64
-			a.Unpack64(&dst, lo)
+			a.Unpack64(&dst, lo, 0)
 		}()
 	}
 }
@@ -137,9 +137,10 @@ func randomWords(t testing.TB, rng *rand.Rand, width uint, n int) *Array {
 }
 
 // checkUnpack64 decodes every 64-aligned block of a — the empty one at Len
-// included when Len is a multiple of 64 — into a sentinel-filled array and
-// holds it to Get; entries past the returned count must stay untouched.
-func checkUnpack64(t testing.TB, a *Array) {
+// included when Len is a multiple of 64 — plus base into a sentinel-filled
+// array and holds it to Get + base, wrapping; entries past the returned count
+// must stay untouched.
+func checkUnpack64(t testing.TB, a *Array, base uint64) {
 	t.Helper()
 	const sentinel = ^uint64(0) - 4321
 	for lo := 0; lo <= a.Len(); lo += 64 {
@@ -147,17 +148,17 @@ func checkUnpack64(t testing.TB, a *Array) {
 		for i := range dst {
 			dst[i] = sentinel
 		}
-		got := a.Unpack64(&dst, lo)
+		got := a.Unpack64(&dst, lo, base)
 		if want := min(64, a.Len()-lo); got != want {
 			t.Fatalf("width %d n %d block %d: wrote %d values, want %d", a.Width(), a.Len(), lo, got, want)
 		}
 		for i, v := range dst {
 			want := uint64(sentinel)
 			if i < got {
-				want = a.Get(lo + i)
+				want = a.Get(lo+i) + base
 			}
 			if v != want {
-				t.Fatalf("width %d n %d block %d pos %d: got %#x want %#x", a.Width(), a.Len(), lo, i, v, want)
+				t.Fatalf("width %d n %d block %d base %#x pos %d: got %#x want %#x", a.Width(), a.Len(), lo, base, i, v, want)
 			}
 		}
 	}
@@ -166,12 +167,16 @@ func checkUnpack64(t testing.TB, a *Array) {
 // Unpack64 at every width 0..64 — the word-by-word path of the widths that
 // divide 64 and the shift-carry path of the rest — for every 64-aligned
 // block of arrays whose last block is every length from 1 to 64, over words
-// that are random in every bit.
+// that are random in every bit, plus no base and a random one: a column's
+// base is any int64, a negative one a wrapping uint64.
 func TestUnpack64MatchesGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for width := uint(0); width <= 64; width++ {
 		for short := 1; short <= 64; short++ {
-			checkUnpack64(t, randomWords(t, rng, width, 2*64+short))
+			a := randomWords(t, rng, width, 2*64+short)
+			checkUnpack64(t, a, 0)
+			checkUnpack64(t, a, rng.Uint64())
+			checkUnpack64(t, a, uint64(-rng.Int63n(1<<40)))
 		}
 	}
 }
@@ -235,17 +240,20 @@ func TestInRange64MatchesGet(t *testing.T) {
 }
 
 // FuzzUnpack holds the word-level decoders and the compare kernel to Get
-// over arbitrary widths, lengths and backing words: Unpack64 and InRange64 on
-// every block — the kernel for the fuzzed code range as given and cut to the
-// width — and UnpackRange on one range, appended behind a prefix it must
-// leave alone.
+// over arbitrary widths (every one of 0..64), lengths and backing words:
+// Unpack64 on every block with no base and with the fuzzed one — any uint64,
+// a negative int64 base among them, added with wrapping — and nothing written
+// past the count it reports; InRange64 on every block, for the fuzzed code
+// range as given and cut to the width; and UnpackRange on one range, appended
+// behind a prefix it must leave alone.
 func FuzzUnpack(f *testing.F) {
-	f.Add(uint8(4), uint16(130), uint16(3), uint16(70), []byte{0xa5, 0x3c, 0xff, 0x01}, uint64(5), uint64(6))
-	f.Add(uint8(9), uint16(64), uint16(0), uint16(64), []byte{}, uint64(0), ^uint64(0))
-	f.Add(uint8(64), uint16(1), uint16(0), uint16(1), []byte{0x80}, ^uint64(0), uint64(2))
-	f.Add(uint8(16), uint16(200), uint16(1), uint16(9), []byte{0x12, 0x34, 0x56}, uint64(0x3412), uint64(0x100))
-	f.Add(uint8(9), uint16(100), uint16(0), uint16(0), []byte{}, uint64(0), uint64(0))
-	f.Fuzz(func(t *testing.T, w uint8, size, from, span uint16, raw []byte, codeLo, codeSpan uint64) {
+	f.Add(uint8(4), uint16(130), uint16(3), uint16(70), []byte{0xa5, 0x3c, 0xff, 0x01}, uint64(5), uint64(6), uint64(0))
+	f.Add(uint8(9), uint16(64), uint16(0), uint16(64), []byte{}, uint64(0), ^uint64(0), ^uint64(6))
+	f.Add(uint8(64), uint16(1), uint16(0), uint16(1), []byte{0x80}, ^uint64(0), uint64(2), uint64(1)<<63)
+	f.Add(uint8(16), uint16(200), uint16(1), uint16(9), []byte{0x12, 0x34, 0x56}, uint64(0x3412), uint64(0x100), uint64(1000))
+	f.Add(uint8(9), uint16(100), uint16(0), uint16(0), []byte{}, uint64(0), uint64(0), uint64(0))
+	f.Add(uint8(0), uint16(70), uint16(0), uint16(0), []byte{}, uint64(0), uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, w uint8, size, from, span uint16, raw []byte, codeLo, codeSpan, base uint64) {
 		width, n := uint(w)%65, int(size)%2048
 		var words []uint64
 		if width > 0 {
@@ -260,7 +268,8 @@ func FuzzUnpack(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkUnpack64(t, a)
+		checkUnpack64(t, a, 0)
+		checkUnpack64(t, a, base)
 		checkInRange64(t, a, codeLo, codeSpan)
 		checkInRange64(t, a, codeLo&Mask(width), codeSpan&Mask(width))
 		lo := int(from) % (n + 1)
@@ -295,7 +304,7 @@ var compareSink int
 // unpackInRange is InRange64 the way a granule scan compared before it:
 // Unpack64 into buf, then one branch-free compare per code, eight at a time.
 func unpackInRange(a *Array, lo int, codeLo, span uint64, buf *[64]uint64) uint64 {
-	a.Unpack64(buf, lo)
+	a.Unpack64(buf, lo, 0)
 	var word uint64
 	for i := 0; i < 64; i += 8 {
 		c := (*[8]uint64)(buf[i : i+8])

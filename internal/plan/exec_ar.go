@@ -214,27 +214,46 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 		}
 	}
 
-	if cols := pl.devGroupCols(solo); cols != nil {
-		out.mg = ar.GroupApprox(m, cols, cands)
+	// Every column the aggregation phase needs is projected: aggregate
+	// inputs, plus the grouping keys when grouping merges with the delta on
+	// the host. Each is bound to its codes by the mask now — the binding the
+	// folds read — and charged at its projection below.
+	groupCols := pl.devGroupCols(solo)
+	need, refList := pl.tailKeys, pl.projKeys
+	if groupCols != nil {
+		need, refList = pl.tail, pl.proj
+	}
+	base := segment{set: cands, binds: make(map[ColRef]colBind, len(refList))}
+	for _, ref := range refList {
+		col := snap.get(ref.Dim, ref.Name)
+		base.binds[ref] = colBind{col: col, key: pl.keyFor(keys, ref.Dim), err: col.Dec.Err()}
+	}
+
+	// The pre-grouping. An exact leg whose key indexes a direct table folds
+	// its aggregates here instead, reading each row's key beside its columns
+	// and accumulating per key: the one pass over the candidates, numbered
+	// as GroupApprox numbers them and billed as GroupApprox is.
+	folded := false
+	if groupCols != nil {
+		if bits := ar.GroupKeyBits(groupCols); exact && bits <= ar.DirectBits {
+			out.acc, out.mg = groupFold(ar.OnDevice(pp), pl.prog, base, groupCols, bits)
+			ar.ChargeGroupApprox(m, groupCols, cands, out.mg.NGroups)
+			folded = true
+		} else {
+			out.mg = ar.GroupApprox(m, groupCols, cands)
+		}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.groupapproximate(%[1]s)", A: pl.groupText})
 	}
 
-	// Approximate projections for every column the aggregation phase
-	// needs: aggregate inputs, plus the grouping keys when grouping merges
-	// with the delta on the host.
-	need, refList := pl.tailKeys, pl.projKeys
-	if out.mg != nil {
-		need, refList = pl.tail, pl.proj
-	}
+	// Approximate projections.
 	projections := make(map[ColRef]*ar.Projection, len(refList))
-	base := segment{set: cands, binds: make(map[ColRef]colBind, len(refList))}
 	for _, ref := range refList {
 		table := q.Table
 		if ref.IsDim() {
 			table = ref.Dim
 		}
-		projections[ref] = ar.ProjectApprox(m, snap.get(ref.Dim, ref.Name), pl.keyFor(keys, ref.Dim), cands)
-		base.binds[ref] = colBind{col: projections[ref].Col, key: projections[ref].Key, err: projections[ref].Col.Dec.Err()}
+		b := base.binds[ref]
+		projections[ref] = ar.ProjectApprox(m, b.col, b.key, cands)
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
 
@@ -253,11 +272,15 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	// Phase-A approximate answer: strict bounds from approximations over
 	// the base segment, plus the (exact) delta contributions — or, on an
 	// exact leg, the answer itself, read off the one fold's accumulators.
-	// Either fold runs on every host core: the statement holds the stream,
+	// Every fold runs on every host core: the statement holds the stream,
 	// so it owns the device (phase R and the tail keep the grant).
-	if exact {
+	switch {
+	case folded:
+		ar.CountApprox(m, cands)
+		st.res.Approx = pl.prog.answer(&out.acc)
+	case exact:
 		out.acc, st.res.Approx = exactFold(ar.OnDevice(pp), m, pl.prog, base, out.mg)
-	} else {
+	default:
 		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, out.segs)
 	}
 	st.res.Candidates = cands.Len()
@@ -450,12 +473,14 @@ func approxAnswer(pp par.P, m *device.Meter, pg *program, segs segments) ApproxA
 	return out
 }
 
-// exactFold is an exact leg's one aggregation: the program folded over the
-// candidates' codes — which are the values — exactly, per device pre-group
-// when the statement groups (mg's ids, dense in first-appearance order, are
-// the grouping the tail would refine to), and the degenerate phase-A answer
-// those accumulators hold. The count is billed as the approximate count it
-// stands for.
+// exactFold is an exact leg's one aggregation, where the statement does not
+// group or its key is wider than a direct table (ar.DirectBits): the program
+// folded over the candidates' codes — which are the values — exactly, per
+// device pre-group when the statement groups (mg's ids, dense in
+// first-appearance order, are the grouping the tail would refine to), and
+// the degenerate phase-A answer those accumulators hold. The count is billed
+// as the approximate count it stands for. A narrower key is folded at the
+// pre-grouping (groupFold).
 func exactFold(pp par.P, m *device.Meter, pg *program, base segment, mg *ar.Grouping) (aggAcc, ApproxAnswer) {
 	ar.CountApprox(m, base.set)
 	in := pg.bind(base)
@@ -466,4 +491,21 @@ func exactFold(pp par.P, m *device.Meter, pg *program, base segment, mg *ar.Grou
 	acc := pg.newAcc(groups, false)
 	pg.fold(pp, &acc, in)
 	return acc, pg.answer(&acc)
+}
+
+// groupFold is an exact leg's one aggregation for a group key of at most
+// ar.DirectBits bits, run where the device pre-grouping stands: the program
+// folded over the candidates' codes — which are the values — exactly, with
+// each row's key — bits wide, packed as ar.GroupApprox packs it — read
+// beside its columns and accumulated per key, and the groups numbered as
+// ar.GroupApprox numbers them. The grouping it returns has no ids; the
+// caller bills it.
+func groupFold(pp par.P, pg *program, base segment, cols []*bwd.Column, bits uint) (aggAcc, *ar.Grouping) {
+	key := newGroupKey(cols, bits, base.set.WorkGroups())
+	defer key.release()
+	in := pg.bind(base)
+	in.key = key
+	var acc aggAcc
+	pg.fold(pp, &acc, in)
+	return acc, key.grouping
 }

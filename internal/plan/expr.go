@@ -2,11 +2,12 @@
 // "fused, statically expanded loop" (§V-C) on the host. The aggregates of
 // one statement compile once into one flat register program; every place
 // that needs their values — the phase-A bounds (approxAnswer, a classic leg's
-// degenerate ones too), an exact leg's one aggregation (exactFold) and the
-// exact aggregation of the shared tail (aggregateRows) — folds that program
-// over its rows a block at a time, straight into the accumulators. No
-// intermediate is ever as long as the input: a worker holds one block of each
-// register.
+// degenerate ones too), an exact leg's one aggregation (groupFold, which
+// reads the group key beside the columns and numbers the groups itself, or
+// exactFold) and the exact aggregation of the shared tail (aggregateRows) —
+// folds that program over its rows a block at a time, straight into the
+// accumulators. No intermediate is ever as long as the input: a worker holds
+// one block of each register.
 package plan
 
 import (
@@ -212,17 +213,17 @@ func (c *colBind) whole(room []int64, g0, n int) []int64 {
 		return c.tails[g0*bwd.GranuleRows:][:n]
 	}
 	dec := c.col.Dec
+	if dec.ResBits == 0 { // resident: the code is the offset, decoded into its value
+		for at := 0; at < n; at += bwd.GranuleRows {
+			c.col.Approx.Unpack64((*[bwd.GranuleRows]uint64)(asCodes(room[at:])), g0*bwd.GranuleRows+at, uint64(dec.Base))
+		}
+		return room[:n]
+	}
 	var res [bwd.GranuleRows]uint64
 	for at := 0; at < n; at += bwd.GranuleRows {
 		codes := (*[bwd.GranuleRows]uint64)(asCodes(room[at:]))
-		c.col.Approx.Unpack64(codes, g0*bwd.GranuleRows+at)
-		if dec.ResBits == 0 { // resident: the code is the offset
-			for i, code := range codes {
-				room[at+i] = dec.Base + int64(code)
-			}
-			continue
-		}
-		c.col.Residual.Unpack64(&res, g0*bwd.GranuleRows+at)
+		c.col.Approx.Unpack64(codes, g0*bwd.GranuleRows+at, 0)
+		c.col.Residual.Unpack64(&res, g0*bwd.GranuleRows+at, 0)
 		for i, code := range codes {
 			room[at+i] = dec.Base + int64(code<<dec.ResBits|res[i])
 		}
@@ -232,12 +233,17 @@ func (c *colBind) whole(room []int64, g0, n int) []int64 {
 
 // rows is the input of one fold: the candidates of by, reached through its
 // mask in candidate order, and the bound columns; ids, when set, each
-// candidate's group. uncertain says every candidate may turn out a false
-// positive (ar.Candidates.Split), so each adds to a sum only what moves the
-// bound outward and to a minimum's or maximum's inner bound nothing.
+// candidate's group, or key, when set, the group key the fold reads beside
+// the columns and numbers itself (groupFold), walk the state of that walk
+// for the work-group being folded. uncertain says every candidate may turn
+// out a false positive (ar.Candidates.Split), so each adds to a sum only
+// what moves the bound outward and to a minimum's or maximum's inner bound
+// nothing.
 type rows struct {
 	cols      []colBind
 	ids       []uint32
+	key       *groupKey
+	walk      *keyWalk
 	uncertain bool
 	by        *ar.Candidates
 }
@@ -353,17 +359,28 @@ func (pg *program) accIn(buf []int64, groups int, interval bool) aggAcc {
 
 func (acc *aggAcc) release() { mem.I64.Put(acc.buf) }
 
-// merge folds the partial state o into acc, group by group. A group of o
-// past acc's last — the sink of a fold that took dense blocks whole — is
-// dropped: it holds the rows the survivor mask had dropped.
-func (pg *program) merge(acc, o *aggAcc) {
-	g := acc.groups
-	for i := range g {
-		acc.cnt[i] += o.cnt[i]
+// merge folds the partial state o into acc: o's group i into acc's group
+// gid[i] — a keyed fold's, whose partial states are indexed by key — or
+// into group i when gid is nil. A group of o past acc's last, or past gid's —
+// the sink of a fold that took dense blocks whole — is dropped: it holds
+// the rows the survivor mask had dropped. So is a group that holds no row:
+// every slot of it is its fold's identity.
+func (pg *program) merge(acc, o *aggAcc, gid []uint32) {
+	groups := acc.groups
+	if gid != nil {
+		groups = len(gid)
 	}
-	for s, sl := range pg.slots {
-		for i := range g {
-			at, from := s*g+i, s*o.groups+i
+	for i := range groups {
+		if o.cnt[i] == 0 {
+			continue
+		}
+		g := i
+		if gid != nil {
+			g = int(gid[i])
+		}
+		acc.cnt[g] += o.cnt[i]
+		for s, sl := range pg.slots {
+			at, from := s*acc.groups+g, s*o.groups+i
 			acc.lo[at] = sl.kind.combine(acc.lo[at], o.lo[from])
 			if acc.hi != nil {
 				acc.hi[at] = sl.kind.combine(acc.hi[at], o.hi[from])
@@ -462,17 +479,25 @@ const denseFold = 52
 // partial states then carry a sink group past acc's last, which the merge
 // drops. A column read through a key rules that out: a row the mask dropped
 // may hold a key with no partner, which addresses no value.
+//
+// A keyed input (rows.key, an exact leg's one input) has partial states
+// indexed by key, the sink past the last; each work-group lists its keys as
+// they first appear in it, and once every block is done the lists are
+// numbered in candidate order (ar.GroupKeyed), acc is laid out over the
+// groups — the caller passes it empty — and each partial state merges into
+// it key by key.
 func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 	units, n, grouped, sink, uncertain := 0, 0, false, false, false
+	key := ins[0].key
 	for i := range ins {
 		units += ins[i].by.WorkGroups()
 		n += ins[i].by.Len()
-		grouped = grouped || ins[i].ids != nil
+		grouped = grouped || ins[i].ids != nil || ins[i].key != nil
 		sink = sink || ins[i].sinks()
 		uncertain = uncertain || ins[i].uncertain
 	}
 	switch {
-	case n == 0:
+	case n == 0 && key == nil:
 		return
 	case len(pg.slots) == 0 && !grouped:
 		acc.cnt[0] += int64(n)
@@ -504,9 +529,12 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 	parts := make([]aggAcc, nb)
 	regs := make([][]int64, 2*len(pg.code)*nb)
 	groups, interval, first := acc.groups, acc.hi != nil, 0
-	if sink {
+	switch {
+	case key != nil:
+		groups = key.size + 1 // every key, then the sink
+	case sink:
 		groups++
-	} else {
+	default:
 		parts[0], first = *acc, 1
 	}
 	size := pg.accSize(groups, interval)
@@ -529,6 +557,10 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 	if len(ins) > 1 {
 		more = append(more, ins...)
 	}
+	var walks []keyWalk
+	if key != nil {
+		walks = make([]keyWalk, nb)
+	}
 	par.RunBlocks(pp, units, func(b, u, _ int) { // one work-group at a time
 		in := one
 		for i := 0; more != nil; i++ {
@@ -536,6 +568,10 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 				break
 			}
 			u -= in.by.WorkGroups()
+		}
+		if key != nil {
+			in.walk = &walks[b]
+			in.walk.start(key, u)
 		}
 		// Runs of sparse granules join into one block while their survivors
 		// fit its registers: a block costs its registers' setup whatever it
@@ -562,11 +598,20 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 			g1, n = h1, n+k
 		})
 		flush()
+		if key != nil {
+			key.nkeys[u] = uint32(in.walk.n)
+		}
 	})
+	var gid []uint32
+	if key != nil {
+		key.grouping = ar.GroupKeyed(key.cols, one.by, key.list, key.gid)
+		*acc = pg.newAcc(key.grouping.NGroups, false)
+		gid = key.gid
+	}
 	for b := range frames {
 		mem.PutScratch(frames[b].s)
-		if sink || b > 0 {
-			pg.merge(acc, &parts[b])
+		if b >= first {
+			pg.merge(acc, &parts[b], gid)
 		}
 	}
 	mem.I64.Put(carved)
@@ -629,7 +674,8 @@ func asCodes(reg []int64) []uint64 {
 // registers into acc. Whole, the block is every row of those granules
 // instead: each column read in place or decoded granule by granule straight
 // into its register, and a row the mask dropped folded into acc's last group,
-// the sink.
+// the sink. A keyed input's rows fold into the group their key indexes
+// (groupKey.keys).
 func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, hi, g0, g1 int, whole bool) {
 	n := hi - lo
 	var mask []uint64
@@ -674,6 +720,8 @@ func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, h
 
 	ids := in.ids
 	switch { // ungrouped, a whole block without holes needs no ids
+	case in.key != nil:
+		ids = in.key.keys(in.walk, f.s, f.s.U32(n), in.by, mask, g0, g1, whole)
 	case whole && ids != nil:
 		ids = sinkIDs(f.s.U32(n), ids[lo:hi], mask, uint32(acc.groups-1))
 	case whole && hi-lo < n:
@@ -856,6 +904,128 @@ func sinkIDs(out, ids []uint32, mask []uint64, sink uint32) []uint32 {
 		k += copy(rows[at:], ids[k:])
 	}
 	return out
+}
+
+// groupKey is the group key an exact leg's fold reads and numbers itself
+// (groupFold): the key columns' codes packed as ar.GroupApprox packs them,
+// the leading column highest, at most ar.DirectBits wide, so that a row's
+// key is the index of its group in a block's partial state, and size — past
+// every key — is the sink's. Each work-group lists its keys in the order they first
+// appear in it (keyWalk), for ar.GroupKeyed to number: gid, then, maps each
+// listed key to its group.
+type groupKey struct {
+	cols []*bwd.Column
+	size int
+	// buf is the one arena buffer behind gid (size entries), the
+	// work-groups' key counts and their lists (size entries each).
+	buf               []uint32
+	gid, nkeys, lists []uint32
+	grouping          *ar.Grouping
+}
+
+// newGroupKey lays a key of bits bits out over wg work-groups. Every key
+// count starts at zero: a fold cancelled between work-groups lists nothing
+// for the ones it did not walk.
+func newGroupKey(cols []*bwd.Column, bits uint, wg int) *groupKey {
+	size := 1 << bits
+	buf := mem.U32.GetN((wg+1)*size + wg)
+	k := &groupKey{cols: cols, size: size, buf: buf,
+		gid: buf[:size], nkeys: buf[size : size+wg], lists: buf[size+wg:]}
+	clear(k.nkeys)
+	return k
+}
+
+func (k *groupKey) release() { mem.U32.Put(k.buf) }
+
+// list is work-group ci's keys in their order of first appearance in it.
+func (k *groupKey) list(ci int) []uint32 { return k.lists[ci*k.size:][:k.nkeys[ci]] }
+
+// keys writes the key of every row of a block into out and walks them (w):
+// whole, every row of the granules whose survivor words are mask, from g0
+// on, each key column decoded granule by granule and a row the mask dropped
+// keyed to the sink; otherwise by's survivors in granules [g0,g1), each key
+// column read by mask like any other column. s is the block's scratch.
+func (k *groupKey) keys(w *keyWalk, s *mem.Scratch, out []uint32, by *ar.Candidates, mask []uint64, g0, g1 int, whole bool) []uint32 {
+	last := len(k.cols) - 1
+	if !whole {
+		acc, codes := s.U64(len(out)), s.U64(len(out))
+		by.Decode(k.cols[0].Approx, nil, acc, g0, g1)
+		for c := 1; c <= last; c++ {
+			by.Decode(k.cols[c].Approx, nil, codes, g0, g1)
+			k.join(acc, codes, c)
+		}
+		w.meet(out, emitKeys(out, acc))
+		return out
+	}
+	var acc, codes [bwd.GranuleRows]uint64
+	for g, word := range mask {
+		rows := out[g*bwd.GranuleRows : min((g+1)*bwd.GranuleRows, len(out))]
+		at := (g0 + g) * bwd.GranuleRows
+		k.cols[0].Approx.Unpack64(&acc, at, 0)
+		for c := 1; c <= last; c++ {
+			k.cols[c].Approx.Unpack64(&codes, at, 0)
+			k.join(acc[:len(rows)], codes[:len(rows)], c)
+		}
+		present := emitKeys(rows, acc[:len(rows)])
+		for holes := ^word & (^uint64(0) >> (bwd.GranuleRows - len(rows))); holes != 0; holes &= holes - 1 {
+			rows[bits.TrailingZeros64(holes)] = uint32(k.size)
+		}
+		w.meet(rows, present)
+	}
+	return out
+}
+
+// join appends key column c's codes to the keys of the columns before it:
+// the leading column ends highest, where ar.GroupApprox places it.
+func (k *groupKey) join(acc, codes []uint64, c int) {
+	width := k.cols[c].Dec.ApproxBits & 63 // at most ar.DirectBits
+	for i, code := range codes {
+		acc[i] = acc[i]<<width | code
+	}
+}
+
+// emitKeys writes the keys into out and returns which of them, below 64, it
+// wrote: bit key of the mask for each.
+func emitKeys(out []uint32, keys []uint64) (present uint64) {
+	for i, key := range keys[:len(out)] {
+		out[i] = uint32(key)
+		present |= 1 << (key & 63) // only a key of at most 6 bits reads it
+	}
+	return present
+}
+
+// keyWalk is a fold block's first-appearance walk over the work-group it is
+// folding: one bit per key the work-group has met — the sink's set from the
+// start, so that a dropped row never lists — and the work-group's list.
+type keyWalk struct {
+	seen [1<<ar.DirectBits/64 + 1]uint64
+	list []uint32
+	n    int
+}
+
+// start readies the walk for work-group ci of k.
+func (w *keyWalk) start(k *groupKey, ci int) {
+	clear(w.seen[:k.size/64+1])
+	w.seen[k.size/64] |= 1 << (k.size % 64)
+	w.list, w.n = k.lists[ci*k.size:][:k.size], 0
+}
+
+// meet lists the keys the work-group meets for the first time in keys, in
+// their order. A key of at most 6 bits is first tested as a whole run:
+// present, the run's presence mask (emitKeys) — a dropped row's key in it
+// too, which can only send a run to the walk that needed none — says whether
+// any is new, and a run that brings nothing new skips the walk.
+func (w *keyWalk) meet(keys []uint32, present uint64) {
+	if len(w.list) <= 64 && present&^w.seen[0] == 0 {
+		return
+	}
+	for _, key := range keys {
+		if bit := uint64(1) << (key % 64); w.seen[key/64]&bit == 0 {
+			w.seen[key/64] |= bit
+			w.list[w.n] = key
+			w.n++
+		}
+	}
 }
 
 // interleaveGroups is the most groups whose sums and row counts fold into
