@@ -18,7 +18,11 @@ import (
 // claims every morsel); the parallel path runs the same kernels plus a fixed
 // per-query goroutine spawn cost.
 
-type scanFixture struct {
+// scanFixture is a selection over one column or two: every conjunct is a
+// decomposed column, its values and a range of them.
+type scanFixture []conjunct
+
+type conjunct struct {
 	col    *bwd.Column
 	vals   []int64
 	rng    bwd.ApproxRange
@@ -34,28 +38,33 @@ type scanFixture struct {
 // the two parts of a granule's split settle — a part admitted, a part
 // passed over — and only a range that cuts through a run has codes compared.
 // Each of those selects a quarter of the values at 8 device bits. trips is
-// the runs shape over a wider domain at 16 device bits with a 1 % range, the
-// scan_range statement's: its first step finds its granules through the part
-// index (bwd.ScanIndexed) instead of walking them all — TestARScanZeroAlloc
-// checks that it does, so the gate measures that path whatever the index
-// decides for the quarter ranges.
+// the scan_range statement's two conjuncts: two columns of runs over a wider
+// domain at 16 device bits, a 1 % range on each. Its first step settles the
+// granule parts the part index finds (bwd.ScanIndexed) instead of walking
+// every granule, and its second walks only the set's live granules — in both
+// scans, the A&R selection (SelectApproxOver) and the classic one (Narrow).
+// TestARScanZeroAlloc checks that the first conjunct takes the index, so the
+// gate measures that path and its arena scratch whatever the index decides
+// for the quarter ranges.
 var scanFixtures = []struct {
 	name string
-	vals func(n int) []int64
+	cols []func(n int) []int64
 	bits uint
 	rng  func(n int64) (lo, hi int64) // the value range selected over n rows
 }{
-	{"shuffled", func(n int) []int64 { return shuffledInts(n, 7) }, 8, quarter},
-	{"clustered", func(n int) []int64 {
+	{"shuffled", []func(int) []int64{func(n int) []int64 { return shuffledInts(n, 7) }}, 8, quarter},
+	{"clustered", []func(int) []int64{func(n int) []int64 {
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = int64(i)
 		}
 		return vals
-	}, 8, quarter},
-	{"runs", func(n int) []int64 { return runsInts(n, int64(n), 2) }, 8, quarter},
-	{"trips", func(n int) []int64 { return runsInts(n, tripsSpan, 20) }, 16,
-		func(int64) (int64, int64) { return tripsSpan / 2, tripsSpan/2 + tripsSpan/100 }},
+	}}, 8, quarter},
+	{"runs", []func(int) []int64{func(n int) []int64 { return runsInts(n, int64(n), 2, 7) }}, 8, quarter},
+	{"trips", []func(int) []int64{
+		func(n int) []int64 { return runsInts(n, tripsSpan, 20, 7) },
+		func(n int) []int64 { return runsInts(n, tripsSpan, 20, 8) },
+	}, 16, func(int64) (int64, int64) { return tripsSpan / 2, tripsSpan/2 + tripsSpan/100 }},
 }
 
 // quarter is the range [n/4, n/2] of values in [0, n).
@@ -65,9 +74,9 @@ func quarter(n int64) (int64, int64) { return n / 4, n / 2 }
 const tripsSpan = 1 << 20
 
 // runsInts draws n values in [0, span) in runs of 50–200 rows, each a drift
-// of up to step per row from a start anywhere.
-func runsInts(n int, span, step int64) []int64 {
-	rng := rand.New(rand.NewSource(7))
+// of up to step per row from a start anywhere, from the random source seed.
+func runsInts(n int, span, step, seed int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
 	vals := make([]int64, n)
 	for i, at, left := 0, int64(0), 0; i < n; i++ {
 		if left == 0 {
@@ -80,29 +89,44 @@ func runsInts(n int, span, step int64) []int64 {
 	return vals
 }
 
-func newScanFixture(t testing.TB, vals []int64, bits uint, rng func(int64) (int64, int64)) *scanFixture {
-	col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), bits, nil)
-	if err != nil {
-		t.Fatal(err)
+func newScanFixture(t testing.TB, n int, cols []func(int) []int64, bits uint, rng func(int64) (int64, int64)) scanFixture {
+	var f scanFixture
+	for _, values := range cols {
+		vals := values(n)
+		col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), bits, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := rng(int64(n))
+		f = append(f, conjunct{col: col, vals: vals, rng: col.Relax(lo, hi), lo: lo, hi: hi})
 	}
-	lo, hi := rng(int64(len(vals)))
-	return &scanFixture{col: col, vals: vals, rng: col.Relax(lo, hi), lo: lo, hi: hi}
+	return f
 }
 
-func runARScan(f *scanFixture) {
-	cands := SelectApprox(nil, f.col, f.rng)
-	CountApprox(nil, cands) // the fixture column keeps residual bits: a certain set
-	if err := SelectRefine(par.P{}, nil, f.col, nil, f.lo, f.hi, cands); err != nil {
-		panic(err)
+func runARScan(f scanFixture) {
+	cands := SelectApprox(nil, f[0].col, f[0].rng)
+	for _, c := range f[1:] {
+		SelectApproxOver(nil, c.col, nil, c.rng, cands)
+	}
+	CountApprox(nil, cands) // the fixture columns keep residual bits: a certain set
+	for _, c := range f {
+		if err := SelectRefine(par.P{}, nil, c.col, nil, c.lo, c.hi, cands); err != nil {
+			panic(err)
+		}
 	}
 	cands.Release()
 
-	sel, err := SelectExact(par.P{}, len(f.vals), bwd.Exactly(f.col, f.vals, f.lo, f.hi))
+	sel, err := SelectExact(par.P{}, len(f[0].vals), bwd.Exactly(f[0].col, f[0].vals, f[0].lo, f[0].hi))
 	if err != nil {
 		panic(err)
 	}
+	for _, c := range f[1:] {
+		if err := sel.Narrow(par.P{}, bwd.Exactly(c.col, c.vals, c.lo, c.hi)); err != nil {
+			panic(err)
+		}
+	}
 	vals := mem.I64.GetN(sel.Len())
-	sel.Values(f.vals, nil, vals, 0, (len(f.vals)+bwd.GranuleRows-1)/bwd.GranuleRows)
+	sel.Values(f[0].vals, nil, vals, 0, (len(f[0].vals)+bwd.GranuleRows-1)/bwd.GranuleRows)
 	mem.I64.Put(vals)
 	sel.Release()
 }
@@ -110,9 +134,9 @@ func runARScan(f *scanFixture) {
 func TestARScanZeroAlloc(t *testing.T) {
 	for _, fx := range scanFixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			f := newScanFixture(t, fx.vals(50000), fx.bits, fx.rng)
-			if fx.name == "trips" && !bwd.Indexed([]bwd.Disjunct{f.col.Approximately(f.rng)}, granulesTo(len(f.vals))) {
-				t.Fatal("the 1 % range over trips walks every granule: the gate does not measure the part index")
+			f := newScanFixture(t, 50000, fx.cols, fx.bits, fx.rng)
+			if fx.name == "trips" && !bwd.Indexed([]bwd.Disjunct{f[0].col.Approximately(f[0].rng)}, granulesTo(len(f[0].vals))) {
+				t.Fatal("the first conjunct of trips walks every granule: the gate does not measure the part index")
 			}
 			for i := 0; i < 5; i++ {
 				runARScan(f) // warm the arena and the candidate pool
@@ -133,7 +157,7 @@ func TestARScanZeroAlloc(t *testing.T) {
 func BenchmarkHotPathAllocs(b *testing.B) {
 	for _, fx := range scanFixtures {
 		b.Run(fx.name, func(b *testing.B) {
-			f := newScanFixture(b, fx.vals(50000), fx.bits, fx.rng)
+			f := newScanFixture(b, 50000, fx.cols, fx.bits, fx.rng)
 			for i := 0; i < 5; i++ {
 				runARScan(f)
 			}

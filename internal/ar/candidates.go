@@ -109,6 +109,11 @@ type Candidates struct {
 	rows, n, chunk   int
 	offs             []int
 	permuted, sealed bool
+	// live has one bit per granule, bit g%64 of word g/64, set for every
+	// granule whose mask word is not zero (and maybe for some whose word is):
+	// a further step visits only the granules it holds. It lives in the
+	// mask's arena buffer, behind the mask's length.
+	live []uint64
 	// walk is the scratch a narrowing step compiles its disjuncts into, and
 	// steps the ends of the split's steps in it; both stay with the pooled
 	// header so that a step allocates nothing.
@@ -131,7 +136,10 @@ type Candidates struct {
 // buffer holds that order of the work-groups too (order), behind its length.
 func (c *Candidates) open(rows, chunk int, permuted bool) {
 	c.rows, c.chunk, c.permuted = rows, chunk, permuted
-	c.mask = mem.U64.GetN(granulesTo(rows))
+	g := granulesTo(rows)
+	buf := mem.U64.GetN(g + (g+63)/64)
+	c.mask, c.live = buf[:g], buf[g:]
+	clear(c.live)
 	wg := (rows + chunk - 1) / chunk
 	c.offs = mem.Ints.GetN(2 * wg)[:wg]
 }
@@ -165,6 +173,7 @@ func SelectExact(p par.P, rows int, ds ...bwd.Disjunct) (*Candidates, error) {
 func (c *Candidates) all() {
 	for g := range c.mask {
 		c.mask[g] = ^uint64(0) >> uint(bwd.GranuleRows-min(bwd.GranuleRows, c.rows-g*bwd.GranuleRows))
+		c.live[g/64] |= 1 << uint(g%64)
 	}
 	for ci := range c.offs {
 		c.offs[ci] = min(c.chunk, c.rows-ci*c.chunk)
@@ -172,18 +181,19 @@ func (c *Candidates) all() {
 	c.n = c.rows
 }
 
-// Release returns the candidate set's buffers (the mask, the work-group
-// offsets and the split's sets) to the arena and empties the set. It must
-// only be called once nothing references the set — the pipeline calls it once
-// the tail has aggregated. Releasing a released set is a no-op.
+// Release returns the candidate set's buffers (the mask and its live
+// granules, the work-group offsets and the split's sets) to the arena and
+// empties the set. It must only be called once nothing references the set —
+// the pipeline calls it once the tail has aggregated. Releasing a released
+// set is a no-op.
 func (c *Candidates) Release() {
 	if c == nil || !c.pooled {
 		return
 	}
 	c.pooled = false
-	mem.U64.Put(c.mask)
+	mem.U64.Put(c.mask) // and live, which shares its buffer
 	mem.Ints.Put(c.offs)
-	c.mask, c.offs, c.rows, c.n, c.chunk = nil, nil, 0, 0, 0
+	c.mask, c.live, c.offs, c.rows, c.n, c.chunk = nil, nil, nil, 0, 0, 0
 	c.permuted, c.sealed = false, false
 	clear(c.attach)
 	c.attach = c.attach[:0]
@@ -306,6 +316,7 @@ func (c *Candidates) Split() (certain, uncertain *Candidates) {
 	if c.certain != nil && c.uncertain == nil {
 		c.uncertain = c.part()
 		copy(c.uncertain.mask, c.mask)
+		copy(c.uncertain.live, c.live)
 		c.uncertain.MaskOut(c.certain.mask)
 	}
 	return c.certain, c.uncertain
@@ -334,12 +345,13 @@ func (c *Candidates) splitOff() {
 		return
 	}
 	c.certain = c.part()
+	copy(c.certain.live, c.live)
 	if len(c.offs) == 1 {
 		c.narrowCertain(0, c.rows)
 	} else {
 		p := devP()
 		p.Chunk = c.chunk
-		p.For(c.rows, c.narrowCertain)
+		c.fewLive(p).For(c.rows, c.narrowCertain)
 	}
 	c.certain.recount()
 }
@@ -370,13 +382,14 @@ func (c *Candidates) leads(k int) bool {
 }
 
 // narrowCertain builds the certain set's words of work-group [lo,hi): its
-// survivor words copied, then narrowed by every step compiled into walk.
+// survivor words copied, then narrowed by every step compiled into walk over
+// the live granules, which splitOff copied.
 func (c *Candidates) narrowCertain(lo, hi int) {
 	g0, g1 := lo/bwd.GranuleRows, granulesTo(hi)
 	copy(c.certain.mask[g0:g1], c.mask[g0:g1])
 	from, n := 0, 0
 	for _, to := range c.steps {
-		n, _ = bwd.NarrowGranules(c.walk[from:to], c.certain.mask, lo, hi)
+		n, _ = bwd.NarrowGranules(c.walk[from:to], c.certain.mask, c.certain.live, lo, hi)
 		from = to
 	}
 	c.certain.offs[lo/c.chunk] = n

@@ -177,16 +177,17 @@ func (c *Candidates) Narrow(p par.P, ds ...bwd.Disjunct) error {
 // step is every mask step: the disjuncts compiled into c.walk, walked over
 // each work-group on p — its Chunk the set's — by bwd.ScanGranules for the
 // step that starts the set (first) and bwd.NarrowGranules for a further one,
-// which records every group's survivor count; file adds the groups' granule
-// outcomes to the process-wide counters. A first step whose disjuncts the
-// part index serves (bwd.Indexed) settles only the granules the index finds,
-// on the calling goroutine, and records the same counts (bwd.ScanIndexed).
-// One work-group runs on the calling goroutine without materializing a
-// closure; a set of no rows has none. A walk cancelled partway leaves the
-// mask undefined and returns the context's error.
+// which records every group's survivor count and keeps the set's live
+// granules; file adds the groups' granule outcomes to the process-wide
+// counters. A first step whose disjuncts the part index serves
+// (bwd.Indexed) settles only the parts the index finds, on the calling
+// goroutine, and records the same counts (bwd.ScanIndexed). One work-group
+// runs on the calling goroutine without materializing a closure; a set of no
+// rows has none. A walk cancelled partway leaves the mask undefined and
+// returns the context's error.
 func (c *Candidates) step(p par.P, first, file bool) error {
 	c.reopen()
-	ds, mask, counts, chunk := c.walk, c.mask, c.offs, c.chunk
+	ds, mask, live, counts, chunk := c.walk, c.mask, c.live, c.offs, c.chunk
 	walk := bwd.NarrowGranules
 	if first {
 		walk = bwd.ScanGranules
@@ -194,22 +195,44 @@ func (c *Candidates) step(p par.P, first, file bool) error {
 	var err error
 	switch {
 	case first && bwd.Indexed(ds, len(mask)):
-		_, o := bwd.ScanIndexed(ds, mask, c.rows, chunk, counts)
+		_, o := bwd.ScanIndexed(ds, mask, live, c.rows, chunk, counts)
 		fileGroup(file, 0, o)
 		err = p.Cancelled()
 	case len(counts) == 1:
-		n, o := walk(ds, mask, 0, c.rows)
+		n, o := walk(ds, mask, live, 0, c.rows)
 		counts[0] = fileGroup(file, n, o)
 		err = p.Cancelled()
 	case len(counts) > 1:
 		p.Chunk = chunk
+		if !first {
+			p = c.fewLive(p)
+		}
 		err = p.For(c.rows, func(lo, hi int) {
-			n, o := walk(ds, mask, lo, hi)
+			n, o := walk(ds, mask, live, lo, hi)
 			counts[lo/chunk] = fileGroup(file, n, o)
 		})
 	}
 	c.recount()
 	return err
+}
+
+// serialGranules is the live granule count below which a narrowing walks
+// its work-groups on the calling goroutine: handing them to other cores
+// costs a few microseconds, more than walking that many granules (tens of
+// nanoseconds each) saves.
+const serialGranules = 1024
+
+// fewLive returns p with one worker when the set has fewer than
+// serialGranules live granules, and p otherwise.
+func (c *Candidates) fewLive(p par.P) par.P {
+	k := 0
+	for _, w := range c.live {
+		k += bits.OnesCount64(w)
+	}
+	if k < serialGranules {
+		p.Workers = 1
+	}
+	return p
 }
 
 // fileGroup adds one work-group's granule outcomes to the process-wide
@@ -243,20 +266,25 @@ func (c *Candidates) reopen() {
 // MaskOut clears the candidates whose bit is set in drop — a bitmap over the
 // scanned rows, bit i%64 of word i/64, which may end early. It is how the
 // device discharges deleted rows: the deletion bitmap is mirrored
-// device-side, so masking is one AND-NOT per granule; the caller, which
+// device-side, so masking is one AND-NOT per live granule; the caller, which
 // knows the bitmap's footprint, charges it.
 func (c *Candidates) MaskOut(drop []uint64) {
 	c.reopen()
-	for ci := range c.offs {
-		g0, g1 := c.groupGranules(ci)
-		cnt := 0
-		for g := g0; g < g1; g++ {
+	clear(c.offs)
+	for i, w := range c.live {
+		var dead uint64
+		for t := w; t != 0; t &= t - 1 {
+			g := i*64 + bits.TrailingZeros64(t)
 			if g < len(drop) {
 				c.mask[g] &^= drop[g]
 			}
-			cnt += bits.OnesCount64(c.mask[g])
+			k := bits.OnesCount64(c.mask[g])
+			c.offs[g*bwd.GranuleRows/c.chunk] += k
+			if k == 0 {
+				dead |= 1 << uint(g%64)
+			}
 		}
-		c.offs[ci] = cnt
+		c.live[i] = w &^ dead
 	}
 	c.recount()
 }

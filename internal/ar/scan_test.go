@@ -61,6 +61,17 @@ func refScan(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange) ([]bat.O
 	return ids, codes
 }
 
+// granuleBounds returns the code bounds of every granule of col, the union
+// of its record's parts.
+func granuleBounds(col *bwd.Column) []bwd.Bounds {
+	recs := col.Splits()
+	out := make([]bwd.Bounds, len(recs))
+	for g := range recs {
+		out[g] = recs[g].Bounds()
+	}
+	return out
+}
+
 // scanColumn builds a fully device-resident column of n rows whose
 // approximation is exactly `width` bits wide.
 func scanColumn(t *testing.T, rng *rand.Rand, width uint, n int, shape string) *bwd.Column {
@@ -137,7 +148,7 @@ func scanRanges(rng *rand.Rand, col *bwd.Column) []bwd.ApproxRange {
 		{Lo: b, Hi: maxCode},
 		{Lo: a, Hi: b},
 	}
-	if g := col.Granules(); len(g) > 0 {
+	if g := granuleBounds(col); len(g) > 0 {
 		x, y := g[rng.Intn(len(g))], g[rng.Intn(len(g))]
 		rs = append(rs,
 			bwd.ApproxRange{Lo: x.Min, Hi: x.Max}, // exactly inside
@@ -443,7 +454,7 @@ func chainCases(t *testing.T, rng *rand.Rand, sys *device.System, label string, 
 func TestScanGranuleOutcomes(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	col := scanColumn(t, rng, 23, 3*gpuChunk+777, "sorted")
-	g := col.Granules()
+	g := granuleBounds(col)
 	k := len(g) / 2
 	before := ScanStats()
 	c := SelectApprox(nil, col, bwd.ApproxRange{Lo: g[k-1].Min + 1, Hi: g[k+1].Max - 1})
@@ -531,7 +542,7 @@ func TestScanAboveTopSizeClassStaysPooled(t *testing.T) {
 	const n = 1<<21 + 100_000
 	rng := rand.New(rand.NewSource(16))
 	col := scanColumn(t, rng, 23, n, "clustered")
-	g := col.Granules()[1000]
+	g := granuleBounds(col)[1000]
 	r := bwd.ApproxRange{Lo: g.Min, Hi: g.Max}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC() // collect the fixture's garbage now, not mid-measurement

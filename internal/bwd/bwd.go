@@ -66,8 +66,7 @@ type Column struct {
 	hist      []int64 // rows per code bucket; bucket of code c is c >> histShift
 	histRows  int64   // sum of hist, kept beside it so reading the histogram is O(1)
 	histShift uint
-	granules  []Bounds   // code bounds of rows [64g, 64g+64)
-	splits    []Split    // the same rows as two ranges, cut at the largest code jump
+	splits    []Split    // rows [64g, 64g+64) as two ranges cut at the largest code jump, with their bounds
 	parts     *partIndex // the granules' parts by low code; nil where too many are wide
 	gpuAlloc  *device.Alloc
 	cpuAlloc  *device.Alloc
@@ -89,7 +88,7 @@ func histShiftFor(approxBits uint) uint {
 }
 
 // summarize derives the per-column summaries — the bucket histogram, the
-// granule bounds and splits and the part index (granule.go) — from the
+// granule records and the part index (granule.go) — from the
 // approximation codes, read a block of rows at a time: block(lo, hi) returns
 // the codes of rows [lo, hi), a whole number of granules but for the last
 // block. It is the one place they are computed, so Decompose and Restore —
@@ -99,13 +98,11 @@ func histShiftFor(approxBits uint) uint {
 func (c *Column) summarize(block func(lo, hi int) []uint64) {
 	c.histShift = histShiftFor(c.Dec.ApproxBits)
 	c.hist = make([]int64, (c.Dec.MaxApprox()>>c.histShift)+1)
-	c.granules = make([]Bounds, (c.n+GranuleRows-1)/GranuleRows)
-	c.splits = make([]Split, len(c.granules))
+	c.splits = make([]Split, (c.n+GranuleRows-1)/GranuleRows)
 	for lo := 0; lo < c.n; lo += summaryBlock {
 		codes := block(lo, min(lo+summaryBlock, c.n))
 		for i := 0; i < len(codes); i += GranuleRows {
-			g := codes[i:min(i+GranuleRows, len(codes))]
-			c.granules[(lo+i)/GranuleRows], c.splits[(lo+i)/GranuleRows] = summarizeGranule(g, c.hist, c.histShift)
+			c.splits[(lo+i)/GranuleRows] = summarizeGranule(codes[i:min(i+GranuleRows, len(codes))], c.hist, c.histShift)
 		}
 		c.histRows += int64(len(codes))
 	}
@@ -245,16 +242,13 @@ func (c *Column) BucketRows() int64 { return c.histRows }
 // a bucket spans 1 << BucketShift approximation codes.
 func (c *Column) BucketShift() uint { return c.histShift }
 
-// Granules returns the per-granule code bounds: entry g is the minimum and
-// maximum approximation code of rows [g*GranuleRows, (g+1)*GranuleRows).
-// An approximate scan reads them to skip granules a relaxed range cannot
-// intersect and to accept granules it covers without decoding a row. The
-// slice is owned by the column and must not be mutated.
-func (c *Column) Granules() []Bounds { return c.granules }
-
-// Splits returns, beside Granules, every granule as two row ranges with
-// their own code bounds — what Decide falls back on when a range cuts
-// through a granule's bounds as a whole. Owned by the column like Granules.
+// Splits returns the granule records: entry g is rows [g*GranuleRows,
+// (g+1)*GranuleRows) cut in two at their largest code jump, with the smallest
+// and largest approximation code of each part — of the whole granule in both
+// when it is not split. An approximate scan decides from them which granules
+// a relaxed range cannot intersect, which it covers without decoding a row,
+// and which part it cuts through. The slice is owned by the column and must
+// not be mutated.
 func (c *Column) Splits() []Split { return c.splits }
 
 // Release frees the simulated device allocations.

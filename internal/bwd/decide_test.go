@@ -16,14 +16,16 @@ import (
 // The granule decision and the two walks against a row-by-row oracle, over
 // granules built to sit on every edge of the split: a run break at every
 // row, three runs in one granule, constant, sorted and interleaved rows, a
-// short last granule; approximation widths 1, 24 and 63 with and without
-// residual bits, up to a column that spans all 64, and the lane widths 4, 8,
-// 16 and 32 and the word-cutting 12, whose codes are compared in place
-// several to a word or one at a time; ranges that are empty,
-// full, between two runs, exactly one run, or cut through one; and, on the
-// narrowing side, live words that are full, sparse and empty. A scan that
-// starts a mask runs both as the walk and, where the column has a part
-// index, as the index path.
+// split after the first row and before the last, a short last granule split
+// and unsplit; approximation widths 1, 24 and 63 with and without residual
+// bits, up to a column that spans all 64, and the lane widths 4, 8, 16 and 32
+// and the word-cutting 12, whose codes are compared in place several to a
+// word or one at a time; ranges that are empty, full, between two runs,
+// exactly one run, or cut through one or both, and for the decision alone an
+// inner range of no codes inside an outer one of all; and, on the narrowing
+// side, live words that are full, sparse and empty. A scan that starts a
+// mask runs both as the walk and, where the column has a part index, as the
+// index path; every walk must leave the bitmap of its live granules exact.
 
 // layout is the approximation codes of a test column, one or more granules.
 type layout struct {
@@ -101,6 +103,24 @@ func layouts(rng *rand.Rand, maxCode uint64) []layout {
 		}
 	}
 	out = append(out, layout{"two interleaved clusters", inter})
+
+	// Splits at the edges: the first row apart from the rest (K = 1), the
+	// last row apart (K = 63), and a short unsplit last granule.
+	var edges []uint64
+	for _, k := range []int{1, bwd.GranuleRows - 1} {
+		a, b := centre(), centre()
+		for i := 0; i < bwd.GranuleRows; i++ {
+			if i < k {
+				edges = append(edges, a)
+			} else {
+				edges = append(edges, near(b))
+			}
+		}
+	}
+	for i, c := 0, centre(); i < 9; i++ {
+		edges = append(edges, c)
+	}
+	out = append(out, layout{"K = 1, K = 63, short unsplit last granule", edges})
 	return out
 }
 
@@ -159,6 +179,7 @@ func decideRanges(rng *rand.Rand, col *bwd.Column, vals []int64) [][2]int64 {
 			[2]int64{hmin + 1, hmax}, [2]int64{tmin, tmax - 1}, // one value short
 			[2]int64{min(hmax, tmax) + 1, max(hmin, tmin) - 1}, // between the parts, if they are apart
 			[2]int64{hmin, max(hmax, tmax)},
+			[2]int64{hmin + 1, tmax - 1}, [2]int64{tmin + 1, hmax - 1}, // through both parts
 		)
 	}
 	a, b := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
@@ -213,7 +234,7 @@ func TestDecisionMatchesRowOracle(t *testing.T) {
 				// approximate one (the relaxed range for both).
 				live := liveWords(rng, n)
 				for g := range live {
-					for _, pair := range [][2]bwd.Codes{{outer, inner}, {outer, outer}} {
+					for _, pair := range [][2]bwd.Codes{{outer, inner}, {outer, outer}, {bwd.AllCodes, bwd.NoCodes}} {
 						sure, maybe := col.Decide(g, live[g], pair[0], pair[1])
 						if sure&maybe != 0 || (sure|maybe)&^live[g] != 0 {
 							t.Fatalf("%s [%d,%d] granule %d: sure %x maybe %x of live %x", label, vr[0], vr[1], g, sure, maybe, live[g])
@@ -258,22 +279,31 @@ func TestDecisionMatchesRowOracle(t *testing.T) {
 						}
 						var gotN int
 						var o bwd.Outcomes
+						var bitmap []uint64
 						if narrowing {
 							copy(got, live)
-							gotN, o = bwd.NarrowGranules([]bwd.Disjunct{d.d}, got, 0, n)
+							bitmap = liveOf(got)
+							gotN, o = bwd.NarrowGranules([]bwd.Disjunct{d.d}, got, bitmap, 0, n)
 						} else {
+							bitmap = make([]uint64, (len(got)+63)/64)
 							for g := range got {
-								got[g] = rng.Uint64() // a scan overwrites whatever the buffer held
+								got[g] = rng.Uint64() // a scan overwrites whatever the buffers held
+							}
+							for g := range got {
+								bitmap[g/64] |= rng.Uint64() & 1 << uint(g%64)
 							}
 							if walk == "index" {
 								indexed++
-								gotN, o = bwd.ScanIndexed([]bwd.Disjunct{d.d}, got, n, bwd.GranuleRows, make([]int, len(got)))
+								gotN, o = bwd.ScanIndexed([]bwd.Disjunct{d.d}, got, bitmap, n, bwd.GranuleRows, make([]int, len(got)))
 							} else {
-								gotN, o = bwd.ScanGranules([]bwd.Disjunct{d.d}, got, 0, n)
+								gotN, o = bwd.ScanGranules([]bwd.Disjunct{d.d}, got, bitmap, 0, n)
 							}
 						}
 						if !slices.Equal(got, want) || gotN != wantN {
 							t.Fatalf("%s [%d,%d] %s %s: %d rows, the row oracle has %d", label, vr[0], vr[1], d.name, walk, gotN, wantN)
+						}
+						if !slices.Equal(bitmap, liveOf(got)) {
+							t.Fatalf("%s [%d,%d] %s %s: live granules %x, the non-zero words %x", label, vr[0], vr[1], d.name, walk, bitmap, liveOf(got))
 						}
 						if total := o.Skipped + o.Inside + o.Compared; total != uint64(len(live)) {
 							t.Fatalf("%s %s: %d outcomes for %d granules", label, d.name, total, len(live))
@@ -327,7 +357,19 @@ func TestDecisionSettlesARunBreakFromTheParts(t *testing.T) {
 		}
 	}
 	mask := make([]uint64, 1)
-	if n, o := bwd.ScanGranules([]bwd.Disjunct{col.Approximately(bwd.ApproxRange{Lo: 900, Hi: 1100})}, mask, 0, len(codes)); n != 20 || mask[0] != head || o != (bwd.Outcomes{Inside: 1}) {
+	if n, o := bwd.ScanGranules([]bwd.Disjunct{col.Approximately(bwd.ApproxRange{Lo: 900, Hi: 1100})}, mask, make([]uint64, 1), 0, len(codes)); n != 20 || mask[0] != head || o != (bwd.Outcomes{Inside: 1}) {
 		t.Errorf("scan of the first run: %d rows, mask %x, outcomes %+v", n, mask[0], o)
 	}
+}
+
+// liveOf returns the bitmap of mask's live granules: bit g%64 of word g/64
+// set exactly where word g is not zero.
+func liveOf(mask []uint64) []uint64 {
+	live := make([]uint64, (len(mask)+63)/64)
+	for g, w := range mask {
+		if w != 0 {
+			live[g/64] |= 1 << uint(g%64)
+		}
+	}
+	return live
 }

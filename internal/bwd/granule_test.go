@@ -43,8 +43,8 @@ func TestGranuleBoundsDecomposeAndRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			bwdtest.CheckGranules(t, "restore", back)
-			if !slices.Equal(back.Granules(), col.Granules()) || !slices.Equal(back.Splits(), col.Splits()) {
-				t.Fatalf("n=%d bits=%d: restored granule bounds or splits differ from the decomposed column's", n, bits)
+			if !slices.Equal(back.Splits(), col.Splits()) {
+				t.Fatalf("n=%d bits=%d: restored granule records differ from the decomposed column's", n, bits)
 			}
 			if hasIndex(back) != hasIndex(col) {
 				t.Fatalf("n=%d bits=%d: the restored column has a part index: %v, the decomposed one: %v", n, bits, hasIndex(back), hasIndex(col))
@@ -57,10 +57,10 @@ func TestGranuleBoundsDecomposeAndRestore(t *testing.T) {
 					lo := rng.Uint64() & col.Dec.MaxApprox()
 					r := bwd.ApproxRange{Lo: lo, Hi: min(lo+col.Dec.MaxApprox()>>uint(k), col.Dec.MaxApprox())}
 					dc, db := []bwd.Disjunct{col.Approximately(r)}, []bwd.Disjunct{back.Approximately(r)}
-					mc, mb := make([]uint64, len(col.Granules())), make([]uint64, len(col.Granules()))
+					mc, mb := make([]uint64, len(col.Splits())), make([]uint64, len(col.Splits()))
 					cc, cb := make([]int, 1), make([]int, 1)
-					nc, oc := bwd.ScanIndexed(dc, mc, n, len(mc)*bwd.GranuleRows, cc)
-					nb, ob := bwd.ScanIndexed(db, mb, n, len(mb)*bwd.GranuleRows, cb)
+					nc, oc := bwd.ScanIndexed(dc, mc, liveOf(mc), n, len(mc)*bwd.GranuleRows, cc)
+					nb, ob := bwd.ScanIndexed(db, mb, liveOf(mb), n, len(mb)*bwd.GranuleRows, cb)
 					if bwd.Indexed(dc, len(mc)) != bwd.Indexed(db, len(mb)) || nc != nb || oc != ob || !slices.Equal(mc, mb) {
 						t.Fatalf("n=%d bits=%d range %+v: the restored part index decides or finds otherwise than the decomposed column's", n, bits, r)
 					}
@@ -189,7 +189,7 @@ func TestIndexedScanMatchesWalk(t *testing.T) {
 						}
 					}
 				}
-				if n == 150_000 && bwd.Indexed([]bwd.Disjunct{col.Approximately(pct())}, len(col.Granules())) {
+				if n == 150_000 && bwd.Indexed([]bwd.Disjunct{col.Approximately(pct())}, len(col.Splits())) {
 					taken++
 				}
 			}
@@ -210,7 +210,7 @@ func checkIndexedScan(t *testing.T, label string, ds []bwd.Disjunct, vals []int6
 	want, wantCounts := make([]uint64, granules), make([]int, groups)
 	wantN, wantO := 0, bwd.Outcomes{}
 	for lo := 0; lo < rows; lo += chunk {
-		n, o := bwd.ScanGranules(ds, want, lo, min(lo+chunk, rows))
+		n, o := bwd.ScanGranules(ds, want, liveOf(want), lo, min(lo+chunk, rows))
 		wantCounts[lo/chunk], wantN = n, wantN+n
 		wantO.Skipped, wantO.Inside, wantO.Compared = wantO.Skipped+o.Skipped, wantO.Inside+o.Inside, wantO.Compared+o.Compared
 	}
@@ -221,8 +221,9 @@ func checkIndexedScan(t *testing.T, label string, ds []bwd.Disjunct, vals []int6
 	for i := range gotCounts {
 		gotCounts[i] = -1
 	}
-	gotN, gotO := bwd.ScanIndexed(ds, got, rows, chunk, gotCounts)
-	if !slices.Equal(got, want) || !slices.Equal(gotCounts, wantCounts) || gotN != wantN || gotO != wantO {
+	live := make([]uint64, (granules+63)/64)
+	gotN, gotO := bwd.ScanIndexed(ds, got, live, rows, chunk, gotCounts)
+	if !slices.Equal(got, want) || !slices.Equal(gotCounts, wantCounts) || gotN != wantN || gotO != wantO || !slices.Equal(live, liveOf(got)) {
 		t.Fatalf("%s: the index path gives %d rows, counts %v, outcomes %+v; the walk %d rows, counts %v, outcomes %+v (masks equal: %v)",
 			label, gotN, gotCounts[:min(4, groups)], gotO, wantN, wantCounts[:min(4, groups)], wantO, slices.Equal(got, want))
 	}

@@ -95,8 +95,8 @@ func TestExactlyRebuildsFromTheResidual(t *testing.T) {
 				half := liveWords(rng, rows)
 				for name, start := range map[string][]uint64{"full": full, "half empty": half} {
 					a, b := slices.Clone(start), slices.Clone(start)
-					na, _ := bwd.NarrowGranules([]bwd.Disjunct{got}, a, 0, rows)
-					nb, _ := bwd.NarrowGranules([]bwd.Disjunct{want}, b, 0, rows)
+					na, _ := bwd.NarrowGranules([]bwd.Disjunct{got}, a, liveOf(a), 0, rows)
+					nb, _ := bwd.NarrowGranules([]bwd.Disjunct{want}, b, liveOf(b), 0, rows)
 					if !slices.Equal(a, b) || na != nb {
 						t.Fatalf("%s, %s mask narrowed: %d rows rebuilt from the residual, %d from the exact values", label, name, na, nb)
 					}
@@ -108,8 +108,8 @@ func TestExactlyRebuildsFromTheResidual(t *testing.T) {
 					}
 				}
 				a, b := make([]uint64, len(full)), make([]uint64, len(full))
-				na, _ := bwd.ScanGranules([]bwd.Disjunct{got}, a, 0, rows)
-				nb, _ := bwd.ScanGranules([]bwd.Disjunct{want}, b, 0, rows)
+				na, _ := bwd.ScanGranules([]bwd.Disjunct{got}, a, liveOf(a), 0, rows)
+				nb, _ := bwd.ScanGranules([]bwd.Disjunct{want}, b, liveOf(b), 0, rows)
 				if !slices.Equal(a, b) || na != nb {
 					t.Fatalf("%s, walked from scratch: %d rows rebuilt from the residual, %d from the exact values", label, na, nb)
 				}

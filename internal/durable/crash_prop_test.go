@@ -111,7 +111,7 @@ func propCrashCuts(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	bwdtest.CheckGranules(t, "checkpointed t0.v", atCheckpoint)
-	checkpointBounds := slices.Clone(atCheckpoint.Granules())
+	checkpointRecords := slices.Clone(atCheckpoint.Splits())
 
 	// Phase 2: concurrent per-table writers (group commit + per-table lock
 	// under -race), merges allowed, no checkpoints — pure WAL tail.
@@ -270,8 +270,8 @@ func propCrashCuts(t *testing.T, seed int64) {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
 		bwdtest.CheckGranules(t, fmt.Sprintf("cut at %d: recovered t0.v", cut), d)
-		if committed == 0 && !slices.Equal(d.Granules(), checkpointBounds) {
-			t.Fatalf("cut at %d: restored granule bounds differ from the checkpointed column's", cut)
+		if committed == 0 && !slices.Equal(d.Splits(), checkpointRecords) {
+			t.Fatalf("cut at %d: restored granule records differ from the checkpointed column's", cut)
 		}
 		rs.Close()
 	}

@@ -559,23 +559,28 @@ func (t *Table) DeleteWhere(m *device.Meter, preds []Range) (int64, error) {
 
 // markWhere returns the deletion words of a segment of n rows, del before,
 // with the live rows that satisfy every conjunct of ds deleted, and how many
-// those are. The live rows start a survivor mask that each conjunct narrows
-// through the scans' granule walk — a granule whose rows are all deleted
-// already is passed over, one the bounds of a decomposed column settle is
-// not read, exact values are compared in the rest — and what is left of it
-// is marked in a copy of del, or nothing is and del comes back.
+// those are. The live rows start a survivor mask, with the bitmap of its
+// live granules, that each conjunct narrows through the scans' granule walk
+// over the live ones — a granule whose rows are all deleted already is
+// passed over, one the bounds of a decomposed column settle is not read,
+// exact values are compared in the rest — and what is left of it is marked
+// in a copy of del, or nothing is and del comes back.
 func markWhere(del []uint64, n int, ds []bwd.Disjunct) ([]uint64, int) {
 	hit := make([]uint64, (n+63)/64)
+	live := make([]uint64, (len(hit)+63)/64)
 	removed := 0
 	for g := range hit {
 		hit[g] = ^uint64(0) >> uint(64-min(64, n-g*64))
 		if g < len(del) {
 			hit[g] &^= del[g]
 		}
+		if hit[g] != 0 {
+			live[g/64] |= 1 << uint(g%64)
+		}
 		removed += bits.OnesCount64(hit[g])
 	}
 	for k := range ds {
-		removed, _ = bwd.NarrowGranules(ds[k:k+1], hit, 0, n)
+		removed, _ = bwd.NarrowGranules(ds[k:k+1], hit, live, 0, n)
 	}
 	if removed == 0 {
 		return del, 0
