@@ -515,9 +515,10 @@ func BenchmarkOpJoin(b *testing.B) {
 // end, every other statement the workload sends), "q6" (1994, discount
 // 0.05–0.07) and "q14" (September 1995, PROMO part types). "widekey" groups a
 // year of lineitem by l_shipdate, whose codes are 12 bits wide: the widest
-// key an exact leg still folds per key, 365 groups. Each text is compiled by
-// sql.Compile and run through ExecAR only, so the same line measures any
-// commit.
+// key the grouped fold's direct table takes, 365 groups; "hashkey" by
+// l_shipdate and l_linestatus, 13 bits, which the fold keys through its hash
+// table. Each text is compiled by sql.Compile and run through ExecAR only,
+// so the same line measures any commit.
 func BenchmarkOpOlapTail(b *testing.B) {
 	d := tpch.Generate(0.04, 1)
 	c := plan.NewCatalog(device.PaperSystem())
@@ -543,6 +544,10 @@ func BenchmarkOpOlapTail(b *testing.B) {
 		{"widekey", fmt.Sprintf("select l_shipdate, sum(l_quantity) as sum_qty, sum(l_extendedprice * (1.00 - l_discount)) as sum_disc_price, "+
 			"count(*) as n from lineitem where l_shipdate between %d and %d group by l_shipdate",
 			tpch.Day(1995, 1, 1), tpch.Day(1996, 1, 1)-1)},
+		// A 13-bit key, past ar.DirectBits: the exact leg keys it through the
+		// hash table.
+		{"hashkey", fmt.Sprintf("select l_shipdate, l_linestatus, sum(l_quantity) as sum_qty, count(*) as n from lineitem "+
+			"where l_shipdate between %d and %d group by l_shipdate, l_linestatus", tpch.Day(1995, 1, 1), tpch.Day(1996, 1, 1)-1)},
 	} {
 		compiled, err := sql.Compile(c, shape.text)
 		if err != nil {

@@ -25,11 +25,14 @@ func groupKeys(n, groups int, seed int64) []int64 {
 }
 
 // groupRefined runs the grouping pair over the candidates of one selection —
-// pre-group on the device, refine the selection, refine the grouping — and
-// checks every surviving tuple against its key values: keyBits decomposes
-// the key columns, selBits the selection column (32: resident, so nothing is
-// refined away and the pre-grouping passes through as it stands).
-func groupRefined(t *testing.T, keyVals [][]int64, keyBits []uint, selBits uint, hi int64, seed int64) (*Grouping, *bulk.Grouping) {
+// pre-group on the device, refine the selection — and holds both to a loop
+// over the rows: the pre-grouping's count to the distinct code tuples of the
+// phase-A candidates, and it returns the distinct exact key tuples of the
+// refined ones, which is what the refined grouping numbers. keyBits
+// decomposes the key columns, selBits the selection column (32: resident, so
+// nothing is refined away and the pre-grouping passes through as it stands,
+// billed as a pass over the candidates).
+func groupRefined(t *testing.T, keyVals [][]int64, keyBits []uint, selBits uint, hi int64, seed int64) (*Grouping, int) {
 	t.Helper()
 	sel := shuffledInts(len(keyVals[0]), seed)
 	selCol := decompose(t, sel, selBits)
@@ -40,24 +43,37 @@ func groupRefined(t *testing.T, keyVals [][]int64, keyBits []uint, selBits uint,
 	cands := SelectApprox(nil, selCol, selCol.Relax(1000, hi))
 	pre := GroupApprox(nil, cols, cands)
 	pre.Ship(nil)
+	codes, exact := map[[2]uint64]bool{}, map[[2]int64]bool{}
+	for _, id := range cands.IDs() {
+		var code [2]uint64
+		for k, col := range cols {
+			code[k] = col.Approx.Get(int(id))
+		}
+		codes[code] = true
+	}
+	if pre.NGroups != len(codes) || pre.Cands != cands.Len() {
+		t.Fatalf("pre-grouping of %d candidates counts %d groups, the row loop %d", pre.Cands, pre.NGroups, len(codes))
+	}
 	if err := SelectRefine(par.P{}, nil, selCol, nil, 1000, hi, cands); err != nil {
 		t.Fatal(err)
 	}
-	got, gotKeys, err := GroupRefine(par.P{}, nil, pre)
-	if err != nil {
-		t.Fatalf("GroupRefine: %v", err)
-	}
-	if len(gotKeys) != len(cols) || len(got.IDs) != cands.Len() {
-		t.Fatalf("grouping covers %d tuples by %d keys, want %d by %d", len(got.IDs), len(gotKeys), cands.Len(), len(cols))
-	}
-	for i, id := range cands.IDs() {
+	for _, id := range cands.IDs() {
+		var key [2]int64
 		for k := range cols {
-			if gotKeys[k][got.IDs[i]] != keyVals[k][id] {
-				t.Fatalf("tuple %d: key %d is %d, want %d", id, k, gotKeys[k][got.IDs[i]], keyVals[k][id])
-			}
+			key[k] = keyVals[k][id]
+		}
+		exact[key] = true
+	}
+	if pre.Cands == cands.Len() {
+		sys := device.PaperSystem()
+		m, pass := device.NewMeter(sys), device.NewMeter(sys)
+		ChargeGroupRefine(par.P{}, m, pre, cands.Len())
+		pass.CPUWork(1, int64(cands.Len())*8, 0, int64(cands.Len()))
+		if exactPre := cols[0].Dec.ResBits == 0 && cols[len(cols)-1].Dec.ResBits == 0; exactPre && *m != *pass {
+			t.Fatalf("an exact pre-grouping nothing was refined out of billed %v, want the pass %v", m, pass)
 		}
 	}
-	return pre, got
+	return pre, len(exact)
 }
 
 func TestGroupApproxRefineResidentColumn(t *testing.T) {
@@ -80,11 +96,8 @@ func TestGroupApproxRefineResidentColumn(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pre, got := groupRefined(t, tc.keys, []uint{32, 32}[:len(tc.keys)], tc.selBits, 15000, 82)
-			if pre.NGroups > tc.most || got.NGroups != pre.NGroups {
-				t.Fatalf("%d pre-groups refine to %d, want the same and at most %d", pre.NGroups, got.NGroups, tc.most)
-			}
-			if tc.selBits == 32 && pre.IDs != nil {
-				t.Fatal("an exact pre-grouping nothing was refined out of kept its ids instead of handing them on")
+			if pre.NGroups > tc.most || got != pre.NGroups {
+				t.Fatalf("%d pre-groups refine to %d, want the same and at most %d", pre.NGroups, got, tc.most)
 			}
 		})
 	}
@@ -104,8 +117,17 @@ func TestGroupRefineDecomposedColumnRegroups(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pre, got := groupRefined(t, tc.keys, tc.bits, 8, 6000, 85)
-			if pre.NGroups >= got.NGroups {
-				t.Errorf("approximate groups %d >= exact groups %d; decomposition had no effect", pre.NGroups, got.NGroups)
+			if pre.NGroups >= got {
+				t.Errorf("approximate groups %d >= exact groups %d; decomposition had no effect", pre.NGroups, got)
+			}
+			// The refinement of a pre-grouping whose key keeps residual bits
+			// rebuilds the keys and regroups them: billed past the pass alone.
+			sys := device.PaperSystem()
+			m, pass := device.NewMeter(sys), device.NewMeter(sys)
+			ChargeGroupRefine(par.P{}, m, pre, pre.Cands)
+			pass.CPUWork(1, int64(pre.Cands)*8, 0, int64(pre.Cands))
+			if m.CPU <= pass.CPU {
+				t.Errorf("regrouping %d candidates billed %v, no more than the pass %v", pre.Cands, m, pass)
 			}
 		})
 	}
@@ -118,31 +140,16 @@ func TestGroupApproxMatchesBulkOnFullSelection(t *testing.T) {
 	selCol := decompose(t, shuffledInts(n, 35), 32)
 	cands := SelectApprox(nil, selCol, selCol.Relax(0, int64(n)))
 	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
-	if err := SelectRefine(par.P{}, nil, selCol, nil, 0, int64(n), cands); err != nil {
-		t.Fatal(err)
-	}
-	got, gotKeys, err := GroupRefine(par.P{}, nil, grouping)
-	if err != nil {
-		t.Fatalf("GroupRefine: %v", err)
-	}
 
-	want, wantKeys := bulk.GroupBy(par.P{}, nil, [][]int64{keys})
-	if got.NGroups != want.NGroups {
-		t.Fatalf("NGroups = %d, want %d", got.NGroups, want.NGroups)
+	// The bulk model's grouping table over the key values, row by row.
+	var want bulk.KeyTable
+	want.Reset(1)
+	defer want.Release()
+	for _, k := range keys {
+		want.Word(uint64(k))
 	}
-	// Aggregate counts per key must agree regardless of id order.
-	wantCounts := map[int64]int64{}
-	for _, g := range want.IDs {
-		wantCounts[wantKeys[0][g]]++
-	}
-	gotCounts := map[int64]int64{}
-	for _, g := range got.IDs {
-		gotCounts[gotKeys[0][g]]++
-	}
-	for k, w := range wantCounts {
-		if gotCounts[k] != w {
-			t.Errorf("count for key %d = %d, want %d", k, gotCounts[k], w)
-		}
+	if grouping.NGroups != want.Len() || grouping.Cands != n {
+		t.Fatalf("NGroups = %d over %d candidates, want %d over %d", grouping.NGroups, grouping.Cands, want.Len(), n)
 	}
 }
 
@@ -224,13 +231,20 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 			if m.GPU != bare.GPU || m.GPU <= projected.GPU {
 				t.Fatalf("charged %v by mask, %v listed, of which projections %v", m, bare, projected)
 			}
+			tuples := map[[2]uint64]bool{}
+			codes := make([][]uint64, len(tc.cols))
 			for k, col := range tc.cols {
-				codes := ProjectApprox(nil, col, nil, cands).Codes()
-				for i := range cands.IDs() {
-					if g.Codes[k][g.IDs[i]] != codes[i] {
-						t.Fatalf("column %d: grouping codes diverge from the candidates' codes", k)
-					}
+				codes[k] = ProjectApprox(nil, col, nil, cands).Codes()
+			}
+			for i := range cands.IDs() {
+				var tuple [2]uint64
+				for k := range tc.cols {
+					tuple[k] = codes[k][i]
 				}
+				tuples[tuple] = true
+			}
+			if g.NGroups != len(tuples) {
+				t.Fatalf("grouped by the attached codes into %d groups, the candidates' codes hold %d", g.NGroups, len(tuples))
 			}
 		})
 	}
@@ -266,39 +280,21 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 			mm, ml := device.NewMeter(sys), device.NewMeter(sys)
 			gm, gl := GroupApprox(mm, tc.cols, fresh), GroupApprox(ml, tc.cols, listed)
 
-			// The reference: first-appearance ids over the candidate order.
-			seen := map[[2]uint64]uint32{}
-			var order [][2]uint64
-			for i, id := range listed.IDs() {
+			// The reference: the distinct key tuples of the candidates.
+			seen := map[[2]uint64]bool{}
+			for _, id := range listed.IDs() {
 				var key [2]uint64
 				for k, col := range tc.cols {
 					key[k] = col.Approx.Get(int(id))
 				}
-				g, ok := seen[key]
-				if !ok {
-					g = uint32(len(order))
-					seen[key] = g
-					order = append(order, key)
-				}
-				if gm.IDs[i] != g || gl.IDs[i] != g {
-					t.Fatalf("%s %v: candidate %d in group %d by mask, %d by list, want %d", tc.name, r, i, gm.IDs[i], gl.IDs[i], g)
-				}
+				seen[key] = true
 			}
-			if gm.NGroups != len(order) || gl.NGroups != len(order) || len(gm.IDs) != listed.Len() {
-				t.Fatalf("%s %v: %d groups by mask, %d by list, want %d", tc.name, r, gm.NGroups, gl.NGroups, len(order))
-			}
-			for g, key := range order {
-				for k := range tc.cols {
-					if gm.Codes[k][g] != key[k] || gl.Codes[k][g] != key[k] {
-						t.Fatalf("%s %v: group %d column %d has code %d by mask, %d by list, want %d", tc.name, r, g, k, gm.Codes[k][g], gl.Codes[k][g], key[k])
-					}
-				}
+			if gm.NGroups != len(seen) || gl.NGroups != len(seen) || gm.Cands != listed.Len() {
+				t.Fatalf("%s %v: %d groups by mask, %d by list, want %d", tc.name, r, gm.NGroups, gl.NGroups, len(seen))
 			}
 			if *mm != *ml {
 				t.Fatalf("%s %v: charged %v by mask, %v by list", tc.name, r, mm, ml)
 			}
-			gm.Release()
-			gl.Release()
 			fresh.Release()
 			listed.Release()
 		}
@@ -336,39 +332,21 @@ func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
 				fresh := SelectApprox(nil, sel, r)
 				byMask, byPos := GroupApprox(nil, cols, fresh), GroupApprox(nil, cols, listed)
 
-				ref := newGroupTable()
+				var ref bulk.KeyTable
+				ref.Reset(1)
 				for _, id := range listed.IDs() {
 					var key uint64
 					for _, col := range cols {
 						key = key<<col.Dec.ApproxBits | col.Approx.Get(int(id))
 					}
-					ref.id(key)
+					ref.Word(key)
 				}
 				for name, g := range map[string]*Grouping{"fresh": byMask, "listed": byPos} {
-					if g.NGroups != len(ref.uniq) || len(g.IDs) != listed.Len() {
-						t.Fatalf("%v %s: %d groups over %d candidates, the hash table %d over %d", r, name, g.NGroups, len(g.IDs), len(ref.uniq), listed.Len())
-					}
-					for i, id := range listed.IDs() {
-						var key uint64
-						for _, col := range cols {
-							key = key<<col.Dec.ApproxBits | col.Approx.Get(int(id))
-						}
-						if want := ref.id(key); g.IDs[i] != want {
-							t.Fatalf("%v %s: candidate %d in group %d, the hash table's %d", r, name, i, g.IDs[i], want)
-						}
-					}
-					for gi, key := range ref.uniq {
-						shift := uint(0)
-						for k := len(cols) - 1; k >= 0; k-- {
-							if want := key >> shift & bitpack.Mask(cols[k].Dec.ApproxBits); g.Codes[k][gi] != want {
-								t.Fatalf("%v %s: group %d column %d has code %d, the hash table's %d", r, name, gi, k, g.Codes[k][gi], want)
-							}
-							shift += cols[k].Dec.ApproxBits
-						}
+					if g.NGroups != ref.Len() || g.Cands != listed.Len() {
+						t.Fatalf("%v %s: %d groups over %d candidates, the hash table %d over %d", r, name, g.NGroups, g.Cands, ref.Len(), listed.Len())
 					}
 				}
-				byMask.Release()
-				byPos.Release()
+				ref.Release()
 				fresh.Release()
 				listed.Release()
 			}
@@ -415,16 +393,17 @@ func codeColumn(t *testing.T, width uint, codes []uint64) *bwd.Column {
 	return col
 }
 
-// TestGroupApproxOrderedMergeAcrossCores: on any number of host cores a key of
-// at most DirectBits bits is grouped per work-group, each in its own
-// first-appearance order, and merged in candidate order. Over seven
-// work-groups that each hold a different half of the keys, in an order of
-// their own, the ids, the group count and the groups' codes must be exactly
-// what a serial lookup in candidate order assigns — for 1-, 3-, 7- and
-// 12-bit keys, a two-column key and a 13-bit key (one loop over the
-// candidates, through the hash table), under one,
-// two and four cores, over the whole table, a range that empties the first
-// work-group, and one that leaves holes in every work-group.
+// TestGroupApproxOrderedMergeAcrossCores: on any number of host cores a
+// grouped fold (internal/plan) walks a set's work-groups in candidate order
+// (Order), split into blocks that each number their keys as they first meet
+// them, and merges the blocks in block order. Over seven work-groups that
+// each hold a different half of the keys, in an order of their own, the keys
+// in number order and each one's count must be exactly what a serial lookup
+// in candidate order gives (keyedNumbering), and GroupApprox must count as
+// many groups — for 1-, 3-, 7- and 12-bit keys, a two-column key and a
+// 13-bit key (counted through the hash table), under one, two and four
+// cores, over the whole table, a range that empties the first work-group,
+// and one that leaves holes in every work-group.
 func TestGroupApproxOrderedMergeAcrossCores(t *testing.T) {
 	const groups = 7
 	const n = (groups-1)*gpuChunk + 777
@@ -510,42 +489,74 @@ func TestGroupApproxOrderedMergeAcrossCores(t *testing.T) {
 			}
 			for _, s := range selections {
 				listed := s.scan()
-				// The serial reference: ids in order of first appearance over
-				// the candidates in candidate order.
-				ref := map[uint64]uint32{}
+				// The serial reference: keys in order of first appearance over
+				// the candidates in candidate order, and each one's count.
+				ref := map[uint64]int{}
 				var uniq []uint64
-				want := make([]uint32, listed.Len())
-				for i, id := range listed.IDs() {
+				var want []int64
+				for _, id := range listed.IDs() {
 					k := key(id)
 					g, ok := ref[k]
 					if !ok {
-						g = uint32(len(uniq))
+						g = len(uniq)
 						ref[k] = g
-						uniq = append(uniq, k)
+						uniq, want = append(uniq, k), append(want, 0)
 					}
-					want[i] = g
+					want[g]++
 				}
 				for _, procs := range []int{1, 2, 4} {
 					runtime.GOMAXPROCS(procs)
 					fresh := s.scan()
 					g := GroupApprox(nil, tc.cols, fresh)
-					if g.NGroups != len(uniq) || !slices.Equal(g.IDs, want) {
-						t.Fatalf("%s, %d cores: %d groups, want %d; ids equal to the serial lookup's: %v", s.name, procs, g.NGroups, len(uniq), slices.Equal(g.IDs, want))
+					keys, counts := keyedNumbering(fresh, tc.cols, procs)
+					if g.NGroups != len(uniq) || !slices.Equal(keys, uniq) || !slices.Equal(counts, want) {
+						t.Fatalf("%s, %d cores: %d groups, want %d; keys in number order equal the serial lookup's: %v, counts: %v", s.name, procs, g.NGroups, len(uniq), slices.Equal(keys, uniq), slices.Equal(counts, want))
 					}
-					for gi, k := range uniq {
-						shift := uint(0)
-						for c := len(tc.cols) - 1; c >= 0; c-- {
-							if code := k >> shift & bitpack.Mask(tc.cols[c].Dec.ApproxBits); g.Codes[c][gi] != code {
-								t.Fatalf("%s, %d cores: group %d column %d has code %d, want %d", s.name, procs, gi, c, g.Codes[c][gi], code)
-							}
-							shift += tc.cols[c].Dec.ApproxBits
-						}
-					}
-					g.Release()
 					fresh.Release()
 				}
 				listed.Release()
 			}
 		})
 	}
+}
+
+// keyedNumbering numbers the candidates' key tuples (blockKeys) as a grouped
+// fold does: the work-groups in candidate order split into one block per
+// worker, each numbering its keys through its own table as it first meets
+// them and counting per number, then the blocks' keys entered in block order
+// into one more table, their counts merged through it. It returns the keys
+// in number order and each one's count.
+func keyedNumbering(c *Candidates, cols []*bwd.Column, workers int) (keys []uint64, counts []int64) {
+	p := par.P{Threads: 1, Workers: workers, Chunk: 1}
+	wg := c.WorkGroups()
+	tables, cnts := make([]bulk.KeyTable, p.NBlocks(wg)), make([][]int64, p.NBlocks(wg))
+	for b := range tables {
+		tables[b].Reset(1)
+	}
+	par.RunBlocks(p, wg, func(b, u, _ int) {
+		ci, buf := c.Order()[u], make([]uint64, 2*keySpan*bwd.GranuleRows)
+		c.Blocks(ci, ci+1, keySpan, func(g0, g1, pos, cnt int) {
+			for _, key := range blockKeys(c, cols, buf, g0, g1, cnt) {
+				if id := int(tables[b].Word(key)); id < len(cnts[b]) {
+					cnts[b][id]++
+				} else {
+					cnts[b] = append(cnts[b], 1)
+				}
+			}
+		})
+	})
+	var global bulk.KeyTable
+	global.Reset(1)
+	defer global.Release()
+	for b := range tables {
+		for l, key := range tables[b].Keys() {
+			if g := int(global.Word(key)); g < len(counts) {
+				counts[g] += cnts[b][l]
+			} else {
+				counts = append(counts, cnts[b][l])
+			}
+		}
+		tables[b].Release()
+	}
+	return slices.Clone(global.Keys()), counts
 }

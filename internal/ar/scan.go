@@ -318,10 +318,10 @@ func (c *Candidates) seal() {
 	}
 }
 
-// order returns the set's work-groups in candidate order, as seal took them:
+// Order returns the set's work-groups in candidate order, as seal took them:
 // the order in which a serial pass over the candidates meets them. It lives
 // in the second half of the slots' buffer.
-func (c *Candidates) order() []int {
+func (c *Candidates) Order() []int {
 	c.seal()
 	return c.offs[len(c.offs) : 2*len(c.offs)]
 }

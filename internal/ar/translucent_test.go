@@ -83,9 +83,17 @@ func TestTranslucentJoinEmptyInputs(t *testing.T) {
 				t.Fatalf("[%d,%d]: %d candidates dropped, billed %v, the join alone %v", r[0], r[1], pre, m, joined)
 			}
 		}
-		g, keys, err := GroupRefine(par.P{}, nil, grouping)
-		if err != nil || g.NGroups != 0 || len(g.IDs) != 0 || len(keys[0]) != 0 {
-			t.Fatalf("[%d,%d]: refined grouping of %d groups over %d ids, %v", r[0], r[1], g.NGroups, len(g.IDs), err)
+		// The refined grouping is over no candidate: its bill is the join of
+		// the emptied set into the pre-grouping, when it held any, then the
+		// key's rebuild and the regroup — the column keeps residual bits —
+		// over nothing.
+		billed, want := device.NewMeter(device.PaperSystem()), device.NewMeter(device.PaperSystem())
+		ChargeGroupRefine(par.P{}, billed, grouping, cands.Len())
+		chargeTranslucentJoin(want, 1, pre, 0)
+		want.CPUWork(1, 0, 0, 0)
+		want.CPUWork(1, 0, 0, 0)
+		if grouping.Cands != pre || col.Dec.ResBits == 0 || billed.Total() != want.Total() || billed.CPU != want.CPU {
+			t.Fatalf("[%d,%d]: refined grouping of %d pre-grouped candidates billed %v, want %v", r[0], r[1], grouping.Cands, billed, want)
 		}
 	}
 }

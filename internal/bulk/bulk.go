@@ -4,22 +4,23 @@
 // operator to pick up. It is the CPU-only baseline ("MonetDB" in the paper's
 // charts) that the Approximate & Refine implementation is compared against.
 //
-// The executor owns the scan (internal/ar's survivor sets); this package
-// holds the model's bill, its grouping and top-k, and the FK index:
+// The executor owns the scan (internal/ar's survivor sets) and the folds
+// (internal/plan); this package holds the model's bill, its grouping table and
+// top-k, and the FK index:
 //
 //   - ChargeSelectRange, ChargeSelectOIDs, ChargeFetch and ChargeFKJoin bill
 //     the model's full-scan selection, its candidate-list filters, its fetch
 //     and its FK join — an id list handed from each to the next. A classic
 //     statement's scan narrows a host survivor set instead (ar.SelectExact)
 //     and charges what these operators would have charged (DESIGN.md §7).
-//   - GroupBy and TopK take a par.P: they execute morsel-parallel with the
-//     P's real worker budget while charging the meter for the P's simulated
-//     thread count. A serial P (the zero value, or par.P{Threads: t,
-//     Workers: 1}) runs the same implementation's plain loop on the calling
-//     goroutine, the ground truth tests compare parallel runs against.
-//     Grouping builds per-worker partial states over contiguous blocks that
-//     merge in block order, preserving first-appearance group order exactly,
-//     so results are byte-identical for every worker count.
+//   - ChargeGroupBy bills the model's hash grouping, a group id per row. What
+//     runs is a keyed fold (internal/plan) whose blocks number their keys
+//     through a KeyTable: no group id per row exists (DESIGN.md §7).
+//   - TopK takes a par.P: it executes morsel-parallel with the P's real
+//     worker budget while charging the meter for the P's simulated thread
+//     count, and a serial P (the zero value, or par.P{Threads: t, Workers:
+//     1}) runs the plain loop on the calling goroutine, the ground truth tests
+//     compare parallel runs against.
 //   - FKIndex is a dense primary key's base and length (BuildFKIndex).
 //
 // Every charge and operator takes an optional *device.Meter; when non-nil,
@@ -31,6 +32,8 @@
 package bulk
 
 import (
+	"slices"
+
 	"repro/internal/bat"
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -56,17 +59,6 @@ const (
 // (The A&R operators ship compact 32-bit IDs across the bus instead; that
 // difference is part of the design.)
 const oidBytes = 8
-
-// parallelMin is the input size below which the kernels fall back to the
-// serial loop even with a multi-worker budget: goroutine fan-out on a
-// few thousand rows costs more than it saves. Results are identical either
-// way; this is purely a scheduling decision.
-const parallelMin = 1 << 10
-
-// serial reports whether p should run the serial loop for n rows.
-func serial(p par.P, n int) bool {
-	return p.NWorkers() <= 1 || (n < parallelMin && p.Chunk <= 0)
-}
 
 // ChargeSelectRange bills the bulk model's range selection over b that kept
 // out rows (MonetDB's uselect, order-preserving, §IV-A item 2): the whole
@@ -100,161 +92,115 @@ func ChargeFetch(p par.P, m *device.Meter, b *bat.BAT, n int) {
 	}
 }
 
-// Grouping is the result of a group-by: a group ID per input position
-// (positionally aligned with the input, the MonetDB representation noted
-// in §IV-E), groups numbered in first-appearance order.
-type Grouping struct {
-	IDs     []uint32 // group id per input position; arena-backed (mem.U32), the consumer's to release
-	NGroups int
-}
-
-// GroupBy hash-groups tuples by the key columns cols, assigning dense
-// group IDs in order of first appearance, and returns the grouping plus
-// the per-group key values of every column (keys[k][g]). Tuples group
-// through one flat table (tupleTable), and a group's key values are read
-// back from its first row. With several workers each hash-groups one
-// contiguous block into a partial table, the partials merge in block order
-// (so global group IDs follow global first appearance, exactly as the serial
-// loop assigns them), and the per-position ID rewrite runs parallel again.
-func GroupBy(p par.P, m *device.Meter, cols [][]int64) (*Grouping, [][]int64) {
-	if len(cols) == 0 {
-		return &Grouping{}, nil
-	}
-	n := len(cols[0])
-	ids := mem.U32.GetN(n)
-	global := tupleTable{cols: cols}
-	if n == 0 || serial(p, n) { // no rows, no blocks to merge
-		for i := 0; i < n; i++ {
-			ids[i] = global.id(i)
-		}
-	} else {
-		blocks := p.Blocks(n)
-		parts := make([]tupleTable, len(blocks))
-		for b := range parts {
-			parts[b].cols = cols
-		}
-		par.RunBlocks(p, n, func(b, lo, hi int) {
-			pt := &parts[b]
-			for i := lo; i < hi; i++ {
-				ids[i] = pt.id(i) // block-local, rewritten below
-			}
-		})
-		// Merge block partials in block order: first appearance across
-		// blocks equals first appearance in the serial scan.
-		remap := make([][]uint32, len(blocks))
-		for b := range parts {
-			remap[b] = make([]uint32, len(parts[b].firsts))
-			for localID, first := range parts[b].firsts {
-				remap[b][localID] = global.id(first)
-			}
-		}
-		// Blocks are equal-sized except the last; derive a position's
-		// block from the first block's span.
-		size := blocks[0].Hi - blocks[0].Lo
-		p.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				b := i / size
-				if b >= len(blocks) {
-					b = len(blocks) - 1
-				}
-				ids[i] = remap[b][ids[i]]
-			}
-		})
-	}
-	order := global.firsts // global first-appearance position per group
-	keys := make([][]int64, len(cols))
-	for k := range cols {
-		keys[k] = make([]int64, len(order))
-		for gi, first := range order {
-			keys[k][gi] = cols[k][first]
-		}
-	}
+// ChargeGroupBy bills the bulk model's hash grouping of n rows by k key
+// columns (MonetDB's group.new, then a group.derive per further column): each
+// key column streamed, a 4-byte group id written per row, a hash-table probe
+// per row and column.
+func ChargeGroupBy(p par.P, m *device.Meter, n, k int) {
 	if m != nil {
-		// One group.new pass plus a group.derive pass per further column.
-		m.CPUWork(p.NThreads(), int64(n)*8*int64(len(cols))+int64(n)*4, 0,
-			int64(n)*OpsHashGroup*int64(len(cols)))
+		m.CPUWork(p.NThreads(), int64(n)*8*int64(k)+int64(n)*4, 0, int64(n)*OpsHashGroup*int64(k))
 	}
-	return &Grouping{IDs: ids, NGroups: len(order)}, keys
 }
 
-// tupleTable maps the key tuple at a row position — one int64 per column of
-// cols — to a dense group id in first-appearance order: one flat
-// open-addressing table, linear probing, at most half full. A slot holds the
-// group id plus one (zero marks it free) and the tuple's hash; a hash match
-// is confirmed against the group's first row. The zero value with cols set
-// is an empty table.
-type tupleTable struct {
-	cols   [][]int64
-	slots  []tupleSlot
-	shift  uint  // 64 - log2(len(slots))
-	firsts []int // the first row of every group, in id order
-}
-
-type tupleSlot struct {
-	hash uint64
-	gid  uint32
+// KeyTable numbers keys — each a tuple of a fixed number of 64-bit words — in
+// the order it first sees them: one flat open-addressing table, linear
+// probing, at most half full, whose slots hold a key's number plus one (zero
+// marks a free slot), the keys kept by value in number order. Reset takes its
+// buffers from the arena, Release returns them.
+type KeyTable struct {
+	w     int
+	slots []uint32
+	keys  []uint64 // w words per key, in number order
+	shift uint     // 64 - log2(len(slots))
 }
 
 // hashMul is the 64-bit Fibonacci-hashing multiplier (2^64 / phi, odd).
 const hashMul = 0x9E3779B97F4A7C15
 
-// hash mixes row i's key tuple. One column hashes to its own value, so
-// there a hash match is the tuple match (sameTuple never disagrees).
-func (t *tupleTable) hash(i int) uint64 {
-	h := uint64(t.cols[0][i])
-	for _, col := range t.cols[1:] {
-		h = (h*hashMul ^ h>>29) + uint64(col[i])
+// Reset empties the table for keys of w words.
+func (t *KeyTable) Reset(w int) {
+	t.Release()
+	t.w, t.slots, t.keys, t.shift = w, mem.U32.GetN(64), mem.U64.Get(32*w), 64-6 // 64 slots
+	clear(t.slots)
+}
+
+// Release returns the table's buffers to the arena.
+func (t *KeyTable) Release() {
+	mem.U32.Put(t.slots)
+	mem.U64.Put(t.keys)
+	t.slots, t.keys = nil, nil
+}
+
+// Len is how many keys the table has numbered.
+func (t *KeyTable) Len() int { return len(t.keys) / max(t.w, 1) }
+
+// Keys is every numbered key's words, in number order.
+func (t *KeyTable) Keys() []uint64 { return t.keys }
+
+// Word returns the number of the one-word key, numbering it on first sight.
+func (t *KeyTable) Word(key uint64) uint32 {
+	mask := uint64(len(t.slots) - 1)
+	for at := key * hashMul >> t.shift; ; at = (at + 1) & mask {
+		switch s := t.slots[at]; {
+		case s == 0:
+			return t.insert(at, key)
+		case t.keys[s-1] == key:
+			return s - 1
+		}
+	}
+}
+
+// Tuple returns the number of the key of w words, numbering it on first sight.
+func (t *KeyTable) Tuple(key []uint64) uint32 {
+	mask := uint64(len(t.slots) - 1)
+	for at := hashTuple(key) * hashMul >> t.shift; ; at = (at + 1) & mask {
+		switch s := t.slots[at]; {
+		case s == 0:
+			return t.insert(at, key...)
+		case slices.Equal(t.keys[int(s-1)*t.w:][:t.w], key):
+			return s - 1
+		}
+	}
+}
+
+// hashTuple mixes a key's words; a one-word key hashes to itself.
+func hashTuple(key []uint64) uint64 {
+	h := key[0]
+	for _, word := range key[1:] {
+		h = (h*hashMul ^ h>>29) + word
 	}
 	return h
 }
 
-func (t *tupleTable) sameTuple(i, j int) bool {
-	for _, col := range t.cols {
-		if col[i] != col[j] {
-			return false
-		}
+// insert numbers key, whose probe ended at the free slot at, growing the
+// table first when it would be more than half full.
+func (t *KeyTable) insert(at uint64, key ...uint64) uint32 {
+	id := uint32(t.Len())
+	if len(t.keys)+t.w > cap(t.keys) {
+		keys := append(mem.U64.Get(2*cap(t.keys)), t.keys...)
+		mem.U64.Put(t.keys)
+		t.keys = keys
 	}
-	return true
-}
-
-// id returns the group id of row i's tuple, assigning the next one on first
-// sight.
-func (t *tupleTable) id(i int) uint32 {
-	if 2*(len(t.firsts)+1) > len(t.slots) {
+	t.keys = append(t.keys, key...)
+	if 2*(int(id)+1) > len(t.slots) {
 		t.grow()
+		return id
 	}
-	h := t.hash(i)
-	mask := uint64(len(t.slots) - 1)
-	for at := h * hashMul >> t.shift; ; at = (at + 1) & mask {
-		switch s := &t.slots[at]; {
-		case s.gid == 0:
-			t.firsts = append(t.firsts, i)
-			*s = tupleSlot{hash: h, gid: uint32(len(t.firsts))}
-			return s.gid - 1
-		case s.hash == h && t.sameTuple(i, t.firsts[s.gid-1]):
-			return s.gid - 1
-		}
-	}
+	t.slots[at] = id + 1
+	return id
 }
 
-// grow doubles the table (64 slots to begin with) and re-inserts every
-// group under its id.
-func (t *tupleTable) grow() {
-	old := t.slots
-	if len(old) == 0 {
-		t.slots, t.shift = make([]tupleSlot, 64), 64-6
-	} else {
-		t.slots, t.shift = make([]tupleSlot, 2*len(old)), t.shift-1
-	}
+// grow doubles the slots and enters every key under its number again.
+func (t *KeyTable) grow() {
+	mem.U32.Put(t.slots)
+	t.slots, t.shift = mem.U32.GetN(2*len(t.slots)), t.shift-1
+	clear(t.slots)
 	mask := uint64(len(t.slots) - 1)
-	for _, s := range old {
-		if s.gid == 0 {
-			continue
-		}
-		at := s.hash * hashMul >> t.shift
-		for t.slots[at].gid != 0 {
+	for id := range t.Len() {
+		at := hashTuple(t.keys[id*t.w:][:t.w]) * hashMul >> t.shift
+		for t.slots[at] != 0 {
 			at = (at + 1) & mask
 		}
-		t.slots[at] = s
+		t.slots[at] = uint32(id + 1)
 	}
 }

@@ -2,6 +2,7 @@ package bulk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,36 +12,51 @@ import (
 )
 
 func TestGroupByDenseFirstAppearance(t *testing.T) {
-	g, keys := GroupBy(par.P{}, nil, [][]int64{{7, 3, 7, 9, 3}})
-	if g.NGroups != 3 {
-		t.Fatalf("NGroups = %d, want 3", g.NGroups)
-	}
+	var table KeyTable
+	table.Reset(1)
+	defer table.Release()
 	wantIDs := []uint32{0, 1, 0, 2, 1}
-	for i, w := range wantIDs {
-		if g.IDs[i] != w {
-			t.Errorf("IDs[%d] = %d, want %d", i, g.IDs[i], w)
+	for i, k := range []uint64{7, 3, 7, 9, 3} {
+		if id := table.Word(k); id != wantIDs[i] {
+			t.Errorf("key %d of row %d numbered %d, want %d", k, i, id, wantIDs[i])
 		}
 	}
-	wantKeys := []int64{7, 3, 9}
-	for i, w := range wantKeys {
-		if keys[0][i] != w {
-			t.Errorf("keys[0][%d] = %d, want %d", i, keys[0][i], w)
-		}
+	if table.Len() != 3 || !slices.Equal(table.Keys(), []uint64{7, 3, 9}) {
+		t.Fatalf("%d keys %v, want 3: [7 3 9]", table.Len(), table.Keys())
 	}
 }
 
+// A key table numbers every tuple densely in order of first sight, and a
+// number maps back to its key — one word and three, through many doublings
+// — as a row loop with a map does.
 func TestGroupByPropertyPartition(t *testing.T) {
-	f := func(keys []int64) bool {
-		g, uniq := GroupBy(par.P{}, nil, [][]int64{keys})
-		if len(g.IDs) != len(keys) {
-			return false
-		}
-		for i, k := range keys {
-			if uniq[0][g.IDs[i]] != k {
-				return false // group id must map back to the original key
+	f := func(keys []int64, w uint8) bool {
+		width := 1 + int(w%3)
+		var table KeyTable
+		table.Reset(width)
+		defer table.Release()
+		seen := map[[3]int64]uint32{}
+		for i, k := range append(keys, keys...) { // every key met twice
+			var tuple [3]int64
+			words := make([]uint64, width)
+			for c := range words {
+				tuple[c] = k >> (8 * c)
+				words[c] = uint64(tuple[c])
+			}
+			want, ok := seen[tuple]
+			if !ok {
+				want = uint32(len(seen))
+				seen[tuple] = want
+			}
+			id := table.Tuple(words)
+			if width == 1 && i%2 == 0 {
+				id = table.Word(words[0])
+			}
+			if id != want || !slices.Equal(table.Keys()[int(id)*width:][:width], words) {
+				return false // a number must map back to its key
 			}
 		}
-		return true
+		return table.Len() == len(seen)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -100,54 +116,28 @@ func TestMeteredOperatorsCharge(t *testing.T) {
 }
 
 // TestParallelKernelsMatchSerial asserts byte-identical output between the
-// serial grouping kernel and its morsel-parallel form across worker counts
-// and morsel sizes, including the first-appearance group order that
-// downstream results depend on.
+// serial top-k kernel and its morsel-parallel form across worker counts and
+// morsel sizes, ties included: the order downstream results depend on.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 40_000
 	keys := make([]int64, n)
-	keys2 := make([]int64, n)
 	for i := range keys {
 		keys[i] = int64(rng.Intn(97))
-		keys2[i] = int64(rng.Intn(11))
 	}
-	// One key column and two: the same core.
-	groupCols := [][][]int64{{keys}, {keys, keys2}}
-	var wantG []*Grouping
-	var wantKeys [][][]int64
-	for _, cols := range groupCols {
-		g, k := GroupBy(par.P{}, nil, cols)
-		wantG, wantKeys = append(wantG, g), append(wantKeys, k)
-	}
-
-	eq64 := func(t *testing.T, what string, got, want []int64) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: len %d != %d", what, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: [%d] = %d, want %d", what, i, got[i], want[i])
-			}
-		}
+	less := func(i, j int) bool { return keys[i] < keys[j] }
+	ks := []int{1, 10, 97, n}
+	var want [][]int
+	for _, k := range ks {
+		want = append(want, TopK(par.P{}, nil, n, k, 8, less))
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
 		for _, chunk := range []int{0, 1, 97, 4096} {
 			p := par.P{Threads: 1, Workers: workers, Chunk: chunk}
 			t.Run("", func(t *testing.T) {
-				for c, cols := range groupCols {
-					g, gotKeys := GroupBy(p, nil, cols)
-					if g.NGroups != wantG[c].NGroups {
-						t.Fatalf("GroupBy/%d: %d groups, want %d", len(cols), g.NGroups, wantG[c].NGroups)
-					}
-					for i := range wantG[c].IDs {
-						if g.IDs[i] != wantG[c].IDs[i] {
-							t.Fatalf("GroupBy/%d IDs[%d] = %d, want %d", len(cols), i, g.IDs[i], wantG[c].IDs[i])
-						}
-					}
-					for k := range wantKeys[c] {
-						eq64(t, "GroupBy keys", gotKeys[k], wantKeys[c][k])
+				for c, k := range ks {
+					if got := TopK(p, nil, n, k, 8, less); !slices.Equal(got, want[c]) {
+						t.Fatalf("TopK k=%d on %d workers, morsel %d: differs from the serial kernel", k, workers, chunk)
 					}
 				}
 			})
@@ -167,7 +157,8 @@ func TestParallelChargesMatchSerial(t *testing.T) {
 	sys := device.PaperSystem()
 	run := func(p par.P) *device.Meter {
 		m := device.NewMeter(sys)
-		GroupBy(p, m, [][]int64{keys})
+		ChargeGroupBy(p, m, len(keys), 2)
+		TopK(p, m, len(keys), 10, 8, func(i, j int) bool { return keys[i] < keys[j] })
 		return m
 	}
 	for _, threads := range []int{1, 4} {
@@ -181,15 +172,20 @@ func TestParallelChargesMatchSerial(t *testing.T) {
 	}
 }
 
-func BenchmarkGroupBy(b *testing.B) {
+func BenchmarkKeyTable(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	keys := make([]int64, 1<<20)
+	keys := make([]uint64, 1<<20)
 	for i := range keys {
-		keys[i] = int64(rng.Intn(1000))
+		keys[i] = uint64(rng.Intn(1000))
 	}
 	b.SetBytes(int64(len(keys)) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GroupBy(par.P{}, nil, [][]int64{keys})
+		var table KeyTable
+		table.Reset(1)
+		for _, k := range keys {
+			table.Word(k)
+		}
+		table.Release()
 	}
 }

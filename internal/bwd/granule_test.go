@@ -201,16 +201,18 @@ func TestIndexedScanMatchesWalk(t *testing.T) {
 }
 
 // checkIndexedScan compares ScanIndexed with ScanGranules walked work-group
-// by work-group over all of vals' rows.
+// by work-group over all of vals' rows: the masks, the counts, the outcomes
+// and the live bitmaps both write.
 func checkIndexedScan(t *testing.T, label string, ds []bwd.Disjunct, vals []int64, chunk int) {
 	t.Helper()
 	rows := len(vals)
 	granules := (rows + bwd.GranuleRows - 1) / bwd.GranuleRows
 	groups := (rows + chunk - 1) / chunk
 	want, wantCounts := make([]uint64, granules), make([]int, groups)
+	wantLive := make([]uint64, (granules+63)/64) // the walk writes it as it starts the mask
 	wantN, wantO := 0, bwd.Outcomes{}
 	for lo := 0; lo < rows; lo += chunk {
-		n, o := bwd.ScanGranules(ds, want, liveOf(want), lo, min(lo+chunk, rows))
+		n, o := bwd.ScanGranules(ds, want, wantLive, lo, min(lo+chunk, rows))
 		wantCounts[lo/chunk], wantN = n, wantN+n
 		wantO.Skipped, wantO.Inside, wantO.Compared = wantO.Skipped+o.Skipped, wantO.Inside+o.Inside, wantO.Compared+o.Compared
 	}
@@ -223,7 +225,7 @@ func checkIndexedScan(t *testing.T, label string, ds []bwd.Disjunct, vals []int6
 	}
 	live := make([]uint64, (granules+63)/64)
 	gotN, gotO := bwd.ScanIndexed(ds, got, live, rows, chunk, gotCounts)
-	if !slices.Equal(got, want) || !slices.Equal(gotCounts, wantCounts) || gotN != wantN || gotO != wantO || !slices.Equal(live, liveOf(got)) {
+	if !slices.Equal(got, want) || !slices.Equal(gotCounts, wantCounts) || gotN != wantN || gotO != wantO || !slices.Equal(live, liveOf(got)) || !slices.Equal(wantLive, live) {
 		t.Fatalf("%s: the index path gives %d rows, counts %v, outcomes %+v; the walk %d rows, counts %v, outcomes %+v (masks equal: %v)",
 			label, gotN, gotCounts[:min(4, groups)], gotO, wantN, wantCounts[:min(4, groups)], wantO, slices.Equal(got, want))
 	}

@@ -299,7 +299,7 @@ func Fig8f(opts Options) (*Figure, error) {
 		}
 
 		m := device.NewMeter(sys)
-		bulk.GroupBy(par.P{Threads: opts.Threads}, m, [][]int64{keys})
+		bulk.ChargeGroupBy(par.P{Threads: opts.Threads}, m, len(keys), 1)
 		monetT := m.Total().Seconds()
 
 		m = device.NewMeter(sys)
@@ -308,9 +308,7 @@ func Fig8f(opts Options) (*Figure, error) {
 		approxT := m.Total().Seconds()
 		grouping.Ship(m)
 		cands.Ship(m)
-		if _, _, err := ar.GroupRefine(par.P{Threads: opts.Threads}, m, grouping); err != nil {
-			return nil, err
-		}
+		ar.ChargeGroupRefine(par.P{Threads: opts.Threads}, m, grouping, cands.Len())
 		totalT := m.Total().Seconds()
 
 		monet.X = append(monet.X, g)

@@ -22,9 +22,9 @@
 //
 // The P descriptor carries a kernel's degree of parallelism through the
 // executors (billed threads vs real workers vs morsel size vs context; see
-// DESIGN.md §7), and the block primitives (Blocks, RunBlocks) support the
-// partial-state aggregation pattern whose merge order is fixed by the
-// input partition — never by goroutine scheduling — so results are
+// DESIGN.md §7), and the block primitives (NBlocks, BlockRange, RunBlocks)
+// support the partial-state aggregation pattern whose merge order is fixed
+// by the input partition — never by goroutine scheduling — so results are
 // byte-stable across worker counts.
 package par
 
@@ -244,31 +244,12 @@ func GatherOrdered[T any](p P, n int, fn func(lo, hi int) []T) []T {
 	return out
 }
 
-// Block is one contiguous sub-range of an input, processed by a single
-// worker so that per-worker partial states (groupings, aggregates) can be
-// merged deterministically in block order.
-type Block struct{ Lo, Hi int }
-
-// Blocks statically partitions [0,n) into at most NWorkers contiguous
-// blocks of near-equal size. The partition depends only on n and the worker
-// count, and merging per-block partial states left to right reproduces the
-// exact serial result: a key's global first appearance is its first block's
-// first appearance.
-func (p P) Blocks(n int) []Block {
-	nb := p.NBlocks(n)
-	if nb == 0 {
-		return nil
-	}
-	out := make([]Block, nb)
-	for b := range out {
-		out[b].Lo, out[b].Hi = p.BlockRange(n, b)
-	}
-	return out
-}
-
-// NBlocks returns how many blocks Blocks(n) partitions [0,n) into,
-// without materializing them — the allocation-free form aggregate kernels
-// size their flat partial-state buffers with.
+// NBlocks returns how many blocks RunBlocks statically partitions [0,n)
+// into: at most NWorkers contiguous blocks of near-equal size (BlockRange),
+// depending only on n and the worker count, so that merging per-block
+// partial states left to right reproduces the exact serial result — a key's
+// global first appearance is its first block's first appearance. Aggregate
+// kernels size their flat partial-state buffers with it.
 func (p P) NBlocks(n int) int {
 	if n <= 0 {
 		return 0
@@ -284,7 +265,7 @@ func (p P) NBlocks(n int) int {
 	return (n + size - 1) / size
 }
 
-// BlockRange returns the bounds of block b of the Blocks(n) partition.
+// BlockRange returns the bounds of block b of the NBlocks(n) partition.
 func (p P) BlockRange(n, b int) (lo, hi int) {
 	w := p.NWorkers()
 	if w > n {
@@ -303,7 +284,7 @@ func (p P) BlockRange(n, b int) (lo, hi int) {
 }
 
 // RunBlocks executes fn(b, lo, hi) for morsel-sized sub-ranges of every
-// block returned by Blocks(n): calls for the same block index b run
+// block of the NBlocks(n) partition: calls for the same block index b run
 // sequentially in ascending range order on one goroutine (so per-block
 // state needs no locking), distinct blocks run concurrently, and the
 // context is polled between morsels. Returns the context error if the run
@@ -340,7 +321,7 @@ func (r *blocks) run(b int) {
 	r.p.runBlock(r.n, b, r.fn)
 }
 
-// runBlock feeds block b of the Blocks(n) partition to fn one morsel at a
+// runBlock feeds block b of the NBlocks(n) partition to fn one morsel at a
 // time, stopping early once the context is done.
 func (p P) runBlock(n, b int, fn func(b, lo, hi int)) {
 	chunk := p.ChunkSize()

@@ -141,22 +141,22 @@ func TestParallelPBlocksPartitionExactly(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64, 1000, 4097} {
 		for _, w := range []int{1, 2, 3, 8, 50} {
 			p := P{Workers: w}
-			blocks := p.Blocks(n)
+			nb := p.NBlocks(n)
 			if n == 0 {
-				if len(blocks) != 0 {
-					t.Fatalf("Blocks(0) = %v", blocks)
+				if nb != 0 {
+					t.Fatalf("NBlocks(0) = %d", nb)
 				}
 				continue
 			}
-			if len(blocks) > w {
-				t.Fatalf("n=%d w=%d: %d blocks exceed worker count", n, w, len(blocks))
+			if nb > w {
+				t.Fatalf("n=%d w=%d: %d blocks exceed worker count", n, w, nb)
 			}
 			at := 0
-			for _, b := range blocks {
-				if b.Lo != at || b.Hi <= b.Lo {
-					t.Fatalf("n=%d w=%d: bad block %+v at %d", n, w, b, at)
+			for b := range nb {
+				if lo, hi := p.BlockRange(n, b); lo != at || hi <= lo {
+					t.Fatalf("n=%d w=%d: bad block [%d,%d) at %d", n, w, lo, hi, at)
 				}
-				at = b.Hi
+				_, at = p.BlockRange(n, b)
 			}
 			if at != n {
 				t.Fatalf("n=%d w=%d: blocks cover %d rows", n, w, at)
@@ -197,8 +197,7 @@ func TestParallelGatherOrderedStableAcrossWorkers(t *testing.T) {
 func TestParallelRunBlocksSequentialWithinBlock(t *testing.T) {
 	n := 1000
 	p := P{Workers: 4, Chunk: 16}
-	blocks := p.Blocks(n)
-	last := make([]int, len(blocks))
+	last := make([]int, p.NBlocks(n))
 	for i := range last {
 		last[i] = -1
 	}
@@ -210,8 +209,8 @@ func TestParallelRunBlocksSequentialWithinBlock(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for b, blk := range blocks {
-		if last[b] < 0 || last[b] >= blk.Hi {
+	for b := range last {
+		if _, hi := p.BlockRange(n, b); last[b] < 0 || last[b] >= hi {
 			t.Fatalf("block %d never finished (last lo %d)", b, last[b])
 		}
 	}

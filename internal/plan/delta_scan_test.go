@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -219,9 +220,7 @@ func TestDeltaScanMatchesRowOracle(t *testing.T) {
 					}
 					for _, r := range pl.tailKeys {
 						vals := make([]int64, got.set.Len())
-						if err := (segments{got}).fill(opts.par(ctx), r, vals); err != nil {
-							t.Fatal(err)
-						}
+						readByMask(got, r, vals)
 						if !slices.Equal(vals, want.vals[r]) {
 							t.Fatalf("%s: %v = %v, the row loop has %v", label, r, vals, want.vals[r])
 						}
@@ -234,4 +233,11 @@ func TestDeltaScanMatchesRowOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// readByMask reads column ref of the segment by its mask into out, a
+// work-group at a time, in candidate order.
+func readByMask(s segment, ref ColRef, out []int64) {
+	c := s.binds[ref]
+	s.set.Blocks(0, s.set.WorkGroups(), math.MaxInt32, func(g0, g1, pos, n int) { c.read(s.set, out[pos:pos+n], g0, g1) })
 }

@@ -60,20 +60,19 @@ func driftingKeys(t *testing.T, rng *rand.Rand, n int, widths []uint) []*bwd.Col
 	return cols
 }
 
-// TestExactLegGroupsInItsFold: an exact leg whose group key takes the direct
-// table folds per key and numbers its groups itself (groupFold). On one
-// candidate set its grouping — the groups' key order, NGroups and Codes — and
-// every aggregate of every group must equal ar.GroupApprox followed by the
-// ids fold, and both must equal a serial pass over the candidates in
-// candidate order. Keys of 1, 2, 3, 6, 7 and 12 bits in one to three
-// columns; selections that take nothing, under 1 %, about half (folded by
-// mask), 95 % (dense blocks taken whole, holes inside their granules: the
-// dropped rows go to the sink) and everything; one work-group and six (the
-// device's work-groups are sealed in a permuted order, so the key lists must
-// be numbered in the set's order, not by index); one, two and five workers;
-// pooled and unpooled; and cancelled before it starts, when it must number
-// nothing. A 13-bit key stays on GroupApprox, and an exact leg grouped by it
-// still answers what the classic scan answers.
+// TestExactLegGroupsInItsFold: an exact leg folds per key and numbers its
+// groups itself (segments.fold). On one candidate set its grouping — the
+// groups' key order and NGroups — and every aggregate of every group must
+// equal a serial pass over the candidates in candidate order. Keys of 1, 2,
+// 3, 6, 7 and 12 bits in one to three columns, which take the direct table,
+// and of 13 and 44 bits, which take the hash table; selections that take
+// nothing, under 1 %, about half (folded by mask), 95 % (dense blocks taken
+// whole, holes inside their granules: the dropped rows go to the sink) and
+// everything; one work-group and six (the device's work-groups are sealed in
+// a permuted order, so the blocks must be merged in the set's order, not by
+// index); one, two and five workers; pooled and unpooled; and cancelled
+// before it starts, when it must number nothing. An exact leg grouped by a
+// 13-bit key answers what the classic scan answers.
 func TestExactLegGroupsInItsFold(t *testing.T) {
 	defer mem.SetPooling(mem.SetPooling(true))
 	const chunk = 64 << 10 // the device's work-group
@@ -94,10 +93,14 @@ func TestExactLegGroupsInItsFold(t *testing.T) {
 		selCol := residentColumn(t, 10, 0, sel)
 		v1, v2 := residentColumn(t, 20, -300_000, c1), residentColumn(t, 5, -7, c2)
 		value := func(col *bwd.Column, row int) int64 { return col.Dec.Base + int64(col.Approx.Get(row)) }
-		seg := segment{binds: map[ColRef]colBind{{Name: "v1"}: {col: v1}, {Name: "v2"}: {col: v2}}}
-		for _, widths := range [][]uint{{1}, {2}, {2, 1}, {1, 2, 3}, {6}, {3, 4}, {12}, {4, 5, 3}} {
+		for _, widths := range [][]uint{{1}, {2}, {2, 1}, {1, 2, 3}, {6}, {3, 4}, {12}, {4, 5, 3}, {13}, {6, 7}, {20, 24}} {
+			seg := segment{binds: map[ColRef]colBind{{Name: "v1"}: {col: v1}, {Name: "v2"}: {col: v2}}}
 			cols := driftingKeys(t, rng, n, widths)
-			bits := ar.GroupKeyBits(cols)
+			names := make([]string, len(cols))
+			for k, col := range cols {
+				names[k] = fmt.Sprint("k", k)
+				seg.binds[ColRef{Name: names[k]}] = colBind{col: col}
+			}
 			shift := make([]uint, len(widths)) // the leading column highest
 			for k := len(widths) - 2; k >= 0; k-- {
 				shift[k] = shift[k+1] + widths[k+1]
@@ -162,48 +165,36 @@ func TestExactLegGroupsInItsFold(t *testing.T) {
 					}
 				}
 
-				ref := ar.GroupApprox(nil, cols, cands)
-				acc := pg.newAcc(ref.NGroups, false)
-				in := pg.bind(seg)
-				in.ids = ref.IDs
-				pg.fold(ar.OnDevice(par.P{Threads: 1}), &acc, in)
-				check("GroupApprox and the ids fold", &acc, ref.NGroups, ref.Codes)
-				acc.release()
-				ref.Release()
-
 				for _, workers := range []int{1, 2, 5} {
 					for _, pooled := range []bool{true, false} {
 						mem.SetPooling(pooled)
-						acc, mg := groupFold(par.P{Threads: 1, Workers: workers}, pg, seg, cols, bits)
+						var acc aggAcc
+						keys := segments{seg}.fold(par.P{Threads: 1, Workers: workers}, pg, &acc, names...)
 						how := fmt.Sprintf("folded per key on %d workers, pooled %v", workers, pooled)
-						if mg.IDs != nil {
-							t.Fatalf("%s, %s: the grouping lists ids", name, how)
-						}
-						check(how, &acc, mg.NGroups, mg.Codes)
+						check(how, &acc, acc.groups, codesOf(cols, keys))
 						acc.release()
-						mg.Release()
 					}
 				}
 				mem.SetPooling(true)
 
-				// A fold cancelled before it walks a work-group lists no key
+				// A fold cancelled before it walks a work-group numbers no key
 				// for it, whatever the arena buffer held before.
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
-				acc, mg := groupFold(par.P{Threads: 1, Workers: 2, Ctx: ctx}, pg, seg, cols, bits)
-				if mg.NGroups != 0 {
-					t.Fatalf("%s: a fold cancelled before it began numbers %d groups", name, mg.NGroups)
+				var acc aggAcc
+				segments{seg}.fold(par.P{Threads: 1, Workers: 2, Ctx: ctx}, pg, &acc, names...)
+				if acc.groups != 0 {
+					t.Fatalf("%s: a fold cancelled before it began numbers %d groups", name, acc.groups)
 				}
 				acc.release()
-				mg.Release()
 				cands.Release()
 			}
 		}
 	}
 
-	// A 13-bit key is wider than the direct table: the exact leg pre-groups
-	// through GroupApprox's hash table and folds by its ids, and still
-	// answers what the classic scan answers.
+	// A 13-bit key is wider than the direct table: the exact leg folds it
+	// through the hash table, and still answers what the classic scan
+	// answers.
 	wide := driftingKeys(t, rng, 20_000, []uint{6, 7})
 	if bits := ar.GroupKeyBits(wide); bits <= ar.DirectBits {
 		t.Fatalf("a %d-bit key fits the direct table", bits)
@@ -261,4 +252,16 @@ func mustDecomposition(t *testing.T, c *Catalog, col string) *bwd.Column {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// codesOf is the code of every group's key value per column of cols.
+func codesOf(cols []*bwd.Column, keys [][]int64) [][]uint64 {
+	codes := make([][]uint64, len(cols))
+	for k, col := range cols {
+		codes[k] = make([]uint64, len(keys[k]))
+		for g, v := range keys[k] {
+			codes[k][g] = uint64(v - col.Dec.Base)
+		}
+	}
+	return codes
 }

@@ -223,22 +223,28 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	if groupCols != nil {
 		need, refList = pl.tail, pl.proj
 	}
-	base := segment{set: cands, binds: make(map[ColRef]colBind, len(refList))}
+	base := segment{set: cands, binds: make(map[ColRef]colBind, len(refList)+len(groupCols))}
 	for _, ref := range refList {
 		col := snap.get(ref.Dim, ref.Name)
 		base.binds[ref] = colBind{col: col, key: pl.keyFor(keys, ref.Dim), err: col.Dec.Err()}
 	}
+	// A pre-grouped key column is not projected: the grouping fold reads its
+	// exact values by mask, billed as the pre-grouping's refinement.
+	for k, col := range groupCols {
+		if ref := (ColRef{Name: q.GroupBy[k]}); base.binds[ref].col == nil {
+			base.binds[ref] = colBind{col: col}
+		}
+	}
 
-	// The pre-grouping. An exact leg whose key indexes a direct table folds
-	// its aggregates here instead, reading each row's key beside its columns
-	// and accumulating per key: the one pass over the candidates, numbered
-	// as GroupApprox numbers them and billed as GroupApprox is.
-	folded := false
+	// The pre-grouping. An exact leg folds its aggregates here instead,
+	// reading each row's key beside its columns and accumulating per key: the
+	// one pass over the candidates, numbered as a serial pass over them
+	// meets the keys and billed as GroupApprox is.
 	if groupCols != nil {
-		if bits := ar.GroupKeyBits(groupCols); exact && bits <= ar.DirectBits {
-			out.acc, out.mg = groupFold(ar.OnDevice(pp), pl.prog, base, groupCols, bits)
+		if exact {
+			out.keys = segments{base}.fold(ar.OnDevice(pp), pl.prog, &out.acc, q.GroupBy...)
+			out.mg = &ar.Grouping{Cols: groupCols, NGroups: out.acc.groups, Cands: cands.Len()}
 			ar.ChargeGroupApprox(m, groupCols, cands, out.mg.NGroups)
-			folded = true
 		} else {
 			out.mg = ar.GroupApprox(m, groupCols, cands)
 		}
@@ -274,13 +280,14 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	// exact leg, the answer itself, read off the one fold's accumulators.
 	// Every fold runs on every host core: the statement holds the stream,
 	// so it owns the device (phase R and the tail keep the grant).
-	switch {
-	case folded:
+	if exact {
+		if groupCols == nil {
+			out.acc = pl.prog.newAcc(1, false)
+			out.segs.fold(ar.OnDevice(pp), pl.prog, &out.acc)
+		}
 		ar.CountApprox(m, cands)
 		st.res.Approx = pl.prog.answer(&out.acc)
-	case exact:
-		out.acc, st.res.Approx = exactFold(ar.OnDevice(pp), m, pl.prog, base, out.mg)
-	default:
+	} else {
 		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, out.segs)
 	}
 	st.res.Candidates = cands.Len()
@@ -448,7 +455,7 @@ func approxAnswer(pp par.P, m *device.Meter, pg *program, segs segments) ApproxA
 		out.Count.Hi += int64(d.set.Len())
 		ins = append(ins, pg.bind(d))
 	}
-	pg.fold(pp, &acc, ins...)
+	pg.fold(pp, &acc, nil, ins...)
 	for k, a := range pg.aggs {
 		if a.Func == Count {
 			out.Aggs[k] = out.Count
@@ -471,41 +478,4 @@ func approxAnswer(pp par.P, m *device.Meter, pg *program, segs segments) ApproxA
 	}
 	acc.release()
 	return out
-}
-
-// exactFold is an exact leg's one aggregation, where the statement does not
-// group or its key is wider than a direct table (ar.DirectBits): the program
-// folded over the candidates' codes — which are the values — exactly, per
-// device pre-group when the statement groups (mg's ids, dense in
-// first-appearance order, are the grouping the tail would refine to), and
-// the degenerate phase-A answer those accumulators hold. The count is billed
-// as the approximate count it stands for. A narrower key is folded at the
-// pre-grouping (groupFold).
-func exactFold(pp par.P, m *device.Meter, pg *program, base segment, mg *ar.Grouping) (aggAcc, ApproxAnswer) {
-	ar.CountApprox(m, base.set)
-	in := pg.bind(base)
-	groups := 1
-	if mg != nil {
-		in.ids, groups = mg.IDs, mg.NGroups
-	}
-	acc := pg.newAcc(groups, false)
-	pg.fold(pp, &acc, in)
-	return acc, pg.answer(&acc)
-}
-
-// groupFold is an exact leg's one aggregation for a group key of at most
-// ar.DirectBits bits, run where the device pre-grouping stands: the program
-// folded over the candidates' codes — which are the values — exactly, with
-// each row's key — bits wide, packed as ar.GroupApprox packs it — read
-// beside its columns and accumulated per key, and the groups numbered as
-// ar.GroupApprox numbers them. The grouping it returns has no ids; the
-// caller bills it.
-func groupFold(pp par.P, pg *program, base segment, cols []*bwd.Column, bits uint) (aggAcc, *ar.Grouping) {
-	key := newGroupKey(cols, bits, base.set.WorkGroups())
-	defer key.release()
-	in := pg.bind(base)
-	in.key = key
-	var acc aggAcc
-	pg.fold(pp, &acc, in)
-	return acc, key.grouping
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/ar"
 	"repro/internal/bat"
@@ -219,6 +220,9 @@ func (pl pipeline) materialize(st *pipeState, sel *ar.Candidates, keys []bwd.Key
 			return nil, err
 		}
 		binds[ref] = colBind{tails: vals, key: pl.keyFor(keys, ref.Dim)}
+		if d := pl.dec(ref.Name); d != nil && !ref.IsDim() && slices.Contains(pl.q.GroupBy, ref.Name) {
+			binds[ref] = colBind{col: d} // the same values, packed as value less base (groupKey)
+		}
 		if !pl.delta {
 			bulk.ChargeFetch(st.pp, st.m, b, sel.Len())
 			st.emit(sel.Len(), -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s)", A: ref.Name})

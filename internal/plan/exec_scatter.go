@@ -236,6 +236,7 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 		gst := c.newState(ctx, opts, pl.nOps)
 		st = &gst
 		out = gatherLegs(st, pl, legs, classic)
+		defer out.acc.release() // the legs keep the sets
 	}
 	st.res.InputBytes = scatterInputBytes(pl, legs)
 

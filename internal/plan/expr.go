@@ -2,9 +2,9 @@
 // "fused, statically expanded loop" (§V-C) on the host. The aggregates of
 // one statement compile once into one flat register program; every place
 // that needs their values — the phase-A bounds (approxAnswer, a classic leg's
-// degenerate ones too), an exact leg's one aggregation (groupFold, which
-// reads the group key beside the columns and numbers the groups itself, or
-// exactFold) and the exact aggregation of the shared tail (aggregateRows) —
+// degenerate ones too), an exact leg's one aggregation and the exact
+// aggregation of the shared tail, grouped or not, which reads the group key
+// beside the columns and numbers the groups itself (segments.fold) —
 // folds that program over its rows a block at a time, straight into the
 // accumulators. No intermediate is ever as long as the input: a worker holds
 // one block of each register.
@@ -17,6 +17,8 @@ import (
 	"unsafe"
 
 	"repro/internal/ar"
+	"repro/internal/bitpack"
+	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/mem"
 	"repro/internal/par"
@@ -232,18 +234,14 @@ func (c *colBind) whole(room []int64, g0, n int) []int64 {
 }
 
 // rows is the input of one fold: the candidates of by, reached through its
-// mask in candidate order, and the bound columns; ids, when set, each
-// candidate's group, or key, when set, the group key the fold reads beside
-// the columns and numbers itself (groupFold), walk the state of that walk
-// for the work-group being folded. uncertain says every candidate may turn
-// out a false positive (ar.Candidates.Split), so each adds to a sum only
-// what moves the bound outward and to a minimum's or maximum's inner bound
-// nothing.
+// mask in candidate order, and the bound columns; keys, for a grouped fold,
+// the group key's columns, bound like them. uncertain says every candidate
+// may turn out a false positive (ar.Candidates.Split), so each adds to a sum
+// only what moves the bound outward and to a minimum's or maximum's inner
+// bound nothing.
 type rows struct {
 	cols      []colBind
-	ids       []uint32
-	key       *groupKey
-	walk      *keyWalk
+	keys      []colBind
 	uncertain bool
 	by        *ar.Candidates
 }
@@ -258,11 +256,15 @@ type segment struct {
 
 type segments []segment
 
-// bind binds the program's columns to the segment's.
-func (pg *program) bind(s segment) rows {
-	in := rows{cols: make([]colBind, len(pg.cols)), by: s.set}
+// bind binds the program's columns, and the key columns by names, to the
+// segment's.
+func (pg *program) bind(s segment, by ...string) rows {
+	in := rows{cols: make([]colBind, len(pg.cols)), keys: make([]colBind, len(by)), by: s.set}
 	for i, ref := range pg.cols {
 		in.cols[i] = s.binds[ref]
+	}
+	for k, name := range by {
+		in.keys[k] = s.binds[ColRef{Name: name}]
 	}
 	return in
 }
@@ -276,38 +278,24 @@ func (ss segments) rows() int {
 	return n
 }
 
-// fold folds the program over every segment into acc in one fold, each
-// segment's candidates taking the next stretch of ids (nil: ungrouped).
-func (ss segments) fold(pp par.P, pg *program, acc *aggAcc, ids []uint32) {
+// fold folds the program over every segment in one fold: into acc,
+// ungrouped, or — grouped by the columns by names — into a state it lays out
+// over the groups in acc, numbered in the order the segments' candidates, one
+// segment after the other, first meet their keys; it returns each key
+// column's value per group.
+func (ss segments) fold(pp par.P, pg *program, acc *aggAcc, by ...string) [][]int64 {
 	var buf [2]rows // a leg's base and delta, on the stack
 	ins := buf[:0]
 	for _, s := range ss {
-		in := pg.bind(s)
-		if ids != nil {
-			in.ids, ids = ids[:s.set.Len()], ids[s.set.Len():]
-		}
-		ins = append(ins, in)
+		ins = append(ins, pg.bind(s, by...))
 	}
-	pg.fold(pp, acc, ins...)
-}
-
-// fill reads column ref of every segment by mask into out, one segment after
-// the other: the segments' work-groups, in that order, split over pp's
-// workers, a work-group per read.
-func (ss segments) fill(pp par.P, ref ColRef, out []int64) error {
-	units := 0
-	for _, s := range ss {
-		units += s.set.WorkGroups()
+	if len(by) == 0 {
+		pg.fold(pp, acc, nil, ins...)
+		return nil
 	}
-	pp.Chunk = 1
-	return pp.For(units, func(u, _ int) {
-		i, at := 0, 0
-		for ; u >= ss[i].set.WorkGroups(); i++ {
-			u, at = u-ss[i].set.WorkGroups(), at+ss[i].set.Len()
-		}
-		s, c := ss[i].set, ss[i].binds[ref]
-		s.Blocks(u, u+1, math.MaxInt32, func(g0, g1, pos, n int) { c.read(s, out[at+pos:at+pos+n], g0, g1) })
-	})
+	key := newGroupKey(ins)
+	pg.fold(pp, acc, key, ins...)
+	return key.vals
 }
 
 // aggAcc is the accumulator state of one aggregation: rows per group, and
@@ -360,23 +348,24 @@ func (pg *program) accIn(buf []int64, groups int, interval bool) aggAcc {
 func (acc *aggAcc) release() { mem.I64.Put(acc.buf) }
 
 // merge folds the partial state o into acc: o's group i into acc's group
-// gid[i] — a keyed fold's, whose partial states are indexed by key — or
-// into group i when gid is nil. A group of o past acc's last, or past gid's —
-// the sink of a fold that took dense blocks whole — is dropped: it holds
-// the rows the survivor mask had dropped. So is a group that holds no row:
-// every slot of it is its fold's identity.
+// gid[i]-1 — a grouped fold's, whose partial states are indexed by a block's
+// own key numbers — or into group i when gid is nil. A group of o past acc's
+// last, or past gid's, or that gid maps to 0 — the sink of a fold that took
+// dense blocks whole — is dropped: it holds the rows the survivor mask had
+// dropped. So is a group that holds no row: every slot of it is its fold's
+// identity.
 func (pg *program) merge(acc, o *aggAcc, gid []uint32) {
 	groups := acc.groups
 	if gid != nil {
 		groups = len(gid)
 	}
 	for i := range groups {
-		if o.cnt[i] == 0 {
+		if o.cnt[i] == 0 || gid != nil && gid[i] == 0 {
 			continue
 		}
 		g := i
 		if gid != nil {
-			g = int(gid[i])
+			g = int(gid[i]) - 1
 		}
 		acc.cnt[g] += o.cnt[i]
 		for s, sl := range pg.slots {
@@ -387,6 +376,18 @@ func (pg *program) merge(acc, o *aggAcc, gid []uint32) {
 			}
 		}
 	}
+}
+
+// grow lays the exact state acc out over at least groups groups, its groups
+// kept where they were and the new ones started.
+func (pg *program) grow(acc *aggAcc, groups int) {
+	old := *acc
+	*acc = pg.newAcc(max(groups, 2*old.groups), false)
+	copy(acc.cnt, old.cnt)
+	for s := range pg.slots {
+		copy(acc.lo[s*acc.groups:], old.lo[s*old.groups:(s+1)*old.groups])
+	}
+	old.release()
 }
 
 // value is aggregate k's exact result for group g. An empty input has the
@@ -470,36 +471,31 @@ type frame struct {
 const denseFold = 52
 
 // fold evaluates the program over the rows of every input and folds every
-// slot into acc. The inputs' work-groups, one input after the other, split
-// into the P's worker blocks — a work-group's slot in candidate order keeps
-// its input's ids aligned — each block folding into its own partial state,
-// merged in block order. An input of exact columns — an exact leg's, a
-// refined or classic one's, a delta's, phase A's certain or uncertain
-// candidates over resident columns — has its dense blocks taken whole: the
-// partial states then carry a sink group past acc's last, which the merge
-// drops. A column read through a key rules that out: a row the mask dropped
-// may hold a key with no partner, which addresses no value.
+// slot into acc. The inputs' work-groups, one input after the other and each
+// input's in candidate order (ar.Candidates.Order), split into the P's worker
+// blocks, each block folding into its own partial state, merged in block
+// order — which is candidate order. An input of exact columns — an exact
+// leg's, a refined or classic one's, a delta's, phase A's certain or
+// uncertain candidates over resident columns — has its dense blocks taken
+// whole: the partial states then carry a sink group past acc's last, which
+// the merge drops. A column read through a key rules that out: a row the mask
+// dropped may hold a key with no partner, which addresses no value.
 //
-// A keyed input (rows.key, an exact leg's one input) has partial states
-// indexed by key, the sink past the last; each work-group lists its keys as
-// they first appear in it, and once every block is done the lists are
-// numbered in candidate order (ar.GroupKeyed), acc is laid out over the
-// groups — the caller passes it empty — and each partial state merges into
-// it key by key.
-func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
-	units, n, grouped, sink, uncertain := 0, 0, false, false, false
-	key := ins[0].key
+// A grouped fold (key set) accumulates each row by its key (groupKey) and
+// lays acc, which the caller passes empty, out over the groups.
+func (pg *program) fold(pp par.P, acc *aggAcc, key *groupKey, ins ...rows) {
+	units, n, sink, uncertain := 0, 0, false, false
 	for i := range ins {
 		units += ins[i].by.WorkGroups()
 		n += ins[i].by.Len()
-		grouped = grouped || ins[i].ids != nil || ins[i].key != nil
 		sink = sink || ins[i].sinks()
 		uncertain = uncertain || ins[i].uncertain
 	}
 	switch {
-	case n == 0 && key == nil:
+	case key != nil:
+	case n == 0:
 		return
-	case len(pg.slots) == 0 && !grouped:
+	case len(pg.slots) == 0:
 		acc.cnt[0] += int64(n)
 		return
 	}
@@ -523,15 +519,16 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 		}
 	}
 	// Every block's registers come from one slice, and its partial state —
-	// but for the first block of a fold without a sink, which folds into acc
-	// itself — from one arena buffer.
+	// but for the first block of an ungrouped fold without a sink, which
+	// folds into acc itself — from one arena buffer, or from the key.
 	frames := make([]frame, nb)
 	parts := make([]aggAcc, nb)
 	regs := make([][]int64, 2*len(pg.code)*nb)
 	groups, interval, first := acc.groups, acc.hi != nil, 0
 	switch {
 	case key != nil:
-		groups = key.size + 1 // every key, then the sink
+		first = nb
+		key.start(pg, parts)
 	case sink:
 		groups++
 	default:
@@ -542,7 +539,7 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 	if first < nb {
 		carved = mem.I64.GetN((nb - first) * size)
 	}
-	need := pg.scratchNeed(exact, interval, uncertain)
+	need := pg.scratchNeed(exact, interval, uncertain, key)
 	for b := range frames {
 		r := regs[2*len(pg.code)*b : 2*len(pg.code)*(b+1)]
 		frames[b] = frame{s: mem.GetScratch(), lo: r[:len(pg.code)], hi: r[len(pg.code):]}
@@ -557,10 +554,6 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 	if len(ins) > 1 {
 		more = append(more, ins...)
 	}
-	var walks []keyWalk
-	if key != nil {
-		walks = make([]keyWalk, nb)
-	}
 	par.RunBlocks(pp, units, func(b, u, _ int) { // one work-group at a time
 		in := one
 		for i := 0; more != nil; i++ {
@@ -569,9 +562,10 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 			}
 			u -= in.by.WorkGroups()
 		}
+		u = in.by.Order()[u]
+		var kb *keyBlock
 		if key != nil {
-			in.walk = &walks[b]
-			in.walk.start(key, u)
+			kb = &key.blocks[b]
 		}
 		// Runs of sparse granules join into one block while their survivors
 		// fit its registers: a block costs its registers' setup whatever it
@@ -580,7 +574,7 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 		g0, g1, pos, n := 0, 0, 0, 0
 		flush := func() {
 			if n > 0 {
-				pg.foldBlock(&frames[b], &parts[b], in, exact, pos, pos+n, g0, g1, false)
+				pg.foldBlock(&frames[b], &parts[b], key, kb, in, exact, pos, pos+n, g0, g1, false)
 				n = 0
 			}
 		}
@@ -588,7 +582,7 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 			if whole := sinks && k >= denseFold*(h1-h0); whole || n+k > exprBlock {
 				flush()
 				if whole {
-					pg.foldBlock(&frames[b], &parts[b], in, exact, at, at+k, h0, h1, true)
+					pg.foldBlock(&frames[b], &parts[b], key, kb, in, exact, at, at+k, h0, h1, true)
 					return
 				}
 			}
@@ -598,27 +592,21 @@ func (pg *program) fold(pp par.P, acc *aggAcc, ins ...rows) {
 			g1, n = h1, n+k
 		})
 		flush()
-		if key != nil {
-			key.nkeys[u] = uint32(in.walk.n)
-		}
 	})
-	var gid []uint32
 	if key != nil {
-		key.grouping = ar.GroupKeyed(key.cols, one.by, key.list, key.gid)
-		*acc = pg.newAcc(key.grouping.NGroups, false)
-		gid = key.gid
+		*acc = key.merge(pg, parts)
 	}
 	for b := range frames {
 		mem.PutScratch(frames[b].s)
 		if b >= first {
-			pg.merge(acc, &parts[b], gid)
+			pg.merge(acc, &parts[b], nil)
 		}
 	}
 	mem.I64.Put(carved)
 }
 
 // sinks reports whether a fold may take the input's dense blocks whole: every
-// column exact and read where its rows lie.
+// column exact and read where its rows lie (a key column is).
 func (in *rows) sinks() bool {
 	for _, c := range in.cols {
 		if c.key != nil || c.err != 0 {
@@ -634,7 +622,7 @@ func (in *rows) sinks() bool {
 // sizes every frame's scratch for it at once, so a fresh one — sync.Pool
 // drops a pooled scratch now and then — is one array, not the five a
 // doubling growth through Q1's nine registers allocates.
-func (pg *program) scratchNeed(exact []bool, interval, uncertain bool) int {
+func (pg *program) scratchNeed(exact []bool, interval, uncertain bool, key *groupKey) int {
 	n := exprBlock
 	need := 0
 	for r := range pg.code {
@@ -659,6 +647,9 @@ func (pg *program) scratchNeed(exact []bool, interval, uncertain bool) int {
 			need += sides * n
 		}
 	}
+	if key != nil {
+		need += len(key.cols) * n // the key columns' values (groupKey.ids)
+	}
 	return need
 }
 
@@ -674,9 +665,9 @@ func asCodes(reg []int64) []uint64 {
 // registers into acc. Whole, the block is every row of those granules
 // instead: each column read in place or decoded granule by granule straight
 // into its register, and a row the mask dropped folded into acc's last group,
-// the sink. A keyed input's rows fold into the group their key indexes
-// (groupKey.keys).
-func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, hi, g0, g1 int, whole bool) {
+// the sink. A grouped fold's rows fold into the entry their key numbers in
+// the block's partial state (groupKey.ids).
+func (pg *program) foldBlock(f *frame, acc *aggAcc, key *groupKey, kb *keyBlock, in rows, exact []bool, lo, hi, g0, g1 int, whole bool) {
 	n := hi - lo
 	var mask []uint64
 	if whole {
@@ -718,16 +709,14 @@ func (pg *program) foldBlock(f *frame, acc *aggAcc, in rows, exact []bool, lo, h
 		evalInterval(ins, f.lo, f.hi, out, f.hi[r])
 	}
 
-	ids := in.ids
-	switch { // ungrouped, a whole block without holes needs no ids
-	case in.key != nil:
-		ids = in.key.keys(in.walk, f.s, f.s.U32(n), in.by, mask, g0, g1, whole)
-	case whole && ids != nil:
-		ids = sinkIDs(f.s.U32(n), ids[lo:hi], mask, uint32(acc.groups-1))
-	case whole && hi-lo < n:
-		ids = sinkIDs(f.s.U32(n), nil, mask, uint32(acc.groups-1))
-	case ids != nil:
-		ids = ids[lo:hi]
+	var ids []uint32
+	switch {
+	case key != nil:
+		ids = key.ids(pg, kb, acc, f.s, f.s.U32(n), &in, mask, g0, g1, whole)
+	case whole && hi-lo < n: // ungrouped, a whole block without holes needs no ids
+		ids = f.s.U32(n)
+		clear(ids)
+		holesTo(ids, mask, uint32(acc.groups-1))
 	}
 	if ids != nil {
 		countInto(acc.cnt, ids)
@@ -876,113 +865,285 @@ func clampUncertain(out, vals []int64, high bool) []int64 {
 	return out
 }
 
-// sinkIDs writes the group of every row of a block taken whole — granules
-// whose survivor words are mask — into out, in row order: a survivor's from
-// ids, the groups of the block's survivors in candidate order (which is row
-// order within a block), or group 0 when ids is nil; a row whose bit is clear
-// gets sink. The survivors between two holes are consecutive in ids, so they
-// are copied as a run.
-func sinkIDs(out, ids []uint32, mask []uint64, sink uint32) []uint32 {
-	k := 0
+// holesTo sets the entry of every row of a block taken whole — granules whose
+// survivor words are mask — that the mask dropped to sink.
+func holesTo(out []uint32, mask []uint64, sink uint32) {
 	for g, word := range mask {
 		rows := out[g*bwd.GranuleRows : min((g+1)*bwd.GranuleRows, len(out))]
-		holes := ^word & (^uint64(0) >> (bwd.GranuleRows - len(rows)))
-		if ids == nil {
-			clear(rows)
-			for ; holes != 0; holes &= holes - 1 {
-				rows[bits.TrailingZeros64(holes)] = sink
-			}
-			continue
+		for holes := ^word & (^uint64(0) >> (bwd.GranuleRows - len(rows))); holes != 0; holes &= holes - 1 {
+			rows[bits.TrailingZeros64(holes)] = sink
 		}
-		at := 0
-		for ; holes != 0; holes &= holes - 1 {
-			hole := bits.TrailingZeros64(holes)
-			k += copy(rows[at:hole], ids[k:])
-			rows[hole] = sink
-			at = hole + 1
-		}
-		k += copy(rows[at:], ids[k:])
 	}
-	return out
 }
 
-// groupKey is the group key an exact leg's fold reads and numbers itself
-// (groupFold): the key columns' codes packed as ar.GroupApprox packs them,
-// the leading column highest, at most ar.DirectBits wide, so that a row's
-// key is the index of its group in a block's partial state, and size — past
-// every key — is the sink's. Each work-group lists its keys in the order they first
-// appear in it (keyWalk), for ar.GroupKeyed to number: gid, then, maps each
-// listed key to its group.
+// keyForm is how a grouped fold keys its rows: by the key columns' parts
+// packed into at most ar.DirectBits bits, the key its entry's index in a
+// block's partial state (keyDirect); packed into one word (keyWord); or by
+// their values, a word each (keyTuple) — a key that mixes decompositions
+// (legs, delta rows, undecomposed columns) or is wider than a word. A block
+// numbers a word or a tuple by its hash table (bulk.KeyTable).
+type keyForm uint8
+
+const (
+	keyDirect keyForm = iota
+	keyWord
+	keyTuple
+)
+
+// groupKey is the group key a grouped fold reads beside the columns and
+// numbers itself (segments.fold). Packed, a row's key is every key column's
+// part — its value less the column's base, its code where the column is
+// device resident — the leading column highest, where ar.GroupApprox places
+// it; a packed key needs every input to bind each key column to one
+// decomposition. Each block keys its rows in the order they first appear in
+// it: a direct key into the entry it indexes, the last the sink, and its walk
+// (keyWalk) lists it; a hashed one into its number plus one, entry 0 the
+// sink. The blocks' keys are then numbered in block order (merge), which is
+// candidate order, and vals holds each key column's value per group.
 type groupKey struct {
-	cols []*bwd.Column
-	size int
-	// buf is the one arena buffer behind gid (size entries), the
-	// work-groups' key counts and their lists (size entries each).
-	buf               []uint32
-	gid, nkeys, lists []uint32
-	grouping          *ar.Grouping
+	form   keyForm
+	w      int       // the words of a hashed key
+	cols   []colBind // the first input's key columns: a packed key's decompositions
+	bits   uint      // the packed key's width
+	blocks []keyBlock
+	// buf, a direct key's, holds the numbering's table (1<<bits entries) and
+	// every block's walk list (as many each); parts the blocks' states.
+	buf   []uint32
+	parts []int64
+	vals  [][]int64
 }
 
-// newGroupKey lays a key of bits bits out over wg work-groups. Every key
-// count starts at zero: a fold cancelled between work-groups lists nothing
-// for the ones it did not walk.
-func newGroupKey(cols []*bwd.Column, bits uint, wg int) *groupKey {
-	size := 1 << bits
-	buf := mem.U32.GetN((wg+1)*size + wg)
-	k := &groupKey{cols: cols, size: size, buf: buf,
-		gid: buf[:size], nkeys: buf[size : size+wg], lists: buf[size+wg:]}
-	clear(k.nkeys)
+// keyBlock is one block's keying state.
+type keyBlock struct {
+	walk  keyWalk
+	table bulk.KeyTable
+}
+
+// newGroupKey chooses how a grouped fold over ins keys its rows.
+func newGroupKey(ins []rows) *groupKey {
+	cols := ins[0].keys
+	k := &groupKey{form: keyTuple, w: len(cols), cols: cols}
+	for c, kc := range cols {
+		for _, in := range ins {
+			if o := in.keys[c].col; o == nil || o.Dec != kc.col.Dec {
+				return k
+			}
+		}
+		k.bits += partBits(kc.col.Dec)
+	}
+	switch {
+	case k.bits <= ar.DirectBits:
+		k.form = keyDirect
+	case k.bits <= 64:
+		k.form, k.w = keyWord, 1
+	}
 	return k
 }
 
-func (k *groupKey) release() { mem.U32.Put(k.buf) }
-
-// list is work-group ci's keys in their order of first appearance in it.
-func (k *groupKey) list(ci int) []uint32 { return k.lists[ci*k.size:][:k.nkeys[ci]] }
-
-// keys writes the key of every row of a block into out and walks them (w):
-// whole, every row of the granules whose survivor words are mask, from g0
-// on, each key column decoded granule by granule and a row the mask dropped
-// keyed to the sink; otherwise by's survivors in granules [g0,g1), each key
-// column read by mask like any other column. s is the block's scratch.
-func (k *groupKey) keys(w *keyWalk, s *mem.Scratch, out []uint32, by *ar.Candidates, mask []uint64, g0, g1 int, whole bool) []uint32 {
-	last := len(k.cols) - 1
-	if !whole {
-		acc, codes := s.U64(len(out)), s.U64(len(out))
-		by.Decode(k.cols[0].Approx, nil, acc, g0, g1)
-		for c := 1; c <= last; c++ {
-			by.Decode(k.cols[c].Approx, nil, codes, g0, g1)
-			k.join(acc, codes, c)
+// start lays each block's partial state out — a direct key's over all its
+// entries, a hashed key's over a few, which grow with its table — and starts
+// every walk and table empty: a cancelled fold numbers only what it walked.
+func (k *groupKey) start(pg *program, parts []aggAcc) {
+	k.blocks = make([]keyBlock, len(parts))
+	if k.form != keyDirect {
+		for b := range parts {
+			k.blocks[b].table.Reset(k.w)
+			parts[b] = pg.newAcc(64, false)
 		}
-		w.meet(out, emitKeys(out, acc))
+		return
+	}
+	size := 1 << k.bits
+	k.buf = mem.U32.GetN((len(parts) + 1) * size)
+	per := pg.accSize(size+1, false)
+	k.parts = mem.I64.GetN(len(parts) * per)
+	for b := range parts {
+		k.blocks[b].walk.start(k.buf[(b+1)*size:][:size], size)
+		parts[b] = pg.accIn(k.parts[b*per:][:per], size+1, false)
+	}
+}
+
+// ids writes into out the entry in the block's partial state acc of every
+// row of a block — whole, of the granules whose survivor words are mask, a
+// dropped row's the sink; otherwise by's survivors in granules [g0,g1) — and
+// grows a hashed key's acc to hold the keys the block numbered.
+func (k *groupKey) ids(pg *program, kb *keyBlock, acc *aggAcc, s *mem.Scratch, out []uint32, in *rows, mask []uint64, g0, g1 int, whole bool) []uint32 {
+	n, w := len(out), k.w
+	keys := k.pack(in, s, n, g0, g1, whole)
+	if k.form == keyDirect {
+		present := emitKeys(out, keys)
+		if whole {
+			holesTo(out, mask, uint32(acc.groups-1))
+		}
+		kb.walk.meet(out, present)
 		return out
 	}
-	var acc, codes [bwd.GranuleRows]uint64
-	for g, word := range mask {
-		rows := out[g*bwd.GranuleRows : min((g+1)*bwd.GranuleRows, len(out))]
-		at := (g0 + g) * bwd.GranuleRows
-		k.cols[0].Approx.Unpack64(&acc, at, 0)
-		for c := 1; c <= last; c++ {
-			k.cols[c].Approx.Unpack64(&codes, at, 0)
-			k.join(acc[:len(rows)], codes[:len(rows)], c)
+	// A hashed key numbers survivors alone; whole, a dropped row's entry is 0.
+	if whole {
+		clear(out)
+	}
+	for g := 0; g*bwd.GranuleRows < n; g++ {
+		word := ^uint64(0) >> (bwd.GranuleRows - min(bwd.GranuleRows, n-g*bwd.GranuleRows))
+		if whole {
+			word = mask[g]
 		}
-		present := emitKeys(rows, acc[:len(rows)])
-		for holes := ^word & (^uint64(0) >> (bwd.GranuleRows - len(rows))); holes != 0; holes &= holes - 1 {
-			rows[bits.TrailingZeros64(holes)] = uint32(k.size)
+		for ; word != 0; word &= word - 1 {
+			if i := g*bwd.GranuleRows + bits.TrailingZeros64(word); w == 1 {
+				out[i] = kb.table.Word(keys[i]) + 1
+			} else {
+				out[i] = kb.table.Tuple(keys[i*w:][:w]) + 1
+			}
 		}
-		w.meet(rows, present)
+	}
+	if need := kb.table.Len() + 1; need > acc.groups {
+		pg.grow(acc, need)
 	}
 	return out
 }
 
-// join appends key column c's codes to the keys of the columns before it:
-// the leading column ends highest, where ar.GroupApprox places it.
-func (k *groupKey) join(acc, codes []uint64, c int) {
-	width := k.cols[c].Dec.ApproxBits & 63 // at most ar.DirectBits
-	for i, code := range codes {
-		acc[i] = acc[i]<<width | code
+// values reads the values of n rows of a block, as foldBlock reads a column:
+// whole, every row of the granules from g0 on; otherwise by's survivors in
+// granules [g0,g1).
+func (c *colBind) values(by *ar.Candidates, s *mem.Scratch, n, g0, g1 int, whole bool) []int64 {
+	if whole {
+		return c.whole(s.I64((n+bwd.GranuleRows-1)/bwd.GranuleRows*bwd.GranuleRows), g0, n)
+	}
+	out := s.I64(n)
+	c.read(by, out, g0, g1)
+	return out
+}
+
+// pack writes the key of n rows of a block (ids) into scratch and returns
+// it: a tuple key's words row after row (one column's values in place), or a
+// packed key per row, a resident column's part its code, decoded, another's
+// its value less its base.
+func (k *groupKey) pack(in *rows, s *mem.Scratch, n, g0, g1 int, whole bool) []uint64 {
+	if k.form == keyTuple && k.w == 1 {
+		return asCodes(in.keys[0].values(in.by, s, n, g0, g1, whole))
+	} else if k.form == keyTuple {
+		keys := s.U64(n * k.w)
+		for c := range in.keys {
+			for i, v := range in.keys[c].values(in.by, s, n, g0, g1, whole) {
+				keys[i*k.w+c] = uint64(v)
+			}
+		}
+		return keys
+	}
+	room := (n + bwd.GranuleRows - 1) / bwd.GranuleRows * bwd.GranuleRows
+	keys, part := s.U64(room), s.U64(room)
+	for c := range in.keys {
+		kc := &in.keys[c]
+		into := part
+		if c == 0 {
+			into = keys
+		}
+		switch {
+		case kc.col.Dec.ResBits > 0:
+			for i, v := range kc.values(in.by, s, n, g0, g1, whole) {
+				into[i] = uint64(v - kc.col.Dec.Base)
+			}
+		case whole:
+			for at := 0; at < n; at += bwd.GranuleRows {
+				kc.col.Approx.Unpack64((*[bwd.GranuleRows]uint64)(into[at:]), g0*bwd.GranuleRows+at, 0)
+			}
+		default:
+			in.by.Decode(kc.col.Approx, nil, into, g0, g1)
+		}
+		if c > 0 {
+			width := partBits(kc.col.Dec) & 63
+			for i, p := range part[:n] {
+				keys[i] = keys[i]<<width | p
+			}
+		}
+	}
+	return keys[:n]
+}
+
+// merge numbers the blocks' keys in block order — a key takes the next number
+// where it first appears — and merges every block's partial state into the
+// fold's through that numbering, fills vals and releases the blocks' state.
+func (k *groupKey) merge(pg *program, parts []aggAcc) aggAcc {
+	var global bulk.KeyTable // a hashed key's numbering
+	w, groups, gids := k.w, 0, k.buf
+	if k.form == keyDirect {
+		gids = k.buf[:1<<k.bits] // each key's group plus one, 0 unseen
+		clear(gids)
+		for b := range k.blocks {
+			for _, key := range k.blocks[b].walk.list[:k.blocks[b].walk.n] {
+				if gids[key] == 0 {
+					groups++
+					gids[key] = uint32(groups)
+				}
+			}
+		}
+	} else {
+		global.Reset(w)
+		defer global.Release()
+		total := 0
+		for b := range k.blocks {
+			total += k.blocks[b].table.Len() + 1
+		}
+		gids = mem.U32.GetN(total)
+		defer mem.U32.Put(gids)
+		at := 0
+		for b := range k.blocks { // a block's entry l+1 holds its number l, entry 0 its sink
+			keys, gid := k.blocks[b].table.Keys(), gids[at:][:k.blocks[b].table.Len()+1]
+			gid[0], at = 0, at+len(gid)
+			for l := range len(gid) - 1 {
+				gid[l+1] = global.Tuple(keys[l*w:][:w]) + 1
+			}
+		}
+		groups = global.Len()
+	}
+	acc := pg.newAcc(groups, false)
+	at := 0
+	for b := range k.blocks {
+		gid := gids
+		if t := &k.blocks[b].table; k.form != keyDirect {
+			gid, at = gids[at:][:t.Len()+1], at+t.Len()+1
+			defer t.Release()
+			defer parts[b].release()
+		}
+		pg.merge(&acc, &parts[b], gid)
+	}
+	k.vals = make([][]int64, len(k.cols))
+	cells := make([]int64, groups*len(k.cols))
+	for c := range k.vals {
+		k.vals[c] = cells[c*groups : (c+1)*groups : (c+1)*groups]
+	}
+	switch keys := global.Keys(); k.form {
+	case keyDirect:
+		for key, g := range gids {
+			if g != 0 {
+				k.unpack(int(g)-1, uint64(key))
+			}
+		}
+		mem.I64.Put(k.parts)
+		mem.U32.Put(k.buf)
+	case keyWord:
+		for g, key := range keys {
+			k.unpack(g, key)
+		}
+	default:
+		for g := range groups {
+			for c := range k.vals {
+				k.vals[c][g] = int64(keys[g*w+c])
+			}
+		}
+	}
+	return acc
+}
+
+// unpack sets group g's value of every key column from its packed key.
+func (k *groupKey) unpack(g int, key uint64) {
+	shift := k.bits
+	for c, kc := range k.cols {
+		shift -= partBits(kc.col.Dec)
+		k.vals[c][g] = kc.col.Dec.Base + int64(key>>shift&bitpack.Mask(partBits(kc.col.Dec)))
 	}
 }
+
+// partBits is the width of a key column's part in a packed key.
+func partBits(d bwd.Decomposition) uint { return d.ApproxBits + d.ResBits }
 
 // emitKeys writes the keys into out and returns which of them, below 64, it
 // wrote: bit key of the mask for each.
@@ -994,27 +1155,27 @@ func emitKeys(out []uint32, keys []uint64) (present uint64) {
 	return present
 }
 
-// keyWalk is a fold block's first-appearance walk over the work-group it is
-// folding: one bit per key the work-group has met — the sink's set from the
-// start, so that a dropped row never lists — and the work-group's list.
+// keyWalk is a fold block's first-appearance walk of a direct key: one bit
+// per key the block has met — the sink's set from the start, so that a
+// dropped row never lists — and the keys it met, in that order.
 type keyWalk struct {
 	seen [1<<ar.DirectBits/64 + 1]uint64
 	list []uint32
 	n    int
 }
 
-// start readies the walk for work-group ci of k.
-func (w *keyWalk) start(k *groupKey, ci int) {
-	clear(w.seen[:k.size/64+1])
-	w.seen[k.size/64] |= 1 << (k.size % 64)
-	w.list, w.n = k.lists[ci*k.size:][:k.size], 0
+// start readies the walk over list for a key of size entries.
+func (w *keyWalk) start(list []uint32, size int) {
+	clear(w.seen[:size/64+1])
+	w.seen[size/64] |= 1 << (size % 64)
+	w.list, w.n = list, 0
 }
 
-// meet lists the keys the work-group meets for the first time in keys, in
-// their order. A key of at most 6 bits is first tested as a whole run:
-// present, the run's presence mask (emitKeys) — a dropped row's key in it
-// too, which can only send a run to the walk that needed none — says whether
-// any is new, and a run that brings nothing new skips the walk.
+// meet lists the keys the block meets for the first time in keys, in their
+// order. A key of at most 6 bits is first tested as a whole run: present, the
+// run's presence mask (emitKeys) — a dropped row's key in it too, which can
+// only send a run to the walk that needed none — says whether any is new,
+// and a run that brings nothing new skips the walk.
 func (w *keyWalk) meet(keys []uint32, present uint64) {
 	if len(w.list) <= 64 && present&^w.seen[0] == 0 {
 		return

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -189,8 +190,15 @@ type exprInput struct {
 	ivs    map[ColRef][]ar.Interval
 	ids    []uint32 // nil: ungrouped
 	groups int
-	sure   *ar.Candidates // nil: every candidate certain
-	unsure *ar.Candidates
+	// The group key, a column whose value at a candidate's row is key(id)
+	// for the candidate's id and at a dropped row one no candidate holds:
+	// its values by row, the same decomposed with residual bits, and packed
+	// resident, the codes its values.
+	keyTails             []int64
+	keyRefined, keyCodes *bwd.Column
+	keyBase, keySpread   int64
+	sure                 *ar.Candidates // nil: every candidate certain
+	unsure               *ar.Candidates
 }
 
 // randSurvivors draws the table behind n candidates: which of its rows
@@ -340,6 +348,28 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 		for i := range in.ids {
 			in.ids[i] = uint32(rng.Intn(in.groups))
 		}
+		// A spread past ar.DirectBits keys the fold through its hash table.
+		in.keyBase, in.keySpread = rng.Int63n(1000)-500, []int64{1, 4099}[rng.Intn(2)]
+		offs := make([]uint64, scanned)
+		for r := range offs {
+			offs[r] = uint64(in.groups) * uint64(in.keySpread) // no candidate's key
+		}
+		for i, id := range in.rows {
+			offs[id] = uint64(in.ids[i]) * uint64(in.keySpread)
+		}
+		in.keyTails = make([]int64, scanned)
+		for r, off := range offs {
+			in.keyTails[r] = in.keyBase + int64(off)
+		}
+		const bits = 21
+		res := uint(3 * rng.Intn(2))
+		codes, resid := make([]uint64, scanned), make([]uint64, scanned)
+		for r, off := range offs {
+			codes[r], resid[r] = off>>res, off&bitpack.Mask(res)
+		}
+		in.keyRefined = &bwd.Column{Dec: bwd.Decomposition{Base: in.keyBase, TotalBits: bits, ApproxBits: bits - res, ResBits: res},
+			Approx: bitpack.Pack(bits-res, codes), Residual: bitpack.Pack(res, resid)}
+		in.keyCodes = &bwd.Column{Dec: bwd.Decomposition{Base: in.keyBase, TotalBits: bits, ApproxBits: bits}, Approx: bitpack.Pack(bits, offs)}
 	}
 	if masked {
 		in.sure = ar.SelectApprox(nil, in.selCol, in.selCol.Relax(1, 1))
@@ -353,22 +383,43 @@ func (in *exprInput) certain(i int) bool {
 	return in.sel[in.rows[i]] == 1
 }
 
-// splitInputs is the fold's input over the candidates: one by cands' mask,
-// or — masked — the certain and the uncertain set, each with the groups of
-// its candidates.
+// splitInputs is the ungrouped fold's input over the candidates: one by
+// cands' mask, or — masked — the certain and the uncertain set.
 func (in *exprInput) splitInputs(cols []colBind) []rows {
 	if in.sure == nil {
-		return []rows{{cols: cols, ids: in.ids, by: in.cands}}
+		return []rows{{cols: cols, by: in.cands}}
 	}
-	var ids [2][]uint32 // nil, ungrouped
-	for i, g := range in.ids {
-		k := 0
-		if !in.certain(i) {
-			k = 1
+	return []rows{{cols: cols, by: in.sure}, {cols: cols, uncertain: true, by: in.unsure}}
+}
+
+// byID lays the groups of a grouped fold over candidates whose ids, in
+// candidate order, are ids out in id order, after checking that the fold
+// numbered them as a serial pass over the candidates meets them: its keys, in
+// number order, are key(id) of the ids in order of first appearance.
+func (in *exprInput) byID(t *testing.T, pg *program, acc *aggAcc, keys [][]int64, ids []uint32, what string) aggAcc {
+	t.Helper()
+	var firsts []uint32
+	seen := map[uint32]bool{}
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			firsts = append(firsts, id)
 		}
-		ids[k] = append(ids[k], g)
 	}
-	return []rows{{cols: cols, ids: ids[0], by: in.sure}, {cols: cols, ids: ids[1], uncertain: true, by: in.unsure}}
+	if len(keys) != 1 || len(keys[0]) != len(firsts) || acc.groups != len(firsts) {
+		t.Fatalf("%s: %d groups, a serial pass meets %d", what, acc.groups, len(firsts))
+	}
+	out := pg.newAcc(in.groups, false)
+	for g, id := range firsts {
+		if want := in.keyBase + int64(id)*in.keySpread; keys[0][g] != want {
+			t.Fatalf("%s: group %d has key %d, a serial pass numbers %d there", what, g, keys[0][g], want)
+		}
+		out.cnt[id] = acc.cnt[g]
+		for s := range pg.slots {
+			out.lo[s*in.groups+int(id)] = acc.lo[s*acc.groups+g]
+		}
+	}
+	return out
 }
 
 // check folds the compiled program over the input under pp — exact values
@@ -383,7 +434,7 @@ func (in *exprInput) splitInputs(cols []colBind) []rows {
 func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	t.Helper()
 	pg := compileAggs(in.aggs)
-	counts := refFold(foldSum, in.groups, in.ids, fill(make([]int64, in.n), 1))
+	counts := refFold(foldSum, 1, nil, fill(make([]int64, in.n), 1))
 	// oracle holds every aggregate of an exact fold into acc to the
 	// tree-walker over n rows of vals, grouped by ids.
 	oracle := func(what string, acc *aggAcc, n int, ids []uint32, vals map[ColRef][]int64) {
@@ -426,6 +477,10 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 			}
 			seg.binds[ref] = b
 		}
+		seg.binds[ColRef{Name: "grp"}] = colBind{tails: in.keyTails}
+		if refined {
+			seg.binds[ColRef{Name: "grp"}] = colBind{col: in.keyRefined}
+		}
 		vals, ids := map[ColRef][]int64{}, []uint32(nil)
 		for _, id := range set.IDs() {
 			i := index[id]
@@ -436,11 +491,18 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 				ids = append(ids, in.ids[i])
 			}
 		}
-		acc := pg.newAcc(in.groups, false)
-		by := pg.bind(seg)
-		by.ids = ids
-		pg.fold(pp, &acc, by)
-		oracle(what, &acc, set.Len(), ids, vals)
+		if in.ids == nil {
+			acc := pg.newAcc(1, false)
+			segments{seg}.fold(pp, pg, &acc)
+			oracle(what, &acc, set.Len(), nil, vals)
+			acc.release()
+			return
+		}
+		var acc aggAcc
+		keys := segments{seg}.fold(pp, pg, &acc, "grp")
+		got := in.byID(t, pg, &acc, keys, ids, what)
+		oracle(what, &got, set.Len(), ids, vals)
+		got.release()
 		acc.release()
 	}
 
@@ -475,8 +537,8 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	}
 	byMask := in.splitInputs(cols)
 	for _, interval := range []bool{true, false} {
-		acc := pg.newAcc(in.groups, interval)
-		pg.fold(pp, &acc, byMask...)
+		acc := pg.newAcc(1, interval)
+		pg.fold(pp, &acc, nil, byMask...)
 		if !slices.Equal(acc.cnt, counts) {
 			t.Fatalf("%s: interval fold (interval %v) counted %v, oracle %v", label, interval, acc.cnt, counts)
 		}
@@ -500,15 +562,15 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 				}
 				los[i], his[i] = iv.Lo, iv.Hi
 			}
-			wantLo, wantHi := refFold(kind, in.groups, in.ids, los), refFold(kind, in.groups, in.ids, his)
-			gotLo := acc.lo[s*in.groups : (s+1)*in.groups]
+			wantLo, wantHi := refFold(kind, 1, nil, los), refFold(kind, 1, nil, his)
+			gotLo := acc.lo[s : s+1]
 			if !interval {
 				if !slices.Equal(gotLo, wantLo) {
 					t.Fatalf("%s: %s(%v) low side alone %v, oracle %v", label, a.Func, a.Expr, gotLo, wantLo)
 				}
 				continue
 			}
-			gotHi := acc.hi[s*in.groups : (s+1)*in.groups]
+			gotHi := acc.hi[s : s+1]
 			if !slices.Equal(gotLo, wantLo) || !slices.Equal(gotHi, wantHi) {
 				t.Fatalf("%s: %s(%v) bounds [%v, %v], oracle [%v, %v]", label, a.Func, a.Expr, gotLo, gotHi, wantLo, wantHi)
 			}
@@ -526,7 +588,7 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 					exact[i] = kind.identity() // this false positive was refined away
 				}
 			}
-			for g, v := range refFold(kind, in.groups, in.ids, exact) {
+			for g, v := range refFold(kind, 1, nil, exact) {
 				if counts[g] > 0 && (v < gotLo[g] || v > gotHi[g]) {
 					t.Fatalf("%s: %s(%v) group %d = %d outside [%d, %d]", label, a.Func, a.Expr, g, v, gotLo[g], gotHi[g])
 				}
@@ -536,20 +598,29 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	}
 
 	resident := map[ColRef][]int64{}
-	packed := rows{cols: make([]colBind, len(pg.cols)), ids: in.ids, by: in.cands}
-	for i, ref := range pg.cols {
+	packed := segment{set: in.cands, binds: map[ColRef]colBind{{Name: "grp"}: {col: in.keyCodes}}}
+	for _, ref := range pg.cols {
 		b := in.binds[ref]
-		packed.cols[i] = colBind{col: &bwd.Column{Dec: bwd.Decomposition{Base: b.col.Dec.Base}, Approx: b.col.Approx}, key: b.key}
+		packed.binds[ref] = colBind{col: &bwd.Column{Dec: bwd.Decomposition{Base: b.col.Dec.Base}, Approx: b.col.Approx}, key: b.key}
 		vals := make([]int64, in.n)
 		for k, code := range in.codes[ref] {
 			vals[k] = b.col.Dec.Base + int64(code)
 		}
 		resident[ref] = vals
 	}
+	if in.ids != nil {
+		var acc aggAcc
+		keys := segments{packed}.fold(pp, pg, &acc, "grp")
+		got := in.byID(t, pg, &acc, keys, in.ids, "exact leg by mask")
+		oracle("exact leg by mask", &got, in.n, in.ids, resident)
+		got.release()
+		acc.release()
+		return
+	}
 	for _, interval := range []bool{false, true} {
-		acc := pg.newAcc(in.groups, interval)
-		pg.fold(pp, &acc, packed)
-		oracle(fmt.Sprintf("exact leg by mask (interval %v)", interval), &acc, in.n, in.ids, resident)
+		acc := pg.newAcc(1, interval)
+		pg.fold(pp, &acc, nil, pg.bind(packed))
+		oracle(fmt.Sprintf("exact leg by mask (interval %v)", interval), &acc, in.n, nil, resident)
 		if interval && !slices.Equal(acc.hi, acc.lo) {
 			t.Fatalf("%s: the exact leg's fold by mask bounds [%v, %v], want points", label, acc.lo, acc.hi)
 		}
@@ -643,11 +714,11 @@ func TestExprIntervalMulSigns(t *testing.T) {
 
 // TestAggregateAllocsIndependentOfN: a Q1-shaped aggregation — bounds over
 // the certain and the uncertain candidates a residual filter's split leaves,
-// and exact, 2 group keys pre-grouped on the device and refined, the 8
-// aggregates folded over a segment whose columns are bound to values by row
-// and to code and residual — allocates the same objects at n and 4n:
-// registers and accumulators are blocks from the arena, and so are the
-// group-id vectors, the only things on the path as long as the input.
+// and exact, 2 group keys pre-grouped on the device, the 8 aggregates folded
+// per key — packed codes, then values — over a segment whose columns are
+// bound to values by row and to code and residual — allocates the same
+// objects at n and 4n: registers, accumulators and key tables are blocks from
+// the arena, and nothing on the path is as long as the input.
 func TestAggregateAllocsIndependentOfN(t *testing.T) {
 	discPrice := MulScaled(Col("price"), Sub(Const(100), Col("disc")), 100)
 	aggs := []AggSpec{
@@ -705,17 +776,26 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 			filtered := ar.SelectApprox(nil, filter, filter.Relax(100, 300))
 			sure, unsure := filtered.Split()
 			acc := pg.newAcc(1, true)
-			pg.fold(pp, &acc, rows{cols: cols, by: sure}, rows{cols: cols, uncertain: true, by: unsure})
+			pg.fold(pp, &acc, nil, rows{cols: cols, by: sure}, rows{cols: cols, uncertain: true, by: unsure})
 			acc.release()
 			filtered.Release()
-			pre := ar.GroupApprox(nil, keyCols, cands)
-			grouping, keys, err := ar.GroupRefine(pp, nil, pre)
-			if err != nil || grouping.NGroups != 6 {
-				t.Fatalf("grouping: %d groups, %v", grouping.NGroups, err)
+			ar.GroupApprox(nil, keyCols, cands)
+			// Grouped by the packed codes through the direct table, and by the
+			// values through the hash table.
+			for _, keyed := range []map[ColRef]colBind{
+				{{Name: "flag"}: {col: keyCols[0]}, {Name: "status"}: {col: keyCols[1]}},
+				{{Name: "flag"}: {tails: flag}, {Name: "status"}: {tails: status}},
+			} {
+				maps.Copy(keyed, binds)
+				segs := segments{{set: cands, binds: keyed}}
+				var acc aggAcc
+				keys := segs.fold(pp, pg, &acc, "flag", "status")
+				if acc.groups != 6 {
+					t.Fatalf("grouping: %d groups", acc.groups)
+				}
+				aggregateRows(nil, pp, pg, segs, &acc, keys, true, true)
+				acc.release()
 			}
-			aggregateRows(nil, pp, pg, []segment{{set: cands, binds: binds}}, nil, grouping, keys, true)
-			mem.U32.Put(grouping.IDs)
-			pre.Release()
 		}
 		// AllocsPerRun measures on one P: warm the arena on that one (a
 		// buffer parked in another P's private pool slot is out of reach).

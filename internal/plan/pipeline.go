@@ -37,7 +37,6 @@ import (
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/shard"
@@ -337,23 +336,24 @@ func (st *pipeState) startTrace(classic bool) {
 
 // scanOut is what every scan source produces: its segments — the base's,
 // then the delta's when there is one (scanDelta) — and, A&R only, the device
-// pre-grouping awaiting refinement over the base's surviving candidates. An
-// exact A&R leg hands over accumulators instead of bindings. The out owns
-// the segments' sets and the pre-grouping until release.
+// pre-grouping's counts, which bill its refinement. An exact A&R leg adds its
+// accumulators, and so does a grouped tail (finish); the out owns them and
+// the segments' sets until release.
 type scanOut struct {
 	segs segments
 	mg   *ar.Grouping
 	// exact is set by an exact A&R leg, with acc: the aggregates of the base
-	// segment, already folded per group of mg.
+	// segment, already folded — per group, with each group's key in keys,
+	// when the statement groups.
 	exact bool
 	acc   aggAcc
+	keys  [][]int64
 }
 
-// release returns the pre-grouping, every segment's set and an exact leg's
-// accumulators to the arena. A nil out releases nothing.
+// release returns every segment's set and the accumulators to the arena. A
+// nil out releases nothing.
 func (out *scanOut) release() {
 	if out != nil {
-		out.mg.Release()
 		for _, s := range out.segs {
 			s.set.Release()
 		}
@@ -367,27 +367,11 @@ func (out *scanOut) release() {
 func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	q := &pl.q
 
-	// Grouping — refined from the A&R device pre-grouping when one exists,
-	// rebuilt on the host over the segments' key columns otherwise.
-	var grouping *bulk.Grouping
-	var groupKeys [][]int64
-	var err error
-	defer func() {
-		if grouping != nil {
-			mem.U32.Put(grouping.IDs)
-		}
-	}()
-	switch {
-	case out.mg != nil:
-		if err := st.step(StageRefine); err != nil {
-			return err
-		}
-		grouping, groupKeys, err = ar.GroupRefine(st.pp, st.m, out.mg)
-		if err != nil {
-			return err
-		}
-		st.emit(grouping.NGroups, -1, obs.Op{Fmt: "bwd.grouprefine(%[1]s)", A: pl.groupText})
-	case len(q.GroupBy) > 0:
+	// Grouping: one keyed fold of the segments, which folds the aggregates per
+	// key as it numbers the groups (an exact leg's ran at its pre-grouping),
+	// billed as the refinement of the device pre-grouping when one exists and
+	// as the bulk model's hash grouping otherwise.
+	if len(q.GroupBy) > 0 {
 		stage, label := StageRefine, "group.merge"
 		if classic {
 			stage, label = StageBulk, "group.new"
@@ -395,20 +379,16 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		if err := st.step(stage); err != nil {
 			return err
 		}
-		// The key columns are read by mask into one arena buffer: the one
-		// n-length copy the host grouping needs.
-		n := out.segs.rows()
-		buf := mem.I64.GetN(len(q.GroupBy) * n)
-		defer mem.I64.Put(buf)
-		cols := make([][]int64, len(q.GroupBy))
-		for k, g := range q.GroupBy {
-			cols[k] = buf[k*n : (k+1)*n]
-			if err := out.segs.fill(st.pp, ColRef{Name: g}, cols[k]); err != nil {
-				return err
-			}
+		if !out.exact {
+			out.keys = out.segs.fold(st.pp, pl.prog, &out.acc, q.GroupBy...)
 		}
-		grouping, groupKeys = bulk.GroupBy(st.pp, st.m, cols)
-		st.emit(grouping.NGroups, -1, obs.Op{Fmt: "%[1]s(%[2]s)", A: label, B: pl.groupText})
+		if out.mg != nil {
+			ar.ChargeGroupRefine(st.pp, st.m, out.mg, out.segs[0].set.Len())
+			st.emit(out.acc.groups, -1, obs.Op{Fmt: "bwd.grouprefine(%[1]s)", A: pl.groupText})
+		} else {
+			bulk.ChargeGroupBy(st.pp, st.m, out.segs.rows(), len(q.GroupBy))
+			st.emit(out.acc.groups, -1, obs.Op{Fmt: "%[1]s(%[2]s)", A: label, B: pl.groupText})
+		}
 	}
 
 	// Aggregation (§IV-F; sums of products are recomputed on the CPU due
@@ -423,10 +403,10 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		return err
 	}
 	var folded *aggAcc
-	if out.exact {
+	if out.exact || len(q.GroupBy) > 0 {
 		folded = &out.acc
 	}
-	rows := aggregateRows(st.m, st.pp, pl.prog, out.segs, folded, grouping, groupKeys, !classic)
+	rows := aggregateRows(st.m, st.pp, pl.prog, out.segs, folded, out.keys, len(q.GroupBy) > 0, !classic)
 	aggr := "bwd.%[1]srefine(%[2]s)"
 	if classic {
 		aggr = "aggr.%[1]s(%[2]s)"
@@ -438,7 +418,7 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		sortRows(rows) // ORDER BY's own comparator ends on the key tuple
 	}
 	rows = applyHaving(st, q, rows)
-	rows, err = orderLimit(st, pl, rows)
+	rows, err := orderLimit(st, pl, rows)
 	if err != nil {
 		return err
 	}
@@ -747,43 +727,36 @@ func exprText(e Expr) string {
 
 // ---- Shared aggregation operators ----
 
-// aggregateRows folds the statement's compiled aggregates over the segments'
-// exact values, segment after segment, per group — a segment's candidates
-// take the next stretch of the grouping's ids — or takes the accumulators an
-// exact A&R leg already holds (folded non-nil), billing the aggregation all
-// the same. Rows come out in group-discovery order, every row's Keys and Vals
-// carved from one backing array; the caller establishes the output order
-// (sortRows, or ORDER BY's comparator) after HAVING.
-func aggregateRows(m *device.Meter, pp par.P, pg *program, segs segments, folded *aggAcc, grouping *bulk.Grouping, groupKeys [][]int64, fused bool) []Row {
+// aggregateRows reads the rows off the accumulators a grouped fold or an
+// exact A&R leg already holds (folded non-nil; keys, each key column's value
+// per group), or folds the statement's compiled aggregates over the
+// segments' exact values, segment after segment, ungrouped — billing the
+// aggregation all the same. Rows come out in group-discovery order, every
+// row's Keys and Vals carved from one backing array; the caller establishes
+// the output order (sortRows, or ORDER BY's comparator) after HAVING.
+func aggregateRows(m *device.Meter, pp par.P, pg *program, segs segments, folded *aggAcc, keys [][]int64, grouped, fused bool) []Row {
 	if m != nil {
-		chargeAggregation(m, pp.NThreads(), pg.aggs, int64(segs.rows()), grouping != nil, fused)
-	}
-	groups, nk, nv := 1, 0, len(pg.aggs)
-	if grouping != nil {
-		groups, nk = grouping.NGroups, len(groupKeys)
+		chargeAggregation(m, pp.NThreads(), pg.aggs, int64(segs.rows()), grouped, fused)
 	}
 	var acc aggAcc
 	if folded != nil {
 		acc = *folded
 	} else {
-		acc = pg.newAcc(groups, false)
+		acc = pg.newAcc(1, false)
 		defer acc.release()
-		var ids []uint32
-		if grouping != nil {
-			ids = grouping.IDs
-		}
-		segs.fold(pp, pg, &acc, ids)
+		segs.fold(pp, pg, &acc)
 	}
+	groups, nk, nv := acc.groups, len(keys), len(pg.aggs)
 	rows := make([]Row, groups)
 	cells := make([]int64, groups*(nk+nv))
 	for g := range rows {
 		// Full slice expressions: a row appended to never grows into its
 		// neighbour's values.
 		row := cells[g*(nk+nv) : (g+1)*(nk+nv) : (g+1)*(nk+nv)]
-		if grouping != nil {
+		if grouped {
 			rows[g].Keys = row[:nk:nk]
-			for k := range groupKeys {
-				row[k] = groupKeys[k][g]
+			for k := range keys {
+				row[k] = keys[k][g]
 			}
 		}
 		rows[g].Vals = row[nk:]

@@ -29,9 +29,9 @@ var reachAllowed = map[string]string{
 	"bitpack.Array.Equal": "how bitpack's tests compare a kernel's output with the reference array",
 }
 
-// reachRetiring is what ISSUE 19 deletes together with the unit tests of
-// its own package that are its only callers, named above each group. One
-// change may retire only a few existing tests, so ROADMAP item 7(a) takes
+// reachRetiring is what ROADMAP item 7(a) deletes together with the unit
+// tests of its own package that are its only callers, named above each
+// group. One change may retire only a few existing tests, so item 7(a) takes
 // the groups a few at a time; nothing is added here.
 var reachRetiring = []string{
 	// bat, the materialised-head, seqbase and sorted/key surface: TestNewDenseAt,
