@@ -1,55 +1,17 @@
 package bat
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewDense(t *testing.T) {
 	b := NewDense([]int64{5, 6, 7}, Width32)
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", b.Len())
 	}
-	if !b.DenseHead() {
-		t.Error("expected dense head")
-	}
 	for i := 0; i < 3; i++ {
-		if b.Head(i) != OID(i) {
-			t.Errorf("Head(%d) = %d, want %d", i, b.Head(i), i)
-		}
 		if b.Tail(i) != int64(5+i) {
 			t.Errorf("Tail(%d) = %d, want %d", i, b.Tail(i), 5+i)
 		}
 	}
-}
-
-func TestNewDenseAt(t *testing.T) {
-	b := NewDenseAt(100, []int64{1, 2}, Width32)
-	if b.Head(0) != 100 || b.Head(1) != 101 {
-		t.Errorf("Head = %d,%d, want 100,101", b.Head(0), b.Head(1))
-	}
-	if b.HSeq() != 100 {
-		t.Errorf("HSeq = %d, want 100", b.HSeq())
-	}
-}
-
-func TestNewMaterialized(t *testing.T) {
-	b := NewMaterialized([]OID{9, 3, 7}, []int64{90, 30, 70}, Width32)
-	if b.DenseHead() {
-		t.Error("expected materialized head")
-	}
-	if b.Head(1) != 3 || b.Tail(1) != 30 {
-		t.Errorf("position 1 = (%d,%d), want (3,30)", b.Head(1), b.Tail(1))
-	}
-}
-
-func TestNewMaterializedLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched head/tail did not panic")
-		}
-	}()
-	NewMaterialized([]OID{1}, []int64{1, 2}, Width32)
 }
 
 func TestUnsupportedWidthPanics(t *testing.T) {
@@ -65,73 +27,6 @@ func TestBytes(t *testing.T) {
 	b := NewDense(make([]int64, 10), Width32)
 	if b.TailBytes() != 40 {
 		t.Errorf("TailBytes = %d, want 40", b.TailBytes())
-	}
-	if b.HeadBytes() != 0 {
-		t.Errorf("dense HeadBytes = %d, want 0", b.HeadBytes())
-	}
-	m := b.MaterializeHead()
-	if m.HeadBytes() != 40 {
-		t.Errorf("materialized HeadBytes = %d, want 40", m.HeadBytes())
-	}
-}
-
-func TestMaterializeHead(t *testing.T) {
-	b := NewDenseAt(10, []int64{1, 2, 3}, Width32)
-	m := b.MaterializeHead()
-	if m.DenseHead() {
-		t.Fatal("MaterializeHead left head dense")
-	}
-	for i := 0; i < 3; i++ {
-		if m.Head(i) != b.Head(i) {
-			t.Errorf("Head(%d) = %d, want %d", i, m.Head(i), b.Head(i))
-		}
-	}
-	// Idempotent on already-materialized BATs.
-	if m2 := m.MaterializeHead(); m2 != m {
-		t.Error("MaterializeHead allocated a copy for materialized BAT")
-	}
-}
-
-func TestSlice(t *testing.T) {
-	b := NewDenseAt(5, []int64{10, 11, 12, 13, 14}, Width32)
-	s := b.Slice(1, 4)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	if s.Head(0) != 6 || s.Tail(0) != 11 {
-		t.Errorf("slice[0] = (%d,%d), want (6,11)", s.Head(0), s.Tail(0))
-	}
-
-	m := b.MaterializeHead().Slice(2, 5)
-	if m.Head(0) != 7 || m.Tail(0) != 12 {
-		t.Errorf("materialized slice[0] = (%d,%d), want (7,12)", m.Head(0), m.Tail(0))
-	}
-}
-
-func TestSliceOutOfRangePanics(t *testing.T) {
-	b := NewDense([]int64{1, 2, 3}, Width32)
-	defer func() {
-		if recover() == nil {
-			t.Error("bad slice did not panic")
-		}
-	}()
-	b.Slice(2, 5)
-}
-
-func TestProject(t *testing.T) {
-	b := NewDense([]int64{100, 200, 300, 400}, Width32)
-	p := b.Project([]OID{3, 0, 2})
-	want := []int64{400, 100, 300}
-	if p.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", p.Len())
-	}
-	for i, w := range want {
-		if p.Tail(i) != w {
-			t.Errorf("Project[%d] = %d, want %d", i, p.Tail(i), w)
-		}
-	}
-	if p.Width() != b.Width() {
-		t.Errorf("Project width = %d, want %d", p.Width(), b.Width())
 	}
 }
 
@@ -150,51 +45,6 @@ func TestMinMaxEmptyPanics(t *testing.T) {
 		}
 	}()
 	NewDense(nil, Width32).MinMax()
-}
-
-func TestCheckSorted(t *testing.T) {
-	if !NewDense([]int64{1, 2, 2, 3}, Width32).CheckSorted() {
-		t.Error("sorted tail reported unsorted")
-	}
-	if NewDense([]int64{2, 1}, Width32).CheckSorted() {
-		t.Error("unsorted tail reported sorted")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	b := NewMaterialized([]OID{1, 2}, []int64{10, 20}, Width32).SetSorted(true).SetKey(true)
-	c := b.Clone()
-	c.Tails()[0] = 99
-	c.Heads()[0] = 99
-	if b.Tail(0) != 10 || b.Head(0) != 1 {
-		t.Error("mutating clone changed original")
-	}
-	if !c.Sorted() || !c.Key() {
-		t.Error("clone lost properties")
-	}
-}
-
-func TestProjectMatchesManualLookup(t *testing.T) {
-	f := func(vals []int64, rawIDs []uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		b := NewDense(vals, Width64)
-		ids := make([]OID, len(rawIDs))
-		for i, r := range rawIDs {
-			ids[i] = OID(int(r) % len(vals))
-		}
-		p := b.Project(ids)
-		for i, id := range ids {
-			if p.Tail(i) != vals[id] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestString(t *testing.T) {

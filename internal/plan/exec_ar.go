@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/ar"
 	"repro/internal/bwd"
@@ -97,15 +96,16 @@ func (c *Catalog) execOnce(ctx context.Context, q Query, opts ExecOpts, mode Mod
 	return c.Run(ctx, x, opts)
 }
 
-// scanAR is the A&R scan strategy: the approximation subplan on the
-// device (selections, disjunctions, join probes, pre-grouping,
-// projections), the single bus crossing, and the refinement subplan on
-// the CPU — ending in the base segment for the shared pipeline tail: the
-// refined candidate set, every projected column bound to code and residual
-// by its mask. The delta segment is scanned by the classic selection before
-// the ship (so the phase-A answer can include its exact contribution) and
-// follows the base's. solo permits the device-side pre-grouping: this leg is
-// the only one the statement scans. A scan that fails releases what it built.
+// scanAR is the A&R scan strategy: the leg's operator list walked twice over
+// one candidate set (walk) — phase A on the device over the packed codes,
+// then, past the pre-grouping, the projections and the single bus crossing,
+// phase R on the CPU over code and residual — ending in the base segment for
+// the shared pipeline tail: the refined candidate set, every projected column
+// bound to code and residual by its mask. The delta segment is scanned by the
+// classic selection before the ship (so the phase-A answer can include its
+// exact contribution) and follows the base's. solo permits the device-side
+// pre-grouping: this leg is the only one the statement scans. A scan that
+// fails releases what it built.
 //
 // On an exact leg (exactLeg) the approximation is the answer: nothing can be
 // refined away and every interval is a point, so phase A folds the aggregates
@@ -128,90 +128,11 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 		}
 	}()
 
-	// ---- Phase A: the approximation subplan on the device.
-	if err := st.step(StageApprox); err != nil {
+	// ---- Phase A: the approximation subplan on the device, the leg's
+	// operators over the packed codes.
+	keys := make([]bwd.Key, len(q.Joins))
+	if cands, err = pl.walk(st, phaseApprox, nil, keys); err != nil {
 		return nil, err
-	}
-	switch {
-	case len(pl.factFilters) > 0:
-		f0 := pl.factFilters[0].f
-		d := snap.get("", f0.Col)
-		cands = ar.SelectApprox(m, d, d.Relax(f0.Lo, f0.Hi))
-		st.emit(cands.Len(), st.estApply(pl.factFilters[0].estSel()), obs.Op{Fmt: opSelectApprox, A: q.Table, B: f0.Col})
-		for _, rf := range pl.factFilters[1:] {
-			if err := st.step(StageApprox); err != nil {
-				return nil, err
-			}
-			d := snap.get("", rf.f.Col)
-			cands = ar.SelectApproxOver(m, d, nil, d.Relax(rf.f.Lo, rf.f.Hi), cands)
-			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectApprox, A: q.Table, B: rf.f.Col})
-		}
-	case len(pl.orGroups) > 0:
-		g := pl.orGroups[0]
-		cols, rs, _, _ := pl.orGroupRelax(g)
-		cands = ar.SelectApproxAny(m, cols, rs, g.id)
-		st.emit(cands.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyapproximate(%[1]s)", A: g.text})
-	default:
-		anchor, ok := q.anchorColumn()
-		if !ok {
-			return nil, fmt.Errorf("plan: query references no fact columns")
-		}
-		d := snap.get("", anchor)
-		cands = ar.SelectApprox(m, d, bwd.ApproxRange{Full: true})
-		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.scanapproximate(%[1]s.%[2]s)", A: q.Table, B: anchor})
-	}
-	// Remaining disjunction groups narrow the candidate set like further
-	// conjuncts — each one the union of its per-disjunct relaxed ranges.
-	orStart := 0
-	if len(pl.factFilters) == 0 && len(pl.orGroups) > 0 {
-		orStart = 1
-	}
-	for _, g := range pl.orGroups[orStart:] {
-		if err := st.step(StageApprox); err != nil {
-			return nil, err
-		}
-		cols, rs, _, _ := pl.orGroupRelax(g)
-		cands = ar.SelectApproxAnyOver(m, cols, rs, cands, g.id)
-		st.emit(cands.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyapproximate(%[1]s)", A: g.text})
-	}
-
-	// Discharge deleted base rows on the device: the deletion bitmap is
-	// mirrored GPU-side (shipped by DELETE), so masking is one kernel over
-	// the candidates — an AND-NOT of the bitmap's words into the survivor
-	// mask — and the phase-A answer stays a strict bound over the live rows.
-	if fs := snap.fact; fs.BaseDeletedCount() > 0 {
-		n := cands.Len()
-		cands.MaskOut(fs.DeletedWords())
-		m.GPUKernel(int64(n)*4+int64(fs.BaseLen()+7)/8, 0, int64(n))
-		st.emit(cands.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: q.Table})
-	}
-	// Foreign-key join chain: each probe, the dimension's deletion bitmap and
-	// the dimension-side approximate selections narrow the mask like the
-	// conjuncts before them, every one read through the join's key.
-	keys := make([]bwd.Key, len(pl.joins))
-	for ji, js := range pl.joins {
-		spec := js.spec
-		if err := st.step(StageApprox); err != nil {
-			return nil, err
-		}
-		ds := snap.snapFor(spec.Dim)
-		keys[ji] = snap.joinKey(spec, snap.get("", spec.FKCol), nil)
-		key := &keys[ji]
-		if _, err := ar.JoinApprox(m, key, cands); err != nil {
-			return nil, err
-		}
-		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: q.Table, B: js.arrow})
-		if ds.BaseDeletedCount() > 0 {
-			n := cands.Len()
-			cands.MaskOutJoined(key, ds.DeletedWords())
-			m.GPUKernel(int64(n)*4+int64(ds.BaseLen()+7)/8, 0, int64(n))
-			st.emit(cands.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: spec.Dim})
-		}
-		for _, rf := range js.dimFilters {
-			dd := snap.get(spec.Dim, rf.f.Col)
-			cands = ar.SelectApproxOver(m, dd, key, dd.Relax(rf.f.Lo, rf.f.Hi), cands)
-			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectApprox, A: spec.Dim, B: rf.f.Col})
-		}
 	}
 
 	// Every column the aggregation phase needs is projected: aggregate
@@ -306,7 +227,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	if out.mg != nil {
 		out.mg.Ship(m)
 	}
-	for range pl.joins {
+	for range q.Joins {
 		m.Transfer(int64(cands.Len()) * 4) // billed as a shipped position list
 	}
 	st.emit(cands.Len(), -1, obs.Op{Fmt: "ship(%[1]s, %[3]d projections)", A: q.Table, N: int64(len(refList))})
@@ -316,53 +237,12 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 		return nil, err
 	}
 
-	// ---- Phase R: the refinement subplan on the CPU. The selectivity
-	// estimate restarts at the live base cardinality: refinement walks the
-	// same predicate chain with exact bounds, so the same model predicts
-	// its per-filter output. The phase-A running estimate is captured first
-	// as the trace footer's candidate-set prediction.
-	st.estCapture()
-	st.estReset(pl)
-	// Every refinement narrows cands itself, so the refined set is the one
-	// phase A shipped and aligned with its projections and pre-grouping.
-	for _, rf := range pl.factFilters {
-		if err := st.step(StageRefine); err != nil {
-			return nil, err
-		}
-		if d := snap.get("", rf.f.Col); d.Dec.ResBits > 0 {
-			// §IV-C: over a fully device-resident column the relaxed range
-			// was the exact predicate and the candidates are the result — no
-			// refinement runs (and none is charged).
-			if err := ar.SelectRefine(pp, m, d, nil, rf.f.Lo, rf.f.Hi, cands); err != nil {
-				return nil, err
-			}
-		}
-		st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: q.Table, B: rf.f.Col})
-	}
-	for _, g := range pl.orGroups {
-		if err := st.step(StageRefine); err != nil {
-			return nil, err
-		}
-		cols, _, los, his := pl.orGroupRelax(g)
-		if err := ar.SelectRefineAny(pp, m, cols, los, his, cands); err != nil {
-			return nil, err
-		}
-		st.emit(cands.Len(), st.estApply(g.sel), obs.Op{Fmt: "bwd.uselectanyrefine(%[1]s)", A: g.text})
-	}
-	for ji, js := range pl.joins {
-		spec := js.spec
-		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s.%[2]s)", A: q.Table, B: js.arrow})
-		for _, rf := range js.dimFilters {
-			if err := st.step(StageRefine); err != nil {
-				return nil, err
-			}
-			if dd := snap.get(spec.Dim, rf.f.Col); dd.Dec.ResBits > 0 { // resident: as above
-				if err := ar.SelectRefine(pp, m, dd, &keys[ji], rf.f.Lo, rf.f.Hi, cands); err != nil {
-					return nil, err
-				}
-			}
-			st.emit(cands.Len(), st.estApply(rf.estSel()), obs.Op{Fmt: opSelectRefine, A: spec.Dim, B: rf.f.Col})
-		}
+	// ---- Phase R: the refinement subplan on the CPU, the same operators
+	// over code and residual. Every refinement narrows cands itself, so the
+	// refined set is the one phase A shipped and aligned with its projections
+	// and pre-grouping.
+	if _, err = pl.walk(st, phaseRefine, cands, keys); err != nil {
+		return nil, err
 	}
 	st.res.Refined = cands.Len()
 
@@ -388,12 +268,12 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 // orGroupRelax resolves one disjunction group against the snapshot: the
 // decomposed columns, the per-disjunct relaxed ranges (each through its
 // own column's BWD bounds), and the exact bounds for refinement.
-func (pl pipeline) orGroupRelax(g orGroupStage) (cols []*bwd.Column, rs []bwd.ApproxRange, los, his []int64) {
-	cols = make([]*bwd.Column, len(g.filters))
-	rs = make([]bwd.ApproxRange, len(g.filters))
-	los = make([]int64, len(g.filters))
-	his = make([]int64, len(g.filters))
-	for i, f := range g.filters {
+func (pl pipeline) orGroupRelax(filters []Filter) (cols []*bwd.Column, rs []bwd.ApproxRange, los, his []int64) {
+	cols = make([]*bwd.Column, len(filters))
+	rs = make([]bwd.ApproxRange, len(filters))
+	los = make([]int64, len(filters))
+	his = make([]int64, len(filters))
+	for i, f := range filters {
 		cols[i] = pl.snap.get("", f.Col)
 		rs[i] = cols[i].Relax(f.Lo, f.Hi)
 		los[i], his[i] = f.Lo, f.Hi
@@ -412,14 +292,12 @@ func orGroupText(table string, filters []Filter) string {
 	return out
 }
 
-// keyFor is a column's addressing: of keys, aligned with the leg's join
-// stages, the key of the join that reaches dimension dim — nil for a column
-// of the scanned table (dim "").
+// keyFor is a column's addressing: of keys, aligned with the query's joins,
+// the key of the join that reaches dimension dim — nil for a column of the
+// scanned table (dim "").
 func (pl pipeline) keyFor(keys []bwd.Key, dim string) *bwd.Key {
-	for ji := range keys {
-		if pl.joins[ji].spec.Dim == dim {
-			return &keys[ji]
-		}
+	if j := pl.q.joinsDim(dim); j >= 0 {
+		return &keys[j]
 	}
 	return nil
 }

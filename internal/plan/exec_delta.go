@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/bwd"
 	"repro/internal/obs"
 )
 
@@ -47,7 +48,7 @@ func sortedRefs(refs []ColRef) []ColRef {
 }
 
 // scanDelta is the classic selection over the leg's delta segment, the rows
-// appended since the last merge (selectClassic), with the columns of need
+// appended since the last merge (walk, phaseDelta), with the columns of need
 // bound to be read at its survivors (materialize): the delta's segment, none
 // (a nil set) when it holds no rows. Both scan strategies run it — the A&R
 // one before its ship, so the phase-A answer includes the delta exactly —
@@ -63,25 +64,23 @@ func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (segment, error) {
 	if fact.DeltaLen() == 0 {
 		return segment{}, nil
 	}
-	if err := st.step(StageDelta); err != nil {
-		return segment{}, err
-	}
-	pl.delta = true
-	sel, keys, err := pl.selectClassic(st)
+	keys := make([]bwd.Key, len(pl.q.Joins))
+	sel, err := pl.walk(st, phaseDelta, nil, keys)
 	if err != nil {
 		return segment{}, err
 	}
-	binds, err := pl.materialize(st, sel, keys, need)
+	binds, err := pl.materialize(st, phaseDelta, sel, keys, need)
 	if err != nil {
 		sel.Release()
 		return segment{}, err
 	}
-	preds, facts, dims := len(pl.factFilters), 0, 0
-	for _, g := range pl.orGroups {
-		preds += len(g.filters)
-	}
-	for _, js := range pl.joins {
-		dims += len(js.dimFilters)
+	preds, facts, dims := 0, 0, 0
+	for _, op := range pl.ops {
+		if op.join < 0 {
+			preds += len(op.filters)
+		} else {
+			dims += len(op.filters)
+		}
 	}
 	for _, ref := range need {
 		if ref.IsDim() {

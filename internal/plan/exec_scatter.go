@@ -111,7 +111,7 @@ func prunePartitions(q Query, spec shard.Spec) []bool {
 func (c *Catalog) newState(ctx context.Context, opts ExecOpts, nOps int) pipeState {
 	m := device.NewMeter(c.sys)
 	res := &Result{Meter: m, ops: make([]planLine, 0, nOps)}
-	return pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: res, estCand: -1}
+	return pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: res}
 }
 
 // scan runs the leg's scan source and counts the delta segment's rows into
@@ -132,7 +132,6 @@ func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
 		st.gate, st.part = gate, part
 		defer st.leaveDevice(false)
 	}
-	st.estReset(pl)
 	if pl.classic {
 		lg.out, lg.err = pl.scanClassic(st)
 	} else {
@@ -265,7 +264,7 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 					Stage: string(StageScatter),
 					Op:    obs.Op{Fmt: "scatter(%[1]s, mode=%[2]s)", A: lg.pl.q.Table, B: mode},
 					Rows:  int64(lg.out.segs.rows()),
-					Est:   ls.estCand,
+					Est:   lg.pl.estCand(),
 					Wall:  lg.wall,
 					GPU:   ls.m.GPU,
 					CPU:   ls.m.CPU,
@@ -299,29 +298,22 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 		st.tr.Candidates = int64(st.res.Candidates)
 		st.tr.Refined = int64(st.res.Refined)
 		st.tr.Rows = int64(len(st.res.Rows))
-		st.tr.EstCandidates = st.estCand
+		st.tr.EstCandidates = estCandidates(legs)
 	}
 	return st.res, nil
 }
 
 // gatherLegs merges the partials of several legs onto the gather state st,
-// in leg order: meters, candidate counts and estimates add, the phase-A
-// answers combine, and the segment lists concatenate — the legs keep their
-// sets.
+// in leg order: meters and candidate counts add, the phase-A answers
+// combine, and the segment lists concatenate — the legs keep their sets.
 func gatherLegs(st *pipeState, pl *Plan, legs []leg, classic bool) *scanOut {
 	answers := make([]ApproxAnswer, len(legs))
 	merged := &scanOut{}
-	st.estCand = 0
 	for li := range legs {
 		ls := &legs[li].st
 		st.m.Add(ls.m)
 		st.res.Candidates += ls.res.Candidates
 		st.res.Refined += ls.res.Refined
-		if ls.estCand < 0 || st.estCand < 0 {
-			st.estCand = -1
-		} else {
-			st.estCand += ls.estCand
-		}
 		answers[li] = ls.res.Approx
 		merged.segs = append(merged.segs, legs[li].out.segs...)
 	}
@@ -329,6 +321,21 @@ func gatherLegs(st *pipeState, pl *Plan, legs []leg, classic bool) *scanOut {
 		st.res.Approx = combineAnswers(pl.q, answers)
 	}
 	return merged
+}
+
+// estCandidates is the planner's estimate of the statement's candidate rows,
+// which the trace footer sets against the actual count: the legs' estimates
+// (legPlan.estCand) summed, -1 when one is unknown.
+func estCandidates(legs []leg) int64 {
+	var n int64
+	for i := range legs {
+		e := legs[i].pl.estCand()
+		if e < 0 {
+			return -1
+		}
+		n += e
+	}
+	return n
 }
 
 // scatterInputBytes sums the stream-baseline footprint of the scanned legs:

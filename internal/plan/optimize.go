@@ -29,37 +29,6 @@ func weakest(a, b estSource) estSource {
 	return a
 }
 
-// rankedFilter is a filter with the selectivity estimate that ordered it —
-// the pipeline keeps the estimate and its source so \explain can show why
-// the optimizer chose this order (and when it was guessing).
-type rankedFilter struct {
-	f   Filter
-	sel float64
-	src estSource
-}
-
-// estSel returns the selectivity for cardinality folding, or -1 when the
-// filter has no estimate at all (estApply treats -1 as unknown).
-func (rf rankedFilter) estSel() float64 {
-	if rf.src == estNone {
-		return -1
-	}
-	return rf.sel
-}
-
-// rankFilters wraps the filters of one table (dim "" is the fact table) with
-// their selectivity estimates, in the written order. Undecomposed columns
-// are tagged estNone so the explain surface prints `est=n/a (no stats)`
-// instead of a magic number.
-func rankFilters(snap *execSnap, dim string, filters []Filter) []rankedFilter {
-	rs := make([]rankedFilter, 0, len(filters))
-	for _, f := range filters {
-		sel, src := estimateSelectivity(snap.get(dim, f.Col), f)
-		rs = append(rs, rankedFilter{f, sel, src})
-	}
-	return rs
-}
-
 // estimateSelectivity estimates the fraction of rows admitted by the
 // relaxed predicate: the occupancy-histogram mass of the relaxed code
 // range when the decomposition carries one (it knows where the data

@@ -4,15 +4,18 @@
 //
 //   - a scan source per leg of the table (exec_scatter.go) — the A&R
 //     bit-sliced base scan (approximate select → ship → refine) or the
-//     classic bulk scan — that applies the selections and joins and emits
-//     the same product either way: the survivor set of the base segment and
-//     of the delta segment, which the classic selection scans for both
-//     (exec_delta.go), each with the binding of every column the tail reads
-//     by its mask (segment). A join is the same thing in
-//     all three: key − base through the dimension's FK index
-//     (execSnap.joinKey, bwd.Key), which every scan reads its survivor mask
-//     through like any conjunct — no list of dimension positions travels
-//     beside a candidate set;
+//     classic bulk scan — that runs the leg's one operator list (ops.go:
+//     conjuncts, OR groups, the deletion mask, per join its probe and its
+//     dimension filters) and emits the same product either way: the
+//     survivor set of the base segment and of the delta segment, each with
+//     the binding of every column the tail reads by its mask (segment). The
+//     list is walked in four phases over one survivor set — A&R's phase A
+//     on the device and phase R on the CPU, the classic selection over the
+//     base and over the delta (exec_delta.go) — each with its own kernels,
+//     charges and listing. A join is the same thing in all of them: key −
+//     base through the dimension's FK index (execSnap.joinKey, bwd.Key),
+//     which every phase reads its survivor mask through like any conjunct —
+//     no list of dimension positions travels beside a candidate set;
 //   - the shared downstream operators — grouping, aggregation, HAVING,
 //     ORDER BY / LIMIT (top-k) — that run once over the gathered legs,
 //     identically for every scan strategy, so classic vs A&R is a
@@ -21,15 +24,15 @@
 //
 // Assembly is also where the rule-based optimizer lives (§III-A): filters
 // are cost-ordered by estimated selectivity — fact-side and, per join,
-// dimension-side — and the chosen order is preserved on the pipeline so
-// \explain can render it with the estimates.
+// dimension-side — and every operator of the list carries its estimated
+// output rows, computed once where the leg is priced, so \explain renders
+// the list with the estimates the trace records.
 package plan
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -44,30 +47,29 @@ import (
 )
 
 // legPlan is one leg's assembled physical plan: the scan-strategy choice
-// plus the cost-ordered predicate chains and join stages the scan will
-// execute. It is the priced, immutable, snapshot-free part of a Plan —
-// built once per pricing, run by any number of executions.
+// plus the operator list the scans walk and \explain renders (buildLeg). It
+// is the priced, immutable, snapshot-free part of a Plan — built once per
+// pricing, run by any number of executions.
 type legPlan struct {
 	*Plan
 	// q is the statement retargeted at the leg's table.
 	q       Query
 	classic bool
 
-	factFilters []rankedFilter
-	orGroups    []orGroupStage
-	joins       []joinStage
+	// ops is the operator list, in execution order; estAll is the leg's
+	// estimated output rows over all its live rows, base and delta (-1 when
+	// unknown), which a partition line of \explain prints.
+	ops    []legOp
+	estAll int64
 	// resident: no delta segment and no residual bit in anything the leg
 	// reads (execSnap.resident) — run A&R alone, its approximation is exact.
 	resident bool
 }
 
 // pipeline is a legPlan bound to the snapshots one execution pinned for it.
-// delta points the classic selection at the fact table's delta segment
-// rather than its base (scanDelta).
 type pipeline struct {
 	*legPlan
-	snap  *execSnap
-	delta bool
+	snap *execSnap
 }
 
 // devGroupCols decides where a grouped A&R scan groups: it returns the
@@ -127,88 +129,6 @@ func (s *execSnap) devGroupCols(q *Query) []*bwd.Column {
 	return cols
 }
 
-// orGroupStage is one disjunction operator: the group's predicates, the
-// candidate-attachment group id, the selectivity bound (with its estimate
-// source) for \explain, and the operator's listing text ("t.a|t.b").
-type orGroupStage struct {
-	filters []Filter
-	id      int
-	sel     float64
-	src     estSource
-	text    string
-}
-
-// joinStage is one FK-probe stage of the join chain with its (possibly
-// cost-ordered) dimension-side filters. sel estimates the fraction of fact
-// candidates surviving the probe itself (the dimension's live fraction);
-// the dimension filters carry their own estimates, and key — the whole
-// stage's survival fraction — orders the chain. arrow is the probe's listing
-// text ("fk -> dim").
-type joinStage struct {
-	spec       JoinSpec
-	dimFilters []rankedFilter
-	sel, key   float64
-	src        estSource
-	arrow      string
-}
-
-// buildLeg assembles the pipeline of one leg (table names it) against the
-// snapshot it is being priced at: every filter, disjunction and join stage
-// with its selectivity estimate, in the written order and marked classic —
-// the bulk engine predates the statistics and keeps them only for \explain.
-func buildLeg(plan *Plan, table string, snap *execSnap) *legPlan {
-	pl := &legPlan{Plan: plan, q: plan.q, classic: true}
-	pl.q.Table = table
-	q := &pl.q
-	pl.resident = snap.resident(q)
-	pl.factFilters = rankFilters(snap, "", q.Filters)
-	for i, group := range q.Or {
-		sel, src := estimateOrSelectivity(snap, group)
-		pl.orGroups = append(pl.orGroups, orGroupStage{
-			filters: group,
-			id:      i + 1,
-			sel:     sel,
-			src:     src,
-			text:    orGroupText(table, group),
-		})
-	}
-	for _, j := range q.Joins {
-		st := joinStage{spec: j, sel: 1.0, src: estRowCount, arrow: j.FKCol + " -> " + j.Dim}
-		if ds := snap.snapFor(j.Dim); ds.BaseLen() > 0 {
-			st.sel = float64(ds.LiveBase()) / float64(ds.BaseLen())
-		}
-		st.dimFilters = rankFilters(snap, j.Dim, j.DimFilters)
-		// The ordering key is the stage's whole survival fraction: probe
-		// survival times the dimension filters' combined selectivity.
-		st.key, _ = estimateJoinSel(snap, j)
-		pl.joins = append(pl.joins, st)
-	}
-	return pl
-}
-
-// costOrder turns the assembly into the A&R one — the optimizer of §III-A
-// with real statistics: approximate selections, fact-side and dimension-side
-// alike, run in order of estimated selectivity, so the most selective scans
-// shrink the candidate set before the more expensive operators run; and the
-// join chain is ordered the same way. FK probes are n:1 and order-preserving
-// over the fact candidate list, so the result bytes are identical for every
-// permutation; only the intermediate cardinalities shrink sooner.
-func (pl *legPlan) costOrder() {
-	pl.classic = false
-	bySel := func(rs []rankedFilter) {
-		if len(rs) > 1 {
-			sort.SliceStable(rs, func(i, j int) bool { return rs[i].sel < rs[j].sel })
-		}
-	}
-	bySel(pl.factFilters)
-	for _, j := range pl.joins {
-		bySel(j.dimFilters)
-	}
-	if len(pl.joins) > 1 {
-		sort.SliceStable(pl.joins, func(a, b int) bool { return pl.joins[a].key < pl.joins[b].key })
-	}
-}
-
 // pipeState is the mutable state of one pipeline execution: the context,
 // parallelism descriptor, meter and result under construction, plus — when
 // tracing is on — the telemetry record and its per-operator marks.
@@ -220,21 +140,14 @@ type pipeState struct {
 	res  *Result
 
 	// Tracing state (tr nil = off): the checkpoint class the pipeline is
-	// currently in, the wall-clock (since the trace began: one monotonic
+	// currently in, and the wall-clock (since the trace began: one monotonic
 	// clock read per operator) and meter marks of the previous operator
-	// boundary, and the running cardinality estimate the selectivity model
-	// predicts at this point of the chain (-1 once unknown). Tracing only
-	// ever *reads* the meter — a traced run charges exactly what an
-	// untraced one does.
+	// boundary. Tracing only ever *reads* the meter — a traced run charges
+	// exactly what an untraced one does.
 	tr    *obs.Trace
 	stage Stage
 	mark  time.Duration
 	last  device.Meter
-	est   float64
-	// estCand is the planner's candidate-set estimate captured at the end
-	// of the selection chain (-1 when unknown); the trace footer compares
-	// it against the actual candidate count to expose estimation error.
-	estCand int64
 
 	// gate is set while this leg holds device stream part of it: from
 	// leg.scan's admission to leaveDevice.
@@ -258,9 +171,6 @@ func (st *pipeState) leaveDevice(shipped bool) error {
 // Operator formats that more than one site records; obs.Op gives the
 // argument order.
 const (
-	opSelectApprox  = "bwd.uselectapproximate(%[1]s.%[2]s)"
-	opSelectRefine  = "bwd.uselectrefine(%[1]s.%[2]s)"
-	opSelectClassic = "algebra.uselect(%[1]s.%[2]s)"
 	opProjectApprox = "bwd.leftjoinapproximate(%[1]s.%[2]s)"
 	opMaskDeleted   = "bwd.maskdeleted(%[1]s)"
 	opDeltaScan     = "delta.scan(%[1]s, %[3]d qualifying)"
@@ -291,34 +201,6 @@ func (st *pipeState) emit(rows int, est int64, op obs.Op) {
 	}
 	st.mark = now
 	st.last = *st.m
-}
-
-// estApply folds one filter's selectivity estimate into the running
-// cardinality estimate and returns the predicted output rows (-1 once any
-// link of the chain had no estimate).
-func (st *pipeState) estApply(sel float64) int64 {
-	if sel < 0 || st.est < 0 {
-		st.est = -1
-		return -1
-	}
-	st.est *= sel
-	return int64(st.est + 0.5)
-}
-
-// estReset restarts the running estimate at the live base cardinality —
-// phase R walks the same filter chain a second time.
-func (st *pipeState) estReset(pl pipeline) {
-	st.est = float64(pl.snap.fact.LiveBase())
-}
-
-// estCapture snapshots the running estimate as the candidate-set estimate
-// the trace footer reports (kept at -1 once the chain lost its stats).
-func (st *pipeState) estCapture() {
-	if st.est >= 0 {
-		st.estCand = int64(st.est + 0.5)
-	} else {
-		st.estCand = -1
-	}
 }
 
 func (st *pipeState) step(s Stage) error {
@@ -524,54 +406,37 @@ func dropHidden(q *Query, rows []Row) []Row {
 // ---- Pipeline description (\explain) ----
 
 // describe renders the assembled pipeline without executing it: the scan
-// strategy, the cost-ordered filters with their estimated selectivities,
-// the join chain, and the delta / grouping / having / top-k stages. solo
-// says the leg is the only one the statement scans (see leg.scan).
+// strategy, then the leg's operator list — conjuncts and disjunctions with
+// their estimated selectivities and output rows, the join chain — and the
+// delta / grouping / having / top-k stages. The estimates are the ones the
+// trace records for the same operators. solo says the leg is the only one the
+// statement scans (see leg.scan).
 func (pl pipeline) describe(solo bool) []string {
 	q := &pl.q
-	// The running estimate folds each operator's selectivity into the live
-	// base cardinality, so every rendered operator carries the planner's
-	// predicted output rows. One estimate-free link (a filter on a column
-	// with no decomposition) poisons the rest of the chain to n/a.
-	est := float64(pl.snap.fact.LiveBase())
-	known := true
-	fold := func(sel float64, src estSource) string {
-		if src == estNone || !known {
-			known = false
-			return " est=n/a (no stats)"
-		}
-		est *= sel
-		return fmt.Sprintf(" (est sel %s, est=%d rows)", pctText(sel), int64(est+0.5))
-	}
+	est := pl.snap.fact.LiveBase()
 	var out []string
 	out = append(out, fmt.Sprintf("pipeline: mode=%s over %s", modeName(pl.classic), q.Table))
 	if pl.classic {
-		out = append(out, fmt.Sprintf("  scan: classic row-major base of %s (filters in written order) est=%d rows", q.Table, int64(est)))
+		out = append(out, fmt.Sprintf("  scan: classic row-major base of %s (filters in written order) est=%d rows", q.Table, est))
 	} else {
-		out = append(out, fmt.Sprintf("  scan: a&r bit-sliced base of %s (filters cost-ordered by estimated selectivity) est=%d rows", q.Table, int64(est)))
+		out = append(out, fmt.Sprintf("  scan: a&r bit-sliced base of %s (filters cost-ordered by estimated selectivity) est=%d rows", q.Table, est))
 	}
-	for _, rf := range pl.factFilters {
-		out = append(out, fmt.Sprintf("    filter %s.%s in %s%s", q.Table, rf.f.Col, rangeText(rf.f), fold(rf.sel, rf.src)))
-	}
-	for _, g := range pl.orGroups {
-		parts := make([]string, len(g.filters))
-		for i, f := range g.filters {
-			parts[i] = fmt.Sprintf("%s.%s in %s", q.Table, f.Col, rangeText(f))
-		}
-		suffix := " est=n/a (no stats)"
-		if known && g.src != estNone {
-			est *= g.sel
-			suffix = fmt.Sprintf(" (est sel <= %s, est=%d rows)", pctText(g.sel), int64(est+0.5))
-		} else {
-			known = false
-		}
-		out = append(out, fmt.Sprintf("    or: %s%s", strings.Join(parts, " | "), suffix))
-	}
-	for i, j := range pl.joins {
-		out = append(out, fmt.Sprintf("  join %d/%d: %s.%s -> %s.%s (fk probe)%s",
-			i+1, len(pl.joins), q.Table, j.spec.FKCol, j.spec.Dim, j.spec.DimPK, fold(j.sel, j.src)))
-		for _, rf := range j.dimFilters {
-			out = append(out, fmt.Sprintf("    filter %s.%s in %s%s", j.spec.Dim, rf.f.Col, rangeText(rf.f), fold(rf.sel, rf.src)))
+	joined := 0
+	for i := range pl.ops {
+		switch op := &pl.ops[i]; op.kind {
+		case opFilter:
+			out = append(out, fmt.Sprintf("    filter %s.%s in %s%s", op.table, op.text, rangeText(op.filters[0]), op.estText("")))
+		case opOr:
+			parts := make([]string, len(op.filters))
+			for k, f := range op.filters {
+				parts[k] = fmt.Sprintf("%s.%s in %s", q.Table, f.Col, rangeText(f))
+			}
+			out = append(out, fmt.Sprintf("    or: %s%s", strings.Join(parts, " | "), op.estText("<= ")))
+		case opProbe:
+			joined++
+			j := q.Joins[op.join]
+			out = append(out, fmt.Sprintf("  join %d/%d: %s.%s -> %s.%s (fk probe)%s",
+				joined, len(q.Joins), q.Table, j.FKCol, j.Dim, j.DimPK, op.estText("")))
 		}
 	}
 	if n := pl.snap.fact.DeltaLen(); n > 0 {
@@ -642,30 +507,9 @@ func (x *Pinned) Describe() []string {
 		pl := legs[li].pl
 		li++
 		live := pl.snap.fact.LiveBase() + pl.snap.fact.LiveDelta()
-		est := float64(live)
-		known := true
-		fold := func(sel float64) {
-			if sel < 0 {
-				known = false
-				return
-			}
-			est *= sel
-		}
-		for _, rf := range pl.factFilters {
-			fold(rf.estSel())
-		}
-		for _, g := range pl.orGroups {
-			fold(g.sel)
-		}
-		for _, j := range pl.joins {
-			fold(j.sel)
-			for _, rf := range j.dimFilters {
-				fold(rf.estSel())
-			}
-		}
 		line := fmt.Sprintf("  partition %d: %s, mode=%s, %d live rows", i, name, modeName(pl.classic), live)
-		if known {
-			line += fmt.Sprintf(", est ~%d rows out", int64(est+0.5))
+		if pl.estAll >= 0 {
+			line += fmt.Sprintf(", est ~%d rows out", pl.estAll)
 		}
 		out = append(out, line)
 	}

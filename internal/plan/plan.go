@@ -260,11 +260,8 @@ func (c *Catalog) price(pl *Plan, p *shard.Partitioned, legs []leg, dims []*stor
 		if err != nil {
 			return nil, err
 		}
-		if keep == nil || keep[i] {
-			pr.legs[i] = buildLeg(pl, table, snap)
-			if arErr == nil {
-				arErr = legErr // the first scanned leg's
-			}
+		if (keep == nil || keep[i]) && arErr == nil {
+			arErr = legErr // the first scanned leg's
 		}
 		switch {
 		case pl.mode == ModeClassic || legErr != nil:
@@ -294,9 +291,10 @@ func (c *Catalog) price(pl *Plan, p *shard.Partitioned, legs []leg, dims []*stor
 	default:
 		pr.choice = ModeChoice{EstCandidates: est, why: "%d of %d partition legs favor a&r", figures: []any{favor, p.Spec.N}}
 	}
-	for i, lp := range pr.legs {
-		if lp != nil && !pr.choice.Classic && !choices[i].Classic {
-			lp.costOrder()
+	for i := range legs {
+		if keep == nil || keep[i] {
+			snap := legs[i].pl.snap
+			pr.legs[i] = buildLeg(pl, snap.fact.Table().Name(), snap, pr.choice.Classic || choices[i].Classic)
 		}
 	}
 	return pr, nil

@@ -613,9 +613,7 @@ func TestParallelCancelledDeltaScanReturnsError(t *testing.T) {
 	if out.set != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled delta scan returned %+v, %v; want no segment and context.Canceled", out, err)
 	}
-	dl := lg.pl
-	dl.delta = true
-	sel, _, err := dl.selectClassic(&lg.st)
+	sel, err := lg.pl.walk(&lg.st, phaseDelta, nil, nil)
 	if sel != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled delta selection returned %+v, %v; want no mask and context.Canceled", sel, err)
 	}
