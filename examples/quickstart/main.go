@@ -82,12 +82,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer want.Release()
-	bulk.ChargeSelectRange(par.P{}, mClassic, column, want.Len())
+	bulk.ChargeSelectRange(par.P{}, mClassic, column.Width(), column.Len(), want.Len())
 	wantVals := make([]int64, want.Len())
 	want.Blocks(0, want.WorkGroups(), math.MaxInt32, func(g0, g1, pos, n int) {
 		want.Values(vals, nil, wantVals[pos:pos+n], g0, g1)
 	})
-	bulk.ChargeFetch(par.P{}, mClassic, column, want.Len())
+	bulk.ChargeFetch(par.P{}, mClassic, column.Width(), column.Len(), want.Len())
 	if want.Len() != cands.Len() {
 		log.Fatalf("MISMATCH: classic found %d, A&R found %d", want.Len(), cands.Len())
 	}

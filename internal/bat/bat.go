@@ -6,6 +6,10 @@
 // so only the tail is stored; a selection's survivors are a mask over those
 // positions (ar.Candidates), not a BAT with a head of its own.
 //
+// A BAT is a loader's input, or a stored column that was never decomposed: a
+// column that was is held as its decomposition alone (package bwd), and the
+// store drops its BAT (internal/store).
+//
 // The canonical tail value type is int64. Narrower physical types (the
 // 32-bit integers of the benchmarks, dictionary codes, fixed-point
 // decimals) declare their on-device width via the Width field, which is the
@@ -63,33 +67,9 @@ func (b *BAT) Len() int { return len(b.tail) }
 // Width returns the physical bytes per tail value.
 func (b *BAT) Width() int { return b.width }
 
-// TailBytes returns the physical tail footprint charged by the cost model.
-func (b *BAT) TailBytes() int64 { return int64(len(b.tail)) * int64(b.width) }
-
-// Tail returns the value at position i.
-func (b *BAT) Tail(i int) int64 { return b.tail[i] }
-
 // Tails exposes the tail slice for bulk operators. Callers must not
 // resize it.
 func (b *BAT) Tails() []int64 { return b.tail }
-
-// MinMax returns the smallest and largest tail value. It panics on an
-// empty BAT.
-func (b *BAT) MinMax() (lo, hi int64) {
-	if len(b.tail) == 0 {
-		panic("bat: MinMax on empty BAT")
-	}
-	lo, hi = b.tail[0], b.tail[0]
-	for _, v := range b.tail[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
 
 // String summarizes the BAT for diagnostics.
 func (b *BAT) String() string {

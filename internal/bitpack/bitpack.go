@@ -40,18 +40,33 @@ func New(width uint, n int) *Array {
 
 // Pack packs vals into a new Array of the given width. Values must fit in
 // width bits; excess high bits are masked off.
+func Pack(width uint, vals []uint64) *Array {
+	a := New(width, len(vals))
+	a.PackAt(0, vals)
+	return a
+}
+
+// PackAt packs vals into positions [lo, lo+len(vals)), which must lie in the
+// array and start on a word boundary — lo·width a multiple of 64, as it is at
+// every multiple of 64 positions — so a decomposition can fill its planes a
+// block of rows at a time. Excess high bits are masked off; the last word it
+// touches is written whole, its bits past the values zero.
 //
 // The words are built directly with a shift-carry accumulator — one store
 // per output word instead of a read-modify-write per value — so bulk
 // re-decomposition (merges re-pack every merged row) runs at memory speed.
-func Pack(width uint, vals []uint64) *Array {
-	a := New(width, len(vals))
-	if width == 0 || len(vals) == 0 {
-		return a
+func (a *Array) PackAt(lo int, vals []uint64) {
+	width := a.width
+	if lo < 0 || lo+len(vals) > a.n || uint64(lo)*uint64(width)&63 != 0 {
+		panic(fmt.Sprintf("bitpack: pack of %d values at %d: not a word-aligned range of [0,%d)", len(vals), lo, a.n))
 	}
+	if width == 0 || len(vals) == 0 {
+		return
+	}
+	words := a.words[uint64(lo)*uint64(width)>>6:]
 	if width == 64 {
-		copy(a.words, vals)
-		return a
+		copy(words, vals)
+		return
 	}
 	mask := Mask(width)
 	var acc uint64 // bits accumulated, low-aligned
@@ -62,7 +77,7 @@ func Pack(width uint, vals []uint64) *Array {
 		acc |= v << fill
 		fill += width
 		if fill >= 64 {
-			a.words[w] = acc
+			words[w] = acc
 			w++
 			fill -= 64
 			// Bits of v that did not fit (width-fill..width) carry over.
@@ -70,9 +85,8 @@ func Pack(width uint, vals []uint64) *Array {
 		}
 	}
 	if fill > 0 {
-		a.words[w] = acc
+		words[w] = acc
 	}
-	return a
 }
 
 func wordsFor(width uint, n int) int {

@@ -38,6 +38,40 @@ func TestPackMatchesSetLoop(t *testing.T) {
 	}
 }
 
+// PackAt fills an array a block at a time, each block starting at a multiple
+// of 64 positions and the last one short: the words must equal Pack's over
+// the whole, even where a block's last word is only part full, and a range
+// that does not start on a word boundary or runs past the end is refused.
+func TestPackAtBlocksMatchPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for width := uint(0); width <= 64; width++ {
+		n := 64*(1+rng.Intn(12)) + rng.Intn(64)
+		vals := randomVals(rng, width, n)
+		for _, block := range []int{64, 128, 64 * 5} {
+			a := New(width, n)
+			for lo := 0; lo < n; lo += block {
+				a.PackAt(lo, vals[lo:min(lo+block, n)])
+			}
+			if !a.Equal(Pack(width, vals)) || !slices.Equal(a.Words(), Pack(width, vals).Words()) {
+				t.Fatalf("width %d, blocks of %d: PackAt differs from Pack", width, block)
+			}
+		}
+	}
+	for _, bad := range []struct {
+		width uint
+		lo, n int
+	}{{5, 1, 3}, {7, 32, 10}, {8, 64, 200}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("width %d: PackAt(%d, %d values) into 100 did not panic", bad.width, bad.lo, bad.n)
+				}
+			}()
+			New(bad.width, 100).PackAt(bad.lo, make([]uint64, bad.n))
+		}()
+	}
+}
+
 func TestUnpackRangeMatchesGetLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for width := uint(0); width <= 64; width++ {

@@ -34,7 +34,6 @@ package bulk
 import (
 	"slices"
 
-	"repro/internal/bat"
 	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/par"
@@ -60,35 +59,40 @@ const (
 // difference is part of the design.)
 const oidBytes = 8
 
-// ChargeSelectRange bills the bulk model's range selection over b that kept
-// out rows (MonetDB's uselect, order-preserving, §IV-A item 2): the whole
-// tail streamed, the survivors' ids written, one comparison per row. The
-// executor's classic selection (internal/plan), which keeps its survivors in
-// a mask, charges through it — the bill is the execution model's, not the
-// host's.
-func ChargeSelectRange(p par.P, m *device.Meter, b *bat.BAT, out int) {
+// ChargeSelectRange bills the bulk model's range selection over a column of
+// rows values, width bytes each, that kept out rows (MonetDB's uselect,
+// order-preserving, §IV-A item 2): the whole tail streamed, the survivors'
+// ids written, one comparison per row. The executor's classic selection
+// (internal/plan), which keeps its survivors in a mask and reads a decomposed
+// column by its code and residual, charges through it — the bill is the
+// execution model's, not the host's.
+func ChargeSelectRange(p par.P, m *device.Meter, width, rows, out int) {
 	if m != nil {
-		m.CPUWork(p.NThreads(), b.TailBytes()+int64(out)*oidBytes, 0, int64(b.Len())*OpsSelect)
+		m.CPUWork(p.NThreads(), int64(rows)*int64(width)+int64(out)*oidBytes, 0, int64(rows)*OpsSelect)
 	}
 }
 
 // ChargeSelectOIDs bills the bulk model's filter of an id list that kept out
-// of in candidates: both id lists streamed, b gathered at the candidate
-// positions, one comparison per candidate.
-func ChargeSelectOIDs(p par.P, m *device.Meter, b *bat.BAT, in, out int) {
+// of in candidates: both id lists streamed, the column (rows values, width
+// bytes each) gathered at the candidate positions, one comparison per
+// candidate.
+func ChargeSelectOIDs(p par.P, m *device.Meter, width, rows, in, out int) {
 	if m != nil {
-		gather := device.RandomFetchBytes(int64(in), int64(b.Width()), b.TailBytes())
+		gather := device.RandomFetchBytes(int64(in), int64(width), int64(rows)*int64(width))
 		m.CPUWork(p.NThreads(), int64(in+out)*oidBytes+gather, 0, int64(in)*OpsSelect)
 	}
 }
 
-// ChargeFetch bills the bulk model's fetch of b at n positions — the
-// invisible (positional) join that late-materializing column stores project
-// with (§IV-C): the ids streamed, the values gathered and written.
-func ChargeFetch(p par.P, m *device.Meter, b *bat.BAT, n int) {
+// ChargeFetch bills the bulk model's fetch at n positions of a column of rows
+// values, width bytes each — the invisible (positional) join that
+// late-materializing column stores project with (§IV-C): the ids streamed,
+// the values gathered and written. The bill is the model's full-width fetch
+// whatever form the column is held in: a BAT, or a decomposition read by its
+// code and residual (DESIGN.md §7).
+func ChargeFetch(p par.P, m *device.Meter, width, rows, n int) {
 	if m != nil {
-		gather := device.RandomFetchBytes(int64(n), int64(b.Width()), b.TailBytes())
-		m.CPUWork(p.NThreads(), int64(n)*oidBytes+int64(n)*int64(b.Width())+gather, 0, int64(n)*OpsFetch)
+		gather := device.RandomFetchBytes(int64(n), int64(width), int64(rows)*int64(width))
+		m.CPUWork(p.NThreads(), int64(n)*oidBytes+int64(n)*int64(width)+gather, 0, int64(n)*OpsFetch)
 	}
 }
 

@@ -23,7 +23,10 @@ package bwd
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
+	"unsafe"
 
 	"repro/internal/bat"
 	"repro/internal/bitpack"
@@ -99,8 +102,8 @@ func (c *Column) summarize(block func(lo, hi int) []uint64) {
 	c.histShift = histShiftFor(c.Dec.ApproxBits)
 	c.hist = make([]int64, (c.Dec.MaxApprox()>>c.histShift)+1)
 	c.splits = make([]Split, (c.n+GranuleRows-1)/GranuleRows)
-	for lo := 0; lo < c.n; lo += summaryBlock {
-		codes := block(lo, min(lo+summaryBlock, c.n))
+	for lo := 0; lo < c.n; lo += BlockRows {
+		codes := block(lo, min(lo+BlockRows, c.n))
 		for i := 0; i < len(codes); i += GranuleRows {
 			c.splits[(lo+i)/GranuleRows] = summarizeGranule(codes[i:min(i+GranuleRows, len(codes))], c.hist, c.histShift)
 		}
@@ -109,9 +112,11 @@ func (c *Column) summarize(block func(lo, hi int) []uint64) {
 	c.parts = c.indexParts()
 }
 
-// summaryBlock is how many rows the constructors split or decode between
-// summarize calls: a whole number of granules that stays cache-resident.
-const summaryBlock = 64 << 10
+// BlockRows is how many rows the constructors split or decode between
+// summarize calls, and how many a reader that decodes a whole column takes at
+// a time: a whole number of granules that stays cache-resident, so a block's
+// codes fill whole words of a plane at every width.
+const BlockRows = 64 << 10
 
 // Decompose bitwise-decomposes the tail of b, placing approxBits major bits
 // on the system's GPU and the rest on the CPU, mirroring the paper's
@@ -120,17 +125,44 @@ const summaryBlock = 64 << 10
 // (ResBits = 0) — exactly what happens to the narrow TPC-H columns in
 // §VI-D1. The GPU allocation fails with device.ErrOutOfMemory if the
 // approximation does not fit, surfacing the capacity/resolution trade-off.
+// The planes are built a block of BlockRows rows at a time, so the only
+// scratch beside them is two block-sized code buffers.
 func Decompose(b *bat.BAT, approxBits uint, sys *device.System) (*Column, error) {
-	if b.Len() == 0 {
+	tails := b.Tails()
+	return decompose(len(tails), b.Width(), func(lo, hi int) []int64 { return tails[lo:hi] }, approxBits, sys)
+}
+
+// Redecompose is Decompose of the values c holds, at approxBits: they are
+// read from c's code and residual a block at a time (Decode), so a column
+// that keeps no full-width copy can change its resolution.
+func (c *Column) Redecompose(approxBits uint, sys *device.System) (*Column, error) {
+	room := make([]int64, min(c.n, BlockRows))
+	return decompose(c.n, c.Dec.Width, func(lo, hi int) []int64 { return c.Decode(room[:hi-lo], lo) }, approxBits, sys)
+}
+
+// decompose is Decompose over n values of width bytes that block(lo, hi)
+// returns a block at a time, lo a multiple of BlockRows. It reads them
+// twice — their range, then their codes — and splits each block into two
+// block-sized code buffers that it packs straight into its place in the
+// planes (bitpack.PackAt) and summarizes while they are hot: nothing n rows
+// long is held beside the planes, and no buffer of the column's size enters
+// the arena.
+func decompose(n, width int, block func(lo, hi int) []int64, approxBits uint, sys *device.System) (*Column, error) {
+	if n == 0 {
 		return nil, fmt.Errorf("bwd: cannot decompose empty column")
 	}
 	if approxBits == 0 || approxBits > 63 {
 		return nil, fmt.Errorf("bwd: approxBits %d out of range [1,63]", approxBits)
 	}
-	lo, hi := b.MinMax()
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for at := 0; at < n; at += BlockRows {
+		for _, v := range block(at, min(at+BlockRows, n)) {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
 	span := uint64(hi - lo)
 	total := uint(bits.Len64(span))
-	dec := Decomposition{Base: lo, TotalBits: total, Width: b.Width()}
+	dec := Decomposition{Base: lo, TotalBits: total, Width: width}
 	if approxBits >= total {
 		dec.ApproxBits = total
 		dec.ResBits = 0
@@ -144,40 +176,23 @@ func Decompose(b *bat.BAT, approxBits uint, sys *device.System) (*Column, error)
 		dec.ApproxBits = 1
 	}
 
-	n := b.Len()
-	c := &Column{Dec: dec, n: n}
-	tails := b.Tails()
-	// Split the values into code planes through arena scratch, then let
-	// bitpack.Pack build whole words with its shift-carry accumulator — one
-	// store per output word instead of a read-modify-write per value. The
-	// summaries are folded in block by block while the codes are hot.
-	codes := mem.U64.GetN(n)
-	rcodes := mem.U64.GetN(n)
+	c := &Column{Dec: dec, n: n, Approx: bitpack.New(dec.ApproxBits, n), Residual: bitpack.New(dec.ResBits, n)}
+	scratch := mem.U64.GetN(2 * min(n, BlockRows))
+	codes, rcodes := scratch[:len(scratch)/2], scratch[len(scratch)/2:]
 	rmask := bitpack.Mask(dec.ResBits)
 	c.summarize(func(lo, hi int) []uint64 {
-		for i, v := range tails[lo:hi] {
+		for i, v := range block(lo, hi) {
 			shifted := uint64(v - dec.Base)
-			codes[lo+i] = shifted >> dec.ResBits
-			rcodes[lo+i] = shifted & rmask
+			codes[i] = shifted >> dec.ResBits
+			rcodes[i] = shifted & rmask
 		}
-		return codes[lo:hi]
+		c.Approx.PackAt(lo, codes[:hi-lo])
+		c.Residual.PackAt(lo, rcodes[:hi-lo])
+		return codes[:hi-lo]
 	})
-	approx := bitpack.Pack(dec.ApproxBits, codes)
-	res := bitpack.Pack(dec.ResBits, rcodes)
-	mem.U64.Put(codes)
-	mem.U64.Put(rcodes)
-	c.Approx, c.Residual = approx, res
-	if sys != nil {
-		ga, err := sys.GPU.Alloc(approx.Bytes())
-		if err != nil {
-			return nil, fmt.Errorf("bwd: approximation does not fit device: %w", err)
-		}
-		ca, err := sys.CPU.Alloc(res.Bytes())
-		if err != nil {
-			ga.Free()
-			return nil, fmt.Errorf("bwd: residual does not fit host: %w", err)
-		}
-		c.gpuAlloc, c.cpuAlloc = ga, ca
+	mem.U64.Put(scratch)
+	if err := c.allocate(sys); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -209,19 +224,29 @@ func Restore(dec Decomposition, approx, res *bitpack.Array, sys *device.System) 
 		return approx.UnpackRange(s.U64(hi - lo)[:0], lo, hi)
 	})
 	mem.PutScratch(s)
-	if sys != nil {
-		ga, err := sys.GPU.Alloc(approx.Bytes())
-		if err != nil {
-			return nil, fmt.Errorf("bwd: approximation does not fit device: %w", err)
-		}
-		ca, err := sys.CPU.Alloc(res.Bytes())
-		if err != nil {
-			ga.Free()
-			return nil, fmt.Errorf("bwd: residual does not fit host: %w", err)
-		}
-		c.gpuAlloc, c.cpuAlloc = ga, ca
+	if err := c.allocate(sys); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// allocate acquires the column's simulated device allocations on sys (none
+// without one): the approximation on the GPU, the residual on the CPU.
+func (c *Column) allocate(sys *device.System) error {
+	if sys == nil {
+		return nil
+	}
+	ga, err := sys.GPU.Alloc(c.Approx.Bytes())
+	if err != nil {
+		return fmt.Errorf("bwd: approximation does not fit device: %w", err)
+	}
+	ca, err := sys.CPU.Alloc(c.Residual.Bytes())
+	if err != nil {
+		ga.Free()
+		return fmt.Errorf("bwd: residual does not fit host: %w", err)
+	}
+	c.gpuAlloc, c.cpuAlloc = ga, ca
+	return nil
 }
 
 // Len returns the number of tuples in the column.
@@ -283,6 +308,58 @@ func (c *Column) Reconstruct(i int) int64 {
 	return c.Dec.Base + int64(shifted)
 }
 
+// Decode writes the exact values of rows [lo, lo+len(out)) into out and
+// returns it; lo is a multiple of GranuleRows. Each granule's codes are
+// unpacked straight into out (bitpack.Unpack64) — a resident column's with
+// the base added, so they land as values — and a residual's granule beside
+// them is folded in as ReconstructFrom does. It is how a decomposed column,
+// which keeps no full-width copy, is read whole: by the fold's dense blocks,
+// a merge, an FK index build, a segment write and a re-decomposition.
+func (c *Column) Decode(out []int64, lo int) []int64 {
+	whole := len(out) &^ (GranuleRows - 1)
+	if c.Dec.ResBits == 0 {
+		for at := 0; at < whole; at += GranuleRows {
+			c.Approx.Unpack64(granule(out, at), lo+at, uint64(c.Dec.Base))
+		}
+	} else {
+		var res [GranuleRows]uint64
+		for at := 0; at < whole; at += GranuleRows {
+			c.decodeGranule(granule(out, at), &res, lo+at)
+		}
+	}
+	if whole < len(out) { // a last granule out has no room for
+		var short, res [GranuleRows]uint64
+		c.decodeGranule(&short, &res, lo+whole)
+		for i := range out[whole:] {
+			out[whole+i] = int64(short[i])
+		}
+	}
+	return out
+}
+
+// decodeGranule writes the exact values of the granule at lo into vals, as
+// the codes bitpack.Unpack64 writes: a value is its code plus the base,
+// modulo 2^64 — the code shifted over the residual read into res when the
+// column has residual bits.
+func (c *Column) decodeGranule(vals, res *[GranuleRows]uint64, lo int) {
+	dec := c.Dec
+	if dec.ResBits == 0 {
+		c.Approx.Unpack64(vals, lo, uint64(dec.Base))
+		return
+	}
+	c.Approx.Unpack64(vals, lo, 0)
+	c.Residual.Unpack64(res, lo, 0)
+	for i, code := range vals {
+		vals[i] = uint64(dec.Base) + (code<<dec.ResBits | res[i])
+	}
+}
+
+// granule is the GranuleRows values of out from at on, as decodeGranule and
+// bitpack.Unpack64 write them.
+func granule(out []int64, at int) *[GranuleRows]uint64 {
+	return (*[GranuleRows]uint64)(unsafe.Pointer(&out[at]))
+}
+
 // ReconstructFrom combines an approximation code and a residual code into
 // the exact value.
 func (c *Column) ReconstructFrom(approx, residual uint64) int64 {
@@ -298,7 +375,7 @@ func ChooseBits(b *bat.BAT, budgetBytes int64) uint {
 	if b.Len() == 0 || budgetBytes <= 0 {
 		return 0
 	}
-	lo, hi := b.MinMax()
+	lo, hi := slices.Min(b.Tails()), slices.Max(b.Tails())
 	total := uint(bits.Len64(uint64(hi - lo)))
 	if total == 0 {
 		total = 1

@@ -3,6 +3,7 @@ package bwd
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,59 @@ func TestDecomposeReconstructRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A column decomposed block by block must be the column decomposed whole:
+// across a block boundary and a short last block, values spanning all 64 bits
+// and a constant column, Decode must give back every value over any
+// granule-aligned range, and Redecompose at another width — read from the
+// code and residual, no full-width copy — must build the planes, parameters
+// and summaries Decompose builds from the values.
+func TestRedecomposeMatchesDecompose(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, tc := range []struct {
+		n    int
+		vals func(i int) int64
+	}{
+		{BlockRows + 100, func(i int) int64 { return int64(i/300)*1000 + rng.Int63n(900) }},
+		{2*BlockRows + 1, func(int) int64 { return int64(rng.Uint64()) }},
+		{130, func(int) int64 { return -7 }},
+		{1, func(int) int64 { return 42 }},
+	} {
+		vals := make([]int64, tc.n)
+		for i := range vals {
+			vals[i] = tc.vals(i)
+		}
+		b := bat.NewDense(vals, bat.Width64)
+		for _, from := range []uint{1, 8, 63} {
+			c, err := Decompose(b, from, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lo := range []int{0, 64, (tc.n / 128) * 64} {
+				hi := min(tc.n, lo+rng.Intn(tc.n)+1)
+				for i, v := range c.Decode(make([]int64, max(hi-lo, 0)), lo) {
+					if v != vals[lo+i] {
+						t.Fatalf("n=%d, %d bits: Decode[%d] = %d, want %d", tc.n, from, lo+i, v, vals[lo+i])
+					}
+				}
+			}
+			for _, to := range []uint{2, 17, 63} {
+				got, err := c.Redecompose(to, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Decompose(b, to, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Dec != want.Dec || !got.Approx.Equal(want.Approx) || !got.Residual.Equal(want.Residual) ||
+					!reflect.DeepEqual(got.splits, want.splits) || !reflect.DeepEqual(got.hist, want.hist) || !reflect.DeepEqual(got.parts, want.parts) {
+					t.Fatalf("n=%d: %d bits redecomposed at %d differs from a decomposition of the values", tc.n, from, to)
+				}
+			}
+		}
 	}
 }
 

@@ -208,9 +208,9 @@ type Disjunct struct {
 // Key is a foreign-key column read as an address: row i of the fact table
 // joins position key(i) − Base of a dimension of Len rows, whose primary key
 // is dense from Base (the FK index over it verifies that). The key values are
-// the packed codes of Col — a decomposition that keeps every bit on the
-// device, so a code is the value — for an approximate selection, and the
-// exact values Tails for a classic one, of the base or of the delta. It is
+// those of Col, the key column's decomposition — for an approximate selection
+// one that keeps every bit on the device, so a code is the value — or the
+// exact values Tails of a column that has none, or of the delta. It is
 // the one definition of the join: the A&R probe, dimension filters,
 // projections and refinements and the classic join chain over either
 // segment all go through Pos.
@@ -233,7 +233,7 @@ func (k *Key) At(row int) (pos int, ok bool) {
 	if k.Tails != nil {
 		return k.Pos(k.Tails[row])
 	}
-	return k.Pos(k.Col.Dec.Base + int64(k.Col.Approx.Get(row)))
+	return k.Pos(k.Col.Reconstruct(row))
 }
 
 // Through returns the disjunct read through key.
@@ -826,6 +826,9 @@ func (d *Disjunct) compareRebuilt(base int, rows uint64) uint64 {
 	approx := d.Col.Approx
 	if d.Inner.Lo <= d.Inner.Hi {
 		word = approx.InRange64(base, d.Inner.Lo, d.Inner.Hi-d.Inner.Lo) & rows
+	}
+	if d.Inner == d.Outer { // no boundary bucket: a resident column, or a range of every code or none
+		return word
 	}
 	for w := approx.InRange64(base, d.Outer.Lo, d.Outer.Hi-d.Outer.Lo) & rows &^ word; w != 0; w &= w - 1 {
 		i := bits.TrailingZeros64(w)

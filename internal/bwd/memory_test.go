@@ -1,0 +1,76 @@
+package bwd
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/bat"
+	"repro/internal/mem"
+)
+
+// Decompose holds nothing a column long beside the planes it returns: it
+// splits and packs a block of rows at a time. With the arena off, every
+// buffer it takes is a fresh allocation, so one call's allocated bytes must
+// stay under its planes, its summaries and two blocks of code scratch — and a
+// re-decomposition's under a third block, the values it decodes into — with no
+// term of 8 B per row.
+func TestDecomposeHoldsNoColumnScratch(t *testing.T) {
+	defer mem.SetPooling(mem.SetPooling(false))
+	const n = 1 << 21
+	rng := rand.New(rand.NewSource(21))
+	vals := make([]int64, n)
+	for i, at := 0, int64(0); i < n; i++ {
+		if i%200 == 0 {
+			at = rng.Int63n(1 << 30)
+		}
+		at += rng.Int63n(64) - 32
+		vals[i] = at
+	}
+	b := bat.NewDense(vals, bat.Width32)
+	const block = BlockRows * 8
+	for _, bits := range []uint{12, 40} { // residual bits, and none
+		var c, r *Column
+		var err error
+		dec := allocated(func() { c, err = Decompose(b, bits, nil) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := heldBytes(c) + 2*block + slack; dec > want {
+			t.Errorf("%d bits: Decompose allocated %d B, over planes + summaries + two blocks (%d B)", bits, dec, want)
+		}
+		redec := allocated(func() { r, err = c.Redecompose(bits, nil) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := heldBytes(r) + 3*block + slack; redec > want {
+			t.Errorf("%d bits: Redecompose allocated %d B, over planes + summaries + three blocks (%d B)", bits, redec, want)
+		}
+		t.Logf("%d bits (%d residual): the column holds %d B; Decompose allocated %d B, Redecompose %d B", bits, c.Dec.ResBits, heldBytes(c), dec, redec)
+	}
+}
+
+// slack covers what one call allocates besides its planes, summaries and
+// scratch: the column's own record, closures, and the rounding of each
+// large allocation up to whole pages.
+const slack = 128 << 10
+
+// allocated returns the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// heldBytes is what a column holds: its two planes and its summaries — the
+// histogram, the granule records and the part index.
+func heldBytes(c *Column) uint64 {
+	held := uint64(c.Approx.Bytes()+c.Residual.Bytes()) + uint64(cap(c.hist))*8 + uint64(cap(c.splits))*uint64(unsafe.Sizeof(Split{}))
+	if x := c.parts; x != nil {
+		held += uint64(cap(x.mins)+cap(x.maxs))*8 + uint64(cap(x.starts)+cap(x.gran)+cap(x.wide))*4 + uint64(cap(x.part))
+	}
+	return held
+}

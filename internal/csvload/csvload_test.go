@@ -43,19 +43,19 @@ func TestLoadTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	price, _ := tbl.Column("price")
-	if price.Tail(0) != 1250 || price.Tail(1) != 99 {
-		t.Errorf("decimal parsing: %d, %d", price.Tail(0), price.Tail(1))
+	price, _ := tbl.Snapshot().BaseValues("price", 0, tbl.Len(), nil)
+	if price[0] != 1250 || price[1] != 99 {
+		t.Errorf("decimal parsing: %d, %d", price[0], price[1])
 	}
 	if s, _ := tbl.ColumnScale("price"); s != 100 {
 		t.Errorf("price scale = %d, want 100", s)
 	}
-	shipped, _ := tbl.Column("shipped")
-	if shipped.Tail(0) != 0 || shipped.Tail(1) != 2 {
-		t.Errorf("date parsing: %d, %d (days since epoch)", shipped.Tail(0), shipped.Tail(1))
+	shipped, _ := tbl.Snapshot().BaseValues("shipped", 0, tbl.Len(), nil)
+	if shipped[0] != 0 || shipped[1] != 2 {
+		t.Errorf("date parsing: %d, %d (days since epoch)", shipped[0], shipped[1])
 	}
-	if shipped.Tail(2) <= 365 {
-		t.Errorf("1993 date should be beyond one year: %d", shipped.Tail(2))
+	if shipped[2] <= 365 {
+		t.Errorf("1993 date should be beyond one year: %d", shipped[2])
 	}
 }
 
@@ -80,10 +80,10 @@ func TestDictionaryOrderedAndPrefix(t *testing.T) {
 
 	// The loaded dictionary column is queryable through the full stack.
 	tbl, _ := c.Table("items")
-	kind, _ := tbl.Column("kind")
+	kind, _ := tbl.Snapshot().BaseValues("kind", 0, tbl.Len(), nil)
 	count := 0
-	for i := 0; i < kind.Len(); i++ {
-		if kind.Tail(i) >= lo && kind.Tail(i) <= hi {
+	for _, v := range kind {
+		if v >= lo && v <= hi {
 			count++
 		}
 	}

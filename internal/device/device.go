@@ -133,12 +133,6 @@ type Alloc struct {
 	mu    sync.Mutex
 }
 
-// Bytes returns the allocation size.
-func (a *Alloc) Bytes() int64 { return a.bytes }
-
-// Device returns the owning device.
-func (a *Alloc) Device() *Device { return a.dev }
-
 // Free releases the allocation. Freeing twice is a no-op.
 func (a *Alloc) Free() {
 	if a == nil {

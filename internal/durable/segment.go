@@ -16,6 +16,7 @@ import (
 	"repro/internal/bitpack"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/mem"
 	"repro/internal/store"
 )
 
@@ -87,13 +88,19 @@ func encodeSegment(w io.Writer, t *store.Table, snap *store.Snapshot, lsn uint64
 			b.u8(0)
 		}
 	}
+	// A decomposed column's tails are written as its values decoded, a
+	// block at a time: the base keeps no full-width copy of it.
+	room := mem.I64.GetN(min(snap.BaseLen(), bwd.BlockRows))
+	defer mem.I64.Put(room)
 	for _, def := range schema {
-		col, err := snap.Column(def.Name)
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range col.Tails() {
-			b.u64(uint64(v))
+		for lo := 0; lo < snap.BaseLen(); lo += bwd.BlockRows {
+			vals, err := snap.BaseValues(def.Name, lo, min(lo+bwd.BlockRows, snap.BaseLen()), room)
+			if err != nil {
+				return 0, err
+			}
+			for _, v := range vals {
+				b.u64(uint64(v))
+			}
 		}
 		d := snap.Dec(def.Name)
 		if d == nil {
@@ -164,7 +171,8 @@ func (b *segWriter) str(s string) {
 	b.buf = append(b.buf, s...)
 }
 
-// segState is a decoded segment file, ready to restore into a store.Table.
+// segState is a decoded segment file, ready to restore into a store.Table:
+// per column a BAT, or for a decomposed one nil and its decomposition.
 type segState struct {
 	lsn     uint64
 	schema  []store.ColumnDef
@@ -246,21 +254,25 @@ func decodeSegment(data []byte, sys *device.System) (*segState, error) {
 		if len(b) < n*8 {
 			return nil, fmt.Errorf("durable: truncated column tail")
 		}
-		vals := make([]int64, n)
-		for j := range vals {
-			vals[j] = int64(le.Uint64(b[j*8:]))
-		}
+		tail := b[:n*8]
 		b = b[n*8:]
-		st.cols = append(st.cols, bat.NewDense(vals, st.schema[i].Width))
 		if len(b) < 1 {
 			return nil, fmt.Errorf("durable: truncated decomposition flag")
 		}
 		hasDec := b[0] != 0
 		b = b[1:]
 		if !hasDec {
+			vals := make([]int64, n)
+			for j := range vals {
+				vals[j] = int64(le.Uint64(tail[j*8:]))
+			}
+			st.cols = append(st.cols, bat.NewDense(vals, st.schema[i].Width))
 			st.decs = append(st.decs, nil)
 			continue
 		}
+		// A decomposed column is its decomposition: its tails are read
+		// past, not kept.
+		st.cols = append(st.cols, nil)
 		if len(b) < 12 {
 			return nil, fmt.Errorf("durable: truncated decomposition parameters")
 		}

@@ -31,11 +31,11 @@ func tableRows(t *testing.T, cat *plan.Catalog, name string) [][]int64 {
 	schema := tbl.Schema()
 	cols := make([][]int64, len(schema))
 	for i, def := range schema {
-		c, err := snap.Column(def.Name)
+		c, err := snap.BaseValues(def.Name, 0, snap.BaseLen(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols[i] = c.Tails()
+		cols[i] = c
 	}
 	var out [][]int64
 	for i := 0; i < snap.BaseLen(); i++ {

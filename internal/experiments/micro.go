@@ -96,7 +96,7 @@ func fig8Selection(opts Options, id, title string, approxBits uint) (*Figure, er
 		if err != nil {
 			return nil, err
 		}
-		bulk.ChargeSelectRange(pp, m, b, set.Len())
+		bulk.ChargeSelectRange(pp, m, b.Width(), b.Len(), set.Len())
 		monetT := m.Total().Seconds()
 		set.Release()
 
@@ -239,7 +239,7 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		set.Blocks(0, set.WorkGroups(), math.MaxInt32, func(g0, g1, pos, n int) {
 			set.Values(tails, nil, vals[pos:pos+n], g0, g1)
 		})
-		bulk.ChargeFetch(pp, m, prjCol, set.Len())
+		bulk.ChargeFetch(pp, m, prjCol.Width(), prjCol.Len(), set.Len())
 		monetT := m.Total().Seconds()
 		mem.I64.Put(vals)
 		set.Release()

@@ -85,14 +85,6 @@ func (t *Table) Column(name string) (*bat.BAT, error) {
 	return c.b, nil
 }
 
-// Len returns the row count.
-func (t *Table) Len() int {
-	if t.n < 0 {
-		return 0
-	}
-	return t.n
-}
-
 // Columns returns the column names in sorted order.
 func (t *Table) Columns() []string {
 	out := append([]string(nil), t.order...)

@@ -66,11 +66,12 @@ func classicFixture(t testing.TB, n int, seed int64) *Catalog {
 // each a row loop billed with its counts.
 func refClassicSelect(p par.P, m *device.Meter, fs *store.Snapshot, q Query) []bat.OID {
 	col := func(name string) *bat.BAT {
-		b, err := fs.Column(name)
+		vals, err := fs.BaseValues(name, 0, fs.BaseLen(), nil)
 		if err != nil {
 			panic(err)
 		}
-		return b
+		w, _ := fs.Table().ColumnWidth(name)
+		return bat.NewDense(vals, w)
 	}
 	var ids []bat.OID
 	for i, f := range q.Filters {
@@ -81,14 +82,14 @@ func refClassicSelect(p par.P, m *device.Meter, fs *store.Snapshot, q Query) []b
 					kept = append(kept, bat.OID(id))
 				}
 			}
-			bulk.ChargeSelectRange(p, m, b, len(kept))
+			bulk.ChargeSelectRange(p, m, b.Width(), b.Len(), len(kept))
 		} else {
 			for _, id := range ids {
 				if v := b.Tails()[id]; v >= f.Lo && v <= f.Hi {
 					kept = append(kept, id)
 				}
 			}
-			bulk.ChargeSelectOIDs(p, m, b, len(ids), len(kept))
+			bulk.ChargeSelectOIDs(p, m, b.Width(), b.Len(), len(ids), len(kept))
 		}
 		ids = kept
 	}
@@ -104,7 +105,7 @@ func refClassicSelect(p par.P, m *device.Meter, fs *store.Snapshot, q Query) []b
 		for k, f := range group {
 			b := col(f.Col)
 			tails[k] = b.Tails()
-			bulk.ChargeFetch(p, m, b, len(ids))
+			bulk.ChargeFetch(p, m, b.Width(), b.Len(), len(ids))
 		}
 		kept := ids[:0:0]
 		for _, id := range ids {
@@ -154,11 +155,11 @@ func TestClassicSelectMatchesBulkReference(t *testing.T) {
 			if round == 1 && n > 64 && fs.BaseDeletedCount() == 0 {
 				t.Fatal("fixture: nothing deleted")
 			}
-			runs, _ := fs.Column("runs")
+			runs, _ := fs.BaseValues("runs", 0, fs.BaseLen(), nil)
 			for trial := 0; trial < 12; trial++ {
 				// A box around some row's run, tight or wide; a band of the
 				// uniform column; a band of the plain one.
-				at := runs.Tail(rng.Intn(n))
+				at := runs[rng.Intn(n)]
 				half := int64(1) << uint(4+rng.Intn(14))
 				onRuns := Filter{Col: "runs", Lo: at - half, Hi: at + half}
 				ulo := rng.Int63n(4096)

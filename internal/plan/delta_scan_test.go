@@ -35,8 +35,21 @@ func rowDeltaScan(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []Co
 	}
 	parts := make([]part, (fs.DeltaLen()+chunk-1)/chunk)
 	nDimFilters := 0
+	dimVals := make(map[ColRef][]int64) // the dimension columns read, whole
+	read := func(ref ColRef) {
+		ds := snap.snapFor(ref.Dim)
+		dimVals[ref], _ = ds.BaseValues(ref.Name, 0, ds.BaseLen(), nil)
+	}
 	for _, spec := range q.Joins {
 		nDimFilters += len(spec.DimFilters)
+		for _, f := range spec.DimFilters {
+			read(ColRef{Dim: spec.Dim, Name: f.Col})
+		}
+	}
+	for _, ref := range need {
+		if ref.IsDim() {
+			read(ref)
+		}
 	}
 	scan := func(mi int) {
 		pt := &parts[mi]
@@ -69,8 +82,7 @@ func rowDeltaScan(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []Co
 					continue rows
 				}
 				for _, f := range spec.DimFilters {
-					b, _ := snap.dims[ji].Column(f.Col)
-					if v := b.Tail(p); v < f.Lo || v > f.Hi {
+					if v := dimVals[ColRef{Dim: spec.Dim, Name: f.Col}][p]; v < f.Lo || v > f.Hi {
 						continue rows
 					}
 				}
@@ -81,8 +93,7 @@ func rowDeltaScan(m *device.Meter, pp par.P, q *Query, snap *execSnap, need []Co
 			}
 			for k, ref := range need {
 				if ref.IsDim() {
-					b, _ := snap.snapFor(ref.Dim).Column(ref.Name)
-					pt.vals[k] = append(pt.vals[k], b.Tail(pos[q.joinsDim(ref.Dim)]))
+					pt.vals[k] = append(pt.vals[k], dimVals[ref][pos[q.joinsDim(ref.Dim)]])
 				} else {
 					pt.vals[k] = append(pt.vals[k], fs.DeltaValue(j, col(ref.Name)))
 				}

@@ -2,10 +2,8 @@ package plan
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/ar"
-	"repro/internal/bat"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/obs"
@@ -72,12 +70,12 @@ func (pl pipeline) selectClassic(st *pipeState) (*ar.Candidates, []bwd.Key, erro
 }
 
 // materialize binds every column of need to its exact values in the
-// segment of phase ph, to be read at the survivors of sel by its mask where
-// the tail reads them — a dimension's at the position the row's key of keys
-// joins; grouping keys ride along when a grouping is present. Nothing is
-// copied: a statement that only counts its rows, joined or not, reads nothing
-// at all. The base's run bills each column as the bulk fetch it stands for,
-// and lists it.
+// segment of phase ph — a decomposed column to its code and residual — to be
+// read at the survivors of sel by its mask where the tail reads them — a
+// dimension's at the position the row's key of keys joins. Nothing is copied:
+// a statement that only counts its rows, joined or not, reads nothing at all.
+// The base's run bills each column as the bulk fetch it stands for, and lists
+// it.
 func (pl pipeline) materialize(st *pipeState, ph phase, sel *ar.Candidates, keys []bwd.Key, need []ColRef) (map[ColRef]colBind, error) {
 	binds := make(map[ColRef]colBind, len(need))
 	for _, ref := range need {
@@ -86,43 +84,47 @@ func (pl pipeline) materialize(st *pipeState, ph phase, sel *ar.Candidates, keys
 				return nil, err
 			}
 		}
-		vals, b, err := pl.values(ph, ref)
+		c, err := pl.column(ph, ref)
 		if err != nil {
 			return nil, err
 		}
-		binds[ref] = colBind{tails: vals, key: pl.keyFor(keys, ref.Dim)}
-		if d := pl.dec(ph, ref.Name); d != nil && !ref.IsDim() && slices.Contains(pl.q.GroupBy, ref.Name) {
-			binds[ref] = colBind{col: d} // the same values, packed as value less base (groupKey)
-		}
+		binds[ref] = colBind{tails: c.vals, col: c.dec, key: pl.keyFor(keys, ref.Dim)}
 		if ph == phaseBase {
-			bulk.ChargeFetch(st.pp, st.m, b, sel.Len())
+			bulk.ChargeFetch(st.pp, st.m, c.width, c.rows, sel.Len())
 			st.emit(sel.Len(), -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s)", A: ref.Name})
 		}
 	}
 	return binds, nil
 }
 
-// values returns the exact values of a column the statement reads, as the
-// segment of phase ph joins them: a fact column's in the base or the delta
-// segment, a dimension's in the dimension's base, which the keys of both
-// segments address. b is the BAT they are the tails of, which the base's run
-// is billed over — nil for the delta's columns.
-func (pl pipeline) values(ph phase, ref ColRef) (vals []int64, b *bat.BAT, err error) {
-	if ph == phaseDelta && !ref.IsDim() {
-		vals, err = pl.snap.fact.DeltaColumn(ref.Name)
-		return vals, nil, err
-	}
-	if b, err = pl.snap.snapFor(ref.Dim).Column(ref.Name); err != nil {
-		return nil, nil, err
-	}
-	return b.Tails(), b, nil
+// segColumn is a column the statement reads as one segment holds it: a
+// decomposition (dec), read by its code and residual, where the base has one,
+// its exact values (vals) where not. width and rows are the base column's, as
+// the bulk model bills a pass over it.
+type segColumn struct {
+	vals        []int64
+	dec         *bwd.Column
+	width, rows int
 }
 
-// dec returns the decomposition whose granule bounds settle a fact column's
-// conjuncts in the segment of phase ph: the base's, nil in the delta.
-func (pl pipeline) dec(ph phase, col string) *bwd.Column {
-	if ph == phaseDelta {
-		return nil
+// exactly is the disjunct lo <= v <= hi over the column's exact values,
+// decided from the bounds of its decomposition where it has one.
+func (c segColumn) exactly(lo, hi int64) bwd.Disjunct { return bwd.Exactly(c.dec, c.vals, lo, hi) }
+
+// column returns a column the statement reads as the segment of phase ph
+// joins it: a fact column's in the base or the delta segment, a dimension's
+// in the dimension's base, which the keys of both segments address.
+func (pl pipeline) column(ph phase, ref ColRef) (c segColumn, err error) {
+	if ph == phaseDelta && !ref.IsDim() {
+		c.vals, err = pl.snap.fact.DeltaColumn(ref.Name)
+		return c, err
 	}
-	return pl.snap.get("", col)
+	s := pl.snap.snapFor(ref.Dim)
+	if c.width, err = s.Table().ColumnWidth(ref.Name); err != nil {
+		return c, err
+	}
+	if c.rows, c.dec = s.BaseLen(), pl.snap.get(ref.Dim, ref.Name); c.dec == nil {
+		c.vals, err = s.BaseValues(ref.Name, 0, c.rows, nil)
+	}
+	return c, err
 }

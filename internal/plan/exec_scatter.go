@@ -350,8 +350,9 @@ func scatterInputBytes(pl *Plan, legs []leg) int64 {
 			if i > 0 && ref.IsDim() {
 				continue // dimension columns count once
 			}
-			if b, err := s.snapFor(ref.Dim).Column(ref.Name); err == nil {
-				total += b.TailBytes()
+			fs := s.snapFor(ref.Dim)
+			if w, err := fs.Table().ColumnWidth(ref.Name); err == nil {
+				total += int64(fs.BaseLen()) * int64(w)
 			}
 		}
 		total += s.fact.DeltaBytes()

@@ -209,28 +209,12 @@ func (c *colBind) read(by *ar.Candidates, out []int64, g0, g1 int) int {
 
 // whole reads the exact values of all n rows from granule g0 on, dropped ones
 // too: tails in place, a decomposed column's code and residual granule by
-// granule into room, by the rule ar.Candidates.Rebuild applies.
+// granule into room (bwd.Column.Decode).
 func (c *colBind) whole(room []int64, g0, n int) []int64 {
 	if c.col == nil {
 		return c.tails[g0*bwd.GranuleRows:][:n]
 	}
-	dec := c.col.Dec
-	if dec.ResBits == 0 { // resident: the code is the offset, decoded into its value
-		for at := 0; at < n; at += bwd.GranuleRows {
-			c.col.Approx.Unpack64((*[bwd.GranuleRows]uint64)(asCodes(room[at:])), g0*bwd.GranuleRows+at, uint64(dec.Base))
-		}
-		return room[:n]
-	}
-	var res [bwd.GranuleRows]uint64
-	for at := 0; at < n; at += bwd.GranuleRows {
-		codes := (*[bwd.GranuleRows]uint64)(asCodes(room[at:]))
-		c.col.Approx.Unpack64(codes, g0*bwd.GranuleRows+at, 0)
-		c.col.Residual.Unpack64(&res, g0*bwd.GranuleRows+at, 0)
-		for i, code := range codes {
-			room[at+i] = dec.Base + int64(code<<dec.ResBits|res[i])
-		}
-	}
-	return room[:n]
+	return c.col.Decode(room[:n], g0*bwd.GranuleRows)
 }
 
 // rows is the input of one fold: the candidates of by, reached through its

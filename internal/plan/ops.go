@@ -259,22 +259,22 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 					err = ar.SelectRefine(pp, m, d, key, f.Lo, f.Hi, set)
 				}
 			default:
-				vals, b, verr := pl.values(ph, ColRef{Dim: dim, Name: f.Col})
-				if verr != nil {
-					return set, verr
+				c, cerr := pl.column(ph, ColRef{Dim: dim, Name: f.Col})
+				if cerr != nil {
+					return set, cerr
 				}
 				switch {
 				case set == nil: // a full scan of the column
-					if set, err = ar.SelectExact(pp, rows, bwd.Exactly(pl.dec(ph, f.Col), vals, f.Lo, f.Hi)); err == nil {
-						bulk.ChargeSelectRange(pp, m, b, set.Len())
+					if set, err = ar.SelectExact(pp, rows, c.exactly(f.Lo, f.Hi)); err == nil {
+						bulk.ChargeSelectRange(pp, m, c.width, c.rows, set.Len())
 					}
 				case key == nil: // the column gathered at the survivors and filtered
-					if err = set.Narrow(pp, bwd.Exactly(pl.dec(ph, f.Col), vals, f.Lo, f.Hi)); err == nil {
-						bulk.ChargeSelectOIDs(pp, m, b, in, set.Len())
+					if err = set.Narrow(pp, c.exactly(f.Lo, f.Hi)); err == nil {
+						bulk.ChargeSelectOIDs(pp, m, c.width, c.rows, in, set.Len())
 					}
 				default: // a dimension column fetched at the joined positions and filtered
-					if err = set.Narrow(pp, bwd.Exactly(nil, vals, f.Lo, f.Hi).Through(key)); err == nil && m != nil {
-						bulk.ChargeFetch(pp, m, b, in)
+					if err = set.Narrow(pp, c.exactly(f.Lo, f.Hi).Through(key)); err == nil && m != nil {
+						bulk.ChargeFetch(pp, m, c.width, c.rows, in)
 						m.CPUWork(pp.NThreads(), int64(in)*8, 0, int64(in))
 					}
 				}
@@ -296,12 +296,12 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 				// survivors and filters them in one fully-materializing pass.
 				ds := make([]bwd.Disjunct, len(op.filters))
 				for k, f := range op.filters {
-					vals, b, verr := pl.values(ph, ColRef{Name: f.Col})
-					if verr != nil {
-						return set, verr
+					c, cerr := pl.column(ph, ColRef{Name: f.Col})
+					if cerr != nil {
+						return set, cerr
 					}
-					ds[k] = bwd.Exactly(pl.dec(ph, f.Col), vals, f.Lo, f.Hi)
-					bulk.ChargeFetch(pp, m, b, in)
+					ds[k] = c.exactly(f.Lo, f.Hi)
+					bulk.ChargeFetch(pp, m, c.width, c.rows, in)
 				}
 				if err = set.Narrow(pp, ds...); err == nil && m != nil {
 					n := int64(in) * int64(len(ds))
@@ -331,13 +331,13 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 			case phaseBase, phaseDelta:
 				// The key fetched and probed in the pre-built index; a deleted
 				// dimension row drops its keys in the same pass.
-				fks, b, verr := pl.values(ph, ColRef{Name: spec.FKCol})
-				if verr != nil {
-					return set, verr
+				fk, cerr := pl.column(ph, ColRef{Name: spec.FKCol})
+				if cerr != nil {
+					return set, cerr
 				}
-				*key = snap.joinKey(spec, nil, fks)
+				*key = snap.joinKey(spec, fk.dec, fk.vals)
 				if err = set.Narrow(pp, key.Joined(snap.snapFor(spec.Dim).DeletedWords())); err == nil {
-					bulk.ChargeFetch(pp, m, b, in)
+					bulk.ChargeFetch(pp, m, fk.width, fk.rows, in)
 					bulk.ChargeFKJoin(pp, m, in)
 				}
 			}

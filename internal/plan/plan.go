@@ -365,7 +365,7 @@ func (s *execSnap) check(table string) (arErr, err error) {
 		if s.decs[i] != nil {
 			continue
 		}
-		if _, err := s.snapFor(ref.Dim).Column(ref.Name); err != nil {
+		if _, err := s.snapFor(ref.Dim).Table().ColIndex(ref.Name); err != nil {
 			return nil, err
 		}
 		if arErr == nil {

@@ -39,11 +39,15 @@ func deleteWhereRows(m *device.Meter, s *Snapshot, preds []Range) (base, delta [
 		return removed
 	}
 	base, delta = make([]bool, s.base.n), make([]bool, s.deltaN)
-	removedBase := mark(base, s.BaseDeleted, func(r, c int) int64 { return s.base.cols[c].Tail(r) })
+	cols := make([][]int64, len(t.schema))
+	for c := range cols {
+		cols[c] = s.base.values(c, 0, s.base.n, nil)
+	}
+	removedBase := mark(base, s.BaseDeleted, func(r, c int) int64 { return cols[c][r] })
 	removed = removedBase + mark(delta, s.DeltaDeleted, s.DeltaValue)
 	var scanned int64
 	for k := range preds {
-		scanned += s.base.cols[idx[k]].TailBytes()
+		scanned += int64(s.base.n) * int64(t.schema[idx[k]].Width)
 	}
 	m.CPUWork(1, scanned+s.DeltaBytes(), 0, int64(s.base.n+s.deltaN)*int64(max(1, len(preds))))
 	if removedBase > 0 {

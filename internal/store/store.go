@@ -3,9 +3,9 @@
 // bitwise-decompose once, query forever — with a write path that keeps the
 // GPU-resident approximation hot and cheap to maintain:
 //
-//   - each table is an immutable, bit-sliced **base segment** (one BAT per
-//     column, plus the BWD decomposition of every column the user
-//     decomposed: approximation on the device, residual on the host),
+//   - each table is an immutable, bit-sliced **base segment**: every column
+//     the user decomposed held once, as its BWD decomposition (approximation
+//     on the device, residual on the host), every other one as a BAT,
 //   - plus an append-only **delta segment** holding freshly ingested rows in
 //     host memory, stored by column like the base: one array of exact values
 //     per column, never decomposed,
@@ -37,6 +37,7 @@ import (
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
+	"repro/internal/mem"
 )
 
 // ColumnDef types one column of a table: its name, fixed-point scale
@@ -80,13 +81,15 @@ func ParseTypeScale(typ string) (int64, error) {
 // cached bindings compiled against the old schema can be detected as stale.
 var schemaEpochs atomic.Uint64
 
-// segment is an immutable base segment: positionally aligned columns with
-// their (optional) bitwise decompositions and (optional) pre-built
-// foreign-key indexes. Once a segment is reachable from a published
-// snapshot it is never mutated; updates clone it.
+// segment is an immutable base segment: positionally aligned columns, each
+// held once — as its bitwise decomposition where it has one, as a BAT
+// otherwise — with (optional) pre-built foreign-key indexes. A decomposed
+// column's exact values are its code and residual (bwd.Column.Decode); no
+// full-width copy is kept beside them. Once a segment is reachable from a
+// published snapshot it is never mutated; updates clone it.
 type segment struct {
 	n    int
-	cols []*bat.BAT
+	cols []*bat.BAT      // nil per column when decomposed
 	decs []*bwd.Column   // nil per column when not decomposed
 	fk   []*bulk.FKIndex // nil per column when no FK index was built
 }
@@ -97,6 +100,19 @@ func (g *segment) clone() *segment {
 	out.decs = append([]*bwd.Column(nil), g.decs...)
 	out.fk = append([]*bulk.FKIndex(nil), g.fk...)
 	return out
+}
+
+// values returns rows [lo, hi) of column c, lo a multiple of
+// bwd.GranuleRows: a BAT's tails in place, a decomposition's decoded into
+// room, or into a new slice when room is too short.
+func (g *segment) values(c, lo, hi int, room []int64) []int64 {
+	if b := g.cols[c]; b != nil {
+		return b.Tails()[lo:hi]
+	}
+	if cap(room) < hi-lo {
+		room = make([]int64, hi-lo)
+	}
+	return g.decs[c].Decode(room[:hi-lo], lo)
 }
 
 // Snapshot is one immutable version of a table, pinned by readers for the
@@ -169,13 +185,18 @@ func (s *Snapshot) Segments() int {
 	return n
 }
 
-// Column returns the base-segment BAT of a column.
-func (s *Snapshot) Column(name string) (*bat.BAT, error) {
+// BaseValues returns the base segment's values of a column at rows [lo,
+// hi), lo a multiple of bwd.GranuleRows: an undecomposed column's in place —
+// callers must not write to them — a decomposed one's decoded from its code
+// and residual into room, or into a new slice when room is too short. A
+// reader that needs a decomposed column's values whole reads them a block at
+// a time.
+func (s *Snapshot) BaseValues(name string, lo, hi int, room []int64) ([]int64, error) {
 	i, err := s.t.colIndex(name)
 	if err != nil {
 		return nil, err
 	}
-	return s.base.cols[i], nil
+	return s.base.values(i, lo, hi, room), nil
 }
 
 // Dec returns the bitwise decomposition of a column, or nil when the
@@ -264,11 +285,18 @@ type Table struct {
 // base-segment column BATs in schema order (all equal length); nil cols
 // creates an empty table.
 func New(name string, schema []ColumnDef, cols []*bat.BAT, sys *device.System) (*Table, error) {
-	if len(schema) == 0 {
-		return nil, fmt.Errorf("store: table %s has no columns", name)
-	}
 	if cols != nil && len(cols) != len(schema) {
 		return nil, fmt.Errorf("store: table %s: %d columns for %d schema entries", name, len(cols), len(schema))
+	}
+	return newTable(name, schema, cols, make([]*bwd.Column, len(schema)), sys)
+}
+
+// newTable creates a table whose base segment holds, per schema column, the
+// decomposition decs[i] or, where there is none, the BAT cols[i]; nil cols
+// creates an empty table.
+func newTable(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Column, sys *device.System) (*Table, error) {
+	if len(schema) == 0 {
+		return nil, fmt.Errorf("store: table %s has no columns", name)
 	}
 	t := &Table{
 		name:        name,
@@ -279,7 +307,11 @@ func New(name string, schema []ColumnDef, cols []*bat.BAT, sys *device.System) (
 		decBits:     make([]uint, len(schema)),
 		pkCols:      make([]bool, len(schema)),
 	}
-	n := 0
+	seg := &segment{
+		cols: make([]*bat.BAT, len(schema)),
+		decs: decs,
+		fk:   make([]*bulk.FKIndex, len(schema)),
+	}
 	for i, def := range schema {
 		if def.Name == "" {
 			return nil, fmt.Errorf("store: table %s: empty column name", name)
@@ -295,68 +327,57 @@ func New(name string, schema []ColumnDef, cols []*bat.BAT, sys *device.System) (
 		}
 		t.colIdx[def.Name] = i
 		t.rowBytes += int64(def.Width)
-		if cols != nil {
-			if i == 0 {
-				n = cols[i].Len()
-			} else if cols[i].Len() != n {
-				return nil, fmt.Errorf("store: column %s.%s has %d rows, table has %d", name, def.Name, cols[i].Len(), n)
-			}
+		rows := 0
+		switch {
+		case cols == nil:
+			seg.cols[i] = bat.NewDense([]int64{}, def.Width)
+		case decs[i] != nil: // the column is its decomposition: no tail beside it
+			rows = decs[i].Len()
+		case cols[i] != nil:
+			seg.cols[i], rows = cols[i], cols[i].Len()
+		default:
+			return nil, fmt.Errorf("store: column %s.%s has no values", name, def.Name)
+		}
+		if i == 0 {
+			seg.n = rows
+		} else if rows != seg.n {
+			return nil, fmt.Errorf("store: column %s.%s has %d rows, table has %d", name, def.Name, rows, seg.n)
 		}
 	}
-	seg := &segment{
-		n:    n,
-		cols: make([]*bat.BAT, len(schema)),
-		decs: make([]*bwd.Column, len(schema)),
-		fk:   make([]*bulk.FKIndex, len(schema)),
-	}
-	for i := range schema {
-		if cols != nil {
-			seg.cols[i] = cols[i]
-		} else {
-			seg.cols[i] = bat.NewDense([]int64{}, schema[i].Width)
-		}
-	}
-	t.cur.Store(&Snapshot{t: t, base: seg, liveBase: n})
+	t.cur.Store(&Snapshot{t: t, base: seg, liveBase: seg.n})
 	return t, nil
 }
 
-// Restore rebuilds a table from persisted state: the base-segment columns,
-// the (optional, per-column) restored decompositions, the recorded
-// decomposition bit widths, and the FK-indexed column markers. It is the
+// Restore rebuilds a table from persisted state: the base-segment columns
+// (a BAT per undecomposed column; a decomposed one's may be nil, and is not
+// kept), the restored decompositions, the recorded decomposition bit widths,
+// and the FK-indexed column markers. It is the
 // segment-load path of the durability subsystem — the table comes back
 // exactly as a checkpoint captured it, with FK indexes rebuilt from the
 // (strictly dense) key columns rather than deserialized. Delta rows are
 // not part of a checkpoint; recovery replays them from the WAL tail via
 // ordinary Insert/DeleteWhere calls.
 func Restore(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Column, decBits []uint, pkCols []bool, sys *device.System) (*Table, error) {
-	if len(decs) != len(schema) || len(decBits) != len(schema) || len(pkCols) != len(schema) {
+	if len(cols) != len(schema) || len(decs) != len(schema) || len(decBits) != len(schema) || len(pkCols) != len(schema) {
 		return nil, fmt.Errorf("store: restore %s: per-column state does not match schema arity", name)
 	}
-	t, err := New(name, schema, cols, sys)
+	t, err := newTable(name, schema, cols, append([]*bwd.Column(nil), decs...), sys)
 	if err != nil {
 		return nil, err
 	}
-	s := t.cur.Load()
-	seg := s.base.clone()
+	seg := t.cur.Load().base
 	for i := range schema {
-		if d := decs[i]; d != nil {
-			if d.Len() != seg.n {
-				return nil, fmt.Errorf("store: restore %s.%s: decomposition covers %d rows, segment has %d", name, schema[i].Name, d.Len(), seg.n)
-			}
-			seg.decs[i] = d
-		}
 		t.decBits[i] = decBits[i]
 		if !pkCols[i] {
 			continue
 		}
-		ix := bulk.BuildFKIndex(seg.cols[i].Tails())
+		ix := bulk.BuildFKIndex(seg.values(i, 0, seg.n, nil))
 		if ix == nil {
 			return nil, fmt.Errorf("store: restore %s: %s is no longer a dense key", name, schema[i].Name)
 		}
 		seg.fk[i] = ix
 		t.pkCols[i] = true
 	}
-	t.cur.Store(&Snapshot{t: t, base: seg, liveBase: seg.n})
 	return t, nil
 }
 
@@ -441,12 +462,6 @@ func (t *Table) Columns() []string {
 	return out
 }
 
-// Column returns the current base-segment BAT of a column — a convenience
-// for loaders and tests; executors read through a pinned Snapshot instead.
-func (t *Table) Column(name string) (*bat.BAT, error) {
-	return t.cur.Load().Column(name)
-}
-
 // ColumnScale returns the fixed-point scale of a column.
 func (t *Table) ColumnScale(name string) (int64, error) {
 	i, err := t.colIndex(name)
@@ -454,6 +469,16 @@ func (t *Table) ColumnScale(name string) (int64, error) {
 		return 0, err
 	}
 	return t.schema[i].Scale, nil
+}
+
+// ColumnWidth returns the physical bytes per value of a column: what the
+// cost model bills a scan of it by, whatever form the base holds it in.
+func (t *Table) ColumnWidth(name string) (int, error) {
+	i, err := t.colIndex(name)
+	if err != nil {
+		return 0, err
+	}
+	return t.schema[i].Width, nil
 }
 
 // ColIndex returns the schema index of a column.
@@ -529,7 +554,13 @@ func (t *Table) DeleteWhere(m *device.Meter, preds []Range) (int64, error) {
 	s := t.cur.Load()
 	base, delta := make([]bwd.Disjunct, len(preds)), make([]bwd.Disjunct, len(preds))
 	for k, p := range preds {
-		base[k] = bwd.Exactly(s.base.decs[idx[k]], s.base.cols[idx[k]].Tails(), p.Lo, p.Hi)
+		// A decomposed column is compared by its code and residual, as
+		// phase R compares it; another by its tails.
+		var tails []int64
+		if b := s.base.cols[idx[k]]; b != nil {
+			tails = b.Tails()
+		}
+		base[k] = bwd.Exactly(s.base.decs[idx[k]], tails, p.Lo, p.Hi)
 		delta[k] = bwd.Exactly(nil, s.deltaCol(idx[k]), p.Lo, p.Hi)
 	}
 	next := *s
@@ -539,7 +570,7 @@ func (t *Table) DeleteWhere(m *device.Meter, preds []Range) (int64, error) {
 	if m != nil {
 		var scanned int64
 		for k := range preds {
-			scanned += s.base.cols[idx[k]].TailBytes()
+			scanned += int64(s.base.n) * int64(t.schema[idx[k]].Width)
 		}
 		scanned += s.DeltaBytes()
 		m.CPUWork(1, scanned, 0, int64(s.base.n+s.deltaN)*int64(max(1, len(preds))))
@@ -592,7 +623,9 @@ func markWhere(del []uint64, n int, ds []bwd.Disjunct) ([]uint64, int) {
 }
 
 // Decompose bitwise-decomposes a column with the given device-resident bit
-// width, recording the width so merges re-decompose incrementally. A table
+// width, recording the width so merges re-decompose incrementally, and drops
+// the column's BAT: the decomposition is the column from then on. A column
+// decomposed already is decomposed anew from its code and residual. A table
 // with delta rows or deletions is merged first: decomposition always
 // covers the whole (compacted) base segment.
 func (t *Table) Decompose(m *device.Meter, col string, bits uint) (*bwd.Column, error) {
@@ -608,7 +641,12 @@ func (t *Table) Decompose(m *device.Meter, col string, bits uint) (*bwd.Column, 
 		}
 	}
 	s := t.cur.Load()
-	d, err := bwd.Decompose(s.base.cols[i], bits, t.sys)
+	var d *bwd.Column
+	if old := s.base.decs[i]; old != nil {
+		d, err = old.Redecompose(bits, t.sys)
+	} else {
+		d, err = bwd.Decompose(s.base.cols[i], bits, t.sys)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: bwdecompose(%s.%s, %d): %w", t.name, col, bits, err)
 	}
@@ -616,7 +654,7 @@ func (t *Table) Decompose(m *device.Meter, col string, bits uint) (*bwd.Column, 
 	if old := seg.decs[i]; old != nil {
 		old.Release()
 	}
-	seg.decs[i] = d
+	seg.cols[i], seg.decs[i] = nil, d
 	t.decBits[i] = bits
 	next := *s
 	next.base = seg
@@ -640,7 +678,7 @@ func (t *Table) BuildFKIndex(col string) error {
 		}
 	}
 	s := t.cur.Load()
-	ix := bulk.BuildFKIndex(s.base.cols[i].Tails())
+	ix := bulk.BuildFKIndex(s.base.values(i, 0, s.base.n, nil))
 	if ix == nil {
 		return fmt.Errorf("store: %s.%s is not a dense unique key", t.name, col)
 	}
@@ -697,19 +735,13 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 		decs: make([]*bwd.Column, stride),
 		fk:   make([]*bulk.FKIndex, stride),
 	}
-	for c := 0; c < stride; c++ {
-		vals := make([]int64, 0, newN)
-		for i, v := range s.base.cols[c].Tails() {
-			if !s.BaseDeleted(i) {
-				vals = append(vals, v)
+	fail := func(err error) (MergeStats, error) {
+		for _, nd := range seg.decs {
+			if nd != nil {
+				nd.Release()
 			}
 		}
-		for j, v := range s.deltaCol(c) {
-			if !s.DeltaDeleted(j) {
-				vals = append(vals, v)
-			}
-		}
-		seg.cols[c] = bat.NewDense(vals, t.schema[c].Width)
+		return MergeStats{}, err
 	}
 
 	var stats MergeStats
@@ -717,23 +749,43 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 	stats.DeltaRows = s.liveDelta
 	stats.DroppedRows = s.DeletedCount()
 
-	// Re-decompose recorded columns. Decompose-before-release means a
-	// racing reader of the old snapshot keeps a valid (released) view; the
-	// transient double allocation mirrors Catalog re-decomposition.
+	// Each column's surviving rows, base then delta — a decomposed base
+	// column decoded a block at a time — are kept as its BAT or, for a
+	// recorded decomposition, decomposed and dropped: the next such column
+	// reuses their buffer. Decompose-before-release means a racing reader of
+	// the old snapshot keeps a valid (released) view; the transient double
+	// allocation mirrors Catalog re-decomposition.
+	room := mem.I64.GetN(min(s.base.n, bwd.BlockRows))
+	defer mem.I64.Put(room)
+	var spare []int64
 	for c := 0; c < stride; c++ {
-		if t.decBits[c] == 0 || newN == 0 {
-			continue
+		keep := t.decBits[c] == 0 || newN == 0
+		vals := spare[:0]
+		if keep || vals == nil {
+			vals = make([]int64, 0, newN)
 		}
-		d, err := bwd.Decompose(seg.cols[c], t.decBits[c], t.sys)
-		if err != nil {
-			for _, nd := range seg.decs {
-				if nd != nil {
-					nd.Release()
+		for lo := 0; lo < s.base.n; lo += bwd.BlockRows {
+			for i, v := range s.base.values(c, lo, min(lo+bwd.BlockRows, s.base.n), room) {
+				if !s.BaseDeleted(lo + i) {
+					vals = append(vals, v)
 				}
 			}
-			return MergeStats{}, fmt.Errorf("store: merge %s: %w", t.name, err)
 		}
-		seg.decs[c] = d
+		for j, v := range s.deltaCol(c) {
+			if !s.DeltaDeleted(j) {
+				vals = append(vals, v)
+			}
+		}
+		b := bat.NewDense(vals, t.schema[c].Width)
+		if keep {
+			seg.cols[c] = b
+			continue
+		}
+		d, err := bwd.Decompose(b, t.decBits[c], t.sys)
+		if err != nil {
+			return fail(fmt.Errorf("store: merge %s: %w", t.name, err))
+		}
+		seg.decs[c], spare = d, vals
 		full := packedBytes(newN, d.Dec.ApproxBits)
 		stats.FullBytes += full
 		old := s.base.decs[c]
@@ -770,14 +822,9 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 		if !t.pkCols[c] {
 			continue
 		}
-		ix := bulk.BuildFKIndex(seg.cols[c].Tails())
+		ix := bulk.BuildFKIndex(seg.values(c, 0, newN, nil))
 		if ix == nil {
-			for _, nd := range seg.decs {
-				if nd != nil {
-					nd.Release()
-				}
-			}
-			return MergeStats{}, fmt.Errorf("store: merge %s: %s is no longer a dense key (deletes from an indexed dimension key cannot be compacted; drop and reload the table)", t.name, t.schema[c].Name)
+			return fail(fmt.Errorf("store: merge %s: %s is no longer a dense key (deletes from an indexed dimension key cannot be compacted; drop and reload the table)", t.name, t.schema[c].Name))
 		}
 		seg.fk[c] = ix
 	}

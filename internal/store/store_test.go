@@ -118,11 +118,11 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatalf("pinned snapshot mutated: len=%d delta=%d deleted=%d",
 			pinned.Len(), pinned.DeltaLen(), pinned.DeletedCount())
 	}
-	b, err := pinned.Column("v")
+	b, err := pinned.BaseValues("v", 0, pinned.BaseLen(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 10 || b.Tail(5) != 5 {
+	if len(b) != 10 || b[5] != 5 {
 		t.Fatal("pinned base column changed under reader")
 	}
 	if cur := tbl.Snapshot(); cur.Len() != 0 {
