@@ -2,6 +2,7 @@ package ar
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bat"
@@ -43,9 +44,14 @@ type conjunct struct {
 // granule parts the part index finds (bwd.ScanIndexed) instead of walking
 // every granule, and its second walks only the set's live granules — in both
 // scans, the A&R selection (SelectApproxOver) and the classic one (Narrow).
-// TestARScanZeroAlloc checks that the first conjunct takes the index, so the
-// gate measures that path and its arena scratch whatever the index decides
-// for the quarter ranges.
+// TestARScanZeroAlloc checks that the first conjunct of both trips fixtures
+// takes the index, so the gate measures that path and its arena scratch
+// whatever the index decides for the quarter ranges. The codes of those are
+// 8 and 16 bits wide, whose lanes fill words; trips23 is trips at
+// scan_range's real width, 23 device bits and no residual, and shuffled12 is
+// shuffled at l_shipdate's 12 device bits over 16-bit values, so the gate
+// also holds the compare of codes that straddle words — the ranges it
+// compiles per walk — to no allocation.
 var scanFixtures = []struct {
 	name string
 	cols []func(n int) []int64
@@ -65,6 +71,11 @@ var scanFixtures = []struct {
 		func(n int) []int64 { return runsInts(n, tripsSpan, 20, 7) },
 		func(n int) []int64 { return runsInts(n, tripsSpan, 20, 8) },
 	}, 16, func(int64) (int64, int64) { return tripsSpan / 2, tripsSpan/2 + tripsSpan/100 }},
+	{"trips23", []func(int) []int64{
+		func(n int) []int64 { return runsInts(n, 8*tripsSpan, 160, 7) },
+		func(n int) []int64 { return runsInts(n, 8*tripsSpan, 160, 8) },
+	}, 23, func(int64) (int64, int64) { return 4 * tripsSpan, 4*tripsSpan + 8*tripsSpan/100 }},
+	{"shuffled12", []func(int) []int64{func(n int) []int64 { return shuffledInts(n, 9) }}, 12, quarter},
 }
 
 // quarter is the range [n/4, n/2] of values in [0, n).
@@ -135,7 +146,7 @@ func TestARScanZeroAlloc(t *testing.T) {
 	for _, fx := range scanFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			f := newScanFixture(t, 50000, fx.cols, fx.bits, fx.rng)
-			if fx.name == "trips" && !bwd.Indexed([]bwd.Disjunct{f[0].col.Approximately(f[0].rng)}, granulesTo(len(f[0].vals))) {
+			if strings.HasPrefix(fx.name, "trips") && !bwd.Indexed([]bwd.Disjunct{f[0].col.Approximately(f[0].rng)}, granulesTo(len(f[0].vals))) {
 				t.Fatal("the first conjunct of trips walks every granule: the gate does not measure the part index")
 			}
 			for i := 0; i < 5; i++ {

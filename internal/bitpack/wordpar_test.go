@@ -215,12 +215,14 @@ func TestUnpack64MatchesGet(t *testing.T) {
 	}
 }
 
-// checkInRange64 holds the compare kernel to Get on every 64-aligned block of
-// a, the empty one at Len included, for the codes c with c − codeLo ≤ span
-// modulo 2^64: bit i of a block's word is the value at lo+i, and no bit is
-// set past Len.
-func checkInRange64(t testing.TB, a *Array, codeLo, span uint64) {
+// checkInRange64 compiles the codes c with c − codeLo ≤ span modulo 2^64
+// into r, which may hold a range compiled before — for another range or
+// another width — and holds the compare kernel to Get on every 64-aligned
+// block of a, the empty one at Len included: bit i of a block's word is the
+// value at lo+i, and no bit is set past Len.
+func checkInRange64(t testing.TB, a *Array, r *Range, codeLo, span uint64) {
 	t.Helper()
+	r.Compile(a.Width(), codeLo, span)
 	for lo := 0; lo <= a.Len(); lo += 64 {
 		var want uint64
 		for i := lo; i < min(lo+64, a.Len()); i++ {
@@ -228,20 +230,24 @@ func checkInRange64(t testing.TB, a *Array, codeLo, span uint64) {
 				want |= 1 << uint(i-lo)
 			}
 		}
-		if got := a.InRange64(lo, codeLo, span); got != want {
+		if got := a.InRange64(lo, r); got != want {
 			t.Fatalf("width %d n %d block %d, codes from %#x span %#x: got %#x want %#x", a.Width(), a.Len(), lo, codeLo, span, got, want)
 		}
 	}
 }
 
-// InRange64 at every width 0..64 — the lanes of the widths that divide 64,
-// the shift-carry compare of the rest — for every 64-aligned block of arrays
-// whose last block is every length from 1 to 64, over words that are random
-// in every bit, the tail past the last value included. The ranges start at
-// 0, inside the codes, at the largest code and above it, span nothing, some
-// or everything, and wrap past 2^64.
+// InRange64 at every width 0..64 — lanes within a word at 1, 2, 4, 8 and 16
+// bits, lanes across words at the other widths below 32, a compare per code
+// at 32 and 64 and the cursor between — for every 64-aligned block of
+// arrays whose last block is every length from 1 to 64, over words that are
+// random in every bit, the tail past the last value included. The ranges
+// start at 0, inside the codes, at the largest code and above it, span
+// nothing, some or everything, and wrap past 2^64; one Range is compiled
+// over and over, from width to width and range to range. A Range compiled
+// for another width, or never, is refused.
 func TestInRange64MatchesGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	var cr Range
 	for width := uint(0); width <= 64; width++ {
 		top := Mask(width)
 		for short := 1; short <= 64; short++ {
@@ -256,19 +262,25 @@ func TestInRange64MatchesGet(t *testing.T) {
 				{^uint64(0) - 3, 9}, // wraps to [0, 5]
 				{rng.Uint64(), rng.Uint64()},
 			} {
-				checkInRange64(t, a, c[0], c[1])
+				checkInRange64(t, a, &cr, c[0], c[1])
 			}
 		}
 	}
 	a := Pack(5, make([]uint64, 100))
-	for _, lo := range []int{-64, 1, 63, 128} {
+	cr.Compile(5, 0, 1)
+	var other, never Range
+	other.Compile(6, 0, 1)
+	for _, c := range []struct {
+		lo int
+		r  *Range
+	}{{-64, &cr}, {1, &cr}, {63, &cr}, {128, &cr}, {0, &other}, {0, &never}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("InRange64 at %d did not panic", lo)
+					t.Fatalf("InRange64 at %d with a range of width %d did not panic", c.lo, c.r.width)
 				}
 			}()
-			a.InRange64(lo, 0, 1)
+			a.InRange64(c.lo, c.r)
 		}()
 	}
 }
@@ -277,9 +289,11 @@ func TestInRange64MatchesGet(t *testing.T) {
 // over arbitrary widths (every one of 0..64), lengths and backing words:
 // Unpack64 on every block with no base and with the fuzzed one — any uint64,
 // a negative int64 base among them, added with wrapping — and nothing written
-// past the count it reports; InRange64 on every block, for the fuzzed code
-// range as given and cut to the width; and UnpackRange on one range, appended
-// behind a prefix it must leave alone.
+// past the count it reports; InRange64 on every block, the last one short
+// at most lengths, with one Range compiled in turn for the fuzzed code range
+// as given (its low end above the width's largest code at most widths), cut
+// to the width, every code and no code; and UnpackRange on one range,
+// appended behind a prefix it must leave alone.
 func FuzzUnpack(f *testing.F) {
 	f.Add(uint8(4), uint16(130), uint16(3), uint16(70), []byte{0xa5, 0x3c, 0xff, 0x01}, uint64(5), uint64(6), uint64(0))
 	f.Add(uint8(9), uint16(64), uint16(0), uint16(64), []byte{}, uint64(0), ^uint64(0), ^uint64(6))
@@ -287,6 +301,8 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(uint8(16), uint16(200), uint16(1), uint16(9), []byte{0x12, 0x34, 0x56}, uint64(0x3412), uint64(0x100), uint64(1000))
 	f.Add(uint8(9), uint16(100), uint16(0), uint16(0), []byte{}, uint64(0), uint64(0), uint64(0))
 	f.Add(uint8(0), uint16(70), uint16(0), uint16(0), []byte{}, uint64(0), uint64(0), ^uint64(0))
+	f.Add(uint8(23), uint16(157), uint16(5), uint16(40), []byte{0x9e, 0x37, 0x79, 0xb9, 0x7f, 0x4a}, uint64(0x3fffff), uint64(0x40001), uint64(7))
+	f.Add(uint8(12), uint16(1000), uint16(64), uint16(300), []byte{0xc3, 0x11}, uint64(0xf00), uint64(0xff), uint64(0))
 	f.Fuzz(func(t *testing.T, w uint8, size, from, span uint16, raw []byte, codeLo, codeSpan, base uint64) {
 		width, n := uint(w)%65, int(size)%2048
 		var words []uint64
@@ -304,8 +320,11 @@ func FuzzUnpack(f *testing.F) {
 		}
 		checkUnpack64(t, a, 0)
 		checkUnpack64(t, a, base)
-		checkInRange64(t, a, codeLo, codeSpan)
-		checkInRange64(t, a, codeLo&Mask(width), codeSpan&Mask(width))
+		var r Range
+		checkInRange64(t, a, &r, codeLo, codeSpan)
+		checkInRange64(t, a, &r, codeLo&Mask(width), codeSpan&Mask(width))
+		checkInRange64(t, a, &r, codeLo, ^uint64(0))
+		checkInRange64(t, a, &r, Mask(width)+1, codeSpan%(^Mask(width)|1)) // above every code, not wrapping
 		lo := int(from) % (n + 1)
 		hi := lo + int(span)%(n-lo+1)
 		prefix := []uint64{7, 8, 9}
@@ -351,21 +370,23 @@ func unpackInRange(a *Array, lo int, codeLo, span uint64, buf *[64]uint64) uint6
 }
 
 // BenchmarkInRange64 compares 1 M random codes with a 0.5 % code range a
-// block of 64 at a time, at lane widths and widths that straddle words: the
-// kernel, and beside it the loop a granule scan ran before it
-// (unpackInRange).
+// block of 64 at a time, at widths that divide 64 and widths whose codes
+// straddle words: the kernel, with the range compiled once as a walk does,
+// and beside it the loop a granule scan ran before it (unpackInRange).
 func BenchmarkInRange64(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(29))
-	for _, width := range []uint{4, 8, 12, 16, 23, 32} {
+	for _, width := range []uint{4, 6, 8, 12, 13, 16, 20, 23, 24, 32} {
 		a := Pack(width, randomVals(rng, width, n))
 		codeLo, span := Mask(width)/2, Mask(width)/200
 		b.Run(fmt.Sprintf("w%d/kernel", width), func(b *testing.B) {
 			b.SetBytes(a.Bytes())
+			var r Range
+			r.Compile(width, codeLo, span)
 			for b.Loop() {
 				k := 0
 				for lo := 0; lo < n; lo += 64 {
-					k += bits.OnesCount64(a.InRange64(lo, codeLo, span))
+					k += bits.OnesCount64(a.InRange64(lo, &r))
 				}
 				compareSink = k
 			}
@@ -379,6 +400,29 @@ func BenchmarkInRange64(b *testing.B) {
 					k += bits.OnesCount64(unpackInRange(a, lo, codeLo, span, &buf))
 				}
 				compareSink = k
+			}
+		})
+	}
+}
+
+// BenchmarkUnpack64 decodes 1 M random codes a block of 64 at a time into a
+// granule's array, at the widths of the workloads' columns (l_quantity 6,
+// l_shipdate 12 bits) and of the decode's other judged lines.
+func BenchmarkUnpack64(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(21))
+	for _, width := range []uint{6, 12, 20, 24} {
+		a := Pack(width, randomVals(rng, width, n))
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			b.SetBytes(a.Bytes())
+			var buf [64]uint64
+			for b.Loop() {
+				var sum uint64
+				for lo := 0; lo < n; lo += 64 {
+					a.Unpack64(&buf, lo, 0)
+					sum += buf[lo>>6&63]
+				}
+				compareSink = int(sum)
 			}
 		})
 	}

@@ -208,7 +208,7 @@ func TestDecisionMatchesRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	indexed := 0
 	for _, w := range []struct{ approx, res uint }{{1, 0}, {1, 5}, {24, 0}, {24, 8}, {63, 0}, {24, 40}, {63, 1},
-		{4, 0}, {8, 3}, {12, 0}, {16, 1}, {32, 0}} {
+		{4, 0}, {8, 3}, {12, 0}, {16, 1}, {32, 0}, {6, 0}, {13, 0}, {20, 0}, {20, 4}, {23, 0}} {
 		for _, l := range layouts(rng, bitpack.Mask(w.approx)) {
 			label, codes := fmt.Sprintf("%d+%d bits, %s", w.approx, w.res, l.name), l.codes
 			col, vals := decideColumn(t, rng, w.approx, w.res, codes)
@@ -260,6 +260,7 @@ func TestDecisionMatchesRowOracle(t *testing.T) {
 					want func(i int) bool
 				}{
 					{"exact", bwd.Exactly(col, vals, vr[0], vr[1]), exact},
+					{"exact, rebuilt", bwd.Exactly(col, nil, vr[0], vr[1]), exact},
 					{"exact, no bounds", bwd.Exactly(nil, vals, vr[0], vr[1]), exact},
 					{"approximate", col.Approximately(relaxed), func(i int) bool { return relaxed.Contains(codes[i]) }},
 				} {

@@ -21,10 +21,13 @@ import (
 // (internal/ar), the classic selection (internal/plan) and DELETE ... WHERE
 // (internal/store) all select through it; they differ only in what a
 // Disjunct compares in a granule the bounds leave open (DESIGN.md §13).
-// Packed codes are compared where they lie, by bitpack.InRange64 — several
-// to a word where the width allows — so a walk unpacks no granule and keeps
-// no buffer. A foreign-key join selects through it too: its probe and the
-// filters on its dimension are disjuncts read through a Key (DESIGN.md §8).
+// Packed codes are compared where they lie, by bitpack.InRange64: below 32
+// bits all 64 codes of a granule at once, lanes across its words whatever
+// the width, with a range the walk compiles on its stack where it first
+// compares a granule (ranges) and reuses to its end — so a walk unpacks no
+// granule and keeps no buffer on the heap. A foreign-key join selects
+// through it too: its probe and the filters on its dimension are disjuncts
+// read through a Key (DESIGN.md §8).
 
 // GranuleRows is the row count of one scan granule: the rows whose
 // survivors a scan records in one 64-bit word. It is the machine word size,
@@ -276,8 +279,10 @@ type Outcomes struct{ Skipped, Inside, Compared uint64 }
 
 // compare returns which of the rows of granule g satisfy the disjunct,
 // reading them: through its key, its exact values (Tails, or Col's own,
-// rebuilt) or its packed codes.
-func (d *Disjunct) compare(g int, rows uint64) uint64 {
+// rebuilt) or its packed codes. The packed codes are compared with Outer and
+// Inner compiled into rs (bitpack.Range), the walk's, where they are first
+// compared whole; rs holds them for the rest of the walk.
+func (d *Disjunct) compare(g int, rows uint64, rs *ranges) uint64 {
 	base := g * GranuleRows
 	switch {
 	case d.Key != nil:
@@ -285,10 +290,17 @@ func (d *Disjunct) compare(g int, rows uint64) uint64 {
 	case d.Tails != nil:
 		return compareValues(d.Tails, base, rows, d.Lo, d.Hi)
 	case d.exact:
-		return d.compareRebuilt(base, rows)
+		return d.compareRebuilt(base, rows, rs)
 	}
-	return compareCodes(d.Col.Approx, base, rows, d.Outer.Lo, d.Outer.Hi-d.Outer.Lo)
+	return compareCodes(d.Col.Approx, base, rows, d.Outer, &rs[0])
 }
+
+// ranges is where a walk, on its stack, compiles the code ranges it compares
+// packed codes with: a disjunct's Outer in the first and its Inner in the
+// second. A range is compiled where a granule is first compared whole and
+// kept to the walk's end, unless another disjunct of its OR group compiled a
+// different one in between; a walk that compares nothing compiles nothing.
+type ranges [2]bitpack.Range
 
 // through is compare for a disjunct read through its key: one look at the
 // dimension per row of rows, the granule at base.
@@ -358,6 +370,7 @@ func NarrowGranules(ds []Disjunct, mask, live []uint64, lo, hi int) (n int, o Ou
 func walk(ds []Disjunct, mask, live []uint64, lo, hi int, narrowing bool) (n int, o Outcomes) {
 	g0, g1 := lo/GranuleRows, (hi+GranuleRows-1)/GranuleRows
 	var rows [64]uint64
+	var rs ranges
 	if !narrowing {
 		for j := range rows {
 			rows[j] = ^uint64(0)
@@ -380,7 +393,7 @@ func walk(ds []Disjunct, mask, live []uint64, lo, hi int, narrowing bool) (n int
 		var full, compared, nz uint64
 		keep := uint64(0) // the first disjunct's answer replaces the word
 		for k := range ds {
-			c, z, m := ds[k].decideBlock(mask, &rows, base, visit&^full, keep)
+			c, z, m := ds[k].decideBlock(mask, &rows, base, visit&^full, keep, &rs)
 			compared, nz, n, keep = compared|c, nz|z, n+m, ^uint64(0)
 			if k+1 < len(ds) {
 				full = fullGranules(mask, &rows, base, visit)
@@ -396,10 +409,11 @@ func walk(ds []Disjunct, mask, live []uint64, lo, hi int, narrowing bool) (n int
 
 // decideBlock asks the disjunct about the granules todo of the 64 from base
 // — of granule base+j the rows rows[j] — and ORs the rows that satisfy it
-// into their words, kept only as far as keep says (0: replaced). It returns
-// the granules it read rows of, the granules whose word is not zero, and how
-// many rows it added.
-func (d *Disjunct) decideBlock(mask []uint64, rows *[64]uint64, base int, todo, keep uint64) (compared, nz uint64, n int) {
+// into their words, kept only as far as keep says (0: replaced), comparing
+// packed codes with the ranges compiled in rs. It returns the granules it
+// read rows of, the granules whose word is not zero, and how many rows it
+// added.
+func (d *Disjunct) decideBlock(mask []uint64, rows *[64]uint64, base int, todo, keep uint64, rs *ranges) (compared, nz uint64, n int) {
 	bounded := d.Col != nil && d.Key == nil
 	var recs []Split
 	if bounded {
@@ -419,7 +433,7 @@ func (d *Disjunct) decideBlock(mask []uint64, rows *[64]uint64, base int, todo, 
 			sure, maybe = hs|ts, hm|tm
 		}
 		if maybe != 0 {
-			sure |= d.compare(g, maybe)
+			sure |= d.compare(g, maybe, rs)
 			compared |= 1 << uint(j)
 		}
 		old := mask[g] & keep
@@ -689,6 +703,7 @@ func ScanIndexed(ds []Disjunct, mask, live []uint64, rows, chunk int, counts []i
 	for j := range ds {
 		most = max(most, ds[j].lookups())
 	}
+	var rs ranges
 	scratch := mem.U64.GetN(2*words + 2*most)
 	compared, full, open := scratch[:words], scratch[words:2*words], scratch[2*words:]
 	clear(compared)
@@ -707,7 +722,7 @@ func ScanIndexed(ds []Disjunct, mask, live []uint64, rows, chunk int, counts []i
 		k := d.settleParts(mask, live, full, rows, open)
 		for p := 0; p < k; p += 2 {
 			g := int(open[p])
-			mask[g] |= d.compare(g, open[p+1])
+			mask[g] |= d.compare(g, open[p+1], &rs)
 			compared[g>>6] |= 1 << uint(g&63)
 		}
 	}
@@ -765,17 +780,21 @@ func found(mask, live, open []uint64, k, g int, sure, maybe uint64) int {
 
 // denseRows is the row count from which reading a granule whole — one
 // in-place compare of its codes, one pass over its values — is cheaper than
-// one positional access per row wanted. For codes that point moves with the
-// width: one Get per row costs as much as the whole-granule compare at about
-// 7 rows for 8-bit codes, 12 for 16-bit ones and 17–20 for 12- and 23-bit
-// ones, which cut words (2-vCPU x86-64 host); 16 sits between them.
+// one positional access per row wanted. For codes, one Get per row costs as
+// much as the whole-granule compare (a compiled range, lanes across words)
+// at about 8 rows for 6- and 12-bit codes and 6 for 23-bit ones, in order
+// over 1 M codes (2-vCPU x86-64 host). In a walk the rows asked about are
+// scattered: at 8, TPC-H Q6 and Q14 (BenchmarkOpOlapTail) ran no faster
+// than at 16, within the host's spread, and a granule of exact values, read
+// whole, costs more than one of codes; 16 stays.
 const denseRows = 16
 
 // compareCodes returns which of the rows of the granule at base that are set
-// in rows have a code in [lo, lo+span]: the granule's codes compared where
-// they lie (bitpack.InRange64), or — when few rows are asked about — one Get
-// per row.
-func compareCodes(approx *bitpack.Array, base int, rows, lo, span uint64) uint64 {
+// in rows have a code in r: the granule's codes compared where they lie,
+// with r compiled into c (bitpack.Array.InRange64), or — when few rows are
+// asked about — one Get per row.
+func compareCodes(approx *bitpack.Array, base int, rows uint64, r Codes, c *bitpack.Range) uint64 {
+	lo, span := r.Lo, r.Hi-r.Lo
 	if bits.OnesCount64(rows) < denseRows {
 		var word uint64
 		for w := rows; w != 0; w &= w - 1 {
@@ -784,7 +803,8 @@ func compareCodes(approx *bitpack.Array, base int, rows, lo, span uint64) uint64
 		}
 		return word
 	}
-	return approx.InRange64(base, lo, span) & rows
+	c.Compile(approx.Width(), lo, span)
+	return approx.InRange64(base, c) & rows
 }
 
 // compareValues is compareCodes over exact values: which of the rows set in
@@ -814,7 +834,7 @@ func compareValues(tails []int64, base int, rows uint64, lo, hi int64) uint64 {
 // Col's own value (rebuilt). In a granule with many such rows the codes are
 // compared twice where they lie, with Inner and with Outer, and that settles
 // every row but those in a boundary bucket.
-func (d *Disjunct) compareRebuilt(base int, rows uint64) uint64 {
+func (d *Disjunct) compareRebuilt(base int, rows uint64, rs *ranges) uint64 {
 	var word uint64
 	if bits.OnesCount64(rows) < denseRows {
 		for w := rows; w != 0; w &= w - 1 {
@@ -825,12 +845,12 @@ func (d *Disjunct) compareRebuilt(base int, rows uint64) uint64 {
 	}
 	approx := d.Col.Approx
 	if d.Inner.Lo <= d.Inner.Hi {
-		word = approx.InRange64(base, d.Inner.Lo, d.Inner.Hi-d.Inner.Lo) & rows
+		word = compareCodes(approx, base, rows, d.Inner, &rs[1])
 	}
 	if d.Inner == d.Outer { // no boundary bucket: a resident column, or a range of every code or none
 		return word
 	}
-	for w := approx.InRange64(base, d.Outer.Lo, d.Outer.Hi-d.Outer.Lo) & rows &^ word; w != 0; w &= w - 1 {
+	for w := compareCodes(approx, base, rows, d.Outer, &rs[0]) &^ word; w != 0; w &= w - 1 {
 		i := bits.TrailingZeros64(w)
 		word |= d.rebuilt(base+i) << uint(i)
 	}
