@@ -69,9 +69,9 @@ func (p *Projection) Ship(m *device.Meter) {
 // for free because each lane writes at the position of its input id
 // (§IV-A item 2). On the host it stores nothing: its readers decode the
 // column by mask — a column of the scanned table by granule, one decode where
-// a granule's survivors are dense, one Get per survivor where they are sparse
-// (emitGranule), a dimension column by one Get per survivor through its key —
-// and the charge is the operator's.
+// a granule's survivors are dense, one read per survivor where they are
+// sparse (emitGranule), a dimension column by one read per survivor through
+// its key — and the charge is the operator's.
 func ProjectApprox(m *device.Meter, col *bwd.Column, key *bwd.Key, cands *Candidates) *Projection {
 	n := cands.Len()
 	chargeProject(m, col, n)
@@ -183,7 +183,7 @@ func (c *Candidates) Rebuild(col *bwd.Column, key *bwd.Key, out []int64, g0, g1 
 			}
 		case k < denseSurvivors:
 			for i, w := 0, word; w != 0; i, w = i+1, w&(w-1) {
-				out[at+i] = col.ReconstructFrom(codes[i], col.Residual.Get(base+bits.TrailingZeros64(w)))
+				out[at+i] = col.ReconstructFrom(codes[i], col.Residual.At(base+bits.TrailingZeros64(w)))
 			}
 		default:
 			col.Residual.Unpack64(&res, base, 0)

@@ -392,8 +392,14 @@ func (c *Candidates) Granules(g0, g1 int) ([]uint64, int) {
 }
 
 // denseSurvivors is the survivor count from which reading a granule by one
-// 64-row decode is cheaper than one positional Get per survivor.
-const denseSurvivors = 16
+// 64-row decode — the width's kernel, then a pass over the granule's holes —
+// is cheaper than one At per survivor. In order over 1 M random codes
+// (2-vCPU x86-64 host) the two cost the same, ≈ 120 ns a granule, at about
+// 32 survivors at 2, 4, 12 and 23 bits: the decode is ≈ 25 ns of it, the
+// pass over the holes the rest, and At ≈ 3.5 ns a survivor. TPC-H Q1, Q6
+// and Q14 (BenchmarkOpOlapTail), whose words are nearly full or nearly
+// empty, ran alike at 16 and 32.
+const denseSurvivors = 32
 
 // decodeGranules writes one packed column's codes of the rows of granules
 // [g0,g1) whose mask bit is set into the front of out, in row order, and
@@ -401,7 +407,7 @@ const denseSurvivors = 16
 // anyone else's. It is the one loop every reader of a column by mask runs — a
 // projection, the grouping keys, the aggregate program's registers — and
 // emitGranule the one rule it applies to a column of the scanned table. A
-// dimension column is read through key, one Get per survivor at the position
+// dimension column is read through key, one At per survivor at the position
 // its key joins: only a survivor's key is known to have a partner.
 func decodeGranules(approx *bitpack.Array, key *bwd.Key, out []uint64, mask []uint64, g0, g1 int) int {
 	var buf [bwd.GranuleRows]uint64
@@ -412,7 +418,7 @@ func decodeGranules(approx *bitpack.Array, key *bwd.Key, out []uint64, mask []ui
 		case key != nil:
 			for w, base := word, g*bwd.GranuleRows; w != 0; w &= w - 1 {
 				pos, _ := key.At(base + bits.TrailingZeros64(w))
-				out[k] = approx.Get(pos)
+				out[k] = approx.At(pos)
 				k++
 			}
 		default:
@@ -434,7 +440,7 @@ func emitGranule(approx *bitpack.Array, out []uint64, word uint64, base int, buf
 	if cnt < denseSurvivors {
 		k := 0
 		for w := word; w != 0; w &= w - 1 {
-			out[k] = approx.Get(base + bits.TrailingZeros64(w))
+			out[k] = approx.At(base + bits.TrailingZeros64(w))
 			k++
 		}
 		return cnt

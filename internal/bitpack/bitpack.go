@@ -10,9 +10,16 @@
 // Width 0 is supported and denotes an array of zeros that occupies no
 // storage; it arises when a column is fully GPU resident (the residual is
 // empty) or fully CPU resident (the approximation carries no bits).
+//
+// Values are read back a block of 64 at a time: such a block fills exactly
+// width words, and each width 1..63 decodes it with a straight-line kernel
+// of constant shifts (Unpack64; cmd/unpackgen generates the kernels into
+// unpack_gen.go). Get reads one value with its checks, At one without them.
 package bitpack
 
 import "fmt"
+
+//go:generate go run ../../cmd/unpackgen
 
 // Array is a fixed-width bit-packed integer array. The zero value is an
 // empty array of width 0.
@@ -130,6 +137,18 @@ func (a *Array) Get(i int) uint64 {
 	return v & Mask(a.width)
 }
 
+// At is Get for a reader that knows i lies in [0, Len()) and the width is
+// not 0 (there the value's last bit, off+width−1, wraps below 0 and the read
+// panics): no check and no branch — the word the value starts in and the one
+// it ends in, the same word when it does not straddle, whose bits below the
+// start then shift out of the mask — so it inlines into a per-row loop.
+func (a *Array) At(i int) uint64 {
+	w := uint64(a.width)
+	off := uint64(i) * w
+	sh := off & 63
+	return (a.words[off>>6]>>sh | a.words[(off+w-1)>>6]<<((64-sh)&63)) & (^uint64(0) >> ((64 - w) & 63))
+}
+
 // Set stores v at index i, masking v to the array width.
 // It panics if i is out of range.
 func (a *Array) Set(i int, v uint64) {
@@ -151,8 +170,10 @@ func (a *Array) Set(i int, v uint64) {
 }
 
 // UnpackRange appends the values at positions [lo, hi) to dst and returns
-// the extended slice, decoded word-at-a-time (unpack): it replaces the
-// branch-and-shift-per-element Get in scan-shaped loops.
+// the extended slice. It decodes a block of 64 at a time (Unpack64), whole
+// blocks in place and an unaligned head or tail through a block on the
+// stack: it replaces the branch-and-shift-per-element Get in scan-shaped
+// loops.
 func (a *Array) UnpackRange(dst []uint64, lo, hi int) []uint64 {
 	if lo < 0 || hi > a.n || lo > hi {
 		panic(fmt.Sprintf("bitpack: range [%d,%d) out of bounds [0,%d]", lo, hi, a.n))
@@ -163,18 +184,31 @@ func (a *Array) UnpackRange(dst []uint64, lo, hi int) []uint64 {
 		copy(grown, dst)
 		dst = grown
 	}
-	at := len(dst)
-	dst = dst[:at+n]
-	a.unpack(dst[at:], lo, 0)
-	return dst
+	out := dst[len(dst) : len(dst)+n]
+	var blk [64]uint64
+	for lo < hi {
+		if lo&63 == 0 && hi-lo >= 64 {
+			a.Unpack64((*[64]uint64)(out), lo, 0)
+			out, lo = out[64:], lo+64
+			continue
+		}
+		at := lo &^ 63
+		a.Unpack64(&blk, at, 0)
+		k := copy(out, blk[lo-at:min(hi-at, 64)])
+		out, lo = out[k:], lo+k
+	}
+	return dst[:len(dst)+n]
 }
 
 // Unpack64 decodes the values at positions [lo, min(lo+64, Len())) into dst,
 // each plus base (wrapping), and returns how many it wrote; lo must be a
-// multiple of 64. Such a block of 64 values always starts on a word boundary
-// (64·width bits is a whole number of words) and lands straight in the
-// caller's array — the granule decode of the A&R approximate scan (base 0:
-// the codes) and of the aggregate program's dense blocks, where a fully
+// multiple of 64. Such a block of 64 values is exactly width words from a
+// word boundary on, and every width 1..63 has a kernel of its own that
+// decodes one with constant shifts (unpack_gen.go, written by cmd/unpackgen);
+// width 0 is a fill with base and 64 a copy. A short last block is decoded
+// over a zero-padded copy of its words on the stack and its values copied
+// out. It is the granule decode of the A&R approximate scan (base 0: the
+// codes) and of the aggregate program's dense blocks, where a fully
 // device-resident column's base makes each code its value. Entries of dst
 // past the returned count are left untouched, and bits of the last backing
 // word beyond the final value are never interpreted.
@@ -182,72 +216,27 @@ func (a *Array) Unpack64(dst *[64]uint64, lo int, base uint64) int {
 	if lo < 0 || lo > a.n || lo&63 != 0 {
 		panic(fmt.Sprintf("bitpack: block start %d not a multiple of 64 in [0,%d]", lo, a.n))
 	}
-	n := min(64, a.n-lo)
-	a.unpack(dst[:n], lo, base)
-	return n
-}
-
-// unpack decodes the len(out) values from position lo on into out, adding
-// base to each as it writes it — the one decode kernel, whose code-only
-// callers pass 0: a width that divides 64 (1, 2, 4, 8, 16, 32) never
-// straddles a word, so every value is one shift of the word it lies in and
-// none waits on the one before (of the loops measured, the fastest); any
-// other width runs the shift-carry loop.
-func (a *Array) unpack(out []uint64, lo int, base uint64) {
-	width := a.width
+	n, width := min(64, a.n-lo), a.width
 	switch {
-	case len(out) == 0:
+	case n == 0:
 	case width == 0:
-		for i := range out {
-			out[i] = base
+		for i := range dst[:n] {
+			dst[i] = base
 		}
 	case width == 64:
-		for i, w := range a.words[lo:][:len(out)] {
-			out[i] = w + base
+		for i, w := range a.words[lo : lo+n] {
+			dst[i] = w + base
 		}
-	case 64%width == 0:
-		mask, at := Mask(width), uint(lo)*width
-		sh := at & 63
-		for _, word := range a.words[at>>6:] {
-			v, run := word>>sh, out[:min(len(out), int((64-sh)/width))]
-			for i := range run {
-				run[i] = v&mask + base
-				v >>= width & 63
-			}
-			if out = out[len(run):]; len(out) == 0 {
-				break
-			}
-			sh = 0
-		}
+	case n == 64:
+		unpackBlock(dst, a.words[lo>>6*int(width):], width, base)
 	default:
-		off := uint64(lo) * uint64(width)
-		shiftCarry(out, a.words[off>>6:], uint(off&63), width, base)
+		var pad [63]uint64
+		var blk [64]uint64
+		copy(pad[:width], a.words[lo>>6*int(width):])
+		unpackBlock(&blk, pad[:width], width, base)
+		copy(dst[:n], blk[:n])
 	}
-}
-
-// shiftCarry decodes len(dst) values of the given width (1..63) that start
-// at bit sh of words[0], each plus base: it keeps a bit cursor and reads
-// each backing word once, carrying straddled low bits into the next value.
-func shiftCarry(dst, words []uint64, sh, width uint, base uint64) {
-	mask := Mask(width)
-	cur := words[0] >> sh
-	avail := 64 - sh // valid low bits in cur
-	w := 0
-	for i := range dst {
-		var v uint64
-		if avail >= width {
-			v = cur & mask
-			cur >>= width & 63
-			avail -= width
-		} else {
-			w++
-			next := words[w]
-			v = (cur | next<<(avail&63)) & mask
-			cur = next >> ((width - avail) & 63)
-			avail = 64 - (width - avail)
-		}
-		dst[i] = v + base
-	}
+	return n
 }
 
 // Words exposes the backing 64-bit words (nil for width 0). Callers must

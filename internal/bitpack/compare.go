@@ -77,7 +77,8 @@ func (r *Range) Compile(width uint, codeLo, span uint64) {
 // outnumber the width. A short last granule runs the same over its words
 // padded with zeros. From 32 bits on a word holds two codes or fewer, and the
 // lanes cost more per word than a plain compare per code: 32 and 64 bits are
-// compared code by code, the widths between by the shift-carry cursor.
+// compared code by code where they lie, the widths between decoded into a
+// block on the stack by the width's kernel (Unpack64) and compared there.
 func (a *Array) InRange64(lo int, r *Range) uint64 {
 	if lo < 0 || lo > a.n || lo&63 != 0 {
 		panic(fmt.Sprintf("bitpack: block start %d not a multiple of 64 in [0,%d]", lo, a.n))
@@ -107,7 +108,13 @@ func (a *Array) InRange64(lo int, r *Range) uint64 {
 		}
 		return out & live
 	case width > 32:
-		return inRangeCarry(a.words[lo>>6*width:], n, a.width, codeLo, span)
+		var codes [64]uint64
+		a.Unpack64(&codes, lo, 0)
+		var out uint64
+		for i, c := range codes[:n] {
+			out |= in(c, codeLo, span) << uint(i)
+		}
+		return out
 	case n < 64:
 		var pad [31]uint64
 		copy(pad[:], a.words[lo>>6*width:])
@@ -263,34 +270,6 @@ func laneRange(codeLo, span, max uint64) (lo, sp uint64, ok bool) {
 		return 0, min(hi, max), true
 	}
 	return codeLo, (hi - codeLo) & max, true // hi < codeLo ≤ max: wraps modulo 2^w too
-}
-
-// inRangeCarry is InRange64 over the n codes of a width between 32 and 64,
-// from the first word of the block on: shiftCarry's cursor, each code
-// compared as it is cut out. A code's bit enters out at the top and moves
-// down one place per code after it — shifts by constants, where setting bit
-// i would be a shift by a variable.
-func inRangeCarry(words []uint64, n int, width uint, codeLo, span uint64) uint64 {
-	mask := Mask(width)
-	cur, avail := words[0], uint(64)
-	w := 0
-	var out uint64
-	for range n {
-		var c uint64
-		if avail >= width {
-			c = cur & mask
-			cur >>= width
-			avail -= width
-		} else {
-			w++
-			next := words[w]
-			c = (cur | next<<avail) & mask
-			cur = next >> (width - avail)
-			avail = 64 - (width - avail)
-		}
-		out = out>>1 | in(c, codeLo, span)<<63
-	}
-	return out >> uint(64-n)
 }
 
 // in is 1 when c − lo ≤ span and 0 otherwise, without a branch.

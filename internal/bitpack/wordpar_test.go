@@ -198,8 +198,8 @@ func checkUnpack64(t testing.TB, a *Array, base uint64) {
 	}
 }
 
-// Unpack64 at every width 0..64 — the word-by-word path of the widths that
-// divide 64 and the shift-carry path of the rest — for every 64-aligned
+// Unpack64 at every width 0..64 — the fill at 0, the copy at 64 and a
+// generated kernel at every width between — for every 64-aligned
 // block of arrays whose last block is every length from 1 to 64, over words
 // that are random in every bit, plus no base and a random one: a column's
 // base is any int64, a negative one a wrapping uint64.
@@ -238,7 +238,7 @@ func checkInRange64(t testing.TB, a *Array, r *Range, codeLo, span uint64) {
 
 // InRange64 at every width 0..64 — lanes within a word at 1, 2, 4, 8 and 16
 // bits, lanes across words at the other widths below 32, a compare per code
-// at 32 and 64 and the cursor between — for every 64-aligned block of
+// at 32 and 64 and a kernel decode between — for every 64-aligned block of
 // arrays whose last block is every length from 1 to 64, over words that are
 // random in every bit, the tail past the last value included. The ranges
 // start at 0, inside the codes, at the largest code and above it, span
@@ -303,6 +303,8 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(uint8(0), uint16(70), uint16(0), uint16(0), []byte{}, uint64(0), uint64(0), ^uint64(0))
 	f.Add(uint8(23), uint16(157), uint16(5), uint16(40), []byte{0x9e, 0x37, 0x79, 0xb9, 0x7f, 0x4a}, uint64(0x3fffff), uint64(0x40001), uint64(7))
 	f.Add(uint8(12), uint16(1000), uint16(64), uint16(300), []byte{0xc3, 0x11}, uint64(0xf00), uint64(0xff), uint64(0))
+	f.Add(uint8(40), uint16(157), uint16(60), uint16(90), []byte{0x5a, 0xe1, 0x07, 0x93, 0xcc}, uint64(1)<<39, uint64(1)<<30, uint64(3))
+	f.Add(uint8(63), uint16(100), uint16(1), uint16(98), []byte{0xff, 0x00, 0x81, 0x7e}, uint64(0), uint64(1)<<62, ^uint64(0))
 	f.Fuzz(func(t *testing.T, w uint8, size, from, span uint16, raw []byte, codeLo, codeSpan, base uint64) {
 		width, n := uint(w)%65, int(size)%2048
 		var words []uint64
@@ -338,6 +340,39 @@ func FuzzUnpack(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Unpack64 into a caller's stack block allocates nothing, a whole block or a
+// short last one, at the fill, the copy and the kernels between: the kernels
+// are reached through a switch, which escape analysis sees through, where a
+// table of function values would move every caller's block to the heap.
+func TestUnpack64DoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, width := range []uint{0, 1, 4, 13, 23, 40, 63, 64} {
+		a := Pack(width, randomVals(rng, width, 100))
+		if n := testing.AllocsPerRun(100, func() {
+			var dst [64]uint64
+			a.Unpack64(&dst, 0, 0)
+			a.Unpack64(&dst, 64, 1)
+			compareSink += int(dst[7])
+		}); n != 0 {
+			t.Errorf("width %d: Unpack64 into a stack block allocates %.1f/op", width, n)
+		}
+	}
+}
+
+// At reads what Get reads at every width 1..64 and every position, over
+// words that are random in every bit, the tail past the last value included.
+func TestAtMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for width := uint(1); width <= 64; width++ {
+		a := randomWords(t, rng, width, 2*64+int(width))
+		for i := range a.Len() {
+			if got, want := a.At(i), a.Get(i); got != want {
+				t.Fatalf("width %d pos %d: At %#x, Get %#x", width, i, got, want)
+			}
+		}
+	}
 }
 
 func TestUnpackRangeReusesDst(t *testing.T) {
@@ -406,12 +441,14 @@ func BenchmarkInRange64(b *testing.B) {
 }
 
 // BenchmarkUnpack64 decodes 1 M random codes a block of 64 at a time into a
-// granule's array, at the widths of the workloads' columns (l_quantity 6,
-// l_shipdate 12 bits) and of the decode's other judged lines.
+// granule's array, at the widths of the workloads' columns — Q1's keys
+// (l_linestatus 1, l_returnflag 2 bits), l_discount and l_tax 4,
+// l_quantity 6, l_shipdate 12, l_partkey 13, trips' lon/lat 23 — and of
+// the decode's other judged lines, two above 32 bits among them.
 func BenchmarkUnpack64(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(21))
-	for _, width := range []uint{6, 12, 20, 24} {
+	for _, width := range []uint{1, 2, 4, 6, 12, 13, 20, 23, 24, 40, 63} {
 		a := Pack(width, randomVals(rng, width, n))
 		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
 			b.SetBytes(a.Bytes())

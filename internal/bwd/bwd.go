@@ -209,6 +209,9 @@ func Restore(dec Decomposition, approx, res *bitpack.Array, sys *device.System) 
 	if res.Len() != approx.Len() {
 		return nil, fmt.Errorf("bwd: restore: approximation has %d values, residual %d", approx.Len(), res.Len())
 	}
+	if dec.ApproxBits == 0 { // the constructors keep one bit, and the per-row readers (bitpack.At) rely on it
+		return nil, fmt.Errorf("bwd: restore: approximation of 0 bits")
+	}
 	if approx.Width() != dec.ApproxBits || res.Width() != dec.ResBits {
 		return nil, fmt.Errorf("bwd: restore: plane widths %d/%d do not match decomposition %d/%d",
 			approx.Width(), res.Width(), dec.ApproxBits, dec.ResBits)

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bat"
+	"repro/internal/bitpack"
 	"repro/internal/device"
 )
 
@@ -195,6 +196,12 @@ func TestDecomposeErrors(t *testing.T) {
 	}
 	if _, err := Decompose(b, 64, nil); err == nil {
 		t.Error("approxBits 64 did not error")
+	}
+	// A persisted decomposition is refused a 0-bit approximation, which no
+	// constructor makes and the per-row reads cannot index.
+	dec := Decomposition{TotalBits: 4, ResBits: 4, Width: 4}
+	if _, err := Restore(dec, bitpack.New(0, 3), bitpack.New(4, 3), nil); err == nil {
+		t.Error("Restore of a 0-bit approximation did not error")
 	}
 }
 

@@ -324,7 +324,7 @@ func (d *Disjunct) through(base int, rows uint64) uint64 {
 		case d.exact:
 			word |= d.rebuilt(pos) << uint(i)
 		case d.Col != nil:
-			word |= inRange(d.Col.Approx.Get(pos), lo, span) << uint(i)
+			word |= inRange(d.Col.Approx.At(pos), lo, span) << uint(i)
 		default:
 			word |= 1 << uint(i)
 		}
@@ -780,9 +780,9 @@ func found(mask, live, open []uint64, k, g int, sure, maybe uint64) int {
 
 // denseRows is the row count from which reading a granule whole — one
 // in-place compare of its codes, one pass over its values — is cheaper than
-// one positional access per row wanted. For codes, one Get per row costs as
+// one positional access per row wanted. For codes, one At per row costs as
 // much as the whole-granule compare (a compiled range, lanes across words)
-// at about 8 rows for 6- and 12-bit codes and 6 for 23-bit ones, in order
+// at about 8 rows for 6- and 12-bit codes and 10 for 23-bit ones, in order
 // over 1 M codes (2-vCPU x86-64 host). In a walk the rows asked about are
 // scattered: at 8, TPC-H Q6 and Q14 (BenchmarkOpOlapTail) ran no faster
 // than at 16, within the host's spread, and a granule of exact values, read
@@ -792,14 +792,14 @@ const denseRows = 16
 // compareCodes returns which of the rows of the granule at base that are set
 // in rows have a code in r: the granule's codes compared where they lie,
 // with r compiled into c (bitpack.Array.InRange64), or — when few rows are
-// asked about — one Get per row.
+// asked about — one At per row.
 func compareCodes(approx *bitpack.Array, base int, rows uint64, r Codes, c *bitpack.Range) uint64 {
 	lo, span := r.Lo, r.Hi-r.Lo
 	if bits.OnesCount64(rows) < denseRows {
 		var word uint64
 		for w := rows; w != 0; w &= w - 1 {
 			i := bits.TrailingZeros64(w)
-			word |= inRange(approx.Get(base+i), lo, span) << uint(i)
+			word |= inRange(approx.At(base+i), lo, span) << uint(i)
 		}
 		return word
 	}
@@ -862,7 +862,7 @@ func (d *Disjunct) compareRebuilt(base int, rows uint64, rs *ranges) uint64 {
 // a boundary bucket between the two has its residual read and the value
 // rebuilt (ReconstructFrom).
 func (d *Disjunct) rebuilt(pos int) uint64 {
-	code := d.Col.Approx.Get(pos)
+	code := d.Col.Approx.At(pos)
 	switch {
 	case code >= d.Inner.Lo && code <= d.Inner.Hi:
 		return 1
