@@ -54,7 +54,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		b.SetBytes(col.Approx.Bytes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			materialise(ar.SelectApprox(nil, col, r), col)
+			materialise(ar.SelectApprox(col, r), col)
 		}
 	})
 
@@ -75,7 +75,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		b.SetBytes(col.Approx.Bytes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c := ar.SelectApprox(nil, col, r)
+			c := ar.SelectApprox(col, r)
 			materialise(c, col)
 			c.Release()
 		}
@@ -115,7 +115,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 			b.SetBytes(col.Approx.Bytes())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c := ar.SelectApprox(nil, col, r)
+				c := ar.SelectApprox(col, r)
 				materialise(c, col)
 				c.Release()
 			}
@@ -143,8 +143,8 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		b.SetBytes(colA.Approx.Bytes() + colB.Approx.Bytes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			first := ar.SelectApprox(nil, colA, rA)
-			both := ar.SelectApproxOver(nil, colB, nil, rB, first)
+			first := ar.SelectApprox(colA, rA)
+			both := ar.SelectApproxOver(colB, nil, rB, first)
 			materialise(both, colB)
 			if both != first {
 				first.Release()
@@ -157,7 +157,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 // materialise lists a candidate set's ids and col's codes of its candidates.
 func materialise(c *ar.Candidates, col *bwd.Column) {
 	c.IDs()
-	ar.ProjectApprox(nil, col, nil, c).Codes()
+	ar.ProjectApprox(col, nil, c).Codes()
 }
 
 // BenchmarkOpSelectRefine refines a 10 % selection over a column with 8
@@ -168,10 +168,10 @@ func BenchmarkOpSelectRefine(b *testing.B) {
 	r := col.Relax(0, benchN/10)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cands := ar.SelectApprox(nil, col, r)
+		cands := ar.SelectApprox(col, r)
 		b.SetBytes(int64(cands.Len()) * 8)
 		b.StartTimer()
-		if err := ar.SelectRefine(par.P{}, nil, col, nil, 0, benchN/10, cands); err != nil {
+		if err := ar.SelectRefine(par.P{}, col, nil, 0, benchN/10, cands); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -368,15 +368,15 @@ func runScanRange(b *testing.B, sess *engine.Session, next func() string) {
 func BenchmarkOpProjectApproxRefine(b *testing.B) {
 	selCol, _ := benchColumn(12)
 	prjCol, _ := benchColumn(12)
-	refined := ar.SelectApprox(nil, selCol, selCol.Relax(0, benchN/10))
-	if err := ar.SelectRefine(par.P{}, nil, selCol, nil, 0, benchN/10, refined); err != nil {
+	refined := ar.SelectApprox(selCol, selCol.Relax(0, benchN/10))
+	if err := ar.SelectRefine(par.P{}, selCol, nil, 0, benchN/10, refined); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(refined.Len()) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proj := ar.ProjectApprox(nil, prjCol, nil, refined)
-		vals, err := ar.ProjectRefine(par.P{}, nil, proj)
+		proj := ar.ProjectApprox(prjCol, nil, refined)
+		vals, err := ar.ProjectRefine(par.P{}, proj)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -394,11 +394,11 @@ func BenchmarkOpGroupApprox(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands := ar.SelectApprox(nil, col, bwd.ApproxRange{Full: true})
+	cands := ar.SelectApprox(col, bwd.ApproxRange{Full: true})
 	b.SetBytes(int64(benchN) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar.GroupApprox(nil, []*bwd.Column{col}, cands)
+		ar.GroupApprox([]*bwd.Column{col}, cands)
 	}
 }
 

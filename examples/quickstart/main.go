@@ -22,12 +22,11 @@ import (
 func main() {
 	// One million shuffled integers, like a small version of the paper's
 	// microbenchmark column.
-	rng := rand.New(rand.NewSource(1))
 	vals := make([]int64, 1_000_000)
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	rand.New(rand.NewSource(1)).Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 	column := bat.NewDense(vals, bat.Width32)
 
 	// The simulated testbed: GTX 680 (2 GiB) + dual Xeon + PCI-E.
@@ -49,28 +48,30 @@ func main() {
 	m := device.NewMeter(sys)
 
 	// Phase A on the device: relaxed predicate over the approximation, and
-	// the column projected over the candidates.
-	cands := ar.SelectApprox(m, col, col.Relax(lo, hi))
+	// the column projected over the candidates. Kernels compute, charges bill.
+	cands := ar.SelectApprox(col, col.Relax(lo, hi))
 	candidates := cands.Len()
+	ar.ChargeSelectApprox(m, candidates, col)
 	fmt.Printf("\napproximate phase: %d candidates (exact answer is in there)\n", candidates)
-	approxCount := ar.CountApprox(m, cands)
-	fmt.Printf("approximate count: %v (strict bounds, available before refinement)\n", approxCount)
-	proj := ar.ProjectApprox(m, col, nil, cands)
+	fmt.Printf("approximate count: %v (strict bounds, available before refinement)\n", ar.CountApprox(cands))
+	ar.ChargeCountApprox(m, candidates)
+	proj := ar.ProjectApprox(col, nil, cands)
+	ar.ChargeProjectApprox(m, col, candidates)
 
-	// Ship once across the bus, refine on the CPU: the refinement narrows
-	// the candidates in place, and the projection reconstructs the exact
-	// values of those that are left.
-	cands.Ship(m)
-	proj.Ship(m)
-	if err := ar.SelectRefine(par.P{}, m, col, nil, lo, hi, cands); err != nil {
+	// Ship once across the bus, refine on the CPU: the refinement narrows the
+	// candidates in place, the projection rebuilds the exact values left.
+	cands.ChargeShip(m)
+	proj.ChargeShip(m)
+	if err := ar.SelectRefine(par.P{}, col, nil, lo, hi, cands); err != nil {
 		log.Fatal(err)
 	}
-	exactVals, err := ar.ProjectRefine(par.P{}, m, proj)
+	ar.ChargeSelectRefine(par.P{}, m, col, false, candidates, cands.Len())
+	exactVals, err := ar.ProjectRefine(par.P{}, proj)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("refined result:    %d tuples (%d false positives eliminated)\n",
-		cands.Len(), candidates-cands.Len())
+	proj.ChargeRefine(par.P{}.NThreads(), m)
+	fmt.Printf("refined result:    %d tuples (%d false positives eliminated)\n", cands.Len(), candidates-cands.Len())
 	fmt.Printf("simulated cost:    %v\n", m)
 
 	// Cross-check against the classic engine: a selection that compares
@@ -102,6 +103,5 @@ func main() {
 		}
 	}
 	fmt.Printf("\nclassic engine agrees: %d tuples, simulated cost %v\n", want.Len(), mClassic)
-	fmt.Printf("speed-up (simulated): %.1fx\n",
-		mClassic.Total().Seconds()/m.Total().Seconds())
+	fmt.Printf("speed-up (simulated): %.1fx\n", mClassic.Total().Seconds()/m.Total().Seconds())
 }

@@ -11,10 +11,10 @@ func TestCountApproxBoundsExact(t *testing.T) {
 	vals := shuffledInts(n, 40)
 	col := decompose(t, vals, 8)
 	lo, hi := int64(3000), int64(9000)
-	cands := SelectApprox(nil, col, col.Relax(lo, hi))
-	iv := CountApprox(nil, cands)
+	cands := SelectApprox(col, col.Relax(lo, hi))
+	iv := CountApprox(cands)
 	before := cands.Len()
-	if err := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands); err != nil {
+	if err := SelectRefine(par.P{}, col, nil, lo, hi, cands); err != nil {
 		t.Fatal(err)
 	}
 	exact := int64(len(cands.IDs()))

@@ -115,13 +115,13 @@ func newScanFixture(t testing.TB, n int, cols []func(int) []int64, bits uint, rn
 }
 
 func runARScan(f scanFixture) {
-	cands := SelectApprox(nil, f[0].col, f[0].rng)
+	cands := SelectApprox(f[0].col, f[0].rng)
 	for _, c := range f[1:] {
-		SelectApproxOver(nil, c.col, nil, c.rng, cands)
+		SelectApproxOver(c.col, nil, c.rng, cands)
 	}
-	CountApprox(nil, cands) // the fixture columns keep residual bits: a certain set
+	CountApprox(cands) // the fixture columns keep residual bits: a certain set
 	for _, c := range f {
-		if err := SelectRefine(par.P{}, nil, c.col, nil, c.lo, c.hi, cands); err != nil {
+		if err := SelectRefine(par.P{}, c.col, nil, c.lo, c.hi, cands); err != nil {
 			panic(err)
 		}
 	}

@@ -28,8 +28,12 @@
 // set, narrower; its candidate order is the mask's, so it is aligned with
 // every phase-A intermediate for free. The paper realigns the permuted output of a
 // device kernel with a translucent join (Algorithm 1); here that join is the
-// mask itself, and it remains in the meter as the operator it stands for
+// mask itself, and it remains in the bill as the operator it stands for
 // (chargeTranslucentJoin).
+//
+// Kernels compute and charges bill: no operator takes a meter. Each has a
+// Charge function of its input and output counts and its columns' shapes,
+// which the caller calls after it (DESIGN.md §7).
 //
 // The classic baseline's selection is the same set, built on the host
 // (SelectExact): exact values compared, its work-groups the statement's
@@ -80,7 +84,7 @@ type attachment struct {
 // them — and of the classic selection (SelectExact), the exact result in row
 // order, and of a device set's certainty split (Split), its certain and its
 // uncertain candidates in its order. On the device the filtered columns'
-// codes travel with the tuples, and Ship bills them: once candidates are
+// codes travel with the tuples, and ChargeShip bills them: once candidates are
 // shipped to the host, the codes are the CPU's only view of the major bits.
 // The host never lists them; a reader decodes the packed column by mask.
 //
@@ -96,8 +100,7 @@ type attachment struct {
 // ProjectApprox, GroupApprox, the refinements, Values and the aggregate
 // program read the mask by granule.
 type Candidates struct {
-	attach  []attachment
-	shipped bool
+	attach []attachment
 	// mask holds the survivors among the rows scanned rows, bit i%64 of
 	// word i/64 for row i; n is its popcount. The rows fall into work-groups
 	// of chunk rows, a whole number of granules, and offs has one entry per
@@ -199,7 +202,6 @@ func (c *Candidates) Release() {
 	c.attach = c.attach[:0]
 	clear(c.walk)
 	c.walk, c.steps = c.walk[:0], c.steps[:0]
-	c.shipped = false
 	c.dropSplit()
 	candPool.Put(c)
 }
@@ -395,17 +397,9 @@ func (c *Candidates) narrowCertain(lo, hi int) {
 	c.certain.offs[lo/c.chunk] = n
 }
 
-// Ship charges the PCI-E transfer that moves the candidate set (IDs plus
-// every attached code column) from device to host. Calling it twice is a
-// no-op: data already on the host is not re-shipped.
-func (c *Candidates) Ship(m *device.Meter) {
-	if c.shipped {
-		return
-	}
-	c.shipped = true
-	if m == nil {
-		return
-	}
+// ChargeShip bills the PCI-E transfer that moves the candidate set (IDs plus
+// every attached code column) from device to host, once per statement.
+func (c *Candidates) ChargeShip(m *device.Meter) {
 	n := c.Len()
 	bytes := int64(n) * 4
 	for i := range c.attach {
@@ -429,7 +423,7 @@ func (c *Candidates) Ship(m *device.Meter) {
 // the phase-A mask narrowed, aligned without a pass; the charge is the
 // execution model's (DESIGN.md §7).
 func chargeTranslucentJoin(m *device.Meter, threads, pre, n int) {
-	if m != nil && pre != n {
+	if pre != n {
 		m.CPUWork(threads, int64(pre)*4+int64(n)*12, 0, int64(pre))
 	}
 }

@@ -64,7 +64,7 @@ func refCertain(c *Candidates, row int) bool {
 func TestCertainWithFullRange(t *testing.T) {
 	vals := shuffledInts(1000, 91)
 	col := decompose(t, vals, 4)
-	cands := SelectApprox(nil, col, col.Relax(-10000, 10000)) // Full
+	cands := SelectApprox(col, col.Relax(-10000, 10000)) // Full
 	certain := certainOf(cands)
 	for _, id := range cands.IDs() {
 		if !certain(id) {
@@ -76,7 +76,7 @@ func TestCertainWithFullRange(t *testing.T) {
 func TestCertainResidentAlwaysTrue(t *testing.T) {
 	vals := shuffledInts(1000, 92)
 	col := decompose(t, vals, 32) // resident: exact codes
-	cands := SelectApprox(nil, col, col.Relax(100, 200))
+	cands := SelectApprox(col, col.Relax(100, 200))
 	certain := certainOf(cands)
 	for _, id := range cands.IDs() {
 		if !certain(id) {
@@ -92,14 +92,14 @@ func TestShipSkipsResidentCodes(t *testing.T) {
 	// Distributed column: ids + codes cross the bus.
 	split := decompose(t, vals, 10)
 	mSplit := device.NewMeter(sys)
-	cSplit := SelectApprox(nil, split, split.Relax(0, 99999))
-	cSplit.Ship(mSplit)
+	cSplit := SelectApprox(split, split.Relax(0, 99999))
+	cSplit.ChargeShip(mSplit)
 
 	// Resident column: only ids cross (nothing to refine, §IV-C).
 	resident := decompose(t, vals, 32)
 	mRes := device.NewMeter(sys)
-	cRes := SelectApprox(nil, resident, resident.Relax(0, 99999))
-	cRes.Ship(mRes)
+	cRes := SelectApprox(resident, resident.Relax(0, 99999))
+	cRes.ChargeShip(mRes)
 
 	if mRes.PCI >= mSplit.PCI {
 		t.Errorf("resident ship (%v) should be cheaper than distributed ship (%v)", mRes.PCI, mSplit.PCI)
@@ -114,14 +114,14 @@ func TestFilterToPreservesAttachments(t *testing.T) {
 	b := shuffledInts(5000, 95)
 	colA := decompose(t, a, 6)
 	colB := decompose(t, b, 6)
-	c1 := SelectApprox(nil, colA, colA.Relax(0, 2500))
-	c2 := SelectApproxOver(nil, colB, nil, colB.Relax(0, 4000), c1)
+	c1 := SelectApprox(colA, colA.Relax(0, 2500))
+	c2 := SelectApproxOver(colB, nil, colB.Relax(0, 4000), c1)
 
 	if len(c2.attach) != 2 || c2.attach[0].col != colA || c2.attach[1].col != colB {
 		t.Fatal("attachments lost through filtering")
 	}
-	codesA := ProjectApprox(nil, colA, nil, c2).Codes()
-	codesB := ProjectApprox(nil, colB, nil, c2).Codes()
+	codesA := ProjectApprox(colA, nil, c2).Codes()
+	codesB := ProjectApprox(colB, nil, c2).Codes()
 	for i, id := range c2.IDs() {
 		if codesA[i] != colA.Approx.Get(int(id)) {
 			t.Fatalf("column A codes misaligned at %d", i)
@@ -135,47 +135,27 @@ func TestFilterToPreservesAttachments(t *testing.T) {
 func TestEmptyCandidatesFlow(t *testing.T) {
 	vals := shuffledInts(1000, 96)
 	col := decompose(t, vals, 8)
-	cands := SelectApprox(nil, col, col.Relax(100000, 200000))
+	cands := SelectApprox(col, col.Relax(100000, 200000))
 	if cands.Len() != 0 {
 		t.Fatal("expected empty candidates")
 	}
-	cands.Ship(nil)
-	proj := ProjectApprox(nil, col, nil, cands)
+	proj := ProjectApprox(col, nil, cands)
 	if len(proj.Codes()) != 0 {
 		t.Error("projection over empty candidates not empty")
 	}
-	if err := SelectRefine(par.P{}, nil, col, nil, 100000, 200000, cands); err != nil || cands.Len() != 0 {
+	if err := SelectRefine(par.P{}, col, nil, 100000, 200000, cands); err != nil || cands.Len() != 0 {
 		t.Errorf("refinement of empty candidates: %d candidates, %v", cands.Len(), err)
 	}
-	if vals2, err := ProjectRefine(par.P{}, nil, proj); err != nil || len(vals2) != 0 {
+	if vals2, err := ProjectRefine(par.P{}, proj); err != nil || len(vals2) != 0 {
 		t.Errorf("refined projection over empty candidates: %v, %v", vals2, err)
 	}
-	grouping := GroupApprox(nil, []*bwd.Column{col}, cands)
+	grouping := GroupApprox([]*bwd.Column{col}, cands)
 	if grouping.NGroups != 0 {
 		t.Error("grouping of empty candidates has groups")
 	}
-	iv := CountApprox(nil, cands)
+	iv := CountApprox(cands)
 	if iv.Lo != 0 || iv.Hi != 0 {
 		t.Errorf("count of empty candidates = %v", iv)
-	}
-}
-
-func TestShippedFlagPropagation(t *testing.T) {
-	vals := shuffledInts(1000, 97)
-	col := decompose(t, vals, 8)
-	cands := SelectApprox(nil, col, col.Relax(0, 500))
-	if cands.shipped {
-		t.Error("fresh candidates marked shipped")
-	}
-	cands.Ship(nil)
-	if !cands.shipped {
-		t.Error("Ship did not mark candidates")
-	}
-	if err := SelectRefine(par.P{}, nil, col, nil, 0, 500, cands); err != nil {
-		t.Fatal(err)
-	}
-	if !cands.shipped {
-		t.Error("refinement output lives on the host; must stay marked shipped")
 	}
 }
 
@@ -208,7 +188,7 @@ func checkCertain(t *testing.T, name string, c *Candidates) int {
 			t.Fatalf("%s: row %d (survives %v) in split set %d, reference %d", name, r, survives, got, want)
 		}
 	}
-	if iv := CountApprox(nil, c); iv.Lo != int64(certain) || iv.Hi != int64(c.Len()) {
+	if iv := CountApprox(c); iv.Lo != int64(certain) || iv.Hi != int64(c.Len()) {
 		t.Fatalf("%s: CountApprox = %v, want [%d,%d]", name, iv, certain, c.Len())
 	}
 	return certain
@@ -228,10 +208,10 @@ func TestCertainMaskMatchesCertain(t *testing.T) {
 	mid := split.Relax(n/2, n/2)
 	narrow := func(d uint64) *Candidates {
 		r := bwd.ApproxRange{Lo: mid.Lo, Hi: mid.Lo + d}
-		return SelectApproxOver(nil, resident, nil, resident.Relax(0, n-n/8), SelectApprox(nil, split, r))
+		return SelectApproxOver(resident, nil, resident.Relax(0, n-n/8), SelectApprox(split, r))
 	}
-	keyed := SelectApprox(nil, selCol, selCol.Relax(n/10, n-n/10))
-	if _, err := JoinApprox(nil, key, keyed); err != nil {
+	keyed := SelectApprox(selCol, selCol.Relax(n/10, n-n/10))
+	if _, err := JoinApprox(key, keyed); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -239,16 +219,16 @@ func TestCertainMaskMatchesCertain(t *testing.T) {
 		c    *Candidates
 		some bool // some candidates certain, some not
 	}{
-		{"conjunction", SelectApproxOver(nil, resident, nil, resident.Relax(0, n/2), SelectApprox(nil, split, split.Relax(n/10, n-n/10))), true},
+		{"conjunction", SelectApproxOver(resident, nil, resident.Relax(0, n/2), SelectApprox(split, split.Relax(n/10, n-n/10))), true},
 		{"one code", narrow(0), false},
 		{"two codes", narrow(1), false},
 		{"three codes", narrow(2), true},
-		{"dimension filter through a key", SelectApproxOver(nil, dimCol, key, dimCol.Relax(2000, 7000), keyed), true},
-		{"disjunction", SelectApproxAny(nil, []*bwd.Column{split, resident, split},
+		{"dimension filter through a key", SelectApproxOver(dimCol, key, dimCol.Relax(2000, 7000), keyed), true},
+		{"disjunction", SelectApproxAny([]*bwd.Column{split, resident, split},
 			[]bwd.ApproxRange{split.Relax(0, n/3), resident.Relax(n/2, n), {Empty: true}}, 1), true},
-		{"full, empty, resident and residual members", SelectApproxAnyOver(nil, []*bwd.Column{split, split, resident, split},
+		{"full, empty, resident and residual members", SelectApproxAnyOver([]*bwd.Column{split, split, resident, split},
 			[]bwd.ApproxRange{{Full: true}, {Empty: true}, resident.Relax(0, n/4), split.Relax(n/2, n)},
-			SelectApprox(nil, split, split.Relax(n/10, n-n/10)), 2), true},
+			SelectApprox(split, split.Relax(n/10, n-n/10)), 2), true},
 	} {
 		if len(tc.c.offs) != 3 || tc.c.Len() == 0 {
 			t.Fatalf("%s: %d candidates over %d work-groups", tc.name, tc.c.Len(), len(tc.c.offs))
@@ -262,7 +242,7 @@ func TestCertainMaskMatchesCertain(t *testing.T) {
 		}
 		tc.c.Release()
 	}
-	exact := SelectApprox(nil, resident, resident.Relax(100, 200))
+	exact := SelectApprox(resident, resident.Relax(100, 200))
 	if sure, unsure := exact.Split(); sure != nil || unsure != nil {
 		t.Fatal("a resident column's candidates are all certain: no split")
 	}
@@ -281,9 +261,9 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 	cols := []*bwd.Column{resident, other, split}
 	rs := []bwd.ApproxRange{resident.Relax(0, n/3), other.Relax(n/2, n), {Full: true}}
 	for name, cands := range map[string]*Candidates{
-		"scan":     SelectApproxAny(nil, cols[:2], rs[:2], 1),
-		"narrowed": SelectApproxAnyOver(nil, cols[:2], rs[:2], SelectApprox(nil, other, other.Relax(0, n-n/10)), 1),
-		"full":     SelectApproxAny(nil, cols, rs, 1),
+		"scan":     SelectApproxAny(cols[:2], rs[:2], 1),
+		"narrowed": SelectApproxAnyOver(cols[:2], rs[:2], SelectApprox(other, other.Relax(0, n-n/10)), 1),
+		"full":     SelectApproxAny(cols, rs, 1),
 	} {
 		if cands.Len() == 0 {
 			t.Fatalf("%s: the fixture selects nothing", name)
@@ -291,7 +271,7 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 		if sure, _ := cands.Split(); sure != nil {
 			t.Fatalf("%s: a split for a disjunction over resident columns", name)
 		}
-		if iv := CountApprox(nil, cands); iv.Lo != iv.Hi || iv.Hi != int64(cands.Len()) {
+		if iv := CountApprox(cands); iv.Lo != iv.Hi || iv.Hi != int64(cands.Len()) {
 			t.Fatalf("%s: CountApprox = %v, want the point %d", name, iv, cands.Len())
 		}
 		for r := 0; r < cands.rows; r += 997 {
@@ -301,7 +281,7 @@ func TestCertainMaskNilForResidentDisjunction(t *testing.T) {
 		}
 		cands.Release()
 	}
-	mixed := SelectApproxAny(nil, []*bwd.Column{resident, split}, []bwd.ApproxRange{resident.Relax(0, n/3), split.Relax(n/2, n)}, 1)
+	mixed := SelectApproxAny([]*bwd.Column{resident, split}, []bwd.ApproxRange{resident.Relax(0, n/3), split.Relax(n/2, n)}, 1)
 	if sure, _ := mixed.Split(); sure == nil {
 		t.Fatal("a member with residual bits has boundary buckets: want a split")
 	}
@@ -315,17 +295,17 @@ func TestCertainMaskEmitsNothing(t *testing.T) {
 	const n = 2*gpuChunk + 100
 	split := decompose(t, shuffledInts(n, 101), 6)
 	_, _, _, selCol, dimCol, key := buildDimData(t, n, 500, 6, 101)
-	c := SelectApprox(nil, selCol, selCol.Relax(n/10, n-n/10))
-	c = SelectApproxAnyOver(nil, []*bwd.Column{split, selCol}, []bwd.ApproxRange{split.Relax(0, n/2), selCol.Relax(n/3, n)}, c, 1)
-	if _, err := JoinApprox(nil, key, c); err != nil {
+	c := SelectApprox(selCol, selCol.Relax(n/10, n-n/10))
+	c = SelectApproxAnyOver([]*bwd.Column{split, selCol}, []bwd.ApproxRange{split.Relax(0, n/2), selCol.Relax(n/3, n)}, c, 1)
+	if _, err := JoinApprox(key, c); err != nil {
 		t.Fatal(err)
 	}
-	c = SelectApproxOver(nil, dimCol, key, dimCol.Relax(2000, 7000), c)
+	c = SelectApproxOver(dimCol, key, dimCol.Relax(2000, 7000), c)
 	before, kept := slices.Clone(c.mask), c.Len()
 	if sure, _ := c.Split(); sure == nil {
 		t.Fatal("fixture: every filter has residual bits, want a split")
 	}
-	CountApprox(nil, c)
+	CountApprox(c)
 	if !slices.Equal(c.mask, before) || c.Len() != kept {
 		t.Fatalf("the split of %d candidates narrowed the set to %d", kept, c.Len())
 	}
@@ -344,11 +324,11 @@ func TestSplitPartitionsTheSurvivors(t *testing.T) {
 	for _, n := range []int{5000, 3*gpuChunk + 100} {
 		col := decompose(t, shuffledInts(n, 102), 6)
 		for _, countFirst := range []bool{false, true} {
-			c := SelectApprox(nil, col, col.Relax(int64(n/10), int64(n-n/10)))
+			c := SelectApprox(col, col.Relax(int64(n/10), int64(n-n/10)))
 			for step := range 2 {
 				label := fmt.Sprintf("%d rows, count first %v, step %d", n, countFirst, step)
 				if countFirst {
-					CountApprox(nil, c)
+					CountApprox(c)
 				}
 				sure, unsure := c.Split()
 				if sure == nil || sure.Len() == 0 || unsure.Len() == 0 {
@@ -357,7 +337,7 @@ func TestSplitPartitionsTheSurvivors(t *testing.T) {
 				if sure.Len()+unsure.Len() != c.Len() || sure.WorkGroups() != c.WorkGroups() || unsure.WorkGroups() != c.WorkGroups() {
 					t.Fatalf("%s: %d + %d candidates over %d, %d work-groups over %d", label, sure.Len(), unsure.Len(), c.Len(), sure.WorkGroups(), c.WorkGroups())
 				}
-				if iv := CountApprox(nil, c); iv.Lo != int64(sure.Len()) {
+				if iv := CountApprox(c); iv.Lo != int64(sure.Len()) {
 					t.Fatalf("%s: CountApprox = %v, %d certain", label, iv, sure.Len())
 				}
 				a, b := sure.IDs(), unsure.IDs()
@@ -375,7 +355,7 @@ func TestSplitPartitionsTheSurvivors(t *testing.T) {
 					t.Fatalf("%s: %d ids in the split past the set's", label, len(a)+len(b))
 				}
 				checkCertain(t, label, c)
-				c = SelectApproxOver(nil, col, nil, col.Relax(int64(n/5), int64(n/2)), c)
+				c = SelectApproxOver(col, nil, col.Relax(int64(n/5), int64(n/2)), c)
 			}
 			c.Release()
 		}
@@ -484,12 +464,12 @@ func TestValuesMatchesRowOracle(t *testing.T) {
 		check(label+", full", full, nil, rowOrder(false, true))
 		full.Release()
 	}
-	c := SelectApprox(nil, col, col.Relax(lo, hi))
+	c := SelectApprox(col, col.Relax(lo, hi))
 	if len(c.offs) != 3 {
 		t.Fatalf("device set over %d work-groups", len(c.offs))
 	}
 	check("device set", c, nil, nil)
-	if _, err := JoinApprox(nil, devKey, c); err != nil {
+	if _, err := JoinApprox(devKey, c); err != nil {
 		t.Fatal(err)
 	}
 	c.MaskOutJoined(devKey, deleted)

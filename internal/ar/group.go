@@ -15,15 +15,14 @@ import (
 // more columns (TPC-H Q1 groups by l_returnflag, l_linestatus) as the meter
 // sees it: the key columns, how many distinct tuples of their codes the
 // candidates hold, and how many candidates were grouped. It ships a group id
-// per candidate and the groups' code table (Ship), which the host never
+// per candidate and the groups' code table (ChargeShip), which the host never
 // holds: it groups by key as it folds (internal/plan).
 type Grouping struct {
 	Cols    []*bwd.Column
 	NGroups int
 	// Cands is how many candidates were grouped: the set's length at
 	// grouping time, which the refinements may have narrowed since.
-	Cands   int
-	shipped bool
+	Cands int
 }
 
 // DirectBits is the widest key tuple a direct table of 2^bits entries
@@ -48,20 +47,18 @@ func GroupKeyBits(cols []*bwd.Column) uint {
 }
 
 // GroupApprox pre-groups the candidates by the tuple of approximation codes
-// of cols on the device, billed by ChargeGroupApprox.
+// of cols on the device. Its bill is ChargeGroupApprox.
 //
 // If every column is fully device resident, the approximate grouping is
 // already the exact grouping of the candidate set (§IV-E: low-cardinality
 // grouping columns compress enough to stay resident, eliminating
 // subgrouping). It panics when the key does not fit (GroupKeyFits): a
 // truncated key would merge distinct groups. Host-side it counts the groups.
-func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Grouping {
+func GroupApprox(cols []*bwd.Column, cands *Candidates) *Grouping {
 	if !GroupKeyFits(cols) {
 		panic(fmt.Sprintf("ar: GroupApprox over %d columns whose codes exceed the 64-bit grouping-table entry", len(cols)))
 	}
-	groups := countKeys(devP(), cols, cands)
-	ChargeGroupApprox(m, cols, cands, groups)
-	return &Grouping{Cols: cols, NGroups: groups, Cands: cands.Len()}
+	return &Grouping{Cols: cols, NGroups: countKeys(devP(), cols, cands), Cands: cands.Len()}
 }
 
 // ChargeGroupApprox bills GroupApprox's grouping of cands by cols into groups
@@ -74,13 +71,10 @@ func GroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates) *Groupi
 // "performance improves with the number of groups due to fewer write
 // conflicts on the grouping table" (§VI-B, Fig 8f).
 func ChargeGroupApprox(m *device.Meter, cols []*bwd.Column, cands *Candidates, groups int) {
-	if m == nil {
-		return
-	}
 	n := cands.Len()
 	for _, col := range cols {
 		if !cands.attached(col) {
-			chargeProject(m, col, n)
+			ChargeProjectApprox(m, col, n)
 		}
 	}
 	// Serialized atomic updates: with L lanes spread over G group entries,
@@ -163,17 +157,11 @@ func blockKeys(cands *Candidates, cols []*bwd.Column, buf []uint64, g0, g1, cnt 
 	return keys[:cnt]
 }
 
-// Ship charges the transfer of the per-candidate group IDs — one per
+// ChargeShip bills the transfer of the per-candidate group IDs — one per
 // candidate grouped, whether or not the host holds them as a list — and the
 // group code table to the host.
-func (g *Grouping) Ship(m *device.Meter) {
-	if g.shipped {
-		return
-	}
-	g.shipped = true
-	if m != nil {
-		m.Transfer(int64(g.Cands)*4 + int64(g.NGroups*len(g.Cols))*8)
-	}
+func (g *Grouping) ChargeShip(m *device.Meter) {
+	m.Transfer(int64(g.Cands)*4 + int64(g.NGroups*len(g.Cols))*8)
 }
 
 // ChargeGroupRefine bills the refinement of the pre-grouping g into the exact
@@ -188,9 +176,6 @@ func (g *Grouping) Ship(m *device.Meter) {
 // that MonetDB's positional grouping representation cannot profit from a
 // physical pre-grouping.
 func ChargeGroupRefine(p par.P, m *device.Meter, g *Grouping, n int) {
-	if m == nil {
-		return
-	}
 	exactPre := true
 	for _, col := range g.Cols {
 		exactPre = exactPre && col.Dec.ResBits == 0

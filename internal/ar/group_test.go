@@ -40,9 +40,8 @@ func groupRefined(t *testing.T, keyVals [][]int64, keyBits []uint, selBits uint,
 	for k := range cols {
 		cols[k] = decompose(t, keyVals[k], keyBits[k])
 	}
-	cands := SelectApprox(nil, selCol, selCol.Relax(1000, hi))
-	pre := GroupApprox(nil, cols, cands)
-	pre.Ship(nil)
+	cands := SelectApprox(selCol, selCol.Relax(1000, hi))
+	pre := GroupApprox(cols, cands)
 	codes, exact := map[[2]uint64]bool{}, map[[2]int64]bool{}
 	for _, id := range cands.IDs() {
 		var code [2]uint64
@@ -54,7 +53,7 @@ func groupRefined(t *testing.T, keyVals [][]int64, keyBits []uint, selBits uint,
 	if pre.NGroups != len(codes) || pre.Cands != cands.Len() {
 		t.Fatalf("pre-grouping of %d candidates counts %d groups, the row loop %d", pre.Cands, pre.NGroups, len(codes))
 	}
-	if err := SelectRefine(par.P{}, nil, selCol, nil, 1000, hi, cands); err != nil {
+	if err := SelectRefine(par.P{}, selCol, nil, 1000, hi, cands); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range cands.IDs() {
@@ -138,8 +137,8 @@ func TestGroupApproxMatchesBulkOnFullSelection(t *testing.T) {
 	keys := groupKeys(n, 8, 34)
 	keyCol := decompose(t, keys, 32)
 	selCol := decompose(t, shuffledInts(n, 35), 32)
-	cands := SelectApprox(nil, selCol, selCol.Relax(0, int64(n)))
-	grouping := GroupApprox(nil, []*bwd.Column{keyCol}, cands)
+	cands := SelectApprox(selCol, selCol.Relax(0, int64(n)))
+	grouping := GroupApprox([]*bwd.Column{keyCol}, cands)
 
 	// The bulk model's grouping table over the key values, row by row.
 	var want bulk.KeyTable
@@ -168,8 +167,9 @@ func TestGroupConflictCostDecreasesWithGroups(t *testing.T) {
 			t.Fatalf("Decompose: %v", err)
 		}
 		m := device.NewMeter(sys)
-		cands := SelectApprox(nil, selCol, selCol.Relax(0, int64(n)))
-		GroupApprox(m, []*bwd.Column{keyCol}, cands)
+		cands := SelectApprox(selCol, selCol.Relax(0, int64(n)))
+		g := GroupApprox([]*bwd.Column{keyCol}, cands)
+		ChargeGroupApprox(m, g.Cols, cands, g.NGroups)
 		return m.GPU.Seconds()
 	}
 	t10, t1000 := cost(10), cost(1000)
@@ -191,17 +191,13 @@ func TestGroupingShipOnce(t *testing.T) {
 		cols []*bwd.Column
 	}{{"one column", keys[:1]}, {"two columns", keys}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cands := SelectApprox(nil, selCol, selCol.Relax(0, 2500))
-			g := GroupApprox(nil, tc.cols, cands)
+			cands := SelectApprox(selCol, selCol.Relax(0, 2500))
+			g := GroupApprox(tc.cols, cands)
 			m, want := device.NewMeter(sys), device.NewMeter(sys)
-			g.Ship(m)
+			g.ChargeShip(m)
 			want.Transfer(int64(cands.Len())*4 + int64(g.NGroups*len(tc.cols))*8)
 			if m.PCI == 0 || *m != *want {
 				t.Errorf("grouping ship charged %v, want %v", m, want)
-			}
-			g.Ship(m)
-			if *m != *want {
-				t.Error("double ship charged twice")
 			}
 		})
 	}
@@ -220,21 +216,22 @@ func TestGroupApproxReusesAttachedCodes(t *testing.T) {
 		cols []*bwd.Column
 	}{{"one column", []*bwd.Column{keyCol}}, {"two columns", []*bwd.Column{keyCol, other}}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cands := SelectApprox(nil, keyCol, keyCol.Relax(0, 6))
+			cands := SelectApprox(keyCol, keyCol.Relax(0, 6))
 			m, projected := device.NewMeter(sys), device.NewMeter(sys)
-			g := GroupApprox(m, tc.cols, cands)
+			g := GroupApprox(tc.cols, cands)
+			ChargeGroupApprox(m, tc.cols, cands, g.NGroups)
 			for _, col := range tc.cols[1:] {
-				ProjectApprox(projected, col, nil, cands)
+				ChargeProjectApprox(projected, col, cands.Len())
 			}
-			bare, listed := device.NewMeter(sys), SelectApprox(nil, keyCol, keyCol.Relax(0, 6))
-			GroupApprox(bare, tc.cols, listed)
+			bare, listed := device.NewMeter(sys), SelectApprox(keyCol, keyCol.Relax(0, 6))
+			ChargeGroupApprox(bare, tc.cols, listed, GroupApprox(tc.cols, listed).NGroups)
 			if m.GPU != bare.GPU || m.GPU <= projected.GPU {
 				t.Fatalf("charged %v by mask, %v listed, of which projections %v", m, bare, projected)
 			}
 			tuples := map[[2]uint64]bool{}
 			codes := make([][]uint64, len(tc.cols))
 			for k, col := range tc.cols {
-				codes[k] = ProjectApprox(nil, col, nil, cands).Codes()
+				codes[k] = ProjectApprox(col, nil, cands).Codes()
 			}
 			for i := range cands.IDs() {
 				var tuple [2]uint64
@@ -275,10 +272,12 @@ func TestGroupApproxMaskMatchesIDList(t *testing.T) {
 		{"many groups, two columns", []*bwd.Column{mid, wide}},
 	} {
 		for _, r := range []bwd.ApproxRange{{Full: true}, {Lo: 100, Hi: 300}, {Lo: 7, Hi: 7}, {Empty: true}} {
-			listed := SelectApprox(nil, sel, r)
-			fresh := SelectApprox(nil, sel, r) // no position read yet
+			listed := SelectApprox(sel, r)
+			fresh := SelectApprox(sel, r) // no position read yet
 			mm, ml := device.NewMeter(sys), device.NewMeter(sys)
-			gm, gl := GroupApprox(mm, tc.cols, fresh), GroupApprox(ml, tc.cols, listed)
+			gm, gl := GroupApprox(tc.cols, fresh), GroupApprox(tc.cols, listed)
+			ChargeGroupApprox(mm, tc.cols, fresh, gm.NGroups)
+			ChargeGroupApprox(ml, tc.cols, listed, gl.NGroups)
 
 			// The reference: the distinct key tuples of the candidates.
 			seen := map[[2]uint64]bool{}
@@ -328,9 +327,9 @@ func TestGroupApproxDirectTableMatchesHashTable(t *testing.T) {
 				cols[k] = scanColumn(t, rng, bits, n, "clustered")
 			}
 			for _, r := range []bwd.ApproxRange{{Full: true}, {Lo: 100, Hi: 600}} {
-				listed := SelectApprox(nil, sel, r)
-				fresh := SelectApprox(nil, sel, r)
-				byMask, byPos := GroupApprox(nil, cols, fresh), GroupApprox(nil, cols, listed)
+				listed := SelectApprox(sel, r)
+				fresh := SelectApprox(sel, r)
+				byMask, byPos := GroupApprox(cols, fresh), GroupApprox(cols, listed)
 
 				var ref bulk.KeyTable
 				ref.Reset(1)
@@ -372,13 +371,13 @@ func TestGroupApproxRejectsKeyWiderThanTableEntry(t *testing.T) {
 	if !GroupKeyFits([]*bwd.Column{c32, c32}) || GroupKeyFits([]*bwd.Column{c33, c32}) {
 		t.Fatal("GroupKeyFits: want 32+32 to fit and 33+32 not to")
 	}
-	cands := SelectApprox(nil, c32, bwd.ApproxRange{Full: true})
+	cands := SelectApprox(c32, bwd.ApproxRange{Full: true})
 	defer func() {
 		if recover() == nil {
 			t.Error("GroupApprox packed a 65-bit key instead of panicking")
 		}
 	}()
-	GroupApprox(nil, []*bwd.Column{c33, c32}, cands)
+	GroupApprox([]*bwd.Column{c33, c32}, cands)
 }
 
 // codeColumn builds a fully resident column whose approximation codes are
@@ -453,10 +452,10 @@ func TestGroupApproxOrderedMergeAcrossCores(t *testing.T) {
 		name string
 		scan func() *Candidates
 	}{
-		{"every row", func() *Candidates { return SelectApprox(nil, selCol, bwd.ApproxRange{Full: true}) }},
-		{"the first work-group empty", func() *Candidates { return SelectApprox(nil, selCol, bwd.ApproxRange{Lo: 100, Hi: 650}) }},
+		{"every row", func() *Candidates { return SelectApprox(selCol, bwd.ApproxRange{Full: true}) }},
+		{"the first work-group empty", func() *Candidates { return SelectApprox(selCol, bwd.ApproxRange{Lo: 100, Hi: 650}) }},
 		{"holes in every work-group", func() *Candidates {
-			return SelectApproxAny(nil, slices.Repeat([]*bwd.Column{selCol}, groups), windows, 1)
+			return SelectApproxAny(slices.Repeat([]*bwd.Column{selCol}, groups), windows, 1)
 		}},
 	}
 
@@ -507,7 +506,7 @@ func TestGroupApproxOrderedMergeAcrossCores(t *testing.T) {
 				for _, procs := range []int{1, 2, 4} {
 					runtime.GOMAXPROCS(procs)
 					fresh := s.scan()
-					g := GroupApprox(nil, tc.cols, fresh)
+					g := GroupApprox(tc.cols, fresh)
 					keys, counts := keyedNumbering(fresh, tc.cols, procs)
 					if g.NGroups != len(uniq) || !slices.Equal(keys, uniq) || !slices.Equal(counts, want) {
 						t.Fatalf("%s, %d cores: %d groups, want %d; keys in number order equal the serial lookup's: %v, counts: %v", s.name, procs, g.NGroups, len(uniq), slices.Equal(keys, uniq), slices.Equal(counts, want))

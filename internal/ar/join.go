@@ -39,18 +39,19 @@ func CheckKey(fkCol *bwd.Column) error {
 // the candidates whose key has a partner in the dimension — an inner join
 // drops a dangling key, as the classic join and the delta scan do. Like a
 // further conjunct it is a mask step over the granules that still hold a
-// survivor.
-func JoinApprox(m *device.Meter, key *bwd.Key, in *Candidates) (*Candidates, error) {
+// survivor. Its bill is ChargeJoinApprox.
+func JoinApprox(key *bwd.Key, in *Candidates) (*Candidates, error) {
 	if err := CheckKey(key.Col); err != nil {
 		return nil, err
 	}
-	n := in.Len()
 	in.MaskOutJoined(key, nil)
-	if m != nil {
-		seq := int64(n) * 8 // read ids, write positions
-		m.GPUKernel(seq, packedBytes(n, key.Col.Dec.ApproxBits), int64(n)*bulk.OpsHashProbe)
-	}
 	return in, nil
+}
+
+// ChargeJoinApprox bills the probe of n candidates' keys, codes of fk: ids read,
+// positions written, keys gathered, one index probe each.
+func ChargeJoinApprox(m *device.Meter, fk *bwd.Column, n int) {
+	m.GPUKernel(int64(n)*8, packedBytes(n, fk.Dec.ApproxBits), int64(n)*bulk.OpsHashProbe)
 }
 
 // MaskOutJoined clears the candidates whose key joins a dimension row set in
@@ -64,9 +65,9 @@ func (c *Candidates) MaskOutJoined(key *bwd.Key, deleted []uint64) {
 
 // idBytes is what one candidate costs a kernel to stream in: its 4-byte id,
 // and beside it the 4-byte dimension position when the column it reads is
-// addressed through a key.
-func idBytes(key *bwd.Key) int64 {
-	if key != nil {
+// addressed through a key (keyed).
+func idBytes(keyed bool) int64 {
+	if keyed {
 		return 8
 	}
 	return 4

@@ -45,9 +45,9 @@ func TestSelectThroughKeySupersetAndRefine(t *testing.T) {
 		sel, fk, dimVals, selCol, dimCol, key := buildDimData(t, 20000, 500, dimBits, 70)
 
 		// Narrowing is in place: before keeps the fact-side candidates.
-		before := SelectApprox(nil, selCol, selCol.Relax(100, 9000))
+		before := SelectApprox(selCol, selCol.Relax(100, 9000))
 		lo, hi := int64(2000), int64(7000)
-		c2 := SelectApproxOver(nil, dimCol, key, dimCol.Relax(lo, hi), SelectApprox(nil, selCol, selCol.Relax(100, 9000)))
+		c2 := SelectApproxOver(dimCol, key, dimCol.Relax(lo, hi), SelectApprox(selCol, selCol.Relax(100, 9000)))
 		// Superset property through the join indirection.
 		gotSet := idSet(c2)
 		for _, id := range before.IDs() {
@@ -57,11 +57,11 @@ func TestSelectThroughKeySupersetAndRefine(t *testing.T) {
 			}
 		}
 		// Refinement: exact, the values aligned with the ids through the key.
-		proj := ProjectApprox(nil, dimCol, key, c2)
-		if err := SelectRefine(par.P{}, nil, dimCol, key, lo, hi, c2); err != nil {
+		proj := ProjectApprox(dimCol, key, c2)
+		if err := SelectRefine(par.P{}, dimCol, key, lo, hi, c2); err != nil {
 			t.Fatal(err)
 		}
-		vals, err := ProjectRefine(par.P{}, nil, proj)
+		vals, err := ProjectRefine(par.P{}, proj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestSelectThroughKeySupersetAndRefine(t *testing.T) {
 			}
 		}
 		// c2 is approximate on sel: refine sel too for exact ground truth.
-		if err := SelectRefine(par.P{}, nil, selCol, nil, 100, 9000, c2); err != nil {
+		if err := SelectRefine(par.P{}, selCol, nil, 100, 9000, c2); err != nil {
 			t.Fatal(err)
 		}
 		if c2.Len() != want {
@@ -94,12 +94,12 @@ func TestSelectThroughKeySupersetAndRefine(t *testing.T) {
 
 func TestProjectRefineThroughKeyReconstructsDimValues(t *testing.T) {
 	_, fk, dimVals, selCol, dimCol, key := buildDimData(t, 10000, 300, 5, 71)
-	cands := SelectApprox(nil, selCol, selCol.Relax(500, 8000))
-	proj := ProjectApprox(nil, dimCol, key, cands)
-	if err := SelectRefine(par.P{}, nil, selCol, nil, 500, 8000, cands); err != nil {
+	cands := SelectApprox(selCol, selCol.Relax(500, 8000))
+	proj := ProjectApprox(dimCol, key, cands)
+	if err := SelectRefine(par.P{}, selCol, nil, 500, 8000, cands); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ProjectRefine(par.P{}, nil, proj)
+	got, err := ProjectRefine(par.P{}, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +113,13 @@ func TestProjectRefineThroughKeyReconstructsDimValues(t *testing.T) {
 func TestSelectRefineThroughKeyResidentChargesNothing(t *testing.T) {
 	sys := device.PaperSystem()
 	_, _, _, selCol, dimCol, key := buildDimData(t, 5000, 100, 32, 72)
-	cands := SelectApprox(nil, selCol, selCol.Relax(0, 4000))
-	c2 := SelectApproxOver(nil, dimCol, key, dimCol.Relax(0, 5000), cands)
-	m := device.NewMeter(sys)
-	if err := SelectRefine(par.P{}, m, dimCol, key, 0, 5000, c2); err != nil {
+	cands := SelectApprox(selCol, selCol.Relax(0, 4000))
+	c2 := SelectApproxOver(dimCol, key, dimCol.Relax(0, 5000), cands)
+	m, n := device.NewMeter(sys), c2.Len()
+	if err := SelectRefine(par.P{}, dimCol, key, 0, 5000, c2); err != nil {
 		t.Fatal(err)
 	}
+	ChargeSelectRefine(par.P{}, m, dimCol, true, n, c2.Len())
 	if m.CPU != 0 {
 		t.Errorf("resident dimension refinement charged %v (§IV-C: no refinement needed)", m.CPU)
 	}
@@ -135,8 +136,8 @@ func TestProjectApproxThroughKey(t *testing.T) {
 		fk[i] = int64(i % len(dim))
 	}
 	key := &bwd.Key{Col: decompose(t, fk, 32), Len: len(dim)}
-	cands := SelectApprox(nil, factCol, factCol.Relax(0, 99))
-	codes := ProjectApprox(nil, dimCol, key, cands).Codes()
+	cands := SelectApprox(factCol, factCol.Relax(0, 99))
+	codes := ProjectApprox(dimCol, key, cands).Codes()
 	for i, id := range cands.IDs() {
 		want := dim[fk[id]]
 		if got := dimCol.Dec.Base + int64(codes[i]); got != want {
@@ -158,9 +159,9 @@ func TestJoinApproxDensePK(t *testing.T) {
 	key := &bwd.Key{Col: decompose(t, fk, 32), Base: 1, Len: dimLen} // fully resident: join allowed
 	selCol := decompose(t, sel, 8)
 
-	cands := SelectApprox(nil, selCol, selCol.Relax(100, 3000))
+	cands := SelectApprox(selCol, selCol.Relax(100, 3000))
 	n0 := cands.Len()
-	cands, err := JoinApprox(nil, key, cands)
+	cands, err := JoinApprox(key, cands)
 	if err != nil {
 		t.Fatalf("JoinApprox: %v", err)
 	}
@@ -178,8 +179,8 @@ func TestJoinApproxRejectsDecomposedKey(t *testing.T) {
 	fk := shuffledInts(5000, 62)
 	key := &bwd.Key{Col: decompose(t, fk, 6), Len: 5000} // decomposed: approximate keys
 	selCol := decompose(t, shuffledInts(5000, 63), 8)
-	cands := SelectApprox(nil, selCol, selCol.Relax(0, 100))
-	if _, err := JoinApprox(nil, key, cands); err == nil {
+	cands := SelectApprox(selCol, selCol.Relax(0, 100))
+	if _, err := JoinApprox(key, cands); err == nil {
 		t.Error("decomposed key column accepted for device FK join")
 	}
 }
@@ -187,7 +188,7 @@ func TestJoinApproxRejectsDecomposedKey(t *testing.T) {
 func TestJoinApproxDropsDanglingKey(t *testing.T) {
 	fk := []int64{1, 2, 99, 0}
 	fkCol := decompose(t, fk, 32)
-	cands, err := JoinApprox(nil, &bwd.Key{Col: fkCol, Base: 1, Len: 10}, SelectApprox(nil, fkCol, bwd.ApproxRange{Full: true}))
+	cands, err := JoinApprox(&bwd.Key{Col: fkCol, Base: 1, Len: 10}, SelectApprox(fkCol, bwd.ApproxRange{Full: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,10 @@ import (
 // the one at the position the candidate's key joins (§IV-D: the projective
 // foreign-key join shares this code path).
 type Projection struct {
-	Src     *Candidates
-	Col     *bwd.Column
-	Key     *bwd.Key
-	n       int
-	shipped bool
+	Src *Candidates
+	Col *bwd.Column
+	Key *bwd.Key
+	n   int
 }
 
 // Exact reports whether the projected codes need no refinement.
@@ -50,16 +49,10 @@ func (p *Projection) Codes() []uint64 {
 	return codes
 }
 
-// Ship charges the PCI-E transfer of the projected codes to the host. The
+// ChargeShip bills the PCI-E transfer of the projected codes to the host. The
 // candidate IDs are not re-shipped; they travel with the candidate set.
-func (p *Projection) Ship(m *device.Meter) {
-	if p.shipped {
-		return
-	}
-	p.shipped = true
-	if m != nil {
-		m.Transfer(packedBytes(p.n, p.Col.Dec.ApproxBits))
-	}
+func (p *Projection) ChargeShip(m *device.Meter) {
+	m.Transfer(packedBytes(p.n, p.Col.Dec.ApproxBits))
 }
 
 // ProjectApprox is the approximation of a projection (§IV-C): an invisible
@@ -71,19 +64,14 @@ func (p *Projection) Ship(m *device.Meter) {
 // column by mask — a column of the scanned table by granule, one decode where
 // a granule's survivors are dense, one read per survivor where they are
 // sparse (emitGranule), a dimension column by one read per survivor through
-// its key — and the charge is the operator's.
-func ProjectApprox(m *device.Meter, col *bwd.Column, key *bwd.Key, cands *Candidates) *Projection {
-	n := cands.Len()
-	chargeProject(m, col, n)
-	return &Projection{Src: cands, Col: col, Key: key, n: n}
+// its key. Its bill is ChargeProjectApprox.
+func ProjectApprox(col *bwd.Column, key *bwd.Key, cands *Candidates) *Projection {
+	return &Projection{Src: cands, Col: col, Key: key, n: cands.Len()}
 }
 
-// chargeProject bills the device for projecting col over n candidates.
-func chargeProject(m *device.Meter, col *bwd.Column, n int) {
-	if m != nil {
-		seq := int64(n)*4 + packedBytes(n, col.Dec.ApproxBits)
-		m.GPUKernel(seq, packedBytes(n, col.Dec.ApproxBits), int64(n)*bulk.OpsFetch)
-	}
+// ChargeProjectApprox bills the device for projecting col over n candidates.
+func ChargeProjectApprox(m *device.Meter, col *bwd.Column, n int) {
+	m.GPUKernel(int64(n)*4+packedBytes(n, col.Dec.ApproxBits), packedBytes(n, col.Dec.ApproxBits), int64(n)*bulk.OpsFetch)
 }
 
 // ProjectRefine is the refinement of a projection (§IV-C): the exact values
@@ -92,16 +80,15 @@ func chargeProject(m *device.Meter, col *bwd.Column, n int) {
 // order. The source's mask is walked a work-group at a time on pp: each
 // granule's codes are decoded as ProjectApprox's are and concatenated with
 // the residual at each row, or — a dimension column — code and residual are
-// read at the position the row's key joins. It is billed as ChargeRefine
-// bills it. A walk cancelled partway returns the context's error.
-func ProjectRefine(pp par.P, m *device.Meter, p *Projection) ([]int64, error) {
+// read at the position the row's key joins. Its bill is ChargeRefine. A walk
+// cancelled partway returns the context's error.
+func ProjectRefine(pp par.P, p *Projection) ([]int64, error) {
 	src := p.Src
 	out := mem.I64.GetN(src.Len())
 	if err := forGroups(pp, src.WorkGroups(), func(ci int) { src.rebuildGroup(p.Col, p.Key, out, ci) }); err != nil {
 		mem.I64.Put(out)
 		return nil, err
 	}
-	p.ChargeRefine(pp.NThreads(), m)
 	return out, nil
 }
 
@@ -115,7 +102,7 @@ func ProjectRefine(pp par.P, m *device.Meter, p *Projection) ([]int64, error) {
 // reconstruction.
 func (p *Projection) ChargeRefine(threads int, m *device.Meter) {
 	col, key, n := p.Col, p.Key, p.Src.Len()
-	if m == nil || key == nil && p.Exact() && n == p.n {
+	if key == nil && p.Exact() && n == p.n {
 		return
 	}
 	chargeTranslucentJoin(m, threads, p.n, n)

@@ -21,14 +21,12 @@ func TestProjectApproxRefineMatchesBulk(t *testing.T) {
 	priceCol := decompose(t, prices, 9)
 
 	lo, hi := int64(5000), int64(12000)
-	cands := SelectApprox(nil, dateCol, dateCol.Relax(lo, hi))
-	proj := ProjectApprox(nil, priceCol, nil, cands)
-	cands.Ship(nil)
-	proj.Ship(nil)
-	if err := SelectRefine(par.P{}, nil, dateCol, nil, lo, hi, cands); err != nil {
+	cands := SelectApprox(dateCol, dateCol.Relax(lo, hi))
+	proj := ProjectApprox(priceCol, nil, cands)
+	if err := SelectRefine(par.P{}, dateCol, nil, lo, hi, cands); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ProjectRefine(par.P{}, nil, proj)
+	got, err := ProjectRefine(par.P{}, proj)
 	if err != nil {
 		t.Fatalf("ProjectRefine: %v", err)
 	}
@@ -66,20 +64,21 @@ func TestProjectRefineUsesTranslucentJoin(t *testing.T) {
 	colA := decompose(t, a, 6)
 	colB := decompose(t, b, 6)
 
-	cands := SelectApprox(nil, colA, colA.Relax(100, int64(n/2)))
-	proj := ProjectApprox(nil, colB, nil, cands)
+	cands := SelectApprox(colA, colA.Relax(100, int64(n/2)))
+	proj := ProjectApprox(colB, nil, cands)
 	pre := cands.Len()
-	if err := SelectRefine(par.P{}, nil, colA, nil, 100, int64(n/2), cands); err != nil {
+	if err := SelectRefine(par.P{}, colA, nil, 100, int64(n/2), cands); err != nil {
 		t.Fatal(err)
 	}
 	if cands.Len() == pre {
 		t.Fatal("test needs false positives to be meaningful")
 	}
 	m, want := device.NewMeter(device.PaperSystem()), device.NewMeter(device.PaperSystem())
-	got, err := ProjectRefine(par.P{Workers: 4}, m, proj)
+	got, err := ProjectRefine(par.P{Workers: 4}, proj)
 	if err != nil {
 		t.Fatalf("ProjectRefine: %v", err)
 	}
+	proj.ChargeRefine(1, m)
 	for i, id := range cands.IDs() {
 		if got[i] != b[id] {
 			t.Fatalf("value for id %d = %d, want %d", id, got[i], b[id])
@@ -96,12 +95,12 @@ func TestProjectExactFlag(t *testing.T) {
 	vals := shuffledInts(n, 25)
 	resident := decompose(t, vals, 32)
 	split := decompose(t, vals, 5)
-	cands := SelectApprox(nil, resident, resident.Relax(0, 100))
-	if !ProjectApprox(nil, resident, nil, cands).Exact() {
+	cands := SelectApprox(resident, resident.Relax(0, 100))
+	if !ProjectApprox(resident, nil, cands).Exact() {
 		t.Error("fully resident projection not Exact")
 	}
-	cands2 := SelectApprox(nil, split, split.Relax(0, 100))
-	if ProjectApprox(nil, split, nil, cands2).Exact() {
+	cands2 := SelectApprox(split, split.Relax(0, 100))
+	if ProjectApprox(split, nil, cands2).Exact() {
 		t.Error("decomposed projection claims Exact")
 	}
 }
@@ -111,19 +110,15 @@ func TestProjectionShipCharges(t *testing.T) {
 	m := device.NewMeter(sys)
 	vals := shuffledInts(10000, 27)
 	col := decompose(t, vals, 8)
-	cands := SelectApprox(nil, col, col.Relax(0, 5000))
-	proj := ProjectApprox(m, col, nil, cands)
+	cands := SelectApprox(col, col.Relax(0, 5000))
+	proj := ProjectApprox(col, nil, cands)
+	ChargeProjectApprox(m, col, cands.Len())
 	if m.GPU == 0 {
 		t.Error("approximate projection charged no GPU time")
 	}
-	proj.Ship(m)
+	proj.ChargeShip(m)
 	if m.PCI == 0 {
 		t.Error("projection ship charged no PCI time")
-	}
-	before := m.PCI
-	proj.Ship(m)
-	if m.PCI != before {
-		t.Error("double ship charged twice")
 	}
 }
 
@@ -144,7 +139,7 @@ func maskedCandidates(col *bwd.Column, ids []bat.OID) *Candidates {
 	for _, id := range ids {
 		drop[id/64] &^= 1 << (id % 64)
 	}
-	c := SelectApprox(nil, col, bwd.ApproxRange{Full: true})
+	c := SelectApprox(col, bwd.ApproxRange{Full: true})
 	c.MaskOut(drop)
 	return c
 }
@@ -202,7 +197,8 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 		col := scanColumn(t, rng, width, n, "shuffled")
 		check := func(name string, cands *Candidates) {
 			m, ref := device.NewMeter(sys), device.NewMeter(sys)
-			codes := ProjectApprox(m, col, nil, cands).Codes()
+			codes := ProjectApprox(col, nil, cands).Codes()
+			ChargeProjectApprox(m, col, cands.Len())
 			if len(codes) != cands.Len() {
 				t.Fatalf("width %d %s: %d codes for %d candidates", width, name, len(codes), cands.Len())
 			}
@@ -224,7 +220,7 @@ func TestProjectApproxMatchesPerRowReference(t *testing.T) {
 		}
 		// What a scan really emits: every work-group ascending, the groups in
 		// permuted order.
-		scanned := SelectApprox(nil, col, bwd.ApproxRange{Full: true})
+		scanned := SelectApprox(col, bwd.ApproxRange{Full: true})
 		check("device order", scanned)
 		scanned.Release()
 	}

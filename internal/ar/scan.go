@@ -19,7 +19,7 @@ import (
 // (DESIGN.md §13) — so that rows a relaxed range cannot admit are never
 // decoded: the first two are bwd's granule walk, which the classic selection
 // and the refinements (refine) share; the third is here. None of that is
-// visible to the simulated device, which still pays the paper's full packed
+// visible to its bill, ChargeSelectApprox, which is the paper's full packed
 // scan.
 
 // gpuChunk is the tuple count per simulated device work-group.
@@ -92,15 +92,16 @@ func ScanStats() GranuleStats {
 // relaxed predicate r and emits every tuple whose approximation code
 // matches — a superset of the exact result. The output order is a
 // deterministic permutation of the input order, modelling the
-// non-order-preserving massively parallel kernel (§IV-A item 3).
+// non-order-preserving massively parallel kernel (§IV-A item 3). Its bill
+// is ChargeSelectApprox.
 //
 // On the device the candidate codes ride along with the IDs; they are the
 // host's only view of the device-resident major bits once the candidates are
 // shipped.
-func SelectApprox(m *device.Meter, col *bwd.Column, r bwd.ApproxRange) *Candidates {
+func SelectApprox(col *bwd.Column, r bwd.ApproxRange) *Candidates {
 	c := getCandidates()
 	c.attach = append(c.attach, attachment{col: col, rng: r})
-	scanApprox(m, c)
+	scanApprox(c)
 	return c
 }
 
@@ -111,13 +112,13 @@ func SelectApprox(m *device.Meter, col *bwd.Column, r bwd.ApproxRange) *Candidat
 // any relaxed range — a superset of the exact OR result, in the same
 // deterministic permutation as a conjunctive scan. All disjunct columns
 // attach to the candidates under one disjunction group id, so Split can
-// evaluate the group as a whole.
-func SelectApproxAny(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange, group int) *Candidates {
+// evaluate the group as a whole. Its bill is ChargeSelectApprox.
+func SelectApproxAny(cols []*bwd.Column, rs []bwd.ApproxRange, group int) *Candidates {
 	c := getCandidates()
 	for j, col := range cols {
 		c.attach = append(c.attach, attachment{col: col, rng: rs[j], group: group})
 	}
-	scanApprox(m, c)
+	scanApprox(c)
 	return c
 }
 
@@ -127,23 +128,24 @@ func SelectApproxAny(m *device.Meter, cols []*bwd.Column, rs []bwd.ApproxRange, 
 // disjuncts travel in the (pooled) candidate header rather than in argument
 // slices so that nothing the caller built escapes to the worker goroutines: a
 // one-work-group scan allocates nothing.
-func scanApprox(m *device.Meter, c *Candidates) {
-	att := c.attach
-	n := att[0].col.Len()
-	c.open(n, gpuChunk, true)
-	c.narrow(att, false)
-	if m != nil {
-		// The simulated device reads every disjunct's whole packed plane and
-		// evaluates every tuple: the granule bounds are a host-side
-		// emulation aid and never discount the charge (DESIGN.md §7).
-		var scanned int64
-		written := int64(c.n) * 4
-		for j := range att {
-			scanned += att[j].col.Approx.Bytes()
-			written += packedBytes(c.n, att[j].col.Dec.ApproxBits)
-		}
-		m.GPUKernel(scanned+written, 0, int64(n)*OpsPackedScan*int64(len(att)))
+func scanApprox(c *Candidates) {
+	c.open(c.attach[0].col.Len(), gpuChunk, true)
+	c.narrow(c.attach, false)
+}
+
+// ChargeSelectApprox bills the approximate scan of cols, one per disjunct,
+// that kept out tuples (SelectApprox, SelectApproxAny): the simulated device
+// reads every disjunct's whole packed plane and evaluates every tuple — the
+// granule bounds are a host-side emulation aid and never discount the charge
+// (DESIGN.md §7) — and writes each survivor's id and codes.
+func ChargeSelectApprox(m *device.Meter, out int, cols ...*bwd.Column) {
+	var scanned int64
+	written := int64(out) * 4
+	for _, col := range cols {
+		scanned += col.Approx.Bytes()
+		written += packedBytes(out, col.Dec.ApproxBits)
 	}
+	m.GPUKernel(scanned+written, 0, int64(cols[0].Len())*OpsPackedScan*int64(len(cols)))
 }
 
 // narrow is the mask step of every approximate selection: each work-group

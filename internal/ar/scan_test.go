@@ -280,19 +280,23 @@ func (c *scanCase) refNarrow(step chainStep) {
 func (sc *scanCase) run(m *device.Meter) *Candidates {
 	var c *Candidates
 	if len(sc.cols) == 1 {
-		c = SelectApprox(m, sc.cols[0], sc.rs[0])
+		c = SelectApprox(sc.cols[0], sc.rs[0])
 	} else {
-		c = SelectApproxAny(m, sc.cols, sc.rs, scanGroup)
+		c = SelectApproxAny(sc.cols, sc.rs, scanGroup)
 	}
+	ChargeSelectApprox(m, c.Len(), sc.cols...)
 	for i, step := range sc.chain {
+		n := c.Len()
 		switch len(step.cols) {
 		case 0:
 			c.MaskOut(step.drop)
+			continue
 		case 1:
-			c = SelectApproxOver(m, step.cols[0], nil, step.rs[0], c)
+			c = SelectApproxOver(step.cols[0], nil, step.rs[0], c)
 		default:
-			c = SelectApproxAnyOver(m, step.cols, step.rs, c, scanGroup+1+i)
+			c = SelectApproxAnyOver(step.cols, step.rs, c, scanGroup+1+i)
 		}
+		ChargeSelectApproxOver(m, false, n, c.Len(), step.cols...)
 	}
 	return c
 }
@@ -457,7 +461,7 @@ func TestScanGranuleOutcomes(t *testing.T) {
 	g := granuleBounds(col)
 	k := len(g) / 2
 	before := ScanStats()
-	c := SelectApprox(nil, col, bwd.ApproxRange{Lo: g[k-1].Min + 1, Hi: g[k+1].Max - 1})
+	c := SelectApprox(col, bwd.ApproxRange{Lo: g[k-1].Min + 1, Hi: g[k+1].Max - 1})
 	after := ScanStats()
 	skipped, inside, decoded := after.Skipped-before.Skipped, after.Inside-before.Inside, after.Decoded-before.Decoded
 	if skipped != uint64(len(g))-3 || inside != 1 || decoded != 2 {
@@ -472,7 +476,7 @@ func TestScanGranuleOutcomes(t *testing.T) {
 		t.Fatalf("fixture: granules %v %v %v do not separate", g[k-1], g[k], g[k+1])
 	}
 	before = after
-	c = SelectApproxOver(nil, col, nil, bwd.ApproxRange{Lo: g[k].Min, Hi: g[k+1].Min + 1}, c)
+	c = SelectApproxOver(col, nil, bwd.ApproxRange{Lo: g[k].Min, Hi: g[k+1].Min + 1}, c)
 	after = ScanStats()
 	skipped, inside, decoded = after.Skipped-before.Skipped, after.Inside-before.Inside, after.Decoded-before.Decoded
 	if skipped != uint64(len(g))-2 || inside != 1 || decoded != 1 {
@@ -510,9 +514,9 @@ func TestChainBuffersIndependentOfLength(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	gets := func(k int) uint64 {
 		before := mem.Stats()
-		c := SelectApprox(nil, cols[0], bwd.ApproxRange{Lo: 0, Hi: cols[0].Dec.MaxApprox() / 2})
+		c := SelectApprox(cols[0], bwd.ApproxRange{Lo: 0, Hi: cols[0].Dec.MaxApprox() / 2})
 		for _, col := range cols[1:k] {
-			c = SelectApproxOver(nil, col, nil, bwd.ApproxRange{Lo: 0, Hi: col.Dec.MaxApprox() / 2}, c)
+			c = SelectApproxOver(col, nil, bwd.ApproxRange{Lo: 0, Hi: col.Dec.MaxApprox() / 2}, c)
 		}
 		if len(c.IDs()) == 0 || len(c.attach) != k {
 			t.Fatalf("fixture: %d candidates, %d attachments after %d conjuncts", c.Len(), len(c.attach), k)
@@ -547,11 +551,11 @@ func TestScanAboveTopSizeClassStaysPooled(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC() // collect the fixture's garbage now, not mid-measurement
 	for i := 0; i < 5; i++ {
-		SelectApprox(nil, col, r).Release()
+		SelectApprox(col, r).Release()
 	}
 	before := mem.Stats().Misses
 	for i := 0; i < 20; i++ {
-		c := SelectApprox(nil, col, r)
+		c := SelectApprox(col, r)
 		if c.Len() == 0 || c.Len() > n/10 {
 			t.Fatalf("fixture range selects %d of %d rows", c.Len(), n)
 		}

@@ -15,17 +15,26 @@ import (
 // still hold a survivor (bwd.NarrowGranules), its outcome ANDed into the set's
 // mask. The set is narrowed in place and returned, col attached to it with
 // its key; candidate order is the order of the final mask, which is what
-// filtering the list in place would have kept.
-func SelectApproxOver(m *device.Meter, col *bwd.Column, key *bwd.Key, r bwd.ApproxRange, in *Candidates) *Candidates {
-	n := in.Len()
+// filtering the list in place would have kept. Its bill is
+// ChargeSelectApproxOver.
+func SelectApproxOver(col *bwd.Column, key *bwd.Key, r bwd.ApproxRange, in *Candidates) *Candidates {
 	in.attach = append(in.attach, attachment{col: col, key: key, rng: r})
 	in.narrow(in.attach[len(in.attach)-1:], true)
-	in.shipped = false // a fresh device-side intermediate
-	if m != nil {
-		seq := int64(n+in.n)*idBytes(key) + packedBytes(in.n, col.Dec.ApproxBits)
-		m.GPUKernel(seq, packedBytes(n, col.Dec.ApproxBits), int64(n)*OpsPackedScan)
-	}
 	return in
+}
+
+// ChargeSelectApproxOver bills a further approximate selection of n
+// candidates by cols, one per disjunct, that kept out (SelectApproxOver,
+// SelectApproxAnyOver): ids streamed — with the joined positions, keyed —
+// codes gathered, every disjunct evaluated, the survivors written.
+func ChargeSelectApproxOver(m *device.Meter, keyed bool, n, out int, cols ...*bwd.Column) {
+	seq := int64(n+out) * idBytes(keyed)
+	var rnd int64
+	for _, col := range cols {
+		seq += packedBytes(out, col.Dec.ApproxBits)
+		rnd += packedBytes(n, col.Dec.ApproxBits)
+	}
+	m.GPUKernel(seq, rnd, int64(n)*OpsPackedScan*int64(len(cols)))
 }
 
 // SelectRefine is the refinement of a selection (Algorithm 2): on the CPU,
@@ -43,26 +52,42 @@ func SelectApproxOver(m *device.Meter, col *bwd.Column, key *bwd.Key, r bwd.Appr
 // The walk runs on p, a work-group at a time, so the refined set keeps the
 // candidate order of the set phase A shipped and stays aligned with every
 // phase-A intermediate. A walk cancelled partway returns the context's error.
-func SelectRefine(p par.P, m *device.Meter, col *bwd.Column, key *bwd.Key, lo, hi int64, in *Candidates) error {
-	n := in.Len()
-	if err := in.Narrow(p, bwd.Exactly(col, nil, lo, hi).Through(key)); err != nil {
-		return err
+// Its bill is ChargeSelectRefine.
+func SelectRefine(p par.P, col *bwd.Column, key *bwd.Key, lo, hi int64, in *Candidates) error {
+	return in.Narrow(p, bwd.Exactly(col, nil, lo, hi).Through(key))
+}
+
+// ChargeSelectRefine bills the refinement of a selection of n candidates by
+// col that kept out of them, read through a key when keyed. §IV-C: fully
+// device-resident data needs no refinement — exact codes admit no false
+// positives, so that case charges nothing (the candidate set already is the
+// result). Otherwise it is ChargeSelectRefineAny's pass over the one column.
+func ChargeSelectRefine(p par.P, m *device.Meter, col *bwd.Column, keyed bool, n, out int) {
+	if col.Dec.ResBits > 0 {
+		ChargeSelectRefineAny(p, m, keyed, n, out, col)
 	}
-	if m != nil && col.Dec.ResBits > 0 {
-		// §IV-C: fully device-resident data needs no refinement — exact
-		// codes admit no false positives, so that case charges nothing
-		// (the candidate set already is the result). Otherwise the fused
-		// loop streams IDs and codes and touches the residual at candidate
-		// order: cache-line-bounded when sparse, array-bounded when dense.
-		// A survivor is written as its id — through a key, as id, position
-		// and value.
-		resFetch := device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
-		written := int64(in.n) * 4
-		if key != nil {
-			written *= 3
+}
+
+// ChargeSelectRefineAny bills one fused refinement pass of n candidates by the
+// disjuncts cols that kept out of them (SelectRefineAny), whether or not a
+// column keeps residual bits: the IDs — and beside them the joined positions,
+// keyed — and every column's codes stream sequentially, residuals are touched
+// at candidate order: cache-line-bounded when sparse, array-bounded when
+// dense. A survivor is written as its id — through a key, as id, position and
+// value. Deterministic in (n, columns): what the host short-circuits only
+// saves real work, never billed work.
+func ChargeSelectRefineAny(p par.P, m *device.Meter, keyed bool, n, out int, cols ...*bwd.Column) {
+	seq := int64(n)*idBytes(keyed) + int64(out)*4
+	if keyed {
+		seq += int64(out) * 8
+	}
+	var ops int64
+	for _, col := range cols {
+		seq += packedBytes(n, col.Dec.ApproxBits)
+		if col.Dec.ResBits > 0 {
+			seq += device.RandomFetchBytes(int64(n), residualBytes(col.Dec.ResBits), col.Residual.Bytes())
 		}
-		seq := int64(n)*idBytes(key) + packedBytes(n, col.Dec.ApproxBits) + resFetch + written
-		m.CPUWork(p.NThreads(), seq, 0, int64(n)*2)
+		ops += int64(n) * 2
 	}
-	return nil
+	m.CPUWork(p.NThreads(), seq, 0, ops)
 }

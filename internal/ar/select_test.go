@@ -55,7 +55,7 @@ func TestSelectApproxSupersetOfExact(t *testing.T) {
 	vals := shuffledInts(10000, 1)
 	col := decompose(t, vals, 8) // aggressive decomposition: many FPs
 	lo, hi := int64(1000), int64(2000)
-	cands := SelectApprox(nil, col, col.Relax(lo, hi))
+	cands := SelectApprox(col, col.Relax(lo, hi))
 	exact := rowsIn(vals, lo, hi)
 
 	inCand := make(map[bat.OID]bool, cands.Len())
@@ -75,7 +75,7 @@ func TestSelectApproxSupersetOfExact(t *testing.T) {
 func TestSelectApproxOutputIsPermuted(t *testing.T) {
 	vals := shuffledInts(200000, 2)
 	col := decompose(t, vals, 10)
-	cands := SelectApprox(nil, col, col.Relax(0, 199999)) // select everything
+	cands := SelectApprox(col, col.Relax(0, 199999)) // select everything
 	if cands.Len() != 200000 {
 		t.Fatalf("Len = %d, want 200000", cands.Len())
 	}
@@ -103,13 +103,12 @@ func TestSelectRefineEqualsBulkBaseline(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		refined := SelectApprox(nil, col, col.Relax(lo, hi))
-		proj := ProjectApprox(nil, col, nil, refined)
-		refined.Ship(nil)
-		if err := SelectRefine(par.P{}, nil, col, nil, lo, hi, refined); err != nil {
+		refined := SelectApprox(col, col.Relax(lo, hi))
+		proj := ProjectApprox(col, nil, refined)
+		if err := SelectRefine(par.P{}, col, nil, lo, hi, refined); err != nil {
 			return false
 		}
-		refVals, err := ProjectRefine(par.P{}, nil, proj)
+		refVals, err := ProjectRefine(par.P{}, proj)
 		if err != nil {
 			return false
 		}
@@ -140,10 +139,10 @@ func TestSelectRefineEqualsBulkBaseline(t *testing.T) {
 func TestSelectRefinePreservesCandidateOrder(t *testing.T) {
 	vals := shuffledInts(50000, 3)
 	col := decompose(t, vals, 9)
-	cands := SelectApprox(nil, col, col.Relax(100, 40000))
+	cands := SelectApprox(col, col.Relax(100, 40000))
 	phaseA := slices.Clone(cands.IDs())
 	cands.Split()
-	if err := SelectRefine(par.P{}, nil, col, nil, 100, 40000, cands); err != nil {
+	if err := SelectRefine(par.P{}, col, nil, 100, 40000, cands); err != nil {
 		t.Fatal(err)
 	}
 	if cands.Len() == len(phaseA) {
@@ -151,7 +150,7 @@ func TestSelectRefinePreservesCandidateOrder(t *testing.T) {
 	}
 	// What phase A built — the ids, the split — is built again from the
 	// narrower mask.
-	codes := ProjectApprox(nil, col, nil, cands).Codes()
+	codes := ProjectApprox(col, nil, cands).Codes()
 	sure, unsure := cands.Split()
 	if len(codes) != cands.Len() || sure == nil || sure.Len()+unsure.Len() != cands.Len() {
 		t.Fatalf("%d candidates, %d codes, split %v", cands.Len(), len(codes), sure != nil)
@@ -184,19 +183,18 @@ func TestSelectApproxOverConjunction(t *testing.T) {
 	colA := decompose(t, a, 8)
 	colB := decompose(t, b, 8)
 
-	c1 := SelectApprox(nil, colA, colA.Relax(1000, 5000))
-	r2 := SelectApproxOver(nil, colB, nil, colB.Relax(2000, 9000), c1)
-	projB := ProjectApprox(nil, colB, nil, r2)
-	r2.Ship(nil)
+	c1 := SelectApprox(colA, colA.Relax(1000, 5000))
+	r2 := SelectApproxOver(colB, nil, colB.Relax(2000, 9000), c1)
+	projB := ProjectApprox(colB, nil, r2)
 	for _, f := range []struct {
 		col    *bwd.Column
 		lo, hi int64
 	}{{colA, 1000, 5000}, {colB, 2000, 9000}} {
-		if err := SelectRefine(par.P{}, nil, f.col, nil, f.lo, f.hi, r2); err != nil {
+		if err := SelectRefine(par.P{}, f.col, nil, f.lo, f.hi, r2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	valsB, err := ProjectRefine(par.P{}, nil, projB)
+	valsB, err := ProjectRefine(par.P{}, projB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +227,11 @@ func TestSelectApproxOverConjunction(t *testing.T) {
 func TestSelectEmptyRelaxedRange(t *testing.T) {
 	vals := shuffledInts(1000, 6)
 	col := decompose(t, vals, 8)
-	cands := SelectApprox(nil, col, col.Relax(5000, 9000)) // above domain
+	cands := SelectApprox(col, col.Relax(5000, 9000)) // above domain
 	if cands.Len() != 0 {
 		t.Errorf("empty relaxed range produced %d candidates", cands.Len())
 	}
-	if err := SelectRefine(par.P{}, nil, col, nil, 5000, 9000, cands); err != nil || len(cands.IDs()) != 0 {
+	if err := SelectRefine(par.P{}, col, nil, 5000, 9000, cands); err != nil || len(cands.IDs()) != 0 {
 		t.Errorf("refinement of empty candidates left %d, %v", cands.Len(), err)
 	}
 }
@@ -245,12 +243,12 @@ func TestSelectFullyResidentColumnRefinementIsExactPassthrough(t *testing.T) {
 		t.Fatalf("expected fully resident column, ResBits = %d", col.Dec.ResBits)
 	}
 	lo, hi := int64(100), int64(300)
-	cands := SelectApprox(nil, col, col.Relax(lo, hi))
+	cands := SelectApprox(col, col.Relax(lo, hi))
 	want := rowsIn(vals, lo, hi)
 	if cands.Len() != len(want) {
 		t.Fatalf("fully resident approximation has %d candidates, want exact %d", cands.Len(), len(want))
 	}
-	if err := SelectRefine(par.P{}, nil, col, nil, lo, hi, cands); err != nil || len(cands.IDs()) != len(want) {
+	if err := SelectRefine(par.P{}, col, nil, lo, hi, cands); err != nil || len(cands.IDs()) != len(want) {
 		t.Errorf("refinement changed an already-exact result: %d of %d left, %v", cands.Len(), len(want), err)
 	}
 }
@@ -263,25 +261,23 @@ func TestSelectChargesDevices(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
-	cands := SelectApprox(m, col, col.Relax(0, 10000))
+	cands := SelectApprox(col, col.Relax(0, 10000))
+	ChargeSelectApprox(m, cands.Len(), col)
 	if m.GPU == 0 {
 		t.Error("approximate selection charged no GPU time")
 	}
 	if m.CPU != 0 {
 		t.Error("approximate selection charged CPU time")
 	}
-	cands.Ship(m)
+	cands.ChargeShip(m)
 	if m.PCI == 0 {
 		t.Error("shipping candidates charged no PCI time")
 	}
-	pciBefore := m.PCI
-	cands.Ship(m)
-	if m.PCI != pciBefore {
-		t.Error("double ship charged twice")
-	}
-	if err := SelectRefine(par.P{}, m, col, nil, 0, 10000, cands); err != nil {
+	n := cands.Len()
+	if err := SelectRefine(par.P{}, col, nil, 0, 10000, cands); err != nil {
 		t.Fatal(err)
 	}
+	ChargeSelectRefine(par.P{}, m, col, false, n, cands.Len())
 	if m.CPU == 0 {
 		t.Error("refinement charged no CPU time")
 	}
@@ -294,7 +290,7 @@ func TestCertainFlagsBoundaryBuckets(t *testing.T) {
 	}
 	col := decompose(t, vals, 6) // 10 bits -> 6/4: bucket size 16
 	lo, hi := int64(100), int64(200)
-	cands := SelectApprox(nil, col, col.Relax(lo, hi))
+	cands := SelectApprox(col, col.Relax(lo, hi))
 	certain := certainOf(cands)
 	for _, id := range cands.IDs() {
 		v := vals[id]
@@ -319,15 +315,15 @@ func TestSelectRefineCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		p := par.P{Workers: workers, Ctx: ctx}
-		cands := SelectApprox(nil, col, col.Relax(0, int64(n/2)))
-		proj := ProjectApprox(nil, col, nil, cands)
-		if err := SelectRefine(p, nil, col, nil, 0, int64(n/2), cands); !errors.Is(err, context.Canceled) {
+		cands := SelectApprox(col, col.Relax(0, int64(n/2)))
+		proj := ProjectApprox(col, nil, cands)
+		if err := SelectRefine(p, col, nil, 0, int64(n/2), cands); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers %d: SelectRefine returned %v", workers, err)
 		}
-		if err := SelectRefineAny(p, nil, []*bwd.Column{col}, []int64{0}, []int64{int64(n / 3)}, cands); !errors.Is(err, context.Canceled) {
+		if err := SelectRefineAny(p, []*bwd.Column{col}, []int64{0}, []int64{int64(n / 3)}, cands); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers %d: SelectRefineAny returned %v", workers, err)
 		}
-		if vals, err := ProjectRefine(p, nil, proj); vals != nil || !errors.Is(err, context.Canceled) {
+		if vals, err := ProjectRefine(p, proj); vals != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers %d: ProjectRefine returned %d values, %v", workers, len(vals), err)
 		}
 		cands.Release()

@@ -26,17 +26,17 @@ import (
 func TestTranslucentJoinInvisibleFastPath(t *testing.T) {
 	vals := shuffledInts(5000, 31)
 	col := decompose(t, vals, 6)
-	cands := SelectApprox(nil, col, bwd.ApproxRange{Full: true})
+	cands := SelectApprox(col, bwd.ApproxRange{Full: true})
 	for i, id := range cands.IDs() {
 		if int(id) != i {
 			t.Fatalf("candidate %d of a one-work-group full scan is row %d", i, id)
 		}
 	}
-	proj := ProjectApprox(nil, col, nil, cands)
-	if err := SelectRefine(par.P{}, nil, col, nil, 1000, 2000, cands); err != nil {
+	proj := ProjectApprox(col, nil, cands)
+	if err := SelectRefine(par.P{}, col, nil, 1000, 2000, cands); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ProjectRefine(par.P{}, nil, proj)
+	got, err := ProjectRefine(par.P{}, proj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,21 +62,22 @@ func TestTranslucentJoinEmptyInputs(t *testing.T) {
 	}
 	col := decompose(t, vals, 6)
 	for _, r := range [][2]int64{{5000, 9000}, {1, 1}} {
-		cands := SelectApprox(nil, col, col.Relax(r[0], r[1]))
+		cands := SelectApprox(col, col.Relax(r[0], r[1]))
 		pre := cands.Len()
 		if (pre == 0) != (r[0] == 5000) {
 			t.Fatalf("[%d,%d]: %d phase-A candidates", r[0], r[1], pre)
 		}
-		proj := ProjectApprox(nil, col, nil, cands)
-		grouping := GroupApprox(nil, []*bwd.Column{col}, cands)
-		if err := SelectRefine(par.P{}, nil, col, nil, r[0], r[1], cands); err != nil || cands.Len() != 0 {
+		proj := ProjectApprox(col, nil, cands)
+		grouping := GroupApprox([]*bwd.Column{col}, cands)
+		if err := SelectRefine(par.P{}, col, nil, r[0], r[1], cands); err != nil || cands.Len() != 0 {
 			t.Fatalf("[%d,%d]: %d candidates refined, %v", r[0], r[1], cands.Len(), err)
 		}
 		m := device.NewMeter(device.PaperSystem())
-		got, err := ProjectRefine(par.P{}, m, proj)
+		got, err := ProjectRefine(par.P{}, proj)
 		if err != nil || len(got) != 0 {
 			t.Fatalf("[%d,%d]: refined projection %v, %v", r[0], r[1], got, err)
 		}
+		proj.ChargeRefine(1, m)
 		if joined := device.NewMeter(device.PaperSystem()); pre > 0 {
 			chargeTranslucentJoin(joined, 1, pre, 0)
 			if m.CPU < joined.CPU || joined.CPU == 0 {
@@ -113,13 +114,13 @@ func TestTranslucentJoinMatchesHashJoin(t *testing.T) {
 		colA, colB := decompose(t, a, uint(4+rng.Intn(8))), decompose(t, b, 7)
 		lo := rng.Int63n(int64(n) / 2)
 		hi := lo + rng.Int63n(int64(n)/2)
-		cands := SelectApprox(nil, colA, colA.Relax(lo, hi))
-		proj := ProjectApprox(nil, colB, nil, cands)
+		cands := SelectApprox(colA, colA.Relax(lo, hi))
+		proj := ProjectApprox(colB, nil, cands)
 		aIDs, codes := slices.Clone(cands.IDs()), slices.Clone(proj.Codes())
-		if err := SelectRefine(par.P{Workers: 1 + trial%4}, nil, colA, nil, lo, hi, cands); err != nil {
+		if err := SelectRefine(par.P{Workers: 1 + trial%4}, colA, nil, lo, hi, cands); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProjectRefine(par.P{Workers: 1 + trial%3}, nil, proj)
+		got, err := ProjectRefine(par.P{Workers: 1 + trial%3}, proj)
 		if err != nil {
 			t.Fatal(err)
 		}

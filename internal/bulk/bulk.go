@@ -17,18 +17,17 @@
 //     runs is a keyed fold (internal/plan) whose blocks number their keys
 //     through a KeyTable: no group id per row exists (DESIGN.md §7).
 //   - TopK takes a par.P: it executes morsel-parallel with the P's real
-//     worker budget while charging the meter for the P's simulated thread
-//     count, and a serial P (the zero value, or par.P{Threads: t, Workers:
-//     1}) runs the plain loop on the calling goroutine, the ground truth tests
-//     compare parallel runs against.
+//     worker budget, and a serial P (the zero value, or par.P{Threads: t,
+//     Workers: 1}) runs the plain loop on the calling goroutine, the ground
+//     truth tests compare parallel runs against. ChargeTopK bills it at the
+//     P's simulated thread count.
 //   - FKIndex is a dense primary key's base and length (BuildFKIndex).
 //
-// Every charge and operator takes an optional *device.Meter; when non-nil,
-// it charges its simulated cost (bytes scanned/gathered/written and
-// tuple-ops executed) against the CPU device at the billed thread count. A
-// nil meter executes without cost accounting. (The executor's aggregates
-// are the compiled program of internal/plan; OpsAggregate is what it bills
-// per row.)
+// No operator takes a meter: each Charge function bills its simulated cost
+// (bytes scanned/gathered/written and tuple-ops executed) against the CPU
+// device at the billed thread count, from counts alone, and a caller that
+// bills nothing does not call it. (The executor's aggregates are the compiled
+// program of internal/plan; OpsAggregate is what it bills per row.)
 package bulk
 
 import (
@@ -67,9 +66,7 @@ const oidBytes = 8
 // column by its code and residual, charges through it — the bill is the
 // execution model's, not the host's.
 func ChargeSelectRange(p par.P, m *device.Meter, width, rows, out int) {
-	if m != nil {
-		m.CPUWork(p.NThreads(), int64(rows)*int64(width)+int64(out)*oidBytes, 0, int64(rows)*OpsSelect)
-	}
+	m.CPUWork(p.NThreads(), int64(rows)*int64(width)+int64(out)*oidBytes, 0, int64(rows)*OpsSelect)
 }
 
 // ChargeSelectOIDs bills the bulk model's filter of an id list that kept out
@@ -77,10 +74,8 @@ func ChargeSelectRange(p par.P, m *device.Meter, width, rows, out int) {
 // bytes each) gathered at the candidate positions, one comparison per
 // candidate.
 func ChargeSelectOIDs(p par.P, m *device.Meter, width, rows, in, out int) {
-	if m != nil {
-		gather := device.RandomFetchBytes(int64(in), int64(width), int64(rows)*int64(width))
-		m.CPUWork(p.NThreads(), int64(in+out)*oidBytes+gather, 0, int64(in)*OpsSelect)
-	}
+	gather := device.RandomFetchBytes(int64(in), int64(width), int64(rows)*int64(width))
+	m.CPUWork(p.NThreads(), int64(in+out)*oidBytes+gather, 0, int64(in)*OpsSelect)
 }
 
 // ChargeFetch bills the bulk model's fetch at n positions of a column of rows
@@ -90,10 +85,8 @@ func ChargeSelectOIDs(p par.P, m *device.Meter, width, rows, in, out int) {
 // whatever form the column is held in: a BAT, or a decomposition read by its
 // code and residual (DESIGN.md §7).
 func ChargeFetch(p par.P, m *device.Meter, width, rows, n int) {
-	if m != nil {
-		gather := device.RandomFetchBytes(int64(n), int64(width), int64(rows)*int64(width))
-		m.CPUWork(p.NThreads(), int64(n)*oidBytes+int64(n)*int64(width)+gather, 0, int64(n)*OpsFetch)
-	}
+	gather := device.RandomFetchBytes(int64(n), int64(width), int64(rows)*int64(width))
+	m.CPUWork(p.NThreads(), int64(n)*oidBytes+int64(n)*int64(width)+gather, 0, int64(n)*OpsFetch)
 }
 
 // ChargeGroupBy bills the bulk model's hash grouping of n rows by k key
@@ -101,9 +94,7 @@ func ChargeFetch(p par.P, m *device.Meter, width, rows, n int) {
 // key column streamed, a 4-byte group id written per row, a hash-table probe
 // per row and column.
 func ChargeGroupBy(p par.P, m *device.Meter, n, k int) {
-	if m != nil {
-		m.CPUWork(p.NThreads(), int64(n)*8*int64(k)+int64(n)*4, 0, int64(n)*OpsHashGroup*int64(k))
-	}
+	m.CPUWork(p.NThreads(), int64(n)*8*int64(k)+int64(n)*4, 0, int64(n)*OpsHashGroup*int64(k))
 }
 
 // KeyTable numbers keys — each a tuple of a fixed number of 64-bit words — in

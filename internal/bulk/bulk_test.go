@@ -129,14 +129,14 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	ks := []int{1, 10, 97, n}
 	var want [][]int
 	for _, k := range ks {
-		want = append(want, TopK(par.P{}, nil, n, k, 8, less))
+		want = append(want, TopK(par.P{}, n, k, less))
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
 		for _, chunk := range []int{0, 1, 97, 4096} {
 			p := par.P{Threads: 1, Workers: workers, Chunk: chunk}
 			t.Run("", func(t *testing.T) {
 				for c, k := range ks {
-					if got := TopK(p, nil, n, k, 8, less); !slices.Equal(got, want[c]) {
+					if got := TopK(p, n, k, less); !slices.Equal(got, want[c]) {
 						t.Fatalf("TopK k=%d on %d workers, morsel %d: differs from the serial kernel", k, workers, chunk)
 					}
 				}
@@ -158,7 +158,7 @@ func TestParallelChargesMatchSerial(t *testing.T) {
 	run := func(p par.P) *device.Meter {
 		m := device.NewMeter(sys)
 		ChargeGroupBy(p, m, len(keys), 2)
-		TopK(p, m, len(keys), 10, 8, func(i, j int) bool { return keys[i] < keys[j] })
+		ChargeTopK(p, m, len(keys), 10, 8)
 		return m
 	}
 	for _, threads := range []int{1, 4} {

@@ -41,7 +41,5 @@ func (ix *FKIndex) Span() (base int64, n int) { return ix.base, ix.n }
 // executor's classic join (internal/plan), which narrows a mask through the
 // key, charges through it.
 func ChargeFKJoin(p par.P, m *device.Meter, n int) {
-	if m != nil {
-		m.CPUWork(p.NThreads(), int64(n)*8+int64(n)*oidBytes, 0, int64(n)*OpsHashProbe)
-	}
+	m.CPUWork(p.NThreads(), int64(n)*8+int64(n)*oidBytes, 0, int64(n)*OpsHashProbe)
 }

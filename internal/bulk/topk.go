@@ -1,6 +1,7 @@
 package bulk
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/device"
@@ -18,22 +19,10 @@ import (
 // materialization), the local winners concatenate in morsel order, and
 // one final sort of the at-most (morsels × k) survivors picks the global
 // answer. When k >= n it degenerates to a full index sort — the baseline
-// BenchmarkTopK compares against.
-//
-// bytesPer is the physical footprint of one item, charged as a sequential
-// read; the billed operation count is the deterministic n·ceil(log2(k+1))
-// comparison bound, never the data-dependent heap work, so meters stay
-// bit-identical across worker counts and morsel sizes.
-func TopK(p par.P, m *device.Meter, n, k int, bytesPer int64, less func(i, j int) bool) []int {
+// BenchmarkTopK compares against. Its bill is ChargeTopK.
+func TopK(p par.P, n, k int, less func(i, j int) bool) []int {
 	if k > n {
 		k = n
-	}
-	if m != nil && n > 0 && k > 0 {
-		logK := int64(1)
-		for 1<<logK <= k {
-			logK++
-		}
-		m.CPUWork(p.NThreads(), int64(n)*bytesPer+int64(k)*8, 0, int64(n)*logK)
 	}
 	if n <= 0 || k <= 0 {
 		return nil
@@ -116,5 +105,16 @@ func (h *topkHeap) siftDown(at int) {
 		}
 		h.idx[at], h.idx[worst] = h.idx[worst], h.idx[at]
 		at = worst
+	}
+}
+
+// ChargeTopK bills TopK's selection of the k smallest of n items, bytesPer
+// bytes each, charged as a sequential read; the billed operation count is the
+// deterministic n·ceil(log2(k+1)) comparison bound, never the data-dependent
+// heap work, so meters stay bit-identical across worker counts and morsel
+// sizes.
+func ChargeTopK(p par.P, m *device.Meter, n, k int, bytesPer int64) {
+	if k = min(k, n); n > 0 && k > 0 {
+		m.CPUWork(p.NThreads(), int64(n)*bytesPer+int64(k)*8, 0, int64(n)*int64(bits.Len(uint(k))))
 	}
 }

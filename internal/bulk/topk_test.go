@@ -37,7 +37,7 @@ func TestTopKParMatchesSort(t *testing.T) {
 		for _, workers := range []int{1, 3, 8} {
 			for _, chunk := range []int{0, 64, 777} {
 				p := par.P{Threads: 1, Workers: workers, Chunk: chunk}
-				got := TopK(p, nil, n, k, 8, less)
+				got := TopK(p, n, k, less)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d workers=%d chunk=%d: got %d indices, want %d", trial, workers, chunk, len(got), len(want))
 				}
@@ -54,13 +54,13 @@ func TestTopKParMatchesSort(t *testing.T) {
 // TestTopKParEdgeCases covers empty input, k=0 and single elements.
 func TestTopKParEdgeCases(t *testing.T) {
 	less := func(i, j int) bool { return i < j }
-	if got := TopK(par.P{}, nil, 0, 5, 8, less); got != nil {
+	if got := TopK(par.P{}, 0, 5, less); got != nil {
 		t.Errorf("n=0 returned %v", got)
 	}
-	if got := TopK(par.P{}, nil, 5, 0, 8, less); got != nil {
+	if got := TopK(par.P{}, 5, 0, less); got != nil {
 		t.Errorf("k=0 returned %v", got)
 	}
-	if got := TopK(par.P{}, nil, 1, 1, 8, less); len(got) != 1 || got[0] != 0 {
+	if got := TopK(par.P{}, 1, 1, less); len(got) != 1 || got[0] != 0 {
 		t.Errorf("n=1 returned %v", got)
 	}
 }
@@ -78,7 +78,7 @@ func BenchmarkTopK(b *testing.B) {
 	less := func(i, j int) bool { return vals[i] < vals[j] }
 	b.Run("heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			TopK(par.P{Threads: 1, Workers: 1}, nil, n, k, 8, less)
+			TopK(par.P{Threads: 1, Workers: 1}, n, k, less)
 		}
 	})
 	b.Run("fullsort", func(b *testing.B) {

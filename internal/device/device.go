@@ -105,13 +105,6 @@ func (d *Device) Used() int64 {
 	return d.used
 }
 
-// Available returns the unallocated capacity in bytes.
-func (d *Device) Available() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.Capacity - d.used
-}
-
 // EffectiveBW returns the effective bandwidth seen by t concurrent streams
 // in total: min(t·PerThreadBW, AggregateBW).
 func (d *Device) EffectiveBW(t int) float64 {

@@ -13,8 +13,8 @@ func TestAllocAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc(60): %v", err)
 	}
-	if d.Used() != 60 || d.Available() != 40 {
-		t.Errorf("Used/Available = %d/%d, want 60/40", d.Used(), d.Available())
+	if d.Used() != 60 {
+		t.Errorf("Used = %d, want 60", d.Used())
 	}
 	b, err := d.Alloc(40)
 	if err != nil {
@@ -188,7 +188,7 @@ func TestMeterCPUThreadScaling(t *testing.T) {
 	}
 }
 
-func TestMeterAddAndScale(t *testing.T) {
+func TestMeterAdd(t *testing.T) {
 	sys := PaperSystem()
 	a := NewMeter(sys)
 	b := NewMeter(sys)
@@ -197,12 +197,6 @@ func TestMeterAddAndScale(t *testing.T) {
 	a.Add(b)
 	if a.PCI == 0 {
 		t.Error("Add did not merge PCI charge")
-	}
-	before := a.Total()
-	a.Scale(2)
-	after := a.Total()
-	if after < time.Duration(float64(before)*1.99) || after > time.Duration(float64(before)*2.01) {
-		t.Errorf("Scale(2): %v -> %v, want ~2x", before, after)
 	}
 }
 

@@ -60,6 +60,12 @@ type Series struct {
 	Y     []float64 `json:"y"` // milliseconds unless the figure says otherwise
 }
 
+// add appends the point (x, y).
+func (s *Series) add(x, y float64) {
+	s.X = append(s.X, x)
+	s.Y = append(s.Y, y)
+}
+
 // Bar is one labelled bar with the per-device breakdown of Figs 9/10.
 type Bar struct {
 	Label string  `json:"label"`

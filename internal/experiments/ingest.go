@@ -108,10 +108,8 @@ func Ingest(opts Options) (*Figure, error) {
 		}
 		stats := st.Stats()
 		x := float64((b + 1) * batch)
-		fig.Series[0].X = append(fig.Series[0].X, x)
-		fig.Series[0].Y = append(fig.Series[0].Y, float64(stats.MergeShippedBytes)/1e6)
-		fig.Series[1].X = append(fig.Series[1].X, x)
-		fig.Series[1].Y = append(fig.Series[1].Y, float64(stats.MergeFullBytes)/1e6)
+		fig.Series[0].add(x, float64(stats.MergeShippedBytes)/1e6)
+		fig.Series[1].add(x, float64(stats.MergeFullBytes)/1e6)
 	}
 	finalMS, err := queryMS()
 	if err != nil {

@@ -44,11 +44,13 @@ func microScale(opts Options) float64 {
 // of the times being multiplied up (fixed launch/transfer costs stay
 // fixed; see device.ScaledSystem).
 func selectionExperiment(sys *device.System, col *bwd.Column, lo, hi int64, threads int) (approx, total float64) {
-	m := device.NewMeter(sys)
-	cands := ar.SelectApprox(m, col, col.Relax(lo, hi))
-	approxOnly := m.Total().Seconds()
-	cands.Ship(m)
-	ar.SelectRefine(par.P{Threads: threads}, m, col, nil, lo, hi, cands)
+	m, pp := device.NewMeter(sys), par.P{Threads: threads}
+	cands := ar.SelectApprox(col, col.Relax(lo, hi))
+	ar.ChargeSelectApprox(m, cands.Len(), col)
+	approxOnly, n := m.Total().Seconds(), cands.Len()
+	cands.ChargeShip(m)
+	ar.SelectRefine(pp, col, nil, lo, hi, cands)
+	ar.ChargeSelectRefine(pp, m, col, false, n, cands.Len())
 	return approxOnly, m.Total().Seconds()
 }
 
@@ -101,14 +103,10 @@ func fig8Selection(opts Options, id, title string, approxBits uint) (*Figure, er
 		set.Release()
 
 		a, t := selectionExperiment(sys, col, 0, hi, opts.Threads)
-		monet.X = append(monet.X, sel)
-		monet.Y = append(monet.Y, ms(monetT))
-		ar2.X = append(ar2.X, sel)
-		ar2.Y = append(ar2.Y, ms(t))
-		apx.X = append(apx.X, sel)
-		apx.Y = append(apx.Y, ms(a))
-		stream.X = append(stream.X, sel)
-		stream.Y = append(stream.Y, ms(streamT))
+		monet.add(sel, ms(monetT))
+		ar2.add(sel, ms(t))
+		apx.add(sel, ms(a))
+		stream.add(sel, ms(streamT))
 	}
 	return &Figure{
 		ID: id, Title: title,
@@ -149,13 +147,10 @@ func Fig8c(opts Options) (*Figure, error) {
 		for si, sel := range selectivities {
 			hi := int64(float64(MicroDomain)*sel/100) - 1
 			a, t := selectionExperiment(sys, col, 0, hi, opts.Threads)
-			series[2*si].X = append(series[2*si].X, bits)
-			series[2*si].Y = append(series[2*si].Y, ms(t))
-			series[2*si+1].X = append(series[2*si+1].X, bits)
-			series[2*si+1].Y = append(series[2*si+1].Y, ms(a))
+			series[2*si].add(bits, ms(t))
+			series[2*si+1].add(bits, ms(a))
 		}
-		stream.X = append(stream.X, bits)
-		stream.Y = append(stream.Y, ms(streamT))
+		stream.add(bits, ms(streamT))
 		col.Release()
 	}
 	return &Figure{
@@ -221,9 +216,8 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		hi := int64(float64(MicroDomain)*sel/100) - 1
 		// Candidate set prepared outside the timed region: the experiment
 		// measures the projection, like the paper's per-operator breakdown.
-		refined := ar.SelectApprox(nil, dsel, dsel.Relax(0, hi))
-		refined.Ship(nil)
-		if err := ar.SelectRefine(pp, nil, dsel, nil, 0, hi, refined); err != nil {
+		refined := ar.SelectApprox(dsel, dsel.Relax(0, hi))
+		if err := ar.SelectRefine(pp, dsel, nil, 0, hi, refined); err != nil {
 			return nil, err
 		}
 		set, err := ar.SelectExact(pp, selCol.Len(), bwd.Exactly(nil, selCol.Tails(), 0, hi))
@@ -245,23 +239,21 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		set.Release()
 
 		m = device.NewMeter(sys)
-		proj := ar.ProjectApprox(m, dprj, nil, refined)
+		proj := ar.ProjectApprox(dprj, nil, refined)
+		ar.ChargeProjectApprox(m, dprj, refined.Len())
 		approxT := m.Total().Seconds()
-		proj.Ship(m)
-		if _, err := ar.ProjectRefine(pp, m, proj); err != nil {
+		proj.ChargeShip(m)
+		if _, err := ar.ProjectRefine(pp, proj); err != nil {
 			return nil, err
 		}
+		proj.ChargeRefine(pp.NThreads(), m)
 		totalT := m.Total().Seconds()
 		refined.Release()
 
-		monet.X = append(monet.X, sel)
-		monet.Y = append(monet.Y, ms(monetT))
-		ar2.X = append(ar2.X, sel)
-		ar2.Y = append(ar2.Y, ms(totalT))
-		apx.X = append(apx.X, sel)
-		apx.Y = append(apx.Y, ms(approxT))
-		stream.X = append(stream.X, sel)
-		stream.Y = append(stream.Y, ms(streamT))
+		monet.add(sel, ms(monetT))
+		ar2.add(sel, ms(totalT))
+		apx.add(sel, ms(approxT))
+		stream.add(sel, ms(streamT))
 	}
 	return &Figure{
 		ID: id, Title: title,
@@ -303,22 +295,20 @@ func Fig8f(opts Options) (*Figure, error) {
 		monetT := m.Total().Seconds()
 
 		m = device.NewMeter(sys)
-		cands := ar.SelectApprox(m, col, bwd.ApproxRange{Full: true})
-		grouping := ar.GroupApprox(m, []*bwd.Column{col}, cands)
+		cands := ar.SelectApprox(col, bwd.ApproxRange{Full: true})
+		ar.ChargeSelectApprox(m, cands.Len(), col)
+		grouping := ar.GroupApprox([]*bwd.Column{col}, cands)
+		ar.ChargeGroupApprox(m, grouping.Cols, cands, grouping.NGroups)
 		approxT := m.Total().Seconds()
-		grouping.Ship(m)
-		cands.Ship(m)
+		grouping.ChargeShip(m)
+		cands.ChargeShip(m)
 		ar.ChargeGroupRefine(par.P{Threads: opts.Threads}, m, grouping, cands.Len())
 		totalT := m.Total().Seconds()
 
-		monet.X = append(monet.X, g)
-		monet.Y = append(monet.Y, ms(monetT))
-		ar2.X = append(ar2.X, g)
-		ar2.Y = append(ar2.Y, ms(totalT))
-		apx.X = append(apx.X, g)
-		apx.Y = append(apx.Y, ms(approxT))
-		stream.X = append(stream.X, g)
-		stream.Y = append(stream.Y, ms(streamT))
+		monet.add(g, ms(monetT))
+		ar2.add(g, ms(totalT))
+		apx.add(g, ms(approxT))
+		stream.add(g, ms(streamT))
 		col.Release()
 	}
 	return &Figure{

@@ -138,12 +138,9 @@ func Partition(opts Options) (*Figure, error) {
 			return nil, fmt.Errorf("partition: classic over %d partitions differs from the unpartitioned baseline", n)
 		}
 		arT := arM.Total().Seconds()
-		arAgg.X = append(arAgg.X, float64(n))
-		arAgg.Y = append(arAgg.Y, ms(arT))
-		arShare.X = append(arShare.X, float64(n))
-		arShare.Y = append(arShare.Y, ms(arT/float64(n)))
-		clAgg.X = append(clAgg.X, float64(n))
-		clAgg.Y = append(clAgg.Y, ms(clM.Total().Seconds()))
+		arAgg.add(float64(n), ms(arT))
+		arShare.add(float64(n), ms(arT/float64(n)))
+		clAgg.add(float64(n), ms(clM.Total().Seconds()))
 		bars = append(bars, Bar{
 			Label: fmt.Sprintf("A&R %d partition(s)", n),
 			Total: arT,

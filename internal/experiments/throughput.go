@@ -71,8 +71,7 @@ func Fig11(opts Options) (*Figure, error) {
 	threadSweep := []int{1, 2, 4, 8, 16, 32}
 	classic := Series{Label: "Classic CPU (parallel streams)"}
 	for _, t := range threadSweep {
-		classic.X = append(classic.X, float64(t))
-		classic.Y = append(classic.Y, classicQPS(t, 0))
+		classic.add(float64(t), classicQPS(t, 0))
 	}
 
 	// Host-bandwidth draw of one saturated A&R stream, as the scheduler

@@ -116,7 +116,7 @@ func TestExactLegGroupsInItsFold(t *testing.T) {
 				{"full", bwd.ApproxRange{Full: true}},
 			} {
 				name := fmt.Sprintf("%d rows, key %v, %s", n, widths, r.name)
-				cands := ar.SelectApprox(nil, selCol, r.rng)
+				cands := ar.SelectApprox(selCol, r.rng)
 				if wg := cands.WorkGroups(); n > chunk && wg < 5 {
 					t.Fatalf("%s: fixture spans %d work-groups", name, wg)
 				}

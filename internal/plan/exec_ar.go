@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ar"
 	"repro/internal/bwd"
-	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
@@ -165,10 +164,10 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 		if exact {
 			out.keys = segments{base}.fold(ar.OnDevice(pp), pl.prog, &out.acc, q.GroupBy...)
 			out.mg = &ar.Grouping{Cols: groupCols, NGroups: out.acc.groups, Cands: cands.Len()}
-			ar.ChargeGroupApprox(m, groupCols, cands, out.mg.NGroups)
 		} else {
-			out.mg = ar.GroupApprox(m, groupCols, cands)
+			out.mg = ar.GroupApprox(groupCols, cands)
 		}
+		ar.ChargeGroupApprox(m, groupCols, cands, out.mg.NGroups)
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.groupapproximate(%[1]s)", A: pl.groupText})
 	}
 
@@ -180,7 +179,8 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 			table = ref.Dim
 		}
 		b := base.binds[ref]
-		projections[ref] = ar.ProjectApprox(m, b.col, b.key, cands)
+		projections[ref] = ar.ProjectApprox(b.col, b.key, cands)
+		ar.ChargeProjectApprox(m, b.col, cands.Len())
 		st.emit(cands.Len(), -1, obs.Op{Fmt: opProjectApprox, A: table, B: ref.Name})
 	}
 
@@ -206,11 +206,11 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 			out.acc = pl.prog.newAcc(1, false)
 			out.segs.fold(ar.OnDevice(pp), pl.prog, &out.acc)
 		}
-		ar.CountApprox(m, cands)
 		st.res.Approx = pl.prog.answer(&out.acc)
 	} else {
-		st.res.Approx = approxAnswer(ar.OnDevice(pp), m, pl.prog, out.segs)
+		st.res.Approx = approxAnswer(ar.OnDevice(pp), pl.prog, out.segs)
 	}
+	ar.ChargeCountApprox(m, cands.Len())
 	st.res.Candidates = cands.Len()
 	for _, a := range q.Aggs {
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.%[1]sapproximate(%[2]s)", A: a.Func.String(), B: a.Name})
@@ -220,12 +220,12 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	if err := st.step(StageShip); err != nil {
 		return nil, err
 	}
-	cands.Ship(m)
+	cands.ChargeShip(m)
 	for _, ref := range refList {
-		projections[ref].Ship(m)
+		projections[ref].ChargeShip(m)
 	}
 	if out.mg != nil {
-		out.mg.Ship(m)
+		out.mg.ChargeShip(m)
 	}
 	for range q.Joins {
 		m.Transfer(int64(cands.Len()) * 4) // billed as a shipped position list
@@ -311,15 +311,14 @@ func (pl pipeline) keyFor(keys []bwd.Key, dim string) *bwd.Key {
 // qualifying delta rows, the delta segment folded by its mask (the delta is
 // host resident and undecomposed, so its values carry no approximation
 // error). A classic leg's base is a host set with no split and exact
-// columns, so its answer is exact, every interval a point; it bills nothing
-// (m nil).
-func approxAnswer(pp par.P, m *device.Meter, pg *program, segs segments) ApproxAnswer {
+// columns, so its answer is exact, every interval a point. It bills nothing.
+func approxAnswer(pp par.P, pg *program, segs segments) ApproxAnswer {
 	base := segs[0]
 	var certain, uncertain *ar.Candidates
 	if len(pg.slots) > 0 {
 		certain, uncertain = base.set.Split()
 	}
-	out := ApproxAnswer{Count: ar.CountApprox(m, base.set), Aggs: make([]ar.Interval, len(pg.aggs))}
+	out := ApproxAnswer{Count: ar.CountApprox(base.set), Aggs: make([]ar.Interval, len(pg.aggs))}
 	acc := pg.newAcc(1, true)
 	var buf [3]rows // the base's certain and uncertain sets and the delta, on the stack
 	ins := append(buf[:0], pg.bind(base))

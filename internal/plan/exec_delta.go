@@ -5,7 +5,9 @@ import (
 	"sort"
 
 	"repro/internal/bwd"
+	"repro/internal/device"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // tailCols lists every column whose exact values the aggregation phase
@@ -53,15 +55,10 @@ func sortedRefs(refs []ColRef) []ColRef {
 // (a nil set) when it holds no rows. Both scan strategies run it — the A&R
 // one before its ship, so the phase-A answer includes the delta exactly —
 // because the delta is never decomposed: the paper's operators apply to the
-// base segment only. A scan that fails releases its set.
-//
-// It is billed once, as the row store a delta is: one sequential pass over
-// the whole visible rows evaluating every predicate, the qualifying values
-// written, and the dimension gathers of joined rows — not the columns the
-// host reads (DESIGN.md §7).
+// base segment only. A scan that fails releases its set. It is billed once, by
+// chargeDelta.
 func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (segment, error) {
-	fact := pl.snap.fact
-	if fact.DeltaLen() == 0 {
+	if pl.snap.fact.DeltaLen() == 0 {
 		return segment{}, nil
 	}
 	keys := make([]bwd.Key, len(pl.q.Joins))
@@ -74,6 +71,17 @@ func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (segment, error) {
 		sel.Release()
 		return segment{}, err
 	}
+	pl.chargeDelta(st.m, st.pp, need, sel.Len())
+	st.emit(sel.Len(), -1, obs.Op{Fmt: opDeltaScan, A: pl.q.Table, N: int64(sel.Len())})
+	return segment{set: sel, binds: binds}, nil
+}
+
+// chargeDelta bills the delta scan that kept n rows and read the columns of
+// need at them once, as the row store a delta is: one sequential pass over the
+// whole visible rows evaluating every predicate, the qualifying values
+// written, and the dimension gathers of joined rows — not the columns the host
+// reads (DESIGN.md §7).
+func (pl pipeline) chargeDelta(m *device.Meter, pp par.P, need []ColRef, n int) {
 	preds, facts, dims := 0, 0, 0
 	for _, op := range pl.ops {
 		if op.join < 0 {
@@ -89,8 +97,6 @@ func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (segment, error) {
 			facts++
 		}
 	}
-	n := int64(sel.Len())
-	st.m.CPUWork(st.pp.NThreads(), fact.DeltaBytes()+n*8*int64(facts), n*8*int64(dims), int64(fact.DeltaLen())*int64(1+preds))
-	st.emit(sel.Len(), -1, obs.Op{Fmt: opDeltaScan, A: pl.q.Table, N: n})
-	return segment{set: sel, binds: binds}, nil
+	rows, fact := int64(n), pl.snap.fact
+	m.CPUWork(pp.NThreads(), fact.DeltaBytes()+rows*8*int64(facts), rows*8*int64(dims), int64(fact.DeltaLen())*int64(1+preds))
 }

@@ -152,7 +152,7 @@ func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
 	if pl.classic && !stmtClassic {
 		// A classic leg's partial is exact, so a mixed-mode scatter still
 		// reports strict phase-A bounds.
-		st.res.Approx = approxAnswer(st.pp, nil, pl.prog, lg.out.segs)
+		st.res.Approx = approxAnswer(st.pp, pl.prog, lg.out.segs)
 	}
 }
 

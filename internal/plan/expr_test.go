@@ -260,7 +260,7 @@ func randSurvivors(t testing.TB, rng *rand.Rand, n int, masked bool) (*ar.Candid
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := ar.SelectApprox(nil, col, col.Relax(1, 2))
+	cands := ar.SelectApprox(col, col.Relax(1, 2))
 	if cands.Len() != n {
 		t.Fatalf("the survivor fixture holds %d candidates, want %d", cands.Len(), n)
 	}
@@ -372,8 +372,8 @@ func randInput(t testing.TB, rng *rand.Rand, n, depth int, grouped, masked bool)
 		in.keyCodes = &bwd.Column{Dec: bwd.Decomposition{Base: in.keyBase, TotalBits: bits, ApproxBits: bits}, Approx: bitpack.Pack(bits, offs)}
 	}
 	if masked {
-		in.sure = ar.SelectApprox(nil, in.selCol, in.selCol.Relax(1, 1))
-		in.unsure = ar.SelectApprox(nil, in.selCol, in.selCol.Relax(2, 2))
+		in.sure = ar.SelectApprox(in.selCol, in.selCol.Relax(1, 1))
+		in.unsure = ar.SelectApprox(in.selCol, in.selCol.Relax(2, 2))
 	}
 	return in
 }
@@ -514,7 +514,7 @@ func (in *exprInput) check(t *testing.T, pp par.P, label string) {
 	host.Release()
 	// The refinement keeps every candidate of a block of rows, most of them
 	// or a few, so the narrowed set holds dense blocks and sparse ones.
-	refined := ar.SelectApprox(nil, in.selCol, in.selCol.Relax(1, 2))
+	refined := ar.SelectApprox(in.selCol, in.selCol.Relax(1, 2))
 	rng := rand.New(rand.NewSource(int64(in.n)))
 	keep, mode := make([]int64, len(in.sel)), 0
 	for r := range keep {
@@ -763,7 +763,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 			}
 			keyCols = append(keyCols, col)
 		}
-		cands := ar.SelectApprox(nil, keyCols[0], bwd.ApproxRange{Full: true})
+		cands := ar.SelectApprox(keyCols[0], bwd.ApproxRange{Full: true})
 		filterVals := make([]int64, n)
 		for r := range filterVals {
 			filterVals[r] = int64(rng.Intn(1024))
@@ -773,13 +773,13 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() {
-			filtered := ar.SelectApprox(nil, filter, filter.Relax(100, 300))
+			filtered := ar.SelectApprox(filter, filter.Relax(100, 300))
 			sure, unsure := filtered.Split()
 			acc := pg.newAcc(1, true)
 			pg.fold(pp, &acc, nil, rows{cols: cols, by: sure}, rows{cols: cols, uncertain: true, by: unsure})
 			acc.release()
 			filtered.Release()
-			ar.GroupApprox(nil, keyCols, cands)
+			ar.GroupApprox(keyCols, cands)
 			// Grouped by the packed codes through the direct table, and by the
 			// values through the hash table.
 			for _, keyed := range []map[ColRef]colBind{
@@ -793,7 +793,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 				if acc.groups != 6 {
 					t.Fatalf("grouping: %d groups", acc.groups)
 				}
-				aggregateRows(nil, pp, pg, segs, &acc, keys, true, true)
+				aggregateRows(pp, pg, segs, &acc, keys, true)
 				acc.release()
 			}
 		}

@@ -147,7 +147,7 @@ func TestKeyedFoldMergeLaw(t *testing.T) {
 				for r, v := range sel {
 					codes[r] = uint64(v)
 				}
-				set = ar.SelectApprox(nil, residentColumn(t, 1, 0, codes), bwd.ApproxRange{Lo: 1, Hi: 1})
+				set = ar.SelectApprox(residentColumn(t, 1, 0, codes), bwd.ApproxRange{Lo: 1, Hi: 1})
 			} else {
 				var err error
 				if set, err = ar.SelectExact(par.P{Chunk: 1 + rng.Intn(3)*4096}, n, bwd.Exactly(nil, sel, 1, 1)); err != nil {

@@ -8,7 +8,9 @@ import (
 	"repro/internal/ar"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
+	"repro/internal/device"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // opKind is what one operator of a leg's list does to its survivor set.
@@ -17,8 +19,9 @@ type opKind uint8
 const (
 	opFilter opKind = iota // a conjunct: one range on a column of the leg's table or of a dimension
 	opOr                   // a disjunction group: the union of its ranges on the leg's columns
-	opMask                 // the leg's deleted rows
+	opMask                 // the deleted rows of the leg's table, or after a probe of its dimension
 	opProbe                // an FK probe, which drops a key without a live partner in the dimension
+	opScan                 // every row: no list holds it, a walk runs it when no operator can make its set (scanAll)
 )
 
 // legOp is one operator of a leg's list (legPlan.ops), estimated once where
@@ -28,12 +31,13 @@ type legOp struct {
 	// table is what the operator lists as its table — a dimension filter's
 	// dimension, the leg's table otherwise — and text its argument: the
 	// filtered column, a disjunction's columns ("t.a|t.b"), a probe's "fk ->
-	// dim".
-	table, text string
+	// dim", a scan's anchor column. dim is the dimension a conjunct or a mask
+	// reads, "" on the leg's table.
+	table, text, dim string
 	// filters is a conjunct's range or a disjunction's ranges.
 	filters []Filter
 	// join is the position in the query's joins of a probe, or of a dimension
-	// filter's join; -1 on the leg's table. group is a disjunction's
+	// filter's or mask's join; -1 on the leg's table. group is a disjunction's
 	// candidate-attachment id.
 	join, group int
 	// sel is the selectivity estimate and src where it came from — a probe's
@@ -61,8 +65,9 @@ func (op *legOp) estText(rel string) string {
 
 // buildLeg assembles one leg's plan (table names the leg) against the
 // snapshot it is priced at: its operator list — the conjuncts, the
-// disjunction groups, the deletion mask, then per join its probe and its
-// dimension filters — with every operator's estimates. A classic leg keeps
+// disjunction groups, the deletion mask, then per join its probe, the
+// dimension's deletion mask and its dimension filters — with every
+// operator's estimates. A classic leg keeps
 // the written order: the bulk engine predates the statistics and keeps them
 // only for \explain. An A&R leg is cost-ordered, the optimizer of §III-A with
 // real statistics: conjuncts, fact-side and per join dimension-side, run in
@@ -78,7 +83,7 @@ func buildLeg(plan *Plan, table string, snap *execSnap, classic bool) *legPlan {
 	pl.resident = snap.resident(q)
 	n := len(q.Filters) + len(q.Or) + 1
 	for _, j := range q.Joins {
-		n += 1 + len(j.DimFilters)
+		n += 2 + len(j.DimFilters)
 	}
 	ops := appendFilters(make([]legOp, 0, n), snap, table, -1, q.Filters, classic)
 	for i, g := range q.Or {
@@ -100,7 +105,8 @@ func buildLeg(plan *Plan, table string, snap *execSnap, classic bool) *legPlan {
 		if ds := snap.snapFor(j.Dim); ds.BaseLen() > 0 {
 			probe.sel = float64(ds.LiveBase()) / float64(ds.BaseLen())
 		}
-		ops = appendFilters(append(ops, probe), snap, j.Dim, ji, j.DimFilters, classic)
+		ops = append(ops, probe, legOp{kind: opMask, table: j.Dim, dim: j.Dim, join: ji})
+		ops = appendFilters(ops, snap, j.Dim, ji, j.DimFilters, classic)
 	}
 	// The running estimate starts at the live base rows, the partition line's
 	// (Describe) at every live row; one estimate-free link poisons the rest.
@@ -138,7 +144,7 @@ func appendFilters(ops []legOp, snap *execSnap, table string, join int, filters 
 	start := len(ops)
 	for i, f := range filters {
 		sel, src := estimateSelectivity(snap.get(dim, f.Col), f)
-		ops = append(ops, legOp{kind: opFilter, table: table, text: f.Col, filters: filters[i : i+1], join: join, sel: sel, src: src})
+		ops = append(ops, legOp{kind: opFilter, table: table, text: f.Col, dim: dim, filters: filters[i : i+1], join: join, sel: sel, src: src})
 	}
 	if rs := ops[start:]; !classic && len(rs) > 1 {
 		sort.SliceStable(rs, func(i, j int) bool { return rs[i].sel < rs[j].sel })
@@ -175,10 +181,10 @@ var phaseStage = [...]Stage{phaseApprox: StageApprox, phaseRefine: StageRefine, 
 
 // opFmts is each operator's listing per phase (obs.Op: A its table, B its
 // text); an empty format lists nothing.
-var opFmts = [...][4]string{
-	phaseApprox: {opFilter: "bwd.uselectapproximate(%[1]s.%[2]s)", opOr: "bwd.uselectanyapproximate(%[2]s)", opMask: opMaskDeleted, opProbe: opProjectApprox},
+var opFmts = [...][5]string{
+	phaseApprox: {opFilter: "bwd.uselectapproximate(%[1]s.%[2]s)", opOr: "bwd.uselectanyapproximate(%[2]s)", opMask: opMaskDeleted, opProbe: opProjectApprox, opScan: "bwd.scanapproximate(%[1]s.%[2]s)"},
 	phaseRefine: {opFilter: "bwd.uselectrefine(%[1]s.%[2]s)", opOr: "bwd.uselectanyrefine(%[2]s)", opProbe: "bwd.leftjoinrefine(%[1]s.%[2]s)"},
-	phaseBase:   {opFilter: "algebra.uselect(%[1]s.%[2]s)", opOr: "algebra.uselectany(%[2]s)", opMask: "algebra.maskdeleted(%[1]s)", opProbe: "algebra.leftjoin(%[1]s.%[2]s)"},
+	phaseBase:   {opFilter: "algebra.uselect(%[1]s.%[2]s)", opOr: "algebra.uselectany(%[2]s)", opMask: "algebra.maskdeleted(%[1]s)", opProbe: "algebra.leftjoin(%[1]s.%[2]s)", opScan: "algebra.scan(%[1]s)"},
 	phaseDelta:  {},
 }
 
@@ -196,18 +202,19 @@ func (ph phase) checkpoint(op *legOp) bool {
 
 // walk is the selection of one segment of the leg in phase ph: every operator
 // of the list, in order, narrowing one survivor set in row order — a mask, no
-// id list passes between them. A walk that starts without a set (every phase
-// but phaseRefine, which narrows phase A's in place) makes it with the first
-// operator that can — a conjunct, or on the device a disjunction — or else
-// with a scan of every row (scanAll), and releases it if it fails. A probe
-// stores its join's key in keys, aligned with the query's joins: a dimension
-// filter, and phase R's refinement of it, read their column through it.
+// id list passes between them — and billed by bill once it ran. A walk that
+// starts without a set (every phase but phaseRefine, which narrows phase A's
+// in place) makes it with the first operator that can — a conjunct, or on the
+// device a disjunction — or else with a scan of every row (scanAll), and
+// releases it if it fails. A probe stores its join's key in keys, aligned with
+// the query's joins: a dimension's mask and filters, and phase R's refinement
+// of them, read their column through it.
 func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.Key) (out *ar.Candidates, err error) {
-	q, snap, pp, m := &pl.q, pl.snap, st.pp, st.m
+	q, snap, pp := &pl.q, pl.snap, st.pp
 	fact := snap.fact
 	rows, deleted, dead := fact.BaseLen(), fact.DeletedWords(), fact.BaseDeletedCount()
 	if ph == phaseDelta {
-		m, rows, deleted, dead = nil, fact.DeltaLen(), fact.DeltaDeletedWords(), fact.DeltaLen()-fact.LiveDelta()
+		rows, deleted, dead = fact.DeltaLen(), fact.DeltaDeletedWords(), fact.DeltaLen()-fact.LiveDelta()
 	}
 	if set == nil {
 		if err := st.step(phaseStage[ph]); err != nil {
@@ -232,51 +239,38 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 				return set, err
 			}
 		}
-		in := 0
+		in := -1
 		if set != nil {
 			in = set.Len()
 		}
 		switch op.kind {
 		case opFilter:
-			f, dim := op.filters[0], ""
-			if op.join >= 0 {
-				dim = op.table
-			}
+			f, dim := op.filters[0], op.dim
 			key := pl.keyFor(keys, dim)
 			switch ph {
 			case phaseApprox:
 				d := snap.get(dim, f.Col)
 				if set == nil {
-					set = ar.SelectApprox(m, d, d.Relax(f.Lo, f.Hi))
+					set = ar.SelectApprox(d, d.Relax(f.Lo, f.Hi))
 				} else {
-					set = ar.SelectApproxOver(m, d, key, d.Relax(f.Lo, f.Hi), set)
+					set = ar.SelectApproxOver(d, key, d.Relax(f.Lo, f.Hi), set)
 				}
 			case phaseRefine:
 				// §IV-C: over a fully device-resident column the relaxed range
 				// was the exact predicate and the candidates are the result — no
 				// refinement runs (and none is charged).
 				if d := snap.get(dim, f.Col); d.Dec.ResBits > 0 {
-					err = ar.SelectRefine(pp, m, d, key, f.Lo, f.Hi, set)
+					err = ar.SelectRefine(pp, d, key, f.Lo, f.Hi, set)
 				}
 			default:
 				c, cerr := pl.column(ph, ColRef{Dim: dim, Name: f.Col})
 				if cerr != nil {
 					return set, cerr
 				}
-				switch {
-				case set == nil: // a full scan of the column
-					if set, err = ar.SelectExact(pp, rows, c.exactly(f.Lo, f.Hi)); err == nil {
-						bulk.ChargeSelectRange(pp, m, c.width, c.rows, set.Len())
-					}
-				case key == nil: // the column gathered at the survivors and filtered
-					if err = set.Narrow(pp, c.exactly(f.Lo, f.Hi)); err == nil {
-						bulk.ChargeSelectOIDs(pp, m, c.width, c.rows, in, set.Len())
-					}
-				default: // a dimension column fetched at the joined positions and filtered
-					if err = set.Narrow(pp, c.exactly(f.Lo, f.Hi).Through(key)); err == nil && m != nil {
-						bulk.ChargeFetch(pp, m, c.width, c.rows, in)
-						m.CPUWork(pp.NThreads(), int64(in)*8, 0, int64(in))
-					}
+				if set == nil { // a full scan of the column
+					set, err = ar.SelectExact(pp, rows, c.exactly(f.Lo, f.Hi))
+				} else { // the column gathered at the survivors, or a dimension's at the joined positions, and filtered
+					err = set.Narrow(pp, c.exactly(f.Lo, f.Hi).Through(key))
 				}
 			}
 		case opOr:
@@ -284,13 +278,13 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 			case phaseApprox:
 				cols, rs, _, _ := pl.orGroupRelax(op.filters)
 				if set == nil {
-					set = ar.SelectApproxAny(m, cols, rs, op.group)
+					set = ar.SelectApproxAny(cols, rs, op.group)
 				} else {
-					set = ar.SelectApproxAnyOver(m, cols, rs, set, op.group)
+					set = ar.SelectApproxAnyOver(cols, rs, set, op.group)
 				}
 			case phaseRefine:
 				cols, _, los, his := pl.orGroupRelax(op.filters)
-				err = ar.SelectRefineAny(pp, m, cols, los, his, set)
+				err = ar.SelectRefineAny(pp, cols, los, his, set)
 			default:
 				// The bulk operator fetches each disjunct column at the
 				// survivors and filters them in one fully-materializing pass.
@@ -301,33 +295,32 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 						return set, cerr
 					}
 					ds[k] = c.exactly(f.Lo, f.Hi)
-					bulk.ChargeFetch(pp, m, c.width, c.rows, in)
 				}
-				if err = set.Narrow(pp, ds...); err == nil && m != nil {
-					n := int64(in) * int64(len(ds))
-					m.CPUWork(pp.NThreads(), n*8, 0, n)
-				}
+				err = set.Narrow(pp, ds...)
 			}
 		case opMask:
-			// One pass over the survivors: on the device an AND-NOT of the
-			// deletion bitmap, which DELETE mirrors there, into the mask, so
-			// the phase-A answer stays a strict bound over the live rows; phase
-			// R has nothing left to drop.
-			if ph == phaseRefine || dead == 0 {
+			// An AND-NOT of a deletion bitmap into the mask, so the phase-A answer
+			// bounds the live rows: the leg's table's, and on the device after a
+			// probe its dimension's through the key (the host's probe drops a
+			// deleted partner itself). Phase R has nothing left to drop.
+			if op.join < 0 {
+				if ph == phaseRefine || dead == 0 {
+					continue
+				}
+				set.MaskOut(deleted)
+				break
+			}
+			ds := snap.snapFor(op.dim)
+			if ph != phaseApprox || ds.BaseDeletedCount() == 0 {
 				continue
 			}
-			set.MaskOut(deleted)
-			if ph == phaseApprox {
-				m.GPUKernel(int64(in)*4+int64(rows+7)/8, 0, int64(in))
-			} else if m != nil {
-				m.CPUWork(pp.NThreads(), int64(in)*8+int64(rows+7)/8, 0, int64(in))
-			}
+			set.MaskOutJoined(&keys[op.join], ds.DeletedWords())
 		case opProbe:
 			spec, key := q.Joins[op.join], &keys[op.join]
 			switch ph {
 			case phaseApprox:
 				*key = snap.joinKey(spec, snap.get("", spec.FKCol), nil)
-				_, err = ar.JoinApprox(m, key, set)
+				_, err = ar.JoinApprox(key, set)
 			case phaseBase, phaseDelta:
 				// The key fetched and probed in the pre-built index; a deleted
 				// dimension row drops its keys in the same pass.
@@ -336,33 +329,13 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 					return set, cerr
 				}
 				*key = snap.joinKey(spec, fk.dec, fk.vals)
-				if err = set.Narrow(pp, key.Joined(snap.snapFor(spec.Dim).DeletedWords())); err == nil {
-					bulk.ChargeFetch(pp, m, fk.width, fk.rows, in)
-					bulk.ChargeFKJoin(pp, m, in)
-				}
+				err = set.Narrow(pp, key.Joined(snap.snapFor(spec.Dim).DeletedWords()))
 			}
 		}
 		if err != nil {
 			return set, err
 		}
-		if f := opFmts[ph][op.kind]; f != "" {
-			est := int64(-1)
-			if op.selects() {
-				est = op.est
-			}
-			st.emit(set.Len(), est, obs.Op{Fmt: f, A: op.table, B: op.text})
-		}
-		if op.kind != opProbe || ph != phaseApprox {
-			continue
-		}
-		// On the device the dimension's deleted rows leave the set after the
-		// probe, read through its key.
-		if ds := snap.snapFor(q.Joins[op.join].Dim); ds.BaseDeletedCount() > 0 {
-			n := set.Len()
-			set.MaskOutJoined(&keys[op.join], ds.DeletedWords())
-			m.GPUKernel(int64(n)*4+int64(ds.BaseLen()+7)/8, 0, int64(n))
-			st.emit(set.Len(), -1, obs.Op{Fmt: opMaskDeleted, A: q.Joins[op.join].Dim})
-		}
+		pl.done(st, ph, op, in, set)
 	}
 	return set, nil
 }
@@ -371,20 +344,91 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 // can: every row of the segment — on the device the full scan of the anchor
 // column's codes (anchorColumn).
 func (pl pipeline) scanAll(st *pipeState, ph phase, rows int) (*ar.Candidates, error) {
+	op := legOp{kind: opScan, table: pl.q.Table, join: -1}
+	var set *ar.Candidates
 	if ph == phaseApprox {
 		anchor, ok := pl.q.anchorColumn()
 		if !ok {
 			return nil, fmt.Errorf("plan: query references no fact columns")
 		}
-		d := pl.snap.get("", anchor)
-		set := ar.SelectApprox(st.m, d, bwd.ApproxRange{Full: true})
-		st.emit(set.Len(), -1, obs.Op{Fmt: "bwd.scanapproximate(%[1]s.%[2]s)", A: pl.q.Table, B: anchor})
-		return set, nil
+		op.text = anchor
+		set = ar.SelectApprox(pl.snap.get("", anchor), bwd.ApproxRange{Full: true})
+	} else {
+		set, _ = ar.SelectExact(st.pp, rows)
 	}
-	set, _ := ar.SelectExact(st.pp, rows)
-	if ph == phaseBase {
-		st.m.CPUWork(st.pp.NThreads(), int64(set.Len())*4, 0, int64(set.Len()))
-		st.emit(set.Len(), -1, obs.Op{Fmt: "algebra.scan(%[1]s)", A: pl.q.Table})
-	}
+	pl.done(st, ph, &op, -1, set)
 	return set, nil
+}
+
+// done bills operator op of phase ph, which narrowed in survivors to set's
+// (in < 0: made set), and lists it with its estimate, if it selects.
+func (pl pipeline) done(st *pipeState, ph phase, op *legOp, in int, set *ar.Candidates) {
+	pl.bill(st.m, st.pp, ph, op, in, set.Len())
+	if f := opFmts[ph][op.kind]; f != "" {
+		est := int64(-1)
+		if op.selects() {
+			est = op.est
+		}
+		st.emit(set.Len(), est, obs.Op{Fmt: f, A: op.table, B: op.text})
+	}
+}
+
+// bill charges m for operator op of phase ph, which narrowed in survivors to
+// out, or made the set from every row of the segment (in < 0): the operator's
+// bill in the execution model, keyed by phase and kind, from those counts and
+// the shapes of the columns it reads (DESIGN.md §7) — on the device a GPU
+// kernel over the packed codes, in phase R the refinement that ran, in the
+// classic selection the bulk model's operator, whatever the host skipped. The
+// delta's operators bill nothing: scanDelta bills the segment (chargeDelta).
+func (pl pipeline) bill(m *device.Meter, pp par.P, ph phase, op *legOp, in, out int) {
+	snap, threads, keyed := pl.snap, pp.NThreads(), op.kind == opFilter && op.join >= 0
+	var buf [4]*bwd.Column
+	cols := buf[:0] // the columns a conjunct or a disjunction reads
+	for _, f := range op.filters {
+		cols = append(cols, snap.get(op.dim, f.Col))
+	}
+	masked := int64(snap.snapFor(op.dim).BaseLen()+7) / 8 // a mask's deletion bitmap
+	switch k := op.kind; {
+	case ph == phaseApprox && k == opScan:
+		ar.ChargeSelectApprox(m, out, snap.get("", op.text))
+	case ph == phaseApprox && k == opMask:
+		m.GPUKernel(int64(in)*4+masked, 0, int64(in))
+	case ph == phaseApprox && k == opProbe:
+		ar.ChargeJoinApprox(m, snap.get("", pl.q.Joins[op.join].FKCol), in)
+	case ph == phaseApprox && in < 0:
+		ar.ChargeSelectApprox(m, out, cols...)
+	case ph == phaseApprox:
+		ar.ChargeSelectApproxOver(m, keyed, in, out, cols...)
+	case ph == phaseRefine && k == opFilter:
+		ar.ChargeSelectRefine(pp, m, cols[0], keyed, in, out)
+	case ph == phaseRefine && k == opOr:
+		ar.ChargeSelectRefineAny(pp, m, false, in, out, cols...)
+	case ph != phaseBase:
+	case k == opScan:
+		m.CPUWork(threads, int64(out)*4, 0, int64(out))
+	case k == opMask:
+		m.CPUWork(threads, int64(in)*8+masked, 0, int64(in))
+	case k == opProbe: // the key fetched and probed in the index
+		fk, _ := pl.column(ph, ColRef{Name: pl.q.Joins[op.join].FKCol})
+		bulk.ChargeFetch(pp, m, fk.width, fk.rows, in)
+		bulk.ChargeFKJoin(pp, m, in)
+	case k == opOr: // each column fetched at the survivors, one pass over all
+		for _, f := range op.filters {
+			c, _ := pl.column(ph, ColRef{Name: f.Col})
+			bulk.ChargeFetch(pp, m, c.width, c.rows, in)
+		}
+		n := int64(in) * int64(len(op.filters))
+		m.CPUWork(threads, n*8, 0, n)
+	default: // a conjunct: a full scan, an id-list filter, or a dimension fetch and filter
+		c, _ := pl.column(ph, ColRef{Dim: op.dim, Name: op.filters[0].Col})
+		switch {
+		case in < 0:
+			bulk.ChargeSelectRange(pp, m, c.width, c.rows, out)
+		case op.join < 0:
+			bulk.ChargeSelectOIDs(pp, m, c.width, c.rows, in, out)
+		default:
+			bulk.ChargeFetch(pp, m, c.width, c.rows, in)
+			m.CPUWork(threads, int64(in)*8, 0, int64(in))
+		}
+	}
 }

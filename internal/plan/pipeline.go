@@ -280,7 +280,7 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	// arithmetic intermediate (§II-B). On the host both are the one compiled
 	// program folded block by block over the segments, each column read by
 	// mask where it lies (expr.go); the two models differ in what
-	// aggregateRows charges the meter, not in what runs.
+	// chargeAggregation bills, not in what runs.
 	if err := st.step(StageAggregate); err != nil {
 		return err
 	}
@@ -288,7 +288,8 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	if out.exact || len(q.GroupBy) > 0 {
 		folded = &out.acc
 	}
-	rows := aggregateRows(st.m, st.pp, pl.prog, out.segs, folded, out.keys, len(q.GroupBy) > 0, !classic)
+	chargeAggregation(st.m, st.pp.NThreads(), pl.prog.aggs, int64(out.segs.rows()), len(q.GroupBy) > 0, !classic)
+	rows := aggregateRows(st.pp, pl.prog, out.segs, folded, out.keys, len(q.GroupBy) > 0)
 	aggr := "bwd.%[1]srefine(%[2]s)"
 	if classic {
 		aggr = "aggr.%[1]s(%[2]s)"
@@ -326,9 +327,7 @@ func applyHaving(st *pipeState, q *Query, rows []Row) []Row {
 			kept = append(kept, r)
 		}
 	}
-	if st.m != nil {
-		st.m.CPUWork(st.pp.NThreads(), int64(len(rows))*8*int64(len(q.Having)), 0, int64(len(rows))*int64(len(q.Having)))
-	}
+	st.m.CPUWork(st.pp.NThreads(), int64(len(rows))*8*int64(len(q.Having)), 0, int64(len(rows))*int64(len(q.Having)))
 	st.emit(len(kept), -1, obs.Op{Fmt: "having(%[3]d of %[4]d groups)", N: int64(len(kept)), M: int64(len(rows))})
 	return kept
 }
@@ -372,7 +371,8 @@ func orderLimit(st *pipeState, pl *Plan, rows []Row) ([]Row, error) {
 		k = len(rows)
 	}
 	bytesPer := int64(8 * (len(q.GroupBy) + len(q.Aggs)))
-	idx := bulk.TopK(st.pp, st.m, len(rows), k, bytesPer, less)
+	idx := bulk.TopK(st.pp, len(rows), k, less)
+	bulk.ChargeTopK(st.pp, st.m, len(rows), k, bytesPer)
 	out := make([]Row, len(idx))
 	for i, at := range idx {
 		out[i] = rows[at]
@@ -574,14 +574,11 @@ func exprText(e Expr) string {
 // aggregateRows reads the rows off the accumulators a grouped fold or an
 // exact A&R leg already holds (folded non-nil; keys, each key column's value
 // per group), or folds the statement's compiled aggregates over the
-// segments' exact values, segment after segment, ungrouped — billing the
-// aggregation all the same. Rows come out in group-discovery order, every
+// segments' exact values, segment after segment, ungrouped. Its bill is
+// chargeAggregation. Rows come out in group-discovery order, every
 // row's Keys and Vals carved from one backing array; the caller establishes
 // the output order (sortRows, or ORDER BY's comparator) after HAVING.
-func aggregateRows(m *device.Meter, pp par.P, pg *program, segs segments, folded *aggAcc, keys [][]int64, grouped, fused bool) []Row {
-	if m != nil {
-		chargeAggregation(m, pp.NThreads(), pg.aggs, int64(segs.rows()), grouped, fused)
-	}
+func aggregateRows(pp par.P, pg *program, segs segments, folded *aggAcc, keys [][]int64, grouped bool) []Row {
 	var acc aggAcc
 	if folded != nil {
 		acc = *folded

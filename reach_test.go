@@ -12,12 +12,14 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// kernelLayer is the ten operator and container packages that must hold
-// nothing a statement, a figure or another package's test does not execute.
-var kernelLayer = []string{"ar", "bulk", "bat", "bitpack", "bwd", "stats", "shard", "fixed", "mem", "par"}
+// kernelLayer is the eleven operator, container and cost-model packages that
+// must hold nothing a statement, a figure or another package's test does not
+// execute.
+var kernelLayer = []string{"ar", "bulk", "bat", "bitpack", "bwd", "stats", "shard", "fixed", "mem", "par", "device"}
 
 // reachAllowed names what stays for good although nothing reaches it, each
 // with its reason. The test caps the list at 8 entries.
@@ -47,9 +49,7 @@ var reachRetiring = []string{
 // (fmt.Stringer, sort.Interface, …) counts as reached: it is called through
 // the interface.
 func TestKernelLayerIsReached(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the module and its standard-library imports from source")
-	}
+	g := loadModule(t)
 	if len(reachAllowed) > 8 {
 		t.Fatalf("allow-list has %d entries, the cap is 8", len(reachAllowed))
 	}
@@ -59,28 +59,6 @@ func TestKernelLayerIsReached(t *testing.T) {
 	}
 	for _, name := range reachRetiring {
 		excused[name] = true
-	}
-	g := newRefGraph()
-	var dirs []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		if err := g.addDir(dir); err != nil {
-			t.Fatal(err)
-		}
 	}
 	live := g.reach()
 
@@ -104,6 +82,94 @@ func TestKernelLayerIsReached(t *testing.T) {
 		t.Errorf("%d kernel-layer functions (%d lines with doc comments) are reached by no binary, benchmark or foreign test:\n%s",
 			len(dead), lines, strings.Join(dead, "\n"))
 	}
+}
+
+// meterTakers is what in internal/{ar,bulk,plan} may take a *device.Meter
+// besides a Charge… or charge… function: the walk's one bill, and the
+// catalog's maintenance entry points, whose store operations (insert, delete,
+// merge, decompose) bill as they run.
+var meterTakers = map[string]bool{
+	"plan.pipeline.bill":            true,
+	"plan.Catalog.InsertRows":       true,
+	"plan.Catalog.DeleteRows":       true,
+	"plan.Catalog.MergeTable":       true,
+	"plan.Catalog.DecomposeMetered": true,
+}
+
+// TestKernelsTakeNoMeter fails when a function or method declared in
+// internal/{ar,bulk,plan} has a *device.Meter parameter and is neither named
+// Charge… or charge… nor in meterTakers: kernels compute and charges bill, so
+// a caller that bills nothing calls no charge and a kernel has no meter to
+// guard (DESIGN.md §7).
+func TestKernelsTakeNoMeter(t *testing.T) {
+	g := loadModule(t)
+	var metered []string
+	for fn, decl := range g.decls {
+		switch fn.Pkg().Path() {
+		case "repro/internal/ar", "repro/internal/bulk", "repro/internal/plan":
+		default:
+			continue
+		}
+		name := funcName(fn)
+		if !takesMeter(fn) || meterTakers[name] || strings.HasPrefix(fn.Name(), "Charge") || strings.HasPrefix(fn.Name(), "charge") {
+			continue
+		}
+		pos := g.fset.Position(decl.Pos())
+		metered = append(metered, fmt.Sprintf("%s:%d: %s", pos.Filename, pos.Line, name))
+	}
+	if len(metered) > 0 {
+		sort.Strings(metered)
+		t.Errorf("%d functions take a *device.Meter without being a charge (bill it with a Charge… function of its counts instead):\n%s",
+			len(metered), strings.Join(metered, "\n"))
+	}
+}
+
+// takesMeter reports whether one of fn's parameters is a *device.Meter.
+func takesMeter(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := range params.Len() {
+		if p, ok := params.At(i).Type().(*types.Pointer); ok {
+			if n, ok := p.Elem().(*types.Named); ok && n.Obj().Pkg().Path() == "repro/internal/device" && n.Obj().Name() == "Meter" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// module is the reference graph of the whole module, loaded once per test
+// binary (loadModule) and shared by the tests that read it.
+var module struct {
+	once sync.Once
+	g    *refGraph
+	err  error
+}
+
+// loadModule returns the module's reference graph: every package and test
+// file under the root but testdata and dot directories, type-checked with its
+// standard-library imports from source. It skips the test under -short.
+func loadModule(t *testing.T) *refGraph {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the module and its standard-library imports from source")
+	}
+	module.once.Do(func() {
+		g := newRefGraph()
+		module.err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return g.addDir(path)
+		})
+		module.g = g
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.g
 }
 
 func inKernelLayer(pkgPath string) bool {
