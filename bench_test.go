@@ -29,18 +29,17 @@ import (
 
 const benchN = 1 << 20
 
-func benchColumn(bits uint) (*bwd.Column, *bat.BAT) {
+func benchColumn(bits uint) *bwd.Column {
 	rng := rand.New(rand.NewSource(9))
 	vals := make([]int64, benchN)
 	for i := range vals {
 		vals[i] = int64(rng.Intn(benchN))
 	}
-	b := bat.NewDense(vals, bat.Width32)
-	col, err := bwd.Decompose(b, bits, nil)
+	col, err := bwd.Decompose(vals, bat.Width32, bits, nil)
 	if err != nil {
 		panic(err)
 	}
-	return col, b
+	return col
 }
 
 // BenchmarkOpSelectApprox times an approximate selection through to its
@@ -49,7 +48,7 @@ func benchColumn(bits uint) (*bwd.Column, *bat.BAT) {
 // column's codes, which materialise lists.
 func BenchmarkOpSelectApprox(b *testing.B) {
 	b.Run("uniform", func(b *testing.B) {
-		col, _ := benchColumn(12)
+		col := benchColumn(12)
 		r := col.Relax(0, benchN/10)
 		b.SetBytes(col.Approx.Bytes())
 		b.ResetTimer()
@@ -67,7 +66,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		for i := range vals {
 			vals[i] = rng.Int63n(1 << 17)
 		}
-		col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), 16, nil)
+		col, err := bwd.Decompose(vals, bat.Width32, 16, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +106,7 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		vals []int64
 	}{{"clustered", clustered}, {"shuffled", shuffled}, {"runs", runs}} {
 		b.Run(reg.name, func(b *testing.B) {
-			col, err := bwd.Decompose(bat.NewDense(reg.vals, bat.Width32), 23, nil)
+			col, err := bwd.Decompose(reg.vals, bat.Width32, 23, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -131,11 +130,11 @@ func BenchmarkOpSelectApprox(b *testing.B) {
 		for i, v := range clustered {
 			second[i] = min(max(v+rng.Int63n(2001)-1000, 0), span-1)
 		}
-		colA, err := bwd.Decompose(bat.NewDense(clustered, bat.Width32), 23, nil)
+		colA, err := bwd.Decompose(clustered, bat.Width32, 23, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		colB, err := bwd.Decompose(bat.NewDense(second, bat.Width32), 23, nil)
+		colB, err := bwd.Decompose(second, bat.Width32, 23, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +163,7 @@ func materialise(c *ar.Candidates, col *bwd.Column) {
 // residual bits. A refinement narrows its input in place, so every iteration
 // refines a fresh approximate set, built and released outside the timer.
 func BenchmarkOpSelectRefine(b *testing.B) {
-	col, _ := benchColumn(12)
+	col := benchColumn(12)
 	r := col.Relax(0, benchN/10)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -197,11 +196,13 @@ func benchRuns(rng *rand.Rand, n int, span int64) []int64 {
 
 // BenchmarkOpSelectClassic is the classic selection as a statement runs it: a
 // count over two wide conjuncts (each keeps ~40 % of its column's domain, the
-// scan_range workload's wide boxes) on 2 M rows of two decomposed columns,
-// through Catalog.ExecClassic, so the line measures whatever the executor
-// does between the conjuncts. "uniform" draws both columns at random — no
-// granule's bounds settle anything — and "runs" in the trips shape, the
-// second column drifting with the first.
+// scan_range workload's wide boxes) on 2 M rows of two columns, through
+// Catalog.ExecClassic, so the line measures whatever the executor does
+// between the conjuncts. "uniform" draws both columns at random and
+// decomposes them — no granule's bounds settle anything — and "runs" in the
+// trips shape, the second column drifting with the first. "undecomposed"
+// leaves uniform columns with no device bits, as a loader stores them: every
+// granule's residual codes are compared with the range less the base.
 func BenchmarkOpSelectClassic(b *testing.B) {
 	const n, span = 2_000_000, 1 << 23
 	rng := rand.New(rand.NewSource(9))
@@ -220,7 +221,8 @@ func BenchmarkOpSelectClassic(b *testing.B) {
 	for _, reg := range []struct {
 		name string
 		a, b []int64
-	}{{"uniform", uniform(), uniform()}, {"runs", runs, drift}} {
+		bits uint
+	}{{"uniform", uniform(), uniform(), 23}, {"runs", runs, drift, 23}, {"undecomposed", uniform(), uniform(), 0}} {
 		b.Run(reg.name, func(b *testing.B) {
 			c := plan.NewCatalog(device.PaperSystem())
 			tbl := plan.NewTable("t")
@@ -228,7 +230,7 @@ func BenchmarkOpSelectClassic(b *testing.B) {
 				name string
 				vals []int64
 			}{{"a", reg.a}, {"b", reg.b}} {
-				if err := tbl.AddColumn(col.name, bat.NewDense(col.vals, bat.Width32)); err != nil {
+				if err := tbl.AddColumn(col.name, col.vals, bat.Width32); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -236,7 +238,10 @@ func BenchmarkOpSelectClassic(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, col := range []string{"a", "b"} {
-				if _, err := c.Decompose("t", col, 23); err != nil {
+				if reg.bits == 0 {
+					break
+				}
+				if _, err := c.Decompose("t", col, reg.bits); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -366,8 +371,8 @@ func runScanRange(b *testing.B, sess *engine.Session, next func() string) {
 // selection and reconstructs its exact values: ProjectApprox, then
 // ProjectRefine, over the set the refinement left.
 func BenchmarkOpProjectApproxRefine(b *testing.B) {
-	selCol, _ := benchColumn(12)
-	prjCol, _ := benchColumn(12)
+	selCol := benchColumn(12)
+	prjCol := benchColumn(12)
 	refined := ar.SelectApprox(selCol, selCol.Relax(0, benchN/10))
 	if err := ar.SelectRefine(par.P{}, selCol, nil, 0, benchN/10, refined); err != nil {
 		b.Fatal(err)
@@ -390,7 +395,7 @@ func BenchmarkOpGroupApprox(b *testing.B) {
 	for i := range keys {
 		keys[i] = int64(rng.Intn(100))
 	}
-	col, err := bwd.Decompose(bat.NewDense(keys, bat.Width32), 32, nil)
+	col, err := bwd.Decompose(keys, bat.Width32, 32, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -585,7 +590,7 @@ func BenchmarkIngestWhileQuery(b *testing.B) {
 	// Pin the domain ends so in-range inserts keep the decomposition
 	// parameters stable and merges stay incremental.
 	vals[0], vals[1] = 0, 65535
-	if err := tbl.AddColumn("v", bat.NewDense(vals, bat.Width32)); err != nil {
+	if err := tbl.AddColumn("v", vals, bat.Width32); err != nil {
 		b.Fatal(err)
 	}
 	if err := c.AddTable(tbl); err != nil {

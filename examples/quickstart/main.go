@@ -27,14 +27,13 @@ func main() {
 		vals[i] = int64(i)
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	column := bat.NewDense(vals, bat.Width32)
 
 	// The simulated testbed: GTX 680 (2 GiB) + dual Xeon + PCI-E.
 	sys := device.PaperSystem()
 
 	// bwdecompose(column, 12): the major 12 bits go to the device, the
 	// remaining 8 stay on the host as the residual.
-	col, err := bwd.Decompose(column, 12, sys)
+	col, err := bwd.Decompose(vals, bat.Width32, 12, sys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,12 +82,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer want.Release()
-	bulk.ChargeSelectRange(par.P{}, mClassic, column.Width(), column.Len(), want.Len())
+	bulk.ChargeSelectRange(par.P{}, mClassic, bat.Width32, len(vals), want.Len())
 	wantVals := make([]int64, want.Len())
 	want.Blocks(0, want.WorkGroups(), math.MaxInt32, func(g0, g1, pos, n int) {
 		want.Values(vals, nil, wantVals[pos:pos+n], g0, g1)
 	})
-	bulk.ChargeFetch(par.P{}, mClassic, column.Width(), column.Len(), want.Len())
+	bulk.ChargeFetch(par.P{}, mClassic, bat.Width32, len(vals), want.Len())
 	if want.Len() != cands.Len() {
 		log.Fatalf("MISMATCH: classic found %d, A&R found %d", want.Len(), cands.Len())
 	}

@@ -104,7 +104,7 @@ func newScanFixture(t testing.TB, n int, cols []func(int) []int64, bits uint, rn
 	var f scanFixture
 	for _, values := range cols {
 		vals := values(n)
-		col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), bits, nil)
+		col, err := bwd.Decompose(vals, bat.Width32, bits, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

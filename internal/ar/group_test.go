@@ -158,11 +158,11 @@ func TestGroupConflictCostDecreasesWithGroups(t *testing.T) {
 	sel := shuffledInts(n, 36)
 	cost := func(groups int) float64 {
 		keys := groupKeys(n, groups, int64(37+groups))
-		keyCol, err := bwd.Decompose(bat.NewDense(keys, bat.Width32), 32, nil)
+		keyCol, err := bwd.Decompose(keys, bat.Width32, 32, nil)
 		if err != nil {
 			t.Fatalf("Decompose: %v", err)
 		}
-		selCol, err := bwd.Decompose(bat.NewDense(sel, bat.Width32), 32, nil)
+		selCol, err := bwd.Decompose(sel, bat.Width32, 32, nil)
 		if err != nil {
 			t.Fatalf("Decompose: %v", err)
 		}
@@ -361,7 +361,7 @@ func TestGroupApproxRejectsKeyWiderThanTableEntry(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(i) << (bits - 8)
 		}
-		col, err := bwd.Decompose(bat.NewDense(vals, bat.Width64), bits, nil)
+		col, err := bwd.Decompose(vals, bat.Width64, bits, nil)
 		if err != nil || col.Dec.ApproxBits != bits {
 			t.Fatalf("fixture: %v (%v), want %d approximation bits", col.Dec, err, bits)
 		}

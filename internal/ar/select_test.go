@@ -17,7 +17,7 @@ import (
 
 func decompose(t *testing.T, vals []int64, bits uint) *bwd.Column {
 	t.Helper()
-	col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), bits, nil)
+	col, err := bwd.Decompose(vals, bat.Width32, bits, nil)
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestSelectRefineEqualsBulkBaseline(t *testing.T) {
 	f := func(seed int64, rawBits uint8, rawLo, rawHi uint16) bool {
 		n := 3000
 		vals := shuffledInts(n, seed)
-		col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), uint(rawBits%14)+1, nil)
+		col, err := bwd.Decompose(vals, bat.Width32, uint(rawBits%14)+1, nil)
 		if err != nil {
 			return false
 		}
@@ -257,7 +257,7 @@ func TestSelectChargesDevices(t *testing.T) {
 	sys := device.PaperSystem()
 	m := device.NewMeter(sys)
 	vals := shuffledInts(100000, 8)
-	col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), 9, sys)
+	col, err := bwd.Decompose(vals, bat.Width32, 9, sys)
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}

@@ -100,8 +100,7 @@ func TestMeteredOperatorsCharge(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	b := bat.NewDense(vals, bat.Width32)
-	ChargeSelectRange(par.P{}, m, b.Width(), b.Len(), 1001)
+	ChargeSelectRange(par.P{}, m, bat.Width32, len(vals), 1001)
 	if m.CPU == 0 {
 		t.Error("metered ChargeSelectRange charged nothing")
 	}
@@ -109,7 +108,7 @@ func TestMeteredOperatorsCharge(t *testing.T) {
 		t.Error("CPU operator charged GPU/PCI time")
 	}
 	before := m.CPU
-	ChargeFetch(par.P{}, m, b.Width(), b.Len(), 3)
+	ChargeFetch(par.P{}, m, bat.Width32, len(vals), 3)
 	if m.CPU <= before {
 		t.Error("metered ChargeFetch charged nothing")
 	}

@@ -19,16 +19,20 @@
 // so an approximation understates the true value by at most 2^r - 1: the
 // exact error bound that approximate operators propagate and refinement
 // operators discharge.
+//
+// A column that was never decomposed is a decomposition with no device bits
+// (ApproxBits 0): the MonetDB baseline's column, every bit of each value
+// less the base in the host-resident residual. It has no approximation
+// plane, no summaries and no device allocation, and the planner reads it as
+// not decomposed; its exact values are read from the residual, as every
+// decomposed column's are from code and residual.
 package bwd
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"slices"
 	"unsafe"
 
-	"repro/internal/bat"
 	"repro/internal/bitpack"
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -59,10 +63,11 @@ func (d Decomposition) String() string {
 }
 
 // Column is a bitwise decomposed column: a GPU-resident approximation and a
-// CPU-resident residual, positionally aligned with the source column.
+// CPU-resident residual, positionally aligned with the source column. With
+// no device bits Approx is nil.
 type Column struct {
 	Dec      Decomposition
-	Approx   *bitpack.Array // approximation codes, shifted domain
+	Approx   *bitpack.Array // approximation codes, shifted domain; nil with no device bits
 	Residual *bitpack.Array // residual bits
 
 	n         int
@@ -118,55 +123,64 @@ func (c *Column) summarize(block func(lo, hi int) []uint64) {
 // codes fill whole words of a plane at every width.
 const BlockRows = 64 << 10
 
-// Decompose bitwise-decomposes the tail of b, placing approxBits major bits
-// on the system's GPU and the rest on the CPU, mirroring the paper's
-// `select bwdecompose(A, approxBits) from R`. If the value range needs
-// fewer than approxBits bits, the whole column becomes GPU resident
-// (ResBits = 0) — exactly what happens to the narrow TPC-H columns in
-// §VI-D1. The GPU allocation fails with device.ErrOutOfMemory if the
-// approximation does not fit, surfacing the capacity/resolution trade-off.
-// The planes are built a block of BlockRows rows at a time, so the only
-// scratch beside them is two block-sized code buffers.
-func Decompose(b *bat.BAT, approxBits uint, sys *device.System) (*Column, error) {
-	tails := b.Tails()
-	return decompose(len(tails), b.Width(), func(lo, hi int) []int64 { return tails[lo:hi] }, approxBits, sys)
+// Decompose bitwise-decomposes the values vals of a column of width bytes
+// per value, placing approxBits major bits on the system's GPU and the rest
+// on the CPU, mirroring the paper's `select bwdecompose(A, approxBits) from
+// R`. If the value range needs fewer than approxBits bits, the whole column
+// becomes GPU resident (ResBits = 0) — exactly what happens to the narrow
+// TPC-H columns in §VI-D1. The GPU allocation fails with
+// device.ErrOutOfMemory if the approximation does not fit, surfacing the
+// capacity/resolution trade-off. With approxBits 0 the column is stored as
+// the MonetDB baseline's, with no device bits (see the package comment); it
+// may be empty. The planes are built a block of BlockRows rows at a time, so
+// the only scratch beside them is two block-sized code buffers.
+func Decompose(vals []int64, width int, approxBits uint, sys *device.System) (*Column, error) {
+	lo, hi := int64(0), int64(0)
+	if len(vals) > 0 {
+		lo, hi = vals[0], vals[0]
+	}
+	for _, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	dec := Decomposition{Base: lo, TotalBits: uint(bits.Len64(uint64(hi - lo))), Width: width}
+	return decompose(len(vals), dec, func(lo, hi int) []int64 { return vals[lo:hi] }, approxBits, sys)
 }
 
 // Redecompose is Decompose of the values c holds, at approxBits: they are
 // read from c's code and residual a block at a time (Decode), so a column
-// that keeps no full-width copy can change its resolution.
+// that keeps no full-width copy can change its resolution. Their range is
+// c's own — Base is their least value and TotalBits the width of their span
+// — so they are read once.
 func (c *Column) Redecompose(approxBits uint, sys *device.System) (*Column, error) {
 	room := make([]int64, min(c.n, BlockRows))
-	return decompose(c.n, c.Dec.Width, func(lo, hi int) []int64 { return c.Decode(room[:hi-lo], lo) }, approxBits, sys)
+	dec := Decomposition{Base: c.Dec.Base, TotalBits: c.Dec.TotalBits, Width: c.Dec.Width}
+	return decompose(c.n, dec, func(lo, hi int) []int64 { return c.Decode(room[:hi-lo], lo) }, approxBits, sys)
 }
 
-// decompose is Decompose over n values of width bytes that block(lo, hi)
-// returns a block at a time, lo a multiple of BlockRows. It reads them
-// twice — their range, then their codes — and splits each block into two
-// block-sized code buffers that it packs straight into its place in the
-// planes (bitpack.PackAt) and summarizes while they are hot: nothing n rows
-// long is held beside the planes, and no buffer of the column's size enters
-// the arena.
-func decompose(n, width int, block func(lo, hi int) []int64, approxBits uint, sys *device.System) (*Column, error) {
-	if n == 0 {
+// decompose is Decompose over n values, whose least value and span width
+// dec holds, that block(lo, hi) returns a block at a time, lo a multiple of
+// BlockRows. It splits each block into two block-sized code buffers that it
+// packs straight into its place in the planes (bitpack.PackAt) and
+// summarizes while they are hot: nothing n rows long is held beside the
+// planes, and no buffer of the column's size enters the arena. A column with
+// no device bits is packed through one buffer alone: no summary, no
+// allocation.
+func decompose(n int, dec Decomposition, block func(lo, hi int) []int64, approxBits uint, sys *device.System) (*Column, error) {
+	if approxBits > 63 {
+		return nil, fmt.Errorf("bwd: approxBits %d out of range [0,63]", approxBits)
+	}
+	if n == 0 && approxBits > 0 {
 		return nil, fmt.Errorf("bwd: cannot decompose empty column")
 	}
-	if approxBits == 0 || approxBits > 63 {
-		return nil, fmt.Errorf("bwd: approxBits %d out of range [1,63]", approxBits)
-	}
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for at := 0; at < n; at += BlockRows {
-		for _, v := range block(at, min(at+BlockRows, n)) {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-	}
-	span := uint64(hi - lo)
-	total := uint(bits.Len64(span))
-	dec := Decomposition{Base: lo, TotalBits: total, Width: width}
-	if approxBits >= total {
+	total := dec.TotalBits
+	switch {
+	case approxBits == 0:
+		dec.ResBits = max(total, 1) // a constant column keeps one bit, as below
+		return decomposeHost(dec, n, block), nil
+	case approxBits >= total:
 		dec.ApproxBits = total
 		dec.ResBits = 0
-	} else {
+	default:
 		dec.ApproxBits = approxBits
 		dec.ResBits = total - approxBits
 	}
@@ -195,6 +209,25 @@ func decompose(n, width int, block func(lo, hi int) []int64, approxBits uint, sy
 		return nil, err
 	}
 	return c, nil
+}
+
+// decomposeHost packs the n values block(lo, hi) returns, less dec.Base, into
+// the residual plane of a column with no device bits.
+func decomposeHost(dec Decomposition, n int, block func(lo, hi int) []int64) *Column {
+	c := &Column{Dec: dec, n: n, Residual: bitpack.New(dec.ResBits, n)}
+	if n == 0 {
+		return c
+	}
+	codes := mem.U64.GetN(min(n, BlockRows))
+	for lo := 0; lo < n; lo += BlockRows {
+		hi := min(lo+BlockRows, n)
+		for i, v := range block(lo, hi) {
+			codes[i] = uint64(v - dec.Base)
+		}
+		c.Residual.PackAt(lo, codes[:hi-lo])
+	}
+	mem.U64.Put(codes)
+	return c
 }
 
 // Restore reconstructs a decomposed column from persisted parts — the
@@ -252,6 +285,19 @@ func (c *Column) allocate(sys *device.System) error {
 	return nil
 }
 
+// Whole returns the plane that holds each row's value less Dec.Base whole:
+// the approximation of a fully resident column, the residual of one with no
+// device bits, nil when the two planes split a value.
+func (c *Column) Whole() *bitpack.Array {
+	switch {
+	case c.Dec.ResBits == 0:
+		return c.Approx
+	case c.Approx == nil:
+		return c.Residual
+	}
+	return nil
+}
+
 // Len returns the number of tuples in the column.
 func (c *Column) Len() int { return c.n }
 
@@ -285,8 +331,14 @@ func (c *Column) Release() {
 	c.cpuAlloc.Free()
 }
 
-// GPUBytes returns the device-resident footprint (the approximation).
-func (c *Column) GPUBytes() int64 { return c.Approx.Bytes() }
+// GPUBytes returns the device-resident footprint (the approximation): 0
+// with no device bits.
+func (c *Column) GPUBytes() int64 {
+	if c.Approx == nil {
+		return 0
+	}
+	return c.Approx.Bytes()
+}
 
 // CPUBytes returns the host-resident footprint (the residual).
 func (c *Column) CPUBytes() int64 { return c.Residual.Bytes() }
@@ -304,37 +356,37 @@ func (c *Column) CompressionRatio() float64 {
 // Reconstruct returns the exact value at position i by bitwise
 // concatenation of approximation and residual (the +bw of Algorithm 2).
 func (c *Column) Reconstruct(i int) int64 {
-	shifted := c.Approx.Get(i) << c.Dec.ResBits
-	if c.Dec.ResBits > 0 {
-		shifted |= c.Residual.Get(i)
+	if p := c.Whole(); p != nil {
+		return c.Dec.Base + int64(p.Get(i))
 	}
-	return c.Dec.Base + int64(shifted)
+	return c.ReconstructFrom(c.Approx.Get(i), c.Residual.Get(i))
 }
 
 // Decode writes the exact values of rows [lo, lo+len(out)) into out and
 // returns it; lo is a multiple of GranuleRows. Each granule's codes are
-// unpacked straight into out (bitpack.Unpack64) — a resident column's with
-// the base added, so they land as values — and a residual's granule beside
-// them is folded in as ReconstructFrom does. It is how a decomposed column,
-// which keeps no full-width copy, is read whole: by the fold's dense blocks,
-// a merge, an FK index build, a segment write and a re-decomposition.
+// unpacked straight into out (bitpack.Unpack64) — the one plane of a column
+// whose values it holds whole, resident or with no device bits, with the
+// base added, so they land as values — and a residual's granule beside them
+// is folded in as ReconstructFrom does. It is how a stored column, which
+// keeps no full-width copy, is read whole: by the fold's dense blocks, a
+// merge, an FK index build, a segment write and a re-decomposition.
 func (c *Column) Decode(out []int64, lo int) []int64 {
-	whole := len(out) &^ (GranuleRows - 1)
-	if c.Dec.ResBits == 0 {
-		for at := 0; at < whole; at += GranuleRows {
-			c.Approx.Unpack64(granule(out, at), lo+at, uint64(c.Dec.Base))
+	end := len(out) &^ (GranuleRows - 1)
+	if p := c.Whole(); p != nil {
+		for at := 0; at < end; at += GranuleRows {
+			p.Unpack64(granule(out, at), lo+at, uint64(c.Dec.Base))
 		}
 	} else {
 		var res [GranuleRows]uint64
-		for at := 0; at < whole; at += GranuleRows {
+		for at := 0; at < end; at += GranuleRows {
 			c.decodeGranule(granule(out, at), &res, lo+at)
 		}
 	}
-	if whole < len(out) { // a last granule out has no room for
+	if end < len(out) { // a last granule out has no room for
 		var short, res [GranuleRows]uint64
-		c.decodeGranule(&short, &res, lo+whole)
-		for i := range out[whole:] {
-			out[whole+i] = int64(short[i])
+		c.decodeGranule(&short, &res, lo+end)
+		for i := range out[end:] {
+			out[end+i] = int64(short[i])
 		}
 	}
 	return out
@@ -343,11 +395,11 @@ func (c *Column) Decode(out []int64, lo int) []int64 {
 // decodeGranule writes the exact values of the granule at lo into vals, as
 // the codes bitpack.Unpack64 writes: a value is its code plus the base,
 // modulo 2^64 — the code shifted over the residual read into res when the
-// column has residual bits.
+// two planes split it.
 func (c *Column) decodeGranule(vals, res *[GranuleRows]uint64, lo int) {
 	dec := c.Dec
-	if dec.ResBits == 0 {
-		c.Approx.Unpack64(vals, lo, uint64(dec.Base))
+	if p := c.Whole(); p != nil {
+		p.Unpack64(vals, lo, uint64(dec.Base))
 		return
 	}
 	c.Approx.Unpack64(vals, lo, 0)
@@ -367,27 +419,4 @@ func granule(out []int64, at int) *[GranuleRows]uint64 {
 // the exact value.
 func (c *Column) ReconstructFrom(approx, residual uint64) int64 {
 	return c.Dec.Base + int64(approx<<c.Dec.ResBits|residual)
-}
-
-// ChooseBits returns the largest device-resident bit width whose
-// bit-packed approximation of b fits within budgetBytes, or 0 if not even
-// a 1-bit approximation fits. This implements the automatic-decomposition
-// direction the paper sketches as future work (§VII-B, "Storage
-// Optimization"): given a device-memory budget, pick the resolution.
-func ChooseBits(b *bat.BAT, budgetBytes int64) uint {
-	if b.Len() == 0 || budgetBytes <= 0 {
-		return 0
-	}
-	lo, hi := slices.Min(b.Tails()), slices.Max(b.Tails())
-	total := uint(bits.Len64(uint64(hi - lo)))
-	if total == 0 {
-		total = 1
-	}
-	for w := total; w >= 1; w-- {
-		need := (int64(b.Len())*int64(w) + 63) / 64 * 8
-		if need <= budgetBytes {
-			return w
-		}
-	}
-	return 0
 }

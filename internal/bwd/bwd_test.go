@@ -14,7 +14,7 @@ import (
 
 func mustDecompose(t *testing.T, vals []int64, approxBits uint) *Column {
 	t.Helper()
-	c, err := Decompose(bat.NewDense(vals, bat.Width32), approxBits, nil)
+	c, err := Decompose(vals, bat.Width32, approxBits, nil)
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestDecomposeReconstructRoundTrip(t *testing.T) {
 			vals[i] = int64(v)
 		}
 		approxBits := uint(bits%63) + 1
-		c, err := Decompose(bat.NewDense(vals, bat.Width32), approxBits, nil)
+		c, err := Decompose(vals, bat.Width32, approxBits, nil)
 		if err != nil {
 			return false
 		}
@@ -86,9 +86,8 @@ func TestRedecomposeMatchesDecompose(t *testing.T) {
 		for i := range vals {
 			vals[i] = tc.vals(i)
 		}
-		b := bat.NewDense(vals, bat.Width64)
-		for _, from := range []uint{1, 8, 63} {
-			c, err := Decompose(b, from, nil)
+		for _, from := range []uint{0, 1, 8, 63} { // 0: no device bits
+			c, err := Decompose(vals, bat.Width64, from, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,16 +99,17 @@ func TestRedecomposeMatchesDecompose(t *testing.T) {
 					}
 				}
 			}
-			for _, to := range []uint{2, 17, 63} {
+			for _, to := range []uint{0, 2, 17, 63} {
 				got, err := c.Redecompose(to, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := Decompose(b, to, nil)
+				want, err := Decompose(vals, bat.Width64, to, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Dec != want.Dec || !got.Approx.Equal(want.Approx) || !got.Residual.Equal(want.Residual) ||
+				if got.Dec != want.Dec || (got.Approx == nil) != (want.Approx == nil) ||
+					got.Approx != nil && !got.Approx.Equal(want.Approx) || !got.Residual.Equal(want.Residual) ||
 					!reflect.DeepEqual(got.splits, want.splits) || !reflect.DeepEqual(got.hist, want.hist) || !reflect.DeepEqual(got.parts, want.parts) {
 					t.Fatalf("n=%d: %d bits redecomposed at %d differs from a decomposition of the values", tc.n, from, to)
 				}
@@ -128,7 +128,7 @@ func TestApproxErrorBound(t *testing.T) {
 			vals[i] = int64(v)
 		}
 		approxBits := uint(bits%20) + 1
-		c, err := Decompose(bat.NewDense(vals, bat.Width32), approxBits, nil)
+		c, err := Decompose(vals, bat.Width32, approxBits, nil)
 		if err != nil {
 			return false
 		}
@@ -187,14 +187,13 @@ func TestDecomposeConstantColumn(t *testing.T) {
 }
 
 func TestDecomposeErrors(t *testing.T) {
-	if _, err := Decompose(bat.NewDense(nil, bat.Width32), 8, nil); err == nil {
+	if _, err := Decompose(nil, bat.Width32, 8, nil); err == nil {
 		t.Error("empty column did not error")
 	}
-	b := bat.NewDense([]int64{1}, bat.Width32)
-	if _, err := Decompose(b, 0, nil); err == nil {
-		t.Error("approxBits 0 did not error")
+	if c, err := Decompose(nil, bat.Width32, 0, nil); err != nil || c.Len() != 0 {
+		t.Errorf("empty column with no device bits: %v", err)
 	}
-	if _, err := Decompose(b, 64, nil); err == nil {
+	if _, err := Decompose([]int64{1}, bat.Width32, 64, nil); err == nil {
 		t.Error("approxBits 64 did not error")
 	}
 	// A persisted decomposition is refused a 0-bit approximation, which no
@@ -211,7 +210,7 @@ func TestDecomposeDeviceAccounting(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	c, err := Decompose(bat.NewDense(vals, bat.Width32), 6, sys)
+	c, err := Decompose(vals, bat.Width32, 6, sys)
 	if err != nil {
 		t.Fatalf("Decompose: %v", err)
 	}
@@ -234,7 +233,7 @@ func TestDecomposeGPUOutOfMemory(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	_, err := Decompose(bat.NewDense(vals, bat.Width32), 10, sys)
+	_, err := Decompose(vals, bat.Width32, 10, sys)
 	if !errors.Is(err, device.ErrOutOfMemory) {
 		t.Errorf("err = %v, want ErrOutOfMemory", err)
 	}
@@ -273,40 +272,5 @@ func TestDecompositionString(t *testing.T) {
 	c := mustDecompose(t, []int64{0, 1023}, 5)
 	if c.Dec.String() == "" {
 		t.Error("empty Decomposition.String()")
-	}
-}
-
-func TestChooseBits(t *testing.T) {
-	vals := make([]int64, 1000)
-	for i := range vals {
-		vals[i] = int64(i) // 10 total bits
-	}
-	b := bat.NewDense(vals, bat.Width32)
-	// Plenty of budget: full resolution.
-	if got := ChooseBits(b, 1<<20); got != 10 {
-		t.Errorf("ChooseBits(ample) = %d, want 10", got)
-	}
-	// Half the footprint: fewer bits.
-	full := (int64(1000)*10 + 63) / 64 * 8
-	got := ChooseBits(b, full/2)
-	if got == 0 || got >= 10 {
-		t.Errorf("ChooseBits(half) = %d, want within (0,10)", got)
-	}
-	// The chosen width must actually fit.
-	need := (int64(1000)*int64(got) + 63) / 64 * 8
-	if need > full/2 {
-		t.Errorf("chosen width %d needs %d bytes > budget %d", got, need, full/2)
-	}
-	// No budget at all.
-	if got := ChooseBits(b, 0); got != 0 {
-		t.Errorf("ChooseBits(0) = %d, want 0", got)
-	}
-	if got := ChooseBits(bat.NewDense(nil, bat.Width32), 100); got != 0 {
-		t.Errorf("ChooseBits(empty) = %d, want 0", got)
-	}
-	// Constant column still reports one bit.
-	c := bat.NewDense([]int64{5, 5, 5}, bat.Width32)
-	if got := ChooseBits(c, 1<<10); got != 1 {
-		t.Errorf("ChooseBits(constant) = %d, want 1", got)
 	}
 }

@@ -188,8 +188,9 @@ func (s *Split) decide(live uint64, outer, inner Codes) (sure, maybe uint64) {
 // or, for an exact disjunct without them, Col's own values, each rebuilt from
 // its code and residual where the code lies in a boundary bucket (refinement)
 // — or, the approximate selection, their packed codes with Outer. Col is nil
-// for a column that was never decomposed: no bounds, every granule is
-// compared.
+// for the delta's values and for a column with no device bits: no bounds,
+// every granule is compared — the latter's residual codes with Outer, its
+// predicate in code space.
 //
 // A disjunct with a Key is read through it: Col and Tails belong to the
 // dimension the key joins, and row i of the walk is asked about their entry
@@ -205,7 +206,8 @@ type Disjunct struct {
 	Lo, Hi       int64
 	Key          *Key
 	Deleted      []uint64
-	exact        bool // compares exact values with [Lo, Hi] (Exactly)
+	exact        bool           // compares exact values with [Lo, Hi] (Exactly)
+	codes        *bitpack.Array // the packed codes compared with Outer: Col's approximation, or a residual
 }
 
 // Key is a foreign-key column read as an address: row i of the fact table
@@ -255,7 +257,7 @@ func (k *Key) Joined(deleted []uint64) Disjunct {
 // Approximately returns the disjunct of an approximate selection: the rows
 // whose code lies in the relaxed range r.
 func (c *Column) Approximately(r ApproxRange) Disjunct {
-	return Disjunct{Col: c, Outer: r.Codes(), Inner: r.Codes()}
+	return Disjunct{Col: c, Outer: r.Codes(), Inner: r.Codes(), codes: c.Approx}
 }
 
 // Exactly returns the disjunct lo <= v <= hi over a column's exact values
@@ -263,11 +265,22 @@ func (c *Column) Approximately(r ApproxRange) Disjunct {
 // (nil otherwise). With tails nil the values are dec's own: a row whose code
 // lies in a boundary bucket of the range — inside Outer, outside Inner — has
 // its value rebuilt from code and residual (ReconstructFrom) and compared,
-// which is the refinement of an approximate selection over dec (§IV-C).
+// which is the refinement of an approximate selection over dec (§IV-C). A
+// dec with no device bits has no bounds and its values are its residual
+// codes plus its base: the disjunct compares those codes with the range
+// less the base, as an approximate selection compares a resident column's.
 func Exactly(dec *Column, tails []int64, lo, hi int64) Disjunct {
+	if dec != nil && dec.Approx == nil {
+		r := NoCodes
+		if slo, shi, ok := dec.shift(lo, hi); ok {
+			r = Codes{Lo: slo, Hi: shi}
+		}
+		return Disjunct{Outer: r, Inner: r, Lo: lo, Hi: hi, codes: dec.Residual}
+	}
 	d := Disjunct{Col: dec, Tails: tails, Lo: lo, Hi: hi, exact: true}
 	if dec != nil {
 		d.Outer, d.Inner = dec.RelaxExact(lo, hi)
+		d.codes = dec.Approx
 	}
 	return d
 }
@@ -292,7 +305,7 @@ func (d *Disjunct) compare(g int, rows uint64, rs *ranges) uint64 {
 	case d.exact:
 		return d.compareRebuilt(base, rows, rs)
 	}
-	return compareCodes(d.Col.Approx, base, rows, d.Outer, &rs[0])
+	return compareCodes(d.codes, base, rows, d.Outer, &rs[0])
 }
 
 // ranges is where a walk, on its stack, compiles the code ranges it compares
@@ -323,8 +336,8 @@ func (d *Disjunct) through(base int, rows uint64) uint64 {
 			word |= inRange(uint64(d.Tails[pos]), lo, span) << uint(i)
 		case d.exact:
 			word |= d.rebuilt(pos) << uint(i)
-		case d.Col != nil:
-			word |= inRange(d.Col.Approx.At(pos), lo, span) << uint(i)
+		case d.codes != nil:
+			word |= inRange(d.codes.At(pos), lo, span) << uint(i)
 		default:
 			word |= 1 << uint(i)
 		}
@@ -794,6 +807,9 @@ const denseRows = 16
 // with r compiled into c (bitpack.Array.InRange64), or — when few rows are
 // asked about — one At per row.
 func compareCodes(approx *bitpack.Array, base int, rows uint64, r Codes, c *bitpack.Range) uint64 {
+	if r.Lo > r.Hi {
+		return 0
+	}
 	lo, span := r.Lo, r.Hi-r.Lo
 	if bits.OnesCount64(rows) < denseRows {
 		var word uint64
@@ -843,7 +859,7 @@ func (d *Disjunct) compareRebuilt(base int, rows uint64, rs *ranges) uint64 {
 		}
 		return word
 	}
-	approx := d.Col.Approx
+	approx := d.codes
 	if d.Inner.Lo <= d.Inner.Hi {
 		word = compareCodes(approx, base, rows, d.Inner, &rs[1])
 	}
@@ -862,7 +878,7 @@ func (d *Disjunct) compareRebuilt(base int, rows uint64, rs *ranges) uint64 {
 // a boundary bucket between the two has its residual read and the value
 // rebuilt (ReconstructFrom).
 func (d *Disjunct) rebuilt(pos int) uint64 {
-	code := d.Col.Approx.At(pos)
+	code := d.codes.At(pos)
 	switch {
 	case code >= d.Inner.Lo && code <= d.Inner.Hi:
 		return 1

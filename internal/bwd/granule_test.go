@@ -32,7 +32,7 @@ func TestGranuleBoundsDecomposeAndRestore(t *testing.T) {
 				at += rng.Int63n(5) - 2
 				vals[i] = at - 1<<19
 			}
-			col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), bits, nil)
+			col, err := bwd.Decompose(vals, bat.Width32, bits, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

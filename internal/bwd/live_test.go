@@ -28,8 +28,9 @@ import (
 // granule whose word is not zero. Columns of runs, shuffled, sorted and
 // constant codes with a short last granule, with an index and without;
 // approximate and exact disjuncts (with tails, and rebuilt from a residual),
-// one without bounds (tails only), one read through a key with dangling keys
-// and deleted dimension rows, and OR groups of two, among them two ranges on
+// one without bounds (tails only), one over a column with no device bits (its
+// residual codes), one read through a key — of tails or of a column with no
+// device bits — with dangling keys and deleted dimension rows, and OR groups of two, among them two ranges on
 // one column that overlap, so that a granule the first takes whole the
 // second would cut through if it were asked; work-groups of one
 // granule, of 16 (which share bitmap words, walked concurrently) and of 64k
@@ -56,6 +57,15 @@ func TestLiveNarrowingMatchesReferenceWalk(t *testing.T) {
 				deleted[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
 			}
 			key := &bwd.Key{Tails: fks, Len: dimLen}
+			host := func(vals []int64) *bwd.Column {
+				c, err := bwd.Decompose(vals, 8, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			hostA, hostB, dimHost := host(valsA), host(valsB), host(dimVals)
+			hostKey := &bwd.Key{Col: host(fks), Len: dimLen}
 
 			codeRange := func(col *bwd.Column) bwd.ApproxRange {
 				switch rng.Intn(6) {
@@ -84,11 +94,11 @@ func TestLiveNarrowingMatchesReferenceWalk(t *testing.T) {
 				return col.ReconstructFrom(r.Lo, uint64(rng.Intn(8))), col.ReconstructFrom(r.Hi, uint64(rng.Intn(8)))
 			}
 			pick := func() refDisjunct {
-				col, vals := colA, valsA
+				col, vals, hcol := colA, valsA, hostA
 				if rng.Intn(2) == 0 {
-					col, vals = colB, valsB
+					col, vals, hcol = colB, valsB, hostB
 				}
-				switch rng.Intn(6) {
+				switch rng.Intn(7) {
 				case 0, 1:
 					r := codeRange(col)
 					return refDisjunct{"approximate", col.Approximately(r), func(i int) bool { return r.Contains(col.Approx.Get(i)) }}
@@ -101,10 +111,16 @@ func TestLiveNarrowingMatchesReferenceWalk(t *testing.T) {
 				case 4:
 					lo, hi := valueRange(col)
 					return refDisjunct{"no bounds", bwd.Exactly(nil, vals, lo, hi), func(i int) bool { return vals[i] >= lo && vals[i] <= hi }}
+				case 5:
+					lo, hi := valueRange(col)
+					return refDisjunct{"no device bits", bwd.Exactly(hcol, nil, lo, hi), func(i int) bool { return vals[i] >= lo && vals[i] <= hi }}
 				}
 				lo := rng.Int63n(1000)
 				hi := lo + rng.Int63n(400)
 				d := bwd.Exactly(nil, dimVals, lo, hi).Through(key)
+				if rng.Intn(2) == 0 {
+					d = bwd.Exactly(dimHost, nil, lo, hi).Through(hostKey)
+				}
 				d.Deleted = deleted
 				return refDisjunct{"keyed", d, func(i int) bool {
 					pos, ok := key.At(i)

@@ -15,7 +15,9 @@ import (
 // buffer it takes is a fresh allocation, so one call's allocated bytes must
 // stay under its planes, its summaries and two blocks of code scratch — and a
 // re-decomposition's under a third block, the values it decodes into — with no
-// term of 8 B per row.
+// term of 8 B per row. A column with no device bits packs its residual
+// through one block and computes no summary, so it stays under its plane and
+// one block, and a re-decomposition under a second.
 func TestDecomposeHoldsNoColumnScratch(t *testing.T) {
 	defer mem.SetPooling(mem.SetPooling(false))
 	const n = 1 << 21
@@ -28,24 +30,30 @@ func TestDecomposeHoldsNoColumnScratch(t *testing.T) {
 		at += rng.Int63n(64) - 32
 		vals[i] = at
 	}
-	b := bat.NewDense(vals, bat.Width32)
 	const block = BlockRows * 8
-	for _, bits := range []uint{12, 40} { // residual bits, and none
+	for _, bits := range []uint{12, 40, 0} { // residual bits, none, and no device bits
 		var c, r *Column
 		var err error
-		dec := allocated(func() { c, err = Decompose(b, bits, nil) })
+		blocks := uint64(2)
+		if bits == 0 {
+			blocks = 1
+		}
+		dec := allocated(func() { c, err = Decompose(vals, bat.Width32, bits, nil) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := heldBytes(c) + 2*block + slack; dec > want {
-			t.Errorf("%d bits: Decompose allocated %d B, over planes + summaries + two blocks (%d B)", bits, dec, want)
+		if want := heldBytes(c) + blocks*block + slack; dec > want {
+			t.Errorf("%d bits: Decompose allocated %d B, over planes + summaries + %d blocks (%d B)", bits, dec, blocks, want)
+		}
+		if bits == 0 && (c.Approx != nil || c.hist != nil || c.splits != nil || c.parts != nil) {
+			t.Errorf("no device bits: the column holds an approximation or summaries")
 		}
 		redec := allocated(func() { r, err = c.Redecompose(bits, nil) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := heldBytes(r) + 3*block + slack; redec > want {
-			t.Errorf("%d bits: Redecompose allocated %d B, over planes + summaries + three blocks (%d B)", bits, redec, want)
+		if want := heldBytes(r) + (blocks+1)*block + slack; redec > want {
+			t.Errorf("%d bits: Redecompose allocated %d B, over planes + summaries + %d blocks (%d B)", bits, redec, blocks+1, want)
 		}
 		t.Logf("%d bits (%d residual): the column holds %d B; Decompose allocated %d B, Redecompose %d B", bits, c.Dec.ResBits, heldBytes(c), dec, redec)
 	}
@@ -68,7 +76,7 @@ func allocated(f func()) uint64 {
 // heldBytes is what a column holds: its two planes and its summaries — the
 // histogram, the granule records and the part index.
 func heldBytes(c *Column) uint64 {
-	held := uint64(c.Approx.Bytes()+c.Residual.Bytes()) + uint64(cap(c.hist))*8 + uint64(cap(c.splits))*uint64(unsafe.Sizeof(Split{}))
+	held := uint64(c.GPUBytes()+c.CPUBytes()) + uint64(cap(c.hist))*8 + uint64(cap(c.splits))*uint64(unsafe.Sizeof(Split{}))
 	if x := c.parts; x != nil {
 		held += uint64(cap(x.mins)+cap(x.maxs))*8 + uint64(cap(x.starts)+cap(x.gran)+cap(x.wide))*4 + uint64(cap(x.part))
 	}

@@ -73,7 +73,7 @@ func TestRelaxSupersetProperty(t *testing.T) {
 		for i, v := range raw {
 			vals[i] = int64(v % 10000)
 		}
-		c, err := Decompose(bat.NewDense(vals, bat.Width32), uint(bits%16)+1, nil)
+		c, err := Decompose(vals, bat.Width32, uint(bits%16)+1, nil)
 		if err != nil {
 			return false
 		}

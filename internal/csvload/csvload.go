@@ -143,7 +143,7 @@ func Load(c *plan.Catalog, r io.Reader, schema Schema) (*Result, error) {
 		if spec.Kind == Decimal {
 			scale = spec.Scale
 		}
-		if err := tbl.AddColumnScaled(spec.Name, bat.NewDense(vals[i], widthFor(spec, vals[i])), scale); err != nil {
+		if err := tbl.AddColumnScaled(spec.Name, vals[i], widthFor(spec, vals[i]), scale); err != nil {
 			return nil, err
 		}
 	}
@@ -241,18 +241,4 @@ func widthFor(spec ColumnSpec, vals []int64) int {
 	default:
 		return bat.Width64
 	}
-}
-
-// PrefixRange returns the code range of dictionary entries with the given
-// prefix — the Q14-style rewrite over a loaded dictionary.
-func PrefixRange(dict []string, prefix string) (lo, hi int64, ok bool) {
-	start := sort.SearchStrings(dict, prefix)
-	end := start
-	for end < len(dict) && len(dict[end]) >= len(prefix) && dict[end][:len(prefix)] == prefix {
-		end++
-	}
-	if end == start {
-		return 0, 0, false
-	}
-	return int64(start), int64(end - 1), true
 }

@@ -70,12 +70,19 @@ func TestDictionaryOrderedAndPrefix(t *testing.T) {
 			t.Fatal("dictionary not sorted")
 		}
 	}
-	lo, hi, ok := PrefixRange(dict, "PROMO")
-	if !ok || hi-lo+1 != 2 {
-		t.Fatalf("PROMO range [%d,%d] ok=%v, want 2 entries", lo, hi, ok)
+	// Sorted, the entries of one prefix are one code range.
+	lo, hi := int64(-1), int64(-1)
+	for i, e := range dict {
+		if !strings.HasPrefix(e, "PROMO") {
+			continue
+		}
+		if lo < 0 {
+			lo = int64(i)
+		}
+		hi = int64(i)
 	}
-	if _, _, ok := PrefixRange(dict, "ZZZ"); ok {
-		t.Error("nonexistent prefix matched")
+	if lo < 0 || hi-lo+1 != 2 {
+		t.Fatalf("PROMO range [%d,%d], want 2 entries", lo, hi)
 	}
 
 	// The loaded dictionary column is queryable through the full stack.
@@ -142,10 +149,10 @@ func TestWidthSelection(t *testing.T) {
 	}
 	small, _ := res.Table.Column("small")
 	big, _ := res.Table.Column("big")
-	if small.Width() != 1 {
-		t.Errorf("small width = %d, want 1", small.Width())
+	if small.Dec.Width != 1 {
+		t.Errorf("small width = %d, want 1", small.Dec.Width)
 	}
-	if big.Width() != 8 {
-		t.Errorf("big width = %d, want 8", big.Width())
+	if big.Dec.Width != 8 {
+		t.Errorf("big width = %d, want 8", big.Dec.Width)
 	}
 }

@@ -92,12 +92,10 @@ func takeString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// encodeRecord serializes a record payload (the CRC-covered frame body):
-// LSN, type, table name, then the type-specific fields, all little-endian.
-func encodeRecord(r Record) ([]byte, error) { return appendRecord(nil, r) }
-
-// appendRecord appends r's payload to b, growing it once to the size the
-// record needs (an INSERT is 8 bytes a value; everything else is small).
+// appendRecord appends r's payload — the CRC-covered frame body: LSN, type,
+// table name, then the type-specific fields, all little-endian — to b,
+// growing it once to the size the record needs (an INSERT is 8 bytes a
+// value; everything else is small).
 func appendRecord(b []byte, r Record) ([]byte, error) {
 	if len(r.Table) == 0 || len(r.Table) > maxNameLen {
 		return nil, fmt.Errorf("durable: table name length %d out of range", len(r.Table))
@@ -210,9 +208,9 @@ func DecodeRecord(b []byte) (Record, error) {
 			d.Width = int(b[8])
 			b = b[9:]
 			if !bat.ValidWidth(d.Width) {
-				// Replay builds the table with bat.NewDense, which panics on
-				// a bad width; a CRC-valid corrupted byte must surface as a
-				// decode error, not crash recovery.
+				// Replay builds the table with store.New, which refuses a
+				// bad width; a CRC-valid corrupted byte must surface as a
+				// decode error here, where the record is read.
 				return r, fmt.Errorf("durable: column %s.%s has width %d", r.Table, d.Name, d.Width)
 			}
 			r.Defs = append(r.Defs, d)

@@ -25,9 +25,10 @@ import (
 // the raw column tails, and — for decomposed columns — the bitwise
 // decomposition parameters plus the bit-packed approximation and residual
 // planes verbatim, so boot re-allocates device memory but re-decomposes
-// nothing. FK-indexed columns are marked and their (strictly dense) index
-// is rebuilt at load; deltas are never part of a segment — they replay
-// from the WAL tail.
+// nothing; a column with no device bits is packed anew from its tails.
+// FK-indexed columns are marked and their (strictly dense) index is rebuilt
+// at load; deltas are never part of a segment — they replay from the WAL
+// tail.
 //
 // The file name is <table>.<checkpoint LSN, %016x>.seg so the newest
 // segment per table sorts last lexically; the whole body is covered by a
@@ -88,8 +89,8 @@ func encodeSegment(w io.Writer, t *store.Table, snap *store.Snapshot, lsn uint64
 			b.u8(0)
 		}
 	}
-	// A decomposed column's tails are written as its values decoded, a
-	// block at a time: the base keeps no full-width copy of it.
+	// A column's tails are written as its values decoded, a block at a
+	// time: the base keeps no full-width copy of it.
 	room := mem.I64.GetN(min(snap.BaseLen(), bwd.BlockRows))
 	defer mem.I64.Put(room)
 	for _, def := range schema {
@@ -172,12 +173,12 @@ func (b *segWriter) str(s string) {
 }
 
 // segState is a decoded segment file, ready to restore into a store.Table:
-// per column a BAT, or for a decomposed one nil and its decomposition.
+// per column its decomposition, with no device bits where the file holds
+// none.
 type segState struct {
 	lsn     uint64
 	schema  []store.ColumnDef
-	cols    []*bat.BAT
-	decs    []*bwd.Column
+	cols    []*bwd.Column
 	decBits []uint
 	pkCols  []bool
 }
@@ -223,8 +224,9 @@ func decodeSegment(data []byte, sys *device.System) (*segState, error) {
 		def.Scale = int64(le.Uint64(b))
 		def.Width = int(b[8])
 		if !bat.ValidWidth(def.Width) {
-			// bat.NewDense panics on bad widths; a CRC-valid corrupted
-			// byte must surface as a decode error, not crash Open.
+			// The width is a store schema's and bills every pass over the
+			// column; a CRC-valid corrupted byte must surface as a decode
+			// error, not as a table that store.Restore refuses later.
 			return nil, fmt.Errorf("durable: segment column %s has width %d", def.Name, def.Width)
 		}
 		st.schema = append(st.schema, def)
@@ -266,13 +268,12 @@ func decodeSegment(data []byte, sys *device.System) (*segState, error) {
 			for j := range vals {
 				vals[j] = int64(le.Uint64(tail[j*8:]))
 			}
-			st.cols = append(st.cols, bat.NewDense(vals, st.schema[i].Width))
-			st.decs = append(st.decs, nil)
+			d, _ := bwd.Decompose(vals, st.schema[i].Width, 0, sys) // no device bits: it cannot fail
+			st.cols = append(st.cols, d)
 			continue
 		}
 		// A decomposed column is its decomposition: its tails are read
 		// past, not kept.
-		st.cols = append(st.cols, nil)
 		if len(b) < 12 {
 			return nil, fmt.Errorf("durable: truncated decomposition parameters")
 		}
@@ -304,7 +305,7 @@ func decodeSegment(data []byte, sys *device.System) (*segState, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.decs = append(st.decs, d)
+		st.cols = append(st.cols, d)
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("durable: %d trailing bytes in segment", len(b))

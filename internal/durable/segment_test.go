@@ -11,7 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/bat"
+	"repro/internal/bwd"
 	"repro/internal/device"
 	"repro/internal/store"
 )
@@ -33,10 +33,13 @@ func testTable(t testing.TB, sys *device.System, n int) *store.Table {
 		{Name: "x", Scale: 1, Width: 4},
 		{Name: "y", Scale: 100, Width: 8},
 	}
-	cols := []*bat.BAT{
-		bat.NewDense(ids, 4),
-		bat.NewDense(xs, 4),
-		bat.NewDense(ys, 8),
+	cols := make([]*bwd.Column, len(defs))
+	for i, vals := range [][]int64{ids, xs, ys} {
+		c, err := bwd.Decompose(vals, defs[i].Width, 0, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i] = c
 	}
 	tbl, err := store.New("pts", defs, cols, sys)
 	if err != nil {
@@ -75,14 +78,16 @@ func TestSegmentRoundtrip(t *testing.T) {
 	if st.lsn != 17 {
 		t.Fatalf("decoded lsn %d, want 17", st.lsn)
 	}
-	// A decomposed column comes back as its decomposition alone: the tails
-	// the segment holds for it are read past, not kept.
+	// Every column comes back as its decomposition alone: a decomposed one's
+	// planes as written, the tails the segment holds for it read past; one
+	// never decomposed packed from its tails with no device bits, which keep
+	// neither the tails nor device memory.
 	for i, def := range st.schema {
-		if (st.cols[i] == nil) != (st.decs[i] != nil) {
-			t.Fatalf("%s: decoded a full-width tail %v and a decomposition %v", def.Name, st.cols[i] != nil, st.decs[i] != nil)
+		if d := st.cols[i]; (d.Dec.ApproxBits > 0) != (def.Name == "x") || d.Dec.ApproxBits == 0 && (d.Approx != nil || d.GPUBytes() != 0) {
+			t.Fatalf("%s: decoded %v", def.Name, d.Dec)
 		}
 	}
-	restored, err := store.Restore("pts", st.schema, st.cols, st.decs, st.decBits, st.pkCols, sys)
+	restored, err := store.Restore("pts", st.schema, st.cols, st.decBits, st.pkCols, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +314,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			if held > len(data) {
 				t.Fatalf("decoded %d bytes of column values from a %d-byte file", held, len(data))
 			}
-			store.Restore("pts", st.schema, st.cols, st.decs, st.decBits, st.pkCols, nil)
+			store.Restore("pts", st.schema, st.cols, st.decBits, st.pkCols, nil)
 		}
 		try(data)
 		if len(data) >= 4 {

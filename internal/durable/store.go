@@ -152,7 +152,7 @@ func Open(dir string, cat *plan.Catalog, cfg Config) (*Store, error) {
 				s.recovery.InvalidSegments++
 				continue
 			}
-			t, err := store.Restore(table, st.schema, st.cols, st.decs, st.decBits, st.pkCols, cat.System())
+			t, err := store.Restore(table, st.schema, st.cols, st.decBits, st.pkCols, cat.System())
 			if err != nil {
 				return nil, fmt.Errorf("durable: restoring %s: %w", table, err)
 			}
@@ -748,9 +748,6 @@ func (s *Store) Dirty(table string) bool {
 	snap := t.Snapshot()
 	return snap.DeltaLen() > 0 || snap.DeletedCount() > 0
 }
-
-// Sync forces the WAL to stable storage (clean-shutdown path).
-func (s *Store) Sync() error { return s.wal.Sync() }
 
 // Close fsyncs and closes the WAL. It does not checkpoint; the engine's
 // Close checkpoints every dirty table first so a clean shutdown leaves an

@@ -56,7 +56,7 @@ func sameRecord(a, b Record) bool {
 func TestRecordRoundtrip(t *testing.T) {
 	for _, rec := range testRecords() {
 		rec.LSN = 42
-		payload, err := encodeRecord(rec)
+		payload, err := appendRecord(nil, rec)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", rec.kindString(), err)
 		}
@@ -71,7 +71,7 @@ func TestRecordRoundtrip(t *testing.T) {
 }
 
 // badWidthRecords are create records no encoder of this program writes: a
-// column three bytes wide. Replaying one used to reach bat.NewDense's panic.
+// column three bytes wide. Replaying one must fail as a decode error.
 func badWidthRecords() []Record {
 	defs := []store.ColumnDef{{Name: "k", Scale: 1, Width: 4}, {Name: "v", Scale: 1, Width: 3}}
 	return []Record{
@@ -82,7 +82,7 @@ func badWidthRecords() []Record {
 
 func TestDecodeRecordRejectsBadWidth(t *testing.T) {
 	for _, rec := range badWidthRecords() {
-		payload, err := encodeRecord(rec)
+		payload, err := appendRecord(nil, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestDecodeRecordRejectsBadWidth(t *testing.T) {
 }
 
 func TestDecodeRecordRejectsTrailingBytes(t *testing.T) {
-	payload, err := encodeRecord(Record{LSN: 1, Type: recDrop, Table: "t"})
+	payload, err := appendRecord(nil, Record{LSN: 1, Type: recDrop, Table: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,12 +435,12 @@ func TestWALRejectsForeignFile(t *testing.T) {
 func FuzzWALDecode(f *testing.F) {
 	for _, rec := range testRecords() {
 		rec.LSN = 7
-		if payload, err := encodeRecord(rec); err == nil {
+		if payload, err := appendRecord(nil, rec); err == nil {
 			f.Add(payload)
 		}
 	}
 	for _, rec := range badWidthRecords() {
-		if payload, err := encodeRecord(rec); err == nil {
+		if payload, err := appendRecord(nil, rec); err == nil {
 			f.Add(payload)
 		}
 	}
@@ -456,7 +456,7 @@ func FuzzWALDecode(f *testing.F) {
 			// must build (or be refused with an error), never panic.
 			_, _ = store.New(rec.Table, rec.Defs, nil, nil)
 		}
-		out, err := encodeRecord(rec)
+		out, err := appendRecord(nil, rec)
 		if err != nil {
 			t.Fatalf("decoded record does not re-encode: %v", err)
 		}

@@ -25,10 +25,10 @@ func starEngineCatalog(t *testing.T) *plan.Catalog {
 			pk[i] = int64(i)
 			av[i] = int64(i % 10)
 		}
-		if err := d.AddColumn("id", bat.NewDense(pk, bat.Width32)); err != nil {
+		if err := d.AddColumn("id", pk, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.AddColumn(attr, bat.NewDense(av, bat.Width32)); err != nil {
+		if err := d.AddColumn(attr, av, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.AddTable(d); err != nil {
@@ -57,7 +57,7 @@ func starEngineCatalog(t *testing.T) *plan.Catalog {
 				vals[i] = int64(i % 1000)
 			}
 		}
-		if err := fact.AddColumn(col, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := fact.AddColumn(col, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}

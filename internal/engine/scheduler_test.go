@@ -72,7 +72,7 @@ func residualKeyCatalog(t testing.TB) *plan.Catalog {
 	add := func(name string, bits uint, cols map[string][]int64) {
 		tbl := plan.NewTable(name)
 		for col, vals := range cols {
-			if err := tbl.AddColumn(col, bat.NewDense(vals, bat.Width32)); err != nil {
+			if err := tbl.AddColumn(col, vals, bat.Width32); err != nil {
 				t.Fatal(err)
 			}
 		}

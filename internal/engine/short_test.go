@@ -103,8 +103,31 @@ func TestShortStatementAllocBudget(t *testing.T) {
 	if classic > hit {
 		t.Errorf("classic plan-cache hit allocates %.0f objects, the A&R hit %.0f", classic, hit)
 	}
-	t.Logf("hit %.0f objects, prepared Exec %.0f, classic hit %.0f", hit, run, classic)
+
+	// An OR group in place of the conjunction, in both modes: its disjuncts
+	// are compiled into scratch the walk already holds, so it allocates no
+	// more than the conjunction it replaces.
+	or := map[Mode]float64{}
+	for _, mode := range []Mode{ModeAR, ModeClassic} {
+		sess.SetMode(mode)
+		if _, err := sess.Query(ctx, tripOr); err != nil {
+			t.Fatal(err)
+		}
+		or[mode] = testing.AllocsPerRun(200, func() {
+			res, err := sess.Query(ctx, tripOr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			WriteResult(out, res, false)
+		})
+	}
+	if or[ModeAR] > hit || or[ModeClassic] > classic {
+		t.Errorf("OR-group hits allocate %.0f (a&r) and %.0f (classic) objects, the conjunction's %.0f and %.0f", or[ModeAR], or[ModeClassic], hit, classic)
+	}
+	t.Logf("hit %.0f objects, prepared Exec %.0f, classic hit %.0f, OR hit %.0f (a&r) and %.0f (classic)", hit, run, classic, or[ModeAR], or[ModeClassic])
 }
+
+const tripOr = "select count(lon) from trips where (lon between 2.68288 and 2.70228 or lat between 50.4222 and 50.4485)"
 
 // TestDurableInsertAllocBudget is the allocation gate of the write path: a
 // 64-row INSERT into a 4-way partitioned durable table — lexed once, rows

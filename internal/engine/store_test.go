@@ -19,7 +19,7 @@ func dmlCatalog(t *testing.T) *plan.Catalog {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	if err := tbl.AddColumn("v", bat.NewDense(vals, bat.Width32)); err != nil {
+	if err := tbl.AddColumn("v", vals, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(tbl); err != nil {
@@ -214,7 +214,7 @@ func TestBackgroundMergerSurfacesFailures(t *testing.T) {
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	if err := dim.AddColumn("id", bat.NewDense(ids, bat.Width32)); err != nil {
+	if err := dim.AddColumn("id", ids, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(dim); err != nil {

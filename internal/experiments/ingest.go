@@ -38,7 +38,7 @@ func Ingest(opts Options) (*Figure, error) {
 	// Pin the domain ends so in-range inserts keep the decomposition
 	// parameters stable across merges (the incremental case).
 	vals[0], vals[1] = 0, domain-1
-	if err := tbl.AddColumn("v", bat.NewDense(vals, bat.Width32)); err != nil {
+	if err := tbl.AddColumn("v", vals, bat.Width32); err != nil {
 		return nil, err
 	}
 	if err := c.AddTable(tbl); err != nil {

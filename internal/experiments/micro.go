@@ -24,14 +24,15 @@ import (
 var SelectivitySweep = []float64{1, 2, 5, 10, 20, 40, 60, 80, 100}
 
 // microData builds the benchmark column: MicroN values uniform over the
-// paper's 100 M domain (a dense unique permutation at full scale).
-func microData(opts Options) *bat.BAT {
+// paper's 100 M domain (a dense unique permutation at full scale), 32-bit
+// integers.
+func microData(opts Options) []int64 {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	vals := make([]int64, opts.MicroN)
 	for i := range vals {
 		vals[i] = int64(rng.Intn(MicroDomain))
 	}
-	return bat.NewDense(vals, bat.Width32)
+	return vals
 }
 
 func microScale(opts Options) float64 {
@@ -73,13 +74,13 @@ func fig8Selection(opts Options, id, title string, approxBits uint) (*Figure, er
 	b := microData(opts)
 	bits := approxBits
 	if bits == 0 {
-		probe, err := bwd.Decompose(b, 32, nil)
+		probe, err := bwd.Decompose(b, bat.Width32, 32, nil)
 		if err != nil {
 			return nil, err
 		}
 		bits = probe.Dec.TotalBits - 8
 	}
-	col, err := bwd.Decompose(b, bits, sys)
+	col, err := bwd.Decompose(b, bat.Width32, bits, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +95,11 @@ func fig8Selection(opts Options, id, title string, approxBits uint) (*Figure, er
 	for _, sel := range SelectivitySweep {
 		hi := int64(float64(MicroDomain)*sel/100) - 1
 		m := device.NewMeter(sys)
-		set, err := ar.SelectExact(pp, b.Len(), bwd.Exactly(nil, b.Tails(), 0, hi))
+		set, err := ar.SelectExact(pp, len(b), bwd.Exactly(nil, b, 0, hi))
 		if err != nil {
 			return nil, err
 		}
-		bulk.ChargeSelectRange(pp, m, b.Width(), b.Len(), set.Len())
+		bulk.ChargeSelectRange(pp, m, bat.Width32, len(b), set.Len())
 		monetT := m.Total().Seconds()
 		set.Release()
 
@@ -140,7 +141,7 @@ func Fig8c(opts Options) (*Figure, error) {
 	streamT := device.NewMeter(sys).StreamHypothetical(int64(opts.MicroN) * 4).Seconds()
 
 	for _, bits := range bitSweep {
-		col, err := bwd.Decompose(b, uint(bits), sys)
+		col, err := bwd.Decompose(b, bat.Width32, uint(bits), sys)
 		if err != nil {
 			return nil, err
 		}
@@ -179,28 +180,28 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 	scale := microScale(opts)
 	sys, pp := device.ScaledSystem(scale), par.P{Threads: opts.Threads}
 	selCol := microData(opts)
-	prjCol := func() *bat.BAT {
+	prjCol := func() []int64 {
 		rng := rand.New(rand.NewSource(opts.Seed + 1))
 		vals := make([]int64, opts.MicroN)
 		for i := range vals {
 			vals[i] = int64(rng.Intn(MicroDomain))
 		}
-		return bat.NewDense(vals, bat.Width32)
+		return vals
 	}()
 	bits := approxBits
 	if bits == 0 {
-		probe, err := bwd.Decompose(prjCol, 32, nil)
+		probe, err := bwd.Decompose(prjCol, bat.Width32, 32, nil)
 		if err != nil {
 			return nil, err
 		}
 		bits = probe.Dec.TotalBits - 8
 	}
-	dsel, err := bwd.Decompose(selCol, 32, sys)
+	dsel, err := bwd.Decompose(selCol, bat.Width32, 32, sys)
 	if err != nil {
 		return nil, err
 	}
 	defer dsel.Release()
-	dprj, err := bwd.Decompose(prjCol, bits, sys)
+	dprj, err := bwd.Decompose(prjCol, bat.Width32, bits, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +221,7 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		if err := ar.SelectRefine(pp, dsel, nil, 0, hi, refined); err != nil {
 			return nil, err
 		}
-		set, err := ar.SelectExact(pp, selCol.Len(), bwd.Exactly(nil, selCol.Tails(), 0, hi))
+		set, err := ar.SelectExact(pp, len(selCol), bwd.Exactly(nil, selCol, 0, hi))
 		if err != nil {
 			return nil, err
 		}
@@ -229,11 +230,11 @@ func fig8Projection(opts Options, id, title string, approxBits uint) (*Figure, e
 		// classic executor's fold reads it, billed as the bulk model's
 		// positional join.
 		m := device.NewMeter(sys)
-		vals, tails := mem.I64.GetN(set.Len()), prjCol.Tails()
+		vals, tails := mem.I64.GetN(set.Len()), prjCol
 		set.Blocks(0, set.WorkGroups(), math.MaxInt32, func(g0, g1, pos, n int) {
 			set.Values(tails, nil, vals[pos:pos+n], g0, g1)
 		})
-		bulk.ChargeFetch(pp, m, prjCol.Width(), prjCol.Len(), set.Len())
+		bulk.ChargeFetch(pp, m, bat.Width32, len(prjCol), set.Len())
 		monetT := m.Total().Seconds()
 		mem.I64.Put(vals)
 		set.Release()
@@ -284,8 +285,7 @@ func Fig8f(opts Options) (*Figure, error) {
 		for i := range keys {
 			keys[i] = int64(rng.Intn(int(g)))
 		}
-		b := bat.NewDense(keys, bat.Width32)
-		col, err := bwd.Decompose(b, 32, sys)
+		col, err := bwd.Decompose(keys, bat.Width32, 32, sys)
 		if err != nil {
 			return nil, err
 		}

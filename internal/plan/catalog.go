@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bat"
 	"repro/internal/bulk"
 	"repro/internal/bwd"
 	"repro/internal/device"
@@ -39,12 +38,12 @@ type Table struct {
 	n     int
 }
 
-// column pairs the stored BAT with its fixed-point scale (1 for plain
+// column pairs the stored column with its fixed-point scale (1 for plain
 // integers, 100 for decimal(_,2) money, 100000 for the decimal(_,5) GPS
 // coordinates). The scale lets the SQL layer align decimal literals with
 // the storage encoding.
 type column struct {
-	b     *bat.BAT
+	c     *bwd.Column
 	scale int64
 }
 
@@ -53,36 +52,42 @@ func NewTable(name string) *Table {
 	return &Table{Name: name, cols: make(map[string]column), n: -1}
 }
 
-// AddColumn adds a plain integer column (scale 1); all columns of a table
-// must have equal length.
-func (t *Table) AddColumn(name string, b *bat.BAT) error {
-	return t.AddColumnScaled(name, b, 1)
+// AddColumn adds a plain integer column (scale 1) of the values vals, width
+// bytes each; all columns of a table must have equal length.
+func (t *Table) AddColumn(name string, vals []int64, width int) error {
+	return t.AddColumnScaled(name, vals, width, 1)
 }
 
-// AddColumnScaled adds a fixed-point column with the given decimal scale.
-func (t *Table) AddColumnScaled(name string, b *bat.BAT, scale int64) error {
+// AddColumnScaled adds a fixed-point column with the given decimal scale. The
+// values are stored at once as a column with no device bits
+// (bwd.Decompose), and vals is not kept.
+func (t *Table) AddColumnScaled(name string, vals []int64, width int, scale int64) error {
 	if _, dup := t.cols[name]; dup {
 		return fmt.Errorf("plan: duplicate column %s.%s", t.Name, name)
 	}
-	if t.n >= 0 && b.Len() != t.n {
-		return fmt.Errorf("plan: column %s.%s has %d rows, table has %d", t.Name, name, b.Len(), t.n)
+	if t.n >= 0 && len(vals) != t.n {
+		return fmt.Errorf("plan: column %s.%s has %d rows, table has %d", t.Name, name, len(vals), t.n)
 	}
 	if scale < 1 {
 		return fmt.Errorf("plan: column %s.%s has invalid scale %d", t.Name, name, scale)
 	}
-	t.n = b.Len()
-	t.cols[name] = column{b: b, scale: scale}
+	c, err := bwd.Decompose(vals, width, 0, nil)
+	if err != nil {
+		return err
+	}
+	t.n = len(vals)
+	t.cols[name] = column{c: c, scale: scale}
 	t.order = append(t.order, name)
 	return nil
 }
 
 // Column returns a column by name.
-func (t *Table) Column(name string) (*bat.BAT, error) {
+func (t *Table) Column(name string) (*bwd.Column, error) {
 	c, ok := t.cols[name]
 	if !ok {
 		return nil, fmt.Errorf("plan: unknown column %s.%s", t.Name, name)
 	}
-	return c.b, nil
+	return c.c, nil
 }
 
 // Columns returns the column names in sorted order.
@@ -208,11 +213,11 @@ func (c *Catalog) durability() Durability {
 // AddTable registers a loaded table builder as a mutable store table.
 func (c *Catalog) AddTable(t *Table) error {
 	defs := make([]store.ColumnDef, len(t.order))
-	cols := make([]*bat.BAT, len(t.order))
+	cols := make([]*bwd.Column, len(t.order))
 	for i, name := range t.order {
 		col := t.cols[name]
-		defs[i] = store.ColumnDef{Name: name, Scale: col.scale, Width: col.b.Width()}
-		cols[i] = col.b
+		defs[i] = store.ColumnDef{Name: name, Scale: col.scale, Width: col.c.Dec.Width}
+		cols[i] = col.c
 	}
 	st, err := store.New(t.Name, defs, cols, c.sys)
 	if err != nil {

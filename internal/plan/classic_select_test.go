@@ -47,7 +47,7 @@ func classicFixture(t testing.TB, n int, seed int64) *Catalog {
 		name string
 		vals []int64
 	}{{"runs", runs}, {"uniform", uniform}, {"plain", plain}} {
-		if err := tbl.AddColumn(col.name, bat.NewDense(col.vals, bat.Width32)); err != nil {
+		if err := tbl.AddColumn(col.name, col.vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,31 +65,32 @@ func classicFixture(t testing.TB, n int, seed int64) *Catalog {
 // refClassicSelect is the reference: the bulk operators, id list to id list,
 // each a row loop billed with its counts.
 func refClassicSelect(p par.P, m *device.Meter, fs *store.Snapshot, q Query) []bat.OID {
-	col := func(name string) *bat.BAT {
+	col := func(name string) (vals []int64, width int) {
 		vals, err := fs.BaseValues(name, 0, fs.BaseLen(), nil)
 		if err != nil {
 			panic(err)
 		}
-		w, _ := fs.Table().ColumnWidth(name)
-		return bat.NewDense(vals, w)
+		width, _ = fs.Table().ColumnWidth(name)
+		return vals, width
 	}
 	var ids []bat.OID
 	for i, f := range q.Filters {
-		b, kept := col(f.Col), []bat.OID{}
+		vals, w := col(f.Col)
+		kept := []bat.OID{}
 		if i == 0 {
-			for id, v := range b.Tails() {
+			for id, v := range vals {
 				if v >= f.Lo && v <= f.Hi {
 					kept = append(kept, bat.OID(id))
 				}
 			}
-			bulk.ChargeSelectRange(p, m, b.Width(), b.Len(), len(kept))
+			bulk.ChargeSelectRange(p, m, w, len(vals), len(kept))
 		} else {
 			for _, id := range ids {
-				if v := b.Tails()[id]; v >= f.Lo && v <= f.Hi {
+				if v := vals[id]; v >= f.Lo && v <= f.Hi {
 					kept = append(kept, id)
 				}
 			}
-			bulk.ChargeSelectOIDs(p, m, b.Width(), b.Len(), len(ids), len(kept))
+			bulk.ChargeSelectOIDs(p, m, w, len(vals), len(ids), len(kept))
 		}
 		ids = kept
 	}
@@ -103,9 +104,9 @@ func refClassicSelect(p par.P, m *device.Meter, fs *store.Snapshot, q Query) []b
 	for _, group := range q.Or {
 		tails := make([][]int64, len(group))
 		for k, f := range group {
-			b := col(f.Col)
-			tails[k] = b.Tails()
-			bulk.ChargeFetch(p, m, b.Width(), b.Len(), len(ids))
+			vals, w := col(f.Col)
+			tails[k] = vals
+			bulk.ChargeFetch(p, m, w, len(vals), len(ids))
 		}
 		kept := ids[:0:0]
 		for _, id := range ids {

@@ -21,7 +21,7 @@ func TestConcurrentRedecomposeDoesNotLeak(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i % 4096)
 	}
-	if err := tbl.AddColumn("v", bat.NewDense(vals, bat.Width32)); err != nil {
+	if err := tbl.AddColumn("v", vals, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(tbl); err != nil {

@@ -207,7 +207,7 @@ func TestExactLegGroupsInItsFold(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(col.Approx.Get(i))
 		}
-		if err := tbl.AddColumn(name, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := tbl.AddColumn(name, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +215,7 @@ func TestExactLegGroupsInItsFold(t *testing.T) {
 	for i := range v {
 		v[i] = int64(rng.Intn(1 << 16))
 	}
-	if err := tbl.AddColumn("v", bat.NewDense(v, bat.Width32)); err != nil {
+	if err := tbl.AddColumn("v", v, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(tbl); err != nil {

@@ -33,7 +33,7 @@ func exactLegCatalog(t testing.TB, n int, seed int64, vBits uint) *Catalog {
 					vals[i] = int64(rng.Intn(domain[k]))
 				}
 			}
-			if err := tbl.AddColumn(col, bat.NewDense(vals, bat.Width32)); err != nil {
+			if err := tbl.AddColumn(col, vals, bat.Width32); err != nil {
 				t.Fatal(err)
 			}
 		}

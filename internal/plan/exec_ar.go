@@ -265,18 +265,25 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	return out, nil
 }
 
-// orGroupRelax resolves one disjunction group against the snapshot: the
-// decomposed columns, the per-disjunct relaxed ranges (each through its
-// own column's BWD bounds), and the exact bounds for refinement.
-func (pl pipeline) orGroupRelax(filters []Filter) (cols []*bwd.Column, rs []bwd.ApproxRange, los, his []int64) {
-	cols = make([]*bwd.Column, len(filters))
-	rs = make([]bwd.ApproxRange, len(filters))
-	los = make([]int64, len(filters))
-	his = make([]int64, len(filters))
-	for i, f := range filters {
-		cols[i] = pl.snap.get("", f.Col)
-		rs[i] = cols[i].Relax(f.Lo, f.Hi)
-		los[i], his[i] = f.Lo, f.Hi
+// orScratch is where a walk compiles one OR group: the decomposed columns,
+// the per-disjunct relaxed ranges (each through its own column's BWD
+// bounds) and exact bounds of phases A and R, or the classic scan's
+// disjuncts. It lives on the walk's stack, as bill's column list does, so a
+// group of up to four disjuncts allocates nothing.
+type orScratch struct {
+	cols     [4]*bwd.Column
+	rs       [4]bwd.ApproxRange
+	los, his [4]int64
+	ds       [4]bwd.Disjunct
+}
+
+// orGroupRelax resolves one disjunction group against the snapshot into sc.
+func (pl pipeline) orGroupRelax(filters []Filter, sc *orScratch) (cols []*bwd.Column, rs []bwd.ApproxRange, los, his []int64) {
+	cols, rs, los, his = sc.cols[:0], sc.rs[:0], sc.los[:0], sc.his[:0]
+	for _, f := range filters {
+		col := pl.snap.get("", f.Col)
+		cols, rs = append(cols, col), append(rs, col.Relax(f.Lo, f.Hi))
+		los, his = append(los, f.Lo), append(his, f.Hi)
 	}
 	return cols, rs, los, his
 }

@@ -88,7 +88,7 @@ func (pl pipeline) materialize(st *pipeState, ph phase, sel *ar.Candidates, keys
 		if err != nil {
 			return nil, err
 		}
-		binds[ref] = colBind{tails: c.vals, col: c.dec, key: pl.keyFor(keys, ref.Dim)}
+		binds[ref] = colBind{tails: c.vals, col: c.col, key: pl.keyFor(keys, ref.Dim)}
 		if ph == phaseBase {
 			bulk.ChargeFetch(st.pp, st.m, c.width, c.rows, sel.Len())
 			st.emit(sel.Len(), -1, obs.Op{Fmt: "algebra.leftjoin(%[1]s)", A: ref.Name})
@@ -97,19 +97,19 @@ func (pl pipeline) materialize(st *pipeState, ph phase, sel *ar.Candidates, keys
 	return binds, nil
 }
 
-// segColumn is a column the statement reads as one segment holds it: a
-// decomposition (dec), read by its code and residual, where the base has one,
-// its exact values (vals) where not. width and rows are the base column's, as
-// the bulk model bills a pass over it.
+// segColumn is a column the statement reads as one segment holds it: the
+// base's stored column (col), read by its code and residual, or the delta's
+// exact values (vals). width and rows are the base column's, as the bulk
+// model bills a pass over it.
 type segColumn struct {
 	vals        []int64
-	dec         *bwd.Column
+	col         *bwd.Column
 	width, rows int
 }
 
 // exactly is the disjunct lo <= v <= hi over the column's exact values,
 // decided from the bounds of its decomposition where it has one.
-func (c segColumn) exactly(lo, hi int64) bwd.Disjunct { return bwd.Exactly(c.dec, c.vals, lo, hi) }
+func (c segColumn) exactly(lo, hi int64) bwd.Disjunct { return bwd.Exactly(c.col, c.vals, lo, hi) }
 
 // column returns a column the statement reads as the segment of phase ph
 // joins it: a fact column's in the base or the delta segment, a dimension's
@@ -119,12 +119,8 @@ func (pl pipeline) column(ph phase, ref ColRef) (c segColumn, err error) {
 		c.vals, err = pl.snap.fact.DeltaColumn(ref.Name)
 		return c, err
 	}
-	s := pl.snap.snapFor(ref.Dim)
-	if c.width, err = s.Table().ColumnWidth(ref.Name); err != nil {
-		return c, err
-	}
-	if c.rows, c.dec = s.BaseLen(), pl.snap.get(ref.Dim, ref.Name); c.dec == nil {
-		c.vals, err = s.BaseValues(ref.Name, 0, c.rows, nil)
+	if c.col, err = pl.snap.snapFor(ref.Dim).BaseColumn(ref.Name); err == nil {
+		c.width, c.rows = c.col.Dec.Width, c.col.Len()
 	}
 	return c, err
 }

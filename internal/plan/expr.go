@@ -176,11 +176,12 @@ func (e caseExpr) compile(pg *program) int {
 
 // colBind binds one program column for a fold, read by the mask of the
 // candidate set the fold walks (rows.by) — at the position key joins, for a
-// dimension column — one of two ways: to exact values by row (tails), or to
-// a decomposed column (col). With an error bound err, a row's code makes its
-// interval [base + code<<ResBits, that + err], as phase A reads it; with err
-// 0 — no residual bit, or a refined candidate set — its code and residual
-// make its exact value, as phase R and an exact leg read it.
+// dimension column — one of two ways: to the delta's exact values by row
+// (tails), or to a stored column (col). With an error bound err, a row's
+// code makes its interval [base + code<<ResBits, that + err], as phase A
+// reads it; with err 0 — no residual bit, no device bit, or a refined
+// candidate set — its code and residual make its exact value, as phase R, an
+// exact leg and the classic scan read it.
 type colBind struct {
 	tails []int64
 	col   *bwd.Column
@@ -192,15 +193,20 @@ type colBind struct {
 // survivors in granules [g0,g1) into the front of out, in candidate order,
 // and returns how many there are; all of out is its to scribble on.
 func (c *colBind) read(by *ar.Candidates, out []int64, g0, g1 int) int {
-	switch {
-	case c.col == nil:
+	if c.col == nil {
 		return by.Values(c.tails, c.key, out, g0, g1)
-	case c.err == 0 && c.col.Dec.ResBits > 0:
+	}
+	// The codes of one plane, decoded in place: exact where that plane holds
+	// the values whole (bwd.Column.Whole).
+	plane, shift := c.col.Whole(), uint(0)
+	switch {
+	case c.err != 0:
+		plane, shift = c.col.Approx, c.col.Dec.ResBits
+	case plane == nil:
 		return by.Rebuild(c.col, c.key, out, g0, g1)
 	}
-	// The codes alone, decoded in place: exact where there is no residual bit.
-	n := by.Decode(c.col.Approx, c.key, asCodes(out), g0, g1)
-	base, shift := c.col.Dec.Base, c.col.Dec.ResBits
+	n := by.Decode(plane, c.key, asCodes(out), g0, g1)
+	base := c.col.Dec.Base
 	for i, code := range asCodes(out[:n]) {
 		out[i] = base + int64(code<<shift)
 	}
@@ -208,7 +214,7 @@ func (c *colBind) read(by *ar.Candidates, out []int64, g0, g1 int) int {
 }
 
 // whole reads the exact values of all n rows from granule g0 on, dropped ones
-// too: tails in place, a decomposed column's code and residual granule by
+// too: tails in place, a stored column's code and residual granule by
 // granule into room (bwd.Column.Decode).
 func (c *colBind) whole(room []int64, g0, n int) []int64 {
 	if c.col == nil {
@@ -864,7 +870,7 @@ func holesTo(out []uint32, mask []uint64, sink uint32) {
 // packed into at most ar.DirectBits bits, the key its entry's index in a
 // block's partial state (keyDirect); packed into one word (keyWord); or by
 // their values, a word each (keyTuple) — a key that mixes decompositions
-// (legs, delta rows, undecomposed columns) or is wider than a word. A block
+// (legs, delta rows, columns with no device bits) or is wider than a word. A block
 // numbers a word or a tuple by its hash table (bulk.KeyTable).
 type keyForm uint8
 
@@ -909,7 +915,7 @@ func newGroupKey(ins []rows) *groupKey {
 	k := &groupKey{form: keyTuple, w: len(cols), cols: cols}
 	for c, kc := range cols {
 		for _, in := range ins {
-			if o := in.keys[c].col; o == nil || o.Dec != kc.col.Dec {
+			if o := in.keys[c].col; o == nil || o.Approx == nil || o.Dec != kc.col.Dec {
 				return k
 			}
 		}

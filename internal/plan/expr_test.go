@@ -256,7 +256,7 @@ func randSurvivors(t testing.TB, rng *rand.Rand, n int, masked bool) (*ar.Candid
 			sel[r] = 2
 		}
 	}
-	col, err := bwd.Decompose(bat.NewDense(sel, bat.Width32), 32, nil)
+	col, err := bwd.Decompose(sel, bat.Width32, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -757,7 +757,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 		}
 		var keyCols []*bwd.Column
 		for _, vals := range [][]int64{flag, status} {
-			col, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), 32, nil)
+			col, err := bwd.Decompose(vals, bat.Width32, 32, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -768,7 +768,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 		for r := range filterVals {
 			filterVals[r] = int64(rng.Intn(1024))
 		}
-		filter, err := bwd.Decompose(bat.NewDense(filterVals, bat.Width32), 4, nil)
+		filter, err := bwd.Decompose(filterVals, bat.Width32, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -841,7 +841,7 @@ func TestApproxAvgBoundsNegativeSums(t *testing.T) {
 	}
 	tbl := NewTable("west")
 	for name, vals := range map[string][]int64{"k": k, "lon": lon} {
-		if err := tbl.AddColumn(name, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := tbl.AddColumn(name, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func addJoinChainTable(t testing.TB, c *plan.Catalog, name string, order []strin
 	t.Helper()
 	tbl := plan.NewTable(name)
 	for _, col := range order {
-		if err := tbl.AddColumn(col, bat.NewDense(cols[col], bat.Width32)); err != nil {
+		if err := tbl.AddColumn(col, cols[col], bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -274,27 +274,28 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 				}
 			}
 		case opOr:
+			var sc orScratch
 			switch ph {
 			case phaseApprox:
-				cols, rs, _, _ := pl.orGroupRelax(op.filters)
+				cols, rs, _, _ := pl.orGroupRelax(op.filters, &sc)
 				if set == nil {
 					set = ar.SelectApproxAny(cols, rs, op.group)
 				} else {
 					set = ar.SelectApproxAnyOver(cols, rs, set, op.group)
 				}
 			case phaseRefine:
-				cols, _, los, his := pl.orGroupRelax(op.filters)
+				cols, _, los, his := pl.orGroupRelax(op.filters, &sc)
 				err = ar.SelectRefineAny(pp, cols, los, his, set)
 			default:
 				// The bulk operator fetches each disjunct column at the
 				// survivors and filters them in one fully-materializing pass.
-				ds := make([]bwd.Disjunct, len(op.filters))
-				for k, f := range op.filters {
+				ds := sc.ds[:0]
+				for _, f := range op.filters {
 					c, cerr := pl.column(ph, ColRef{Name: f.Col})
 					if cerr != nil {
 						return set, cerr
 					}
-					ds[k] = c.exactly(f.Lo, f.Hi)
+					ds = append(ds, c.exactly(f.Lo, f.Hi))
 				}
 				err = set.Narrow(pp, ds...)
 			}
@@ -328,7 +329,7 @@ func (pl pipeline) walk(st *pipeState, ph phase, set *ar.Candidates, keys []bwd.
 				if cerr != nil {
 					return set, cerr
 				}
-				*key = snap.joinKey(spec, fk.dec, fk.vals)
+				*key = snap.joinKey(spec, fk.col, fk.vals)
 				err = set.Narrow(pp, key.Joined(snap.snapFor(spec.Dim).DeletedWords()))
 			}
 		}

@@ -27,10 +27,10 @@ func buildStarCatalog(t *testing.T, n int, seed int64) *Catalog {
 			pk[i] = int64(i)
 			av[i] = int64(rng.Intn(100))
 		}
-		if err := d.AddColumn("id", bat.NewDense(pk, bat.Width32)); err != nil {
+		if err := d.AddColumn("id", pk, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.AddColumn(attr, bat.NewDense(av, bat.Width32)); err != nil {
+		if err := d.AddColumn(attr, av, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.AddTable(d); err != nil {
@@ -59,7 +59,7 @@ func buildStarCatalog(t *testing.T, n int, seed int64) *Catalog {
 		cols["fk2"][i] = int64(rng.Intn(25))
 	}
 	for _, name := range []string{"v", "w", "g", "fk1", "fk2"} {
-		if err := fact.AddColumn(name, bat.NewDense(cols[name], bat.Width32)); err != nil {
+		if err := fact.AddColumn(name, cols[name], bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +281,7 @@ func TestDimFilterOrderingBySelectivity(t *testing.T) {
 		narrow[i] = int64(rng.Intn(5000))
 	}
 	for name, vals := range map[string][]int64{"id": pk, "wide": wide, "narrow": narrow} {
-		if err := dim.AddColumn(name, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := dim.AddColumn(name, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,10 +295,10 @@ func TestDimFilterOrderingBySelectivity(t *testing.T) {
 		fk[i] = int64(rng.Intn(dimN))
 		v[i] = int64(rng.Intn(5000))
 	}
-	if err := fact.AddColumn("fk", bat.NewDense(fk, bat.Width32)); err != nil {
+	if err := fact.AddColumn("fk", fk, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
-	if err := fact.AddColumn("v", bat.NewDense(v, bat.Width32)); err != nil {
+	if err := fact.AddColumn("v", v, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(fact); err != nil {

@@ -22,7 +22,7 @@ func buildFactCatalog(t *testing.T, n int, seed int64, bits map[string]uint) *Ca
 		for i := range vals {
 			vals[i] = int64(rng.Intn(n))
 		}
-		if err := tbl.AddColumn(col, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := tbl.AddColumn(col, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 		_ = b
@@ -112,7 +112,7 @@ func TestARMatchesClassicGrouped(t *testing.T) {
 		date[i] = int64(rng.Intn(2526))
 	}
 	for name, vals := range map[string][]int64{"flag": flag, "status": status, "qty": qty, "date": date} {
-		if err := tbl.AddColumn(name, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := tbl.AddColumn(name, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,10 +188,10 @@ func TestARMatchesClassicJoin(t *testing.T) {
 		pk[i] = int64(i) + 1
 		ptype[i] = int64(i % 25)
 	}
-	if err := dim.AddColumn("p_partkey", bat.NewDense(pk, bat.Width32)); err != nil {
+	if err := dim.AddColumn("p_partkey", pk, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
-	if err := dim.AddColumn("p_type", bat.NewDense(ptype, bat.Width32)); err != nil {
+	if err := dim.AddColumn("p_type", ptype, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(dim); err != nil {
@@ -208,7 +208,7 @@ func TestARMatchesClassicJoin(t *testing.T) {
 		price[i] = int64(rng.Intn(100000))
 	}
 	for name, vals := range map[string][]int64{"fk": fk, "date": date, "price": price} {
-		if err := fact.AddColumn(name, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := fact.AddColumn(name, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,7 +412,7 @@ func TestValidationErrors(t *testing.T) {
 	// Undecomposed column in an A&R plan must error; classic must work.
 	c2 := NewCatalog(device.PaperSystem())
 	tbl := NewTable("fact")
-	if err := tbl.AddColumn("raw", bat.NewDense(make([]int64, 100), bat.Width32)); err != nil {
+	if err := tbl.AddColumn("raw", make([]int64, 100), bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.AddTable(tbl); err != nil {
@@ -430,13 +430,13 @@ func TestValidationErrors(t *testing.T) {
 func TestCatalogBasics(t *testing.T) {
 	c := NewCatalog(device.PaperSystem())
 	tbl := NewTable("t")
-	if err := tbl.AddColumn("a", bat.NewDense([]int64{1, 2, 3}, bat.Width32)); err != nil {
+	if err := tbl.AddColumn("a", []int64{1, 2, 3}, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.AddColumn("a", bat.NewDense([]int64{1, 2, 3}, bat.Width32)); err == nil {
+	if err := tbl.AddColumn("a", []int64{1, 2, 3}, bat.Width32); err == nil {
 		t.Error("duplicate column accepted")
 	}
-	if err := tbl.AddColumn("b", bat.NewDense([]int64{1}, bat.Width32)); err == nil {
+	if err := tbl.AddColumn("b", []int64{1}, bat.Width32); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	if err := c.AddTable(tbl); err != nil {

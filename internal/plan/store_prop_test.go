@@ -30,7 +30,7 @@ func propCatalog(t testing.TB, n int, seed int64) *Catalog {
 				vals[i] = int64(rng.Intn(4096))
 			}
 		}
-		if err := tbl.AddColumn(col, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := tbl.AddColumn(col, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,10 +234,10 @@ func TestJoinWithDimDeletionsAndEmptyDim(t *testing.T) {
 		fk[i] = int64(i % 10)
 		v[i] = int64(i)
 	}
-	if err := fact.AddColumn("fk", bat.NewDense(fk, bat.Width32)); err != nil {
+	if err := fact.AddColumn("fk", fk, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
-	if err := fact.AddColumn("v", bat.NewDense(v, bat.Width32)); err != nil {
+	if err := fact.AddColumn("v", v, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(fact); err != nil {
@@ -250,10 +250,10 @@ func TestJoinWithDimDeletionsAndEmptyDim(t *testing.T) {
 		ids[i] = int64(i)
 		pay[i] = int64(i) * 100
 	}
-	if err := dim.AddColumn("id", bat.NewDense(ids, bat.Width32)); err != nil {
+	if err := dim.AddColumn("id", ids, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
-	if err := dim.AddColumn("pay", bat.NewDense(pay, bat.Width32)); err != nil {
+	if err := dim.AddColumn("pay", pay, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(dim); err != nil {

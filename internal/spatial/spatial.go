@@ -138,7 +138,7 @@ func (d *Data) Load(c *plan.Catalog) error {
 		{"lat", d.Lat, fixed.Scale5},
 		{"time", d.Time, 1},
 	} {
-		if err := t.AddColumnScaled(col.name, bat.NewDense(col.vals, bat.Width32), col.scale); err != nil {
+		if err := t.AddColumnScaled(col.name, col.vals, bat.Width32, col.scale); err != nil {
 			return err
 		}
 	}

@@ -17,30 +17,30 @@ var fuzzCatalog = sync.OnceValue(func() *plan.Catalog {
 	c := plan.NewCatalog(device.PaperSystem())
 	fact := plan.NewTable("t")
 	n := 16
-	mk := func() *bat.BAT {
+	mk := func() []int64 {
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = int64(i)
 		}
-		return bat.NewDense(vals, bat.Width32)
+		return vals
 	}
-	if err := fact.AddColumn("a", mk()); err != nil {
+	if err := fact.AddColumn("a", mk(), bat.Width32); err != nil {
 		panic(err)
 	}
-	if err := fact.AddColumn("fk", mk()); err != nil {
+	if err := fact.AddColumn("fk", mk(), bat.Width32); err != nil {
 		panic(err)
 	}
-	if err := fact.AddColumnScaled("price", mk(), 100); err != nil {
+	if err := fact.AddColumnScaled("price", mk(), bat.Width32, 100); err != nil {
 		panic(err)
 	}
 	if err := c.AddTable(fact); err != nil {
 		panic(err)
 	}
 	dim := plan.NewTable("d")
-	if err := dim.AddColumn("id", mk()); err != nil {
+	if err := dim.AddColumn("id", mk(), bat.Width32); err != nil {
 		panic(err)
 	}
-	if err := dim.AddColumn("v", mk()); err != nil {
+	if err := dim.AddColumn("v", mk(), bat.Width32); err != nil {
 		panic(err)
 	}
 	if err := c.AddTable(dim); err != nil {

@@ -37,7 +37,7 @@ func testCatalog(t *testing.T) *plan.Catalog {
 			}
 		}
 		cols[name] = vals
-		if err := li.AddColumn(name, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := li.AddColumn(name, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,10 +52,10 @@ func testCatalog(t *testing.T) *plan.Catalog {
 		pk[i] = int64(i) + 1
 		ptype[i] = int64(i % 10)
 	}
-	if err := part.AddColumn("p_partkey", bat.NewDense(pk, bat.Width32)); err != nil {
+	if err := part.AddColumn("p_partkey", pk, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
-	if err := part.AddColumn("p_type", bat.NewDense(ptype, bat.Width32)); err != nil {
+	if err := part.AddColumn("p_type", ptype, bat.Width32); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddTable(part); err != nil {

@@ -28,10 +28,10 @@ func starCatalog(t *testing.T) *plan.Catalog {
 			pk[i] = int64(i)
 			av[i] = int64(rng.Intn(100))
 		}
-		if err := d.AddColumn("id", bat.NewDense(pk, bat.Width32)); err != nil {
+		if err := d.AddColumn("id", pk, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.AddColumn(attr, bat.NewDense(av, bat.Width32)); err != nil {
+		if err := d.AddColumn(attr, av, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.AddTable(d); err != nil {
@@ -57,7 +57,7 @@ func starCatalog(t *testing.T) *plan.Catalog {
 		for i := range vals {
 			vals[i] = cols[name]()
 		}
-		if err := fact.AddColumn(name, bat.NewDense(vals, bat.Width32)); err != nil {
+		if err := fact.AddColumn(name, vals, bat.Width32); err != nil {
 			t.Fatal(err)
 		}
 	}

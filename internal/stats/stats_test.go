@@ -12,7 +12,7 @@ import (
 // column with its occupancy histogram.
 func histColumn(t *testing.T, vals []int64, approxBits uint) *bwd.Column {
 	t.Helper()
-	d, err := bwd.Decompose(bat.NewDense(vals, bat.Width32), approxBits, nil)
+	d, err := bwd.Decompose(vals, bat.Width32, approxBits, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

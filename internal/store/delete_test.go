@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/bwd"
 	"repro/internal/device"
 )
 
@@ -77,7 +78,7 @@ func TestDeleteWhereMatchesRowLoop(t *testing.T) {
 				ts[i], runs[i], plain[i] = int64(1000+i), at, rng.Int63n(50)
 			}
 			schema := []ColumnDef{{Name: "ts", Scale: 1, Width: bat.Width32}, {Name: "runs", Scale: 1, Width: bat.Width32}, {Name: "plain", Scale: 1, Width: bat.Width32}}
-			tbl, err := New("t", schema, []*bat.BAT{bat.NewDense(ts, bat.Width32), bat.NewDense(runs, bat.Width32), bat.NewDense(plain, bat.Width32)}, sys)
+			tbl, err := New("t", schema, []*bwd.Column{stored(ts, bat.Width32), stored(runs, bat.Width32), stored(plain, bat.Width32)}, sys)
 			if err != nil {
 				t.Fatal(err)
 			}

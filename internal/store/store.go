@@ -4,8 +4,9 @@
 // GPU-resident approximation hot and cheap to maintain:
 //
 //   - each table is an immutable, bit-sliced **base segment**: every column
-//     the user decomposed held once, as its BWD decomposition (approximation
-//     on the device, residual on the host), every other one as a BAT,
+//     held once, as its BWD decomposition — approximation on the device,
+//     residual on the host — a column the user never decomposed as one with
+//     no device bits, every bit on the host,
 //   - plus an append-only **delta segment** holding freshly ingested rows in
 //     host memory, stored by column like the base: one array of exact values
 //     per column, never decomposed,
@@ -82,37 +83,32 @@ func ParseTypeScale(typ string) (int64, error) {
 var schemaEpochs atomic.Uint64
 
 // segment is an immutable base segment: positionally aligned columns, each
-// held once — as its bitwise decomposition where it has one, as a BAT
-// otherwise — with (optional) pre-built foreign-key indexes. A decomposed
+// held once, as its bitwise decomposition — with no device bits where it was
+// never decomposed — with (optional) pre-built foreign-key indexes. A
 // column's exact values are its code and residual (bwd.Column.Decode); no
 // full-width copy is kept beside them. Once a segment is reachable from a
 // published snapshot it is never mutated; updates clone it.
 type segment struct {
 	n    int
-	cols []*bat.BAT      // nil per column when decomposed
-	decs []*bwd.Column   // nil per column when not decomposed
+	cols []*bwd.Column
 	fk   []*bulk.FKIndex // nil per column when no FK index was built
 }
 
 func (g *segment) clone() *segment {
 	out := &segment{n: g.n}
-	out.cols = append([]*bat.BAT(nil), g.cols...)
-	out.decs = append([]*bwd.Column(nil), g.decs...)
+	out.cols = append([]*bwd.Column(nil), g.cols...)
 	out.fk = append([]*bulk.FKIndex(nil), g.fk...)
 	return out
 }
 
 // values returns rows [lo, hi) of column c, lo a multiple of
-// bwd.GranuleRows: a BAT's tails in place, a decomposition's decoded into
-// room, or into a new slice when room is too short.
+// bwd.GranuleRows, decoded into room, or into a new slice when room is too
+// short.
 func (g *segment) values(c, lo, hi int, room []int64) []int64 {
-	if b := g.cols[c]; b != nil {
-		return b.Tails()[lo:hi]
-	}
 	if cap(room) < hi-lo {
 		room = make([]int64, hi-lo)
 	}
-	return g.decs[c].Decode(room[:hi-lo], lo)
+	return g.cols[c].Decode(room[:hi-lo], lo)
 }
 
 // Snapshot is one immutable version of a table, pinned by readers for the
@@ -186,11 +182,9 @@ func (s *Snapshot) Segments() int {
 }
 
 // BaseValues returns the base segment's values of a column at rows [lo,
-// hi), lo a multiple of bwd.GranuleRows: an undecomposed column's in place —
-// callers must not write to them — a decomposed one's decoded from its code
-// and residual into room, or into a new slice when room is too short. A
-// reader that needs a decomposed column's values whole reads them a block at
-// a time.
+// hi), lo a multiple of bwd.GranuleRows, decoded from its code and residual
+// into room, or into a new slice when room is too short. A reader that needs
+// a column's values whole reads them a block at a time.
 func (s *Snapshot) BaseValues(name string, lo, hi int, room []int64) ([]int64, error) {
 	i, err := s.t.colIndex(name)
 	if err != nil {
@@ -200,13 +194,25 @@ func (s *Snapshot) BaseValues(name string, lo, hi int, room []int64) ([]int64, e
 }
 
 // Dec returns the bitwise decomposition of a column, or nil when the
-// column was never decomposed.
+// column was never decomposed: one with no device bits is not decomposed to
+// the planner, which neither prices nor runs an approximate scan of it.
 func (s *Snapshot) Dec(name string) *bwd.Column {
 	i, err := s.t.colIndex(name)
-	if err != nil {
+	if err != nil || s.base.cols[i].Dec.ApproxBits == 0 {
 		return nil
 	}
-	return s.base.decs[i]
+	return s.base.cols[i]
+}
+
+// BaseColumn returns the base segment's stored column: its decomposition,
+// with no device bits when it was never decomposed. A classic scan reads it
+// through its code and residual.
+func (s *Snapshot) BaseColumn(name string) (*bwd.Column, error) {
+	i, err := s.t.colIndex(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.base.cols[i], nil
 }
 
 // FKIndex returns the pre-built foreign-key index over a column, or nil.
@@ -282,19 +288,10 @@ type Table struct {
 }
 
 // New creates a table over the given schema. cols supplies the initial
-// base-segment column BATs in schema order (all equal length); nil cols
-// creates an empty table.
-func New(name string, schema []ColumnDef, cols []*bat.BAT, sys *device.System) (*Table, error) {
-	if cols != nil && len(cols) != len(schema) {
-		return nil, fmt.Errorf("store: table %s: %d columns for %d schema entries", name, len(cols), len(schema))
-	}
-	return newTable(name, schema, cols, make([]*bwd.Column, len(schema)), sys)
-}
-
-// newTable creates a table whose base segment holds, per schema column, the
-// decomposition decs[i] or, where there is none, the BAT cols[i]; nil cols
-// creates an empty table.
-func newTable(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Column, sys *device.System) (*Table, error) {
+// base-segment columns in schema order (all equal length), each as
+// bwd.Decompose built it — a loader's with no device bits; nil cols creates
+// an empty table.
+func New(name string, schema []ColumnDef, cols []*bwd.Column, sys *device.System) (*Table, error) {
 	if len(schema) == 0 {
 		return nil, fmt.Errorf("store: table %s has no columns", name)
 	}
@@ -307,11 +304,14 @@ func newTable(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Colu
 		decBits:     make([]uint, len(schema)),
 		pkCols:      make([]bool, len(schema)),
 	}
+	if cols != nil && len(cols) != len(schema) {
+		return nil, fmt.Errorf("store: table %s: %d columns for %d schema entries", name, len(cols), len(schema))
+	}
 	seg := &segment{
-		cols: make([]*bat.BAT, len(schema)),
-		decs: decs,
+		cols: make([]*bwd.Column, len(schema)),
 		fk:   make([]*bulk.FKIndex, len(schema)),
 	}
+	copy(seg.cols, cols)
 	for i, def := range schema {
 		if def.Name == "" {
 			return nil, fmt.Errorf("store: table %s: empty column name", name)
@@ -327,17 +327,13 @@ func newTable(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Colu
 		}
 		t.colIdx[def.Name] = i
 		t.rowBytes += int64(def.Width)
-		rows := 0
-		switch {
-		case cols == nil:
-			seg.cols[i] = bat.NewDense([]int64{}, def.Width)
-		case decs[i] != nil: // the column is its decomposition: no tail beside it
-			rows = decs[i].Len()
-		case cols[i] != nil:
-			seg.cols[i], rows = cols[i], cols[i].Len()
-		default:
-			return nil, fmt.Errorf("store: column %s.%s has no values", name, def.Name)
+		if seg.cols[i] == nil {
+			if cols != nil {
+				return nil, fmt.Errorf("store: column %s.%s has no values", name, def.Name)
+			}
+			seg.cols[i], _ = bwd.Decompose(nil, def.Width, 0, nil)
 		}
+		rows := seg.cols[i].Len()
 		if i == 0 {
 			seg.n = rows
 		} else if rows != seg.n {
@@ -349,19 +345,18 @@ func newTable(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Colu
 }
 
 // Restore rebuilds a table from persisted state: the base-segment columns
-// (a BAT per undecomposed column; a decomposed one's may be nil, and is not
-// kept), the restored decompositions, the recorded decomposition bit widths,
-// and the FK-indexed column markers. It is the
-// segment-load path of the durability subsystem — the table comes back
-// exactly as a checkpoint captured it, with FK indexes rebuilt from the
-// (strictly dense) key columns rather than deserialized. Delta rows are
-// not part of a checkpoint; recovery replays them from the WAL tail via
-// ordinary Insert/DeleteWhere calls.
-func Restore(name string, schema []ColumnDef, cols []*bat.BAT, decs []*bwd.Column, decBits []uint, pkCols []bool, sys *device.System) (*Table, error) {
-	if len(cols) != len(schema) || len(decs) != len(schema) || len(decBits) != len(schema) || len(pkCols) != len(schema) {
+// (restored decompositions, with no device bits where a column was never
+// decomposed), the recorded decomposition bit widths, and the FK-indexed
+// column markers. It is the segment-load path of the durability subsystem —
+// the table comes back exactly as a checkpoint captured it, with FK indexes
+// rebuilt from the (strictly dense) key columns rather than deserialized.
+// Delta rows are not part of a checkpoint; recovery replays them from the
+// WAL tail via ordinary Insert/DeleteWhere calls.
+func Restore(name string, schema []ColumnDef, cols []*bwd.Column, decBits []uint, pkCols []bool, sys *device.System) (*Table, error) {
+	if len(cols) != len(schema) || len(decBits) != len(schema) || len(pkCols) != len(schema) {
 		return nil, fmt.Errorf("store: restore %s: per-column state does not match schema arity", name)
 	}
-	t, err := newTable(name, schema, cols, append([]*bwd.Column(nil), decs...), sys)
+	t, err := New(name, schema, cols, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +430,7 @@ func (t *Table) PendingDecompose() bool {
 		return false
 	}
 	for c, bits := range t.decBits {
-		if bits > 0 && s.base.decs[c] == nil {
+		if bits > 0 && s.base.cols[c].Dec.ApproxBits == 0 {
 			return true
 		}
 	}
@@ -554,13 +549,9 @@ func (t *Table) DeleteWhere(m *device.Meter, preds []Range) (int64, error) {
 	s := t.cur.Load()
 	base, delta := make([]bwd.Disjunct, len(preds)), make([]bwd.Disjunct, len(preds))
 	for k, p := range preds {
-		// A decomposed column is compared by its code and residual, as
-		// phase R compares it; another by its tails.
-		var tails []int64
-		if b := s.base.cols[idx[k]]; b != nil {
-			tails = b.Tails()
-		}
-		base[k] = bwd.Exactly(s.base.decs[idx[k]], tails, p.Lo, p.Hi)
+		// A base column is compared by its code and residual, as phase R
+		// compares it; the delta by its values.
+		base[k] = bwd.Exactly(s.base.cols[idx[k]], nil, p.Lo, p.Hi)
 		delta[k] = bwd.Exactly(nil, s.deltaCol(idx[k]), p.Lo, p.Hi)
 	}
 	next := *s
@@ -623,15 +614,18 @@ func markWhere(del []uint64, n int, ds []bwd.Disjunct) ([]uint64, int) {
 }
 
 // Decompose bitwise-decomposes a column with the given device-resident bit
-// width, recording the width so merges re-decompose incrementally, and drops
-// the column's BAT: the decomposition is the column from then on. A column
-// decomposed already is decomposed anew from its code and residual. A table
-// with delta rows or deletions is merged first: decomposition always
+// width (1..63), recording the width so merges re-decompose incrementally:
+// the column is decomposed anew from its code and residual, which replace
+// the ones it had — none on the device, when it was never decomposed. A
+// table with delta rows or deletions is merged first: decomposition always
 // covers the whole (compacted) base segment.
 func (t *Table) Decompose(m *device.Meter, col string, bits uint) (*bwd.Column, error) {
 	i, err := t.colIndex(col)
 	if err != nil {
 		return nil, err
+	}
+	if bits == 0 {
+		return nil, fmt.Errorf("store: bwdecompose(%s.%s, 0): no device bits to decompose into", t.name, col)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -641,20 +635,13 @@ func (t *Table) Decompose(m *device.Meter, col string, bits uint) (*bwd.Column, 
 		}
 	}
 	s := t.cur.Load()
-	var d *bwd.Column
-	if old := s.base.decs[i]; old != nil {
-		d, err = old.Redecompose(bits, t.sys)
-	} else {
-		d, err = bwd.Decompose(s.base.cols[i], bits, t.sys)
-	}
+	d, err := s.base.cols[i].Redecompose(bits, t.sys)
 	if err != nil {
 		return nil, fmt.Errorf("store: bwdecompose(%s.%s, %d): %w", t.name, col, bits, err)
 	}
 	seg := s.base.clone()
-	if old := seg.decs[i]; old != nil {
-		old.Release()
-	}
-	seg.cols[i], seg.decs[i] = nil, d
+	seg.cols[i].Release()
+	seg.cols[i] = d
 	t.decBits[i] = bits
 	next := *s
 	next.base = seg
@@ -731,12 +718,11 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 
 	seg := &segment{
 		n:    newN,
-		cols: make([]*bat.BAT, stride),
-		decs: make([]*bwd.Column, stride),
+		cols: make([]*bwd.Column, stride),
 		fk:   make([]*bulk.FKIndex, stride),
 	}
 	fail := func(err error) (MergeStats, error) {
-		for _, nd := range seg.decs {
+		for _, nd := range seg.cols {
 			if nd != nil {
 				nd.Release()
 			}
@@ -749,21 +735,17 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 	stats.DeltaRows = s.liveDelta
 	stats.DroppedRows = s.DeletedCount()
 
-	// Each column's surviving rows, base then delta — a decomposed base
-	// column decoded a block at a time — are kept as its BAT or, for a
-	// recorded decomposition, decomposed and dropped: the next such column
-	// reuses their buffer. Decompose-before-release means a racing reader of
-	// the old snapshot keeps a valid (released) view; the transient double
-	// allocation mirrors Catalog re-decomposition.
+	// Each column's surviving rows, base then delta — the base decoded a
+	// block at a time — are decomposed at the recorded width, with no device
+	// bits where none is recorded or no row is left, and dropped: the next
+	// column reuses their buffer. Decompose-before-release means a racing
+	// reader of the old snapshot keeps a valid (released) view; the
+	// transient double allocation mirrors Catalog re-decomposition.
 	room := mem.I64.GetN(min(s.base.n, bwd.BlockRows))
 	defer mem.I64.Put(room)
-	var spare []int64
+	vals := make([]int64, 0, newN)
 	for c := 0; c < stride; c++ {
-		keep := t.decBits[c] == 0 || newN == 0
-		vals := spare[:0]
-		if keep || vals == nil {
-			vals = make([]int64, 0, newN)
-		}
+		vals = vals[:0]
 		for lo := 0; lo < s.base.n; lo += bwd.BlockRows {
 			for i, v := range s.base.values(c, lo, min(lo+bwd.BlockRows, s.base.n), room) {
 				if !s.BaseDeleted(lo + i) {
@@ -776,20 +758,22 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 				vals = append(vals, v)
 			}
 		}
-		b := bat.NewDense(vals, t.schema[c].Width)
-		if keep {
-			seg.cols[c] = b
-			continue
+		bits := t.decBits[c]
+		if newN == 0 {
+			bits = 0
 		}
-		d, err := bwd.Decompose(b, t.decBits[c], t.sys)
+		d, err := bwd.Decompose(vals, t.schema[c].Width, bits, t.sys)
 		if err != nil {
 			return fail(fmt.Errorf("store: merge %s: %w", t.name, err))
 		}
-		seg.decs[c], spare = d, vals
+		seg.cols[c] = d
+		if bits == 0 {
+			continue
+		}
 		full := packedBytes(newN, d.Dec.ApproxBits)
 		stats.FullBytes += full
-		old := s.base.decs[c]
-		if old != nil && old.Dec == d.Dec && !compacted {
+		old := s.base.cols[c]
+		if old.Dec == d.Dec && !compacted {
 			// Incremental maintenance: the surviving base codes are
 			// bit-identical, so only the merged delta rows' codes ship.
 			stats.ShippedBytes += packedBytes(s.liveDelta, d.Dec.ApproxBits)
@@ -802,7 +786,7 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 			stats.ShippedBytes += full
 			if m != nil {
 				m.CPUWork(1, int64(newN)*int64(t.schema[c].Width)*2, 0, int64(newN))
-				if compacted && old != nil {
+				if compacted && old.Dec.ApproxBits > 0 {
 					// Device-side compaction pass over the stale codes.
 					m.GPUKernel(old.GPUBytes(), 0, int64(s.base.n))
 				}
@@ -829,10 +813,8 @@ func (t *Table) mergeLocked(m *device.Meter, auto bool) (MergeStats, error) {
 		seg.fk[c] = ix
 	}
 
-	for _, d := range s.base.decs {
-		if d != nil {
-			d.Release()
-		}
+	for _, d := range s.base.cols {
+		d.Release()
 	}
 	t.merges++
 	if auto {
@@ -854,21 +836,14 @@ func (t *Table) publish(s *Snapshot) {
 }
 
 // ReleaseDecompositions frees the device allocations of the current base
-// segment (catalog teardown).
+// segment (catalog teardown, a dropped table); a reader that pinned a
+// snapshot of it still reads its planes.
 func (t *Table) ReleaseDecompositions() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.cur.Load()
-	seg := s.base.clone()
-	for i, d := range seg.decs {
-		if d != nil {
-			d.Release()
-			seg.decs[i] = nil
-		}
+	for _, d := range t.cur.Load().base.cols {
+		d.Release()
 	}
-	next := *s
-	next.base = seg
-	t.publish(&next)
 }
 
 // TableStats is a point-in-time snapshot of one table's store counters.

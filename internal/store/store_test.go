@@ -5,8 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/bwd"
 	"repro/internal/device"
 )
+
+// stored returns vals as a loader hands them to New: a column with no device
+// bits.
+func stored(vals []int64, width int) *bwd.Column {
+	c, err := bwd.Decompose(vals, width, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
 
 func newTestTable(t *testing.T, sys *device.System, n int) *Table {
 	t.Helper()
@@ -18,7 +29,7 @@ func newTestTable(t *testing.T, sys *device.System, n int) *Table {
 	}
 	tbl, err := New("t",
 		[]ColumnDef{{Name: "v", Scale: 1, Width: bat.Width32}, {Name: "price", Scale: 100, Width: bat.Width32}},
-		[]*bat.BAT{bat.NewDense(vals, bat.Width32), bat.NewDense(price, bat.Width32)},
+		[]*bwd.Column{stored(vals, bat.Width32), stored(price, bat.Width32)},
 		sys)
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +38,7 @@ func newTestTable(t *testing.T, sys *device.System, n int) *Table {
 }
 
 // TestNewRejectsUnsupportedWidth: a schema is outside input (CREATE TABLE,
-// a replayed WAL record), so a width the BAT layer cannot store is an error,
-// not bat.NewDense's panic.
+// a replayed WAL record), so a width no column can be stored at is an error.
 func TestNewRejectsUnsupportedWidth(t *testing.T) {
 	for _, w := range []int{0, 3, 5, -1, 16} {
 		defs := []ColumnDef{{Name: "k", Scale: 1, Width: bat.Width32}, {Name: "v", Scale: 1, Width: w}}
@@ -199,7 +209,7 @@ func TestFKIndexRebuiltOnMerge(t *testing.T) {
 		ids[i] = int64(i)
 	}
 	tbl, err := New("dim", []ColumnDef{{Name: "id", Scale: 1, Width: bat.Width32}},
-		[]*bat.BAT{bat.NewDense(ids, bat.Width32)}, nil)
+		[]*bwd.Column{stored(ids, bat.Width32)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +267,7 @@ func TestMergeRefusesToCompactIndexedKey(t *testing.T) {
 		ids[i] = int64(i)
 	}
 	tbl, err := New("dim", []ColumnDef{{Name: "id", Scale: 1, Width: bat.Width32}},
-		[]*bat.BAT{bat.NewDense(ids, bat.Width32)}, nil)
+		[]*bwd.Column{stored(ids, bat.Width32)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +291,7 @@ func TestMergeRefusesToCompactIndexedKey(t *testing.T) {
 
 func TestBuildFKIndexRejectsGappedKey(t *testing.T) {
 	tbl, err := New("dim", []ColumnDef{{Name: "id", Scale: 1, Width: bat.Width32}},
-		[]*bat.BAT{bat.NewDense([]int64{1, 3, 4, 5}, bat.Width32)}, nil)
+		[]*bwd.Column{stored([]int64{1, 3, 4, 5}, bat.Width32)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

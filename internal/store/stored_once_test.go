@@ -11,17 +11,18 @@ import (
 	"repro/internal/device"
 )
 
-// A decomposed column is held once, as its approximation and residual: after
-// a decomposition, an incremental and a compacting merge, a re-decomposition
-// at a new width and a restore from persisted state, the base keeps no
-// full-width tail for it — and its values, decoded, are the ones loaded,
-// inserted and not deleted. The columns need 20 significant bits and are
-// decomposed at 24 (no residual bit), 40 at 8 (32 residual bits) and all 64 at
-// 32 (the span of int64); a plain column is never decomposed and keeps its
-// BAT. The table crosses a decode block and ends mid-granule. A restore is
-// handed every column's tails, as a segment file holds them, and must keep
-// none of a decomposed column's (durable's segment round trip checks that the
-// decoder hands it none).
+// Every column is held once, as its approximation and residual: after a
+// load, a decomposition, an incremental and a compacting merge, a
+// re-decomposition at a new width and a restore from persisted state, the
+// base keeps no full-width copy of any column — and its values, decoded, are
+// the ones loaded, inserted and not deleted. The columns need 20 significant
+// bits and are decomposed at 24 (no residual bit), 40 at 8 (32 residual bits)
+// and all 64 at 32 (the span of int64); a plain column is never decomposed:
+// it is held with no device bits, the 7 bits of its span packed in the
+// residual, no device allocation, and the planner is told it is not decomposed (Dec). The
+// table crosses a decode block and ends mid-granule. A restore is handed the
+// plain column packed anew from its values, as durable's segment decoder
+// builds it (its round trip checks that the decoder does).
 func TestDecomposedColumnStoredOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	sys := device.PaperSystem()
@@ -36,14 +37,14 @@ func TestDecomposedColumnStoredOnce(t *testing.T) {
 	}
 	rows[0][2], rows[1][2] = math.MinInt64, math.MaxInt64 // all 64 bits in use
 	schema := []ColumnDef{{"resident", 1, bat.Width32}, {"residual", 1, bat.Width64}, {"full", 1, bat.Width64}, {"plain", 1, bat.Width8}}
-	column := func(c int) *bat.BAT {
+	column := func(c int) *bwd.Column {
 		vals := make([]int64, len(rows))
 		for i, r := range rows {
 			vals[i] = r[c]
 		}
-		return bat.NewDense(vals, schema[c].Width)
+		return stored(vals, schema[c].Width)
 	}
-	cols := make([]*bat.BAT, len(schema))
+	cols := make([]*bwd.Column, len(schema))
 	for c := range cols {
 		cols[c] = column(c)
 	}
@@ -51,17 +52,21 @@ func TestDecomposedColumnStoredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gpu := sys.GPU.Used()
 
-	check := func(tbl *Table, step string) {
+	check := func(tbl *Table, step string, bits []uint) {
 		t.Helper()
 		s := tbl.Snapshot()
 		if s.DeltaLen() != 0 || s.BaseLen() != len(rows) {
 			t.Fatalf("%s: %d base rows and %d delta rows, want %d and none", step, s.BaseLen(), s.DeltaLen(), len(rows))
 		}
 		for c, def := range schema {
-			d, held := s.base.decs[c], s.base.cols[c]
-			if (d != nil) != (bits[c] > 0) || (held != nil) != (bits[c] == 0) {
-				t.Fatalf("%s: %s decomposed %v, holds a full-width tail %v", step, def.Name, d != nil, held != nil)
+			d := s.base.cols[c]
+			if (d.Dec.ApproxBits > 0) != (bits[c] > 0) || (s.Dec(def.Name) != nil) != (bits[c] > 0) {
+				t.Fatalf("%s: %s has %d device bits, want %d", step, def.Name, d.Dec.ApproxBits, bits[c])
+			}
+			if res := d.Dec.ResBits; bits[c] == 0 && (d.Approx != nil || d.GPUBytes() != 0 || res != d.Dec.TotalBits || d.CPUBytes() != int64(d.Len()*int(res)+63)/64*8) {
+				t.Fatalf("%s: %s holds %d B on the device and %d B on the host, want none and its %d-bit residual", step, def.Name, d.GPUBytes(), d.CPUBytes(), d.Dec.TotalBits)
 			}
 			got, err := s.BaseValues(def.Name, 0, s.BaseLen(), nil)
 			if err != nil {
@@ -74,13 +79,17 @@ func TestDecomposedColumnStoredOnce(t *testing.T) {
 			}
 		}
 	}
-	resBits := func(c int) uint { return tbl.Snapshot().base.decs[c].Dec.ResBits }
+	check(tbl, "load", make([]uint, len(schema)))
+	if sys.GPU.Used() != gpu {
+		t.Fatal("the load took device memory")
+	}
+	resBits := func(c int) uint { return tbl.Snapshot().base.cols[c].Dec.ResBits }
 	for c, def := range schema[:3] {
 		if _, err := tbl.Decompose(nil, def.Name, bits[c]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check(tbl, "decompose")
+	check(tbl, "decompose", bits)
 	if resBits(0) != 0 || resBits(1) != 32 || resBits(2) != 32 {
 		t.Fatal("fixture: the columns do not have 0, 32 and 32 residual bits")
 	}
@@ -103,7 +112,7 @@ func TestDecomposedColumnStoredOnce(t *testing.T) {
 		t.Fatalf("fixture: the merge shipped %d of %d bytes, not incremental", st.ShippedBytes, st.FullBytes)
 	}
 	rows = append(rows, fresh...)
-	check(tbl, "incremental merge")
+	check(tbl, "incremental merge", bits)
 
 	// Deleted rows move the rest: the merge compacts.
 	drop := Range{Col: "plain", Lo: 10, Hi: 19}
@@ -121,7 +130,7 @@ func TestDecomposedColumnStoredOnce(t *testing.T) {
 		t.Fatal("fixture: the merge dropped no row")
 	}
 	rows = append(slices.DeleteFunc(rows, func(r []int64) bool { return r[3] >= drop.Lo && r[3] <= drop.Hi }), last)
-	check(tbl, "compacting merge")
+	check(tbl, "compacting merge", bits)
 
 	// New widths, read from the decompositions: the resident column gains
 	// residual bits, the other one loses some.
@@ -134,15 +143,13 @@ func TestDecomposedColumnStoredOnce(t *testing.T) {
 	if resBits(0) != 12 || resBits(1) != 20 {
 		t.Fatal("fixture: the re-decomposed columns do not have 12 and 20 residual bits")
 	}
-	check(tbl, "re-decompose")
+	check(tbl, "re-decompose", bits)
 
-	s := tbl.Snapshot()
-	for c := range cols {
-		cols[c] = column(c)
-	}
-	restored, err := Restore("t", schema, cols, s.base.decs, tbl.DecBits(), tbl.PKCols(), sys)
+	copy(cols, tbl.Snapshot().base.cols)
+	cols[3] = column(3)
+	restored, err := Restore("t", schema, cols, tbl.DecBits(), tbl.PKCols(), sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(restored, "restore")
+	check(restored, "restore", bits)
 }

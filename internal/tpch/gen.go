@@ -142,7 +142,7 @@ func (d *Data) Load(c *plan.Catalog) error {
 		{"l_linestatus", d.LineStat, bat.Width8, 1},
 		{"l_partkey", d.Partkey, bat.Width32, 1},
 	} {
-		if err := li.AddColumnScaled(col.name, bat.NewDense(col.vals, col.width), col.scale); err != nil {
+		if err := li.AddColumnScaled(col.name, col.vals, col.width, col.scale); err != nil {
 			return err
 		}
 	}
@@ -150,10 +150,10 @@ func (d *Data) Load(c *plan.Catalog) error {
 		return err
 	}
 	part := plan.NewTable("part")
-	if err := part.AddColumn("p_partkey", bat.NewDense(d.PKey, bat.Width32)); err != nil {
+	if err := part.AddColumn("p_partkey", d.PKey, bat.Width32); err != nil {
 		return err
 	}
-	if err := part.AddColumn("p_type", bat.NewDense(d.PType, bat.Width8)); err != nil {
+	if err := part.AddColumn("p_type", d.PType, bat.Width8); err != nil {
 		return err
 	}
 	if err := c.AddTable(part); err != nil {

@@ -31,21 +31,12 @@ var reachAllowed = map[string]string{
 	"bitpack.Array.Equal": "how bitpack's tests compare a kernel's output with the reference array",
 }
 
-// reachRetiring is what ROADMAP item 7(a) deletes together with the unit
-// tests of its own package that are its only callers, named above each
-// group. One change may retire only a few existing tests, so item 7(a) takes
-// the groups a few at a time; nothing is added here.
-var reachRetiring = []string{
-	// bwd: TestChooseBits
-	"bwd.ChooseBits",
-}
-
 // TestKernelLayerIsReached builds the function reference graph of the
 // module's non-test files and fails when a function or method declared in
 // the kernel layer is reachable neither from a main under cmd/ or
 // examples/, nor from what bench/*.go references, nor from a _test.go file
-// of a different package (oracles and fixtures), unless reachAllowed or
-// reachRetiring names it. A method that satisfies an interface
+// of a different package (oracles and fixtures), unless reachAllowed names
+// it. A method that satisfies an interface
 // (fmt.Stringer, sort.Interface, …) counts as reached: it is called through
 // the interface.
 func TestKernelLayerIsReached(t *testing.T) {
@@ -55,9 +46,6 @@ func TestKernelLayerIsReached(t *testing.T) {
 	}
 	excused := map[string]bool{}
 	for name := range reachAllowed {
-		excused[name] = true
-	}
-	for _, name := range reachRetiring {
 		excused[name] = true
 	}
 	live := g.reach()
