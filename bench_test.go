@@ -22,8 +22,10 @@ import (
 	"repro/internal/mem"
 	"repro/internal/par"
 	"repro/internal/plan"
+	"repro/internal/shard"
 	"repro/internal/spatial"
 	"repro/internal/sql"
+	"repro/internal/store"
 	"repro/internal/tpch"
 )
 
@@ -522,8 +524,11 @@ func BenchmarkOpJoin(b *testing.B) {
 // year of lineitem by l_shipdate, whose codes are 12 bits wide: the widest
 // key the grouped fold's direct table takes, 365 groups; "hashkey" by
 // l_shipdate and l_linestatus, 13 bits, which the fold keys through its hash
-// table. Each text is compiled by sql.Compile and run through ExecAR only,
-// so the same line measures any commit.
+// table. "q1-hash4" is "q1" over lineitem4, a copy of lineitem hash-partitioned
+// four ways on l_partkey, every column device resident: four legs, each an
+// exact leg that folds its own rows, merged by the gather. Each text is
+// compiled by sql.Compile and run through ExecAR only, so the same line
+// measures any commit.
 func BenchmarkOpOlapTail(b *testing.B) {
 	d := tpch.Generate(0.04, 1)
 	c := plan.NewCatalog(device.PaperSystem())
@@ -533,13 +538,16 @@ func BenchmarkOpOlapTail(b *testing.B) {
 	if err := d.DecomposeAll(c, false); err != nil {
 		b.Fatal(err)
 	}
+	lineitem4(b, c, d)
+	q1 := "select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, sum(l_extendedprice) as sum_base_price, " +
+		"sum(l_extendedprice * (1.00 - l_discount)) as sum_disc_price, " +
+		"sum(l_extendedprice * (1.00 - l_discount) * (1.00 + l_tax)) as sum_charge, " +
+		"avg(l_quantity) as avg_qty, avg(l_extendedprice) as avg_price, avg(l_discount) as avg_disc, count(*) as count_order " +
+		"from %s where l_shipdate <= %d group by l_returnflag, l_linestatus"
 	q14From := tpch.Day(1995, 9, 1)
 	for _, shape := range []struct{ name, text string }{
-		{"q1", fmt.Sprintf("select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, sum(l_extendedprice) as sum_base_price, "+
-			"sum(l_extendedprice * (1.00 - l_discount)) as sum_disc_price, "+
-			"sum(l_extendedprice * (1.00 - l_discount) * (1.00 + l_tax)) as sum_charge, "+
-			"avg(l_quantity) as avg_qty, avg(l_extendedprice) as avg_price, avg(l_discount) as avg_disc, count(*) as count_order "+
-			"from lineitem where l_shipdate <= %d group by l_returnflag, l_linestatus", tpch.Day(1998, 12, 1)-90)},
+		{"q1", fmt.Sprintf(q1, "lineitem", tpch.Day(1998, 12, 1)-90)},
+		{"q1-hash4", fmt.Sprintf(q1, "lineitem4", tpch.Day(1998, 12, 1)-90)},
 		{"q6", fmt.Sprintf("select sum(l_extendedprice * l_discount) as revenue from lineitem "+
 			"where l_shipdate between %d and %d and l_discount between 0.05 and 0.07 and l_quantity < 24",
 			tpch.Day(1994, 1, 1), tpch.Day(1995, 1, 1)-1)},
@@ -566,6 +574,51 @@ func BenchmarkOpOlapTail(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// lineitem4 adds lineitem4 to c: d's lineitem rows in a table hash-partitioned
+// four ways on l_partkey, merged into each partition's base and decomposed
+// as DecomposeAll decomposes lineitem, every column device resident.
+func lineitem4(b *testing.B, c *plan.Catalog, d *tpch.Data) {
+	cols := []struct {
+		def  store.ColumnDef
+		vals []int64
+	}{
+		{store.ColumnDef{Name: "l_quantity", Scale: 1, Width: bat.Width8}, d.Quantity},
+		{store.ColumnDef{Name: "l_extendedprice", Scale: 100, Width: bat.Width32}, d.ExtPrice},
+		{store.ColumnDef{Name: "l_discount", Scale: 100, Width: bat.Width8}, d.Discount},
+		{store.ColumnDef{Name: "l_tax", Scale: 100, Width: bat.Width8}, d.Tax},
+		{store.ColumnDef{Name: "l_shipdate", Scale: 1, Width: bat.Width32}, d.Shipdate},
+		{store.ColumnDef{Name: "l_returnflag", Scale: 1, Width: bat.Width8}, d.RetFlag},
+		{store.ColumnDef{Name: "l_linestatus", Scale: 1, Width: bat.Width8}, d.LineStat},
+		{store.ColumnDef{Name: "l_partkey", Scale: 1, Width: bat.Width32}, d.Partkey},
+	}
+	defs := make([]store.ColumnDef, len(cols))
+	rows := make([][]int64, len(d.Quantity))
+	cells := make([]int64, len(rows)*len(cols))
+	for i := range rows {
+		rows[i] = cells[i*len(cols) : (i+1)*len(cols)]
+	}
+	for k, col := range cols {
+		defs[k] = col.def
+		for i, v := range col.vals {
+			rows[i][k] = v
+		}
+	}
+	if _, err := c.CreatePartitionedTable("lineitem4", defs, shard.Spec{Kind: shard.Hash, Col: "l_partkey", N: 4}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.InsertRows(nil, "lineitem4", rows); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.MergeTable(nil, "lineitem4", false); err != nil {
+		b.Fatal(err)
+	}
+	for _, def := range defs {
+		if _, err := c.Decompose("lineitem4", def.Name, 32); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -94,7 +94,7 @@ func TestCachedPlanEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if st := cached.Cache().Stats(); st.Hits == 0 {
+	if st := cached.cache.Stats(); st.Hits == 0 {
 		t.Fatal("the cached engine never hit its plan cache")
 	}
 }
@@ -219,7 +219,7 @@ func TestPlanCacheHoldsNoSnapshot(t *testing.T) {
 	if old.Value() != nil {
 		t.Fatal("the superseded snapshot is still reachable after a merge and a GC: something cached pins it")
 	}
-	if eng.Cache().Stats().Len == 0 {
+	if eng.cache.Stats().Len == 0 {
 		t.Fatal("the statement is no longer cached: the test proves nothing")
 	}
 	if got := mustCount(t, sess, q); got != 102 {

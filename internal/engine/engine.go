@@ -245,9 +245,6 @@ func (e *Engine) Catalog() *plan.Catalog { return e.cat }
 // Scheduler exposes the engine's scheduler (for stats and experiments).
 func (e *Engine) Scheduler() *Scheduler { return e.sched }
 
-// Cache exposes the engine's plan cache.
-func (e *Engine) Cache() *PlanCache { return e.cache }
-
 // Metrics exposes the engine's metrics registry — the source behind both
 // arserve's GET /metrics endpoint and the \metrics meta command.
 func (e *Engine) Metrics() *obs.Registry { return e.metrics.reg }
@@ -312,11 +309,6 @@ func (e *Engine) Prepare(ctx context.Context, src string) (*Stmt, error) {
 	return e.defaultSession().Prepare(ctx, src)
 }
 
-// QueryPlan executes a logical plan.Query on the engine's default session.
-func (e *Engine) QueryPlan(ctx context.Context, q plan.Query) (*Result, error) {
-	return e.defaultSession().QueryPlan(ctx, q)
-}
-
 // describe compiles a SELECT for the meta command cmd, pins its plan under
 // mode and renders the physical pipeline it would run, without executing it.
 // Mode resolves exactly like execution routing: auto asks the optimizer's
@@ -371,9 +363,6 @@ func (e *Engine) AnalyzeStatement(ctx context.Context, sess *Session, src string
 	}
 	return append(lines, res.Trace.Render()...), nil
 }
-
-// Totals returns the engine-wide meter totals across all sessions.
-func (e *Engine) Totals() *device.SharedMeter { return &e.sched.Totals }
 
 // keyBufs recycles the buffers statements are normalized into: most
 // lookups hit, and a hit needs the key only for the map probe.

@@ -50,7 +50,7 @@ func TestEngineFacade(t *testing.T) {
 	if _, err := sess.Query(ctx, strings.ToUpper(tripCount[:6])+tripCount[6:]); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.Cache().Stats(); st.Hits == 0 {
+	if st := eng.cache.Stats(); st.Hits == 0 {
 		t.Fatalf("expected a plan-cache hit, got %+v", st)
 	}
 
@@ -113,13 +113,13 @@ func TestPreparedStatementValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := eng.Cache().Stats().Len
+	before := eng.cache.Stats().Len
 	for i := 0; i < 5; i++ {
 		if _, err := st.Exec(ctx, 200000+i, 240000+i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := eng.Cache().Stats().Len; after != before {
+	if after := eng.cache.Stats().Len; after != before {
 		t.Fatalf("parameterized Exec grew the plan cache: %d -> %d entries", before, after)
 	}
 }

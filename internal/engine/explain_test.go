@@ -190,7 +190,7 @@ func TestPlanCacheMultiJoinDeps(t *testing.T) {
 	if _, err := eng.Query(ctx, starQuery); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.Cache().Stats(); st.Hits == 0 {
+	if st := eng.cache.Stats(); st.Hits == 0 {
 		t.Fatalf("expected a cache hit before the schema change, got %+v", st)
 	}
 
@@ -204,14 +204,14 @@ func TestPlanCacheMultiJoinDeps(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	inval := eng.Cache().Stats().Invalidations
+	inval := eng.cache.Stats().Invalidations
 	// The stale entry must not serve: the re-created d2 is empty, so the
 	// join now fails validation — but through a fresh compile, not the
 	// cached binding.
 	if _, err := eng.Query(ctx, starQuery); err == nil {
 		t.Fatal("query against re-created empty dimension should fail validation")
 	}
-	if got := eng.Cache().Stats().Invalidations; got <= inval {
+	if got := eng.cache.Stats().Invalidations; got <= inval {
 		t.Fatalf("second-dimension schema change did not invalidate the cached plan (invalidations %d -> %d)", inval, got)
 	}
 }

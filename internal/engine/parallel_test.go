@@ -56,7 +56,7 @@ func TestParallelSchedulerTotalsStress(t *testing.T) {
 				return
 			default:
 				_ = eng.Scheduler().Stats()
-				_ = eng.Totals().Total()
+				_ = eng.sched.Totals.Total()
 				_ = strings.Join(eng.StatsLines(nil), "\n")
 			}
 		}
@@ -68,7 +68,7 @@ func TestParallelSchedulerTotalsStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if _, _, _, queries := eng.Totals().Totals(); queries != streams*perStream {
+	if _, _, _, queries := eng.sched.Totals.Totals(); queries != streams*perStream {
 		t.Fatalf("Totals merged %d queries, want %d", queries, streams*perStream)
 	}
 	st := eng.Scheduler().Stats()
@@ -127,7 +127,7 @@ func TestPlanCacheStalePutWindow(t *testing.T) {
 	if got := mustCount(t, sess, q); got != 1 {
 		t.Fatalf("count after stale Put = %d, want 1 (stale binding served)", got)
 	}
-	if st := eng.Cache().Stats(); st.Invalidations == 0 {
+	if st := eng.cache.Stats(); st.Invalidations == 0 {
 		t.Fatal("stale entry was not invalidated on first hit")
 	}
 

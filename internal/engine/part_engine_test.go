@@ -73,7 +73,7 @@ func TestEnginePartitionSurface(t *testing.T) {
 	if !strings.HasPrefix(out[0], "scatter: ps over 3 partitions") {
 		t.Fatalf(`\explain header %q`, out[0])
 	}
-	for _, want := range []string{"est ~", "gather: concatenate partials in partition order"} {
+	for _, want := range []string{"est ~", "gather: merge the partitions' accumulators in partition order"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf(`\explain lacks %q:\n%s`, want, text)
 		}

@@ -529,14 +529,6 @@ func (s *Scheduler) streamFor(device int) chan struct{} {
 	return ch
 }
 
-// PartitionScans returns how many A&R partition scans have run on a
-// partition device stream.
-func (s *Scheduler) PartitionScans() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.partitionScans
-}
-
 func (s *Scheduler) noteCancelled() {
 	s.mu.Lock()
 	s.cancelled++

@@ -60,7 +60,7 @@ func TestPlanCacheInvalidationOnSchemaChange(t *testing.T) {
 	if got := mustCount(t, sess, q); got != 100 { // cache hit
 		t.Fatalf("count = %d, want 100", got)
 	}
-	if st := eng.Cache().Stats(); st.Hits == 0 {
+	if st := eng.cache.Stats(); st.Hits == 0 {
 		t.Fatal("expected a cache hit before the schema change")
 	}
 
@@ -78,7 +78,7 @@ func TestPlanCacheInvalidationOnSchemaChange(t *testing.T) {
 	if got := mustCount(t, sess, q); got != 1 {
 		t.Fatalf("count after re-create = %d, want 1 (stale binding served?)", got)
 	}
-	if st := eng.Cache().Stats(); st.Invalidations == 0 {
+	if st := eng.cache.Stats(); st.Invalidations == 0 {
 		t.Fatal("no cache invalidation recorded")
 	}
 }

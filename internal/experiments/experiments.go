@@ -121,24 +121,4 @@ func (f *Figure) Render() string {
 	return sb.String()
 }
 
-// seriesY finds a series by label (test helper).
-func (f *Figure) seriesY(label string) []float64 {
-	for _, s := range f.Series {
-		if s.Label == label {
-			return s.Y
-		}
-	}
-	return nil
-}
-
-// bar finds a bar by label (test helper).
-func (f *Figure) bar(label string) *Bar {
-	for i := range f.Bars {
-		if f.Bars[i].Label == label {
-			return &f.Bars[i]
-		}
-	}
-	return nil
-}
-
 func ms(seconds float64) float64 { return seconds * 1000 }

@@ -393,3 +393,23 @@ func TestPartitionShape(t *testing.T) {
 		t.Fatal("missing per-count device-split bar")
 	}
 }
+
+// seriesY finds a series by label.
+func (f *Figure) seriesY(label string) []float64 {
+	for _, s := range f.Series {
+		if s.Label == label {
+			return s.Y
+		}
+	}
+	return nil
+}
+
+// bar finds a bar by label.
+func (f *Figure) bar(label string) *Bar {
+	for i := range f.Bars {
+		if f.Bars[i].Label == label {
+			return &f.Bars[i]
+		}
+	}
+	return nil
+}

@@ -15,12 +15,14 @@ import (
 func TestRegistryText(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("zz_total", `route="ar"`, "queries")
-	c.Add(3)
+	c.Inc()
+	c.Inc()
+	c.Inc()
 	if again := r.Counter("zz_total", `route="ar"`, "queries"); again != c {
 		t.Fatal("re-registering the same (name, labels) did not return the existing counter")
 	}
 	r.Counter("zz_total", `route="classic"`, "queries").Inc()
-	r.Gauge("aa_depth", "", "queue depth").Set(2.5)
+	r.GaugeFunc("aa_depth", "", "queue depth", func() float64 { return 2.5 })
 	h := r.Histogram("mid_seconds", "", "latency", []float64{0.001, 1})
 	h.Observe(500 * time.Microsecond)
 	h.Observe(2 * time.Second)
@@ -96,11 +98,11 @@ func TestRegistryConcurrentExact(t *testing.T) {
 	}
 	wg.Wait()
 	close(done)
-	if got := c.Value(); got != workers*per {
-		t.Errorf("counter lost updates: got %d, want %d", got, workers*per)
+	if got := c.value(); got != workers*per {
+		t.Errorf("counter lost updates: got %v, want %d", got, workers*per)
 	}
-	if got := h.Count(); got != workers*per {
-		t.Errorf("histogram lost observations: got %d, want %d", got, workers*per)
+	if got := h.value(); got != workers*per {
+		t.Errorf("histogram lost observations: got %v, want %d", got, workers*per)
 	}
 	text := strings.Join(r.Text(), "\n")
 	if !strings.Contains(text, "hits_total 40000") {

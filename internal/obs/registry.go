@@ -69,34 +69,12 @@ type Counter struct{ n atomic.Int64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.n.Add(1) }
 
-// Add adds n (n must be non-negative for the exposition to stay valid).
-func (c *Counter) Add(n int64) { c.n.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
-
 func (c *Counter) value() float64 { return float64(c.n.Load()) }
 
 // Counter registers (or returns the existing) counter series.
 // labels is the rendered label body (`route="ar"`), or "" for none.
 func (r *Registry) Counter(name, labels, help string) *Counter {
 	return r.register(name, labels, help, "counter", func() sample { return &Counter{} }).(*Counter)
-}
-
-// Gauge is a settable atomic gauge.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) value() float64 { return g.Value() }
-
-// Gauge registers (or returns the existing) gauge series.
-func (r *Registry) Gauge(name, labels, help string) *Gauge {
-	return r.register(name, labels, help, "gauge", func() sample { return &Gauge{} }).(*Gauge)
 }
 
 type funcSample struct{ fn func() float64 }
@@ -147,9 +125,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 	h.total.Add(1)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.total.Load() }
 
 func (h *Histogram) value() float64 { return float64(h.total.Load()) }
 

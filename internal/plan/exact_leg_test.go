@@ -118,7 +118,7 @@ func pinAR(t testing.TB, c *Catalog, q Query) (*Pinned, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, x.legs[0].pl.exactLeg(len(x.legs) == 1)
+	return x, x.legs[0].pl.exactLeg()
 }
 
 // runGeneral runs q A&R over c with its leg's exactness denied: the general
@@ -322,8 +322,9 @@ func TestExactLegFollowsTheData(t *testing.T) {
 	}
 	check("a delta segment, all of it deleted", c, q, false)
 
-	// Two range partitions on v — the negative values and the rest: scanned
-	// together they meet on the host.
+	// Two range partitions on v — the negative values and the rest: each leg
+	// is exact on its own and folds its own rows, scanned together or pruned
+	// to one.
 	if _, err := c.CreatePartitionedTable("pfact", partFactDefs(), shard.Spec{Kind: shard.Range, Col: "v", N: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestExactLegFollowsTheData(t *testing.T) {
 	}
 	pq := q
 	pq.Table, pq.Filters = "pfact", []Filter{{Col: "v", Lo: -1000, Hi: 1000}}
-	check("two partition legs", c, pq, false)
+	check("two partition legs", c, pq, true)
 	pq.Filters = []Filter{{Col: "v", Lo: 100, Hi: 1500}}
 	check("pruned to one partition leg", c, pq, true)
 }

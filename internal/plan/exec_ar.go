@@ -98,28 +98,28 @@ func (c *Catalog) execOnce(ctx context.Context, q Query, opts ExecOpts, mode Mod
 // scanAR is the A&R scan strategy: the leg's operator list walked twice over
 // one candidate set (walk) — phase A on the device over the packed codes,
 // then, past the pre-grouping, the projections and the single bus crossing,
-// phase R on the CPU over code and residual — ending in the base segment for
-// the shared pipeline tail: the refined candidate set, every projected column
-// bound to code and residual by its mask. The delta segment is scanned by the
-// classic selection before the ship (so the phase-A answer can include its
-// exact contribution) and follows the base's. solo permits the device-side
-// pre-grouping: this leg is the only one the statement scans. A scan that
-// fails releases what it built.
+// phase R on the CPU over code and residual — ending in the base segment, the
+// refined candidate set with every projected column bound to code and
+// residual by its mask, which the leg then folds with its delta's into its
+// accumulators. The delta segment is scanned by the classic selection before
+// the ship (so the phase-A answer can include its exact contribution). A scan
+// that fails releases what it built.
 //
 // On an exact leg (exactLeg) the approximation is the answer: nothing can be
 // refined away and every interval is a point, so phase A folds the aggregates
-// once, exactly, per pre-group, straight off the packed columns, and phase R
-// — still listed, checkpointed and billed operator by operator — joins and
-// folds nothing; scanOut carries the accumulators to the tail.
-func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
+// once, exactly, per group, straight off the packed columns, and phase R —
+// still listed, checkpointed and billed operator by operator — joins and
+// folds nothing.
+func (pl pipeline) scanAR(st *pipeState) (_ *scanOut, err error) {
 	q := &pl.q
 	snap := pl.snap
 	pp := st.pp
 	m := st.m
-	exact := pl.exactLeg(solo)
+	exact := pl.exactLeg()
+	preGroup, views := pl.soloBill(st)
 	var cands *ar.Candidates
 	var delta segment
-	out := &scanOut{exact: exact}
+	out := &scanOut{}
 	defer func() {
 		if err != nil {
 			out.segs = segments{{set: cands}, delta}
@@ -135,39 +135,42 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	}
 
 	// Every column the aggregation phase needs is projected: aggregate
-	// inputs, plus the grouping keys when grouping merges with the delta on
-	// the host. Each is bound to its codes by the mask now — the binding the
-	// folds read — and charged at its projection below.
-	groupCols := pl.devGroupCols(solo)
+	// inputs, plus the grouping keys unless the bill pre-groups them. Each is
+	// bound to its codes by the mask now — the binding the folds read — and
+	// charged at its projection below.
 	need, refList := pl.tailKeys, pl.projKeys
-	if groupCols != nil {
+	if preGroup != nil {
 		need, refList = pl.tail, pl.proj
 	}
-	base := segment{set: cands, binds: make(map[ColRef]colBind, len(refList)+len(groupCols))}
+	base := segment{set: cands, binds: make(map[ColRef]colBind, len(refList)+len(preGroup))}
 	for _, ref := range refList {
 		col := snap.get(ref.Dim, ref.Name)
 		base.binds[ref] = colBind{col: col, key: pl.keyFor(keys, ref.Dim), err: col.Dec.Err()}
 	}
 	// A pre-grouped key column is not projected: the grouping fold reads its
 	// exact values by mask, billed as the pre-grouping's refinement.
-	for k, col := range groupCols {
+	for k, col := range preGroup {
 		if ref := (ColRef{Name: q.GroupBy[k]}); base.binds[ref].col == nil {
 			base.binds[ref] = colBind{col: col}
 		}
 	}
 
-	// The pre-grouping. An exact leg folds its aggregates here instead,
-	// reading each row's key beside its columns and accumulating per key: the
-	// one pass over the candidates, numbered as a serial pass over them
-	// meets the keys and billed as GroupApprox is.
-	if groupCols != nil {
+	// An exact leg folds its aggregates here, reading each row's key beside
+	// its columns and accumulating per key: the one pass over the candidates,
+	// numbered as a serial pass over them meets the keys. It runs on every
+	// host core: the statement holds the stream, so it owns the device (phase
+	// R and the tail keep the grant). The pre-grouping, where the bill has
+	// one, counts the keys — an exact leg's fold has — and is billed.
+	if exact {
+		pl.fold(ar.OnDevice(pp), segments{base}, out)
+	}
+	if preGroup != nil {
 		if exact {
-			out.keys = segments{base}.fold(ar.OnDevice(pp), pl.prog, &out.acc, q.GroupBy...)
-			out.mg = &ar.Grouping{Cols: groupCols, NGroups: out.acc.groups, Cands: cands.Len()}
+			out.mg = &ar.Grouping{Cols: preGroup, NGroups: out.acc.groups, Cands: cands.Len()}
 		} else {
-			out.mg = ar.GroupApprox(groupCols, cands)
+			out.mg = ar.GroupApprox(preGroup, cands)
 		}
-		ar.ChargeGroupApprox(m, groupCols, cands, out.mg.NGroups)
+		ar.ChargeGroupApprox(m, preGroup, cands, out.mg.NGroups)
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.groupapproximate(%[1]s)", A: pl.groupText})
 	}
 
@@ -185,9 +188,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	}
 
 	// ---- Delta scan: the append segment lives in host memory and is never
-	// decomposed; the classic selection scans its columns exactly. The
-	// segments travel on to the shared tail; Run releases their sets after
-	// aggregation (with the pre-grouping, which still reads the base's).
+	// decomposed; the classic selection scans its columns exactly.
 	if delta, err = pl.scanDelta(st, need); err != nil {
 		return nil, err
 	}
@@ -198,20 +199,14 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 
 	// Phase-A approximate answer: strict bounds from approximations over
 	// the base segment, plus the (exact) delta contributions — or, on an
-	// exact leg, the answer itself, read off the one fold's accumulators.
-	// Every fold runs on every host core: the statement holds the stream,
-	// so it owns the device (phase R and the tail keep the grant).
+	// exact leg, the answer itself, read off its fold's accumulators.
 	if exact {
-		if groupCols == nil {
-			out.acc = pl.prog.newAcc(1, false)
-			out.segs.fold(ar.OnDevice(pp), pl.prog, &out.acc)
-		}
 		st.res.Approx = pl.prog.answer(&out.acc)
 	} else {
 		st.res.Approx = approxAnswer(ar.OnDevice(pp), pl.prog, out.segs)
 	}
 	ar.ChargeCountApprox(m, cands.Len())
-	st.res.Candidates = cands.Len()
+	st.res.Candidates += cands.Len()
 	for _, a := range q.Aggs {
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.%[1]sapproximate(%[2]s)", A: a.Func.String(), B: a.Name})
 	}
@@ -244,7 +239,7 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 	if _, err = pl.walk(st, phaseRefine, cands, keys); err != nil {
 		return nil, err
 	}
-	st.res.Refined = cands.Len()
+	st.res.Refined += cands.Len()
 
 	// Exact values for every referenced column: code and residual, bound to
 	// be read by the refined mask where the tail reads them (§V-C's fused
@@ -254,13 +249,15 @@ func (pl pipeline) scanAR(st *pipeState, solo bool) (_ *scanOut, err error) {
 			return nil, err
 		}
 		// On an exact leg the codes were the values and phase A has aggregated
-		// them: a view, which the refinement of a resident projection is
-		// billed as anyway.
-		if !exact {
+		// them: a view, which the bill may leave unbilled (soloBill).
+		if !views {
 			projections[ref].ChargeRefine(pp.NThreads(), m)
 		}
 		base.binds[ref] = colBind{col: projections[ref].Col, key: projections[ref].Key}
 		st.emit(cands.Len(), -1, obs.Op{Fmt: "bwd.leftjoinrefine(%[1]s)", A: ref.Name})
+	}
+	if !exact {
+		pl.fold(pp, out.segs, out)
 	}
 	return out, nil
 }

@@ -23,8 +23,8 @@ func (c *Catalog) ExecClassic(ctx context.Context, q Query, opts ExecOpts) (*Res
 // uselects and the FK-probe join chain narrowing one survivor set — and over
 // the delta segment's (scanDelta), and full materialization of every
 // referenced column at the base's survivors (materialize): the same segments
-// as the A&R scan ends in, every column bound to its exact values. A scan
-// that fails releases them.
+// as the A&R scan ends in, every column bound to its exact values, which the
+// leg folds into its accumulators. A scan that fails releases them.
 func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 	sel, keys, err := pl.selectClassic(st)
 	if err != nil {
@@ -39,12 +39,13 @@ func (pl pipeline) scanClassic(st *pipeState) (*scanOut, error) {
 	if delta.set != nil {
 		out.segs = append(out.segs, delta)
 	}
-	st.res.Candidates = sel.Len()
-	st.res.Refined = sel.Len()
+	st.res.Candidates += sel.Len()
+	st.res.Refined += sel.Len()
 	if out.segs[0].binds, err = pl.materialize(st, phaseBase, sel, keys, pl.tailKeys); err != nil {
 		out.release()
 		return nil, err
 	}
+	pl.fold(st.pp, out.segs, out)
 	return out, nil
 }
 

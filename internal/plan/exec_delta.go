@@ -52,11 +52,11 @@ func sortedRefs(refs []ColRef) []ColRef {
 // scanDelta is the classic selection over the leg's delta segment, the rows
 // appended since the last merge (walk, phaseDelta), with the columns of need
 // bound to be read at its survivors (materialize): the delta's segment, none
-// (a nil set) when it holds no rows. Both scan strategies run it — the A&R
-// one before its ship, so the phase-A answer includes the delta exactly —
-// because the delta is never decomposed: the paper's operators apply to the
-// base segment only. A scan that fails releases its set. It is billed once, by
-// chargeDelta.
+// (a nil set) when it holds no rows; its survivors count as candidates, and
+// refined ones. Both scan strategies run it — the A&R one before its ship, so
+// the phase-A answer includes the delta exactly — because the delta is never
+// decomposed: the paper's operators apply to the base segment only. A scan
+// that fails releases its set. It is billed once, by chargeDelta.
 func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (segment, error) {
 	if pl.snap.fact.DeltaLen() == 0 {
 		return segment{}, nil
@@ -71,6 +71,8 @@ func (pl pipeline) scanDelta(st *pipeState, need []ColRef) (segment, error) {
 		sel.Release()
 		return segment{}, err
 	}
+	st.res.Candidates += sel.Len()
+	st.res.Refined += sel.Len()
 	pl.chargeDelta(st.m, st.pp, need, sel.Len())
 	st.emit(sel.Len(), -1, obs.Op{Fmt: opDeltaScan, A: pl.q.Table, N: int64(sel.Len())})
 	return segment{set: sel, binds: binds}, nil

@@ -5,18 +5,21 @@
 // settle its scan mode), scan them — classic or A&R per leg, concurrently when
 // there are several, each A&R scan admitted onto its simulated device stream
 // by the engine's DeviceGate for its approximation subplan and off it at its
-// ship — and gather the per-leg segments into the one shared pipeline tail
-// (grouping, aggregation, HAVING, top-k).
+// ship — each leg folding its own segments, base then delta, into its own
+// accumulators, then gather the legs' accumulators into the one shared
+// pipeline tail (HAVING, top-k, the rows).
 //
-// Determinism contract: the gather merges everything — segments, meters,
-// phase-A bounds, candidate counts — in leg order, and each leg's
-// scan is internally deterministic for any worker count. Result rows are
-// therefore byte-identical to the unpartitioned execution of the same data
-// at every partition count, and the simulated figures are bit-identical
-// across worker-count and morsel-size sweeps at any fixed partition count.
-// A scatter that scans exactly one leg (a 1-partition table, or a range
-// table pruned to one slab) runs the very code a plain table does, so its
-// meter is the plain table's too.
+// Determinism contract: the gather merges everything — accumulators, meters,
+// phase-A bounds, candidate counts — in leg order, and each leg's scan and
+// fold is internally deterministic for any worker count. The aggregates are
+// distributive, so the merge of the legs' folds is the fold of their union
+// (TestKeyedFoldMergeLaw), and a group is numbered where it first appears in
+// leg order, base before delta. Result rows are therefore byte-identical to
+// the unpartitioned execution of the same data at every partition count, and
+// the simulated figures are bit-identical across worker-count and morsel-size
+// sweeps at any fixed partition count. A scatter that scans exactly one leg (a
+// 1-partition table, or a range table pruned to one slab) runs the very code
+// a plain table does, so its meter is the plain table's too.
 package plan
 
 import (
@@ -114,14 +117,12 @@ func (c *Catalog) newState(ctx context.Context, opts ExecOpts, nOps int) pipeSta
 	return pipeState{ctx: ctx, opts: opts, pp: opts.par(ctx), m: m, res: res}
 }
 
-// scan runs the leg's scan source and counts the delta segment's rows into
-// the leg's result, so that it carries its final candidate counts and
-// phase-A answer. solo says this is the statement's only scanned leg: with no
-// other partial to meet on the host, an A&R scan may pre-group on the
-// device. An A&R scan holds device stream part of the gate (when there is
-// one) from here to its ship checkpoint — or to the failure that keeps it
-// from getting there.
-func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
+// scan runs the leg's scan source, which ends in the leg's accumulators, and
+// hands the leg's sets back to the arena; the leg's result carries its
+// candidate counts and phase-A answer. An A&R scan holds device stream part
+// of the gate (when there is one) from here to its ship checkpoint — or to
+// the failure that keeps it from getting there.
+func (lg *leg) scan(gate DeviceGate, part int, stmtClassic bool) {
 	start := time.Now()
 	defer func() { lg.wall = time.Since(start) }()
 	st, pl := &lg.st, lg.pl
@@ -135,24 +136,21 @@ func (lg *leg) scan(gate DeviceGate, part int, solo, stmtClassic bool) {
 	if pl.classic {
 		lg.out, lg.err = pl.scanClassic(st)
 	} else {
-		lg.out, lg.err = pl.scanAR(st, solo)
-	}
-	if lg.err == nil {
-		// A cancellation mid-kernel leaves the scan incomplete (workers stop
-		// claiming morsels); never gather a partial leg.
-		lg.err = st.ctx.Err()
+		lg.out, lg.err = pl.scanAR(st)
 	}
 	if lg.err != nil {
 		return
 	}
-	for _, d := range lg.out.segs[1:] {
-		st.res.Candidates += d.set.Len()
-		st.res.Refined += d.set.Len()
+	lg.out.dropSets()
+	// A cancellation mid-kernel leaves the scan incomplete (workers stop
+	// claiming morsels); never gather a partial leg.
+	if lg.err = st.ctx.Err(); lg.err != nil {
+		return
 	}
 	if pl.classic && !stmtClassic {
 		// A classic leg's partial is exact, so a mixed-mode scatter still
-		// reports strict phase-A bounds.
-		st.res.Approx = approxAnswer(st.pp, pl.prog, lg.out.segs)
+		// reports strict phase-A bounds: its own accumulators'.
+		st.res.Approx = pl.prog.answer(&lg.out.acc)
 	}
 }
 
@@ -169,7 +167,7 @@ func (c *Catalog) scatter(ctx context.Context, legs []leg, opts ExecOpts, gate D
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if lg.scan(gate, lg.idx, false, classic); lg.err != nil {
+			if lg.scan(gate, lg.idx, classic); lg.err != nil {
 				cancel()
 			}
 		}()
@@ -188,14 +186,14 @@ func (c *Catalog) scatter(ctx context.Context, legs []leg, opts ExecOpts, gate D
 	return scanErr
 }
 
-// Run is the executor: scan the pinned legs, gather the partials in leg
-// order, run the shared tail once. One leg runs inline on the caller's
-// goroutine and the tail continues on the leg's own state and segments;
-// several run concurrently (scatter) and gatherLegs merges them. The
-// pipeline polls ctx between stages (plan.Stage) and returns ctx.Err()
-// without a result once the context is done. Every leg's segments and
-// pre-grouping go back to the arena once the tail is done with them, or
-// the statement failed.
+// Run is the executor: scan the pinned legs, each folding its own segments,
+// merge their accumulators in leg order, run the shared tail once. One leg runs
+// inline on the caller's goroutine and the tail continues on the leg's own
+// state and accumulators; several run concurrently (scatter) and gatherLegs
+// merges them. The pipeline polls ctx between stages (plan.Stage) and returns
+// ctx.Err() without a result once the context is done. Every leg's sets go
+// back to the arena once it has folded them, or its scan failed, and its
+// accumulators once the tail is done with them, or the statement failed.
 func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, error) {
 	legs, p, pl, classic := x.legs, x.p, x.pl, x.pr.choice.Classic
 	q := &pl.q
@@ -220,11 +218,12 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 	var out *scanOut
 	if len(legs) == 1 {
 		lg.st = c.newState(ctx, legOpts, pl.nOps)
+		lg.st.solo = true
 		if p == nil && opts.Trace {
 			// A plain table's scan operators are its trace events.
 			st.startTrace(classic)
 		}
-		if lg.scan(gate, part, true, classic); lg.err != nil {
+		if lg.scan(gate, part, classic); lg.err != nil {
 			return nil, lg.err
 		}
 		out = lg.out
@@ -235,7 +234,7 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 		gst := c.newState(ctx, opts, pl.nOps)
 		st = &gst
 		out = gatherLegs(st, pl, legs, classic)
-		defer out.acc.release() // the legs keep the sets
+		defer out.acc.release() // the legs keep their own
 	}
 	st.res.InputBytes = scatterInputBytes(pl, legs)
 
@@ -263,7 +262,7 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 				st.tr.Add(obs.StageEvent{
 					Stage: string(StageScatter),
 					Op:    obs.Op{Fmt: "scatter(%[1]s, mode=%[2]s)", A: lg.pl.q.Table, B: mode},
-					Rows:  int64(lg.out.segs.rows()),
+					Rows:  int64(lg.out.rows),
 					Est:   lg.pl.estCand(),
 					Wall:  lg.wall,
 					GPU:   ls.m.GPU,
@@ -281,7 +280,7 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 		if err := st.step(StageGather); err != nil {
 			return nil, err
 		}
-		st.emit(out.segs.rows(), -1, obs.Op{Fmt: "gather(%[1]s, %[3]d partitions)", A: q.Table, N: int64(len(legs))})
+		st.emit(out.rows, -1, obs.Op{Fmt: "gather(%[1]s, %[3]d partitions)", A: q.Table, N: int64(len(legs))})
 	}
 
 	if err := finish(st, pl, classic, out); err != nil {
@@ -304,19 +303,22 @@ func (c *Catalog) Run(ctx context.Context, x *Pinned, opts ExecOpts) (*Result, e
 }
 
 // gatherLegs merges the partials of several legs onto the gather state st,
-// in leg order: meters and candidate counts add, the phase-A answers
-// combine, and the segment lists concatenate — the legs keep their sets.
+// in leg order: meters, candidate counts and folded rows add, the phase-A
+// answers combine, and the legs' accumulators merge (program.mergeFolds) —
+// the legs keep their own.
 func gatherLegs(st *pipeState, pl *Plan, legs []leg, classic bool) *scanOut {
-	answers := make([]ApproxAnswer, len(legs))
+	answers, parts, keys := make([]ApproxAnswer, len(legs)), make([]aggAcc, len(legs)), make([][][]int64, len(legs))
 	merged := &scanOut{}
 	for li := range legs {
-		ls := &legs[li].st
+		ls, out := &legs[li].st, legs[li].out
 		st.m.Add(ls.m)
 		st.res.Candidates += ls.res.Candidates
 		st.res.Refined += ls.res.Refined
 		answers[li] = ls.res.Approx
-		merged.segs = append(merged.segs, legs[li].out.segs...)
+		merged.rows += out.rows
+		parts[li], keys[li] = out.acc, out.keys
 	}
+	merged.acc, merged.keys = pl.prog.mergeFolds(parts, keys)
 	if !classic {
 		st.res.Approx = combineAnswers(pl.q, answers)
 	}
@@ -361,105 +363,37 @@ func scatterInputBytes(pl *Plan, legs []leg) int64 {
 }
 
 // combineAnswers folds per-partition phase-A answers into bounds for the
-// whole table. Counts and sums add. Extremes fold with certainty awareness:
-// any partition that might hold qualifying rows (Count.Hi > 0) can supply
-// the extreme, so it widens the outer bound, while only a partition that
-// certainly holds rows (Count.Lo > 0) can tighten the inner one. Averages
+// whole table, over the partitions that may hold qualifying rows (Count.Hi >
+// 0). Counts and sums add. An extreme takes the least (Min) or the greatest
+// (Max) of each of its sides: a partition with no certain row holds its fold's
+// identity on the inner side, which an uncertain candidate never tightens, so
+// only a partition that certainly holds rows moves the inner bound. Averages
 // take the conservative hull of the per-partition intervals.
 func combineAnswers(q Query, answers []ApproxAnswer) ApproxAnswer {
-	var out ApproxAnswer
+	out := ApproxAnswer{Aggs: make([]ar.Interval, len(q.Aggs))}
+	first := true
 	for _, a := range answers {
 		out.Count.Lo += a.Count.Lo
 		out.Count.Hi += a.Count.Hi
-	}
-	out.Aggs = make([]ar.Interval, len(q.Aggs))
-	for k, spec := range q.Aggs {
-		switch spec.Func {
-		case Count, Sum:
-			var total ar.Interval
-			for _, a := range answers {
-				total.Lo += a.Aggs[k].Lo
-				total.Hi += a.Aggs[k].Hi
-			}
-			out.Aggs[k] = total
-		case Avg:
-			set := false
-			var total ar.Interval
-			for _, a := range answers {
-				if a.Count.Hi == 0 {
-					continue
-				}
-				iv := a.Aggs[k]
-				if !set {
-					total, set = iv, true
-					continue
-				}
-				if iv.Lo < total.Lo {
-					total.Lo = iv.Lo
-				}
-				if iv.Hi > total.Hi {
-					total.Hi = iv.Hi
-				}
-			}
-			out.Aggs[k] = total
-		case Min, Max:
-			out.Aggs[k] = combineExtreme(spec.Func, answers, k)
-		}
-	}
-	return out
-}
-
-// combineExtreme folds per-partition Min/Max intervals. For Min: the outer
-// (lower) bound is the least Lo over every possibly-nonempty partition; the
-// inner (upper) bound is the least Hi over the certainly-nonempty ones —
-// falling back to the greatest Hi over the possible ones when no partition
-// is certain. Max mirrors with the roles of Lo and Hi swapped.
-func combineExtreme(f AggFunc, answers []ApproxAnswer, k int) ar.Interval {
-	outerSet, innerSet := false, false
-	var outer, inner int64
-	for _, a := range answers {
 		if a.Count.Hi == 0 {
 			continue
 		}
-		iv := a.Aggs[k]
-		if f == Min {
-			if !outerSet || iv.Lo < outer {
-				outer, outerSet = iv.Lo, true
-			}
-			if a.Count.Lo > 0 && (!innerSet || iv.Hi < inner) {
-				inner, innerSet = iv.Hi, true
-			}
-		} else {
-			if !outerSet || iv.Hi > outer {
-				outer, outerSet = iv.Hi, true
-			}
-			if a.Count.Lo > 0 && (!innerSet || iv.Lo > inner) {
-				inner, innerSet = iv.Lo, true
-			}
-		}
-	}
-	if !outerSet {
-		return ar.Interval{}
-	}
-	if !innerSet {
-		// No partition certainly holds rows: the weakest bound any possible
-		// partition admits.
-		for _, a := range answers {
-			if a.Count.Hi == 0 {
-				continue
-			}
-			iv := a.Aggs[k]
-			if f == Min {
-				if !innerSet || iv.Hi > inner {
-					inner, innerSet = iv.Hi, true
-				}
-			} else if !innerSet || iv.Lo < inner {
-				inner, innerSet = iv.Lo, true
+		for k, spec := range q.Aggs {
+			iv, o := a.Aggs[k], &out.Aggs[k]
+			switch {
+			case spec.Func == Count || spec.Func == Sum:
+				o.Lo, o.Hi = o.Lo+iv.Lo, o.Hi+iv.Hi
+			case first:
+				*o = iv
+			case spec.Func == Min:
+				o.Lo, o.Hi = min(o.Lo, iv.Lo), min(o.Hi, iv.Hi)
+			case spec.Func == Max:
+				o.Lo, o.Hi = max(o.Lo, iv.Lo), max(o.Hi, iv.Hi)
+			default: // Avg
+				o.Lo, o.Hi = min(o.Lo, iv.Lo), max(o.Hi, iv.Hi)
 			}
 		}
+		first = false
 	}
-	if f == Min {
-		return ar.Interval{Lo: outer, Hi: inner}
-	}
-	return ar.Interval{Lo: inner, Hi: outer}
+	return out
 }

@@ -69,7 +69,7 @@ var (
 	pinnedExplainRangeAR = `scatter: ev over 2 partitions (partition by range(v) partitions 2)
   partition 0: ev.p0, pruned (filters on v exclude its slab)
   partition 1: ev.p1, mode=ar, 1405 live rows, est ~517 rows out
-  gather: concatenate partials in partition order, shared tail (group/aggregate/having/order) over ev
+  gather: merge the partitions' accumulators in partition order, shared tail (having/order) over ev
 per-partition plan (partition 1 shown):
   pipeline: mode=ar over ev.p1
     scan: a&r bit-sliced base of ev.p1 (filters cost-ordered by estimated selectivity) est=1403 rows
@@ -81,7 +81,7 @@ per-partition plan (partition 1 shown):
 	pinnedExplainRangeClassic = `scatter: ev over 2 partitions (partition by range(v) partitions 2)
   partition 0: ev.p0, pruned (filters on v exclude its slab)
   partition 1: ev.p1, mode=classic, 1405 live rows, est ~517 rows out
-  gather: concatenate partials in partition order, shared tail (group/aggregate/having/order) over ev
+  gather: merge the partitions' accumulators in partition order, shared tail (having/order) over ev
 per-partition plan (partition 1 shown):
   pipeline: mode=classic over ev.p1
     scan: classic row-major base of ev.p1 (filters in written order) est=1403 rows

@@ -1123,6 +1123,51 @@ func (k *groupKey) merge(pg *program, parts []aggAcc) aggAcc {
 	return acc
 }
 
+// mergeFolds merges the states of several folds into one, in their order: the
+// fold of their inputs' union, one after the other, is the merge of their
+// folds (TestKeyedFoldMergeLaw). keys[i] is each key column's value per group
+// of parts[i], nil for an ungrouped fold, whose one group is every part's. The
+// parts' groups are numbered by key value where they first appear, part after
+// part, as merge numbers its blocks' one level down, and each part is merged
+// through its numbering; it returns each key column's value per merged group.
+func (pg *program) mergeFolds(parts []aggAcc, keys [][][]int64) (aggAcc, [][]int64) {
+	w, total := len(keys[0]), 0
+	for i := range parts {
+		total += parts[i].groups
+	}
+	var numbering bulk.KeyTable
+	numbering.Reset(max(w, 1))
+	defer numbering.Release()
+	gids := mem.U32.GetN(total) // each part's groups' merged group plus one, part after part
+	defer mem.U32.Put(gids)
+	key := make([]uint64, max(w, 1)) // ungrouped, the one key 0
+	at := 0
+	for i := range parts {
+		for g := range parts[i].groups {
+			for c := range keys[i] {
+				key[c] = uint64(keys[i][c][g])
+			}
+			gids[at] = numbering.Tuple(key) + 1
+			at++
+		}
+	}
+	groups := numbering.Len()
+	acc := pg.newAcc(groups, false)
+	at = 0
+	for i := range parts {
+		pg.merge(&acc, &parts[i], gids[at:][:parts[i].groups])
+		at += parts[i].groups
+	}
+	vals, cells := make([][]int64, w), make([]int64, groups*w)
+	for c := range vals {
+		vals[c] = cells[c*groups : (c+1)*groups : (c+1)*groups]
+		for g := range groups {
+			vals[c][g] = int64(numbering.Keys()[g*w+c])
+		}
+	}
+	return acc, vals
+}
+
 // unpack sets group g's value of every key column from its packed key.
 func (k *groupKey) unpack(g int, key uint64) {
 	shift := k.bits

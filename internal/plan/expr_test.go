@@ -793,7 +793,7 @@ func TestAggregateAllocsIndependentOfN(t *testing.T) {
 				if acc.groups != 6 {
 					t.Fatalf("grouping: %d groups", acc.groups)
 				}
-				aggregateRows(pp, pg, segs, &acc, keys, true)
+				aggregateRows(pg, &acc, keys, true)
 				acc.release()
 			}
 		}

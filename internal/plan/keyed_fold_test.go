@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -52,6 +53,15 @@ type mergeLawKey struct {
 // taken whole, so a dropped row keyed instead of sunk adds a group. The
 // ungrouped interval fold obeys the same law. One, two and five workers,
 // pooled and unpooled.
+//
+// The law holds one level up, over legs: the segments cut into 1 to 5 legs,
+// each a base and its delta rows, merging the legs' folds in leg order
+// (program.mergeFolds) equals the one fold of the concatenation, grouped and
+// ungrouped, bit for bit. A leg's base binds the key columns to a
+// decomposition of its own — every other leg's a bit wider, so that legs key
+// in forms of their own — its delta rows bind them to values by row, and a leg
+// whose base is a host set stands for a classic leg beside the A&R legs, whose
+// bases are device sets.
 func TestKeyedFoldMergeLaw(t *testing.T) {
 	defer mem.SetPooling(mem.SetPooling(true))
 	const gpuChunk = 64 << 10
@@ -77,6 +87,7 @@ func TestKeyedFoldMergeLaw(t *testing.T) {
 		{Name: "a", Func: Avg, Expr: Add(Col("v"), Col("w"))},
 	}
 	pg := compileAggs(aggs)
+	var sawMixedLegs, sawLegDelta, sawLegDecs bool // the leg cases the trials met
 	for trial := 0; trial < 3*len(shapes); trial++ {
 		shape := shapes[trial%len(shapes)]
 		big := trial >= 2*len(shapes) // one device segment spans several work-groups
@@ -106,6 +117,7 @@ func TestKeyedFoldMergeLaw(t *testing.T) {
 
 		nseg := 1 + rng.Intn(8)
 		segs := make(segments, nseg)
+		keyVals, onDevice := make([][2][]int64, nseg), make([]bool, nseg)
 		var serial [][4]int64 // the candidates in candidate order: both keys, v, w
 		for si := range segs {
 			n := []int{0, 1 + rng.Intn(200), 1000 + rng.Intn(5000)}[rng.Intn(3)]
@@ -166,6 +178,7 @@ func TestKeyedFoldMergeLaw(t *testing.T) {
 				t.Fatalf("fixture: segment %d holds %d candidates, want %d", si, set.Len(), want)
 			}
 			segs[si] = segment{set: set, binds: binds}
+			keyVals[si], onDevice[si] = [2][]int64{k0, k1}, device
 			for _, id := range set.IDs() {
 				serial = append(serial, [4]int64{k0[id], k1[id], v[id], w[id]})
 			}
@@ -210,7 +223,40 @@ func TestKeyedFoldMergeLaw(t *testing.T) {
 			a[0], a[1], a[2], a[3], a[4] = a[0]+1, a[1]+row[2], min(a[2], row[2]), max(a[3], row[3]), a[4]+row[2]+row[3]
 		}
 
-		label := fmt.Sprintf("trial %d, %s, %d segments, %d candidates", trial, shape.name, nseg, len(serial))
+		// The legs: runs of the segments, each a leg's base and its delta rows,
+		// the keys bound as the doc comment says.
+		nleg := 1 + rng.Intn(min(nseg, 5))
+		starts := []int{0}
+		for _, c := range rng.Perm(nseg - 1)[:nleg-1] {
+			starts = append(starts, c+1)
+		}
+		slices.Sort(starts)
+		starts = append(starts, nseg)
+		legs := make([]segments, nleg)
+		for l := range legs {
+			lo, hi := starts[l], starts[l+1]
+			for si := lo; si < hi; si++ {
+				s := segment{set: segs[si].set, binds: maps.Clone(segs[si].binds)}
+				for c, vals := range keyVals[si] {
+					b := colBind{tails: vals}
+					if d := shape.decs[c]; d != nil && si == lo {
+						legDec := *d
+						if l%2 == 1 {
+							legDec.ApproxBits++
+							legDec.TotalBits++
+							sawLegDecs = true
+						}
+						b = colBind{col: decColumn(legDec, vals)}
+					}
+					s.binds[ColRef{Name: fmt.Sprint("k", c)}] = b
+				}
+				legs[l] = append(legs[l], s)
+			}
+			sawLegDelta = sawLegDelta || hi-lo > 1 && legs[l][1:].rows() > 0
+			sawMixedLegs = sawMixedLegs || onDevice[lo] != onDevice[starts[0]]
+		}
+
+		label := fmt.Sprintf("trial %d, %s, %d segments, %d legs, %d candidates", trial, shape.name, nseg, nleg, len(serial))
 		by := []string{"k0", "k1"}
 		var ref aggAcc
 		refKeys := segments{concat}.fold(par.P{Threads: 1}, pg, &ref, by...)
@@ -229,6 +275,8 @@ func TestKeyedFoldMergeLaw(t *testing.T) {
 			return ins
 		}
 		pg.fold(par.P{Threads: 1}, &refIv, nil, bindIv(segments{concat})...)
+		refAll := pg.newAcc(1, false)
+		segments{concat}.fold(par.P{Threads: 1}, pg, &refAll)
 		if len(refKeys[0]) != len(order) {
 			t.Fatalf("%s: the concatenation folds into %d groups, the serial loop meets %d", label, len(refKeys[0]), len(order))
 		}
@@ -262,14 +310,43 @@ func TestKeyedFoldMergeLaw(t *testing.T) {
 					t.Fatalf("%s: interval fold [%v, %v], the concatenation's [%v, %v]", how, iv.lo, iv.hi, refIv.lo, refIv.hi)
 				}
 				iv.release()
+
+				// The legs' folds merged in leg order, grouped and ungrouped.
+				parts, flat := make([]aggAcc, nleg), make([]aggAcc, nleg)
+				legKeys := make([][][]int64, nleg)
+				for l, ls := range legs {
+					legKeys[l] = ls.fold(pp, pg, &parts[l], by...)
+					flat[l] = pg.newAcc(1, false)
+					ls.fold(pp, pg, &flat[l])
+				}
+				merged, keys := pg.mergeFolds(parts, legKeys)
+				if merged.groups != ref.groups || !slices.Equal(merged.cnt, ref.cnt) || !slices.Equal(merged.lo, ref.lo) ||
+					!slices.Equal(keys[0], refKeys[0]) || !slices.Equal(keys[1], refKeys[1]) {
+					t.Fatalf("%s: the legs' folds merge into %d groups, the concatenation folds into %d (counts equal %v, accumulators %v, keys %v)", how, merged.groups, ref.groups,
+						slices.Equal(merged.cnt, ref.cnt), slices.Equal(merged.lo, ref.lo), slices.Equal(keys[0], refKeys[0]) && slices.Equal(keys[1], refKeys[1]))
+				}
+				mergedAll, _ := pg.mergeFolds(flat, make([][][]int64, nleg))
+				if !slices.Equal(mergedAll.cnt, refAll.cnt) || !slices.Equal(mergedAll.lo, refAll.lo) {
+					t.Fatalf("%s: the legs' ungrouped folds merge into %v %v, the concatenation folds into %v %v", how, mergedAll.cnt, mergedAll.lo, refAll.cnt, refAll.lo)
+				}
+				for l := range parts {
+					parts[l].release()
+					flat[l].release()
+				}
+				merged.release()
+				mergedAll.release()
 			}
 		}
 		mem.SetPooling(true)
 		ref.release()
 		refIv.release()
+		refAll.release()
 		one.Release()
 		for _, s := range segs {
 			s.set.Release()
 		}
+	}
+	if !sawMixedLegs || !sawLegDelta || !sawLegDecs {
+		t.Fatalf("fixture: the trials met a classic leg beside an A&R leg %v, a leg with delta rows %v, legs of different decompositions %v", sawMixedLegs, sawLegDelta, sawLegDecs)
 	}
 }

@@ -72,30 +72,29 @@ type pipeline struct {
 	snap *execSnap
 }
 
-// devGroupCols decides where a grouped A&R scan groups: it returns the
-// grouping columns when the device pre-groups them, to be refined (§IV-E),
-// and nil when the host groups over exact tuples. The device pre-groups
-// only while no other tuples join this scan's on the host — another leg's
-// partial (solo false) or live delta rows force the grouping there, where
-// all of them meet — and only a key that fits its grouping table. scanAR
-// and describe both ask here, so \explain shows what runs.
-func (pl pipeline) devGroupCols(solo bool) []*bwd.Column {
-	if pl.classic || !solo {
-		return nil
-	}
-	return pl.snap.devGroupCols(&pl.q)
+// exactLeg reports whether the leg's approximation is its exact result: an
+// A&R scan of a table version with no delta segment and every bit of every
+// column the statement reads device resident — filters, disjuncts, join keys,
+// dimension filters, aggregate inputs, and group keys the grouping table holds
+// (legPlan.resident). The relaxed ranges are then the predicates and the codes
+// the values (§IV-C, §IV-E): no candidate is uncertain, no refinement can drop
+// one, every phase-A interval is a point. scanAR and describe both ask here.
+func (pl pipeline) exactLeg() bool {
+	return !pl.classic && pl.resident
 }
 
-// exactLeg reports whether the leg's approximation is its exact result: an
-// A&R scan, the only leg the statement scans, of a table version with no
-// delta segment and every bit of every column the statement reads device
-// resident — filters, disjuncts, join keys, dimension filters, aggregate
-// inputs, and group keys the grouping table holds (legPlan.resident). The
-// relaxed ranges are then the predicates and the codes the values (§IV-C,
-// §IV-E): no candidate is uncertain, no refinement can drop one, every
-// phase-A interval is a point. scanAR, the tail and describe all ask here.
-func (pl pipeline) exactLeg(solo bool) bool {
-	return !pl.classic && solo && pl.resident
+// soloBill is the bill's rule, and the one reader of solo (DESIGN.md §7, "The
+// bill"). A statement's only leg is billed its device pre-grouping over
+// preGroup's columns — the key count, its charges and listing, and the
+// grouping columns left unprojected — and, on an exact leg, its projections'
+// refinement as the views they are (views: unbilled). A leg of a scatter is
+// billed neither, as when the legs' rows met on the host to be grouped. What
+// runs does not ask: every leg folds its own rows.
+func (pl pipeline) soloBill(st *pipeState) (preGroup []*bwd.Column, views bool) {
+	if !st.solo {
+		return nil, false
+	}
+	return pl.snap.devGroupCols(&pl.q), pl.exactLeg()
 }
 
 // resident is the part of exactLeg that the leg's pinned versions settle,
@@ -112,9 +111,11 @@ func (s *execSnap) resident(q *Query) bool {
 	return len(q.GroupBy) == 0 || s.devGroupCols(q) != nil
 }
 
-// devGroupCols is the part of the decision one leg's snapshot settles,
-// which is all the ship estimate of chooseSnap can know: it prices a leg
-// before the statement's leg count is, so it deliberately leaves solo out.
+// devGroupCols returns the grouping columns when a grouped A&R leg groups by
+// their device codes (§IV-E) — its rows keyed by the packed codes, an exact
+// leg's in its phase-A fold — and nil when it groups over exact values: live
+// delta rows join the base's on the host, or the key does not fit its grouping
+// table. The leg, describe and chooseSnap's ship estimate all ask here.
 func (s *execSnap) devGroupCols(q *Query) []*bwd.Column {
 	if len(q.GroupBy) == 0 || s.fact.LiveDelta() != 0 {
 		return nil
@@ -153,6 +154,9 @@ type pipeState struct {
 	// leg.scan's admission to leaveDevice.
 	gate DeviceGate
 	part int
+	// solo says the leg is the only one its statement scans; soloBill alone
+	// reads it.
+	solo bool
 }
 
 // leaveDevice hands the leg's device stream back to the gate it was
@@ -217,19 +221,38 @@ func (st *pipeState) startTrace(classic bool) {
 }
 
 // scanOut is what every scan source produces: its segments — the base's,
-// then the delta's when there is one (scanDelta) — and, A&R only, the device
-// pre-grouping's counts, which bill its refinement. An exact A&R leg adds its
-// accumulators, and so does a grouped tail (finish); the out owns them and
-// the segments' sets until release.
+// then the delta's when there is one (scanDelta) — until the leg has folded
+// them, then its accumulators — per group, with each group's key in keys,
+// when the statement groups — and how many rows it folded; and, when the bill
+// pre-groups, the device pre-grouping's counts, which bill its refinement. The
+// out owns the segments' sets and the accumulators until release.
 type scanOut struct {
 	segs segments
 	mg   *ar.Grouping
-	// exact is set by an exact A&R leg, with acc: the aggregates of the base
-	// segment, already folded — per group, with each group's key in keys,
-	// when the statement groups.
-	exact bool
-	acc   aggAcc
-	keys  [][]int64
+	acc  aggAcc
+	keys [][]int64
+	rows int
+}
+
+// fold folds segs, base then delta, into the out's accumulators: per group,
+// numbered in candidate order, when the statement groups.
+func (pl pipeline) fold(pp par.P, segs segments, out *scanOut) {
+	if len(pl.q.GroupBy) > 0 {
+		out.keys = segs.fold(pp, pl.prog, &out.acc, pl.q.GroupBy...)
+		return
+	}
+	out.acc = pl.prog.newAcc(1, false)
+	segs.fold(pp, pl.prog, &out.acc)
+}
+
+// dropSets notes the rows of the out's segments and hands their sets back to
+// the arena: the leg has folded them.
+func (out *scanOut) dropSets() {
+	out.rows = out.segs.rows()
+	for _, s := range out.segs {
+		s.set.Release()
+	}
+	out.segs = nil
 }
 
 // release returns every segment's set and the accumulators to the arena. A
@@ -243,16 +266,17 @@ func (out *scanOut) release() {
 	}
 }
 
-// finish is the shared downstream pipeline over the gathered segments: group,
-// aggregate, filter with HAVING, and order/limit. classic is the statement's
-// mode — the tail of a mixed-mode scatter follows it, not any one leg's.
+// finish is the shared downstream pipeline over the legs' gathered
+// accumulators: group, aggregate, filter with HAVING, and order/limit. classic
+// is the statement's mode — the tail of a mixed-mode scatter follows it, not
+// any one leg's.
 func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	q := &pl.q
 
-	// Grouping: one keyed fold of the segments, which folds the aggregates per
-	// key as it numbers the groups (an exact leg's ran at its pre-grouping),
-	// billed as the refinement of the device pre-grouping when one exists and
-	// as the bulk model's hash grouping otherwise.
+	// Grouping: every leg has folded its aggregates per key as it numbered the
+	// groups, and the gather merged them; it is billed as the refinement of the
+	// device pre-grouping when one was billed and as the bulk model's hash
+	// grouping otherwise.
 	if len(q.GroupBy) > 0 {
 		stage, label := StageRefine, "group.merge"
 		if classic {
@@ -261,14 +285,11 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 		if err := st.step(stage); err != nil {
 			return err
 		}
-		if !out.exact {
-			out.keys = out.segs.fold(st.pp, pl.prog, &out.acc, q.GroupBy...)
-		}
-		if out.mg != nil {
-			ar.ChargeGroupRefine(st.pp, st.m, out.mg, out.segs[0].set.Len())
+		if out.mg != nil { // a pre-grouped leg has no live delta row
+			ar.ChargeGroupRefine(st.pp, st.m, out.mg, out.rows)
 			st.emit(out.acc.groups, -1, obs.Op{Fmt: "bwd.grouprefine(%[1]s)", A: pl.groupText})
 		} else {
-			bulk.ChargeGroupBy(st.pp, st.m, out.segs.rows(), len(q.GroupBy))
+			bulk.ChargeGroupBy(st.pp, st.m, out.rows, len(q.GroupBy))
 			st.emit(out.acc.groups, -1, obs.Op{Fmt: "%[1]s(%[2]s)", A: label, B: pl.groupText})
 		}
 	}
@@ -278,18 +299,14 @@ func finish(st *pipeState, pl *Plan, classic bool, out *scanOut) error {
 	// is a fused, statically expanded loop (§V-C) reading each input column
 	// once — unlike the classic engine, which materializes every
 	// arithmetic intermediate (§II-B). On the host both are the one compiled
-	// program folded block by block over the segments, each column read by
-	// mask where it lies (expr.go); the two models differ in what
+	// program each leg folded block by block over its segments, each column
+	// read by mask where it lies (expr.go); the two models differ in what
 	// chargeAggregation bills, not in what runs.
 	if err := st.step(StageAggregate); err != nil {
 		return err
 	}
-	var folded *aggAcc
-	if out.exact || len(q.GroupBy) > 0 {
-		folded = &out.acc
-	}
-	chargeAggregation(st.m, st.pp.NThreads(), pl.prog.aggs, int64(out.segs.rows()), len(q.GroupBy) > 0, !classic)
-	rows := aggregateRows(st.pp, pl.prog, out.segs, folded, out.keys, len(q.GroupBy) > 0)
+	chargeAggregation(st.m, st.pp.NThreads(), pl.prog.aggs, int64(out.rows), len(q.GroupBy) > 0, !classic)
+	rows := aggregateRows(pl.prog, &out.acc, out.keys, len(q.GroupBy) > 0)
 	aggr := "bwd.%[1]srefine(%[2]s)"
 	if classic {
 		aggr = "aggr.%[1]s(%[2]s)"
@@ -409,9 +426,8 @@ func dropHidden(q *Query, rows []Row) []Row {
 // strategy, then the leg's operator list — conjuncts and disjunctions with
 // their estimated selectivities and output rows, the join chain — and the
 // delta / grouping / having / top-k stages. The estimates are the ones the
-// trace records for the same operators. solo says the leg is the only one the
-// statement scans (see leg.scan).
-func (pl pipeline) describe(solo bool) []string {
+// trace records for the same operators.
+func (pl pipeline) describe() []string {
 	q := &pl.q
 	est := pl.snap.fact.LiveBase()
 	var out []string
@@ -444,12 +460,12 @@ func (pl pipeline) describe(solo bool) []string {
 	} else {
 		out = append(out, "  delta: none")
 	}
-	if pl.exactLeg(solo) {
+	if pl.exactLeg() {
 		out = append(out, "  refine: nothing to refine — every column read is device resident")
 	}
 	if len(q.GroupBy) > 0 {
 		how := "host rebuild over combined tuples"
-		if pl.devGroupCols(solo) != nil {
+		if !pl.classic && pl.snap.devGroupCols(q) != nil {
 			how = "device pre-group + refine"
 		}
 		line := fmt.Sprintf("  group: %s (%s)", pl.groupText, how)
@@ -492,7 +508,7 @@ func (pl pipeline) describe(solo bool) []string {
 // gather stage, and the first surviving leg's pipeline as the representative.
 func (x *Pinned) Describe() []string {
 	legs, p, q := x.legs, x.p, &x.pl.q
-	rep := legs[0].pl.describe(len(legs) == 1)
+	rep := legs[0].pl.describe()
 	if p == nil {
 		return rep
 	}
@@ -513,7 +529,7 @@ func (x *Pinned) Describe() []string {
 		}
 		out = append(out, line)
 	}
-	out = append(out, fmt.Sprintf("  gather: concatenate partials in partition order, shared tail (group/aggregate/having/order) over %s", q.Table))
+	out = append(out, fmt.Sprintf("  gather: merge the partitions' accumulators in partition order, shared tail (having/order) over %s", q.Table))
 	out = append(out, fmt.Sprintf("per-partition plan (partition %d shown):", legs[0].idx))
 	for _, line := range rep {
 		out = append(out, "  "+line)
@@ -571,22 +587,12 @@ func exprText(e Expr) string {
 
 // ---- Shared aggregation operators ----
 
-// aggregateRows reads the rows off the accumulators a grouped fold or an
-// exact A&R leg already holds (folded non-nil; keys, each key column's value
-// per group), or folds the statement's compiled aggregates over the
-// segments' exact values, segment after segment, ungrouped. Its bill is
-// chargeAggregation. Rows come out in group-discovery order, every
-// row's Keys and Vals carved from one backing array; the caller establishes
-// the output order (sortRows, or ORDER BY's comparator) after HAVING.
-func aggregateRows(pp par.P, pg *program, segs segments, folded *aggAcc, keys [][]int64, grouped bool) []Row {
-	var acc aggAcc
-	if folded != nil {
-		acc = *folded
-	} else {
-		acc = pg.newAcc(1, false)
-		defer acc.release()
-		segs.fold(pp, pg, &acc)
-	}
+// aggregateRows reads the rows off the accumulators the legs folded (keys,
+// each key column's value per group, when grouped). Its bill is
+// chargeAggregation. Rows come out in group-discovery order, every row's Keys
+// and Vals carved from one backing array; the caller establishes the output
+// order (sortRows, or ORDER BY's comparator) after HAVING.
+func aggregateRows(pg *program, acc *aggAcc, keys [][]int64, grouped bool) []Row {
 	groups, nk, nv := acc.groups, len(keys), len(pg.aggs)
 	rows := make([]Row, groups)
 	cells := make([]int64, groups*(nk+nv))
@@ -602,7 +608,7 @@ func aggregateRows(pp par.P, pg *program, segs segments, folded *aggAcc, keys []
 		}
 		rows[g].Vals = row[nk:]
 		for k := range pg.aggs {
-			row[nk+k] = pg.value(&acc, k, g)
+			row[nk+k] = pg.value(acc, k, g)
 		}
 	}
 	return rows

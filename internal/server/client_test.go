@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// Client is a minimal client for the server's line protocol. It is not
-// safe for concurrent use; open one client per goroutine (a client maps to
-// one server session anyway).
+// Client is the tests' minimal client for the server's line protocol. It is
+// not safe for concurrent use; open one client per goroutine (a client maps
+// to one server session anyway).
 type Client struct {
 	conn net.Conn
 	in   *bufio.Scanner

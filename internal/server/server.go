@@ -70,9 +70,6 @@ func New(eng *engine.Engine) *Server {
 	}
 }
 
-// Engine returns the engine the server adapts.
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
 // ListenAndServe listens on addr ("host:port") and serves until Close.
 func (s *Server) ListenAndServe(addr string) error {
 	l, err := net.Listen("tcp", addr)
@@ -121,16 +118,6 @@ func (s *Server) Serve(l net.Listener) error {
 			s.serveConn(conn)
 		}()
 	}
-}
-
-// Addr returns the listen address, once Serve has been called.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil
-	}
-	return s.listener.Addr()
 }
 
 // Close stops accepting, cancels in-flight queries, closes every live

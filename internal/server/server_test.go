@@ -321,7 +321,7 @@ func TestOverloadReplyCarriesRetryHint(t *testing.T) {
 	}}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Engine().Scheduler().Exec(context.Background(), b, blocked, engine.ModeAR)
+		_, _, err := srv.eng.Scheduler().Exec(context.Background(), b, blocked, engine.ModeAR)
 		done <- err
 	}()
 	<-running
@@ -329,11 +329,11 @@ func TestOverloadReplyCarriesRetryHint(t *testing.T) {
 	// Fill the admission queue with one waiter.
 	waiter := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Engine().Scheduler().Exec(context.Background(), b, plan.ExecOpts{}, engine.ModeAR)
+		_, _, err := srv.eng.Scheduler().Exec(context.Background(), b, plan.ExecOpts{}, engine.ModeAR)
 		waiter <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Engine().Scheduler().Stats().WaitingAR == 0 {
+	for srv.eng.Scheduler().Stats().WaitingAR == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("queued A&R query never registered as waiting")
 		}
@@ -376,7 +376,7 @@ func TestOverloadReplyCarriesRetryHint(t *testing.T) {
 func TestClientDisconnectCancelsInFlightQuery(t *testing.T) {
 	c := testCatalog(t)
 	srv, addr := startServer(t, c, engine.Options{Sched: engine.SchedConfig{GPUStreams: 1, ARQueue: 4}})
-	sched := srv.Engine().Scheduler()
+	sched := srv.eng.Scheduler()
 
 	// Park a query on the GPU stream until released, so the protocol
 	// client's query queues behind it deterministically.

@@ -3,7 +3,6 @@ package sql
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/bat"
@@ -832,15 +831,4 @@ func AppendNormalized(dst []byte, src string) []byte {
 			dst = append(dst, t.text...)
 		}
 	}
-}
-
-// Format renders a result like a small SQL client.
-func Format(res *plan.Result) string {
-	if res == nil {
-		return "ok\n"
-	}
-	if lines := res.Plan(); res.Rows == nil && len(lines) > 0 {
-		return strings.Join(lines, "\n") + "\n"
-	}
-	return plan.FormatRows(res.Rows)
 }

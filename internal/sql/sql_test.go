@@ -185,7 +185,7 @@ func TestExplain(t *testing.T) {
 	c := testCatalog(t)
 	mustRun(t, c, "select bwdecompose(l_shipdate, 8) from lineitem")
 	res := mustRun(t, c, "explain select count(*) from lineitem where l_shipdate < 100")
-	text := Format(res)
+	text := strings.Join(res.Plan(), "\n")
 	if !strings.Contains(text, "bwd.uselectapproximate(lineitem.l_shipdate)") {
 		t.Errorf("explain output missing approximate select:\n%s", text)
 	}
@@ -277,16 +277,6 @@ func TestRunUndedecomposedColumnFails(t *testing.T) {
 	}
 	if _, err := Run(c, "select count(*) from lineitem where l_shipdate < 5", plan.ExecOpts{}); err == nil {
 		t.Error("query over undecomposed column did not fail (A&R needs bwdecompose)")
-	}
-}
-
-func TestFormatVariants(t *testing.T) {
-	if Format(nil) != "ok\n" {
-		t.Error("nil result should format as ok")
-	}
-	res := &plan.Result{Note: "step1"}
-	if !strings.Contains(Format(res), "step1") {
-		t.Error("row-less result should print its outcome line")
 	}
 }
 

@@ -16,11 +16,6 @@ import (
 	"testing"
 )
 
-// kernelLayer is the eleven operator, container and cost-model packages that
-// must hold nothing a statement, a figure or another package's test does not
-// execute.
-var kernelLayer = []string{"ar", "bulk", "bat", "bitpack", "bwd", "stats", "shard", "fixed", "mem", "par", "device"}
-
 // reachAllowed names what stays for good although nothing reaches it, each
 // with its reason. The test caps the list at 8 entries.
 var reachAllowed = map[string]string{
@@ -31,15 +26,15 @@ var reachAllowed = map[string]string{
 	"bitpack.Array.Equal": "how bitpack's tests compare a kernel's output with the reference array",
 }
 
-// TestKernelLayerIsReached builds the function reference graph of the
-// module's non-test files and fails when a function or method declared in
-// the kernel layer is reachable neither from a main under cmd/ or
-// examples/, nor from what bench/*.go references, nor from a _test.go file
-// of a different package (oracles and fixtures), unless reachAllowed names
-// it. A method that satisfies an interface
-// (fmt.Stringer, sort.Interface, …) counts as reached: it is called through
-// the interface.
-func TestKernelLayerIsReached(t *testing.T) {
+// TestModuleIsReached builds the function reference graph of the module's
+// non-test files and fails when a function or method declared in it is
+// reachable neither from a main under cmd/ or examples/, nor from what
+// bench/*.go references, nor from a _test.go file of a different package
+// (oracles and fixtures), unless reachAllowed names it. A method that
+// satisfies an interface (fmt.Stringer, sort.Interface, the methods errors.Is,
+// errors.As and errors.Unwrap look for, …) counts as reached: it is called
+// through the interface.
+func TestModuleIsReached(t *testing.T) {
 	g := loadModule(t)
 	if len(reachAllowed) > 8 {
 		t.Fatalf("allow-list has %d entries, the cap is 8", len(reachAllowed))
@@ -53,7 +48,7 @@ func TestKernelLayerIsReached(t *testing.T) {
 	var dead []string
 	lines := 0
 	for fn, decl := range g.decls {
-		if !inKernelLayer(fn.Pkg().Path()) || live[fn] || excused[funcName(fn)] {
+		if !inModule(fn.Pkg().Path()) || live[fn] || excused[funcName(fn)] {
 			continue
 		}
 		start := decl.Pos()
@@ -67,7 +62,7 @@ func TestKernelLayerIsReached(t *testing.T) {
 	}
 	if len(dead) > 0 {
 		sort.Strings(dead)
-		t.Errorf("%d kernel-layer functions (%d lines with doc comments) are reached by no binary, benchmark or foreign test:\n%s",
+		t.Errorf("%d functions (%d lines with doc comments) are reached by no binary, benchmark or foreign test:\n%s",
 			len(dead), lines, strings.Join(dead, "\n"))
 	}
 }
@@ -160,13 +155,10 @@ func loadModule(t *testing.T) *refGraph {
 	return module.g
 }
 
-func inKernelLayer(pkgPath string) bool {
-	for _, k := range kernelLayer {
-		if pkgPath == "repro/internal/"+k {
-			return true
-		}
-	}
-	return false
+// inModule reports whether pkgPath is a package of this module; bench/ is a
+// module of its own, every function of which is a root.
+func inModule(pkgPath string) bool {
+	return (pkgPath == "repro" || strings.HasPrefix(pkgPath, "repro/")) && pkgPath != "repro/bench"
 }
 
 // funcName is pkg.Func or pkg.Type.Method — the package path below
@@ -351,8 +343,8 @@ func (g *refGraph) addDir(dir string) error {
 }
 
 // reach marks everything the roots mention, transitively, plus every
-// kernel-layer method that satisfies an interface declared by the module
-// or by a package it imports.
+// module method that satisfies an interface declared by the module or by a
+// package it imports, or one of the errors package's (errorsIfaces).
 func (g *refGraph) reach() map[*types.Func]bool {
 	live := map[*types.Func]bool{}
 	var visit func(fn *types.Func)
@@ -374,8 +366,32 @@ func (g *refGraph) reach() map[*types.Func]bool {
 	return live
 }
 
+// errorsIfaces are the interfaces errors.Is, errors.As and errors.Unwrap
+// assert an error to: the errors package declares them inside its functions,
+// where no scope lists them.
+func errorsIfaces() []*types.Interface {
+	errT, anyT := types.Universe.Lookup("error").Type(), types.Universe.Lookup("any").Type()
+	method := func(name string, param, result types.Type) *types.Func {
+		var params *types.Tuple
+		if param != nil {
+			params = types.NewTuple(types.NewParam(token.NoPos, nil, "", param))
+		}
+		sig := types.NewSignatureType(nil, nil, nil, params, types.NewTuple(types.NewParam(token.NoPos, nil, "", result)), false)
+		return types.NewFunc(token.NoPos, nil, name, sig)
+	}
+	out := []*types.Interface{
+		types.NewInterfaceType([]*types.Func{method("Is", errT, types.Typ[types.Bool])}, nil),
+		types.NewInterfaceType([]*types.Func{method("As", anyT, types.Typ[types.Bool])}, nil),
+		types.NewInterfaceType([]*types.Func{method("Unwrap", nil, errT)}, nil),
+	}
+	for _, it := range out {
+		it.Complete()
+	}
+	return out
+}
+
 func (g *refGraph) interfaceMethods() []*types.Func {
-	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	ifaces := append(errorsIfaces(), types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	var named []*types.Named
 	seen := map[*types.Package]bool{}
 	var scan func(p *types.Package)
@@ -397,7 +413,7 @@ func (g *refGraph) interfaceMethods() []*types.Func {
 				if it.IsMethodSet() && it.NumMethods() > 0 {
 					ifaces = append(ifaces, it)
 				}
-			} else if inKernelLayer(p.Path()) {
+			} else if inModule(p.Path()) {
 				named = append(named, nt)
 			}
 		}
